@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci test-fault bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
+.PHONY: all build test race vet fmt-check ci test-fault bench-smoke bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
 
 all: build
 
@@ -30,6 +30,14 @@ ci: fmt-check vet build race
 # wedged, or silently dropping connections).
 test-fault:
 	$(GO) test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown' ./internal/dist/
+
+# bench-smoke is the benchmark-ledger smoke gate (also run by ci.sh): bench/
+# is a nested module (repro/bench) that `go test ./...` does not reach. Its
+# test drives every ledger workload for a few seconds against the sequential
+# oracle, under the race detector. The target only invokes the ledger; it
+# changes nothing under bench/.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test -race -count=2 .
 
 # bench is the scheduler smoke gate (also run by ci.sh): one iteration of the
 # figure 9/10 sweeps and the dispatch benchmark, enough to catch crashes or

@@ -18,6 +18,13 @@ go test -race ./...
 # master/worker pair through a severed, wedged, or silently dropping
 # connection.
 go test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown' ./internal/dist/
+# Benchmark-ledger smoke gate (`make bench-smoke`): bench/ is a nested module
+# (repro/bench) that `go test ./...` above does not reach. Its test drives
+# every ledger workload for a few seconds against the sequential oracle, and
+# under the race detector it is the widest concurrent exercise of the runtime
+# in the repository. The step only invokes the ledger; it changes nothing
+# under bench/.
+(cd bench && go vet . && go test -race -count=2 .)
 # Scheduler smoke gate: one iteration of the figure 9/10 sweeps and the
 # dispatch benchmark (`make bench`) to catch crashes or stalls in the
 # dispatch fast path.

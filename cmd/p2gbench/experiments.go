@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -252,31 +253,28 @@ func baseline() error {
 
 func granularity() error {
 	cfg := kmeansCfg()
-	fmt.Printf("%-14s %-14s %-20s\n", "assign slab", "wall s", "assign dispatch/inst")
-	for _, g := range []int{1, 8, 32, 125, 250} {
+	fmt.Printf("%-14s %-14s %-22s %s\n", "assign slice", "wall s", "assign dispatch/inst", "instances/slice")
+	// Forced slice sizes first, then the scheduler's own sizing rule.
+	for _, g := range []int{1, 8, 32, 125, 250, 0} {
 		opts := workloads.KMeansOptions(cfg, *maxWorkers)
-		opts.Granularity = map[string]int{"assign": g}
+		label := "default"
+		if g > 0 {
+			opts.Granularity = map[string]int{"assign": g}
+			label = strconv.Itoa(g)
+		}
 		var ds []time.Duration
-		var disp time.Duration
+		var assign runtime.KernelStats
 		for r := 0; r < *runs; r++ {
 			rep, err := runInstrumented(workloads.KMeans(cfg), opts)
 			if err != nil {
 				return err
 			}
 			ds = append(ds, rep.Wall)
-			disp = rep.Kernel("assign").DispatchPer()
+			assign = rep.Kernel("assign")
 		}
 		mean, std := meanStd(ds)
-		fmt.Printf("%-14d %7.3f ±%5.3f %v\n", g, mean, std, disp)
+		fmt.Printf("%-14s %7.3f ±%5.3f %-22v %.1f\n", label, mean, std, assign.DispatchPer(), assign.InstancesPerSlice())
 	}
-	// Adaptive mode picks its own slab size.
-	opts := workloads.KMeansOptions(cfg, *maxWorkers)
-	opts.Adaptive = true
-	rep, err := runInstrumented(workloads.KMeans(cfg), opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-14s %7.3f        %v\n", "adaptive", rep.Wall.Seconds(), rep.Kernel("assign").DispatchPer())
 	fmt.Println("(§VIII-B's remedy: larger slices per assign instance cut the analyzer's event load)")
 	return nil
 }

@@ -282,6 +282,16 @@ func (k *KernelDecl) Local(name string) *LocalDecl {
 	return nil
 }
 
+// LocalIndex returns the position of the named local in Locals, or -1.
+func (k *KernelDecl) LocalIndex(name string) int {
+	for i := range k.Locals {
+		if k.Locals[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Program is a complete P2G program: fields, kernels and global timers.
 type Program struct {
 	Name    string

@@ -101,14 +101,7 @@ func NewCtx(k *KernelDecl, age int, index map[string]int, timers *deadline.Timer
 
 // localIndex returns the position of the named local in the kernel's Locals
 // declaration, or -1.
-func (c *Ctx) localIndex(name string) int {
-	for i := range c.kernel.Locals {
-		if c.kernel.Locals[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
+func (c *Ctx) localIndex(name string) int { return c.kernel.LocalIndex(name) }
 
 // Kernel returns the kernel declaration this instance executes.
 func (c *Ctx) Kernel() *KernelDecl { return c.kernel }
@@ -222,6 +215,12 @@ func (c *Ctx) FetchDest(name string) *field.Array {
 	if i < 0 {
 		panic(fmt.Sprintf("p2g: kernel %s has no local %q", c.kernel.Name, name))
 	}
+	return c.FetchDestAt(i)
+}
+
+// FetchDestAt is FetchDest for the local at position i in the kernel's Locals
+// declaration — the by-index form the runtime's dispatch plans use.
+func (c *Ctx) FetchDestAt(i int) *field.Array {
 	a := c.arrs[i]
 	if a == nil {
 		l := &c.kernel.Locals[i]
@@ -240,6 +239,10 @@ func (c *Ctx) Bound(name string) bool {
 	i := c.localIndex(name)
 	return i >= 0 && c.bound[i]
 }
+
+// BoundAt reports whether the local at position i has been bound in this
+// instance — the by-index counterpart of Bound.
+func (c *Ctx) BoundAt(i int) bool { return c.bound[i] }
 
 // Int32 returns the named scalar local as int32.
 func (c *Ctx) Int32(name string) int32 { return c.Get(name).Int32() }

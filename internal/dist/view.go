@@ -214,6 +214,8 @@ func KernelStatsFromSnapshot(s *obs.MetricsSnapshot) []runtime.KernelStats {
 		switch name {
 		case obs.MKernelInstances:
 			row(kernel).Instances = val
+		case obs.MKernelSlices:
+			row(kernel).Slices = val
 		case obs.MKernelDispatchNs:
 			row(kernel).DispatchTotal = time.Duration(val)
 		case obs.MKernelTimeNs:

@@ -485,8 +485,13 @@ func (a *Array) aliasSlab(k Kind, ext []int, src *slab, base, n int) {
 		a.extents = append([]int(nil), ext...)
 	}
 	a.kind = k
+	// Re-aliasing a view of the same class only overwrites the class's own
+	// slices below; the rest of the slab is nil already.
+	if !a.view || a.data.class != src.class {
+		a.data = slab{class: src.class}
+	}
 	a.view = true
-	d := slab{class: src.class}
+	d := &a.data
 	switch src.class {
 	case classU8:
 		d.u8 = src.u8[base : base+n : base+n]
@@ -503,7 +508,6 @@ func (a *Array) aliasSlab(k Kind, ext []int, src *slab, base, n int) {
 	default:
 		d.vs = src.vs[base : base+n : base+n]
 	}
-	a.data = d
 }
 
 // ResetEmpty repurposes the array in place as an empty array of the given

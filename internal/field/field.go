@@ -134,7 +134,10 @@ func (s *ageStore) detach() {
 // ViewToken pins one generation's slab against recycling while a read-only
 // view (FetchViewAll/FetchViewSlice) aliases it. The zero token is a valid
 // no-op. Release must be called exactly once per acquired token.
-type ViewToken struct{ s *ageStore }
+type ViewToken struct {
+	s    *ageStore
+	kind Kind
+}
 
 // Release drops the view's pin. If the generation was dropped from its field
 // while this view was in flight, the last release recycles the slab.
@@ -301,10 +304,13 @@ func (s *ageStore) flatten(idx []int) int {
 	return off
 }
 
-// growResult fills the StoreResult extents copy for a store that grew the
-// generation. Only growing stores allocate.
-func (s *ageStore) growResult(count int) (StoreResult, error) {
-	return StoreResult{Grew: true, Extents: append([]int(nil), s.extents...), Count: count}, nil
+// result builds the StoreResult of a store that wrote count elements. Only
+// growing stores allocate (the extents copy).
+func (s *ageStore) result(grew bool, count int) StoreResult {
+	if grew {
+		return StoreResult{Grew: true, Extents: append([]int(nil), s.extents...), Count: count}
+	}
+	return StoreResult{Count: count}
 }
 
 // Store writes a single element at (age, idx...), growing the extent if the
@@ -314,51 +320,79 @@ func (f *Field) Store(age int, v Value, idx ...int) (StoreResult, error) {
 	if len(idx) != f.rank {
 		return StoreResult{}, fmt.Errorf("field %s: store rank mismatch: %d coordinates for rank-%d field", f.name, len(idx), f.rank)
 	}
+	vals := [1]Value{v}
+	return f.StoreElems(age, idx, vals[:])
+}
+
+// StoreElems writes len(vals) single elements of one generation under one
+// lock acquisition: element i lands at idx[i*rank:(i+1)*rank]. Every element
+// obeys the same rules as Store (implicit growth, write-once, merge mode);
+// the extent grows once, to cover the whole batch. The result describes the
+// batch: Grew if the extent was enlarged, Extents the extent afterwards,
+// Count the elements written. A negative coordinate fails the batch before
+// anything is stored; on a write-once violation the elements before the
+// offending one stay stored.
+func (f *Field) StoreElems(age int, idx []int, vals []Value) (StoreResult, error) {
+	rank := f.rank
+	if len(idx) != len(vals)*rank {
+		return StoreResult{}, fmt.Errorf("field %s: batch store of %d elements with %d coordinates for rank-%d field", f.name, len(vals), len(idx), rank)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.age(age, true)
-	if s.complete {
-		if f.merge {
-			return StoreResult{}, nil
-		}
-		return StoreResult{}, fmt.Errorf("field %s(%d): store after age marked complete", f.name, age)
+	s, err := f.openForStore(age)
+	if s == nil {
+		return StoreResult{}, err
 	}
+	var extBuf [4]int
+	ext := extBuf[:0]
+	if rank > len(extBuf) {
+		ext = make([]int, 0, rank)
+	}
+	ext = append(ext, s.extents...)
 	grew := false
-	for d, i := range idx {
-		if i < 0 {
-			return StoreResult{}, fmt.Errorf("field %s: negative index %d", f.name, i)
+	for i, c := range idx {
+		if c < 0 {
+			return StoreResult{}, fmt.Errorf("field %s: negative index %d", f.name, c)
 		}
-		if i >= s.extents[d] {
+		if d := i % rank; c >= ext[d] {
+			ext[d] = c + 1
 			grew = true
 		}
 	}
 	if grew {
-		ext := make([]int, f.rank)
-		for d := range ext {
-			ext[d] = s.extents[d]
-			if idx[d] >= ext[d] {
-				ext[d] = idx[d] + 1
-			}
-		}
 		s.grow(ext)
 	}
-	off := s.flatten(idx)
-	if s.written[off] {
-		if f.merge {
-			if grew {
-				return s.growResult(0)
+	count := 0
+	for i, v := range vals {
+		at := idx[i*rank : (i+1)*rank]
+		off := s.flatten(at)
+		if s.written[off] {
+			if f.merge {
+				continue
 			}
-			return StoreResult{}, nil
+			return s.result(grew, count), fmt.Errorf("field %s(%d)%v: %w", f.name, age, at, ErrWriteTwice)
 		}
-		return StoreResult{}, fmt.Errorf("field %s(%d)%v: %w", f.name, age, idx, ErrWriteTwice)
+		s.data.set(f.kind, off, v)
+		s.written[off] = true
+		s.writes++
+		count++
 	}
-	s.data.set(f.kind, off, v)
-	s.written[off] = true
-	s.writes++
-	if grew {
-		return s.growResult(1)
+	return s.result(grew, count), nil
+}
+
+// openForStore returns the generation a store to age lands in, creating it on
+// first use. A completed generation accepts no store: the result is nil, with
+// a nil error under merge mode (the store is silently skipped). Caller holds
+// f.mu.
+func (f *Field) openForStore(age int) (*ageStore, error) {
+	s := f.age(age, true)
+	if s.complete {
+		if f.merge {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("field %s(%d): store after age marked complete", f.name, age)
 	}
-	return StoreResult{Count: 1}, nil
+	return s, nil
 }
 
 // StoreAll writes an entire generation from a local array: extents are set to
@@ -370,12 +404,9 @@ func (f *Field) StoreAll(age int, a *Array) (StoreResult, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.age(age, true)
-	if s.complete {
-		if f.merge {
-			return StoreResult{}, nil
-		}
-		return StoreResult{}, fmt.Errorf("field %s(%d): store after age marked complete", f.name, age)
+	s, err := f.openForStore(age)
+	if s == nil {
+		return StoreResult{}, err
 	}
 	grew := false
 	for d := 0; d < f.rank; d++ {
@@ -402,10 +433,7 @@ func (f *Field) StoreAll(age int, a *Array) (StoreResult, error) {
 			s.written[i] = true
 		}
 		s.writes = n
-		if grew {
-			return s.growResult(n)
-		}
-		return StoreResult{Count: n}, nil
+		return s.result(grew, n), nil
 	}
 	// General path: walk the array in row-major order and map into the
 	// (possibly larger) field extents.
@@ -431,10 +459,7 @@ func (f *Field) StoreAll(age int, a *Array) (StoreResult, error) {
 			idx[d] = 0
 		}
 	}
-	if grew {
-		return s.growResult(count)
-	}
-	return StoreResult{Count: count}, nil
+	return s.result(grew, count), nil
 }
 
 func extentsEqual(a, b []int) bool {
@@ -481,12 +506,9 @@ func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.age(age, true)
-	if s.complete {
-		if f.merge {
-			return StoreResult{}, nil
-		}
-		return StoreResult{}, fmt.Errorf("field %s(%d): store after age marked complete", f.name, age)
+	s, err := f.openForStore(age)
+	if s == nil {
+		return StoreResult{}, err
 	}
 	// Required extent per dimension: fixed index + 1, or the array's extent
 	// for the matching free dimension.
@@ -524,10 +546,7 @@ func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error
 	}
 	n := a.Len()
 	if n == 0 {
-		if grew {
-			return s.growResult(0)
-		}
-		return StoreResult{}, nil
+		return s.result(grew, 0), nil
 	}
 	// Contiguous fast path: fixed dims form a prefix and every free field
 	// dimension after the first matches the array's extent, so the covered
@@ -574,10 +593,7 @@ func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error
 			}
 			s.data.copyRange(base, &a.data, 0, n)
 			s.writes += n
-			if grew {
-				return s.growResult(n)
-			}
-			return StoreResult{Count: n}, nil
+			return s.result(grew, n), nil
 		}
 	}
 	// General path: walk the array in row-major order, pinning fixed dims.
@@ -615,10 +631,7 @@ func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error
 			idx[d] = 0
 		}
 	}
-	if grew {
-		return s.growResult(count)
-	}
-	return StoreResult{Count: count}, nil
+	return s.result(grew, count), nil
 }
 
 // At returns the element at (age, idx...). The second result is false if the
@@ -661,43 +674,43 @@ func (f *Field) SnapshotInto(age int, dst *Array) {
 	dst.data.copyRange(0, &s.data, 0, s.data.len())
 }
 
-// FetchViewAll points dst at the whole generation's slab without copying —
-// the zero-copy counterpart of SnapshotInto. It is only legal once the
-// generation is complete (write-once + completeness makes the slab immutable);
-// it returns false, leaving dst untouched, when the age is absent or not yet
-// complete, and callers then fall back to the copying path. On success the
-// returned token pins the slab: DropAge/DropAgesBelow/Release defer recycling
-// until the token's Release. dst must be treated as read-only while the view
-// is live; boxed mutations copy-on-write, but the typed accessors
-// (Uint8s/Int32s/...) expose the field's own storage.
-func (f *Field) FetchViewAll(age int, dst *Array) (ViewToken, bool) {
+// PinView pins the generation at the given age for zero-copy reads without
+// aliasing anything yet: the returned token's All and Slice methods then point
+// arrays at the generation's slab with no further locking or reference
+// counting, as often as the holder likes, until Release. It is only legal
+// once the generation is complete (write-once + completeness makes extents
+// and slab immutable, and the pin defers recycling past a drop); it returns
+// false when the age is absent or not yet complete, and callers fall back to
+// the copying path. The runtime takes one pin per fetch per slice of
+// instances.
+func (f *Field) PinView(age int) (ViewToken, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	s := f.ages[age]
 	if s == nil || !s.complete {
 		return ViewToken{}, false
 	}
-	dst.aliasSlab(f.kind, s.extents, &s.data, 0, s.data.len())
 	s.views.Add(1)
-	return ViewToken{s: s}, true
+	return ViewToken{s: s, kind: f.kind}, true
 }
 
-// FetchViewSlice points dst at a contiguous sub-slab of the generation
-// without copying — the zero-copy counterpart of FetchSlice. Only selectors
-// whose fixed dimensions form a prefix describe one contiguous run, and only
-// complete generations are immutable, so it returns false (dst untouched) for
-// non-prefix selectors, out-of-range fixed coordinates, absent ages, and
-// incomplete generations; callers fall back to the copying FetchSlice. The
-// returned token pins the slab exactly as in FetchViewAll.
-func (f *Field) FetchViewSlice(age int, sel []SlabDim, dst *Array) (ViewToken, bool) {
-	if len(sel) != f.rank {
-		panic(fmt.Sprintf("field %s: slab rank mismatch: %d selectors for rank-%d field", f.name, len(sel), f.rank))
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	s := f.ages[age]
-	if s == nil || !s.complete {
-		return ViewToken{}, false
+// All points dst at the pinned generation's whole slab without copying — the
+// zero-copy counterpart of SnapshotInto. dst must be treated as read-only
+// while the pin is live; boxed mutations copy-on-write, but the typed
+// accessors (Uint8s/Int32s/...) expose the field's own storage.
+func (t ViewToken) All(dst *Array) {
+	dst.aliasSlab(t.kind, t.s.extents, &t.s.data, 0, t.s.data.len())
+}
+
+// Slice points dst at a contiguous sub-slab of the pinned generation without
+// copying — the zero-copy counterpart of FetchSlice. Only selectors whose
+// fixed dimensions form a prefix describe one contiguous run, so it returns
+// false (dst untouched) for non-prefix selectors and out-of-range fixed
+// coordinates; callers fall back to the copying FetchSlice.
+func (t ViewToken) Slice(sel []SlabDim, dst *Array) bool {
+	s := t.s
+	if len(sel) != len(s.extents) {
+		panic(fmt.Sprintf("field: slab rank mismatch: %d selectors for rank-%d generation", len(sel), len(s.extents)))
 	}
 	var freeExtBuf [4]int
 	freeExt := freeExtBuf[:0]
@@ -706,10 +719,10 @@ func (f *Field) FetchViewSlice(age int, sel []SlabDim, dst *Array) (ViewToken, b
 	for d, sd := range sel {
 		if sd.Fixed {
 			if seenFree {
-				return ViewToken{}, false // fixed dims must form a prefix
+				return false // fixed dims must form a prefix
 			}
 			if sd.Index < 0 || sd.Index >= s.extents[d] {
-				return ViewToken{}, false // out of range: copying path delivers empty
+				return false // out of range: copying path delivers empty
 			}
 			base = base*s.extents[d] + sd.Index
 			continue
@@ -720,11 +733,40 @@ func (f *Field) FetchViewSlice(age int, sel []SlabDim, dst *Array) (ViewToken, b
 		n *= s.extents[d]
 	}
 	if !seenFree {
-		return ViewToken{}, false // no free dimensions: not a slab fetch
+		return false // no free dimensions: not a slab fetch
 	}
-	dst.aliasSlab(f.kind, freeExt, &s.data, base, n)
-	s.views.Add(1)
-	return ViewToken{s: s}, true
+	dst.aliasSlab(t.kind, freeExt, &s.data, base, n)
+	return true
+}
+
+// FetchViewAll pins the generation (see PinView) and points dst at its whole
+// slab. It returns false, leaving dst untouched, when the age is absent or
+// not yet complete.
+func (f *Field) FetchViewAll(age int, dst *Array) (ViewToken, bool) {
+	t, ok := f.PinView(age)
+	if ok {
+		t.All(dst)
+	}
+	return t, ok
+}
+
+// FetchViewSlice pins the generation (see PinView) and points dst at the
+// contiguous sub-slab sel selects. It returns false, leaving dst untouched
+// and nothing pinned, when the age is absent or incomplete or the selector
+// does not describe one contiguous run (see ViewToken.Slice).
+func (f *Field) FetchViewSlice(age int, sel []SlabDim, dst *Array) (ViewToken, bool) {
+	if len(sel) != f.rank {
+		panic(fmt.Sprintf("field %s: slab rank mismatch: %d selectors for rank-%d field", f.name, len(sel), f.rank))
+	}
+	t, ok := f.PinView(age)
+	if !ok {
+		return ViewToken{}, false
+	}
+	if !t.Slice(sel, dst) {
+		t.Release()
+		return ViewToken{}, false
+	}
+	return t, true
 }
 
 // Extents returns the current extents at the given age (zeros if the age has

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,27 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if BucketBoundUS(3) != 8 {
 		t.Errorf("BucketBoundUS(3) = %d, want 8", BucketBoundUS(3))
+	}
+}
+
+// TestHistogramBatch: observations flushed through a batch are
+// indistinguishable from observations made directly, on every target.
+func TestHistogramBatch(t *testing.T) {
+	var direct, viaBatch, second Histogram
+	var b HistogramBatch
+	for _, d := range []time.Duration{0, 900 * time.Nanosecond, time.Microsecond, 37 * time.Microsecond, time.Second, 1 << 40} {
+		direct.Observe(d)
+		b.Observe(d)
+	}
+	b.Flush(&viaBatch, nil, &second)
+	for _, h := range []*Histogram{&viaBatch, &second} {
+		if got, want := h.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("batched histogram %+v, direct %+v", got, want)
+		}
+	}
+	b.Flush(&viaBatch) // empty after a flush: adds nothing
+	if viaBatch.Count() != direct.Count() {
+		t.Errorf("flushing an empty batch changed the count to %d", viaBatch.Count())
 	}
 }
 

@@ -31,9 +31,10 @@ type event struct {
 	grew    bool
 	extents []int
 
-	// done event fields
-	t       *ageTracker
-	inst    *instState
+	// done event fields: the finished slice (the analyzer recycles it), the
+	// stores its instances fired and whether a body called Stop — the last
+	// two only matter for source kernels, whose slices hold one instance.
+	b       *batch
 	stores  int
 	stopped bool
 
@@ -100,7 +101,7 @@ type analyzer struct {
 	// event has not yet been processed. Quiescence is outstanding == 0
 	// with no pending events or unflushed ready instances.
 	outstanding int
-	dirty       map[*ageTracker]struct{}
+	slicer      slicer
 
 	// High-water marks for the report's queue columns (backlog counts event
 	// batches, the channel's unit).
@@ -124,7 +125,9 @@ func (an *analyzer) scratch(k int) []int {
 }
 
 func newAnalyzer(n *Node) *analyzer {
-	return &analyzer{n: n, dirty: make(map[*ageTracker]struct{})}
+	an := &analyzer{n: n}
+	an.slicer = slicer{n: n, push: an.pushSlices}
+	return an
 }
 
 // run is the analyzer main loop. It returns once the node quiesces (no
@@ -148,10 +151,10 @@ func (an *analyzer) run() {
 		if an.n.failed() || an.stopRequested {
 			break
 		}
-		// Lull: flush partially filled dispatch batches, then check for
+		// Lull: release partially filled slices, then check for
 		// quiescence. Distributed nodes (NoAutoQuiesce) keep waiting for
 		// remote events instead of terminating.
-		an.flushDirty()
+		an.slicer.drain()
 		if an.outstanding == 0 && !an.n.opts.NoAutoQuiesce {
 			break
 		}
@@ -205,7 +208,7 @@ func (an *analyzer) bootstrap() {
 		}
 	}
 	an.drainActions()
-	an.flushDirty()
+	an.slicer.drain()
 }
 
 func (an *analyzer) handle(ev *event) {
@@ -220,6 +223,7 @@ func (an *analyzer) handle(ev *event) {
 		an.handleStore(ev)
 	}
 	an.drainActions()
+	an.slicer.flush()
 }
 
 // handleRemoteDone propagates a remote kernel-age completion: every field
@@ -375,7 +379,7 @@ func (an *analyzer) createInstance(t *ageTracker, coords []int) {
 }
 
 // setBit records that one fetch of one instance is satisfied; when all
-// fetches are satisfied the instance joins the tracker's pending batch.
+// fetches are satisfied the instance joins the tracker's ready list.
 func (an *analyzer) setBit(t *ageTracker, is *instState, bit uint32) {
 	if is.st != instWaiting {
 		return
@@ -392,41 +396,18 @@ func (an *analyzer) setBit(t *ageTracker, is *instState, bit uint32) {
 			is.readyNs = an.n.nowNs()
 			t.ks.stageReady.Observe(time.Duration(is.readyNs - is.createdNs))
 		}
-		t.pending = append(t.pending, is)
-		an.dirty[t] = struct{}{}
-		if len(t.pending) >= int(t.ks.gran.Load()) {
-			an.flushPending(t, false)
-		}
+		an.slicer.ready(t, is)
 	}
 }
 
-// flushPending moves ready instances into dispatch batches of the kernel's
-// granularity; partial batches are flushed only when partial is true (at
-// analyzer lulls, so stragglers are never stranded). Batches come from
-// batchPool, and the pending slice is compacted in place (copy-down with the
-// tail nilled) so neither consumed entries nor their backing array leak.
-func (an *analyzer) flushPending(t *ageTracker, partial bool) {
-	g := int(t.ks.gran.Load())
-	for len(t.pending) >= g || (partial && len(t.pending) > 0) {
-		n := g
-		if n > len(t.pending) {
-			n = len(t.pending)
-		}
-		b := getBatch()
-		b.tracker = t
-		b.insts = append(b.insts[:0], t.pending[:n]...)
-		rem := copy(t.pending, t.pending[n:])
-		for i := rem; i < len(t.pending); i++ {
-			t.pending[i] = nil
-		}
-		t.pending = t.pending[:rem]
-		an.outstanding += n
-		an.n.outstandingMirror.Add(int64(n))
-		an.n.sched.Push(b)
+// pushSlices is the slicer's delivery hook: account the slices' instances as
+// outstanding and hand them to the scheduler.
+func (an *analyzer) pushSlices(bs []*batch) {
+	for _, b := range bs {
+		an.outstanding += len(b.insts)
+		an.n.outstandingMirror.Add(int64(len(b.insts)))
 	}
-	if len(t.pending) == 0 {
-		delete(an.dirty, t)
-	}
+	an.n.sched.PushBulk(bs)
 	if depth := an.n.sched.Len(); depth > an.maxQueue {
 		an.maxQueue = depth
 	}
@@ -445,35 +426,22 @@ func (an *analyzer) updateGauges() {
 	n.gOutstand.Set(int64(an.outstanding))
 }
 
-func (an *analyzer) flushDirty() {
-	for t := range an.dirty {
-		an.flushPending(t, true)
-	}
-}
-
 func (an *analyzer) maybeTrackerDone(t *ageTracker) {
-	if t.completed || !t.domainFinal || t.done != t.total || len(t.pending) != 0 {
+	if t.completed || !t.domainFinal || t.done != t.total || t.uncarved() != 0 {
 		return
 	}
 	t.completed = true
 	an.push(action{kind: actTrackerComplete, t: t})
 }
 
-// handleDone processes a finished instance: continuation for source kernels,
-// adaptive granularity, and kernel-age completion.
+// handleDone processes a finished slice: its instances are done, the slice
+// header is recycled, source kernels continue at the next age, and the
+// kernel-age may be complete.
 func (an *analyzer) handleDone(ev *event) {
-	an.outstanding--
-	an.n.outstandingMirror.Add(-1)
-	ev.inst.st = instDone
-	t := ev.t
-	t.done++
+	t, k := an.n.retireSlice(ev.b)
 	ks := t.ks
-	if tr := an.n.tracer; tr != nil {
-		tr.Record(obs.Span{
-			Name: ks.decl.Name, Cat: "commit", Ph: obs.PhaseInstant,
-			TS: tr.Now(), Age: t.age, Index: ev.inst.coords,
-		})
-	}
+	an.outstanding -= k
+	an.n.outstandingMirror.Add(-int64(k))
 	an.updateGauges()
 	if ks.decl.Source() {
 		if ev.stopped || ev.stores == 0 {
@@ -482,37 +450,8 @@ func (an *analyzer) handleDone(ev *event) {
 			an.sourceTracker(ks, t.age+1)
 		}
 	}
-	if an.n.opts.Adaptive {
-		an.adapt(ks)
-	}
 	an.maybeTrackerDone(t)
 	an.drainActions()
-}
-
-// adapt implements the low-level scheduler's dynamic data-granularity
-// decision (§V-A): when dispatch overhead is not clearly dominated by kernel
-// time, instances are combined into larger slices.
-func (an *analyzer) adapt(ks *kernelState) {
-	n := ks.ownInstances()
-	g := ks.gran.Load()
-	if n == 0 || n%128 != 0 || g >= 256 {
-		return
-	}
-	// Means come from the timed instances only (timing is sampled when the
-	// node runs without a tracer or registry).
-	timed := ks.timedInsts.Load()
-	if timed == 0 {
-		return
-	}
-	disp := ks.ownDispatchNs() / timed
-	kern := ks.ownKernelNs() / timed
-	if kern < 2*disp {
-		g *= 2
-		if g > 256 {
-			g = 256
-		}
-		ks.gran.Store(g)
-	}
 }
 
 // handleStore processes a store event: domain growth for kernels whose index
@@ -704,7 +643,7 @@ func (an *analyzer) onTrackerComplete(t *ageTracker) {
 			instPool.Put(is)
 		}
 	}
-	t.inst = nil // instances are no longer needed; free the memory
+	t.inst, t.ready, t.head = nil, nil, 0 // instances are no longer needed; free the memory
 }
 
 // onFieldComplete propagates a complete field generation: whole-field fetches

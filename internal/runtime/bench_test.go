@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -44,19 +45,33 @@ func benchNode(b testing.TB, indexed bool) (*Node, *ageTracker, *instState) {
 	return n, t, is
 }
 
+// sliceOfOne returns a function that drives one instance through the dispatch
+// path as a slice of one, standing in for the analyzer: the slice header is
+// recycled afterwards as handleDone would.
+func sliceOfOne(n *Node, t *ageTracker, is *instState, w *workerState) func() {
+	insts := []*instState{is}
+	return func() {
+		b := getBatch()
+		b.tracker, b.insts = t, insts
+		n.execSlice(b, w)
+		releaseBatch(b)
+	}
+}
+
 // BenchmarkDispatchInstance measures one dispatch through the precompiled
 // plan with no index variables; the acceptance target is 0 allocs/op.
 func BenchmarkDispatchInstance(b *testing.B) {
 	n, t, is := benchNode(b, false)
 	w := newWorkerState(n, 0)
-	n.exec(t, is, w) // warm the frame pool
+	exec := sliceOfOne(n, t, is, w)
+	exec() // warm the frame pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range w.bufs {
 			w.bufs[j] = w.bufs[j][:0]
 		}
-		n.exec(t, is, w)
+		exec()
 	}
 }
 
@@ -66,13 +81,52 @@ func BenchmarkDispatchInstance(b *testing.B) {
 func BenchmarkDispatchInstanceIndexed(b *testing.B) {
 	n, t, is := benchNode(b, true)
 	w := newWorkerState(n, 0)
-	n.exec(t, is, w)
+	exec := sliceOfOne(n, t, is, w)
+	exec()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range w.bufs {
 			w.bufs[j] = w.bufs[j][:0]
 		}
-		n.exec(t, is, w)
+		exec()
+	}
+}
+
+// collectSlicesFixture returns a function that carves a ready list of the
+// given length into size-1 slices (the slicer's worst case: one slice header
+// per instance) and recycles them, as one analyzer lull would.
+func collectSlicesFixture(tb testing.TB, pending int) func() {
+	n, tr, _ := benchNode(tb, true)
+	n.kernels["consume"].gran = 1
+	insts := make([]instState, pending)
+	ready := make([]*instState, pending)
+	for i := range insts {
+		ready[i] = &insts[i]
+	}
+	c := slicer{n: n, push: func(bs []*batch) {
+		for _, b := range bs {
+			releaseBatch(b)
+		}
+	}}
+	return func() {
+		tr.ready, tr.head, tr.dirty = ready, 0, true
+		c.dirty = append(c.dirty[:0], tr)
+		c.drain()
+	}
+}
+
+// BenchmarkCollectSlices measures carving per ready-list length; ns/op
+// divided by the length must stay flat (TestCollectSlicesLinear).
+func BenchmarkCollectSlices(b *testing.B) {
+	for _, pending := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			collect := collectSlicesFixture(b, pending)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				collect()
+			}
+		})
 	}
 }

@@ -156,37 +156,6 @@ func hiAt(a *field.Array) (int32, bool) {
 	return v.Int32(), !v.IsZero()
 }
 
-// TestGCWithAdaptive combines garbage collection with adaptive granularity
-// over a long pipeline; results must stay correct and memory bounded.
-func TestGCWithAdaptive(t *testing.T) {
-	n, err := NewNode(mulSum(t), Options{Workers: 2, MaxAge: 200, GC: true, Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := n.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Stalled) != 0 {
-		t.Fatalf("stalled: %v", rep.Stalled)
-	}
-	if got := rep.Kernel("mul2").Instances; got != 5*201 {
-		t.Errorf("mul2 instances = %d", got)
-	}
-	// Old generations were collected: live memory is far below the
-	// 2 fields x 201 ages x 5 elements an uncollected run retains.
-	if rep.FieldMemElems > 200 {
-		t.Errorf("GC left %d elements live", rep.FieldMemElems)
-	}
-	// The generation beyond the age bound survives: its consumers
-	// (mul2/print at age 201) never ran, so GC must keep it.
-	m, _ := expectedMulSum(201)
-	last, _ := n.Snapshot("m_data", 201)
-	if !last.Equal(field.ArrayFromInt32(m[201])) {
-		t.Errorf("m_data(201) = %v, want %v", last, m[201])
-	}
-}
-
 // TestMergeReports verifies the aggregation used by distributed
 // repartitioning.
 func TestMergeReports(t *testing.T) {

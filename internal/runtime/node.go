@@ -34,13 +34,11 @@ type Options struct {
 	// "break-point" the paper introduces to stop K-means after a fixed
 	// number of iterations (§VIII-B).
 	KernelMaxAge map[string]int
-	// Granularity sets the initial data-granularity (instances combined
-	// per dispatch) per kernel name; unlisted kernels use 1, the finest
-	// granularity, as the paper encourages programmers to express.
+	// Granularity fixes the data granularity — instances combined into one
+	// slice and dispatched as a unit (§V-A) — per kernel name. Unlisted
+	// kernels are sized by the low-level scheduler from their measured
+	// per-instance cost (see sliceSize).
 	Granularity map[string]int
-	// Adaptive lets the low-level scheduler coarsen granularity at runtime
-	// when dispatch overhead is not dominated by kernel time (§V-A).
-	Adaptive bool
 	// GC enables garbage collection of field generations whose consumers
 	// have all completed (§IX).
 	GC bool
@@ -314,6 +312,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		ks := &kernelState{
 			decl: kd, ages: make(map[int]*ageTracker), remote: opts.RemoteKernels[kd.Name],
 			instances:  newBaselined(n.reg.Counter(obs.Label(obs.MKernelInstances, "kernel", kd.Name))),
+			slices:     newBaselined(n.reg.Counter(obs.Label(obs.MKernelSlices, "kernel", kd.Name))),
 			dispatchNs: newBaselined(n.reg.Counter(obs.Label(obs.MKernelDispatchNs, "kernel", kd.Name))),
 			kernelNs:   newBaselined(n.reg.Counter(obs.Label(obs.MKernelTimeNs, "kernel", kd.Name))),
 			storeOps:   newBaselined(n.reg.Counter(obs.Label(obs.MKernelStoreOps, "kernel", kd.Name))),
@@ -325,9 +324,8 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			ks.stageExec = newHistBase(n.reg.Histogram(obs.Label(obs.MStageExecNs, "kernel", kd.Name)))
 			ks.stageStore = newHistBase(n.reg.Histogram(obs.Label(obs.MStageStoreNs, "kernel", kd.Name)))
 		}
-		ks.gran.Store(1)
-		if g, ok := opts.Granularity[kd.Name]; ok && g > 0 {
-			ks.gran.Store(int32(g))
+		if g := opts.Granularity[kd.Name]; g > 0 {
+			ks.gran = g
 		}
 		if len(kd.Fetches) > 32 {
 			return nil, fmt.Errorf("p2g: kernel %q has %d fetches; the runtime supports at most 32", kd.Name, len(kd.Fetches))
@@ -381,7 +379,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		ks.fetchPlans = make([]fetchPlan, len(kd.Fetches))
 		for i := range kd.Fetches {
 			fe := &kd.Fetches[i]
-			fp := fetchPlan{fe: fe, fs: n.fields[fe.Field]}
+			fp := fetchPlan{fe: fe, fs: n.fields[fe.Field], local: kd.LocalIndex(fe.Local)}
 			switch {
 			case fe.Whole():
 				fp.whole = true
@@ -423,7 +421,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		ks.storePlans = make([]storePlan, len(kd.Stores))
 		for i := range kd.Stores {
 			ss := &kd.Stores[i]
-			sp := storePlan{ss: ss, fs: n.fields[ss.Field]}
+			sp := storePlan{ss: ss, fs: n.fields[ss.Field], local: kd.LocalIndex(ss.Local)}
 			switch {
 			case ss.Whole():
 			case ss.Slab():
@@ -448,9 +446,11 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		kd, nIdx, nSel := kd, maxIdx, maxSel
 		ks.frames = &sync.Pool{New: func() any {
 			return &execFrame{
-				ctx: core.NewReusableCtx(kd, n.timers, n.out),
-				idx: make([]int, nIdx),
-				sel: make([]field.SlabDim, nSel),
+				ctx:    core.NewReusableCtx(kd, n.timers, n.out),
+				idx:    make([]int, nIdx),
+				sel:    make([]field.SlabDim, nSel),
+				pins:   make([]viewPin, len(kd.Fetches)),
+				staged: make([]stagedStores, len(kd.Stores)),
 			}
 		}}
 	}
@@ -499,24 +499,37 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 	return n, nil
 }
 
-// execFrame is the reusable per-dispatch state a worker checks out of a
-// kernel's frame pool: the instance context plus coordinate and slab-selector
-// scratch sized for the kernel's largest index expressions. views holds the
-// tokens of slab views acquired by the current dispatch; they are released
-// after the store loop, when nothing can read the aliased slabs anymore.
+// execFrame is the reusable per-slice state a worker checks out of a kernel's
+// frame pool: the instance context plus coordinate and slab-selector scratch
+// sized for the kernel's largest index expressions, and the two per-slice
+// hoists — one generation pin per fetch and one staging list per store.
 type execFrame struct {
-	ctx   *core.Ctx
-	idx   []int
-	sel   []field.SlabDim
-	views []field.ViewToken
+	ctx *core.Ctx
+	idx []int
+	sel []field.SlabDim
+	// pins holds, per fetch plan, the pin on the fetched generation taken at
+	// the start of the slice; every instance aliases its view out of it. Pins
+	// are released after the slice's stores, when nothing can read the
+	// aliased slabs anymore.
+	pins []viewPin
+	// staged holds, per store plan, the element stores of the slice's
+	// instances until the slice applies them under one field lock.
+	staged []stagedStores
 }
 
-// releaseViews drops every view token acquired by the current dispatch.
-func (fr *execFrame) releaseViews() {
-	for i := range fr.views {
-		fr.views[i].Release()
-	}
-	fr.views = fr.views[:0]
+// viewPin is one fetch's generation pin for the running slice; ok is false
+// when the fetch is not viewable or the generation could not be pinned, and
+// the fetch then copies.
+type viewPin struct {
+	tok field.ViewToken
+	ok  bool
+}
+
+// stagedStores is one element-store statement's output over a slice:
+// vals[i] goes to coordinates idx[i*rank:(i+1)*rank] of one generation.
+type stagedStores struct {
+	idx  []int
+	vals []field.Value
 }
 
 // Run executes the program to quiescence and returns the instrumentation
@@ -596,10 +609,9 @@ func (n *Node) inject(ev event) bool {
 	return true
 }
 
-// injectSharded routes an injected event to the shard(s) it concerns: done
-// events to the tracker's owner, remote-done and completeness bookkeeping to
-// shard 0, stop to everyone, and store events along the precompiled routing
-// tables. Caller holds injectMu.RLock with eventsClosed false.
+// injectSharded routes an injected event to the shard(s) it concerns:
+// remote-done and completeness bookkeeping to shard 0, stop to everyone, and
+// store events along the precompiled routing tables. Caller holds injectMu.RLock with eventsClosed false.
 func (n *Node) injectSharded(ev event) {
 	sh := n.sh
 	send := func(shard int) {
@@ -617,8 +629,6 @@ func (n *Node) injectSharded(ev event) {
 		}
 	case ev.remoteDone != nil:
 		send(0)
-	case ev.isDone:
-		send(sh.shardOf(ev.t.ks, ev.t.age))
 	default:
 		sh.injectEnsure(ev.fs, ev.age)
 		mask := sh.shardMaskForStore(ev.fs, ev.age, ev.grew)
@@ -771,10 +781,13 @@ type workerState struct {
 	bufs [][]event
 
 	// timeAll forces per-instance timing (tracer spans and stage histograms
-	// need every instance); otherwise exec samples one instance in
+	// need every instance); otherwise execSlice times one slice in
 	// timeSampleEvery, paced by tick.
 	timeAll bool
 	tick    uint
+	// stages gathers the running slice's per-instance stage timings; they
+	// reach the shared histograms once per slice (flushStages).
+	stages struct{ queue, fetch, exec, store obs.HistogramBatch }
 
 	// frames caches one checked-out execution frame per kernel (indexed by
 	// kernelState.idx) so consecutive dispatches skip the sync.Pool, whose
@@ -784,8 +797,8 @@ type workerState struct {
 }
 
 // timeSampleEvery is the uninstrumented dispatch path's timing sample rate:
-// one instance in this many gets the full time.Now() stamping. Must be a
-// power of two (sampling uses a mask).
+// one slice in this many gets the time.Now() stamping. Must be a power of two
+// (sampling uses a mask).
 const timeSampleEvery = 8
 
 func newWorkerState(n *Node, id int) *workerState {
@@ -811,7 +824,7 @@ func (w *workerState) emit(ev *event) {
 		return
 	}
 	if ev.isDone {
-		w.add(sh.shardOf(ev.t.ks, ev.t.age), ev)
+		w.add(sh.shardOf(ev.b.tracker.ks, ev.b.tracker.age), ev)
 		return
 	}
 	mask := sh.shardMaskForStore(ev.fs, ev.age, ev.grew)
@@ -859,12 +872,23 @@ func (w *workerState) flush() {
 	}
 }
 
-// worker is one worker goroutine: it pops batches oldest-age-first and
-// executes each instance, buffering store and done events and flushing them
-// to the analyzer in batches. The flush-before-block order matters for
-// liveness: a worker only blocks in Pop after its buffer has been handed to
-// the analyzer, so the done events the analyzer needs to produce more work
-// are never stranded.
+// frame returns the worker's cached execution frame for ks, checking one out
+// of the kernel's pool on first use.
+func (w *workerState) frame(ks *kernelState) *execFrame {
+	fr := w.frames[ks.idx]
+	if fr == nil {
+		fr = ks.frames.Get().(*execFrame)
+		w.frames[ks.idx] = fr
+	}
+	return fr
+}
+
+// worker is one worker goroutine: it pops slices oldest-age-first and
+// executes each, buffering store and done events and flushing them to the
+// analyzer in batches. The flush-before-block order matters for liveness: a
+// worker only blocks in Pop after its buffer has been handed to the analyzer,
+// so the done events the analyzer needs to produce more work are never
+// stranded.
 func (n *Node) worker(id int) {
 	defer n.wg.Done()
 	w := newWorkerState(n, id)
@@ -892,212 +916,310 @@ func (n *Node) worker(id int) {
 				return
 			}
 		}
-		for _, is := range b.insts {
-			n.exec(b.tracker, is, w)
-		}
-		releaseBatch(b)
+		n.execSlice(b, w)
 	}
 }
 
-// exec runs one kernel instance through its precompiled dispatch plan: check
-// out a pooled execution frame, perform fetches, run the body, apply stores,
-// buffer events. Dispatch time (everything but the body) and kernel time (the
-// body) feed the Table II/III instrumentation. The path allocates nothing for
-// element fetches/stores: coordinates evaluate into the frame's scratch.
-func (n *Node) exec(t *ageTracker, is *instState, w *workerState) {
+// execSlice runs one slice — instances of one kernel-age — as a unit. Once
+// per slice: check out the kernel's frame, pin every viewable fetch's
+// generation, apply the staged element stores of all instances under one
+// field lock per store statement, and send one done event carrying the slice.
+// Per instance: alias views out of the pins, fetch elements, run the body,
+// apply slab and whole stores and stage element stores. Dispatch time
+// (everything but the bodies) and kernel time (the bodies) feed the Table
+// II/III instrumentation. The path allocates nothing for element fetches and
+// stores: coordinates evaluate into the frame's scratch.
+//
+// An instance that fails ends the slice: the instances after it do not run,
+// the ones before it keep their stores, and the done event still covers the
+// whole slice so the analyzer's accounting balances while the run shuts down.
+func (n *Node) execSlice(b *batch, w *workerState) {
+	t := b.tracker
 	ks := t.ks
 	kd := ks.decl
 	timed := w.timeAll
 	if !timed {
 		w.tick++
-		// Sample the timing stamps; the extra seed check keeps kernels with
-		// fewer instances than the sample period from reporting zero.
-		timed = w.tick&(timeSampleEvery-1) == 0 || ks.timedInsts.Load() == 0
+		// Sample the timing stamps; the extra seed check gives the sizing
+		// rule its first sample from a kernel's very first slice.
+		timed = w.tick&(timeSampleEvery-1) == 0 || ks.costNs.Load() == 0
 	}
-	var t0 time.Time
+	var start time.Time
 	if timed {
-		t0 = time.Now()
+		start = time.Now()
 	}
 
-	fr := w.frames[ks.idx]
-	if fr == nil {
-		fr = ks.frames.Get().(*execFrame)
-		w.frames[ks.idx] = fr
-	}
+	fr := w.frame(ks)
 	ctx := fr.ctx
-	ctx.Reset(t.age, is.coords)
 	for i := range ks.fetchPlans {
 		fp := &ks.fetchPlans[i]
-		fe := fp.fe
-		g := fe.Age.Eval(t.age)
+		if fp.viewable {
+			pin := &fr.pins[i]
+			pin.tok, pin.ok = fp.fs.f.PinView(fp.fe.Age.Eval(t.age))
+		}
+	}
+
+	// cur holds the stamps of the instance in flight. Its start is the end of
+	// the instance before it — the slice's start for the first, so pinning
+	// counts as that instance's fetch time — and the last instance ends with
+	// the slice, so the batched stores count as its store time: every
+	// nanosecond of the slice lands in some instance's stage.
+	cur := instStamps{start: start}
+	var last *instState // ran, not yet observed
+	var bodyNs time.Duration
+	ran, stores := 0, 0
+	stopped := false
+	for _, is := range b.insts {
+		if last != nil {
+			cur.end = time.Now()
+			n.observeInst(t, last, w, cur)
+			cur.start, last = cur.end, nil
+		}
+		ctx.Reset(t.age, is.coords)
+		if !n.fetchInst(t, is, fr) {
+			break
+		}
+		if timed {
+			cur.body = time.Now()
+		}
+		err := n.runBody(kd, ctx)
+		if timed {
+			cur.bodyEnd = time.Now()
+			bodyNs += cur.bodyEnd.Sub(cur.body)
+		}
+		ran++
+		if w.timeAll {
+			last = is
+		}
+		if err != nil {
+			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", kd.Name, t.age, err))
+			break
+		}
+		st, ok := n.storeInst(t, is, fr, w)
+		stores += st
+		if !ok {
+			break
+		}
+		stopped = stopped || ctx.Stopped()
+	}
+	stores += n.flushStaged(t, fr, w)
+	ks.instances.Add(int64(ran))
+	ks.slices.Add(1)
+	ks.storeOps.Add(int64(stores))
+
+	if timed {
+		cur.end = time.Now()
+		ks.timedInsts.Add(int64(ran))
+		ks.observeCost(cur.end.Sub(start), ran)
+		ks.dispatchNs.Add(int64(cur.end.Sub(start) - bodyNs))
+		ks.kernelNs.Add(int64(bodyNs))
+		if last != nil {
+			n.observeInst(t, last, w, cur)
+		}
+		if w.timeAll {
+			n.flushStages(ks, w, ran)
+		}
+	}
+
+	w.emit(&event{isDone: true, b: b, stores: stores, stopped: stopped})
+	// The frame stays checked out in w.frames; drop the pins (stores are
+	// applied, nothing reads the aliased generations anymore) and clear the
+	// context so the cached frame does not pin fetched values between slices.
+	for i := range fr.pins {
+		if fr.pins[i].ok {
+			fr.pins[i].tok.Release()
+			fr.pins[i] = viewPin{}
+		}
+	}
+	ctx.Reset(0, nil)
+}
+
+// fetchInst performs one instance's fetches into the frame's context: views
+// aliased out of the slice's pins (copies where a generation could not be
+// pinned) and element reads. It reports false after failing the run when an
+// element the analyzer saw written is missing.
+func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame) bool {
+	ks := t.ks
+	ctx := fr.ctx
+	for i := range ks.fetchPlans {
+		fp := &ks.fetchPlans[i]
+		g := fp.fe.Age.Eval(t.age)
 		switch {
 		case fp.whole:
-			dst := ctx.FetchDest(fe.Local)
-			if fp.viewable {
-				if tok, ok := fp.fs.f.FetchViewAll(g, dst); ok {
-					fr.views = append(fr.views, tok)
-					ctx.BindFetched(fe.Local, field.ArrayVal(dst))
-					continue
-				}
+			dst := ctx.FetchDestAt(fp.local)
+			if pin := &fr.pins[i]; pin.ok {
+				pin.tok.All(dst)
+			} else {
+				fp.fs.f.SnapshotInto(g, dst)
 			}
-			fp.fs.f.SnapshotInto(g, dst)
-			ctx.BindFetched(fe.Local, field.ArrayVal(dst))
+			ctx.SetLocalValue(fp.local, field.ArrayVal(dst))
 		case fp.slab != nil:
-			sel := fr.sel[:len(fp.slab)]
-			for d, st := range fp.slab {
-				if st.fixed {
-					sel[d] = field.SlabDim{Fixed: true, Index: st.term.eval(is.coords)}
-				} else {
-					sel[d] = field.SlabDim{}
-				}
+			sel := evalSel(fr.sel[:len(fp.slab)], fp.slab, is.coords)
+			dst := ctx.FetchDestAt(fp.local)
+			if pin := &fr.pins[i]; !pin.ok || !pin.tok.Slice(sel, dst) {
+				fp.fs.f.FetchSlice(g, sel, dst)
 			}
-			dst := ctx.FetchDest(fe.Local)
-			if fp.viewable {
-				if tok, ok := fp.fs.f.FetchViewSlice(g, sel, dst); ok {
-					fr.views = append(fr.views, tok)
-					ctx.BindFetched(fe.Local, field.ArrayVal(dst))
-					continue
-				}
-			}
-			fp.fs.f.FetchSlice(g, sel, dst)
-			ctx.BindFetched(fe.Local, field.ArrayVal(dst))
+			ctx.SetLocalValue(fp.local, field.ArrayVal(dst))
 		default:
 			idx := evalTerms(fr.idx[:len(fp.terms)], fp.terms, is.coords)
 			v, ok := fp.fs.f.At(g, idx...)
 			if !ok {
-				n.fail(fmt.Errorf("p2g: internal error: %s dispatched before %s(%d)%v was written", kd.Name, fe.Field, g, idx))
-				w.emit(&event{isDone: true, t: t, inst: is})
-				fr.releaseViews()
-				fr.ctx.Reset(0, nil)
-				return
+				n.fail(fmt.Errorf("p2g: internal error: %s dispatched before %s(%d)%v was written", ks.decl.Name, fp.fe.Field, g, idx))
+				return false
 			}
-			ctx.BindFetched(fe.Local, v)
+			ctx.SetLocalValue(fp.local, v)
 		}
 	}
+	return true
+}
 
-	var t1 time.Time
-	if timed {
-		t1 = time.Now()
-	}
-	err := n.runBody(kd, ctx)
-	var t2 time.Time
-	if timed {
-		t2 = time.Now()
-	}
-
+// storeInst handles one instance's store statements after its body: slab and
+// whole stores are applied at once (their source arrays are the context's
+// reusable locals), element stores are staged for flushStaged. It returns the
+// number of slab/whole stores applied and false after failing the run on a
+// store error.
+func (n *Node) storeInst(t *ageTracker, is *instState, fr *execFrame, w *workerState) (int, bool) {
+	ks := t.ks
+	ctx := fr.ctx
 	stores := 0
-	if err != nil {
-		n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", kd.Name, t.age, err))
-	} else {
-		for i := range ks.storePlans {
-			sp := &ks.storePlans[i]
-			ss := sp.ss
-			if !ctx.Bound(ss.Local) {
-				continue
+	for i := range ks.storePlans {
+		sp := &ks.storePlans[i]
+		if !ctx.BoundAt(sp.local) {
+			continue
+		}
+		val := ctx.LocalValue(sp.local)
+		if sp.terms != nil {
+			st := &fr.staged[i]
+			n0 := len(st.idx)
+			st.idx = append(st.idx, make([]int, len(sp.terms))...)
+			evalTerms(st.idx[n0:], sp.terms, is.coords)
+			st.vals = append(st.vals, val)
+			continue
+		}
+		g := sp.ss.Age.Eval(t.age)
+		// A slab store covers a whole sub-region at once; the analyzer
+		// handles it like a whole store (scanSatisfy re-checks element
+		// fetches against field contents).
+		ev := event{fs: sp.fs, age: g, whole: true}
+		var res field.StoreResult
+		var err error
+		var sel []field.SlabDim
+		if sp.slab != nil {
+			sel = evalSel(fr.sel[:len(sp.slab)], sp.slab, is.coords)
+			res, err = sp.fs.f.StoreSlice(g, sel, val.Array())
+		} else {
+			res, err = sp.fs.f.StoreAll(g, val.Array())
+		}
+		if err != nil {
+			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
+			return stores, false
+		}
+		stores++
+		if n.opts.OnStore != nil {
+			sn := StoreNotice{Field: sp.ss.Field, Age: g, Whole: sp.slab == nil, Value: field.ArrayVal(val.Array().Clone())}
+			if sp.slab != nil {
+				sn.Sel = append([]field.SlabDim(nil), sel...)
 			}
-			g := ss.Age.Eval(t.age)
-			ev := event{fs: sp.fs, age: g}
-			var res field.StoreResult
-			var serr error
-			var sel []field.SlabDim
-			switch {
-			case sp.slab != nil:
-				sel = fr.sel[:len(sp.slab)]
-				for d, st := range sp.slab {
-					if st.fixed {
-						sel[d] = field.SlabDim{Fixed: true, Index: st.term.eval(is.coords)}
-					} else {
-						sel[d] = field.SlabDim{}
+			n.opts.OnStore(sn)
+		}
+		ev.grew = res.Grew
+		ev.extents = res.Extents
+		w.emit(&ev)
+	}
+	return stores, true
+}
+
+// flushStaged applies the slice's staged element stores — one StoreElems,
+// hence one field lock, per store statement — and then publishes them exactly
+// as per-instance stores would have been: one OnStore notice and one analyzer
+// event per element. Growth is reported on the first event; the analyzer's
+// growth and satisfaction handling is idempotent, so the order among a
+// slice's events does not matter. It returns the number of element stores
+// applied; a store error fails the run.
+func (n *Node) flushStaged(t *ageTracker, fr *execFrame, w *workerState) int {
+	ks := t.ks
+	stores := 0
+	for i := range fr.staged {
+		st := &fr.staged[i]
+		if len(st.vals) == 0 {
+			continue
+		}
+		sp := &ks.storePlans[i]
+		g := sp.ss.Age.Eval(t.age)
+		res, err := sp.fs.f.StoreElems(g, st.idx, st.vals)
+		if err != nil {
+			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
+		} else {
+			stores += len(st.vals)
+			rank := len(sp.terms)
+			// Under the sharded analyzer, element stores nobody's element
+			// fetch or index range depends on have no event to send.
+			publish := n.sh == nil || res.Grew || n.sh.shardMaskForStore(sp.fs, g, false) != 0
+			for j, v := range st.vals {
+				idx := st.idx[j*rank : (j+1)*rank]
+				if n.opts.OnStore != nil {
+					n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Elem: append([]int(nil), idx...), Value: v})
+				}
+				if publish {
+					ev := event{fs: sp.fs, age: g, grew: j == 0 && res.Grew}
+					if ev.grew {
+						ev.extents = res.Extents
 					}
+					ev.setElem(idx)
+					w.emit(&ev)
 				}
-				res, serr = sp.fs.f.StoreSlice(g, sel, ctx.Get(ss.Local).Array())
-				// A slab store covers a whole sub-region at once; the
-				// analyzer handles it like a whole store (scanSatisfy
-				// re-checks element fetches against field contents).
-				ev.whole = true
-			case sp.terms == nil:
-				res, serr = sp.fs.f.StoreAll(g, ctx.Get(ss.Local).Array())
-				ev.whole = true
-			default:
-				idx := evalTerms(fr.idx[:len(sp.terms)], sp.terms, is.coords)
-				res, serr = sp.fs.f.Store(g, ctx.Get(ss.Local), idx...)
-				ev.setElem(idx)
-			}
-			if serr != nil {
-				n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", kd.Name, t.age, serr))
-				break
-			}
-			stores++
-			if n.opts.OnStore != nil {
-				val := ctx.Get(ss.Local)
-				var elem []int
-				var selCopy []field.SlabDim
-				switch {
-				case sp.slab != nil:
-					val = field.ArrayVal(val.Array().Clone())
-					selCopy = append([]field.SlabDim(nil), sel...)
-				case sp.terms == nil:
-					val = field.ArrayVal(val.Array().Clone())
-				default:
-					elem = append([]int(nil), fr.idx[:len(sp.terms)]...)
-				}
-				n.opts.OnStore(StoreNotice{Field: ss.Field, Age: g, Elem: elem, Whole: sp.terms == nil && sp.slab == nil, Sel: selCopy, Value: val})
-			}
-			ev.grew = res.Grew
-			ev.extents = res.Extents
-			w.emit(&ev)
-		}
-	}
-	ks.instances.Add(1)
-	ks.storeOps.Add(int64(stores))
-
-	if timed {
-		t3 := time.Now()
-		ks.timedInsts.Add(1)
-		ks.dispatchNs.Add(int64(t1.Sub(t0) + t3.Sub(t2)))
-		ks.kernelNs.Add(int64(t2.Sub(t1)))
-
-		// Detailed metrics and tracing (nil handles are no-ops; with a
-		// registry or tracer attached timeAll covers every instance, so
-		// the histograms and spans below are never sampled).
-		n.mDispatches.Add(1)
-		n.hFetch.Observe(t1.Sub(t0))
-		n.hKernel.Observe(t2.Sub(t1))
-		n.hStore.Observe(t3.Sub(t2))
-		if n.stamp {
-			// t0 on the node's stage clock; with tracing on this equals the
-			// span timestamp, so queue wait is identical in both views.
-			ts := t0.Sub(n.clock).Nanoseconds()
-			wait := int64(0)
-			if is.readyNs > 0 && ts > is.readyNs {
-				wait = ts - is.readyNs
-			}
-			ks.stageQueue.Observe(time.Duration(wait))
-			ks.stageFetch.Observe(t1.Sub(t0))
-			ks.stageExec.Observe(t2.Sub(t1))
-			ks.stageStore.Observe(t3.Sub(t2))
-			if tr := n.tracer; tr != nil {
-				tr.Record(obs.Span{
-					Name: kd.Name, Cat: "kernel", Ph: obs.PhaseComplete,
-					TS: ts, Dur: t3.Sub(t0).Nanoseconds(), TID: w.id + 1,
-					Age: t.age, Index: is.coords,
-					WaitNs:   wait,
-					FetchNs:  t1.Sub(t0).Nanoseconds(),
-					KernelNs: t2.Sub(t1).Nanoseconds(),
-					StoreNs:  t3.Sub(t2).Nanoseconds(),
-				})
 			}
 		}
+		clear(st.vals) // staged values may reference strings or objects
+		st.vals = st.vals[:0]
+		st.idx = st.idx[:0]
 	}
+	return stores
+}
 
-	done := event{isDone: true, t: t, inst: is, stores: stores, stopped: ctx.Stopped()}
-	w.emit(&done)
-	// The frame stays checked out in w.frames; drop the slab views (stores
-	// are applied, nothing reads the aliased generations anymore) and clear
-	// the context so the cached frame does not pin fetched values between
-	// dispatches.
-	fr.releaseViews()
-	fr.ctx.Reset(0, nil)
+// instStamps are the four stamps of one instance on a worker: start (fetch
+// begins), body and bodyEnd around the kernel body, end (stores handled, the
+// next instance starts).
+type instStamps struct{ start, body, bodyEnd, end time.Time }
+
+// observeInst records one instance's stage timings (into the worker's
+// batches) and lifecycle span from its stamps. Only called when a registry or
+// tracer is attached (workerState.timeAll), where every instance is stamped,
+// so the histograms and spans are never sampled.
+func (n *Node) observeInst(t *ageTracker, is *instState, w *workerState, at instStamps) {
+	fetch, exec, store := at.body.Sub(at.start), at.bodyEnd.Sub(at.body), at.end.Sub(at.bodyEnd)
+	// The start on the node's stage clock; with tracing on this equals the
+	// span timestamp, so queue wait is identical in both views.
+	ts := at.start.Sub(n.clock).Nanoseconds()
+	wait := int64(0)
+	if is.readyNs > 0 && ts > is.readyNs {
+		wait = ts - is.readyNs
+	}
+	w.stages.queue.Observe(time.Duration(wait))
+	w.stages.fetch.Observe(fetch)
+	w.stages.exec.Observe(exec)
+	w.stages.store.Observe(store)
+	if tr := n.tracer; tr != nil {
+		tr.Record(obs.Span{
+			Name: t.ks.decl.Name, Cat: "kernel", Ph: obs.PhaseComplete,
+			TS: ts, Dur: at.end.Sub(at.start).Nanoseconds(), TID: w.id + 1,
+			Age: t.age, Index: is.coords,
+			WaitNs:   wait,
+			FetchNs:  fetch.Nanoseconds(),
+			KernelNs: exec.Nanoseconds(),
+			StoreNs:  store.Nanoseconds(),
+		})
+	}
+}
+
+// flushStages adds a finished slice's stage timings to the node's and the
+// kernel's histograms (nil handles unless a registry is attached).
+func (n *Node) flushStages(ks *kernelState, w *workerState, ran int) {
+	n.mDispatches.Add(int64(ran))
+	w.stages.queue.Flush(ks.stageQueue.h)
+	w.stages.fetch.Flush(n.hFetch, ks.stageFetch.h)
+	w.stages.exec.Flush(n.hKernel, ks.stageExec.h)
+	w.stages.store.Flush(n.hStore, ks.stageStore.h)
 }
 
 // runBody executes the kernel body, converting panics into errors so a buggy

@@ -31,19 +31,18 @@ func putEventBuf(evs []event) {
 	eventsPool.Put(&evs)
 }
 
-// batchPool recycles dispatch batches and their instance slices between the
-// analyzer's flushPending and the workers.
+// batchPool recycles slice headers between the analyzer's slicer (getBatch)
+// and its done handling (releaseBatch). A batch owns no storage — insts
+// aliases the tracker's ready list — so carving and releasing slices
+// allocates nothing once the pool is warm.
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 func getBatch() *batch { return batchPool.Get().(*batch) }
 
-// releaseBatch clears a consumed batch so pooled batches do not pin trackers
-// or instances, and returns it for reuse.
+// releaseBatch returns a finished slice for reuse, dropping its references so
+// a pooled batch pins neither tracker nor instances.
 func releaseBatch(b *batch) {
-	for i := range b.insts {
-		b.insts[i] = nil
-	}
-	b.insts = b.insts[:0]
+	b.insts = nil
 	b.tracker = nil
 	batchPool.Put(b)
 }

@@ -22,14 +22,6 @@ import (
 	"sync"
 )
 
-// batch is the unit of dispatch: one or more kernel instances of the same
-// kernel and age, combined by the data-granularity coarsening described in
-// §V-A of the paper. With granularity 1 every batch holds a single instance.
-type batch struct {
-	tracker *ageTracker
-	insts   []*instState
-}
-
 // ageHeap is a min-heap of ages with non-empty buckets.
 type ageHeap []int
 
@@ -55,22 +47,6 @@ func newReadyQueue() *readyQueue {
 	q := &readyQueue{buckets: make(map[int][]*batch)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
-}
-
-// Push enqueues a batch at its tracker's age.
-func (q *readyQueue) Push(b *batch) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	age := b.tracker.age
-	if _, ok := q.buckets[age]; !ok {
-		heap.Push(&q.ages, age)
-	}
-	q.buckets[age] = append(q.buckets[age], b)
-	q.queued += len(b.insts)
-	q.cond.Signal()
 }
 
 // PushBulk enqueues many batches under one lock acquisition with a single

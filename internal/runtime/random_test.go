@@ -11,11 +11,11 @@ import (
 
 // TestRandomPipelines builds randomized multi-stage element-wise pipelines —
 // random stage counts, widths, age offsets, fan-in — runs them on the real
-// node with random worker counts and granularities, and checks every field
-// generation against a direct sequential evaluation. This is the broadest
-// correctness net over the dependency analyzer: domain growth, completeness
-// propagation, aging edges and scheduling order all have to be right for
-// every topology drawn.
+// node with random worker counts, shard counts and slice sizes, and checks
+// every field generation against a direct sequential evaluation. This is the
+// broadest correctness net over the dependency analyzer: domain growth,
+// completeness propagation, aging edges and scheduling order all have to be
+// right for every topology drawn.
 func TestRandomPipelines(t *testing.T) {
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
@@ -118,17 +118,34 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 	// delay-0 producer). Our generator gives each field exactly one
 	// producer kernel, except f0 (init + driver, different ages). Check
 	// schedulability and skip genuinely unsatisfiable draws.
+	//
+	// Slice sizes are part of the draw: per kernel either the scheduler's own
+	// sizing rule or a forced size — one, a prime that does not divide the
+	// width, or more than the whole domain — under either analyzer and a
+	// random shard count. None of it may change a single field value.
 	workers := 1 + rng.Intn(8)
-	opts := Options{Workers: workers, MaxAge: maxAge}
-	if rng.Intn(2) == 0 {
-		opts.Granularity = map[string]int{"stage0": 1 + rng.Intn(4)}
+	opts := Options{Workers: workers, MaxAge: maxAge, AnalyzerShards: 1 + rng.Intn(3), Granularity: map[string]int{}}
+	if rng.Intn(4) == 0 {
+		opts.Analyzer = AnalyzerSerial
+	}
+	sizes := []int{1, 2, 3, 5, 7, width + 3}
+	for _, kd := range prog.Kernels {
+		if rng.Intn(3) > 0 {
+			opts.Granularity[kd.Name] = sizes[rng.Intn(len(sizes))]
+		}
 	}
 	node, err := NewNode(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.Run(); err != nil {
-		t.Fatalf("run (workers=%d): %v", workers, err)
+	rep, err := node.Run()
+	if err != nil {
+		t.Fatalf("run (workers=%d shards=%d sizes=%v): %v", workers, opts.AnalyzerShards, opts.Granularity, err)
+	}
+	for _, k := range rep.Kernels {
+		if k.Slices > k.Instances || (k.Instances > 0 && k.Slices == 0) {
+			t.Fatalf("%s: %d slices for %d instances", k.Name, k.Slices, k.Instances)
+		}
 	}
 
 	// Sequential reference: evaluate generation by generation.

@@ -11,13 +11,25 @@ import (
 // application and event emission) and total time in kernel code. These are
 // the three columns of the paper's Tables II and III.
 type KernelStats struct {
-	Name          string
-	Instances     int64
+	Name      string
+	Instances int64
+	// Slices counts the dispatches: the scheduler combines instances into
+	// slices and runs each as one unit (§V-A), so Instances/Slices is the
+	// mean data granularity the run achieved.
+	Slices        int64
 	DispatchTotal time.Duration
 	KernelTotal   time.Duration
 	// StoreOps counts store statements that actually fired; with the
-	// per-instance done event they make up the analyzer's event load.
+	// per-slice done event they make up the analyzer's event load.
 	StoreOps int64
+}
+
+// InstancesPerSlice returns the mean number of instances per slice.
+func (s KernelStats) InstancesPerSlice() float64 {
+	if s.Slices == 0 {
+		return 0
+	}
+	return float64(s.Instances) / float64(s.Slices)
 }
 
 // DispatchPer returns the mean dispatch overhead per instance.
@@ -250,6 +262,7 @@ func (n *Node) buildReport(wall time.Duration, an analyzerStats) *Report {
 		r.Kernels = append(r.Kernels, KernelStats{
 			Name:          ks.decl.Name,
 			Instances:     inst,
+			Slices:        ks.ownSlices(),
 			DispatchTotal: time.Duration(disp),
 			KernelTotal:   time.Duration(kern),
 			StoreOps:      ks.ownStoreOps(),
@@ -337,6 +350,7 @@ func MergeReports(reports ...*Report) *Report {
 			}
 			m := &merged.Kernels[i]
 			m.Instances += k.Instances
+			m.Slices += k.Slices
 			m.DispatchTotal += k.DispatchTotal
 			m.KernelTotal += k.KernelTotal
 			m.StoreOps += k.StoreOps
@@ -371,15 +385,16 @@ func fmtMicros(d time.Duration) string {
 }
 
 // Table renders the report in the layout of the paper's micro-benchmark
-// tables: kernel, instances, mean dispatch time, mean kernel time. Header
-// and rows use identical column widths, so the columns stay aligned. Queue
-// and transport summary lines follow when the run recorded them.
+// tables — kernel, instances, mean dispatch time, mean kernel time — with the
+// slice count next to the instances it was dispatched in. Header and rows use
+// identical column widths, so the columns stay aligned. Queue and transport
+// summary lines follow when the run recorded them.
 func (r *Report) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %10s %16s %16s\n", "Kernel", "Instances", "Dispatch Time", "Kernel Time")
+	fmt.Fprintf(&b, "%-16s %10s %10s %16s %16s\n", "Kernel", "Instances", "Slices", "Dispatch Time", "Kernel Time")
 	for _, k := range r.Kernels {
-		fmt.Fprintf(&b, "%-16s %10d %16s %16s\n",
-			k.Name, k.Instances, fmtMicros(k.DispatchPer()), fmtMicros(k.KernelPer()))
+		fmt.Fprintf(&b, "%-16s %10d %10d %16s %16s\n",
+			k.Name, k.Instances, k.Slices, fmtMicros(k.DispatchPer()), fmtMicros(k.KernelPer()))
 	}
 	if r.MaxQueueDepth > 0 || r.MaxEventBacklog > 0 {
 		fmt.Fprintf(&b, "queue: max depth %d insts, max event backlog %d batches, %d steals, %d event batches\n",

@@ -15,14 +15,14 @@ import (
 func TestTableGolden(t *testing.T) {
 	r := &Report{
 		Kernels: []KernelStats{
-			{Name: "mul2", Instances: 500, DispatchTotal: 500 * 12340 * time.Nanosecond, KernelTotal: 500 * 1230 * time.Nanosecond},
-			{Name: "print", Instances: 1, DispatchTotal: 2160 * time.Microsecond, KernelTotal: 170 * time.Microsecond},
+			{Name: "mul2", Instances: 500, Slices: 20, DispatchTotal: 500 * 12340 * time.Nanosecond, KernelTotal: 500 * 1230 * time.Nanosecond},
+			{Name: "print", Instances: 1, Slices: 1, DispatchTotal: 2160 * time.Microsecond, KernelTotal: 170 * time.Microsecond},
 		},
 	}
 	want := "" +
-		"Kernel            Instances    Dispatch Time      Kernel Time\n" +
-		"mul2                    500         12.34 µs          1.23 µs\n" +
-		"print                     1       2160.00 µs        170.00 µs\n"
+		"Kernel            Instances     Slices    Dispatch Time      Kernel Time\n" +
+		"mul2                    500         20         12.34 µs          1.23 µs\n" +
+		"print                     1          1       2160.00 µs        170.00 µs\n"
 	if got := r.Table(); got != want {
 		t.Errorf("Table() =\n%s\nwant:\n%s", got, want)
 	}

@@ -191,21 +191,6 @@ func TestGranularityCoarseningEquivalence(t *testing.T) {
 	}
 }
 
-func TestAdaptiveGranularity(t *testing.T) {
-	n, err := NewNode(mulSum(t), Options{Workers: 4, MaxAge: 40, Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := n.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Stalled) != 0 {
-		t.Fatalf("stalled: %v", rep.Stalled)
-	}
-	checkMulSumFields(t, n, 40)
-}
-
 // TestFusedProgramEquivalence verifies the fig. 4 Age=3 task-combining
 // transform end to end: the fused program produces identical fields.
 func TestFusedProgramEquivalence(t *testing.T) {

@@ -31,10 +31,9 @@ const (
 // TryPop does not (workers use it to flush buffered analyzer events before
 // they would block).
 type scheduler interface {
-	Push(b *batch)
 	// PushBulk enqueues many batches with amortized synchronization: one
-	// epoch update and one waiter wakeup for the whole group. The sharded
-	// analyzer uses it for instance-creation bursts.
+	// epoch update and one waiter wakeup for the whole group. The analyzers
+	// hand over every group of carved slices this way.
 	PushBulk(bs []*batch)
 	// TryPop returns a batch without blocking, or false when no work is
 	// currently available (which does not imply the queue is closed).
@@ -180,46 +179,25 @@ func newStealScheduler(workers int, steals *obs.Counter, depth []*obs.Gauge) *st
 	return s
 }
 
-func (s *stealScheduler) Push(b *batch) {
-	if s.closed.Load() {
-		return
-	}
-	age := b.tracker.age
-	d := s.deques[int(s.rr.Add(1))%len(s.deques)]
-	d.push(age, b)
-	s.queued.Add(int64(len(b.insts)))
-	for {
-		e := s.epoch.Load()
-		if int64(age) >= e || s.epoch.CompareAndSwap(e, int64(age)) {
-			break
-		}
-	}
-	s.version.Add(1)
-	if s.waiters.Load() > 0 {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-// PushBulk enqueues a burst of batches: per-batch deque pushes (round-robin,
-// like Push) but a single epoch CAS with the group's minimum age and a single
-// waiter broadcast, so creation bursts do not pay per-batch wakeup cost.
+// PushBulk enqueues a burst of batches: per-batch deque pushes (round-robin)
+// but a single epoch CAS with the group's minimum age and a single waiter
+// broadcast, so creation bursts do not pay per-batch wakeup cost.
 func (s *stealScheduler) PushBulk(bs []*batch) {
 	if len(bs) == 0 || s.closed.Load() {
 		return
 	}
 	minAge := int64(math.MaxInt64)
 	var insts int64
+	// Count first, push second: a pushed slice can be popped, run and
+	// recycled at once, and a length read afterwards under-counts queued.
 	for _, b := range bs {
-		age := b.tracker.age
-		if int64(age) < minAge {
-			minAge = int64(age)
-		}
-		s.deques[int(s.rr.Add(1))%len(s.deques)].push(age, b)
 		insts += int64(len(b.insts))
+		minAge = min(minAge, int64(b.tracker.age))
 	}
 	s.queued.Add(insts)
+	for _, b := range bs {
+		s.deques[int(s.rr.Add(1))%len(s.deques)].push(b.tracker.age, b)
+	}
 	for {
 		e := s.epoch.Load()
 		if minAge >= e || s.epoch.CompareAndSwap(e, minAge) {

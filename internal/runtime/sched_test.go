@@ -20,8 +20,8 @@ func TestStealOldestFirst(t *testing.T) {
 	s := newStealScheduler(2, steals, nil)
 
 	// Round-robin: the first push lands in deque 1, the second in deque 0.
-	s.Push(mkBatch(1)) // deque 1 <- age 1
-	s.Push(mkBatch(0)) // deque 0 <- age 0
+	s.PushBulk([]*batch{mkBatch(1)}) // deque 1 <- age 1
+	s.PushBulk([]*batch{mkBatch(0)}) // deque 0 <- age 0
 	if s.deques[1].min.Load() != 1 || s.deques[0].min.Load() != 0 {
 		t.Fatalf("unexpected deque placement: min0=%d min1=%d",
 			s.deques[0].min.Load(), s.deques[1].min.Load())
@@ -58,7 +58,7 @@ func TestStealOldestFirst(t *testing.T) {
 func TestStealSchedulerEpochNeverSkipsAge(t *testing.T) {
 	s := newStealScheduler(4, nil, nil)
 	for age := 9; age >= 0; age-- {
-		s.Push(mkBatch(age))
+		s.PushBulk([]*batch{mkBatch(age)})
 	}
 	for want := 0; want < 10; want++ {
 		b, ok := s.TryPop(2)
@@ -84,7 +84,7 @@ func TestStealSchedulerBlockingPop(t *testing.T) {
 		}
 		got <- b.tracker.age
 	}()
-	s.Push(mkBatch(7))
+	s.PushBulk([]*batch{mkBatch(7)})
 	if age := <-got; age != 7 {
 		t.Fatalf("blocked pop got %d, want 7", age)
 	}
@@ -92,7 +92,7 @@ func TestStealSchedulerBlockingPop(t *testing.T) {
 	if _, ok := s.Pop(1); ok {
 		t.Fatal("Pop after Close+drain should report closed")
 	}
-	s.Push(mkBatch(1)) // push after close is a no-op
+	s.PushBulk([]*batch{mkBatch(1)}) // push after close is a no-op
 	if s.Len() != 0 {
 		t.Fatal("push after close should be ignored")
 	}
@@ -122,7 +122,7 @@ func TestStealSchedulerConcurrent(t *testing.T) {
 	}
 	for a := 0; a < ages; a++ {
 		for i := 0; i < perAge; i++ {
-			s.Push(mkBatch(a))
+			s.PushBulk([]*batch{mkBatch(a)})
 		}
 	}
 	s.Close() // workers drain the remaining queued batches before exiting
@@ -133,5 +133,46 @@ func TestStealSchedulerConcurrent(t *testing.T) {
 	}
 	if total != perAge*ages {
 		t.Fatalf("dispatched %d batches, want %d", total, perAge*ages)
+	}
+}
+
+// TestPushBulkConcurrentRelease is the regression test for a data race in
+// PushBulk (run under -race): it read a slice's length after pushing it,
+// racing the consumer that had already popped and recycled the slice, and
+// under-counted the queue depth. Consumers here pop and recycle as fast as
+// the producer pushes; afterwards the depth must be back at exactly zero.
+func TestPushBulkConcurrentRelease(t *testing.T) {
+	const workers, rounds, group = 2, 300, 32
+	s := newStealScheduler(workers, nil, nil)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				b, ok := s.Pop(w)
+				if !ok {
+					return
+				}
+				releaseBatch(b)
+			}
+		}()
+	}
+	tr := &ageTracker{}
+	insts := make([]*instState, 3)
+	bs := make([]*batch, group)
+	for r := 0; r < rounds; r++ {
+		for i := range bs {
+			b := getBatch()
+			b.tracker, b.insts = tr, insts
+			bs[i] = b
+		}
+		s.PushBulk(bs)
+	}
+	s.Close()
+	wg.Wait()
+	if got := s.Len(); got != 0 {
+		t.Fatalf("queue depth after draining = %d, want 0", got)
 	}
 }

@@ -124,8 +124,11 @@ type anShard struct {
 	// ensured dedups ctlEnsure posts to shard 0.
 	ensured map[fieldGen]bool
 
-	dirty        map[*ageTracker]struct{}
-	flushScratch []*batch
+	// slicer carves this shard's ready instances into slices. readied counts
+	// the instances marked ready since the last commitReady — the shard's
+	// not-yet-published share of sa.pending.
+	slicer  slicer
+	readied int64
 
 	// Instrumentation (satellites 1/2/6): per-shard event and busy-time
 	// accounting plus high-water marks, max-aggregated across shards by
@@ -175,13 +178,13 @@ func newShardedAnalyzer(n *Node, shards int) *shardedAnalyzer {
 			kernelAges: make(map[*kernelState]map[int]*ageTracker),
 			complete:   make(map[fieldGen]bool),
 			ensured:    make(map[fieldGen]bool),
-			dirty:      make(map[*ageTracker]struct{}),
 			events:     newBaselined(n.reg.Counter(obs.Label(obs.MAnalyzerShardEvents, "shard", strconv.Itoa(i)))),
 		}
 		if n.opts.Metrics != nil {
 			s.backlogMax = n.reg.Gauge(obs.Label(obs.MAnalyzerShardBacklogMax, "shard", strconv.Itoa(i)))
 			s.hAnalyze = newHistBase(n.reg.Histogram(obs.Label(obs.MStageAnalyzeNs, "shard", strconv.Itoa(i))))
 		}
+		s.slicer = slicer{n: n, push: s.pushSlices}
 		sa.shards[i] = s
 	}
 	return sa
@@ -315,7 +318,7 @@ func (s *anShard) run() {
 			sa.triggerShutdown()
 			break
 		}
-		s.flushDirty()
+		s.slicer.drain()
 		if !s.n.opts.NoAutoQuiesce && sa.pending.Load() == 0 {
 			// Two-phase check: pending can only be 0 when no unit of work
 			// exists anywhere (increments precede the spawning unit's
@@ -636,10 +639,10 @@ func (s *anShard) createInstances(t *ageTracker, from, to []int) {
 			copy(grown, t.all)
 			t.all = grown
 		}
-		if cap(t.pending)-len(t.pending) < add {
-			grown := make([]*instState, len(t.pending), len(t.pending)+add)
-			copy(grown, t.pending)
-			t.pending = grown
+		if cap(t.ready)-len(t.ready) < add {
+			grown := make([]*instState, len(t.ready), len(t.ready)+add)
+			copy(grown, t.ready)
+			t.ready = grown
 		}
 	}
 	newCells(from, to, func(c []int) { s.newInst(t, c, mask0, elems) })
@@ -688,19 +691,31 @@ func (s *anShard) newInst(t *ageTracker, coords []int, mask0 uint32, elems bool)
 	}
 }
 
-// markReady queues a fully satisfied instance on its tracker's pending list.
-// The quiescence count includes it from this moment (not from batch flush),
-// so a shard blocking with unflushed partial batches can never be mistaken
-// for quiescent by a peer.
+// markReady hands a fully satisfied instance to the slicer. The quiescence
+// count has to include it before the unit of work that readied it is counted
+// out, so that a shard holding unreleased remainders can never be mistaken
+// for quiescent by a peer; the increments are gathered in readied and
+// published by commitReady, once per event rather than once per instance.
 func (s *anShard) markReady(t *ageTracker, is *instState) {
 	is.st = instQueued
 	if s.n.stamp {
 		is.readyNs = s.n.nowNs()
 		t.ks.stageReady.Observe(time.Duration(is.readyNs - is.createdNs))
 	}
-	t.pending = append(t.pending, is)
-	s.dirty[t] = struct{}{}
-	s.sa.pending.Add(1)
+	s.readied++
+	s.slicer.ready(t, is)
+}
+
+// commitReady publishes the ready instances gathered since the last call to
+// the quiescence count. It runs before any of them reaches the scheduler
+// (pushSlices) — a worker's done event must never count an instance out
+// before it was counted in — and at the end of every event and control
+// message (flushReady), ahead of that unit's own decrement.
+func (s *anShard) commitReady() {
+	if s.readied > 0 {
+		s.sa.pending.Add(s.readied)
+		s.readied = 0
+	}
 }
 
 // setBit records that one fetch of one instance is satisfied.
@@ -714,67 +729,19 @@ func (s *anShard) setBit(t *ageTracker, is *instState, bit uint32) {
 	}
 }
 
-// flushReady moves full-granularity batches of ready instances to the
-// scheduler in one PushBulk (single epoch update and waiter wakeup); partial
-// batches wait for a lull (flushDirty), so stragglers are never stranded but
-// the batching amortization is preserved.
+// flushReady ends an event or control message: the instances it readied join
+// the quiescence count and the full slices carved from them go to the
+// scheduler. Remainders wait for a lull (slicer.drain).
 func (s *anShard) flushReady() {
-	if len(s.dirty) == 0 {
-		return
-	}
-	for t := range s.dirty {
-		s.collectBatches(t, false)
-	}
-	s.pushCollected()
+	s.commitReady()
+	s.slicer.flush()
 }
 
-func (s *anShard) flushDirty() {
-	if len(s.dirty) == 0 {
-		return
-	}
-	for t := range s.dirty {
-		s.collectBatches(t, true)
-	}
-	s.pushCollected()
-}
-
-// collectBatches carves a tracker's pending list into dispatch batches of the
-// kernel's granularity, compacting the list in place (copy-down with the tail
-// nilled) so neither consumed entries nor their backing array leak.
-func (s *anShard) collectBatches(t *ageTracker, partial bool) {
-	g := int(t.ks.gran.Load())
-	if g < 1 {
-		g = 1
-	}
-	for len(t.pending) >= g || (partial && len(t.pending) > 0) {
-		k := g
-		if k > len(t.pending) {
-			k = len(t.pending)
-		}
-		b := getBatch()
-		b.tracker = t
-		b.insts = append(b.insts[:0], t.pending[:k]...)
-		rem := copy(t.pending, t.pending[k:])
-		for i := rem; i < len(t.pending); i++ {
-			t.pending[i] = nil
-		}
-		t.pending = t.pending[:rem]
-		s.flushScratch = append(s.flushScratch, b)
-	}
-	if len(t.pending) == 0 {
-		delete(s.dirty, t)
-	}
-}
-
-func (s *anShard) pushCollected() {
-	if len(s.flushScratch) == 0 {
-		return
-	}
-	s.n.sched.PushBulk(s.flushScratch)
-	for i := range s.flushScratch {
-		s.flushScratch[i] = nil
-	}
-	s.flushScratch = s.flushScratch[:0]
+// pushSlices is the slicer's delivery hook: one PushBulk (single epoch update
+// and waiter wakeup) for the group.
+func (s *anShard) pushSlices(bs []*batch) {
+	s.commitReady()
+	s.n.sched.PushBulk(bs)
 	if depth := s.n.sched.Len(); depth > s.maxQueue {
 		s.maxQueue = depth
 	}
@@ -793,20 +760,14 @@ func (s *anShard) updateGauges() {
 	n.gOutstand.Set(s.sa.pending.Load())
 }
 
-// handleDone processes a finished instance: continuation for source kernels,
-// adaptive granularity, and kernel-age completion. The quiescence decrement
-// comes last, after every message the completion spawns has been posted.
+// handleDone processes a finished slice: its instances are done, the slice
+// header is recycled, source kernels continue at the next age, and the
+// kernel-age may be complete. The quiescence decrement — one for the whole
+// slice — comes last, after every message the completion spawns has been
+// posted.
 func (s *anShard) handleDone(ev *event) {
-	ev.inst.st = instDone
-	t := ev.t
-	t.done++
+	t, k := s.n.retireSlice(ev.b)
 	ks := t.ks
-	if tr := s.n.tracer; tr != nil {
-		tr.Record(obs.Span{
-			Name: ks.decl.Name, Cat: "commit", Ph: obs.PhaseInstant,
-			TS: tr.Now(), Age: t.age, Index: ev.inst.coords,
-		})
-	}
 	if ks.decl.Source() {
 		if ev.stopped || ev.stores == 0 {
 			ks.sourceStopped = true
@@ -819,41 +780,13 @@ func (s *anShard) handleDone(ev *event) {
 			}
 		}
 	}
-	if s.n.opts.Adaptive {
-		s.adapt(ks)
-	}
 	s.maybeTrackerDone(t)
 	s.updateGauges()
-	s.sa.pending.Add(-1)
-}
-
-// adapt implements the low-level scheduler's dynamic data-granularity
-// decision (§V-A). gran is atomic: trackers of the same kernel at different
-// ages live on different shards.
-func (s *anShard) adapt(ks *kernelState) {
-	n := ks.ownInstances()
-	g := ks.gran.Load()
-	if n == 0 || n%128 != 0 || g >= 256 {
-		return
-	}
-	// Means come from the timed instances only, as in the serial analyzer.
-	timed := ks.timedInsts.Load()
-	if timed == 0 {
-		return
-	}
-	disp := ks.ownDispatchNs() / timed
-	kern := ks.ownKernelNs() / timed
-	if kern < 2*disp {
-		g *= 2
-		if g > 256 {
-			g = 256
-		}
-		ks.gran.Store(g)
-	}
+	s.sa.pending.Add(-int64(k))
 }
 
 func (s *anShard) maybeTrackerDone(t *ageTracker) {
-	if t.completed || !t.domainFinal || t.done != t.total || len(t.pending) != 0 {
+	if t.completed || !t.domainFinal || t.done != t.total || t.uncarved() != 0 {
 		return
 	}
 	t.completed = true
@@ -868,7 +801,7 @@ func (s *anShard) maybeTrackerDone(t *ageTracker) {
 			instPool.Put(is)
 		}
 	}
-	t.inst, t.all = nil, nil
+	t.inst, t.all, t.ready, t.head = nil, nil, nil, 0
 	if s.id == 0 {
 		s.onTrackerComplete(t)
 	} else {

@@ -1,0 +1,501 @@
+package runtime
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/field"
+)
+
+// wideMulSum is the figure 5 mul2/plus5 cycle over a width-element domain, so
+// that a kernel-age is large enough to be cut into slices. hook, when set,
+// runs at the start of every mul2 body.
+func wideMulSum(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Program {
+	t.Helper()
+	b := core.NewBuilder("widemulsum")
+	b.Field("m_data", field.Int32, 1, true)
+	b.Field("p_data", field.Int32, 1, true)
+	b.Kernel("init").
+		Local("values", field.Int32, 1).
+		StoreAll("m_data", core.AgeAt(0), "values").
+		Body(func(c *core.Ctx) error {
+			vs := c.Array("values")
+			vs.Grow(width)
+			flat := vs.Int32s()
+			for i := range flat {
+				flat[i] = int32(i + 10)
+			}
+			return nil
+		})
+	b.Kernel("mul2").Age("a").Index("x").
+		Local("value", field.Int32, 0).
+		Fetch("value", "m_data", core.AgeVar(0), core.Idx("x")).
+		Store("p_data", core.AgeVar(0), []core.IndexSpec{core.Idx("x")}, "value").
+		Body(func(c *core.Ctx) error {
+			if hook != nil {
+				if err := hook(c); err != nil {
+					return err
+				}
+			}
+			c.SetInt32("value", c.Int32("value")*2)
+			return nil
+		})
+	b.Kernel("plus5").Age("a").Index("x").
+		Local("value", field.Int32, 0).
+		Fetch("value", "p_data", core.AgeVar(0), core.Idx("x")).
+		Store("m_data", core.AgeVar(1), []core.IndexSpec{core.Idx("x")}, "value").
+		Body(func(c *core.Ctx) error {
+			c.SetInt32("value", c.Int32("value")+5)
+			return nil
+		})
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// checkWideMulSum compares m_data and p_data of the given ages against a
+// direct evaluation (int32 arithmetic wraps the same way on both sides).
+func checkWideMulSum(t *testing.T, n *Node, width int, ages ...int) {
+	t.Helper()
+	maxAge := 0
+	for _, a := range ages {
+		maxAge = max(maxAge, a)
+	}
+	m := make([]int32, width)
+	for i := range m {
+		m[i] = int32(i + 10)
+	}
+	want := map[int][2][]int32{}
+	for a := 0; a <= maxAge; a++ {
+		p := make([]int32, width)
+		next := make([]int32, width)
+		for i := range m {
+			p[i] = m[i] * 2
+			next[i] = p[i] + 5
+		}
+		want[a] = [2][]int32{m, p}
+		m = next
+	}
+	for _, a := range ages {
+		for fi, name := range []string{"m_data", "p_data"} {
+			got, err := n.Snapshot(name, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(field.ArrayFromInt32(want[a][fi])) {
+				t.Fatalf("%s(%d) = %v, want %v", name, a, got, want[a][fi])
+			}
+		}
+	}
+}
+
+// runOrTimeout runs the node and fails the test if it does not come back: a
+// slice that loses a done event or unbalances the quiescence count hangs Run.
+func runOrTimeout(t *testing.T, n *Node) (*Report, error) {
+	t.Helper()
+	type result struct {
+		rep *Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := n.Run()
+		done <- result{rep, err}
+	}()
+	select {
+	case r := <-done:
+		return r.rep, r.err
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return")
+		return nil, nil
+	}
+}
+
+// TestSliceSizingRule pins both ends of the default sizing rule under both
+// analyzers: the one-line mul2/plus5 kernels cost far less than the slice
+// target, so their instances must be combined, while a kernel whose body
+// takes a millisecond must keep one instance per slice.
+func TestSliceSizingRule(t *testing.T) {
+	for _, an := range []AnalyzerKind{AnalyzerSharded, AnalyzerSerial} {
+		t.Run(fmt.Sprintf("analyzer=%d", an), func(t *testing.T) {
+			const width, maxAge = 512, 8
+			n, err := NewNode(wideMulSum(t, width, nil), Options{Workers: 2, MaxAge: maxAge, Analyzer: an})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := runOrTimeout(t, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Stalled) != 0 {
+				t.Fatalf("stalled: %v", rep.Stalled)
+			}
+			checkWideMulSum(t, n, width, 0, maxAge/2, maxAge)
+			for _, name := range []string{"mul2", "plus5"} {
+				k := rep.Kernel(name)
+				if k.Instances != width*(maxAge+1) {
+					t.Errorf("%s ran %d instances, want %d", name, k.Instances, width*(maxAge+1))
+				}
+				if k.InstancesPerSlice() < 2 {
+					t.Errorf("%s: %d instances in %d slices; the default rule should combine one-line kernels", name, k.Instances, k.Slices)
+				}
+			}
+
+			slow := wideMulSum(t, 16, func(*core.Ctx) error { time.Sleep(time.Millisecond); return nil })
+			n, err = NewNode(slow, Options{Workers: 2, MaxAge: 2, Analyzer: an})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err = runOrTimeout(t, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k := rep.Kernel("mul2"); k.Slices != k.Instances || k.Instances != 16*3 {
+				t.Errorf("1 ms kernel: %d instances in %d slices, want one instance per slice", k.Instances, k.Slices)
+			}
+		})
+	}
+}
+
+// TestGCWithSlices combines garbage collection with default-sized slices over
+// a long pipeline: a slice holds pins on the generations it fetches from and
+// writes into generations GC is about to see completed, and neither may lose
+// or corrupt a value; memory must stay bounded.
+func TestGCWithSlices(t *testing.T) {
+	const width, maxAge = 256, 60
+	n, err := NewNode(wideMulSum(t, width, nil), Options{Workers: 2, MaxAge: maxAge, GC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := runOrTimeout(t, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Stalled) != 0 {
+		t.Fatalf("stalled: %v", rep.Stalled)
+	}
+	k := rep.Kernel("mul2")
+	if k.Instances != width*(maxAge+1) || k.InstancesPerSlice() < 2 {
+		t.Errorf("mul2: %d instances in %d slices", k.Instances, k.Slices)
+	}
+	// Old generations were collected: live memory is far below the
+	// 2 fields x 61 ages x 256 elements an uncollected run retains.
+	if rep.FieldMemElems > 8*width {
+		t.Errorf("GC left %d elements live", rep.FieldMemElems)
+	}
+	// The generation beyond the age bound survives (its consumers never
+	// ran), and carries the result of every slice before it.
+	m := int32(0)
+	for a, v := 0, int32(10); a <= maxAge; a++ {
+		v = v*2 + 5
+		m = v
+	}
+	last, err := n.Snapshot("m_data", maxAge+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Extent(0) != width || last.At(0).Int32() != m {
+		t.Errorf("m_data(%d): extent %d, [0] = %d; want %d, %d", maxAge+1, last.Extent(0), last.At(0).Int32(), width, m)
+	}
+}
+
+// TestSliceBodyErrorMidSlice: a body error or panic in the middle of a slice
+// ends the run with an error naming kernel and age, and the run comes back —
+// the slice's done event still covers the instances that never ran.
+func TestSliceBodyErrorMidSlice(t *testing.T) {
+	boom := errors.New("boom")
+	for name, hook := range map[string]func(c *core.Ctx) error{
+		"error": func(c *core.Ctx) error {
+			if c.Age() == 1 && c.Index("x") == 21 {
+				return boom
+			}
+			return nil
+		},
+		"panic": func(c *core.Ctx) error {
+			if c.Age() == 1 && c.Index("x") == 21 {
+				panic("kaboom")
+			}
+			return nil
+		},
+	} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				n, err := NewNode(wideMulSum(t, 64, hook), Options{
+					Workers: 3, MaxAge: 5, AnalyzerShards: shards,
+					Granularity: map[string]int{"mul2": 16, "plus5": 16},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = runOrTimeout(t, n)
+				if err == nil {
+					t.Fatal("run with a failing body returned no error")
+				}
+				if !strings.Contains(err.Error(), "kernel mul2(age=1)") {
+					t.Errorf("error %q does not name kernel and age", err)
+				}
+				if name == "error" && !errors.Is(err, boom) {
+					t.Errorf("error %q does not wrap the body's error", err)
+				}
+			})
+		}
+	}
+}
+
+// TestSliceStopMidSlice: Stop while a worker is in the middle of a slice. The
+// slice runs to its end, the run returns without an error, and every store
+// the finished instances made is in place.
+func TestSliceStopMidSlice(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	hook := func(c *core.Ctx) error {
+		if c.Age() == 0 && c.Index("x") == 5 {
+			once.Do(func() { close(started) })
+			<-release
+		}
+		return nil
+	}
+	const width = 32
+	n, err := NewNode(wideMulSum(t, width, hook), Options{
+		Workers: 2, MaxAge: 0, NoAutoQuiesce: true,
+		Granularity: map[string]int{"mul2": 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := n.Run()
+		errc <- err
+	}()
+	<-started
+	n.Stop()
+	close(release)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("stopped run returned %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return after Stop mid-slice")
+	}
+	// The blocked slice (x = 0..7) ran to its end and stored all it computed.
+	p, err := n.Snapshot("p_data", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < 8; x++ {
+		if got := p.At(x).Int32(); got != int32(x+10)*2 {
+			t.Errorf("p_data(0)[%d] = %d, want %d", x, got, (x+10)*2)
+		}
+	}
+}
+
+// TestSliceStoresGrowExtent: the element stores of one slice grow the target
+// generation's extent in one step, and the growth must reach the kernels whose
+// index domain the field defines — every plus5 instance has to be created.
+func TestSliceStoresGrowExtent(t *testing.T) {
+	const width, maxAge = 37, 3
+	for _, size := range []int{1, 8, 37, 100} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("size=%d/shards=%d", size, shards), func(t *testing.T) {
+				n, err := NewNode(wideMulSum(t, width, nil), Options{
+					Workers: 2, MaxAge: maxAge, AnalyzerShards: shards,
+					Granularity: map[string]int{"mul2": size, "plus5": size},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := runOrTimeout(t, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Stalled) != 0 {
+					t.Fatalf("stalled: %v", rep.Stalled)
+				}
+				if got := rep.Kernel("plus5").Instances; got != width*(maxAge+1) {
+					t.Errorf("plus5 ran %d instances, want %d", got, width*(maxAge+1))
+				}
+				if k := rep.Kernel("mul2"); k.StoreOps != k.Instances {
+					t.Errorf("mul2: %d store ops for %d instances", k.StoreOps, k.Instances)
+				}
+				checkWideMulSum(t, n, width, 0, 1, maxAge)
+			})
+		}
+	}
+}
+
+// TestSliceNonContiguousCoordinates: a slice of a rank-2 kernel that stores
+// transposed writes scattered, non-monotone coordinates in one batch (and
+// grows both dimensions doing so); the result must equal the transpose.
+func TestSliceNonContiguousCoordinates(t *testing.T) {
+	const rows, cols = 5, 7
+	b := core.NewBuilder("transpose")
+	b.Field("in", field.Int32, 2, true)
+	b.Field("out", field.Int32, 2, true)
+	b.Kernel("init").
+		Local("vals", field.Int32, 2).
+		StoreAll("in", core.AgeAt(0), "vals").
+		Body(func(c *core.Ctx) error {
+			vs := c.Array("vals")
+			vs.Grow(rows, cols)
+			for i := range vs.Int32s() {
+				vs.Int32s()[i] = int32(100 + i)
+			}
+			return nil
+		})
+	b.Kernel("flip").Age("a").Index("x", "y").
+		Local("v", field.Int32, 0).
+		Fetch("v", "in", core.AgeVar(0), core.Idx("x"), core.Idx("y")).
+		Store("out", core.AgeVar(0), []core.IndexSpec{core.Idx("y"), core.Idx("x")}, "v").
+		Body(func(c *core.Ctx) error {
+			c.SetInt32("v", c.Int32("v"))
+			return nil
+		})
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1, 4, 11, rows * cols} {
+		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
+			n, err := NewNode(prog, Options{Workers: 2, MaxAge: 0, Granularity: map[string]int{"flip": size}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := runOrTimeout(t, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Kernel("flip").Instances; got != rows*cols {
+				t.Fatalf("flip ran %d instances, want %d", got, rows*cols)
+			}
+			out, err := n.Snapshot("out", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Extent(0) != cols || out.Extent(1) != rows {
+				t.Fatalf("out extents %v, want [%d %d]", out.Extents(), cols, rows)
+			}
+			for x := 0; x < rows; x++ {
+				for y := 0; y < cols; y++ {
+					if got, want := out.At(y, x).Int32(), int32(100+x*cols+y); got != want {
+						t.Errorf("out[%d][%d] = %d, want %d", y, x, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSliceMergeStoresReplay: under MergeStores (failover), a slice's batched
+// stores land in a generation a replay has already partly written. The
+// duplicates must be skipped silently and the run must finish with exactly
+// the state of an undisturbed run.
+func TestSliceMergeStoresReplay(t *testing.T) {
+	const width, maxAge = 40, 2
+	n, err := NewNode(wideMulSum(t, width, nil), Options{
+		Workers: 2, MaxAge: maxAge, MergeStores: true,
+		Granularity: map[string]int{"mul2": 8, "plus5": 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replayed part of p_data(0): what mul2 will compute again.
+	for _, x := range []int{3, 4, 5, 20, 39} {
+		if _, err := n.fields["p_data"].f.Store(0, field.Int32Val(int32(x+10)*2), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := runOrTimeout(t, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Stalled) != 0 {
+		t.Fatalf("stalled: %v", rep.Stalled)
+	}
+	checkWideMulSum(t, n, width, 0, 1, maxAge)
+
+	// Without MergeStores the same collision is the write-once error it
+	// always was, named like a per-instance store error.
+	n, err = NewNode(wideMulSum(t, width, nil), Options{Workers: 2, MaxAge: maxAge, Granularity: map[string]int{"mul2": 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.fields["p_data"].f.Store(0, field.Int32Val(1), 20); err != nil {
+		t.Fatal(err)
+	}
+	_, err = runOrTimeout(t, n)
+	if !errors.Is(err, field.ErrWriteTwice) || !strings.Contains(err.Error(), "kernel mul2(age=0)") {
+		t.Errorf("colliding slice store returned %v, want a write-once error naming mul2(age=0)", err)
+	}
+}
+
+// TestSliceCarveReleaseAllocFree is the budget for the analyzer side of the
+// slice path: carving a tracker's ready list into slices and recycling them
+// on done allocates nothing in steady state — a slice aliases the ready list
+// and its header comes out of the pool.
+func TestSliceCarveReleaseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	n, tr, _ := benchNode(t, true)
+	tr.extents = []int{1 << 20}
+	insts := make([]instState, 512)
+	var pushed []*batch
+	c := slicer{n: n, push: func(bs []*batch) { pushed = append(pushed, bs...) }}
+	cycle := func() {
+		// A fresh burst on the same tracker, as a new kernel-age would see.
+		tr.ready, tr.head = tr.ready[:0], 0
+		for i := range insts {
+			c.ready(tr, &insts[i])
+		}
+		c.drain()
+		for i, b := range pushed {
+			releaseBatch(b)
+			pushed[i] = nil
+		}
+		pushed = pushed[:0]
+	}
+	for _, size := range []int{1, 7, 64} {
+		n.kernels["consume"].gran = size
+		cycle() // warm the pool and the scratch lists
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Errorf("size %d: carving and releasing %d instances allocates %.1f objects, want 0", size, len(insts), allocs)
+		}
+	}
+}
+
+// TestCollectSlicesLinear: carving is linear in the ready list. Size-1
+// slices are the worst case — the old copy-down compaction moved the whole
+// remainder per slice — so ns per instance must not grow with the list.
+func TestCollectSlicesLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing under race instrumentation is not meaningful")
+	}
+	perInst := func(pending int) float64 {
+		collect := collectSlicesFixture(t, pending)
+		collect() // warm the pool and the scratch lists
+		reps := 200000 / pending
+		best := time.Duration(1 << 62)
+		for try := 0; try < 7; try++ {
+			start := time.Now()
+			for i := 0; i < reps; i++ {
+				collect()
+			}
+			best = min(best, time.Since(start))
+		}
+		return float64(best) / float64(reps*pending)
+	}
+	small, large := perInst(2000), perInst(20000)
+	if large > 2*small {
+		t.Errorf("carving costs %.1f ns/instance at 2 000 pending but %.1f at 20 000; want linear", small, large)
+	}
+}

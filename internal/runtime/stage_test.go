@@ -72,7 +72,14 @@ func TestStageAttributionCoverage(t *testing.T) {
 		t.Errorf("ExecNs = %v, want ≥ %v", time.Duration(s.ExecNs), time.Duration(minExec))
 	}
 	cov := s.Coverage(rep.Wall)
-	if cov < 0.90 || cov > 1.10 {
+	// Race instrumentation slows the unstamped gaps between slices (queue
+	// pop, event flush) far more than the spinning bodies, so the bound is
+	// looser there.
+	low := 0.90
+	if raceEnabled {
+		low = 0.80
+	}
+	if cov < low || cov > 1.10 {
 		t.Errorf("stage coverage = %.3f of wall×workers, want ~1.0 (stages %+v, wall %v)",
 			cov, s, rep.Wall)
 	}
@@ -139,12 +146,13 @@ func TestDispatchTracingOffAllocFree(t *testing.T) {
 		t.Fatal("node without observability has stamping enabled")
 	}
 	w := newWorkerState(n, 0)
-	n.exec(tr, is, w) // warm the frame pool
+	exec := sliceOfOne(n, tr, is, w)
+	exec() // warm the frame pool
 	allocs := testing.AllocsPerRun(200, func() {
 		for j := range w.bufs {
 			w.bufs[j] = w.bufs[j][:0]
 		}
-		n.exec(tr, is, w)
+		exec()
 	})
 	if allocs != 0 {
 		t.Errorf("tracing-off dispatch allocates %.1f objects/op, want 0", allocs)

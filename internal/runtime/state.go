@@ -58,7 +58,7 @@ type varBind struct {
 // counterWithBaseline wraps a registry counter together with its value at
 // node construction time. A shared registry may carry counts from earlier
 // nodes; Own projects only this node's contribution, which is what reports
-// and the adaptive-granularity decision need.
+// and the slice-sizing rule need.
 type counterWithBaseline struct {
 	c    *obs.Counter
 	base int64
@@ -152,12 +152,26 @@ type slabTerm struct {
 	term  idxTerm
 }
 
+// evalSel evaluates a slab selector into dst (len(dst) == len(slab)) and
+// returns it; like evalTerms, dst is caller-owned scratch.
+func evalSel(dst []field.SlabDim, slab []slabTerm, coords []int) []field.SlabDim {
+	for d, st := range slab {
+		if st.fixed {
+			dst[d] = field.SlabDim{Fixed: true, Index: st.term.eval(coords)}
+		} else {
+			dst[d] = field.SlabDim{}
+		}
+	}
+	return dst
+}
+
 // fetchPlan is the dispatch-time plan of one fetch statement: the resolved
 // field state plus precompiled coordinates, so exec neither looks up fields
 // by name nor evaluates IndexSpecs through a map.
 type fetchPlan struct {
 	fe    *core.FetchStmt
 	fs    *fieldState
+	local int        // position of fe.Local in the kernel's Locals
 	terms []idxTerm  // element fetches
 	slab  []slabTerm // slab fetches (nil otherwise)
 	whole bool
@@ -172,6 +186,7 @@ type fetchPlan struct {
 type storePlan struct {
 	ss    *core.StoreStmt
 	fs    *fieldState
+	local int        // position of ss.Local in the kernel's Locals
 	terms []idxTerm  // element stores
 	slab  []slabTerm // slab stores (nil otherwise); terms nil too
 }
@@ -203,10 +218,9 @@ type kernelState struct {
 
 	ages map[int]*ageTracker
 
-	// gran is the instances-per-dispatch-batch data granularity (§V-A).
-	// Atomic because under the sharded analyzer, trackers of the same kernel
-	// at different ages live on different shards, and adapt() may race.
-	gran atomic.Int32
+	// gran is the kernel's Options.Granularity entry: a fixed slice size that
+	// overrides the sizing rule (Node.sliceSize). Zero means unset.
+	gran int
 
 	// remote marks a kernel executed on another node: no local instances,
 	// completions arrive via InjectRemoteDone.
@@ -220,18 +234,25 @@ type kernelState struct {
 	// the Report is a projection of the registry rather than a second set
 	// of books; baselines make shared registries project per-node.
 	instances  counterWithBaseline
+	slices     counterWithBaseline
 	dispatchNs counterWithBaseline
 	kernelNs   counterWithBaseline
 	storeOps   counterWithBaseline
 
 	// timedInsts counts the instances whose dispatch/kernel times were
 	// actually measured. Without a tracer or metrics registry the dispatch
-	// path samples one instance in timeSampleEvery (time.Now is a measurable
+	// path times one slice in timeSampleEvery (time.Now is a measurable
 	// fraction of a small instance's dispatch cost), so dispatchNs/kernelNs
-	// hold sampled sums; the report extrapolates totals by instances/timed
-	// and adapt() divides by the timed count. Per-node (not baselined): a
-	// shared registry never sees it.
+	// hold sampled sums, and the report extrapolates totals by
+	// instances/timed. Per-node (not baselined): a shared registry never
+	// sees it.
 	timedInsts atomic.Int64
+
+	// costNs is what the slice-sizing rule divides by: an estimate of the
+	// kernel's current per-instance cost (body plus dispatch) from its timed
+	// slices, zero until the first has been timed; see observeCost. Workers
+	// update it with plain load/store; a lost update only delays it.
+	costNs atomic.Int64
 
 	// Stage timers (ISSUE 6): the fixed per-instance latency decomposition
 	// behind the attribution report. Enabled (non-nil) only when the node
@@ -250,6 +271,7 @@ func (ks *kernelState) ownInstances() int64  { return ks.instances.Own() }
 func (ks *kernelState) ownDispatchNs() int64 { return ks.dispatchNs.Own() }
 func (ks *kernelState) ownKernelNs() int64   { return ks.kernelNs.Own() }
 func (ks *kernelState) ownStoreOps() int64   { return ks.storeOps.Own() }
+func (ks *kernelState) ownSlices() int64     { return ks.slices.Own() }
 
 // ageTracker tracks all instances of one kernel at one age: the current index
 // domain, instance satisfaction, and completion.
@@ -261,10 +283,20 @@ type ageTracker struct {
 	bindsDone   int   // range-defining (field, age) pairs that are complete
 	domainFinal bool
 
-	inst    map[int64]*instState
-	total   int
-	done    int
-	pending []*instState // ready instances not yet flushed into a batch
+	inst  map[int64]*instState
+	total int
+	done  int
+
+	// ready lists the fully satisfied instances in the order they became
+	// ready. It is append-only for the tracker's lifetime: slices alias runs
+	// of it (see batch), so entries are never moved. ready[:head] has been
+	// carved into slices; size is the slice size of the last carve (the
+	// slicer re-carves once that many instances are waiting) and dirty marks
+	// membership in the slicer's dirty list.
+	ready []*instState
+	head  int
+	size  int
+	dirty bool
 
 	// all lists every instance when the sharded analyzer skips the inst map
 	// (kernels without element fetches never look instances up by coordinate);
@@ -346,6 +378,9 @@ type fieldAgeState struct {
 	consumersDone int
 	collected     bool
 }
+
+// uncarved is the number of ready instances not yet cut into a slice.
+func (t *ageTracker) uncarved() int { return len(t.ready) - t.head }
 
 func (t *ageTracker) String() string {
 	return fmt.Sprintf("%s(age=%d, %d/%d done, domainFinal=%v)", t.ks.decl.Name, t.age, t.done, t.total, t.domainFinal)

@@ -96,10 +96,10 @@ func TestReadyQueueAgeOrder(t *testing.T) {
 	mk := func(age int) *batch {
 		return &batch{tracker: &ageTracker{age: age}, insts: []*instState{{}}}
 	}
-	q.Push(mk(3))
-	q.Push(mk(1))
-	q.Push(mk(2))
-	q.Push(mk(1))
+	q.PushBulk([]*batch{mk(3)})
+	q.PushBulk([]*batch{mk(1)})
+	q.PushBulk([]*batch{mk(2)})
+	q.PushBulk([]*batch{mk(1)})
 	var ages []int
 	for i := 0; i < 4; i++ {
 		b, ok := q.Pop(0)
@@ -121,7 +121,7 @@ func TestReadyQueueAgeOrder(t *testing.T) {
 	if _, ok := q.Pop(0); ok {
 		t.Error("pop after close+drain should report closed")
 	}
-	q.Push(mk(1)) // push after close is a no-op
+	q.PushBulk([]*batch{mk(1)}) // push after close is a no-op
 	if q.Len() != 0 {
 		t.Error("push after close should be ignored")
 	}
@@ -138,7 +138,7 @@ func TestReadyQueueBlocksUntilPush(t *testing.T) {
 		}
 		done <- b.tracker.age
 	}()
-	q.Push(&batch{tracker: &ageTracker{age: 9}, insts: []*instState{{}}})
+	q.PushBulk([]*batch{&batch{tracker: &ageTracker{age: 9}, insts: []*instState{{}}}})
 	if got := <-done; got != 9 {
 		t.Fatalf("blocked pop got %d", got)
 	}

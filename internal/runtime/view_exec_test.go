@@ -54,12 +54,13 @@ func TestViewDispatchAllocFree(t *testing.T) {
 		t.Fatal("whole fetch not planned as viewable")
 	}
 	w := newWorkerState(n, 0)
-	n.exec(tr, is, w) // warm the frame pool
+	exec := sliceOfOne(n, tr, is, w)
+	exec() // warm the frame pool
 	allocs := testing.AllocsPerRun(200, func() {
 		for j := range w.bufs {
 			w.bufs[j] = w.bufs[j][:0]
 		}
-		n.exec(tr, is, w)
+		exec()
 	})
 	if allocs != 0 {
 		t.Errorf("view-fetch dispatch allocates %.1f objects/op, want 0", allocs)
