@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci test-fault bench-smoke bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
+.PHONY: all build test race vet fmt-check ci test-fault fuzz-lang bench-smoke bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
 
 all: build
 
@@ -30,6 +30,15 @@ ci: fmt-check vet build race
 # wedged, or silently dropping connections).
 test-fault:
 	$(GO) test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown' ./internal/dist/
+
+# fuzz-lang is the kernel-language fuzz gate (also run by ci.sh): ten seconds
+# each of FuzzParse (lexer, parser and both compilers never panic) and
+# FuzzBackendsAgree (bytecode and closure back-ends agree on any program both
+# accept), seeded from testdata/*.p2g. Minimization is off: shrinking one new
+# 3 KB input would otherwise eat the whole budget.
+fuzz-lang:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
+	$(GO) test -run '^$$' -fuzz '^FuzzBackendsAgree$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
 
 # bench-smoke is the benchmark-ledger smoke gate (also run by ci.sh): bench/
 # is a nested module (repro/bench) that `go test ./...` does not reach. Its

@@ -336,63 +336,26 @@ func (a *Array) FlatOffset64(idx []int64) int {
 	return off
 }
 
-// FlatGetInt reads the element at flat offset off of an integer-class array
-// (uint8/bool/int32/int64) as its int64 payload, without boxing. It panics for
-// other storage classes.
-func (a *Array) FlatGetInt(off int) int64 {
-	switch a.data.class {
-	case classU8:
-		return int64(a.data.u8[off])
-	case classI32:
-		return int64(a.data.i32[off])
-	case classI64:
-		return a.data.i64[off]
-	default:
-		panic(fmt.Sprintf("field: FlatGetInt on %s array", a.kind))
-	}
+// Backing is the live typed flat backing of an array in row-major order, for
+// compiled kernel back-ends that index elements without boxing. At most one
+// slice is non-nil, chosen by the element kind's storage class; string and
+// Any arrays have none. The slices are invalidated by Grow/Put past the
+// extent and by the copy-on-write a boxed mutation of a Shared array does.
+type Backing struct {
+	F64 []float64 // Float32, Float64
+	I64 []int64   // Int64
+	I32 []int32   // Int32
+	U8  []uint8   // Uint8, Bool (0/1)
+	// Shared reports that the backing aliases a field generation (a view
+	// fetch): it must not be written through these slices. Set/SetFlat/Put
+	// take a private copy first.
+	Shared bool
 }
 
-// FlatGetFloat reads the element at flat offset off of a float-class array as
-// its float64 payload, without boxing. It panics for other storage classes.
-func (a *Array) FlatGetFloat(off int) float64 {
-	if a.data.class != classF64 {
-		panic(fmt.Sprintf("field: FlatGetFloat on %s array", a.kind))
-	}
-	return a.data.f64[off]
-}
-
-// FlatSetInt stores x at flat offset off of an integer-class array with the
-// same coercion as slab.set (width truncation, Bool normalized to 0/1),
-// copy-on-write through unshare for views. It panics for other classes.
-func (a *Array) FlatSetInt(off int, x int64) {
-	a.unshare()
-	switch a.data.class {
-	case classU8:
-		if a.kind == Bool {
-			if x != 0 {
-				x = 1
-			} else {
-				x = 0
-			}
-		}
-		a.data.u8[off] = uint8(x)
-	case classI32:
-		a.data.i32[off] = int32(x)
-	case classI64:
-		a.data.i64[off] = x
-	default:
-		panic(fmt.Sprintf("field: FlatSetInt on %s array", a.kind))
-	}
-}
-
-// FlatSetFloat stores x at flat offset off of a float-class array,
-// copy-on-write through unshare for views. It panics for other classes.
-func (a *Array) FlatSetFloat(off int, x float64) {
-	a.unshare()
-	if a.data.class != classF64 {
-		panic(fmt.Sprintf("field: FlatSetFloat on %s array", a.kind))
-	}
-	a.data.f64[off] = x
+// Backing returns the array's typed flat backing.
+func (a *Array) Backing() Backing {
+	d := &a.data
+	return Backing{F64: d.f64, I64: d.i64, I32: d.i32, U8: d.u8, Shared: a.view}
 }
 
 // Clone returns a deep copy of the array. Element payloads of kind Any are

@@ -3,25 +3,44 @@ package lang
 // Register bytecode for kernel bodies. The closure interpreter in compile.go
 // walks a tree of Go closures with every operand boxed in a field.Value; this
 // back-end lowers the same AST to a flat instruction slice executed by a
-// switch-dispatch VM (vm.go): scalars live in unboxed int64/float64/string
-// register files partitioned at compile time by the declared kinds, array
-// accesses index the typed slab backing directly, and control flow is jump
-// offsets. The closure back-end stays selectable (Options.Backend) as the A/B
-// reference; the differential tests in bytecode_test.go and fuzz_test.go pin
-// the two to bit-identical results.
+// switch-dispatch VM (vm.go). The closure back-end stays selectable
+// (Options.Backend) as the differential reference and the source of compile
+// errors; the tests in bytecode_test.go and fuzz_test.go pin the two to
+// bit-identical results.
 //
-// Instruction encoding: one opcode plus four int32 operands {a, b, c, d}.
-// Operand roles by convention: a is the destination register (or jump target
-// for opJmp, local index for stores), b/c are sources or auxiliary indices,
-// d carries a constant-table index (runtime error sites, boxed-arith sites)
-// or the coordinate count for array ops. Register operands are indices into
-// the frame's class-specific file: i (int64), f (float64), s (string),
-// v (boxed field.Value). Jumps are absolute instruction indices.
+// Frame layout. Each register class — i (int64), f (float64), s (string),
+// v (boxed field.Value) — is one file per frame, laid out as
+//
+//	[ age | index coordinates | scalar kernel locals | block variables | temporaries | constants ]
+//
+// Constants are registers like any other: they are written once when a pooled
+// frame is created and no instruction targets them, so a literal costs
+// nothing per invocation or per iteration. The age, the index coordinates and
+// the scalar kernel locals the body names are loaded by the prologue
+// (bcProg.loads, run by body() before the first instruction) and live in
+// registers from then on; an assignment to a local is an ordinary register
+// write followed by opBind, which marks the local in the frame's assigned
+// mask, and the epilogue (bcProg.stores) writes exactly the marked locals
+// back to the Ctx with SetLocalValue — on every way out of the body, so a
+// local is bound iff the executed path assigned it and a failing body leaves
+// the Ctx the interpreter would have left. Array locals resolve on first
+// touch into a frame-held arrView (vm.go).
+//
+// Instruction encoding: eight bytes — the opcode, three one-byte operands
+// {a, b, c} and one int32 operand d — whose roles opTable records per opcode.
+// a is the destination (or the array for puts); d carries whatever needs the
+// range: jump targets (absolute instruction indices), immediates, table
+// indices, and the fourth register of the rank-2 array forms. Register
+// operands being bytes is what lets the VM index its fixed-size int and float
+// register files without bounds checks; a kernel that needs more than 256
+// registers of one class (constants included) is not lowered.
 
 import (
 	"fmt"
-	"strings"
+	"math"
 	"sync"
+
+	"repro/internal/field"
 )
 
 type opcode uint8
@@ -31,23 +50,33 @@ type opcode uint8
 const (
 	// control flow
 	opRet  opcode = iota // return nil
-	opJmp                // a=target
-	opJzI                // a=ireg  b=target: jump if i[a] == 0
-	opJnzI               // a=ireg  b=target: jump if i[a] != 0
-	opJzF                // a=freg  b=target: jump if f[a] == 0 (NaN is truthy)
-	opJzV                // a=vreg  b=target: jump if !v[a].Bool()
-	opErr                // a=errIdx: return errs[a]
-	opStop               // ctx.Stop()
+	opJmp                // d=target
+	opJzI                // a=ireg d=target: jump if i[a] == 0
+	opJnzI               // jump if i[a] != 0
+	opJzF                // jump if f[a] == 0 (NaN is truthy)
+	opJnzF               // jump if f[a] != 0
+	opJzV                // jump if !v[a].Bool()
+	opJnzV               // jump if v[a].Bool()
+	// fused compare-and-branch, a,b=operands d=target; > and >= swap their
+	// operands onto < and <=. The float forms follow the interpreter's
+	// compareFloat order, under which NaN compares equal to everything.
+	opJeqI
+	opJneI
+	opJltI
+	opJleI
+	opJeqF
+	opJneF
+	opJltF
+	opJleF
+	opErr  // d=errIdx: return errs[d]
+	opStop // ctx.Stop()
 
-	// constants and moves
-	opLdI   // a=dst b=constIdx (ints)
-	opLdF   // a=dst b=constIdx (floats)
-	opLdS   // a=dst b=constIdx (strs)
-	opZeroV // a=dst b=kind: field.Zero(kind)
-	opMovI  // a=dst b=src
+	// moves
+	opMovI // a=dst b=src
 	opMovF
 	opMovS
 	opMovV
+	opZeroV // a=dst b=kind: field.Zero(kind)
 
 	// conversions between register classes (Value.Convert semantics)
 	opI2F     // f[a] = float64(i[b])
@@ -73,6 +102,7 @@ const (
 
 	// integer arithmetic (a=dst b,c=src; d=errIdx where noted)
 	opAddI
+	opAddKI // i[a] = i[b] + d (immediate)
 	opSubI
 	opMulI
 	opDivI // d=errIdx: division by zero
@@ -89,27 +119,23 @@ const (
 	// strings
 	opConcatS // s[a] = s[b] + s[c]
 
-	// comparisons (i[a] = 0/1; float variants use the interpreter's
-	// compareFloat total order, under which NaN compares equal to everything)
+	// comparisons as values (i[a] = 0/1), same operand swap and float order
+	// as the fused branches
 	opEqI
 	opNeI
 	opLtI
 	opLeI
-	opGtI
-	opGeI
 	opEqF
 	opNeF
 	opLtF
 	opLeF
-	opGtF
-	opGeF
 	opEqS
 	opNeS
 
 	// boxed fallback ops for Any-kind operands: identical helpers to the
 	// closure interpreter, so dynamic-kind semantics cannot drift
 	opArithV // v[a] = arith(sites[d], v[b], v[c])
-	opIncV   // v[a] = v[b] incremented by c (float/int by dynamic kind)
+	opIncV   // v[a] = v[b] incremented by d (float/int by dynamic kind)
 	opNegV   // v[a] = -v[b] by dynamic kind
 	opAbsV
 	opMinV // v[a] = min(v[b], v[c]) with the interpreter's dynamic rules
@@ -128,26 +154,24 @@ const (
 	opMinF // f[a] = math.Min(f[b], f[c])
 	opMaxF
 
-	// kernel context: scalar locals by declaration index, age, coordinates
-	opLdLI  // i[a] = ctx.LocalValue(b).Int64()
-	opLdLF  // f[a] = ctx.LocalValue(b).Float64()
-	opLdLS  // s[a] = ctx.LocalValue(b).Str()
-	opLdLV  // v[a] = ctx.LocalValue(b)
-	opStLI  // ctx.SetLocalValue(a, Value{kind c, i: i[b]})
-	opStLF  // ctx.SetLocalValue(a, Value{kind c, f: f[b]})
-	opStLS  // ctx.SetLocalValue(a, StringVal(s[b]))
-	opStLV  // ctx.SetLocalValue(a, v[b])
-	opLdAge // i[a] = ctx.Age()
-	opLdIdx // i[a] = ctx.Coord(b)
+	// kernel locals
+	opBind // a=local index: the local's register was assigned
 
-	// arrays: b=local index, c=first of d contiguous int coordinate regs;
-	// out-of-range coordinates take the boxed At/Put cold path so panics and
-	// implicit grow match the interpreter exactly
-	opGetI // i[a] = arr(b).FlatGetInt(off)
-	opGetF // f[a] = arr(b).FlatGetFloat(off)
-	opGetV // v[a] = arr(b).AtFlat(off)
-	opPutI // a=local index, b=value reg: arr(a).FlatSetInt(off, i[b])
-	opPutF
+	// arrays through the frame's views. The typed rank-1 and rank-2 forms
+	// index the view's backing slice directly; any miss (first touch, out of
+	// range, rank or class mismatch, write to an aliased backing) drops to
+	// the boxed At/Put path, so panics and implicit grow are the
+	// interpreter's. The V forms take d contiguous int coordinate registers
+	// starting at c and serve boxed arrays and ranks above two.
+	opGetF1 // f[a] = arr(b)[i[c]]
+	opGetF2 // f[a] = arr(b)[i[c]][i[d]]
+	opGetI1
+	opGetI2
+	opGetV  // v[a] = arr(b)[i[c] ... i[c+d-1]]
+	opPutF1 // arr(a)[i[c]] = f[b]
+	opPutF2 // arr(a)[i[c]][i[d]] = f[b]
+	opPutI1
+	opPutI2
 	opPutV
 	opExtent // i[a] = arr(b).Extent(int(i[c]))
 
@@ -168,52 +192,203 @@ const (
 	numOpcodes
 )
 
-var opNames = [numOpcodes]string{
-	opRet: "ret", opJmp: "jmp", opJzI: "jzi", opJnzI: "jnzi", opJzF: "jzf",
-	opJzV: "jzv", opErr: "err", opStop: "stop",
-	opLdI: "ldi", opLdF: "ldf", opLdS: "lds", opZeroV: "zerov",
-	opMovI: "movi", opMovF: "movf", opMovS: "movs", opMovV: "movv",
-	opI2F: "i2f", opF2I: "f2i", opTrunc32: "trunc32", opTruncU8: "truncu8",
-	opBoolI: "booli", opBoolF: "boolf", opBoolV: "boolv",
-	opNotI: "noti", opNotF: "notf", opNotV: "notv",
-	opI2S: "i2s", opF2S: "f2s", opB2S: "b2s", opV2S: "v2s",
-	opBoxI: "boxi", opBoxF: "boxf", opBoxS: "boxs", opConvV: "convv",
-	opUnboxVI: "unboxvi", opUnboxVF: "unboxvf",
-	opAddI: "addi", opSubI: "subi", opMulI: "muli", opDivI: "divi",
-	opModI: "modi", opNegI: "negi",
-	opAddF: "addf", opSubF: "subf", opMulF: "mulf", opDivF: "divf",
-	opNegF: "negf", opConcatS: "concats",
-	opEqI: "eqi", opNeI: "nei", opLtI: "lti", opLeI: "lei", opGtI: "gti",
-	opGeI: "gei", opEqF: "eqf", opNeF: "nef", opLtF: "ltf", opLeF: "lef",
-	opGtF: "gtf", opGeF: "gef", opEqS: "eqs", opNeS: "nes",
-	opArithV: "arithv", opIncV: "incv", opNegV: "negv", opAbsV: "absv",
-	opMinV: "minv", opMaxV: "maxv",
-	opSqrtF: "sqrtf", opFloorF: "floorf", opCosF: "cosf", opSinF: "sinf",
-	opPowF: "powf", opAbsI: "absi", opAbsF: "absf",
-	opMinI: "mini", opMaxI: "maxi", opMinF: "minf", opMaxF: "maxf",
-	opLdLI: "ldli", opLdLF: "ldlf", opLdLS: "ldls", opLdLV: "ldlv",
-	opStLI: "stli", opStLF: "stlf", opStLS: "stls", opStLV: "stlv",
-	opLdAge: "ldage", opLdIdx: "ldidx",
-	opGetI: "geti", opGetF: "getf", opGetV: "getv",
-	opPutI: "puti", opPutF: "putf", opPutV: "putv", opExtent: "extent",
-	opNow: "now", opExpired: "expired", opResetTimer: "resettimer",
-	opCoutClear: "coutclear", opCoutI: "couti", opCoutF: "coutf",
-	opCoutB: "coutb", opCoutS: "couts", opCoutV: "coutv",
-	opCoutFlush: "coutflush",
+// operand is the role one of an instruction's four slots plays; the final
+// pass of the lowering (constants, jump targets) and the disassembler are
+// driven by it.
+type operand uint8
+
+const (
+	xNone   operand = iota
+	xI              // int register
+	xF              // float register
+	xS              // string register
+	xV              // boxed register
+	xImm            // immediate
+	xTarget         // jump target
+	xLocal          // kernel local index
+	xKind           // field.Kind
+	xErr            // index into errs
+	xSite           // index into sites
+	xTimer          // index into timerNames
+	xBlock          // first of a run of int coordinate registers
+	xCount          // length of that run
+)
+
+type opInfo struct {
+	name string
+	args [4]operand
 }
 
-// instr is one bytecode instruction. See the operand-role conventions in the
-// package comment above the opcode list.
+var opTable = [numOpcodes]opInfo{
+	opRet:  {"ret", [4]operand{}},
+	opJmp:  {"jmp", [4]operand{xNone, xNone, xNone, xTarget}},
+	opJzI:  {"jzi", [4]operand{xI, xNone, xNone, xTarget}},
+	opJnzI: {"jnzi", [4]operand{xI, xNone, xNone, xTarget}},
+	opJzF:  {"jzf", [4]operand{xF, xNone, xNone, xTarget}},
+	opJnzF: {"jnzf", [4]operand{xF, xNone, xNone, xTarget}},
+	opJzV:  {"jzv", [4]operand{xV, xNone, xNone, xTarget}},
+	opJnzV: {"jnzv", [4]operand{xV, xNone, xNone, xTarget}},
+	opJeqI: {"jeqi", [4]operand{xI, xI, xNone, xTarget}},
+	opJneI: {"jnei", [4]operand{xI, xI, xNone, xTarget}},
+	opJltI: {"jlti", [4]operand{xI, xI, xNone, xTarget}},
+	opJleI: {"jlei", [4]operand{xI, xI, xNone, xTarget}},
+	opJeqF: {"jeqf", [4]operand{xF, xF, xNone, xTarget}},
+	opJneF: {"jnef", [4]operand{xF, xF, xNone, xTarget}},
+	opJltF: {"jltf", [4]operand{xF, xF, xNone, xTarget}},
+	opJleF: {"jlef", [4]operand{xF, xF, xNone, xTarget}},
+	opErr:  {"err", [4]operand{xNone, xNone, xNone, xErr}},
+	opStop: {"stop", [4]operand{}},
+
+	opMovI:  {"movi", [4]operand{xI, xI}},
+	opMovF:  {"movf", [4]operand{xF, xF}},
+	opMovS:  {"movs", [4]operand{xS, xS}},
+	opMovV:  {"movv", [4]operand{xV, xV}},
+	opZeroV: {"zerov", [4]operand{xV, xKind}},
+
+	opI2F:     {"i2f", [4]operand{xF, xI}},
+	opF2I:     {"f2i", [4]operand{xI, xF}},
+	opTrunc32: {"trunc32", [4]operand{xI, xI}},
+	opTruncU8: {"truncu8", [4]operand{xI, xI}},
+	opBoolI:   {"booli", [4]operand{xI, xI}},
+	opBoolF:   {"boolf", [4]operand{xI, xF}},
+	opBoolV:   {"boolv", [4]operand{xI, xV}},
+	opNotI:    {"noti", [4]operand{xI, xI}},
+	opNotF:    {"notf", [4]operand{xI, xF}},
+	opNotV:    {"notv", [4]operand{xI, xV}},
+	opI2S:     {"i2s", [4]operand{xS, xI}},
+	opF2S:     {"f2s", [4]operand{xS, xF}},
+	opB2S:     {"b2s", [4]operand{xS, xI}},
+	opV2S:     {"v2s", [4]operand{xS, xV}},
+	opBoxI:    {"boxi", [4]operand{xV, xI, xKind}},
+	opBoxF:    {"boxf", [4]operand{xV, xF, xKind}},
+	opBoxS:    {"boxs", [4]operand{xV, xS, xKind}},
+	opConvV:   {"convv", [4]operand{xV, xV, xKind}},
+	opUnboxVI: {"unboxvi", [4]operand{xI, xV}},
+	opUnboxVF: {"unboxvf", [4]operand{xF, xV}},
+
+	opAddI:  {"addi", [4]operand{xI, xI, xI}},
+	opAddKI: {"addki", [4]operand{xI, xI, xNone, xImm}},
+	opSubI:  {"subi", [4]operand{xI, xI, xI}},
+	opMulI:  {"muli", [4]operand{xI, xI, xI}},
+	opDivI:  {"divi", [4]operand{xI, xI, xI, xErr}},
+	opModI:  {"modi", [4]operand{xI, xI, xI, xErr}},
+	opNegI:  {"negi", [4]operand{xI, xI}},
+
+	opAddF: {"addf", [4]operand{xF, xF, xF}},
+	opSubF: {"subf", [4]operand{xF, xF, xF}},
+	opMulF: {"mulf", [4]operand{xF, xF, xF}},
+	opDivF: {"divf", [4]operand{xF, xF, xF, xErr}},
+	opNegF: {"negf", [4]operand{xF, xF}},
+
+	opConcatS: {"concats", [4]operand{xS, xS, xS}},
+
+	opEqI: {"eqi", [4]operand{xI, xI, xI}},
+	opNeI: {"nei", [4]operand{xI, xI, xI}},
+	opLtI: {"lti", [4]operand{xI, xI, xI}},
+	opLeI: {"lei", [4]operand{xI, xI, xI}},
+	opEqF: {"eqf", [4]operand{xI, xF, xF}},
+	opNeF: {"nef", [4]operand{xI, xF, xF}},
+	opLtF: {"ltf", [4]operand{xI, xF, xF}},
+	opLeF: {"lef", [4]operand{xI, xF, xF}},
+	opEqS: {"eqs", [4]operand{xI, xS, xS}},
+	opNeS: {"nes", [4]operand{xI, xS, xS}},
+
+	opArithV: {"arithv", [4]operand{xV, xV, xV, xSite}},
+	opIncV:   {"incv", [4]operand{xV, xV, xNone, xImm}},
+	opNegV:   {"negv", [4]operand{xV, xV}},
+	opAbsV:   {"absv", [4]operand{xV, xV}},
+	opMinV:   {"minv", [4]operand{xV, xV, xV}},
+	opMaxV:   {"maxv", [4]operand{xV, xV, xV}},
+
+	opSqrtF:  {"sqrtf", [4]operand{xF, xF, xNone, xErr}},
+	opFloorF: {"floorf", [4]operand{xF, xF}},
+	opCosF:   {"cosf", [4]operand{xF, xF}},
+	opSinF:   {"sinf", [4]operand{xF, xF}},
+	opPowF:   {"powf", [4]operand{xF, xF, xF}},
+	opAbsI:   {"absi", [4]operand{xI, xI}},
+	opAbsF:   {"absf", [4]operand{xF, xF}},
+	opMinI:   {"mini", [4]operand{xI, xI, xI}},
+	opMaxI:   {"maxi", [4]operand{xI, xI, xI}},
+	opMinF:   {"minf", [4]operand{xF, xF, xF}},
+	opMaxF:   {"maxf", [4]operand{xF, xF, xF}},
+
+	opBind: {"bind", [4]operand{xLocal}},
+
+	opGetF1:  {"getf1", [4]operand{xF, xLocal, xI}},
+	opGetF2:  {"getf2", [4]operand{xF, xLocal, xI, xI}},
+	opGetI1:  {"geti1", [4]operand{xI, xLocal, xI}},
+	opGetI2:  {"geti2", [4]operand{xI, xLocal, xI, xI}},
+	opGetV:   {"getv", [4]operand{xV, xLocal, xBlock, xCount}},
+	opPutF1:  {"putf1", [4]operand{xLocal, xF, xI}},
+	opPutF2:  {"putf2", [4]operand{xLocal, xF, xI, xI}},
+	opPutI1:  {"puti1", [4]operand{xLocal, xI, xI}},
+	opPutI2:  {"puti2", [4]operand{xLocal, xI, xI, xI}},
+	opPutV:   {"putv", [4]operand{xLocal, xV, xBlock, xCount}},
+	opExtent: {"extent", [4]operand{xI, xLocal, xI}},
+
+	opNow:        {"now", [4]operand{xI}},
+	opExpired:    {"expired", [4]operand{xI, xTimer, xI}},
+	opResetTimer: {"resettimer", [4]operand{xTimer}},
+
+	opCoutClear: {"coutclear", [4]operand{}},
+	opCoutI:     {"couti", [4]operand{xI}},
+	opCoutF:     {"coutf", [4]operand{xF}},
+	opCoutB:     {"coutb", [4]operand{xI}},
+	opCoutS:     {"couts", [4]operand{xS}},
+	opCoutV:     {"coutv", [4]operand{xV}},
+	opCoutFlush: {"coutflush", [4]operand{}},
+}
+
+// instr is one bytecode instruction; opTable gives the role of each operand.
 type instr struct {
+	op      opcode
+	a, b, c uint8
+	d       int32
+}
+
+// rawInstr is an instruction as the lowering emits it: operands at full
+// width, constants as complemented table indices, jumps as labels.
+type rawInstr struct {
 	op         opcode
 	a, b, c, d int32
 }
+
+// maxRegs is the size of a register class's file, fixed by the operand width.
+const maxRegs = 256
 
 // boxSite records the operator and source position of a boxed arithmetic
 // instruction so opArithV reports errors identical to the interpreter's.
 type boxSite struct {
 	op  string
 	tok Token
+}
+
+// loadSource says where a prologue load takes its value from.
+type loadSource uint8
+
+const (
+	fromLocal loadSource = iota // ctx.LocalValue(idx)
+	fromAge                     // ctx.Age()
+	fromCoord                   // ctx.Coord(idx)
+)
+
+// bcLoad is one prologue load: a scalar the body names, read from the Ctx
+// into its register once per invocation.
+type bcLoad struct {
+	from loadSource
+	idx  int32
+	cl   regClass
+	reg  int32
+}
+
+// bcStore is one epilogue write-back: the register of a scalar kernel local
+// the body assigns somewhere, boxed with the local's declared kind when the
+// frame's assigned mask has the local set.
+type bcStore struct {
+	li   int32
+	cl   regClass
+	kind field.Kind
+	reg  int32
 }
 
 // bcProg is one kernel body lowered to bytecode, plus its constant tables and
@@ -230,39 +405,51 @@ type bcProg struct {
 	sites      []boxSite
 	timerNames []string
 
-	nI, nF, nS, nV int // register file sizes
-	nArr           int // array-local cache size (len(kernel.Locals))
+	loads  []bcLoad
+	stores []bcStore
+	// arrCl is the register class the body's typed array ops expect of each
+	// kernel local's elements (clV: boxed access only).
+	arrCl []regClass
+
+	nI, nF, nS, nV int // registers below the constants, per class
 
 	frames sync.Pool
 }
 
-// constant interning; the tables are tiny, so linear scans beat maps.
+// constant interning; the tables are tiny, so linear scans beat maps. A
+// constant operand is the complement of its table index until finish()
+// rebases it above the class's registers.
 
 func (p *bcProg) intConst(x int64) int32 {
 	for i, v := range p.ints {
 		if v == x {
-			return int32(i)
+			return ^int32(i)
 		}
 	}
 	p.ints = append(p.ints, x)
-	return int32(len(p.ints) - 1)
+	return ^int32(len(p.ints) - 1)
 }
 
+// floatConst interns by bit pattern: -0.0 and NaN payloads stay distinct.
 func (p *bcProg) floatConst(x float64) int32 {
-	// No deduplication: bit-distinct values (-0.0, NaN payloads) must stay
-	// distinct and the table stays tiny anyway.
+	bits := math.Float64bits(x)
+	for i, v := range p.floats {
+		if math.Float64bits(v) == bits {
+			return ^int32(i)
+		}
+	}
 	p.floats = append(p.floats, x)
-	return int32(len(p.floats) - 1)
+	return ^int32(len(p.floats) - 1)
 }
 
 func (p *bcProg) strConst(x string) int32 {
 	for i, v := range p.strs {
 		if v == x {
-			return int32(i)
+			return ^int32(i)
 		}
 	}
 	p.strs = append(p.strs, x)
-	return int32(len(p.strs) - 1)
+	return ^int32(len(p.strs) - 1)
 }
 
 func (p *bcProg) errConst(err error) int32 {
@@ -285,50 +472,32 @@ func (p *bcProg) timerConst(name string) int32 {
 	return int32(len(p.timerNames) - 1)
 }
 
-// disasm renders the program as an annotated listing for p2gc -disasm.
-func (p *bcProg) disasm(localNames []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "kernel %s: %d instructions, registers i=%d f=%d s=%d v=%d\n",
-		p.kernel, len(p.code), p.nI, p.nF, p.nS, p.nV)
-	local := func(i int32) string {
-		if int(i) < len(localNames) {
-			return localNames[i]
-		}
-		return fmt.Sprintf("#%d", i)
+// finish is the lowering's last step: constant operands move above the
+// registers of their class, label operands become instruction indices, and
+// the instructions are packed. It fails when an operand does not fit.
+func (p *bcProg) finish(raw []rawInstr, labels []int32) error {
+	if p.nI+len(p.ints) > maxRegs || p.nF+len(p.floats) > maxRegs || p.nS+len(p.strs) > maxRegs || p.nV > maxRegs {
+		return fmt.Errorf("lang: kernel %s needs more than %d registers of one class", p.kernel, maxRegs)
 	}
-	for pc, in := range p.code {
-		fmt.Fprintf(&b, "%4d  %-10s %4d %4d %4d %4d", pc, opNames[in.op], in.a, in.b, in.c, in.d)
-		switch in.op {
-		case opLdI:
-			fmt.Fprintf(&b, "  ; i%d = %d", in.a, p.ints[in.b])
-		case opLdF:
-			fmt.Fprintf(&b, "  ; f%d = %g", in.a, p.floats[in.b])
-		case opLdS:
-			fmt.Fprintf(&b, "  ; s%d = %q", in.a, p.strs[in.b])
-		case opJmp:
-			fmt.Fprintf(&b, "  ; -> %d", in.a)
-		case opJzI, opJnzI, opJzF, opJzV:
-			fmt.Fprintf(&b, "  ; -> %d", in.b)
-		case opErr:
-			fmt.Fprintf(&b, "  ; error: %v", p.errs[in.a])
-		case opDivI, opModI, opDivF, opSqrtF:
-			fmt.Fprintf(&b, "  ; on error: %v", p.errs[in.d])
-		case opArithV:
-			fmt.Fprintf(&b, "  ; op %q", p.sites[in.d].op)
-		case opLdLI, opLdLF, opLdLS, opLdLV:
-			fmt.Fprintf(&b, "  ; local %s", local(in.b))
-		case opStLI, opStLF, opStLS, opStLV:
-			fmt.Fprintf(&b, "  ; local %s", local(in.a))
-		case opGetI, opGetF, opGetV, opExtent:
-			fmt.Fprintf(&b, "  ; array %s", local(in.b))
-		case opPutI, opPutF, opPutV:
-			fmt.Fprintf(&b, "  ; array %s", local(in.a))
-		case opExpired:
-			fmt.Fprintf(&b, "  ; timer %s", p.timerNames[in.b])
-		case opResetTimer:
-			fmt.Fprintf(&b, "  ; timer %s", p.timerNames[in.a])
+	base := [...]int32{xI: int32(p.nI), xF: int32(p.nF), xS: int32(p.nS), xV: int32(p.nV)}
+	p.code = make([]instr, len(raw))
+	for pc, in := range raw {
+		args := &opTable[in.op].args
+		x := [4]int32{in.a, in.b, in.c, in.d}
+		for i, role := range args {
+			switch role {
+			case xI, xF, xS, xV:
+				if x[i] < 0 {
+					x[i] = base[role] + ^x[i]
+				}
+			case xTarget:
+				x[i] = labels[x[i]]
+			}
+			if i < 3 && (x[i] < 0 || x[i] > math.MaxUint8) {
+				return fmt.Errorf("lang: kernel %s: operand %d of %s out of range", p.kernel, x[i], opTable[in.op].name)
+			}
 		}
-		b.WriteByte('\n')
+		p.code[pc] = instr{op: in.op, a: uint8(x[0]), b: uint8(x[1]), c: uint8(x[2]), d: x[3]}
 	}
-	return b.String()
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/runtime"
 )
@@ -35,15 +36,25 @@ func TestBytecodeNoFallbackOnTestdata(t *testing.T) {
 	}
 }
 
+// chunkWriter records every Write separately: a cout statement is one
+// Printf, hence one Write, which is the unit instances interleave at.
+type chunkWriter struct{ chunks []string }
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	w.chunks = append(w.chunks, string(p))
+	return len(p), nil
+}
+
 // equivRun compiles src with the given back-end, runs it and returns the node
-// (for snapshots) plus the captured cout output.
-func equivRun(t *testing.T, name, src string, be Backend, opts runtime.Options) (*runtime.Node, string) {
+// (for snapshots) plus the captured cout output, one string per cout
+// statement executed.
+func equivRun(t *testing.T, name, src string, be Backend, opts runtime.Options) (*runtime.Node, []string) {
 	t.Helper()
 	prog, err := CompileOptions(name, src, Options{Backend: be})
 	if err != nil {
 		t.Fatalf("%s backend %d: compile: %v", name, be, err)
 	}
-	var out strings.Builder
+	var out chunkWriter
 	opts.Output = &out
 	node, err := runtime.NewNode(prog, opts)
 	if err != nil {
@@ -56,48 +67,235 @@ func equivRun(t *testing.T, name, src string, be Backend, opts runtime.Options) 
 	if len(rep.Stalled) > 0 {
 		t.Fatalf("%s backend %d: stalled: %v", name, be, rep.Stalled)
 	}
-	return node, out.String()
+	return node, out.chunks
 }
 
-// sortedLines canonicalizes multi-worker cout output, whose interleaving is
-// scheduler-dependent but whose line set is not.
-func sortedLines(s string) []string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	sort.Strings(lines)
-	return lines
+// bodyState runs kernel k of src once, directly on a fresh Ctx, and renders
+// everything the body leaves behind. The kernel must not fetch (nothing binds
+// its inputs here).
+func bodyState(t *testing.T, name, src string, be Backend) string {
+	t.Helper()
+	prog, err := CompileOptions(name, src, Options{Backend: be})
+	if err != nil {
+		t.Fatalf("%s backend %d: compile: %v", name, be, err)
+	}
+	return bodyStateOf(prog.Kernel("k"))
+}
+
+// bodyStateOf runs one kernel body on a fresh Ctx and renders the error or
+// panic it ended with, its cout output, and for every local whether it is
+// bound and what it holds.
+func bodyStateOf(kd *core.KernelDecl) string {
+	var out strings.Builder
+	ctx := core.NewCtx(kd, 0, nil, nil, &out)
+	var b strings.Builder
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				fmt.Fprintf(&b, "panic: %v\n", r)
+			}
+		}()
+		fmt.Fprintf(&b, "error: %v\n", kd.Body(ctx))
+	}()
+	fmt.Fprintf(&b, "cout: %q\n", out.String())
+	for _, l := range kd.Locals {
+		fmt.Fprintf(&b, "local %s: bound=%v value=%v\n", l.Name, ctx.Bound(l.Name), ctx.Get(l.Name))
+	}
+	return b.String()
+}
+
+// hazardPrograms exercise what register-resident locals, array views and
+// branch-context conditions could get wrong; every one is a single run-once
+// kernel k that stores r to out, so bodyState applies too.
+var hazardPrograms = map[string]string{
+	// A local assigned on one branch only must be bound on that path alone.
+	"one-branch-local": `int32[] out;
+k:
+  local int32[] r;
+  local int32 taken;
+  local int32 skipped;
+  local float64 both;
+  %{
+    int x = 3;
+    if (x > 2) { taken = x; both = 1.5; } else { skipped = x; both = 2.5; }
+    put(r, taken, 0);
+  %}
+  store out(0) = r;`,
+	// A put that grows the array inside a loop invalidates the view: the
+	// writes and reads that follow must reach the backing the grow moved the
+	// elements to (r doubles its capacity, g is re-laid out whenever its inner
+	// dimension grows).
+	"grow-then-get": `int32[] out;
+k:
+  local int32[] r;
+  local float64[][] g;
+  %{
+    int s = 0;
+    for (int i = 0; i < 40; ++i) {
+      put(r, i * i, i);
+      put(r, i + 1000, 0);
+      s += get(r, 0) + get(r, i) + get(r, i / 2);
+      put(g, i + 0.5, i / 3, i % 5);
+      put(g, i, 0, 0);
+      s += get(g, i / 3, i % 5) + get(g, 0, 0) + get(g, i / 3, 0);
+    }
+    put(r, s, 40);
+    put(r, extent(g, 0) * 100 + extent(g, 1), 41);
+  %}
+  store out(0) = r;`,
+	// The right operand of && and || must not run when the left decides:
+	// these gets would panic.
+	"short-circuit-guards": `int32[] out;
+k:
+  local int32[] r;
+  %{
+    put(r, 5, 0);
+    int n = 0;
+    for (int i = 0; i < 4; ++i) {
+      if (i < 1 && get(r, i) == 5) { n += 1; }
+      if (i >= 1 || get(r, i) == 5) { n += 10; }
+      if (!(i >= 1 || get(r, i) != 5)) { n += 100; }
+      bool b = i < 1 && get(r, i) > 0;
+      bool c = i >= 1 || get(r, i) > 9;
+      n += b * 1000 + c * 10000;
+      while (i < 1 && get(r, i) < 8) { put(r, get(r, i) + 1, i); }
+    }
+    put(r, n, 1);
+  %}
+  store out(0) = r;`,
+	"break-continue": `int32[] out;
+k:
+  local int32[] r;
+  %{
+    int s = 0;
+    for (int i = 0; i < 10; ++i) {
+      if (i == 2) { continue; }
+      if (i == 7) { break; }
+      s += i;
+    }
+    int j = 0;
+    while (j < 10) {
+      j += 1;
+      if (j % 2 == 0) { continue; }
+      if (j > 7) { break; }
+      s += j * 100;
+    }
+    for (;;) { s += 1; if (s > 3000) { break; } }
+    for (int a = 0; a < 4; ++a) {
+      for (int b = 0; b < 4; ++b) {
+        if (b > a) { break; }
+        if (b == 1) { continue; }
+        s += 7;
+      }
+      if (a == 2) { continue; }
+      s += 10000;
+    }
+    put(r, s, 0);
+    put(r, j, 1);
+  %}
+  store out(0) = r;`,
+	// extent() is evaluated again on every test while the body grows r.
+	"extent-in-loop-cond": `int32[] out;
+k:
+  local int32[] r;
+  %{
+    put(r, 1, 0);
+    for (int i = 0; i < extent(r, 0); ++i) {
+      if (extent(r, 0) < 12) { put(r, i + 2, extent(r, 0)); }
+    }
+  %}
+  store out(0) = r;`,
+	// Locals read and assigned in a loop live in registers; the stores see
+	// the last values.
+	"locals-in-loop": `int32[] out;
+k:
+  local int32[] r;
+  local int32 m;
+  local float64 acc;
+  local string tag;
+  %{
+    for (int i = 0; i < 6; ++i) {
+      if (acc < 4.0 || i == 5) { m = m + i; }
+      acc += 1.25;
+      tag = tag + i;
+    }
+    put(r, m, 0);
+    put(r, acc * 4, 1);
+    cout << tag << endl;
+  %}
+  store out(0) = r;`,
 }
 
 // TestBytecodeClosureEquivalence is the randomized stress gate: every
-// testdata program runs under both back-ends with randomized worker counts,
-// and fields must match bit-for-bit at every age while cout output matches
-// line-for-line.
+// testdata program and every hazard program runs under both back-ends with
+// randomized worker counts, and fields must match bit-for-bit at every age
+// while cout output matches statement for statement.
 func TestBytecodeClosureEquivalence(t *testing.T) {
-	cases := []struct {
-		name string
-		opts runtime.Options
-		ages int // snapshot ages 0..ages inclusive
-	}{
-		{"mulsum", runtime.Options{MaxAge: 6}, 6},
-		{"kmeans", runtime.Options{KernelMaxAge: map[string]int{"assign": 4, "refine": 4, "print": 5}}, 5},
-		{"wavefront", runtime.Options{}, 2},
-		{"dctstats", runtime.Options{}, 2},
+	type equivCase struct {
+		name, src string
+		opts      runtime.Options
+		ages      int  // snapshot ages 0..ages inclusive
+		body      bool // also compare bodyState
 	}
+	cases := []equivCase{
+		{name: "mulsum", opts: runtime.Options{MaxAge: 6}, ages: 6},
+		{name: "kmeans", opts: runtime.Options{KernelMaxAge: map[string]int{"assign": 4, "refine": 4, "print": 5}}, ages: 5},
+		{name: "wavefront", ages: 2},
+		{name: "dctstats", ages: 2},
+	}
+	var hazards []string
+	for name := range hazardPrograms {
+		hazards = append(hazards, name)
+	}
+	sort.Strings(hazards) // the worker counts below come from one seeded stream
+	for _, name := range hazards {
+		cases = append(cases, equivCase{name: name, src: hazardPrograms[name], body: true})
+	}
+	// Arrays fetched whole alias the field generation; a put into one must
+	// copy first, or the source field and the other consumer see the write.
+	cases = append(cases, equivCase{name: "write-to-fetched-array", src: `int32[] src;
+int32[] a;
+int32[] b;
+init:
+  local int32[] v;
+  %{ for (int i = 0; i < 8; ++i) { put(v, i, i); } %}
+  store src(0) = v;
+ka:
+  local int32[] x;
+  fetch x = src(0);
+  %{ put(x, 100, 0); put(x, get(x, 1) + get(x, 0), 1); %}
+  store a(0) = x;
+kb:
+  local int32[] y;
+  fetch y = src(0);
+  %{ put(y, get(y, 0) + 200, 7); %}
+  store b(0) = y;`})
 	rng := rand.New(rand.NewSource(0x9901))
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			src := readTestdata(t, tc.name+".p2g")
+			src := tc.src
+			if src == "" {
+				src = readTestdata(t, tc.name+".p2g")
+			}
+			if tc.body {
+				if bc, cl := bodyState(t, tc.name, src, BackendBytecode), bodyState(t, tc.name, src, BackendClosure); bc != cl {
+					t.Fatalf("state after the body diverged:\nbytecode:\n%s\nclosure:\n%s", bc, cl)
+				}
+			}
 			for trial := 0; trial < 3; trial++ {
 				opts := tc.opts
 				opts.Workers = 1 + rng.Intn(8)
 				bcNode, bcOut := equivRun(t, tc.name, src, BackendBytecode, opts)
 				clNode, clOut := equivRun(t, tc.name, src, BackendClosure, opts)
-				if opts.Workers == 1 {
-					if bcOut != clOut {
-						t.Fatalf("workers=1 output diverged:\nbytecode: %q\nclosure:  %q", bcOut, clOut)
-					}
-				} else if bc, cl := sortedLines(bcOut), sortedLines(clOut); fmt.Sprint(bc) != fmt.Sprint(cl) {
-					t.Fatalf("workers=%d output line sets diverged:\nbytecode: %q\nclosure:  %q", opts.Workers, bc, cl)
+				if opts.Workers > 1 {
+					// The interleaving of instances is scheduler-dependent,
+					// the set of statements they print is not.
+					sort.Strings(bcOut)
+					sort.Strings(clOut)
+				}
+				if fmt.Sprintf("%q", bcOut) != fmt.Sprintf("%q", clOut) {
+					t.Fatalf("workers=%d output diverged:\nbytecode: %q\nclosure:  %q", opts.Workers, bcOut, clOut)
 				}
 				prog, err := Compile(tc.name, src)
 				if err != nil {
@@ -125,7 +323,10 @@ func TestBytecodeClosureEquivalence(t *testing.T) {
 }
 
 // TestBytecodeRuntimeErrorParity runs programs whose kernels fail at run
-// time and checks both back-ends surface the identical error string.
+// time — with an error or a panic — and checks that both back-ends surface
+// the identical error string and leave the identical Ctx behind: the locals
+// assigned before the failure are bound to the values they had, the others
+// are not.
 func TestBytecodeRuntimeErrorParity(t *testing.T) {
 	cases := map[string]string{
 		"int-div-zero": `int32[] out;
@@ -177,6 +378,107 @@ k:
     put(r, sqrt(a), 0);
   %}
   store out(0) = r;`,
+		// The failure comes in the fourth iteration, after m, acc and part of
+		// r were assigned; never is assigned after it.
+		"error-mid-loop": `int32[] out;
+k:
+  local int32[] r;
+  local int32 m;
+  local float64 acc;
+  local int32 never;
+  %{
+    for (int i = 0; i < 6; ++i) {
+      m = i * 2;
+      acc += 1.5;
+      put(r, 12 / (3 - i), i);
+    }
+    never = 1;
+  %}
+  store out(0) = r;`,
+		"panic-mid-loop": `int32[] out;
+k:
+  local int32[] r;
+  local int32 m;
+  local float64 acc;
+  local int32 never;
+  %{
+    put(r, 1, 0); put(r, 2, 1); put(r, 3, 2);
+    for (int i = 0; i < 6; ++i) {
+      acc = acc + get(r, i);
+      m = i;
+    }
+    never = 1;
+  %}
+  store out(0) = r;`,
+		"const-index-out-of-range": `int32[] out;
+k:
+  local int32[] r;
+  local float64[][] g;
+  local int32 m;
+  %{
+    put(r, 1, 0);
+    put(g, 1.5, 2, 1);
+    m = get(g, 2, 1);
+    m = get(g, 1, 2);
+  %}
+  store out(0) = r;`,
+		"rank-mismatch-get": `int32[] out;
+k:
+  local int32[] r;
+  local int32[][] g;
+  local int32 m;
+  %{
+    put(g, 4, 0, 0);
+    m = 1;
+    m = get(g, 0);
+  %}
+  store out(0) = r;`,
+		"rank-mismatch-put": `int32[] out;
+k:
+  local int32[] r;
+  local int32[][] g;
+  local int32 m;
+  %{
+    put(g, 4, 0, 0);
+    m = 1;
+    put(g, 5, 0);
+    m = 2;
+  %}
+  store out(0) = r;`,
+		"negative-index-get": `int32[] out;
+k:
+  local int32[] r;
+  local int32 m;
+  %{
+    put(r, 4, 0);
+    int n = 0 - 1;
+    m = 1;
+    m = get(r, n);
+  %}
+  store out(0) = r;`,
+		"negative-index-put": `int32[] out;
+k:
+  local int32[] r;
+  local float64[][] g;
+  %{
+    put(g, 4, 0, 0);
+    int n = 0 - 1;
+    put(g, 5, 0, n);
+  %}
+  store out(0) = r;`,
+		// The guard is false, so the right operand runs and panics.
+		"short-circuit-runs-right": `int32[] out;
+k:
+  local int32[] r;
+  local int32 m;
+  %{
+    put(r, 4, 0);
+    for (int i = 0; i < 3; ++i) {
+      m = i;
+      if (i < 0 || get(r, i) == 4) { m = m + 10; }
+    }
+  %}
+  store out(0) = r;`,
 	}
 	for name, src := range cases {
 		name, src := name, src
@@ -195,6 +497,10 @@ k:
 			bc, cl := errFor(BackendBytecode), errFor(BackendClosure)
 			if bc != cl {
 				t.Errorf("error surfaces diverged:\nbytecode: %s\nclosure:  %s", bc, cl)
+			}
+			bc, cl = bodyState(t, name, src, BackendBytecode), bodyState(t, name, src, BackendClosure)
+			if bc != cl {
+				t.Errorf("state after the failure diverged:\nbytecode:\n%s\nclosure:\n%s", bc, cl)
 			}
 		})
 	}

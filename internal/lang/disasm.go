@@ -3,6 +3,14 @@ package lang
 // Disassembly of the bytecode back-end for p2gc -disasm and the -check
 // report.
 
+import (
+	"fmt"
+	"strconv"
+	"strings"
+
+	"repro/internal/field"
+)
+
 // Listing is the lowering result for one kernel: either an annotated bytecode
 // listing or a fallback notice when the kernel keeps the closure interpreter.
 type Listing struct {
@@ -10,7 +18,12 @@ type Listing struct {
 	Fallback       bool   // kernel could not be lowered; closure body is used
 	FallbackReason string // why, when Fallback is true
 	Instructions   int    // bytecode length (0 on fallback)
-	Text           string // annotated listing (empty on fallback)
+	// InnerLoop is the instruction count of the longest innermost loop (a
+	// loop with no loop inside it), test and back-jump included; 0 when the
+	// kernel has no loop. It is what one iteration of the hot loop costs on
+	// its longest path, and the number the lowering's budget test pins.
+	InnerLoop int
+	Text      string // annotated listing (empty on fallback)
 }
 
 // Disassemble compiles kernel-language source and returns per-kernel bytecode
@@ -43,15 +56,175 @@ func Disassemble(name, src string) ([]Listing, error) {
 			out = append(out, Listing{Kernel: kd.Name, Fallback: true, FallbackReason: lerr.Error()})
 			continue
 		}
-		names := make([]string, len(kd.Locals))
-		for j, l := range kd.Locals {
-			names[j] = l.Name
-		}
 		out = append(out, Listing{
 			Kernel:       kd.Name,
 			Instructions: len(bp.code),
-			Text:         bp.disasm(names),
+			InnerLoop:    bp.innerLoop(),
+			Text:         bp.disasm(kd),
 		})
 	}
 	return out, nil
+}
+
+// target returns the instruction in jumps to, or -1 when it is not a jump.
+func (in instr) target() int {
+	if opTable[in.op].args[3] == xTarget {
+		return int(in.d)
+	}
+	return -1
+}
+
+// loops returns the [head, tail] instruction range of every loop, one per
+// backward jump (the inverted loops' bottom test).
+func (p *bcProg) loops() [][2]int {
+	var out [][2]int
+	for pc, in := range p.code {
+		if t := in.target(); t >= 0 && t <= pc {
+			out = append(out, [2]int{t, pc})
+		}
+	}
+	return out
+}
+
+// innerLoop is Listing.InnerLoop.
+func (p *bcProg) innerLoop() int {
+	loops := p.loops()
+	longest := 0
+	for _, l := range loops {
+		inner := true
+		for _, m := range loops {
+			if m != l && l[0] <= m[0] && m[1] <= l[1] {
+				inner = false
+				break
+			}
+		}
+		if n := l[1] - l[0] + 1; inner && n > longest {
+			longest = n
+		}
+	}
+	return longest
+}
+
+// disasm renders the program as an annotated listing for p2gc -disasm:
+// header, prologue loads, instructions, epilogue write-backs. Constant
+// registers and immediates print as their value (`#0`).
+func (p *bcProg) disasm(kd *KernelDef) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "kernel %s: %d instructions, innermost loop %d, registers i=%d f=%d s=%d v=%d, constants i=%d f=%d s=%d\n",
+		p.kernel, len(p.code), p.innerLoop(), p.nI, p.nF, p.nS, p.nV, len(p.ints), len(p.floats), len(p.strs))
+
+	reg := func(cl regClass, r int32) string {
+		switch cl {
+		case clI:
+			if int(r) >= p.nI {
+				return "#" + strconv.FormatInt(p.ints[int(r)-p.nI], 10)
+			}
+			return "i" + strconv.Itoa(int(r))
+		case clF:
+			if int(r) >= p.nF {
+				return "#" + strconv.FormatFloat(p.floats[int(r)-p.nF], 'g', -1, 64)
+			}
+			return "f" + strconv.Itoa(int(r))
+		case clS:
+			if int(r) >= p.nS {
+				return "#" + strconv.Quote(p.strs[int(r)-p.nS])
+			}
+			return "s" + strconv.Itoa(int(r))
+		}
+		return "v" + strconv.Itoa(int(r))
+	}
+	local := func(i int32) string { return kd.Locals[i].Name }
+
+	for _, ld := range p.loads {
+		var src string
+		switch ld.from {
+		case fromAge:
+			src = "age " + kd.AgeVar
+		case fromCoord:
+			src = "index " + kd.Indexes[ld.idx]
+		default:
+			src = "local " + local(ld.idx)
+		}
+		fmt.Fprintf(&b, "      prologue   %s = %s\n", reg(ld.cl, ld.reg), src)
+	}
+
+	for pc, in := range p.code {
+		info := &opTable[in.op]
+		var ops [4]string // operands as text, by slot
+		var shown []string
+		for i, x := range [4]int32{int32(in.a), int32(in.b), int32(in.c), in.d} {
+			switch info.args[i] {
+			case xNone:
+				continue
+			case xI:
+				ops[i] = reg(clI, x)
+			case xF:
+				ops[i] = reg(clF, x)
+			case xS:
+				ops[i] = reg(clS, x)
+			case xV:
+				ops[i] = reg(clV, x)
+			case xImm:
+				ops[i] = "#" + strconv.Itoa(int(x))
+			case xTarget:
+				ops[i] = "-> " + strconv.Itoa(int(x))
+			case xLocal:
+				ops[i] = local(x)
+			case xKind:
+				ops[i] = field.Kind(x).String()
+			case xErr:
+				ops[i] = "err" + strconv.Itoa(int(x))
+			case xSite:
+				ops[i] = strconv.Quote(p.sites[x].op)
+			case xTimer:
+				ops[i] = p.timerNames[x]
+			case xBlock:
+				ops[i] = "i" + strconv.Itoa(int(x)) + ".."
+			case xCount:
+				ops[i] = "x" + strconv.Itoa(int(x))
+			}
+			shown = append(shown, ops[i])
+		}
+		line := strings.TrimRight(fmt.Sprintf("%4d  %-10s %s", pc, info.name, strings.Join(shown, ", ")), " ")
+
+		note := ""
+		switch in.op {
+		case opJzI, opJzF, opJzV:
+			note = fmt.Sprintf("if !%s %s", ops[0], ops[3])
+		case opJnzI, opJnzF, opJnzV:
+			note = fmt.Sprintf("if %s %s", ops[0], ops[3])
+		case opJeqI, opJeqF:
+			note = fmt.Sprintf("if %s == %s %s", ops[0], ops[1], ops[3])
+		case opJneI, opJneF:
+			note = fmt.Sprintf("if %s != %s %s", ops[0], ops[1], ops[3])
+		case opJltI, opJltF:
+			note = fmt.Sprintf("if %s < %s %s", ops[0], ops[1], ops[3])
+		case opJleI, opJleF:
+			note = fmt.Sprintf("if %s <= %s %s", ops[0], ops[1], ops[3])
+		case opErr:
+			note = fmt.Sprintf("error: %v", p.errs[in.d])
+		case opDivI, opModI, opDivF, opSqrtF:
+			note = fmt.Sprintf("on error: %v", p.errs[in.d])
+		case opBind:
+			note = fmt.Sprintf("local %s is assigned", ops[0])
+		case opGetF1, opGetI1:
+			note = fmt.Sprintf("%s[%s]", ops[1], ops[2])
+		case opGetF2, opGetI2:
+			note = fmt.Sprintf("%s[%s][%s]", ops[1], ops[2], ops[3])
+		case opPutF1, opPutI1:
+			note = fmt.Sprintf("%s[%s] = %s", ops[0], ops[2], ops[1])
+		case opPutF2, opPutI2:
+			note = fmt.Sprintf("%s[%s][%s] = %s", ops[0], ops[2], ops[3], ops[1])
+		}
+		if note != "" {
+			line = fmt.Sprintf("%-44s ; %s", line, note)
+		}
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+
+	for _, st := range p.stores {
+		fmt.Fprintf(&b, "      epilogue   local %s = %s (%s) if assigned\n", local(st.li), reg(st.cl, st.reg), st.kind)
+	}
+	return b.String()
 }

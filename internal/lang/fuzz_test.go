@@ -3,10 +3,15 @@ package lang
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
+	"repro/internal/field"
 	"repro/internal/runtime"
 )
 
@@ -81,18 +86,22 @@ func TestFragmentsRunSafely(t *testing.T) {
 // ---- differential fuzz: bytecode vs closure -------------------------------
 
 // exprGen builds random, always-parseable kernel-body expressions over a
-// fixed set of declared locals. Generated programs may fail at run time
-// (division by zero, sqrt of a negative) — that is part of the property: both
-// back-ends must fail identically.
+// fixed set of block variables (i0.., f0.., s0), kernel locals (the scalars m
+// and acc, which the bytecode keeps in registers and writes back, and the
+// arrays r and g, which it reads through views) and loop counters. Generated
+// programs may fail at run time (division by zero, sqrt of a negative, a get
+// out of range) — that is part of the property: both back-ends must fail
+// identically.
 type exprGen struct {
-	rng *rand.Rand
+	rng    *rand.Rand
+	whiles int // while-loop counters declared so far, for unique names
 }
 
 func (g *exprGen) pick(xs []string) string { return xs[g.rng.Intn(len(xs))] }
 
 var (
-	genIntVars   = []string{"i0", "i1", "i2"}
-	genFloatVars = []string{"f0", "f1"}
+	genIntVars   = []string{"i0", "i1", "i2", "m"}
+	genFloatVars = []string{"f0", "f1", "acc"}
 	genStrVars   = []string{"s0"}
 	genIntOps    = []string{"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||"}
 	genFloatOps  = []string{"+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!="}
@@ -105,7 +114,7 @@ func (g *exprGen) intExpr(depth int) string {
 		}
 		return g.pick(genIntVars)
 	}
-	switch g.rng.Intn(8) {
+	switch g.rng.Intn(9) {
 	case 0:
 		// 0-x rather than -x: a negative literal operand would lex as "--".
 		return "(0 - " + g.intExpr(depth-1) + ")"
@@ -119,8 +128,35 @@ func (g *exprGen) intExpr(depth int) string {
 		return "abs(" + g.intExpr(depth-1) + ")"
 	case 5:
 		return "get(r, " + fmt.Sprint(g.rng.Intn(8)) + ")"
+	case 6:
+		// A condition materialized as a value.
+		return g.condExpr(depth - 1)
 	default:
 		return "(" + g.intExpr(depth-1) + " " + g.pick(genIntOps) + " " + g.intExpr(depth-1) + ")"
+	}
+}
+
+// condExpr builds a condition out of comparisons, !, && and ||, whose right
+// operands are often array reads that only a correct short-circuit skips.
+func (g *exprGen) condExpr(depth int) string {
+	cmp := func() string {
+		if g.rng.Intn(2) == 0 {
+			return "(" + g.intExpr(depth-1) + " " + g.pick(genFloatOps) + " " + g.intExpr(depth-1) + ")"
+		}
+		return "(" + g.floatExpr(depth-1) + " " + g.pick(genFloatOps) + " " + g.floatExpr(depth-1) + ")"
+	}
+	if depth <= 0 {
+		return cmp()
+	}
+	switch g.rng.Intn(4) {
+	case 0:
+		return "(!" + g.condExpr(depth-1) + ")"
+	case 1:
+		return "(" + g.condExpr(depth-1) + " && " + g.condExpr(depth-1) + ")"
+	case 2:
+		return "(" + g.condExpr(depth-1) + " || " + g.condExpr(depth-1) + ")"
+	default:
+		return cmp()
 	}
 }
 
@@ -131,7 +167,7 @@ func (g *exprGen) floatExpr(depth int) string {
 		}
 		return g.pick(genFloatVars)
 	}
-	switch g.rng.Intn(7) {
+	switch g.rng.Intn(8) {
 	case 0:
 		return "sqrt(abs(" + g.floatExpr(depth-1) + "))"
 	case 1:
@@ -143,6 +179,10 @@ func (g *exprGen) floatExpr(depth int) string {
 	case 4:
 		// Mixed-kind promotion: int op float must match in both back-ends.
 		return "(" + g.intExpr(depth-1) + " " + g.pick(genFloatOps) + " " + g.floatExpr(depth-1) + ")"
+	case 5:
+		// Rank-2 read with a constant trailing coordinate; g is 2x2 unless a
+		// put grew it, so some of these are out of range.
+		return fmt.Sprintf("get(g, %s, %d)", g.pick([]string{"0", "1", "2", "abs(i0) % 2"}), g.rng.Intn(3))
 	default:
 		return "(" + g.floatExpr(depth-1) + " " + g.pick(genFloatOps) + " " + g.floatExpr(depth-1) + ")"
 	}
@@ -164,7 +204,7 @@ func (g *exprGen) strExpr(depth int) string {
 // stmt emits one random statement; loops are always bounded so every
 // generated program terminates.
 func (g *exprGen) stmt(b *strings.Builder, depth int) {
-	switch g.rng.Intn(10) {
+	switch g.rng.Intn(14) {
 	case 0:
 		fmt.Fprintf(b, "%s = %s;\n", g.pick(genIntVars), g.intExpr(2))
 	case 1:
@@ -177,6 +217,32 @@ func (g *exprGen) stmt(b *strings.Builder, depth int) {
 		fmt.Fprintf(b, "put(r, %s, %d);\n", g.intExpr(2), g.rng.Intn(8))
 	case 5:
 		fmt.Fprintf(b, "cout << %s << \" \" << %s << endl;\n", g.intExpr(1), g.strExpr(1))
+	case 10:
+		fmt.Fprintf(b, "put(g, %s, %d, %d);\n", g.floatExpr(2), g.rng.Intn(3), g.rng.Intn(3))
+	case 11:
+		fmt.Fprintf(b, "%s %s= %s;\n", g.pick([]string{"acc", "f0"}), g.pick([]string{"+", "-", "*"}), g.floatExpr(2))
+	case 12:
+		if depth > 0 {
+			fmt.Fprintf(b, "if (%s) {\n", g.condExpr(2))
+			g.stmt(b, depth-1)
+			b.WriteString("}\n")
+		} else {
+			fmt.Fprintf(b, "m = %s;\n", g.intExpr(2))
+		}
+	case 13:
+		if depth > 0 {
+			// Bounded by its own counter whatever the condition does.
+			g.whiles++
+			lv := fmt.Sprintf("w%d", g.whiles)
+			fmt.Fprintf(b, "int %s = 0;\nwhile (%s < %d && %s) {\n%s += 1;\n", lv, lv, 1+g.rng.Intn(4), g.condExpr(1), lv)
+			g.stmt(b, depth-1)
+			if g.rng.Intn(3) == 0 {
+				fmt.Fprintf(b, "if (%s) { continue; }\n", g.condExpr(1))
+			}
+			b.WriteString("}\n")
+		} else {
+			fmt.Fprintf(b, "acc = %s;\n", g.floatExpr(2))
+		}
 	case 6:
 		if depth > 0 {
 			fmt.Fprintf(b, "if (%s) {\n", g.intExpr(2))
@@ -215,15 +281,18 @@ func (g *exprGen) genProgram() string {
 	kinds := []string{"int32", "float64"}
 	kind := kinds[g.rng.Intn(len(kinds))]
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s[] f;\nk:\n  local %s[] r;\n  %%{\n", kind, kind)
+	fmt.Fprintf(&b, "%s[] f;\nk:\n  local %s[] r;\n  local float64[][] g;\n  local int32 m;\n  local float64 acc;\n  %%{\n", kind, kind)
 	b.WriteString("int i0 = 1; int i1 = -3; int i2 = 7;\n")
 	b.WriteString("float f0 = 0.5; float f1 = 2.25;\n")
 	b.WriteString("string s0 = \"x\";\n")
+	b.WriteString("for (int q = 0; q < 8; ++q) { put(r, q - 3, q); }\n")
+	b.WriteString("put(g, 1.5, 0, 0); put(g, 0.25, 1, 1);\n")
 	n := 3 + g.rng.Intn(10)
 	for j := 0; j < n; j++ {
 		g.stmt(&b, 2)
 	}
 	b.WriteString("put(r, i0 + i1 + i2, 0);\n")
+	b.WriteString("put(r, m, 8);\nput(r, acc + get(g, 0, 0), 9);\n")
 	b.WriteString("%}\n  store f(0) = r;\n")
 	return b.String()
 }
@@ -232,9 +301,9 @@ func (g *exprGen) genProgram() string {
 // bytecode and closure back-ends to agree exactly: same compile result, same
 // runtime error (or none), same cout bytes, and bit-identical field contents.
 func TestDifferentialFuzzBackends(t *testing.T) {
-	iters := 150
+	iters := 400
 	if testing.Short() {
-		iters = 30
+		iters = 60
 	}
 	g := &exprGen{rng: rand.New(rand.NewSource(0x2909))}
 	for i := 0; i < iters; i++ {
@@ -275,5 +344,296 @@ func TestDifferentialFuzzBackends(t *testing.T) {
 		if bcSnap != clSnap {
 			t.Fatalf("iter %d: field f diverged\nbytecode: %s\nclosure:  %s\nprogram:\n%s", i, bcSnap, clSnap, src)
 		}
+		// And what the body leaves in its Ctx, failed or not: which locals
+		// are bound, and to what.
+		if bc, cl := bodyState(t, "fuzz", src, BackendBytecode), bodyState(t, "fuzz", src, BackendClosure); bc != cl {
+			t.Fatalf("iter %d: state after the body diverged\nbytecode:\n%s\nclosure:\n%s\nprogram:\n%s", i, bc, cl, src)
+		}
 	}
+}
+
+// ---- native fuzz targets ---------------------------------------------------
+
+func addTestdataSeeds(f *testing.F) {
+	f.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.p2g"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no testdata seeds: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+}
+
+// FuzzParse: the lexer, the parser and both compilers take any input without
+// panicking (the fuzzing engine reports an input that never returns).
+func FuzzParse(f *testing.F) {
+	addTestdataSeeds(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		file, err := Parse(src)
+		if err != nil {
+			return
+		}
+		_, _ = CompileFile("fuzz", file)
+		_, _ = Disassemble("fuzz", src)
+	})
+}
+
+// Limits boundedFile puts on a fuzzed program so that running it terminates
+// and stays small whatever the fuzzer wrote.
+const (
+	fuzzFuel   = 300 // loop iterations per kernel instance
+	fuzzExtent = 8   // every put coordinate is taken modulo this
+	fuzzMaxAge = 2
+)
+
+// boundedFile rewrites a parsed program in place into one that is safe to
+// run, and reports false for programs it cannot make safe or deterministic.
+// Every loop body starts by burning one unit of a per-instance fuel variable
+// and dividing by zero when it runs out — an ordinary runtime error, at the
+// same point in both back-ends; every put coordinate is reduced modulo
+// fuzzExtent, so arrays and the fields stored from them stay small. Programs
+// with string or Any variables (a string doubled in straight-line code needs
+// no loop to exhaust memory), timers or the clock (not deterministic), arrays
+// of rank above three or large literal field coordinates are refused.
+func boundedFile(file *File) bool {
+	okKind := func(k field.Kind, rank int) bool {
+		return k != field.String && k != field.Any && rank <= 3
+	}
+	okRef := func(r FieldRef) bool {
+		if r.Age.Offset < 0 || r.Age.Offset > fuzzMaxAge {
+			return false
+		}
+		for _, ir := range r.Index {
+			if ir.Lit < 0 || ir.Lit > fuzzExtent || ir.Off < -fuzzExtent || ir.Off > fuzzExtent {
+				return false
+			}
+		}
+		return true
+	}
+	if len(file.Timers) > 0 {
+		return false
+	}
+	for _, fd := range file.Fields {
+		if !okKind(fd.Kind, fd.Rank) {
+			return false
+		}
+	}
+	ok := true
+	var expr func(x Expr) Expr
+	expr = func(x Expr) Expr {
+		switch ex := x.(type) {
+		case BinExpr:
+			ex.L, ex.R = expr(ex.L), expr(ex.R)
+			return ex
+		case UnExpr:
+			ex.X = expr(ex.X)
+			return ex
+		case CallExpr:
+			if ex.Name == "now" || ex.Name == "expired" || ex.Name == "reset" {
+				ok = false
+			}
+			args := make([]Expr, len(ex.Args))
+			for i, a := range ex.Args {
+				args[i] = expr(a)
+				if ex.Name == "put" && i >= 2 {
+					args[i] = BinExpr{Tok: ex.Tok, Op: "%", L: args[i], R: IntLit{Tok: ex.Tok, V: fuzzExtent}}
+				}
+			}
+			ex.Args = args
+			return ex
+		}
+		return x
+	}
+	var stmts func(ss []Stmt) []Stmt
+	block := func(b Block) Block {
+		b.Stmts = stmts(b.Stmts)
+		return b
+	}
+	loopBody := func(b Block) Block {
+		b = block(b)
+		fuel := Ident{Tok: b.Tok, Name: "fuel__"}
+		burn := []Stmt{
+			AssignStmt{Tok: b.Tok, Name: fuel.Name, Op: "-=", Val: IntLit{Tok: b.Tok, V: 1}},
+			IfStmt{Tok: b.Tok, Cond: BinExpr{Tok: b.Tok, Op: "<", L: fuel, R: IntLit{Tok: b.Tok}},
+				Then: Block{Tok: b.Tok, Stmts: []Stmt{
+					AssignStmt{Tok: b.Tok, Name: fuel.Name, Op: "=", Val: BinExpr{Tok: b.Tok, Op: "/", L: IntLit{Tok: b.Tok, V: 1}, R: IntLit{Tok: b.Tok}}},
+				}}},
+		}
+		b.Stmts = append(burn, b.Stmts...)
+		return b
+	}
+	var stmt func(s Stmt) Stmt
+	stmt = func(s Stmt) Stmt {
+		switch st := s.(type) {
+		case DeclStmt:
+			if !okKind(st.Kind, 0) {
+				ok = false
+			}
+			if st.Init != nil {
+				st.Init = expr(st.Init)
+			}
+			return st
+		case AssignStmt:
+			st.Val = expr(st.Val)
+			return st
+		case IfStmt:
+			st.Cond, st.Then = expr(st.Cond), block(st.Then)
+			if st.Else != nil {
+				els := block(*st.Else)
+				st.Else = &els
+			}
+			return st
+		case ForStmt:
+			if st.Init != nil {
+				st.Init = stmt(st.Init)
+			}
+			if st.Cond != nil {
+				st.Cond = expr(st.Cond)
+			}
+			if st.Post != nil {
+				st.Post = stmt(st.Post)
+			}
+			st.Body = loopBody(st.Body)
+			return st
+		case WhileStmt:
+			st.Cond, st.Body = expr(st.Cond), loopBody(st.Body)
+			return st
+		case CoutStmt:
+			args := make([]Expr, len(st.Args))
+			for i, a := range st.Args {
+				args[i] = expr(a)
+			}
+			st.Args = args
+			return st
+		case ExprStmt:
+			st.X = expr(st.X)
+			return st
+		case Block:
+			return block(st)
+		}
+		return s
+	}
+	stmts = func(ss []Stmt) []Stmt {
+		out := make([]Stmt, len(ss))
+		for i, s := range ss {
+			out[i] = stmt(s)
+		}
+		return out
+	}
+	for i := range file.Kernels {
+		kd := &file.Kernels[i]
+		for _, l := range kd.Locals {
+			if !okKind(l.Kind, l.Rank) {
+				return false
+			}
+		}
+		for _, fe := range kd.Fetches {
+			if !okRef(fe.Ref) {
+				return false
+			}
+		}
+		for _, st := range kd.Stores {
+			if !okRef(st.Ref) {
+				return false
+			}
+		}
+		for j := range kd.Blocks {
+			kd.Blocks[j] = block(kd.Blocks[j])
+		}
+		if len(kd.Blocks) > 0 {
+			b := &kd.Blocks[0]
+			b.Stmts = append([]Stmt{DeclStmt{Tok: b.Tok, Kind: field.Int64, Name: "fuel__", Init: IntLit{Tok: b.Tok, V: fuzzFuel}}}, b.Stmts...)
+		}
+	}
+	return ok
+}
+
+// The testdata seeds must get past boundedFile and still compile, or
+// FuzzBackendsAgree would start from nothing.
+func TestFuzzSeedsStayInScope(t *testing.T) {
+	for _, name := range []string{"mulsum", "kmeans", "wavefront", "dctstats"} {
+		file, err := Parse(readTestdata(t, name+".p2g"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !boundedFile(file) {
+			t.Errorf("%s: refused by boundedFile", name)
+		} else if _, err := CompileFile(name, file); err != nil {
+			t.Errorf("%s: bounded program does not compile: %v", name, err)
+		}
+	}
+}
+
+// FuzzBackendsAgree: any program both back-ends accept behaves the same under
+// both, run to completion under boundedFile's limits. Instances of a failing
+// program may run in either order, so for a run that fails only the fact is
+// compared; kernels that fetch nothing are also run directly, where the error
+// text, the output and the locals left bound must match exactly.
+func FuzzBackendsAgree(f *testing.F) {
+	addTestdataSeeds(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<13 {
+			return
+		}
+		file, err := Parse(src)
+		if err != nil || !boundedFile(file) {
+			return
+		}
+		bcProg, bcErr := CompileFileOptions("fuzz", file, Options{Backend: BackendBytecode})
+		clProg, clErr := CompileFileOptions("fuzz", file, Options{Backend: BackendClosure})
+		if fmt.Sprint(bcErr) != fmt.Sprint(clErr) {
+			t.Fatalf("compile results diverged\nbytecode: %v\nclosure:  %v", bcErr, clErr)
+		}
+		if bcErr != nil {
+			return
+		}
+		for _, kd := range file.Kernels {
+			if len(kd.Fetches) > 0 {
+				continue
+			}
+			if bc, cl := bodyStateOf(bcProg.Kernel(kd.Name)), bodyStateOf(clProg.Kernel(kd.Name)); bc != cl {
+				t.Fatalf("kernel %s: state after the body diverged\nbytecode:\n%s\nclosure:\n%s", kd.Name, bc, cl)
+			}
+		}
+		type result struct {
+			err    error
+			out    []string
+			fields []string
+		}
+		run := func(prog *core.Program) result {
+			var out chunkWriter
+			node, err := runtime.NewNode(prog, runtime.Options{Workers: 1, MaxAge: fuzzMaxAge, Output: &out})
+			if err != nil {
+				return result{err: err}
+			}
+			_, err = node.Run()
+			res := result{err: err, out: out.chunks}
+			sort.Strings(res.out)
+			for _, fd := range prog.Fields {
+				for age := 0; age <= fuzzMaxAge+1; age++ {
+					snap, serr := node.Snapshot(fd.Name, age)
+					res.fields = append(res.fields, fmt.Sprintf("%s(%d): %v %v", fd.Name, age, snap, serr))
+				}
+			}
+			return res
+		}
+		bc, cl := run(bcProg), run(clProg)
+		if (bc.err == nil) != (cl.err == nil) {
+			t.Fatalf("one back-end failed\nbytecode: %v\nclosure:  %v", bc.err, cl.err)
+		}
+		if bc.err != nil {
+			return
+		}
+		if fmt.Sprintf("%q", bc.out) != fmt.Sprintf("%q", cl.out) {
+			t.Fatalf("cout diverged\nbytecode: %q\nclosure:  %q", bc.out, cl.out)
+		}
+		if fmt.Sprint(bc.fields) != fmt.Sprint(cl.fields) {
+			t.Fatalf("fields diverged\nbytecode: %v\nclosure:  %v", bc.fields, cl.fields)
+		}
+	})
 }

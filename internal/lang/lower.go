@@ -1,6 +1,7 @@
 package lang
 
-// Lowering from the code-block AST to register bytecode (bytecode.go).
+// Lowering from the code-block AST to register bytecode (bytecode.go), in one
+// pass over the AST plus bcProg.finish over the emitted code.
 //
 // The lowering runs only after compileKernelBody has accepted the kernel, so
 // every compile-time error path in here is defensive: a failure aborts the
@@ -14,9 +15,18 @@ package lang
 //   - Any value whose kind cannot be pinned at compile time lives in a boxed
 //     V register, and all arithmetic on it goes through opArithV, which calls
 //     the interpreter's own arith() — dynamic-kind semantics cannot drift.
-//   - Variable registers are allocated monotonically and never reclaimed on
-//     scope pop (mirroring the interpreter's slot numbering); temporaries
-//     restart at the variable watermark at each statement.
+//   - The age, the index coordinates and the scalar kernel locals get their
+//     registers before the first statement; block variables are allocated
+//     monotonically after them and never reclaimed on scope pop (mirroring
+//     the interpreter's slot numbering); temporaries restart at the variable
+//     watermark at each statement.
+//   - An expression's value is wanted somewhere (exprTo's dest): the last
+//     instruction of the expression writes that register itself when it
+//     produces exactly the wanted class and kind, and every read of the
+//     expression precedes that write, so `x = f(x)` needs no temporary.
+//   - A condition that is only tested (if, loop test, the left side of && and
+//     ||) is lowered by cond() straight to jumps; loops are inverted, so an
+//     iteration takes one jump, the fused compare-and-branch at the bottom.
 //
 // Locals whose runtime kind cannot be pinned (fetches from Any fields, whole
 // or slab fetches into scalars) make the lowering fail rather than guess;
@@ -51,16 +61,10 @@ func kindClass(k field.Kind) regClass {
 	}
 }
 
-// lval is a lowered expression value: a register plus its static kind. For
-// clV the kind is dynamic (field.Any stands in for "unknown").
+// lval is a lowered value or variable: a register plus its static kind. For
+// clV the kind is dynamic (field.Any stands in for "unknown"). A negative
+// register is a constant (see bcProg.intConst).
 type lval struct {
-	cl   regClass
-	kind field.Kind
-	reg  int32
-}
-
-// lslot is a declared block-local variable.
-type lslot struct {
 	cl   regClass
 	kind field.Kind
 	reg  int32
@@ -69,15 +73,9 @@ type lslot struct {
 // lref classifies a resolved identifier, mirroring kcompiler.resolve.
 type lref struct {
 	kind varKind
-	slot lslot
-	li   int // kernel local index for vLocal/vArray
+	slot lval // the register of a vSlot, vLocal, vAge or vIndex
+	li   int  // kernel local index for vLocal/vArray, position of a vIndex
 	typ  field.Kind
-	pos  int // coordinate position for vIndex
-}
-
-type loopFrame struct {
-	breaks    []int
-	continues []int
 }
 
 // lowerFail carries a lowering error through panic/recover.
@@ -88,14 +86,26 @@ type lowerer struct {
 	timers map[string]bool
 	p      *bcProg
 
-	scopes  []map[string]lslot
+	scopes  []map[string]lval
 	localCl []regClass // effective class per kernel local
+
+	// Registers of the Ctx scalars, allocated up front; the marks say which
+	// of them are read somewhere (the prologue loads those) and which are
+	// assigned somewhere (the epilogue may write those back).
+	ageReg    int32
+	ageUsed   bool
+	idxReg    []int32
+	idxUsed   []bool
+	localReg  []int32
+	localUsed []bool
+	localSet  []bool
 
 	varI, varF, varS, varV int32 // variable watermarks per class
 	tI, tF, tS, tV         int32 // temporary tops per class
 
-	loops   []*loopFrame
-	orphans []int // break/continue jumps outside any loop
+	code            []rawInstr
+	labels          []int32 // label -> instruction index, -1 until placed
+	breakTo, contTo int32   // labels break and continue jump to
 }
 
 // lowerKernelBody lowers one kernel's code blocks to bytecode. Any failure —
@@ -112,12 +122,9 @@ func lowerKernelBody(k *KernelDef, timers map[string]bool, fields map[string]Fie
 			}
 		}
 	}()
-	lo := &lowerer{
-		k:      k,
-		timers: timers,
-		p:      &bcProg{kernel: k.Name, nArr: len(k.Locals)},
-	}
+	lo := &lowerer{k: k, timers: timers, p: &bcProg{kernel: k.Name}}
 	lo.classifyLocals(fields)
+	lo.allocCtxRegs()
 	lo.push()
 	for _, blk := range k.Blocks {
 		for _, s := range blk.Stmts {
@@ -127,6 +134,7 @@ func lowerKernelBody(k *KernelDef, timers map[string]bool, fields map[string]Fie
 	}
 	lo.pop()
 	lo.emit(opRet, 0, 0, 0, 0)
+	lo.finish()
 	return lo.p, nil
 }
 
@@ -189,13 +197,63 @@ func (lo *lowerer) classifyLocals(fields map[string]FieldDecl) {
 	}
 }
 
+// allocCtxRegs gives the age, every index coordinate and every scalar kernel
+// local its register. They come first in their class, before any block
+// variable, so a first reference in the middle of an expression cannot land
+// on a live temporary.
+func (lo *lowerer) allocCtxRegs() {
+	if lo.k.AgeVar != "" {
+		lo.ageReg = lo.varReg(clI)
+	}
+	lo.idxReg = make([]int32, len(lo.k.Indexes))
+	lo.idxUsed = make([]bool, len(lo.k.Indexes))
+	for pos := range lo.k.Indexes {
+		lo.idxReg[pos] = lo.varReg(clI)
+	}
+	n := len(lo.k.Locals)
+	lo.localReg = make([]int32, n)
+	lo.localUsed = make([]bool, n)
+	lo.localSet = make([]bool, n)
+	for li := range lo.k.Locals {
+		if lo.k.Locals[li].Rank == 0 {
+			lo.localReg[li] = lo.varReg(lo.localCl[li])
+		}
+	}
+}
+
+// finish records the prologue loads and epilogue write-backs for the Ctx
+// scalars the body turned out to name, and resolves constants and labels.
+func (lo *lowerer) finish() {
+	p := lo.p
+	if lo.ageUsed {
+		p.loads = append(p.loads, bcLoad{from: fromAge, cl: clI, reg: lo.ageReg})
+	}
+	for pos, used := range lo.idxUsed {
+		if used {
+			p.loads = append(p.loads, bcLoad{from: fromCoord, idx: int32(pos), cl: clI, reg: lo.idxReg[pos]})
+		}
+	}
+	for li := range lo.k.Locals {
+		if lo.localUsed[li] {
+			p.loads = append(p.loads, bcLoad{from: fromLocal, idx: int32(li), cl: lo.localCl[li], reg: lo.localReg[li]})
+		}
+		if lo.localSet[li] {
+			p.stores = append(p.stores, bcStore{li: int32(li), cl: lo.localCl[li], kind: lo.k.Locals[li].Kind, reg: lo.localReg[li]})
+		}
+	}
+	p.arrCl = lo.localCl
+	if err := p.finish(lo.code, lo.labels); err != nil {
+		panic(lowerFail{err: err})
+	}
+}
+
 // ---- infrastructure ----
 
 func (lo *lowerer) failf(tok Token, format string, args ...any) {
 	panic(lowerFail{err: errAt(tok, format, args...)})
 }
 
-func (lo *lowerer) push() { lo.scopes = append(lo.scopes, map[string]lslot{}) }
+func (lo *lowerer) push() { lo.scopes = append(lo.scopes, map[string]lval{}) }
 func (lo *lowerer) pop()  { lo.scopes = lo.scopes[:len(lo.scopes)-1] }
 
 func (lo *lowerer) clsPtrs(cl regClass) (vp, tp *int32, np *int) {
@@ -213,6 +271,7 @@ func (lo *lowerer) clsPtrs(cl regClass) (vp, tp *int32, np *int) {
 
 // varReg allocates a variable register: monotonic, never reclaimed, so a
 // variable's register outlives its scope exactly like an interpreter slot.
+// It is only called at a statement boundary, when no temporary is live.
 func (lo *lowerer) varReg(cl regClass) int32 {
 	vp, tp, np := lo.clsPtrs(cl)
 	r := *vp
@@ -252,28 +311,32 @@ func (lo *lowerer) resetTmps() {
 	lo.tI, lo.tF, lo.tS, lo.tV = lo.varI, lo.varF, lo.varS, lo.varV
 }
 
-func (lo *lowerer) emit(op opcode, a, b, c, d int32) int {
-	lo.p.code = append(lo.p.code, instr{op: op, a: a, b: b, c: c, d: d})
-	return len(lo.p.code) - 1
+// out picks the register an expression's last instruction writes: the wanted
+// destination when the instruction produces exactly its class and kind (any
+// float kind has the same payload), a temporary otherwise. Boxed
+// destinations always convert, so they never match.
+func (lo *lowerer) out(d *lval, cl regClass, kind field.Kind) int32 {
+	if d != nil && d.cl == cl && (cl == clF || cl == clS || (cl == clI && d.kind == kind)) {
+		return d.reg
+	}
+	return lo.tmp(cl)
 }
 
-func (lo *lowerer) here() int32 { return int32(len(lo.p.code)) }
-
-func (lo *lowerer) emitJmp() int { return lo.emit(opJmp, 0, 0, 0, 0) }
-
-// patch points a previously emitted jump at target: opJmp carries the target
-// in a, the conditional jumps in b.
-func (lo *lowerer) patch(pc int, target int32) {
-	if pc < 0 {
-		return
-	}
-	in := &lo.p.code[pc]
-	if in.op == opJmp {
-		in.a = target
-	} else {
-		in.b = target
-	}
+func (lo *lowerer) emit(op opcode, a, b, c, d int32) {
+	lo.code = append(lo.code, rawInstr{op: op, a: a, b: b, c: c, d: d})
 }
+
+// jump emits a jump or branch on registers a and b to the label target.
+func (lo *lowerer) jump(op opcode, a, b, target int32) { lo.emit(op, a, b, 0, target) }
+
+// newLabel makes a jump target; jumps carry the label until bcProg.finish.
+func (lo *lowerer) newLabel() int32 {
+	lo.labels = append(lo.labels, -1)
+	return int32(len(lo.labels) - 1)
+}
+
+// place puts the label at the next instruction.
+func (lo *lowerer) place(l int32) { lo.labels[l] = int32(len(lo.code)) }
 
 func (lo *lowerer) emitMov(cl regClass, dst, src int32) {
 	if dst == src {
@@ -291,13 +354,29 @@ func (lo *lowerer) emitMov(cl regClass, dst, src int32) {
 	}
 }
 
+func (lo *lowerer) intLit(x int64, kind field.Kind) lval {
+	return lval{cl: clI, kind: kind, reg: lo.p.intConst(x)}
+}
+
+func (lo *lowerer) floatLit(x float64) lval {
+	return lval{cl: clF, kind: field.Float64, reg: lo.p.floatConst(x)}
+}
+
+// constInt reports the value of an int-class constant.
+func (lo *lowerer) constInt(v lval) (int64, bool) {
+	if v.cl != clI || v.reg >= 0 {
+		return 0, false
+	}
+	return lo.p.ints[^v.reg], true
+}
+
 // emitRuntimeErr lowers an expression that unconditionally errors when
 // reached (the interpreter reports these lazily at runtime, e.g. `%` on
-// floats). Code after the opErr is unreachable; the dummy register keeps the
+// floats). Code after the opErr is unreachable; the dummy value keeps the
 // lowering well-formed.
 func (lo *lowerer) emitRuntimeErr(err error) lval {
-	lo.emit(opErr, lo.p.errConst(err), 0, 0, 0)
-	return lval{cl: clI, kind: field.Int64, reg: lo.tmp(clI)}
+	lo.emit(opErr, 0, 0, 0, lo.p.errConst(err))
+	return lo.intLit(0, field.Int64)
 }
 
 // resolve classifies an identifier with the same precedence as
@@ -315,15 +394,21 @@ func (lo *lowerer) resolve(name string) lref {
 			if l.Rank > 0 {
 				return lref{kind: vArray, li: li, typ: l.Kind}
 			}
-			return lref{kind: vLocal, li: li, typ: l.Kind}
+			// Typed registers carry the declared kind; a boxed local's kind
+			// is whatever the runtime installed.
+			cl, kind := lo.localCl[li], l.Kind
+			if cl == clV {
+				kind = field.Any
+			}
+			return lref{kind: vLocal, slot: lval{cl: cl, kind: kind, reg: lo.localReg[li]}, li: li, typ: l.Kind}
 		}
 	}
 	if name == lo.k.AgeVar && name != "" {
-		return lref{kind: vAge}
+		return lref{kind: vAge, slot: lval{cl: clI, kind: field.Int64, reg: lo.ageReg}}
 	}
 	for pos, iv := range lo.k.Indexes {
 		if iv == name {
-			return lref{kind: vIndex, pos: pos}
+			return lref{kind: vIndex, slot: lval{cl: clI, kind: field.Int64, reg: lo.idxReg[pos]}, li: pos}
 		}
 	}
 	if lo.timers[name] {
@@ -335,17 +420,6 @@ func (lo *lowerer) resolve(name string) lref {
 	return lref{kind: vUnknown}
 }
 
-func (lo *lowerer) declare(tok Token, name string, k field.Kind) lslot {
-	top := lo.scopes[len(lo.scopes)-1]
-	if _, dup := top[name]; dup {
-		lo.failf(tok, "variable %q redeclared in the same scope", name)
-	}
-	cl := kindClass(k)
-	sl := lslot{cl: cl, kind: k, reg: lo.varReg(cl)}
-	top[name] = sl
-	return sl
-}
-
 // ---- statements ----
 
 // stmtDiscard lowers a statement whose break/continue control is discarded by
@@ -353,29 +427,32 @@ func (lo *lowerer) declare(tok Token, name string, k field.Kind) lslot {
 // loop controls inside it that escape any local loop jump to the end of the
 // statement, which is exactly "ctrl ignored, continue after it".
 func (lo *lowerer) stmtDiscard(s Stmt) {
-	savedLoops, savedOrphans := lo.loops, lo.orphans
-	lo.loops, lo.orphans = nil, nil
+	savedBreak, savedCont := lo.breakTo, lo.contTo
+	end := lo.newLabel()
+	lo.breakTo, lo.contTo = end, end
 	lo.stmt(s)
-	end := lo.here()
-	for _, pc := range lo.orphans {
-		lo.patch(pc, end)
-	}
-	lo.loops, lo.orphans = savedLoops, savedOrphans
+	lo.place(end)
+	lo.breakTo, lo.contTo = savedBreak, savedCont
 }
 
 func (lo *lowerer) stmt(s Stmt) {
 	switch st := s.(type) {
 	case DeclStmt:
-		// The initializer is lowered before the declaration, so `int x = x;`
-		// resolves the outer x exactly like the interpreter.
+		// The register exists before the initializer is lowered, the name
+		// only after it, so `int x = x;` resolves the outer x exactly like
+		// the interpreter.
+		cl := kindClass(st.Kind)
+		sl := lval{cl: cl, kind: st.Kind, reg: lo.varReg(cl)}
 		if st.Init != nil {
-			v := lo.expr(st.Init)
-			sl := lo.declare(st.Tok, st.Name, st.Kind)
-			lo.storeSlot(sl, v)
+			lo.assignTo(sl, st.Init)
 		} else {
-			sl := lo.declare(st.Tok, st.Name, st.Kind)
 			lo.storeZero(sl)
 		}
+		top := lo.scopes[len(lo.scopes)-1]
+		if _, dup := top[st.Name]; dup {
+			lo.failf(st.Tok, "variable %q redeclared in the same scope", st.Name)
+		}
+		top[st.Name] = sl
 
 	case AssignStmt:
 		lo.assign(st)
@@ -384,86 +461,32 @@ func (lo *lowerer) stmt(s Stmt) {
 		lo.incStmt(st)
 
 	case IfStmt:
-		c := lo.expr(st.Cond)
-		jf := lo.truthyJumpFalse(c)
+		els := lo.newLabel()
+		lo.cond(st.Cond, els, false)
 		lo.blockStmt(st.Then)
 		if st.Else != nil {
-			jend := lo.emitJmp()
-			lo.patch(jf, lo.here())
+			end := lo.newLabel()
+			lo.jump(opJmp, 0, 0, end)
+			lo.place(els)
 			lo.blockStmt(*st.Else)
-			lo.patch(jend, lo.here())
+			lo.place(end)
 		} else {
-			lo.patch(jf, lo.here())
+			lo.place(els)
 		}
 
 	case WhileStmt:
-		head := lo.here()
-		c := lo.expr(st.Cond)
-		jf := lo.truthyJumpFalse(c)
-		lf := &loopFrame{}
-		lo.loops = append(lo.loops, lf)
-		lo.blockStmt(st.Body)
-		lo.loops = lo.loops[:len(lo.loops)-1]
-		lo.emit(opJmp, head, 0, 0, 0)
-		end := lo.here()
-		lo.patch(jf, end)
-		for _, pc := range lf.breaks {
-			lo.patch(pc, end)
-		}
-		for _, pc := range lf.continues {
-			lo.patch(pc, head)
-		}
+		lo.loop(nil, st.Cond, nil, st.Body)
 
 	case ForStmt:
 		lo.push()
-		if st.Init != nil {
-			lo.resetTmps()
-			lo.stmtDiscard(st.Init)
-		}
-		head := lo.here()
-		jf := -1
-		if st.Cond != nil {
-			lo.resetTmps()
-			c := lo.expr(st.Cond)
-			jf = lo.truthyJumpFalse(c)
-		}
-		lf := &loopFrame{}
-		lo.loops = append(lo.loops, lf)
-		lo.blockStmt(st.Body)
-		lo.loops = lo.loops[:len(lo.loops)-1]
-		postPos := lo.here()
-		if st.Post != nil {
-			lo.resetTmps()
-			lo.stmtDiscard(st.Post)
-		}
-		lo.emit(opJmp, head, 0, 0, 0)
-		end := lo.here()
-		lo.patch(jf, end)
-		for _, pc := range lf.breaks {
-			lo.patch(pc, end)
-		}
-		for _, pc := range lf.continues {
-			lo.patch(pc, postPos)
-		}
+		lo.loop(st.Init, st.Cond, st.Post, st.Body)
 		lo.pop()
 
 	case BreakStmt:
-		pc := lo.emitJmp()
-		if len(lo.loops) > 0 {
-			lf := lo.loops[len(lo.loops)-1]
-			lf.breaks = append(lf.breaks, pc)
-		} else {
-			lo.orphans = append(lo.orphans, pc)
-		}
+		lo.jump(opJmp, 0, 0, lo.breakTo)
 
 	case ContinueStmt:
-		pc := lo.emitJmp()
-		if len(lo.loops) > 0 {
-			lf := lo.loops[len(lo.loops)-1]
-			lf.continues = append(lf.continues, pc)
-		} else {
-			lo.orphans = append(lo.orphans, pc)
-		}
+		lo.jump(opJmp, 0, 0, lo.contTo)
 
 	case StopStmt:
 		lo.emit(opStop, 0, 0, 0, 0)
@@ -509,6 +532,45 @@ func (lo *lowerer) blockStmt(b Block) {
 	lo.pop()
 }
 
+// loop lowers while (init and post nil) and for loops inverted: the test sits
+// below the body and jumps back up while it holds, and entry jumps down to
+// it, so the condition is lowered once and an iteration takes one jump.
+//
+//	      init
+//	      jmp test
+//	body: ...
+//	cont: post
+//	test: if cond -> body
+//	end:
+func (lo *lowerer) loop(init Stmt, cond Expr, post Stmt, body Block) {
+	if init != nil {
+		lo.resetTmps()
+		lo.stmtDiscard(init)
+	}
+	top, cont, test, end := lo.newLabel(), lo.newLabel(), lo.newLabel(), lo.newLabel()
+	if cond != nil {
+		lo.jump(opJmp, 0, 0, test)
+	}
+	lo.place(top)
+	savedBreak, savedCont := lo.breakTo, lo.contTo
+	lo.breakTo, lo.contTo = end, cont
+	lo.blockStmt(body)
+	lo.breakTo, lo.contTo = savedBreak, savedCont
+	lo.place(cont)
+	if post != nil {
+		lo.resetTmps()
+		lo.stmtDiscard(post)
+	}
+	lo.place(test)
+	if cond != nil {
+		lo.resetTmps()
+		lo.cond(cond, top, true)
+	} else {
+		lo.jump(opJmp, 0, 0, top)
+	}
+	lo.place(end)
+}
+
 // assign lowers `name op= expr`, including the timer form `t1 = now`.
 func (lo *lowerer) assign(st AssignStmt) {
 	ref := lo.resolve(st.Name)
@@ -523,8 +585,8 @@ func (lo *lowerer) assign(st AssignStmt) {
 		return
 	}
 	if st.Op == "=" {
-		v := lo.expr(st.Val)
-		lo.writeVar(st.Tok, st.Name, ref, v)
+		lo.assignTo(lo.target(st.Tok, st.Name, ref), st.Val)
+		lo.assigned(ref)
 		return
 	}
 	// Compound assignment: read the old value first, then evaluate the right
@@ -533,9 +595,10 @@ func (lo *lowerer) assign(st AssignStmt) {
 	if ref.kind != vSlot && ref.kind != vLocal {
 		lo.failf(st.Tok, "cannot modify %q", st.Name)
 	}
+	dst := lo.target(st.Tok, st.Name, ref)
 	rhs := lo.expr(st.Val)
-	nv := lo.arithLower(st.Tok, st.Op[:1], old, rhs)
-	lo.writeVar(st.Tok, st.Name, ref, nv)
+	lo.store(dst, lo.arithLower(st.Tok, st.Op[:1], old, rhs, &dst))
+	lo.assigned(ref)
 }
 
 func (lo *lowerer) incStmt(st IncStmt) {
@@ -544,6 +607,7 @@ func (lo *lowerer) incStmt(st IncStmt) {
 	if ref.kind != vSlot && ref.kind != vLocal {
 		lo.failf(st.Tok, "cannot modify %q", st.Name)
 	}
+	dst := lo.target(st.Tok, st.Name, ref)
 	delta := int64(1)
 	if st.Op == "--" {
 		delta = -1
@@ -551,199 +615,171 @@ func (lo *lowerer) incStmt(st IncStmt) {
 	var nv lval
 	switch old.cl {
 	case clF:
-		d := lo.tmp(clF)
-		lo.emit(opLdF, d, lo.p.floatConst(float64(delta)), 0, 0)
-		dst := lo.tmp(clF)
-		lo.emit(opAddF, dst, old.reg, d, 0)
-		nv = lval{cl: clF, kind: field.Float64, reg: dst}
+		nv = lval{cl: clF, kind: field.Float64, reg: lo.out(&dst, clF, field.Float64)}
+		lo.emit(opAddF, nv.reg, old.reg, lo.p.floatConst(float64(delta)), 0)
 	case clI:
-		d := lo.tmp(clI)
-		lo.emit(opLdI, d, lo.p.intConst(delta), 0, 0)
-		dst := lo.tmp(clI)
-		lo.emit(opAddI, dst, old.reg, d, 0)
-		nv = lval{cl: clI, kind: field.Int64, reg: dst}
+		nv = lval{cl: clI, kind: field.Int64, reg: lo.out(&dst, clI, field.Int64)}
+		lo.emit(opAddKI, nv.reg, old.reg, 0, int32(delta))
 	case clS:
 		// String payloads read as integer 0, so the increment is the delta.
-		dst := lo.tmp(clI)
-		lo.emit(opLdI, dst, lo.p.intConst(delta), 0, 0)
-		nv = lval{cl: clI, kind: field.Int64, reg: dst}
+		nv = lo.intLit(delta, field.Int64)
 	default:
-		dst := lo.tmp(clV)
-		lo.emit(opIncV, dst, old.reg, int32(delta), 0)
-		nv = lval{cl: clV, kind: field.Any, reg: dst}
+		nv = lval{cl: clV, kind: field.Any, reg: lo.tmp(clV)}
+		lo.emit(opIncV, nv.reg, old.reg, 0, int32(delta))
 	}
-	lo.writeVar(st.Tok, st.Name, ref, nv)
+	lo.store(dst, nv)
+	lo.assigned(ref)
 }
 
-// writeVar stores v into a resolved variable with Convert(declared kind)
-// semantics.
-func (lo *lowerer) writeVar(tok Token, name string, ref lref, v lval) {
+// target returns the register an assignment to the resolved variable writes,
+// with the variable's declared kind (a boxed local reads as dynamic).
+func (lo *lowerer) target(tok Token, name string, ref lref) lval {
 	switch ref.kind {
-	case vSlot:
-		lo.storeSlot(ref.slot, v)
-	case vLocal:
-		lo.storeLocal(ref.li, ref.typ, v)
+	case vSlot, vLocal:
+		return lval{cl: ref.slot.cl, kind: ref.typ, reg: ref.slot.reg}
 	case vAge, vIndex:
 		lo.failf(tok, "%q is read-only", name)
 	case vArray:
 		lo.failf(tok, "assign to array %q with put()", name)
-	default:
-		lo.failf(tok, "undefined variable %q", name)
+	}
+	lo.failf(tok, "undefined variable %q", name)
+	panic("unreachable")
+}
+
+// assigned follows every write of a variable's register: a kernel local is
+// marked so the epilogue writes it back and binds it.
+func (lo *lowerer) assigned(ref lref) {
+	if ref.kind == vLocal {
+		lo.localSet[ref.li] = true
+		lo.emit(opBind, int32(ref.li), 0, 0, 0)
 	}
 }
 
-func (lo *lowerer) storeSlot(sl lslot, v lval) {
-	if sl.cl == clV {
+// assignTo lowers x into the variable register dst with Convert(dst.kind)
+// semantics.
+func (lo *lowerer) assignTo(dst lval, x Expr) {
+	lo.store(dst, lo.exprTo(x, &dst))
+}
+
+// store puts v, converted to dst's kind, into the variable register dst; it
+// emits nothing when v already landed there.
+func (lo *lowerer) store(dst, v lval) {
+	if dst.cl == clV {
 		bv := lo.toBoxed(v)
-		lo.emit(opConvV, sl.reg, bv.reg, int32(sl.kind), 0)
+		lo.emit(opConvV, dst.reg, bv.reg, int32(dst.kind), 0)
 		return
 	}
-	cv := lo.convert(v, sl.kind)
-	lo.emitMov(sl.cl, sl.reg, cv.reg)
+	cv := lo.convert(v, dst.kind, &dst)
+	lo.emitMov(dst.cl, dst.reg, cv.reg)
 }
 
-func (lo *lowerer) storeZero(sl lslot) {
+func (lo *lowerer) storeZero(sl lval) {
 	switch sl.cl {
 	case clI:
-		lo.emit(opLdI, sl.reg, lo.p.intConst(0), 0, 0)
+		lo.emit(opMovI, sl.reg, lo.p.intConst(0), 0, 0)
 	case clF:
-		lo.emit(opLdF, sl.reg, lo.p.floatConst(0), 0, 0)
+		lo.emit(opMovF, sl.reg, lo.p.floatConst(0), 0, 0)
 	case clS:
-		lo.emit(opLdS, sl.reg, lo.p.strConst(""), 0, 0)
+		lo.emit(opMovS, sl.reg, lo.p.strConst(""), 0, 0)
 	default:
 		lo.emit(opZeroV, sl.reg, int32(sl.kind), 0, 0)
 	}
 }
 
-func (lo *lowerer) storeLocal(li int, typ field.Kind, v lval) {
-	switch lo.localCl[li] {
-	case clI:
-		cv := lo.convert(v, typ)
-		lo.emit(opStLI, int32(li), cv.reg, int32(typ), 0)
-	case clF:
-		cv := lo.convert(v, typ)
-		lo.emit(opStLF, int32(li), cv.reg, int32(typ), 0)
-	case clS:
-		cv := lo.convert(v, typ)
-		lo.emit(opStLS, int32(li), cv.reg, 0, 0)
-	default:
-		bv := lo.toBoxed(v)
-		t := lo.tmp(clV)
-		lo.emit(opConvV, t, bv.reg, int32(typ), 0)
-		lo.emit(opStLV, int32(li), t, 0, 0)
-	}
-}
-
-// readRef lowers a read of a resolved identifier.
+// readRef lowers a read of a resolved identifier. Variables, locals, the age
+// and the coordinates are read in place: no statement can overwrite a
+// register in the middle of an expression. A Ctx scalar that is read
+// anywhere is loaded by the prologue.
 func (lo *lowerer) readRef(tok Token, name string, ref lref) lval {
 	switch ref.kind {
 	case vSlot:
-		// Slot registers are stable, so the expression aliases the register
-		// directly; no statement can overwrite it mid-expression.
-		return lval{cl: ref.slot.cl, kind: ref.slot.kind, reg: ref.slot.reg}
+		return ref.slot
 	case vLocal:
-		switch lo.localCl[ref.li] {
-		case clI:
-			dst := lo.tmp(clI)
-			lo.emit(opLdLI, dst, int32(ref.li), 0, 0)
-			return lval{cl: clI, kind: ref.typ, reg: dst}
-		case clF:
-			dst := lo.tmp(clF)
-			lo.emit(opLdLF, dst, int32(ref.li), 0, 0)
-			return lval{cl: clF, kind: ref.typ, reg: dst}
-		case clS:
-			dst := lo.tmp(clS)
-			lo.emit(opLdLS, dst, int32(ref.li), 0, 0)
-			return lval{cl: clS, kind: field.String, reg: dst}
-		default:
-			dst := lo.tmp(clV)
-			lo.emit(opLdLV, dst, int32(ref.li), 0, 0)
-			return lval{cl: clV, kind: field.Any, reg: dst}
-		}
+		lo.localUsed[ref.li] = true
+		return ref.slot
 	case vAge:
-		dst := lo.tmp(clI)
-		lo.emit(opLdAge, dst, 0, 0, 0)
-		return lval{cl: clI, kind: field.Int64, reg: dst}
+		lo.ageUsed = true
+		return ref.slot
 	case vIndex:
-		dst := lo.tmp(clI)
-		lo.emit(opLdIdx, dst, int32(ref.pos), 0, 0)
-		return lval{cl: clI, kind: field.Int64, reg: dst}
+		lo.idxUsed[ref.li] = true
+		return ref.slot
 	case vEndl:
-		dst := lo.tmp(clS)
-		lo.emit(opLdS, dst, lo.p.strConst("\n"), 0, 0)
-		return lval{cl: clS, kind: field.String, reg: dst}
+		return lval{cl: clS, kind: field.String, reg: lo.p.strConst("\n")}
 	case vArray:
 		lo.failf(tok, "array %q must be accessed with get()/put()/extent()", name)
-	default:
-		lo.failf(tok, "undefined variable %q", name)
 	}
+	lo.failf(tok, "undefined variable %q", name)
 	panic("unreachable")
 }
 
 // ---- expressions ----
 
-func (lo *lowerer) expr(x Expr) lval {
+func (lo *lowerer) expr(x Expr) lval { return lo.exprTo(x, nil) }
+
+// exprTo lowers x for its value. d, when non-nil, is where the caller wants
+// it: only the expression's last instruction may write d's register (see
+// out), operands are always lowered with no destination.
+func (lo *lowerer) exprTo(x Expr, d *lval) lval {
 	switch ex := x.(type) {
 	case IntLit:
-		dst := lo.tmp(clI)
-		lo.emit(opLdI, dst, lo.p.intConst(ex.V), 0, 0)
-		return lval{cl: clI, kind: field.Int64, reg: dst}
+		return lo.intLit(ex.V, field.Int64)
 	case FloatLit:
-		dst := lo.tmp(clF)
-		lo.emit(opLdF, dst, lo.p.floatConst(ex.V), 0, 0)
-		return lval{cl: clF, kind: field.Float64, reg: dst}
+		return lo.floatLit(ex.V)
 	case StrLit:
-		dst := lo.tmp(clS)
-		lo.emit(opLdS, dst, lo.p.strConst(ex.V), 0, 0)
-		return lval{cl: clS, kind: field.String, reg: dst}
+		return lval{cl: clS, kind: field.String, reg: lo.p.strConst(ex.V)}
 	case Ident:
 		return lo.readRef(ex.Tok, ex.Name, lo.resolve(ex.Name))
 	case UnExpr:
-		return lo.unary(ex)
+		return lo.unary(ex, d)
 	case BinExpr:
 		if ex.Op == "&&" || ex.Op == "||" {
-			return lo.shortCircuit(ex)
+			return lo.shortCircuit(ex, d)
 		}
 		l := lo.expr(ex.L)
 		r := lo.expr(ex.R)
-		return lo.arithLower(ex.Tok, ex.Op, l, r)
+		return lo.arithLower(ex.Tok, ex.Op, l, r, d)
 	case CallExpr:
-		return lo.call(ex)
+		return lo.call(ex, d)
 	}
 	panic(lowerFail{err: fmt.Errorf("lang: unhandled expression %T", x)})
 }
 
-func (lo *lowerer) unary(ex UnExpr) lval {
+func (lo *lowerer) unary(ex UnExpr, d *lval) lval {
 	v := lo.expr(ex.X)
 	if ex.Op == "!" {
-		dst := lo.tmp(clI)
+		if v.cl == clS {
+			// Strings are always falsy (their integer payload is 0).
+			return lo.intLit(1, field.Bool)
+		}
+		dst := lo.out(d, clI, field.Bool)
 		switch v.cl {
 		case clI:
 			lo.emit(opNotI, dst, v.reg, 0, 0)
 		case clF:
 			lo.emit(opNotF, dst, v.reg, 0, 0)
-		case clS:
-			// Strings are always falsy (their integer payload is 0).
-			lo.emit(opLdI, dst, lo.p.intConst(1), 0, 0)
 		default:
 			lo.emit(opNotV, dst, v.reg, 0, 0)
 		}
 		return lval{cl: clI, kind: field.Bool, reg: dst}
 	}
-	// Unary minus.
+	// Unary minus; a negated literal is just another constant.
 	switch v.cl {
 	case clF:
-		dst := lo.tmp(clF)
+		if v.reg < 0 {
+			return lo.floatLit(-lo.p.floats[^v.reg])
+		}
+		dst := lo.out(d, clF, field.Float64)
 		lo.emit(opNegF, dst, v.reg, 0, 0)
 		return lval{cl: clF, kind: field.Float64, reg: dst}
 	case clI:
-		dst := lo.tmp(clI)
+		if c, ok := lo.constInt(v); ok {
+			return lo.intLit(-c, field.Int64)
+		}
+		dst := lo.out(d, clI, field.Int64)
 		lo.emit(opNegI, dst, v.reg, 0, 0)
 		return lval{cl: clI, kind: field.Int64, reg: dst}
 	case clS:
-		dst := lo.tmp(clI)
-		lo.emit(opLdI, dst, lo.p.intConst(0), 0, 0)
-		return lval{cl: clI, kind: field.Int64, reg: dst}
+		return lo.intLit(0, field.Int64)
 	default:
 		dst := lo.tmp(clV)
 		lo.emit(opNegV, dst, v.reg, 0, 0)
@@ -751,63 +787,138 @@ func (lo *lowerer) unary(ex UnExpr) lval {
 	}
 }
 
-// shortCircuit lowers && and ||; the result is always Bool, like the
-// interpreter's BoolVal results.
-func (lo *lowerer) shortCircuit(ex BinExpr) lval {
-	dst := lo.tmp(clI)
-	if ex.Op == "&&" {
-		l := lo.expr(ex.L)
-		jf := lo.truthyJumpFalse(l)
-		r := lo.expr(ex.R)
-		lo.boolInto(dst, r)
-		jend := lo.emitJmp()
-		lo.patch(jf, lo.here())
-		lo.emit(opLdI, dst, lo.p.intConst(0), 0, 0)
-		lo.patch(jend, lo.here())
+// shortCircuit lowers && and || for their value; the result is always Bool,
+// like the interpreter's BoolVal results.
+func (lo *lowerer) shortCircuit(ex BinExpr, d *lval) lval {
+	res := lval{cl: clI, kind: field.Bool, reg: lo.out(d, clI, field.Bool)}
+	isOr := ex.Op == "||"
+	short, end := lo.newLabel(), lo.newLabel()
+	lo.cond(ex.L, short, isOr)
+	r := lo.exprTo(ex.R, &res)
+	if r.reg != res.reg {
+		lo.boolInto(res.reg, r)
+	}
+	lo.jump(opJmp, 0, 0, end)
+	lo.place(short)
+	lo.emit(opMovI, res.reg, lo.p.intConst(b2i(isOr)), 0, 0)
+	lo.place(end)
+	return res
+}
+
+// cond lowers x in branch context: jump to target when the truth of x equals
+// sense, fall through otherwise. Nothing is materialized for comparisons,
+// !, && and ||.
+func (lo *lowerer) cond(x Expr, target int32, sense bool) {
+	switch ex := x.(type) {
+	case UnExpr:
+		if ex.Op == "!" {
+			lo.cond(ex.X, target, !sense)
+			return
+		}
+	case BinExpr:
+		switch {
+		case ex.Op == "&&" || ex.Op == "||":
+			if (ex.Op == "||") == sense {
+				// Either operand takes the jump on its own.
+				lo.cond(ex.L, target, sense)
+				lo.cond(ex.R, target, sense)
+			} else {
+				// The left operand alone can only rule the jump out.
+				skip := lo.newLabel()
+				lo.cond(ex.L, skip, !sense)
+				lo.cond(ex.R, target, sense)
+				lo.place(skip)
+			}
+			return
+		case isCmpOp(ex.Op):
+			l := lo.expr(ex.L)
+			r := lo.expr(ex.R)
+			if !lo.cmpBranch(ex.Op, l, r, target, sense) {
+				lo.truthyJump(lo.arithLower(ex.Tok, ex.Op, l, r, nil), target, sense)
+			}
+			return
+		}
+	}
+	lo.truthyJump(lo.expr(x), target, sense)
+}
+
+// cmpBranch emits the fused compare-and-branch for typed numeric operands
+// and reports false for boxed and string comparisons, which go through the
+// value form.
+func (lo *lowerer) cmpBranch(op string, l, r lval, target int32, sense bool) bool {
+	if l.cl == clV || r.cl == clV || l.kind == field.String || r.kind == field.String {
+		return false
+	}
+	if !sense {
+		op = negatedCmp(op)
+	}
+	ops := [4]opcode{opJeqI, opJneI, opJltI, opJleI}
+	if l.kind.Float() || r.kind.Float() {
+		l, r = lo.floatPayload(l, nil), lo.floatPayload(r, nil)
+		ops = [4]opcode{opJeqF, opJneF, opJltF, opJleF}
+	}
+	k, l, r := cmpSelect(op, l, r)
+	lo.jump(ops[k], l.reg, r.reg, target)
+	return true
+}
+
+// cmpSelect maps a comparison onto the four the VM has — 0 ==, 1 !=, 2 <,
+// 3 <= — swapping the operands of > and >=.
+func cmpSelect(op string, l, r lval) (int, lval, lval) {
+	switch op {
+	case "==":
+		return 0, l, r
+	case "!=":
+		return 1, l, r
+	case "<":
+		return 2, l, r
+	case "<=":
+		return 3, l, r
+	case ">":
+		return 2, r, l
+	default:
+		return 3, r, l
+	}
+}
+
+// negatedCmp is the comparison that holds exactly when op does not — also
+// under the float order, where NaN makes ==, <= and >= all true.
+func negatedCmp(op string) string {
+	switch op {
+	case "==":
+		return "!="
+	case "!=":
+		return "=="
+	case "<":
+		return ">="
+	case "<=":
+		return ">"
+	case ">":
+		return "<="
+	default:
+		return "<"
+	}
+}
+
+// truthyJump jumps to target when the truth value of v equals sense.
+func (lo *lowerer) truthyJump(v lval, target int32, sense bool) {
+	jz, jnz := opJzV, opJnzV
+	switch v.cl {
+	case clI:
+		jz, jnz = opJzI, opJnzI
+	case clF:
+		jz, jnz = opJzF, opJnzF
+	case clS:
+		// Strings are always falsy.
+		if !sense {
+			lo.jump(opJmp, 0, 0, target)
+		}
+		return
+	}
+	if sense {
+		lo.jump(jnz, v.reg, 0, target)
 	} else {
-		l := lo.expr(ex.L)
-		jt := lo.truthyJumpTrue(l)
-		r := lo.expr(ex.R)
-		lo.boolInto(dst, r)
-		jend := lo.emitJmp()
-		lo.patch(jt, lo.here())
-		lo.emit(opLdI, dst, lo.p.intConst(1), 0, 0)
-		lo.patch(jend, lo.here())
-	}
-	return lval{cl: clI, kind: field.Bool, reg: dst}
-}
-
-// truthyJumpFalse emits a jump taken when v is falsy and returns its pc for
-// patching (-1 when the jump can never be taken).
-func (lo *lowerer) truthyJumpFalse(v lval) int {
-	switch v.cl {
-	case clI:
-		return lo.emit(opJzI, v.reg, 0, 0, 0)
-	case clF:
-		return lo.emit(opJzF, v.reg, 0, 0, 0)
-	case clS:
-		// Strings are always falsy: unconditional jump.
-		return lo.emitJmp()
-	default:
-		return lo.emit(opJzV, v.reg, 0, 0, 0)
-	}
-}
-
-// truthyJumpTrue emits a jump taken when v is truthy (-1 when impossible).
-func (lo *lowerer) truthyJumpTrue(v lval) int {
-	switch v.cl {
-	case clI:
-		return lo.emit(opJnzI, v.reg, 0, 0, 0)
-	case clF:
-		t := lo.tmp(clI)
-		lo.emit(opBoolF, t, v.reg, 0, 0)
-		return lo.emit(opJnzI, t, 0, 0, 0)
-	case clS:
-		return -1
-	default:
-		t := lo.tmp(clI)
-		lo.emit(opBoolV, t, v.reg, 0, 0)
-		return lo.emit(opJnzI, t, 0, 0, 0)
+		lo.jump(jz, v.reg, 0, target)
 	}
 }
 
@@ -815,51 +926,21 @@ func (lo *lowerer) truthyJumpTrue(v lval) int {
 func (lo *lowerer) boolInto(dst int32, v lval) {
 	switch v.cl {
 	case clI:
-		lo.emit(opBoolI, dst, v.reg, 0, 0)
+		if v.kind == field.Bool {
+			lo.emitMov(clI, dst, v.reg)
+		} else {
+			lo.emit(opBoolI, dst, v.reg, 0, 0)
+		}
 	case clF:
 		lo.emit(opBoolF, dst, v.reg, 0, 0)
 	case clS:
-		lo.emit(opLdI, dst, lo.p.intConst(0), 0, 0)
+		lo.emit(opMovI, dst, lo.p.intConst(0), 0, 0)
 	default:
 		lo.emit(opBoolV, dst, v.reg, 0, 0)
 	}
 }
 
 // ---- arithmetic ----
-
-func cmpOpI(op string) opcode {
-	switch op {
-	case "==":
-		return opEqI
-	case "!=":
-		return opNeI
-	case "<":
-		return opLtI
-	case "<=":
-		return opLeI
-	case ">":
-		return opGtI
-	default:
-		return opGeI
-	}
-}
-
-func cmpOpF(op string) opcode {
-	switch op {
-	case "==":
-		return opEqF
-	case "!=":
-		return opNeF
-	case "<":
-		return opLtF
-	case "<=":
-		return opLeF
-	case ">":
-		return opGtF
-	default:
-		return opGeF
-	}
-}
 
 func isCmpOp(op string) bool {
 	switch op {
@@ -869,11 +950,20 @@ func isCmpOp(op string) bool {
 	return false
 }
 
+// cmpValue emits a comparison for its 0/1 value, given the class's ==, !=,
+// < and <= opcodes.
+func (lo *lowerer) cmpValue(op string, ops [4]opcode, l, r lval, d *lval) lval {
+	k, l, r := cmpSelect(op, l, r)
+	dst := lo.out(d, clI, field.Bool)
+	lo.emit(ops[k], dst, l.reg, r.reg, 0)
+	return lval{cl: clI, kind: field.Bool, reg: dst}
+}
+
 // arithLower lowers a binary operator with the interpreter's arith()
 // promotion rules: strings first (+, ==, != only), then float promotion, then
 // int64. Any boxed operand routes through opArithV, which calls arith()
 // itself at runtime.
-func (lo *lowerer) arithLower(tok Token, op string, l, r lval) lval {
+func (lo *lowerer) arithLower(tok Token, op string, l, r lval, d *lval) lval {
 	if l.cl == clV || r.cl == clV {
 		lb := lo.toBoxed(l)
 		rb := lo.toBoxed(r)
@@ -884,78 +974,83 @@ func (lo *lowerer) arithLower(tok Token, op string, l, r lval) lval {
 	if l.kind == field.String || r.kind == field.String {
 		switch op {
 		case "+":
-			ls := lo.toStr(l)
-			rs := lo.toStr(r)
-			dst := lo.tmp(clS)
+			ls := lo.toStr(l, nil)
+			rs := lo.toStr(r, nil)
+			dst := lo.out(d, clS, field.String)
 			lo.emit(opConcatS, dst, ls.reg, rs.reg, 0)
 			return lval{cl: clS, kind: field.String, reg: dst}
 		case "==", "!=":
-			ls := lo.toStr(l)
-			rs := lo.toStr(r)
-			dst := lo.tmp(clI)
-			if op == "==" {
-				lo.emit(opEqS, dst, ls.reg, rs.reg, 0)
-			} else {
-				lo.emit(opNeS, dst, ls.reg, rs.reg, 0)
-			}
-			return lval{cl: clI, kind: field.Bool, reg: dst}
+			return lo.cmpValue(op, [4]opcode{opEqS, opNeS}, lo.toStr(l, nil), lo.toStr(r, nil), d)
 		default:
 			return lo.emitRuntimeErr(errAt(tok, "operator %q not defined on strings", op))
 		}
 	}
 	if l.kind.Float() || r.kind.Float() {
-		la := lo.floatPayload(l)
-		ra := lo.floatPayload(r)
+		la := lo.floatPayload(l, nil)
+		ra := lo.floatPayload(r, nil)
 		if isCmpOp(op) {
-			dst := lo.tmp(clI)
-			lo.emit(cmpOpF(op), dst, la.reg, ra.reg, 0)
-			return lval{cl: clI, kind: field.Bool, reg: dst}
+			return lo.cmpValue(op, [4]opcode{opEqF, opNeF, opLtF, opLeF}, la, ra, d)
 		}
+		var fop opcode
+		var eidx int32
 		switch op {
-		case "+", "-", "*":
-			dst := lo.tmp(clF)
-			var fop opcode
-			switch op {
-			case "+":
-				fop = opAddF
-			case "-":
-				fop = opSubF
-			default:
-				fop = opMulF
-			}
-			lo.emit(fop, dst, la.reg, ra.reg, 0)
-			return lval{cl: clF, kind: field.Float64, reg: dst}
+		case "+":
+			fop = opAddF
+		case "-":
+			fop = opSubF
+		case "*":
+			fop = opMulF
 		case "/":
-			dst := lo.tmp(clF)
-			lo.emit(opDivF, dst, la.reg, ra.reg, lo.p.errConst(errAt(tok, "division by zero")))
-			return lval{cl: clF, kind: field.Float64, reg: dst}
+			fop, eidx = opDivF, lo.p.errConst(errAt(tok, "division by zero"))
 		case "%":
 			return lo.emitRuntimeErr(errAt(tok, "%% is not defined on floats"))
 		default:
 			return lo.emitRuntimeErr(errAt(tok, "unknown operator %q", op))
 		}
+		dst := lo.out(d, clF, field.Float64)
+		lo.emit(fop, dst, la.reg, ra.reg, eidx)
+		return lval{cl: clF, kind: field.Float64, reg: dst}
 	}
 	// Integer path: both operands are int-class, payloads already Int64().
 	if isCmpOp(op) {
-		dst := lo.tmp(clI)
-		lo.emit(cmpOpI(op), dst, l.reg, r.reg, 0)
-		return lval{cl: clI, kind: field.Bool, reg: dst}
+		return lo.cmpValue(op, [4]opcode{opEqI, opNeI, opLtI, opLeI}, l, r, d)
 	}
-	dst := lo.tmp(clI)
+	var iop opcode
+	var eidx int32
 	switch op {
-	case "+":
-		lo.emit(opAddI, dst, l.reg, r.reg, 0)
-	case "-":
-		lo.emit(opSubI, dst, l.reg, r.reg, 0)
+	case "+", "-":
+		// A literal operand that fits becomes the add-immediate.
+		if c, ok := lo.constInt(r); ok {
+			if op == "-" {
+				c = -c
+			}
+			if c == int64(int32(c)) {
+				return lo.addImm(l, c, d)
+			}
+		} else if c, ok := lo.constInt(l); ok && op == "+" && c == int64(int32(c)) {
+			return lo.addImm(r, c, d)
+		}
+		iop = opAddI
+		if op == "-" {
+			iop = opSubI
+		}
 	case "*":
-		lo.emit(opMulI, dst, l.reg, r.reg, 0)
+		iop = opMulI
 	case "/":
-		lo.emit(opDivI, dst, l.reg, r.reg, lo.p.errConst(errAt(tok, "division by zero")))
+		iop, eidx = opDivI, lo.p.errConst(errAt(tok, "division by zero"))
 	case "%":
-		lo.emit(opModI, dst, l.reg, r.reg, lo.p.errConst(errAt(tok, "modulo by zero")))
+		iop, eidx = opModI, lo.p.errConst(errAt(tok, "modulo by zero"))
 	default:
 		return lo.emitRuntimeErr(errAt(tok, "unknown operator %q", op))
 	}
+	dst := lo.out(d, clI, field.Int64)
+	lo.emit(iop, dst, l.reg, r.reg, eidx)
+	return lval{cl: clI, kind: field.Int64, reg: dst}
+}
+
+func (lo *lowerer) addImm(v lval, c int64, d *lval) lval {
+	dst := lo.out(d, clI, field.Int64)
+	lo.emit(opAddKI, dst, v.reg, 0, int32(c))
 	return lval{cl: clI, kind: field.Int64, reg: dst}
 }
 
@@ -963,139 +1058,122 @@ func (lo *lowerer) arithLower(tok Token, op string, l, r lval) lval {
 
 // convert produces v coerced to kind k (Value.Convert semantics) in k's
 // register class. clV targets are handled by the callers via opConvV.
-func (lo *lowerer) convert(v lval, k field.Kind) lval {
+func (lo *lowerer) convert(v lval, k field.Kind, d *lval) lval {
 	if v.cl != clV && v.kind == k {
 		return v
 	}
 	switch k {
 	case field.Bool:
-		dst := lo.tmp(clI)
-		lo.boolIntoReg(dst, v)
+		dst := lo.out(d, clI, field.Bool)
+		lo.boolInto(dst, v)
 		return lval{cl: clI, kind: field.Bool, reg: dst}
 	case field.Int64:
-		p := lo.intPayload(v)
+		p := lo.intPayload(v, d)
 		return lval{cl: clI, kind: k, reg: p.reg}
 	case field.Int32:
-		p := lo.intPayload(v)
-		dst := lo.tmp(clI)
+		p := lo.intPayload(v, nil)
+		dst := lo.out(d, clI, k)
 		lo.emit(opTrunc32, dst, p.reg, 0, 0)
 		return lval{cl: clI, kind: k, reg: dst}
 	case field.Uint8:
-		p := lo.intPayload(v)
-		dst := lo.tmp(clI)
+		p := lo.intPayload(v, nil)
+		dst := lo.out(d, clI, k)
 		lo.emit(opTruncU8, dst, p.reg, 0, 0)
 		return lval{cl: clI, kind: k, reg: dst}
 	case field.Float32, field.Float64:
-		p := lo.floatPayload(v)
+		p := lo.floatPayload(v, d)
 		return lval{cl: clF, kind: k, reg: p.reg}
 	case field.String:
-		s := lo.toStr(v)
+		s := lo.toStr(v, d)
 		return lval{cl: clS, kind: field.String, reg: s.reg}
 	}
 	panic(lowerFail{err: fmt.Errorf("lang: cannot convert to kind %v in registers", k)})
 }
 
-func (lo *lowerer) boolIntoReg(dst int32, v lval) {
-	switch v.cl {
-	case clI:
-		lo.emit(opBoolI, dst, v.reg, 0, 0)
-	case clF:
-		lo.emit(opBoolF, dst, v.reg, 0, 0)
-	case clS:
-		lo.emit(opLdI, dst, lo.p.intConst(0), 0, 0)
-	default:
-		lo.emit(opBoolV, dst, v.reg, 0, 0)
-	}
-}
-
 // intPayload produces Value.Int64() of v in an int register.
-func (lo *lowerer) intPayload(v lval) lval {
+func (lo *lowerer) intPayload(v lval, d *lval) lval {
 	switch v.cl {
 	case clI:
 		return v
 	case clF:
-		dst := lo.tmp(clI)
+		if v.reg < 0 {
+			return lo.intLit(int64(lo.p.floats[^v.reg]), field.Int64)
+		}
+		dst := lo.out(d, clI, field.Int64)
 		lo.emit(opF2I, dst, v.reg, 0, 0)
 		return lval{cl: clI, kind: field.Int64, reg: dst}
 	case clS:
-		dst := lo.tmp(clI)
-		lo.emit(opLdI, dst, lo.p.intConst(0), 0, 0)
-		return lval{cl: clI, kind: field.Int64, reg: dst}
+		return lo.intLit(0, field.Int64)
 	default:
-		dst := lo.tmp(clI)
+		dst := lo.out(d, clI, field.Int64)
 		lo.emit(opUnboxVI, dst, v.reg, 0, 0)
 		return lval{cl: clI, kind: field.Int64, reg: dst}
 	}
 }
 
 // floatPayload produces Value.Float64() of v in a float register.
-func (lo *lowerer) floatPayload(v lval) lval {
+func (lo *lowerer) floatPayload(v lval, d *lval) lval {
 	switch v.cl {
 	case clF:
 		return v
 	case clI:
-		dst := lo.tmp(clF)
+		if c, ok := lo.constInt(v); ok {
+			return lo.floatLit(float64(c))
+		}
+		dst := lo.out(d, clF, field.Float64)
 		lo.emit(opI2F, dst, v.reg, 0, 0)
 		return lval{cl: clF, kind: field.Float64, reg: dst}
 	case clS:
-		dst := lo.tmp(clF)
-		lo.emit(opLdF, dst, lo.p.floatConst(0), 0, 0)
-		return lval{cl: clF, kind: field.Float64, reg: dst}
+		return lo.floatLit(0)
 	default:
-		dst := lo.tmp(clF)
+		dst := lo.out(d, clF, field.Float64)
 		lo.emit(opUnboxVF, dst, v.reg, 0, 0)
 		return lval{cl: clF, kind: field.Float64, reg: dst}
 	}
 }
 
 // toStr produces Value.String() of v in a string register.
-func (lo *lowerer) toStr(v lval) lval {
-	switch v.cl {
-	case clS:
+func (lo *lowerer) toStr(v lval, d *lval) lval {
+	if v.cl == clS {
 		return v
+	}
+	dst := lo.out(d, clS, field.String)
+	switch v.cl {
 	case clI:
-		dst := lo.tmp(clS)
 		if v.kind == field.Bool {
 			lo.emit(opB2S, dst, v.reg, 0, 0)
 		} else {
 			lo.emit(opI2S, dst, v.reg, 0, 0)
 		}
-		return lval{cl: clS, kind: field.String, reg: dst}
 	case clF:
-		dst := lo.tmp(clS)
 		lo.emit(opF2S, dst, v.reg, 0, 0)
-		return lval{cl: clS, kind: field.String, reg: dst}
 	default:
-		dst := lo.tmp(clS)
 		lo.emit(opV2S, dst, v.reg, 0, 0)
-		return lval{cl: clS, kind: field.String, reg: dst}
 	}
+	return lval{cl: clS, kind: field.String, reg: dst}
 }
 
 // toBoxed produces v as a boxed field.Value in a V register, preserving its
 // static kind exactly (payloads are canonical, so no conversion is applied).
 func (lo *lowerer) toBoxed(v lval) lval {
-	switch v.cl {
-	case clV:
+	if v.cl == clV {
 		return v
-	case clI:
-		dst := lo.tmp(clV)
-		lo.emit(opBoxI, dst, v.reg, int32(v.kind), 0)
-		return lval{cl: clV, kind: v.kind, reg: dst}
-	case clF:
-		dst := lo.tmp(clV)
-		lo.emit(opBoxF, dst, v.reg, int32(v.kind), 0)
-		return lval{cl: clV, kind: v.kind, reg: dst}
-	default:
-		dst := lo.tmp(clV)
-		lo.emit(opBoxS, dst, v.reg, int32(v.kind), 0)
-		return lval{cl: clV, kind: v.kind, reg: dst}
 	}
+	dst := lo.tmp(clV)
+	switch v.cl {
+	case clI:
+		lo.emit(opBoxI, dst, v.reg, int32(v.kind), 0)
+	case clF:
+		lo.emit(opBoxF, dst, v.reg, int32(v.kind), 0)
+	default:
+		lo.emit(opBoxS, dst, v.reg, int32(v.kind), 0)
+	}
+	return lval{cl: clV, kind: v.kind, reg: dst}
 }
 
 // ---- builtin calls ----
 
-func (lo *lowerer) call(ex CallExpr) lval {
+func (lo *lowerer) call(ex CallExpr, d *lval) lval {
 	argIdent := func(i int) string {
 		if i >= len(ex.Args) {
 			lo.failf(ex.Tok, "%s: missing argument %d", ex.Name, i+1)
@@ -1111,95 +1189,89 @@ func (lo *lowerer) call(ex CallExpr) lval {
 			lo.failf(ex.Tok, "%s expects %d argument(s), got %d", ex.Name, n, len(ex.Args))
 		}
 	}
-
-	switch ex.Name {
-	case "put": // put(arr, value, idx...)
+	arrayArg := func() lref {
 		name := argIdent(0)
 		ref := lo.resolve(name)
 		if ref.kind != vArray {
-			lo.failf(ex.Tok, "put: %q is not an array local", name)
+			lo.failf(ex.Tok, "%s: %q is not an array local", ex.Name, name)
 		}
+		return ref
+	}
+
+	switch ex.Name {
+	case "put": // put(arr, value, idx...)
+		ref := arrayArg()
 		if len(ex.Args) < 3 {
 			lo.failf(ex.Tok, "put expects (array, value, index...)")
 		}
 		val := lo.expr(ex.Args[1])
-		n := len(ex.Args) - 2
-		base := lo.tmpBlockI(n)
-		for i, a := range ex.Args[2:] {
-			iv := lo.expr(a)
-			p := lo.intPayload(iv)
-			lo.emitMov(clI, base+int32(i), p.reg)
-		}
-		switch lo.localCl[ref.li] {
-		case clI:
-			// The register carries the payload; FlatSetInt applies the same
-			// width truncation as slab.set, but Bool normalization needs the
-			// truth value, not the integer payload.
+		idx, n := lo.coords(ref, ex.Args[2:])
+		li := int32(ref.li)
+		switch {
+		case n < 0:
+			lo.emit(opPutV, li, lo.toBoxed(val).reg, idx[0], int32(len(ex.Args)-2))
+		case lo.localCl[ref.li] == clF:
+			lo.emit([...]opcode{opPutF1, opPutF2}[n-1], li, lo.floatPayload(val, nil).reg, idx[0], idx[1])
+		default:
+			// The register carries the payload and the store truncates to
+			// the element width like slab.set, but Bool normalization needs
+			// the truth value, not the integer payload.
 			var pv lval
 			if ref.typ == field.Bool {
-				pv = lo.convert(val, field.Bool)
+				pv = lo.convert(val, field.Bool, nil)
 			} else {
-				pv = lo.intPayload(val)
+				pv = lo.intPayload(val, nil)
 			}
-			lo.emit(opPutI, int32(ref.li), pv.reg, base, int32(n))
-		case clF:
-			pv := lo.floatPayload(val)
-			lo.emit(opPutF, int32(ref.li), pv.reg, base, int32(n))
-		default:
-			bv := lo.toBoxed(val)
-			lo.emit(opPutV, int32(ref.li), bv.reg, base, int32(n))
+			lo.emit([...]opcode{opPutI1, opPutI2}[n-1], li, pv.reg, idx[0], idx[1])
 		}
 		return val
 
 	case "get": // get(arr, idx...)
-		name := argIdent(0)
-		ref := lo.resolve(name)
-		if ref.kind != vArray {
-			lo.failf(ex.Tok, "get: %q is not an array local", name)
-		}
+		ref := arrayArg()
 		if len(ex.Args) < 2 {
 			lo.failf(ex.Tok, "get expects (array, index...)")
 		}
-		n := len(ex.Args) - 1
-		base := lo.tmpBlockI(n)
-		for i, a := range ex.Args[1:] {
-			iv := lo.expr(a)
-			p := lo.intPayload(iv)
-			lo.emitMov(clI, base+int32(i), p.reg)
+		idx, n := lo.coords(ref, ex.Args[1:])
+		li := int32(ref.li)
+		cl := lo.localCl[ref.li]
+		if n < 0 {
+			bv := lval{cl: clV, kind: field.Any, reg: lo.tmp(clV)}
+			lo.emit(opGetV, bv.reg, li, idx[0], int32(len(ex.Args)-1))
+			// A typed array of rank three or more: the element has the
+			// declared kind, so unboxing it is exact.
+			switch cl {
+			case clI:
+				dst := lo.out(d, clI, ref.typ)
+				lo.emit(opUnboxVI, dst, bv.reg, 0, 0)
+				return lval{cl: clI, kind: ref.typ, reg: dst}
+			case clF:
+				dst := lo.out(d, clF, ref.typ)
+				lo.emit(opUnboxVF, dst, bv.reg, 0, 0)
+				return lval{cl: clF, kind: ref.typ, reg: dst}
+			}
+			return bv
 		}
-		switch lo.localCl[ref.li] {
-		case clI:
-			dst := lo.tmp(clI)
-			lo.emit(opGetI, dst, int32(ref.li), base, int32(n))
-			return lval{cl: clI, kind: ref.typ, reg: dst}
-		case clF:
-			dst := lo.tmp(clF)
-			lo.emit(opGetF, dst, int32(ref.li), base, int32(n))
+		if cl == clF {
+			dst := lo.out(d, clF, ref.typ)
+			lo.emit([...]opcode{opGetF1, opGetF2}[n-1], dst, li, idx[0], idx[1])
 			return lval{cl: clF, kind: ref.typ, reg: dst}
-		default:
-			dst := lo.tmp(clV)
-			lo.emit(opGetV, dst, int32(ref.li), base, int32(n))
-			return lval{cl: clV, kind: field.Any, reg: dst}
 		}
+		dst := lo.out(d, clI, ref.typ)
+		lo.emit([...]opcode{opGetI1, opGetI2}[n-1], dst, li, idx[0], idx[1])
+		return lval{cl: clI, kind: ref.typ, reg: dst}
 
 	case "extent": // extent(arr, dim)
-		name := argIdent(0)
-		ref := lo.resolve(name)
-		if ref.kind != vArray {
-			lo.failf(ex.Tok, "extent: %q is not an array local", name)
-		}
+		ref := arrayArg()
 		wantArgs(2)
-		dim := lo.expr(ex.Args[1])
-		p := lo.intPayload(dim)
-		dst := lo.tmp(clI)
+		p := lo.intPayload(lo.expr(ex.Args[1]), nil)
+		dst := lo.out(d, clI, field.Int64)
 		lo.emit(opExtent, dst, int32(ref.li), p.reg, 0)
 		return lval{cl: clI, kind: field.Int64, reg: dst}
 
 	case "sqrt", "floor", "cos", "sin":
 		wantArgs(1)
-		arg := lo.expr(ex.Args[0])
-		fa := lo.floatPayload(arg)
-		dst := lo.tmp(clF)
+		fa := lo.floatPayload(lo.expr(ex.Args[0]), nil)
+		dst := lo.out(d, clF, field.Float64)
 		switch ex.Name {
 		case "sqrt":
 			lo.emit(opSqrtF, dst, fa.reg, 0, lo.p.errConst(errAt(ex.Tok, "sqrt of negative value")))
@@ -1221,16 +1293,14 @@ func (lo *lowerer) call(ex CallExpr) lval {
 			lo.emit(opAbsV, dst, arg.reg, 0, 0)
 			return lval{cl: clV, kind: field.Any, reg: dst}
 		case clF:
-			dst := lo.tmp(clF)
+			dst := lo.out(d, clF, field.Float64)
 			lo.emit(opAbsF, dst, arg.reg, 0, 0)
 			return lval{cl: clF, kind: field.Float64, reg: dst}
 		case clS:
 			// abs(string): integer payload 0.
-			dst := lo.tmp(clI)
-			lo.emit(opLdI, dst, lo.p.intConst(0), 0, 0)
-			return lval{cl: clI, kind: field.Int64, reg: dst}
+			return lo.intLit(0, field.Int64)
 		default:
-			dst := lo.tmp(clI)
+			dst := lo.out(d, clI, field.Int64)
 			lo.emit(opAbsI, dst, arg.reg, 0, 0)
 			return lval{cl: clI, kind: field.Int64, reg: dst}
 		}
@@ -1239,21 +1309,19 @@ func (lo *lowerer) call(ex CallExpr) lval {
 		wantArgs(2)
 		a := lo.expr(ex.Args[0])
 		b := lo.expr(ex.Args[1])
-		return lo.minMax(ex.Name, a, b)
+		return lo.minMax(ex.Name, a, b, d)
 
 	case "pow":
 		wantArgs(2)
-		a := lo.expr(ex.Args[0])
-		b := lo.expr(ex.Args[1])
-		fa := lo.floatPayload(a)
-		fb := lo.floatPayload(b)
-		dst := lo.tmp(clF)
+		fa := lo.floatPayload(lo.expr(ex.Args[0]), nil)
+		fb := lo.floatPayload(lo.expr(ex.Args[1]), nil)
+		dst := lo.out(d, clF, field.Float64)
 		lo.emit(opPowF, dst, fa.reg, fb.reg, 0)
 		return lval{cl: clF, kind: field.Float64, reg: dst}
 
 	case "now":
 		wantArgs(0)
-		dst := lo.tmp(clI)
+		dst := lo.out(d, clI, field.Int64)
 		lo.emit(opNow, dst, 0, 0, 0)
 		return lval{cl: clI, kind: field.Int64, reg: dst}
 
@@ -1263,9 +1331,8 @@ func (lo *lowerer) call(ex CallExpr) lval {
 			lo.failf(ex.Tok, "expired: %q is not a declared timer", name)
 		}
 		wantArgs(2)
-		ms := lo.expr(ex.Args[1])
-		p := lo.intPayload(ms)
-		dst := lo.tmp(clI)
+		p := lo.intPayload(lo.expr(ex.Args[1]), nil)
+		dst := lo.out(d, clI, field.Bool)
 		lo.emit(opExpired, dst, lo.p.timerConst(name), p.reg, 0)
 		return lval{cl: clI, kind: field.Bool, reg: dst}
 
@@ -1276,48 +1343,61 @@ func (lo *lowerer) call(ex CallExpr) lval {
 		}
 		wantArgs(1)
 		lo.emit(opResetTimer, lo.p.timerConst(name), 0, 0, 0)
-		dst := lo.tmp(clI)
-		lo.emit(opLdI, dst, lo.p.intConst(1), 0, 0)
-		return lval{cl: clI, kind: field.Bool, reg: dst}
+		return lo.intLit(1, field.Bool)
 	}
 	lo.failf(ex.Tok, "unknown function %q", ex.Name)
 	panic("unreachable")
+}
+
+// coords lowers the coordinates of a get or put. One or two coordinates of a
+// typed array come back as their registers, for the ops that index the view
+// directly (n is their count); anything else — a boxed array, three or more
+// coordinates — is copied into a contiguous block for the V ops (n is -1 and
+// idx[0] the block's first register).
+func (lo *lowerer) coords(ref lref, args []Expr) (idx [2]int32, n int) {
+	if len(args) <= 2 && lo.localCl[ref.li] != clV {
+		for i, a := range args {
+			idx[i] = lo.intPayload(lo.expr(a), nil).reg
+		}
+		return idx, len(args)
+	}
+	base := lo.tmpBlockI(len(args))
+	for i, a := range args {
+		p := lo.intPayload(lo.expr(a), nil)
+		lo.emitMov(clI, base+int32(i), p.reg)
+	}
+	idx[0] = base
+	return idx, -1
 }
 
 // minMax lowers min/max with the interpreter's kind rules: float promotion if
 // either side is floating, otherwise the raw winning operand. The raw-operand
 // int path returns the operand itself (kind included), so mixed static kinds
 // must go through the boxed helper.
-func (lo *lowerer) minMax(name string, a, b lval) lval {
+func (lo *lowerer) minMax(name string, a, b lval, d *lval) lval {
 	vop, iop, fop := opMinV, opMinI, opMinF
 	if name == "max" {
 		vop, iop, fop = opMaxV, opMaxI, opMaxF
 	}
-	if a.cl == clV || b.cl == clV {
-		ab := lo.toBoxed(a)
-		bb := lo.toBoxed(b)
-		dst := lo.tmp(clV)
-		lo.emit(vop, dst, ab.reg, bb.reg, 0)
-		return lval{cl: clV, kind: field.Any, reg: dst}
-	}
-	if a.cl == clF || b.cl == clF {
-		fa := lo.floatPayload(a)
-		fb := lo.floatPayload(b)
-		dst := lo.tmp(clF)
+	switch {
+	case a.cl == clV || b.cl == clV:
+	case a.cl == clF || b.cl == clF:
+		fa := lo.floatPayload(a, nil)
+		fb := lo.floatPayload(b, nil)
+		dst := lo.out(d, clF, field.Float64)
 		lo.emit(fop, dst, fa.reg, fb.reg, 0)
 		return lval{cl: clF, kind: field.Float64, reg: dst}
-	}
-	if a.cl == clS && b.cl == clS {
+	case a.cl == clS && b.cl == clS:
 		// Both payloads are 0, so the comparison never favors the first
 		// operand: the result is always the second.
 		return b
-	}
-	if a.cl == clI && b.cl == clI && a.kind == b.kind {
-		dst := lo.tmp(clI)
+	case a.cl == clI && b.cl == clI && a.kind == b.kind:
+		dst := lo.out(d, clI, a.kind)
 		lo.emit(iop, dst, a.reg, b.reg, 0)
 		return lval{cl: clI, kind: a.kind, reg: dst}
 	}
-	// Mixed int/string kinds: the winning operand's kind is data-dependent.
+	// Boxed operands, or mixed int/string kinds where the winning operand's
+	// kind is data-dependent.
 	ab := lo.toBoxed(a)
 	bb := lo.toBoxed(b)
 	dst := lo.tmp(clV)

@@ -11,8 +11,6 @@
 #              frames vs the gob-per-store baseline -> BENCH_transport.json
 #   obs        figure 9/10 workloads with observability off / metrics /
 #              full tracing (overhead A/B)          -> BENCH_obs.json
-#   lang       kernel-language back-end A/B: closure interpreter vs register
-#              bytecode vs native Go on three kernel bodies -> BENCH_lang.json
 #   all        every suite
 #
 # Usage: scripts/bench_json.sh [benchtime] [suite]   (default 1s scheduler)
@@ -82,18 +80,14 @@ transport)
 obs)
 	emit BENCH_obs.json 'ObsOverhead' .
 	;;
-lang)
-	emit BENCH_lang.json 'Lang(MulSum|KMeans|Wavefront)' .
-	;;
 all)
 	emit BENCH_scheduler.json 'Fig9MJPEG|Fig10KMeans|Dispatch|Analyzer' . ./internal/runtime/
 	emit BENCH_memory.json 'Fig9MJPEG$|Fig10KMeans$|FieldStoreSlab|WireEncodeFrame|FieldFetchView' .
 	emit BENCH_transport.json 'TransportMJPEG|FrameEncodeScatter' .
 	emit BENCH_obs.json 'ObsOverhead' .
-	emit BENCH_lang.json 'Lang(MulSum|KMeans|Wavefront)' .
 	;;
 *)
-	echo "unknown suite: $suite (want scheduler, memory, transport, obs, lang, or all)" >&2
+	echo "unknown suite: $suite (want scheduler, memory, transport, obs, or all)" >&2
 	exit 2
 	;;
 esac
