@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci test-fault fuzz-lang bench-smoke bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
+.PHONY: all build test race norace layers vet fmt-check ci test-fault fuzz-lang bench-smoke bench bench-full clean
 
 all: build
 
@@ -13,6 +13,16 @@ test:
 race:
 	$(GO) test -race ./...
 
+# norace re-runs the packages whose allocation pins (zero-alloc dispatch, slab
+# and frame pool reuse) skip themselves under the race detector, which
+# allocates on its own.
+norace:
+	$(GO) test -count=1 ./internal/field/ ./internal/runtime/ ./internal/dist/
+
+# layers asserts the package DAG (see the script's header for the rules).
+layers:
+	scripts/layers.sh
+
 vet:
 	$(GO) vet ./...
 
@@ -20,9 +30,9 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# ci is the tier-1 gate: formatting, static checks, build, and the full test
-# suite under the race detector.
-ci: fmt-check vet build race
+# ci is the tier-1 gate: formatting, static checks, layering, build, the full
+# test suite under the race detector and the allocation pins without it.
+ci: fmt-check vet layers build race norace
 
 # test-fault is the fault-injection gate (also run by ci.sh): the failover,
 # liveness, and teardown regression tests under the race detector — every
@@ -48,48 +58,16 @@ fuzz-lang:
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test -race -count=2 .
 
-# bench is the scheduler smoke gate (also run by ci.sh): one iteration of the
-# figure 9/10 sweeps and the dispatch benchmark, enough to catch crashes or
-# stalls in the dispatch fast path without a full measurement run.
+# bench is the benchmark crash gate (also run by ci.sh): every testing.B target
+# of the root package once, so what bench_test.go holds keeps compiling and
+# running. Measurement is the ledger's job (bench/); bench-full is the long
+# form of this suite.
 bench:
-	$(GO) test -bench 'Fig9|Fig10|Dispatch|Analyzer' -benchtime=1x -count=1 .
-
-# bench-mem is the memory-path smoke gate (also run by ci.sh): the typed slab
-# store and wire-encode benchmarks with allocation reporting, enough to catch
-# regressions that reintroduce boxing or per-element allocation on the bulk
-# store/fetch path.
-bench-mem:
-	$(GO) test -bench 'FieldStoreSlab|WireEncodeFrame|FieldFetchView' -benchmem -benchtime=100x -count=1 -run xxx .
-
-# bench-transport is the distributed-transport smoke gate (also run by
-# ci.sh): one framed and one gob-per-store distributed MJPEG encode over TCP
-# loopback, enough to catch protocol or framing breaks on the store path.
-bench-transport:
-	$(GO) test -bench 'TransportMJPEG|FrameEncodeScatter' -benchtime=1x -count=1 -run xxx .
-
-# bench-obs is the observability smoke gate (also run by ci.sh): one run of
-# the figure 9/10 workloads under each observability setting (off, metrics,
-# full tracing), plus the allocation test pinning the tracing-off dispatch
-# path at zero allocs — enough to catch instrumentation leaking into the
-# fast path.
-bench-obs:
-	$(GO) test -bench 'ObsOverhead' -benchtime=1x -count=1 -run xxx .
-	$(GO) test -run DispatchTracingOffAllocFree -count=1 ./internal/runtime/
-
-# bench-lang is the kernel-language back-end smoke gate (also run by ci.sh):
-# one iteration of each kernel body under the closure interpreter, the
-# register-bytecode VM, and the native Go baseline — enough to catch lowering
-# fallbacks or VM crashes on the benchmark kernels.
-bench-lang:
-	$(GO) test -bench 'Lang(MulSum|KMeans|Wavefront)' -benchtime=1x -count=1 -run xxx .
+	$(GO) test -run xxx -bench . -benchtime=1x .
 
 # bench-full is the measurement run over the whole benchmark suite.
 bench-full:
 	$(GO) test -bench=. -benchmem .
-
-# bench-json runs the scheduler A/B benchmarks and emits BENCH_scheduler.json.
-bench-json:
-	scripts/bench_json.sh
 
 clean:
 	$(GO) clean ./...

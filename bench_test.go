@@ -16,8 +16,7 @@ package p2g
 //	BenchmarkDCT           — naive vs AAN fast DCT (ref [2])
 //	BenchmarkFieldStoreSlab — bulk row store through the typed slab memory path
 //	BenchmarkWireEncodeFrame — typed-slab wire encoding of one frame component
-//	BenchmarkTransportMJPEG — distributed MJPEG encode over TCP loopback,
-//	                          framed typed transport vs gob-per-store baseline
+//	BenchmarkTransportMJPEG — distributed MJPEG encode over TCP loopback
 //	BenchmarkObsOverhead*  — tracing-off vs metrics vs full-tracing overhead
 //	                          on the figure 9/10 workloads (gate: off ≈ free)
 
@@ -53,66 +52,41 @@ func benchWorkers(b *testing.B, run func(workers int) error) {
 	}
 }
 
-func benchFig9MJPEG(b *testing.B, kind runtime.SchedulerKind) {
+func BenchmarkFig9MJPEG(b *testing.B) {
 	const frames = 2
 	benchWorkers(b, func(w int) error {
 		prog := workloads.MJPEG(workloads.MJPEGConfig{
 			Source:  video.NewCIFSource(frames, 42),
 			FastDCT: true, // keep bench iterations fast; shape is identical
 		})
-		_, err := runtime.Run(prog, runtime.Options{Workers: w, Scheduler: kind})
+		_, err := runtime.Run(prog, runtime.Options{Workers: w})
 		return err
 	})
 }
 
-func BenchmarkFig9MJPEG(b *testing.B) { benchFig9MJPEG(b, runtime.SchedStealing) }
-
-// BenchmarkFig9MJPEGRefQueue is the A/B baseline on the reference global
-// ready queue (Options.Scheduler = SchedGlobal).
-func BenchmarkFig9MJPEGRefQueue(b *testing.B) { benchFig9MJPEG(b, runtime.SchedGlobal) }
-
-func benchFig10KMeans(b *testing.B, kind runtime.SchedulerKind) {
+func BenchmarkFig10KMeans(b *testing.B) {
 	cfg := workloads.KMeansConfig{N: 500, K: 25, Iter: 5, Dim: 2, Seed: 7}
 	benchWorkers(b, func(w int) error {
-		opts := workloads.KMeansOptions(cfg, w)
-		opts.Scheduler = kind
-		_, err := runtime.Run(workloads.KMeans(cfg), opts)
+		_, err := runtime.Run(workloads.KMeans(cfg), workloads.KMeansOptions(cfg, w))
 		return err
 	})
 }
-
-func BenchmarkFig10KMeans(b *testing.B) { benchFig10KMeans(b, runtime.SchedStealing) }
-
-// BenchmarkFig10KMeansRefQueue is the A/B baseline on the reference queue.
-func BenchmarkFig10KMeansRefQueue(b *testing.B) { benchFig10KMeans(b, runtime.SchedGlobal) }
 
 // BenchmarkAnalyzerSharded sweeps the analyzer shard count on the figure 10
 // K-means 8-worker configuration (the workload whose scaling §VIII-B blames
-// on the serial analyzer); BenchmarkAnalyzerSerial is the A/B reference.
+// on the single analyzer thread, which is shards=1).
 func BenchmarkAnalyzerSharded(b *testing.B) {
 	cfg := workloads.KMeansConfig{N: 500, K: 25, Iter: 5, Dim: 2, Seed: 7}
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := workloads.KMeansOptions(cfg, 8)
-				opts.Analyzer = runtime.AnalyzerSharded
 				opts.AnalyzerShards = shards
 				if _, err := runtime.Run(workloads.KMeans(cfg), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkAnalyzerSerial(b *testing.B) {
-	cfg := workloads.KMeansConfig{N: 500, K: 25, Iter: 5, Dim: 2, Seed: 7}
-	for i := 0; i < b.N; i++ {
-		opts := workloads.KMeansOptions(cfg, 8)
-		opts.Analyzer = runtime.AnalyzerSerial
-		if _, err := runtime.Run(workloads.KMeans(cfg), opts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -206,22 +180,15 @@ func BenchmarkBaselineKMeansSequential(b *testing.B) {
 // in internal/runtime; this whole-run variant includes program build and
 // analyzer work.)
 func BenchmarkDispatch(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		kind runtime.SchedulerKind
-	}{{"stealing", runtime.SchedStealing}, {"refqueue", runtime.SchedGlobal}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := runtime.Run(workloads.MulSum(), runtime.Options{Workers: 1, MaxAge: 100, Scheduler: c.kind})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(rep.Kernel("mul2").DispatchPer().Nanoseconds()), "dispatch-ns/inst")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := runtime.Run(workloads.MulSum(), runtime.Options{Workers: 1, MaxAge: 100})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(rep.Kernel("mul2").DispatchPer().Nanoseconds()), "dispatch-ns/inst")
+		}
 	}
 }
 
@@ -341,8 +308,9 @@ func BenchmarkWireEncodeFrame(b *testing.B) {
 // BenchmarkFieldFetchView measures the zero-copy whole-generation fetch: a
 // read-only view of one chroma frame component aliases the generation slab,
 // so the per-dispatch cost is a refcount and a header write regardless of
-// payload size. The "copy" sub-benchmark is the pre-view SnapshotInto path on
-// the same generation, for the MB/op delta.
+// payload size. The "copy" sub-benchmark is the SnapshotInto path — what a
+// fetch falls back to when its generation cannot be pinned — on the same
+// generation, for the MB/op delta.
 func BenchmarkFieldFetchView(b *testing.B) {
 	a := field.NewArray(field.Int32, 396, 64)
 	for i := 0; i < a.Len(); i++ {
@@ -415,7 +383,7 @@ func BenchmarkFrameEncodeScatter(b *testing.B) {
 // runTransportMJPEG executes one distributed MJPEG encode across two TCP
 // loopback workers and returns the total bytes that crossed the master's
 // sockets (both directions, gob envelope included).
-func runTransportMJPEG(frames int, disableFrames bool) (int64, error) {
+func runTransportMJPEG(frames int) (int64, error) {
 	mkProg := func() *core.Program {
 		return workloads.MJPEG(workloads.MJPEGConfig{
 			Source:  video.NewSynthetic(128, 128, frames, 4),
@@ -438,10 +406,9 @@ func runTransportMJPEG(frames int, disableFrames bool) (int64, error) {
 				return
 			}
 			_, err = dist.RunWorker(dist.WorkerConfig{
-				NodeID:        fmt.Sprintf("w%d", i),
-				Cores:         2,
-				Prog:          mkProg(),
-				DisableFrames: disableFrames,
+				NodeID: fmt.Sprintf("w%d", i),
+				Cores:  2,
+				Prog:   mkProg(),
 			}, conn)
 			errc <- err
 		}(i)
@@ -473,31 +440,20 @@ func runTransportMJPEG(frames int, disableFrames bool) (int64, error) {
 }
 
 // BenchmarkTransportMJPEG measures a whole distributed MJPEG encode over TCP
-// loopback with two execution nodes: the batched typed-frame transport
-// against the gob-per-store baseline (WorkerConfig.DisableFrames). ns/op is
-// the end-to-end encode latency; wire-B/op is the measured socket traffic.
+// loopback with two execution nodes. ns/op is the end-to-end encode latency;
+// wire-B/op is the measured socket traffic.
 func BenchmarkTransportMJPEG(b *testing.B) {
 	workloads.RegisterPayloads()
 	const frames = 4
-	for _, c := range []struct {
-		name    string
-		disable bool
-	}{
-		{"frames", false},
-		{"gob-per-store", true},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			var wireBytes int64
-			for i := 0; i < b.N; i++ {
-				n, err := runTransportMJPEG(frames, c.disable)
-				if err != nil {
-					b.Fatal(err)
-				}
-				wireBytes += n
-			}
-			b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/op")
-		})
+	var wireBytes int64
+	for i := 0; i < b.N; i++ {
+		n, err := runTransportMJPEG(frames)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wireBytes += n
 	}
+	b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/op")
 }
 
 // runTransportMJPEGFailover executes one distributed MJPEG encode across two

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 verification gate, equivalent to `make ci`: formatting, vet, build,
-# and the full test suite under the race detector.
+# Tier-1 verification gate: `make ci` (formatting, vet, layering, build, the
+# full test suite under the race detector, the allocation pins without it)
+# plus the fault-injection, fuzz and benchmark gates below.
 set -eu
 cd "$(dirname "$0")"
 
@@ -11,8 +12,14 @@ if [ -n "$out" ]; then
 	exit 1
 fi
 go vet ./...
+# Layering gate (`make layers`): the package DAG the design relies on.
+scripts/layers.sh
 go build ./...
 go test -race ./...
+# Allocation pins (`make norace`): the zero-alloc dispatch, slab and frame
+# pool-reuse tests skip themselves under the race detector, which allocates on
+# its own, so the three packages that hold them run once more without it.
+go test -count=1 ./internal/field/ ./internal/runtime/ ./internal/dist/
 # Fault-injection gate (`make test-fault`): the failover, liveness, and
 # teardown regression tests under the race detector, each driving a real
 # master/worker pair through a severed, wedged, or silently dropping
@@ -32,22 +39,6 @@ go test -run '^$' -fuzz '^FuzzBackendsAgree$' -fuzztime=10s -fuzzminimizetime=0 
 # in the repository. The step only invokes the ledger; it changes nothing
 # under bench/.
 (cd bench && go vet . && go test -race -count=2 .)
-# Scheduler smoke gate: one iteration of the figure 9/10 sweeps and the
-# dispatch benchmark (`make bench`) to catch crashes or stalls in the
-# dispatch fast path.
-go test -bench 'Fig9|Fig10|Dispatch|Analyzer' -benchtime=1x -count=1 .
-# Memory-path smoke gate (`make bench-mem`): the typed slab store and
-# wire-encode benchmarks with allocation reporting.
-go test -bench 'FieldStoreSlab|WireEncodeFrame|FieldFetchView' -benchmem -benchtime=100x -count=1 -run xxx .
-# Distributed-transport smoke gate (`make bench-transport`): one framed and
-# one gob-per-store distributed MJPEG encode over TCP loopback.
-go test -bench 'TransportMJPEG|FrameEncodeScatter' -benchtime=1x -count=1 -run xxx .
-# Observability smoke gate (`make bench-obs`): the figure 9/10 workloads under
-# each observability setting, and the tracing-off dispatch path pinned at
-# zero allocations per instance.
-go test -bench 'ObsOverhead' -benchtime=1x -count=1 -run xxx .
-go test -run DispatchTracingOffAllocFree -count=1 ./internal/runtime/
-# Kernel-language back-end smoke gate (`make bench-lang`): each benchmark
-# kernel body once under the closure interpreter, the register-bytecode VM,
-# and the native Go baseline — catches lowering fallbacks and VM crashes.
-go test -bench 'Lang(MulSum|KMeans|Wavefront)' -benchtime=1x -count=1 -run xxx .
+# Benchmark crash gate (`make bench`): every testing.B target of the root
+# package once, so what bench_test.go holds keeps compiling and running.
+go test -run xxx -bench . -benchtime=1x .

@@ -25,7 +25,6 @@ func main() {
 	speed := flag.Float64("speed", 1, "relative speed factor reported to the master")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of this node's kernel instances")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metricz, /statusz and /tracez on this address, e.g. :9091")
-	gobStores := flag.Bool("gob-stores", false, "send one gob-encoded store message per notice instead of batched typed frames (A/B baseline)")
 	standby := flag.Bool("standby", false, "register as a hot spare: wait without a partition until the master promotes this node after a peer dies (requires the master to run with -failover and -standbys)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "bound every blocking transport operation once the run starts, so a dead master errors instead of wedging (e.g. 30s; 0 = unbounded)")
 	flag.Parse()
@@ -63,7 +62,6 @@ func main() {
 		Factory:       workloads.FromSpec,
 		BoundsFactory: workloads.SpecBounds,
 		Output:        os.Stdout,
-		DisableFrames: *gobStores,
 		Standby:       *standby,
 		IdleTimeout:   *idleTimeout,
 		Metrics:       reg,

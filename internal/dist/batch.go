@@ -75,11 +75,8 @@ func newStoreBatcher(emit func(*Msg, *runtime.StoreFrame), reg *obs.Registry, no
 }
 
 // add appends one store notice to its generation's frame, emitting the frame
-// immediately when it crosses a flush threshold. Safe on a nil batcher.
+// immediately when it crosses a flush threshold.
 func (b *storeBatcher) add(sn runtime.StoreNotice) error {
-	if b == nil {
-		return nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	k := genKey{field: sn.Field, age: sn.Age}
@@ -108,12 +105,8 @@ func (b *storeBatcher) add(sn runtime.StoreNotice) error {
 	return nil
 }
 
-// flushAll emits every pending frame in first-store order. Safe on a nil
-// batcher.
+// flushAll emits every pending frame in first-store order.
 func (b *storeBatcher) flushAll() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, k := range b.order {

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"net"
+	goruntime "runtime"
 	"testing"
 
 	"repro/internal/field"
@@ -170,5 +171,51 @@ func TestTCPSendFrameInterleaved(t *testing.T) {
 	}
 	if m.Age != 9 || !bytes.Equal(m.Frame, want) {
 		t.Fatalf("forwarded frame corrupted: age=%d len=%d", m.Age, len(m.Frame))
+	}
+}
+
+// TestTCPRecvHostileFrameLen: an envelope may announce any frame length up to
+// maxRecvFrameLen, but memory is committed only as payload bytes arrive. A
+// peer that announces the maximum and hangs up must cost an error and a few
+// MiB, not a 1 GiB allocation.
+func TestTCPRecvHostileFrameLen(t *testing.T) {
+	cli, srv := tcpPair(t)
+	if err := cli.Send(&Msg{Kind: MStoreFrame, Field: "pixels", FrameLen: maxRecvFrameLen - 1}); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	m, err := srv.Recv()
+	goruntime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("Recv returned a message (%d frame bytes) for a frame that never arrived", len(m.Frame))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Errorf("Recv allocated %d MiB for an announced-but-unsent frame, want < 8 MiB", grew>>20)
+	}
+}
+
+// TestTCPRecvLargeFrame: a frame longer than one receive chunk arrives
+// intact through the growing buffer.
+func TestTCPRecvLargeFrame(t *testing.T) {
+	cli, srv := tcpPair(t)
+	payload := make([]byte, 3*recvFrameChunk+12345)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	errs := make(chan error, 1)
+	go func() {
+		errs <- cli.(FrameConn).SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels"}, net.Buffers{payload})
+	}()
+	m, err := srv.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Frame, payload) || m.FrameLen != 0 {
+		t.Fatalf("received %d frame bytes (FrameLen %d), want the %d sent", len(m.Frame), m.FrameLen, len(payload))
 	}
 }

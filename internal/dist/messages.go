@@ -16,7 +16,6 @@ const (
 	MRegister    MsgKind = iota // worker → master: here I am, this is my capacity
 	MAssign                     // master → worker: your kernel partition
 	MStart                      // master → worker: begin execution
-	MStore                      // worker ↔ master: a store event (forwarded to subscribers)
 	MDone                       // worker ↔ master: a kernel-age completed
 	MPing                       // master → worker: report status
 	MStatus                     // worker → master: idle state and event counters
@@ -44,8 +43,6 @@ func (k MsgKind) String() string {
 		return "MAssign"
 	case MStart:
 		return "MStart"
-	case MStore:
-		return "MStore"
 	case MDone:
 		return "MDone"
 	case MPing:
@@ -98,9 +95,6 @@ type Msg struct {
 	// generations and re-executed kernels are idempotent (see
 	// runtime.Options.MergeStores).
 	Failover bool
-
-	// MStore
-	Store runtime.StoreNotice
 
 	// MStoreFrame: a whole-generation batch of store notices encoded by
 	// runtime.StoreFrame. Field and Age mirror the frame header so the

@@ -134,7 +134,7 @@ func TestBrokerReadersExit(t *testing.T) {
 		// master's shadow inject; the rest overfill the 1024-entry conn
 		// buffer plus the 1024-entry inbox so the reader must block.
 		for i := 0; i < 3000; i++ {
-			if wc.Send(&Msg{Kind: MStore, Store: runtime.StoreNotice{Field: "nope", Value: field.Int32Val(1)}}) != nil {
+			if wc.Send(storeFrameMsg(runtime.StoreNotice{Field: "nope", Value: field.Int32Val(1)})) != nil {
 				break
 			}
 		}
@@ -174,6 +174,17 @@ func goroutineCountStable(t *testing.T) int {
 		last = n
 	}
 	return last
+}
+
+// storeFrameMsg wraps one store notice in a one-entry MStoreFrame, the way a
+// scripted (fake) worker publishes a store.
+func storeFrameMsg(sn runtime.StoreNotice) *Msg {
+	var f runtime.StoreFrame
+	f.Reset(sn.Field, sn.Age)
+	if err := f.Add(sn); err != nil {
+		panic(err)
+	}
+	return &Msg{Kind: MStoreFrame, Field: sn.Field, Age: sn.Age, Frame: f.Bytes()}
 }
 
 // bigStoreProg stores one elems-element int32 generation; the slab dominates
@@ -361,17 +372,11 @@ func TestStoreBatcherFlush(t *testing.T) {
 	if len(msgs) != 5 {
 		t.Errorf("empty flushAll emitted frames")
 	}
-	// Nil batcher (frames disabled) is a no-op.
-	var nilB *storeBatcher
-	if err := nilB.add(script[0]); err != nil {
-		t.Error(err)
-	}
-	nilB.flushAll()
 }
 
 // distMJPEGOverTCP runs the MJPEG pipeline across two TCP workers and
 // returns the shadow's concatenated bitstream.
-func distMJPEGOverTCP(t *testing.T, frames int, disableFrames bool) []byte {
+func distMJPEGOverTCP(t *testing.T, frames int) []byte {
 	t.Helper()
 	mkProg := func() *core.Program {
 		return workloads.MJPEG(workloads.MJPEGConfig{
@@ -397,10 +402,9 @@ func distMJPEGOverTCP(t *testing.T, frames int, disableFrames bool) []byte {
 				return
 			}
 			if _, err := RunWorker(WorkerConfig{
-				NodeID:        fmt.Sprintf("tcp%d", i),
-				Cores:         2,
-				Prog:          mkProg(),
-				DisableFrames: disableFrames,
+				NodeID: fmt.Sprintf("tcp%d", i),
+				Cores:  2,
+				Prog:   mkProg(),
 			}, conn); err != nil {
 				errs <- fmt.Errorf("worker %d: %w", i, err)
 			}
@@ -437,9 +441,9 @@ func distMJPEGOverTCP(t *testing.T, frames int, disableFrames bool) []byte {
 	return stream
 }
 
-// TestDistributedMJPEGOverTCPBitIdentical: the framed transport (and its gob
-// A/B baseline) must produce a bitstream identical to the single-node
-// encoder, over real TCP with gob envelopes.
+// TestDistributedMJPEGOverTCPBitIdentical: the framed transport must produce
+// a bitstream identical to the single-node encoder, over real TCP with gob
+// envelopes.
 func TestDistributedMJPEGOverTCPBitIdentical(t *testing.T) {
 	workloads.RegisterPayloads()
 	const frames = 3
@@ -448,19 +452,9 @@ func TestDistributedMJPEGOverTCPBitIdentical(t *testing.T) {
 	if _, err := enc.EncodeStream(video.NewSynthetic(32, 32, frames, 4), &baseline); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name          string
-		disableFrames bool
-	}{
-		{"frames", false},
-		{"gob-per-store", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			stream := distMJPEGOverTCP(t, frames, tc.disableFrames)
-			if !bytes.Equal(stream, baseline.Bytes()) {
-				t.Errorf("distributed bitstream (%d bytes) differs from baseline (%d bytes)",
-					len(stream), baseline.Len())
-			}
-		})
+	stream := distMJPEGOverTCP(t, frames)
+	if !bytes.Equal(stream, baseline.Bytes()) {
+		t.Errorf("distributed bitstream (%d bytes) differs from baseline (%d bytes)",
+			len(stream), baseline.Len())
 	}
 }

@@ -296,9 +296,33 @@ func (c *tcpConn) SendFrame(m *Msg, segs net.Buffers) error {
 	return nil
 }
 
-// maxRecvFrameLen bounds the raw frame allocation on receive, so a corrupt
-// or malicious FrameLen cannot demand unbounded memory.
+// maxRecvFrameLen bounds the raw frame length a peer may announce.
 const maxRecvFrameLen = 1 << 30
+
+// recvFrameChunk is the least by which readFrame's buffer runs ahead of the
+// bytes that have arrived.
+const recvFrameChunk = 1 << 20
+
+// readFrame reads the n raw frame bytes an envelope announced. The buffer
+// grows as bytes arrive — recvFrameChunk, or as much again as already read,
+// ahead of them — so a corrupt or hostile FrameLen costs memory in proportion
+// to what the peer really sent, not to what it claimed.
+func readFrame(r io.Reader, n int) ([]byte, error) {
+	raw := make([]byte, min(n, recvFrameChunk))
+	for read := 0; ; {
+		m, err := io.ReadFull(r, raw[read:])
+		read += m
+		if err != nil {
+			return nil, err
+		}
+		if read == n {
+			return raw, nil
+		}
+		grown := make([]byte, min(n, read+max(read, recvFrameChunk)))
+		copy(grown, raw)
+		raw = grown
+	}
+}
 
 func (c *tcpConn) Recv() (*Msg, error) {
 	if d := c.idle.Load(); d > 0 {
@@ -315,8 +339,8 @@ func (c *tcpConn) Recv() (*Msg, error) {
 		if d := c.idle.Load(); d > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(time.Duration(d)))
 		}
-		raw := make([]byte, m.FrameLen)
-		if _, err := io.ReadFull(c.br, raw); err != nil {
+		raw, err := readFrame(c.br, m.FrameLen)
+		if err != nil {
 			return nil, fmt.Errorf("dist: reading raw store frame: %w", c.idleErr("recv", err))
 		}
 		m.Frame = raw

@@ -38,12 +38,6 @@ type WorkerConfig struct {
 	KernelMaxAge map[string]int
 	Granularity  map[string]int
 
-	// DisableFrames reverts the send path to one gob-encoded MStore per
-	// store notice (the pre-framing wire behavior). Kept for A/B
-	// comparison: the transport benchmark and the worker binary's
-	// -gob-stores flag use it.
-	DisableFrames bool
-
 	// Standby registers this worker as a hot spare: it sends MJoin instead
 	// of MRegister, receives no initial partition, and waits (answering
 	// clock probes) until the master either promotes it after a peer's
@@ -236,10 +230,7 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 		// (bounding how long an incomplete generation can sit unsent). With
 		// a tracer it also stamps each frame with a causal trace id and
 		// records the emit span.
-		batcher = nil
-		if !cfg.DisableFrames {
-			batcher = newStoreBatcher(sendFrame, reg, cfg.NodeID, cfg.Tracer)
-		}
+		batcher = newStoreBatcher(sendFrame, reg, cfg.NodeID, cfg.Tracer)
 		b := batcher
 		n, err := runtime.NewNode(prog, runtime.Options{
 			Workers:       cfg.Cores,
@@ -254,17 +245,13 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 			MergeStores:   failover,
 			OnStore: func(sn runtime.StoreNotice) {
 				sent.Add(1)
-				if b != nil {
-					if err := b.add(sn); err != nil {
-						send(&Msg{Kind: MError, Err: err.Error()})
-						select {
-						case sendErr <- err:
-						default:
-						}
+				if err := b.add(sn); err != nil {
+					send(&Msg{Kind: MError, Err: err.Error()})
+					select {
+					case sendErr <- err:
+					default:
 					}
-					return
 				}
-				send(&Msg{Kind: MStore, Store: sn})
 			},
 			OnKernelDone: func(kernel string, age int) {
 				sent.Add(1)
@@ -422,13 +409,6 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 		}
 		m := in.m
 		switch m.Kind {
-		case MStore:
-			received.Add(1)
-			if err := node.InjectStore(m.Store); err != nil {
-				send(&Msg{Kind: MError, Err: err.Error()})
-				teardown()
-				return rep, err
-			}
 		case MStoreFrame:
 			received.Add(1)
 			injectFrom := cfg.Tracer.Now()

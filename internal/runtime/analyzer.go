@@ -3,6 +3,9 @@ package runtime
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -11,10 +14,10 @@ import (
 
 // event is the message kernel instances send to the dependency analyzer. The
 // paper's prototype is "a push-based system using event subscriptions on
-// field operations": store statements emit events, and the analyzer — running
-// in its own dedicated goroutine — derives every new valid combination of age
-// and index variables that became runnable. Workers buffer events locally and
-// flush them in batches (one channel send per batch); see workerState.
+// field operations": store statements emit events, and the analyzer derives
+// every new valid combination of age and index variables that became
+// runnable. Workers buffer events locally and flush them in batches (one
+// channel send per batch); see workerState.
 type event struct {
 	isDone bool
 
@@ -76,40 +79,123 @@ func (ev *event) elem(dst *[4]int) []int {
 	return dst[:ev.elemN]
 }
 
-type actionKind uint8
+// fieldGen identifies one generation of one field.
+type fieldGen struct {
+	fs *fieldState
+	g  int
+}
+
+// ctlKind enumerates the cross-shard control messages. Everything that must
+// be sequenced against field completeness runs through shard 0 (the
+// completion authority); completeness itself fans back out as a broadcast.
+type ctlKind uint8
 
 const (
-	actFieldComplete actionKind = iota
-	actTrackerComplete
+	// ctlEnsure (to shard 0) materializes a fieldAgeState so generations
+	// with zero expected producers complete immediately.
+	ctlEnsure ctlKind = iota
+	// ctlTrackerComplete (to shard 0) runs producer/consumer accounting for
+	// a finished kernel-age.
+	ctlTrackerComplete
+	// ctlFieldComplete (broadcast) announces a complete field generation;
+	// each shard updates its completeness replica and satisfies its own
+	// trackers, giving exactly-once bindsDone counting per shard.
+	ctlFieldComplete
+	// ctlCreateTracker (to the owning shard) bootstraps a run-once kernel.
+	ctlCreateTracker
+	// ctlCreateSource (to the owning shard) creates a source kernel's
+	// tracker at the given age (bootstrap and the age+1 continuation).
+	ctlCreateSource
 )
 
-type action struct {
-	kind actionKind
+type ctlMsg struct {
+	kind ctlKind
 	fs   *fieldState
 	age  int
 	t    *ageTracker
+	ks   *kernelState
 }
 
-// analyzer is the dependency analyzer half of the low-level scheduler. It is
-// single-threaded by design (the paper's §VIII-B attributes the K-means
-// scaling limit to exactly this serial component).
+// analyzer is the dependency analyzer half of the low-level scheduler:
+// Options.AnalyzerShards anShard goroutines, each owning the trackers whose
+// (kernel, age) hashes to it, fed by per-shard event channels so workers never
+// contend on a single analyzer inbox. With one shard it is the paper's single
+// dedicated analyzer thread, to which §VIII-B attributes the K-means scaling
+// limit; the scheduler's age epoch keeps dispatch oldest-age-first however
+// many shards feed it.
+//
+// Quiescence is a single atomic: pending counts every unit of in-flight work
+// (buffered worker batches, injected batches, posted control messages, and
+// ready-but-not-done instances). Every increment for spawned work happens
+// before the spawning unit's own decrement, so pending == 0 at any instant
+// proves global quiescence; shards still double-check with the activity
+// counter before shutting down.
 type analyzer struct {
-	n             *Node
-	actions       []action
-	stopRequested bool
-	// outstanding counts instances handed to the ready queue whose done
-	// event has not yet been processed. Quiescence is outstanding == 0
-	// with no pending events or unflushed ready instances.
-	outstanding int
-	slicer      slicer
+	n       *Node
+	shards  []*anShard
+	allMask uint64 // bit per shard; shard count is capped at 64
 
-	// High-water marks for the report's queue columns (backlog counts event
-	// batches, the channel's unit).
+	pending  atomic.Int64
+	activity atomic.Int64
+
+	stopping     atomic.Bool
+	quiesceOnce  sync.Once
+	done         chan struct{}
+	shutdownOnce sync.Once
+
+	// injectEnsured dedups the one control message injected stores need: a
+	// local store's producer reaches shard 0 via tracker completion, but a
+	// store injected from a remote node must materialize its generation's
+	// completeness state explicitly.
+	injectEnsureMu sync.Mutex
+	injectEnsured  map[fieldGen]struct{}
+
+	wg sync.WaitGroup
+}
+
+// anShard is one analyzer shard: a goroutine owning the trackers of every
+// (kernel, age) pair that hashes to it, its bounded event channel (workers
+// and injectors), and an unbounded control mailbox (other shards; posting
+// never blocks, so shards cannot deadlock on each other).
+type anShard struct {
+	sa *analyzer
+	n  *Node
+	id int
+
+	ch     chan []event
+	mboxMu sync.Mutex
+	mbox   []ctlMsg
+	spare  []ctlMsg
+	notify chan struct{} // cap 1: wakeup token for mailbox posts
+
+	// kernelAges holds this shard's trackers, per kernel and age.
+	kernelAges map[*kernelState]map[int]*ageTracker
+
+	// complete is the shard's field-generation completeness replica, updated
+	// only by ctlFieldComplete broadcasts; the intra-shard total order of
+	// tracker creation vs. broadcast processing makes bindsDone and
+	// whole-fetch satisfaction count exactly once.
+	complete map[fieldGen]bool
+	// ensured dedups ctlEnsure posts to shard 0.
+	ensured map[fieldGen]bool
+
+	// slicer carves this shard's ready instances into slices. readied counts
+	// the instances marked ready since the last commitReady — the shard's
+	// not-yet-published share of sa.pending.
+	slicer  slicer
+	readied int64
+
+	// Instrumentation: per-shard event and busy-time
+	// accounting plus high-water marks, max-aggregated across shards by
+	// stats() so concurrent shards cannot understate a report column.
+	events     counterWithBaseline
+	backlogMax *obs.Gauge // nil-safe
+	hAnalyze   histWithBase
 	maxQueue   int
 	maxBacklog int
+	busyNs     int64
 
-	// Scratch buffers for precompiled index evaluation, so satisfaction
-	// checks never allocate coordinate slices.
+	// Scratch buffers (per shard, so satisfaction checks never allocate).
 	idxBuf    []int
 	elemBuf   [4]int
 	satCoords []int
@@ -117,153 +203,332 @@ type analyzer struct {
 }
 
 // scratch returns an index-evaluation buffer of length k.
-func (an *analyzer) scratch(k int) []int {
-	if cap(an.idxBuf) < k {
-		an.idxBuf = make([]int, k)
+func (s *anShard) scratch(k int) []int {
+	if cap(s.idxBuf) < k {
+		s.idxBuf = make([]int, k)
 	}
-	return an.idxBuf[:k]
+	return s.idxBuf[:k]
 }
 
-func newAnalyzer(n *Node) *analyzer {
-	an := &analyzer{n: n}
-	an.slicer = slicer{n: n, push: an.pushSlices}
-	return an
+func newAnalyzer(n *Node, shards int) *analyzer {
+	if shards < 1 {
+		shards = 1
+	}
+	sa := &analyzer{
+		n:             n,
+		done:          make(chan struct{}),
+		allMask:       uint64(1)<<uint(shards) - 1,
+		injectEnsured: make(map[fieldGen]struct{}),
+	}
+	buf := max(eventChanBatches/shards, eventFlushThreshold)
+	sa.shards = make([]*anShard, shards)
+	for i := range sa.shards {
+		s := &anShard{
+			sa: sa, n: n, id: i,
+			ch:         make(chan []event, buf),
+			notify:     make(chan struct{}, 1),
+			kernelAges: make(map[*kernelState]map[int]*ageTracker),
+			complete:   make(map[fieldGen]bool),
+			ensured:    make(map[fieldGen]bool),
+			events:     newBaselined(n.reg.Counter(obs.Label(obs.MAnalyzerShardEvents, "shard", strconv.Itoa(i)))),
+		}
+		if n.opts.Metrics != nil {
+			s.backlogMax = n.reg.Gauge(obs.Label(obs.MAnalyzerShardBacklogMax, "shard", strconv.Itoa(i)))
+			s.hAnalyze = newHistBase(n.reg.Histogram(obs.Label(obs.MStageAnalyzeNs, "shard", strconv.Itoa(i))))
+		}
+		s.slicer = slicer{n: n, push: s.pushSlices}
+		sa.shards[i] = s
+	}
+	return sa
 }
 
-// run is the analyzer main loop. It returns once the node quiesces (no
-// runnable or running instances remain) or a kernel failed.
-func (an *analyzer) run() {
-	an.bootstrap()
-	for !an.stopRequested {
-		// Drain everything currently available.
-		draining := true
-		for draining && !an.stopRequested {
-			select {
-			case evs, ok := <-an.n.events:
-				if !ok {
-					return
-				}
-				an.handleBatch(evs)
-			default:
-				draining = false
+// shardOf maps a (kernel, age) pair to its owning shard.
+func (sa *analyzer) shardOf(ks *kernelState, age int) int {
+	if len(sa.shards) == 1 {
+		return 0
+	}
+	h := uint64(ks.idx)*0x9E3779B97F4A7C15 + uint64(uint32(age))*0xBF58476D1CE4E5B9
+	h ^= h >> 29
+	return int(h % uint64(len(sa.shards)))
+}
+
+// shardMaskForStore returns the set of shards a store event to generation g
+// concerns: owners of consumer trackers whose element-fetch satisfaction
+// (and, when the store grew the field, index-range growth) can depend on it.
+// An empty mask means the event is dropped at the emitter — whole and slab
+// fetches are satisfied by the completeness broadcast, not by store events.
+func (sa *analyzer) shardMaskForStore(fs *fieldState, g int, grew bool) uint64 {
+	if fs.elemBroadcast || (grew && fs.growBroadcast) {
+		return sa.allMask
+	}
+	var m uint64
+	for _, r := range fs.elemRoutes {
+		if a := g - r.off; a >= 0 {
+			m |= 1 << uint(sa.shardOf(r.ks, a))
+		}
+	}
+	if grew {
+		for _, r := range fs.growRoutes {
+			if a := g - r.off; a >= 0 {
+				m |= 1 << uint(sa.shardOf(r.ks, a))
 			}
 		}
-		if an.n.failed() || an.stopRequested {
-			break
-		}
-		// Lull: release partially filled slices, then check for
-		// quiescence. Distributed nodes (NoAutoQuiesce) keep waiting for
-		// remote events instead of terminating.
-		an.slicer.drain()
-		if an.outstanding == 0 && !an.n.opts.NoAutoQuiesce {
-			break
-		}
-		evs, ok := <-an.n.events
-		if !ok {
-			return
-		}
-		an.handleBatch(evs)
 	}
-	an.shutdown()
+	return m
 }
 
-// handleBatch processes one flushed batch of events and recycles the slice.
-func (an *analyzer) handleBatch(evs []event) {
-	if backlog := len(an.n.events); backlog > an.maxBacklog {
-		an.maxBacklog = backlog
+// post delivers a control message to a shard's mailbox. It never blocks: the
+// mailbox is unbounded and the notify token is best-effort (a shard drains
+// its whole mailbox per wakeup).
+func (sa *analyzer) post(to int, m ctlMsg) {
+	sa.pending.Add(1)
+	sa.activity.Add(1)
+	s := sa.shards[to]
+	s.mboxMu.Lock()
+	s.mbox = append(s.mbox, m)
+	s.mboxMu.Unlock()
+	select {
+	case s.notify <- struct{}{}:
+	default:
 	}
-	for i := range evs {
-		if an.stopRequested {
-			break
-		}
-		an.handle(&evs[i])
-	}
-	putEventBuf(evs)
 }
 
-// shutdown closes the ready queue (workers exit once they drain it) and
-// consumes remaining events until the node closes the channel after all
-// workers have stopped; this prevents workers from blocking on a full event
-// channel during teardown.
-func (an *analyzer) shutdown() {
-	an.n.sched.Close()
-	an.n.closeEventsWhenWorkersExit()
-	for evs := range an.n.events {
-		putEventBuf(evs)
+func (sa *analyzer) broadcast(m ctlMsg) {
+	for i := range sa.shards {
+		sa.post(i, m)
 	}
+}
+
+// run executes the analyzer to quiescence (or Stop/failure): it posts
+// the bootstrap trackers, starts the shard goroutines and waits them out.
+func (sa *analyzer) run() {
+	sa.bootstrap()
+	for _, s := range sa.shards {
+		sa.wg.Add(1)
+		go s.run()
+	}
+	sa.wg.Wait()
 }
 
 // bootstrap creates the trackers that exist before any event: run-once
-// kernels and age 0 of source kernels.
-func (an *analyzer) bootstrap() {
-	for _, ks := range an.n.order {
+// kernels and age 0 of source kernels, each on its owning shard.
+func (sa *analyzer) bootstrap() {
+	for _, ks := range sa.n.order {
 		if ks.remote {
 			continue
 		}
 		switch {
 		case ks.decl.RunOnce():
-			an.ensureTracker(ks, 0)
+			sa.post(sa.shardOf(ks, 0), ctlMsg{kind: ctlCreateTracker, ks: ks})
 		case ks.decl.Source():
-			an.sourceTracker(ks, 0)
+			sa.post(sa.shardOf(ks, 0), ctlMsg{kind: ctlCreateSource, ks: ks, age: 0})
 		}
 	}
-	an.drainActions()
-	an.slicer.drain()
 }
 
-func (an *analyzer) handle(ev *event) {
+// triggerShutdown moves the whole analyzer to the shutdown phase exactly once.
+func (sa *analyzer) triggerShutdown() {
+	sa.quiesceOnce.Do(func() {
+		sa.stopping.Store(true)
+		close(sa.done)
+	})
+}
+
+func (sa *analyzer) shuttingDown() bool { return sa.stopping.Load() }
+
+// injectEnsure materializes completeness state for a generation stored from
+// outside the node (deduped node-wide; see analyzer.injectEnsured).
+func (sa *analyzer) injectEnsure(fs *fieldState, g int) {
+	key := fieldGen{fs, g}
+	sa.injectEnsureMu.Lock()
+	_, seen := sa.injectEnsured[key]
+	if !seen {
+		sa.injectEnsured[key] = struct{}{}
+	}
+	sa.injectEnsureMu.Unlock()
+	if !seen {
+		sa.post(0, ctlMsg{kind: ctlEnsure, fs: fs, age: g})
+	}
+}
+
+// run is one shard's main loop: drain the control mailbox and event channel,
+// flush partial dispatch batches at lulls, detect quiescence, block.
+func (s *anShard) run() {
+	defer s.sa.wg.Done()
+	sa := s.sa
+	for {
+		s.drainMbox()
+		if !s.drainCh() {
+			// Channel closed: shutdown already completed elsewhere.
+			s.discardMbox()
+			return
+		}
+		if sa.shuttingDown() {
+			break
+		}
+		if s.n.failed() {
+			sa.triggerShutdown()
+			break
+		}
+		s.slicer.drain()
+		if !s.n.opts.NoAutoQuiesce && sa.pending.Load() == 0 {
+			// Two-phase check: pending can only be 0 when no unit of work
+			// exists anywhere (increments precede the spawning unit's
+			// decrement); the activity recheck guards the read pair.
+			act := sa.activity.Load()
+			if sa.pending.Load() == 0 && sa.activity.Load() == act {
+				sa.triggerShutdown()
+				break
+			}
+		}
+		select {
+		case evs, ok := <-s.ch:
+			if !ok {
+				s.discardMbox()
+				return
+			}
+			s.handleBatch(evs)
+		case <-s.notify:
+		case <-sa.done:
+		}
+	}
+	s.shutdown()
+}
+
+// shutdown closes the scheduler (workers exit once they drain it), arranges
+// for the event channels to close after the workers stop, and discards the
+// remaining inflow so no worker blocks on a full channel during teardown.
+func (s *anShard) shutdown() {
+	s.sa.shutdownOnce.Do(func() {
+		s.n.sched.Close()
+		s.n.closeEventsWhenWorkersExit()
+	})
+	for evs := range s.ch {
+		putEventBuf(evs)
+	}
+	s.discardMbox()
+}
+
+// drainMbox processes every queued control message (including ones posted to
+// this shard while processing).
+func (s *anShard) drainMbox() {
+	for {
+		// The emptiness check must precede the swap: swapping on an empty
+		// mailbox and returning would leave spare and mbox sharing one backing
+		// array, and concurrent posts would then overwrite messages mid-drain.
+		s.mboxMu.Lock()
+		if len(s.mbox) == 0 {
+			s.mboxMu.Unlock()
+			return
+		}
+		ms := s.mbox
+		s.mbox = s.spare[:0]
+		s.mboxMu.Unlock()
+		var t0 time.Time
+		if s.n.stamp {
+			t0 = time.Now()
+		}
+		for i := range ms {
+			s.handleCtl(&ms[i])
+			s.sa.pending.Add(-1)
+		}
+		if s.n.stamp {
+			s.observeBusy(time.Since(t0))
+		}
+		s.spare = ms
+	}
+}
+
+// discardMbox drops queued control messages during shutdown.
+func (s *anShard) discardMbox() {
+	s.mboxMu.Lock()
+	s.mbox = nil
+	s.mboxMu.Unlock()
+}
+
+// drainCh processes every event batch currently buffered without blocking;
+// false once the channel is closed.
+func (s *anShard) drainCh() bool {
+	for {
+		select {
+		case evs, ok := <-s.ch:
+			if !ok {
+				return false
+			}
+			s.handleBatch(evs)
+		default:
+			return true
+		}
+	}
+}
+
+func (s *anShard) observeBusy(d time.Duration) {
+	s.busyNs += d.Nanoseconds()
+	if s.hAnalyze.enabled() {
+		s.hAnalyze.Observe(d)
+	}
+}
+
+// handleBatch processes one flushed batch of events and recycles the slice.
+func (s *anShard) handleBatch(evs []event) {
+	var t0 time.Time
+	if s.n.stamp {
+		t0 = time.Now()
+	}
+	if backlog := len(s.ch); backlog > s.maxBacklog {
+		s.maxBacklog = backlog
+		s.backlogMax.SetMax(int64(backlog))
+	}
+	s.events.Add(int64(len(evs)))
+	for i := range evs {
+		if s.sa.shuttingDown() {
+			break
+		}
+		s.handle(&evs[i])
+	}
+	putEventBuf(evs)
+	if s.n.stamp {
+		s.observeBusy(time.Since(t0))
+	}
+	s.sa.pending.Add(-1)
+}
+
+func (s *anShard) handle(ev *event) {
 	switch {
 	case ev.stop:
-		an.stopRequested = true
+		s.sa.triggerShutdown()
+		return
 	case ev.remoteDone != nil:
-		an.handleRemoteDone(ev.remoteDone, ev.age)
+		s.handleRemoteDone(ev.remoteDone, ev.age)
 	case ev.isDone:
-		an.handleDone(ev)
+		s.handleDone(ev)
 	default:
-		an.handleStore(ev)
+		s.handleStore(ev)
 	}
-	an.drainActions()
-	an.slicer.flush()
+	s.flushReady()
 }
 
-// handleRemoteDone propagates a remote kernel-age completion: every field
-// generation it stores to counts the producer as done (the producer half of
-// onTrackerComplete; consumer/GC accounting is meaningless for remote
-// kernels).
-func (an *analyzer) handleRemoteDone(ks *kernelState, age int) {
-	for i := range ks.decl.Stores {
-		ss := &ks.decl.Stores[i]
-		g := ss.Age.Eval(age)
-		fs := an.n.fields[ss.Field]
-		fa := an.fieldAge(fs, g)
-		fa.producersDone++
-		if fa.producersDone == fa.expected && !fa.complete {
-			fa.complete = true
-			fs.f.MarkComplete(g)
-			an.push(action{kind: actFieldComplete, fs: fs, age: g})
-		}
+func (s *anShard) handleCtl(m *ctlMsg) {
+	switch m.kind {
+	case ctlEnsure:
+		s.fieldAge(m.fs, m.age)
+	case ctlTrackerComplete:
+		s.onTrackerComplete(m.t)
+	case ctlFieldComplete:
+		s.onFieldComplete(m.fs, m.age)
+	case ctlCreateTracker:
+		s.ensureTracker(m.ks, 0)
+	case ctlCreateSource:
+		s.sourceTracker(m.ks, m.age)
 	}
+	s.flushReady()
 }
-
-func (an *analyzer) drainActions() {
-	for len(an.actions) > 0 {
-		a := an.actions[0]
-		an.actions = an.actions[1:]
-		switch a.kind {
-		case actFieldComplete:
-			an.onFieldComplete(a.fs, a.age)
-		case actTrackerComplete:
-			an.onTrackerComplete(a.t)
-		}
-	}
-}
-
-func (an *analyzer) push(a action) { an.actions = append(an.actions, a) }
 
 // fieldAge returns (creating on demand) the completeness state of one field
-// generation. A generation with no relevant producers completes immediately:
-// no store can ever reach it, so consumers see an empty, final extent.
-func (an *analyzer) fieldAge(fs *fieldState, g int) *fieldAgeState {
+// generation. Only shard 0 — the completion authority — may call it; other
+// shards post ctlEnsure. A generation with no relevant producers completes
+// immediately.
+func (s *anShard) fieldAge(fs *fieldState, g int) *fieldAgeState {
 	if fa := fs.ages[g]; fa != nil {
 		return fa
 	}
@@ -281,222 +546,408 @@ func (an *analyzer) fieldAge(fs *fieldState, g int) *fieldAgeState {
 	fa := &fieldAgeState{expected: expected}
 	fs.ages[g] = fa
 	if expected == 0 {
-		fa.complete = true
-		fs.f.MarkComplete(g)
-		an.push(action{kind: actFieldComplete, fs: fs, age: g})
+		s.markComplete(fs, g, fa)
 	}
 	return fa
 }
 
+// markComplete finalizes a complete field generation on shard 0 and
+// broadcasts it; each shard (including 0) reacts in onFieldComplete.
+func (s *anShard) markComplete(fs *fieldState, g int, fa *fieldAgeState) {
+	fa.complete = true
+	fs.f.MarkComplete(g)
+	s.sa.broadcast(ctlMsg{kind: ctlFieldComplete, fs: fs, age: g})
+}
+
+// ensureFieldGen makes sure completeness state for (fs, g) exists on shard 0,
+// deduping repeat requests through the replica and the ensured set.
+func (s *anShard) ensureFieldGen(fs *fieldState, g int) {
+	key := fieldGen{fs, g}
+	if s.complete[key] || s.ensured[key] {
+		return
+	}
+	s.ensured[key] = true
+	if s.id == 0 {
+		s.fieldAge(fs, g)
+	} else {
+		s.sa.post(0, ctlMsg{kind: ctlEnsure, fs: fs, age: g})
+	}
+}
+
+// handleRemoteDone (shard 0) propagates a remote kernel-age completion:
+// every field generation it stores to counts the producer as done.
+func (s *anShard) handleRemoteDone(ks *kernelState, age int) {
+	for i := range ks.decl.Stores {
+		ss := &ks.decl.Stores[i]
+		g := ss.Age.Eval(age)
+		fs := s.n.fields[ss.Field]
+		fa := s.fieldAge(fs, g)
+		fa.producersDone++
+		if fa.producersDone == fa.expected && !fa.complete {
+			s.markComplete(fs, g, fa)
+		}
+	}
+}
+
 // ensureTracker returns the tracker for (kernel, age), creating it — with a
 // full satisfaction scan over current field state — when it does not exist.
-// Source kernels are excluded (their trackers are created sequentially by the
-// continuation rule) as are ages outside [0, MaxAge].
-func (an *analyzer) ensureTracker(ks *kernelState, age int) (*ageTracker, bool) {
-	if age < 0 || age > an.n.opts.MaxAge || age > an.n.kernelMaxAge(ks) {
+// The caller must be the owning shard. Field extents are read through the
+// field's own lock; any store racing the scan re-arrives as a routed event,
+// where growth and satisfaction re-checks are idempotent.
+func (s *anShard) ensureTracker(ks *kernelState, age int) (*ageTracker, bool) {
+	if age < 0 || age > s.n.opts.MaxAge || age > s.n.kernelMaxAge(ks) {
 		return nil, false
 	}
-	if t := ks.ages[age]; t != nil {
+	ages := s.kernelAges[ks]
+	if t := ages[age]; t != nil {
 		return t, false
 	}
 	if ks.remote || ks.decl.Source() || (ks.decl.RunOnce() && age != 0) {
 		return nil, false
 	}
-	t := &ageTracker{
-		ks:      ks,
-		age:     age,
-		extents: make([]int, len(ks.binds)),
-		inst:    make(map[int64]*instState),
+	t := &ageTracker{ks: ks, age: age, extents: make([]int, len(ks.binds))}
+	if ks.needsInstMap {
+		t.inst = make(map[int64]*instState)
 	}
-	ks.ages[age] = t
+	if ages == nil {
+		ages = make(map[int]*ageTracker)
+		s.kernelAges[ks] = ages
+	}
+	ages[age] = t
 	bindDone := 0
 	for i, b := range ks.binds {
 		ga := b.age.Eval(age)
 		t.extents[i] = b.fs.f.Extent(ga, b.dim)
-		if an.fieldAge(b.fs, ga).complete {
+		s.ensureFieldGen(b.fs, ga)
+		if s.complete[fieldGen{b.fs, ga}] {
 			bindDone++
 		}
 	}
 	t.bindsDone = bindDone
 	t.domainFinal = bindDone == len(ks.binds)
 	if len(ks.binds) == 0 {
-		an.createInstance(t, nil)
+		s.createSingle(t)
 	} else {
 		from := make([]int, len(ks.binds))
-		newCells(from, t.extents, func(c []int) { an.createInstance(t, c) })
+		s.createInstances(t, from, t.extents)
 	}
-	an.maybeTrackerDone(t)
+	s.maybeTrackerDone(t)
 	return t, true
 }
 
 // sourceTracker creates the single-instance tracker for a source kernel at
 // the given age; the instance is immediately runnable.
-func (an *analyzer) sourceTracker(ks *kernelState, age int) {
-	if age > an.n.opts.MaxAge || age > an.n.kernelMaxAge(ks) || ks.ages[age] != nil {
+func (s *anShard) sourceTracker(ks *kernelState, age int) {
+	if age > s.n.opts.MaxAge || age > s.n.kernelMaxAge(ks) || s.kernelAges[ks][age] != nil {
 		return
 	}
-	t := &ageTracker{ks: ks, age: age, inst: make(map[int64]*instState), domainFinal: true}
-	ks.ages[age] = t
-	an.createInstance(t, nil)
+	t := &ageTracker{ks: ks, age: age, domainFinal: true}
+	if ks.needsInstMap {
+		t.inst = make(map[int64]*instState)
+	}
+	ages := s.kernelAges[ks]
+	if ages == nil {
+		ages = make(map[int]*ageTracker)
+		s.kernelAges[ks] = ages
+	}
+	ages[age] = t
+	s.createSingle(t)
 }
 
-// createInstance registers one instance and computes its initial fetch
-// satisfaction from current field state. Instance structs are recycled
-// through instPool when tracing is off (the tracer retains coords).
-func (an *analyzer) createInstance(t *ageTracker, coords []int) {
-	var is *instState
-	if an.n.tracer == nil {
-		is = instPool.Get().(*instState)
-		is.coords = append(is.coords[:0], coords...)
-		is.mask, is.st, is.readyNs, is.createdNs = 0, instWaiting, 0, 0
-	} else {
-		is = &instState{coords: append([]int(nil), coords...)}
-	}
-	if an.n.stamp {
-		is.createdNs = an.n.nowNs()
-	}
-	t.inst[coordKey(coords)] = is
-	t.total++
+// burstMask hoists the per-creation-burst part of initial satisfaction: the
+// whole/slab fetch bits, which depend only on the completeness replica, are
+// computed once per tracker creation or growth burst instead of per instance.
+// elems reports whether element fetches remain to check per instance.
+func (s *anShard) burstMask(t *ageTracker) (mask0 uint32, elems bool) {
 	ks := t.ks
 	for i := range ks.fetchPlans {
 		fp := &ks.fetchPlans[i]
-		g := fp.fe.Age.Eval(t.age)
-		bit := uint32(1) << uint(i)
 		if fp.whole || fp.slab != nil {
-			if an.fieldAge(fp.fs, g).complete {
-				an.setBit(t, is, bit)
+			g := fp.fe.Age.Eval(t.age)
+			s.ensureFieldGen(fp.fs, g)
+			if s.complete[fieldGen{fp.fs, g}] {
+				mask0 |= uint32(1) << uint(i)
 			}
 		} else {
-			idx := evalTerms(an.scratch(len(fp.terms)), fp.terms, is.coords)
+			elems = true
+		}
+	}
+	return mask0, elems
+}
+
+func (s *anShard) createSingle(t *ageTracker) {
+	mask0, elems := s.burstMask(t)
+	s.newInst(t, nil, mask0, elems)
+}
+
+func (s *anShard) createInstances(t *ageTracker, from, to []int) {
+	mask0, elems := s.burstMask(t)
+	// Presize the tracker's instance lists for the whole burst: the new-cell
+	// count is known up front, and growing element-by-element through append
+	// is a measurable share of the analyzer's allocations.
+	if add := boxCells(to) - boxCells(from); add > 0 {
+		if t.inst == nil && cap(t.all)-len(t.all) < add {
+			grown := make([]*instState, len(t.all), len(t.all)+add)
+			copy(grown, t.all)
+			t.all = grown
+		}
+		if cap(t.ready)-len(t.ready) < add {
+			grown := make([]*instState, len(t.ready), len(t.ready)+add)
+			copy(grown, t.ready)
+			t.ready = grown
+		}
+	}
+	newCells(from, to, func(c []int) { s.newInst(t, c, mask0, elems) })
+}
+
+// newInst registers one instance with the burst's hoisted whole/slab mask and
+// checks its element fetches against current field contents.
+func (s *anShard) newInst(t *ageTracker, coords []int, mask0 uint32, elems bool) {
+	var is *instState
+	if s.n.tracer == nil {
+		is = instPool.Get().(*instState)
+		is.coords = append(is.coords[:0], coords...)
+		is.mask, is.st, is.readyNs, is.createdNs = mask0, instWaiting, 0, 0
+	} else {
+		is = &instState{coords: append([]int(nil), coords...), mask: mask0}
+	}
+	if s.n.stamp {
+		is.createdNs = s.n.nowNs()
+	}
+	if t.inst != nil {
+		t.inst[coordKey(coords)] = is
+	} else {
+		t.all = append(t.all, is)
+	}
+	t.total++
+	ks := t.ks
+	if elems {
+		for i := range ks.fetchPlans {
+			fp := &ks.fetchPlans[i]
+			if fp.whole || fp.slab != nil {
+				continue
+			}
+			bit := uint32(1) << uint(i)
+			if is.mask&bit != 0 {
+				continue
+			}
+			g := fp.fe.Age.Eval(t.age)
+			idx := evalTerms(s.scratch(len(fp.terms)), fp.terms, is.coords)
 			if _, ok := fp.fs.f.At(g, idx...); ok {
-				an.setBit(t, is, bit)
+				is.mask |= bit
 			}
 		}
 	}
-	if ks.fullMask == 0 {
-		an.setBit(t, is, 0) // no fetches: immediately runnable
+	if is.mask == ks.fullMask {
+		s.markReady(t, is)
 	}
 }
 
-// setBit records that one fetch of one instance is satisfied; when all
-// fetches are satisfied the instance joins the tracker's ready list.
-func (an *analyzer) setBit(t *ageTracker, is *instState, bit uint32) {
-	if is.st != instWaiting {
+// markReady hands a fully satisfied instance to the slicer. The quiescence
+// count has to include it before the unit of work that readied it is counted
+// out, so that a shard holding unreleased remainders can never be mistaken
+// for quiescent by a peer; the increments are gathered in readied and
+// published by commitReady, once per event rather than once per instance.
+func (s *anShard) markReady(t *ageTracker, is *instState) {
+	is.st = instQueued
+	if s.n.stamp {
+		is.readyNs = s.n.nowNs()
+		t.ks.stageReady.Observe(time.Duration(is.readyNs - is.createdNs))
+	}
+	s.readied++
+	s.slicer.ready(t, is)
+}
+
+// commitReady publishes the ready instances gathered since the last call to
+// the quiescence count. It runs before any of them reaches the scheduler
+// (pushSlices) — a worker's done event must never count an instance out
+// before it was counted in — and at the end of every event and control
+// message (flushReady), ahead of that unit's own decrement.
+func (s *anShard) commitReady() {
+	if s.readied > 0 {
+		s.sa.pending.Add(s.readied)
+		s.readied = 0
+	}
+}
+
+// setBit records that one fetch of one instance is satisfied.
+func (s *anShard) setBit(t *ageTracker, is *instState, bit uint32) {
+	if is.st != instWaiting || is.mask&bit != 0 {
 		return
 	}
-	if bit != 0 {
-		if is.mask&bit != 0 {
-			return
-		}
-		is.mask |= bit
-	}
+	is.mask |= bit
 	if is.mask == t.ks.fullMask {
-		is.st = instQueued
-		if an.n.stamp {
-			is.readyNs = an.n.nowNs()
-			t.ks.stageReady.Observe(time.Duration(is.readyNs - is.createdNs))
-		}
-		an.slicer.ready(t, is)
+		s.markReady(t, is)
 	}
 }
 
-// pushSlices is the slicer's delivery hook: account the slices' instances as
-// outstanding and hand them to the scheduler.
-func (an *analyzer) pushSlices(bs []*batch) {
-	for _, b := range bs {
-		an.outstanding += len(b.insts)
-		an.n.outstandingMirror.Add(int64(len(b.insts)))
+// flushReady ends an event or control message: the instances it readied join
+// the quiescence count and the full slices carved from them go to the
+// scheduler. Remainders wait for a lull (slicer.drain).
+func (s *anShard) flushReady() {
+	s.commitReady()
+	s.slicer.flush()
+}
+
+// pushSlices is the slicer's delivery hook: one PushBulk (single epoch update
+// and waiter wakeup) for the group.
+func (s *anShard) pushSlices(bs []*batch) {
+	s.commitReady()
+	s.n.sched.PushBulk(bs)
+	if depth := s.n.sched.Len(); depth > s.maxQueue {
+		s.maxQueue = depth
 	}
-	an.n.sched.PushBulk(bs)
-	if depth := an.n.sched.Len(); depth > an.maxQueue {
-		an.maxQueue = depth
-	}
-	an.updateGauges()
+	s.updateGauges()
 }
 
 // updateGauges refreshes the node's scheduler gauges; all handles are nil
 // (no-ops) unless detailed metrics are enabled.
-func (an *analyzer) updateGauges() {
-	n := an.n
+func (s *anShard) updateGauges() {
+	n := s.n
 	if n.gQueue == nil {
 		return
 	}
 	n.gQueue.Set(int64(n.sched.Len()))
-	n.gBacklog.Set(int64(len(n.events)))
-	n.gOutstand.Set(int64(an.outstanding))
-}
-
-func (an *analyzer) maybeTrackerDone(t *ageTracker) {
-	if t.completed || !t.domainFinal || t.done != t.total || t.uncarved() != 0 {
-		return
-	}
-	t.completed = true
-	an.push(action{kind: actTrackerComplete, t: t})
+	n.gBacklog.Set(int64(len(s.ch)))
+	n.gOutstand.Set(s.sa.pending.Load())
 }
 
 // handleDone processes a finished slice: its instances are done, the slice
 // header is recycled, source kernels continue at the next age, and the
-// kernel-age may be complete.
-func (an *analyzer) handleDone(ev *event) {
-	t, k := an.n.retireSlice(ev.b)
+// kernel-age may be complete. The quiescence decrement — one for the whole
+// slice — comes last, after every message the completion spawns has been
+// posted.
+func (s *anShard) handleDone(ev *event) {
+	t, k := s.n.retireSlice(ev.b)
 	ks := t.ks
-	an.outstanding -= k
-	an.n.outstandingMirror.Add(-int64(k))
-	an.updateGauges()
 	if ks.decl.Source() {
 		if ev.stopped || ev.stores == 0 {
 			ks.sourceStopped = true
 		} else {
-			an.sourceTracker(ks, t.age+1)
+			next := t.age + 1
+			if to := s.sa.shardOf(ks, next); to == s.id {
+				s.sourceTracker(ks, next)
+			} else {
+				s.sa.post(to, ctlMsg{kind: ctlCreateSource, ks: ks, age: next})
+			}
 		}
 	}
-	an.maybeTrackerDone(t)
-	an.drainActions()
+	s.maybeTrackerDone(t)
+	s.updateGauges()
+	s.sa.pending.Add(-int64(k))
 }
 
-// handleStore processes a store event: domain growth for kernels whose index
-// range the field defines, then fetch satisfaction for consumers.
-func (an *analyzer) handleStore(ev *event) {
-	an.fieldAge(ev.fs, ev.age)
+func (s *anShard) maybeTrackerDone(t *ageTracker) {
+	if t.completed || !t.domainFinal || t.done != t.total || t.uncarved() != 0 {
+		return
+	}
+	t.completed = true
+	if s.n.tracer == nil {
+		// Recycle the instance structs (safe: every instance is done, so no
+		// worker or batch will read them again). With tracing on they must
+		// survive — recorded spans alias their coords.
+		for _, is := range t.inst {
+			instPool.Put(is)
+		}
+		for _, is := range t.all {
+			instPool.Put(is)
+		}
+	}
+	t.inst, t.all, t.ready, t.head = nil, nil, nil, 0
+	if s.id == 0 {
+		s.onTrackerComplete(t)
+	} else {
+		s.sa.post(0, ctlMsg{kind: ctlTrackerComplete, t: t})
+	}
+}
+
+// onTrackerComplete (shard 0) propagates a finished kernel-age: producer
+// accounting on stored fields, consumer accounting (garbage collection) on
+// fetched fields.
+func (s *anShard) onTrackerComplete(t *ageTracker) {
+	ks := t.ks
+	if cb := s.n.opts.OnKernelDone; cb != nil {
+		cb(ks.decl.Name, t.age)
+	}
+	if tr := s.n.tracer; tr != nil {
+		tr.Record(obs.Span{
+			Name: ks.decl.Name + " done", Cat: "lifecycle", Ph: obs.PhaseInstant,
+			TS: tr.Now(), Age: t.age,
+		})
+	}
+	if s.n.gFieldMem != nil {
+		s.n.gFieldMem.Set(int64(s.n.FieldMemoryElems()))
+	}
+	for i := range ks.decl.Stores {
+		ss := &ks.decl.Stores[i]
+		g := ss.Age.Eval(t.age)
+		fs := s.n.fields[ss.Field]
+		fa := s.fieldAge(fs, g)
+		fa.producersDone++
+		if fa.producersDone == fa.expected && !fa.complete {
+			s.markComplete(fs, g, fa)
+		}
+	}
+	for i := range ks.decl.Fetches {
+		fe := &ks.decl.Fetches[i]
+		if !fe.Age.HasVar {
+			continue // absolute-age fetches pin the generation forever
+		}
+		g := fe.Age.Eval(t.age)
+		fs := s.n.fields[fe.Field]
+		fa := s.fieldAge(fs, g)
+		fa.consumersDone++
+		s.gcCheck(fs, g, fa)
+	}
+}
+
+// handleStore processes a store event on every shard it was routed to:
+// domain growth for kernels whose index range the field defines, then fetch
+// satisfaction for element-fetch consumers. There is no completeness
+// bookkeeping here — that is shard 0's job, reached through tracker
+// completion.
+func (s *anShard) handleStore(ev *event) {
 	if ev.grew {
 		for _, re := range ev.fs.rangeOf {
-			an.forTrackers(re.ks, re.age, ev.age, true, func(t *ageTracker) {
-				an.growTracker(t, re.varIdx, ev.extents[re.dim])
+			s.forTrackers(re.ks, re.age, ev.age, true, func(t *ageTracker) {
+				s.growTracker(t, re.varIdx, ev.extents[re.dim])
 			})
 		}
 	}
 	var elem []int
 	if !ev.whole {
-		elem = ev.elem(&an.elemBuf)
+		elem = ev.elem(&s.elemBuf)
 	}
 	for _, ce := range ev.fs.consumers {
-		if ce.fetch.Whole() || ce.fetch.Slab() {
+		if ce.terms == nil {
 			continue // whole/slab fetches are satisfied by completeness, not stores
 		}
-		an.forTrackers(ce.ks, ce.fetch.Age, ev.age, true, func(t *ageTracker) {
+		s.forTrackers(ce.ks, ce.fetch.Age, ev.age, true, func(t *ageTracker) {
 			if ev.whole {
-				an.scanSatisfy(t, ce)
+				s.scanSatisfy(t, ce)
 			} else {
-				an.satisfyElem(t, ce, elem)
+				s.satisfyElem(t, ce, elem)
 			}
 		})
 	}
 }
 
-// forTrackers visits the trackers of ks whose fetch/store age expression ae
-// maps to field generation g. For age-variable expressions that is a single
-// tracker (created on demand when ensure is true); for absolute expressions
-// it is every existing tracker. Freshly created trackers are not visited —
-// their creation scan already covers current field state.
-func (an *analyzer) forTrackers(ks *kernelState, ae core.AgeExpr, g int, ensure bool, visit func(*ageTracker)) {
+// forTrackers visits this shard's trackers of ks whose fetch/store age
+// expression ae maps to field generation g. Trackers owned by other shards
+// are skipped — the event or broadcast reaches them there. Freshly created
+// trackers are not visited: their creation scan already covers current state.
+func (s *anShard) forTrackers(ks *kernelState, ae core.AgeExpr, g int, ensure bool, visit func(*ageTracker)) {
 	if ae.HasVar {
 		a := g - ae.Offset
+		if s.sa.shardOf(ks, a) != s.id {
+			return
+		}
 		var t *ageTracker
 		var created bool
 		if ensure {
-			t, created = an.ensureTracker(ks, a)
+			t, created = s.ensureTracker(ks, a)
 		} else {
-			t = ks.ages[a]
+			t = s.kernelAges[ks][a]
 		}
 		if t != nil && !created {
 			visit(t)
@@ -506,36 +957,35 @@ func (an *analyzer) forTrackers(ks *kernelState, ae core.AgeExpr, g int, ensure 
 	if ae.Offset != g {
 		return
 	}
-	for _, t := range ks.ages {
+	for _, t := range s.kernelAges[ks] {
 		visit(t)
 	}
 }
 
 // growTracker extends the domain of one index variable and creates the new
-// instances (the paper's "implicit resize can lead to additional kernel
-// instances being dispatched").
-func (an *analyzer) growTracker(t *ageTracker, varIdx, newExt int) {
+// instances.
+func (s *anShard) growTracker(t *ageTracker, varIdx, newExt int) {
 	if t.completed || newExt <= t.extents[varIdx] {
 		return
 	}
 	from := append([]int(nil), t.extents...)
 	t.extents[varIdx] = newExt
-	newCells(from, t.extents, func(c []int) { an.createInstance(t, c) })
+	s.createInstances(t, from, t.extents)
 }
 
 // satisfyElem marks the fetch bit of every instance whose fetch coordinates
-// match a stored element. Index variables not mentioned in the fetch are
-// unconstrained and enumerated over the current domain.
-func (an *analyzer) satisfyElem(t *ageTracker, ce consEdge, elem []int) {
+// match a stored element (only reachable for kernels with element fetches,
+// which always carry an instance map).
+func (s *anShard) satisfyElem(t *ageTracker, ce consEdge, elem []int) {
 	if t.completed {
 		return
 	}
 	nv := len(t.ks.decl.IndexVars)
-	if cap(an.satCoords) < nv {
-		an.satCoords = make([]int, nv)
-		an.satConstr = make([]bool, nv)
+	if cap(s.satCoords) < nv {
+		s.satCoords = make([]int, nv)
+		s.satConstr = make([]bool, nv)
 	}
-	coords, constrained := an.satCoords[:nv], an.satConstr[:nv]
+	coords, constrained := s.satCoords[:nv], s.satConstr[:nv]
 	for i := 0; i < nv; i++ {
 		coords[i], constrained[i] = 0, false
 	}
@@ -555,139 +1005,103 @@ func (an *analyzer) satisfyElem(t *ageTracker, ce consEdge, elem []int) {
 			return
 		}
 	}
-	an.enumerate(t, coords, constrained, 0, ce.fetchBit)
+	s.enumerate(t, coords, constrained, 0, ce.fetchBit)
 }
 
-func (an *analyzer) enumerate(t *ageTracker, coords []int, constrained []bool, d int, bit uint32) {
+func (s *anShard) enumerate(t *ageTracker, coords []int, constrained []bool, d int, bit uint32) {
 	if d == len(coords) {
 		if is := t.inst[coordKey(coords)]; is != nil {
-			an.setBit(t, is, bit)
+			s.setBit(t, is, bit)
 		}
 		return
 	}
 	if constrained[d] {
-		an.enumerate(t, coords, constrained, d+1, bit)
+		s.enumerate(t, coords, constrained, d+1, bit)
 		return
 	}
 	for c := 0; c < t.extents[d]; c++ {
 		coords[d] = c
-		an.enumerate(t, coords, constrained, d+1, bit)
+		s.enumerate(t, coords, constrained, d+1, bit)
 	}
 	coords[d] = 0
 }
 
 // scanSatisfy re-checks one element fetch against current field contents for
-// every instance that still misses it (used after whole-field stores, which
+// every instance that still misses it (used after whole/slab stores, which
 // cover many elements with one event).
-func (an *analyzer) scanSatisfy(t *ageTracker, ce consEdge) {
+func (s *anShard) scanSatisfy(t *ageTracker, ce consEdge) {
 	if t.completed {
 		return
 	}
 	g := ce.fetch.Age.Eval(t.age)
-	fs := an.n.fields[ce.fetch.Field]
+	fs := s.n.fields[ce.fetch.Field]
 	for _, is := range t.inst {
 		if is.st != instWaiting || is.mask&ce.fetchBit != 0 {
 			continue
 		}
-		idx := evalTerms(an.scratch(len(ce.terms)), ce.terms, is.coords)
+		idx := evalTerms(s.scratch(len(ce.terms)), ce.terms, is.coords)
 		if _, ok := fs.f.At(g, idx...); ok {
-			an.setBit(t, is, ce.fetchBit)
+			s.setBit(t, is, ce.fetchBit)
 		}
 	}
 }
 
-// onTrackerComplete propagates a finished kernel-age: producer accounting on
-// stored fields, consumer accounting (garbage collection) on fetched fields.
-func (an *analyzer) onTrackerComplete(t *ageTracker) {
-	ks := t.ks
-	if cb := an.n.opts.OnKernelDone; cb != nil {
-		cb(ks.decl.Name, t.age)
+// onFieldComplete runs on every shard when a field generation completes:
+// update the completeness replica, satisfy whole/slab fetches of this shard's
+// trackers, finalize index domains bound to the field. Shard 0 additionally
+// owns the garbage-collection check.
+func (s *anShard) onFieldComplete(fs *fieldState, g int) {
+	key := fieldGen{fs, g}
+	if s.complete[key] {
+		return
 	}
-	if tr := an.n.tracer; tr != nil {
-		tr.Record(obs.Span{
-			Name: ks.decl.Name + " done", Cat: "lifecycle", Ph: obs.PhaseInstant,
-			TS: tr.Now(), Age: t.age,
-		})
-	}
-	if an.n.gFieldMem != nil {
-		an.n.gFieldMem.Set(int64(an.n.FieldMemoryElems()))
-	}
-	for i := range ks.decl.Stores {
-		ss := &ks.decl.Stores[i]
-		g := ss.Age.Eval(t.age)
-		fs := an.n.fields[ss.Field]
-		fa := an.fieldAge(fs, g)
-		fa.producersDone++
-		if fa.producersDone == fa.expected && !fa.complete {
-			fa.complete = true
-			fs.f.MarkComplete(g)
-			an.push(action{kind: actFieldComplete, fs: fs, age: g})
-		}
-	}
-	for i := range ks.decl.Fetches {
-		fe := &ks.decl.Fetches[i]
-		if !fe.Age.HasVar {
-			continue // absolute-age fetches pin the generation forever
-		}
-		g := fe.Age.Eval(t.age)
-		fs := an.n.fields[fe.Field]
-		fa := an.fieldAge(fs, g)
-		fa.consumersDone++
-		an.gcCheck(fs, g, fa)
-	}
-	if an.n.tracer == nil {
-		// Recycle the instance structs (safe: every instance is done, so no
-		// worker or batch will read them again). With tracing on they must
-		// survive — recorded spans alias their coords.
-		for _, is := range t.inst {
-			instPool.Put(is)
-		}
-	}
-	t.inst, t.ready, t.head = nil, nil, 0 // instances are no longer needed; free the memory
-}
-
-// onFieldComplete propagates a complete field generation: whole-field fetches
-// become satisfiable, and index domains bound to the field become final.
-func (an *analyzer) onFieldComplete(fs *fieldState, g int) {
+	// Flip the replica first: a tracker created by the ensure below then
+	// counts this generation in its creation scan and is skipped by
+	// forTrackers, keeping bindsDone and satisfaction exactly-once.
+	s.complete[key] = true
 	for _, ce := range fs.consumers {
-		if !ce.fetch.Whole() && !ce.fetch.Slab() {
+		if ce.terms != nil {
 			continue
 		}
-		an.forTrackers(ce.ks, ce.fetch.Age, g, true, func(t *ageTracker) {
+		s.forTrackers(ce.ks, ce.fetch.Age, g, true, func(t *ageTracker) {
 			if t.completed {
 				return
 			}
 			for _, is := range t.inst {
-				an.setBit(t, is, ce.fetchBit)
+				s.setBit(t, is, ce.fetchBit)
+			}
+			for _, is := range t.all {
+				s.setBit(t, is, ce.fetchBit)
 			}
 		})
 	}
 	for _, re := range fs.rangeOf {
 		reVar := re.varIdx
-		an.forTrackers(re.ks, re.age, g, true, func(t *ageTracker) {
+		s.forTrackers(re.ks, re.age, g, true, func(t *ageTracker) {
 			if t.completed {
 				return
 			}
-			// Sync the final extent (stores processed earlier already
-			// grew the domain; this is a no-op safeguard).
-			an.growTracker(t, reVar, fs.f.Extent(g, re.dim))
+			// Sync the final extent (stores processed earlier already grew
+			// the domain; this is a no-op safeguard).
+			s.growTracker(t, reVar, fs.f.Extent(g, re.dim))
 			t.bindsDone++
 			if t.bindsDone == len(t.ks.binds) {
 				t.domainFinal = true
-				an.maybeTrackerDone(t)
+				s.maybeTrackerDone(t)
 			}
 		})
 	}
-	fa := fs.ages[g]
-	an.gcCheck(fs, g, fa)
+	if s.id == 0 {
+		s.gcCheck(fs, g, fs.ages[g])
+	}
 }
 
-// gcCheck garbage collects a field generation once it is complete and every
-// age-variable consumer kernel-age has finished with it (§IX: "garbage
-// collecting old ages"). Generations read through absolute-age fetches are
-// pinned forever.
-func (an *analyzer) gcCheck(fs *fieldState, g int, fa *fieldAgeState) {
-	if !an.n.opts.GC || fa == nil || fa.collected {
+// gcCheck (shard 0) garbage collects a field generation once it is complete
+// and every age-variable consumer kernel-age has finished with it. Safe under
+// sharding: consumer completions arrive here via ctlTrackerComplete, so when
+// the count is reached the owning shards have already stopped scanning it.
+func (s *anShard) gcCheck(fs *fieldState, g int, fa *fieldAgeState) {
+	if !s.n.opts.GC || fa == nil || fa.collected {
 		return
 	}
 	if !fa.complete || fs.absConsumers > 0 || fs.agedConsumers == 0 {
@@ -699,16 +1113,23 @@ func (an *analyzer) gcCheck(fs *fieldState, g int, fa *fieldAgeState) {
 	}
 }
 
-// stalled describes every kernel-age that never completed — the node
-// quiesced with unsatisfied dependencies (a programming error such as
-// fetching an element nobody stores).
-func (an *analyzer) stalled() []string {
+// stalled describes every kernel-age that never completed, across all shards.
+func (sa *analyzer) stalled() []string {
 	var out []string
-	for _, ks := range an.n.order {
-		for age, t := range ks.ages {
-			if !t.completed {
-				out = append(out, fmt.Sprintf("%s(age=%d): %d/%d instances done, domainFinal=%v",
-					ks.decl.Name, age, t.done, t.total, t.domainFinal))
+	for _, s := range sa.shards {
+		for ks, ages := range s.kernelAges {
+			for age, t := range ages {
+				if !t.completed {
+					var masks string
+					for _, is := range t.inst {
+						masks += fmt.Sprintf(" inst%v mask=%b st=%d", is.coords, is.mask, is.st)
+					}
+					for _, is := range t.all {
+						masks += fmt.Sprintf(" all%v mask=%b st=%d", is.coords, is.mask, is.st)
+					}
+					out = append(out, fmt.Sprintf("%s(age=%d): %d/%d instances done, domainFinal=%v shard=%d%s",
+						ks.decl.Name, age, t.done, t.total, t.domainFinal, s.id, masks))
+				}
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	goruntime "runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -20,9 +19,9 @@ import (
 // Options configures an execution node.
 type Options struct {
 	// Workers is the number of worker goroutines dispatching kernel
-	// instances; the dependency analyzer always runs in its own goroutine
-	// on top of these, mirroring the paper's dedicated analyzer thread.
-	// Zero selects 1.
+	// instances; the dependency analyzer always runs in its own goroutines
+	// (AnalyzerShards of them) on top of these, mirroring the paper's
+	// dedicated analyzer thread. Zero selects 1.
 	Workers int
 	// MaxAge bounds execution: no kernel instance with age > MaxAge is
 	// dispatched. Zero or negative means unbounded. Programs with no
@@ -46,29 +45,11 @@ type Options struct {
 	Output io.Writer
 	// Clock drives deadline timers; nil selects the real clock.
 	Clock deadline.Clock
-	// EventBuffer sizes the analyzer's event channel (in event batches;
-	// workers flush store/done events in batches of up to 64, so the
-	// default of 1024 batches buffers ~65k events). Zero selects 1024.
-	EventBuffer int
-	// Scheduler selects the ready-queue implementation: SchedStealing (the
-	// default work-stealing per-worker deques) or SchedGlobal (the reference
-	// single mutex+condvar queue, kept for A/B benchmarking).
-	Scheduler SchedulerKind
-	// Analyzer selects the dependency-analyzer implementation:
-	// AnalyzerSharded (the default; state sharded by (kernel, age) across
-	// per-shard event channels) or AnalyzerSerial (the single-goroutine
-	// reference analyzer, kept for A/B benchmarking).
-	Analyzer AnalyzerKind
-	// AnalyzerShards is the shard count for AnalyzerSharded; zero picks
-	// max(1, min(8, GOMAXPROCS/2)), and values are capped at 64 (the shard
-	// routing mask is a uint64).
+	// AnalyzerShards is the number of dependency-analyzer goroutines,
+	// analyzer state being sharded by (kernel, age); one is the paper's
+	// single analyzer thread. Zero picks max(1, min(8, GOMAXPROCS/2)), and
+	// values are capped at 64 (the shard routing mask is a uint64).
 	AnalyzerShards int
-	// FetchCopy disables read-only fetch views and restores the copying
-	// fetch path (every whole-generation and slab fetch snapshots into a
-	// per-instance Array). Views are safe because generations are
-	// write-once and completeness-gated; the copy path is kept as the A/B
-	// reference (`p2gbench -fetchcopy`).
-	FetchCopy bool
 
 	// Metrics, when set, receives the node's full instrumentation: the
 	// per-kernel counters behind the Report plus dispatch/fetch/store
@@ -132,9 +113,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxAge <= 0 {
 		o.MaxAge = math.MaxInt
 	}
-	if o.EventBuffer <= 0 {
-		o.EventBuffer = 1024
-	}
 	if o.AnalyzerShards <= 0 {
 		o.AnalyzerShards = goruntime.GOMAXPROCS(0) / 2
 		if o.AnalyzerShards > 8 {
@@ -162,22 +140,18 @@ type Node struct {
 	order   []*kernelState
 
 	timers *deadline.TimerSet
-	sched  scheduler
-	// events feeds the serial analyzer; under the sharded analyzer (sh is
-	// non-nil) workers route events to per-shard channels instead.
-	events chan []event
-	sh     *shardedAnalyzer
+	sched  *stealScheduler
+	an     *analyzer
 	out    *lockedWriter
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	// injectMu guards the events channel against sends racing its close
-	// during shutdown (InjectStore and friends run on caller goroutines).
+	// injectMu guards the shards' event channels against sends racing their
+	// close during shutdown (InjectStore and friends run on caller
+	// goroutines).
 	injectMu     sync.RWMutex
 	eventsClosed bool
-
-	outstandingMirror atomic.Int64
 
 	errMu  sync.Mutex
 	runErr error
@@ -282,12 +256,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 	}
 	n.mSteals = newBaselined(n.reg.Counter(obs.MStealsTotal))
 	n.mEventBatches = newBaselined(n.reg.Counter(obs.MEventBatchesTotal))
-	switch opts.Scheduler {
-	case SchedGlobal:
-		n.sched = newReadyQueue()
-	default:
-		n.sched = newStealScheduler(opts.Workers, n.mSteals.c, gWorkerDepth)
-	}
+	n.sched = newStealScheduler(opts.Workers, n.mSteals.c, gWorkerDepth)
 	n.tracer.CountDropped(n.reg.Counter(obs.MTraceDropped))
 	for _, fd := range p.Fields {
 		fl := field.New(fd.Name, fd.Kind, fd.Rank, fd.Aged)
@@ -310,7 +279,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 	}
 	for _, kd := range p.Kernels {
 		ks := &kernelState{
-			decl: kd, ages: make(map[int]*ageTracker), remote: opts.RemoteKernels[kd.Name],
+			decl: kd, remote: opts.RemoteKernels[kd.Name],
 			instances:  newBaselined(n.reg.Counter(obs.Label(obs.MKernelInstances, "kernel", kd.Name))),
 			slices:     newBaselined(n.reg.Counter(obs.Label(obs.MKernelSlices, "kernel", kd.Name))),
 			dispatchNs: newBaselined(n.reg.Counter(obs.Label(obs.MKernelDispatchNs, "kernel", kd.Name))),
@@ -383,7 +352,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			switch {
 			case fe.Whole():
 				fp.whole = true
-				fp.viewable = !opts.FetchCopy
+				fp.viewable = true
 			case fe.Slab():
 				fp.slab = make([]slabTerm, len(fe.Index))
 				for d, spec := range fe.Index {
@@ -398,7 +367,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 				// A slab selector is viewable when its fixed dimensions are
 				// a prefix: the free suffix then addresses one contiguous
 				// row range of the generation slab.
-				fp.viewable = !opts.FetchCopy
+				fp.viewable = true
 				free := false
 				for _, st := range fp.slab {
 					if st.fixed && free {
@@ -454,7 +423,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			}
 		}}
 	}
-	// Store-event routing tables (sharded analyzer): which shards a store to
+	// Store-event routing tables: which analyzer shards a store to
 	// generation g can concern. Remote kernels never have local trackers, so
 	// their edges route nowhere.
 	for _, fs := range n.fields {
@@ -489,13 +458,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			}
 		}
 	}
-	if opts.Analyzer == AnalyzerSharded {
-		n.sh = newShardedAnalyzer(n, opts.AnalyzerShards)
-	} else {
-		// The serial analyzer's event channel; the sharded analyzer routes
-		// through per-shard channels instead and never touches it.
-		n.events = make(chan []event, opts.EventBuffer)
-	}
+	n.an = newAnalyzer(n, opts.AnalyzerShards)
 	return n, nil
 }
 
@@ -540,18 +503,9 @@ func (n *Node) Run() (*Report, error) {
 		n.wg.Add(1)
 		go n.worker(i)
 	}
-	var stats analyzerStats
-	if n.sh != nil {
-		n.sh.run()
-		n.wg.Wait()
-		stats = n.sh.stats(n.failed())
-	} else {
-		an := newAnalyzer(n)
-		an.run()
-		n.wg.Wait()
-		stats = an.stats(n.failed())
-	}
-	n.report = n.buildReport(time.Since(start), stats)
+	n.an.run()
+	n.wg.Wait()
+	n.report = n.buildReport(time.Since(start), n.an.stats(n.failed()))
 	return n.report, n.runErr
 }
 
@@ -569,7 +523,7 @@ func Run(p *core.Program, opts Options) (*Report, error) {
 	return rep, runErr
 }
 
-// closeEventsWhenWorkersExit arranges for the event channel(s) to close once
+// closeEventsWhenWorkersExit arranges for the event channels to close once
 // all workers have stopped, letting the analyzer drain without deadlock.
 func (n *Node) closeEventsWhenWorkersExit() {
 	n.closeOnce.Do(func() {
@@ -577,61 +531,44 @@ func (n *Node) closeEventsWhenWorkersExit() {
 			n.wg.Wait()
 			n.injectMu.Lock()
 			n.eventsClosed = true
-			if n.sh != nil {
-				for _, s := range n.sh.shards {
-					close(s.ch)
-				}
-			} else {
-				close(n.events)
+			for _, s := range n.an.shards {
+				close(s.ch)
 			}
 			n.injectMu.Unlock()
 		}()
 	})
 }
 
-// inject delivers an externally produced event unless the node has shut
-// down. It reports whether the event was accepted. External events arrive one
-// at a time, so each rides in its own (pooled) single-event batch.
-func (n *Node) inject(ev event) bool {
+// inject delivers an externally produced event to the shard(s) it concerns,
+// unless the node has shut down: remote-done and completeness bookkeeping to
+// shard 0, stop to everyone, and store events along the precompiled routing
+// tables. External events arrive one at a time, so each rides in its own
+// (pooled) single-event batch.
+func (n *Node) inject(ev event) {
 	n.injectMu.RLock()
 	defer n.injectMu.RUnlock()
 	if n.eventsClosed {
-		return false
+		return
 	}
-	if n.sh != nil {
-		n.injectSharded(ev)
-		return true
-	}
-	evs := getEventBuf()
-	evs = append(evs, ev)
-	n.mEventBatches.Add(1)
-	n.events <- evs
-	return true
-}
-
-// injectSharded routes an injected event to the shard(s) it concerns:
-// remote-done and completeness bookkeeping to shard 0, stop to everyone, and
-// store events along the precompiled routing tables. Caller holds injectMu.RLock with eventsClosed false.
-func (n *Node) injectSharded(ev event) {
-	sh := n.sh
+	an := n.an
 	send := func(shard int) {
 		evs := getEventBuf()
 		evs = append(evs, ev)
 		n.mEventBatches.Add(1)
-		sh.pending.Add(1)
-		sh.activity.Add(1)
-		sh.shards[shard].ch <- evs
+		an.pending.Add(1)
+		an.activity.Add(1)
+		an.shards[shard].ch <- evs
 	}
 	switch {
 	case ev.stop:
-		for i := range sh.shards {
+		for i := range an.shards {
 			send(i)
 		}
 	case ev.remoteDone != nil:
 		send(0)
 	default:
-		sh.injectEnsure(ev.fs, ev.age)
-		mask := sh.shardMaskForStore(ev.fs, ev.age, ev.grew)
+		an.injectEnsure(ev.fs, ev.age)
+		mask := an.shardMaskForStore(ev.fs, ev.age, ev.grew)
 		for mask != 0 {
 			i := bits.TrailingZeros64(mask)
 			mask &^= 1 << uint(i)
@@ -699,12 +636,9 @@ func (n *Node) Stop() {
 // backlogged events. Distributed masters poll this (twice, with stable event
 // counts) to detect global quiescence.
 func (n *Node) Idle() bool {
-	if n.sh != nil {
-		// pending counts every unit of in-flight work: buffered batches,
-		// control messages, and ready-but-not-done instances.
-		return n.sh.pending.Load() == 0
-	}
-	return n.outstandingMirror.Load() == 0 && len(n.events) == 0
+	// pending counts every unit of in-flight work: buffered batches,
+	// control messages, and ready-but-not-done instances.
+	return n.an.pending.Load() == 0
 }
 
 func (n *Node) fail(err error) {
@@ -772,9 +706,14 @@ func (n *Node) FieldMemoryElems() int {
 // wait forever for a done event sitting in a sleeping worker's buffer).
 const eventFlushThreshold = 64
 
+// eventChanBatches is the analyzer's event-channel capacity in batches,
+// divided among the shards (each keeps at least eventFlushThreshold): 1024
+// batches buffer ~65k events.
+const eventChanBatches = 1024
+
 // workerState is one worker goroutine's dispatch state: its scheduler slot
 // and the local analyzer-event buffers awaiting the next batched flush — one
-// buffer per analyzer shard (a single buffer under the serial analyzer).
+// buffer per analyzer shard.
 type workerState struct {
 	n    *Node
 	id   int // 0-based scheduler slot; tracer lane is id+1 (analyzer is 0)
@@ -802,32 +741,24 @@ type workerState struct {
 const timeSampleEvery = 8
 
 func newWorkerState(n *Node, id int) *workerState {
-	nb := 1
-	if n.sh != nil {
-		nb = len(n.sh.shards)
-	}
-	w := &workerState{n: n, id: id, bufs: make([][]event, nb), timeAll: n.stamp, frames: make([]*execFrame, len(n.order))}
+	w := &workerState{n: n, id: id, bufs: make([][]event, len(n.an.shards)), timeAll: n.stamp, frames: make([]*execFrame, len(n.order))}
 	for i := range w.bufs {
 		w.bufs[i] = getEventBuf()
 	}
 	return w
 }
 
-// emit routes one analyzer event to its shard buffer(s). Under the sharded
-// analyzer a store event reaches only the shards whose trackers can depend on
-// it; an event with an empty route set is dropped here, before it costs a
-// channel send or an analyzer wakeup.
+// emit routes one analyzer event to its shard buffer(s). A store event
+// reaches only the shards whose trackers can depend on it; an event with an
+// empty route set is dropped here, before it costs a channel send or an
+// analyzer wakeup.
 func (w *workerState) emit(ev *event) {
-	sh := w.n.sh
-	if sh == nil {
-		w.add(0, ev)
-		return
-	}
+	an := w.n.an
 	if ev.isDone {
-		w.add(sh.shardOf(ev.b.tracker.ks, ev.b.tracker.age), ev)
+		w.add(an.shardOf(ev.b.tracker.ks, ev.b.tracker.age), ev)
 		return
 	}
-	mask := sh.shardMaskForStore(ev.fs, ev.age, ev.grew)
+	mask := an.shardMaskForStore(ev.fs, ev.age, ev.grew)
 	for mask != 0 {
 		i := bits.TrailingZeros64(mask)
 		mask &^= 1 << uint(i)
@@ -840,9 +771,9 @@ func (w *workerState) emit(ev *event) {
 // happens here (empty -> non-empty) and the matching decrement only after the
 // flushed batch is fully processed.
 func (w *workerState) add(shard int, ev *event) {
-	if w.n.sh != nil && len(w.bufs[shard]) == 0 {
-		w.n.sh.pending.Add(1)
-		w.n.sh.activity.Add(1)
+	if len(w.bufs[shard]) == 0 {
+		w.n.an.pending.Add(1)
+		w.n.an.activity.Add(1)
 	}
 	w.bufs[shard] = append(w.bufs[shard], *ev)
 	if len(w.bufs[shard]) >= eventFlushThreshold {
@@ -857,11 +788,7 @@ func (w *workerState) flushShard(shard int) {
 		return
 	}
 	w.n.mEventBatches.Add(1)
-	if w.n.sh != nil {
-		w.n.sh.shards[shard].ch <- w.bufs[shard]
-	} else {
-		w.n.events <- w.bufs[shard]
-	}
+	w.n.an.shards[shard].ch <- w.bufs[shard]
 	w.bufs[shard] = getEventBuf()
 }
 
@@ -1152,9 +1079,9 @@ func (n *Node) flushStaged(t *ageTracker, fr *execFrame, w *workerState) int {
 		} else {
 			stores += len(st.vals)
 			rank := len(sp.terms)
-			// Under the sharded analyzer, element stores nobody's element
-			// fetch or index range depends on have no event to send.
-			publish := n.sh == nil || res.Grew || n.sh.shardMaskForStore(sp.fs, g, false) != 0
+			// Element stores nobody's element fetch or index range depends
+			// on have no event to send.
+			publish := res.Grew || n.an.shardMaskForStore(sp.fs, g, false) != 0
 			for j, v := range st.vals {
 				idx := st.idx[j*rank : (j+1)*rank]
 				if n.opts.OnStore != nil {

@@ -121,13 +121,10 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 	//
 	// Slice sizes are part of the draw: per kernel either the scheduler's own
 	// sizing rule or a forced size — one, a prime that does not divide the
-	// width, or more than the whole domain — under either analyzer and a
-	// random shard count. None of it may change a single field value.
+	// width, or more than the whole domain — under a random analyzer shard
+	// count. None of it may change a single field value.
 	workers := 1 + rng.Intn(8)
 	opts := Options{Workers: workers, MaxAge: maxAge, AnalyzerShards: 1 + rng.Intn(3), Granularity: map[string]int{}}
-	if rng.Intn(4) == 0 {
-		opts.Analyzer = AnalyzerSerial
-	}
 	sizes := []int{1, 2, 3, 5, 7, width + 3}
 	for _, kd := range prog.Kernels {
 		if rng.Intn(3) > 0 {

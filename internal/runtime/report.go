@@ -66,13 +66,13 @@ type Report struct {
 
 	// Scheduler queue high-water marks: the deepest the ready queue got
 	// (instances) and the largest analyzer event backlog observed (in event
-	// batches, the channel's unit). Under the sharded analyzer both are the
-	// maximum across shards, so concurrent shards cannot understate them.
+	// batches, the channel's unit). Both are the maximum across analyzer
+	// shards, so concurrent shards cannot understate them.
 	MaxQueueDepth   int
 	MaxEventBacklog int
 
-	// AnalyzerShards is the shard count of the sharded dependency analyzer
-	// (0 when the serial reference analyzer ran). ShardEvents counts the
+	// AnalyzerShards is the shard count of the dependency analyzer (always
+	// at least 1 for a node's own report). ShardEvents counts the
 	// events each shard processed and ShardMaxBacklog each shard's event
 	// backlog high-water mark; together they show how evenly the
 	// (kernel, age) hash spread the analyzer load.
@@ -81,8 +81,7 @@ type Report struct {
 	ShardMaxBacklog []int
 
 	// Scheduler fast-path counters: batches taken from a peer's deque by the
-	// work-stealing scheduler (always zero under SchedGlobal) and event
-	// batches delivered to the analyzer.
+	// work-stealing scheduler and event batches delivered to the analyzer.
 	Steals       int64
 	EventBatches int64
 
@@ -123,8 +122,7 @@ type StageTotals struct {
 	IdleNs      int64 // workers blocked on an empty ready queue
 	FlightNs    int64 // dist messages in flight (clock-offset corrected)
 
-	// Analyzer-clock lane (sharded analyzer only; zero under the serial
-	// reference analyzer): AnalyzeNs sums every shard's event/control
+	// Analyzer-clock lane: AnalyzeNs sums every shard's event/control
 	// processing busy time, AnalyzeMaxShardNs is the busiest single shard,
 	// and WallNs is the run's wall time — their ratio is a measured analyzer
 	// occupancy, replacing the inferred ready-wait heuristic.
@@ -154,19 +152,11 @@ func (s *StageTotals) Coverage(wall time.Duration) float64 {
 }
 
 // AnalyzerSaturated flags the paper's §VIII-B signature: the dependency
-// analyzer is the bottleneck and adding workers will not help. With the
-// sharded analyzer's measured busy fractions available, the flag is direct:
-// the busiest shard was occupied more than 75% of the wall time while workers
-// sat idle longer than they dispatched. Without measurements (serial
-// analyzer) it falls back to the inferred heuristic: instances spend far
-// longer waiting to be marked ready than workers spend dispatching them
-// (ready-wait > 2× busy and idle > busy).
+// analyzer is the bottleneck and adding workers will not help. The busiest
+// shard was occupied more than 75% of the wall time while workers sat idle
+// longer than they dispatched.
 func (s *StageTotals) AnalyzerSaturated() bool {
-	busy := s.BusyNs()
-	if s.AnalyzeMaxShardNs > 0 && s.WallNs > 0 {
-		return 4*s.AnalyzeMaxShardNs > 3*s.WallNs && s.IdleNs > busy
-	}
-	return s.ReadyWaitNs > 2*busy && s.IdleNs > busy
+	return 4*s.AnalyzeMaxShardNs > 3*s.WallNs && s.IdleNs > s.BusyNs()
 }
 
 // add folds other's totals into s. Busy time sums; the busiest-shard mark and
@@ -189,34 +179,23 @@ func (s *StageTotals) add(other *StageTotals) {
 	}
 }
 
-// analyzerStats is the analyzer-side summary buildReport consumes, produced
-// by both implementations (analyzer.stats, shardedAnalyzer.stats) so the
-// report code is analyzer-agnostic. The high-water marks are already
-// aggregated (maximum across shards).
+// analyzerStats is the analyzer-side summary buildReport consumes. The
+// high-water marks are already aggregated (maximum across shards).
 type analyzerStats struct {
 	maxQueue   int
 	maxBacklog int
 	stalled    []string
 
-	shards          int // 0 for the serial analyzer
+	shards          int
 	shardEvents     []int64
 	shardBacklogMax []int
 	analyzeNs       []int64 // per-shard event/control busy time
 }
 
-// stats summarizes the serial analyzer for the report.
-func (an *analyzer) stats(failed bool) analyzerStats {
-	st := analyzerStats{maxQueue: an.maxQueue, maxBacklog: an.maxBacklog}
-	if !failed {
-		st.stalled = an.stalled()
-	}
-	return st
-}
-
-// stats summarizes the sharded analyzer for the report, max-aggregating the
+// stats summarizes the analyzer for the report, max-aggregating the
 // per-shard high-water marks (a sum would be meaningless for marks taken on
 // concurrent shards, and taking one shard's value would understate the run).
-func (sa *shardedAnalyzer) stats(failed bool) analyzerStats {
+func (sa *analyzer) stats(failed bool) analyzerStats {
 	st := analyzerStats{shards: len(sa.shards)}
 	for _, s := range sa.shards {
 		if s.maxQueue > st.maxQueue {
@@ -458,7 +437,7 @@ func (r *Report) Attribution() string {
 		fmt.Fprintf(&b, "  %-12s %14s (instance-clock: dist transport flight)\n", "flight", fmtMillis(s.FlightNs))
 	}
 	if s.AnalyzerSaturated() {
-		b.WriteString("  WARNING: analyzer saturated — ready-wait dominates dispatch time while workers idle (§VIII-B); adding workers will not scale\n")
+		b.WriteString("  WARNING: analyzer saturated — the busiest shard is occupied while workers idle (§VIII-B); adding workers will not scale\n")
 	}
 	return b.String()
 }

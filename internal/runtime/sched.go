@@ -1,3 +1,15 @@
+// Package runtime implements a P2G execution node: the paper's low-level
+// scheduler (LLS). It consists of a dependency analyzer (analyzer.go) — the
+// paper's dedicated analyzer thread, sharded by (kernel, age) — plus a pool of
+// worker goroutines that dispatch slices of kernel instances from per-worker
+// age-ordered deques (this file).
+//
+// The analyzer receives store/resize/done events from running kernel
+// instances, derives every new valid combination of age and index variables
+// that became runnable, and enqueues them. Ready instances are dispatched
+// oldest-age-first so that aging cycles (mul2/plus5) cannot starve younger
+// work, and each instance is dispatched exactly once (write-once semantics
+// make re-execution meaningless).
 package runtime
 
 import (
@@ -9,42 +21,14 @@ import (
 	"repro/internal/obs"
 )
 
-// SchedulerKind selects the ready-queue implementation of the low-level
-// scheduler (Options.Scheduler).
-type SchedulerKind uint8
+// ageHeap is a min-heap of ages with non-empty buckets.
+type ageHeap []int
 
-const (
-	// SchedStealing is the default: per-worker age-aware deques with work
-	// stealing. The analyzer spreads batches across the deques round-robin;
-	// each worker pops its own oldest-age batch locally and steals the
-	// globally oldest batch from a peer when its deque is dry or holds only
-	// work younger than the age epoch.
-	SchedStealing SchedulerKind = iota
-	// SchedGlobal is the reference implementation: the single mutex+condvar
-	// priority queue all workers contend on. Kept selectable for A/B
-	// benchmarking against the stealing scheduler.
-	SchedGlobal
-)
-
-// scheduler is the dispatch half of the low-level scheduler: the analyzer
-// pushes ready batches, workers pop them oldest-age-first. Pop blocks;
-// TryPop does not (workers use it to flush buffered analyzer events before
-// they would block).
-type scheduler interface {
-	// PushBulk enqueues many batches with amortized synchronization: one
-	// epoch update and one waiter wakeup for the whole group. The analyzers
-	// hand over every group of carved slices this way.
-	PushBulk(bs []*batch)
-	// TryPop returns a batch without blocking, or false when no work is
-	// currently available (which does not imply the queue is closed).
-	TryPop(worker int) (*batch, bool)
-	// Pop blocks until a batch is available; false once the queue is closed
-	// and drained.
-	Pop(worker int) (*batch, bool)
-	Close()
-	// Len returns the number of queued instances (not batches).
-	Len() int
-}
+func (h ageHeap) Len() int           { return len(h) }
+func (h ageHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h ageHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *ageHeap) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *ageHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // emptyAge is the deque-min sentinel for "nothing queued".
 const emptyAge = int64(math.MaxInt64)
@@ -132,8 +116,10 @@ func (d *workerDeque) publishMin() {
 	d.min.Store(emptyAge)
 }
 
-// stealScheduler implements the work-stealing ready queue: one deque per
-// worker plus an age epoch that preserves the paper's oldest-age-first
+// stealScheduler is the dispatch half of the low-level scheduler, a
+// work-stealing ready queue: the analyzer pushes ready batches, spread
+// round-robin over one deque per worker, and workers pop them
+// oldest-age-first. An age epoch preserves the paper's oldest-age-first
 // dispatch order without a global lock on the hot path.
 //
 // The epoch is a lower bound on the oldest queued age. Pushes lower it
@@ -212,6 +198,9 @@ func (s *stealScheduler) PushBulk(bs []*batch) {
 	}
 }
 
+// TryPop returns a batch without blocking, or false when no work is currently
+// available (which does not imply the queue is closed). Workers use it to
+// flush buffered analyzer events before they would block.
 func (s *stealScheduler) TryPop(worker int) (*batch, bool) {
 	self := s.deques[worker]
 	for {
@@ -252,6 +241,8 @@ func (s *stealScheduler) TryPop(worker int) (*batch, bool) {
 	}
 }
 
+// Pop blocks until a batch is available; false once the queue is closed and
+// drained.
 func (s *stealScheduler) Pop(worker int) (*batch, bool) {
 	for {
 		if b, ok := s.TryPop(worker); ok {
@@ -276,6 +267,7 @@ func (s *stealScheduler) Pop(worker int) (*batch, bool) {
 	}
 }
 
+// Close wakes all blocked consumers; queued batches may still be popped.
 func (s *stealScheduler) Close() {
 	s.closed.Store(true)
 	s.mu.Lock()
@@ -283,4 +275,5 @@ func (s *stealScheduler) Close() {
 	s.mu.Unlock()
 }
 
+// Len returns the number of queued instances (not batches).
 func (s *stealScheduler) Len() int { return int(s.queued.Load()) }

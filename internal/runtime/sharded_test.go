@@ -13,65 +13,51 @@ import (
 	"repro/internal/obs"
 )
 
-// TestShardedMultiShardQuiescence runs the aging mul/sum cycle across four
-// analyzer shards and requires bit-identical results to the serial reference
-// analyzer: every generation of both fields, and clean auto-quiescence (the
-// two-phase pending==0 protocol must neither terminate early nor hang) with
-// nothing stalled.
+// TestShardedMultiShardQuiescence runs the aging mul/sum cycle on one and on
+// four analyzer shards and requires the closed-form result from each: every
+// generation of both fields, every kernel's instance and store count, and
+// clean auto-quiescence (the two-phase pending==0 protocol must neither
+// terminate early nor hang) with nothing stalled.
 func TestShardedMultiShardQuiescence(t *testing.T) {
 	const maxAge = 40
-	run := func(kind AnalyzerKind, shards int) (*Node, *Report) {
-		n, err := NewNode(mulSum(t), Options{
-			Workers: 4, MaxAge: maxAge, Output: io.Discard,
-			Analyzer: kind, AnalyzerShards: shards,
+	want := map[string][2]int64{ // instances, store operations
+		"init":  {1, 1},
+		"mul2":  {5 * (maxAge + 1), 5 * (maxAge + 1)},
+		"plus5": {5 * (maxAge + 1), 5 * (maxAge + 1)},
+		"print": {maxAge + 1, 0},
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			n, err := NewNode(mulSum(t), Options{
+				Workers: 4, MaxAge: maxAge, Output: io.Discard, AnalyzerShards: shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := n.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Stalled) != 0 {
+				t.Fatalf("stalled: %v", rep.Stalled)
+			}
+			if rep.AnalyzerShards != shards {
+				t.Fatalf("AnalyzerShards = %d, want %d", rep.AnalyzerShards, shards)
+			}
+			checkMulSumFields(t, n, maxAge)
+			for _, k := range rep.Kernels {
+				if w := want[k.Name]; k.Instances != w[0] || k.StoreOps != w[1] {
+					t.Errorf("kernel %s: %d insts/%d stores, want %d/%d", k.Name, k.Instances, k.StoreOps, w[0], w[1])
+				}
+			}
+			var events int64
+			for _, ev := range rep.ShardEvents {
+				events += ev
+			}
+			if events == 0 {
+				t.Fatal("run reported zero shard events")
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := n.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Stalled) != 0 {
-			t.Fatalf("analyzer %d stalled: %v", kind, rep.Stalled)
-		}
-		return n, rep
-	}
-	ref, refRep := run(AnalyzerSerial, 0)
-	sh, shRep := run(AnalyzerSharded, 4)
-	if shRep.AnalyzerShards != 4 {
-		t.Fatalf("AnalyzerShards = %d, want 4", shRep.AnalyzerShards)
-	}
-	if refRep.AnalyzerShards != 0 {
-		t.Fatalf("serial AnalyzerShards = %d, want 0", refRep.AnalyzerShards)
-	}
-	for _, f := range []string{"m_data", "p_data"} {
-		for age := 0; age <= maxAge; age++ {
-			want, err := ref.Snapshot(f, age)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sh.Snapshot(f, age)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.String() != got.String() {
-				t.Fatalf("%s(%d) diverged:\nserial:  %s\nsharded: %s", f, age, want, got)
-			}
-		}
-	}
-	for i, k := range refRep.Kernels {
-		if g := shRep.Kernels[i]; g.Instances != k.Instances || g.StoreOps != k.StoreOps {
-			t.Fatalf("kernel %s: sharded %d insts/%d stores, serial %d/%d",
-				k.Name, g.Instances, g.StoreOps, k.Instances, k.StoreOps)
-		}
-	}
-	var events int64
-	for _, ev := range shRep.ShardEvents {
-		events += ev
-	}
-	if events == 0 {
-		t.Fatal("sharded run reported zero shard events")
 	}
 }
 
@@ -93,7 +79,6 @@ func TestShardedNoAutoQuiesceStop(t *testing.T) {
 	n, err := NewNode(prog, Options{
 		Workers: 2, NoAutoQuiesce: true,
 		RemoteKernels:  map[string]bool{"produce": true},
-		Analyzer:       AnalyzerSharded,
 		AnalyzerShards: 4,
 	})
 	if err != nil {
@@ -193,15 +178,15 @@ func TestShardedStatsMaxAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.sh == nil || len(n.sh.shards) != 3 {
-		t.Fatalf("expected 3 analyzer shards, got %+v", n.sh)
+	if len(n.an.shards) != 3 {
+		t.Fatalf("expected 3 analyzer shards, got %d", len(n.an.shards))
 	}
-	for i, s := range n.sh.shards {
+	for i, s := range n.an.shards {
 		s.maxQueue = 10 * (i + 1)
 		s.maxBacklog = 7 - i
 		s.busyNs = int64(100 * (i + 1))
 	}
-	st := n.sh.stats(false)
+	st := n.an.stats(false)
 	if st.maxQueue != 30 {
 		t.Errorf("maxQueue = %d, want max across shards 30", st.maxQueue)
 	}

@@ -83,7 +83,7 @@ func (ks *kernelState) observeCost(total time.Duration, ran int) {
 	ks.costNs.Store(sample)
 }
 
-// retireSlice is the analyzers' common handling of a slice's done event: its
+// retireSlice is the analyzer's handling of a slice's done event: its
 // instances are done (each gets its commit span when tracing), the tracker's
 // count moves by the slice's length, and the header is recycled. It returns
 // the tracker and that length.
@@ -104,9 +104,9 @@ func (n *Node) retireSlice(b *batch) (*ageTracker, int) {
 	return t, k
 }
 
-// slicer is the carving half of a dependency analyzer, shared by the serial
-// and the sharded implementation (one per analyzer goroutine): it collects
-// ready instances per tracker and cuts them into slices for the scheduler.
+// slicer is the carving half of the dependency analyzer, one per shard: it
+// collects ready instances per tracker and cuts them into slices for the
+// scheduler.
 type slicer struct {
 	n *Node
 	// dirty lists the trackers that gained ready instances since the last
@@ -115,8 +115,8 @@ type slicer struct {
 	dirty []*ageTracker
 	// out holds carved slices until push hands them to the scheduler.
 	out []*batch
-	// push delivers carved slices: the owning analyzer's quiescence
-	// accounting followed by scheduler.PushBulk.
+	// push delivers carved slices: the owning shard's quiescence
+	// accounting followed by stealScheduler.PushBulk.
 	push func([]*batch)
 }
 
@@ -154,7 +154,7 @@ func (c *slicer) carve(t *ageTracker, partial bool) {
 }
 
 // drain releases everything: every dirty tracker's remainder is carved into
-// a final, shorter slice and all carved slices are pushed. Analyzers call it
+// a final, shorter slice and all carved slices are pushed. Shards call it
 // at a lull, so no ready instance is ever stranded; between lulls they only
 // flush, and remainders wait for their slice to fill up.
 func (c *slicer) drain() {

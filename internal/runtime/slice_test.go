@@ -118,15 +118,15 @@ func runOrTimeout(t *testing.T, n *Node) (*Report, error) {
 	}
 }
 
-// TestSliceSizingRule pins both ends of the default sizing rule under both
-// analyzers: the one-line mul2/plus5 kernels cost far less than the slice
-// target, so their instances must be combined, while a kernel whose body
-// takes a millisecond must keep one instance per slice.
+// TestSliceSizingRule pins both ends of the default sizing rule on one and on
+// several analyzer shards: the one-line mul2/plus5 kernels cost far less than
+// the slice target, so their instances must be combined, while a kernel whose
+// body takes a millisecond must keep one instance per slice.
 func TestSliceSizingRule(t *testing.T) {
-	for _, an := range []AnalyzerKind{AnalyzerSharded, AnalyzerSerial} {
-		t.Run(fmt.Sprintf("analyzer=%d", an), func(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			const width, maxAge = 512, 8
-			n, err := NewNode(wideMulSum(t, width, nil), Options{Workers: 2, MaxAge: maxAge, Analyzer: an})
+			n, err := NewNode(wideMulSum(t, width, nil), Options{Workers: 2, MaxAge: maxAge, AnalyzerShards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestSliceSizingRule(t *testing.T) {
 			}
 
 			slow := wideMulSum(t, 16, func(*core.Ctx) error { time.Sleep(time.Millisecond); return nil })
-			n, err = NewNode(slow, Options{Workers: 2, MaxAge: 2, Analyzer: an})
+			n, err = NewNode(slow, Options{Workers: 2, MaxAge: 2, AnalyzerShards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -124,13 +124,17 @@ func TestStageMetricsSurface(t *testing.T) {
 
 // TestAnalyzerSaturatedHeuristic pins the §VIII-B signature thresholds.
 func TestAnalyzerSaturatedHeuristic(t *testing.T) {
-	sat := &StageTotals{Workers: 8, FetchNs: 1e6, ExecNs: 2e6, StoreNs: 1e6, IdleNs: 9e6, ReadyWaitNs: 20e6}
+	sat := &StageTotals{Workers: 8, FetchNs: 1e6, ExecNs: 2e6, StoreNs: 1e6, IdleNs: 9e6, AnalyzeMaxShardNs: 8e6, WallNs: 10e6}
 	if !sat.AnalyzerSaturated() {
 		t.Error("saturated profile not flagged")
 	}
-	healthy := &StageTotals{Workers: 8, FetchNs: 1e6, ExecNs: 40e6, StoreNs: 1e6, IdleNs: 2e6, ReadyWaitNs: 20e6}
+	healthy := &StageTotals{Workers: 8, FetchNs: 1e6, ExecNs: 40e6, StoreNs: 1e6, IdleNs: 2e6, AnalyzeMaxShardNs: 8e6, WallNs: 10e6}
 	if healthy.AnalyzerSaturated() {
-		t.Error("healthy profile flagged as saturated")
+		t.Error("busy workers flagged as saturated")
+	}
+	idleAnalyzer := &StageTotals{Workers: 8, FetchNs: 1e6, ExecNs: 2e6, StoreNs: 1e6, IdleNs: 9e6, AnalyzeMaxShardNs: 7e6, WallNs: 10e6}
+	if idleAnalyzer.AnalyzerSaturated() {
+		t.Error("a shard busy 70% of wall flagged as saturated")
 	}
 }
 

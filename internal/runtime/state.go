@@ -177,8 +177,8 @@ type fetchPlan struct {
 	whole bool
 	// viewable marks fetches eligible for the zero-copy view path: whole
 	// fetches always, slab fetches when the fixed dimensions form a prefix
-	// (so the selected rows are one contiguous slab range). Cleared when
-	// Options.FetchCopy forces the copying reference path.
+	// (so the selected rows are one contiguous slab range). A fetch that is
+	// not viewable, or whose generation cannot be pinned, copies.
 	viewable bool
 }
 
@@ -197,7 +197,7 @@ type kernelState struct {
 	decl  *core.KernelDecl
 	binds []varBind // one per index variable, in declaration order
 
-	// idx is the kernel's position in Node.order; the sharded analyzer's
+	// idx is the kernel's position in Node.order; the analyzer's
 	// (kernel, age) -> shard hash is computed from it.
 	idx int
 
@@ -206,7 +206,7 @@ type kernelState struct {
 	// needsInstMap is true when the kernel has at least one element fetch:
 	// only then does satisfaction ever look an instance up by coordinates.
 	// Kernels without element fetches (whole/slab only) skip the per-instance
-	// map insert on the sharded analyzer's creation path.
+	// map insert on the analyzer's creation path.
 	needsInstMap bool
 
 	// Dispatch plans: precompiled fetch/store coordinates (same order as
@@ -215,8 +215,6 @@ type kernelState struct {
 	fetchPlans []fetchPlan
 	storePlans []storePlan
 	frames     *sync.Pool // of *execFrame
-
-	ages map[int]*ageTracker
 
 	// gran is the kernel's Options.Granularity entry: a fixed slice size that
 	// overrides the sizing rule (Node.sliceSize). Zero means unset.
@@ -298,7 +296,7 @@ type ageTracker struct {
 	size  int
 	dirty bool
 
-	// all lists every instance when the sharded analyzer skips the inst map
+	// all lists every instance when the analyzer skips the inst map
 	// (kernels without element fetches never look instances up by coordinate);
 	// it exists only so completed trackers can recycle their instances.
 	all []*instState
@@ -320,7 +318,7 @@ type fieldState struct {
 
 	ages map[int]*fieldAgeState
 
-	// Store-event routing tables for the sharded analyzer, precompiled at
+	// Store-event routing tables for the analyzer's shards, precompiled at
 	// NewNode. A store to generation g only concerns shards owning a tracker
 	// whose element-fetch satisfaction or index-range growth can depend on
 	// it: elemRoutes lists the age-variable element-fetch consumers (tracker

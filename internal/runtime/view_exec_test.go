@@ -1,7 +1,8 @@
 package runtime
 
 import (
-	"io"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,7 +12,7 @@ import (
 // viewBenchNode builds a one-kernel node whose whole-fetch input generation
 // is pre-stored and complete, so exec can be driven directly through the
 // zero-copy view path.
-func viewBenchNode(t testing.TB, fetchCopy bool) (*Node, *ageTracker, *instState) {
+func viewBenchNode(t testing.TB) (*Node, *ageTracker, *instState) {
 	t.Helper()
 	pb := core.NewBuilder("viewbench")
 	pb.Field("in", field.Float64, 1, true)
@@ -26,7 +27,7 @@ func viewBenchNode(t testing.TB, fetchCopy bool) (*Node, *ageTracker, *instState
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(prog, Options{Workers: 1, FetchCopy: fetchCopy})
+	n, err := NewNode(prog, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestViewDispatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	n, tr, is := viewBenchNode(t, false)
+	n, tr, is := viewBenchNode(t)
 	if !n.kernels["consume"].fetchPlans[0].viewable {
 		t.Fatal("whole fetch not planned as viewable")
 	}
@@ -67,52 +68,117 @@ func TestViewDispatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestFetchCopyDisablesViews: the A/B reference option must plan every fetch
-// as non-viewable.
-func TestFetchCopyDisablesViews(t *testing.T) {
-	n, _, _ := viewBenchNode(t, true)
-	if n.kernels["consume"].fetchPlans[0].viewable {
-		t.Fatal("FetchCopy left the fetch viewable")
+// TestViewFetchMatchesSnapshot runs the aging mul/sum cycle and holds both
+// read paths against the closed form: what print's whole-generation fetches —
+// zero-copy views aliasing the generation slabs — showed the kernel body, and
+// what the copying Snapshot returns for the same generations afterwards (run
+// under -race in CI).
+func TestViewFetchMatchesSnapshot(t *testing.T) {
+	const maxAge = 20 // int32 has not wrapped yet, so every age prints a distinct pair
+	var out strings.Builder
+	n, err := NewNode(mulSum(t), Options{Workers: 4, MaxAge: maxAge, Output: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fp := range n.kernels["print"].fetchPlans {
+		if !fp.viewable {
+			t.Fatalf("print's fetch of %s not planned as viewable", fp.fe.Field)
+		}
+	}
+	rep, err := n.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Stalled) != 0 {
+		t.Fatalf("stalled: %v", rep.Stalled)
+	}
+	checkMulSumFields(t, n, maxAge)
+
+	// print writes an age's two lines in one Printf, so the output is one
+	// such pair per age, in whatever order the ages ran.
+	line := func(vs []int32) string {
+		var sb strings.Builder
+		for _, v := range vs {
+			fmt.Fprintf(&sb, "%d ", v)
+		}
+		return sb.String() + "\n"
+	}
+	m, p := expectedMulSum(maxAge)
+	unseen := map[string]int{}
+	for a := 0; a <= maxAge; a++ {
+		unseen[line(m[a])+line(p[a])] = a
+	}
+	lines := strings.SplitAfter(out.String(), "\n")
+	for i := 0; i+1 < len(lines); i += 2 {
+		pair := lines[i] + lines[i+1]
+		if _, ok := unseen[pair]; !ok {
+			t.Fatalf("print saw a pair no age produces (or saw it twice):\n%s", pair)
+		}
+		delete(unseen, pair)
+	}
+	if len(unseen) != 0 {
+		t.Fatalf("print never showed %d of %d ages: %v", len(unseen), maxAge+1, unseen)
 	}
 }
 
-// TestFetchCopyViewEquivalence runs the aging mul/sum cycle with the copying
-// reference path and with zero-copy views, and requires every generation of
-// both fields bit-identical — the serial-vs-view analogue of the
-// sharded-analyzer equivalence stress (run under -race in CI).
-func TestFetchCopyViewEquivalence(t *testing.T) {
-	const maxAge = 40
-	run := func(fetchCopy bool) *Node {
-		n, err := NewNode(mulSum(t), Options{
-			Workers: 4, MaxAge: maxAge, Output: io.Discard, FetchCopy: fetchCopy,
+// TestColumnSlabFetchCopies covers the fetch that can never be a view: a slab
+// selector whose fixed dimension is not a prefix addresses a strided column,
+// so the plan is not viewable and every instance copies it out — and must see
+// the same values.
+func TestColumnSlabFetchCopies(t *testing.T) {
+	const rows, cols = 6, 5
+	b := core.NewBuilder("columns")
+	b.Field("in", field.Int32, 2, true)
+	b.Field("sums", field.Int32, 1, true)
+	b.Kernel("src").
+		Local("m", field.Int32, 2).
+		StoreAll("in", core.AgeAt(0), "m").
+		Body(func(c *core.Ctx) error {
+			m := c.Array("m")
+			m.Grow(rows, cols)
+			for i, flat := 0, m.Int32s(); i < len(flat); i++ {
+				flat[i] = int32(i * i)
+			}
+			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := n.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Stalled) != 0 {
-			t.Fatalf("fetchCopy=%v stalled: %v", fetchCopy, rep.Stalled)
-		}
-		return n
+	b.Kernel("colsum").Index("c").
+		Local("col", field.Int32, 1).
+		Local("sum", field.Int32, 0).
+		Fetch("col", "in", core.AgeAt(0), core.All(), core.Idx("c")).
+		Store("sums", core.AgeAt(0), []core.IndexSpec{core.Idx("c")}, "sum").
+		Body(func(c *core.Ctx) error {
+			var sum int32
+			for _, v := range c.Array("col").Int32s() {
+				sum += v
+			}
+			c.SetInt32("sum", sum)
+			return nil
+		})
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref := run(true)
-	view := run(false)
-	for _, f := range []string{"m_data", "p_data"} {
-		for age := 0; age <= maxAge; age++ {
-			want, err := ref.Snapshot(f, age)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := view.Snapshot(f, age)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.String() != got.String() {
-				t.Fatalf("%s(%d) diverged:\ncopy: %s\nview: %s", f, age, want, got)
-			}
+	n, err := NewNode(prog, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.kernels["colsum"].fetchPlans[0].viewable {
+		t.Fatal("column fetch planned as viewable")
+	}
+	if _, err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sums, err := n.Snapshot("sums", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < cols; c++ {
+		var want int32
+		for r := 0; r < rows; r++ {
+			want += int32((r*cols + c) * (r*cols + c))
+		}
+		if got := sums.At(c).Int32(); got != want {
+			t.Errorf("sums[%d] = %d, want %d", c, got, want)
 		}
 	}
 }

@@ -110,9 +110,6 @@ func Fuse(p *Program, up, down string) (*Program, error) { return core.Fuse(p, u
 type (
 	// Options configures an execution node.
 	Options = runtime.Options
-	// SchedulerKind selects the ready-queue implementation
-	// (Options.Scheduler).
-	SchedulerKind = runtime.SchedulerKind
 	// Node is a single execution node.
 	Node = runtime.Node
 	// Report is the per-run instrumentation summary (Tables II/III).
@@ -161,16 +158,6 @@ func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 func NewObsServer(addr string, reg *MetricsRegistry, tracer *Tracer, status func() any) *ObsServer {
 	return obs.NewServer(addr, reg, tracer, status)
 }
-
-// Scheduler implementations (Options.Scheduler).
-const (
-	// SchedStealing is the default work-stealing scheduler: per-worker
-	// age-aware deques with an age epoch preserving oldest-age-first order.
-	SchedStealing = runtime.SchedStealing
-	// SchedGlobal is the reference single global priority queue, kept
-	// selectable for A/B benchmarking.
-	SchedGlobal = runtime.SchedGlobal
-)
 
 // NewNode builds an execution node for a program.
 func NewNode(p *Program, opts Options) (*Node, error) { return runtime.NewNode(p, opts) }
