@@ -42,13 +42,14 @@ test-fault:
 	$(GO) test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown' ./internal/dist/
 
 # fuzz-lang is the kernel-language fuzz gate (also run by ci.sh): ten seconds
-# each of FuzzParse (lexer, parser and both compilers never panic) and
-# FuzzBackendsAgree (bytecode and closure back-ends agree on any program both
-# accept), seeded from testdata/*.p2g. Minimization is off: shrinking one new
+# each of FuzzParse (lexer, parser and compiler never panic, and nothing
+# crashes the lowering) and FuzzVMMatchesOracle (the bytecode VM and the
+# test-only tree-walking oracle agree on any program the compiler accepts),
+# seeded from testdata/*.p2g. Minimization is off: shrinking one new
 # 3 KB input would otherwise eat the whole budget.
 fuzz-lang:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
-	$(GO) test -run '^$$' -fuzz '^FuzzBackendsAgree$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
+	$(GO) test -run '^$$' -fuzz '^FuzzVMMatchesOracle$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
 
 # bench-smoke is the benchmark-ledger smoke gate (also run by ci.sh): bench/
 # is a nested module (repro/bench) that `go test ./...` does not reach. Its

@@ -657,13 +657,12 @@ func mustReadTestdata(b *testing.B, path string) string {
 	return data
 }
 
-// ---- kernel-language back-end benchmarks ----------------------------------
+// ---- kernel-language body benchmarks --------------------------------------
 //
 // BenchmarkLang{MulSum,KMeans,Wavefront} measure one kernel body directly
-// (no scheduler, no fetch/store machinery) under the closure interpreter,
-// the register-bytecode VM, and a native Go transliteration of the same
-// compute. The bytecode/closure ratio is the interpreter gap the bytecode
-// back-end exists to close; the native column is the remaining headroom.
+// (no scheduler, no fetch/store machinery) on the register-bytecode VM and as
+// a native Go transliteration of the same compute; the native row is the
+// VM's remaining headroom.
 
 // §V mulsum arithmetic: repeated v = v*2+5 passes over a 512-element row.
 const benchLangMulSumSrc = `
@@ -725,39 +724,20 @@ var benchLangSink int64
 
 func benchLangBody(b *testing.B, src, kernel string, native func() int64) {
 	b.Helper()
-	for _, be := range []struct {
-		name string
-		opts lang.Options
-	}{
-		{"closure", lang.Options{Backend: lang.BackendClosure}},
-		{"bytecode", lang.Options{Backend: lang.BackendBytecode}},
-	} {
-		prog, err := lang.CompileOptions("bench", src, be.opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if be.opts.Backend == lang.BackendBytecode {
-			listings, err := lang.Disassemble("bench", src)
-			if err != nil {
+	prog, err := lang.Compile("bench", src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kd := prog.Kernel(kernel)
+	ctx := core.NewCtx(kd, 0, nil, nil, io.Discard)
+	b.Run("bytecode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ctx.Reset(0, nil)
+			if err := kd.Body(ctx); err != nil {
 				b.Fatal(err)
 			}
-			for _, l := range listings {
-				if l.Fallback {
-					b.Fatalf("kernel %s fell back to closure: %s", l.Kernel, l.FallbackReason)
-				}
-			}
 		}
-		kd := prog.Kernel(kernel)
-		ctx := core.NewCtx(kd, 0, nil, nil, io.Discard)
-		b.Run(be.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx.Reset(0, nil)
-				if err := kd.Body(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	})
 	b.Run("native", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchLangSink = native()

@@ -26,12 +26,13 @@ go test -count=1 ./internal/field/ ./internal/runtime/ ./internal/dist/
 # connection.
 go test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown' ./internal/dist/
 # Kernel-language fuzz gate (`make fuzz-lang`): ten seconds each of FuzzParse
-# (lexer, parser and both compilers never panic) and FuzzBackendsAgree (the
-# bytecode and closure back-ends agree on any program both accept), seeded from
+# (lexer, parser and compiler never panic, and nothing crashes the lowering)
+# and FuzzVMMatchesOracle (the bytecode VM and the test-only tree-walking
+# oracle agree on any program the compiler accepts), seeded from
 # testdata/*.p2g. Minimization is off: shrinking one new 3 KB input would
 # otherwise eat the whole budget.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
-go test -run '^$' -fuzz '^FuzzBackendsAgree$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
+go test -run '^$' -fuzz '^FuzzVMMatchesOracle$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
 # Benchmark-ledger smoke gate (`make bench-smoke`): bench/ is a nested module
 # (repro/bench) that `go test ./...` above does not reach. Its test drives
 # every ledger workload for a few seconds against the sequential oracle, and

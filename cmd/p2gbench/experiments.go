@@ -445,56 +445,29 @@ func distExp() error {
 }
 
 // wavefrontExp sweeps worker counts over the §III wavefront intra-prediction
-// program written in the kernel language (testdata/wavefront.p2g), running
-// both kernel-body back-ends at every width. The -backend flag selects which
-// back-end is the primary column; the other runs as the reference so the
-// interpreter gap is visible at every worker count.
+// program written in the kernel language (testdata/wavefront.p2g).
 func wavefrontExp() error {
 	src, err := os.ReadFile("testdata/wavefront.p2g")
 	if err != nil {
 		return fmt.Errorf("reading testdata/wavefront.p2g (run from the repo root): %w", err)
 	}
-	primary := langOptions()
-	reference := lang.Options{Backend: lang.BackendClosure}
-	refName := "closure"
-	if primary.Backend == lang.BackendClosure {
-		reference = lang.Options{Backend: lang.BackendBytecode}
-		refName = "bytecode"
+	prog, err := lang.Compile("wavefront", string(src))
+	if err != nil {
+		return err
 	}
-	measure := func(opts lang.Options, w int) (time.Duration, error) {
-		prog, err := lang.CompileOptions("wavefront", string(src), opts)
-		if err != nil {
-			return 0, err
-		}
+	fmt.Printf("%-8s %s\n", "workers", "wall s")
+	for w := 1; w <= *maxWorkers; w++ {
 		var ds []time.Duration
 		for r := 0; r < *runs; r++ {
 			rep, err := runInstrumented(prog, runtime.Options{Workers: w, Output: io.Discard})
 			if err != nil {
-				return 0, err
+				return err
 			}
 			ds = append(ds, rep.Wall)
 		}
 		mean, _ := meanStd(ds)
-		return time.Duration(mean * float64(time.Second)), nil
+		fmt.Printf("%-8d %.4f\n", w, mean)
 	}
-	fmt.Printf("%-8s %-16s %-16s %s\n", "workers",
-		*backendFlag+" s", refName+" s", "ratio")
-	for w := 1; w <= *maxWorkers; w++ {
-		p, err := measure(primary, w)
-		if err != nil {
-			return err
-		}
-		ref, err := measure(reference, w)
-		if err != nil {
-			return err
-		}
-		ratio := 0.0
-		if p > 0 {
-			ratio = ref.Seconds() / p.Seconds()
-		}
-		fmt.Printf("%-8d %-16.4f %-16.4f %.2fx\n", w, p.Seconds(), ref.Seconds(), ratio)
-	}
-	fmt.Printf("(mean of %d runs per cell; the kernel bodies are identical %s programs,\n", *runs, "kernel-language")
-	fmt.Printf(" only the body back-end differs — see `go test -bench Lang` for body-only numbers)\n")
+	fmt.Printf("(mean of %d runs per cell; see `go test -bench Lang` for body-only numbers against native Go)\n", *runs)
 	return nil
 }

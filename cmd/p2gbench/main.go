@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"strings"
 
-	"repro/internal/lang"
 	"repro/internal/obs"
 )
 
@@ -35,16 +34,7 @@ var (
 	attrFlag    = flag.Bool("attr", false, "print per-stage latency attribution (ready-wait, queue-wait, fetch, exec, store, idle) after every instrumented run")
 	metricsAddr = flag.String("metrics-addr", "", "serve /metricz, /statusz and /tracez on this address while experiments run, e.g. :9090")
 	shardsFlag  = flag.Int("shards", 0, "dependency-analyzer shard count (0: auto from GOMAXPROCS)")
-	backendFlag = flag.String("backend", "bytecode", "kernel-language back-end for .p2g experiments: bytecode (register VM) or closure (reference interpreter)")
 )
-
-// langOptions maps the -backend flag onto lang.Options.
-func langOptions() lang.Options {
-	if *backendFlag == "closure" {
-		return lang.Options{Backend: lang.BackendClosure}
-	}
-	return lang.Options{Backend: lang.BackendBytecode}
-}
 
 // benchReg and benchTracer instrument every experiment's instrumented runs
 // when the corresponding flag is set; both nil (zero overhead) otherwise.
@@ -63,11 +53,6 @@ func main() {
 	which := flag.String("experiment", "all", "experiment id or 'all'")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
-
-	if *backendFlag != "bytecode" && *backendFlag != "closure" {
-		fmt.Fprintf(os.Stderr, "p2gbench: unknown -backend %q (want bytecode or closure)\n", *backendFlag)
-		os.Exit(2)
-	}
 
 	if *tracePath != "" {
 		benchTracer = obs.NewTracer(obs.DefaultTraceCapacity)
@@ -106,7 +91,7 @@ func main() {
 		{"dct", "ablation: naive vs AAN fast DCT (§VIII-A, ref [2])", dct},
 		{"partition", "extension: HLS partitioning quality (§IV)", partition},
 		{"dist", "extension: distributed execution nodes (figure 1)", distExp},
-		{"wavefront", "§III wavefront intra-prediction in the kernel language, back-end A/B", wavefrontExp},
+		{"wavefront", "§III wavefront intra-prediction in the kernel language, worker sweep", wavefrontExp},
 	}
 	if *list {
 		for _, e := range experiments {

@@ -1,11 +1,10 @@
 // p2gc is the P2G kernel-language compiler driver: it checks .p2g programs,
 // prints their dependency graphs (the paper's figures 2-4) in Graphviz DOT
-// form, and disassembles the register bytecode the default back-end compiles
-// kernel bodies to.
+// form, and disassembles the register bytecode kernel bodies compile to.
 //
 // Usage:
 //
-//	p2gc [-check] [-disasm] [-backend bytecode|closure] [-graph intermediate|final|dcdag] [-ages N] program.p2g
+//	p2gc [-check] [-disasm] [-graph intermediate|final|dcdag] [-ages N] program.p2g
 package main
 
 import (
@@ -21,11 +20,10 @@ import (
 func main() {
 	check := flag.Bool("check", false, "parse and validate only")
 	disasm := flag.Bool("disasm", false, "print the register-bytecode listing for every kernel")
-	backend := flag.String("backend", "bytecode", "kernel-body back-end: bytecode or closure")
 	graphKind := flag.String("graph", "", "print a graph: intermediate, final or dcdag")
 	ages := flag.Int("ages", 3, "ages to unroll for -graph dcdag")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: p2gc [-check] [-disasm] [-backend bytecode|closure] [-graph intermediate|final|dcdag] [-ages N] program.p2g")
+		fmt.Fprintln(os.Stderr, "usage: p2gc [-check] [-disasm] [-graph intermediate|final|dcdag] [-ages N] program.p2g")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -33,17 +31,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opts, err := backendOptions(*backend)
-	if err != nil {
-		fail("%v", err)
-	}
 	path := flag.Arg(0)
 	src, err := os.ReadFile(path)
 	if err != nil {
 		fail("%v", err)
 	}
 	name := strings.TrimSuffix(path, ".p2g")
-	prog, err := lang.CompileOptions(name, string(src), opts)
+	prog, err := lang.Compile(name, string(src))
 	if err != nil {
 		fail("%s:%v", path, err)
 	}
@@ -57,28 +51,18 @@ func main() {
 			fail("%s:%v", path, err)
 		}
 		for _, l := range listings {
-			if l.Fallback {
-				fmt.Printf("kernel %s: closure fallback (%s)\n", l.Kernel, l.FallbackReason)
-				continue
-			}
 			fmt.Print(l.Text)
 		}
 		return
 	}
 	if *check {
-		fmt.Printf("%s: %d fields, %d kernels, backend=%s, OK\n", path, len(prog.Fields), len(prog.Kernels), *backend)
-		if opts.Backend == lang.BackendBytecode {
-			listings, err := lang.Disassemble(name, string(src))
-			if err != nil {
-				fail("%s:%v", path, err)
-			}
-			for _, l := range listings {
-				if l.Fallback {
-					fmt.Printf("  kernel %-12s closure fallback: %s\n", l.Kernel, l.FallbackReason)
-				} else {
-					fmt.Printf("  kernel %-12s %d bytecode instructions\n", l.Kernel, l.Instructions)
-				}
-			}
+		fmt.Printf("%s: %d fields, %d kernels, OK\n", path, len(prog.Fields), len(prog.Kernels))
+		listings, err := lang.Disassemble(name, string(src))
+		if err != nil {
+			fail("%s:%v", path, err)
+		}
+		for _, l := range listings {
+			fmt.Printf("  kernel %-12s %d bytecode instructions\n", l.Kernel, l.Instructions)
 		}
 		return
 	}
@@ -103,17 +87,6 @@ func main() {
 		fmt.Print(graph.Unroll(fin, *ages).DOT(prog.Name))
 	default:
 		fail("unknown graph kind %q", *graphKind)
-	}
-}
-
-func backendOptions(name string) (lang.Options, error) {
-	switch name {
-	case "bytecode":
-		return lang.Options{Backend: lang.BackendBytecode}, nil
-	case "closure":
-		return lang.Options{Backend: lang.BackendClosure}, nil
-	default:
-		return lang.Options{}, fmt.Errorf("unknown backend %q (want bytecode or closure)", name)
 	}
 }
 

@@ -20,14 +20,13 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 1, "worker threads")
-	backend := flag.String("backend", "bytecode", "kernel-body back-end: bytecode or closure")
 	maxAge := flag.Int("maxage", 0, "global age bound (0 = unbounded)")
 	bounds := flag.String("bound", "", "per-kernel age bounds, e.g. assign=9,refine=9,print=10")
 	stats := flag.Bool("stats", false, "print the instrumentation table after the run")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file of kernel instances (open in chrome://tracing or ui.perfetto.dev)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metricz, /statusz and /tracez on this address during the run, e.g. :9090")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: p2grun [-workers N] [-backend bytecode|closure] [-maxage N] [-bound k=a,...] [-stats] [-trace out.json] [-metrics-addr :9090] program.p2g")
+		fmt.Fprintln(os.Stderr, "usage: p2grun [-workers N] [-maxage N] [-bound k=a,...] [-stats] [-trace out.json] [-metrics-addr :9090] program.p2g")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -40,16 +39,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	var copts lang.Options
-	switch *backend {
-	case "bytecode":
-		copts.Backend = lang.BackendBytecode
-	case "closure":
-		copts.Backend = lang.BackendClosure
-	default:
-		fail("unknown backend %q (want bytecode or closure)", *backend)
-	}
-	prog, err := lang.CompileOptions(strings.TrimSuffix(path, ".p2g"), string(src), copts)
+	prog, err := lang.Compile(strings.TrimSuffix(path, ".p2g"), string(src))
 	if err != nil {
 		fail("%s:%v", path, err)
 	}

@@ -241,6 +241,11 @@ func (p *parser) forStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The post clause runs after the body but sits before it in the
+		// source: a name declared there has no scope both orders agree on.
+		if d, ok := post.(DeclStmt); ok {
+			return nil, errAt(d.Tok, "declaration of %q in a for-loop post clause", d.Name)
+		}
 		st.Post = post
 	}
 	if _, err := p.expect(")"); err != nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/runtime"
 )
 
 // lowerTestdata lowers every kernel of a testdata program.
@@ -15,22 +13,13 @@ func lowerTestdata(t *testing.T, name string) map[string]*bcProg {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := map[string]FieldDecl{}
-	for _, fd := range file.Fields {
-		fields[fd.Name] = fd
-	}
-	timers := map[string]bool{}
-	for _, td := range file.Timers {
-		timers[td.Name] = true
+	_, bodies, err := compileFile(name, file)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 	out := map[string]*bcProg{}
-	for i := range file.Kernels {
-		kd := &file.Kernels[i]
-		p, err := lowerKernelBody(kd, timers, fields)
-		if err != nil {
-			t.Fatalf("%s: kernel %s: %v", name, kd.Name, err)
-		}
-		out[kd.Name] = p
+	for _, p := range bodies {
+		out[p.kernel] = p
 	}
 	return out
 }
@@ -133,29 +122,26 @@ func TestLoweringInstructionBudget(t *testing.T) {
 	}
 }
 
-// A kernel that needs more registers of one class than a byte operand can
-// name is not lowered: it keeps the closure body and runs correctly.
-func TestLoweringRegisterLimitFallsBack(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("int32[] out;\nk:\n  local int32[] r;\n  %{\n")
+// A kernel that needs more registers of one class — or more kernel locals —
+// than a byte operand can name does not compile, and the error says which
+// kernel, which class and how many.
+func TestLoweringRegisterLimit(t *testing.T) {
+	var wide, many strings.Builder
+	wide.WriteString("int32[] out;\nwide:\n  local int32[] r;\n  %{\n")
+	many.WriteString("int32[] out;\nmany:\n  local int32[] r;\n")
 	for i := 0; i < maxRegs+10; i++ {
-		fmt.Fprintf(&b, "int v%d = %d;\n", i, i%7)
+		fmt.Fprintf(&wide, "int v%d = %d;\n", i, i%7)
+		fmt.Fprintf(&many, "  local int32[] v%d;\n", i)
 	}
-	fmt.Fprintf(&b, "put(r, v3 + v%d, 0);\n  %%}\n  store out(0) = r;\n", maxRegs+9)
-	src := b.String()
-	listings, err := Disassemble("wide", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := listings[0]; !l.Fallback || !strings.Contains(l.FallbackReason, "registers") {
-		t.Fatalf("listing = %+v, want a fallback naming the register limit", l)
-	}
-	node, _ := equivRun(t, "wide", src, BackendBytecode, runtime.Options{Workers: 1})
-	snap, err := node.Snapshot("out", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := snap.String(), fmt.Sprintf("{%d}", 3+(maxRegs+9)%7); got != want {
-		t.Errorf("out(0) = %s, want %s", got, want)
+	fmt.Fprintf(&wide, "put(r, v3 + v%d, 0);\n  %%}\n  store out(0) = r;\n", maxRegs+9)
+	fmt.Fprintf(&many, "  %%{ put(v%d, 1, 0); put(r, 1, 0); %%}\n  store out(0) = r;\n", maxRegs+9)
+	for src, want := range map[string]string{
+		// 266 variables, one temporary for the sum and the constants 0..6.
+		wide.String(): "2:1: kernel wide needs 274 int registers, the limit is 256",
+		many.String(): "2:1: kernel many needs 267 locals, the limit is 256",
+	} {
+		if _, err := Compile("limit", src); err == nil || err.Error() != want {
+			t.Errorf("Compile = %v, want %s", err, want)
+		}
 	}
 }

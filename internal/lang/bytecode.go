@@ -1,12 +1,10 @@
 package lang
 
-// Register bytecode for kernel bodies. The closure interpreter in compile.go
-// walks a tree of Go closures with every operand boxed in a field.Value; this
-// back-end lowers the same AST to a flat instruction slice executed by a
-// switch-dispatch VM (vm.go). The closure back-end stays selectable
-// (Options.Backend) as the differential reference and the source of compile
-// errors; the tests in bytecode_test.go and fuzz_test.go pin the two to
-// bit-identical results.
+// Register bytecode for kernel bodies: lower.go turns the code-block AST into
+// a flat instruction slice executed by a switch-dispatch VM (vm.go). It is the
+// only way a kernel-language body runs; the tests in bytecode_test.go and
+// fuzz_test.go pin it to bit-identical results against a tree-walking oracle
+// (oracle_test.go).
 //
 // Frame layout. Each register class — i (int64), f (float64), s (string),
 // v (boxed field.Value) — is one file per frame, laid out as
@@ -23,7 +21,7 @@ package lang
 // mask, and the epilogue (bcProg.stores) writes exactly the marked locals
 // back to the Ctx with SetLocalValue — on every way out of the body, so a
 // local is bound iff the executed path assigned it and a failing body leaves
-// the Ctx the interpreter would have left. Array locals resolve on first
+// the Ctx with exactly the assignments it made. Array locals resolve on first
 // touch into a frame-held arrView (vm.go).
 //
 // Instruction encoding: eight bytes — the opcode, three one-byte operands
@@ -33,7 +31,8 @@ package lang
 // indices, and the fourth register of the rank-2 array forms. Register
 // operands being bytes is what lets the VM index its fixed-size int and float
 // register files without bounds checks; a kernel that needs more than 256
-// registers of one class (constants included) is not lowered.
+// registers of one class (constants included), locals or timers is a compile
+// error.
 
 import (
 	"fmt"
@@ -58,8 +57,8 @@ const (
 	opJzV                // jump if !v[a].Bool()
 	opJnzV               // jump if v[a].Bool()
 	// fused compare-and-branch, a,b=operands d=target; > and >= swap their
-	// operands onto < and <=. The float forms follow the interpreter's
-	// compareFloat order, under which NaN compares equal to everything.
+	// operands onto < and <=. The float forms follow arith()'s compareFloat
+	// order, under which NaN compares equal to everything.
 	opJeqI
 	opJneI
 	opJltI
@@ -132,13 +131,12 @@ const (
 	opEqS
 	opNeS
 
-	// boxed fallback ops for Any-kind operands: identical helpers to the
-	// closure interpreter, so dynamic-kind semantics cannot drift
+	// boxed ops for operands whose kind is only known at run time
 	opArithV // v[a] = arith(sites[d], v[b], v[c])
 	opIncV   // v[a] = v[b] incremented by d (float/int by dynamic kind)
 	opNegV   // v[a] = -v[b] by dynamic kind
 	opAbsV
-	opMinV // v[a] = min(v[b], v[c]) with the interpreter's dynamic rules
+	opMinV // v[a] = min(v[b], v[c]): float if either is, else the winning operand
 	opMaxV
 
 	// math builtins
@@ -160,8 +158,8 @@ const (
 	// arrays through the frame's views. The typed rank-1 and rank-2 forms
 	// index the view's backing slice directly; any miss (first touch, out of
 	// range, rank or class mismatch, write to an aliased backing) drops to
-	// the boxed At/Put path, so panics and implicit grow are the
-	// interpreter's. The V forms take d contiguous int coordinate registers
+	// the boxed At/Put path, so panics and implicit grow are field.Array's.
+	// The V forms take d contiguous int coordinate registers
 	// starting at c and serve boxed arrays and ranks above two.
 	opGetF1 // f[a] = arr(b)[i[c]]
 	opGetF2 // f[a] = arr(b)[i[c]][i[d]]
@@ -357,7 +355,7 @@ type rawInstr struct {
 const maxRegs = 256
 
 // boxSite records the operator and source position of a boxed arithmetic
-// instruction so opArithV reports errors identical to the interpreter's.
+// instruction, which arith() needs to report its errors.
 type boxSite struct {
 	op  string
 	tok Token
@@ -474,11 +472,9 @@ func (p *bcProg) timerConst(name string) int32 {
 
 // finish is the lowering's last step: constant operands move above the
 // registers of their class, label operands become instruction indices, and
-// the instructions are packed. It fails when an operand does not fit.
-func (p *bcProg) finish(raw []rawInstr, labels []int32) error {
-	if p.nI+len(p.ints) > maxRegs || p.nF+len(p.floats) > maxRegs || p.nS+len(p.strs) > maxRegs || p.nV > maxRegs {
-		return fmt.Errorf("lang: kernel %s needs more than %d registers of one class", p.kernel, maxRegs)
-	}
+// the instructions are packed. The caller has checked that every class fits
+// its register file, so an operand that does not fit a byte is a lowering bug.
+func (p *bcProg) finish(raw []rawInstr, labels []int32) {
 	base := [...]int32{xI: int32(p.nI), xF: int32(p.nF), xS: int32(p.nS), xV: int32(p.nV)}
 	p.code = make([]instr, len(raw))
 	for pc, in := range raw {
@@ -494,10 +490,9 @@ func (p *bcProg) finish(raw []rawInstr, labels []int32) error {
 				x[i] = labels[x[i]]
 			}
 			if i < 3 && (x[i] < 0 || x[i] > math.MaxUint8) {
-				return fmt.Errorf("lang: kernel %s: operand %d of %s out of range", p.kernel, x[i], opTable[in.op].name)
+				panic(fmt.Sprintf("operand %d of %s out of range", x[i], opTable[in.op].name))
 			}
 		}
 		p.code[pc] = instr{op: in.op, a: uint8(x[0]), b: uint8(x[1]), c: uint8(x[2]), d: x[3]}
 	}
-	return nil
 }

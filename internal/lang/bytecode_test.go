@@ -1,13 +1,15 @@
 package lang
 
-// Tests pinning the register-bytecode back-end against the closure
-// interpreter: the two must agree bit-for-bit on field contents, cout output
-// and error surfaces for every program either can run.
+// Tests pinning the bytecode VM against the tree-walking oracle
+// (oracle_test.go): the two must agree bit-for-bit on field contents, cout
+// output and error surfaces for every program the lowerer accepts.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -17,22 +19,35 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestBytecodeNoFallbackOnTestdata asserts that every kernel of every
-// testdata program lowers to bytecode — the testdata corpus is the coverage
-// floor for the lowering.
-func TestBytecodeNoFallbackOnTestdata(t *testing.T) {
-	for _, name := range []string{"mulsum", "kmeans", "wavefront", "dctstats"} {
-		listings, err := Disassemble(name, readTestdata(t, name+".p2g"))
+// TestEveryKernelLowers asserts that every kernel of every kernel-language
+// source in the tree — testdata/*.p2g and the benchmark's K-means template —
+// compiles to a non-empty listing: there is no other way for a body to run.
+func TestEveryKernelLowers(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.p2g"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	paths = append(paths, filepath.Join("..", "..", "bench", "kmeans.p2g.tmpl"))
+	kernels := 0
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
+		}
+		src := strings.NewReplacer("@N@", "2000", "@K@", "100", "@SEED@", "1").Replace(string(data))
+		listings, err := Disassemble(path, src)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 		for _, l := range listings {
-			if l.Fallback {
-				t.Errorf("%s: kernel %s fell back to closure: %s", name, l.Kernel, l.FallbackReason)
-			} else if l.Instructions == 0 {
-				t.Errorf("%s: kernel %s lowered to zero instructions", name, l.Kernel)
+			kernels++
+			if l.Instructions == 0 || l.Text == "" {
+				t.Errorf("%s: kernel %s has no listing", path, l.Kernel)
 			}
 		}
+	}
+	if kernels < 20 {
+		t.Errorf("%d kernels listed, want the 16 of testdata and the 4 of the template", kernels)
 	}
 }
 
@@ -45,27 +60,43 @@ func (w *chunkWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// equivRun compiles src with the given back-end, runs it and returns the node
-// (for snapshots) plus the captured cout output, one string per cout
-// statement executed.
-func equivRun(t *testing.T, name, src string, be Backend, opts runtime.Options) (*runtime.Node, []string) {
+// compileFor compiles src for engine "vm", or for "oracle": the same program
+// with the oracle's bodies.
+func compileFor(t *testing.T, name, src, engine string) *core.Program {
 	t.Helper()
-	prog, err := CompileOptions(name, src, Options{Backend: be})
+	file, err := Parse(src)
 	if err != nil {
-		t.Fatalf("%s backend %d: compile: %v", name, be, err)
+		t.Fatalf("%s: parse: %v", name, err)
 	}
+	compile := CompileFile
+	if engine == "oracle" {
+		compile = oracleProgram
+	}
+	prog, err := compile(name, file)
+	if err != nil {
+		t.Fatalf("%s %s: compile: %v", name, engine, err)
+	}
+	return prog
+}
+
+// equivRun compiles src for the VM or the oracle, runs it and returns the
+// node (for snapshots) plus the captured cout output, one string per cout
+// statement executed.
+func equivRun(t *testing.T, name, src, engine string, opts runtime.Options) (*runtime.Node, []string) {
+	t.Helper()
+	prog := compileFor(t, name, src, engine)
 	var out chunkWriter
 	opts.Output = &out
 	node, err := runtime.NewNode(prog, opts)
 	if err != nil {
-		t.Fatalf("%s backend %d: node: %v", name, be, err)
+		t.Fatalf("%s %s: node: %v", name, engine, err)
 	}
 	rep, err := node.Run()
 	if err != nil {
-		t.Fatalf("%s backend %d: run: %v", name, be, err)
+		t.Fatalf("%s %s: run: %v", name, engine, err)
 	}
 	if len(rep.Stalled) > 0 {
-		t.Fatalf("%s backend %d: stalled: %v", name, be, rep.Stalled)
+		t.Fatalf("%s %s: stalled: %v", name, engine, rep.Stalled)
 	}
 	return node, out.chunks
 }
@@ -73,13 +104,9 @@ func equivRun(t *testing.T, name, src string, be Backend, opts runtime.Options) 
 // bodyState runs kernel k of src once, directly on a fresh Ctx, and renders
 // everything the body leaves behind. The kernel must not fetch (nothing binds
 // its inputs here).
-func bodyState(t *testing.T, name, src string, be Backend) string {
+func bodyState(t *testing.T, name, src, engine string) string {
 	t.Helper()
-	prog, err := CompileOptions(name, src, Options{Backend: be})
-	if err != nil {
-		t.Fatalf("%s backend %d: compile: %v", name, be, err)
-	}
-	return bodyStateOf(prog.Kernel("k"))
+	return bodyStateOf(compileFor(t, name, src, engine).Kernel("k"))
 }
 
 // bodyStateOf runs one kernel body on a fresh Ctx and renders the error or
@@ -226,22 +253,111 @@ k:
   store out(0) = r;`,
 }
 
-// TestBytecodeClosureEquivalence is the randomized stress gate: every
-// testdata program and every hazard program runs under both back-ends with
-// randomized worker counts, and fields must match bit-for-bit at every age
-// while cout output matches statement for statement.
-func TestBytecodeClosureEquivalence(t *testing.T) {
+// anyPrograms are the first programs in the tree to declare `any`: an any[]
+// field written with put, element-fetched into an any scalar and
+// whole-fetched into any[] and int32[] locals. Everything they touch is
+// boxed. "any-ints" keeps to integers (and one unset element, which reads as
+// 0) so its results have a closed form; "any-mixed" adds float and string
+// elements and is held to the oracle alone. An any value prints as its Go
+// payload and compares equal to every other, so both programs observe them
+// through arithmetic (`v + 0`) and typed locals.
+var anyPrograms = map[string]string{
+	"any-ints": `any[] f age;
+int32[] out age;
+w:
+  age a;
+  local any[] r;
+  %{
+    put(r, a + 1, 0);
+    put(r, 99, 1);
+    put(r, a * 10, 3);
+    put(r, 7, 1);
+  %}
+  store f(a) = r;
+el:
+  age a;
+  index x;
+  local any v;
+  local int32 o;
+  fetch v = f(a)[x];
+  %{
+    o = v * 2 + x;
+    cout << "el " << a << " " << x << " " << v + 0 << endl;
+  %}
+  store out(a)[x] = o;
+whole:
+  age a;
+  local any[] r;
+  local int32[] t;
+  fetch r = f(a);
+  fetch t = f(a);
+  %{
+    any q = get(r, 0);
+    int n = get(r, 3);
+    put(r, n + q, 5);
+    cout << "whole " << a << " " << extent(r, 0) << " " << get(r, 5) + get(r, 2) << " " << get(t, 1) + get(t, 3) << endl;
+  %}
+`,
+	"any-mixed": `any[] f age;
+w:
+  age a;
+  local any[] r;
+  %{
+    put(r, a + 1, 0);
+    put(r, 2.5, 1);
+    put(r, "s", 2);
+    put(r, a * 3, 4);
+    any z = get(r, 1);
+    z += 1;
+    z++;
+    any neg = -get(r, 0);
+    bool both = get(r, 0) && get(r, 3);
+    if (get(r, 4) || neg) { z -= 3; }
+    cout << z + 0 << " " << get(r, 2) + "t" << " " << min(get(r, 0), get(r, 4)) + 0 << " " << max(neg, get(r, 4)) + 0 << " " << abs(neg) << " " << neg + 0 << " " << both << " " << !get(r, 3) << endl;
+  %}
+  store f(a) = r;
+el:
+  age a;
+  index x;
+  local any v;
+  local float64 d;
+  fetch v = f(a)[x];
+  %{
+    d = v;
+    v += 1;
+    cout << "el " << a << " " << x << " " << v << " " << d << endl;
+  %}
+`,
+}
+
+// TestBytecodeOracleEquivalence is the randomized stress gate: every
+// testdata program, every hazard program and the any programs run on the VM
+// and on the oracle with randomized worker counts, and fields must match
+// bit-for-bit at every age while cout output matches statement for statement.
+func TestBytecodeOracleEquivalence(t *testing.T) {
 	type equivCase struct {
 		name, src string
 		opts      runtime.Options
-		ages      int  // snapshot ages 0..ages inclusive
-		body      bool // also compare bodyState
+		ages      int               // snapshot ages 0..ages inclusive
+		body      bool              // also compare bodyState
+		workers   []int             // worker counts to run at; nil draws three
+		wantOut   []string          // sorted cout statements, when closed-form
+		want      map[string]string // "field(age)" -> snapshot, when closed-form
 	}
 	cases := []equivCase{
 		{name: "mulsum", opts: runtime.Options{MaxAge: 6}, ages: 6},
 		{name: "kmeans", opts: runtime.Options{KernelMaxAge: map[string]int{"assign": 4, "refine": 4, "print": 5}}, ages: 5},
 		{name: "wavefront", ages: 2},
 		{name: "dctstats", ages: 2},
+		{name: "any-ints", src: anyPrograms["any-ints"], opts: runtime.Options{MaxAge: 1}, ages: 1, workers: []int{1, 3},
+			// f(a) = {a+1, 7, unset, 10a}; out(a)[x] = 2 f(a)[x] + x.
+			wantOut: []string{
+				"el 0 0 1\n", "el 0 1 7\n", "el 0 2 0\n", "el 0 3 0\n",
+				"el 1 0 2\n", "el 1 1 7\n", "el 1 2 0\n", "el 1 3 10\n",
+				"whole 0 6 1 7\n", "whole 1 6 12 17\n",
+			},
+			want: map[string]string{"out(0)": "{2, 15, 2, 3}", "out(1)": "{4, 15, 2, 23}"}},
+		{name: "any-mixed", src: anyPrograms["any-mixed"], opts: runtime.Options{MaxAge: 1}, ages: 1, workers: []int{1, 3}},
 	}
 	var hazards []string
 	for name := range hazardPrograms {
@@ -279,41 +395,47 @@ kb:
 				src = readTestdata(t, tc.name+".p2g")
 			}
 			if tc.body {
-				if bc, cl := bodyState(t, tc.name, src, BackendBytecode), bodyState(t, tc.name, src, BackendClosure); bc != cl {
-					t.Fatalf("state after the body diverged:\nbytecode:\n%s\nclosure:\n%s", bc, cl)
+				if vm, or := bodyState(t, tc.name, src, "vm"), bodyState(t, tc.name, src, "oracle"); vm != or {
+					t.Fatalf("state after the body diverged:\nvm:\n%s\noracle:\n%s", vm, or)
 				}
 			}
-			for trial := 0; trial < 3; trial++ {
+			fields := compileFor(t, tc.name, src, "vm").Fields
+			workers := tc.workers
+			if workers == nil {
+				workers = []int{1 + rng.Intn(8), 1 + rng.Intn(8), 1 + rng.Intn(8)}
+			}
+			for _, w := range workers {
 				opts := tc.opts
-				opts.Workers = 1 + rng.Intn(8)
-				bcNode, bcOut := equivRun(t, tc.name, src, BackendBytecode, opts)
-				clNode, clOut := equivRun(t, tc.name, src, BackendClosure, opts)
+				opts.Workers = w
+				vmNode, vmOut := equivRun(t, tc.name, src, "vm", opts)
+				orNode, orOut := equivRun(t, tc.name, src, "oracle", opts)
 				// The interleaving of instances is scheduler-dependent — even
 				// with one worker, which may run the next age's source instance
 				// before or after the analyzer readies this age's consumers —
 				// the set of statements they print is not.
-				sort.Strings(bcOut)
-				sort.Strings(clOut)
-				if fmt.Sprintf("%q", bcOut) != fmt.Sprintf("%q", clOut) {
-					t.Fatalf("workers=%d output diverged:\nbytecode: %q\nclosure:  %q", opts.Workers, bcOut, clOut)
+				sort.Strings(vmOut)
+				sort.Strings(orOut)
+				if fmt.Sprintf("%q", vmOut) != fmt.Sprintf("%q", orOut) {
+					t.Fatalf("workers=%d output diverged:\nvm:     %q\noracle: %q", w, vmOut, orOut)
 				}
-				prog, err := Compile(tc.name, src)
-				if err != nil {
-					t.Fatal(err)
+				if tc.wantOut != nil && fmt.Sprintf("%q", vmOut) != fmt.Sprintf("%q", tc.wantOut) {
+					t.Fatalf("workers=%d output:\ngot:  %q\nwant: %q", w, vmOut, tc.wantOut)
 				}
-				for _, fd := range prog.Fields {
+				for _, fd := range fields {
 					for age := 0; age <= tc.ages; age++ {
-						bs, err := bcNode.Snapshot(fd.Name, age)
+						vs, err := vmNode.Snapshot(fd.Name, age)
 						if err != nil {
 							t.Fatal(err)
 						}
-						cs, err := clNode.Snapshot(fd.Name, age)
+						ors, err := orNode.Snapshot(fd.Name, age)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !bs.Equal(cs) {
-							t.Fatalf("workers=%d field %s(%d) diverged:\nbytecode: %v\nclosure:  %v",
-								opts.Workers, fd.Name, age, bs, cs)
+						if !vs.Equal(ors) {
+							t.Fatalf("workers=%d field %s(%d) diverged:\nvm:     %v\noracle: %v", w, fd.Name, age, vs, ors)
+						}
+						if want, ok := tc.want[fmt.Sprintf("%s(%d)", fd.Name, age)]; ok && vs.String() != want {
+							t.Fatalf("workers=%d field %s(%d) = %v, want %s", w, fd.Name, age, vs, want)
 						}
 					}
 				}
@@ -323,8 +445,8 @@ kb:
 }
 
 // TestBytecodeRuntimeErrorParity runs programs whose kernels fail at run
-// time — with an error or a panic — and checks that both back-ends surface
-// the identical error string and leave the identical Ctx behind: the locals
+// time — with an error or a panic — and checks that the VM and the oracle
+// surface the identical error string and leave the identical Ctx behind: the locals
 // assigned before the failure are bound to the values they had, the others
 // are not.
 func TestBytecodeRuntimeErrorParity(t *testing.T) {
@@ -483,31 +605,25 @@ k:
 	for name, src := range cases {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
-			errFor := func(be Backend) string {
-				prog, err := CompileOptions(name, src, Options{Backend: be})
-				if err != nil {
-					t.Fatalf("compile: %v", err)
-				}
-				_, err = runtime.Run(prog, runtime.Options{Workers: 1})
+			errFor := func(engine string) string {
+				_, err := runtime.Run(compileFor(t, name, src, engine), runtime.Options{Workers: 1})
 				if err == nil {
-					t.Fatalf("backend %d: expected runtime error", be)
+					t.Fatalf("%s: expected runtime error", engine)
 				}
 				return err.Error()
 			}
-			bc, cl := errFor(BackendBytecode), errFor(BackendClosure)
-			if bc != cl {
-				t.Errorf("error surfaces diverged:\nbytecode: %s\nclosure:  %s", bc, cl)
+			if vm, or := errFor("vm"), errFor("oracle"); vm != or {
+				t.Errorf("error surfaces diverged:\nvm:     %s\noracle: %s", vm, or)
 			}
-			bc, cl = bodyState(t, name, src, BackendBytecode), bodyState(t, name, src, BackendClosure)
-			if bc != cl {
-				t.Errorf("state after the failure diverged:\nbytecode:\n%s\nclosure:\n%s", bc, cl)
+			if vm, or := bodyState(t, name, src, "vm"), bodyState(t, name, src, "oracle"); vm != or {
+				t.Errorf("state after the failure diverged:\nvm:\n%s\noracle:\n%s", vm, or)
 			}
 		})
 	}
 }
 
-// TestArithEdgeCases pins the shared scalar-arithmetic semantics both
-// back-ends are built on: two's-complement wraparound, zero-divide errors,
+// TestArithEdgeCases pins the boxed scalar arithmetic the VM's V ops and the
+// oracle share: two's-complement wraparound, zero-divide errors,
 // mixed-kind promotion and the string operators.
 func TestArithEdgeCases(t *testing.T) {
 	i64 := field.Int64Val
@@ -559,8 +675,8 @@ func TestArithEdgeCases(t *testing.T) {
 }
 
 // TestCompareTotalOrder pins the comparison helpers the VM mirrors with
-// branch-form instructions: NaN compares equal to everything (the
-// interpreter's non-IEEE total order) and the int compare is exact.
+// branch-form instructions: NaN compares equal to everything (a non-IEEE
+// total order) and the int compare is exact.
 func TestCompareTotalOrder(t *testing.T) {
 	nan := math.NaN()
 	if c := compareFloat(nan, 5); c != 0 {

@@ -1,7 +1,6 @@
 package lang
 
-// Disassembly of the bytecode back-end for p2gc -disasm and the -check
-// report.
+// Disassembly of kernel bodies for p2gc -disasm and the -check report.
 
 import (
 	"fmt"
@@ -11,19 +10,16 @@ import (
 	"repro/internal/field"
 )
 
-// Listing is the lowering result for one kernel: either an annotated bytecode
-// listing or a fallback notice when the kernel keeps the closure interpreter.
+// Listing is the bytecode of one kernel body.
 type Listing struct {
-	Kernel         string
-	Fallback       bool   // kernel could not be lowered; closure body is used
-	FallbackReason string // why, when Fallback is true
-	Instructions   int    // bytecode length (0 on fallback)
+	Kernel       string
+	Instructions int // bytecode length
 	// InnerLoop is the instruction count of the longest innermost loop (a
 	// loop with no loop inside it), test and back-jump included; 0 when the
 	// kernel has no loop. It is what one iteration of the hot loop costs on
 	// its longest path, and the number the lowering's budget test pins.
 	InnerLoop int
-	Text      string // annotated listing (empty on fallback)
+	Text      string // annotated listing
 }
 
 // Disassemble compiles kernel-language source and returns per-kernel bytecode
@@ -33,35 +29,18 @@ func Disassemble(name, src string) ([]Listing, error) {
 	if err != nil {
 		return nil, err
 	}
-	fields := map[string]FieldDecl{}
-	for _, fd := range file.Fields {
-		if _, dup := fields[fd.Name]; dup {
-			return nil, errAt(fd.Tok, "duplicate field %q", fd.Name)
-		}
-		fields[fd.Name] = fd
+	_, bodies, err := compileFile(name, file)
+	if err != nil {
+		return nil, err
 	}
-	timers := map[string]bool{}
-	for _, td := range file.Timers {
-		timers[td.Name] = true
-	}
-	out := make([]Listing, 0, len(file.Kernels))
-	for i := range file.Kernels {
-		kd := &file.Kernels[i]
-		// Surface the same compile errors as the real compile.
-		if _, err := compileKernelBody(kd, timers); err != nil {
-			return nil, err
-		}
-		bp, lerr := lowerKernelBody(kd, timers, fields)
-		if lerr != nil {
-			out = append(out, Listing{Kernel: kd.Name, Fallback: true, FallbackReason: lerr.Error()})
-			continue
-		}
-		out = append(out, Listing{
-			Kernel:       kd.Name,
+	out := make([]Listing, len(bodies))
+	for i, bp := range bodies {
+		out[i] = Listing{
+			Kernel:       bp.kernel,
 			Instructions: len(bp.code),
 			InnerLoop:    bp.innerLoop(),
-			Text:         bp.disasm(kd),
-		})
+			Text:         bp.disasm(&file.Kernels[i]),
+		}
 	}
 	return out, nil
 }

@@ -53,7 +53,8 @@ func TestQuickCompilerNeverPanics(t *testing.T) {
 				t.Errorf("compiler panicked on:\n%s\n%v", src, r)
 			}
 		}()
-		_, _ = Compile("fuzz", src)
+		_, err := Compile("fuzz", src)
+		internalError(t, err)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -83,15 +84,15 @@ func TestFragmentsRunSafely(t *testing.T) {
 	}
 }
 
-// ---- differential fuzz: bytecode vs closure -------------------------------
+// ---- differential fuzz: VM vs oracle ---------------------------------------
 
 // exprGen builds random, always-parseable kernel-body expressions over a
 // fixed set of block variables (i0.., f0.., s0), kernel locals (the scalars m
 // and acc, which the bytecode keeps in registers and writes back, and the
 // arrays r and g, which it reads through views) and loop counters. Generated
 // programs may fail at run time (division by zero, sqrt of a negative, a get
-// out of range) — that is part of the property: both back-ends must fail
-// identically.
+// out of range) — that is part of the property: the VM and the oracle must
+// fail identically.
 type exprGen struct {
 	rng    *rand.Rand
 	whiles int // while-loop counters declared so far, for unique names
@@ -177,7 +178,7 @@ func (g *exprGen) floatExpr(depth int) string {
 	case 3:
 		return "floor(" + g.floatExpr(depth-1) + ")"
 	case 4:
-		// Mixed-kind promotion: int op float must match in both back-ends.
+		// Mixed-kind promotion: int op float.
 		return "(" + g.intExpr(depth-1) + " " + g.pick(genFloatOps) + " " + g.floatExpr(depth-1) + ")"
 	case 5:
 		// Rank-2 read with a constant trailing coordinate; g is 2x2 unless a
@@ -297,10 +298,10 @@ func (g *exprGen) genProgram() string {
 	return b.String()
 }
 
-// TestDifferentialFuzzBackends generates random programs and requires the
-// bytecode and closure back-ends to agree exactly: same compile result, same
-// runtime error (or none), same cout bytes, and bit-identical field contents.
-func TestDifferentialFuzzBackends(t *testing.T) {
+// TestDifferentialFuzzOracle generates random programs and requires the VM
+// and the oracle to agree exactly: same runtime error (or none), same cout
+// bytes, and bit-identical field contents.
+func TestDifferentialFuzzOracle(t *testing.T) {
 	iters := 400
 	if testing.Short() {
 		iters = 60
@@ -308,13 +309,9 @@ func TestDifferentialFuzzBackends(t *testing.T) {
 	g := &exprGen{rng: rand.New(rand.NewSource(0x2909))}
 	for i := 0; i < iters; i++ {
 		src := g.genProgram()
-		run := func(be Backend) (string, string, string) {
-			prog, err := CompileOptions("fuzz", src, Options{Backend: be})
-			if err != nil {
-				t.Fatalf("iter %d: compile: %v\n%s", i, err, src)
-			}
+		run := func(engine string) (string, string, string) {
 			var out strings.Builder
-			node, err := runtime.NewNode(prog, runtime.Options{Workers: 1, Output: &out})
+			node, err := runtime.NewNode(compileFor(t, "fuzz", src, engine), runtime.Options{Workers: 1, Output: &out})
 			if err != nil {
 				t.Fatalf("iter %d: node: %v", i, err)
 			}
@@ -333,21 +330,21 @@ func TestDifferentialFuzzBackends(t *testing.T) {
 			}
 			return errStr, out.String(), snap
 		}
-		bcErr, bcOut, bcSnap := run(BackendBytecode)
-		clErr, clOut, clSnap := run(BackendClosure)
-		if bcErr != clErr {
-			t.Fatalf("iter %d: error surfaces diverged\nbytecode: %q\nclosure:  %q\nprogram:\n%s", i, bcErr, clErr, src)
+		vmErr, vmOut, vmSnap := run("vm")
+		orErr, orOut, orSnap := run("oracle")
+		if vmErr != orErr {
+			t.Fatalf("iter %d: error surfaces diverged\nvm:     %q\noracle: %q\nprogram:\n%s", i, vmErr, orErr, src)
 		}
-		if bcOut != clOut {
-			t.Fatalf("iter %d: cout diverged\nbytecode: %q\nclosure:  %q\nprogram:\n%s", i, bcOut, clOut, src)
+		if vmOut != orOut {
+			t.Fatalf("iter %d: cout diverged\nvm:     %q\noracle: %q\nprogram:\n%s", i, vmOut, orOut, src)
 		}
-		if bcSnap != clSnap {
-			t.Fatalf("iter %d: field f diverged\nbytecode: %s\nclosure:  %s\nprogram:\n%s", i, bcSnap, clSnap, src)
+		if vmSnap != orSnap {
+			t.Fatalf("iter %d: field f diverged\nvm:     %s\noracle: %s\nprogram:\n%s", i, vmSnap, orSnap, src)
 		}
 		// And what the body leaves in its Ctx, failed or not: which locals
 		// are bound, and to what.
-		if bc, cl := bodyState(t, "fuzz", src, BackendBytecode), bodyState(t, "fuzz", src, BackendClosure); bc != cl {
-			t.Fatalf("iter %d: state after the body diverged\nbytecode:\n%s\nclosure:\n%s\nprogram:\n%s", i, bc, cl, src)
+		if vm, or := bodyState(t, "fuzz", src, "vm"), bodyState(t, "fuzz", src, "oracle"); vm != or {
+			t.Fatalf("iter %d: state after the body diverged\nvm:\n%s\noracle:\n%s\nprogram:\n%s", i, vm, or, src)
 		}
 	}
 }
@@ -369,8 +366,18 @@ func addTestdataSeeds(f *testing.F) {
 	}
 }
 
-// FuzzParse: the lexer, the parser and both compilers take any input without
-// panicking (the fuzzing engine reports an input that never returns).
+// internalError fails the fuzz target on a crash inside the lowering, which
+// lowerKernelBody recovers and returns as an error.
+func internalError(t *testing.T, err error) {
+	t.Helper()
+	if err != nil && strings.HasPrefix(err.Error(), internalErrPrefix) {
+		t.Fatal(err)
+	}
+}
+
+// FuzzParse: the lexer, the parser, the compiler and the disassembler take
+// any input without panicking (the fuzzing engine reports an input that never
+// returns), and nothing crashes the lowering.
 func FuzzParse(f *testing.F) {
 	addTestdataSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -378,7 +385,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, _ = CompileFile("fuzz", file)
+		_, err = CompileFile("fuzz", file)
+		internalError(t, err)
 		_, _ = Disassemble("fuzz", src)
 	})
 }
@@ -395,14 +403,14 @@ const (
 // run, and reports false for programs it cannot make safe or deterministic.
 // Every loop body starts by burning one unit of a per-instance fuel variable
 // and dividing by zero when it runs out — an ordinary runtime error, at the
-// same point in both back-ends; every put coordinate is reduced modulo
+// same point in the VM and the oracle; every put coordinate is reduced modulo
 // fuzzExtent, so arrays and the fields stored from them stay small. Programs
-// with string or Any variables (a string doubled in straight-line code needs
-// no loop to exhaust memory), timers or the clock (not deterministic), arrays
+// with string variables (a string doubled in straight-line code needs no loop
+// to exhaust memory; an `any` holding one adds as an integer), timers or the clock (not deterministic), arrays
 // of rank above three or large literal field coordinates are refused.
 func boundedFile(file *File) bool {
 	okKind := func(k field.Kind, rank int) bool {
-		return k != field.String && k != field.Any && rank <= 3
+		return k != field.String && rank <= 3
 	}
 	okRef := func(r FieldRef) bool {
 		if r.Age.Offset < 0 || r.Age.Offset > fuzzMaxAge {
@@ -554,7 +562,7 @@ func boundedFile(file *File) bool {
 }
 
 // The testdata seeds must get past boundedFile and still compile, or
-// FuzzBackendsAgree would start from nothing.
+// FuzzVMMatchesOracle would start from nothing.
 func TestFuzzSeedsStayInScope(t *testing.T) {
 	for _, name := range []string{"mulsum", "kmeans", "wavefront", "dctstats"} {
 		file, err := Parse(readTestdata(t, name+".p2g"))
@@ -569,13 +577,17 @@ func TestFuzzSeedsStayInScope(t *testing.T) {
 	}
 }
 
-// FuzzBackendsAgree: any program both back-ends accept behaves the same under
-// both, run to completion under boundedFile's limits. Instances of a failing
-// program may run in either order, so for a run that fails only the fact is
-// compared; kernels that fetch nothing are also run directly, where the error
-// text, the output and the locals left bound must match exactly.
-func FuzzBackendsAgree(f *testing.F) {
+// FuzzVMMatchesOracle: any program the compiler accepts behaves the same on
+// the VM and on the oracle, run to completion under boundedFile's limits.
+// Instances of a failing program may run in either order, so for a run that
+// fails only the fact is compared; kernels that fetch nothing are also run
+// directly, where the error text, the output and the locals left bound must
+// match exactly.
+func FuzzVMMatchesOracle(f *testing.F) {
 	addTestdataSeeds(f)
+	for _, src := range anyPrograms {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<13 {
 			return
@@ -584,20 +596,21 @@ func FuzzBackendsAgree(f *testing.F) {
 		if err != nil || !boundedFile(file) {
 			return
 		}
-		bcProg, bcErr := CompileFileOptions("fuzz", file, Options{Backend: BackendBytecode})
-		clProg, clErr := CompileFileOptions("fuzz", file, Options{Backend: BackendClosure})
-		if fmt.Sprint(bcErr) != fmt.Sprint(clErr) {
-			t.Fatalf("compile results diverged\nbytecode: %v\nclosure:  %v", bcErr, clErr)
-		}
-		if bcErr != nil {
+		vmProg, err := CompileFile("fuzz", file)
+		if err != nil {
+			internalError(t, err)
 			return
+		}
+		orProg, err := oracleProgram("fuzz", file)
+		if err != nil {
+			t.Fatalf("second compile of an accepted program: %v", err)
 		}
 		for _, kd := range file.Kernels {
 			if len(kd.Fetches) > 0 {
 				continue
 			}
-			if bc, cl := bodyStateOf(bcProg.Kernel(kd.Name)), bodyStateOf(clProg.Kernel(kd.Name)); bc != cl {
-				t.Fatalf("kernel %s: state after the body diverged\nbytecode:\n%s\nclosure:\n%s", kd.Name, bc, cl)
+			if vm, or := bodyStateOf(vmProg.Kernel(kd.Name)), bodyStateOf(orProg.Kernel(kd.Name)); vm != or {
+				t.Fatalf("kernel %s: state after the body diverged\nvm:\n%s\noracle:\n%s", kd.Name, vm, or)
 			}
 		}
 		type result struct {
@@ -622,18 +635,18 @@ func FuzzBackendsAgree(f *testing.F) {
 			}
 			return res
 		}
-		bc, cl := run(bcProg), run(clProg)
-		if (bc.err == nil) != (cl.err == nil) {
-			t.Fatalf("one back-end failed\nbytecode: %v\nclosure:  %v", bc.err, cl.err)
+		vm, or := run(vmProg), run(orProg)
+		if (vm.err == nil) != (or.err == nil) {
+			t.Fatalf("one side failed\nvm:     %v\noracle: %v", vm.err, or.err)
 		}
-		if bc.err != nil {
+		if vm.err != nil {
 			return
 		}
-		if fmt.Sprintf("%q", bc.out) != fmt.Sprintf("%q", cl.out) {
-			t.Fatalf("cout diverged\nbytecode: %q\nclosure:  %q", bc.out, cl.out)
+		if fmt.Sprintf("%q", vm.out) != fmt.Sprintf("%q", or.out) {
+			t.Fatalf("cout diverged\nvm:     %q\noracle: %q", vm.out, or.out)
 		}
-		if fmt.Sprint(bc.fields) != fmt.Sprint(cl.fields) {
-			t.Fatalf("fields diverged\nbytecode: %v\nclosure:  %v", bc.fields, cl.fields)
+		if fmt.Sprint(vm.fields) != fmt.Sprint(or.fields) {
+			t.Fatalf("fields diverged\nvm:     %v\noracle: %v", vm.fields, or.fields)
 		}
 	})
 }

@@ -112,6 +112,7 @@ func TestParseErrors(t *testing.T) {
 		"missing-semi":   "int32[] f age",
 		"bad-cout":       "k:\n %{ cout; %}",
 		"bad-age-offset": "int32[] f age;\nk:\n age a;\n fetch v = f(a+b)[0];",
+		"decl-in-post":   "k:\n %{ int x = 3; for (int i = 0; i < x; int x = 1) { i += 1; } %}",
 	}
 	for name, src := range cases {
 		if _, err := Parse(src); err == nil {
@@ -240,46 +241,57 @@ func TestCompileKMeans(t *testing.T) {
 	}
 }
 
+// TestCompileErrors pins the diagnostics: the lowering is the only checker of
+// a code block, so what it reports, and where, is the compiler's interface.
 func TestCompileErrors(t *testing.T) {
-	cases := map[string]string{
-		"dup-field": "int32[] f age;\nint32[] f age;\nk:\n age a;",
-		"wrong-age-var": `int32[] f age;
-k:
-  age a;
-  index x;
-  local int32 v;
-  fetch v = f(b)[x];`,
-		"unknown-index": `int32[] f age;
-k:
-  age a;
-  local int32 v;
-  fetch v = f(a)[x];`,
-		"undefined-var":  "int32[] f age;\nk:\n %{ x = 3; %}",
-		"read-undefined": "int32[] f age;\nk:\n %{ int y = zzz; %}",
-		"assign-to-age":  "int32[] f age;\nk:\n age a;\n index x;\n local int32 v;\n fetch v = f(a)[x];\n %{ a = 3; %}",
-		"put-non-array":  "int32[] f age;\nk:\n local int32 v;\n %{ put(v, 1, 0); %}",
-		"get-non-array":  "int32[] f age;\nk:\n local int32 v;\n %{ int z = get(v, 0); %}",
-		"unknown-func":   "int32[] f age;\nk:\n %{ int z = frob(1); %}",
-		"redeclared":     "int32[] f age;\nk:\n %{ int i = 0; int i = 1; %}",
-		"array-expr":     "int32[] f age;\nk:\n local int32[] arr;\n %{ int z = arr + 1; %}",
-		"timer-compound": `timer t1;
-int32[] f age;
-k:
-  %{ t1 += 3; %}`,
-		"timer-bad-rhs": `timer t1;
-int32[] f age;
-k:
-  %{ t1 = 5; %}`,
-		"expired-non-timer": "int32[] f age;\nk:\n %{ int z = 0; if (expired(z, 10)) { z = 1; } %}",
+	const aged = "int32[] f age;\nk:\n age a;\n index x;\n local int32 v;\n fetch v = f(a)[x];\n"
+	cases := []struct{ name, src, want string }{
+		{"dup-field", "int32[] f age;\nint32[] f age;\nk:\n age a;", `2:1: duplicate field "f"`},
+		{"wrong-age-var", "int32[] f age;\nk:\n age a;\n index x;\n local int32 v;\n fetch v = f(b)[x];",
+			`6:14: age expression uses "b" but kernel k declares age variable "a"`},
+		{"unknown-index", "int32[] f age;\nk:\n age a;\n local int32 v;\n fetch v = f(a)[x];",
+			`5:17: index "x" is not an index variable of kernel k`},
+		{"undefined-var", "int32[] f age;\nk:\n %{ x = 3; %}", `3:5: undefined variable "x"`},
+		{"read-undefined", "int32[] f age;\nk:\n %{ int y = zzz; %}", `3:13: undefined variable "zzz"`},
+		{"assign-to-age", aged + " %{ a = 3; %}", `7:5: "a" is read-only`},
+		{"put-non-array", "int32[] f age;\nk:\n local int32 v;\n %{ put(v, 1, 0); %}", `4:5: put: "v" is not an array local`},
+		{"get-non-array", "int32[] f age;\nk:\n local int32 v;\n %{ int z = get(v, 0); %}", `4:13: get: "v" is not an array local`},
+		{"unknown-func", "int32[] f age;\nk:\n %{ int z = frob(1); %}", `3:13: unknown function "frob"`},
+		{"redeclared", "int32[] f age;\nk:\n %{ int i = 0; int i = 1; %}", `3:16: variable "i" redeclared in the same scope`},
+		{"array-expr", "int32[] f age;\nk:\n local int32[] arr;\n %{ int z = arr + 1; %}",
+			`4:13: array "arr" must be accessed with get()/put()/extent()`},
+		{"timer-compound", "timer t1;\nint32[] f age;\nk:\n %{ t1 += 3; %}", `4:5: timers only support plain assignment`},
+		{"timer-bad-rhs", "timer t1;\nint32[] f age;\nk:\n %{ t1 = 5; %}", "4:5: timers can only be assigned `now`"},
+		{"expired-non-timer", "int32[] f age;\nk:\n %{ int z = 0; if (expired(z, 10)) { z = 1; } %}",
+			`3:20: expired: "z" is not a declared timer`},
+		{"inc-age", aged + " %{ ++a; %}", `7:5: cannot modify "a"`},
+		{"assign-endl", "int32[] f age;\nk:\n %{ endl = 3; %}", `3:5: undefined variable "endl"`},
+		{"read-timer", "timer t1;\nint32[] f age;\nk:\n %{ int z = t1; %}", `4:13: undefined variable "t1"`},
+		{"sqrt-arity", "int32[] f age;\nk:\n %{ float z = sqrt(1.0, 2.0); %}", `3:15: sqrt expects 1 argument(s), got 2`},
+		{"extent-arity", "int32[] f age;\nk:\n local int32[] arr;\n %{ int z = extent(arr); %}", `4:13: extent expects 2 argument(s), got 1`},
+		{"put-arity", "int32[] f age;\nk:\n local int32[] arr;\n %{ put(arr, 1); %}", `4:5: put expects (array, value, index...)`},
+		{"get-arity", "int32[] f age;\nk:\n local int32[] arr;\n %{ int z = get(arr); %}", `4:13: get expects (array, index...)`},
+		{"reset-non-timer", "int32[] f age;\nk:\n %{ int z = 0; reset(z); %}", `3:16: reset: "z" is not a declared timer`},
+		// Two errors in one statement: the target is resolved before the
+		// right-hand side is lowered.
+		{"target-before-value", aged + " %{ a = zzz; %}", `7:5: "a" is read-only`},
+		// Core validation runs before any body is lowered, so a fetch the
+		// lowering could not type is reported as the structural error it is.
+		{"validation-before-bodies", "int32[] f age;\nk:\n age a;\n local int32 v;\n fetch v = f(a);\n %{ v = zzz; %}",
+			`p2g: kernel "k": fetch v = f(a);: whole-field fetch into rank-0 local (field rank 1)`},
 	}
-	for name, src := range cases {
-		if _, err := Compile(name, src); err == nil {
-			t.Errorf("%s: expected compile error", name)
+	for _, tc := range cases {
+		_, err := Compile(tc.name, tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Compile = %v, want %s", tc.name, err, tc.want)
+		}
+		if _, derr := Disassemble(tc.name, tc.src); derr == nil || derr.Error() != tc.want {
+			t.Errorf("%s: Disassemble = %v, want %s", tc.name, derr, tc.want)
 		}
 	}
 }
 
-// TestBlockLanguageSemantics exercises the interpreter: arithmetic,
+// TestBlockLanguageSemantics exercises the block language: arithmetic,
 // precedence, logic, loops, break/continue, floats, builtins.
 func TestBlockLanguageSemantics(t *testing.T) {
 	src := `

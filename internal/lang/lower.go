@@ -1,25 +1,30 @@
 package lang
 
 // Lowering from the code-block AST to register bytecode (bytecode.go), in one
-// pass over the AST plus bcProg.finish over the emitted code.
-//
-// The lowering runs only after compileKernelBody has accepted the kernel, so
-// every compile-time error path in here is defensive: a failure aborts the
-// lowering (via panic/recover) and CompileFileOptions silently falls back to
-// the closure body, which is correct by construction. The invariants the
-// lowering maintains:
+// pass over the AST plus bcProg.finish over the emitted code. The pass is
+// also the checker: every compile-time diagnostic of a `%{ %}` body —
+// undefined and read-only names, misuse of arrays and timers, builtin arity,
+// redeclaration, the register limit — is raised here, by failf, at the
+// position of the offending token, and there is no other executor a rejected
+// or unrepresentable kernel could fall back to. The invariants the lowering
+// maintains:
 //
 //   - Typed registers always hold canonical payloads for their static kind
 //     (the same representation Value.Convert produces), so re-boxing with
 //     field.IntValOf/FloatValOf/StrValOf is exact.
-//   - Any value whose kind cannot be pinned at compile time lives in a boxed
-//     V register, and all arithmetic on it goes through opArithV, which calls
-//     the interpreter's own arith() — dynamic-kind semantics cannot drift.
+//   - Any value whose kind cannot be pinned at compile time — `any` variables
+//     and locals, elements of `any[]` and string arrays, locals fetched from a
+//     field of another kind — lives in a boxed V register, and all arithmetic
+//     on it goes through opArithV and arith(), the one definition of
+//     dynamic-kind semantics (the test oracle calls it too).
+//   - A scalar never holds an array: core validation, which runs before the
+//     lowering, rejects whole-field and slab fetches into rank-0 locals, and
+//     no expression produces one, so elements of `any` fields and arrays are
+//     scalars too and unboxing one into a typed register loses nothing.
 //   - The age, the index coordinates and the scalar kernel locals get their
 //     registers before the first statement; block variables are allocated
-//     monotonically after them and never reclaimed on scope pop (mirroring
-//     the interpreter's slot numbering); temporaries restart at the variable
-//     watermark at each statement.
+//     monotonically after them and never reclaimed on scope pop; temporaries
+//     restart at the variable watermark at each statement.
 //   - An expression's value is wanted somewhere (exprTo's dest): the last
 //     instruction of the expression writes that register itself when it
 //     produces exactly the wanted class and kind, and every read of the
@@ -27,10 +32,6 @@ package lang
 //   - A condition that is only tested (if, loop test, the left side of && and
 //     ||) is lowered by cond() straight to jumps; loops are inverted, so an
 //     iteration takes one jump, the fused compare-and-branch at the bottom.
-//
-// Locals whose runtime kind cannot be pinned (fetches from Any fields, whole
-// or slab fetches into scalars) make the lowering fail rather than guess;
-// those kernels keep the closure body.
 
 import (
 	"fmt"
@@ -70,7 +71,21 @@ type lval struct {
 	reg  int32
 }
 
-// lref classifies a resolved identifier, mirroring kcompiler.resolve.
+// varKind classifies an identifier.
+type varKind uint8
+
+const (
+	vUnknown varKind = iota
+	vSlot            // block-local variable
+	vLocal           // kernel scalar local
+	vArray           // kernel array local
+	vAge             // kernel age variable
+	vIndex           // kernel index variable
+	vTimer           // global timer
+	vEndl            // the endl stream manipulator
+)
+
+// lref is a resolved identifier.
 type lref struct {
 	kind varKind
 	slot lval // the register of a vSlot, vLocal, vAge or vIndex
@@ -78,8 +93,14 @@ type lref struct {
 	typ  field.Kind
 }
 
-// lowerFail carries a lowering error through panic/recover.
+// lowerFail carries a compile error through panic/recover.
 type lowerFail struct{ err error }
+
+// internalErrPrefix starts the error a crash inside the lowering is returned
+// as. No input may take a process down, so lowerKernelBody recovers any
+// panic; the fuzz targets fail on an error with this prefix, which is how a
+// lowerer bug stays visible.
+const internalErrPrefix = "lang: internal error lowering kernel"
 
 type lowerer struct {
 	k      *KernelDef
@@ -108,9 +129,9 @@ type lowerer struct {
 	breakTo, contTo int32   // labels break and continue jump to
 }
 
-// lowerKernelBody lowers one kernel's code blocks to bytecode. Any failure —
-// explicit or an unexpected panic — is returned as an error so the caller can
-// fall back to the closure interpreter.
+// lowerKernelBody checks and lowers one validated kernel's code blocks to
+// bytecode. The error is a positioned compile error, or carries
+// internalErrPrefix when the lowering itself panicked.
 func lowerKernelBody(k *KernelDef, timers map[string]bool, fields map[string]FieldDecl) (p *bcProg, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -118,7 +139,7 @@ func lowerKernelBody(k *KernelDef, timers map[string]bool, fields map[string]Fie
 			if lf, ok := r.(lowerFail); ok {
 				err = lf.err
 			} else {
-				err = fmt.Errorf("lang: lowering %s: %v", k.Name, r)
+				err = fmt.Errorf("%s %s: %v", internalErrPrefix, k.Name, r)
 			}
 		}
 	}()
@@ -140,9 +161,7 @@ func lowerKernelBody(k *KernelDef, timers map[string]bool, fields map[string]Fie
 
 // classifyLocals decides the register class used to access each kernel local.
 // A local stays typed only when every value the runtime can install in it has
-// the declared kind with a canonical payload; otherwise it is accessed boxed,
-// and shapes the lowering cannot represent at all (array values flowing into
-// scalar registers) abort the lowering.
+// the declared kind with a canonical payload; otherwise it is accessed boxed.
 func (lo *lowerer) classifyLocals(fields map[string]FieldDecl) {
 	lo.localCl = make([]regClass, len(lo.k.Locals))
 	for li := range lo.k.Locals {
@@ -150,12 +169,8 @@ func (lo *lowerer) classifyLocals(fields map[string]FieldDecl) {
 		cl := kindClass(l.Kind)
 		if l.Rank > 0 {
 			// Array locals: the class selects typed vs boxed element access.
-			// String arrays must stay boxed (unset elements read as Invalid),
-			// and Any arrays could hold array-valued elements, which typed
-			// registers cannot represent.
-			if l.Kind == field.Any {
-				lo.failf(l.Tok, "local %q: Any arrays are not lowered", l.Name)
-			}
+			// String arrays must stay boxed (unset elements read as Invalid);
+			// Any arrays already are (kindClass).
 			if l.Kind == field.String {
 				cl = clV
 			}
@@ -164,32 +179,10 @@ func (lo *lowerer) classifyLocals(fields map[string]FieldDecl) {
 			if f.Local != l.Name {
 				continue
 			}
-			fd, ok := fields[f.Ref.Field]
-			if !ok {
-				lo.failf(f.Tok, "fetch from undeclared field %q", f.Ref.Field)
-			}
-			if fd.Kind == field.Any {
-				// Any fields can hold values of every kind, including array
-				// values; keep the closure body.
-				lo.failf(f.Tok, "local %q: fetch from Any field is not lowered", l.Name)
-			}
-			if l.Rank == 0 {
-				// Whole-field and slab fetches install array values into the
-				// local, which no scalar register class can represent.
-				if f.Ref.Whole {
-					lo.failf(f.Tok, "local %q: whole-field fetch into scalar is not lowered", l.Name)
-				}
-				for _, ir := range f.Ref.Index {
-					if ir.All {
-						lo.failf(f.Tok, "local %q: slab fetch into scalar is not lowered", l.Name)
-					}
-				}
-				// String fields report unset elements as Invalid values,
-				// which only a boxed register preserves.
-				if fd.Kind != l.Kind || fd.Kind == field.String {
-					cl = clV
-				}
-			} else if fd.Kind != l.Kind {
+			// A field of another kind (`any` on either side) installs values
+			// of that kind; a string field reports unset elements as Invalid
+			// values, which only a boxed register preserves.
+			if fd := fields[f.Ref.Field]; fd.Kind != l.Kind || fd.Kind == field.String {
 				cl = clV
 			}
 		}
@@ -242,9 +235,21 @@ func (lo *lowerer) finish() {
 		}
 	}
 	p.arrCl = lo.localCl
-	if err := p.finish(lo.code, lo.labels); err != nil {
-		panic(lowerFail{err: err})
+	// An operand that names a register (variable, temporary or constant), a
+	// kernel local or a timer is one byte: the executor's one limit.
+	for _, c := range []struct {
+		what string
+		n    int
+	}{
+		{"int registers", p.nI + len(p.ints)}, {"float registers", p.nF + len(p.floats)},
+		{"string registers", p.nS + len(p.strs)}, {"boxed registers", p.nV},
+		{"locals", len(lo.k.Locals)}, {"timers", len(p.timerNames)},
+	} {
+		if c.n > maxRegs {
+			lo.failf(lo.k.Tok, "kernel %s needs %d %s, the limit is %d", lo.k.Name, c.n, c.what, maxRegs)
+		}
 	}
+	p.finish(lo.code, lo.labels)
 }
 
 // ---- infrastructure ----
@@ -270,7 +275,7 @@ func (lo *lowerer) clsPtrs(cl regClass) (vp, tp *int32, np *int) {
 }
 
 // varReg allocates a variable register: monotonic, never reclaimed, so a
-// variable's register outlives its scope exactly like an interpreter slot.
+// variable's register outlives its scope.
 // It is only called at a statement boundary, when no temporary is live.
 func (lo *lowerer) varReg(cl regClass) int32 {
 	vp, tp, np := lo.clsPtrs(cl)
@@ -371,17 +376,16 @@ func (lo *lowerer) constInt(v lval) (int64, bool) {
 }
 
 // emitRuntimeErr lowers an expression that unconditionally errors when
-// reached (the interpreter reports these lazily at runtime, e.g. `%` on
-// floats). Code after the opErr is unreachable; the dummy value keeps the
+// reached (these are runtime errors, not compile errors: `%` on floats, `-`
+// on strings). Code after the opErr is unreachable; the dummy value keeps the
 // lowering well-formed.
 func (lo *lowerer) emitRuntimeErr(err error) lval {
 	lo.emit(opErr, 0, 0, 0, lo.p.errConst(err))
 	return lo.intLit(0, field.Int64)
 }
 
-// resolve classifies an identifier with the same precedence as
-// kcompiler.resolve: block scopes innermost-first, kernel locals, the age
-// variable, index variables, timers, endl.
+// resolve classifies an identifier: block scopes innermost-first, then kernel
+// locals, the age variable, index variables, timers, endl.
 func (lo *lowerer) resolve(name string) lref {
 	for i := len(lo.scopes) - 1; i >= 0; i-- {
 		if sl, ok := lo.scopes[i][name]; ok {
@@ -422,10 +426,10 @@ func (lo *lowerer) resolve(name string) lref {
 
 // ---- statements ----
 
-// stmtDiscard lowers a statement whose break/continue control is discarded by
-// the interpreter (top-level statements, for-loop init and post clauses):
-// loop controls inside it that escape any local loop jump to the end of the
-// statement, which is exactly "ctrl ignored, continue after it".
+// stmtDiscard lowers a statement that is not inside the loop body it could
+// break out of (top-level statements, for-loop init and post clauses): a break
+// or continue in it that escapes every loop of its own ends the statement,
+// and execution goes on after it.
 func (lo *lowerer) stmtDiscard(s Stmt) {
 	savedBreak, savedCont := lo.breakTo, lo.contTo
 	end := lo.newLabel()
@@ -439,8 +443,7 @@ func (lo *lowerer) stmt(s Stmt) {
 	switch st := s.(type) {
 	case DeclStmt:
 		// The register exists before the initializer is lowered, the name
-		// only after it, so `int x = x;` resolves the outer x exactly like
-		// the interpreter.
+		// only after it, so `int x = x;` resolves the outer x.
 		cl := kindClass(st.Kind)
 		sl := lval{cl: cl, kind: st.Kind, reg: lo.varReg(cl)}
 		if st.Init != nil {
@@ -519,7 +522,7 @@ func (lo *lowerer) stmt(s Stmt) {
 		lo.blockStmt(st)
 
 	default:
-		panic(lowerFail{err: fmt.Errorf("lang: unhandled statement %T", s)})
+		panic(fmt.Sprintf("unhandled statement %T", s))
 	}
 }
 
@@ -590,7 +593,7 @@ func (lo *lowerer) assign(st AssignStmt) {
 		return
 	}
 	// Compound assignment: read the old value first, then evaluate the right
-	// side, then combine — the interpreter's rmw order.
+	// side, then combine.
 	old := lo.readRef(st.Tok, st.Name, ref)
 	if ref.kind != vSlot && ref.kind != vLocal {
 		lo.failf(st.Tok, "cannot modify %q", st.Name)
@@ -741,7 +744,7 @@ func (lo *lowerer) exprTo(x Expr, d *lval) lval {
 	case CallExpr:
 		return lo.call(ex, d)
 	}
-	panic(lowerFail{err: fmt.Errorf("lang: unhandled expression %T", x)})
+	panic(fmt.Sprintf("unhandled expression %T", x))
 }
 
 func (lo *lowerer) unary(ex UnExpr, d *lval) lval {
@@ -787,8 +790,7 @@ func (lo *lowerer) unary(ex UnExpr, d *lval) lval {
 	}
 }
 
-// shortCircuit lowers && and || for their value; the result is always Bool,
-// like the interpreter's BoolVal results.
+// shortCircuit lowers && and || for their value; the result is always Bool.
 func (lo *lowerer) shortCircuit(ex BinExpr, d *lval) lval {
 	res := lval{cl: clI, kind: field.Bool, reg: lo.out(d, clI, field.Bool)}
 	isOr := ex.Op == "||"
@@ -959,8 +961,7 @@ func (lo *lowerer) cmpValue(op string, ops [4]opcode, l, r lval, d *lval) lval {
 	return lval{cl: clI, kind: field.Bool, reg: dst}
 }
 
-// arithLower lowers a binary operator with the interpreter's arith()
-// promotion rules: strings first (+, ==, != only), then float promotion, then
+// arithLower lowers a binary operator with arith()'s promotion rules: strings first (+, ==, != only), then float promotion, then
 // int64. Any boxed operand routes through opArithV, which calls arith()
 // itself at runtime.
 func (lo *lowerer) arithLower(tok Token, op string, l, r lval, d *lval) lval {
@@ -1087,7 +1088,7 @@ func (lo *lowerer) convert(v lval, k field.Kind, d *lval) lval {
 		s := lo.toStr(v, d)
 		return lval{cl: clS, kind: field.String, reg: s.reg}
 	}
-	panic(lowerFail{err: fmt.Errorf("lang: cannot convert to kind %v in registers", k)})
+	panic(fmt.Sprintf("cannot convert to kind %v in registers", k))
 }
 
 // intPayload produces Value.Int64() of v in an int register.
@@ -1370,7 +1371,7 @@ func (lo *lowerer) coords(ref lref, args []Expr) (idx [2]int32, n int) {
 	return idx, -1
 }
 
-// minMax lowers min/max with the interpreter's kind rules: float promotion if
+// minMax lowers min/max: float promotion if
 // either side is floating, otherwise the raw winning operand. The raw-operand
 // int path returns the operand itself (kind included), so mixed static kinds
 // must go through the boxed helper.

@@ -3,8 +3,7 @@ package lang
 // The bytecode VM: a single switch-dispatch loop over bcProg.code operating
 // on a pooled frame (layout in bytecode.go). Steady-state body execution
 // allocates nothing on the hot path; cold paths — implicit array grow, boxed
-// Any arithmetic, runtime errors — may allocate, exactly like the closure
-// interpreter they replicate.
+// arithmetic, runtime errors — may allocate.
 
 import (
 	"fmt"
@@ -65,8 +64,8 @@ func (p *bcProg) body() func(*core.Ctx) error {
 	return func(ctx *core.Ctx) error {
 		fr := p.frames.Get().(*bcFrame)
 		// Deferred so that an error return and a panic (out-of-range get,
-		// negative put) publish the locals assigned so far, as the
-		// interpreter's immediate ctx.Set does; runBody recovers the panic.
+		// negative put) publish the locals assigned so far, as an immediate
+		// ctx.Set would have; runBody recovers the panic.
 		defer p.leave(ctx, fr)
 		for _, ld := range p.loads {
 			switch ld.from {
@@ -123,8 +122,7 @@ func (p *bcProg) leave(ctx *core.Ctx, fr *bcFrame) {
 
 // resolve fills the view of array local li on its first touch in this
 // invocation and reports whether it did. It goes through Ctx.LocalArray,
-// which materializes the default and marks the local bound with the same
-// semantics as the interpreter's ctx.Array calls.
+// which materializes the default and marks the local bound like Ctx.Array.
 func (p *bcProg) resolve(ctx *core.Ctx, fr *bcFrame, li uint8) bool {
 	v := &fr.views[li]
 	if v.arr != nil {
@@ -587,7 +585,7 @@ func (p *bcProg) slow(ctx *core.Ctx, fr *bcFrame, in instr, pc int) (int, error)
 
 	// Misses of the typed array forms. One that resolve() turns into a first
 	// touch runs the instruction again against the filled view; any other is
-	// the interpreter's boxed access.
+	// the boxed access.
 	case opGetF1, opGetF2, opGetI1, opGetI2:
 		if p.resolve(ctx, fr, in.b) {
 			return pc - 1, nil
@@ -623,7 +621,7 @@ func (p *bcProg) slow(ctx *core.Ctx, fr *bcFrame, in instr, pc int) (int, error)
 		idx := ri[in.c : int(in.c)+int(in.d)]
 		off := a.FlatOffset64(idx)
 		if off < 0 {
-			a.At(coldIdx(idx)...) // panics with the interpreter's message
+			a.At(coldIdx(idx)...) // panics with the out-of-bounds message
 		}
 		rv[in.a] = a.AtFlat(off)
 	case opPutV:
