@@ -662,11 +662,19 @@ func mustReadTestdata(b *testing.B, path string) string {
 // BenchmarkLang{MulSum,KMeans,Wavefront} measure one kernel body directly
 // (no scheduler, no fetch/store machinery) on the register-bytecode VM and as
 // a native Go transliteration of the same compute; the native row is the
-// VM's remaining headroom.
+// VM's remaining headroom. MulSum and KMeans also have a lanes row: the same
+// compute written as the paper writes it, one instance per element, and run
+// the way the runtime runs a slice of 64 of them — one SliceBody call over 64
+// rows of a context, the instructions dispatched once per slice — and two
+// rows for the shortest slice the runtime still runs that way
+// (KernelDecl.SliceMin): lanes-min in lockstep, rows one Body call per
+// element, which is what shorter slices get. The two should be close.
 
 // §V mulsum arithmetic: repeated v = v*2+5 passes over a 512-element row.
 const benchLangMulSumSrc = `
 int32[] out;
+int32[] vals;
+int32[] out1;
 calc:
   local int32[] r;
   %{
@@ -676,11 +684,22 @@ calc:
     }
   %}
   store out(0) = r;
+calc1:
+  index i;
+  local int32 v;
+  fetch v = vals(0)[i];
+  %{
+    for (int it = 0; it < 50; ++it) { v = v * 2 + 5; }
+  %}
+  store out1(0)[i] = v;
 `
 
 // Table III assign: nearest-centroid scan, float math in the inner loop.
 const benchLangKMeansSrc = `
 float64[] out;
+float64[] pxs;
+float64[] cxs;
+float64[] bests;
 assign:
   local float64[] cx;
   local float64[] best;
@@ -698,6 +717,22 @@ assign:
     }
   %}
   store out(0) = best;
+assign1:
+  index p;
+  local float64 px;
+  local float64[] cx;
+  local float64 bd;
+  fetch px = pxs(0)[p];
+  fetch cx = cxs(0);
+  %{
+    bd = 1000000.0;
+    for (int c = 0; c < 32; ++c) {
+      float d = px - get(cx, c);
+      d = d * d;
+      if (d < bd) { bd = d; }
+    }
+  %}
+  store bests(0)[p] = bd;
 `
 
 // §III wavefront: each cell depends on its left, up and diagonal neighbours.
@@ -722,7 +757,17 @@ predict:
 
 var benchLangSink int64
 
-func benchLangBody(b *testing.B, src, kernel string, native func() int64) {
+// benchLangLanes describes the lanes row of a body benchmark: the
+// per-element kernel, how many elements make up the compute of the other
+// rows, and what the runtime would have fetched for element i (into the
+// selected row of the context).
+type benchLangLanes struct {
+	kernel   string
+	elements int
+	fetch    func(kd *core.KernelDecl, ctx *core.Ctx, i int)
+}
+
+func benchLangBody(b *testing.B, src, kernel string, native func() int64, lanes *benchLangLanes) {
 	b.Helper()
 	prog, err := lang.Compile("bench", src)
 	if err != nil {
@@ -738,6 +783,46 @@ func benchLangBody(b *testing.B, src, kernel string, native func() int64) {
 			}
 		}
 	})
+	if lanes != nil {
+		kd := prog.Kernel(lanes.kernel)
+		if kd.SliceBody == nil {
+			b.Fatalf("kernel %s has no slice body", lanes.kernel)
+		}
+		coords := make([][]int, lanes.elements)
+		for i := range coords {
+			coords[i] = []int{i}
+		}
+		// The elements in slices of rows, each through one SliceBody call
+		// or, the runtime's alternative, one Body call per row.
+		slices := func(rows int, lockstep bool) func(b *testing.B) {
+			return func(b *testing.B) {
+				ctx := core.NewReusableCtx(kd, nil, io.Discard)
+				ctx.Rows(rows)
+				for i := 0; i < b.N; i++ {
+					for first := 0; first < lanes.elements; first += rows {
+						n := min(rows, lanes.elements-first)
+						for r := 0; r < n; r++ {
+							ctx.ResetRow(r, 0, coords[first+r])
+							lanes.fetch(kd, ctx, first+r)
+							if !lockstep {
+								if err := kd.Body(ctx); err != nil {
+									b.Fatal(err)
+								}
+							}
+						}
+						if lockstep && !kd.SliceBody(ctx, n) {
+							b.Fatal("the slice body declined")
+						}
+					}
+				}
+			}
+		}
+		b.Run("lanes", slices(64, true))
+		// The two sides of the runtime's choice where it is closest: slices
+		// of the kernel's SliceMin in lockstep, and one instance at a time.
+		b.Run("lanes-min", slices(kd.SliceMin, true))
+		b.Run("rows", slices(kd.SliceMin, false))
+	}
 	b.Run("native", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchLangSink = native()
@@ -757,7 +842,9 @@ func BenchmarkLangMulSum(b *testing.B) {
 			}
 		}
 		return int64(r[0])
-	})
+	}, &benchLangLanes{kernel: "calc1", elements: 512, fetch: func(kd *core.KernelDecl, ctx *core.Ctx, i int) {
+		ctx.SetLocalValue(kd.LocalIndex("v"), field.Int32Val(int32(i+10)))
+	}})
 }
 
 func BenchmarkLangKMeans(b *testing.B) {
@@ -780,8 +867,20 @@ func BenchmarkLangKMeans(b *testing.B) {
 			best[p] = bd
 		}
 		return int64(best[255])
-	})
+	}, &benchLangLanes{kernel: "assign1", elements: 256, fetch: func(kd *core.KernelDecl, ctx *core.Ctx, p int) {
+		ctx.SetLocalValue(kd.LocalIndex("px"), field.Float64Val(float64(p)*0.37))
+		ctx.SetLocalValue(kd.LocalIndex("cx"), field.ArrayVal(benchLangCx))
+	}})
 }
+
+// benchLangCx is what assign1 fetches whole: the centroids assign builds.
+var benchLangCx = func() *field.Array {
+	cx := make([]float64, 32)
+	for c := range cx {
+		cx[c] = float64(c) * 0.5
+	}
+	return field.ArrayFromFloat64(cx)
+}()
 
 func BenchmarkLangWavefront(b *testing.B) {
 	benchLangBody(b, benchLangWavefrontSrc, "predict", func() int64 {
@@ -803,5 +902,5 @@ func BenchmarkLangWavefront(b *testing.B) {
 			}
 		}
 		return int64(p[33][33])
-	})
+	}, nil)
 }

@@ -261,6 +261,21 @@ type KernelDecl struct {
 	// Body transforms fetched locals into stored locals. A nil body is a
 	// pure data-movement kernel.
 	Body func(*Ctx) error
+	// SliceBody, when set, is a second form of the same body that runs the
+	// instances in rows [0, n) of the context (see Ctx.Rows) in one call, in
+	// whatever order and interleaving it likes. It may decline by returning
+	// false, having changed no row; the caller then runs Body on each
+	// instance, which also defines what a failing instance leaves behind —
+	// so a slice body declines rather than fails. Array locals are one per
+	// context, not per row, so in a kernel with a slice body every array
+	// local is a whole fetch (the runtime refuses any other). Kernels written in Go leave it nil; the
+	// kernel language sets it for bodies it can execute in lockstep.
+	SliceBody func(ctx *Ctx, n int) bool
+	// SliceMin is the fewest instances for which one SliceBody call is
+	// expected to be faster than that many Body calls; the runtime runs
+	// shorter slices through Body. Zero leaves it to the runtime's own
+	// minimum.
+	SliceMin int
 }
 
 // Source reports whether the kernel is a source: it has an age variable but

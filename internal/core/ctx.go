@@ -29,17 +29,33 @@ import (
 // allocation. Locals are kept in slices parallel to the kernel's Locals
 // declaration; lookups by name are linear scans over the handful of locals a
 // kernel declares, which beats map construction on the hot path.
+//
+// Rows. The locals live in a slab the context owns, one row per instance; a
+// plain context has one row. A slice that runs its instances through the
+// kernel's SliceBody gives every instance its own row (Rows, ResetRow): the
+// runtime fetches into and stores out of each row through the same methods
+// it uses for a single instance, with that row selected (Row), and the slice
+// body reads and writes all rows in one call. Array locals are not per row:
+// every row sees the context's one cached Array per local.
 type Ctx struct {
 	kernel *KernelDecl
 	age    int
-	// coords holds the instance's index-variable values in IndexVars order
-	// (aliased from the scheduler's instance state, never mutated here).
+	// coords holds the selected instance's index-variable values in IndexVars
+	// order (aliased from the scheduler's instance state, never mutated here).
 	coords []int
-	vals   []field.Value
-	bound  []bool
+	// vals, bound and inited are the selected row of the slab below.
+	vals  []field.Value
+	bound []bool
 	// inited marks locals whose default value exists; array locals are
 	// materialized lazily so a fetched array never pays for a placeholder.
 	inited []bool
+	// The slab: row r of a kernel with n locals is [r*n, (r+1)*n) of each
+	// slice, and rowCoords[r] its instance's coordinates.
+	slabVals   []field.Value
+	slabBound  []bool
+	slabInited []bool
+	rowCoords  [][]int
+	row        int // the selected row
 	// arrs caches one reusable Array per array local. The cache survives
 	// Reset: each instance's array local is the same backing storage,
 	// reshaped in place (default locals via ResetEmpty, fetch destinations
@@ -56,15 +72,58 @@ type Ctx struct {
 // pooled-dispatch constructor: call Reset before each instance, and never
 // retain values out of a context that will be reset.
 func NewReusableCtx(k *KernelDecl, timers *deadline.TimerSet, out io.Writer) *Ctx {
-	return &Ctx{
+	c := &Ctx{
 		kernel: k,
-		vals:   make([]field.Value, len(k.Locals)),
-		bound:  make([]bool, len(k.Locals)),
-		inited: make([]bool, len(k.Locals)),
 		arrs:   make([]*field.Array, len(k.Locals)),
 		timers: timers,
 		out:    out,
 	}
+	c.Rows(1)
+	return c
+}
+
+// Rows makes room for at least n rows and selects row 0. The rows' contents
+// are unspecified until ResetRow; growing keeps nothing.
+func (c *Ctx) Rows(n int) {
+	if n > len(c.rowCoords) {
+		n = max(n, 2*len(c.rowCoords))
+		nl := len(c.kernel.Locals)
+		c.slabVals = make([]field.Value, n*nl)
+		c.slabBound = make([]bool, n*nl)
+		c.slabInited = make([]bool, n*nl)
+		c.rowCoords = make([][]int, n)
+	}
+	c.Row(0)
+}
+
+// Row selects row r: every method that reads or writes a local, a bound flag
+// or an index variable works on it until the next selection.
+func (c *Ctx) Row(r int) {
+	c.row = r
+	nl := len(c.kernel.Locals)
+	lo, hi := r*nl, (r+1)*nl
+	c.vals = c.slabVals[lo:hi:hi]
+	c.bound = c.slabBound[lo:hi:hi]
+	c.inited = c.slabInited[lo:hi:hi]
+	c.coords = c.rowCoords[r]
+}
+
+// ResetRow selects row r and prepares it for an instance at the given age
+// (one age for all rows of a slice) and index coordinates, like Reset.
+func (c *Ctx) ResetRow(r, age int, coords []int) {
+	c.age = age
+	c.rowCoords[r] = coords
+	c.Row(r)
+	clear(c.vals)
+	clear(c.bound)
+	clear(c.inited)
+}
+
+// ClearRows releases what rows [0, n) reference, so a cached context does not
+// keep it alive until the rows are next used.
+func (c *Ctx) ClearRows(n int) {
+	clear(c.slabVals[:n*len(c.kernel.Locals)])
+	clear(c.rowCoords[:n])
 }
 
 // Reset prepares the context for a new instance of the same kernel at the
@@ -72,9 +131,11 @@ func NewReusableCtx(k *KernelDecl, timers *deadline.TimerSet, out io.Writer) *Ct
 // not copied). Every local becomes unbound and its previous value is
 // released, so a pooled Ctx cannot leak values across instances.
 func (c *Ctx) Reset(age int, coords []int) {
-	c.age = age
-	c.coords = coords
 	c.stop = false
+	if c.row != 0 {
+		c.Row(0)
+	}
+	c.age, c.coords, c.rowCoords[0] = age, coords, coords
 	for i := range c.vals {
 		c.vals[i] = field.Value{}
 		c.bound[i] = false
@@ -88,14 +149,14 @@ func (c *Ctx) Reset(age int, coords []int) {
 // runtimes that drive kernel bodies directly.
 func NewCtx(k *KernelDecl, age int, index map[string]int, timers *deadline.TimerSet, out io.Writer) *Ctx {
 	c := NewReusableCtx(k, timers, out)
-	c.age = age
+	var coords []int
 	if len(k.IndexVars) > 0 {
-		coords := make([]int, len(k.IndexVars))
+		coords = make([]int, len(k.IndexVars))
 		for i, v := range k.IndexVars {
 			coords[i] = index[v]
 		}
-		c.coords = coords
 	}
+	c.ResetRow(0, age, coords)
 	return c
 }
 

@@ -216,6 +216,10 @@ func KernelStatsFromSnapshot(s *obs.MetricsSnapshot) []runtime.KernelStats {
 			row(kernel).Instances = val
 		case obs.MKernelSlices:
 			row(kernel).Slices = val
+		case obs.MKernelLockstep:
+			row(kernel).Lockstep = val
+		case obs.MKernelDeclined:
+			row(kernel).Declined = val
 		case obs.MKernelDispatchNs:
 			row(kernel).DispatchTotal = time.Duration(val)
 		case obs.MKernelTimeNs:

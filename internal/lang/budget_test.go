@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -119,6 +120,110 @@ func TestLoweringInstructionBudget(t *testing.T) {
 	}
 	if n := shortestIteration(refine, loops[0][0], loops[0][1]); n > 5 {
 		t.Errorf("kmeans refine: the non-member path is %d instructions, want <= 5", n)
+	}
+}
+
+// TestLaneEligibility pins which kernels of the tree's sources can run their
+// slices in lockstep, the reason for every one that cannot, and for the
+// K-means kernels the benchmark lives on also which registers are varying
+// and from what slice length they run in lockstep: losing eligibility, or a
+// loop counter turning varying, should fail here rather than show up as a
+// slower benchmark.
+func TestLaneEligibility(t *testing.T) {
+	// program/kernel -> why not ("" if eligible)
+	want := map[string]string{
+		"kmeans.p2g/init":        "put",
+		"kmeans.p2g/assign":      "",
+		"kmeans.p2g/refine":      "",
+		"kmeans.p2g/print":       "cout",
+		"kmeans.p2g.tmpl/init":   "put",
+		"kmeans.p2g.tmpl/assign": "",
+		"kmeans.p2g.tmpl/refine": "",
+		"kmeans.p2g.tmpl/print":  "cout",
+
+		"mulsum.p2g/init":  "put",
+		"mulsum.p2g/mul2":  "",
+		"mulsum.p2g/plus5": "",
+		"mulsum.p2g/print": "cout",
+
+		"wavefront.p2g/load":          "stop",
+		"wavefront.p2g/border_row":    "",
+		"wavefront.p2g/border_col":    "",
+		"wavefront.p2g/border_corner": "",
+		"wavefront.p2g/predict":       "",
+
+		"dctstats.p2g/read":  "stop",
+		"dctstats.p2g/dct":   "array blk is not a typed whole fetch", // a slab per instance
+		"dctstats.p2g/stats": "cout",
+
+		// Not in the tree: the body never touches the slab it passes on.
+		"slab-pass-through.p2g/init": "put",
+		"slab-pass-through.p2g/copy": "array blk is not a typed whole fetch",
+	}
+	// The varying registers of the eligible K-means kernels, in both sources:
+	// assign's are the point (f0 f1), the best distance (f2), the temporaries
+	// computed from them and m (i2); its loop counter i4 and bound i3 are
+	// not. refine's are the cluster index (i1), the fetched centroid (f0
+	// f1), the sums and the count written under the divergent if, and the
+	// results; its loop counter i4, bound i3 and the membership read i5 are
+	// not.
+	varying := map[string]string{
+		"assign": "i2 f0 f1 f2 f3 f4 f5 f6 f7",
+		"refine": "i1 i2 f0 f1 f2 f3 f4 f5 f6",
+	}
+	// The shortest slice each is run in lockstep at (laneBreakEven): of the
+	// instructions of its loop that every lane executes the driver has 8 of
+	// assign's 10 and 1 of refine's 4. Measured, assign breaks even at 10 to
+	// 12 lanes and refine at 4 (EXPERIMENTS.md E8b). refine's matters: the
+	// sizing rule starts its 20 µs instances at slices of 5, and they grow
+	// only once lockstep has made them cheaper.
+	minLanes := map[string]int{"assign": 11, "refine": 4}
+	got := map[string]string{}
+	sources := everySource(t)
+	sources["slab-pass-through.p2g"] = slabPassThrough
+	for path, src := range sources {
+		file, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, bodies, err := compileFile(path, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range bodies {
+			key := filepath.Base(path) + "/" + p.kernel
+			got[key] = p.laneWhy
+			if (p.lane == nil) != (p.laneWhy != "") {
+				t.Errorf("%s: lane plan %v but reason %q", key, p.lane != nil, p.laneWhy)
+			}
+			if exp, ok := varying[p.kernel]; ok && strings.HasPrefix(filepath.Base(path), "kmeans") && p.lane != nil {
+				var regs []string
+				for _, r := range p.lane.iregs {
+					regs = append(regs, fmt.Sprint("i", r))
+				}
+				for _, r := range p.lane.fregs {
+					regs = append(regs, fmt.Sprint("f", r))
+				}
+				if v := strings.Join(regs, " "); v != exp {
+					t.Errorf("%s: varying registers %q, want %q", key, v, exp)
+				}
+				if p.lane.minLanes != minLanes[p.kernel] {
+					t.Errorf("%s: lockstep from %d lanes, want %d", key, p.lane.minLanes, minLanes[p.kernel])
+				}
+			}
+		}
+	}
+	for key, why := range got {
+		if exp, ok := want[key]; !ok {
+			t.Errorf("%s: not in the table (lanes: %q)", key, why)
+		} else if why != exp {
+			t.Errorf("%s: lanes %q, want %q", key, why, exp)
+		}
+	}
+	for key := range want {
+		if _, ok := got[key]; !ok {
+			t.Errorf("%s: in the table but not in the tree", key)
+		}
 	}
 }
 

@@ -187,6 +187,11 @@ const (
 	opCoutV // append v[a].String()
 	opCoutFlush
 
+	// opLane appears only in a laneProg's copy of the code (lanes.go), in
+	// place of every instruction the lockstep driver executes itself: exec
+	// returns at it.
+	opLane
+
 	numOpcodes
 )
 
@@ -335,6 +340,8 @@ var opTable = [numOpcodes]opInfo{
 	opCoutS:     {"couts", [4]operand{xS}},
 	opCoutV:     {"coutv", [4]operand{xV}},
 	opCoutFlush: {"coutflush", [4]operand{}},
+
+	opLane: {"lane", [4]operand{}},
 }
 
 // instr is one bytecode instruction; opTable gives the role of each operand.
@@ -410,6 +417,11 @@ type bcProg struct {
 	arrCl []regClass
 
 	nI, nF, nS, nV int // registers below the constants, per class
+
+	// lane is the plan for running a slice's instances in lockstep
+	// (lanes.go); nil when the body cannot, and laneWhy then says why.
+	lane    *laneProg
+	laneWhy string
 
 	frames sync.Pool
 }

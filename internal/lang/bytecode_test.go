@@ -19,22 +19,33 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestEveryKernelLowers asserts that every kernel of every kernel-language
-// source in the tree — testdata/*.p2g and the benchmark's K-means template —
-// compiles to a non-empty listing: there is no other way for a body to run.
-func TestEveryKernelLowers(t *testing.T) {
+// everySource returns every kernel-language source in the tree by path:
+// testdata/*.p2g and the benchmark's K-means template with its parameters
+// filled in.
+func everySource(t *testing.T) map[string]string {
+	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.p2g"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no testdata programs: %v", err)
 	}
 	paths = append(paths, filepath.Join("..", "..", "bench", "kmeans.p2g.tmpl"))
-	kernels := 0
+	out := map[string]string{}
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := strings.NewReplacer("@N@", "2000", "@K@", "100", "@SEED@", "1").Replace(string(data))
+		out[path] = strings.NewReplacer("@N@", "2000", "@K@", "100", "@SEED@", "1").Replace(string(data))
+	}
+	return out
+}
+
+// TestEveryKernelLowers asserts that every kernel of every kernel-language
+// source in the tree compiles to a non-empty listing: there is no other way
+// for a body to run.
+func TestEveryKernelLowers(t *testing.T) {
+	kernels := 0
+	for path, src := range everySource(t) {
 		listings, err := Disassemble(path, src)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -386,7 +397,18 @@ kb:
   fetch y = src(0);
   %{ put(y, get(y, 0) + 200, 7); %}
   store b(0) = y;`})
+	// A slab fetched into a local the body never touches and stored straight
+	// through: the slices forced below would hand every instance the last
+	// one's slab if the kernel ran in lockstep (see slabPassThrough).
+	cases = append(cases, equivCase{name: "slab-pass-through", src: slabPassThrough,
+		want: map[string]string{"out(0)": "{{0, 3}, {10, 13}, {20, 23}, {30, 33}, {40, 43}, {50, 53}, {60, 63}, {70, 73}}"}})
 	rng := rand.New(rand.NewSource(0x9901))
+	var lanes laneStats
+	defer func() {
+		if lanes.completed == 0 {
+			t.Errorf("no slice body ran to completion: %+v", lanes)
+		}
+	}()
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -394,6 +416,11 @@ kb:
 			if src == "" {
 				src = readTestdata(t, tc.name+".p2g")
 			}
+			file, err := Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLanes(t, file, &lanes)
 			if tc.body {
 				if vm, or := bodyState(t, tc.name, src, "vm"), bodyState(t, tc.name, src, "oracle"); vm != or {
 					t.Fatalf("state after the body diverged:\nvm:\n%s\noracle:\n%s", vm, or)
@@ -404,11 +431,20 @@ kb:
 			if workers == nil {
 				workers = []int{1 + rng.Intn(8), 1 + rng.Intn(8), 1 + rng.Intn(8)}
 			}
-			for _, w := range workers {
+			for i, w := range workers {
 				opts := tc.opts
 				opts.Workers = w
-				vmNode, vmOut := equivRun(t, tc.name, src, "vm", opts)
 				orNode, orOut := equivRun(t, tc.name, src, "oracle", opts)
+				// The VM's first run sizes its slices itself; the others are
+				// forced to lengths that put every multi-instance kernel-age
+				// through its slice body, if it has one.
+				if g := []int{0, 7, 64}[i%3]; g > 0 {
+					opts.Granularity = map[string]int{}
+					for _, kd := range file.Kernels {
+						opts.Granularity[kd.Name] = g
+					}
+				}
+				vmNode, vmOut := equivRun(t, tc.name, src, "vm", opts)
 				// The interleaving of instances is scheduler-dependent — even
 				// with one worker, which may run the next age's source instance
 				// before or after the analyzer readies this age's consumers —

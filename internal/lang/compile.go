@@ -97,6 +97,10 @@ func compileFile(name string, file *File) (*core.Program, []*bcProg, error) {
 		}
 		bodies[i] = bp
 		prog.Kernels[i].Body = bp.body()
+		if bp.lane != nil {
+			prog.Kernels[i].SliceBody = bp.sliceBody()
+			prog.Kernels[i].SliceMin = bp.lane.minLanes
+		}
 	}
 	return prog, bodies, nil
 }

@@ -65,10 +65,10 @@ func (p *bcProg) loops() [][2]int {
 	return out
 }
 
-// innerLoop is Listing.InnerLoop.
-func (p *bcProg) innerLoop() int {
+// innerLoops returns the loops that have no loop inside them.
+func (p *bcProg) innerLoops() [][2]int {
 	loops := p.loops()
-	longest := 0
+	var out [][2]int
 	for _, l := range loops {
 		inner := true
 		for _, m := range loops {
@@ -77,33 +77,55 @@ func (p *bcProg) innerLoop() int {
 				break
 			}
 		}
-		if n := l[1] - l[0] + 1; inner && n > longest {
-			longest = n
+		if inner {
+			out = append(out, l)
 		}
+	}
+	return out
+}
+
+// innerLoop is Listing.InnerLoop.
+func (p *bcProg) innerLoop() int {
+	longest := 0
+	for _, l := range p.innerLoops() {
+		longest = max(longest, l[1]-l[0]+1)
 	}
 	return longest
 }
 
 // disasm renders the program as an annotated listing for p2gc -disasm:
 // header, prologue loads, instructions, epilogue write-backs. Constant
-// registers and immediates print as their value (`#0`).
+// registers and immediates print as their value (`#0`). When the body can run
+// in lockstep the header says `lanes: yes` and from what slice length, a
+// varying register (one value per lane) carries a star and a branch on one is
+// marked divergent.
 func (p *bcProg) disasm(kd *KernelDef) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "kernel %s: %d instructions, innermost loop %d, registers i=%d f=%d s=%d v=%d, constants i=%d f=%d s=%d\n",
-		p.kernel, len(p.code), p.innerLoop(), p.nI, p.nF, p.nS, p.nV, len(p.ints), len(p.floats), len(p.strs))
+	lanes := "no (" + p.laneWhy + ")"
+	if p.lane != nil {
+		lanes = fmt.Sprintf("yes (slices of %d or more)", p.lane.minLanes)
+	}
+	fmt.Fprintf(&b, "kernel %s: %d instructions, innermost loop %d, registers i=%d f=%d s=%d v=%d, constants i=%d f=%d s=%d, lanes: %s\n",
+		p.kernel, len(p.code), p.innerLoop(), p.nI, p.nF, p.nS, p.nV, len(p.ints), len(p.floats), len(p.strs), lanes)
 
+	star := func(cl regClass, r int32) string {
+		if p.lane != nil && (cl == clI && p.lane.icol[r] >= 0 || cl == clF && p.lane.fcol[r] >= 0) {
+			return "*"
+		}
+		return ""
+	}
 	reg := func(cl regClass, r int32) string {
 		switch cl {
 		case clI:
 			if int(r) >= p.nI {
 				return "#" + strconv.FormatInt(p.ints[int(r)-p.nI], 10)
 			}
-			return "i" + strconv.Itoa(int(r))
+			return "i" + strconv.Itoa(int(r)) + star(cl, r)
 		case clF:
 			if int(r) >= p.nF {
 				return "#" + strconv.FormatFloat(p.floats[int(r)-p.nF], 'g', -1, 64)
 			}
-			return "f" + strconv.Itoa(int(r))
+			return "f" + strconv.Itoa(int(r)) + star(cl, r)
 		case clS:
 			if int(r) >= p.nS {
 				return "#" + strconv.Quote(p.strs[int(r)-p.nS])
@@ -194,6 +216,9 @@ func (p *bcProg) disasm(kd *KernelDef) string {
 			note = fmt.Sprintf("%s[%s] = %s", ops[0], ops[2], ops[1])
 		case opPutF2, opPutI2:
 			note = fmt.Sprintf("%s[%s][%s] = %s", ops[0], ops[2], ops[3], ops[1])
+		}
+		if p.lane != nil && p.lane.divergent[pc] {
+			note += "; divergent"
 		}
 		if note != "" {
 			line = fmt.Sprintf("%-44s ; %s", line, note)

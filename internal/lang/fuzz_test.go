@@ -96,6 +96,19 @@ func TestFragmentsRunSafely(t *testing.T) {
 type exprGen struct {
 	rng    *rand.Rand
 	whiles int // while-loop counters declared so far, for unique names
+	// lanes restricts the generator to what a lane-eligible body may hold
+	// (genLaneProgram): no put, cout, string or float min/max/floor/pow, and
+	// divisors that are mostly nonzero, so that most programs run their
+	// slices in lockstep to the end instead of declining.
+	lanes bool
+}
+
+// divisor wraps e so that it is never zero, most of the time in lanes mode.
+func (g *exprGen) divisor(op, e string) string {
+	if g.lanes && (op == "/" || op == "%") && g.rng.Intn(8) != 0 {
+		return "(abs(" + e + ") + 1)"
+	}
+	return e
 }
 
 func (g *exprGen) pick(xs []string) string { return xs[g.rng.Intn(len(xs))] }
@@ -121,19 +134,27 @@ func (g *exprGen) intExpr(depth int) string {
 		return "(0 - " + g.intExpr(depth-1) + ")"
 	case 1:
 		return "(!" + g.intExpr(depth-1) + ")"
-	case 2:
-		return "min(" + g.intExpr(depth-1) + ", " + g.intExpr(depth-1) + ")"
-	case 3:
-		return "max(" + g.intExpr(depth-1) + ", " + g.intExpr(depth-1) + ")"
+	case 2, 3:
+		// min and max of mixed kinds go through a boxed value, which lanes
+		// cannot hold: there, 0+x gives both operands the same kind.
+		zero := ""
+		if g.lanes {
+			zero = "0 + "
+		}
+		return g.pick([]string{"min", "max"}) + "(" + zero + g.intExpr(depth-1) + ", " + zero + g.intExpr(depth-1) + ")"
 	case 4:
 		return "abs(" + g.intExpr(depth-1) + ")"
 	case 5:
+		if g.lanes && g.rng.Intn(2) == 0 {
+			return "get(r, abs(" + g.intExpr(depth-1) + ") % 8)" // a gather: the coordinate varies by lane
+		}
 		return "get(r, " + fmt.Sprint(g.rng.Intn(8)) + ")"
 	case 6:
 		// A condition materialized as a value.
 		return g.condExpr(depth - 1)
 	default:
-		return "(" + g.intExpr(depth-1) + " " + g.pick(genIntOps) + " " + g.intExpr(depth-1) + ")"
+		op := g.pick(genIntOps)
+		return "(" + g.intExpr(depth-1) + " " + op + " " + g.divisor(op, g.intExpr(depth-1)) + ")"
 	}
 }
 
@@ -168,7 +189,11 @@ func (g *exprGen) floatExpr(depth int) string {
 		}
 		return g.pick(genFloatVars)
 	}
-	switch g.rng.Intn(8) {
+	c := g.rng.Intn(8)
+	if g.lanes && c >= 1 && c <= 3 {
+		c = 7 // float min, max and floor are calls, which lanes do not make
+	}
+	switch c {
 	case 0:
 		return "sqrt(abs(" + g.floatExpr(depth-1) + "))"
 	case 1:
@@ -179,13 +204,15 @@ func (g *exprGen) floatExpr(depth int) string {
 		return "floor(" + g.floatExpr(depth-1) + ")"
 	case 4:
 		// Mixed-kind promotion: int op float.
-		return "(" + g.intExpr(depth-1) + " " + g.pick(genFloatOps) + " " + g.floatExpr(depth-1) + ")"
+		op := g.pick(genFloatOps)
+		return "(" + g.intExpr(depth-1) + " " + op + " " + g.divisor(op, g.floatExpr(depth-1)) + ")"
 	case 5:
 		// Rank-2 read with a constant trailing coordinate; g is 2x2 unless a
 		// put grew it, so some of these are out of range.
 		return fmt.Sprintf("get(g, %s, %d)", g.pick([]string{"0", "1", "2", "abs(i0) % 2"}), g.rng.Intn(3))
 	default:
-		return "(" + g.floatExpr(depth-1) + " " + g.pick(genFloatOps) + " " + g.floatExpr(depth-1) + ")"
+		op := g.pick(genFloatOps)
+		return "(" + g.floatExpr(depth-1) + " " + op + " " + g.divisor(op, g.floatExpr(depth-1)) + ")"
 	}
 }
 
@@ -205,7 +232,13 @@ func (g *exprGen) strExpr(depth int) string {
 // stmt emits one random statement; loops are always bounded so every
 // generated program terminates.
 func (g *exprGen) stmt(b *strings.Builder, depth int) {
-	switch g.rng.Intn(14) {
+	c := g.rng.Intn(14)
+	if g.lanes {
+		if g.laneStmt(b, depth, c) {
+			return
+		}
+	}
+	switch c {
 	case 0:
 		fmt.Fprintf(b, "%s = %s;\n", g.pick(genIntVars), g.intExpr(2))
 	case 1:
@@ -274,6 +307,101 @@ func (g *exprGen) stmt(b *strings.Builder, depth int) {
 	default:
 		fmt.Fprintf(b, "put(r, %s, %d);\n", g.floatExpr(2), g.rng.Intn(8))
 	}
+}
+
+// laneStmt emits, in place of the statements lanes cannot run (put, cout,
+// strings, pow), ones that make lanes part ways: conditions on the index and
+// on fetched values, break and continue under them, and divergent ifs nested
+// inside a loop every lane runs. It reports false for the cases stmt keeps.
+func (g *exprGen) laneStmt(b *strings.Builder, depth, c int) bool {
+	switch c {
+	case 3:
+		fmt.Fprintf(b, "if (i2 %% 3 == %d) {\n", g.rng.Intn(3))
+		g.stmt(b, depth-1)
+		b.WriteString("}\n")
+	case 4:
+		fmt.Fprintf(b, "m = %s;\n", g.intExpr(2))
+	case 5:
+		lv := fmt.Sprintf("l%d", g.rng.Intn(1000))
+		fmt.Fprintf(b, "for (int %s = 0; %s < 5; ++%s) {\n", lv, lv, lv)
+		if g.rng.Intn(2) == 0 {
+			fmt.Fprintf(b, "if (%s == i2 %% 3) { continue; }\n", lv)
+		}
+		g.stmt(b, depth-1)
+		fmt.Fprintf(b, "if (%s >= abs(i0) %% 4) { break; }\n}\n", lv)
+	case 8:
+		fmt.Fprintf(b, "%s = sqrt(abs(%s));\n", g.pick(genFloatVars), g.floatExpr(1))
+	case 10:
+		lv := fmt.Sprintf("l%d", g.rng.Intn(1000))
+		fmt.Fprintf(b, "for (int %s = 0; %s < 3; ++%s) {\nif (i0 > %s) {\nif (i2 %% 2 == 0) {\n", lv, lv, lv, lv)
+		g.stmt(b, depth-1)
+		b.WriteString("} else {\n")
+		g.stmt(b, depth-1)
+		b.WriteString("}\n}\n}\n")
+	case 9:
+		fmt.Fprintf(b, "acc += %s;\n", g.floatExpr(2))
+	default:
+		return false
+	}
+	return true
+}
+
+// laneProgramN is the extent of the fields genLaneProgram's kernel runs over.
+const laneProgramN = 70
+
+// genLaneProgram builds a program whose kernel k has one instance per element
+// of two fetched fields and a body made of what lanes can run, so that the
+// instances of a slice differ in their inputs and in the paths they take.
+func (g *exprGen) genLaneProgram() string {
+	g.lanes = true
+	defer func() { g.lanes = false }()
+	var b strings.Builder
+	fmt.Fprintf(&b, `int32[] in;
+float64[] fin;
+int32[] tab;
+float64[][] grid;
+int32[] mout;
+float64[] accout;
+init:
+  local int32[] a;
+  local float64[] fa;
+  local int32[] t;
+  local float64[][] gr;
+  %%{
+    for (int q = 0; q < %d; ++q) { put(a, q * 5 %% 13 - 4, q); put(fa, (q * 7 %% 11 - 3) * 0.5, q); }
+    for (int q = 0; q < 8; ++q) { put(t, q - 3, q); }
+    for (int q = 0; q < 3; ++q) { for (int p = 0; p < 3; ++p) { put(gr, q * 0.5 + p, q, p); } }
+  %%}
+  store in(0) = a;
+  store fin(0) = fa;
+  store tab(0) = t;
+  store grid(0) = gr;
+k:
+  index x;
+  local int32 v;
+  local float64 fv;
+  local int32[] r;
+  local float64[][] g;
+  local int32 m;
+  local float64 acc;
+  fetch v = in(0)[x];
+  fetch fv = fin(0)[x];
+  fetch r = tab(0);
+  fetch g = grid(0);
+  %%{
+`, laneProgramN)
+	b.WriteString("int i0 = v; int i1 = -3; int i2 = x;\n")
+	b.WriteString("float f0 = fv; float f1 = 2.25;\n")
+	n := 3 + g.rng.Intn(8)
+	for j := 0; j < n; j++ {
+		g.stmt(&b, 2)
+	}
+	// m stays unbound, and its store suppressed, in a third of the lanes
+	// unless a statement above assigned it.
+	b.WriteString("if (x % 3 != 1) { m = i0 + i1 + i2; }\n")
+	b.WriteString("acc = acc + f0 + get(g, 0, 0);\n")
+	b.WriteString("%}\n  store mout(0)[x] = m;\n  store accout(0)[x] = acc;\n")
+	return b.String()
 }
 
 // genProgram builds a complete run-once program whose result surface is the
@@ -346,6 +474,46 @@ func TestDifferentialFuzzOracle(t *testing.T) {
 		if vm, or := bodyState(t, "fuzz", src, "vm"), bodyState(t, "fuzz", src, "oracle"); vm != or {
 			t.Fatalf("iter %d: state after the body diverged\nvm:\n%s\noracle:\n%s\nprogram:\n%s", i, vm, or, src)
 		}
+	}
+
+	// Multi-instance programs: the VM with its slices forced to 7 and to 64
+	// instances, so that they run in lockstep, against the oracle running
+	// one instance at a time; and every kernel's slice body on its own.
+	var lanes laneStats
+	for i := 0; i < iters; i++ {
+		src := g.genLaneProgram()
+		run := func(engine string, gran int) string {
+			opts := runtime.Options{Workers: 1, Granularity: map[string]int{"k": gran}}
+			node, err := runtime.NewNode(compileFor(t, "fuzz", src, engine), opts)
+			if err != nil {
+				t.Fatalf("lanes iter %d: node: %v\nprogram:\n%s", i, err, src)
+			}
+			if _, err := node.Run(); err != nil {
+				// Which failing instance runs first is the scheduler's
+				// business; checkLanes below compares the failures themselves.
+				return "failed"
+			}
+			m, _ := node.Snapshot("mout", 0)
+			acc, _ := node.Snapshot("accout", 0)
+			return fmt.Sprint(m, acc)
+		}
+		or := run("oracle", 1)
+		for _, gran := range []int{7, 64} {
+			if vm := run("vm", gran); vm != or {
+				t.Fatalf("lanes iter %d: slices of %d diverged\nvm:     %s\noracle: %s\nprogram:\n%s", i, gran, vm, or, src)
+			}
+		}
+		file, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLanes(t, file, &lanes)
+	}
+	// The generator has to stay inside what lanes accept, and most of what it
+	// writes has to get through without a lane faulting.
+	t.Logf("lane programs: %+v", lanes)
+	if lanes.eligible < iters*9/10 || lanes.completed < lanes.runs/2 {
+		t.Errorf("lane programs missed the lockstep path: %+v", lanes)
 	}
 }
 
@@ -582,11 +750,16 @@ func TestFuzzSeedsStayInScope(t *testing.T) {
 // Instances of a failing program may run in either order, so for a run that
 // fails only the fact is compared; kernels that fetch nothing are also run
 // directly, where the error text, the output and the locals left bound must
-// match exactly.
+// match exactly, and lane-eligible kernels through their slice body
+// (checkLanes), which is held to the same.
 func FuzzVMMatchesOracle(f *testing.F) {
 	addTestdataSeeds(f)
 	for _, src := range anyPrograms {
 		f.Add(src)
+	}
+	g := &exprGen{rng: rand.New(rand.NewSource(0x1a9e5))}
+	for i := 0; i < 4; i++ {
+		f.Add(g.genLaneProgram())
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<13 {
@@ -605,6 +778,7 @@ func FuzzVMMatchesOracle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second compile of an accepted program: %v", err)
 		}
+		checkLanes(t, file, &laneStats{})
 		for _, kd := range file.Kernels {
 			if len(kd.Fetches) > 0 {
 				continue

@@ -1,0 +1,1205 @@
+package lang
+
+// Lockstep execution of a slice. The instances of a slice run the same body
+// on independent data, so a compiled kernel has a second entry point
+// (core.KernelDecl.SliceBody) that walks bcProg.code once for all of them:
+// an instruction is fetched and decoded once and applied to a column of
+// lanes, one lane per instance.
+//
+// The plan (planLanes, after lowering) classifies every register. A uniform
+// register holds the same value in every lane — constants, the age, anything
+// computed from uniform operands while all lanes run together — and stays in
+// the scalar register file, where the scalar loop (exec) executes the
+// instructions that write it, once per slice. A varying register — an index
+// coordinate, a fetched scalar, anything derived from one or written while
+// only some lanes run — gets a column, and the driver below executes its
+// instructions over the active lanes.
+//
+// Control flow. A branch on uniform operands moves all lanes together. A
+// branch on varying operands may split them: the lanes bound for the higher
+// pc are parked there and execution goes on at the lower one, and whenever
+// the running lanes reach or pass the lowest parked pc the lanes with the
+// lowest pc run next (min-pc reconvergence). Because a loop's exit lies
+// above its body and both arms of an if lie below its end, that is enough for
+// if/else, the jump chains of && and ||, break and continue. The pcs at which
+// some lanes may be parked are the plan's partial set; everything there is
+// the driver's, and every register written there is varying.
+//
+// A body is lane-eligible when it consists of exec's call-free instructions
+// plus extent, bind and ret, keeps no string or boxed value, and has no array
+// local but those every lane shares (whole fetches): the rows of a slice's
+// context share one Array per local, so a slab per instance rules lanes out
+// even when the body only passes it on to a store. Such a body has no effect before
+// its epilogue, so when any lane faults — division by zero, negative sqrt, a
+// get out of range — the attempt is abandoned with nothing written and the
+// caller runs the slice through body() instance by instance: errors, panics
+// and what a failing instance leaves behind are the scalar VM's by
+// construction.
+
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/core"
+	"repro/internal/field"
+)
+
+// laneProg is the static lockstep plan of one lane-eligible body.
+type laneProg struct {
+	// code is bcProg.code with opLane in place of every instruction the
+	// driver executes: those that write a varying register, branches on one,
+	// and everything at a partial pc.
+	code []instr
+	// solo is bcProg.code with opLane at every pc that is not partial: what
+	// one lane runs on its own, in the scalar loop, until it is back where
+	// all lanes can be together (laneVM.solo).
+	solo []instr
+	// icol and fcol give a varying register's column, -1 for a uniform one;
+	// iregs and fregs are the inverse, the register of each column.
+	icol, fcol   [maxRegs]int16
+	iregs, fregs []uint8
+	// bindCol gives the column of per-lane bound flags of a local some opBind
+	// at a partial pc marks, else -1 (the scalar frame's flag serves);
+	// bindLocals is the inverse.
+	bindCol    []int16
+	bindLocals []uint8
+	arrays     []uint8 // the array locals the body reads
+	// Per pc: the instruction is a branch on a varying register (the listing
+	// marks it); what its source operands are.
+	divergent []bool
+	src       []laneSrc
+	// minLanes is the shortest slice worth running in lockstep
+	// (laneBreakEven); it becomes core.KernelDecl.SliceMin.
+	minLanes int
+
+	frames sync.Pool
+	// desynced is set when the driver finds lanes parked where the plan says
+	// none can be. The slice then runs on the scalar VM and nothing is lost,
+	// but it means planLanes is wrong; the differential tests fail on it.
+	desynced atomic.Bool
+}
+
+// laneRejectOp names what makes an instruction unfit for lanes, "" if it fits.
+func laneRejectOp(op opcode) string {
+	switch op {
+	case opRet, opJmp, opErr, opBind, opExtent,
+		opJzI, opJnzI, opJzF, opJnzF,
+		opJeqI, opJneI, opJltI, opJleI, opJeqF, opJneF, opJltF, opJleF,
+		opMovI, opMovF, opI2F, opF2I, opTrunc32, opTruncU8, opBoolI, opBoolF, opNotI, opNotF,
+		opAddI, opAddKI, opSubI, opMulI, opDivI, opModI, opNegI,
+		opAddF, opSubF, opMulF, opDivF, opNegF,
+		opEqI, opNeI, opLtI, opLeI, opEqF, opNeF, opLtF, opLeF,
+		opSqrtF, opAbsI, opAbsF, opMinI, opMaxI,
+		opGetF1, opGetF2, opGetI1, opGetI2:
+		return ""
+	case opStop:
+		return "stop"
+	case opPutF1, opPutF2, opPutI1, opPutI2, opPutV:
+		return "put"
+	case opNow, opExpired, opResetTimer:
+		return "timer"
+	case opFloorF, opCosF, opSinF, opPowF, opMinF, opMaxF:
+		return "math call " + opTable[op].name
+	}
+	if op >= opCoutClear && op <= opCoutFlush {
+		return "cout"
+	}
+	return "string or any value"
+}
+
+// laneWrites reports whether a lane-eligible instruction writes register a.
+func laneWrites(op opcode) bool {
+	return op >= opMovI && op <= opMaxF || op >= opGetF1 && op <= opGetI2 || op == opExtent
+}
+
+func laneBranch(op opcode) bool { return op >= opJzI && op <= opJleF }
+
+// laneSrc says what the registers an instruction reads are.
+type laneSrc uint8
+
+const (
+	srcUniform laneSrc = iota // all uniform (or there are none)
+	srcVarying                // all varying
+	srcMixed
+)
+
+func laneSrcOf(in instr, varI, varF *[maxRegs]bool) laneSrc {
+	x := [4]uint8{in.a, in.b, in.c, uint8(in.d)}
+	uni, vary := false, false
+	for i, role := range opTable[in.op].args {
+		if i == 0 && laneWrites(in.op) || role != xI && role != xF {
+			continue
+		}
+		if role == xI && varI[x[i]] || role == xF && varF[x[i]] {
+			vary = true
+		} else {
+			uni = true
+		}
+	}
+	switch {
+	case !vary:
+		return srcUniform
+	case !uni:
+		return srcVarying
+	}
+	return srcMixed
+}
+
+// planLanes decides whether the lowered body can run in lockstep and, if so,
+// builds its plan.
+func (p *bcProg) planLanes(k *KernelDef) {
+	for _, ld := range p.loads {
+		if ld.cl != clI && ld.cl != clF {
+			p.laneWhy = "string or any value"
+			return
+		}
+	}
+	for _, st := range p.stores {
+		if st.cl != clI && st.cl != clF {
+			p.laneWhy = "string or any value"
+			return
+		}
+	}
+	lp := &laneProg{}
+	seen := make([]bool, len(p.arrCl))
+	// shared reports whether array local li is the same typed array in every
+	// lane, which a whole fetch makes it, and records the reason when not.
+	shared := func(li int) bool {
+		whole := false
+		for _, f := range k.Fetches {
+			whole = whole || f.Local == k.Locals[li].Name && f.Ref.Whole
+		}
+		if !whole || p.arrCl[li] == clV {
+			p.laneWhy = "array " + k.Locals[li].Name + " is not a typed whole fetch"
+			return false
+		}
+		return true
+	}
+	for _, in := range p.code {
+		if why := laneRejectOp(in.op); why != "" {
+			p.laneWhy = why
+			return
+		}
+		if in.op >= opGetF1 && in.op <= opGetI2 || in.op == opExtent {
+			if li := in.b; !seen[li] {
+				seen[li] = true
+				lp.arrays = append(lp.arrays, li)
+				if !shared(int(li)) {
+					return
+				}
+			}
+		}
+	}
+	// An array local the body never touches is still per lane when a slab
+	// fetch fills it (a pass-through to a store): all rows of a context share
+	// the one Array of a local.
+	for li := range k.Locals {
+		if k.Locals[li].Rank > 0 && !seen[li] && !shared(li) {
+			return
+		}
+	}
+
+	// The data-flow pass, to a fixed point: a register is varying when some
+	// instruction writes it from a varying operand or at a partial pc; the
+	// pcs between a branch or jump and its target are partial when it reads a
+	// varying register or is itself at a partial pc. That covers every pc at
+	// which lanes can be parked. The lanes with the lowest pc always run, so
+	// with lanes parked as far up as D the running ones are below D, and the
+	// claim is that every pc from theirs to D is marked: a split at j puts
+	// its sides at j+1 and at the target and marks what lies between; a jump
+	// from a marked j to x beyond D parks the jumpers there, and [j+1, x) is
+	// marked; one back to x < j marks [x, j]; stepping to the next
+	// instruction shrinks the range.
+	n := len(p.code)
+	var varI, varF [maxRegs]bool
+	for _, ld := range p.loads {
+		if ld.from != fromAge {
+			if ld.cl == clI {
+				varI[ld.reg] = true
+			} else {
+				varF[ld.reg] = true
+			}
+		}
+	}
+	partial := make([]bool, n) // per pc: some lanes may be parked while it executes
+	lp.divergent = make([]bool, n)
+	lp.src = make([]laneSrc, n)
+	for changed := true; changed; {
+		changed = false
+		for pc, in := range p.code {
+			lp.src[pc] = laneSrcOf(in, &varI, &varF)
+			vary := lp.src[pc] != srcUniform
+			switch {
+			case laneBranch(in.op) || in.op == opJmp:
+				lp.divergent[pc] = vary
+				if !vary && !partial[pc] {
+					break
+				}
+				lo, hi := min(pc+1, int(in.d)), max(pc+1, int(in.d))
+				for q := lo; q < hi; q++ {
+					if !partial[q] {
+						partial[q], changed = true, true
+					}
+				}
+			case laneWrites(in.op) && (vary || partial[pc]):
+				v := &varI
+				if opTable[in.op].args[0] == xF {
+					v = &varF
+				}
+				if !v[in.a] {
+					v[in.a], changed = true, true
+				}
+			}
+		}
+	}
+
+	for r := range lp.icol {
+		lp.icol[r], lp.fcol[r] = -1, -1
+		if varI[r] {
+			lp.icol[r] = int16(len(lp.iregs))
+			lp.iregs = append(lp.iregs, uint8(r))
+		}
+		if varF[r] {
+			lp.fcol[r] = int16(len(lp.fregs))
+			lp.fregs = append(lp.fregs, uint8(r))
+		}
+	}
+	lp.bindCol = make([]int16, len(p.arrCl))
+	for li := range lp.bindCol {
+		lp.bindCol[li] = -1
+	}
+	lp.code = append([]instr(nil), p.code...)
+	lp.solo = append([]instr(nil), p.code...)
+	for pc, in := range p.code {
+		if !partial[pc] {
+			lp.solo[pc].op = opLane
+		}
+		mine := partial[pc] || lp.divergent[pc]
+		if laneWrites(in.op) {
+			col := lp.icol[in.a]
+			if opTable[in.op].args[0] == xF {
+				col = lp.fcol[in.a]
+			}
+			mine = mine || col >= 0
+		}
+		if mine {
+			lp.code[pc].op = opLane
+			if in.op == opBind && lp.bindCol[in.a] < 0 {
+				lp.bindCol[in.a] = int16(len(lp.bindLocals))
+				lp.bindLocals = append(lp.bindLocals, in.a)
+			}
+		}
+	}
+	lp.minLanes = p.laneBreakEven(lp.code, partial)
+	lp.frames.New = func() any { return &laneFrame{} }
+	p.lane = lp
+}
+
+// laneBreakEven estimates the shortest slice that lockstep runs faster than
+// the scalar loop runs its instances one by one. On the build host an
+// instruction costs the scalar loop ≈1.6 ns per instance; in lockstep a
+// uniform one costs that once per slice and one of the driver's ≈10 ns per
+// slice plus ≈1 ns per lane (EXPERIMENTS.md E8b, per body). With v the
+// driver's share of the hot instructions every lane executes — those of the
+// innermost loops, or of the whole body when it has none, that are not at a
+// partial pc — n lanes break even when v(10 + n) + 1.6(1 - v) = 1.6n: about 4
+// lanes when the loop control is uniform and only a compare varies (K-means
+// refine; measured 4), 11 for a loop of float arithmetic on per-lane values
+// (assign; measured 10 to 12), 17 when everything varies.
+//
+// Leaving out the partial pcs assumes that few lanes enter the body of a
+// divergent if, which is what the running minimum of assign and the
+// membership test of refine do; a body that sends half its lanes each way
+// breaks even later than this says. It also decides whether refine runs in
+// lockstep at all: its instances cost 20 µs each on the scalar loop, so the
+// runtime's sizing rule starts it at slices of 5, and only lockstep makes
+// them cheap enough for the slices to grow. The model leaves out as well
+// what a run costs before its first instruction (two pooled frames, the
+// arrays resolved, a column per loaded register), so the answer is never
+// below 4. code is the plan's.
+func (p *bcProg) laneBreakEven(code []instr, partial []bool) int {
+	hot := p.innerLoops()
+	if len(hot) == 0 {
+		hot = [][2]int{{0, len(code) - 1}}
+	}
+	total, driver := 0, 0
+	for _, l := range hot {
+		for pc := l[0]; pc <= l[1]; pc++ {
+			if partial[pc] {
+				continue
+			}
+			total++
+			if code[pc].op == opLane {
+				driver++
+			}
+		}
+	}
+	if total == 0 {
+		total, driver = 1, 1 // a loop on a per-lane bound: all of it is partial
+	}
+	// ceil((8.4v + 1.6) / (1.6 - v)) with v = driver/total, in tenths.
+	num, den := 84*driver+16*total, 16*total-10*driver
+	return max(4, (num+den-1)/den)
+}
+
+// laneGroup is a set of lanes parked at a pc.
+type laneGroup struct {
+	pc    int
+	lanes []int32
+}
+
+// noPark is laneFrame.nextPark when no lane is parked.
+const noPark = math.MaxInt
+
+// laneFrame holds the columns and the control state of one lockstep run. It
+// is pooled per bcProg and grows to the longest slice it has served.
+type laneFrame struct {
+	cap int // lanes per column
+	n   int // lanes in this run
+	ic  []int64
+	fc  []float64
+	bc  []bool
+	// Scratch columns: slots 0 and 1 take gathered or broadcast operands,
+	// slot 2 a result on its way to being scattered, or a branch condition.
+	si [3][]int64
+	sf [3][]float64
+	// castI and castF remember the value an operand slot is filled with, and
+	// how far, since srcI/srcF last broadcast a uniform register into it: a
+	// loop that compares a column with a constant fills the slot once
+	// (`best < 0.0` in K-means assign, every iteration). Without the memo
+	// kmeans_vm's speedup_vs_seq falls by a further 3 % (0.318 against 0.327,
+	// both without solo, 0 of 8 pairs; same runs as laneSolo's).
+	castI, castF [2]laneCast
+	saved        []bool // solo's copy of the scalar frame's bound flags
+
+	// all says every lane is running; otherwise act lists the running lanes
+	// (in no particular order: lanes are independent) and groups the parked
+	// ones, at most one group per pc, nextPark being the lowest of those.
+	all      bool
+	act      []int32
+	groups   []laneGroup
+	nextPark int
+	free     [][]int32 // spare lane lists
+}
+
+// laneCast is what an operand slot was last filled with: w copies of bits.
+type laneCast struct {
+	bits uint64
+	w    int
+}
+
+func (lf *laneFrame) size(lp *laneProg, n int) {
+	lf.n = n
+	if n <= lf.cap {
+		return
+	}
+	c := max(n, 2*lf.cap, 64)
+	lf.cap = c
+	ni, nf := len(lp.iregs), len(lp.fregs)
+	ints := make([]int64, (ni+3)*c)
+	floats := make([]float64, (nf+3)*c)
+	lf.ic, ints = ints[:ni*c], ints[ni*c:]
+	lf.fc, floats = floats[:nf*c], floats[nf*c:]
+	for k := range lf.si {
+		lf.si[k], lf.sf[k] = ints[k*c:(k+1)*c], floats[k*c:(k+1)*c]
+	}
+	lf.bc = make([]bool, len(lp.bindLocals)*c)
+	lf.saved = make([]bool, len(lp.bindLocals))
+	lf.free = lf.free[:0]
+	lf.castI, lf.castF = [2]laneCast{}, [2]laneCast{}
+}
+
+func (lf *laneFrame) icolumn(col int16) []int64 {
+	return lf.ic[int(col)*lf.cap:][:lf.n]
+}
+
+func (lf *laneFrame) fcolumn(col int16) []float64 {
+	return lf.fc[int(col)*lf.cap:][:lf.n]
+}
+
+// active is the number of running lanes.
+func (lf *laneFrame) active() int {
+	if lf.all {
+		return lf.n
+	}
+	return len(lf.act)
+}
+
+func (lf *laneFrame) list() []int32 {
+	if k := len(lf.free); k > 0 {
+		l := lf.free[k-1]
+		lf.free = lf.free[:k-1]
+		return l[:0]
+	}
+	return make([]int32, 0, lf.cap)
+}
+
+// park leaves lanes waiting at pc.
+func (lf *laneFrame) park(pc int, lanes []int32) {
+	lf.nextPark = min(lf.nextPark, pc)
+	for i := range lf.groups {
+		if g := &lf.groups[i]; g.pc == pc {
+			g.lanes = append(g.lanes, lanes...)
+			lf.free = append(lf.free, lanes)
+			return
+		}
+	}
+	lf.groups = append(lf.groups, laneGroup{pc: pc, lanes: lanes})
+}
+
+// reconverge is called when the running lanes have reached or passed the
+// lowest parked pc: the lanes with the lowest pc run next. It returns that pc.
+func (lf *laneFrame) reconverge(pc int) int {
+	if pc > lf.nextPark {
+		lf.park(pc, lf.act)
+		lf.act = nil
+		pc = lf.nextPark
+	}
+	lf.nextPark = noPark
+	for i := 0; i < len(lf.groups); {
+		g := lf.groups[i]
+		if g.pc != pc {
+			lf.nextPark = min(lf.nextPark, g.pc)
+			i++
+			continue
+		}
+		if lf.act == nil {
+			lf.act = g.lanes
+		} else {
+			lf.act = append(lf.act, g.lanes...)
+			lf.free = append(lf.free, g.lanes)
+		}
+		last := len(lf.groups) - 1
+		lf.groups[i] = lf.groups[last]
+		lf.groups = lf.groups[:last]
+	}
+	if len(lf.act) == lf.n {
+		lf.all = true
+		lf.free = append(lf.free, lf.act)
+		lf.act = nil
+	}
+	return pc
+}
+
+// laneVM is the state of one lockstep run.
+type laneVM struct {
+	p  *bcProg
+	lp *laneProg
+	fr *bcFrame
+	lf *laneFrame
+}
+
+// laneSolo is the largest group of lanes that leaves the lockstep at a split
+// and runs one lane at a time (laneVM.solo): the driver's cost per
+// instruction does not depend on how few lanes it serves, the scalar loop's
+// cost per lane does not depend on the driver. Parking handles every split
+// without it; it is here for what it measures (EXPERIMENTS.md E8b, "solo and
+// the broadcast memo"): with laneSolo 0, K-means refine, whose loop splits
+// off one lane whenever a point belongs to a cluster of the slice, costs
+// 10.5 µs per instance at 12 lanes against 8.1 µs and 9.7 against 5.4 at 64,
+// and kmeans_vm's speedup_vs_seq reads 0.327 against 0.335 (eight
+// alternating runs, 0 of 8 pairs; quartiles 0.004 apart).
+const laneSolo = 2
+
+// branch moves the running lanes past a conditional branch whose condition
+// per lane (0 or 1; one value when the operands were uniform) is cond, taken
+// of them 1: taken lanes go to target, the others to next. When they split, the lanes with
+// the lower pc go on — on their own when they are few, and back in the
+// running set straight away if that brings them to the others' pc, which is
+// what the body of a rarely taken if does — and the rest are parked. It
+// returns the pc to continue at, and false when a lane on its own faulted.
+func (vm *laneVM) branch(ctx *core.Ctx, cond []int64, taken, next, target int) (int, bool) {
+	lf := vm.lf
+	switch {
+	case taken == 0 || next == target:
+		return next, true
+	case taken == len(cond):
+		return target, true
+	}
+	lane := func(k int) int32 {
+		if lf.all {
+			return int32(k)
+		}
+		return lf.act[k]
+	}
+	low, high, lowCond, lowSize := next, target, int64(0), len(cond)-taken
+	if target < next {
+		low, high, lowCond, lowSize = target, next, 1, taken
+	}
+	rest := lf.list()
+	if lowSize > laneSolo {
+		run := lf.list()
+		for k, c := range cond {
+			if c == lowCond {
+				run = append(run, lane(k))
+			} else {
+				rest = append(rest, lane(k))
+			}
+		}
+		lf.setActive(run)
+		lf.park(high, rest)
+		return low, true
+	}
+	var lanes [laneSolo]int32
+	var ends [laneSolo]int
+	n, rejoin := 0, 0
+	for k, c := range cond {
+		if c != lowCond {
+			continue
+		}
+		end, ok := vm.solo(ctx, lane(k), low)
+		if !ok {
+			return 0, false
+		}
+		lanes[n], ends[n] = lane(k), end
+		n++
+		if end == high {
+			rejoin++
+		}
+	}
+	if lf.all && rejoin == n {
+		lf.free = append(lf.free, rest)
+		return high, true
+	}
+	for k, c := range cond {
+		if c != lowCond {
+			rest = append(rest, lane(k))
+		}
+	}
+	for i, l := range lanes[:n] {
+		if ends[i] == high {
+			rest = append(rest, l)
+		} else {
+			lf.park(ends[i], append(lf.list(), l))
+		}
+	}
+	lf.setActive(rest)
+	return high, true
+}
+
+// setActive makes lanes, not all of them, the running set.
+func (lf *laneFrame) setActive(lanes []int32) {
+	if !lf.all {
+		lf.free = append(lf.free, lf.act)
+	}
+	lf.all, lf.act = false, lanes
+}
+
+// solo runs lane l alone from pc, which is partial, through the scalar loop
+// until it reaches a pc that is not, and returns that pc: the lane's
+// registers move into the scalar frame and back, where nothing else reads
+// them (a register is varying or uniform, never both, and every write at a
+// partial pc is to a varying one), and so do the bound flags it sets.
+func (vm *laneVM) solo(ctx *core.Ctx, l int32, pc int) (int, bool) {
+	lp, fr, lf := vm.lp, vm.fr, vm.lf
+	for col, r := range lp.iregs {
+		fr.i[r] = lf.ic[col*lf.cap+int(l)]
+	}
+	for col, r := range lp.fregs {
+		fr.f[r] = lf.fc[col*lf.cap+int(l)]
+	}
+	for col, li := range lp.bindLocals {
+		lf.saved[col], fr.assigned[li] = fr.assigned[li], false
+	}
+	pc, err := vm.p.exec(ctx, fr, lp.solo, pc)
+	for col, r := range lp.iregs {
+		lf.ic[col*lf.cap+int(l)] = fr.i[r]
+	}
+	for col, r := range lp.fregs {
+		lf.fc[col*lf.cap+int(l)] = fr.f[r]
+	}
+	for col, li := range lp.bindLocals {
+		if fr.assigned[li] {
+			lf.bc[col*lf.cap+int(l)] = true
+		}
+		fr.assigned[li] = lf.saved[col]
+	}
+	return pc, err == nil
+}
+
+// srcI returns int register r of the running lanes as w values in scratch
+// slot k or, when all lanes run, the register's column itself. w is 1 when
+// every operand of the instruction is uniform, else the number of running
+// lanes.
+func (vm *laneVM) srcI(r uint8, k, w int) []int64 {
+	lf := vm.lf
+	s := lf.si[k][:w]
+	col := vm.lp.icol[r]
+	if col < 0 {
+		x := vm.fr.i[r]
+		if cast := &lf.castI[k]; cast.w < w || cast.bits != uint64(x) {
+			for i := range s {
+				s[i] = x
+			}
+			cast.bits, cast.w = uint64(x), w
+		}
+		return s
+	}
+	c := lf.icolumn(col)
+	if lf.all {
+		return c
+	}
+	lf.castI[k].w = 0
+	for i, l := range lf.act {
+		s[i] = c[l]
+	}
+	return s
+}
+
+func (vm *laneVM) srcF(r uint8, k, w int) []float64 {
+	lf := vm.lf
+	s := lf.sf[k][:w]
+	col := vm.lp.fcol[r]
+	if col < 0 {
+		x := vm.fr.f[r]
+		if cast := &lf.castF[k]; cast.w < w || cast.bits != math.Float64bits(x) {
+			for i := range s {
+				s[i] = x
+			}
+			cast.bits, cast.w = math.Float64bits(x), w
+		}
+		return s
+	}
+	c := lf.fcolumn(col)
+	if lf.all {
+		return c
+	}
+	lf.castF[k].w = 0
+	for i, l := range lf.act {
+		s[i] = c[l]
+	}
+	return s
+}
+
+// srcII returns the one or two int operands of an instruction (c is b when
+// there is one). A dense instruction reads its operands' columns in place.
+func (vm *laneVM) srcII(rb, rc uint8, two bool, w int, dense bool) (b, c []int64) {
+	if dense {
+		b = vm.lf.icolumn(vm.lp.icol[rb])
+		if c = b; two {
+			c = vm.lf.icolumn(vm.lp.icol[rc])
+		}
+		return b, c
+	}
+	b = vm.srcI(rb, 0, w)
+	if c = b; two {
+		c = vm.srcI(rc, 1, w)
+	}
+	return b, c
+}
+
+func (vm *laneVM) srcFF(rb, rc uint8, two bool, w int, dense bool) (b, c []float64) {
+	if dense {
+		b = vm.lf.fcolumn(vm.lp.fcol[rb])
+		if c = b; two {
+			c = vm.lf.fcolumn(vm.lp.fcol[rc])
+		}
+		return b, c
+	}
+	b = vm.srcF(rb, 0, w)
+	if c = b; two {
+		c = vm.srcF(rc, 1, w)
+	}
+	return b, c
+}
+
+// dstI returns where an instruction computes the w values of int register r:
+// the register's column when that is one value per lane with all lanes
+// running, else scratch, which putI then distributes.
+func (vm *laneVM) dstI(r uint8, w int) []int64 {
+	if lf := vm.lf; lf.all && w == lf.n {
+		return lf.icolumn(vm.lp.icol[r])
+	}
+	return vm.lf.si[2][:w]
+}
+
+func (vm *laneVM) dstF(r uint8, w int) []float64 {
+	if lf := vm.lf; lf.all && w == lf.n {
+		return lf.fcolumn(vm.lp.fcol[r])
+	}
+	return vm.lf.sf[2][:w]
+}
+
+// putI completes a write of int register r computed into d by dstI.
+func (vm *laneVM) putI(r uint8, d []int64) { lanePut(vm.lf, vm.lf.icolumn(vm.lp.icol[r]), d) }
+
+func (vm *laneVM) putF(r uint8, d []float64) { lanePut(vm.lf, vm.lf.fcolumn(vm.lp.fcol[r]), d) }
+
+// lanePut distributes d over the running lanes of column c: nothing to do
+// when d is c (all lanes, one value each), else one value for every running
+// lane or one value per running lane.
+func lanePut[T any](lf *laneFrame, c, d []T) {
+	switch {
+	case lf.all && len(d) == lf.n: // computed in place
+	case lf.all:
+		for l := range c {
+			c[l] = d[0]
+		}
+	case len(d) == 1:
+		for _, l := range lf.act {
+			c[l] = d[0]
+		}
+	default:
+		for i, l := range lf.act {
+			c[l] = d[i]
+		}
+	}
+}
+
+// laneExit says how a lockstep run ended.
+type laneExit uint8
+
+const (
+	laneDone     laneExit = iota
+	laneFaulted           // a lane hit a runtime error: the scalar VM reruns the slice
+	laneDesynced          // lanes were parked where the plan has none (see laneProg.desynced)
+)
+
+// run is the lockstep driver: uniform stretches of code go to exec, which
+// returns at the next opLane; the instruction there is executed below over
+// the running lanes. Operands come through srcI/srcF and results leave
+// through putI/putF, so every loop is a dense one over equally long slices
+// whether all lanes run, some do, or the operands are uniform.
+func (vm *laneVM) run(ctx *core.Ctx) laneExit {
+	p, lp, fr, lf := vm.p, vm.lp, vm.fr, vm.lf
+	for pc := 0; ; {
+		if pc >= lf.nextPark {
+			pc = lf.reconverge(pc)
+		}
+		if lp.code[pc].op != opLane {
+			if len(lf.groups) != 0 {
+				return laneDesynced
+			}
+			var err error
+			if pc, err = p.exec(ctx, fr, lp.code, pc); err != nil {
+				return laneFaulted
+			} else if pc < 0 {
+				return laneDone
+			}
+		}
+		in := p.code[pc]
+		// w is how many values the instruction computes: one per running
+		// lane, or one in all when every operand is uniform. dense says the
+		// operands and the result are whole columns, used in place.
+		w, dense := lf.active(), lf.all && lp.src[pc] == srcVarying
+		if lp.src[pc] == srcUniform {
+			w = 1
+		}
+		pc++
+		switch in.op {
+		case opRet:
+			if len(lf.groups) != 0 {
+				return laneDesynced
+			}
+			return laneDone
+		case opErr:
+			return laneFaulted
+		case opJmp:
+			pc = int(in.d)
+		case opBind:
+			flags := lf.bc[int(lp.bindCol[in.a])*lf.cap:][:lf.n]
+			if lf.all {
+				for l := range flags {
+					flags[l] = true
+				}
+			} else {
+				for _, l := range lf.act {
+					flags[l] = true
+				}
+			}
+
+		case opJzI, opJnzI, opJeqI, opJneI, opJltI, opJleI:
+			b, c := vm.srcII(in.a, in.b, opTable[in.op].args[1] == xI, w, dense)
+			cond := lf.si[2][:w]
+			taken, ok := laneIntOp(in, cond, b, c)
+			if pc, ok = vm.branch(ctx, cond, taken, pc, int(in.d)); !ok {
+				return laneFaulted
+			}
+		case opJzF, opJnzF, opJeqF, opJneF, opJltF, opJleF:
+			b, c := vm.srcFF(in.a, in.b, opTable[in.op].args[1] == xF, w, dense)
+			cond := lf.si[2][:w]
+			var ok bool
+			if pc, ok = vm.branch(ctx, cond, laneFloatToInt(in.op, cond, b, c), pc, int(in.d)); !ok {
+				return laneFaulted
+			}
+
+		case opMovI, opTrunc32, opTruncU8, opBoolI, opNotI, opAddI, opAddKI, opSubI, opMulI, opDivI, opModI,
+			opNegI, opAbsI, opMinI, opMaxI, opEqI, opNeI, opLtI, opLeI:
+			b, c := vm.srcII(in.b, in.c, opTable[in.op].args[2] == xI, w, dense)
+			d := vm.dstI(in.a, w)
+			if _, ok := laneIntOp(in, d, b, c); !ok {
+				return laneFaulted
+			}
+			vm.putI(in.a, d)
+		case opMovF, opNegF, opAbsF, opSqrtF, opAddF, opSubF, opMulF, opDivF:
+			b, c := vm.srcFF(in.b, in.c, opTable[in.op].args[2] == xF, w, dense)
+			d := vm.dstF(in.a, w)
+			if !laneFloatOp(in.op, d, b, c) {
+				return laneFaulted
+			}
+			vm.putF(in.a, d)
+		case opF2I, opBoolF, opNotF, opEqF, opNeF, opLtF, opLeF:
+			b, c := vm.srcFF(in.b, in.c, opTable[in.op].args[2] == xF, w, dense)
+			d := vm.dstI(in.a, w)
+			laneFloatToInt(in.op, d, b, c)
+			vm.putI(in.a, d)
+		case opI2F:
+			b, d := vm.srcI(in.b, 0, w), vm.dstF(in.a, w)
+			for i, x := range b {
+				d[i] = float64(x)
+			}
+			vm.putF(in.a, d)
+
+		// Array reads: every lane sees the same view, resolved before the
+		// run. A coordinate out of range is a fault (the scalar VM's boxed
+		// path has the panic), and so is a view without the typed backing
+		// the op was lowered for, whose extents are zero.
+		case opGetF1, opGetI1:
+			v := &fr.views[in.b]
+			ci := vm.srcI(in.c, 0, w)
+			if in.op == opGetF1 {
+				d := vm.dstF(in.a, w)
+				for k, i := range ci {
+					if uint64(i) >= uint64(v.n1) {
+						return laneFaulted
+					}
+					d[k] = v.f64[i]
+				}
+				vm.putF(in.a, d)
+			} else {
+				d := vm.dstI(in.a, w)
+				for k, i := range ci {
+					if uint64(i) >= uint64(v.n1) {
+						return laneFaulted
+					}
+					d[k] = v.int(i)
+				}
+				vm.putI(in.a, d)
+			}
+		case opGetF2, opGetI2:
+			v := &fr.views[in.b]
+			ci, cj := vm.srcI(in.c, 0, w), vm.srcI(uint8(in.d), 1, w)
+			if in.op == opGetF2 {
+				d := vm.dstF(in.a, w)
+				for k, i := range ci {
+					j := cj[k]
+					if uint64(i) >= uint64(v.rows) || uint64(j) >= uint64(v.cols) {
+						return laneFaulted
+					}
+					d[k] = v.f64[i*v.cols+j]
+				}
+				vm.putF(in.a, d)
+			} else {
+				d := vm.dstI(in.a, w)
+				for k, i := range ci {
+					j := cj[k]
+					if uint64(i) >= uint64(v.rows) || uint64(j) >= uint64(v.cols) {
+						return laneFaulted
+					}
+					d[k] = v.int(i*v.cols + j)
+				}
+				vm.putI(in.a, d)
+			}
+		case opExtent:
+			a := fr.views[in.b].arr
+			dims, d := vm.srcI(in.c, 0, w), vm.dstI(in.a, w)
+			for k, dim := range dims {
+				d[k] = int64(a.Extent(int(dim)))
+			}
+			vm.putI(in.a, d)
+
+		default:
+			return laneDesynced // planLanes admitted an instruction the driver lacks
+		}
+	}
+}
+
+// laneIntOp computes an int instruction, or the condition of an int branch,
+// over equally long operand slices (c is b for a unary one). It returns the
+// sum of the conditions it wrote (how many hold), and false when an element
+// faults.
+func laneIntOp(in instr, d, b, c []int64) (int, bool) {
+	b, c = b[:len(d)], c[:len(d)]
+	n := int64(0)
+	switch in.op {
+	case opMovI:
+		copy(d, b)
+	case opTrunc32:
+		for i := range d {
+			d[i] = int64(int32(b[i]))
+		}
+	case opTruncU8:
+		for i := range d {
+			d[i] = int64(uint8(b[i]))
+		}
+	case opBoolI, opJnzI:
+		for i := range d {
+			d[i] = b2i(b[i] != 0)
+			n += d[i]
+		}
+	case opNotI, opJzI:
+		for i := range d {
+			d[i] = b2i(b[i] == 0)
+			n += d[i]
+		}
+	case opAddI:
+		for i := range d {
+			d[i] = b[i] + c[i]
+		}
+	case opAddKI:
+		k := int64(in.d)
+		for i := range d {
+			d[i] = b[i] + k
+		}
+	case opSubI:
+		for i := range d {
+			d[i] = b[i] - c[i]
+		}
+	case opMulI:
+		for i := range d {
+			d[i] = b[i] * c[i]
+		}
+	case opDivI:
+		for i := range d {
+			if c[i] == 0 {
+				return 0, false
+			}
+			d[i] = b[i] / c[i]
+		}
+	case opModI:
+		for i := range d {
+			if c[i] == 0 {
+				return 0, false
+			}
+			d[i] = b[i] % c[i]
+		}
+	case opNegI:
+		for i := range d {
+			d[i] = -b[i]
+		}
+	case opAbsI:
+		for i := range d {
+			d[i] = max(b[i], -b[i])
+		}
+	case opMinI:
+		for i := range d {
+			d[i] = min(b[i], c[i])
+		}
+	case opMaxI:
+		for i := range d {
+			d[i] = max(b[i], c[i])
+		}
+	case opEqI, opJeqI:
+		for i := range d {
+			d[i] = b2i(b[i] == c[i])
+			n += d[i]
+		}
+	case opNeI, opJneI:
+		for i := range d {
+			d[i] = b2i(b[i] != c[i])
+			n += d[i]
+		}
+	case opLtI, opJltI:
+		for i := range d {
+			d[i] = b2i(b[i] < c[i])
+			n += d[i]
+		}
+	case opLeI, opJleI:
+		for i := range d {
+			d[i] = b2i(b[i] <= c[i])
+			n += d[i]
+		}
+	}
+	return int(n), true
+}
+
+// laneFloatOp is laneIntOp for float instructions. Each loop performs one
+// IEEE operation per element and stores it, exactly as exec does one
+// instruction at a time, so nothing can be contracted into an FMA.
+func laneFloatOp(op opcode, d, b, c []float64) bool {
+	b, c = b[:len(d)], c[:len(d)]
+	switch op {
+	case opMovF:
+		copy(d, b)
+	case opNegF:
+		for i := range d {
+			d[i] = -b[i]
+		}
+	case opAbsF:
+		for i := range d {
+			d[i] = math.Abs(b[i])
+		}
+	case opSqrtF:
+		for i := range d {
+			if b[i] < 0 {
+				return false
+			}
+			d[i] = math.Sqrt(b[i])
+		}
+	case opAddF:
+		for i := range d {
+			d[i] = b[i] + c[i]
+		}
+	case opSubF:
+		for i := range d {
+			d[i] = b[i] - c[i]
+		}
+	case opMulF:
+		for i := range d {
+			d[i] = b[i] * c[i]
+		}
+	case opDivF:
+		for i := range d {
+			if c[i] == 0 {
+				return false
+			}
+			d[i] = b[i] / c[i]
+		}
+	}
+	return true
+}
+
+// laneFloatToInt computes the float instructions with an int result and the
+// conditions of the float branches, and returns the sum of what it wrote (for
+// conditions, how many hold). Comparisons keep exec's order, in which NaN
+// equals everything.
+func laneFloatToInt(op opcode, d []int64, b, c []float64) int {
+	b, c = b[:len(d)], c[:len(d)]
+	n := int64(0)
+	switch op {
+	case opF2I:
+		for i := range d {
+			d[i] = int64(b[i])
+		}
+	case opBoolF, opJnzF:
+		for i := range d {
+			d[i] = b2i(b[i] != 0)
+			n += d[i]
+		}
+	case opNotF, opJzF:
+		for i := range d {
+			d[i] = b2i(b[i] == 0)
+			n += d[i]
+		}
+	case opEqF, opJeqF:
+		for i := range d {
+			d[i] = b2i(!(b[i] < c[i]) && !(b[i] > c[i]))
+			n += d[i]
+		}
+	case opNeF, opJneF:
+		for i := range d {
+			d[i] = b2i(b[i] < c[i] || b[i] > c[i])
+			n += d[i]
+		}
+	case opLtF, opJltF:
+		for i := range d {
+			d[i] = b2i(b[i] < c[i])
+			n += d[i]
+		}
+	case opLeF, opJleF:
+		for i := range d {
+			d[i] = b2i(!(b[i] > c[i]))
+			n += d[i]
+		}
+	}
+	return int(n)
+}
+
+// sliceBody wraps the plan as a core slice body: rows [0, n) of ctx are the
+// lanes. It declines, with no row changed, when a lane faults or the rows do
+// not share their arrays.
+func (p *bcProg) sliceBody() func(*core.Ctx, int) bool {
+	lp := p.lane
+	return func(ctx *core.Ctx, n int) bool {
+		fr := p.frames.Get().(*bcFrame)
+		lf := lp.frames.Get().(*laneFrame)
+		lf.size(lp, n)
+		exit := p.runLanes(ctx, fr, lf)
+		if exit == laneDesynced {
+			lp.desynced.Store(true)
+		}
+		for _, st := range p.stores {
+			fr.assigned[st.li] = false
+		}
+		clear(fr.views)
+		p.frames.Put(fr)
+		// A run that was abandoned leaves lanes parked.
+		if lf.act != nil {
+			lf.free = append(lf.free, lf.act)
+		}
+		for _, g := range lf.groups {
+			lf.free = append(lf.free, g.lanes)
+		}
+		lf.act, lf.groups = nil, lf.groups[:0]
+		lp.frames.Put(lf)
+		return exit == laneDone
+	}
+}
+
+// runLanes is one lockstep attempt: resolve the shared arrays, load the
+// columns from the rows (the prologue), run, and write the assigned locals
+// back to the rows (the epilogue) if every lane got through.
+func (p *bcProg) runLanes(ctx *core.Ctx, fr *bcFrame, lf *laneFrame) laneExit {
+	lp, n := p.lane, lf.n
+	ctx.Row(0)
+	for _, li := range lp.arrays {
+		p.resolve(ctx, fr, li)
+	}
+	for l := 0; l < n; l++ {
+		ctx.Row(l)
+		for _, li := range lp.arrays {
+			if v := ctx.LocalValue(int(li)); !v.IsArray() || v.Array() != fr.views[li].arr {
+				return laneFaulted
+			}
+		}
+		for _, ld := range p.loads {
+			switch {
+			case ld.from == fromAge:
+				fr.i[ld.reg] = int64(ctx.Age())
+			case ld.from == fromCoord:
+				lf.icolumn(lp.icol[ld.reg])[l] = int64(ctx.Coord(int(ld.idx)))
+			case ld.cl == clI:
+				lf.icolumn(lp.icol[ld.reg])[l] = ctx.LocalValue(int(ld.idx)).Int64()
+			default:
+				lf.fcolumn(lp.fcol[ld.reg])[l] = ctx.LocalValue(int(ld.idx)).Float64()
+			}
+		}
+	}
+	clear(lf.bc)
+	lf.all, lf.nextPark = true, noPark
+
+	vm := laneVM{p: p, lp: lp, fr: fr, lf: lf}
+	if exit := vm.run(ctx); exit != laneDone {
+		return exit
+	}
+
+	for _, st := range p.stores {
+		var flags []bool
+		if col := lp.bindCol[st.li]; col >= 0 {
+			flags = lf.bc[int(col)*lf.cap:][:n]
+		}
+		for l := 0; l < n; l++ {
+			if !fr.assigned[st.li] && (flags == nil || !flags[l]) {
+				continue
+			}
+			var v field.Value
+			if st.cl == clI {
+				x := fr.i[st.reg]
+				if col := lp.icol[st.reg]; col >= 0 {
+					x = lf.icolumn(col)[l]
+				}
+				v = field.IntValOf(st.kind, x)
+			} else {
+				x := fr.f[st.reg]
+				if col := lp.fcol[st.reg]; col >= 0 {
+					x = lf.fcolumn(col)[l]
+				}
+				v = field.FloatValOf(st.kind, x)
+			}
+			ctx.Row(l)
+			ctx.SetLocalValue(int(st.li), v)
+		}
+	}
+	return laneDone
+}

@@ -1,0 +1,323 @@
+package lang
+
+// The third leg of the differential tests: every lane-eligible kernel also
+// runs through its slice body, at several slice lengths, on inputs made up
+// per lane, and must leave in every row exactly what the scalar VM and the
+// oracle leave in a context of their own — or decline, changing nothing,
+// exactly when some lane fails on the scalar VM.
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/field"
+	"repro/internal/obs"
+	"repro/internal/runtime"
+)
+
+// slabPassThrough has a kernel that never touches its array local: a slab
+// goes in and the same local is stored. The rows of a context share the one
+// Array of a local, so in lockstep every instance would store the slab of
+// the last one fetched; the kernel must not be lane-eligible.
+const slabPassThrough = `int32[][] frames;
+int32[][] out;
+init:
+  local int32[][] f;
+  %{ for (int r = 0; r < 8; ++r) { for (int c = 0; c < 2; ++c) { put(f, r * 10 + c * 3, r, c); } } %}
+  store frames(0) = f;
+copy:
+  index b;
+  local int32[] blk;
+  fetch blk = frames(0)[b][];
+  %{ %}
+  store out(0)[b][] = blk;
+`
+
+// laneCounts are the slice lengths checkLanes runs a kernel at.
+var laneCounts = []int{1, 2, 3, 7, 64, 256}
+
+// laneInputs makes up what the runtime would have fetched for lane l of n:
+// the coordinates, and a value per fetched local. Whole fetches get the one
+// array in shared; element fetches get a scalar that differs between lanes
+// and is at times zero or negative, so divisions and square roots fault in
+// some lanes only.
+func laneInputs(kd *core.KernelDecl, shared []*field.Array, l int) (coords []int, vals []field.Value) {
+	coords = make([]int, len(kd.IndexVars))
+	for p := range coords {
+		coords[p] = l * (p + 1) % 7
+	}
+	vals = make([]field.Value, len(kd.Locals))
+	for _, fe := range kd.Fetches {
+		li := kd.LocalIndex(fe.Local)
+		if shared[li] != nil {
+			vals[li] = field.ArrayVal(shared[li])
+			continue
+		}
+		x := (l*5+li*3)%13 - 4
+		if kind := kd.Locals[li].Kind; kind.Float() {
+			vals[li] = field.Float64Val(float64(x) * 0.5).Convert(kind)
+		} else {
+			vals[li] = field.Int64Val(int64(x)).Convert(kind)
+		}
+	}
+	return coords, vals
+}
+
+// laneArrays builds one small array per array local some fetch fills.
+func laneArrays(kd *core.KernelDecl) []*field.Array {
+	shared := make([]*field.Array, len(kd.Locals))
+	for _, fe := range kd.Fetches {
+		li := kd.LocalIndex(fe.Local)
+		ld := kd.Locals[li]
+		if ld.Rank == 0 {
+			continue
+		}
+		extents := []int{6, 3, 2}[:ld.Rank]
+		a := field.NewArray(ld.Kind, extents...)
+		for off := 0; off < a.Len(); off++ {
+			a.SetFlat(field.Int64Val(int64(off*7%11-3)).Convert(ld.Kind), off)
+		}
+		shared[li] = a
+	}
+	return shared
+}
+
+// rowState renders what the selected row of ctx holds after a body.
+func rowState(kd *core.KernelDecl, ctx *core.Ctx) string {
+	var b strings.Builder
+	for _, l := range kd.Locals {
+		fmt.Fprintf(&b, "local %s: bound=%v value=%v\n", l.Name, ctx.Bound(l.Name), ctx.Get(l.Name))
+	}
+	return b.String()
+}
+
+// scalarLane runs body on lane l in a context of its own and renders the
+// outcome; failed says whether it ended in an error or a panic.
+func scalarLane(kd *core.KernelDecl, shared []*field.Array, age, l int) (state string, failed bool) {
+	ctx := core.NewReusableCtx(kd, nil, nil)
+	coords, vals := laneInputs(kd, shared, l)
+	ctx.Reset(age, coords)
+	for li, v := range vals {
+		if v.Kind() != field.Invalid {
+			ctx.SetLocalValue(li, v)
+		}
+	}
+	var b strings.Builder
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				failed = true
+				fmt.Fprintf(&b, "panic: %v\n", r)
+			}
+		}()
+		err := kd.Body(ctx)
+		failed = err != nil
+		fmt.Fprintf(&b, "error: %v\n", err)
+	}()
+	return b.String() + rowState(kd, ctx), failed
+}
+
+// laneStats counts what checkLanes saw, so a test can tell that its programs
+// reached the lockstep path at all.
+type laneStats struct{ kernels, eligible, runs, completed int }
+
+// checkLanes is the three-way comparison for every lane-eligible kernel of
+// file (see the head of this file).
+func checkLanes(t testing.TB, file *File, st *laneStats) {
+	t.Helper()
+	vmProg, bodies, err := compileFile("lanes", file)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	orProg, err := oracleProgram("lanes", file)
+	if err != nil {
+		t.Fatalf("oracle compile: %v", err)
+	}
+	for ki, kd := range vmProg.Kernels {
+		st.kernels++
+		if kd.SliceBody == nil {
+			continue
+		}
+		st.eligible++
+		age := 0
+		if kd.AgeVar != "" {
+			age = 2
+		}
+		shared := laneArrays(kd)
+		for _, n := range laneCounts {
+			want := make([]string, n)
+			anyFailed := false
+			for l := range want {
+				var failed bool
+				want[l], failed = scalarLane(kd, shared, age, l)
+				anyFailed = anyFailed || failed
+				if or, _ := scalarLane(orProg.Kernels[ki], shared, age, l); or != want[l] {
+					t.Fatalf("kernel %s lane %d of %d: the scalar VM and the oracle diverged\nvm:\n%s\noracle:\n%s", kd.Name, l, n, want[l], or)
+				}
+			}
+			ctx := core.NewReusableCtx(kd, nil, nil)
+			ctx.Rows(n)
+			before := make([]string, n)
+			for l := range before {
+				coords, vals := laneInputs(kd, shared, l)
+				ctx.ResetRow(l, age, coords)
+				for li, v := range vals {
+					if v.Kind() != field.Invalid {
+						ctx.SetLocalValue(li, v)
+					}
+				}
+				before[l] = rowState(kd, ctx)
+			}
+			ran := func() (ok bool) {
+				defer func() {
+					if recover() != nil {
+						ok = false // the runtime treats a panic as declining, too
+					}
+				}()
+				return kd.SliceBody(ctx, n)
+			}()
+			st.runs++
+			if bodies[ki].lane.desynced.Load() {
+				t.Fatalf("kernel %s, %d lanes: lanes were parked where the plan has none", kd.Name, n)
+			}
+			if ran {
+				st.completed++
+			}
+			if ran == anyFailed {
+				t.Fatalf("kernel %s, %d lanes: slice body completed=%v although a lane failing on the scalar VM=%v", kd.Name, n, ran, anyFailed)
+			}
+			for l := 0; l < n; l++ {
+				ctx.Row(l)
+				got, exp := rowState(kd, ctx), before[l]
+				if ran {
+					got, exp = "error: <nil>\n"+got, want[l]
+				}
+				if got != exp {
+					t.Fatalf("kernel %s lane %d of %d (completed=%v): row diverged\nslice body:\n%s\nwant:\n%s", kd.Name, l, n, ran, got, exp)
+				}
+			}
+		}
+	}
+}
+
+// TestLockstepFailureParity: when one instance of a slice fails — an error, or
+// a panic from a get past the extent — the slice body declines and the slice
+// reruns on the scalar VM, which the declined counter shows (slices of 7 are
+// below the kernel's minimum and never tried). The run then ends with the
+// error it ends with at one instance per slice; the instances that ran, which
+// the tracer lists, are exactly those of earlier slices and those before the
+// failing one in its own, and each of them kept its store; and the run comes
+// back, because the done event covers the whole slice.
+func TestLockstepFailureParity(t *testing.T) {
+	const n = 70
+	for name, tc := range map[string]struct {
+		body string
+		want func(x int) int // never 0
+	}{
+		"error": {"w = 100 / (x - 5) + v + get(a, 0);", func(x int) int { return 100/(x-5) + 3*x }},
+		"panic": {"w = v + get(a, x) + 1;", func(x int) int { return 4*x + 1 }}, // a has n-1 elements
+	} {
+		src := fmt.Sprintf(`int32[] in;
+int32[] tab;
+int32[] out;
+init:
+  local int32[] i;
+  local int32[] t;
+  %%{
+    for (int q = 0; q < %d; ++q) { put(i, q * 3, q); }
+    for (int q = 0; q < %d; ++q) { put(t, q, q); }
+  %%}
+  store in(0) = i;
+  store tab(0) = t;
+k:
+  index x;
+  local int32 v;
+  local int32[] a;
+  local int32 w;
+  fetch v = in(0)[x];
+  fetch a = tab(0);
+  %%{ %s %%}
+  store out(0)[x] = w;
+`, n, n-1, tc.body)
+		// run returns the error and, per index, whether the instance ran and
+		// whether its store is in place.
+		run := func(gran int) (msg string, ran, stored [n]bool) {
+			prog, err := Compile(name, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prog.Kernel("k").SliceBody == nil {
+				t.Fatal("kernel k is not lane-eligible")
+			}
+			tracer := obs.NewTracer(1 << 12)
+			node, err := runtime.NewNode(prog, runtime.Options{Workers: 1, Tracer: tracer, Granularity: map[string]int{"k": gran}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			var rep *runtime.Report
+			go func() {
+				var err error
+				rep, err = node.Run()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatalf("%s, slices of %d: the run did not fail", name, gran)
+				}
+				msg = err.Error()
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s, slices of %d: the run did not come back", name, gran)
+			}
+			// The failing instance's slice was tried in lockstep, and counted
+			// as declined, exactly when it was long enough for that.
+			if k := rep.Kernel("k"); (k.Declined > 0) != (gran >= prog.Kernel("k").SliceMin) {
+				t.Errorf("%s, slices of %d: %d instances declined, lockstep from %d", name, gran, k.Declined, prog.Kernel("k").SliceMin)
+			}
+			for _, sp := range tracer.Spans() {
+				if sp.Name == "k" && sp.Cat == "kernel" {
+					ran[sp.Index[0]] = true
+				}
+			}
+			out, err := node.Snapshot("out", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := 0; x < out.Extent(0); x++ {
+				if v := out.At(x).Int64(); v != 0 {
+					if v != int64(tc.want(x)) {
+						t.Errorf("%s, slices of %d: out(0)[%d] = %d, want %d", name, gran, x, v, tc.want(x))
+					}
+					stored[x] = true
+				}
+			}
+			return msg, ran, stored
+		}
+		want, _, _ := run(1)
+		if !strings.HasPrefix(want, "p2g: kernel k(age=0): ") {
+			t.Fatalf("%s: unexpected reference error %q", name, want)
+		}
+		for _, gran := range []int{7, 64, 128} {
+			got, ran, stored := run(gran)
+			if got != want {
+				t.Errorf("%s, slices of %d: error %q, want %q", name, gran, got, want)
+			}
+			failed := 0
+			for x := range ran {
+				if ran[x] != stored[x] {
+					failed++
+					if !ran[x] {
+						t.Errorf("%s, slices of %d: out(0)[%d] is stored but the instance never ran", name, gran, x)
+					}
+				}
+			}
+			if failed != 1 {
+				t.Errorf("%s, slices of %d: %d instances ran without their store in place, want the failing one only", name, gran, failed)
+			}
+		}
+	}
+}

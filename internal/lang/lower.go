@@ -156,6 +156,7 @@ func lowerKernelBody(k *KernelDef, timers map[string]bool, fields map[string]Fie
 	lo.pop()
 	lo.emit(opRet, 0, 0, 0, 0)
 	lo.finish()
+	lo.p.planLanes(k)
 	return lo.p, nil
 }
 

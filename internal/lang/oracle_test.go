@@ -15,7 +15,8 @@ import (
 	"repro/internal/field"
 )
 
-// oracleProgram compiles file and swaps every kernel body for the oracle's.
+// oracleProgram compiles file and swaps every kernel body for the oracle's,
+// which has no lockstep form.
 func oracleProgram(name string, file *File) (*core.Program, error) {
 	prog, err := CompileFile(name, file)
 	if err != nil {
@@ -24,6 +25,7 @@ func oracleProgram(name string, file *File) (*core.Program, error) {
 	for i := range file.Kernels {
 		k := &file.Kernels[i]
 		prog.Kernels[i].Body = func(ctx *core.Ctx) error { return oracleRun(k, ctx) }
+		prog.Kernels[i].SliceBody = nil
 	}
 	return prog, nil
 }

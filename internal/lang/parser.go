@@ -36,13 +36,6 @@ func Parse(src string) (*File, error) {
 func (p *parser) cur() Token  { return p.toks[p.pos] }
 func (p *parser) peek() Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (p *parser) next() Token {
 	t := p.toks[p.pos]
 	if t.Kind != TEOF {

@@ -87,7 +87,8 @@ func (p *bcProg) body() func(*core.Ctx) error {
 				}
 			}
 		}
-		return p.exec(ctx, fr)
+		_, err := p.exec(ctx, fr, p.code, 0)
+		return err
 	}
 }
 
@@ -180,22 +181,24 @@ func coldIdx(regs []int64) []int {
 	return out
 }
 
-// exec is the VM loop. The cases of its switch are the instructions that
-// complete without calling anything; each ends in continue, so the loop has
-// no call on any path back to its head and the program counter and register
-// bases stay in machine registers. Everything else — the remaining
-// instructions and the misses of the typed array forms — falls out of the
-// switch into slow.
-func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame) error {
-	code := p.code
+// exec is the VM loop: it runs code from pc until the body returns (-1), an
+// instruction fails (-1 and the error) or it reaches an opLane, whose pc it
+// returns. The cases of its switch are the instructions that complete without
+// calling anything; each ends in continue, so the loop has no call on any
+// path back to its head and the program counter and register bases stay in
+// machine registers. Everything else — the remaining instructions and the
+// misses of the typed array forms — falls out of the switch into slow.
+func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame, code []instr, pc int) (int, error) {
 	ri, rf := &fr.i, &fr.f
 	views := fr.views
-	for pc := 0; ; {
+	for {
 		in := code[pc]
 		pc++
 		switch in.op {
 		case opRet:
-			return nil
+			return -1, nil
+		case opLane:
+			return pc - 1, nil
 		case opJmp:
 			pc = int(in.d)
 			continue
@@ -262,7 +265,7 @@ func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame) error {
 			}
 			continue
 		case opErr:
-			return p.errs[in.d]
+			return -1, p.errs[in.d]
 
 		case opMovI:
 			ri[in.a] = ri[in.b]
@@ -310,13 +313,13 @@ func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame) error {
 			continue
 		case opDivI:
 			if ri[in.c] == 0 {
-				return p.errs[in.d]
+				return -1, p.errs[in.d]
 			}
 			ri[in.a] = ri[in.b] / ri[in.c]
 			continue
 		case opModI:
 			if ri[in.c] == 0 {
-				return p.errs[in.d]
+				return -1, p.errs[in.d]
 			}
 			ri[in.a] = ri[in.b] % ri[in.c]
 			continue
@@ -335,7 +338,7 @@ func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame) error {
 			continue
 		case opDivF:
 			if rf[in.c] == 0 {
-				return p.errs[in.d]
+				return -1, p.errs[in.d]
 			}
 			rf[in.a] = rf[in.b] / rf[in.c]
 			continue
@@ -370,7 +373,7 @@ func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame) error {
 
 		case opSqrtF:
 			if rf[in.b] < 0 {
-				return p.errs[in.d]
+				return -1, p.errs[in.d]
 			}
 			rf[in.a] = math.Sqrt(rf[in.b])
 			continue
@@ -455,7 +458,7 @@ func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame) error {
 		}
 		var err error
 		if pc, err = p.slow(ctx, fr, in, pc); pc < 0 {
-			return err
+			return -1, err
 		}
 	}
 }

@@ -559,20 +559,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error { return r.Snapshot().Writ
 // "kernel", name).
 const (
 	// Runtime (one execution node).
-	MDispatchesTotal  = "runtime_dispatches_total"    // counter: kernel instances dispatched
-	MFetchNs          = "runtime_fetch_ns"            // histogram: per-dispatch fetch+context time
-	MKernelNs         = "runtime_kernel_ns"           // histogram: per-dispatch kernel-body time
-	MStoreNs          = "runtime_store_ns"            // histogram: per-dispatch store+event time
-	MReadyQueueDepth  = "runtime_ready_queue_depth"   // gauge: instances in the ready queue
-	MEventBacklog     = "runtime_event_backlog"       // gauge: analyzer events waiting
-	MFieldMemElems    = "runtime_field_mem_elems"     // gauge: live field element slots
-	MOutstandingInsts = "runtime_outstanding_insts"   // gauge: dispatched, not yet committed
-	MKernelInstances  = "kernel_instances_total"      // counter per kernel: instances dispatched
-	MKernelSlices     = "runtime_slices_total"        // counter per kernel: slices (groups of instances run as one unit) dispatched
-	MKernelDispatchNs = "kernel_dispatch_ns_total"    // counter per kernel: dispatch overhead
-	MKernelTimeNs     = "kernel_time_ns_total"        // counter per kernel: kernel-body time
-	MKernelStoreOps   = "kernel_store_ops_total"      // counter per kernel: fired store statements
-	MTraceDropped     = "runtime_trace_dropped_total" // counter: spans evicted from the trace ring
+	MDispatchesTotal  = "runtime_dispatches_total"        // counter: kernel instances dispatched
+	MFetchNs          = "runtime_fetch_ns"                // histogram: per-dispatch fetch+context time
+	MKernelNs         = "runtime_kernel_ns"               // histogram: per-dispatch kernel-body time
+	MStoreNs          = "runtime_store_ns"                // histogram: per-dispatch store+event time
+	MReadyQueueDepth  = "runtime_ready_queue_depth"       // gauge: instances in the ready queue
+	MEventBacklog     = "runtime_event_backlog"           // gauge: analyzer events waiting
+	MFieldMemElems    = "runtime_field_mem_elems"         // gauge: live field element slots
+	MOutstandingInsts = "runtime_outstanding_insts"       // gauge: dispatched, not yet committed
+	MKernelInstances  = "kernel_instances_total"          // counter per kernel: instances dispatched
+	MKernelSlices     = "runtime_slices_total"            // counter per kernel: slices (groups of instances run as one unit) dispatched
+	MKernelLockstep   = "kernel_lockstep_instances_total" // counter per kernel: instances run in lockstep by the kernel's slice body
+	MKernelDeclined   = "kernel_lockstep_declined_total"  // counter per kernel: instances whose slice body declined or panicked, and that then ran one by one
+	MKernelDispatchNs = "kernel_dispatch_ns_total"        // counter per kernel: dispatch overhead
+	MKernelTimeNs     = "kernel_time_ns_total"            // counter per kernel: kernel-body time
+	MKernelStoreOps   = "kernel_store_ops_total"          // counter per kernel: fired store statements
+	MTraceDropped     = "runtime_trace_dropped_total"     // counter: spans evicted from the trace ring
 
 	// Scheduler fast path (work-stealing deques, batched analyzer events).
 	MStealsTotal       = "runtime_steals_total"        // counter: batches taken from a peer worker's deque

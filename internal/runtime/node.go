@@ -282,6 +282,8 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			decl: kd, remote: opts.RemoteKernels[kd.Name],
 			instances:  newBaselined(n.reg.Counter(obs.Label(obs.MKernelInstances, "kernel", kd.Name))),
 			slices:     newBaselined(n.reg.Counter(obs.Label(obs.MKernelSlices, "kernel", kd.Name))),
+			lockstep:   newBaselined(n.reg.Counter(obs.Label(obs.MKernelLockstep, "kernel", kd.Name))),
+			declined:   newBaselined(n.reg.Counter(obs.Label(obs.MKernelDeclined, "kernel", kd.Name))),
 			dispatchNs: newBaselined(n.reg.Counter(obs.Label(obs.MKernelDispatchNs, "kernel", kd.Name))),
 			kernelNs:   newBaselined(n.reg.Counter(obs.Label(obs.MKernelTimeNs, "kernel", kd.Name))),
 			storeOps:   newBaselined(n.reg.Counter(obs.Label(obs.MKernelStoreOps, "kernel", kd.Name))),
@@ -386,6 +388,20 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 				ks.needsInstMap = true
 			}
 			ks.fetchPlans[i] = fp
+		}
+		if kd.SliceBody != nil {
+			// Every row of a context sees the one Array of a local, so an
+			// array that differs between instances — a slab, or one the body
+			// fills — cannot pass through a slice body.
+			for li := range kd.Locals {
+				shared := kd.Locals[li].Rank == 0
+				for i := range ks.fetchPlans {
+					shared = shared || ks.fetchPlans[i].whole && ks.fetchPlans[i].local == li
+				}
+				if !shared {
+					return nil, fmt.Errorf("p2g: kernel %q has a slice body, but its array local %s is not a whole fetch", kd.Name, kd.Locals[li].Name)
+				}
+			}
 		}
 		ks.storePlans = make([]storePlan, len(kd.Stores))
 		for i := range kd.Stores {
@@ -852,10 +868,13 @@ func (n *Node) worker(id int) {
 // generation, apply the staged element stores of all instances under one
 // field lock per store statement, and send one done event carrying the slice.
 // Per instance: alias views out of the pins, fetch elements, run the body,
-// apply slab and whole stores and stage element stores. Dispatch time
-// (everything but the bodies) and kernel time (the bodies) feed the Table
-// II/III instrumentation. The path allocates nothing for element fetches and
-// stores: coordinates evaluate into the frame's scratch.
+// apply slab and whole stores and stage element stores — unless the kernel
+// has a slice body and the slice is long enough for it (minLockstepInsts and
+// the kernel's own SliceMin), in which case the bodies are one call
+// (lockstep). Dispatch time (everything but the bodies) and kernel time (the
+// bodies) feed the Table II/III instrumentation. The path allocates nothing
+// for element fetches and stores: coordinates evaluate into the frame's
+// scratch.
 //
 // An instance that fails ends the slice: the instances after it do not run,
 // the ones before it keep their stores, and the done event still covers the
@@ -896,38 +915,45 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 	var bodyNs time.Duration
 	ran, stores := 0, 0
 	stopped := false
-	for _, is := range b.insts {
-		if last != nil {
-			cur.end = time.Now()
-			n.observeInst(t, last, w, cur)
-			cur.start, last = cur.end, nil
+	locked, rows := false, 1
+	if kd.SliceBody != nil && len(b.insts) >= max(minLockstepInsts, kd.SliceMin) {
+		rows = len(b.insts)
+		locked, ran, stores, stopped = n.lockstep(t, b, fr, w, timed, &cur)
+	}
+	if !locked {
+		for _, is := range b.insts {
+			if last != nil {
+				cur.end = time.Now()
+				n.observeInst(t, last, w, cur)
+				cur.start, last = cur.end, nil
+			}
+			ctx.Reset(t.age, is.coords)
+			if !n.fetchInst(t, is, fr, true) {
+				break
+			}
+			if timed {
+				cur.body = time.Now()
+			}
+			err := n.runBody(kd, ctx)
+			if timed {
+				cur.bodyEnd = time.Now()
+				bodyNs += cur.bodyEnd.Sub(cur.body)
+			}
+			ran++
+			if w.timeAll {
+				last = is
+			}
+			if err != nil {
+				n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", kd.Name, t.age, err))
+				break
+			}
+			st, ok := n.storeInst(t, is, fr, w)
+			stores += st
+			if !ok {
+				break
+			}
+			stopped = stopped || ctx.Stopped()
 		}
-		ctx.Reset(t.age, is.coords)
-		if !n.fetchInst(t, is, fr) {
-			break
-		}
-		if timed {
-			cur.body = time.Now()
-		}
-		err := n.runBody(kd, ctx)
-		if timed {
-			cur.bodyEnd = time.Now()
-			bodyNs += cur.bodyEnd.Sub(cur.body)
-		}
-		ran++
-		if w.timeAll {
-			last = is
-		}
-		if err != nil {
-			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", kd.Name, t.age, err))
-			break
-		}
-		st, ok := n.storeInst(t, is, fr, w)
-		stores += st
-		if !ok {
-			break
-		}
-		stopped = stopped || ctx.Stopped()
 	}
 	stores += n.flushStaged(t, fr, w)
 	ks.instances.Add(int64(ran))
@@ -936,6 +962,12 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 
 	if timed {
 		cur.end = time.Now()
+		if locked {
+			bodyNs = cur.bodyEnd.Sub(cur.body)
+			if w.timeAll {
+				n.observeLockstep(t, b.insts[:ran], w, cur)
+			}
+		}
 		ks.timedInsts.Add(int64(ran))
 		ks.observeCost(cur.end.Sub(start), ran)
 		ks.dispatchNs.Add(int64(cur.end.Sub(start) - bodyNs))
@@ -958,14 +990,93 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 			fr.pins[i] = viewPin{}
 		}
 	}
+	if rows > 1 {
+		ctx.ClearRows(rows)
+	}
 	ctx.Reset(0, nil)
+}
+
+// minLockstepInsts is the shortest slice handed to any kernel's slice body:
+// below it, running the bodies one by one is as fast as setting up the rows.
+// A kernel that knows what one call costs against so many asks for more
+// (core.KernelDecl.SliceMin; the kernel language derives it from the body).
+const minLockstepInsts = 4
+
+// lockstep runs a slice through the kernel's slice body: every instance is
+// fetched into its own row of the frame's context, one SliceBody call runs
+// all the bodies, then every row's stores are handled — the same fetchInst
+// and storeInst as the per-instance loop, and whole fetches are aliased out
+// of the pins once for all rows. It reports done false, with nothing stored,
+// when the slice body declines (the kernel language's does when an instance
+// would fail: the per-instance loop then reproduces the failure in order). It
+// leaves the stamps around the one body call in cur.
+func (n *Node) lockstep(t *ageTracker, b *batch, fr *execFrame, w *workerState, timed bool, cur *instStamps) (done bool, ran, stores int, stopped bool) {
+	ks := t.ks
+	ctx := fr.ctx
+	ctx.Reset(t.age, nil)
+	ctx.Rows(len(b.insts))
+	for r, is := range b.insts {
+		ctx.ResetRow(r, t.age, is.coords)
+		if !n.fetchInst(t, is, fr, r == 0) {
+			return true, 0, 0, false
+		}
+	}
+	if timed {
+		cur.body = time.Now()
+	}
+	ok := n.runSliceBody(ks.decl, ctx, len(b.insts))
+	if timed {
+		cur.bodyEnd = time.Now()
+	}
+	if !ok {
+		ks.declined.Add(int64(len(b.insts)))
+		return false, 0, 0, false
+	}
+	ks.lockstep.Add(int64(len(b.insts)))
+	for r, is := range b.insts {
+		ctx.Row(r)
+		st, ok := n.storeInst(t, is, fr, w)
+		stores += st
+		if !ok {
+			break
+		}
+	}
+	return true, len(b.insts), stores, ctx.Stopped()
+}
+
+// runSliceBody calls the kernel's slice body; one that panics has declined.
+func (n *Node) runSliceBody(kd *core.KernelDecl, ctx *core.Ctx, rows int) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return kd.SliceBody(ctx, rows)
+}
+
+// observeLockstep is observeInst for a slice that ran in lockstep, where the
+// stages were not interleaved per instance: the slice's fetch, body and store
+// intervals (at) are apportioned evenly, instance i getting the i-th share of
+// each, so stage totals and per-instance spans still add up to the slice.
+func (n *Node) observeLockstep(t *ageTracker, insts []*instState, w *workerState, at instStamps) {
+	k := time.Duration(len(insts))
+	total, fetch, exec := at.end.Sub(at.start)/k, at.body.Sub(at.start)/k, at.bodyEnd.Sub(at.body)/k
+	for i, is := range insts {
+		st := instStamps{start: at.start.Add(time.Duration(i) * total)}
+		st.body = st.start.Add(fetch)
+		st.bodyEnd = st.body.Add(exec)
+		st.end = st.start.Add(total)
+		n.observeInst(t, is, w, st)
+	}
 }
 
 // fetchInst performs one instance's fetches into the frame's context: views
 // aliased out of the slice's pins (copies where a generation could not be
-// pinned) and element reads. It reports false after failing the run when an
-// element the analyzer saw written is missing.
-func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame) bool {
+// pinned) and element reads. alias is false when an earlier row of the same
+// slice has already filled the context's whole-fetch arrays, which every row
+// shares. It reports false after failing the run when an element the
+// analyzer saw written is missing.
+func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame, alias bool) bool {
 	ks := t.ks
 	ctx := fr.ctx
 	for i := range ks.fetchPlans {
@@ -974,9 +1085,11 @@ func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame) bool {
 		switch {
 		case fp.whole:
 			dst := ctx.FetchDestAt(fp.local)
-			if pin := &fr.pins[i]; pin.ok {
+			switch pin := &fr.pins[i]; {
+			case !alias:
+			case pin.ok:
 				pin.tok.All(dst)
-			} else {
+			default:
 				fp.fs.f.SnapshotInto(g, dst)
 			}
 			ctx.SetLocalValue(fp.local, field.ArrayVal(dst))

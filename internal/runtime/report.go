@@ -16,7 +16,17 @@ type KernelStats struct {
 	// Slices counts the dispatches: the scheduler combines instances into
 	// slices and runs each as one unit (§V-A), so Instances/Slices is the
 	// mean data granularity the run achieved.
-	Slices        int64
+	Slices int64
+	// Lockstep counts the instances that ran through the kernel's slice body
+	// (core.KernelDecl.SliceBody) — all instances of a slice in one call —
+	// rather than one Body call each.
+	Lockstep int64
+	// Declined counts the instances of slices whose slice body declined —
+	// returned false or panicked — and that then ran one Body call each, so
+	// the attempt was wasted. The kernel language's declines when an instance
+	// is about to fail; in a run that succeeds, anything but zero points at a
+	// defect in the slice body.
+	Declined      int64
 	DispatchTotal time.Duration
 	KernelTotal   time.Duration
 	// StoreOps counts store statements that actually fired; with the
@@ -242,6 +252,8 @@ func (n *Node) buildReport(wall time.Duration, an analyzerStats) *Report {
 			Name:          ks.decl.Name,
 			Instances:     inst,
 			Slices:        ks.ownSlices(),
+			Lockstep:      ks.ownLockstep(),
+			Declined:      ks.ownDeclined(),
 			DispatchTotal: time.Duration(disp),
 			KernelTotal:   time.Duration(kern),
 			StoreOps:      ks.ownStoreOps(),
@@ -330,6 +342,8 @@ func MergeReports(reports ...*Report) *Report {
 			m := &merged.Kernels[i]
 			m.Instances += k.Instances
 			m.Slices += k.Slices
+			m.Lockstep += k.Lockstep
+			m.Declined += k.Declined
 			m.DispatchTotal += k.DispatchTotal
 			m.KernelTotal += k.KernelTotal
 			m.StoreOps += k.StoreOps
@@ -370,10 +384,15 @@ func fmtMicros(d time.Duration) string {
 // summary lines follow when the run recorded them.
 func (r *Report) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %10s %10s %16s %16s\n", "Kernel", "Instances", "Slices", "Dispatch Time", "Kernel Time")
+	fmt.Fprintf(&b, "%-16s %10s %10s %10s %16s %16s\n", "Kernel", "Instances", "Slices", "Lockstep", "Dispatch Time", "Kernel Time")
 	for _, k := range r.Kernels {
-		fmt.Fprintf(&b, "%-16s %10d %10d %16s %16s\n",
-			k.Name, k.Instances, k.Slices, fmtMicros(k.DispatchPer()), fmtMicros(k.KernelPer()))
+		fmt.Fprintf(&b, "%-16s %10d %10d %10d %16s %16s\n",
+			k.Name, k.Instances, k.Slices, k.Lockstep, fmtMicros(k.DispatchPer()), fmtMicros(k.KernelPer()))
+	}
+	for _, k := range r.Kernels {
+		if k.Declined > 0 {
+			fmt.Fprintf(&b, "lockstep: the slice body of %s declined %d instances, which ran one by one\n", k.Name, k.Declined)
+		}
 	}
 	if r.MaxQueueDepth > 0 || r.MaxEventBacklog > 0 {
 		fmt.Fprintf(&b, "queue: max depth %d insts, max event backlog %d batches, %d steals, %d event batches\n",

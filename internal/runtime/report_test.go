@@ -15,24 +15,24 @@ import (
 func TestTableGolden(t *testing.T) {
 	r := &Report{
 		Kernels: []KernelStats{
-			{Name: "mul2", Instances: 500, Slices: 20, DispatchTotal: 500 * 12340 * time.Nanosecond, KernelTotal: 500 * 1230 * time.Nanosecond},
+			{Name: "mul2", Instances: 500, Slices: 20, Lockstep: 480, DispatchTotal: 500 * 12340 * time.Nanosecond, KernelTotal: 500 * 1230 * time.Nanosecond},
 			{Name: "print", Instances: 1, Slices: 1, DispatchTotal: 2160 * time.Microsecond, KernelTotal: 170 * time.Microsecond},
 		},
 	}
 	want := "" +
-		"Kernel            Instances     Slices    Dispatch Time      Kernel Time\n" +
-		"mul2                    500         20         12.34 µs          1.23 µs\n" +
-		"print                     1          1       2160.00 µs        170.00 µs\n"
+		"Kernel            Instances     Slices   Lockstep    Dispatch Time      Kernel Time\n" +
+		"mul2                    500         20        480         12.34 µs          1.23 µs\n" +
+		"print                     1          1          0       2160.00 µs        170.00 µs\n"
 	if got := r.Table(); got != want {
 		t.Errorf("Table() =\n%s\nwant:\n%s", got, want)
 	}
 }
 
-// TestTableSummaryLines checks the queue and transport footers appear when
-// the run recorded them.
+// TestTableSummaryLines checks the lockstep, queue and transport footers
+// appear when the run recorded them.
 func TestTableSummaryLines(t *testing.T) {
 	r := &Report{
-		Kernels:         []KernelStats{{Name: "k", Instances: 1}},
+		Kernels:         []KernelStats{{Name: "k", Instances: 70, Lockstep: 56, Declined: 14}},
 		MaxQueueDepth:   7,
 		MaxEventBacklog: 3,
 		Steals:          2,
@@ -41,6 +41,7 @@ func TestTableSummaryLines(t *testing.T) {
 	}
 	got := r.Table()
 	for _, want := range []string{
+		"lockstep: the slice body of k declined 14 instances, which ran one by one",
 		"queue: max depth 7 insts, max event backlog 3 batches, 2 steals, 5 event batches",
 		"transport: sent 10 msgs / 2048 B, received 4 msgs / 512 B",
 	} {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/field"
+	"repro/internal/obs"
 )
 
 // wideMulSum is the figure 5 mul2/plus5 cycle over a width-element domain, so
@@ -498,4 +499,157 @@ func TestCollectSlicesLinear(t *testing.T) {
 	if large > 2*small {
 		t.Errorf("carving costs %.1f ns/instance at 2 000 pending but %.1f at 20 000; want linear", small, large)
 	}
+}
+
+// withSliceBody gives kernel name of p a slice body that runs Body on each row
+// in turn, after asking hook, which may make it decline or panic.
+func withSliceBody(p *core.Program, name string, hook func(c *core.Ctx, rows int) bool) *core.Program {
+	kd := p.Kernel(name)
+	kd.SliceBody = func(c *core.Ctx, rows int) bool {
+		if hook != nil && !hook(c, rows) {
+			return false
+		}
+		for r := 0; r < rows; r++ {
+			c.Row(r)
+			if err := kd.Body(c); err != nil {
+				panic(err) // slice bodies decline before touching a row, they do not fail
+			}
+		}
+		return true
+	}
+	return p
+}
+
+// TestLockstepSliceBody: a kernel with a slice body has its slices of at
+// least minLockstepInsts instances — or SliceMin, when the kernel asks for
+// more — run by it, rows in, one call, rows out, with the results, the store
+// counts and the per-instance spans of the per-instance loop, and the
+// lockstep counter says how many. A slice body that declines or panics costs
+// nothing but the attempt, which the declined counter records.
+func TestLockstepSliceBody(t *testing.T) {
+	const width, maxAge = 50, 3
+	for name, tc := range map[string]struct {
+		hook     func(c *core.Ctx, rows int) bool
+		sliceMin int
+		lockstep int64 // mul2 instances expected through the slice body
+		declined int64 // ... and expected to run again after it declined
+	}{
+		// 50 instances in slices of 16: 16+16+16 in lockstep, the last 2 not.
+		"runs":     {nil, 0, (maxAge + 1) * 48, 0},
+		"declines": {func(c *core.Ctx, rows int) bool { return c.Age() != 1 }, 0, maxAge * 48, 48},
+		"panics": {func(c *core.Ctx, rows int) bool {
+			if c.Age() == 2 {
+				panic("kaboom")
+			}
+			return true
+		}, 0, maxAge * 48, 48},
+		"at its minimum": {nil, 16, (maxAge + 1) * 48, 0},
+		"below its minimum": {func(c *core.Ctx, rows int) bool {
+			panic("a slice of 16 went to a slice body that asks for 17")
+		}, 17, 0, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tracer := obs.NewTracer(1 << 12)
+			prog := withSliceBody(wideMulSum(t, width, nil), "mul2", tc.hook)
+			prog.Kernel("mul2").SliceMin = tc.sliceMin
+			n, err := NewNode(prog, Options{
+				Workers: 2, MaxAge: maxAge, Tracer: tracer,
+				Granularity: map[string]int{"mul2": 16, "plus5": 16},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := runOrTimeout(t, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWideMulSum(t, n, width, 0, maxAge)
+			k := rep.Kernel("mul2")
+			if k.Instances != (maxAge+1)*width || k.StoreOps != k.Instances {
+				t.Errorf("mul2: %d instances, %d stores, want %d of each", k.Instances, k.StoreOps, (maxAge+1)*width)
+			}
+			if k.Lockstep != tc.lockstep || k.Declined != tc.declined {
+				t.Errorf("mul2: %d instances in lockstep and %d declined, want %d and %d", k.Lockstep, k.Declined, tc.lockstep, tc.declined)
+			}
+			if other := rep.Kernel("plus5").Lockstep; other != 0 {
+				t.Errorf("plus5 has no slice body but counts %d lockstep instances", other)
+			}
+			spans := 0
+			for _, sp := range tracer.Spans() {
+				if sp.Name == "mul2" && sp.Cat == "kernel" {
+					spans++
+				}
+			}
+			if int64(spans) != k.Instances {
+				t.Errorf("mul2: %d kernel spans for %d instances", spans, k.Instances)
+			}
+		})
+	}
+}
+
+// TestSliceBodyNeedsSharedArrays: the rows of a context share the one Array
+// of each array local, so a kernel whose array local differs between
+// instances — here a slab per instance — cannot have a slice body, and
+// NewNode says so instead of letting every row store the last row's slab.
+func TestSliceBodyNeedsSharedArrays(t *testing.T) {
+	b := core.NewBuilder("slabcopy")
+	b.Field("in", field.Int32, 2, true)
+	b.Field("out", field.Int32, 2, true)
+	b.Kernel("src").Age("a").
+		Local("frame", field.Int32, 2).
+		StoreAll("in", core.AgeVar(0), "frame").
+		Body(func(c *core.Ctx) error { return nil })
+	b.Kernel("copy").Age("a").Index("r").
+		Local("row", field.Int32, 1).
+		Fetch("row", "in", core.AgeVar(0), core.Idx("r"), core.All()).
+		Store("out", core.AgeVar(0), []core.IndexSpec{core.Idx("r"), core.All()}, "row")
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Kernel("copy").SliceBody = func(*core.Ctx, int) bool { return true }
+	if _, err := NewNode(p, Options{}); err == nil || !strings.Contains(err.Error(), "array local row is not a whole fetch") {
+		t.Errorf("NewNode accepted a slice body over a slab fetch: %v", err)
+	}
+}
+
+// TestLockstepStopMidSlice: Stop while a worker is inside a slice body. The
+// slice runs to its end, the run returns without an error, and every row's
+// store is in place.
+func TestLockstepStopMidSlice(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	hook := func(c *core.Ctx, rows int) bool {
+		once.Do(func() {
+			close(started)
+			<-release
+		})
+		return true
+	}
+	const width = 32
+	n, err := NewNode(withSliceBody(wideMulSum(t, width, nil), "mul2", hook), Options{
+		Workers: 1, MaxAge: 0, NoAutoQuiesce: true,
+		Granularity: map[string]int{"mul2": width},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := n.Run()
+		errc <- err
+	}()
+	<-started
+	n.Stop()
+	close(release)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("stopped run returned %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return after Stop inside a slice body")
+	}
+	checkWideMulSum(t, n, width, 0)
 }

@@ -51,9 +51,24 @@ func busyProgram(t testing.TB, spin time.Duration) *core.Program {
 // and the spin keeps per-instance work two orders above timer overhead, so
 // the bound is stable even on single-core CI machines.
 func TestStageAttributionCoverage(t *testing.T) {
+	t.Run("per instance", func(t *testing.T) {
+		stageCoverage(t, busyProgram(t, 100*time.Microsecond), Options{})
+	})
+	// The same with the five instances of an age as one slice, run by a slice
+	// body: the one body interval is apportioned over the instances.
+	t.Run("lockstep", func(t *testing.T) {
+		rep := stageCoverage(t, withSliceBody(busyProgram(t, 100*time.Microsecond), "work", nil),
+			Options{Granularity: map[string]int{"work": 5}})
+		if k := rep.Kernel("work"); k.Lockstep != k.Instances {
+			t.Errorf("work: %d of %d instances in lockstep", k.Lockstep, k.Instances)
+		}
+	})
+}
+
+func stageCoverage(t *testing.T, p *core.Program, opts Options) *Report {
 	reg := obs.NewRegistry()
-	rep, err := Run(busyProgram(t, 100*time.Microsecond),
-		Options{Workers: 1, MaxAge: 30, Output: io.Discard, Metrics: reg})
+	opts.Workers, opts.MaxAge, opts.Output, opts.Metrics = 1, 30, io.Discard, reg
+	rep, err := Run(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +102,7 @@ func TestStageAttributionCoverage(t *testing.T) {
 	if s.ReadyWaitNs < 0 || s.QueueWaitNs < 0 {
 		t.Errorf("instance-clock stages negative: ready %d queue %d", s.ReadyWaitNs, s.QueueWaitNs)
 	}
+	return rep
 }
 
 // TestStageMetricsSurface checks the per-kernel stage histograms land in the

@@ -233,6 +233,8 @@ type kernelState struct {
 	// of books; baselines make shared registries project per-node.
 	instances  counterWithBaseline
 	slices     counterWithBaseline
+	lockstep   counterWithBaseline // instances run by the kernel's slice body
+	declined   counterWithBaseline // instances of slices it declined, run twice
 	dispatchNs counterWithBaseline
 	kernelNs   counterWithBaseline
 	storeOps   counterWithBaseline
@@ -270,6 +272,8 @@ func (ks *kernelState) ownDispatchNs() int64 { return ks.dispatchNs.Own() }
 func (ks *kernelState) ownKernelNs() int64   { return ks.kernelNs.Own() }
 func (ks *kernelState) ownStoreOps() int64   { return ks.storeOps.Own() }
 func (ks *kernelState) ownSlices() int64     { return ks.slices.Own() }
+func (ks *kernelState) ownLockstep() int64   { return ks.lockstep.Own() }
+func (ks *kernelState) ownDeclined() int64   { return ks.declined.Own() }
 
 // ageTracker tracks all instances of one kernel at one age: the current index
 // domain, instance satisfaction, and completion.

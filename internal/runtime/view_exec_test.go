@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/field"
+	"repro/internal/lang"
 )
 
 // viewBenchNode builds a one-kernel node whose whole-fetch input generation
@@ -179,6 +180,103 @@ func TestColumnSlabFetchCopies(t *testing.T) {
 		}
 		if got := sums.At(c).Int32(); got != want {
 			t.Errorf("sums[%d] = %d, want %d", c, got, want)
+		}
+	}
+}
+
+// lockstepBenchNode compiles a nearest-value scan written in the kernel
+// language (a lane-eligible body), pre-stores its two input generations and
+// returns a function that drives one slice of rows instances through
+// execSlice — through the kernel's slice body when rows is at least the
+// kernel's SliceMin.
+func lockstepBenchNode(t testing.TB, rows int) (*Node, *workerState, func()) {
+	t.Helper()
+	prog, err := lang.Compile("lockstep", `float64[] in;
+float64[] cents;
+int32[] out;
+near:
+  index x;
+  local float64 px;
+  local float64[] c;
+  local int32 m;
+  fetch px = in(0)[x];
+  fetch c = cents(0);
+  %{
+    float best = -1.0;
+    int k = extent(c, 0);
+    for (int i = 0; i < k; ++i) {
+      float d = px - get(c, i);
+      d = d * d;
+      if (best < 0.0 || d < best) { best = d; m = i; }
+    }
+  %}
+  store out(0)[x] = m;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Kernel("near").SliceBody == nil {
+		t.Fatal("kernel near is not lane-eligible")
+	}
+	// MergeStores: every run stores the same elements of out(0) again.
+	n, err := NewNode(prog, Options{Workers: 1, MergeStores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, cents := make([]float64, rows), make([]float64, 16)
+	for i := range in {
+		in[i] = float64(i*7%16) + 0.25
+	}
+	for i := range cents {
+		cents[i] = float64(i)
+	}
+	for name, vals := range map[string][]float64{"in": in, "cents": cents} {
+		if _, err := n.fields[name].f.StoreAll(0, field.ArrayFromFloat64(vals)); err != nil {
+			t.Fatal(err)
+		}
+		n.fields[name].f.MarkComplete(0)
+	}
+	tr := &ageTracker{ks: n.kernels["near"], age: 0}
+	insts := make([]*instState, rows)
+	for i := range insts {
+		insts[i] = &instState{coords: []int{i}}
+	}
+	w := newWorkerState(n, 0)
+	return n, w, func() {
+		for j := range w.bufs {
+			w.bufs[j] = w.bufs[j][:0]
+		}
+		b := getBatch()
+		b.tracker, b.insts = tr, insts
+		n.execSlice(b, w)
+		releaseBatch(b)
+	}
+}
+
+// TestLockstepDispatchAllocFree pins the lockstep path of a compiled kernel —
+// rows, lane columns, the slice body, the batched stores — at zero
+// allocations per slice once the frames have grown to the slice's length.
+func TestLockstepDispatchAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	n, _, exec := lockstepBenchNode(t, 64)
+	exec() // grow the rows and the lane frame
+	ks := n.kernels["near"]
+	before := ks.ownLockstep()
+	if allocs := testing.AllocsPerRun(100, exec); allocs != 0 {
+		t.Errorf("lockstep dispatch allocates %.1f objects per slice, want 0", allocs)
+	}
+	if got := ks.ownLockstep() - before; got != 101*64 {
+		t.Errorf("%d instances ran in lockstep, want %d", got, 101*64)
+	}
+	out, err := n.Snapshot("out", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < 64; x++ {
+		if got := out.At(x).Int64(); got != int64(x*7%16) {
+			t.Fatalf("out(0)[%d] = %d, want %d", x, got, x*7%16)
 		}
 	}
 }

@@ -6,9 +6,11 @@ package p2g
 
 import (
 	"io"
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/video"
@@ -41,6 +43,8 @@ func TestSchedulerMetricsSurfaceInRegistry(t *testing.T) {
 		obs.MWorkerQueueDepth + `{worker="2"}`,
 		obs.Label(obs.MKernelSlices, "kernel", "mul2"),
 		obs.Label(obs.MKernelSlices, "kernel", "print"),
+		obs.Label(obs.MKernelLockstep, "kernel", "mul2"),
+		obs.Label(obs.MKernelDeclined, "kernel", "mul2"),
 	} {
 		if !strings.Contains(dump, name) {
 			t.Errorf("registry dump missing %q; dump:\n%s", name, dump)
@@ -56,14 +60,25 @@ func TestSchedulerMetricsSurfaceInRegistry(t *testing.T) {
 // ledger reports.
 func TestSlicesKeepPerInstanceObservability(t *testing.T) {
 	kmCfg := workloads.KMeansConfig{N: 400, K: 10, Iter: 3, Dim: 2, Seed: 7}
+	src, err := os.ReadFile("testdata/kmeans.p2g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := lang.Compile("kmeans.p2g", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name     string
 		prog     *Program
 		opts     runtime.Options
 		combined string // a kernel cheap and wide enough to be combined
+		lockstep bool   // ... and compiled with a slice body, which must have run
 	}{
-		{"kmeans", workloads.KMeans(kmCfg), workloads.KMeansOptions(kmCfg, 2), "assign"},
-		{"mjpeg", workloads.MJPEG(workloads.MJPEGConfig{Source: video.NewSynthetic(64, 48, 2, 7), FastDCT: true}), runtime.Options{Workers: 2}, ""},
+		{"kmeans", workloads.KMeans(kmCfg), workloads.KMeansOptions(kmCfg, 2), "assign", false},
+		{"mjpeg", workloads.MJPEG(workloads.MJPEGConfig{Source: video.NewSynthetic(64, 48, 2, 7), FastDCT: true}), runtime.Options{Workers: 2}, "", false},
+		{"kmeans.p2g", compiled, runtime.Options{Workers: 2, KernelMaxAge: map[string]int{"assign": 3, "refine": 3, "print": 4},
+			Granularity: map[string]int{"assign": 16}}, "assign", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
@@ -102,8 +117,15 @@ func TestSlicesKeepPerInstanceObservability(t *testing.T) {
 			if tc.combined != "" {
 				// Some, not a factor: the first age runs one instance per
 				// slice, and race instrumentation makes instances dear.
-				if k := rep.Kernel(tc.combined); k.Slices >= k.Instances {
+				k := rep.Kernel(tc.combined)
+				if k.Slices >= k.Instances {
 					t.Errorf("%s: %d instances in %d slices, expected combining", k.Name, k.Instances, k.Slices)
+				}
+				if got := snap.Counters[obs.Label(obs.MKernelLockstep, "kernel", k.Name)]; got != k.Lockstep || tc.lockstep != (got > 0) {
+					t.Errorf("%s: registry counts %d instances in lockstep, report %d, slice body %v", k.Name, got, k.Lockstep, tc.lockstep)
+				}
+				if got := snap.Counters[obs.Label(obs.MKernelDeclined, "kernel", k.Name)]; got != 0 || k.Declined != 0 {
+					t.Errorf("%s: the slice body declined %d instances (report %d) in a run without faults", k.Name, got, k.Declined)
 				}
 			}
 		})

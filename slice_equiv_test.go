@@ -13,8 +13,10 @@ package p2g
 import (
 	"fmt"
 	"io"
+	"os"
 	"testing"
 
+	"repro/internal/lang"
 	"repro/internal/runtime"
 	"repro/internal/video"
 	"repro/internal/workloads"
@@ -107,5 +109,73 @@ func TestSliceEquivalenceKMeans(t *testing.T) {
 	prog := func() *Program { return workloads.KMeans(cfg) }
 	sweepSlices(t, prog, workloads.KMeansOptions(cfg, 1), func(n *runtime.Node) string {
 		return fieldFingerprint(t, n, "centroids", cfg.Iter) + fieldFingerprint(t, n, "membership", cfg.Iter-1)
+	})
+}
+
+// TestSliceEquivalenceKMeansCompiled is the same sweep over testdata/kmeans.p2g,
+// whose assign and refine bodies are bytecode with a slice body: a forced size
+// of 4096 puts an age's 60 assign instances through the lockstep path as one
+// slice, sizes 1, 3 and 7 (below assign's minimum of 12) and the reference
+// through the scalar VM, and the centroids and memberships must not tell.
+// refine has four instances, too few for lockstep at any size; its slice body
+// is compared with the scalar VM lane by lane in internal/lang (checkLanes).
+func TestSliceEquivalenceKMeansCompiled(t *testing.T) {
+	src, err := os.ReadFile("testdata/kmeans.p2g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iter = 4
+	prog := func() *Program {
+		p, err := lang.Compile("kmeans.p2g", string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"assign", "refine"} {
+			if p.Kernel(name).SliceBody == nil {
+				t.Fatalf("kernel %s has no slice body", name)
+			}
+		}
+		return p
+	}
+	opts := runtime.Options{KernelMaxAge: map[string]int{"assign": iter, "refine": iter, "print": iter + 1}}
+	sweepSlices(t, prog, opts, func(n *runtime.Node) string {
+		return fieldFingerprint(t, n, "centroids", iter+1) + fieldFingerprint(t, n, "membership", iter)
+	})
+}
+
+// TestSliceEquivalenceSlabPassThrough: a compiled kernel that stores the slab
+// it fetched without touching it. Its instances each need their own slab, so
+// it must take the per-instance path at every slice size: in lockstep, where
+// the rows of a slice share the one array of a local, every row of out would
+// be the slab of the slice's last instance.
+func TestSliceEquivalenceSlabPassThrough(t *testing.T) {
+	const src = `int32[][] frames;
+int32[][] out;
+init:
+  local int32[][] f;
+  %{ for (int r = 0; r < 150; ++r) { for (int c = 0; c < 3; ++c) { put(f, r * 10 + c, r, c); } } %}
+  store frames(0) = f;
+copy:
+  index b;
+  local int32[] blk;
+  fetch blk = frames(0)[b][];
+  %{ %}
+  store out(0)[b][] = blk;
+`
+	prog := func() *Program {
+		p, err := lang.Compile("slabcopy.p2g", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	sweepSlices(t, prog, runtime.Options{}, func(n *runtime.Node) string {
+		got := fieldFingerprint(t, n, "out", 0)
+		// The reference is compared with its own input too, not just with
+		// the other cases.
+		if want := "out" + fieldFingerprint(t, n, "frames", 0)[len("frames"):]; got != want {
+			t.Fatalf("out is not a copy of frames:\n%.400s\nwant:\n%.400s", got, want)
+		}
+		return got
 	})
 }
