@@ -1,11 +1,17 @@
 GO ?= go
 
-.PHONY: all build test race norace layers vet fmt-check ci test-fault fuzz-lang bench-smoke bench bench-full clean
+.PHONY: all build examples test race norace layers loc vet fmt-check ci test-fault fuzz-lang bench-smoke bench bench-full clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# examples runs each of the seven examples once to completion (well under a
+# second each); examples/distributed exits 1 when its in-process cluster's
+# centroids differ from the sequential baseline.
+examples:
+	@for e in examples/*/; do $(GO) run "./$$e" >/dev/null || exit 1; done
 
 test:
 	$(GO) test ./...
@@ -23,6 +29,10 @@ norace:
 layers:
 	scripts/layers.sh
 
+# loc prints the size of the system: lines of non-test Go outside bench/.
+loc:
+	@scripts/loc.sh
+
 vet:
 	$(GO) vet ./...
 
@@ -30,9 +40,10 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# ci is the tier-1 gate: formatting, static checks, layering, build, the full
-# test suite under the race detector and the allocation pins without it.
-ci: fmt-check vet layers build race norace
+# ci is the tier-1 gate: formatting, static checks, layering, build, one run of
+# every example, the full test suite under the race detector and the
+# allocation pins without it.
+ci: fmt-check vet layers build examples race norace
 
 # test-fault is the fault-injection gate (also run by ci.sh): the failover,
 # liveness, and teardown regression tests under the race detector — every

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 verification gate: `make ci` (formatting, vet, layering, build, the
-# full test suite under the race detector, the allocation pins without it)
-# plus the fault-injection, fuzz and benchmark gates below.
+# Tier-1 verification gate: `make ci` (formatting, vet, layering, build, one
+# run of every example, the full test suite under the race detector, the
+# allocation pins without it) plus the fault-injection, fuzz and benchmark
+# gates below.
 set -eu
 cd "$(dirname "$0")"
 
@@ -15,6 +16,12 @@ go vet ./...
 # Layering gate (`make layers`): the package DAG the design relies on.
 scripts/layers.sh
 go build ./...
+# Examples gate (`make examples`): each of the seven runs once to completion
+# — examples/distributed is the one end-to-end in-process cluster outside the
+# tests, and exits 1 when its centroids differ from the sequential baseline.
+for e in examples/*/; do
+	go run "./$e" >/dev/null
+done
 go test -race ./...
 # Allocation pins (`make norace`): the zero-alloc dispatch, slab and frame
 # pool-reuse tests skip themselves under the race detector, which allocates on

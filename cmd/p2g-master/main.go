@@ -75,42 +75,20 @@ func main() {
 	}
 	defer l.Close()
 	fmt.Fprintf(os.Stderr, "p2g-master: listening on %s, waiting for %d nodes + %d standbys\n", l.Addr(), *nodes, *standbys)
-	// Workers and standbys may connect in any order: peek at the first
-	// message of each connection (MRegister vs MJoin) to classify it, then
-	// push the message back so RunMaster's registration sees it.
-	var conns, standbyConns []dist.Conn
-	for len(conns) < *nodes || len(standbyConns) < *standbys {
-		c, err := l.Accept()
-		if err != nil {
+	// Workers and standbys may connect in any order: RunMaster files each
+	// connection by its first message (MRegister or MJoin).
+	conns := make([]dist.Conn, *nodes+*standbys)
+	for i := range conns {
+		if conns[i], err = l.Accept(); err != nil {
 			fail(err)
 		}
-		first, err := c.Recv()
-		if err != nil {
-			fail(fmt.Errorf("reading registration: %w", err))
-		}
-		switch first.Kind {
-		case dist.MRegister:
-			if len(conns) == *nodes {
-				fail(fmt.Errorf("node %s connected but all %d execution slots are filled (start it with -standby?)", first.NodeID, *nodes))
-			}
-			conns = append(conns, dist.NewPushbackConn(c, first))
-			fmt.Fprintf(os.Stderr, "p2g-master: node %s connected (%d/%d)\n", first.NodeID, len(conns), *nodes)
-		case dist.MJoin:
-			if len(standbyConns) == *standbys {
-				fail(fmt.Errorf("standby %s connected but all %d standby slots are filled", first.NodeID, *standbys))
-			}
-			standbyConns = append(standbyConns, dist.NewPushbackConn(c, first))
-			fmt.Fprintf(os.Stderr, "p2g-master: standby %s connected (%d/%d)\n", first.NodeID, len(standbyConns), *standbys)
-		default:
-			fail(fmt.Errorf("expected a registration, got %v", first.Kind))
-		}
+		fmt.Fprintf(os.Stderr, "p2g-master: connection %d/%d accepted\n", i+1, len(conns))
 	}
 
 	res, err := dist.RunMaster(dist.MasterConfig{
 		Prog: prog, Method: m, Spec: *workload, View: view,
 		Metrics: reg, Tracer: tracer, CollectTraces: tracer != nil,
 		Failover:    *failover,
-		Standbys:    standbyConns,
 		Heartbeat:   time.Duration(*heartbeatMs) * time.Millisecond,
 		MaxMissed:   *maxMissed,
 		IdleTimeout: *idleTimeout,
@@ -162,11 +140,7 @@ func main() {
 	// counters the broker accumulated while forwarding batched stores.
 	var totalIn, totalOut int64
 	for i, c := range conns {
-		sr, ok := c.(dist.StatsReporter)
-		if !ok {
-			continue
-		}
-		st := sr.Stats()
+		st := c.Stats()
 		totalIn += st.RecvBytes
 		totalOut += st.SentBytes
 		fmt.Printf("link %d: sent %d msgs / %d bytes, received %d msgs / %d bytes\n",

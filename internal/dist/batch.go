@@ -30,23 +30,18 @@ type genKey struct {
 // broker and downstream consumers rely on.
 //
 // Frames come from the runtime frame pool and are handed to emit together
-// with the routing envelope (whose Frame field is left nil): the transport
-// either writes the frame's segments scatter-gather and recycles it, or
-// flattens it into a fresh slice first — the in-process transport moves *Msg
-// by pointer, so a recycled buffer must never ride inside an in-flight
-// message.
+// with the routing envelope (whose Frame field is left nil); emit sends the
+// frame's segments through Conn.SendFrame and recycles it.
 type storeBatcher struct {
 	mu     sync.Mutex
 	frames map[genKey]*runtime.StoreFrame
-	traces map[genKey]uint64
 	order  []genKey
 	emit   func(*Msg, *runtime.StoreFrame)
 
-	// Causal tracing (nil tracer disables it and keeps frames in the
-	// untraced v1 layout): each frame gets a cluster-unique trace id —
-	// node-seed in the high bits, a local sequence in the low bits — stamped
-	// into both the frame header and the Msg envelope, and emission records
-	// the flow-start span of the frame's cross-node journey.
+	// Causal tracing (a nil tracer disables it): each emitted frame gets a
+	// cluster-unique trace id — node-seed in the high bits, a local sequence
+	// in the low bits — on its Msg envelope, and emission records the
+	// flow-start span of the frame's cross-node journey.
 	tracer *obs.Tracer
 	seed   uint64
 	seq    uint64
@@ -64,7 +59,6 @@ func newStoreBatcher(emit func(*Msg, *runtime.StoreFrame), reg *obs.Registry, no
 	h.Write([]byte(nodeID))
 	return &storeBatcher{
 		frames:  map[genKey]*runtime.StoreFrame{},
-		traces:  map[genKey]uint64{},
 		emit:    emit,
 		tracer:  tracer,
 		seed:    h.Sum64(),
@@ -83,16 +77,7 @@ func (b *storeBatcher) add(sn runtime.StoreNotice) error {
 	f := b.frames[k]
 	if f == nil {
 		f = runtime.GetStoreFrame()
-		if b.tracer != nil {
-			// Low 32 bits are the local sequence (nonzero), high bits the
-			// node seed: unique across the cluster for practical runs.
-			b.seq++
-			trace := (b.seed << 32) | (b.seq & 0xffffffff)
-			b.traces[k] = trace
-			f.ResetTraced(sn.Field, sn.Age, trace)
-		} else {
-			f.Reset(sn.Field, sn.Age)
-		}
+		f.Reset(sn.Field, sn.Age)
 		b.frames[k] = f
 		b.order = append(b.order, k)
 	}
@@ -120,9 +105,14 @@ func (b *storeBatcher) flushAll() {
 // emitLocked sends one frame and forgets it; the caller holds b.mu. The key
 // stays in b.order when called from add — flushAll skips the deleted entry.
 func (b *storeBatcher) emitLocked(k genKey, f *runtime.StoreFrame) {
-	trace := b.traces[k]
 	delete(b.frames, k)
-	delete(b.traces, k)
+	var trace uint64
+	if b.tracer != nil {
+		// Low 32 bits are the local sequence (nonzero), high bits the
+		// node seed: unique across the cluster for practical runs.
+		b.seq++
+		trace = (b.seed << 32) | (b.seq & 0xffffffff)
+	}
 	b.mFrames.Inc()
 	b.mBytes.Add(int64(f.Len()))
 	b.mStores.Add(int64(f.Entries()))

@@ -22,9 +22,6 @@ const clockProbes = 5
 // the estimate aligns node timelines to well under a typical span duration;
 // it is a visualization aid, not a distributed-clock guarantee.
 func estimateClockOffset(c Conn, probes int) (int64, error) {
-	if probes <= 0 {
-		probes = clockProbes
-	}
 	var best int64
 	bestRTT := int64(-1)
 	for i := 0; i < probes; i++ {

@@ -408,84 +408,6 @@ func TestDistributedKernelFailure(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSnapshotRequest exercises the MSnapshotReq/MSnapshot protocol pair.
-func TestSnapshotRequest(t *testing.T) {
-	mc, wc := InprocPipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = RunWorker(WorkerConfig{NodeID: "w", Cores: 1, Prog: workloads.MulSum(), MaxAge: 2}, wc)
-	}()
-	if m, err := mc.Recv(); err != nil || m.Kind != MRegister {
-		t.Fatalf("register: %v", err)
-	}
-	all := []string{"init", "mul2", "plus5", "print"}
-	if err := mc.Send(&Msg{Kind: MAssign, Kernels: all}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mc.Send(&Msg{Kind: MStart}); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for quiescence the simple way: ping until idle.
-	for {
-		if err := mc.Send(&Msg{Kind: MPing}); err != nil {
-			t.Fatal(err)
-		}
-		m, err := mc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kind == MStatus && m.Idle && m.Sent > 0 {
-			break
-		}
-	}
-	if err := mc.Send(&Msg{Kind: MSnapshotReq, Field: "m_data", Age: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		m, err := mc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kind != MSnapshot {
-			continue
-		}
-		if m.Field != "m_data" || m.Age != 1 || m.Arr == nil {
-			t.Fatalf("snapshot msg %+v", m)
-		}
-		if !m.Arr.Equal(field.ArrayFromInt32([]int32{25, 27, 29, 31, 33})) {
-			t.Fatalf("snapshot contents %v", m.Arr)
-		}
-		break
-	}
-	// Unknown field produces an MError reply but the worker keeps running.
-	if err := mc.Send(&Msg{Kind: MSnapshotReq, Field: "zzz", Age: 0}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		m, err := mc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kind == MError {
-			break
-		}
-	}
-	if err := mc.Send(&Msg{Kind: MStopReq}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		m, err := mc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kind == MReport {
-			break
-		}
-	}
-	<-done
-}
-
 // TestDistributedMJPEG runs the full Motion JPEG pipeline across two nodes —
 // macroblock payloads and encoded frames cross the wire as gob Any values —
 // and compares the bitstream with the single-threaded baseline encoder.

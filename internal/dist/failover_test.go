@@ -137,8 +137,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	}()
 	res, err := RunMaster(MasterConfig{
 		Prog: workloads.MulSum(), Method: sched.KL, Failover: true,
-		Standbys: []Conn{sbMaster},
-	}, masterConns)
+	}, append(masterConns, sbMaster))
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("failover run failed: %v", err)
@@ -195,8 +194,7 @@ func TestStandbyReleasedCleanly(t *testing.T) {
 	}()
 	res, err := RunMaster(MasterConfig{
 		Prog: workloads.MulSum(), Method: sched.KL, Failover: true,
-		Standbys: []Conn{sbMaster},
-	}, masterConns)
+	}, append(masterConns, sbMaster))
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +627,7 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 				if err := conn.Send(&Msg{Kind: MRegister, NodeID: id, Cores: 1, Speed: 1}); err != nil {
 					return err
 				}
-				victim := false
+				victim, assigned := false, false
 				var started time.Time
 				var received int64
 				for {
@@ -649,6 +647,11 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 					}
 					switch m.Kind {
 					case MAssign:
+						if assigned {
+							received = 0 // rebuilt from scratch, like a real worker
+							break
+						}
+						assigned = true
 						for _, k := range m.Kernels {
 							if k == "gen" {
 								victim = true
@@ -666,8 +669,6 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 						}
 					case MStoreFrame, MDone:
 						received++
-					case MReassign:
-						received = 0 // rebuilt from scratch, like a real worker
 					case MPing:
 						// The victim reports busy so the run cannot quiesce
 						// before its death; the survivor is honestly idle.

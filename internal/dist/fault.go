@@ -43,9 +43,8 @@ type FaultPlan struct {
 	Seed int64
 }
 
-// FaultConn wraps a Conn with scheduled faults. It forwards FrameConn,
-// StatsReporter and IdleTimeoutConn when the underlying transport implements
-// them (SendFrame counts as one send against the plan).
+// FaultConn wraps a Conn with scheduled faults (SendFrame counts as one send
+// against the plan).
 type FaultConn struct {
 	under Conn
 	plan  FaultPlan
@@ -72,12 +71,6 @@ func NewFaultConn(c Conn, plan FaultPlan) *FaultConn {
 		closed: make(chan struct{}),
 	}
 }
-
-// Sends returns how many send operations have been attempted.
-func (c *FaultConn) Sends() int64 { return c.sends.Load() }
-
-// Recvs returns how many receive operations have been attempted.
-func (c *FaultConn) Recvs() int64 { return c.recvs.Load() }
 
 func (c *FaultConn) maybeDelay(n int64) {
 	if c.plan.Delay <= 0 || c.plan.DelayEvery <= 0 || n%c.plan.DelayEvery != 0 {
@@ -124,8 +117,6 @@ func (c *FaultConn) Send(m *Msg) error {
 	return c.under.Send(m)
 }
 
-// SendFrame forwards scatter-gather sends when the underlying transport
-// supports them, flattening into a plain Send otherwise.
 func (c *FaultConn) SendFrame(m *Msg, segs net.Buffers) error {
 	drop, err := c.checkSend()
 	if err != nil {
@@ -134,17 +125,7 @@ func (c *FaultConn) SendFrame(m *Msg, segs net.Buffers) error {
 	if drop {
 		return nil
 	}
-	if fc, ok := c.under.(FrameConn); ok {
-		return fc.SendFrame(m, segs)
-	}
-	env := *m
-	var flat []byte
-	for _, s := range segs {
-		flat = append(flat, s...)
-	}
-	env.Frame = flat
-	env.FrameLen = 0
-	return c.under.Send(&env)
+	return c.under.SendFrame(m, segs)
 }
 
 func (c *FaultConn) Recv() (*Msg, error) {
@@ -165,15 +146,6 @@ func (c *FaultConn) Close() error {
 	return c.under.Close()
 }
 
-// SetIdleTimeout forwards to the underlying transport when supported.
-func (c *FaultConn) SetIdleTimeout(d time.Duration) {
-	SetConnIdleTimeout(c.under, d)
-}
+func (c *FaultConn) SetIdleTimeout(d time.Duration) { c.under.SetIdleTimeout(d) }
 
-// Stats forwards to the underlying transport when supported.
-func (c *FaultConn) Stats() ConnStats {
-	if sr, ok := c.under.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return ConnStats{}
-}
+func (c *FaultConn) Stats() ConnStats { return c.under.Stats() }

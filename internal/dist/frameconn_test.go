@@ -76,15 +76,10 @@ func scatterFrame(t *testing.T) *runtime.StoreFrame {
 // sender's shared *Msg unmutated.
 func TestTCPSendFrameRoundTrip(t *testing.T) {
 	cli, srv := tcpPair(t)
-	fc, ok := cli.(FrameConn)
-	if !ok {
-		t.Fatal("TCP connection does not implement FrameConn")
-	}
-
 	f := scatterFrame(t)
 	want := f.AppendTo(nil)
 	m := &Msg{Kind: MStoreFrame, Field: "pixels", Age: 3, Trace: 0xBEEF}
-	if err := fc.SendFrame(m, f.Segments()); err != nil {
+	if err := cli.SendFrame(m, f.Segments()); err != nil {
 		t.Fatal(err)
 	}
 	if m.Frame != nil || m.FrameLen != 0 {
@@ -123,8 +118,6 @@ func TestTCPSendFrameRoundTrip(t *testing.T) {
 // arrive intact and in order.
 func TestTCPSendFrameInterleaved(t *testing.T) {
 	cli, srv := tcpPair(t)
-	fc := cli.(FrameConn)
-
 	f := scatterFrame(t)
 	want := f.AppendTo(nil)
 	defer runtime.PutStoreFrame(f)
@@ -133,7 +126,7 @@ func TestTCPSendFrameInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := fc.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: i}, f.Segments()); err != nil {
+		if err := cli.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: i}, f.Segments()); err != nil {
 			t.Fatal(err)
 		}
 		if err := cli.Send(&Msg{Kind: MDone, Field: "pixels", Age: i}); err != nil {
@@ -162,7 +155,7 @@ func TestTCPSendFrameInterleaved(t *testing.T) {
 	}
 
 	// Master-forward shape: a received frame goes back out as one raw buffer.
-	if err := fc.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: 9}, net.Buffers{want}); err != nil {
+	if err := cli.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: 9}, net.Buffers{want}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := srv.Recv()
@@ -206,7 +199,7 @@ func TestTCPRecvLargeFrame(t *testing.T) {
 	}
 	errs := make(chan error, 1)
 	go func() {
-		errs <- cli.(FrameConn).SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels"}, net.Buffers{payload})
+		errs <- cli.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels"}, net.Buffers{payload})
 	}()
 	m, err := srv.Recv()
 	if err != nil {

@@ -2,7 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"net"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -49,12 +49,11 @@ type MasterConfig struct {
 	CollectTraces bool
 
 	// Failover enables recovery from worker failures: a dead worker's
-	// kernels are reassigned (to a standby from Standbys, else to survivors
-	// via a fresh HLS partition over the remaining topology) and the
-	// affected workers rebuild and receive the lost write-once field
-	// generations replayed from the master's shadow node. Off (the
-	// default), a worker failure fails the run — the fail-fast A/B
-	// reference.
+	// kernels are reassigned (to a waiting standby, else to survivors via a
+	// fresh HLS partition over the remaining topology) and the affected
+	// workers rebuild and receive the lost write-once field generations
+	// replayed from the master's shadow node. Off (the default), a worker
+	// failure fails the run.
 	Failover bool
 	// Heartbeat is the liveness accounting interval: a worker silent for
 	// MaxMissed of these is declared dead. Zero selects 100ms. (Status
@@ -66,17 +65,11 @@ type MasterConfig struct {
 	// Failover is on, which defaults it to 3.
 	MaxMissed int
 	// IdleTimeout, when positive, bounds every blocking transport
-	// operation on the worker connections (see IdleTimeoutConn), so a
+	// operation on the worker connections (see Conn.SetIdleTimeout), so a
 	// half-open connection surfaces as a worker-named error instead of
 	// wedging RunMaster forever. It must comfortably exceed the longest
 	// legitimate silence (worker teardown between MStopReq and MReport).
 	IdleTimeout time.Duration
-	// Standbys are connections to spare workers that registered with MJoin
-	// instead of MRegister: they receive no initial partition and wait;
-	// on a worker death (with Failover) the first standby is promoted via
-	// MAssign/MStart. Unused standbys are released with MStopReq at
-	// shutdown.
-	Standbys []Conn
 }
 
 // MasterResult is the outcome of a distributed run.
@@ -116,830 +109,814 @@ type doneRec struct {
 	age    int
 }
 
-// RunMaster drives a distributed execution over already-established worker
+// peer is everything the master knows about one connected node. A worker's
+// record sits in master.peers at its worker index for the whole run, dead or
+// alive; a standby's waits in master.standbys until a death promotes it.
+type peer struct {
+	conn  Conn
+	idx   int // worker index (the values of MasterResult.Assignment); -1 for a standby
+	id    string
+	cores int
+	speed float64
+	// offset is the node's clock minus the master's, estimated at
+	// registration; zero when the run is not observed.
+	offset int64
+	// flight holds the flight times of the node's messages (clock-offset
+	// corrected); nil without metrics.
+	flight *obs.Histogram
+
+	kernels  []string        // the partition it runs; nil for a standby and after its death
+	consumes map[string]bool // the fields those kernels fetch
+
+	// Accounting since the node's last assignment (assign restarts it).
+	forwarded  int64 // messages sent to it that its MStatus.Received counts
+	status     Msg   // its latest MStatus
+	statusSeen bool  // status answers the latest ping
+	lastHeard  time.Time
+	dead       bool
+}
+
+// inbound is one receive on a connection, as its reader goroutine hands it to
+// the loop of the master (from names the worker) or the worker (from is nil).
+type inbound struct {
+	from *peer
+	msg  *Msg
+	err  error
+}
+
+// master is the control plane's state: the paper's §IV master as one value
+// and the handlers that advance it. RunMaster feeds it one event at a time —
+// handle for an inbound message, tick for the poll timer — and nothing else
+// touches it, so a simulator can drive the same two methods.
+type master struct {
+	cfg MasterConfig // with the defaults of its zero fields filled in
+	// liveTimeout is the liveness window, Heartbeat × MaxMissed; zero
+	// disables the monitor.
+	liveTimeout time.Duration
+	// observed: metrics, tracer or trace collection were asked for, so
+	// clocks are synced at registration. Plain runs skip the probes.
+	observed bool
+
+	conns    []Conn  // every connection RunMaster was handed
+	peers    []*peer // workers, by worker index
+	standbys []*peer
+
+	fin        *graph.Final
+	cost       sched.Cost
+	kernelNode map[string]int
+	// Subscriber maps: which workers consume each field, and which need
+	// each kernel's completion events (they consume a field it stores).
+	fieldSubs, kernelSubs map[string][]*peer
+
+	shadow     *runtime.Node
+	shadowDone chan error
+
+	// Readers select on stop so they exit once RunMaster returns: after a
+	// failure the loop stops draining inbox, and a reader blocked on the
+	// full buffer would otherwise leak (its Recv keeps producing until the
+	// closed connection errors out).
+	inbox chan inbound
+	stop  chan struct{}
+	// backlog holds inbound messages drained while the loop was busy
+	// replaying generations to a rebuilt worker: replay sends many frames
+	// without returning to the select, and a full inbox would stall the
+	// readers (and transitively the workers' send paths).
+	backlog []inbound
+
+	reports  map[string]*runtime.Report
+	doneSeen map[doneRec]bool
+	doneLog  []doneRec
+	traces   []obs.NodeTrace
+	deadIDs  []string
+	replayed int64
+
+	stableRounds      int
+	lastTotal         int64
+	running, stopSent bool
+
+	// Frame and failure accounting (nil-safe without metrics), created up
+	// front so a healthy run exports its zeros.
+	mFrames, mFrameBytes, mDeaths, mFailovers, mReplayed *obs.Counter
+}
+
+// RunMaster drives a distributed execution over already-established
 // connections: registration, partitioning, assignment, event brokering,
 // global quiescence detection, failure detection and recovery, shutdown and
-// report collection.
+// report collection. Each connection's first message says what it is: a
+// worker (MRegister) takes part in the initial partition, a standby (MJoin)
+// waits to replace a worker that dies.
 func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("dist: master needs at least one worker")
 	}
-	poll := cfg.PollInterval
-	if poll <= 0 {
-		poll = 2 * time.Millisecond
+	m := newMaster(cfg, conns)
+	defer close(m.stop)
+	if err := m.setup(); err != nil {
+		return nil, m.shutdown(err)
 	}
-	heartbeat := cfg.Heartbeat
-	if heartbeat <= 0 {
-		heartbeat = 100 * time.Millisecond
-	}
-	maxMissed := cfg.MaxMissed
-	if maxMissed <= 0 && cfg.Failover {
-		maxMissed = 3
-	}
-	var liveTimeout time.Duration
-	if maxMissed > 0 {
-		liveTimeout = time.Duration(maxMissed) * heartbeat
-	}
-	if cfg.IdleTimeout > 0 {
-		for _, c := range conns {
-			SetConnIdleTimeout(c, cfg.IdleTimeout)
+	ticker := time.NewTicker(m.cfg.PollInterval)
+	defer ticker.Stop()
+	for !m.stopSent || m.awaitingReports() {
+		var err error
+		if len(m.backlog) > 0 {
+			in := m.backlog[0]
+			m.backlog = m.backlog[1:]
+			err = m.handle(in)
+		} else {
+			select {
+			case in := <-m.inbox:
+				err = m.handle(in)
+			case <-ticker.C:
+				err = m.tick(time.Now())
+			}
 		}
-		for _, c := range cfg.Standbys {
-			SetConnIdleTimeout(c, cfg.IdleTimeout)
+		if err != nil {
+			return nil, m.shutdown(err)
 		}
 	}
-	cfg.View.setLiveness(heartbeat, maxMissed, cfg.Failover, len(cfg.Standbys))
+	return m.finish()
+}
 
-	// abort fails the run before the broker loop exists. Every worker is
-	// blocked in its handshake at this point; telling them why (and closing)
-	// lets them tear down instead of waiting forever on a master that
-	// already returned.
-	abort := func(err error) error {
-		cfg.View.setPhase("failed: " + err.Error())
-		for _, c := range conns {
-			c.Send(&Msg{Kind: MError, Err: err.Error()})
-			c.Close()
-		}
-		for _, c := range cfg.Standbys {
-			c.Send(&Msg{Kind: MError, Err: err.Error()})
-			c.Close()
-		}
+func newMaster(cfg MasterConfig, conns []Conn) *master {
+	if cfg.PollInterval <= 0 {
+		cfg.PollInterval = 2 * time.Millisecond
+	}
+	if cfg.Heartbeat <= 0 {
+		cfg.Heartbeat = 100 * time.Millisecond
+	}
+	if cfg.MaxMissed <= 0 && cfg.Failover {
+		cfg.MaxMissed = 3
+	}
+	return &master{
+		cfg:         cfg,
+		liveTimeout: time.Duration(max(cfg.MaxMissed, 0)) * cfg.Heartbeat,
+		observed:    cfg.Metrics != nil || cfg.Tracer != nil || cfg.CollectTraces,
+		conns:       conns,
+		kernelNode:  map[string]int{},
+		inbox:       make(chan inbound, 1024),
+		stop:        make(chan struct{}),
+		reports:     map[string]*runtime.Report{},
+		doneSeen:    map[doneRec]bool{},
+		lastTotal:   -1,
+		mFrames:     cfg.Metrics.Counter(obs.MDistFramesTotal),
+		mFrameBytes: cfg.Metrics.Counter(obs.MDistFrameBytesTotal),
+		mDeaths:     cfg.Metrics.Counter(obs.MDistWorkerDeaths),
+		mFailovers:  cfg.Metrics.Counter(obs.MDistFailovers),
+		mReplayed:   cfg.Metrics.Counter(obs.MDistReplayedGens),
+	}
+}
+
+// setup takes the run from connected to running: the topology is collected,
+// the final graph partitioned over it, the shadow started and every worker
+// assigned its partition.
+func (m *master) setup() error {
+	if err := m.cfg.Prog.Validate(); err != nil {
 		return err
 	}
-
-	if err := cfg.Prog.Validate(); err != nil {
-		return nil, abort(err)
+	if err := m.register(); err != nil {
+		return err
 	}
-
-	// Registration: collect the global topology.
-	type workerCap struct {
-		cores int
-		speed float64
+	m.cfg.View.setPhase("partitioning")
+	// The final implicit static dependency graph, weighted with prior
+	// instrumentation when available.
+	m.fin = graph.BuildFinal(m.cfg.Prog)
+	if err := m.fin.CheckSchedulable(); err != nil {
+		return err
 	}
+	if m.cfg.Weights != nil {
+		sched.ApplyInstrumentation(m.fin, m.cfg.Weights)
+	}
+	all := make([]string, len(m.fin.Nodes))
+	for i, kn := range m.fin.Nodes {
+		all[i] = kn.Name
+	}
+	var err error
+	if _, m.cost, err = m.place(all); err != nil {
+		return err
+	}
+	m.subscribe()
+	m.cfg.View.setAssignment(m.kernelNode, m.cfg.Method.String())
+	if err := m.startShadow(); err != nil {
+		return err
+	}
+	if err := m.assign(m.peers); err != nil {
+		return err
+	}
+	for _, p := range m.peers {
+		m.listen(p)
+	}
+	m.running = true
+	m.cfg.View.setPhase("running")
+	return nil
+}
+
+// register reads each connection's first message and files the node under
+// workers (MRegister) or standbys (MJoin) — nodes classify themselves, so
+// they may connect in any order — then, in an observed run, estimates its
+// clock offset so spans and flight times land on one timeline.
+func (m *master) register() error {
+	for _, c := range m.conns {
+		if m.cfg.IdleTimeout > 0 {
+			c.SetIdleTimeout(m.cfg.IdleTimeout)
+		}
+		first, err := c.Recv()
+		if err != nil {
+			return fmt.Errorf("dist: waiting for registration: %w", err)
+		}
+		p := &peer{conn: c, idx: -1, id: first.NodeID, cores: first.Cores, speed: first.Speed}
+		switch first.Kind {
+		case MRegister:
+			m.enroll(p)
+		case MJoin:
+			m.standbys = append(m.standbys, p)
+		default:
+			return fmt.Errorf("dist: expected registration, got %v", first.Kind)
+		}
+		if m.observed {
+			if p.offset, err = estimateClockOffset(c, clockProbes); err != nil {
+				return fmt.Errorf("dist: syncing clock of %s: %w", p.id, err)
+			}
+		}
+	}
+	if len(m.peers) == 0 {
+		return fmt.Errorf("dist: master needs at least one worker, got %d standbys", len(m.standbys))
+	}
+	m.cfg.View.setLiveness(m.cfg.Heartbeat, m.cfg.MaxMissed, m.cfg.Failover, len(m.standbys))
+	return nil
+}
+
+// enroll makes p a worker: it takes the next worker index.
+func (m *master) enroll(p *peer) {
+	p.idx = len(m.peers)
+	m.peers = append(m.peers, p)
+	if m.cfg.Metrics != nil {
+		p.flight = m.cfg.Metrics.Histogram(obs.Label(obs.MStageFlightNs, "node", p.id))
+	}
+	m.cfg.View.registerWorker(p.idx, p.id, p.cores, p.speed)
+}
+
+// place partitions the final graph over the live workers and hands each of
+// the named kernels to the worker the partition chose for it. Kernels not
+// named stay where they are — moving a live kernel would force a needless
+// rebuild. It returns the workers that gained kernels and the partition's
+// cost.
+func (m *master) place(kernels []string) ([]*peer, sched.Cost, error) {
 	topo := sched.Topology{Bandwidth: 1}
-	ids := make([]string, len(conns))
-	caps := make([]workerCap, len(conns))
-	for i, c := range conns {
-		m, err := c.Recv()
-		if err != nil {
-			return nil, abort(fmt.Errorf("dist: waiting for registration: %w", err))
-		}
-		if m.Kind != MRegister {
-			return nil, abort(fmt.Errorf("dist: expected registration, got %v", m.Kind))
-		}
-		ids[i] = m.NodeID
-		caps[i] = workerCap{cores: m.Cores, speed: m.Speed}
-		topo = topo.Add(m.NodeID, m.Cores, m.Speed)
-		cfg.View.registerWorker(i, m.NodeID, m.Cores, m.Speed)
-	}
-	// Standby registration: they join the roster but not the topology.
-	type standbyWorker struct {
-		conn   Conn
-		id     string
-		cores  int
-		speed  float64
-		offset int64
-	}
-	var standbys []standbyWorker
-	for _, c := range cfg.Standbys {
-		m, err := c.Recv()
-		if err != nil {
-			return nil, abort(fmt.Errorf("dist: waiting for standby join: %w", err))
-		}
-		if m.Kind != MJoin {
-			return nil, abort(fmt.Errorf("dist: expected standby join, got %v", m.Kind))
-		}
-		standbys = append(standbys, standbyWorker{conn: c, id: m.NodeID, cores: m.Cores, speed: m.Speed})
-	}
-
-	// Clock sync: estimate each worker's offset so spans and flight times
-	// land on one timeline. Gated on observability being requested — the
-	// probes add handshake round trips, and workers that predate the
-	// protocol extension tolerate them but plain runs shouldn't pay.
-	observed := cfg.Metrics != nil || cfg.Tracer != nil || cfg.CollectTraces
-	offsets := make([]int64, len(conns))
-	if observed {
-		for i, c := range conns {
-			off, err := estimateClockOffset(c, clockProbes)
-			if err != nil {
-				return nil, abort(fmt.Errorf("dist: syncing clock of %s: %w", ids[i], err))
-			}
-			offsets[i] = off
-		}
-		for i := range standbys {
-			off, err := estimateClockOffset(standbys[i].conn, clockProbes)
-			if err != nil {
-				return nil, abort(fmt.Errorf("dist: syncing clock of standby %s: %w", standbys[i].id, err))
-			}
-			standbys[i].offset = off
+	var live []*peer
+	for _, p := range m.peers {
+		if !p.dead {
+			topo = topo.Add(p.id, p.cores, p.speed)
+			live = append(live, p)
 		}
 	}
-	cfg.View.setPhase("partitioning")
-
-	// Partition the final implicit static dependency graph, weighted with
-	// prior instrumentation when available.
-	fin := graph.BuildFinal(cfg.Prog)
-	if err := fin.CheckSchedulable(); err != nil {
-		return nil, abort(err)
+	if len(live) == 0 {
+		return nil, sched.Cost{}, fmt.Errorf("no surviving workers to take over %d kernels", len(kernels))
 	}
-	if cfg.Weights != nil {
-		sched.ApplyInstrumentation(fin, cfg.Weights)
-	}
-	assign, cost, err := sched.Partition(fin, topo, cfg.Method)
+	assign, cost, err := sched.Partition(m.fin, topo, m.cfg.Method)
 	if err != nil {
-		return nil, abort(err)
+		return nil, cost, err
 	}
-	kernelNode := make(map[string]int, len(fin.Nodes))
-	kernelsOf := make([][]string, len(conns))
-	for i, kn := range fin.Nodes {
-		kernelNode[kn.Name] = assign[i]
-		kernelsOf[assign[i]] = append(kernelsOf[assign[i]], kn.Name)
+	var gained []*peer
+	for i, kn := range m.fin.Nodes {
+		if !slices.Contains(kernels, kn.Name) {
+			continue
+		}
+		p := live[assign[i]]
+		p.kernels = append(p.kernels, kn.Name)
+		m.kernelNode[kn.Name] = p.idx
+		if !slices.Contains(gained, p) {
+			gained = append(gained, p)
+		}
 	}
-	cfg.View.setAssignment(kernelNode, cfg.Method.String())
+	return gained, cost, nil
+}
 
-	// Subscriber maps: which workers consume each field, and which workers
-	// need each kernel's completion events (they consume a field it
-	// stores). Rebuilt by rebuildSubs after every reassignment.
-	dead := make([]bool, len(conns))
-	var fieldSubs map[string][]int
-	var kernelSubs map[string][]int
-	var consumes []map[string]bool
-	rebuildSubs := func() {
-		fieldSubs = make(map[string][]int)
-		kernelSubs = make(map[string][]int)
-		consumes = make([]map[string]bool, len(conns))
-		for i := range conns {
-			consumes[i] = map[string]bool{}
-			for _, kn := range kernelsOf[i] {
-				k := cfg.Prog.Kernel(kn)
-				for _, f := range k.Fetches {
-					consumes[i][f.Field] = true
-				}
+// subscribe rebuilds the subscriber maps from the workers' partitions; run
+// after every change of assignment.
+func (m *master) subscribe() {
+	m.fieldSubs = map[string][]*peer{}
+	m.kernelSubs = map[string][]*peer{}
+	for _, p := range m.peers {
+		p.consumes = map[string]bool{}
+		for _, kn := range p.kernels {
+			for _, f := range m.cfg.Prog.Kernel(kn).Fetches {
+				p.consumes[f.Field] = true
 			}
 		}
-		for _, f := range cfg.Prog.Fields {
-			for i := range conns {
-				if !dead[i] && consumes[i][f.Name] {
-					fieldSubs[f.Name] = append(fieldSubs[f.Name], i)
-				}
+	}
+	for _, f := range m.cfg.Prog.Fields {
+		for _, p := range m.peers {
+			if p.consumes[f.Name] {
+				m.fieldSubs[f.Name] = append(m.fieldSubs[f.Name], p)
 			}
 		}
-		for _, k := range cfg.Prog.Kernels {
-			seen := map[int]bool{}
-			for _, s := range k.Stores {
-				for _, i := range fieldSubs[s.Field] {
-					if !seen[i] {
-						seen[i] = true
-						kernelSubs[k.Name] = append(kernelSubs[k.Name], i)
-					}
+	}
+	for _, k := range m.cfg.Prog.Kernels {
+		for _, s := range k.Stores {
+			for _, p := range m.fieldSubs[s.Field] {
+				if !slices.Contains(m.kernelSubs[k.Name], p) {
+					m.kernelSubs[k.Name] = append(m.kernelSubs[k.Name], p)
 				}
 			}
 		}
 	}
-	rebuildSubs()
+}
 
-	// The master's shadow node replicates all fields (every kernel is
-	// remote from its perspective), giving complete final state. Under
-	// failover it runs merge-tolerant: rebuilt workers re-execute their
-	// kernels and their re-sent stores reach the shadow a second time.
-	allRemote := make(map[string]bool, len(cfg.Prog.Kernels))
-	for _, k := range cfg.Prog.Kernels {
+// startShadow starts the master's shadow node, which replicates all fields
+// (every kernel is remote from its perspective), giving complete final
+// state. Under failover it runs merge-tolerant: rebuilt workers re-execute
+// their kernels and their re-sent stores reach the shadow a second time.
+func (m *master) startShadow() error {
+	allRemote := make(map[string]bool, len(m.cfg.Prog.Kernels))
+	for _, k := range m.cfg.Prog.Kernels {
 		allRemote[k.Name] = true
 	}
-	shadow, err := runtime.NewNode(cfg.Prog, runtime.Options{
+	shadow, err := runtime.NewNode(m.cfg.Prog, runtime.Options{
 		Workers:       1,
 		RemoteKernels: allRemote,
 		NoAutoQuiesce: true,
-		Metrics:       cfg.Metrics,
-		Tracer:        cfg.Tracer,
-		MergeStores:   cfg.Failover,
+		Metrics:       m.cfg.Metrics,
+		Tracer:        m.cfg.Tracer,
+		MergeStores:   m.cfg.Failover,
 	})
 	if err != nil {
-		return nil, abort(err)
+		return err
 	}
-	shadowDone := make(chan error, 1)
+	m.shadow = shadow
+	m.shadowDone = make(chan error, 1)
 	go func() {
 		_, err := shadow.Run()
-		shadowDone <- err
+		m.shadowDone <- err
 	}()
-	// Master-side frame accounting (nil-safe when cfg.Metrics is nil), plus
-	// per-worker message flight histograms when metrics are on.
-	mFrames := cfg.Metrics.Counter(obs.MDistFramesTotal)
-	mFrameBytes := cfg.Metrics.Counter(obs.MDistFrameBytesTotal)
-	mDeaths := cfg.Metrics.Counter(obs.MDistWorkerDeaths)
-	mFailovers := cfg.Metrics.Counter(obs.MDistFailovers)
-	mReplayed := cfg.Metrics.Counter(obs.MDistReplayedGens)
-	hFlight := make([]*obs.Histogram, len(conns))
-	if cfg.Metrics != nil {
-		for i := range conns {
-			hFlight[i] = cfg.Metrics.Histogram(obs.Label(obs.MStageFlightNs, "node", ids[i]))
+	return nil
+}
+
+// assign is the one way a node is given kernels, at the start of the run and
+// after a death alike: MAssign carries the node's whole partition, MStart
+// follows with the clock-sync result (so the worker can correct
+// master-stamped timestamps), and the node's accounting restarts — a worker
+// builds its node from scratch on every MAssign and counts from zero. Every
+// assignment goes out before the first start, so the nodes build in parallel.
+func (m *master) assign(targets []*peer) error {
+	for _, p := range targets {
+		if err := p.conn.Send(&Msg{Kind: MAssign, Kernels: p.kernels, Spec: m.cfg.Spec, TraceOn: m.cfg.CollectTraces, Failover: m.cfg.Failover}); err != nil {
+			return fmt.Errorf("dist: assigning to %s: %w", p.id, err)
 		}
 	}
-
-	// Assign partitions and start; MStart carries the clock-sync result so
-	// workers can correct master-stamped timestamps.
-	for i, c := range conns {
-		if err := c.Send(&Msg{Kind: MAssign, Kernels: kernelsOf[i], Spec: cfg.Spec, TraceOn: cfg.CollectTraces, Failover: cfg.Failover}); err != nil {
-			shadow.Stop()
-			<-shadowDone
-			return nil, abort(err)
+	for _, p := range targets {
+		if err := p.conn.Send(&Msg{Kind: MStart, OffsetNs: p.offset, Synced: m.observed, SentNs: time.Now().UnixNano()}); err != nil {
+			return fmt.Errorf("dist: starting %s: %w", p.id, err)
 		}
+		p.forwarded, p.status, p.statusSeen, p.lastHeard = 0, Msg{}, false, time.Now()
 	}
-	for i, c := range conns {
-		if err := c.Send(&Msg{Kind: MStart, OffsetNs: offsets[i], Synced: observed, SentNs: time.Now().UnixNano()}); err != nil {
-			shadow.Stop()
-			<-shadowDone
-			return nil, abort(err)
-		}
-	}
-	cfg.View.setPhase("running")
+	return nil
+}
 
-	// Broker loop: fan worker events to subscribers and the shadow.
-	type inbound struct {
-		from int
-		msg  *Msg
-		err  error
-	}
-	// Readers select on brokerStop so they exit once RunMaster returns:
-	// after a failure the main loop stops draining inboxes, and a reader
-	// blocked on the full buffer would otherwise leak (its Recv keeps
-	// producing until the closed connection errors out).
-	inboxes := make(chan inbound, 1024)
-	brokerStop := make(chan struct{})
-	defer close(brokerStop)
-	startReader := func(i int, c Conn) {
-		go func() {
-			for {
-				m, err := c.Recv()
-				select {
-				case inboxes <- inbound{from: i, msg: m, err: err}:
-				case <-brokerStop:
-					return
-				}
-				if err != nil {
-					return
-				}
-			}
-		}()
-	}
-	for i, c := range conns {
-		startReader(i, c)
-	}
-
-	forwarded := make([]int64, len(conns))
-	status := make([]Msg, len(conns))
-	statusSeen := make([]bool, len(conns))
-	lastHeard := make([]time.Time, len(conns))
-	for i := range lastHeard {
-		lastHeard[i] = time.Now()
-	}
-	reports := map[string]*runtime.Report{}
-	doneSeen := map[doneRec]bool{}
-	var doneLog []doneRec
-	var traces []obs.NodeTrace
-	var deadIDs []string
-	var replayedGens int64
-	stableRounds := 0
-	var lastTotal int64 = -1
-	stopSent := false
-	// backlog holds inbound messages drained while the main loop was busy
-	// replaying generations to a rebuilt worker: replay sends many frames
-	// without returning to the select, and a full inboxes channel would
-	// stall the readers (and transitively the workers' send paths).
-	var backlog []inbound
-	drain := func(buf []inbound) []inbound {
+// listen starts p's reader, which feeds the loop until the connection fails
+// or the run ends.
+func (m *master) listen(p *peer) {
+	go func() {
 		for {
+			msg, err := p.conn.Recv()
 			select {
-			case in := <-inboxes:
-				buf = append(buf, in)
-			default:
-				return buf
-			}
-		}
-	}
-
-	// observeFlight records how long a worker message spent in flight:
-	// master receive time minus the worker's send stamp rebased to the
-	// master clock. Clamped at zero — the offset estimate has RTT/2 error,
-	// so fast messages can appear to arrive before they left.
-	observeFlight := func(from int, m *Msg) {
-		if hFlight[from] == nil || m.SentNs == 0 {
-			return
-		}
-		flight := time.Now().UnixNano() - (m.SentNs - offsets[from])
-		if flight < 0 {
-			flight = 0
-		}
-		hFlight[from].Observe(time.Duration(flight))
-	}
-
-	var die func(i int, cause error) error
-
-	forward := func(from int, subs []int, m *Msg) error {
-		for _, i := range subs {
-			if i == from || dead[i] {
-				continue
-			}
-			// Frame payloads skip gob on capable transports: the broker
-			// writes the received bytes raw after a copied envelope, so a
-			// frame is gob-encoded at most zero times on the fan-out path.
-			// SendFrame never mutates m, which all subscribers share.
-			var err error
-			if fc, ok := conns[i].(FrameConn); ok && len(m.Frame) > 0 {
-				err = fc.SendFrame(m, net.Buffers{m.Frame})
-			} else {
-				err = conns[i].Send(m)
+			case m.inbox <- inbound{from: p, msg: msg, err: err}:
+			case <-m.stop:
+				return
 			}
 			if err != nil {
-				if derr := die(i, err); derr != nil {
-					return derr
-				}
-				continue
+				return
 			}
-			forwarded[i]++
 		}
-		return nil
-	}
+	}()
+}
 
-	// replayTo re-sends a rebuilt worker the message stream it would have
-	// received from the start of the run: every live generation of every
-	// field it consumes (from the shadow, as store frames), then every
-	// remote producer completion it subscribes to, in original order.
-	// Stores strictly before dones — a done marks its generations complete,
-	// and merge mode silently drops stores into completed generations.
-	replayTo := func(t int) error {
-		forwarded[t] = 0
-		status[t] = Msg{}
-		statusSeen[t] = false
-		lastHeard[t] = time.Now()
-		for _, fd := range cfg.Prog.Fields {
-			if !consumes[t][fd.Name] {
-				continue
-			}
-			ages, err := shadow.FieldAges(fd.Name)
-			if err != nil {
-				return err
-			}
-			for _, age := range ages {
-				genFrom := cfg.Tracer.Now()
-				fr, err := shadow.EncodeGenerationFrame(fd.Name, age)
-				if err != nil {
-					return fmt.Errorf("dist: encoding replay of %s(%d): %w", fd.Name, age, err)
-				}
-				if fr == nil {
-					continue
-				}
-				env := &Msg{Kind: MStoreFrame, Field: fd.Name, Age: age, SentNs: time.Now().UnixNano()}
-				var serr error
-				if fc, ok := conns[t].(FrameConn); ok {
-					serr = fc.SendFrame(env, fr.Segments())
-				} else {
-					env.Frame = fr.AppendTo(nil)
-					serr = conns[t].Send(env)
-				}
-				runtime.PutStoreFrame(fr)
-				if serr != nil {
-					return fmt.Errorf("dist: replaying %s(%d) to %s: %w", fd.Name, age, ids[t], serr)
-				}
-				forwarded[t]++
-				replayedGens++
-				mReplayed.Inc()
-				if tr := cfg.Tracer; tr != nil {
-					tr.Record(obs.Span{
-						Name: "replay " + fd.Name, Cat: "dist", Ph: obs.PhaseComplete,
-						TS: genFrom, Dur: tr.Now() - genFrom, Age: age,
-					})
-				}
-				// Keep the readers moving while replay hogs the main loop.
-				backlog = drain(backlog)
-			}
-		}
-		local := map[string]bool{}
-		for _, k := range kernelsOf[t] {
-			local[k] = true
-		}
-		subscribed := map[string]bool{}
-		for k, subs := range kernelSubs {
-			for _, i := range subs {
-				if i == t {
-					subscribed[k] = true
-				}
-			}
-		}
-		for _, d := range doneLog {
-			if local[d.kernel] || !subscribed[d.kernel] {
-				continue
-			}
-			if err := conns[t].Send(&Msg{Kind: MDone, Kernel: d.kernel, Age: d.age, SentNs: time.Now().UnixNano()}); err != nil {
-				return fmt.Errorf("dist: replaying completion %s(%d) to %s: %w", d.kernel, d.age, ids[t], err)
-			}
-			forwarded[t]++
-		}
-		return nil
-	}
-
-	// recoverWorker reassigns a dead worker's kernels — to the first
-	// standby when one is waiting, else to survivors chosen by a fresh HLS
-	// partition over the remaining topology (survivors keep their existing
-	// kernels; moving a live kernel would force a needless rebuild) — and
-	// replays the lost state to every affected worker.
-	recoverWorker := func(i int) error {
-		lost := kernelsOf[i]
-		kernelsOf[i] = nil
-		rebuildSubs()
-		if len(lost) == 0 {
+// handle advances the master by one inbound event: a worker's message is
+// brokered to its subscribers and the shadow, or folded into the worker's
+// record; a failed receive is the worker's death.
+func (m *master) handle(in inbound) error {
+	p := in.from
+	if in.err != nil {
+		// A connection that closes after its report, or after the worker
+		// was declared dead, is the expected end of it.
+		if m.reported(p) {
 			return nil
 		}
-		mFailovers.Inc()
-		failFrom := cfg.Tracer.Now()
-		var targets []int
-		if len(standbys) > 0 {
-			sb := standbys[0]
-			standbys = standbys[1:]
-			t := len(conns)
-			conns = append(conns, sb.conn)
-			ids = append(ids, sb.id)
-			caps = append(caps, workerCap{cores: sb.cores, speed: sb.speed})
-			offsets = append(offsets, sb.offset)
-			forwarded = append(forwarded, 0)
-			status = append(status, Msg{})
-			statusSeen = append(statusSeen, false)
-			dead = append(dead, false)
-			lastHeard = append(lastHeard, time.Now())
-			kernelsOf = append(kernelsOf, lost)
-			var h *obs.Histogram
-			if cfg.Metrics != nil {
-				h = cfg.Metrics.Histogram(obs.Label(obs.MStageFlightNs, "node", sb.id))
-			}
-			hFlight = append(hFlight, h)
-			topo = topo.Add(sb.id, sb.cores, sb.speed)
-			cfg.View.registerWorker(t, sb.id, sb.cores, sb.speed)
-			cfg.View.setLiveness(heartbeat, maxMissed, cfg.Failover, len(standbys))
-			if err := sb.conn.Send(&Msg{Kind: MAssign, Kernels: lost, Spec: cfg.Spec, TraceOn: cfg.CollectTraces, Failover: cfg.Failover}); err != nil {
-				return fmt.Errorf("dist: assigning standby %s: %w", sb.id, err)
-			}
-			if err := sb.conn.Send(&Msg{Kind: MStart, OffsetNs: sb.offset, Synced: observed, SentNs: time.Now().UnixNano()}); err != nil {
-				return fmt.Errorf("dist: starting standby %s: %w", sb.id, err)
-			}
-			startReader(t, sb.conn)
-			targets = append(targets, t)
-		} else {
-			surv := sched.Topology{Bandwidth: topo.Bandwidth}
-			var survIdx []int
-			for j := range conns {
-				if dead[j] {
-					continue
-				}
-				surv = surv.Add(ids[j], caps[j].cores, caps[j].speed)
-				survIdx = append(survIdx, j)
-			}
-			if len(survIdx) == 0 {
-				return fmt.Errorf("dist: no surviving workers to take over %d kernels of %s", len(lost), ids[i])
-			}
-			assign2, _, err := sched.Partition(fin, surv, cfg.Method)
-			if err != nil {
-				return fmt.Errorf("dist: repartitioning after loss of %s: %w", ids[i], err)
-			}
-			lostSet := map[string]bool{}
-			for _, k := range lost {
-				lostSet[k] = true
-			}
-			seen := map[int]bool{}
-			for gi, kn := range fin.Nodes {
-				if !lostSet[kn.Name] {
-					continue
-				}
-				t := survIdx[assign2[gi]]
-				kernelsOf[t] = append(kernelsOf[t], kn.Name)
-				if !seen[t] {
-					seen[t] = true
-					targets = append(targets, t)
-				}
-			}
-			for _, t := range targets {
-				if err := conns[t].Send(&Msg{Kind: MReassign, Kernels: kernelsOf[t], Spec: cfg.Spec, TraceOn: cfg.CollectTraces, Failover: cfg.Failover}); err != nil {
-					return fmt.Errorf("dist: reassigning to %s: %w", ids[t], err)
-				}
-			}
+		return m.die(p, in.err)
+	}
+	msg := in.msg
+	p.lastHeard = time.Now()
+	p.observeFlight(msg)
+	if p.dead && msg.Kind != MStoreFrame && msg.Kind != MDone {
+		// A declared-dead worker's buffered data is still valid (it was
+		// produced before the death was noticed and its generations are
+		// write-once), but its control messages describe a worker that
+		// no longer participates.
+		return nil
+	}
+	switch msg.Kind {
+	case MStoreFrame:
+		// The envelope's Field/Age mirror the frame header, so routing
+		// needs no decode; the frame bytes are forwarded to subscribers
+		// as-is and only replayed into the shadow.
+		brokerFrom := m.cfg.Tracer.Now()
+		if err := m.shadow.InjectStoreFrame(msg.Frame); err != nil {
+			return fmt.Errorf("dist: shadow store frame: %w", err)
 		}
-		for _, t := range targets {
-			for _, k := range kernelsOf[t] {
-				kernelNode[k] = t
-			}
+		m.mFrames.Inc()
+		m.mFrameBytes.Add(int64(len(msg.Frame)))
+		if err := m.forward(p, m.fieldSubs[msg.Field], msg); err != nil {
+			return err
 		}
-		rebuildSubs()
-		cfg.View.setAssignment(kernelNode, cfg.Method.String())
-		for _, t := range targets {
-			if err := replayTo(t); err != nil {
-				return err
-			}
-		}
-		// Rebuilding and replaying a large shadow can outlast the liveness
-		// window, and this loop was not reading while it ran: the silence
-		// is the master's, not the workers'. Restart every live worker's
-		// clock so one recovery does not cascade into false deaths.
-		refreshed := time.Now()
-		for j := range lastHeard {
-			if !dead[j] {
-				lastHeard[j] = refreshed
-			}
-		}
-		if tr := cfg.Tracer; tr != nil {
+		if tr := m.cfg.Tracer; tr != nil {
+			// The broker hop of the frame's causal trace: replay into
+			// the shadow plus fan-out to subscribers.
 			tr.Record(obs.Span{
-				Name: "failover " + ids[i], Cat: "dist", Ph: obs.PhaseComplete,
-				TS: failFrom, Dur: tr.Now() - failFrom,
+				Name: "broker " + msg.Field, Cat: "dist", Ph: obs.PhaseComplete,
+				TS: brokerFrom, Dur: tr.Now() - brokerFrom,
+				Age: msg.Age, Trace: msg.Trace, Flow: obs.FlowStep,
 			})
 		}
-		// The cluster must restabilize from scratch: the rebuilt workers
-		// re-execute their kernels before quiescence means anything.
-		stableRounds = 0
-		lastTotal = -1
+	case MDone:
+		d := doneRec{kernel: msg.Kernel, age: msg.Age}
+		if m.doneSeen[d] {
+			// A rebuilt worker re-executes its kernels and re-announces
+			// completions the cluster already accounted for. Injecting a
+			// duplicate would overshoot the shadow's producer count and
+			// mark generations complete while a slower producer is still
+			// storing — merge mode would then silently drop its
+			// legitimate stores.
+			return nil
+		}
+		m.doneSeen[d] = true
+		m.doneLog = append(m.doneLog, d)
+		if err := m.shadow.InjectRemoteDone(msg.Kernel, msg.Age); err != nil {
+			return fmt.Errorf("dist: shadow done: %w", err)
+		}
+		return m.forward(p, m.kernelSubs[msg.Kernel], msg)
+	case MStatus:
+		p.status = *msg
+		p.statusSeen = true
+		m.cfg.View.updateWorker(p.idx, msg.Idle, msg.Sent, msg.Received, msg.Metrics)
+	case MTrace:
+		m.traces = append(m.traces, obs.NodeTrace{
+			Node:        p.id,
+			PID:         p.idx + 2, // pid 1 is the master's lane
+			StartUnixNs: msg.TraceStartNs,
+			OffsetNs:    p.offset,
+			Dropped:     msg.TraceDropped,
+			Spans:       msg.Spans,
+		})
+	case MReport:
+		m.reports[p.id] = msg.Report
+		m.cfg.View.workerDone(p.idx, msg.Report)
+	case MError:
+		return fmt.Errorf("dist: worker %s failed: %s", p.id, msg.Err)
+	}
+	return nil
+}
+
+// observeFlight records how long a worker message spent in flight: master
+// receive time minus the worker's send stamp rebased to the master clock.
+// Clamped at zero — the offset estimate has RTT/2 error, so fast messages can
+// appear to arrive before they left.
+func (p *peer) observeFlight(msg *Msg) {
+	if p.flight == nil || msg.SentNs == 0 {
+		return
+	}
+	flight := time.Now().UnixNano() - (msg.SentNs - p.offset)
+	p.flight.Observe(time.Duration(max(flight, 0)))
+}
+
+// forward fans one worker's event out to its subscribers. The envelope is
+// shared, not copied: no transport mutates a message it sends.
+func (m *master) forward(from *peer, subs []*peer, msg *Msg) error {
+	for _, p := range subs {
+		if p == from || p.dead {
+			continue
+		}
+		if err := p.conn.Send(msg); err != nil {
+			if derr := m.die(p, err); derr != nil {
+				return derr
+			}
+			continue
+		}
+		p.forwarded++
+	}
+	return nil
+}
+
+func (m *master) reported(p *peer) bool {
+	_, ok := m.reports[p.id]
+	return ok
+}
+
+// awaitingReports reports whether a live worker still owes its final report.
+func (m *master) awaitingReports() bool {
+	for _, p := range m.peers {
+		if !p.dead && !m.reported(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// tick advances the master by one poll interval: liveness accounting, then —
+// until the stop has gone out — the quiescence check, which ends in either
+// the stop or the next round of status pings.
+func (m *master) tick(now time.Time) error {
+	// Liveness runs in every phase — including after the stop was sent,
+	// where a worker dying between its last heartbeat and its report would
+	// otherwise hang report collection forever.
+	if m.liveTimeout > 0 {
+		for _, p := range m.peers {
+			if p.dead || m.reported(p) {
+				continue
+			}
+			if silent := now.Sub(p.lastHeard); silent > m.liveTimeout {
+				cause := fmt.Errorf("missed %d heartbeats (silent %v, liveness window %v)", m.cfg.MaxMissed, silent.Round(time.Millisecond), m.liveTimeout)
+				if err := m.die(p, cause); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if m.stopSent {
 		return nil
 	}
-
-	// die declares a worker dead. Without failover it returns the error
-	// that fails the run (named after the worker); with failover it
-	// recovers — unless quiescence was already reached, in which case all
-	// data is safe in the shadow and only the worker's report is lost.
-	die = func(i int, cause error) error {
-		if dead[i] {
-			return nil
-		}
-		dead[i] = true
-		deadIDs = append(deadIDs, ids[i])
-		conns[i].Close()
-		mDeaths.Inc()
-		cfg.View.workerDead(i)
-		if !cfg.Failover {
-			return fmt.Errorf("dist: worker %s: %w", ids[i], cause)
-		}
-		if stopSent {
-			return nil
-		}
-		return recoverWorker(i)
-	}
-
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-
-	fail := func(err error) (*MasterResult, error) {
-		cfg.View.setPhase("failed: " + err.Error())
-		// Tell survivors to stop before closing: a worker that only saw
-		// its connection drop would return an error with its node state
-		// still live, while MStopReq routes it through the normal stop
-		// path (teardown, slab release). Best effort — the broken
-		// connection that caused the failure will refuse the send.
-		for i, c := range conns {
-			if dead[i] {
-				continue
-			}
-			c.Send(&Msg{Kind: MStopReq})
-			c.Close()
-		}
-		for _, sb := range standbys {
-			sb.conn.Send(&Msg{Kind: MStopReq})
-			sb.conn.Close()
-		}
-		shadow.Stop()
-		<-shadowDone
-		return nil, err
-	}
-
-	needReports := func() bool {
-		for i := range conns {
-			if dead[i] {
-				continue
-			}
-			if _, ok := reports[ids[i]]; !ok {
-				return true
-			}
-		}
-		return false
-	}
-
-	for !stopSent || needReports() {
-		var in inbound
-		gotMsg := false
-		if len(backlog) > 0 {
-			in = backlog[0]
-			backlog = backlog[1:]
-			gotMsg = true
-		} else {
-			select {
-			case in = <-inboxes:
-				gotMsg = true
-			case <-ticker.C:
-			}
-		}
-		if !gotMsg {
-			now := time.Now()
-			// Liveness runs in every phase — including after the stop was
-			// sent, where a worker dying between its last heartbeat and
-			// its report would otherwise hang report collection forever.
-			if liveTimeout > 0 {
-				for i := range conns {
-					if dead[i] {
-						continue
-					}
-					if _, have := reports[ids[i]]; have {
-						continue
-					}
-					if silent := now.Sub(lastHeard[i]); silent > liveTimeout {
-						cause := fmt.Errorf("missed %d heartbeats (silent %v, liveness window %v)", maxMissed, silent.Round(time.Millisecond), liveTimeout)
-						if err := die(i, cause); err != nil {
-							return fail(err)
-						}
-					}
-				}
-			}
-			if stopSent {
-				continue
-			}
-			quiet := true
-			var total int64
-			for i := range conns {
-				if dead[i] {
-					continue
-				}
-				if !statusSeen[i] || !status[i].Idle || status[i].Received != forwarded[i] {
-					quiet = false
-				}
-				// A stale heartbeat must not count toward quiescence: the
-				// worker has to have been heard from within the liveness
-				// window, or its Idle claim describes a world that may no
-				// longer exist.
-				if liveTimeout > 0 && now.Sub(lastHeard[i]) > liveTimeout {
-					quiet = false
-				}
-				total += status[i].Sent + status[i].Received
-			}
-			if quiet && shadow.Idle() && total == lastTotal {
-				stableRounds++
-			} else {
-				stableRounds = 0
-			}
-			lastTotal = total
-			if stableRounds >= 2 {
-				stopSent = true
-				for i, c := range conns {
-					if dead[i] {
-						continue
-					}
-					// Pull span buffers before the stop: per-connection
-					// FIFO ordering guarantees each MTrace reply arrives
-					// before its MReport, so report collection still
-					// terminates the loop.
-					if cfg.CollectTraces {
-						if err := c.Send(&Msg{Kind: MTraceReq}); err != nil {
-							if derr := die(i, err); derr != nil {
-								return fail(derr)
-							}
-							continue
-						}
-					}
-					if err := c.Send(&Msg{Kind: MStopReq}); err != nil {
-						if derr := die(i, err); derr != nil {
-							return fail(derr)
-						}
-					}
-				}
-				// Release the standbys that were never needed.
-				for _, sb := range standbys {
-					sb.conn.Send(&Msg{Kind: MStopReq})
-					sb.conn.Close()
-				}
-				standbys = nil
-				continue
-			}
-			for i := range conns {
-				if dead[i] {
-					continue
-				}
-				statusSeen[i] = false
-				if err := conns[i].Send(&Msg{Kind: MPing, SentNs: time.Now().UnixNano()}); err != nil {
-					if derr := die(i, err); derr != nil {
-						return fail(derr)
-					}
-				}
-			}
+	quiet := true
+	var total int64
+	for _, p := range m.peers {
+		if p.dead {
 			continue
 		}
-
-		if in.err != nil {
-			if _, have := reports[ids[in.from]]; have {
-				continue // connection closed after its report: fine
-			}
-			if dead[in.from] {
-				continue
-			}
-			if err := die(in.from, in.err); err != nil {
-				return fail(err)
-			}
+		if !p.statusSeen || !p.status.Idle || p.status.Received != p.forwarded {
+			quiet = false
+		}
+		// A stale heartbeat must not count toward quiescence: the worker
+		// has to have been heard from within the liveness window, or its
+		// Idle claim describes a world that may no longer exist.
+		if m.liveTimeout > 0 && now.Sub(p.lastHeard) > m.liveTimeout {
+			quiet = false
+		}
+		total += p.status.Sent + p.status.Received
+	}
+	if quiet && m.shadow.Idle() && total == m.lastTotal {
+		m.stableRounds++
+	} else {
+		m.stableRounds = 0
+	}
+	m.lastTotal = total
+	if m.stableRounds >= 2 {
+		return m.requestStop()
+	}
+	for _, p := range m.peers {
+		if p.dead {
 			continue
 		}
-		m := in.msg
-		lastHeard[in.from] = time.Now()
-		observeFlight(in.from, m)
-		if dead[in.from] {
-			// A declared-dead worker's buffered data is still valid (it was
-			// produced before the death was noticed and its generations are
-			// write-once), but its control messages describe a worker that
-			// no longer participates.
-			switch m.Kind {
-			case MStoreFrame, MDone:
-			default:
-				continue
+		p.statusSeen = false
+		if err := p.conn.Send(&Msg{Kind: MPing, SentNs: time.Now().UnixNano()}); err != nil {
+			if derr := m.die(p, err); derr != nil {
+				return derr
 			}
-		}
-		switch m.Kind {
-		case MStoreFrame:
-			// The envelope's Field/Age mirror the frame header, so
-			// routing needs no decode; the frame bytes are forwarded
-			// to subscribers as-is and only replayed into the shadow.
-			brokerFrom := cfg.Tracer.Now()
-			if err := shadow.InjectStoreFrame(m.Frame); err != nil {
-				return fail(fmt.Errorf("dist: shadow store frame: %w", err))
-			}
-			mFrames.Inc()
-			mFrameBytes.Add(int64(len(m.Frame)))
-			if err := forward(in.from, fieldSubs[m.Field], m); err != nil {
-				return fail(err)
-			}
-			if tr := cfg.Tracer; tr != nil {
-				// The broker hop of the frame's causal trace: replay
-				// into the shadow plus fan-out to subscribers.
-				tr.Record(obs.Span{
-					Name: "broker " + m.Field, Cat: "dist", Ph: obs.PhaseComplete,
-					TS: brokerFrom, Dur: tr.Now() - brokerFrom,
-					Age: m.Age, Trace: m.Trace, Flow: obs.FlowStep,
-				})
-			}
-		case MDone:
-			d := doneRec{kernel: m.Kernel, age: m.Age}
-			if doneSeen[d] {
-				// A rebuilt worker re-executes its kernels and re-announces
-				// completions the cluster already accounted for. Injecting
-				// a duplicate would overshoot the shadow's producer count
-				// and mark generations complete while a slower producer is
-				// still storing — merge mode would then silently drop its
-				// legitimate stores.
-				continue
-			}
-			doneSeen[d] = true
-			doneLog = append(doneLog, d)
-			if err := shadow.InjectRemoteDone(m.Kernel, m.Age); err != nil {
-				return fail(fmt.Errorf("dist: shadow done: %w", err))
-			}
-			if err := forward(in.from, kernelSubs[m.Kernel], m); err != nil {
-				return fail(err)
-			}
-		case MStatus:
-			status[in.from] = *m
-			statusSeen[in.from] = true
-			cfg.View.updateWorker(in.from, m.Idle, m.Sent, m.Received, m.Metrics)
-		case MTrace:
-			traces = append(traces, obs.NodeTrace{
-				Node:        ids[in.from],
-				PID:         in.from + 2, // pid 1 is the master's lane
-				StartUnixNs: m.TraceStartNs,
-				OffsetNs:    offsets[in.from],
-				Dropped:     m.TraceDropped,
-				Spans:       m.Spans,
-			})
-		case MReport:
-			reports[ids[in.from]] = m.Report
-			cfg.View.workerDone(in.from, m.Report)
-		case MError:
-			return fail(fmt.Errorf("dist: worker %s failed: %s", ids[in.from], m.Err))
 		}
 	}
+	return nil
+}
 
-	shadow.Stop()
-	if err := <-shadowDone; err != nil {
-		return nil, err
+// requestStop ends a quiescent run: every live worker is asked for its span
+// buffer (with CollectTraces) and then to stop, and the standbys that were
+// never needed are released.
+func (m *master) requestStop() error {
+	m.stopSent = true
+	for _, p := range m.peers {
+		if p.dead {
+			continue
+		}
+		// Span buffers are pulled before the stop: per-connection FIFO
+		// ordering guarantees each MTrace reply arrives before its MReport,
+		// so report collection still terminates the loop.
+		var err error
+		if m.cfg.CollectTraces {
+			err = p.conn.Send(&Msg{Kind: MTraceReq})
+		}
+		if err == nil {
+			err = p.conn.Send(&Msg{Kind: MStopReq})
+		}
+		if err != nil {
+			if derr := m.die(p, err); derr != nil {
+				return derr
+			}
+		}
 	}
-	for _, c := range conns {
-		c.Close()
-	}
-	for _, sb := range standbys {
+	for _, sb := range m.standbys {
 		sb.conn.Send(&Msg{Kind: MStopReq})
 		sb.conn.Close()
 	}
-	cfg.View.setPhase("done")
+	m.standbys = nil
+	return nil
+}
+
+// die declares a worker dead. Without failover it returns the error that
+// fails the run (named after the worker); with failover it recovers — unless
+// quiescence was already reached, in which case all data is safe in the
+// shadow and only the worker's report is lost.
+func (m *master) die(p *peer, cause error) error {
+	if p.dead {
+		return nil
+	}
+	p.dead = true
+	m.deadIDs = append(m.deadIDs, p.id)
+	p.conn.Close()
+	m.mDeaths.Inc()
+	m.cfg.View.workerDead(p.idx)
+	if !m.cfg.Failover {
+		return fmt.Errorf("dist: worker %s: %w", p.id, cause)
+	}
+	if m.stopSent {
+		return nil
+	}
+	return m.recover(p)
+}
+
+// recover reassigns a dead worker's kernels — to the first standby when one
+// is waiting, else to survivors chosen by a fresh HLS partition over the
+// remaining topology — and replays the lost state to every affected worker.
+// Reassignment is assignment: the affected workers get their whole new
+// partition through assign, exactly as at the start of the run.
+func (m *master) recover(dead *peer) error {
+	lost := dead.kernels
+	dead.kernels = nil
+	if len(lost) == 0 {
+		return nil
+	}
+	m.mFailovers.Inc()
+	failFrom := m.cfg.Tracer.Now()
+	var targets []*peer
+	if len(m.standbys) > 0 {
+		sb := m.standbys[0]
+		m.standbys = m.standbys[1:]
+		m.enroll(sb)
+		m.cfg.View.setLiveness(m.cfg.Heartbeat, m.cfg.MaxMissed, m.cfg.Failover, len(m.standbys))
+		m.listen(sb)
+		sb.kernels = lost
+		for _, k := range lost {
+			m.kernelNode[k] = sb.idx
+		}
+		targets = []*peer{sb}
+	} else {
+		var err error
+		if targets, _, err = m.place(lost); err != nil {
+			return fmt.Errorf("dist: repartitioning after loss of %s: %w", dead.id, err)
+		}
+	}
+	m.subscribe()
+	m.cfg.View.setAssignment(m.kernelNode, m.cfg.Method.String())
+	if err := m.assign(targets); err != nil {
+		return err
+	}
+	for _, t := range targets {
+		if err := m.replay(t); err != nil {
+			return err
+		}
+	}
+	// Rebuilding and replaying a large shadow can outlast the liveness
+	// window, and the loop was not reading while it ran: the silence is the
+	// master's, not the workers'. Restart every live worker's clock so one
+	// recovery does not cascade into false deaths.
+	refreshed := time.Now()
+	for _, p := range m.peers {
+		if !p.dead {
+			p.lastHeard = refreshed
+		}
+	}
+	if tr := m.cfg.Tracer; tr != nil {
+		tr.Record(obs.Span{
+			Name: "failover " + dead.id, Cat: "dist", Ph: obs.PhaseComplete,
+			TS: failFrom, Dur: tr.Now() - failFrom,
+		})
+	}
+	// The cluster must restabilize from scratch: the rebuilt workers
+	// re-execute their kernels before quiescence means anything.
+	m.stableRounds = 0
+	m.lastTotal = -1
+	return nil
+}
+
+// replay re-sends a rebuilt worker the message stream it would have received
+// from the start of the run: every live generation of every field it
+// consumes (from the shadow, as store frames), then every remote producer
+// completion it subscribes to, in original order. Stores strictly before
+// dones — a done marks its generations complete, and merge mode silently
+// drops stores into completed generations.
+func (m *master) replay(t *peer) error {
+	for _, fd := range m.cfg.Prog.Fields {
+		if !t.consumes[fd.Name] {
+			continue
+		}
+		ages, err := m.shadow.FieldAges(fd.Name)
+		if err != nil {
+			return err
+		}
+		for _, age := range ages {
+			genFrom := m.cfg.Tracer.Now()
+			fr, err := m.shadow.EncodeGenerationFrame(fd.Name, age)
+			if err != nil {
+				return fmt.Errorf("dist: encoding replay of %s(%d): %w", fd.Name, age, err)
+			}
+			if fr == nil {
+				continue
+			}
+			err = t.conn.SendFrame(&Msg{Kind: MStoreFrame, Field: fd.Name, Age: age, SentNs: time.Now().UnixNano()}, fr.Segments())
+			runtime.PutStoreFrame(fr)
+			if err != nil {
+				return fmt.Errorf("dist: replaying %s(%d) to %s: %w", fd.Name, age, t.id, err)
+			}
+			t.forwarded++
+			m.replayed++
+			m.mReplayed.Inc()
+			if tr := m.cfg.Tracer; tr != nil {
+				tr.Record(obs.Span{
+					Name: "replay " + fd.Name, Cat: "dist", Ph: obs.PhaseComplete,
+					TS: genFrom, Dur: tr.Now() - genFrom, Age: age,
+				})
+			}
+			// Keep the readers moving while replay hogs the loop.
+			m.drain()
+		}
+	}
+	for _, d := range m.doneLog {
+		if slices.Contains(t.kernels, d.kernel) || !slices.Contains(m.kernelSubs[d.kernel], t) {
+			continue
+		}
+		if err := t.conn.Send(&Msg{Kind: MDone, Kernel: d.kernel, Age: d.age, SentNs: time.Now().UnixNano()}); err != nil {
+			return fmt.Errorf("dist: replaying completion %s(%d) to %s: %w", d.kernel, d.age, t.id, err)
+		}
+		t.forwarded++
+	}
+	return nil
+}
+
+// drain moves what the readers have queued into the backlog, without
+// blocking.
+func (m *master) drain() {
+	for {
+		select {
+		case in := <-m.inbox:
+			m.backlog = append(m.backlog, in)
+		default:
+			return
+		}
+	}
+}
+
+// shutdown fails the run and returns err. Nodes still in their handshake are
+// told why (MError) — they would otherwise wait forever on a master that
+// already returned. Once the run is under way survivors are asked to stop
+// instead: a worker that only saw its connection drop would return an error
+// with its node state still live, while MStopReq routes it through the normal
+// stop path (teardown, slab release). Best effort either way — a broken
+// connection that caused the failure will refuse the send.
+func (m *master) shutdown(err error) error {
+	m.cfg.View.setPhase("failed: " + err.Error())
+	bye := &Msg{Kind: MError, Err: err.Error()}
+	if m.running {
+		bye = &Msg{Kind: MStopReq}
+	}
+	for _, c := range m.conns {
+		c.Send(bye)
+		c.Close()
+	}
+	if m.shadow != nil {
+		m.shadow.Stop()
+		<-m.shadowDone
+	}
+	return err
+}
+
+// finish closes a completed run and assembles its result.
+func (m *master) finish() (*MasterResult, error) {
+	m.shadow.Stop()
+	if err := <-m.shadowDone; err != nil {
+		return nil, err
+	}
+	for _, c := range m.conns {
+		c.Close()
+	}
+	m.cfg.View.setPhase("done")
 	clockOffsets := map[string]int64{}
-	if observed {
-		for i, id := range ids {
-			clockOffsets[id] = offsets[i]
+	if m.observed {
+		for _, p := range m.peers {
+			clockOffsets[p.id] = p.offset
 		}
 	}
 	return &MasterResult{
-		Assignment:   kernelNode,
-		Cost:         cost,
-		Reports:      reports,
-		Shadow:       shadow,
-		Traces:       traces,
+		Assignment:   m.kernelNode,
+		Cost:         m.cost,
+		Reports:      m.reports,
+		Shadow:       m.shadow,
+		Traces:       m.traces,
 		ClockOffsets: clockOffsets,
-		DeadWorkers:  deadIDs,
-		Replayed:     replayedGens,
+		DeadWorkers:  m.deadIDs,
+		Replayed:     m.replayed,
 	}, nil
 }

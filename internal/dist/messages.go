@@ -3,7 +3,6 @@ package dist
 import (
 	"strconv"
 
-	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -13,66 +12,35 @@ type MsgKind uint8
 
 // Protocol message kinds, in rough lifecycle order.
 const (
-	MRegister    MsgKind = iota // worker → master: here I am, this is my capacity
-	MAssign                     // master → worker: your kernel partition
-	MStart                      // master → worker: begin execution
-	MDone                       // worker ↔ master: a kernel-age completed
-	MPing                       // master → worker: report status
-	MStatus                     // worker → master: idle state and event counters
-	MStopReq                    // master → worker: quiesce reached, shut down
-	MReport                     // worker → master: final instrumentation report
-	MSnapshotReq                // master → worker: send a field generation
-	MSnapshot                   // worker → master: field generation contents
-	MError                      // either direction: fatal error
-	MStoreFrame                 // worker ↔ master: a batched store-notice frame (forwarded raw)
-	MClockProbe                 // master → worker: clock-offset probe (handshake, Cristian-style)
-	MClockEcho                  // worker → master: probe echo with the worker's clock reading
-	MTraceReq                   // master → worker: send your span buffer (shutdown)
-	MTrace                      // worker → master: span buffer + trace alignment data
-	MJoin                       // standby worker → master: available for takeover, not initial partition
-	MReassign                   // master → worker: replacement kernel partition after a peer died
+	MRegister   MsgKind = iota // worker → master: here I am, this is my capacity
+	MAssign                    // master → worker: your kernel partition (sent again after a peer died)
+	MStart                     // master → worker: begin execution
+	MDone                      // worker ↔ master: a kernel-age completed
+	MPing                      // master → worker: report status
+	MStatus                    // worker → master: idle state and event counters
+	MStopReq                   // master → worker: quiesce reached, shut down
+	MReport                    // worker → master: final instrumentation report
+	MError                     // either direction: fatal error
+	MStoreFrame                // worker ↔ master: a batched store-notice frame (forwarded raw)
+	MClockProbe                // master → worker: clock-offset probe (handshake, Cristian-style)
+	MClockEcho                 // worker → master: probe echo with the worker's clock reading
+	MTraceReq                  // master → worker: send your span buffer (shutdown)
+	MTrace                     // worker → master: span buffer + trace alignment data
+	MJoin                      // standby worker → master: available for takeover, not initial partition
 )
+
+var kindNames = [...]string{
+	MRegister: "MRegister", MAssign: "MAssign", MStart: "MStart", MDone: "MDone",
+	MPing: "MPing", MStatus: "MStatus", MStopReq: "MStopReq", MReport: "MReport",
+	MError: "MError", MStoreFrame: "MStoreFrame", MClockProbe: "MClockProbe",
+	MClockEcho: "MClockEcho", MTraceReq: "MTraceReq", MTrace: "MTrace", MJoin: "MJoin",
+}
 
 // String returns the lifecycle name of the message kind, for handshake and
 // protocol error messages.
 func (k MsgKind) String() string {
-	switch k {
-	case MRegister:
-		return "MRegister"
-	case MAssign:
-		return "MAssign"
-	case MStart:
-		return "MStart"
-	case MDone:
-		return "MDone"
-	case MPing:
-		return "MPing"
-	case MStatus:
-		return "MStatus"
-	case MStopReq:
-		return "MStopReq"
-	case MReport:
-		return "MReport"
-	case MSnapshotReq:
-		return "MSnapshotReq"
-	case MSnapshot:
-		return "MSnapshot"
-	case MError:
-		return "MError"
-	case MStoreFrame:
-		return "MStoreFrame"
-	case MClockProbe:
-		return "MClockProbe"
-	case MClockEcho:
-		return "MClockEcho"
-	case MTraceReq:
-		return "MTraceReq"
-	case MTrace:
-		return "MTrace"
-	case MJoin:
-		return "MJoin"
-	case MReassign:
-		return "MReassign"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return "MsgKind(" + strconv.Itoa(int(k)) + ")"
 }
@@ -87,7 +55,7 @@ type Msg struct {
 	Cores  int
 	Speed  float64
 
-	// MAssign / MReassign
+	// MAssign
 	Kernels []string // kernel names the worker executes
 	Spec    string   // program spec for workers that build the program from a registry
 	// Failover tells the worker the master is running with failover enabled:
@@ -99,16 +67,15 @@ type Msg struct {
 	// MStoreFrame: a whole-generation batch of store notices encoded by
 	// runtime.StoreFrame. Field and Age mirror the frame header so the
 	// master broker routes by subscription without decoding the payload;
-	// Trace mirrors the frame's causal trace id (0 when tracing is off).
+	// Trace is the frame's causal trace id (0 when tracing is off), which
+	// travels on the envelope only.
 	Frame []byte
 	Trace uint64
-	// FrameLen carries the frame payload out-of-band: a transport that
-	// supports scatter-gather sends (FrameConn) encodes the envelope with
-	// Frame nil and FrameLen set, then writes the raw frame bytes directly
-	// after it on the stream. Recv materializes the bytes back into Frame
-	// and zeroes FrameLen, so receivers never observe the split form. Gob
-	// omits zero fields, so envelopes without a raw frame are byte-
-	// identical to before.
+	// FrameLen carries the frame payload out-of-band: the TCP transport
+	// encodes the envelope with Frame nil and FrameLen set, then writes the
+	// raw frame bytes directly after it on the stream. Recv materializes the
+	// bytes back into Frame and zeroes FrameLen, so receivers never observe
+	// the split form.
 	FrameLen int
 
 	// SentNs is the sender's wall clock (UnixNano) when the message was
@@ -155,9 +122,8 @@ type Msg struct {
 	// MReport
 	Report *runtime.Report
 
-	// MSnapshotReq / MSnapshot
+	// MStoreFrame: the stored field (Age is shared with MDone)
 	Field string
-	Arr   *field.Array
 
 	// MError
 	Err string

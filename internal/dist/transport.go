@@ -16,6 +16,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -25,40 +26,30 @@ import (
 	"time"
 )
 
-// Conn is a bidirectional, ordered message channel between two nodes.
+// Conn is a bidirectional, ordered message channel between two nodes. Every
+// transport sends frames, counts its traffic and bounds its blocking
+// operations; FrameConn and StatsReporter name two of those capabilities for
+// callers that need only one.
 type Conn interface {
-	Send(*Msg) error
-	Recv() (*Msg, error)
-	Close() error
-}
-
-// IdleTimeoutConn is implemented by transports whose operations can be
-// deadline-bounded. With a non-zero timeout, a Recv that sees no message for
-// the duration — and, on TCP, a Send that cannot make progress — fails with
-// an error containing "idle timeout" instead of blocking forever. This is the
-// failure-detection primitive: a half-open TCP connection (peer machine gone,
-// no RST ever arrives) otherwise wedges a blocking read indefinitely.
-type IdleTimeoutConn interface {
-	Conn
+	FrameConn
+	StatsReporter
+	// SetIdleTimeout bounds every subsequent blocking operation: with a
+	// non-zero timeout, a Recv that sees no message for the duration — or a
+	// Send that cannot make progress — fails with an error containing "idle
+	// timeout" instead of blocking forever. This is the failure-detection
+	// primitive: a half-open TCP connection (peer machine gone, no RST ever
+	// arrives) otherwise wedges a blocking read indefinitely.
 	SetIdleTimeout(d time.Duration)
 }
 
-// SetConnIdleTimeout applies an idle timeout when the transport supports one;
-// it is a no-op otherwise, so callers need not type-switch.
-func SetConnIdleTimeout(c Conn, d time.Duration) {
-	if ic, ok := c.(IdleTimeoutConn); ok {
-		ic.SetIdleTimeout(d)
-	}
-}
-
-// FrameConn is implemented by transports that can send a store-frame payload
-// scatter-gather style: the envelope is encoded with Frame nil and FrameLen
-// set, then the segment vector is written raw (writev) after it, so slab
-// bytes reach the socket without an intermediate contiguous copy. SendFrame
-// must not mutate m — the broker shares one envelope across subscribers —
-// and must not retain segs past the call.
+// FrameConn sends a store-frame payload scatter-gather style. SendFrame must
+// not mutate m — the broker shares one envelope across subscribers — and must
+// not retain segs past the call; the message arrives with the concatenated
+// segments as its Frame.
 type FrameConn interface {
-	Conn
+	Send(*Msg) error
+	Recv() (*Msg, error)
+	Close() error
 	SendFrame(m *Msg, segs net.Buffers) error
 }
 
@@ -72,8 +63,8 @@ type ConnStats struct {
 	RecvBytes int64
 }
 
-// StatsReporter is implemented by transports that count their traffic; the
-// worker and master fold these counters into metrics and reports.
+// StatsReporter reports a connection's traffic; the worker and the master CLI
+// fold these counters into metrics and reports.
 type StatsReporter interface {
 	Stats() ConnStats
 }
@@ -112,7 +103,8 @@ type inprocConn struct {
 	connStats
 }
 
-// SetIdleTimeout implements IdleTimeoutConn: Recv fails after d of silence.
+// SetIdleTimeout bounds Recv (d of silence) and Send (d with the peer's
+// buffer full).
 func (c *inprocConn) SetIdleTimeout(d time.Duration) { c.idle.Store(int64(d)) }
 
 // InprocPipe returns a connected pair of in-process connections.
@@ -125,6 +117,21 @@ func InprocPipe() (Conn, Conn) {
 	return a, b
 }
 
+// idleTimer returns a channel that fires after the idle timeout (nil, which
+// never fires, when none is set) and the function that releases the timer.
+func (c *inprocConn) idleTimer() (<-chan time.Time, func() bool) {
+	d := c.idle.Load()
+	if d <= 0 {
+		return nil, func() bool { return false }
+	}
+	t := time.NewTimer(time.Duration(d))
+	return t.C, t.Stop
+}
+
+func (c *inprocConn) idleErr() error {
+	return fmt.Errorf("dist: idle timeout after %v", time.Duration(c.idle.Load()))
+}
+
 func (c *inprocConn) Send(m *Msg) error {
 	// Check closure first: the buffered data channel may still have room,
 	// and select would otherwise pick it nondeterministically.
@@ -135,24 +142,32 @@ func (c *inprocConn) Send(m *Msg) error {
 		return fmt.Errorf("dist: peer closed")
 	default:
 	}
+	timeout, stop := c.idleTimer()
+	defer stop()
 	select {
 	case <-c.done:
 		return fmt.Errorf("dist: send on closed connection")
 	case <-c.peer.done:
 		return fmt.Errorf("dist: peer closed")
+	case <-timeout:
+		return c.idleErr()
 	case c.out <- m:
 		c.sentMsgs.Add(1)
 		return nil
 	}
 }
 
+// SendFrame flattens the segments into a fresh slice: messages cross this
+// transport by pointer, so a pooled frame buffer must never ride inside one.
+func (c *inprocConn) SendFrame(m *Msg, segs net.Buffers) error {
+	env := *m
+	env.Frame = bytes.Join(segs, nil)
+	return c.Send(&env)
+}
+
 func (c *inprocConn) Recv() (*Msg, error) {
-	var timeout <-chan time.Time
-	if d := c.idle.Load(); d > 0 {
-		t := time.NewTimer(time.Duration(d))
-		defer t.Stop()
-		timeout = t.C
-	}
+	timeout, stop := c.idleTimer()
+	defer stop()
 	select {
 	case m := <-c.in:
 		c.recvMsgs.Add(1)
@@ -160,7 +175,7 @@ func (c *inprocConn) Recv() (*Msg, error) {
 	case <-c.done:
 		return nil, fmt.Errorf("dist: connection closed")
 	case <-timeout:
-		return nil, fmt.Errorf("dist: idle timeout after %v", time.Duration(c.idle.Load()))
+		return nil, c.idleErr()
 	case <-c.peer.done:
 		// Drain anything already queued before reporting closure.
 		select {
@@ -193,10 +208,9 @@ type tcpConn struct {
 	connStats
 }
 
-// SetIdleTimeout implements IdleTimeoutConn: every subsequent Recv arms a
-// read deadline and every Send a write deadline, so a half-open peer surfaces
-// as an error instead of a forever-blocked syscall. Zero clears any armed
-// deadline.
+// SetIdleTimeout makes every subsequent Recv arm a read deadline and every
+// Send a write deadline, so a half-open peer surfaces as an error instead of
+// a forever-blocked syscall. Zero clears any armed deadline.
 func (c *tcpConn) SetIdleTimeout(d time.Duration) {
 	c.idle.Store(int64(d))
 	if d == 0 {
@@ -254,7 +268,13 @@ func newTCPConn(nc net.Conn) Conn {
 	return c
 }
 
+// Send gob-encodes the envelope. Frame bytes never pass through gob: a
+// message that carries a frame goes out through SendFrame, so a forwarded
+// frame reaches the socket as the bytes that were received.
 func (c *tcpConn) Send(m *Msg) error {
+	if len(m.Frame) > 0 {
+		return c.SendFrame(m, net.Buffers{m.Frame})
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if d := c.idle.Load(); d > 0 {
@@ -267,10 +287,10 @@ func (c *tcpConn) Send(m *Msg) error {
 	return nil
 }
 
-// SendFrame implements FrameConn: the envelope goes through gob with
-// FrameLen announcing the payload, then the segments hit the socket raw via
-// net.Buffers (writev on platforms that support it) — no contiguous copy of
-// the frame is ever built on the send side.
+// SendFrame sends the envelope through gob with FrameLen announcing the
+// payload, then the segments hit the socket raw via net.Buffers (writev on
+// platforms that support it) — no contiguous copy of the frame is ever built
+// on the send side.
 func (c *tcpConn) SendFrame(m *Msg, segs net.Buffers) error {
 	total := 0
 	for _, s := range segs {
@@ -351,63 +371,6 @@ func (c *tcpConn) Recv() (*Msg, error) {
 }
 
 func (c *tcpConn) Close() error { return c.nc.Close() }
-
-// pushbackConn replays one already-received message before delegating to the
-// underlying connection. The master CLI uses it to classify inbound workers
-// (MRegister vs MJoin) at accept time without consuming the registration that
-// RunMaster expects to read itself. All optional transport capabilities
-// (FrameConn, StatsReporter, IdleTimeoutConn) forward, so wrapping costs the
-// connection nothing.
-type pushbackConn struct {
-	under Conn
-	mu    sync.Mutex
-	first *Msg
-}
-
-// NewPushbackConn wraps c so its next Recv returns first.
-func NewPushbackConn(c Conn, first *Msg) Conn {
-	return &pushbackConn{under: c, first: first}
-}
-
-func (c *pushbackConn) Send(m *Msg) error { return c.under.Send(m) }
-
-func (c *pushbackConn) SendFrame(m *Msg, segs net.Buffers) error {
-	if fc, ok := c.under.(FrameConn); ok {
-		return fc.SendFrame(m, segs)
-	}
-	env := *m
-	var flat []byte
-	for _, s := range segs {
-		flat = append(flat, s...)
-	}
-	env.Frame = flat
-	env.FrameLen = 0
-	return c.under.Send(&env)
-}
-
-func (c *pushbackConn) Recv() (*Msg, error) {
-	c.mu.Lock()
-	if m := c.first; m != nil {
-		c.first = nil
-		c.mu.Unlock()
-		return m, nil
-	}
-	c.mu.Unlock()
-	return c.under.Recv()
-}
-
-func (c *pushbackConn) Close() error { return c.under.Close() }
-
-// SetIdleTimeout forwards to the underlying transport when supported.
-func (c *pushbackConn) SetIdleTimeout(d time.Duration) { SetConnIdleTimeout(c.under, d) }
-
-// Stats forwards to the underlying transport when supported.
-func (c *pushbackConn) Stats() ConnStats {
-	if sr, ok := c.under.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return ConnStats{}
-}
 
 type tcpListener struct{ l net.Listener }
 

@@ -14,7 +14,7 @@ import (
 // phase, the partition assignment, and per-worker status merged from
 // heartbeats (idle state, event counters, and the kernel stats carried in
 // each worker's metric snapshot). All mutating methods are safe on a nil
-// receiver, so RunMaster updates its view unconditionally.
+// receiver (see update), so RunMaster updates its view unconditionally.
 type ClusterView struct {
 	mu sync.Mutex
 	st ClusterStatus
@@ -94,100 +94,76 @@ func (v *ClusterView) Status() any {
 	return out
 }
 
-func (v *ClusterView) setPhase(phase string) {
+// update runs f on the status under the lock; on a nil view it does nothing.
+func (v *ClusterView) update(f func(st *ClusterStatus)) {
 	if v == nil {
 		return
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.st.Phase = phase
+	f(&v.st)
+}
+
+// worker runs f on worker i's row, if it has one.
+func (v *ClusterView) worker(i int, f func(w *WorkerStatus)) {
+	v.update(func(st *ClusterStatus) {
+		if i >= 0 && i < len(st.Workers) {
+			f(&st.Workers[i])
+		}
+	})
+}
+
+func (v *ClusterView) setPhase(phase string) {
+	v.update(func(st *ClusterStatus) { st.Phase = phase })
 }
 
 func (v *ClusterView) registerWorker(i int, id string, cores int, speed float64) {
-	if v == nil {
-		return
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for len(v.st.Workers) <= i {
-		v.st.Workers = append(v.st.Workers, WorkerStatus{})
-	}
-	v.st.Workers[i] = WorkerStatus{ID: id, Cores: cores, Speed: speed}
+	v.update(func(st *ClusterStatus) {
+		for len(st.Workers) <= i {
+			st.Workers = append(st.Workers, WorkerStatus{})
+		}
+		st.Workers[i] = WorkerStatus{ID: id, Cores: cores, Speed: speed}
+	})
 }
 
 func (v *ClusterView) setAssignment(assign map[string]int, method string) {
-	if v == nil {
-		return
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.st.Assignment = assign
-	v.st.Method = method
+	v.update(func(st *ClusterStatus) { st.Assignment, st.Method = assign, method })
 }
 
 // updateWorker folds one heartbeat into the view.
 func (v *ClusterView) updateWorker(i int, idle bool, sent, received int64, snap *obs.MetricsSnapshot) {
-	if v == nil {
-		return
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if i < 0 || i >= len(v.st.Workers) {
-		return
-	}
-	w := &v.st.Workers[i]
-	w.Idle = idle
-	w.Sent = sent
-	w.Received = received
-	w.LastSeen = time.Now()
-	if snap != nil {
-		w.Metrics = snap
-		w.Kernels = KernelStatsFromSnapshot(snap)
-	}
+	v.worker(i, func(w *WorkerStatus) {
+		w.Idle, w.Sent, w.Received, w.LastSeen = idle, sent, received, time.Now()
+		if snap != nil {
+			w.Metrics = snap
+			w.Kernels = KernelStatsFromSnapshot(snap)
+		}
+	})
 }
 
 // setLiveness records the run's failure-detection configuration.
 func (v *ClusterView) setLiveness(heartbeat time.Duration, maxMissed int, failover bool, standbys int) {
-	if v == nil {
-		return
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.st.HeartbeatMs = heartbeat.Milliseconds()
-	v.st.MaxMissed = maxMissed
-	v.st.Failover = failover
-	v.st.Standbys = standbys
+	v.update(func(st *ClusterStatus) {
+		st.HeartbeatMs = heartbeat.Milliseconds()
+		st.MaxMissed = maxMissed
+		st.Failover = failover
+		st.Standbys = standbys
+	})
 }
 
 // workerDead marks a worker the liveness monitor declared lost.
 func (v *ClusterView) workerDead(i int) {
-	if v == nil {
-		return
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if i < 0 || i >= len(v.st.Workers) {
-		return
-	}
-	v.st.Workers[i].Dead = true
-	v.st.Workers[i].Idle = false
+	v.worker(i, func(w *WorkerStatus) { w.Dead, w.Idle = true, false })
 }
 
 // workerDone records the final report of one worker.
 func (v *ClusterView) workerDone(i int, rep *runtime.Report) {
-	if v == nil {
-		return
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if i < 0 || i >= len(v.st.Workers) {
-		return
-	}
-	v.st.Workers[i].Done = true
-	v.st.Workers[i].Idle = true
-	if rep != nil {
-		v.st.Workers[i].Kernels = append([]runtime.KernelStats(nil), rep.Kernels...)
-	}
+	v.worker(i, func(w *WorkerStatus) {
+		w.Done, w.Idle = true, true
+		if rep != nil {
+			w.Kernels = append([]runtime.KernelStats(nil), rep.Kernels...)
+		}
+	})
 }
 
 // KernelStatsFromSnapshot reconstructs per-kernel stats rows from the

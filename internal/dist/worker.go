@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -59,18 +61,49 @@ type WorkerConfig struct {
 	Tracer *obs.Tracer
 }
 
-// handshakeErr formats the failure of a blocking handshake receive: a
-// transport error, an MError carrying the master's reason, or an unexpected
-// message kind.
-func handshakeErr(phase string, m *Msg, err error) error {
-	switch {
-	case err != nil:
-		return fmt.Errorf("dist: waiting for %s: %w", phase, err)
-	case m.Kind == MError:
-		return fmt.Errorf("dist: waiting for %s: master reported error: %s", phase, m.Err)
-	default:
-		return fmt.Errorf("dist: waiting for %s: unexpected %v", phase, m.Kind)
-	}
+// workerState is where a worker stands in the protocol. MAssign moves it to
+// built from any state, MStart from built to running; DESIGN.md §12 has the
+// whole state × message table.
+type workerState uint8
+
+const (
+	unassigned workerState = iota // registered, no kernels yet; a standby waits here while the cluster stays healthy
+	built                         // node constructed from an MAssign, waiting for MStart
+	running                       // node executing, brokered events flowing
+)
+
+// worker is one execution node's side of the protocol: the connection, the
+// protocol state and what that state holds.
+type worker struct {
+	cfg   WorkerConfig // Cores, Speed and Metrics defaulted
+	conn  Conn
+	state workerState
+
+	// Event counters since the last MAssign, reported in every MStatus; the
+	// master's quiescence check matches them against its own.
+	sent, received atomic.Int64
+	// sendErr holds the first failed send: sends happen on runtime
+	// goroutines, the loop in RunWorker decides what the failure means.
+	sendErr chan error
+
+	// Flight accounting: master-stamped pings measured against this node's
+	// clock, corrected by the clock offset MStart carried (this node's clock
+	// minus the master's, so master-equivalent local time is local − offset).
+	// The baseline projects only this run's flight time into the report (the
+	// registry may be shared across runs).
+	hFlight     *obs.Histogram
+	flightBase  int64
+	clockOffset int64
+	synced      bool
+
+	// The node and its batcher are built from scratch by every MAssign.
+	// rep/runErr are written by the run goroutine strictly before
+	// close(runDone) and read only after it, so rebuilds are race-free.
+	node    *runtime.Node
+	batcher *storeBatcher
+	runDone chan struct{}
+	rep     *runtime.Report
+	runErr  error
 }
 
 // RunWorker executes one node of a distributed run over an established
@@ -80,252 +113,44 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
-	speed := cfg.Speed
-	if speed <= 0 {
-		speed = 1
+	if cfg.Speed <= 0 {
+		cfg.Speed = 1
 	}
-	regKind := MRegister
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
+	w := &worker{cfg: cfg, conn: conn, sendErr: make(chan error, 1)}
+	w.hFlight = cfg.Metrics.Histogram(obs.MStageFlightNs)
+	w.flightBase = w.hFlight.SumNs()
+
+	hello := MRegister
 	if cfg.Standby {
-		regKind = MJoin
+		hello = MJoin
 	}
-	if err := conn.Send(&Msg{Kind: regKind, NodeID: cfg.NodeID, Cores: cfg.Cores, Speed: speed}); err != nil {
+	if err := conn.Send(&Msg{Kind: hello, NodeID: cfg.NodeID, Cores: cfg.Cores, Speed: cfg.Speed}); err != nil {
 		return nil, err
 	}
 
-	// An observed master interleaves clock probes between registration and
-	// assignment; answer them with this node's clock until the assignment
-	// arrives (unobserved masters send none). A standby sits in this loop
-	// for as long as the cluster stays healthy.
-	var assign *Msg
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			return nil, handshakeErr("assignment", m, err)
-		}
-		if m.Kind == MClockProbe {
-			if err := conn.Send(&Msg{Kind: MClockEcho, SentNs: m.SentNs, NodeNs: time.Now().UnixNano()}); err != nil {
-				return nil, fmt.Errorf("dist: answering clock probe: %w", err)
-			}
-			continue
-		}
-		if m.Kind == MStopReq {
-			// Released before ever being assigned work: the run finished (or
-			// failed) without needing this standby.
-			return nil, nil
-		}
-		assign = m
-		break
-	}
-	if assign.Kind != MAssign {
-		return nil, handshakeErr("assignment", assign, nil)
-	}
-	if assign.TraceOn && cfg.Tracer == nil {
-		// The master will pull span buffers at shutdown; give it something
-		// to pull even when this worker wasn't started with -trace.
-		cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
-	}
-	prog := cfg.Prog
-	if prog == nil {
-		if cfg.Factory == nil {
-			return nil, fmt.Errorf("dist: worker has neither a program nor a factory")
-		}
-		built, err := cfg.Factory(assign.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("dist: building program %q: %w", assign.Spec, err)
-		}
-		prog = built
-	}
-	if cfg.KernelMaxAge == nil && cfg.BoundsFactory != nil {
-		cfg.KernelMaxAge = cfg.BoundsFactory(assign.Spec)
-	}
-
-	var sent, received atomic.Int64
-	sendErr := make(chan error, 1)
-	send := func(m *Msg) {
-		// Every message through here is freshly allocated, so stamping is
-		// race-free; the master turns the stamp into a flight measurement.
-		m.SentNs = time.Now().UnixNano()
-		if err := conn.Send(m); err != nil {
-			select {
-			case sendErr <- err:
-			default:
-			}
-		}
-	}
-	// sendFrame routes a batched store frame: scatter-gather on transports
-	// that support it (slab bytes go straight to the socket), flattened into
-	// a fresh slice otherwise (the in-process transport moves *Msg by
-	// pointer, so a pooled buffer must not ride inside it). Either way the
-	// frame is recycled afterwards.
-	sendFrame := func(m *Msg, f *runtime.StoreFrame) {
-		m.SentNs = time.Now().UnixNano()
-		var err error
-		if fc, ok := conn.(FrameConn); ok {
-			err = fc.SendFrame(m, f.Segments())
-		} else {
-			m.Frame = f.AppendTo(nil)
-			err = conn.Send(m)
-		}
-		runtime.PutStoreFrame(f)
-		if err != nil {
-			select {
-			case sendErr <- err:
-			default:
-			}
-		}
-	}
-
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	// updateTransport folds the connection's traffic counters into the
-	// registry (as gauges: each sample replaces the last) right before a
-	// snapshot or report, so heartbeats carry current transport totals.
-	updateTransport := func() ConnStats {
-		var st ConnStats
-		if sr, ok := conn.(StatsReporter); ok {
-			st = sr.Stats()
-			reg.Gauge(obs.MTransportSentMsgs).Set(st.SentMsgs)
-			reg.Gauge(obs.MTransportRecvMsgs).Set(st.RecvMsgs)
-			reg.Gauge(obs.MTransportSentBytes).Set(st.SentBytes)
-			reg.Gauge(obs.MTransportRecvBytes).Set(st.RecvBytes)
-		}
-		return st
-	}
-
-	// Flight accounting: master-stamped pings measured against this node's
-	// clock, corrected by the handshake's offset estimate. The baseline
-	// projects only this run's flight time into the report (the registry
-	// may be shared across runs).
-	hFlight := reg.Histogram(obs.MStageFlightNs)
-	flightBase := hFlight.SumNs()
-
-	// The node (and its batcher) is rebuilt from scratch whenever the
-	// master reassigns kernels after a peer's death, so construction lives
-	// in a closure. rep/runErr are written by the run goroutine strictly
-	// before close(runDone) and read only after it, so rebuilds are
-	// race-free.
-	var (
-		node    *runtime.Node
-		batcher *storeBatcher
-		runDone chan struct{}
-		rep     *runtime.Report
-		runErr  error
-	)
-	buildNode := func(kernels []string, failover bool) error {
-		local := map[string]bool{}
-		for _, k := range kernels {
-			local[k] = true
-		}
-		remote := map[string]bool{}
-		for _, k := range prog.Kernels {
-			if !local[k.Name] {
-				remote[k.Name] = true
-			}
-		}
-		// The store batcher coalesces per-row notices into whole-generation
-		// MStoreFrame messages; it is flushed before every MDone (keeping
-		// the per-origin stores-before-done order) and on every ping
-		// (bounding how long an incomplete generation can sit unsent). With
-		// a tracer it also stamps each frame with a causal trace id and
-		// records the emit span.
-		batcher = newStoreBatcher(sendFrame, reg, cfg.NodeID, cfg.Tracer)
-		b := batcher
-		n, err := runtime.NewNode(prog, runtime.Options{
-			Workers:       cfg.Cores,
-			MaxAge:        cfg.MaxAge,
-			KernelMaxAge:  cfg.KernelMaxAge,
-			Granularity:   cfg.Granularity,
-			Output:        cfg.Output,
-			RemoteKernels: remote,
-			NoAutoQuiesce: true,
-			Metrics:       reg,
-			Tracer:        cfg.Tracer,
-			MergeStores:   failover,
-			OnStore: func(sn runtime.StoreNotice) {
-				sent.Add(1)
-				if err := b.add(sn); err != nil {
-					send(&Msg{Kind: MError, Err: err.Error()})
-					select {
-					case sendErr <- err:
-					default:
-					}
-				}
-			},
-			OnKernelDone: func(kernel string, age int) {
-				sent.Add(1)
-				b.flushAll()
-				send(&Msg{Kind: MDone, Kernel: kernel, Age: age})
-			},
-		})
-		if err != nil {
-			return err
-		}
-		node = n
-		return nil
-	}
-	startRun := func() {
-		done := make(chan struct{})
-		runDone = done
-		n := node
-		go func() {
-			r, err := n.Run()
-			rep, runErr = r, err
-			close(done)
-			// A failed run can end before the master requests a stop; report
-			// it proactively so the cluster shuts down instead of waiting for
-			// a quiescence that can never be detected.
-			if err != nil {
-				send(&Msg{Kind: MError, Err: err.Error()})
-			}
-		}()
-	}
-
-	if err := buildNode(assign.Kernels, assign.Failover); err != nil {
-		send(&Msg{Kind: MError, Err: err.Error()})
-		return nil, err
-	}
-
-	start, err := conn.Recv()
-	if err != nil || start.Kind != MStart {
-		node.Release()
-		return nil, handshakeErr("start", start, err)
-	}
-	// Clock-sync result: offset is this node's clock minus the master's, so
-	// master-equivalent local time is local − offset.
-	clockOffset, synced := start.OffsetNs, start.Synced
-	if cfg.IdleTimeout > 0 {
-		SetConnIdleTimeout(conn, cfg.IdleTimeout)
-	}
-
-	startRun()
-	// teardown stops the local run and returns its field generations to the
-	// slab pools; every exit path below goes through it (a long-lived worker
-	// process runs many programs over one process lifetime).
-	teardown := func() {
-		node.Stop()
-		<-runDone
-		node.Release()
-	}
-
-	// Receive on a separate goroutine so the main loop can select a failed
-	// send (a dead master) without waiting for the master to speak next.
-	// Closing the connection on return unblocks the receiver; the stop
-	// channel reaps it if it is blocked handing over a message.
-	type recvMsg struct {
-		m   *Msg
-		err error
-	}
-	recvCh := make(chan recvMsg)
+	// Receive on a separate goroutine so the loop can select a failed send
+	// (a dead master) without waiting for the master to speak next. Closing
+	// the connection on return unblocks the receiver; the stop channel reaps
+	// it if it is blocked handing over a message.
+	recvCh := make(chan inbound)
 	recvStop := make(chan struct{})
 	defer close(recvStop)
 	defer conn.Close()
 	go func() {
 		for {
 			m, err := conn.Recv()
+			if err == nil && m.Kind == MStart && cfg.IdleTimeout > 0 {
+				// The handshake — registration and, for a standby, the wait
+				// for promotion — is legitimately unbounded; everything
+				// after MStart is not. Armed here rather than in the loop so
+				// that the very next Recv is already bounded.
+				conn.SetIdleTimeout(cfg.IdleTimeout)
+			}
 			select {
-			case recvCh <- recvMsg{m: m, err: err}:
+			case recvCh <- inbound{msg: m, err: err}:
 			case <-recvStop:
 				return
 			}
@@ -335,35 +160,8 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 		}
 	}()
 
-	// stopAndReport runs the orderly shutdown the master requested: stop the
-	// node, surface a failed run, fold transport totals into the report and
-	// ship it. Reached from MStopReq and from a send failure that raced one.
-	stopAndReport := func() (*runtime.Report, error) {
-		node.Stop()
-		<-runDone
-		if runErr != nil {
-			send(&Msg{Kind: MError, Err: runErr.Error()})
-			node.Release()
-			return rep, runErr
-		}
-		if st := updateTransport(); rep != nil {
-			rep.SentMsgs = st.SentMsgs
-			rep.RecvMsgs = st.RecvMsgs
-			rep.SentBytes = st.SentBytes
-			rep.RecvBytes = st.RecvBytes
-			if rep.Stages != nil {
-				rep.Stages.FlightNs = hFlight.SumNs() - flightBase
-			}
-		}
-		send(&Msg{Kind: MReport, Report: rep})
-		// Release only after the report is out: a long-lived worker
-		// (cmd/p2g-worker) reuses the slab pools for its next program.
-		node.Release()
-		return rep, nil
-	}
-
 	for {
-		var in recvMsg
+		var in inbound
 		// Prefer inbound traffic over a pending send failure: when the
 		// master stops and closes in one breath, a status send can fail
 		// just before the already-queued MStopReq is read, and the stop
@@ -374,50 +172,71 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 		case in = <-recvCh:
 		default:
 			select {
-			case err := <-sendErr:
-				// The failure may have raced a stop the master issued just
-				// before the link broke (stop, then close — with this send
-				// already failing). Drain what the connection still delivers
-				// for a bounded moment: an in-flight MStopReq means this is
-				// an orderly shutdown, not a dead link.
-				grace := time.NewTimer(250 * time.Millisecond)
-				for {
-					select {
-					case gin := <-recvCh:
-						if gin.err == nil && gin.m.Kind == MStopReq {
-							grace.Stop()
-							return stopAndReport()
-						}
-						if gin.err != nil {
-							grace.Stop()
-							teardown()
-							return rep, fmt.Errorf("dist: sending to master: %w", err)
-						}
-						// Data racing the failure is moot — the run ends
-						// either way; keep draining within the window.
-					case <-grace.C:
-						teardown()
-						return rep, fmt.Errorf("dist: sending to master: %w", err)
-					}
-				}
+			case err := <-w.sendErr:
+				err = w.sendFailed(err, recvCh)
+				return w.rep, err
 			case in = <-recvCh:
 			}
 		}
-		if in.err != nil {
-			teardown()
-			return rep, fmt.Errorf("dist: master connection: %w", in.err)
+		if done, err := w.handle(in); done {
+			return w.rep, err
 		}
-		m := in.m
+	}
+}
+
+// handle advances the worker by one receive on the master connection; done
+// reports that the run is over, cleanly or with err.
+func (w *worker) handle(in inbound) (done bool, err error) {
+	if in.err != nil {
+		return true, w.fail(w.unexpected(nil, in.err))
+	}
+	m := in.msg
+	switch m.Kind {
+	case MClockProbe:
+		// An observed master probes between registration and assignment;
+		// the echo is this node's clock, whatever the state.
+		if err := w.conn.Send(&Msg{Kind: MClockEcho, SentNs: m.SentNs, NodeNs: time.Now().UnixNano()}); err != nil {
+			return true, w.fail(fmt.Errorf("dist: answering clock probe: %w", err))
+		}
+		return false, nil
+	case MAssign:
+		// The one way to be given kernels: at the start of the run, on
+		// promotion from standby, and again after a peer died. Whatever
+		// this node was running is torn down and rebuilt from scratch: the
+		// replayed generations that follow MStart (the connection is FIFO)
+		// restore the remote field state, and the local kernels re-execute
+		// from age zero — their stores merge idempotently into peers that
+		// already hold them.
+		w.release()
+		if w.runErr != nil {
+			return true, w.runErr
+		}
+		if err := w.build(m); err != nil {
+			return true, w.fail(w.tell(err))
+		}
+		return false, nil
+	}
+	switch w.state {
+	case unassigned:
+		if m.Kind == MStopReq {
+			// Released before ever being assigned work: the run finished
+			// (or failed) without needing this standby.
+			return true, nil
+		}
+	case built:
+		if m.Kind == MStart {
+			w.start(m)
+			return false, nil
+		}
+	case running:
 		switch m.Kind {
 		case MStoreFrame:
-			received.Add(1)
-			injectFrom := cfg.Tracer.Now()
-			if err := node.InjectStoreFrame(m.Frame); err != nil {
-				send(&Msg{Kind: MError, Err: err.Error()})
-				teardown()
-				return rep, err
+			w.received.Add(1)
+			injectFrom := w.cfg.Tracer.Now()
+			if err := w.node.InjectStoreFrame(m.Frame); err != nil {
+				return true, w.fail(w.tell(err))
 			}
-			if tr := cfg.Tracer; tr != nil {
+			if tr := w.cfg.Tracer; tr != nil {
 				// Terminal hop of the frame's causal trace: the remote
 				// generation lands in this node's field replica.
 				tr.Record(obs.Span{
@@ -426,85 +245,278 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 					Age: m.Age, Trace: m.Trace, Flow: obs.FlowFinish,
 				})
 			}
+			return false, nil
 		case MDone:
-			received.Add(1)
-			if err := node.InjectRemoteDone(m.Kernel, m.Age); err != nil {
-				send(&Msg{Kind: MError, Err: err.Error()})
-				teardown()
-				return rep, err
+			w.received.Add(1)
+			if err := w.node.InjectRemoteDone(m.Kernel, m.Age); err != nil {
+				return true, w.fail(w.tell(err))
 			}
-		case MReassign:
-			// A peer died and the master handed this worker a replacement
-			// partition. Tear the node down and rebuild from scratch: the
-			// replayed generations that follow this message (the connection
-			// is FIFO) restore the remote field state, and the local kernels
-			// re-execute from age zero — their stores merge idempotently
-			// into peers that already hold them. Counters restart at zero to
-			// match the master's reset accounting.
-			node.Stop()
-			<-runDone
-			node.Release()
-			if runErr != nil {
-				return rep, runErr
-			}
-			// Re-execution only reproduces the lost stores if the kernels
-			// restart from their initial state. A factory-built program is
-			// rebuilt wholesale, so stateful kernel closures — a video
-			// source mid-stream, most importantly — start over instead of
-			// resuming where the torn-down node left them. A directly
-			// injected Prog is reused as-is and must be restartable.
-			if cfg.Factory != nil && m.Spec != "" {
-				built, err := cfg.Factory(m.Spec)
-				if err != nil {
-					err = fmt.Errorf("dist: rebuilding program %q: %w", m.Spec, err)
-					send(&Msg{Kind: MError, Err: err.Error()})
-					return rep, err
-				}
-				prog = built
-			}
-			sent.Store(0)
-			received.Store(0)
-			if err := buildNode(m.Kernels, m.Failover); err != nil {
-				send(&Msg{Kind: MError, Err: err.Error()})
-				return rep, err
-			}
-			startRun()
+			return false, nil
 		case MPing:
-			if synced && m.SentNs != 0 {
+			if w.synced && m.SentNs != 0 {
 				// Master→worker flight: the ping's master-clock stamp
 				// against local time rebased to the master clock. Clamped
 				// at zero (the offset estimate has RTT/2 error).
-				flight := (time.Now().UnixNano() - clockOffset) - m.SentNs
-				if flight < 0 {
-					flight = 0
-				}
-				hFlight.Observe(time.Duration(flight))
+				flight := (time.Now().UnixNano() - w.clockOffset) - m.SentNs
+				w.hFlight.Observe(time.Duration(max(flight, 0)))
 			}
-			batcher.flushAll()
-			updateTransport()
-			send(&Msg{Kind: MStatus, Idle: node.Idle(), Sent: sent.Load(), Received: received.Load(), Metrics: reg.Snapshot()})
+			w.batcher.flushAll()
+			w.updateTransport()
+			w.send(&Msg{Kind: MStatus, Idle: w.node.Idle(), Sent: w.sent.Load(), Received: w.received.Load(), Metrics: w.cfg.Metrics.Snapshot()})
+			return false, nil
 		case MTraceReq:
 			// Ship the span buffer with its alignment anchor; an untraced
 			// node replies with an empty bundle so the master's collection
 			// logic needs no special case.
-			send(&Msg{
+			w.send(&Msg{
 				Kind:         MTrace,
-				Spans:        cfg.Tracer.Spans(),
-				TraceStartNs: cfg.Tracer.StartUnixNs(),
-				TraceDropped: cfg.Tracer.Dropped(),
+				Spans:        w.cfg.Tracer.Spans(),
+				TraceStartNs: w.cfg.Tracer.StartUnixNs(),
+				TraceDropped: w.cfg.Tracer.Dropped(),
 			})
-		case MSnapshotReq:
-			arr, err := node.Snapshot(m.Field, m.Age)
-			if err != nil {
-				send(&Msg{Kind: MError, Err: err.Error()})
+			return false, nil
+		case MStopReq:
+			return true, w.stopAndReport()
+		}
+	}
+	return true, w.fail(w.unexpected(m, nil))
+}
+
+// unexpected formats what the current state did not expect: a transport
+// error, an MError carrying the master's reason, or a message kind the state
+// has no use for.
+func (w *worker) unexpected(m *Msg, err error) error {
+	if w.state == running {
+		switch {
+		case err != nil:
+			return fmt.Errorf("dist: master connection: %w", err)
+		case m.Kind == MError:
+			return fmt.Errorf("dist: master reported error: %s", m.Err)
+		}
+		return fmt.Errorf("dist: unexpected %v from master", m.Kind)
+	}
+	phase := "assignment"
+	if w.state == built {
+		phase = "start"
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("dist: waiting for %s: %w", phase, err)
+	case m.Kind == MError:
+		return fmt.Errorf("dist: waiting for %s: master reported error: %s", phase, m.Err)
+	default:
+		return fmt.Errorf("dist: waiting for %s: unexpected %v", phase, m.Kind)
+	}
+}
+
+// send stamps and sends one message. Every message through here is freshly
+// allocated, so stamping is race-free; the master turns the stamp into a
+// flight measurement.
+func (w *worker) send(m *Msg) {
+	m.SentNs = time.Now().UnixNano()
+	w.noteSendErr(w.conn.Send(m))
+}
+
+// sendFrame sends a batched store frame, slab bytes going to the transport
+// as the frame's segments, and recycles the frame.
+func (w *worker) sendFrame(m *Msg, f *runtime.StoreFrame) {
+	m.SentNs = time.Now().UnixNano()
+	err := w.conn.SendFrame(m, f.Segments())
+	runtime.PutStoreFrame(f)
+	w.noteSendErr(err)
+}
+
+// noteSendErr keeps the first send failure for the loop to act on.
+func (w *worker) noteSendErr(err error) {
+	if err != nil {
+		select {
+		case w.sendErr <- err:
+		default:
+		}
+	}
+}
+
+// updateTransport folds the connection's traffic counters into the registry
+// (as gauges: each sample replaces the last) right before a snapshot or
+// report, so heartbeats carry current transport totals.
+func (w *worker) updateTransport() ConnStats {
+	st := w.conn.Stats()
+	w.cfg.Metrics.Gauge(obs.MTransportSentMsgs).Set(st.SentMsgs)
+	w.cfg.Metrics.Gauge(obs.MTransportRecvMsgs).Set(st.RecvMsgs)
+	w.cfg.Metrics.Gauge(obs.MTransportSentBytes).Set(st.SentBytes)
+	w.cfg.Metrics.Gauge(obs.MTransportRecvBytes).Set(st.RecvBytes)
+	return st
+}
+
+// build constructs the node for an assignment and moves to built. Counters
+// restart at zero to match the master's accounting, which assign restarts
+// too.
+func (w *worker) build(assign *Msg) error {
+	if assign.TraceOn && w.cfg.Tracer == nil {
+		// The master will pull span buffers at shutdown; give it something
+		// to pull even when this worker wasn't started with -trace.
+		w.cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
+	}
+	// Re-execution only reproduces lost stores if the kernels start from
+	// their initial state. A factory-built program is built anew for every
+	// assignment, so stateful kernel closures — a video source mid-stream,
+	// most importantly — start over instead of resuming where a torn-down
+	// node left them. A directly injected Prog is reused as-is and must be
+	// restartable.
+	prog := w.cfg.Prog
+	if prog == nil {
+		if w.cfg.Factory == nil {
+			return errors.New("dist: worker has neither a program nor a factory")
+		}
+		var err error
+		if prog, err = w.cfg.Factory(assign.Spec); err != nil {
+			return fmt.Errorf("dist: building program %q: %w", assign.Spec, err)
+		}
+	}
+	if w.cfg.KernelMaxAge == nil && w.cfg.BoundsFactory != nil {
+		w.cfg.KernelMaxAge = w.cfg.BoundsFactory(assign.Spec)
+	}
+	remote := map[string]bool{}
+	for _, k := range prog.Kernels {
+		if !slices.Contains(assign.Kernels, k.Name) {
+			remote[k.Name] = true
+		}
+	}
+	// The store batcher coalesces per-row notices into whole-generation
+	// MStoreFrame messages; it is flushed before every MDone (keeping the
+	// per-origin stores-before-done order) and on every ping (bounding how
+	// long an incomplete generation can sit unsent). With a tracer it also
+	// gives each frame a causal trace id and records the emit span.
+	b := newStoreBatcher(w.sendFrame, w.cfg.Metrics, w.cfg.NodeID, w.cfg.Tracer)
+	w.sent.Store(0)
+	w.received.Store(0)
+	n, err := runtime.NewNode(prog, runtime.Options{
+		Workers:       w.cfg.Cores,
+		MaxAge:        w.cfg.MaxAge,
+		KernelMaxAge:  w.cfg.KernelMaxAge,
+		Granularity:   w.cfg.Granularity,
+		Output:        w.cfg.Output,
+		RemoteKernels: remote,
+		NoAutoQuiesce: true,
+		Metrics:       w.cfg.Metrics,
+		Tracer:        w.cfg.Tracer,
+		MergeStores:   assign.Failover,
+		OnStore: func(sn runtime.StoreNotice) {
+			w.sent.Add(1)
+			if err := b.add(sn); err != nil {
+				w.noteSendErr(w.tell(err))
+			}
+		},
+		OnKernelDone: func(kernel string, age int) {
+			w.sent.Add(1)
+			b.flushAll()
+			w.send(&Msg{Kind: MDone, Kernel: kernel, Age: age})
+		},
+	})
+	if err != nil {
+		return err
+	}
+	w.node, w.batcher, w.state = n, b, built
+	return nil
+}
+
+// start runs the built node and moves to running.
+func (w *worker) start(start *Msg) {
+	w.clockOffset, w.synced = start.OffsetNs, start.Synced
+	done := make(chan struct{})
+	w.runDone = done
+	n := w.node
+	go func() {
+		r, err := n.Run()
+		w.rep, w.runErr = r, err
+		close(done)
+		// A failed run can end before the master requests a stop; report
+		// it proactively so the cluster shuts down instead of waiting for
+		// a quiescence that can never be detected.
+		if err != nil {
+			w.tell(err)
+		}
+	}()
+	w.state = running
+}
+
+// release gives up what the current state holds — a running node is stopped
+// first — returning its field generations to the slab pools (a long-lived
+// worker process runs many programs over one process lifetime), and moves
+// back to unassigned.
+func (w *worker) release() {
+	switch w.state {
+	case running:
+		w.node.Stop()
+		<-w.runDone
+		fallthrough
+	case built:
+		w.node.Release()
+	}
+	w.state = unassigned
+}
+
+// fail ends the run with err; every failing exit releases the node.
+func (w *worker) fail(err error) error {
+	w.release()
+	return err
+}
+
+// tell reports a failure of this node's own to the master, which cannot know
+// of it otherwise, and returns it.
+func (w *worker) tell(err error) error {
+	w.send(&Msg{Kind: MError, Err: err.Error()})
+	return err
+}
+
+// stopAndReport runs the orderly shutdown the master requested: stop the
+// node, surface a failed run, fold transport totals into the report and ship
+// it. Reached from MStopReq and from a send failure that raced one.
+func (w *worker) stopAndReport() error {
+	w.node.Stop()
+	<-w.runDone
+	if w.runErr != nil {
+		w.tell(w.runErr)
+		w.node.Release()
+		return w.runErr
+	}
+	if st := w.updateTransport(); w.rep != nil {
+		w.rep.SentMsgs = st.SentMsgs
+		w.rep.RecvMsgs = st.RecvMsgs
+		w.rep.SentBytes = st.SentBytes
+		w.rep.RecvBytes = st.RecvBytes
+		if w.rep.Stages != nil {
+			w.rep.Stages.FlightNs = w.hFlight.SumNs() - w.flightBase
+		}
+	}
+	w.send(&Msg{Kind: MReport, Report: w.rep})
+	// Release only after the report is out: a long-lived worker
+	// (cmd/p2g-worker) reuses the slab pools for its next program.
+	w.node.Release()
+	return nil
+}
+
+// sendFailed decides what a failed send means. It may have raced a stop the
+// master issued just before the link broke (stop, then close — with this
+// send already failing), so what the connection still delivers is drained
+// for a bounded moment: an in-flight MStopReq means this is an orderly
+// shutdown, not a dead link.
+func (w *worker) sendFailed(err error, recvCh <-chan inbound) error {
+	grace := time.NewTimer(250 * time.Millisecond)
+	defer grace.Stop()
+	for {
+		select {
+		case in := <-recvCh:
+			if in.err == nil && in.msg.Kind == MStopReq && w.state == running {
+				return w.stopAndReport()
+			}
+			if in.err == nil {
+				// Data racing the failure is moot — the run ends either
+				// way; keep draining within the window.
 				continue
 			}
-			send(&Msg{Kind: MSnapshot, Field: m.Field, Age: m.Age, Arr: arr})
-		case MStopReq:
-			return stopAndReport()
-		default:
-			teardown()
-			return rep, fmt.Errorf("dist: unexpected %v from master", m.Kind)
+		case <-grace.C:
 		}
+		return w.fail(fmt.Errorf("dist: sending to master: %w", err))
 	}
 }

@@ -377,24 +377,6 @@ func (a *Array) Clone() *Array {
 	return c
 }
 
-// CloneInto makes dst a deep copy of the array, reusing dst's backing storage
-// where capacity allows. It is the allocation-free steady-state counterpart
-// of Clone for reused per-instance destination arrays.
-func (a *Array) CloneInto(dst *Array) {
-	dst.resetShape(a.kind, a.extents)
-	if a.data.class == classVal {
-		for i, v := range a.data.vs {
-			if v.IsArray() {
-				dst.data.vs[i] = ArrayVal(v.Array().Clone())
-			} else {
-				dst.data.vs[i] = v
-			}
-		}
-		return
-	}
-	dst.data.copyRange(0, &a.data, 0, a.data.len())
-}
-
 // resetShape repurposes the array in place: kind set to k, extents copied from
 // ext, backing slab resized to the product of ext. Contents are unspecified
 // after the call (callers overwrite every element); reuses the extents slice

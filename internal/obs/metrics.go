@@ -163,17 +163,6 @@ func (b *HistogramBatch) Flush(hs ...*Histogram) {
 	*b = HistogramBatch{}
 }
 
-// Overflow returns how many observations landed in the catch-all last
-// bucket (value >= 2^26 µs). A non-zero overflow means quantile estimates
-// above it are mean-based; /statusz surfaces the total so the skew is
-// visible. Zero on a nil receiver.
-func (h *Histogram) Overflow() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.buckets[histBuckets-1].Load()
-}
-
 // Count returns the number of observations; zero on a nil receiver.
 func (h *Histogram) Count() int64 {
 	if h == nil {

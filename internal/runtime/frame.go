@@ -31,14 +31,8 @@ import (
 // allocation.
 
 // storeFrameVersion is the frame header version byte. The value format inside
-// entries is versioned separately (wire format v1). Version 2 inserts a
-// causal trace id (uvarint) after the age, threading the cluster-wide trace
-// through the frame itself so every hop of a generation's journey can tag
-// its spans; version-1 frames remain decodable.
-const (
-	storeFrameVersion       = 1
-	storeFrameVersionTraced = 2
-)
+// entries is versioned separately (wire format v1).
+const storeFrameVersion = 1
 
 // Entry addressing modes.
 const (
@@ -99,46 +93,6 @@ func (f *StoreFrame) clearSegs() {
 	}
 	f.segs = f.segs[:0]
 	f.segBytes = 0
-}
-
-// ResetTraced is Reset with a causal trace id embedded in the header
-// (version-2 frame). A zero trace falls back to the version-1 layout, so
-// untraced deployments emit bytes identical to before.
-func (f *StoreFrame) ResetTraced(fieldName string, age int, trace uint64) {
-	if trace == 0 {
-		f.Reset(fieldName, age)
-		return
-	}
-	f.buf = append(f.buf[:0], storeFrameVersionTraced)
-	f.buf = binary.AppendUvarint(f.buf, uint64(len(fieldName)))
-	f.buf = append(f.buf, fieldName...)
-	f.buf = binary.AppendVarint(f.buf, int64(age))
-	f.buf = binary.AppendUvarint(f.buf, trace)
-	f.entries = 0
-	f.clearSegs()
-}
-
-// StoreFrameTrace parses only the frame header and returns its causal trace
-// id (0 for version-1 frames, malformed input, or an untraced frame).
-func StoreFrameTrace(frame []byte) uint64 {
-	c := &frameCursor{buf: frame}
-	ver, err := c.byte()
-	if err != nil || ver != storeFrameVersionTraced {
-		return 0
-	}
-	nameLen, err := c.uvarint()
-	if err != nil || nameLen > uint64(len(frame)-c.off) {
-		return 0
-	}
-	c.off += int(nameLen)
-	if _, err := c.varint(); err != nil {
-		return 0
-	}
-	trace, err := c.uvarint()
-	if err != nil {
-		return 0
-	}
-	return trace
 }
 
 // Add appends one store notice. The notice must target the generation the
@@ -310,7 +264,7 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 	if err != nil {
 		return err
 	}
-	if ver != storeFrameVersion && ver != storeFrameVersionTraced {
+	if ver != storeFrameVersion {
 		return fmt.Errorf("p2g: unknown store frame version %d", ver)
 	}
 	nameLen, err := c.uvarint()
@@ -327,11 +281,6 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 		return err
 	}
 	age := int(age64)
-	if ver == storeFrameVersionTraced {
-		if _, err := c.uvarint(); err != nil { // trace id: tagging only, skip
-			return err
-		}
-	}
 
 	for c.off < len(frame) {
 		mode, err := c.byte()

@@ -332,6 +332,7 @@ func TestStoreFrameCorrupt(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad version":  {99},
+		"version 2":    {2, 1, 'c', 0, 1}, // the retired traced header
 		"huge name":    {storeFrameVersion, 0xff, 0xff, 0xff, 0x7f},
 		"name overrun": {storeFrameVersion, 40, 'x'},
 	}
@@ -480,73 +481,5 @@ func TestInjectStoreFrameMatchesInjectStore(t *testing.T) {
 	defer stop()
 	if err := n.InjectStoreFrame(bad.Bytes()); err == nil {
 		t.Error("frame for unknown field injected cleanly")
-	}
-}
-
-// TestStoreFrameTraced covers the version-2 header: a nonzero trace id
-// round-trips through StoreFrameTrace and does not disturb the notice
-// payload; trace id 0 falls back to the version-1 layout byte for byte.
-func TestStoreFrameTraced(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 100; iter++ {
-		fieldName := fmt.Sprintf("f%d", r.Intn(5))
-		age := r.Intn(40)
-		trace := uint64(r.Int63()) | 1 // nonzero
-		var traced StoreFrame
-		traced.ResetTraced(fieldName, age, trace)
-		var want []StoreNotice
-		for i := 0; i < 1+r.Intn(8); i++ {
-			sn := randFrameNotice(r, fieldName, age)
-			want = append(want, sn)
-			if err := traced.Add(sn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := StoreFrameTrace(traced.Bytes()); got != trace {
-			t.Fatalf("StoreFrameTrace = %#x, want %#x", got, trace)
-		}
-		var got []StoreNotice
-		if err := DecodeStoreFrame(traced.Bytes(), func(sn StoreNotice) error {
-			got = append(got, sn)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("decoded %d notices, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if !noticesEqual(got[i], want[i]) {
-				t.Fatalf("notice %d: got %+v, want %+v", i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestStoreFrameTraceZeroIsV1 pins the compatibility guarantee: with trace
-// id 0, ResetTraced produces exactly the version-1 bytes, and version-1
-// frames report trace 0.
-func TestStoreFrameTraceZeroIsV1(t *testing.T) {
-	sn := StoreNotice{Field: "f", Age: 3, Elem: []int{1}, Value: field.Int32Val(9)}
-	var v1, v2 StoreFrame
-	v1.Reset("f", 3)
-	v2.ResetTraced("f", 3, 0)
-	if err := v1.Add(sn); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.Add(sn); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(v1.Bytes(), v2.Bytes()) {
-		t.Errorf("trace 0 changed the wire bytes:\nv1 %x\nv2 %x", v1.Bytes(), v2.Bytes())
-	}
-	if got := StoreFrameTrace(v1.Bytes()); got != 0 {
-		t.Errorf("v1 frame trace = %#x, want 0", got)
-	}
-	if got := StoreFrameTrace(nil); got != 0 {
-		t.Errorf("nil frame trace = %#x, want 0", got)
-	}
-	if got := StoreFrameTrace([]byte{0xff, 0x01}); got != 0 {
-		t.Errorf("garbage frame trace = %#x, want 0", got)
 	}
 }

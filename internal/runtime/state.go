@@ -74,19 +74,18 @@ func (b counterWithBaseline) Add(d int64) { b.c.Add(d) }
 // Own returns the counter's growth since node construction.
 func (b counterWithBaseline) Own() int64 { return b.c.Load() - b.base }
 
-// histWithBase wraps a registry histogram together with its sum/count at
+// histWithBase wraps a registry histogram together with its sum at
 // node construction time, the histogram analogue of counterWithBaseline: a
 // shared registry may carry observations from earlier nodes, and the stage
 // attribution report must project only this node's contribution. The zero
 // value (nil histogram) is a disabled handle whose methods are no-ops.
 type histWithBase struct {
-	h         *obs.Histogram
-	baseSum   int64
-	baseCount int64
+	h       *obs.Histogram
+	baseSum int64
 }
 
 func newHistBase(h *obs.Histogram) histWithBase {
-	return histWithBase{h: h, baseSum: h.SumNs(), baseCount: h.Count()}
+	return histWithBase{h: h, baseSum: h.SumNs()}
 }
 
 // Observe records one duration on the underlying histogram.
@@ -97,9 +96,6 @@ func (b histWithBase) enabled() bool { return b.h != nil }
 
 // OwnNs returns the summed nanoseconds observed since node construction.
 func (b histWithBase) OwnNs() int64 { return b.h.SumNs() - b.baseSum }
-
-// OwnCount returns the observations recorded since node construction.
-func (b histWithBase) OwnCount() int64 { return b.h.Count() - b.baseCount }
 
 // idxTerm is one dimension of a precompiled fetch/store index expression:
 // coords[v]+off, or the literal off when v < 0. Compiling the terms at
