@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build examples test race norace layers loc vet fmt-check ci test-fault fuzz-lang bench-smoke bench bench-full clean
+.PHONY: all build examples test race norace layers loc vet fmt-check ci test-fault fuzz-lang fuzz-wire bench-smoke bench bench-full clean
 
 all: build
 
@@ -8,8 +8,9 @@ build:
 	$(GO) build ./...
 
 # examples runs each of the seven examples once to completion (well under a
-# second each); examples/distributed exits 1 when its in-process cluster's
-# centroids differ from the sequential baseline.
+# second each); examples/distributed and examples/kmeans exit 1 when their
+# centroids differ from the sequential baseline, examples/mjpeg when its
+# bitstream differs from the single-threaded encoder's.
 examples:
 	@for e in examples/*/; do $(GO) run "./$$e" >/dev/null || exit 1; done
 
@@ -61,6 +62,14 @@ test-fault:
 fuzz-lang:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
 	$(GO) test -run '^$$' -fuzz '^FuzzVMMatchesOracle$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
+
+# fuzz-wire is the decoder fuzz gate for the bytes a peer sends (also run by
+# ci.sh): ten seconds each of FuzzDecodeWireValue (field.DecodeWireValue) and
+# FuzzDecodeStoreFrame (runtime.DecodeStoreFrame). Decoding never panics, and
+# whatever decodes re-encodes to bytes that decode to the same result.
+fuzz-wire:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWireValue$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/field/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStoreFrame$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/runtime/
 
 # bench-smoke is the benchmark-ledger smoke gate (also run by ci.sh): bench/
 # is a nested module (repro/bench) that `go test ./...` does not reach. Its

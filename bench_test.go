@@ -6,7 +6,8 @@ package p2g
 //
 //	BenchmarkFig9MJPEG     — figure 9: MJPEG encode across worker counts
 //	BenchmarkFig10KMeans   — figure 10: K-means across worker counts
-//	BenchmarkTableII*      — Table II rows: per-instance yDCT and VLC cost
+//	BenchmarkTableII_VLC   — Table II row: per-instance VLC cost (the yDCT
+//	                          row is the ledger's mjpeg.dct_block_ns)
 //	BenchmarkTableIII*     — Table III rows: per-instance assign/refine cost
 //	BenchmarkBaseline*     — §VIII-A standalone encoder / sequential K-means
 //	BenchmarkDispatch      — per-instance dispatch overhead (Tables II/III)
@@ -14,8 +15,6 @@ package p2g
 //	BenchmarkFusion        — figure 4 Age=3 task-combining ablation
 //	BenchmarkPartition     — §IV HLS partitioning methods
 //	BenchmarkDCT           — naive vs AAN fast DCT (ref [2])
-//	BenchmarkFieldStoreSlab — bulk row store through the typed slab memory path
-//	BenchmarkWireEncodeFrame — typed-slab wire encoding of one frame component
 //	BenchmarkTransportMJPEG — distributed MJPEG encode over TCP loopback
 //	BenchmarkObsOverhead*  — tracing-off vs metrics vs full-tracing overhead
 //	                          on the figure 9/10 workloads (gate: off ≈ free)
@@ -87,19 +86,6 @@ func BenchmarkAnalyzerSharded(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkTableII_DCT measures the work of one yDCT kernel instance with the
-// naive transform — the paper's 170µs row.
-func BenchmarkTableII_DCT(b *testing.B) {
-	f, _ := video.NewCIFSource(1, 42).Next()
-	blocks := mjpeg.ExtractBlocks(f.Y, f.W, f.H)
-	qt := mjpeg.LumaQuant(75)
-	var out mjpeg.Block
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mjpeg.DCTQuantBlock(&blocks[i%len(blocks)], qt, false, &out)
 	}
 }
 
@@ -256,126 +242,6 @@ func BenchmarkDCT(b *testing.B) {
 	b.Run("aan-fast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mjpeg.DCTFast(&blocks[i%len(blocks)], &out)
-		}
-	})
-}
-
-// BenchmarkFieldStoreSlab measures the bulk row-store path of the typed slab
-// memory layer: one 64-sample macroblock row per operation into a rank-2
-// uint8 field — the hot store of the MJPEG input path. Steady-state rows move
-// with a single typed copy and no allocation.
-func BenchmarkFieldStoreSlab(b *testing.B) {
-	const rows = 4096
-	row := field.NewArray(field.Uint8, 64)
-	for i := 0; i < 64; i++ {
-		row.SetFlat(field.Int64Val(int64(i)), i)
-	}
-	sel := []field.SlabDim{{Fixed: true}, {}}
-	var f *field.Field
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%rows == 0 {
-			f = field.New("bench", field.Uint8, 2, false)
-		}
-		sel[0].Index = i % rows
-		if _, err := f.StoreSlice(0, sel, row); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireEncodeFrame measures the dist wire encoding of one chroma
-// frame component (396 macroblock rows of 64 int32 coefficients) through the
-// length-prefixed typed-slab format.
-func BenchmarkWireEncodeFrame(b *testing.B) {
-	a := field.NewArray(field.Int32, 396, 64)
-	for i := 0; i < a.Len(); i++ {
-		a.SetFlat(field.Int64Val(int64(i%255-128)), i)
-	}
-	v := field.ArrayVal(a)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := v.GobEncode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(buf)))
-	}
-}
-
-// BenchmarkFieldFetchView measures the zero-copy whole-generation fetch: a
-// read-only view of one chroma frame component aliases the generation slab,
-// so the per-dispatch cost is a refcount and a header write regardless of
-// payload size. The "copy" sub-benchmark is the SnapshotInto path — what a
-// fetch falls back to when its generation cannot be pinned — on the same
-// generation, for the MB/op delta.
-func BenchmarkFieldFetchView(b *testing.B) {
-	a := field.NewArray(field.Int32, 396, 64)
-	for i := 0; i < a.Len(); i++ {
-		a.SetFlat(field.Int64Val(int64(i%255-128)), i)
-	}
-	f := field.New("bench", field.Int32, 2, true)
-	if _, err := f.StoreAll(0, a); err != nil {
-		b.Fatal(err)
-	}
-	f.MarkComplete(0)
-	var dst field.Array
-	b.Run("view", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tok, ok := f.FetchViewAll(0, &dst)
-			if !ok {
-				b.Fatal("view refused")
-			}
-			tok.Release()
-		}
-	})
-	b.Run("copy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f.SnapshotInto(0, &dst)
-		}
-	})
-}
-
-// BenchmarkFrameEncodeScatter measures building one store frame around a
-// chroma-frame payload. The scatter path records the slab as a raw segment
-// (no payload copy until the socket writev); the flatten sub-benchmark adds
-// the one contiguous copy the in-process transport pays.
-func BenchmarkFrameEncodeScatter(b *testing.B) {
-	a := field.NewArray(field.Int32, 396, 64)
-	for i := 0; i < a.Len(); i++ {
-		a.SetFlat(field.Int64Val(int64(i%255-128)), i)
-	}
-	sn := runtime.StoreNotice{
-		Field: "bench", Age: 0, Whole: true, Value: field.ArrayVal(a),
-	}
-	b.Run("scatter", func(b *testing.B) {
-		f := runtime.GetStoreFrame()
-		defer runtime.PutStoreFrame(f)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f.Reset("bench", 0)
-			if err := f.Add(sn); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(f.Len()))
-		}
-	})
-	b.Run("flatten", func(b *testing.B) {
-		f := runtime.GetStoreFrame()
-		defer runtime.PutStoreFrame(f)
-		var out []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f.Reset("bench", 0)
-			if err := f.Add(sn); err != nil {
-				b.Fatal(err)
-			}
-			out = f.AppendTo(out[:0])
-			b.SetBytes(int64(len(out)))
 		}
 	})
 }
@@ -871,11 +737,12 @@ func BenchmarkLangKMeans(b *testing.B) {
 
 // benchLangCx is what assign1 fetches whole: the centroids assign builds.
 var benchLangCx = func() *field.Array {
-	cx := make([]float64, 32)
-	for c := range cx {
-		cx[c] = float64(c) * 0.5
+	cx := field.NewArray(field.Float64, 32)
+	v := cx.Float64s()
+	for c := range v {
+		v[c] = float64(c) * 0.5
 	}
-	return field.ArrayFromFloat64(cx)
+	return cx
 }()
 
 func BenchmarkLangWavefront(b *testing.B) {

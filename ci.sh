@@ -18,7 +18,9 @@ scripts/layers.sh
 go build ./...
 # Examples gate (`make examples`): each of the seven runs once to completion
 # — examples/distributed is the one end-to-end in-process cluster outside the
-# tests, and exits 1 when its centroids differ from the sequential baseline.
+# tests. It and examples/kmeans exit 1 when their centroids differ from the
+# sequential baseline, examples/mjpeg when its bitstream differs from the
+# single-threaded encoder's.
 for e in examples/*/; do
 	go run "./$e" >/dev/null
 done
@@ -40,6 +42,12 @@ go test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsSto
 # otherwise eat the whole budget.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
 go test -run '^$' -fuzz '^FuzzVMMatchesOracle$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
+# Decoder fuzz gate (`make fuzz-wire`): ten seconds each of
+# FuzzDecodeWireValue and FuzzDecodeStoreFrame — the two decoders of bytes a
+# peer sends never panic, and whatever decodes re-encodes to bytes that decode
+# to the same result.
+go test -run '^$' -fuzz '^FuzzDecodeWireValue$' -fuzztime=10s -fuzzminimizetime=0 ./internal/field/
+go test -run '^$' -fuzz '^FuzzDecodeStoreFrame$' -fuzztime=10s -fuzzminimizetime=0 ./internal/runtime/
 # Benchmark-ledger smoke gate (`make bench-smoke`): bench/ is a nested module
 # (repro/bench) that `go test ./...` above does not reach. Its test drives
 # every ledger workload for a few seconds against the sequential oracle, and

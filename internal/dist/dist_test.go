@@ -223,13 +223,13 @@ func TestValueGobRoundTrip(t *testing.T) {
 		field.ArrayVal(field.ArrayFromInt32([]int32{1, 2, 3})),
 	}
 	for _, v := range vals {
-		data, err := v.GobEncode()
+		data, err := field.AppendWireValue(nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back field.Value
-		if err := back.GobDecode(data); err != nil {
-			t.Fatal(err)
+		back, n, err := field.DecodeWireValue(data)
+		if err != nil || n != len(data) {
+			t.Fatalf("decoded %d of %d bytes: %v", n, len(data), err)
 		}
 		if v.IsArray() {
 			if !back.IsArray() || !back.Array().Equal(v.Array()) {

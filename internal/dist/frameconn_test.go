@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -46,7 +47,8 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 // recorded as raw segments rather than copied into the header buffer.
 func scatterFrame(t *testing.T) *runtime.StoreFrame {
 	t.Helper()
-	vals := make([]float64, 512)
+	arr := field.NewArray(field.Float64, 512)
+	vals := arr.Float64s()
 	for i := range vals {
 		vals[i] = float64(i) * 0.25
 	}
@@ -54,7 +56,7 @@ func scatterFrame(t *testing.T) *runtime.StoreFrame {
 	f.Reset("pixels", 3)
 	if err := f.Add(runtime.StoreNotice{
 		Field: "pixels", Age: 3, Whole: true,
-		Value: field.ArrayVal(field.ArrayFromFloat64(vals)),
+		Value: field.ArrayVal(arr),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,9 @@ func TestTCPSendFrameRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(notices) != 2 || notices[0].Field != "pixels" || notices[0].Age != 3 || !notices[0].Whole {
+	// The whole-field store arrives as its slab spelling: a selector that
+	// fixes no dimension.
+	if len(notices) != 2 || notices[0].Field != "pixels" || notices[0].Age != 3 || !slices.Equal(notices[0].Sel, []field.SlabDim{{}}) {
 		t.Fatalf("decoded frame wrong: %+v", notices)
 	}
 	runtime.PutStoreFrame(f)

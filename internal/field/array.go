@@ -20,8 +20,8 @@ type Array struct {
 	extents []int
 	data    slab
 
-	// view marks an array whose slab aliases a field generation
-	// (Field.FetchViewAll/FetchViewSlice) instead of owning its storage.
+	// view marks an array whose slab aliases a field generation (a view
+	// fetch, see Field.PinView) instead of owning its storage.
 	// Boxed mutations (Set/SetFlat/Put/Grow) copy-on-write through unshare;
 	// the typed accessors expose the aliased backing and must be treated as
 	// read-only by view holders.
@@ -51,44 +51,11 @@ func ArrayFromInt32(vs []int32) *Array {
 	return a
 }
 
-// ArrayFromFloat64 builds a rank-1 float64 array from a Go slice (copied).
-func ArrayFromFloat64(vs []float64) *Array {
-	a := NewArray(Float64, len(vs))
-	copy(a.data.f64, vs)
-	return a
-}
-
 // ArrayFromUint8 builds a rank-1 uint8 array from a Go slice (copied).
 func ArrayFromUint8(vs []uint8) *Array {
 	a := NewArray(Uint8, len(vs))
 	copy(a.data.u8, vs)
 	return a
-}
-
-// Int32Slice returns a copy of the rank-1 array's contents as a Go slice.
-func (a *Array) Int32Slice() []int32 {
-	out := make([]int32, a.Len())
-	if a.data.class == classI32 {
-		copy(out, a.data.i32)
-		return out
-	}
-	for i := range out {
-		out[i] = a.data.get(a.kind, i).Int32()
-	}
-	return out
-}
-
-// Float64Slice returns a copy of the rank-1 array's contents as a Go slice.
-func (a *Array) Float64Slice() []float64 {
-	out := make([]float64, a.Len())
-	if a.data.class == classF64 {
-		copy(out, a.data.f64)
-		return out
-	}
-	for i := range out {
-		out[i] = a.data.get(a.kind, i).Float64()
-	}
-	return out
 }
 
 // Uint8s returns the live flat backing of a uint8/bool-kind array in row-major

@@ -72,7 +72,7 @@ func TestArrayPutGrows(t *testing.T) {
 		t.Fatalf("extent after puts = %d, want 5", a.Extent(0))
 	}
 	want := []int32{10, 11, 12, 13, 14}
-	got := a.Int32Slice()
+	got := a.Int32s()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("slice = %v, want %v", got, want)
@@ -163,14 +163,6 @@ func TestArrayString2D(t *testing.T) {
 	a.Set(Int32Val(4), 1, 1)
 	if got := a.String(); got != "{{1, 2}, {3, 4}}" {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestFloat64SliceAndFrom(t *testing.T) {
-	a := ArrayFromFloat64([]float64{1.5, -2})
-	got := a.Float64Slice()
-	if len(got) != 2 || got[0] != 1.5 || got[1] != -2 {
-		t.Errorf("Float64Slice = %v", got)
 	}
 }
 

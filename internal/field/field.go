@@ -28,9 +28,8 @@ type Field struct {
 	rank int
 	aged bool
 
-	mu     sync.RWMutex
-	ages   map[int]*ageStore
-	minAge int // ages below this have been garbage collected
+	mu   sync.RWMutex
+	ages map[int]*ageStore
 
 	// merge relaxes write-once enforcement for failover replay: a store to
 	// an already-written position, or to a completed age, is silently
@@ -49,11 +48,10 @@ type ageStore struct {
 	complete bool
 
 	// View lifetime: views counts live read-only views aliasing data (see
-	// FetchViewAll/FetchViewSlice); detached marks a generation dropped from
-	// its field while views were still in flight. Recycling into the age
-	// pools happens exactly once, by whichever of "last view released" and
-	// "generation dropped" runs second — the CompareAndSwap on detached is
-	// the claim.
+	// PinView); detached marks a generation dropped from its field while
+	// views were still in flight. Recycling into the age pools happens
+	// exactly once, by whichever of "last view released" and "generation
+	// dropped" runs second — the CompareAndSwap on detached is the claim.
 	views    atomic.Int32
 	detached atomic.Bool
 }
@@ -132,8 +130,8 @@ func (s *ageStore) detach() {
 }
 
 // ViewToken pins one generation's slab against recycling while a read-only
-// view (FetchViewAll/FetchViewSlice) aliases it. The zero token is a valid
-// no-op. Release must be called exactly once per acquired token.
+// view (see PinView) aliases it. The zero token is a valid no-op. Release
+// must be called exactly once per acquired token.
 type ViewToken struct {
 	s    *ageStore
 	kind Kind
@@ -191,9 +189,6 @@ func (f *Field) age(a int, create bool) *ageStore {
 	}
 	s := f.ages[a]
 	if s == nil && create {
-		if a < f.minAge {
-			panic(fmt.Sprintf("field %s: store to garbage-collected age %d", f.name, a))
-		}
 		s = newAgeStore(f.kind, f.rank)
 		f.ages[a] = s
 	}
@@ -395,91 +390,32 @@ func (f *Field) openForStore(age int) (*ageStore, error) {
 	return s, nil
 }
 
-// StoreAll writes an entire generation from a local array: extents are set to
-// the array's extents (growing as needed) and every element is written. It
-// fails if any covered position was already written.
+// StoreAll writes an entire generation from a local array: the slab store
+// whose selector fixes no dimension (see StoreSlice).
 func (f *Field) StoreAll(age int, a *Array) (StoreResult, error) {
-	if a.Rank() != f.rank {
-		return StoreResult{}, fmt.Errorf("field %s: whole-field store rank mismatch: rank-%d array into rank-%d field", f.name, a.Rank(), f.rank)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, err := f.openForStore(age)
-	if s == nil {
-		return StoreResult{}, err
-	}
-	grew := false
-	for d := 0; d < f.rank; d++ {
-		if a.Extent(d) > s.extents[d] {
-			grew = true
-		}
-	}
-	if grew {
-		ext := make([]int, f.rank)
-		for d := range ext {
-			ext[d] = s.extents[d]
-			if a.Extent(d) > ext[d] {
-				ext[d] = a.Extent(d)
-			}
-		}
-		s.grow(ext)
-	}
-	n := a.Len()
-	// Bulk path: the array covers the whole (previously empty) generation
-	// with a raw-copy-compatible representation — one typed copy.
-	if s.writes == 0 && rawCopyCompatible(f.kind, a.kind) && extentsEqual(s.extents, a.extents) {
-		s.data.copyRange(0, &a.data, 0, n)
-		for i := range s.written {
-			s.written[i] = true
-		}
-		s.writes = n
-		return s.result(grew, n), nil
-	}
-	// General path: walk the array in row-major order and map into the
-	// (possibly larger) field extents.
-	idx := make([]int, f.rank)
-	count := 0
-	for flat := 0; flat < n; flat++ {
-		off := s.flatten(idx)
-		if s.written[off] {
-			if !f.merge {
-				return StoreResult{}, fmt.Errorf("field %s(%d)%v: %w", f.name, age, idx, ErrWriteTwice)
-			}
-		} else {
-			s.data.set(f.kind, off, a.data.get(a.kind, flat))
-			s.written[off] = true
-			s.writes++
-			count++
-		}
-		for d := f.rank - 1; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < a.Extent(d) {
-				break
-			}
-			idx[d] = 0
-		}
-	}
-	return s.result(grew, count), nil
+	return f.StoreSlice(age, allFree(f.rank), a)
 }
 
-func extentsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// allFree returns the selector that fixes none of rank dimensions — a whole
+// generation as a slab. The result is shared: callers must not write it.
+func allFree(rank int) []SlabDim {
+	if rank <= len(allFreeBuf) {
+		return allFreeBuf[:rank:rank]
 	}
-	for d := range a {
-		if a[d] != b[d] {
-			return false
-		}
-	}
-	return true
+	return make([]SlabDim, rank)
 }
+
+// allFreeBuf backs allFree for the ranks programs use, so whole-field stores,
+// fetches and views allocate no selector.
+var allFreeBuf [8]SlabDim
 
 // StoreSlice writes a sub-slab of the generation at (age, sel) from a local
 // array: fixed selector dimensions pin a coordinate, free dimensions are
 // covered by the array's extents in field order. The generation grows as
 // needed; every covered position obeys write-once. When the fixed dimensions
 // form a prefix and the trailing field extents match the array's (the
-// store-one-row case), the data moves with a single typed copy.
+// store-one-row and whole-generation cases), the data moves with a single
+// typed copy.
 func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error) {
 	if len(sel) != f.rank {
 		return StoreResult{}, fmt.Errorf("field %s: slice store rank mismatch: %d selectors for rank-%d field", f.name, len(sel), f.rank)
@@ -575,8 +511,10 @@ func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error
 			}
 			base = base*s.extents[d] + i
 		}
+		// A generation with no writes yet (a whole-field store into a fresh
+		// age) cannot overlap, so only a written one is scanned.
 		overlap := false
-		for i := base; i < base+n; i++ {
+		for i := base; s.writes > 0 && i < base+n; i++ {
 			if s.written[i] {
 				if !f.merge {
 					return StoreResult{}, fmt.Errorf("field %s(%d) slice at %d: %w", f.name, age, i, ErrWriteTwice)
@@ -660,29 +598,20 @@ func (f *Field) Snapshot(age int) *Array {
 }
 
 // SnapshotInto copies the entire generation at the given age into dst,
-// reusing dst's backing storage when capacity allows — the allocation-free
-// whole-field fetch path for reused per-instance destination arrays.
+// reusing dst's backing storage: the slab fetch whose selector fixes no
+// dimension (see FetchSlice).
 func (f *Field) SnapshotInto(age int, dst *Array) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	s := f.ages[age]
-	if s == nil {
-		dst.resetZero(f.kind, f.rank)
-		return
-	}
-	dst.resetShape(f.kind, s.extents)
-	dst.data.copyRange(0, &s.data, 0, s.data.len())
+	f.FetchSlice(age, allFree(f.rank), dst)
 }
 
 // PinView pins the generation at the given age for zero-copy reads without
-// aliasing anything yet: the returned token's All and Slice methods then point
-// arrays at the generation's slab with no further locking or reference
-// counting, as often as the holder likes, until Release. It is only legal
-// once the generation is complete (write-once + completeness makes extents
-// and slab immutable, and the pin defers recycling past a drop); it returns
-// false when the age is absent or not yet complete, and callers fall back to
-// the copying path. The runtime takes one pin per fetch per slice of
-// instances.
+// aliasing anything yet: the returned token's Slice method then points arrays
+// at the generation's slab with no further locking or reference counting, as
+// often as the holder likes, until Release. It is only legal once the
+// generation is complete (write-once + completeness makes extents and slab
+// immutable, and the pin defers recycling past a drop); it returns false
+// when the age is absent or not yet complete, and callers fall back to the
+// copying path. The runtime takes one pin per fetch per slice of instances.
 func (f *Field) PinView(age int) (ViewToken, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -694,19 +623,19 @@ func (f *Field) PinView(age int) (ViewToken, bool) {
 	return ViewToken{s: s, kind: f.kind}, true
 }
 
-// All points dst at the pinned generation's whole slab without copying — the
-// zero-copy counterpart of SnapshotInto. dst must be treated as read-only
-// while the pin is live; boxed mutations copy-on-write, but the typed
-// accessors (Uint8s/Int32s/...) expose the field's own storage.
+// All points dst at the pinned generation's whole slab without copying: the
+// view whose selector fixes no dimension (see Slice).
 func (t ViewToken) All(dst *Array) {
-	dst.aliasSlab(t.kind, t.s.extents, &t.s.data, 0, t.s.data.len())
+	t.Slice(allFree(len(t.s.extents)), dst)
 }
 
 // Slice points dst at a contiguous sub-slab of the pinned generation without
-// copying — the zero-copy counterpart of FetchSlice. Only selectors whose
-// fixed dimensions form a prefix describe one contiguous run, so it returns
-// false (dst untouched) for non-prefix selectors and out-of-range fixed
-// coordinates; callers fall back to the copying FetchSlice.
+// copying — the zero-copy counterpart of FetchSlice. dst must be treated as
+// read-only while the pin is live; boxed mutations copy-on-write, but the
+// typed accessors (Uint8s/Int32s/...) expose the field's own storage. Only
+// selectors whose fixed dimensions form a prefix describe one contiguous run,
+// so it returns false (dst untouched) for non-prefix selectors and
+// out-of-range fixed coordinates; callers fall back to the copying FetchSlice.
 func (t ViewToken) Slice(sel []SlabDim, dst *Array) bool {
 	s := t.s
 	if len(sel) != len(s.extents) {
@@ -740,24 +669,17 @@ func (t ViewToken) Slice(sel []SlabDim, dst *Array) bool {
 }
 
 // FetchViewAll pins the generation (see PinView) and points dst at its whole
-// slab. It returns false, leaving dst untouched, when the age is absent or
-// not yet complete.
+// slab: the view fetch whose selector fixes no dimension. It returns false,
+// leaving dst untouched, when the age is absent or not yet complete.
 func (f *Field) FetchViewAll(age int, dst *Array) (ViewToken, bool) {
-	t, ok := f.PinView(age)
-	if ok {
-		t.All(dst)
-	}
-	return t, ok
+	return f.fetchView(age, allFree(f.rank), dst)
 }
 
-// FetchViewSlice pins the generation (see PinView) and points dst at the
+// fetchView pins the generation (see PinView) and points dst at the
 // contiguous sub-slab sel selects. It returns false, leaving dst untouched
 // and nothing pinned, when the age is absent or incomplete or the selector
 // does not describe one contiguous run (see ViewToken.Slice).
-func (f *Field) FetchViewSlice(age int, sel []SlabDim, dst *Array) (ViewToken, bool) {
-	if len(sel) != f.rank {
-		panic(fmt.Sprintf("field %s: slab rank mismatch: %d selectors for rank-%d field", f.name, len(sel), f.rank))
-	}
+func (f *Field) fetchView(age int, sel []SlabDim, dst *Array) (ViewToken, bool) {
 	t, ok := f.PinView(age)
 	if !ok {
 		return ViewToken{}, false
@@ -812,14 +734,6 @@ func (f *Field) MarkComplete(age int) {
 	f.age(age, true).complete = true
 }
 
-// Complete reports whether the age has been marked complete.
-func (f *Field) Complete(age int) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	s := f.ages[age]
-	return s != nil && s.complete
-}
-
 // DropAge garbage collects a single generation, returning its storage to the
 // slab pool (deferred to the last view release if views are in flight). It
 // reports whether the age was live.
@@ -833,27 +747,6 @@ func (f *Field) DropAge(age int) bool {
 	delete(f.ages, age)
 	s.detach()
 	return true
-}
-
-// DropAgesBelow garbage collects every generation with age < min, returning
-// storage to the slab pool. It returns the number of generations dropped.
-// Dropped ages can no longer be stored to or fetched from; the runtime only
-// drops ages whose consumers have all finished.
-func (f *Field) DropAgesBelow(min int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for a, s := range f.ages {
-		if a < min {
-			delete(f.ages, a)
-			s.detach()
-			n++
-		}
-	}
-	if min > f.minAge {
-		f.minAge = min
-	}
-	return n
 }
 
 // Release drops every live generation into the slab pools, leaving the field

@@ -63,15 +63,6 @@ func KindByName(name string) Kind {
 	return Invalid
 }
 
-// Numeric reports whether values of the kind support arithmetic.
-func (k Kind) Numeric() bool {
-	switch k {
-	case Int32, Int64, Float32, Float64, Uint8:
-		return true
-	}
-	return false
-}
-
 // Integer reports whether the kind is an integer type.
 func (k Kind) Integer() bool {
 	switch k {

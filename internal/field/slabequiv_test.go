@@ -3,6 +3,7 @@ package field
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -239,7 +240,7 @@ func TestSlabMatchesBoxedReference(t *testing.T) {
 						}
 					case 3: // whole fetch
 						f.SnapshotInto(0, dst)
-						if !extentsEqual(dst.Extents(), ref.extents) {
+						if !slices.Equal(dst.Extents(), ref.extents) {
 							t.Fatalf("rank %d op %d: snapshot extents %v, ref %v", rank, op, dst.Extents(), ref.extents)
 						}
 						for i := 0; i < dst.Len(); i++ {

@@ -30,12 +30,6 @@ func TestKindNames(t *testing.T) {
 }
 
 func TestKindPredicates(t *testing.T) {
-	if !Int32.Numeric() || !Float64.Numeric() || !Uint8.Numeric() {
-		t.Error("numeric kinds misclassified")
-	}
-	if Bool.Numeric() || String.Numeric() || Any.Numeric() {
-		t.Error("non-numeric kinds misclassified")
-	}
 	if !Int64.Integer() || Float32.Integer() {
 		t.Error("Integer misclassified")
 	}

@@ -41,9 +41,10 @@ func TestFetchViewAllBasics(t *testing.T) {
 	}
 }
 
-// TestFetchViewSlice: prefix-fixed selectors alias the row run; non-prefix
-// selectors and out-of-range coordinates fall back (return false).
-func TestFetchViewSlice(t *testing.T) {
+// TestViewSlice: prefix-fixed selectors alias the row run; non-prefix
+// selectors and out-of-range coordinates fall back (return false), and an
+// all-free selector is the whole-generation view.
+func TestViewSlice(t *testing.T) {
 	f := New("m", Float64, 2, true)
 	m := NewArray(Float64, 3, 4)
 	for i := 0; i < m.Len(); i++ {
@@ -56,7 +57,7 @@ func TestFetchViewSlice(t *testing.T) {
 
 	var dst Array
 	sel := []SlabDim{{Fixed: true, Index: 1}, {}}
-	tok, ok := f.FetchViewSlice(0, sel, &dst)
+	tok, ok := f.fetchView(0, sel, &dst)
 	if !ok {
 		t.Fatal("prefix-fixed slice view refused")
 	}
@@ -68,12 +69,21 @@ func TestFetchViewSlice(t *testing.T) {
 	tok.Release()
 
 	// Fixed dim after a free dim: not a contiguous run, must fall back.
-	if _, ok := f.FetchViewSlice(0, []SlabDim{{}, {Fixed: true, Index: 2}}, &dst); ok {
+	if _, ok := f.fetchView(0, []SlabDim{{}, {Fixed: true, Index: 2}}, &dst); ok {
 		t.Fatal("non-prefix selector got a view")
 	}
 	// Out-of-range coordinate.
-	if _, ok := f.FetchViewSlice(0, []SlabDim{{Fixed: true, Index: 9}, {}}, &dst); ok {
+	if _, ok := f.fetchView(0, []SlabDim{{Fixed: true, Index: 9}, {}}, &dst); ok {
 		t.Fatal("out-of-range selector got a view")
+	}
+	// No fixed dimension: the whole generation.
+	tok, ok = f.fetchView(0, []SlabDim{{}, {}}, &dst)
+	if !ok {
+		t.Fatal("all-free selector refused")
+	}
+	defer tok.Release()
+	if !dst.Equal(m) {
+		t.Fatalf("all-free view %v != stored %v", &dst, m)
 	}
 }
 
@@ -266,8 +276,7 @@ func TestViewRefcountConcurrentStress(t *testing.T) {
 // allocations per op once the destination array exists.
 func TestViewFetchZeroAllocs(t *testing.T) {
 	f := New("z", Float64, 1, true)
-	vals := make([]float64, 256)
-	if _, err := f.StoreAll(0, ArrayFromFloat64(vals)); err != nil {
+	if _, err := f.StoreAll(0, NewArray(Float64, 256)); err != nil {
 		t.Fatal(err)
 	}
 	f.MarkComplete(0)

@@ -32,47 +32,6 @@ type anyBox struct{ V any }
 // it can cross node boundaries; it wraps gob.Register.
 func RegisterPayload(v any) { gob.Register(v) }
 
-// GobEncode implements gob.GobEncoder for Array by delegating to the Value
-// encoding.
-func (a *Array) GobEncode() ([]byte, error) { return ArrayVal(a).GobEncode() }
-
-// GobDecode implements gob.GobDecoder for Array.
-func (a *Array) GobDecode(data []byte) error {
-	var v Value
-	if err := v.GobDecode(data); err != nil {
-		return err
-	}
-	if v.arr == nil {
-		return fmt.Errorf("field: decoded value is not an array")
-	}
-	*a = *v.arr
-	return nil
-}
-
-// GobEncode implements gob.GobEncoder for Value using the typed-slab binary
-// format (the name is historical: gob is only used for Any payloads).
-func (v Value) GobEncode() ([]byte, error) {
-	buf := make([]byte, 0, v.wireSizeHint())
-	return v.appendWire(buf)
-}
-
-func (v Value) wireSizeHint() int {
-	if v.arr == nil {
-		return 16 + len(v.s)
-	}
-	n := v.arr.Len()
-	switch v.arr.data.class {
-	case classU8:
-		return 16 + n
-	case classI32:
-		return 16 + 4*n
-	case classStr:
-		return 16 + n + len(v.arr.data.str)
-	default:
-		return 16 + 8*n
-	}
-}
-
 func (v Value) appendWire(buf []byte) ([]byte, error) {
 	flags := byte(0)
 	if v.arr != nil {
@@ -168,7 +127,7 @@ type wireReader struct {
 var errWireShort = fmt.Errorf("field: truncated wire value")
 
 func (r *wireReader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.buf) {
+	if n < 0 || n > len(r.buf)-r.off {
 		return nil, errWireShort
 	}
 	b := r.buf[r.off : r.off+n]
@@ -211,9 +170,9 @@ func (r *wireReader) uint64() (uint64, error) {
 }
 
 // AppendWireValue appends the wire-format v1 encoding of v to buf and
-// returns the extended buffer. It is the append-style form of Value.GobEncode
-// for embedding values inside larger frames (see runtime.StoreFrame): encoded
-// values are self-delimiting, so no length prefix is needed.
+// returns the extended buffer, for embedding values inside larger frames (see
+// runtime.StoreFrame): encoded values are self-delimiting, so no length
+// prefix is needed.
 func AppendWireValue(buf []byte, v Value) ([]byte, error) { return v.appendWire(buf) }
 
 // hostLittleEndian reports whether the host stores multi-byte words
@@ -288,18 +247,6 @@ func DecodeWireValue(data []byte) (Value, int, error) {
 		return Value{}, 0, err
 	}
 	return v, r.off, nil
-}
-
-// GobDecode implements gob.GobDecoder for Value.
-func (v *Value) GobDecode(data []byte) error {
-	r := &wireReader{buf: data}
-	if err := v.readWire(r); err != nil {
-		return err
-	}
-	if r.off != len(data) {
-		return fmt.Errorf("field: %d trailing bytes after wire value", len(data)-r.off)
-	}
-	return nil
 }
 
 func (v *Value) readWire(r *wireReader) error {
@@ -402,19 +349,21 @@ func readWireArray(r *wireReader, kind Kind) (*Array, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e > uint64(remaining) { // every element costs >= 1 byte
-			return nil, errWireShort
+		if e > math.MaxInt {
+			return nil, fmt.Errorf("field: decoded array extent %d out of range", e)
 		}
 		extents[d] = int(e)
-		if e == 0 {
-			zero = true
-		}
+		zero = zero || e == 0
 	}
-	n := 1
-	if zero {
-		n = 0
-	} else {
+	// An empty array carries no payload, whatever its other extents; every
+	// element of a non-empty one costs at least a byte.
+	n := 0
+	if !zero {
+		n = 1
 		for _, e := range extents {
+			if e > remaining {
+				return nil, errWireShort
+			}
 			n *= e
 			if n > remaining {
 				return nil, errWireShort

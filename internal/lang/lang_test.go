@@ -338,7 +338,7 @@ calc:
 	}
 	s, _ := n.Snapshot("out", 0)
 	want := []int32{14, 20, 16, 7, 12, 5, 7, 4, 1, 2, 1024, 3}
-	got := s.Int32Slice()
+	got := s.Int32s()
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}

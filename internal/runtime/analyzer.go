@@ -662,7 +662,7 @@ func (s *anShard) burstMask(t *ageTracker) (mask0 uint32, elems bool) {
 	ks := t.ks
 	for i := range ks.fetchPlans {
 		fp := &ks.fetchPlans[i]
-		if fp.whole || fp.slab != nil {
+		if fp.slab != nil {
 			g := fp.fe.Age.Eval(t.age)
 			s.ensureFieldGen(fp.fs, g)
 			if s.complete[fieldGen{fp.fs, g}] {
@@ -724,7 +724,7 @@ func (s *anShard) newInst(t *ageTracker, coords []int, mask0 uint32, elems bool)
 	if elems {
 		for i := range ks.fetchPlans {
 			fp := &ks.fetchPlans[i]
-			if fp.whole || fp.slab != nil {
+			if fp.slab != nil {
 				continue
 			}
 			bit := uint32(1) << uint(i)

@@ -14,15 +14,15 @@ import (
 // encoded back-to-back in the typed wire format v1 (internal/field/wire.go),
 // so a generation crosses the dist transport as one typed block instead of a
 // gob-encoded boxed Value per store. The header names the field and age once;
-// each entry then holds only its addressing mode (element coordinates, whole,
-// or slab selector) and the raw typed payload.
+// each entry then holds only its addressing mode (element coordinates or slab
+// selector — a whole-field store is the selector that fixes no dimension) and
+// the raw typed payload.
 //
 // Layout:
 //
 //	frame := version(1B) | len(field) uvarint | field bytes | age varint | entry*
 //	entry := mode(1B) | mode header | wire value (self-delimiting)
 //	  mode 0 (element): rank uvarint, rank coordinates (varint each)
-//	  mode 1 (whole):   no header
 //	  mode 2 (slab):    rank uvarint, per dim: fixed(1B), index varint if fixed
 //
 // Entries run to the end of the buffer; wire values are self-delimiting so no
@@ -34,11 +34,11 @@ import (
 // entries is versioned separately (wire format v1).
 const storeFrameVersion = 1
 
-// Entry addressing modes.
+// Entry addressing modes. Mode 1, a whole-field entry without a selector, is
+// retired and refused by the decoder.
 const (
-	frameModeElem byte = iota
-	frameModeWhole
-	frameModeSlab
+	frameModeElem byte = 0
+	frameModeSlab byte = 2
 )
 
 // frameMaxRank bounds coordinate and selector ranks during decode, mirroring
@@ -99,10 +99,8 @@ func (f *StoreFrame) clearSegs() {
 // frame was Reset to; mixing generations corrupts nothing but delivers the
 // stores to the wrong age, so callers key frames by (field, age).
 func (f *StoreFrame) Add(sn StoreNotice) error {
-	switch {
-	case sn.Whole:
-		f.buf = append(f.buf, frameModeWhole)
-	case sn.Sel != nil:
+	sn = sn.normalize()
+	if sn.Sel != nil {
 		f.buf = append(f.buf, frameModeSlab)
 		f.buf = binary.AppendUvarint(f.buf, uint64(len(sn.Sel)))
 		for _, sd := range sn.Sel {
@@ -113,7 +111,7 @@ func (f *StoreFrame) Add(sn StoreNotice) error {
 				f.buf = append(f.buf, 0)
 			}
 		}
-	default:
+	} else {
 		f.buf = append(f.buf, frameModeElem)
 		f.buf = binary.AppendUvarint(f.buf, uint64(len(sn.Elem)))
 		for _, i := range sn.Elem {
@@ -307,8 +305,6 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 					sn.Elem[d] = int(x)
 				}
 			}
-		case frameModeWhole:
-			sn.Whole = true
 		case frameModeSlab:
 			rank, err := c.uvarint()
 			if err != nil {

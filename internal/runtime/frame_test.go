@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -78,8 +79,11 @@ func randFrameNotice(r *rand.Rand, fieldName string, age int) StoreNotice {
 	return sn
 }
 
+// noticesEqual compares two notices as stores: a Whole notice equals its
+// all-free Sel spelling, which is what decoding hands back.
 func noticesEqual(a, b StoreNotice) bool {
-	if a.Field != b.Field || a.Age != b.Age || a.Whole != b.Whole {
+	a, b = a.normalize(), b.normalize()
+	if a.Field != b.Field || a.Age != b.Age {
 		return false
 	}
 	if !slices.Equal(a.Elem, b.Elem) || !slices.Equal(a.Sel, b.Sel) {
@@ -149,6 +153,29 @@ func TestStoreFrameScatterGather(t *testing.T) {
 			t.Fatalf("notice %d: got %+v, want %+v", i, got[i], notices[i])
 		}
 	}
+
+	// A Whole notice and its all-free Sel spelling are one entry, byte for
+	// byte, and decode to the selector.
+	var whole, sel StoreFrame
+	whole.Reset("f", 3)
+	sel.Reset("f", 3)
+	if err := whole.Add(StoreNotice{Field: "f", Age: 3, Whole: true, Value: field.ArrayVal(big)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sel.Add(StoreNotice{Field: "f", Age: 3, Sel: []field.SlabDim{{}}, Value: field.ArrayVal(big)}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(whole.AppendTo(nil), sel.AppendTo(nil)) {
+		t.Error("a Whole notice and its all-free Sel spelling encode differently")
+	}
+	if err := DecodeStoreFrame(whole.AppendTo(nil), func(sn StoreNotice) error {
+		if sn.Whole || !slices.Equal(sn.Sel, []field.SlabDim{{}}) {
+			t.Errorf("whole-field entry decoded as Whole=%v Sel=%v", sn.Whole, sn.Sel)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestStoreFrameScatterVsCopyBytes: for random notice sequences, the
@@ -188,9 +215,8 @@ func TestStoreFrameScatterVsCopyBytes(t *testing.T) {
 func appendFrameEntryCopy(buf []byte, sn StoreNotice) ([]byte, error) {
 	var g StoreFrame
 	g.buf = buf
+	sn = sn.normalize()
 	switch {
-	case sn.Whole:
-		g.buf = append(g.buf, frameModeWhole)
 	case sn.Sel != nil:
 		g.buf = append(g.buf, frameModeSlab)
 		g.buf = binary.AppendUvarint(g.buf, uint64(len(sn.Sel)))
@@ -342,11 +368,14 @@ func TestStoreFrameCorrupt(t *testing.T) {
 		}
 	}
 	// Corrupt the entry mode byte: header is ver|len|"c"|age, so the mode
-	// byte sits at offset 4.
-	bad := append([]byte(nil), valid...)
-	bad[4] = 77
-	if err := DecodeStoreFrame(bad, nop); err == nil {
-		t.Error("bad mode byte: decode succeeded")
+	// byte sits at offset 4. Mode 1, the retired selector-less whole-field
+	// entry, is as unknown as any other.
+	for _, mode := range []byte{77, 1} {
+		bad := append([]byte(nil), valid...)
+		bad[4] = mode
+		if err := DecodeStoreFrame(bad, nop); err == nil {
+			t.Errorf("mode byte %d: decode succeeded", mode)
+		}
 	}
 	// Oversized element rank.
 	var g StoreFrame
@@ -482,4 +511,119 @@ func TestInjectStoreFrameMatchesInjectStore(t *testing.T) {
 	if err := n.InjectStoreFrame(bad.Bytes()); err == nil {
 		t.Error("frame for unknown field injected cleanly")
 	}
+
+	// A Whole notice and its all-free Sel spelling store the same contents
+	// and announce them with the same analyzer event.
+	spell := map[string]StoreNotice{
+		"whole": {Field: "ff", Age: 0, Whole: true, Value: field.ArrayVal(whole)},
+		"sel":   {Field: "ff", Age: 0, Sel: []field.SlabDim{{}, {}}, Value: field.ArrayVal(whole)},
+	}
+	evs := map[string]event{}
+	snaps := map[string]*field.Array{}
+	for name, sn := range spell {
+		node, err := NewNode(prog, Options{Workers: 1, RemoteKernels: map[string]bool{"s1": true, "s2": true, "s3": true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := node.applyStore(sn)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ev.fs = nil // node-local
+		evs[name] = ev
+		snaps[name], _ = node.Snapshot("ff", 0)
+		node.Release()
+	}
+	if !reflect.DeepEqual(evs["whole"], evs["sel"]) {
+		t.Errorf("analyzer events differ: whole %+v, sel %+v", evs["whole"], evs["sel"])
+	}
+	if !evs["whole"].whole || !evs["whole"].grew {
+		t.Errorf("whole-field store announced as %+v", evs["whole"])
+	}
+	if !snaps["whole"].Equal(whole) || !snaps["sel"].Equal(whole) {
+		t.Errorf("field contents differ: whole %v, sel %v, stored %v", snaps["whole"], snaps["sel"], whole)
+	}
+}
+
+// FuzzDecodeStoreFrame: decoding never panics, and a frame that decodes
+// re-encodes to bytes that decode to the same notices. The notices are
+// compared through their encoding, byte for byte, because Value.Equal holds a
+// NaN unequal to itself. Seeds are random frames of the round-trip tests, the
+// corruption cases, and one frame with an element, a slab, an all-free and a
+// segment entry.
+func FuzzDecodeStoreFrame(f *testing.F) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 8; i++ {
+		var fr StoreFrame
+		fr.Reset(fmt.Sprintf("f%d", i), i)
+		for j := 0; j < 1+r.Intn(4); j++ {
+			if err := fr.Add(randFrameNotice(r, "f", i)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(fr.AppendTo(nil))
+	}
+	big := field.NewArray(field.Int32, 4, 32) // 512 bytes: a segment entry
+	v := big.Int32s()
+	for i := range v {
+		v[i] = int32(i - 200)
+	}
+	var mixed StoreFrame
+	mixed.Reset("mixed", 2)
+	for _, sn := range []StoreNotice{
+		{Elem: []int{3, 1}, Value: field.Float64Val(0.5)},
+		{Sel: []field.SlabDim{{Fixed: true, Index: 1}, {}}, Value: field.ArrayVal(field.ArrayFromUint8([]uint8{7, 8}))},
+		{Sel: []field.SlabDim{{}, {}}, Value: field.ArrayVal(field.NewArray(field.Int64, 2, 2))},
+		{Whole: true, Value: field.ArrayVal(big)},
+	} {
+		if err := mixed.Add(sn); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if len(mixed.segs) == 0 {
+		f.Fatal("the mixed seed has no segment entry")
+	}
+	f.Add(mixed.AppendTo(nil))
+	for _, seed := range [][]byte{
+		{}, {99}, {2, 1, 'c', 0, 1}, {storeFrameVersion, 0xff, 0xff, 0xff, 0x7f},
+		{storeFrameVersion, 40, 'x'}, {storeFrameVersion, 1, 'c', 0, 1},
+		{storeFrameVersion, 1, 'c', 0, frameModeElem, 0xff, 0xff, 0x7f},
+	} {
+		f.Add(seed)
+	}
+	decode := func(frame []byte) ([]StoreNotice, error) {
+		var got []StoreNotice
+		err := DecodeStoreFrame(frame, func(sn StoreNotice) error {
+			got = append(got, sn)
+			return nil
+		})
+		return got, err
+	}
+	encode := func(notices []StoreNotice) ([]byte, error) {
+		var fr StoreFrame
+		fr.Reset(notices[0].Field, notices[0].Age)
+		for _, sn := range notices {
+			if err := fr.Add(sn); err != nil {
+				return nil, err
+			}
+		}
+		return fr.AppendTo(nil), nil
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		got, err := decode(frame)
+		if err != nil || len(got) == 0 {
+			return
+		}
+		enc, err := encode(got)
+		if err != nil {
+			t.Fatalf("decoded notices %+v do not re-encode: %v", got, err)
+		}
+		back, err := decode(enc)
+		if err != nil || len(back) != len(got) {
+			t.Fatalf("re-encoding decodes to %d notices (%v), want %d", len(back), err, len(got))
+		}
+		if again, err := encode(back); err != nil || !slices.Equal(again, enc) {
+			t.Fatalf("notices %+v re-decoded as %+v (%v)", got, back, err)
+		}
+	})
 }

@@ -94,9 +94,11 @@ type Options struct {
 type StoreNotice struct {
 	Field string
 	Age   int
-	// Elem is the element coordinates for an element store; nil with
-	// Whole set for a whole-field store.
-	Elem  []int
+	// Elem is the element coordinates for an element store.
+	Elem []int
+	// Whole marks a whole-field store. It is another spelling of the Sel
+	// that fixes no dimension, which is how InjectStore and StoreFrame.Add
+	// apply and encode it (see normalize).
 	Whole bool
 	// Sel is the slab selector for a slab store (fixed dimensions pinned,
 	// free dimensions covered by the array payload); nil otherwise.
@@ -104,6 +106,20 @@ type StoreNotice struct {
 	// Value carries the element value, or the whole/slab array (as an array
 	// value) for whole-field and slab stores.
 	Value field.Value
+}
+
+// normalize spells a Whole notice as the slab store whose selector fixes no
+// dimension. A Whole notice without an array payload gets an empty selector,
+// which InjectStore refuses.
+func (sn StoreNotice) normalize() StoreNotice {
+	if sn.Whole {
+		rank := 0
+		if a := sn.Value.Array(); a != nil {
+			rank = a.Rank()
+		}
+		sn.Whole, sn.Sel = false, make([]field.SlabDim, rank)
+	}
+	return sn
 }
 
 func (o Options) withDefaults() Options {
@@ -352,20 +368,9 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			fe := &kd.Fetches[i]
 			fp := fetchPlan{fe: fe, fs: n.fields[fe.Field], local: kd.LocalIndex(fe.Local)}
 			switch {
-			case fe.Whole():
-				fp.whole = true
-				fp.viewable = true
-			case fe.Slab():
-				fp.slab = make([]slabTerm, len(fe.Index))
-				for d, spec := range fe.Index {
-					if spec.Kind == core.IndexAllKind {
-						continue // zero value spans the whole dimension
-					}
-					fp.slab[d] = slabTerm{fixed: true, term: compileSpec(spec, kd.IndexVars)}
-				}
-				if len(fp.slab) > maxSel {
-					maxSel = len(fp.slab)
-				}
+			case fe.Whole(), fe.Slab():
+				fp.slab = compileSlab(fe.Index, fp.fs.decl.Rank, kd.IndexVars)
+				maxSel = max(maxSel, len(fp.slab))
 				// A slab selector is viewable when its fixed dimensions are
 				// a prefix: the free suffix then addresses one contiguous
 				// row range of the generation slab.
@@ -391,12 +396,14 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		}
 		if kd.SliceBody != nil {
 			// Every row of a context sees the one Array of a local, so an
-			// array that differs between instances — a slab, or one the body
-			// fills — cannot pass through a slice body.
+			// array that differs between instances — a slab with a fixed
+			// dimension, or one the body fills — cannot pass through a slice
+			// body.
 			for li := range kd.Locals {
 				shared := kd.Locals[li].Rank == 0
 				for i := range ks.fetchPlans {
-					shared = shared || ks.fetchPlans[i].whole && ks.fetchPlans[i].local == li
+					fp := &ks.fetchPlans[i]
+					shared = shared || fp.local == li && fp.slab != nil && noneFixed(fp.slab)
 				}
 				if !shared {
 					return nil, fmt.Errorf("p2g: kernel %q has a slice body, but its array local %s is not a whole fetch", kd.Name, kd.Locals[li].Name)
@@ -408,18 +415,9 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			ss := &kd.Stores[i]
 			sp := storePlan{ss: ss, fs: n.fields[ss.Field], local: kd.LocalIndex(ss.Local)}
 			switch {
-			case ss.Whole():
-			case ss.Slab():
-				sp.slab = make([]slabTerm, len(ss.Index))
-				for d, spec := range ss.Index {
-					if spec.Kind == core.IndexAllKind {
-						continue // zero value spans the whole dimension
-					}
-					sp.slab[d] = slabTerm{fixed: true, term: compileSpec(spec, kd.IndexVars)}
-				}
-				if len(sp.slab) > maxSel {
-					maxSel = len(sp.slab)
-				}
+			case ss.Whole(), ss.Slab():
+				sp.slab = compileSlab(ss.Index, sp.fs.decl.Rank, kd.IndexVars)
+				maxSel = max(maxSel, len(sp.slab))
 			default:
 				sp.terms = compileIndex(ss.Index, kd.IndexVars)
 				if len(sp.terms) > maxIdx {
@@ -597,38 +595,40 @@ func (n *Node) inject(ev event) {
 // written to the local field replica and the analyzer is notified exactly as
 // for a local store.
 func (n *Node) InjectStore(sn StoreNotice) error {
-	fs, ok := n.fields[sn.Field]
-	if !ok {
-		return fmt.Errorf("p2g: remote store to unknown field %q", sn.Field)
-	}
-	var res field.StoreResult
-	var err error
-	switch {
-	case sn.Whole:
-		arr := sn.Value.Array()
-		if arr == nil {
-			return fmt.Errorf("p2g: remote whole-field store to %q without array payload", sn.Field)
-		}
-		res, err = fs.f.StoreAll(sn.Age, arr)
-	case sn.Sel != nil:
-		arr := sn.Value.Array()
-		if arr == nil {
-			return fmt.Errorf("p2g: remote slab store to %q without array payload", sn.Field)
-		}
-		res, err = fs.f.StoreSlice(sn.Age, sn.Sel, arr)
-	default:
-		res, err = fs.f.Store(sn.Age, sn.Value, sn.Elem...)
-	}
+	ev, err := n.applyStore(sn)
 	if err != nil {
 		return err
 	}
-	whole := sn.Whole || sn.Sel != nil
-	ev := event{fs: fs, age: sn.Age, whole: whole, grew: res.Grew, extents: res.Extents}
-	if !whole {
-		ev.setElem(sn.Elem)
-	}
 	n.inject(ev)
 	return nil
+}
+
+// applyStore writes one store notice to the local field replica and returns
+// the analyzer event that announces it.
+func (n *Node) applyStore(sn StoreNotice) (event, error) {
+	sn = sn.normalize()
+	fs, ok := n.fields[sn.Field]
+	if !ok {
+		return event{}, fmt.Errorf("p2g: remote store to unknown field %q", sn.Field)
+	}
+	ev := event{fs: fs, age: sn.Age, whole: sn.Sel != nil}
+	var res field.StoreResult
+	var err error
+	if sn.Sel != nil {
+		arr := sn.Value.Array()
+		if arr == nil {
+			return event{}, fmt.Errorf("p2g: remote slab store to %q without array payload", sn.Field)
+		}
+		res, err = fs.f.StoreSlice(sn.Age, sn.Sel, arr)
+	} else {
+		res, err = fs.f.Store(sn.Age, sn.Value, sn.Elem...)
+		ev.setElem(sn.Elem)
+	}
+	if err != nil {
+		return event{}, err
+	}
+	ev.grew, ev.extents = res.Grew, res.Extents
+	return ev, nil
 }
 
 // InjectRemoteDone records that a remote kernel finished all instances of
@@ -868,8 +868,8 @@ func (n *Node) worker(id int) {
 // generation, apply the staged element stores of all instances under one
 // field lock per store statement, and send one done event carrying the slice.
 // Per instance: alias views out of the pins, fetch elements, run the body,
-// apply slab and whole stores and stage element stores — unless the kernel
-// has a slice body and the slice is long enough for it (minLockstepInsts and
+// apply slab stores and stage element stores — unless the kernel has a
+// slice body and the slice is long enough for it (minLockstepInsts and
 // the kernel's own SliceMin), in which case the bodies are one call
 // (lockstep). Dispatch time (everything but the bodies) and kernel time (the
 // bodies) feed the Table II/III instrumentation. The path allocates nothing
@@ -1005,11 +1005,11 @@ const minLockstepInsts = 4
 // lockstep runs a slice through the kernel's slice body: every instance is
 // fetched into its own row of the frame's context, one SliceBody call runs
 // all the bodies, then every row's stores are handled — the same fetchInst
-// and storeInst as the per-instance loop, and whole fetches are aliased out
-// of the pins once for all rows. It reports done false, with nothing stored,
-// when the slice body declines (the kernel language's does when an instance
-// would fail: the per-instance loop then reproduces the failure in order). It
-// leaves the stamps around the one body call in cur.
+// and storeInst as the per-instance loop, and whole-field fetches are aliased
+// out of the pins once for all rows. It reports done false, with nothing
+// stored, when the slice body declines (the kernel language's does when an
+// instance would fail: the per-instance loop then reproduces the failure in
+// order). It leaves the stamps around the one body call in cur.
 func (n *Node) lockstep(t *ageTracker, b *batch, fr *execFrame, w *workerState, timed bool, cur *instStamps) (done bool, ran, stores int, stopped bool) {
 	ks := t.ks
 	ctx := fr.ctx
@@ -1073,9 +1073,9 @@ func (n *Node) observeLockstep(t *ageTracker, insts []*instState, w *workerState
 // fetchInst performs one instance's fetches into the frame's context: views
 // aliased out of the slice's pins (copies where a generation could not be
 // pinned) and element reads. alias is false when an earlier row of the same
-// slice has already filled the context's whole-fetch arrays, which every row
-// shares. It reports false after failing the run when an element the
-// analyzer saw written is missing.
+// slice has already filled the context's whole-field fetch arrays, which
+// every row shares. It reports false after failing the run when an element
+// the analyzer saw written is missing.
 func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame, alias bool) bool {
 	ks := t.ks
 	ctx := fr.ctx
@@ -1083,21 +1083,13 @@ func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame, alias bool
 		fp := &ks.fetchPlans[i]
 		g := fp.fe.Age.Eval(t.age)
 		switch {
-		case fp.whole:
-			dst := ctx.FetchDestAt(fp.local)
-			switch pin := &fr.pins[i]; {
-			case !alias:
-			case pin.ok:
-				pin.tok.All(dst)
-			default:
-				fp.fs.f.SnapshotInto(g, dst)
-			}
-			ctx.SetLocalValue(fp.local, field.ArrayVal(dst))
 		case fp.slab != nil:
-			sel := evalSel(fr.sel[:len(fp.slab)], fp.slab, is.coords)
 			dst := ctx.FetchDestAt(fp.local)
-			if pin := &fr.pins[i]; !pin.ok || !pin.tok.Slice(sel, dst) {
-				fp.fs.f.FetchSlice(g, sel, dst)
+			if alias || !noneFixed(fp.slab) {
+				sel := evalSel(fr.sel[:len(fp.slab)], fp.slab, is.coords)
+				if pin := &fr.pins[i]; !pin.ok || !pin.tok.Slice(sel, dst) {
+					fp.fs.f.FetchSlice(g, sel, dst)
+				}
 			}
 			ctx.SetLocalValue(fp.local, field.ArrayVal(dst))
 		default:
@@ -1113,11 +1105,11 @@ func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame, alias bool
 	return true
 }
 
-// storeInst handles one instance's store statements after its body: slab and
-// whole stores are applied at once (their source arrays are the context's
-// reusable locals), element stores are staged for flushStaged. It returns the
-// number of slab/whole stores applied and false after failing the run on a
-// store error.
+// storeInst handles one instance's store statements after its body: slab
+// stores, whole-field ones among them, are applied at once (their source
+// arrays are the context's reusable locals), element stores are staged for
+// flushStaged. It returns the number of slab stores applied and false after
+// failing the run on a store error.
 func (n *Node) storeInst(t *ageTracker, is *instState, fr *execFrame, w *workerState) (int, bool) {
 	ks := t.ks
 	ctx := fr.ctx
@@ -1137,34 +1129,20 @@ func (n *Node) storeInst(t *ageTracker, is *instState, fr *execFrame, w *workerS
 			continue
 		}
 		g := sp.ss.Age.Eval(t.age)
-		// A slab store covers a whole sub-region at once; the analyzer
-		// handles it like a whole store (scanSatisfy re-checks element
-		// fetches against field contents).
-		ev := event{fs: sp.fs, age: g, whole: true}
-		var res field.StoreResult
-		var err error
-		var sel []field.SlabDim
-		if sp.slab != nil {
-			sel = evalSel(fr.sel[:len(sp.slab)], sp.slab, is.coords)
-			res, err = sp.fs.f.StoreSlice(g, sel, val.Array())
-		} else {
-			res, err = sp.fs.f.StoreAll(g, val.Array())
-		}
+		sel := evalSel(fr.sel[:len(sp.slab)], sp.slab, is.coords)
+		res, err := sp.fs.f.StoreSlice(g, sel, val.Array())
 		if err != nil {
 			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
 			return stores, false
 		}
 		stores++
 		if n.opts.OnStore != nil {
-			sn := StoreNotice{Field: sp.ss.Field, Age: g, Whole: sp.slab == nil, Value: field.ArrayVal(val.Array().Clone())}
-			if sp.slab != nil {
-				sn.Sel = append([]field.SlabDim(nil), sel...)
-			}
-			n.opts.OnStore(sn)
+			n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Sel: append([]field.SlabDim(nil), sel...), Value: field.ArrayVal(val.Array().Clone())})
 		}
-		ev.grew = res.Grew
-		ev.extents = res.Extents
-		w.emit(&ev)
+		// A slab store covers a sub-region at once; the analyzer handles it
+		// as a whole store (scanSatisfy re-checks element fetches against
+		// field contents).
+		w.emit(&event{fs: sp.fs, age: g, whole: true, grew: res.Grew, extents: res.Extents})
 	}
 	return stores, true
 }

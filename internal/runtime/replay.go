@@ -30,11 +30,12 @@ func (n *Node) FieldAges(fieldName string) ([]int, error) {
 
 // EncodeGenerationFrame re-encodes one field generation of this node into a
 // StoreFrame for replay to a rebuilt worker. A fully-written generation
-// becomes a single whole-field entry; a partially-written one is walked
-// element-wise so unwritten positions stay unwritten on the receiver (a
-// whole-field store would mark them written with zero values, and a consumer
-// probing At would then see a different world than the original run). A
-// generation with no writes returns (nil, nil) — there is nothing to replay.
+// becomes a single slab entry that fixes no dimension; a partially-written
+// one is walked element-wise so unwritten positions stay unwritten on the
+// receiver (a whole-field store would mark them written with zero values, and
+// a consumer probing At would then see a different world than the original
+// run). A generation with no writes returns (nil, nil) — there is nothing to
+// replay.
 //
 // The returned frame comes from the frame pool; the caller owns it and should
 // PutStoreFrame it after sending.
@@ -59,7 +60,7 @@ func (n *Node) EncodeGenerationFrame(fieldName string, age int) (*StoreFrame, er
 	fr.Reset(fieldName, age)
 	if writes == total {
 		arr := f.Snapshot(age)
-		if err := fr.Add(StoreNotice{Field: fieldName, Age: age, Whole: true, Value: field.ArrayVal(arr)}); err != nil {
+		if err := fr.Add(StoreNotice{Field: fieldName, Age: age, Sel: make([]field.SlabDim, rank), Value: field.ArrayVal(arr)}); err != nil {
 			PutStoreFrame(fr)
 			return nil, err
 		}

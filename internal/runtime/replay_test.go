@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -89,7 +90,8 @@ func TestEncodeGenerationFrame(t *testing.T) {
 		var sawWhole bool
 		if err := DecodeStoreFrame(fr.Bytes(), func(sn StoreNotice) error {
 			n++
-			sawWhole = sawWhole || sn.Whole
+			// A whole-field entry is a selector that fixes no dimension.
+			sawWhole = sawWhole || sn.Sel != nil && !slices.ContainsFunc(sn.Sel, func(sd field.SlabDim) bool { return sd.Fixed })
 			return nil
 		}); err != nil {
 			t.Fatalf("%s(%d): decode: %v", tc.field, tc.age, err)

@@ -148,6 +148,30 @@ type slabTerm struct {
 	term  idxTerm
 }
 
+// compileSlab precompiles the selector of a slab or whole-field statement on
+// a rank-rank field. A whole-field statement has no index: its selector is
+// rank free terms, so "whole" is decided here and nowhere after.
+func compileSlab(specs []core.IndexSpec, rank int, vars []string) []slabTerm {
+	slab := make([]slabTerm, rank)
+	for d, s := range specs {
+		if s.Kind != core.IndexAllKind {
+			slab[d] = slabTerm{fixed: true, term: compileSpec(s, vars)}
+		}
+	}
+	return slab
+}
+
+// noneFixed reports whether a selector fixes no dimension, i.e. addresses the
+// whole generation.
+func noneFixed(slab []slabTerm) bool {
+	for _, st := range slab {
+		if st.fixed {
+			return false
+		}
+	}
+	return true
+}
+
 // evalSel evaluates a slab selector into dst (len(dst) == len(slab)) and
 // returns it; like evalTerms, dst is caller-owned scratch.
 func evalSel(dst []field.SlabDim, slab []slabTerm, coords []int) []field.SlabDim {
@@ -169,12 +193,11 @@ type fetchPlan struct {
 	fs    *fieldState
 	local int        // position of fe.Local in the kernel's Locals
 	terms []idxTerm  // element fetches
-	slab  []slabTerm // slab fetches (nil otherwise)
-	whole bool
-	// viewable marks fetches eligible for the zero-copy view path: whole
-	// fetches always, slab fetches when the fixed dimensions form a prefix
-	// (so the selected rows are one contiguous slab range). A fetch that is
-	// not viewable, or whose generation cannot be pinned, copies.
+	slab  []slabTerm // slab and whole-field fetches (nil otherwise)
+	// viewable marks fetches eligible for the zero-copy view path: slab
+	// fetches whose fixed dimensions form a prefix (so the selected rows are
+	// one contiguous slab range), whole-field fetches among them. A fetch
+	// that is not viewable, or whose generation cannot be pinned, copies.
 	viewable bool
 }
 
@@ -184,7 +207,7 @@ type storePlan struct {
 	fs    *fieldState
 	local int        // position of ss.Local in the kernel's Locals
 	terms []idxTerm  // element stores
-	slab  []slabTerm // slab stores (nil otherwise); terms nil too
+	slab  []slabTerm // slab and whole-field stores (nil otherwise)
 }
 
 // kernelState is the per-kernel runtime state: the static plan derived from

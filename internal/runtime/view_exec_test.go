@@ -13,6 +13,13 @@ import (
 // viewBenchNode builds a one-kernel node whose whole-fetch input generation
 // is pre-stored and complete, so exec can be driven directly through the
 // zero-copy view path.
+// float64Array builds a rank-1 float64 array holding a copy of vs.
+func float64Array(vs []float64) *field.Array {
+	a := field.NewArray(field.Float64, len(vs))
+	copy(a.Float64s(), vs)
+	return a
+}
+
 func viewBenchNode(t testing.TB) (*Node, *ageTracker, *instState) {
 	t.Helper()
 	pb := core.NewBuilder("viewbench")
@@ -36,7 +43,7 @@ func viewBenchNode(t testing.TB) (*Node, *ageTracker, *instState) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	if _, err := n.fields["in"].f.StoreAll(0, field.ArrayFromFloat64(vals)); err != nil {
+	if _, err := n.fields["in"].f.StoreAll(0, float64Array(vals)); err != nil {
 		t.Fatal(err)
 	}
 	n.fields["in"].f.MarkComplete(0)
@@ -231,7 +238,7 @@ near:
 		cents[i] = float64(i)
 	}
 	for name, vals := range map[string][]float64{"in": in, "cents": cents} {
-		if _, err := n.fields[name].f.StoreAll(0, field.ArrayFromFloat64(vals)); err != nil {
+		if _, err := n.fields[name].f.StoreAll(0, float64Array(vals)); err != nil {
 			t.Fatal(err)
 		}
 		n.fields[name].f.MarkComplete(0)
