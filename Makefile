@@ -64,12 +64,16 @@ fuzz-lang:
 	$(GO) test -run '^$$' -fuzz '^FuzzVMMatchesOracle$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
 
 # fuzz-wire is the decoder fuzz gate for the bytes a peer sends (also run by
-# ci.sh): ten seconds each of FuzzDecodeWireValue (field.DecodeWireValue) and
-# FuzzDecodeStoreFrame (runtime.DecodeStoreFrame). Decoding never panics, and
-# whatever decodes re-encodes to bytes that decode to the same result.
+# ci.sh): ten seconds each of FuzzDecodeWireValue (field.DecodeWireValue),
+# FuzzDecodeStoreFrame (runtime.DecodeStoreFrame) and FuzzTCPRecv (the TCP
+# envelope: gob header plus FrameLen-announced raw frame). Decoding never
+# panics, whatever decodes re-encodes to bytes that decode to the same
+# result, and a TCP stream costs memory in proportion to the bytes it
+# carries.
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWireValue$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/field/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStoreFrame$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/runtime/
+	$(GO) test -run '^$$' -fuzz '^FuzzTCPRecv$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/dist/
 
 # bench-smoke is the benchmark-ledger smoke gate (also run by ci.sh): bench/
 # is a nested module (repro/bench) that `go test ./...` does not reach. Its

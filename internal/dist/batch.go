@@ -31,7 +31,7 @@ type genKey struct {
 //
 // Frames come from the runtime frame pool and are handed to emit together
 // with the routing envelope (whose Frame field is left nil); emit sends the
-// frame's segments through Conn.SendFrame and recycles it.
+// frame through Conn.SendFrame and recycles it.
 type storeBatcher struct {
 	mu     sync.Mutex
 	frames map[genKey]*runtime.StoreFrame
@@ -69,7 +69,8 @@ func newStoreBatcher(emit func(*Msg, *runtime.StoreFrame), reg *obs.Registry, no
 }
 
 // add appends one store notice to its generation's frame, emitting the frame
-// immediately when it crosses a flush threshold.
+// immediately when it crosses a flush threshold. The notice may be borrowed
+// (runtime.Options.OnStore): the frame copies it.
 func (b *storeBatcher) add(sn runtime.StoreNotice) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

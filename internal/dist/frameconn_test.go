@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"io"
 	"net"
 	goruntime "runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 )
 
@@ -43,9 +45,9 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 	return cli, srv
 }
 
-// scatterFrame builds a store frame whose payload is large enough to be
-// recorded as raw segments rather than copied into the header buffer.
-func scatterFrame(t *testing.T) *runtime.StoreFrame {
+// storeFrame builds a store frame holding a 4 KiB whole-field entry and an
+// element entry.
+func storeFrame(t testing.TB) *runtime.StoreFrame {
 	t.Helper()
 	arr := field.NewArray(field.Float64, 512)
 	vals := arr.Float64s()
@@ -66,22 +68,19 @@ func scatterFrame(t *testing.T) *runtime.StoreFrame {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Segments()) < 2 { // header buf + ≥1 raw slab segment
-		t.Fatalf("payload not recorded scatter-gather: %d segments", len(f.Segments()))
-	}
 	return f
 }
 
-// TestTCPSendFrameRoundTrip: a scatter-gather SendFrame must arrive as a
-// regular MStoreFrame message — Frame materialized bit-identically to the
+// TestTCPSendFrameRoundTrip: a SendFrame must arrive as a regular
+// MStoreFrame message — Frame materialized bit-identically to the
 // flattened encoding, FrameLen zeroed, envelope fields intact, and the
 // sender's shared *Msg unmutated.
 func TestTCPSendFrameRoundTrip(t *testing.T) {
 	cli, srv := tcpPair(t)
-	f := scatterFrame(t)
+	f := storeFrame(t)
 	want := f.AppendTo(nil)
 	m := &Msg{Kind: MStoreFrame, Field: "pixels", Age: 3, Trace: 0xBEEF}
-	if err := cli.SendFrame(m, f.Segments()); err != nil {
+	if err := cli.SendFrame(m, net.Buffers{f.Bytes()}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Frame != nil || m.FrameLen != 0 {
@@ -104,7 +103,7 @@ func TestTCPSendFrameRoundTrip(t *testing.T) {
 	}
 	var notices []runtime.StoreNotice
 	if err := runtime.DecodeStoreFrame(got.Frame, func(sn runtime.StoreNotice) error {
-		notices = append(notices, sn)
+		notices = append(notices, runtime.StoreNotice{Field: sn.Field, Age: sn.Age, Sel: slices.Clone(sn.Sel)}) // notices are borrowed
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func TestTCPSendFrameRoundTrip(t *testing.T) {
 // arrive intact and in order.
 func TestTCPSendFrameInterleaved(t *testing.T) {
 	cli, srv := tcpPair(t)
-	f := scatterFrame(t)
+	f := storeFrame(t)
 	want := f.AppendTo(nil)
 	defer runtime.PutStoreFrame(f)
 
@@ -130,7 +129,7 @@ func TestTCPSendFrameInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := cli.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: i}, f.Segments()); err != nil {
+		if err := cli.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: i}, net.Buffers{f.Bytes()}); err != nil {
 			t.Fatal(err)
 		}
 		if err := cli.Send(&Msg{Kind: MDone, Field: "pixels", Age: i}); err != nil {
@@ -215,4 +214,91 @@ func TestTCPRecvLargeFrame(t *testing.T) {
 	if !bytes.Equal(m.Frame, payload) || m.FrameLen != 0 {
 		t.Fatalf("received %d frame bytes (FrameLen %d), want the %d sent", len(m.Frame), m.FrameLen, len(payload))
 	}
+}
+
+// envelopeBytes returns what a tcpConn writes to its socket for msgs: one
+// SendFrame for each message carrying a Frame, one Send for the rest.
+func envelopeBytes(t testing.TB, msgs ...*Msg) []byte {
+	a, b := net.Pipe()
+	sent := make(chan error, 1)
+	go func() {
+		c := newTCPConn(a)
+		defer c.Close()
+		for _, m := range msgs {
+			var err error
+			if m.Frame != nil {
+				err = c.SendFrame(m, net.Buffers{m.Frame})
+			} else {
+				err = c.Send(m)
+			}
+			if err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	out, err := io.ReadAll(b)
+	if err == nil {
+		err = <-sent
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// gobAhead is what encoding/gob may allocate ahead of the bytes that back it:
+// a message's announced length, or a slice's announced elements, up to the
+// 10 MiB read chunk of Go's internal/saferio.
+const gobAhead = 10 << 20
+
+// FuzzTCPRecv: arbitrary bytes from a peer, read through a tcpConn over an
+// in-memory connection. Recv never panics, and the stream costs memory in
+// proportion to what the peer sent: the bytes supplied, plus the
+// recvFrameChunk by which a raw frame's buffer runs ahead of them, plus what
+// gob commits ahead of its own input (gobAhead) and its per-connection type
+// machinery. A FrameLen announcing more than arrives must not be paid for.
+func FuzzTCPRecv(f *testing.F) {
+	fr := storeFrame(f)
+	frame := fr.AppendTo(nil)
+	runtime.PutStoreFrame(fr)
+	reg := obs.NewRegistry()
+	reg.Counter(obs.MDispatchesTotal).Add(3)
+	reg.Histogram(obs.MFetchNs).Observe(5)
+	valid := envelopeBytes(f,
+		&Msg{Kind: MRegister, NodeID: "w0", Cores: 2, Speed: 1},
+		&Msg{Kind: MStoreFrame, Field: "pixels", Age: 3, Trace: 7, Frame: frame},
+		&Msg{Kind: MDone, Kernel: "dct", Age: 3},
+		&Msg{Kind: MStatus, Idle: true, Sent: 4, Received: 2, Metrics: reg.Snapshot()},
+		&Msg{Kind: MTrace, Spans: []obs.Span{{Name: "k", Age: 1, Index: []int{2, 3}}}},
+	)
+	hostile := envelopeBytes(f, &Msg{Kind: MStoreFrame, Field: "pixels", FrameLen: maxRecvFrameLen - 1})
+	for _, seed := range [][]byte{valid, valid[:len(valid)/2], hostile, append(hostile, 1, 2, 3), {}} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		peer, local := net.Pipe()
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			peer.Write(data) // fails once Recv gives up and local closes
+			peer.Close()
+		}()
+		c := newTCPConn(local)
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		for {
+			if _, err := c.Recv(); err != nil {
+				break
+			}
+		}
+		goruntime.ReadMemStats(&after)
+		c.Close()
+		<-wrote
+		const gobTypes = 256 << 10
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+recvFrameChunk+gobAhead+gobTypes); grew > bound {
+			t.Fatalf("Recv of %d bytes allocated %d, want at most %d", len(data), grew, bound)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"net"
 	"slices"
 	"time"
 
@@ -32,7 +33,8 @@ type MasterConfig struct {
 	// 2ms.
 	PollInterval time.Duration
 	// View, when set, is kept current with the run's phase, assignment and
-	// per-worker heartbeats — it backs the master's /statusz endpoint.
+	// per-worker heartbeats — it backs the master's /statusz endpoint. Only
+	// then do the pings ask workers for their metric snapshots.
 	View *ClusterView
 	// Metrics, when set, instruments the master's shadow node, and the
 	// broker additionally records per-worker message flight times
@@ -674,7 +676,7 @@ func (m *master) tick(now time.Time) error {
 			continue
 		}
 		p.statusSeen = false
-		if err := p.conn.Send(&Msg{Kind: MPing, SentNs: time.Now().UnixNano()}); err != nil {
+		if err := p.conn.Send(&Msg{Kind: MPing, WantMetrics: m.cfg.View != nil, SentNs: time.Now().UnixNano()}); err != nil {
 			if derr := m.die(p, err); derr != nil {
 				return derr
 			}
@@ -826,7 +828,7 @@ func (m *master) replay(t *peer) error {
 			if fr == nil {
 				continue
 			}
-			err = t.conn.SendFrame(&Msg{Kind: MStoreFrame, Field: fd.Name, Age: age, SentNs: time.Now().UnixNano()}, fr.Segments())
+			err = t.conn.SendFrame(&Msg{Kind: MStoreFrame, Field: fd.Name, Age: age, SentNs: time.Now().UnixNano()}, net.Buffers{fr.Bytes()})
 			runtime.PutStoreFrame(fr)
 			if err != nil {
 				return fmt.Errorf("dist: replaying %s(%d) to %s: %w", fd.Name, age, t.id, err)

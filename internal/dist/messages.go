@@ -111,12 +111,17 @@ type Msg struct {
 	Kernel string
 	Age    int
 
+	// MPing: the master wants the worker's metrics on the answering
+	// MStatus — only a master with a ClusterView has somewhere to put them.
+	WantMetrics bool
+
 	// MStatus
 	Idle     bool
 	Sent     int64
 	Received int64
-	// Metrics is the worker's registry snapshot, carried on every
-	// heartbeat so the master's /statusz shows live per-kernel stats.
+	// Metrics is the worker's registry snapshot, carried on a heartbeat
+	// whose ping set WantMetrics, so the master's /statusz shows live
+	// per-kernel stats; nil otherwise.
 	Metrics *obs.MetricsSnapshot
 
 	// MReport

@@ -127,6 +127,20 @@ func TestWorkerStates(t *testing.T) {
 				s.send(&Msg{Kind: MStopReq})
 				s.expect(MReport)
 			}},
+		{name: "a status carries metrics only when its ping asks", wantReport: true, ageZero: 1,
+			script: func(s scriptedMaster) {
+				s.send(assign, &Msg{Kind: MStart})
+				s.send(initData()...)
+				if st := s.quiesce(2); st.Metrics != nil {
+					s.t.Fatalf("a ping without WantMetrics was answered with %d counters", len(st.Metrics.Counters))
+				}
+				s.send(&Msg{Kind: MPing, WantMetrics: true})
+				if st := s.expect(MStatus); st.Metrics == nil || len(st.Metrics.Counters) == 0 {
+					s.t.Fatal("a ping with WantMetrics was answered without metrics")
+				}
+				s.send(&Msg{Kind: MStopReq})
+				s.expect(MReport)
+			}},
 		{name: "a stop while unassigned releases the worker",
 			script: func(s scriptedMaster) {
 				s.probe("unassigned")

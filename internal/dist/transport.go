@@ -42,10 +42,10 @@ type Conn interface {
 	SetIdleTimeout(d time.Duration)
 }
 
-// FrameConn sends a store-frame payload scatter-gather style. SendFrame must
-// not mutate m — the broker shares one envelope across subscribers — and must
-// not retain segs past the call; the message arrives with the concatenated
-// segments as its Frame.
+// FrameConn sends a store-frame payload given as a vector of buffers.
+// SendFrame must not mutate m — the broker shares one envelope across
+// subscribers — and must not retain segs past the call; the message arrives
+// with the concatenated buffers as its Frame.
 type FrameConn interface {
 	Send(*Msg) error
 	Recv() (*Msg, error)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -54,8 +55,9 @@ type WorkerConfig struct {
 	IdleTimeout time.Duration
 
 	// Metrics receives the node's full instrumentation and is snapshotted
-	// into every status heartbeat; when nil a private registry is created
-	// so the master's cluster view still sees live per-kernel stats.
+	// into every status heartbeat whose ping asks for it (a master with a
+	// ClusterView does); when nil a private registry is created so that
+	// view still sees live per-kernel stats.
 	Metrics *obs.Registry
 	// Tracer records kernel-instance lifecycle spans on this node.
 	Tracer *obs.Tracer
@@ -262,7 +264,11 @@ func (w *worker) handle(in inbound) (done bool, err error) {
 			}
 			w.batcher.flushAll()
 			w.updateTransport()
-			w.send(&Msg{Kind: MStatus, Idle: w.node.Idle(), Sent: w.sent.Load(), Received: w.received.Load(), Metrics: w.cfg.Metrics.Snapshot()})
+			status := &Msg{Kind: MStatus, Idle: w.node.Idle(), Sent: w.sent.Load(), Received: w.received.Load()}
+			if m.WantMetrics {
+				status.Metrics = w.cfg.Metrics.Snapshot()
+			}
+			w.send(status)
 			return false, nil
 		case MTraceReq:
 			// Ship the span buffer with its alignment anchor; an untraced
@@ -317,11 +323,10 @@ func (w *worker) send(m *Msg) {
 	w.noteSendErr(w.conn.Send(m))
 }
 
-// sendFrame sends a batched store frame, slab bytes going to the transport
-// as the frame's segments, and recycles the frame.
+// sendFrame sends a batched store frame and recycles the frame.
 func (w *worker) sendFrame(m *Msg, f *runtime.StoreFrame) {
 	m.SentNs = time.Now().UnixNano()
-	err := w.conn.SendFrame(m, f.Segments())
+	err := w.conn.SendFrame(m, net.Buffers{f.Bytes()})
 	runtime.PutStoreFrame(f)
 	w.noteSendErr(err)
 }

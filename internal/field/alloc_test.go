@@ -61,8 +61,7 @@ func TestSnapshotIntoAllocFree(t *testing.T) {
 
 // TestDropRecreateHitsPool: dropping an age and re-creating it checks slab
 // storage back out of the pool — the cycle stays within a small constant
-// budget (the growing store's extents copy) instead of reallocating the
-// generation.
+// budget instead of reallocating the generation.
 func TestDropRecreateHitsPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops Puts under the race detector")
@@ -87,9 +86,8 @@ func TestDropRecreateHitsPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// A small constant is tolerated: the growing store returns an extents
-	// copy in its StoreResult, plus pool bookkeeping. Without recycling the
-	// cycle costs the whole generation (slab + written bitmap + ageStore).
+	// A small constant is tolerated for pool bookkeeping. Without recycling
+	// the cycle costs the whole generation (slab + written bitmap + ageStore).
 	if avg > 2 {
 		t.Errorf("drop+recreate cycle: %.1f allocs/op, want <= 2", avg)
 	}

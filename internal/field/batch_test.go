@@ -47,11 +47,11 @@ func TestStoreElemsMatchesStore(t *testing.T) {
 		if res.Count != len(vals) || res.Grew != grew {
 			t.Fatalf("round %d: result %+v, want Count %d Grew %v", round, res, len(vals), grew)
 		}
-		if grew && (res.Extents[0] != after[0] || res.Extents[1] != after[1]) {
-			t.Fatalf("round %d: result extents %v, field extents %v", round, res.Extents, after)
+		if grew && (res.Extents()[0] != after[0] || res.Extents()[1] != after[1]) {
+			t.Fatalf("round %d: result extents %v, field extents %v", round, res.Extents(), after)
 		}
-		if !grew && res.Extents != nil {
-			t.Fatalf("round %d: non-growing batch returned extents %v", round, res.Extents)
+		if !grew && res.Extents() != nil {
+			t.Fatalf("round %d: non-growing batch returned extents %v", round, res.Extents())
 		}
 	}
 }
@@ -70,7 +70,7 @@ func TestStoreElemsErrors(t *testing.T) {
 	if !errors.Is(err, ErrWriteTwice) {
 		t.Fatalf("batch over a written position returned %v", err)
 	}
-	if res.Count != 2 || !res.Grew || res.Extents[0] != 4 {
+	if res.Count != 2 || !res.Grew || res.Extents()[0] != 4 {
 		t.Errorf("result of failed batch = %+v, want 2 written, grown to 4", res)
 	}
 	if _, ok := f.At(0, 1); !ok {

@@ -2,6 +2,7 @@ package field
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -199,12 +200,26 @@ func (f *Field) age(a int, create bool) *ageStore {
 type StoreResult struct {
 	// Grew is true if the store enlarged the field's extent at this age.
 	Grew bool
-	// Extents is the extent after the store (a copy). It is only populated
-	// when Grew is true; stores within the current extent — the steady-state
-	// hot path — return a nil Extents so every store does not allocate.
-	Extents []int
 	// Count is the number of elements written by this store.
 	Count int
+	// The extent after a growing store (see Extents): inline up to rank
+	// four, so that rows arriving in order — each one growing the
+	// generation — store without allocating; extBig holds higher ranks.
+	rank   int
+	ext    [4]int
+	extBig []int
+}
+
+// Extents returns the extent after the store when it grew the generation,
+// and nil when it did not. The slice aliases r.
+func (r *StoreResult) Extents() []int {
+	switch {
+	case !r.Grew:
+		return nil
+	case r.extBig != nil:
+		return r.extBig
+	}
+	return r.ext[:r.rank]
 }
 
 func (s *ageStore) grow(extents []int) {
@@ -299,13 +314,25 @@ func (s *ageStore) flatten(idx []int) int {
 	return off
 }
 
-// result builds the StoreResult of a store that wrote count elements. Only
-// growing stores allocate (the extents copy).
+// result builds the StoreResult of a store that wrote count elements.
 func (s *ageStore) result(grew bool, count int) StoreResult {
+	r := StoreResult{Grew: grew, Count: count}
 	if grew {
-		return StoreResult{Grew: true, Extents: append([]int(nil), s.extents...), Count: count}
+		if len(s.extents) <= len(r.ext) {
+			r.rank = copy(r.ext[:], s.extents)
+		} else {
+			r.extBig = append([]int(nil), s.extents...)
+		}
 	}
-	return StoreResult{Count: count}
+	return r
+}
+
+// ints returns n ints of scratch, in buf when they fit.
+func ints(buf *[4]int, n int) []int {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int, n)
 }
 
 // Store writes a single element at (age, idx...), growing the extent if the
@@ -339,11 +366,8 @@ func (f *Field) StoreElems(age int, idx []int, vals []Value) (StoreResult, error
 		return StoreResult{}, err
 	}
 	var extBuf [4]int
-	ext := extBuf[:0]
-	if rank > len(extBuf) {
-		ext = make([]int, 0, rank)
-	}
-	ext = append(ext, s.extents...)
+	ext := ints(&extBuf, rank)
+	copy(ext, s.extents)
 	grew := false
 	for i, c := range idx {
 		if c < 0 {
@@ -365,7 +389,9 @@ func (f *Field) StoreElems(age int, idx []int, vals []Value) (StoreResult, error
 			if f.merge {
 				continue
 			}
-			return s.result(grew, count), fmt.Errorf("field %s(%d)%v: %w", f.name, age, at, ErrWriteTwice)
+			// A copy: handing idx itself to the error would move every
+			// caller's coordinate buffer to the heap.
+			return s.result(grew, count), fmt.Errorf("field %s(%d)%v: %w", f.name, age, slices.Clone(at), ErrWriteTwice)
 		}
 		s.data.set(f.kind, off, v)
 		s.written[off] = true
@@ -448,36 +474,23 @@ func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error
 	}
 	// Required extent per dimension: fixed index + 1, or the array's extent
 	// for the matching free dimension.
+	var extBuf [4]int
+	ext := ints(&extBuf, f.rank)
+	copy(ext, s.extents)
 	grew := false
 	j := 0
 	for d, sd := range sel {
-		want := 0
-		if sd.Fixed {
-			want = sd.Index + 1
-		} else {
+		want := sd.Index + 1
+		if !sd.Fixed {
 			want = a.Extent(j)
 			j++
 		}
-		if want > s.extents[d] {
+		if want > ext[d] {
+			ext[d] = want
 			grew = true
 		}
 	}
 	if grew {
-		ext := make([]int, f.rank)
-		j = 0
-		for d, sd := range sel {
-			ext[d] = s.extents[d]
-			want := 0
-			if sd.Fixed {
-				want = sd.Index + 1
-			} else {
-				want = a.Extent(j)
-				j++
-			}
-			if want > ext[d] {
-				ext[d] = want
-			}
-		}
 		s.grow(ext)
 	}
 	n := a.Len()
@@ -535,15 +548,13 @@ func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error
 		}
 	}
 	// General path: walk the array in row-major order, pinning fixed dims.
-	idx := make([]int, f.rank)
+	var idxBuf, freeBuf [4]int
+	idx := ints(&idxBuf, f.rank)
+	freeDims := ints(&freeBuf, free)[:0]
 	for d, sd := range sel {
 		if sd.Fixed {
 			idx[d] = sd.Index
-		}
-	}
-	freeDims := make([]int, 0, free)
-	for d, sd := range sel {
-		if !sd.Fixed {
+		} else {
 			freeDims = append(freeDims, d)
 		}
 	}
@@ -552,7 +563,8 @@ func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error
 		off := s.flatten(idx)
 		if s.written[off] {
 			if !f.merge {
-				return StoreResult{}, fmt.Errorf("field %s(%d)%v: %w", f.name, age, idx, ErrWriteTwice)
+				// A copy, so that idx can stay on the stack (see StoreElems).
+				return StoreResult{}, fmt.Errorf("field %s(%d)%v: %w", f.name, age, slices.Clone(idx), ErrWriteTwice)
 			}
 		} else {
 			s.data.set(f.kind, off, a.data.get(a.kind, flat))

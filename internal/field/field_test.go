@@ -19,7 +19,7 @@ func TestFieldBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Grew || res.Extents[0] != 4 || res.Count != 1 {
+	if !res.Grew || res.Extents()[0] != 4 || res.Count != 1 {
 		t.Errorf("store result %+v", res)
 	}
 	v, ok := f.At(0, 3)
@@ -60,7 +60,7 @@ func TestFieldStoreAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count != 5 || res.Extents[0] != 5 || !res.Grew {
+	if res.Count != 5 || res.Extents()[0] != 5 || !res.Grew {
 		t.Errorf("store-all result %+v", res)
 	}
 	snap := f.Snapshot(0)

@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"unsafe"
 )
 
 // Wire format: a compact, length-prefixed binary encoding of Values and
@@ -175,81 +174,29 @@ func (r *wireReader) uint64() (uint64, error) {
 // prefix is needed.
 func AppendWireValue(buf []byte, v Value) ([]byte, error) { return v.appendWire(buf) }
 
-// hostLittleEndian reports whether the host stores multi-byte words
-// little-endian, i.e. whether typed slabs already match the wire byte order.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// SplitWireArray appends the header of the wire encoding of v (version, kind,
-// flags, extents) to buf and returns the extended buffer together with the
-// payload bytes, which alias v's slab rather than being copied. The
-// concatenation header||payload is bit-identical to AppendWireValue(buf, v).
-//
-// Splitting is only possible when the payload is already wire byte order in
-// memory: uint8/bool slabs always, and the fixed-width numeric slabs on
-// little-endian hosts. Otherwise (String/Any arrays, scalars, attached
-// payload objects, big-endian hosts) it returns (buf, nil, false) with buf
-// unchanged and the caller falls back to the copying encoder.
-//
-// The returned payload is only valid while the slab backing v is alive and
-// unrecycled; callers must hold a reference (e.g. a fetched Array or a view
-// token) until the bytes have been consumed.
-func SplitWireArray(buf []byte, v Value) ([]byte, []byte, bool) {
-	a := v.arr
-	if a == nil || v.obj != nil {
-		return buf, nil, false
-	}
-	var payload []byte
-	switch a.data.class {
-	case classU8:
-		payload = a.data.u8
-	case classI32:
-		if !hostLittleEndian {
-			return buf, nil, false
-		}
-		if n := len(a.data.i32); n > 0 {
-			payload = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a.data.i32))), 4*n)
-		}
-	case classI64:
-		if !hostLittleEndian {
-			return buf, nil, false
-		}
-		if n := len(a.data.i64); n > 0 {
-			payload = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a.data.i64))), 8*n)
-		}
-	case classF64:
-		if !hostLittleEndian {
-			return buf, nil, false
-		}
-		if n := len(a.data.f64); n > 0 {
-			payload = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a.data.f64))), 8*n)
-		}
-	default:
-		return buf, nil, false
-	}
-	buf = append(buf, wireVersion, byte(v.kind), wireFlagArr)
-	buf = binary.AppendUvarint(buf, uint64(len(a.extents)))
-	for _, e := range a.extents {
-		buf = binary.AppendUvarint(buf, uint64(e))
-	}
-	return buf, payload, true
-}
-
 // DecodeWireValue decodes one wire-format value from the front of data and
 // returns it together with the number of bytes consumed. Trailing bytes are
 // left for the caller.
 func DecodeWireValue(data []byte) (Value, int, error) {
-	r := &wireReader{buf: data}
+	return DecodeWireValueInto(data, nil)
+}
+
+// DecodeWireValueInto is DecodeWireValue for a caller that uses the value and
+// moves on: an array value is decoded into dst, reusing its extents and slab,
+// and the returned Value wraps dst, so it is valid only until dst is reused.
+// Scalars, and arrays nested inside an Any array, decode as DecodeWireValue
+// decodes them. A nil dst allocates a fresh array.
+func DecodeWireValueInto(data []byte, dst *Array) (Value, int, error) {
+	r := wireReader{buf: data}
 	var v Value
-	if err := v.readWire(r); err != nil {
+	if err := v.readWire(&r, dst); err != nil {
 		return Value{}, 0, err
 	}
 	return v, r.off, nil
 }
 
-func (v *Value) readWire(r *wireReader) error {
+// readWire decodes one value; an array value lands in dst (nil: a fresh one).
+func (v *Value) readWire(r *wireReader, dst *Array) error {
 	ver, err := r.byte()
 	if err != nil {
 		return err
@@ -268,11 +215,13 @@ func (v *Value) readWire(r *wireReader) error {
 	kind := Kind(kb)
 	*v = Value{kind: kind}
 	if flags&wireFlagArr != 0 {
-		arr, err := readWireArray(r, kind)
-		if err != nil {
+		if dst == nil {
+			dst = &Array{}
+		}
+		if err := readWireArray(r, kind, dst); err != nil {
 			return err
 		}
-		v.arr = arr
+		v.arr = dst
 		return nil
 	}
 	switch {
@@ -333,56 +282,60 @@ func (r *wireReader) string() (string, error) {
 	return string(b), nil
 }
 
-func readWireArray(r *wireReader, kind Kind) (*Array, error) {
+// readWireArray decodes an array's extents and payload into a, which takes the
+// decoded kind and shape whatever it held before.
+func readWireArray(r *wireReader, kind Kind, a *Array) error {
 	rank, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rank == 0 || rank > 64 {
-		return nil, fmt.Errorf("field: decoded array rank %d out of range", rank)
+		return fmt.Errorf("field: decoded array rank %d out of range", rank)
 	}
 	remaining := len(r.buf) - r.off
-	extents := make([]int, rank)
+	var extBuf [8]int
+	extents := extBuf[:0]
 	zero := false
-	for d := range extents {
+	for d := uint64(0); d < rank; d++ {
 		e, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if e > math.MaxInt {
-			return nil, fmt.Errorf("field: decoded array extent %d out of range", e)
+			return fmt.Errorf("field: decoded array extent %d out of range", e)
 		}
-		extents[d] = int(e)
+		extents = append(extents, int(e))
 		zero = zero || e == 0
 	}
 	// An empty array carries no payload, whatever its other extents; every
 	// element of a non-empty one costs at least a byte.
-	n := 0
 	if !zero {
-		n = 1
+		n := 1
 		for _, e := range extents {
 			if e > remaining {
-				return nil, errWireShort
+				return errWireShort
 			}
 			n *= e
 			if n > remaining {
-				return nil, errWireShort
+				return errWireShort
 			}
 		}
 	}
-	cls := classOf(kind)
-	a := &Array{kind: kind, extents: extents, data: newSlab(kind, n)}
-	switch cls {
+	// resetShape leaves String slots unset and Any slots zero, which the
+	// payload loops below rely on; the typed classes are overwritten whole.
+	a.resetShape(kind, extents)
+	n := a.Len()
+	switch a.data.class {
 	case classU8:
 		b, err := r.take(n)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		copy(a.data.u8, b)
 	case classI32:
 		b, err := r.take(4 * n)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := range a.data.i32 {
 			a.data.i32[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
@@ -390,7 +343,7 @@ func readWireArray(r *wireReader, kind Kind) (*Array, error) {
 	case classI64:
 		b, err := r.take(8 * n)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := range a.data.i64 {
 			a.data.i64[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
@@ -398,7 +351,7 @@ func readWireArray(r *wireReader, kind Kind) (*Array, error) {
 	case classF64:
 		b, err := r.take(8 * n)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := range a.data.f64 {
 			a.data.f64[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
@@ -407,14 +360,14 @@ func readWireArray(r *wireReader, kind Kind) (*Array, error) {
 		for i := 0; i < n; i++ {
 			l, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if l == 0 {
 				continue // unset element
 			}
 			b, err := r.take(int(l - 1)) // bounds-checked against the buffer
 			if err != nil {
-				return nil, err
+				return err
 			}
 			a.data.off[i] = uint32(len(a.data.str))
 			a.data.lens[i] = uint32(l)
@@ -424,20 +377,20 @@ func readWireArray(r *wireReader, kind Kind) (*Array, error) {
 		for i := range a.data.vs {
 			en, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			eb, err := r.take(int(en))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			er := &wireReader{buf: eb}
-			if err := a.data.vs[i].readWire(er); err != nil {
-				return nil, err
+			if err := a.data.vs[i].readWire(er, nil); err != nil {
+				return err
 			}
 			if er.off != len(eb) {
-				return nil, fmt.Errorf("field: trailing bytes in array element")
+				return fmt.Errorf("field: trailing bytes in array element")
 			}
 		}
 	}
-	return a, nil
+	return nil
 }

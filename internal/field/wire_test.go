@@ -184,47 +184,6 @@ func TestWireStringArrayCorruption(t *testing.T) {
 	}
 }
 
-// TestSplitWireArrayEquivalence: for every splittable class, header+payload
-// must be bit-identical to the copying encoder; reference classes must
-// refuse the split with buf untouched.
-func TestSplitWireArrayEquivalence(t *testing.T) {
-	arrays := []*Array{
-		ArrayFromUint8([]uint8{1, 2, 3, 4, 5}),
-		ArrayFromInt32([]int32{-1, 1 << 20, 7}),
-		func() *Array { a := NewArray(Float64, 3); copy(a.Float64s(), []float64{3.14, -2.5, 0}); return a }(),
-		NewArray(Int64, 4),
-		NewArray(Bool, 3),
-		NewArray(Float64, 0), // empty payload
-	}
-	for _, a := range arrays {
-		v := ArrayVal(a)
-		want, err := AppendWireValue(nil, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prefix := []byte{0xAA, 0xBB}
-		hdr, payload, ok := SplitWireArray(prefix, v)
-		if !ok {
-			t.Fatalf("%v array refused the split", a.Kind())
-		}
-		got := append(append([]byte(nil), hdr[len(prefix):]...), payload...)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%v array split differs:\nsplit %x\ncopy  %x", a.Kind(), got, want)
-		}
-	}
-	for _, v := range []Value{
-		ArrayVal(func() *Array { a := NewArray(String, 3); a.SetFlat(StringVal("x"), 0); return a }()),
-		ArrayVal(NewArray(Any, 2)),
-		Int32Val(7), // scalar
-	} {
-		buf := []byte{1, 2, 3}
-		out, payload, ok := SplitWireArray(buf, v)
-		if ok || payload != nil || len(out) != len(buf) {
-			t.Fatalf("%v accepted the split (ok=%v payload=%v out=%x)", v.Kind(), ok, payload, out)
-		}
-	}
-}
-
 func TestWireRegisteredPayload(t *testing.T) {
 	type blob struct{ X int }
 	RegisterPayload(blob{})

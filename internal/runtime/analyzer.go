@@ -21,18 +21,14 @@ import (
 type event struct {
 	isDone bool
 
-	// store event fields
-	fs  *fieldState
-	age int
-	// Element coordinates are inlined (coordKey already limits coordinates
-	// to four 16-bit dimensions) so emitting a store event never allocates;
-	// elemBig is the escape hatch for deeper manually-built coordinates.
-	elemBuf [4]int32
-	elemN   uint8
-	elemBig []int
-	whole   bool
-	grew    bool
-	extents []int
+	// store event fields: the element coordinates (not for whole stores) and,
+	// when the store grew the generation, its extents afterwards.
+	fs    *fieldState
+	age   int
+	elem  coords
+	whole bool
+	grew  bool
+	ext   coords
 
 	// done event fields: the finished slice (the analyzer recycles it), the
 	// stores its instances fired and whether a body called Stop — the last
@@ -48,35 +44,51 @@ type event struct {
 	stop bool
 }
 
-// setElem records element coordinates inline when they fit the buffer.
-func (ev *event) setElem(idx []int) {
-	if len(idx) <= len(ev.elemBuf) {
+// coords is a coordinate or extent vector carried by an event. Up to four
+// entries that fit an int32 are held inline (coordKey already limits
+// coordinates to four 16-bit dimensions), so building a store event never
+// allocates; big is the escape hatch for longer or wider vectors.
+type coords struct {
+	buf [4]int32
+	n   uint8
+	big []int
+}
+
+func (c *coords) set(v []int) {
+	if len(v) <= len(c.buf) {
 		fits := true
-		for i, c := range idx {
-			if c != int(int32(c)) {
+		for i, x := range v {
+			if x != int(int32(x)) {
 				fits = false
 				break
 			}
-			ev.elemBuf[i] = int32(c)
+			c.buf[i] = int32(x)
 		}
 		if fits {
-			ev.elemN = uint8(len(idx))
+			c.n = uint8(len(v))
 			return
 		}
 	}
-	ev.elemBig = append([]int(nil), idx...)
+	c.big = append([]int(nil), v...)
 }
 
-// elem decodes the element coordinates into dst scratch (valid only for
-// non-whole store events).
-func (ev *event) elem(dst *[4]int) []int {
-	if ev.elemBig != nil {
-		return ev.elemBig
+// get returns the vector, decoded into dst scratch when it is inline.
+func (c *coords) get(dst *[4]int) []int {
+	if c.big != nil {
+		return c.big
 	}
-	for i := 0; i < int(ev.elemN); i++ {
-		dst[i] = int(ev.elemBuf[i])
+	for i := 0; i < int(c.n); i++ {
+		dst[i] = int(c.buf[i])
 	}
-	return dst[:ev.elemN]
+	return dst[:c.n]
+}
+
+// at returns entry d.
+func (c *coords) at(d int) int {
+	if c.big != nil {
+		return c.big[d]
+	}
+	return int(c.buf[d])
 }
 
 // fieldGen identifies one generation of one field.
@@ -910,13 +922,13 @@ func (s *anShard) handleStore(ev *event) {
 	if ev.grew {
 		for _, re := range ev.fs.rangeOf {
 			s.forTrackers(re.ks, re.age, ev.age, true, func(t *ageTracker) {
-				s.growTracker(t, re.varIdx, ev.extents[re.dim])
+				s.growTracker(t, re.varIdx, ev.ext.at(re.dim))
 			})
 		}
 	}
 	var elem []int
 	if !ev.whole {
-		elem = ev.elem(&s.elemBuf)
+		elem = ev.elem.get(&s.elemBuf)
 	}
 	for _, ce := range ev.fs.consumers {
 		if ce.terms == nil {
@@ -968,7 +980,8 @@ func (s *anShard) growTracker(t *ageTracker, varIdx, newExt int) {
 	if t.completed || newExt <= t.extents[varIdx] {
 		return
 	}
-	from := append([]int(nil), t.extents...)
+	var fromBuf [4]int
+	from := append(fromBuf[:0], t.extents...)
 	t.extents[varIdx] = newExt
 	s.createInstances(t, from, t.extents)
 }

@@ -3,7 +3,7 @@ package runtime
 import (
 	"encoding/binary"
 	"fmt"
-	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/field"
@@ -48,33 +48,10 @@ const frameMaxRank = 64
 // StoreFrame accumulates store notices for one field generation into a single
 // wire frame. The zero value is unusable; call Reset first. A StoreFrame is
 // not safe for concurrent use (the dist batcher serializes access).
-//
-// Large typed-slab payloads are recorded scatter-gather style: instead of
-// copying the slab bytes into buf, Add appends only the wire header and keeps
-// a segment referencing the slab directly. Segments() exposes the frame as a
-// net.Buffers vector so a transport can writev it straight to the socket;
-// AppendTo flattens it when a contiguous copy is needed. Either way the bytes
-// are identical to the all-copying encoder.
 type StoreFrame struct {
-	buf      []byte
-	entries  int
-	segs     []frameSeg
-	segBytes int
+	buf     []byte
+	entries int
 }
-
-// frameSeg is one zero-copy payload segment: data (aliasing a field slab, not
-// owned by the frame) belongs between buf[:bufOff] and buf[bufOff:]. Offsets
-// are recorded instead of sub-slices of buf because buf may grow (and move)
-// as later entries append.
-type frameSeg struct {
-	bufOff int
-	data   []byte
-}
-
-// frameSegMin is the minimum payload size Add records as a segment; smaller
-// payloads copy inline, where the two extra vector entries would cost more
-// than the copy.
-const frameSegMin = 64
 
 // Reset re-targets the frame at one field generation, dropping any previous
 // contents but keeping the buffer capacity.
@@ -84,20 +61,14 @@ func (f *StoreFrame) Reset(fieldName string, age int) {
 	f.buf = append(f.buf, fieldName...)
 	f.buf = binary.AppendVarint(f.buf, int64(age))
 	f.entries = 0
-	f.clearSegs()
 }
 
-func (f *StoreFrame) clearSegs() {
-	for i := range f.segs {
-		f.segs[i].data = nil // drop the slab references
-	}
-	f.segs = f.segs[:0]
-	f.segBytes = 0
-}
-
-// Add appends one store notice. The notice must target the generation the
-// frame was Reset to; mixing generations corrupts nothing but delivers the
-// stores to the wrong age, so callers key frames by (field, age).
+// Add appends one store notice, copying its coordinates or selector and its
+// payload into the frame's buffer: nothing of the notice is referenced after
+// the call, so a borrowed notice (see Options.OnStore) may be added. The
+// notice must target the generation the frame was Reset to; mixing
+// generations corrupts nothing but delivers the stores to the wrong age, so
+// callers key frames by (field, age).
 func (f *StoreFrame) Add(sn StoreNotice) error {
 	sn = sn.normalize()
 	if sn.Sel != nil {
@@ -118,18 +89,6 @@ func (f *StoreFrame) Add(sn StoreNotice) error {
 			f.buf = binary.AppendVarint(f.buf, int64(i))
 		}
 	}
-	// Scatter-gather: large typed-slab payloads keep their bytes in the
-	// slab and record a segment instead of copying into buf. The segment
-	// aliases sn.Value's backing; the caller must keep the value alive
-	// until the frame is flattened or sent (the dist batcher holds the
-	// cloned notice value via the segment slice itself).
-	if buf, payload, ok := field.SplitWireArray(f.buf, sn.Value); ok && len(payload) >= frameSegMin {
-		f.buf = buf
-		f.segs = append(f.segs, frameSeg{bufOff: len(f.buf), data: payload})
-		f.segBytes += len(payload)
-		f.entries++
-		return nil
-	}
 	var err error
 	f.buf, err = field.AppendWireValue(f.buf, sn.Value)
 	if err != nil {
@@ -142,52 +101,15 @@ func (f *StoreFrame) Add(sn StoreNotice) error {
 // Entries returns the number of stores added since the last Reset.
 func (f *StoreFrame) Entries() int { return f.entries }
 
-// Len returns the current encoded size in bytes, including segment bytes.
-func (f *StoreFrame) Len() int { return len(f.buf) + f.segBytes }
+// Len returns the current encoded size in bytes.
+func (f *StoreFrame) Len() int { return len(f.buf) }
 
-// Bytes returns the encoded frame. With no pending segments the slice
-// aliases the frame's buffer and is invalidated by the next Reset or Add;
-// with segments it is a freshly flattened copy (transports that can writev
-// should use Segments instead).
-func (f *StoreFrame) Bytes() []byte {
-	if len(f.segs) == 0 {
-		return f.buf
-	}
-	return f.AppendTo(make([]byte, 0, f.Len()))
-}
+// Bytes returns the encoded frame. The slice aliases the frame's buffer and
+// is invalidated by the next Reset or Add, and by PutStoreFrame.
+func (f *StoreFrame) Bytes() []byte { return f.buf }
 
-// AppendTo appends the full encoded frame to dst — buffer bytes interleaved
-// with the zero-copy segments in offset order — and returns the extended
-// slice. The result is bit-identical to an all-copying encode.
-func (f *StoreFrame) AppendTo(dst []byte) []byte {
-	prev := 0
-	for _, s := range f.segs {
-		dst = append(dst, f.buf[prev:s.bufOff]...)
-		dst = append(dst, s.data...)
-		prev = s.bufOff
-	}
-	return append(dst, f.buf[prev:]...)
-}
-
-// Segments returns the frame as an ordered vector of byte slices suitable for
-// net.Buffers writev-style transmission. The slices alias the frame buffer
-// and the referenced slabs: they are invalidated by the next Reset or Add and
-// must be fully written before the frame is recycled.
-func (f *StoreFrame) Segments() net.Buffers {
-	segs := make(net.Buffers, 0, 2*len(f.segs)+1)
-	prev := 0
-	for _, s := range f.segs {
-		if s.bufOff > prev {
-			segs = append(segs, f.buf[prev:s.bufOff])
-		}
-		segs = append(segs, s.data)
-		prev = s.bufOff
-	}
-	if prev < len(f.buf) {
-		segs = append(segs, f.buf[prev:])
-	}
-	return segs
-}
+// AppendTo appends the encoded frame to dst and returns the extended slice.
+func (f *StoreFrame) AppendTo(dst []byte) []byte { return append(dst, f.buf...) }
 
 // maxPooledFrameBytes caps the buffer capacity PutStoreFrame keeps: a frame
 // whose buffer grew beyond it (one huge generation) is dropped instead of
@@ -204,11 +126,9 @@ func GetStoreFrame() *StoreFrame { return framePool.Get().(*StoreFrame) }
 // grew past maxPooledFrameBytes are dropped instead of pinning memory.
 func (f *StoreFrame) poolable() bool { return cap(f.buf) <= maxPooledFrameBytes }
 
-// PutStoreFrame returns a frame to the pool, dropping slab references so
-// recycled frames never pin field memory, and dropping the frame entirely
-// when its buffer has grown past maxPooledFrameBytes.
+// PutStoreFrame returns a frame to the pool, dropping the frame entirely when
+// its buffer has grown past maxPooledFrameBytes.
 func PutStoreFrame(f *StoreFrame) {
-	f.clearSegs()
 	f.entries = 0
 	if !f.poolable() {
 		return // let the oversized buffer be collected
@@ -254,8 +174,13 @@ func (c *frameCursor) varint() (int64, error) {
 
 // DecodeStoreFrame decodes a frame produced by StoreFrame, invoking apply for
 // each store notice in encoding order. Decode stops at the first apply error.
-// The notices passed to apply reference memory decoded from the frame, not
-// the frame buffer itself, so apply may retain them.
+//
+// The notices are borrowed, like OnStore's: an entry's Elem or Sel, and the
+// array Value of a slab entry, live in scratch that the next entry reuses,
+// so apply copies what it keeps — InjectStore copies the entry into the
+// field replica, and a frame of slab rows decodes without allocating per
+// row. The array Value of an element entry is decoded fresh, because a field
+// element keeps the value it is given.
 func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 	c := &frameCursor{buf: frame}
 	ver, err := c.byte()
@@ -280,12 +205,20 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 	}
 	age := int(age64)
 
+	// The per-frame scratch every entry reuses.
+	var (
+		elem    []int
+		sel     []field.SlabDim
+		scratch field.Array
+	)
 	for c.off < len(frame) {
 		mode, err := c.byte()
 		if err != nil {
 			return err
 		}
 		sn := StoreNotice{Field: fieldName, Age: age}
+		var v field.Value
+		var n int
 		switch mode {
 		case frameModeElem:
 			rank, err := c.uvarint()
@@ -295,15 +228,18 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 			if rank > frameMaxRank || rank > uint64(len(frame)-c.off) {
 				return fmt.Errorf("p2g: store frame coordinate rank %d out of range", rank)
 			}
-			if rank > 0 {
-				sn.Elem = make([]int, rank)
-				for d := range sn.Elem {
-					x, err := c.varint()
-					if err != nil {
-						return err
-					}
-					sn.Elem[d] = int(x)
+			elem = slices.Grow(elem[:0], int(rank))[:rank]
+			for d := range elem {
+				x, err := c.varint()
+				if err != nil {
+					return err
 				}
+				elem[d] = int(x)
+			}
+			sn.Elem = elem
+			v, n, err = field.DecodeWireValue(frame[c.off:])
+			if err != nil {
+				return err
 			}
 		case frameModeSlab:
 			rank, err := c.uvarint()
@@ -313,26 +249,28 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 			if rank == 0 || rank > frameMaxRank || rank > uint64(len(frame)-c.off) {
 				return fmt.Errorf("p2g: store frame selector rank %d out of range", rank)
 			}
-			sn.Sel = make([]field.SlabDim, rank)
-			for d := range sn.Sel {
+			sel = slices.Grow(sel[:0], int(rank))[:rank]
+			for d := range sel {
 				fixed, err := c.byte()
 				if err != nil {
 					return err
 				}
+				sel[d] = field.SlabDim{}
 				if fixed != 0 {
 					x, err := c.varint()
 					if err != nil {
 						return err
 					}
-					sn.Sel[d] = field.SlabDim{Fixed: true, Index: int(x)}
+					sel[d] = field.SlabDim{Fixed: true, Index: int(x)}
 				}
+			}
+			sn.Sel = sel
+			v, n, err = field.DecodeWireValueInto(frame[c.off:], &scratch)
+			if err != nil {
+				return err
 			}
 		default:
 			return fmt.Errorf("p2g: unknown store frame entry mode %d", mode)
-		}
-		v, n, err := field.DecodeWireValue(frame[c.off:])
-		if err != nil {
-			return err
 		}
 		c.off += n
 		sn.Value = v
@@ -344,8 +282,18 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 }
 
 // InjectStoreFrame applies a batched store frame received from a remote node:
-// each entry is written to the local field replica and the analyzer notified,
-// exactly as InjectStore does for a single notice.
+// each entry is written to the local field replica exactly as InjectStore
+// writes a single notice, and the analyzer events announcing the entries
+// travel in per-shard batches.
 func (n *Node) InjectStoreFrame(frame []byte) error {
-	return DecodeStoreFrame(frame, n.InjectStore)
+	in := injector{n: n}
+	err := DecodeStoreFrame(frame, func(sn StoreNotice) error {
+		ev, err := n.applyStore(sn)
+		if err == nil {
+			in.add(&ev)
+		}
+		return err
+	})
+	in.flush()
+	return err
 }

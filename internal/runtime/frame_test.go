@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -98,16 +97,27 @@ func noticesEqual(a, b StoreNotice) bool {
 	return a.Value.Equal(b.Value)
 }
 
-// TestStoreFrameScatterGather: a frame holding payloads above the segment
-// threshold must record them scatter-gather, and every assembled form —
-// Bytes, AppendTo, flattened Segments — must be identical to each other and
-// decode back to the original notices.
-func TestStoreFrameScatterGather(t *testing.T) {
-	big := field.NewArray(field.Float64, 256) // 2 KiB payload: well above frameSegMin
+// keep copies a borrowed notice (see DecodeStoreFrame) so a test can retain
+// it past the apply call.
+func keep(sn StoreNotice) StoreNotice {
+	sn.Elem = slices.Clone(sn.Elem)
+	sn.Sel = slices.Clone(sn.Sel)
+	if a := sn.Value.Array(); a != nil {
+		sn.Value = field.ArrayVal(a.Clone())
+	}
+	return sn
+}
+
+// TestStoreFrameWholeSpelling: Len, Bytes and AppendTo agree on the encoded
+// frame, which decodes back to the notices added; a Whole notice and its
+// all-free Sel spelling are one entry, byte for byte, and decode to the
+// selector.
+func TestStoreFrameWholeSpelling(t *testing.T) {
+	big := field.NewArray(field.Float64, 256)
 	for i := 0; i < big.Len(); i++ {
 		big.SetFlat(field.Float64Val(float64(i)*0.25), i)
 	}
-	small := field.ArrayFromUint8([]uint8{1, 2, 3}) // below frameSegMin: copies inline
+	small := field.ArrayFromUint8([]uint8{1, 2, 3})
 	notices := []StoreNotice{
 		{Field: "f", Age: 3, Whole: true, Value: field.ArrayVal(big)},
 		{Field: "f", Age: 3, Elem: []int{7}, Value: field.Int32Val(42)},
@@ -121,26 +131,16 @@ func TestStoreFrameScatterGather(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(f.segs) != 2 {
-		t.Fatalf("recorded %d segments, want 2 (the big payloads)", len(f.segs))
-	}
 	flat := f.AppendTo(nil)
 	if f.Len() != len(flat) {
-		t.Errorf("Len() = %d, flattened size %d", f.Len(), len(flat))
+		t.Errorf("Len() = %d, encoded size %d", f.Len(), len(flat))
 	}
 	if !slices.Equal(f.Bytes(), flat) {
 		t.Error("Bytes() differs from AppendTo")
 	}
-	var fromSegs []byte
-	for _, s := range f.Segments() {
-		fromSegs = append(fromSegs, s...)
-	}
-	if !slices.Equal(fromSegs, flat) {
-		t.Error("flattened Segments() differ from AppendTo")
-	}
 	var got []StoreNotice
 	if err := DecodeStoreFrame(flat, func(sn StoreNotice) error {
-		got = append(got, sn)
+		got = append(got, keep(sn))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -154,8 +154,6 @@ func TestStoreFrameScatterGather(t *testing.T) {
 		}
 	}
 
-	// A Whole notice and its all-free Sel spelling are one entry, byte for
-	// byte, and decode to the selector.
 	var whole, sel StoreFrame
 	whole.Reset("f", 3)
 	sel.Reset("f", 3)
@@ -178,68 +176,7 @@ func TestStoreFrameScatterGather(t *testing.T) {
 	}
 }
 
-// TestStoreFrameScatterVsCopyBytes: for random notice sequences, the
-// scatter-gather frame must flatten to exactly the bytes a pure
-// AppendWireValue encoding would produce (segments are a transport detail,
-// never a wire format change).
-func TestStoreFrameScatterVsCopyBytes(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 100; iter++ {
-		var f StoreFrame
-		f.Reset("f", 1)
-		ref := append([]byte(nil), f.buf...) // header
-		for i := 0; i < 1+r.Intn(6); i++ {
-			sn := randFrameNotice(r, "f", 1)
-			if err := f.Add(sn); err != nil {
-				t.Fatal(err)
-			}
-			// Reference: the always-copying encoding of the same entry.
-			var g StoreFrame
-			g.Reset("f", 1)
-			hdr := len(g.buf)
-			var err error
-			g.buf, err = appendFrameEntryCopy(g.buf, sn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref = append(ref, g.buf[hdr:]...)
-		}
-		if !slices.Equal(f.AppendTo(nil), ref) {
-			t.Fatalf("iter %d: scatter-gather bytes differ from copy encoding", iter)
-		}
-	}
-}
-
-// appendFrameEntryCopy encodes one entry with the pure copying path, exactly
-// as Add did before scatter-gather segments existed.
-func appendFrameEntryCopy(buf []byte, sn StoreNotice) ([]byte, error) {
-	var g StoreFrame
-	g.buf = buf
-	sn = sn.normalize()
-	switch {
-	case sn.Sel != nil:
-		g.buf = append(g.buf, frameModeSlab)
-		g.buf = binary.AppendUvarint(g.buf, uint64(len(sn.Sel)))
-		for _, sd := range sn.Sel {
-			if sd.Fixed {
-				g.buf = append(g.buf, 1)
-				g.buf = binary.AppendVarint(g.buf, int64(sd.Index))
-			} else {
-				g.buf = append(g.buf, 0)
-			}
-		}
-	default:
-		g.buf = append(g.buf, frameModeElem)
-		g.buf = binary.AppendUvarint(g.buf, uint64(len(sn.Elem)))
-		for _, i := range sn.Elem {
-			g.buf = binary.AppendVarint(g.buf, int64(i))
-		}
-	}
-	return field.AppendWireValue(g.buf, sn.Value)
-}
-
-// TestPutStoreFrameCap: pooled frames must drop slab references on return,
-// and oversized buffers must not be retained.
+// TestPutStoreFrameCap: oversized buffers must not be retained by the pool.
 func TestPutStoreFrameCap(t *testing.T) {
 	f := GetStoreFrame()
 	f.Reset("f", 0)
@@ -247,16 +184,10 @@ func TestPutStoreFrameCap(t *testing.T) {
 	if err := f.Add(StoreNotice{Field: "f", Age: 0, Whole: true, Value: field.ArrayVal(big)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.segs) == 0 {
-		t.Fatal("large payload did not record a segment")
-	}
 	if !f.poolable() {
 		t.Fatal("small frame reported unpoolable")
 	}
 	PutStoreFrame(f)
-	if len(f.segs) != 0 || f.segBytes != 0 {
-		t.Fatal("PutStoreFrame kept slab references")
-	}
 
 	over := &StoreFrame{buf: make([]byte, 0, maxPooledFrameBytes+1)}
 	if over.poolable() {
@@ -293,7 +224,7 @@ func TestStoreFrameRoundTrip(t *testing.T) {
 		}
 		var got []StoreNotice
 		if err := DecodeStoreFrame(f.Bytes(), func(sn StoreNotice) error {
-			got = append(got, sn)
+			got = append(got, keep(sn))
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -328,7 +259,7 @@ func TestStoreFrameTruncated(t *testing.T) {
 	for cut := 0; cut < len(full); cut++ {
 		var got []StoreNotice
 		err := DecodeStoreFrame(full[:cut], func(sn StoreNotice) error {
-			got = append(got, sn)
+			got = append(got, keep(sn))
 			return nil
 		})
 		if err == nil && cut < len(full) {
@@ -545,12 +476,128 @@ func TestInjectStoreFrameMatchesInjectStore(t *testing.T) {
 	}
 }
 
-// FuzzDecodeStoreFrame: decoding never panics, and a frame that decodes
-// re-encodes to bytes that decode to the same notices. The notices are
+// entryValueBytes returns the bytes of each entry's value in a frame, found by
+// a walk that decodes every value on its own with DecodeWireValue: the
+// reference that DecodeStoreFrame's reused scratch is checked against. It
+// stops at the first entry it cannot walk.
+func entryValueBytes(frame []byte) [][]byte {
+	c := &frameCursor{buf: frame}
+	if _, err := c.byte(); err != nil {
+		return nil
+	}
+	nameLen, err := c.uvarint()
+	if err != nil || nameLen > uint64(len(frame)-c.off) {
+		return nil
+	}
+	c.off += int(nameLen)
+	if _, err := c.varint(); err != nil {
+		return nil
+	}
+	var out [][]byte
+	for c.off < len(frame) {
+		mode, err := c.byte()
+		if err != nil {
+			return out
+		}
+		rank, err := c.uvarint()
+		if err != nil || rank > frameMaxRank {
+			return out
+		}
+		for d := uint64(0); d < rank; d++ {
+			if mode == frameModeSlab {
+				if fixed, err := c.byte(); err != nil {
+					return out
+				} else if fixed == 0 {
+					continue
+				}
+			}
+			if _, err := c.varint(); err != nil {
+				return out
+			}
+		}
+		_, n, err := field.DecodeWireValue(frame[c.off:])
+		if err != nil {
+			return out
+		}
+		out = append(out, frame[c.off:c.off+n])
+		c.off += n
+	}
+	return out
+}
+
+// valueBytes is the wire encoding of v followed, for an array, by the kind
+// of the array itself, which the encoding takes from the Value.
+func valueBytes(v field.Value) ([]byte, error) {
+	enc, err := field.AppendWireValue(nil, v)
+	if a := v.Array(); a != nil && err == nil {
+		enc = append(enc, byte(a.Kind()))
+	}
+	return enc, err
+}
+
+// mixedFrames are store frames whose consecutive entries change element
+// class (u8, i32, f64, String, Any), kind within a class (Uint8 and Bool),
+// rank and addressing mode, so a decoder
+// that reuses scratch across entries would carry a stale shape or class from
+// one entry into the next.
+func mixedFrames(t testing.TB) [][]byte {
+	strs := field.NewArray(field.String, 3)
+	strs.SetFlat(field.StringVal("row"), 0)
+	strs.SetFlat(field.StringVal(""), 2)
+	anys := field.NewArray(field.Any, 2, 1)
+	anys.SetFlat(field.Int64Val(-9), 0)
+	anys.SetFlat(field.StringVal("x"), 1)
+	f64 := field.NewArray(field.Float64, 2, 2, 2)
+	f64.SetFlat(field.Float64Val(2.5), 7)
+	bools := field.NewArray(field.Bool, 2)
+	bools.SetFlat(field.BoolVal(true), 1)
+	u8 := field.NewArray(field.Uint8, 2, 3)
+	u8.SetFlat(field.Uint8Val(200), 5)
+	i32 := field.NewArray(field.Int32, 4, 32)
+	for i, v := 0, i32.Int32s(); i < len(v); i++ {
+		v[i] = int32(i - 200)
+	}
+	row := func(i int) []field.SlabDim { return []field.SlabDim{{Fixed: true, Index: i}, {}} }
+	notices := []StoreNotice{
+		{Elem: []int{3, 1}, Value: field.Float64Val(0.5)},
+		{Sel: row(1), Value: field.ArrayVal(field.ArrayFromUint8([]uint8{7, 8}))},
+		{Sel: []field.SlabDim{{}, {}}, Value: field.ArrayVal(u8)},
+		{Whole: true, Value: field.ArrayVal(i32)},
+		{Sel: row(0), Value: field.ArrayVal(field.ArrayFromInt32([]int32{-1, 1 << 20, 7}))},
+		{Sel: []field.SlabDim{{}, {Fixed: true, Index: 2}, {}, {}}, Value: field.ArrayVal(f64)},
+		{Elem: []int{4}, Value: field.StringVal("s")},
+		{Sel: row(2), Value: field.ArrayVal(strs)},
+		{Sel: []field.SlabDim{{}, {}}, Value: field.ArrayVal(anys)},
+		{Elem: []int{0, 0, 1}, Value: field.ArrayVal(field.ArrayFromInt32([]int32{5, 6}))},
+		{Sel: []field.SlabDim{{}, {}}, Value: field.ArrayVal(field.NewArray(field.Int32, 0, 3))},
+		{Sel: row(3), Value: field.ArrayVal(field.ArrayFromUint8([]uint8{9}))},
+		{Sel: row(4), Value: field.ArrayVal(bools)},
+		{Elem: []int{2, 2}, Value: field.Int32Val(-3)},
+	}
+	reversed := slices.Clone(notices)
+	slices.Reverse(reversed)
+	var frames [][]byte
+	for _, order := range [][]StoreNotice{notices, reversed} {
+		var fr StoreFrame
+		fr.Reset("mixed", 2)
+		for _, sn := range order {
+			if err := fr.Add(sn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frames = append(frames, fr.AppendTo(nil))
+	}
+	return frames
+}
+
+// FuzzDecodeStoreFrame: decoding never panics; every notice apply sees equals
+// a fresh DecodeWireValue of its entry's bytes, so nothing of one entry's
+// decode leaks through the reused scratch into the next; and a frame that
+// decodes re-encodes to bytes that decode to the same notices. Values are
 // compared through their encoding, byte for byte, because Value.Equal holds a
-// NaN unequal to itself. Seeds are random frames of the round-trip tests, the
-// corruption cases, and one frame with an element, a slab, an all-free and a
-// segment entry.
+// NaN unequal to itself. Seeds are random frames of the round-trip tests,
+// the corruption cases, and frames mixing every element class, rank and
+// addressing mode.
 func FuzzDecodeStoreFrame(f *testing.F) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 8; i++ {
@@ -563,27 +610,9 @@ func FuzzDecodeStoreFrame(f *testing.F) {
 		}
 		f.Add(fr.AppendTo(nil))
 	}
-	big := field.NewArray(field.Int32, 4, 32) // 512 bytes: a segment entry
-	v := big.Int32s()
-	for i := range v {
-		v[i] = int32(i - 200)
+	for _, fr := range mixedFrames(f) {
+		f.Add(fr)
 	}
-	var mixed StoreFrame
-	mixed.Reset("mixed", 2)
-	for _, sn := range []StoreNotice{
-		{Elem: []int{3, 1}, Value: field.Float64Val(0.5)},
-		{Sel: []field.SlabDim{{Fixed: true, Index: 1}, {}}, Value: field.ArrayVal(field.ArrayFromUint8([]uint8{7, 8}))},
-		{Sel: []field.SlabDim{{}, {}}, Value: field.ArrayVal(field.NewArray(field.Int64, 2, 2))},
-		{Whole: true, Value: field.ArrayVal(big)},
-	} {
-		if err := mixed.Add(sn); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if len(mixed.segs) == 0 {
-		f.Fatal("the mixed seed has no segment entry")
-	}
-	f.Add(mixed.AppendTo(nil))
 	for _, seed := range [][]byte{
 		{}, {99}, {2, 1, 'c', 0, 1}, {storeFrameVersion, 0xff, 0xff, 0xff, 0x7f},
 		{storeFrameVersion, 40, 'x'}, {storeFrameVersion, 1, 'c', 0, 1},
@@ -591,13 +620,18 @@ func FuzzDecodeStoreFrame(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	decode := func(frame []byte) ([]StoreNotice, error) {
-		var got []StoreNotice
-		err := DecodeStoreFrame(frame, func(sn StoreNotice) error {
-			got = append(got, sn)
+	// decode keeps a copy of every notice, and the encoding of its value as
+	// apply saw it, before the next entry reuses the scratch.
+	decode := func(frame []byte) (got []StoreNotice, seen [][]byte, err error) {
+		err = DecodeStoreFrame(frame, func(sn StoreNotice) error {
+			enc, err := valueBytes(sn.Value)
+			if err != nil {
+				return fmt.Errorf("decoded value %v does not encode: %w", sn.Value, err)
+			}
+			got, seen = append(got, keep(sn)), append(seen, enc)
 			return nil
 		})
-		return got, err
+		return got, seen, err
 	}
 	encode := func(notices []StoreNotice) ([]byte, error) {
 		var fr StoreFrame
@@ -610,7 +644,21 @@ func FuzzDecodeStoreFrame(f *testing.F) {
 		return fr.AppendTo(nil), nil
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		got, err := decode(frame)
+		got, seen, err := decode(frame)
+		raw := entryValueBytes(frame)
+		if len(raw) < len(seen) {
+			t.Fatalf("apply saw %d entries, a fresh walk finds %d", len(seen), len(raw))
+		}
+		for i, enc := range seen {
+			v, _, err := field.DecodeWireValue(raw[i])
+			if err != nil {
+				t.Fatalf("entry %d: %v", i, err)
+			}
+			want, err := valueBytes(v)
+			if err != nil || !slices.Equal(enc, want) {
+				t.Fatalf("entry %d: apply saw %x, a fresh decode gives %x (%v)", i, enc, want, err)
+			}
+		}
 		if err != nil || len(got) == 0 {
 			return
 		}
@@ -618,7 +666,7 @@ func FuzzDecodeStoreFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded notices %+v do not re-encode: %v", got, err)
 		}
-		back, err := decode(enc)
+		back, _, err := decode(enc)
 		if err != nil || len(back) != len(got) {
 			t.Fatalf("re-encoding decodes to %d notices (%v), want %d", len(back), err, len(got))
 		}

@@ -75,7 +75,10 @@ type Options struct {
 	NoAutoQuiesce bool
 	// OnStore, when set, observes every successful local store with its
 	// data — the publish half of the distributed pub-sub layer. It is
-	// called from worker goroutines.
+	// called from worker goroutines. The notice is borrowed: its Sel, Elem
+	// and Value are the worker's own scratch and the kernel's local, valid
+	// only during the call, so OnStore copies what it keeps (the dist
+	// layer encodes it into a store frame).
 	OnStore func(StoreNotice)
 	// OnKernelDone, when set, observes every completed local kernel-age —
 	// the producer-done notifications remote nodes need for completeness.
@@ -553,40 +556,65 @@ func (n *Node) closeEventsWhenWorkersExit() {
 	})
 }
 
-// inject delivers an externally produced event to the shard(s) it concerns,
-// unless the node has shut down: remote-done and completeness bookkeeping to
-// shard 0, stop to everyone, and store events along the precompiled routing
-// tables. External events arrive one at a time, so each rides in its own
-// (pooled) single-event batch.
-func (n *Node) inject(ev event) {
+// injectBatch hands one batch of externally produced events to a shard,
+// unless the node has shut down.
+func (n *Node) injectBatch(shard int, evs []event) {
 	n.injectMu.RLock()
 	defer n.injectMu.RUnlock()
 	if n.eventsClosed {
+		putEventBuf(evs)
 		return
 	}
-	an := n.an
-	send := func(shard int) {
-		evs := getEventBuf()
-		evs = append(evs, ev)
-		n.mEventBatches.Add(1)
-		an.pending.Add(1)
-		an.activity.Add(1)
-		an.shards[shard].ch <- evs
+	n.mEventBatches.Add(1)
+	n.an.pending.Add(1)
+	n.an.activity.Add(1)
+	n.an.shards[shard].ch <- evs
+}
+
+// injector batches the analyzer events of stores applied from outside the
+// node, per shard, as a worker's buffers batch its own: a store frame's
+// events reach the analyzer in batches of eventFlushThreshold, not one
+// channel send per entry.
+type injector struct {
+	n    *Node
+	bufs [][]event // per shard; nil until the first routed event
+}
+
+// add routes one store event along the precompiled routing tables, after
+// making sure shard 0 accounts for the generation it lands in.
+func (in *injector) add(ev *event) {
+	n, an := in.n, in.n.an
+	n.injectMu.RLock()
+	closed := n.eventsClosed
+	n.injectMu.RUnlock()
+	if closed {
+		return
 	}
-	switch {
-	case ev.stop:
-		for i := range an.shards {
-			send(i)
+	an.injectEnsure(ev.fs, ev.age)
+	mask := an.shardMaskForStore(ev.fs, ev.age, ev.grew)
+	for mask != 0 {
+		i := bits.TrailingZeros64(mask)
+		mask &^= 1 << uint(i)
+		if in.bufs == nil {
+			in.bufs = make([][]event, len(an.shards))
 		}
-	case ev.remoteDone != nil:
-		send(0)
-	default:
-		an.injectEnsure(ev.fs, ev.age)
-		mask := an.shardMaskForStore(ev.fs, ev.age, ev.grew)
-		for mask != 0 {
-			i := bits.TrailingZeros64(mask)
-			mask &^= 1 << uint(i)
-			send(i)
+		if in.bufs[i] == nil {
+			in.bufs[i] = getEventBuf()
+		}
+		in.bufs[i] = append(in.bufs[i], *ev)
+		if len(in.bufs[i]) >= eventFlushThreshold {
+			n.injectBatch(i, in.bufs[i])
+			in.bufs[i] = nil
+		}
+	}
+}
+
+// flush hands every buffered event to its shard.
+func (in *injector) flush() {
+	for i, evs := range in.bufs {
+		if evs != nil {
+			in.n.injectBatch(i, evs)
+			in.bufs[i] = nil
 		}
 	}
 }
@@ -599,7 +627,9 @@ func (n *Node) InjectStore(sn StoreNotice) error {
 	if err != nil {
 		return err
 	}
-	n.inject(ev)
+	in := injector{n: n}
+	in.add(&ev)
+	in.flush()
 	return nil
 }
 
@@ -622,13 +652,22 @@ func (n *Node) applyStore(sn StoreNotice) (event, error) {
 		res, err = fs.f.StoreSlice(sn.Age, sn.Sel, arr)
 	} else {
 		res, err = fs.f.Store(sn.Age, sn.Value, sn.Elem...)
-		ev.setElem(sn.Elem)
+		ev.elem.set(sn.Elem)
 	}
 	if err != nil {
 		return event{}, err
 	}
-	ev.grew, ev.extents = res.Grew, res.Extents
+	ev.setGrowth(&res)
 	return ev, nil
+}
+
+// setGrowth records a store's growth, and the extents it grew to, on the
+// event announcing it.
+func (ev *event) setGrowth(res *field.StoreResult) {
+	ev.grew = res.Grew
+	if res.Grew {
+		ev.ext.set(res.Extents())
+	}
 }
 
 // InjectRemoteDone records that a remote kernel finished all instances of
@@ -638,14 +677,16 @@ func (n *Node) InjectRemoteDone(kernel string, age int) error {
 	if !ok {
 		return fmt.Errorf("p2g: remote done for unknown kernel %q", kernel)
 	}
-	n.inject(event{remoteDone: ks, age: age})
+	n.injectBatch(0, append(getEventBuf(), event{remoteDone: ks, age: age}))
 	return nil
 }
 
 // Stop ends a NoAutoQuiesce node: the analyzer shuts down after draining
 // in-flight work.
 func (n *Node) Stop() {
-	n.inject(event{stop: true})
+	for i := range n.an.shards {
+		n.injectBatch(i, append(getEventBuf(), event{stop: true}))
+	}
 }
 
 // Idle reports whether the node currently has no dispatched instances and no
@@ -1137,12 +1178,14 @@ func (n *Node) storeInst(t *ageTracker, is *instState, fr *execFrame, w *workerS
 		}
 		stores++
 		if n.opts.OnStore != nil {
-			n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Sel: append([]field.SlabDim(nil), sel...), Value: field.ArrayVal(val.Array().Clone())})
+			n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Sel: sel, Value: val})
 		}
 		// A slab store covers a sub-region at once; the analyzer handles it
 		// as a whole store (scanSatisfy re-checks element fetches against
 		// field contents).
-		w.emit(&event{fs: sp.fs, age: g, whole: true, grew: res.Grew, extents: res.Extents})
+		ev := event{fs: sp.fs, age: g, whole: true}
+		ev.setGrowth(&res)
+		w.emit(&ev)
 	}
 	return stores, true
 }
@@ -1176,14 +1219,14 @@ func (n *Node) flushStaged(t *ageTracker, fr *execFrame, w *workerState) int {
 			for j, v := range st.vals {
 				idx := st.idx[j*rank : (j+1)*rank]
 				if n.opts.OnStore != nil {
-					n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Elem: append([]int(nil), idx...), Value: v})
+					n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Elem: idx, Value: v})
 				}
 				if publish {
-					ev := event{fs: sp.fs, age: g, grew: j == 0 && res.Grew}
-					if ev.grew {
-						ev.extents = res.Extents
+					ev := event{fs: sp.fs, age: g}
+					if j == 0 {
+						ev.setGrowth(&res)
 					}
-					ev.setElem(idx)
+					ev.elem.set(idx)
 					w.emit(&ev)
 				}
 			}

@@ -71,8 +71,7 @@ func (n *Node) EncodeGenerationFrame(fieldName string, age int) (*StoreFrame, er
 	idx := make([]int, rank)
 	for flat := 0; flat < total; flat++ {
 		if v, ok := f.At(age, idx...); ok {
-			elem := append([]int(nil), idx...)
-			if err := fr.Add(StoreNotice{Field: fieldName, Age: age, Elem: elem, Value: v}); err != nil {
+			if err := fr.Add(StoreNotice{Field: fieldName, Age: age, Elem: idx, Value: v}); err != nil {
 				PutStoreFrame(fr)
 				return nil, err
 			}
