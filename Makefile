@@ -49,9 +49,10 @@ ci: fmt-check vet layers build examples race norace
 # test-fault is the fault-injection gate (also run by ci.sh): the failover,
 # liveness, and teardown regression tests under the race detector — every
 # scenario drives a real master/worker pair through a FaultConn (severed,
-# wedged, or silently dropping connections).
+# wedged, or silently dropping connections) — and the index-share split's
+# ownership, bit-identity and pacing tests beside them.
 test-fault:
-	$(GO) test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown' ./internal/dist/
+	$(GO) test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown|ShareOwnership|SplitKernelsBitIdentical' ./internal/dist/
 
 # fuzz-lang is the kernel-language fuzz gate (also run by ci.sh): ten seconds
 # each of FuzzParse (lexer, parser and compiler never panic, and nothing

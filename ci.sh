@@ -32,8 +32,9 @@ go test -count=1 ./internal/field/ ./internal/runtime/ ./internal/dist/
 # Fault-injection gate (`make test-fault`): the failover, liveness, and
 # teardown regression tests under the race detector, each driving a real
 # master/worker pair through a severed, wedged, or silently dropping
-# connection.
-go test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown' ./internal/dist/
+# connection, and the index-share split's ownership, bit-identity and pacing
+# tests.
+go test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown|ShareOwnership|SplitKernelsBitIdentical' ./internal/dist/
 # Kernel-language fuzz gate (`make fuzz-lang`): ten seconds each of FuzzParse
 # (lexer, parser and compiler never panic, and nothing crashes the lowering)
 # and FuzzVMMatchesOracle (the bytecode VM and the test-only tree-walking

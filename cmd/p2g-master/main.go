@@ -123,9 +123,16 @@ func main() {
 	for k := range res.Assignment {
 		kernels = append(kernels, k)
 	}
+	for k := range res.Shares {
+		kernels = append(kernels, k)
+	}
 	sort.Strings(kernels)
 	for _, k := range kernels {
-		fmt.Printf("  %-16s -> node %d\n", k, res.Assignment[k])
+		if ids, ok := res.Shares[k]; ok {
+			fmt.Printf("  %-16s -> shares %s\n", k, dist.ShareString(ids))
+		} else {
+			fmt.Printf("  %-16s -> node %d\n", k, res.Assignment[k])
+		}
 	}
 	var ids []string
 	for id := range res.Reports {

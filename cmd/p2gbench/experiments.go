@@ -436,6 +436,9 @@ func distExp() error {
 		for k, n := range res.Assignment {
 			names = append(names, fmt.Sprintf("%s→%d", k, n))
 		}
+		for k, ids := range res.Shares {
+			names = append(names, fmt.Sprintf("%s→[%s]", k, dist.ShareString(ids)))
+		}
 		sort.Strings(names)
 		fmt.Printf("%-8d %-10.3f %-12d %-6v %s\n", nodes, wall.Seconds(), events, exact, strings.Join(names, " "))
 	}

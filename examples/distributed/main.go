@@ -1,8 +1,9 @@
 // Distributed example: the full figure 1 architecture on one machine. A
 // master node collects the topology from three in-process execution nodes,
-// partitions the K-means workload with the high-level scheduler, brokers
-// store/completion events between the nodes, detects global quiescence and
-// gathers per-node instrumentation.
+// partitions the K-means workload with the high-level scheduler — splitting
+// its indexed kernels, assign and refine, into one index share per node —
+// brokers store/completion events between the nodes, detects global
+// quiescence and gathers per-node instrumentation.
 //
 // Run with:
 //
@@ -67,9 +68,16 @@ func main() {
 	for k := range res.Assignment {
 		kernels = append(kernels, k)
 	}
+	for k := range res.Shares {
+		kernels = append(kernels, k)
+	}
 	sort.Strings(kernels)
 	for _, k := range kernels {
-		fmt.Printf("  %-8s -> exec-node-%d\n", k, res.Assignment[k])
+		if ids, ok := res.Shares[k]; ok {
+			fmt.Printf("  %-8s -> shares %s\n", k, dist.ShareString(ids))
+		} else {
+			fmt.Printf("  %-8s -> exec-node-%d\n", k, res.Assignment[k])
+		}
 	}
 
 	fmt.Println("\nper-node instrumentation:")

@@ -87,10 +87,11 @@ func TestDistributedMulSum(t *testing.T) {
 					}
 				}
 			}
-			// Every kernel is assigned to exactly one node, and total
-			// instances match the single-node run.
-			if len(res.Assignment) != 4 {
-				t.Errorf("assignment %v", res.Assignment)
+			// Every kernel runs whole on one node or, indexed on more than
+			// one node, as one share per node; total instances match the
+			// single-node run.
+			if len(res.Assignment)+len(res.Shares) != 4 || workers > 1 && len(res.Shares["mul2"]) != workers {
+				t.Errorf("assignment %v, shares %v", res.Assignment, res.Shares)
 			}
 			var total int64
 			for _, rep := range res.Reports {
@@ -348,8 +349,8 @@ func TestWeightedRepartition(t *testing.T) {
 	// assign dominates measured load; it must not share a node with every
 	// other kernel unless the partitioner found that optimal — at minimum
 	// the assignment is complete and the run reported per-node stats.
-	if len(second.Assignment) != 4 || len(second.Reports) != 2 {
-		t.Errorf("assignment %v reports %d", second.Assignment, len(second.Reports))
+	if len(second.Assignment)+len(second.Shares) != 4 || len(second.Reports) != 2 {
+		t.Errorf("assignment %v shares %v reports %d", second.Assignment, second.Shares, len(second.Reports))
 	}
 }
 

@@ -475,15 +475,14 @@ func TestMasterAbortReleasesHandshakeWorkers(t *testing.T) {
 	}
 }
 
-// distMJPEGFailover runs the MJPEG pipeline across two TCP workers with the
-// second worker's connection severing mid-stream, and returns the master's
-// outcome. The survivor must exit cleanly when failover is on. Workers build
-// the program from the spec via the factory — required for failover, since a
-// rebuilt node must restart the video source from frame zero rather than
-// resume a half-consumed stream.
-func distMJPEGFailover(t *testing.T, frames int, failover bool) (*MasterResult, error) {
+// distMJPEGFailover runs spec's MJPEG pipeline across two TCP workers with
+// the second worker's connection severing at its severAt-th send, and returns
+// the master's outcome. The survivor must exit cleanly when failover is on.
+// Workers build the program from the spec via the factory — required for
+// failover, since a rebuilt node must restart the video source from frame
+// zero rather than resume a half-consumed stream.
+func distMJPEGFailover(t *testing.T, spec string, severAt int, failover bool) (*MasterResult, error) {
 	t.Helper()
-	spec := fmt.Sprintf("mjpeg:frames=%d,w=32,h=32,quality=70,seed=4", frames)
 	l, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -501,8 +500,8 @@ func distMJPEGFailover(t *testing.T, frames int, failover bool) (*MasterResult, 
 				return
 			}
 			if i == 1 {
-				// tcp1 dies abruptly a few messages into the run.
-				conn = NewFaultConn(conn, FaultPlan{SeverSendAt: 4})
+				// tcp1 dies abruptly severAt messages into the run.
+				conn = NewFaultConn(conn, FaultPlan{SeverSendAt: int64(severAt)})
 			}
 			_, werr := RunWorker(WorkerConfig{
 				NodeID: fmt.Sprintf("tcp%d", i), Cores: 2, Factory: workloads.FromSpec,
@@ -545,8 +544,9 @@ func TestFailoverMJPEGOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	spec := fmt.Sprintf("mjpeg:frames=%d,w=32,h=32,quality=70,seed=4", frames)
 	t.Run("failover-on-bit-identical", func(t *testing.T) {
-		res, err := distMJPEGFailover(t, frames, true)
+		res, err := distMJPEGFailover(t, spec, 4, true)
 		if err != nil {
 			t.Fatalf("failover run failed: %v", err)
 		}
@@ -572,7 +572,7 @@ func TestFailoverMJPEGOverTCP(t *testing.T) {
 	t.Run("failover-off-named-error", func(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
-			_, err := distMJPEGFailover(t, frames, false)
+			_, err := distMJPEGFailover(t, spec, 4, false)
 			done <- err
 		}()
 		select {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"time"
@@ -76,9 +77,13 @@ type MasterConfig struct {
 
 // MasterResult is the outcome of a distributed run.
 type MasterResult struct {
-	// Assignment maps kernel names to worker indices (reflecting any
-	// failover reassignments).
+	// Assignment maps the kernels that run whole to worker indices
+	// (reflecting any failover reassignments).
 	Assignment map[string]int
+	// Shares maps each kernel split by index share to the node IDs owning
+	// its shares, in share order (see ShareString); empty on a one-worker
+	// run, which splits nothing.
+	Shares map[string][]string
 	// Cost is the HLS cost of the chosen assignment.
 	Cost sched.Cost
 	// Reports holds each worker's instrumentation report by node ID.
@@ -101,14 +106,15 @@ type MasterResult struct {
 	Replayed int64
 }
 
-// doneRec is one producer completion, recorded for dedup (a rebuilt worker
-// re-executes its kernels and re-announces their completions) and for replay
-// ordering (a rebuilt worker must hear about remote completions after the
-// replayed stores — a done marks generations complete, and under merge mode
-// a store into a completed generation is silently dropped).
+// doneRec is one producer completion — of one share, for a split kernel —
+// recorded for dedup (a rebuilt worker re-executes its kernels and
+// re-announces their completions) and for replay ordering (a rebuilt worker
+// must hear about remote completions after the replayed stores — a done
+// marks generations complete, and under merge mode a store into a completed
+// generation is silently dropped).
 type doneRec struct {
-	kernel string
-	age    int
+	kernel     string
+	share, age int
 }
 
 // peer is everything the master knows about one connected node. A worker's
@@ -127,7 +133,8 @@ type peer struct {
 	// corrected); nil without metrics.
 	flight *obs.Histogram
 
-	kernels  []string        // the partition it runs; nil for a standby and after its death
+	kernels  []string        // the unsplit kernels it runs; nil for a standby and after its death
+	shares   []int           // the index shares of every split kernel it runs, likewise
 	consumes map[string]bool // the fields those kernels fetch
 
 	// Accounting since the node's last assignment (assign restarts it).
@@ -165,7 +172,14 @@ type master struct {
 
 	fin        *graph.Final
 	cost       sched.Cost
-	kernelNode map[string]int
+	kernelNode map[string]int // unsplit kernel → worker index
+	// Index shares: with more than one worker at setup every indexed kernel
+	// is split into one share per worker, weighted by that worker's
+	// capacity. The split is fixed for the run; a dead worker's shares move
+	// whole. weights and owner are indexed by share (owner holds worker
+	// indices); both are empty when nothing is split.
+	split          map[string]bool
+	weights, owner []int
 	// Subscriber maps: which workers consume each field, and which need
 	// each kernel's completion events (they consume a field it stores).
 	fieldSubs, kernelSubs map[string][]*peer
@@ -288,16 +302,19 @@ func (m *master) setup() error {
 	if m.cfg.Weights != nil {
 		sched.ApplyInstrumentation(m.fin, m.cfg.Weights)
 	}
-	all := make([]string, len(m.fin.Nodes))
-	for i, kn := range m.fin.Nodes {
-		all[i] = kn.Name
+	m.splitShares()
+	var whole []string
+	for _, kn := range m.fin.Nodes {
+		if !m.split[kn.Name] {
+			whole = append(whole, kn.Name)
+		}
 	}
 	var err error
-	if _, m.cost, err = m.place(all); err != nil {
+	if _, m.cost, err = m.place(whole); err != nil {
 		return err
 	}
 	m.subscribe()
-	m.cfg.View.setAssignment(m.kernelNode, m.cfg.Method.String())
+	m.cfg.View.setAssignment(m.kernelNode, m.shareMap(), m.cfg.Method.String())
 	if err := m.startShadow(); err != nil {
 		return err
 	}
@@ -357,11 +374,91 @@ func (m *master) enroll(p *peer) {
 	m.cfg.View.registerWorker(p.idx, p.id, p.cores, p.speed)
 }
 
-// place partitions the final graph over the live workers and hands each of
-// the named kernels to the worker the partition chose for it. Kernels not
-// named stay where they are — moving a live kernel would force a needless
-// rebuild. It returns the workers that gained kernels and the partition's
-// cost.
+// splitShares splits every indexed kernel of a run with more than one worker
+// into one index share per worker, weighted by its capacity and owned by it.
+func (m *master) splitShares() {
+	if len(m.peers) < 2 {
+		return
+	}
+	m.split = map[string]bool{}
+	for _, k := range m.cfg.Prog.Kernels {
+		if len(k.IndexVars) > 0 {
+			m.split[k.Name] = true
+		}
+	}
+	caps := make([]float64, len(m.peers))
+	m.owner = make([]int, len(m.peers))
+	for i, p := range m.peers {
+		caps[i] = p.capacity()
+		m.owner[i], p.shares = i, []int{i}
+	}
+	m.weights = shareWeights(caps)
+}
+
+// shareWeights sizes one share per capacity: the capacity in quarters
+// (cores × speed, at least one), reduced by the weights' common divisor so
+// that equal capacities deal granules strictly round robin.
+func shareWeights(caps []float64) []int {
+	w := make([]int, len(caps))
+	g := 0
+	for i, c := range caps {
+		w[i] = max(1, int(math.Round(4*c)))
+		g = gcd(g, w[i])
+	}
+	for i := range w {
+		w[i] /= g
+	}
+	return w
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func (p *peer) capacity() float64 {
+	return sched.ExecNode{Cores: p.cores, Speed: p.speed}.Capacity()
+}
+
+// dealShares hands each of a dead worker's shares to the live worker whose
+// share weight per capacity stays lowest with it, and returns the workers
+// that gained shares.
+func (m *master) dealShares(shares []int) []*peer {
+	var gained []*peer
+	for _, s := range shares {
+		var best *peer
+		var bestLoad float64
+		for _, p := range m.peers {
+			if p.dead {
+				continue
+			}
+			held := m.weights[s]
+			for _, o := range p.shares {
+				held += m.weights[o]
+			}
+			if load := float64(held) / p.capacity(); best == nil || load < bestLoad {
+				best, bestLoad = p, load
+			}
+		}
+		if best == nil {
+			return nil
+		}
+		best.shares = append(best.shares, s)
+		m.owner[s] = best.idx
+		if !slices.Contains(gained, best) {
+			gained = append(gained, best)
+		}
+	}
+	return gained
+}
+
+// place partitions the final graph's unsplit kernels over the live workers
+// and hands each of the named kernels to the worker the partition chose for
+// it. Kernels not named stay where they are — moving a live kernel would
+// force a needless rebuild. It returns the workers that gained kernels and
+// the partition's cost.
 func (m *master) place(kernels []string) ([]*peer, sched.Cost, error) {
 	topo := sched.Topology{Bandwidth: 1}
 	var live []*peer
@@ -374,7 +471,11 @@ func (m *master) place(kernels []string) ([]*peer, sched.Cost, error) {
 	if len(live) == 0 {
 		return nil, sched.Cost{}, fmt.Errorf("no surviving workers to take over %d kernels", len(kernels))
 	}
-	assign, cost, err := sched.Partition(m.fin, topo, m.cfg.Method)
+	split := make([]bool, len(m.fin.Nodes))
+	for i, kn := range m.fin.Nodes {
+		split[i] = m.split[kn.Name]
+	}
+	assign, cost, err := sched.PartitionSplit(m.fin, topo, m.cfg.Method, split)
 	if err != nil {
 		return nil, cost, err
 	}
@@ -394,15 +495,19 @@ func (m *master) place(kernels []string) ([]*peer, sched.Cost, error) {
 }
 
 // subscribe rebuilds the subscriber maps from the workers' partitions; run
-// after every change of assignment.
+// after every change of assignment. A worker hears the completions of every
+// kernel that stores a field it consumes and, when it runs a source, of
+// every split kernel that fetches from it: their shares pace the source.
 func (m *master) subscribe() {
 	m.fieldSubs = map[string][]*peer{}
 	m.kernelSubs = map[string][]*peer{}
 	for _, p := range m.peers {
 		p.consumes = map[string]bool{}
-		for _, kn := range p.kernels {
-			for _, f := range m.cfg.Prog.Kernel(kn).Fetches {
-				p.consumes[f.Field] = true
+		for _, k := range m.cfg.Prog.Kernels {
+			if m.runsKernel(p, k.Name) {
+				for _, f := range k.Fetches {
+					p.consumes[f.Field] = true
+				}
 			}
 		}
 	}
@@ -413,15 +518,61 @@ func (m *master) subscribe() {
 			}
 		}
 	}
+	sub := func(kernel string, p *peer) {
+		if !slices.Contains(m.kernelSubs[kernel], p) {
+			m.kernelSubs[kernel] = append(m.kernelSubs[kernel], p)
+		}
+	}
 	for _, k := range m.cfg.Prog.Kernels {
 		for _, s := range k.Stores {
 			for _, p := range m.fieldSubs[s.Field] {
-				if !slices.Contains(m.kernelSubs[k.Name], p) {
-					m.kernelSubs[k.Name] = append(m.kernelSubs[k.Name], p)
+				sub(k.Name, p)
+			}
+		}
+		if !m.split[k.Name] {
+			continue
+		}
+		for _, f := range k.Fetches {
+			for _, src := range m.cfg.Prog.Producers(f.Field) {
+				if owner, ok := m.kernelNode[src.Kernel.Name]; ok && src.Kernel.Source() {
+					sub(k.Name, m.peers[owner])
 				}
 			}
 		}
 	}
+}
+
+// runsKernel reports whether p runs kernel — all of it, or shares of it.
+func (m *master) runsKernel(p *peer, kernel string) bool {
+	if m.split[kernel] {
+		return len(p.shares) > 0
+	}
+	return slices.Contains(p.kernels, kernel)
+}
+
+// produces reports whether p itself produces what a completion of kernel at
+// share announces: a worker is never told of its own completions.
+func (m *master) produces(p *peer, kernel string, share int) bool {
+	if m.split[kernel] {
+		return m.owner[share] == p.idx
+	}
+	return slices.Contains(p.kernels, kernel)
+}
+
+// shareMap lists, per split kernel, the node owning each of its shares.
+func (m *master) shareMap() map[string][]string {
+	if len(m.split) == 0 {
+		return nil
+	}
+	ids := make([]string, len(m.owner))
+	for s, w := range m.owner {
+		ids[s] = m.peers[w].id
+	}
+	out := make(map[string][]string, len(m.split))
+	for k := range m.split {
+		out[k] = ids
+	}
+	return out
 }
 
 // startShadow starts the master's shadow node, which replicates all fields
@@ -433,9 +584,15 @@ func (m *master) startShadow() error {
 	for _, k := range m.cfg.Prog.Kernels {
 		allRemote[k.Name] = true
 	}
+	// It runs no share of a split kernel, but counts each as a producer.
+	var shares *runtime.Shares
+	if len(m.weights) > 0 {
+		shares = &runtime.Shares{Weights: m.weights}
+	}
 	shadow, err := runtime.NewNode(m.cfg.Prog, runtime.Options{
 		Workers:       1,
 		RemoteKernels: allRemote,
+		Shares:        shares,
 		NoAutoQuiesce: true,
 		Metrics:       m.cfg.Metrics,
 		Tracer:        m.cfg.Tracer,
@@ -461,7 +618,7 @@ func (m *master) startShadow() error {
 // assignment goes out before the first start, so the nodes build in parallel.
 func (m *master) assign(targets []*peer) error {
 	for _, p := range targets {
-		if err := p.conn.Send(&Msg{Kind: MAssign, Kernels: p.kernels, Spec: m.cfg.Spec, TraceOn: m.cfg.CollectTraces, Failover: m.cfg.Failover}); err != nil {
+		if err := p.conn.Send(&Msg{Kind: MAssign, Kernels: p.kernels, ShareWeights: m.weights, Shares: p.shares, Spec: m.cfg.Spec, TraceOn: m.cfg.CollectTraces, Failover: m.cfg.Failover}); err != nil {
 			return fmt.Errorf("dist: assigning to %s: %w", p.id, err)
 		}
 	}
@@ -526,7 +683,7 @@ func (m *master) handle(in inbound) error {
 		}
 		m.mFrames.Inc()
 		m.mFrameBytes.Add(int64(len(msg.Frame)))
-		if err := m.forward(p, m.fieldSubs[msg.Field], msg); err != nil {
+		if err := m.forward(p, m.fieldSubs[msg.Field], msg, nil); err != nil {
 			return err
 		}
 		if tr := m.cfg.Tracer; tr != nil {
@@ -539,7 +696,7 @@ func (m *master) handle(in inbound) error {
 			})
 		}
 	case MDone:
-		d := doneRec{kernel: msg.Kernel, age: msg.Age}
+		d := doneRec{kernel: msg.Kernel, share: msg.Share, age: msg.Age}
 		if m.doneSeen[d] {
 			// A rebuilt worker re-executes its kernels and re-announces
 			// completions the cluster already accounted for. Injecting a
@@ -554,7 +711,7 @@ func (m *master) handle(in inbound) error {
 		if err := m.shadow.InjectRemoteDone(msg.Kernel, msg.Age); err != nil {
 			return fmt.Errorf("dist: shadow done: %w", err)
 		}
-		return m.forward(p, m.kernelSubs[msg.Kernel], msg)
+		return m.forward(p, m.kernelSubs[msg.Kernel], msg, func(q *peer) bool { return m.produces(q, msg.Kernel, msg.Share) })
 	case MStatus:
 		p.status = *msg
 		p.statusSeen = true
@@ -589,11 +746,12 @@ func (p *peer) observeFlight(msg *Msg) {
 	p.flight.Observe(time.Duration(max(flight, 0)))
 }
 
-// forward fans one worker's event out to its subscribers. The envelope is
-// shared, not copied: no transport mutates a message it sends.
-func (m *master) forward(from *peer, subs []*peer, msg *Msg) error {
+// forward fans one worker's event out to its subscribers, except the sender
+// and those skip names. The envelope is shared, not copied: no transport
+// mutates a message it sends.
+func (m *master) forward(from *peer, subs []*peer, msg *Msg, skip func(*peer) bool) error {
 	for _, p := range subs {
-		if p == from || p.dead {
+		if p == from || p.dead || skip != nil && skip(p) {
 			continue
 		}
 		if err := p.conn.Send(msg); err != nil {
@@ -746,9 +904,9 @@ func (m *master) die(p *peer, cause error) error {
 // Reassignment is assignment: the affected workers get their whole new
 // partition through assign, exactly as at the start of the run.
 func (m *master) recover(dead *peer) error {
-	lost := dead.kernels
-	dead.kernels = nil
-	if len(lost) == 0 {
+	lost, lostShares := dead.kernels, dead.shares
+	dead.kernels, dead.shares = nil, nil
+	if len(lost) == 0 && len(lostShares) == 0 {
 		return nil
 	}
 	m.mFailovers.Inc()
@@ -760,9 +918,12 @@ func (m *master) recover(dead *peer) error {
 		m.enroll(sb)
 		m.cfg.View.setLiveness(m.cfg.Heartbeat, m.cfg.MaxMissed, m.cfg.Failover, len(m.standbys))
 		m.listen(sb)
-		sb.kernels = lost
+		sb.kernels, sb.shares = lost, lostShares
 		for _, k := range lost {
 			m.kernelNode[k] = sb.idx
+		}
+		for _, s := range lostShares {
+			m.owner[s] = sb.idx
 		}
 		targets = []*peer{sb}
 	} else {
@@ -770,9 +931,15 @@ func (m *master) recover(dead *peer) error {
 		if targets, _, err = m.place(lost); err != nil {
 			return fmt.Errorf("dist: repartitioning after loss of %s: %w", dead.id, err)
 		}
+		// Shares are never re-split: each moves whole to a survivor.
+		for _, p := range m.dealShares(lostShares) {
+			if !slices.Contains(targets, p) {
+				targets = append(targets, p)
+			}
+		}
 	}
 	m.subscribe()
-	m.cfg.View.setAssignment(m.kernelNode, m.cfg.Method.String())
+	m.cfg.View.setAssignment(m.kernelNode, m.shareMap(), m.cfg.Method.String())
 	if err := m.assign(targets); err != nil {
 		return err
 	}
@@ -847,10 +1014,10 @@ func (m *master) replay(t *peer) error {
 		}
 	}
 	for _, d := range m.doneLog {
-		if slices.Contains(t.kernels, d.kernel) || !slices.Contains(m.kernelSubs[d.kernel], t) {
+		if m.produces(t, d.kernel, d.share) || !slices.Contains(m.kernelSubs[d.kernel], t) {
 			continue
 		}
-		if err := t.conn.Send(&Msg{Kind: MDone, Kernel: d.kernel, Age: d.age, SentNs: time.Now().UnixNano()}); err != nil {
+		if err := t.conn.Send(&Msg{Kind: MDone, Kernel: d.kernel, Age: d.age, Share: d.share, SentNs: time.Now().UnixNano()}); err != nil {
 			return fmt.Errorf("dist: replaying completion %s(%d) to %s: %w", d.kernel, d.age, t.id, err)
 		}
 		t.forwarded++
@@ -913,6 +1080,7 @@ func (m *master) finish() (*MasterResult, error) {
 	}
 	return &MasterResult{
 		Assignment:   m.kernelNode,
+		Shares:       m.shareMap(),
 		Cost:         m.cost,
 		Reports:      m.reports,
 		Shadow:       m.shadow,

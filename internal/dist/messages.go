@@ -96,6 +96,12 @@ type Msg struct {
 	OffsetNs int64
 	Synced   bool
 
+	// MAssign: the run splits every indexed kernel into one index share per
+	// entry of ShareWeights, sized by it (empty: it splits none), and Shares
+	// are the ones this worker runs besides Kernels (runtime.Options.Shares).
+	ShareWeights []int
+	Shares       []int
+
 	// MAssign: the master will pull span buffers at shutdown
 	// (CollectTraces), so a worker without its own tracer should create
 	// one — cluster tracing needs only the master's -trace flag.
@@ -107,9 +113,11 @@ type Msg struct {
 	TraceStartNs int64
 	TraceDropped int64
 
-	// MDone
+	// MDone: Share is the index share that completed (0 for a kernel that
+	// runs whole).
 	Kernel string
 	Age    int
+	Share  int
 
 	// MPing: the master wants the worker's metrics on the answering
 	// MStatus — only a master with a ClusterView has somewhere to put them.

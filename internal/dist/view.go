@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,6 +28,9 @@ type ClusterStatus struct {
 	Phase      string         `json:"phase"`
 	Method     string         `json:"method,omitempty"`
 	Assignment map[string]int `json:"assignment,omitempty"`
+	// Shares shows each kernel split by index share as the node owning each
+	// of its shares, e.g. "yDCT": "0/2@w0 1/2@w1" (see ShareString).
+	Shares map[string]string `json:"shares,omitempty"`
 	// Liveness configuration: a worker silent for MaxMissed heartbeat
 	// intervals is declared dead; with Failover its kernels are reassigned
 	// and replayed, otherwise the run fails. Standbys counts spare workers
@@ -126,8 +131,29 @@ func (v *ClusterView) registerWorker(i int, id string, cores int, speed float64)
 	})
 }
 
-func (v *ClusterView) setAssignment(assign map[string]int, method string) {
-	v.update(func(st *ClusterStatus) { st.Assignment, st.Method = assign, method })
+func (v *ClusterView) setAssignment(assign map[string]int, shares map[string][]string, method string) {
+	v.update(func(st *ClusterStatus) {
+		st.Assignment, st.Method, st.Shares = assign, method, nil
+		for k, ids := range shares {
+			if st.Shares == nil {
+				st.Shares = map[string]string{}
+			}
+			st.Shares[k] = ShareString(ids)
+		}
+	})
+}
+
+// ShareString renders a split kernel's placement — the node ID owning each
+// of its shares, in share order — as "0/2@w0 1/2@w1".
+func ShareString(ids []string) string {
+	var b strings.Builder
+	for s, id := range ids {
+		if s > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%d/%d@%s", s, len(ids), id)
+	}
+	return b.String()
 }
 
 // updateWorker folds one heartbeat into the view.

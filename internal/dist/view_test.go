@@ -53,8 +53,18 @@ func TestClusterViewLifecycle(t *testing.T) {
 	if st.Workload != "mulsum" || st.Method != "kl" {
 		t.Errorf("workload/method = %q/%q", st.Workload, st.Method)
 	}
-	if len(st.Assignment) != 4 {
+	// init and print run whole; mul2 and plus5 are indexed, so each runs as
+	// one share per worker.
+	if len(st.Assignment) != 2 || st.Assignment["init"] < 0 || st.Assignment["print"] < 0 {
 		t.Errorf("assignment %v", st.Assignment)
+	}
+	for _, k := range []string{"mul2", "plus5"} {
+		if got, want := st.Shares[k], "0/2@w0 1/2@w1"; got != want {
+			t.Errorf("shares of %s = %q, want %q", k, got, want)
+		}
+	}
+	if len(st.Shares) != 2 {
+		t.Errorf("shares %v", st.Shares)
 	}
 	if len(st.Workers) != n {
 		t.Fatalf("workers = %d, want %d", len(st.Workers), n)
@@ -100,7 +110,7 @@ func TestClusterViewNilSafe(t *testing.T) {
 	var v *ClusterView
 	v.setPhase("x")
 	v.registerWorker(0, "w", 1, 1)
-	v.setAssignment(map[string]int{"k": 0}, "kl")
+	v.setAssignment(map[string]int{"k": 0}, map[string][]string{"s": {"w"}}, "kl")
 	v.updateWorker(0, true, 1, 2, nil)
 	v.workerDone(0, nil)
 	if v.Status() != nil {

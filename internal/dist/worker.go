@@ -381,9 +381,19 @@ func (w *worker) build(assign *Msg) error {
 	if w.cfg.KernelMaxAge == nil && w.cfg.BoundsFactory != nil {
 		w.cfg.KernelMaxAge = w.cfg.BoundsFactory(assign.Spec)
 	}
+	// A split run runs every indexed kernel here, on the shares assigned;
+	// the other kernels run here only when named.
+	var shares *runtime.Shares
+	if len(assign.ShareWeights) > 0 {
+		shares = &runtime.Shares{Weights: assign.ShareWeights, Own: assign.Shares}
+	}
 	remote := map[string]bool{}
+	split := map[string]bool{}
 	for _, k := range prog.Kernels {
-		if !slices.Contains(assign.Kernels, k.Name) {
+		switch {
+		case shares != nil && len(k.IndexVars) > 0:
+			split[k.Name] = true
+		case !slices.Contains(assign.Kernels, k.Name):
 			remote[k.Name] = true
 		}
 	}
@@ -402,6 +412,7 @@ func (w *worker) build(assign *Msg) error {
 		Granularity:   w.cfg.Granularity,
 		Output:        w.cfg.Output,
 		RemoteKernels: remote,
+		Shares:        shares,
 		NoAutoQuiesce: true,
 		Metrics:       w.cfg.Metrics,
 		Tracer:        w.cfg.Tracer,
@@ -413,9 +424,18 @@ func (w *worker) build(assign *Msg) error {
 			}
 		},
 		OnKernelDone: func(kernel string, age int) {
-			w.sent.Add(1)
 			b.flushAll()
-			w.send(&Msg{Kind: MDone, Kernel: kernel, Age: age})
+			if !split[kernel] {
+				w.sent.Add(1)
+				w.send(&Msg{Kind: MDone, Kernel: kernel, Age: age})
+				return
+			}
+			// One completion per share this node ran: the master counts,
+			// dedups and forwards shares, not nodes.
+			for _, sh := range assign.Shares {
+				w.sent.Add(1)
+				w.send(&Msg{Kind: MDone, Kernel: kernel, Age: age, Share: sh})
+			}
 		},
 	})
 	if err != nil {

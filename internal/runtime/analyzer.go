@@ -547,12 +547,8 @@ func (s *anShard) fieldAge(fs *fieldState, g int) *fieldAgeState {
 	expected := 0
 	for _, pe := range fs.producers {
 		ae := pe.store.Age
-		if ae.HasVar {
-			if g-ae.Offset >= 0 {
-				expected++
-			}
-		} else if ae.Offset == g {
-			expected++
+		if ae.HasVar && g-ae.Offset >= 0 || !ae.HasVar && ae.Offset == g {
+			expected += pe.ks.shares
 		}
 	}
 	fa := &fieldAgeState{expected: expected}
@@ -586,15 +582,23 @@ func (s *anShard) ensureFieldGen(fs *fieldState, g int) {
 	}
 }
 
-// handleRemoteDone (shard 0) propagates a remote kernel-age completion:
-// every field generation it stores to counts the producer as done.
+// handleRemoteDone (shard 0) propagates a remote kernel-age completion — of
+// one share, for a split kernel: every field generation it stores to counts
+// it as done, and so does every paced source waiting for it.
 func (s *anShard) handleRemoteDone(ks *kernelState, age int) {
+	s.producersDone(ks, age, 1)
+	s.paceArrive(ks, age)
+}
+
+// producersDone (shard 0) counts shares of kernel ks done at age toward the
+// completeness of every field generation it stores to.
+func (s *anShard) producersDone(ks *kernelState, age, shares int) {
 	for i := range ks.decl.Stores {
 		ss := &ks.decl.Stores[i]
 		g := ss.Age.Eval(age)
 		fs := s.n.fields[ss.Field]
 		fa := s.fieldAge(fs, g)
-		fa.producersDone++
+		fa.producersDone += shares
 		if fa.producersDone == fa.expected && !fa.complete {
 			s.markComplete(fs, g, fa)
 		}
@@ -709,7 +713,11 @@ func (s *anShard) createInstances(t *ageTracker, from, to []int) {
 			t.ready = grown
 		}
 	}
-	newCells(from, to, func(c []int) { s.newInst(t, c, mask0, elems) })
+	newCells(from, to, func(c []int) {
+		if t.ks.owns(c[0]) {
+			s.newInst(t, c, mask0, elems)
+		}
+	})
 }
 
 // newInst registers one instance with the burst's hoisted whole/slab mask and
@@ -835,18 +843,22 @@ func (s *anShard) handleDone(ev *event) {
 	if ks.decl.Source() {
 		if ev.stopped || ev.stores == 0 {
 			ks.sourceStopped = true
-		} else {
-			next := t.age + 1
-			if to := s.sa.shardOf(ks, next); to == s.id {
-				s.sourceTracker(ks, next)
-			} else {
-				s.sa.post(to, ctlMsg{kind: ctlCreateSource, ks: ks, age: next})
-			}
+		} else if ks.pace == nil {
+			s.startSource(ks, t.age+1)
 		}
 	}
 	s.maybeTrackerDone(t)
 	s.updateGauges()
 	s.sa.pending.Add(-int64(k))
+}
+
+// startSource creates source kernel ks's tracker at age on its owning shard.
+func (s *anShard) startSource(ks *kernelState, age int) {
+	if to := s.sa.shardOf(ks, age); to == s.id {
+		s.sourceTracker(ks, age)
+	} else {
+		s.sa.post(to, ctlMsg{kind: ctlCreateSource, ks: ks, age: age})
+	}
 }
 
 func (s *anShard) maybeTrackerDone(t *ageTracker) {
@@ -875,7 +887,7 @@ func (s *anShard) maybeTrackerDone(t *ageTracker) {
 
 // onTrackerComplete (shard 0) propagates a finished kernel-age: producer
 // accounting on stored fields, consumer accounting (garbage collection) on
-// fetched fields.
+// fetched fields, and a paced source's own half of its wait.
 func (s *anShard) onTrackerComplete(t *ageTracker) {
 	ks := t.ks
 	if cb := s.n.opts.OnKernelDone; cb != nil {
@@ -890,15 +902,9 @@ func (s *anShard) onTrackerComplete(t *ageTracker) {
 	if s.n.gFieldMem != nil {
 		s.n.gFieldMem.Set(int64(s.n.FieldMemoryElems()))
 	}
-	for i := range ks.decl.Stores {
-		ss := &ks.decl.Stores[i]
-		g := ss.Age.Eval(t.age)
-		fs := s.n.fields[ss.Field]
-		fa := s.fieldAge(fs, g)
-		fa.producersDone++
-		if fa.producersDone == fa.expected && !fa.complete {
-			s.markComplete(fs, g, fa)
-		}
+	s.producersDone(ks, t.age, ks.ownN)
+	if ks.pace != nil && !ks.sourceStopped {
+		s.paceStep(ks, t.age, 0, true)
 	}
 	for i := range ks.decl.Fetches {
 		fe := &ks.decl.Fetches[i]

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -44,6 +45,59 @@ const (
 // frameMaxRank bounds coordinate and selector ranks during decode, mirroring
 // the wire format's array-rank guard.
 const frameMaxRank = 64
+
+// MaxRemoteCells bounds the cells a remote store may grow a field generation
+// to: InjectStore, InjectStoreFrame and DecodeStoreFrame refuse an element
+// coordinate or slab selector past it with ErrRemoteGrowth, so a corrupt or
+// hostile notice cannot make the receiver allocate without limit. It sits far
+// above the largest generation any workload stores (a CIF frame's 101 376
+// luma samples).
+const MaxRemoteCells = 1 << 26
+
+// ErrRemoteGrowth is the error of a remote store refused by MaxRemoteCells.
+var ErrRemoteGrowth = errors.New("p2g: remote store grows a generation past MaxRemoteCells")
+
+// checkGrowth refuses store sn when the generation it lands in — extent(d)
+// per dimension now, grown to hold the store — would hold more than
+// MaxRemoteCells cells.
+func checkGrowth(sn StoreNotice, extent func(d int) int) error {
+	cells := 1
+	grow := func(d, want int) {
+		if have := extent(d); have > want {
+			want = have
+		}
+		if want > 0 && cells > MaxRemoteCells/want {
+			cells = MaxRemoteCells + 1 // saturate: no product overflows
+		} else {
+			cells *= max(want, 0)
+		}
+	}
+	if sn.Sel != nil {
+		arr := sn.Value.Array()
+		j := 0
+		for d, sd := range sn.Sel {
+			switch {
+			case sd.Fixed:
+				grow(d, sd.Index+1)
+			case arr != nil && j < arr.Rank():
+				grow(d, arr.Extent(j))
+				j++
+			default:
+				grow(d, 0) // a malformed store, which the field refuses
+			}
+		}
+	} else {
+		for d, x := range sn.Elem {
+			grow(d, x+1)
+		}
+	}
+	if cells > MaxRemoteCells {
+		return fmt.Errorf("%w: %s(%d)", ErrRemoteGrowth, sn.Field, sn.Age)
+	}
+	return nil
+}
+
+func noExtent(int) int { return 0 }
 
 // StoreFrame accumulates store notices for one field generation into a single
 // wire frame. The zero value is unusable; call Reset first. A StoreFrame is
@@ -173,7 +227,9 @@ func (c *frameCursor) varint() (int64, error) {
 }
 
 // DecodeStoreFrame decodes a frame produced by StoreFrame, invoking apply for
-// each store notice in encoding order. Decode stops at the first apply error.
+// each store notice in encoding order. Decode stops at the first apply error,
+// and before an entry whose own coordinates or selector address more than
+// MaxRemoteCells cells (ErrRemoteGrowth).
 //
 // The notices are borrowed, like OnStore's: an entry's Elem or Sel, and the
 // array Value of a slab entry, live in scratch that the next entry reuses,
@@ -274,6 +330,9 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 		}
 		c.off += n
 		sn.Value = v
+		if err := checkGrowth(sn, noExtent); err != nil {
+			return err
+		}
 		if err := apply(sn); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -323,6 +324,63 @@ func TestStoreFrameCorrupt(t *testing.T) {
 	}
 }
 
+// TestRemoteGrowthBounded: a remote store whose coordinates or selector would
+// grow its generation past MaxRemoteCells is refused with ErrRemoteGrowth by
+// DecodeStoreFrame, InjectStore and InjectStoreFrame before anything is
+// allocated; so is one that stays under the bound alone but not together with
+// what the generation already holds, which only the receiver can see.
+func TestRemoteGrowthBounded(t *testing.T) {
+	prog := frameEquivProg(t)
+	n, stop := newShadow(t, prog)
+	defer stop()
+	row := field.NewArray(field.Uint8, 8)
+	frame := func(sn StoreNotice) []byte {
+		var f StoreFrame
+		f.Reset(sn.Field, sn.Age)
+		if err := f.Add(sn); err != nil {
+			t.Fatal(err)
+		}
+		return f.AppendTo(nil)
+	}
+	nop := func(StoreNotice) error { return nil }
+	for name, sn := range map[string]StoreNotice{
+		"element 2^40": {Field: "fi", Age: 1, Elem: []int{1 << 40}, Value: field.Int32Val(1)},
+		"element 2^62": {Field: "fu", Age: 1, Elem: []int{1 << 62, 1 << 62}, Value: field.Int64Val(1)},
+		"slab 2^30":    {Field: "fu", Age: 1, Sel: []field.SlabDim{{Fixed: true, Index: 1 << 30}, {}}, Value: field.ArrayVal(row)},
+	} {
+		if err := DecodeStoreFrame(frame(sn), nop); !errors.Is(err, ErrRemoteGrowth) {
+			t.Errorf("%s: DecodeStoreFrame = %v, want ErrRemoteGrowth", name, err)
+		}
+		if err := n.InjectStoreFrame(frame(sn)); !errors.Is(err, ErrRemoteGrowth) {
+			t.Errorf("%s: InjectStoreFrame = %v, want ErrRemoteGrowth", name, err)
+		}
+		if err := n.InjectStore(sn); !errors.Is(err, ErrRemoteGrowth) {
+			t.Errorf("%s: InjectStore = %v, want ErrRemoteGrowth", name, err)
+		}
+		if got := n.fields[sn.Field].f.Extents(1); slices.ContainsFunc(got, func(e int) bool { return e > 0 }) {
+			t.Errorf("%s: the refused store grew the generation to %v", name, got)
+		}
+	}
+	// fu(2) holds 2^14 columns; 2^13 rows of it are 2^27 cells, though the
+	// store of row 2^13-1 addresses only 2^13 on its own.
+	if err := n.InjectStore(StoreNotice{Field: "fu", Age: 2, Elem: []int{0, 1<<14 - 1}, Value: field.Int64Val(1)}); err != nil {
+		t.Fatal(err)
+	}
+	tall := StoreNotice{Field: "fu", Age: 2, Elem: []int{1<<13 - 1, 0}, Value: field.Int64Val(1)}
+	if err := DecodeStoreFrame(frame(tall), nop); err != nil {
+		t.Fatalf("DecodeStoreFrame refused a store within the bound: %v", err)
+	}
+	if err := n.InjectStoreFrame(frame(tall)); !errors.Is(err, ErrRemoteGrowth) {
+		t.Errorf("InjectStoreFrame of the combined growth = %v, want ErrRemoteGrowth", err)
+	}
+	if err := n.InjectStore(tall); !errors.Is(err, ErrRemoteGrowth) {
+		t.Errorf("InjectStore of the combined growth = %v, want ErrRemoteGrowth", err)
+	}
+	if err := n.InjectStore(StoreNotice{Field: "fu", Age: 2, Elem: []int{3, 5}, Value: field.Int64Val(1)}); err != nil {
+		t.Errorf("a store within the grown generation: %v", err)
+	}
+}
+
 // frameEquivProg is a program whose kernels are all remote, mirroring the
 // master's shadow node: three versioned fields of different kinds and ranks.
 func frameEquivProg(t *testing.T) *core.Program {
@@ -619,6 +677,19 @@ func FuzzDecodeStoreFrame(f *testing.F) {
 		{storeFrameVersion, 1, 'c', 0, frameModeElem, 0xff, 0xff, 0x7f},
 	} {
 		f.Add(seed)
+	}
+	// A coordinate of 2^40 and a selector row of 2^30, which MaxRemoteCells
+	// refuses.
+	for _, sn := range []StoreNotice{
+		{Field: "c", Elem: []int{1 << 40}, Value: field.Int32Val(7)},
+		{Field: "c", Sel: []field.SlabDim{{Fixed: true, Index: 1 << 30}, {}}, Value: field.ArrayVal(field.NewArray(field.Int32, 4))},
+	} {
+		var fr StoreFrame
+		fr.Reset(sn.Field, 0)
+		if err := fr.Add(sn); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(fr.AppendTo(nil))
 	}
 	// decode keeps a copy of every notice, and the encoding of its value as
 	// apply saw it, before the next entry reuses the scratch.

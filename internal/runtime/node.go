@@ -69,6 +69,12 @@ type Options struct {
 	// instances for them, but accounts for their completions — injected
 	// with InjectRemoteDone — when deciding field completeness.
 	RemoteKernels map[string]bool
+	// Shares, set by internal/dist, splits every indexed kernel of the
+	// program across the nodes of a distributed run by its outermost index
+	// and names the shares that run here (see ShareCycle); it also paces
+	// local source kernels by their remote consumers. Nil runs every local
+	// kernel whole.
+	Shares *Shares
 	// NoAutoQuiesce keeps the node running when it has no local work, so
 	// remote events can still arrive; the node then stops only on Stop().
 	// Required (and only meaningful) for distributed operation.
@@ -157,6 +163,9 @@ type Node struct {
 	fields  map[string]*fieldState
 	kernels map[string]*kernelState
 	order   []*kernelState
+
+	// paced lists the source kernels that wait for remote consumers.
+	paced []*kernelState
 
 	timers *deadline.TimerSet
 	sched  *stealScheduler
@@ -293,7 +302,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			return nil, fmt.Errorf("p2g: remote kernel %q is not part of the program", name)
 		}
 	}
-	if opts.GC && len(opts.RemoteKernels) > 0 {
+	if opts.GC && (len(opts.RemoteKernels) > 0 || opts.Shares != nil) {
 		return nil, fmt.Errorf("p2g: field garbage collection cannot be combined with remote kernels (remote consumers are invisible to the local GC)")
 	}
 	for _, kd := range p.Kernels {
@@ -324,6 +333,9 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		ks.idx = len(n.order)
 		n.kernels[kd.Name] = ks
 		n.order = append(n.order, ks)
+	}
+	if err := n.planShares(); err != nil {
+		return nil, err
 	}
 	// Edges and range bindings.
 	for _, ks := range n.order {
@@ -475,6 +487,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			}
 		}
 	}
+	n.planPacing()
 	n.an = newAnalyzer(n, opts.AnalyzerShards)
 	return n, nil
 }
@@ -621,7 +634,8 @@ func (in *injector) flush() {
 
 // InjectStore applies a store received from a remote node: the value is
 // written to the local field replica and the analyzer is notified exactly as
-// for a local store.
+// for a local store. A store that would grow its generation past
+// MaxRemoteCells is refused with ErrRemoteGrowth.
 func (n *Node) InjectStore(sn StoreNotice) error {
 	ev, err := n.applyStore(sn)
 	if err != nil {
@@ -633,13 +647,17 @@ func (n *Node) InjectStore(sn StoreNotice) error {
 	return nil
 }
 
-// applyStore writes one store notice to the local field replica and returns
-// the analyzer event that announces it.
+// applyStore writes one store notice to the local field replica, unless it
+// would grow the generation past MaxRemoteCells, and returns the analyzer
+// event that announces it.
 func (n *Node) applyStore(sn StoreNotice) (event, error) {
 	sn = sn.normalize()
 	fs, ok := n.fields[sn.Field]
 	if !ok {
 		return event{}, fmt.Errorf("p2g: remote store to unknown field %q", sn.Field)
+	}
+	if err := checkGrowth(sn, func(d int) int { return fs.f.Extent(sn.Age, d) }); err != nil {
+		return event{}, err
 	}
 	ev := event{fs: fs, age: sn.Age, whole: sn.Sel != nil}
 	var res field.StoreResult
@@ -671,7 +689,9 @@ func (ev *event) setGrowth(res *field.StoreResult) {
 }
 
 // InjectRemoteDone records that a remote kernel finished all instances of
-// one age; its stores' target generations count the producer as done.
+// one age — of one share, for a kernel split across nodes (Options.Shares):
+// its stores' target generations count the producer (share) as done, and a
+// paced source waiting for it counts it toward its next age.
 func (n *Node) InjectRemoteDone(kernel string, age int) error {
 	ks, ok := n.kernels[kernel]
 	if !ok {

@@ -48,7 +48,8 @@ const (
 // the size is the target slice duration divided by the kernel's measured
 // per-instance cost (kernelState.costNs: body plus dispatch of its recently
 // timed slices — one instance per slice until the first has been timed),
-// capped so the domain still yields slicesPerWorker slices per worker.
+// capped so the domain — the part of it that runs here, when the kernel is
+// split — still yields slicesPerWorker slices per worker.
 func (n *Node) sliceSize(t *ageTracker) int {
 	ks := t.ks
 	if ks.gran > 0 {
@@ -59,7 +60,11 @@ func (n *Node) sliceSize(t *ageTracker) int {
 		return 1
 	}
 	size := int(min(sliceTargetNs/cost, maxSliceInsts))
-	if limit := boxCells(t.extents) / (n.opts.Workers * slicesPerWorker); size > limit {
+	cells := boxCells(t.extents)
+	if ks.own != nil {
+		cells = cells * ks.ownN / ks.shares // about the part of the domain that runs here
+	}
+	if limit := cells / (n.opts.Workers * slicesPerWorker); size > limit {
 		size = limit
 	}
 	return max(size, 1)

@@ -243,7 +243,20 @@ type kernelState struct {
 	// completions arrive via InjectRemoteDone.
 	remote bool
 
+	// Index shares (Options.Shares): shares is the number of producers the
+	// kernel counts as toward completeness — its shares when split, else
+	// one — and ownN how many of them run here, which a local completion
+	// counts for. own marks, per granule of the share cycle, whether a split
+	// kernel's instances there run here (see owns); nil when it runs whole.
+	shares, ownN int
+	own          []bool
+
+	// Source kernels: sourceStopped is set once the source stopped; pace
+	// lists the remote consumers a paced source waits for before each next
+	// age and paceAges (shard 0 only) the waits under way (see planPacing).
 	sourceStopped bool
+	pace          []paceEdge
+	paceAges      map[int]*paceAge
 
 	// Instrumentation (Table II/III): instance count, per-instance
 	// dispatch overhead and kernel-code time, in nanoseconds. The handles

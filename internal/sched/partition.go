@@ -57,24 +57,47 @@ const imbalancePenalty = 10
 
 // Evaluate computes the cost of an assignment.
 func Evaluate(g *graph.Final, topo Topology, a Assignment) Cost {
+	return problem{g: g, topo: topo}.cost(a)
+}
+
+// problem is one partitioning instance: the graph, the topology and which of
+// the graph's kernels are split (nil: none).
+type problem struct {
+	g     *graph.Final
+	topo  Topology
+	split []bool
+}
+
+func (p problem) isSplit(k int) bool { return p.split != nil && p.split[k] }
+
+// cost evaluates an assignment. A split kernel runs on every node, so its
+// weight loads each node in proportion to capacity, and its edges cross
+// between nodes whatever the placement: they are no part of the cut.
+func (p problem) cost(a Assignment) Cost {
+	g, topo := p.g, p.topo
 	idx := nodeIndex(g)
 	var cut float64
 	for _, e := range g.Edges {
-		if a[idx[e.From]] != a[idx[e.To]] {
+		f, t := idx[e.From], idx[e.To]
+		if !p.isSplit(f) && !p.isSplit(t) && a[f] != a[t] {
 			cut += e.Weight
 		}
 	}
 	cut /= topo.bandwidth()
 
 	loads := make([]float64, len(topo.Nodes))
-	var totalWeight float64
+	var totalWeight, spread float64
 	for i, n := range g.Nodes {
-		loads[a[i]] += n.Weight
+		if p.isSplit(i) {
+			spread += n.Weight
+		} else {
+			loads[a[i]] += n.Weight
+		}
 		totalWeight += n.Weight
 	}
 	var maxLoad, total float64
 	for i, l := range loads {
-		norm := l / topo.Nodes[i].Capacity()
+		norm := l/topo.Nodes[i].Capacity() + spread/topo.TotalCapacity()
 		total += norm
 		if norm > maxLoad {
 			maxLoad = norm
@@ -100,33 +123,45 @@ func nodeIndex(g *graph.Final) map[string]int {
 // Partition assigns the final graph's kernels to the topology's execution
 // nodes using the chosen method and returns the assignment with its cost.
 func Partition(g *graph.Final, topo Topology, m Method) (Assignment, Cost, error) {
+	return PartitionSplit(g, topo, m, nil)
+}
+
+// PartitionSplit is Partition for a run that splits some kernels across every
+// node by index share (split[i] for g.Nodes[i]; nil splits none): only the
+// other kernels are placed, and a split kernel's entry is -1. Its weight
+// counts as load spread over the nodes in proportion to their capacity.
+func PartitionSplit(g *graph.Final, topo Topology, m Method, split []bool) (Assignment, Cost, error) {
 	if len(topo.Nodes) == 0 {
 		return nil, Cost{}, fmt.Errorf("sched: empty topology")
 	}
 	if len(g.Nodes) == 0 {
 		return nil, Cost{}, fmt.Errorf("sched: empty graph")
 	}
-	a := greedy(g, topo)
+	p := problem{g: g, topo: topo, split: split}
+	a := p.greedy()
 	switch m {
 	case Greedy:
 	case KL:
-		a = klRefine(g, topo, a)
+		a = p.klRefine(a)
 	case Tabu:
-		a = tabuSearch(g, topo, a)
+		a = p.tabuSearch(a)
 	default:
 		return nil, Cost{}, fmt.Errorf("sched: unknown method %v", m)
 	}
-	return a, Evaluate(g, topo, a), nil
+	return a, p.cost(a), nil
 }
 
 // greedy assigns kernels in descending weight order to the node with the
 // lowest normalized load, breaking ties toward the node holding the most
 // strongly connected already-placed neighbors.
-func greedy(g *graph.Final, topo Topology) Assignment {
+func (p problem) greedy() Assignment {
+	g, topo := p.g, p.topo
 	idx := nodeIndex(g)
-	order := make([]int, len(g.Nodes))
-	for i := range order {
-		order[i] = i
+	order := make([]int, 0, len(g.Nodes))
+	for i := range g.Nodes {
+		if !p.isSplit(i) {
+			order = append(order, i)
+		}
 	}
 	sort.SliceStable(order, func(x, y int) bool {
 		return g.Nodes[order[x]].Weight > g.Nodes[order[y]].Weight
@@ -171,20 +206,23 @@ func greedy(g *graph.Final, topo Topology) Assignment {
 // klRefine performs Kernighan–Lin-style refinement generalized to k
 // partitions: repeated passes over all kernels, moving each to the node that
 // most reduces total cost, until a pass makes no improvement.
-func klRefine(g *graph.Final, topo Topology, a Assignment) Assignment {
+func (p problem) klRefine(a Assignment) Assignment {
 	a = append(Assignment(nil), a...)
-	cur := Evaluate(g, topo, a).Total
+	cur := p.cost(a).Total
 	for pass := 0; pass < 32; pass++ {
 		improved := false
-		for k := range g.Nodes {
+		for k := range p.g.Nodes {
+			if p.isSplit(k) {
+				continue
+			}
 			orig := a[k]
 			bestNode, bestCost := orig, cur
-			for n := range topo.Nodes {
+			for n := range p.topo.Nodes {
 				if n == orig {
 					continue
 				}
 				a[k] = n
-				if c := Evaluate(g, topo, a).Total; c < bestCost-1e-12 {
+				if c := p.cost(a).Total; c < bestCost-1e-12 {
 					bestNode, bestCost = n, c
 				}
 			}
@@ -204,10 +242,11 @@ func klRefine(g *graph.Final, topo Topology, a Assignment) Assignment {
 // tabuSearch explores single-kernel moves with a tabu list of recently moved
 // kernels, accepting the best non-tabu move each step even when it worsens
 // the objective (escaping local minima), and keeps the best assignment seen.
-func tabuSearch(g *graph.Final, topo Topology, a Assignment) Assignment {
+func (p problem) tabuSearch(a Assignment) Assignment {
+	g := p.g
 	a = append(Assignment(nil), a...)
 	best := append(Assignment(nil), a...)
-	bestCost := Evaluate(g, topo, a).Total
+	bestCost := p.cost(a).Total
 	tabu := make([]int, len(g.Nodes)) // iteration until which kernel k is tabu
 	tenure := 4 + len(g.Nodes)/4
 	steps := 50 + 10*len(g.Nodes)
@@ -215,13 +254,16 @@ func tabuSearch(g *graph.Final, topo Topology, a Assignment) Assignment {
 		moveK, moveN := -1, -1
 		moveCost := math.Inf(1)
 		for k := range g.Nodes {
+			if p.isSplit(k) {
+				continue
+			}
 			orig := a[k]
-			for n := range topo.Nodes {
+			for n := range p.topo.Nodes {
 				if n == orig {
 					continue
 				}
 				a[k] = n
-				c := Evaluate(g, topo, a).Total
+				c := p.cost(a).Total
 				a[k] = orig
 				// Aspiration: tabu moves are allowed when they beat the
 				// global best.

@@ -165,6 +165,27 @@ func TestHeterogeneousCapacityAttractsLoad(t *testing.T) {
 	}
 }
 
+// TestPartitionSplitPlacesOnlyUnsplit: split kernels get no node (-1), their
+// edges are no part of the cut, and their weight loads every node evenly, so
+// the unsplit kernels alone decide the balance: in the chain A→B→C→D with B
+// and C split, A and D go to different nodes of two.
+func TestPartitionSplitPlacesOnlyUnsplit(t *testing.T) {
+	g := chainGraph()
+	split := []bool{false, true, true, false}
+	for _, m := range []Method{Greedy, KL, Tabu} {
+		a, c, err := PartitionSplit(g, NewTopology(2, 4), m, split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a[1] != -1 || a[2] != -1 || a[0] < 0 || a[3] < 0 || a[0] == a[3] {
+			t.Errorf("%v: assignment %v", m, a)
+		}
+		if c.Cut != 0 || c.Imbalance != 1 {
+			t.Errorf("%v: cut %v imbalance %v, want 0 and 1", m, c.Cut, c.Imbalance)
+		}
+	}
+}
+
 func TestPartitionErrors(t *testing.T) {
 	if _, _, err := Partition(chainGraph(), Topology{}, Greedy); err == nil {
 		t.Error("empty topology should error")
