@@ -305,8 +305,8 @@ func BenchmarkTransportMJPEG(b *testing.B) {
 // runTransportMJPEGFailover executes one distributed MJPEG encode across two
 // TCP loopback workers where the second worker's connection is severed
 // mid-run and the master recovers it: reassign the lost partition to the
-// survivor and replay the lost write-once generations from the shadow node.
-// Returns total master-side wire bytes and the replayed-generation count.
+// survivor and replay the master's log of store frames to it.
+// Returns total master-side wire bytes and the replayed-frame count.
 //
 // Workers are built from the spec via the factory rather than an injected
 // Program: a rebuilt node must restart its stateful video source from frame
@@ -385,23 +385,23 @@ func runTransportMJPEGFailover(frames int) (wire, replayed int64, err error) {
 
 // BenchmarkTransportMJPEGFailover measures the end-to-end cost of surviving a
 // worker death mid-encode: one of two TCP workers is severed after its fourth
-// send and the master repartitions onto the survivor and replays the lost
-// generations. Compare ns/op against BenchmarkTransportMJPEG/frames for the
-// failover penalty; replayed-gens/op sizes the replay traffic.
+// send and the master repartitions onto the survivor and replays its log of
+// store frames. Compare ns/op against BenchmarkTransportMJPEG/frames for the
+// failover penalty; replayed-frames/op sizes the replay traffic.
 func BenchmarkTransportMJPEGFailover(b *testing.B) {
 	workloads.RegisterPayloads()
 	const frames = 4
-	var wireBytes, replayedGens int64
+	var wireBytes, replayedFrames int64
 	for i := 0; i < b.N; i++ {
 		wire, replayed, err := runTransportMJPEGFailover(frames)
 		if err != nil {
 			b.Fatal(err)
 		}
 		wireBytes += wire
-		replayedGens += replayed
+		replayedFrames += replayed
 	}
 	b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/op")
-	b.ReportMetric(float64(replayedGens)/float64(b.N), "replayed-gens/op")
+	b.ReportMetric(float64(replayedFrames)/float64(b.N), "replayed-frames/op")
 }
 
 // benchObsModes runs a workload under the three observability settings: no

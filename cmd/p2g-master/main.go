@@ -30,7 +30,7 @@ func main() {
 	method := flag.String("method", "kl", "partitioning method: greedy, kl or tabu")
 	tracePath := flag.String("trace", "", "write a merged Chrome trace_event JSON of the whole cluster (master + every worker, clock-aligned)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metricz and the merged cluster /statusz on this address, e.g. :9090")
-	failover := flag.Bool("failover", false, "recover from worker deaths: reassign the lost kernels and replay the lost field generations instead of failing the run")
+	failover := flag.Bool("failover", false, "recover from worker deaths: reassign the lost kernels and replay the logged store frames instead of failing the run")
 	standbys := flag.Int("standbys", 0, "additional hot-spare workers to wait for (started with p2g-worker -standby); the first standby takes over when a worker dies")
 	heartbeatMs := flag.Int("heartbeat", 0, "liveness heartbeat interval in ms (0 = 100ms default)")
 	maxMissed := flag.Int("max-missed", 0, "heartbeats a worker may miss before being declared dead (0 = disabled, or 3 with -failover)")
@@ -87,7 +87,7 @@ func main() {
 
 	res, err := dist.RunMaster(dist.MasterConfig{
 		Prog: prog, Method: m, Spec: *workload, View: view,
-		Metrics: reg, Tracer: tracer, CollectTraces: tracer != nil,
+		Metrics: reg, Tracer: tracer,
 		Failover:    *failover,
 		Heartbeat:   time.Duration(*heartbeatMs) * time.Millisecond,
 		MaxMissed:   *maxMissed,
@@ -97,7 +97,7 @@ func main() {
 		fail(err)
 	}
 	for _, id := range res.DeadWorkers {
-		fmt.Fprintf(os.Stderr, "p2g-master: worker %s died during the run; its kernels were reassigned (%d field generations replayed)\n", id, res.Replayed)
+		fmt.Fprintf(os.Stderr, "p2g-master: worker %s died during the run; its kernels were reassigned (%d logged store frames replayed)\n", id, res.Replayed)
 	}
 
 	if tracer != nil {

@@ -90,7 +90,7 @@ func main() {
 		fmt.Printf("-- %s --\n%s", id, res.Reports[id].Table())
 	}
 
-	// The master's shadow node holds the complete final state.
+	// The master's log of brokered store frames holds the complete final state.
 	cents, err := res.Shadow.Snapshot("centroids", cfg.Iter)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snapshot:", err)

@@ -121,7 +121,7 @@ func TestDistributedKMeansMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Extent(0) != cfg.K {
-		t.Fatalf("%d centroids in shadow", got.Extent(0))
+		t.Fatalf("%d centroids in the final state", got.Extent(0))
 	}
 	pts := workloads.CentroidPoints(got)
 	for c := 0; c < cfg.K; c++ {
@@ -431,7 +431,7 @@ func TestDistributedMJPEG(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s.Extent(0) == 0 {
-			t.Fatalf("frame %d missing from shadow bitstream", a)
+			t.Fatalf("frame %d missing from the logged bitstream", a)
 		}
 		stream = append(stream, s.At(0).Obj().([]byte)...)
 	}

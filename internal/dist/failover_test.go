@@ -51,7 +51,7 @@ func assertMulSumShadow(t *testing.T, res *MasterResult, ref *runtime.Node) {
 // TestFailoverSurvivorTakeover kills one of two workers mid-run (its
 // connection severs on its Nth send) with failover enabled: the master must
 // reassign the lost kernels to the survivor, replay the lost write-once
-// generations, and finish with exactly the state a clean run produces.
+// frames, and finish with exactly the state a clean run produces.
 func TestFailoverSurvivorTakeover(t *testing.T) {
 	ref := mulSumReference(t)
 	const n = 2
@@ -92,7 +92,7 @@ func TestFailoverSurvivorTakeover(t *testing.T) {
 		t.Fatalf("DeadWorkers = %v, want [w1]", res.DeadWorkers)
 	}
 	if res.Replayed == 0 {
-		t.Fatal("no generations were replayed to the survivor")
+		t.Fatal("no logged frames were replayed to the survivor")
 	}
 	if _, ok := res.Reports["w0"]; !ok {
 		t.Fatalf("missing survivor report: %v", res.Reports)
@@ -101,7 +101,7 @@ func TestFailoverSurvivorTakeover(t *testing.T) {
 }
 
 // TestFailoverStandbyTakeover: same kill, but a hot standby (registered with
-// MJoin) is waiting. The master must promote it, replay the lost state to it,
+// MJoin) is waiting. The master must promote it, replay the log to it,
 // and finish bit-identically; the promoted standby returns a real report.
 func TestFailoverStandbyTakeover(t *testing.T) {
 	ref := mulSumReference(t)
@@ -337,8 +337,7 @@ func TestLivenessDuringStopPhase(t *testing.T) {
 			switch m.Kind {
 			case MStart:
 				// Behave as if src ran: one whole generation plus its
-				// completion, giving the shadow a quiescent state to match
-				// the idle heartbeats below.
+				// completion, then the idle heartbeats below.
 				arr := field.ArrayFromInt32([]int32{0, 1, 2, 3})
 				wc.Send(storeFrameMsg(runtime.StoreNotice{Field: "data", Age: 0, Whole: true, Value: field.ArrayVal(arr)}))
 				wc.Send(&Msg{Kind: MDone, Kernel: "src", Age: 0})
@@ -560,7 +559,7 @@ func TestFailoverMJPEGOverTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 			if s.Extent(0) == 0 {
-				t.Fatalf("frame %d missing from shadow bitstream", a)
+				t.Fatalf("frame %d missing from the logged bitstream", a)
 			}
 			stream = append(stream, s.At(0).Obj().([]byte)...)
 		}
@@ -590,8 +589,7 @@ func TestFailoverMJPEGOverTCP(t *testing.T) {
 }
 
 // TestFailoverRecoveryDoesNotCascade (regression): reassignment and replay
-// run inside the master's main loop, so recovering a large shadow can
-// outlast the liveness window — and nobody is pinged while it runs. That
+// run inside the master's main loop, so replaying a long log can outlast the liveness window — and nobody is pinged while it runs. That
 // silence is the master's own, not the workers', and must not be counted
 // against them: one death must not cascade into falsely declaring every
 // healthy survivor dead. Every master-side link here is artificially slowed
@@ -615,7 +613,7 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 	// The victim's stores cross a link delayed up to 20ms per message, so it
 	// must stay visibly alive (busy heartbeats) long enough for the master
 	// to ingest all of them — only then does it fall silent, guaranteeing
-	// the recovery replays the full shadow.
+	// the recovery replays the full log.
 	const silenceAfter = 1200 * time.Millisecond
 	// Scripted worker: whichever node the partitioner hands "gen" plays the
 	// victim. The other node stays healthy but quiet: it answers every ping
@@ -712,7 +710,7 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 		t.Fatalf("dead workers = %v, want exactly the victim", res.DeadWorkers)
 	}
 	if res.Replayed < gens {
-		t.Fatalf("replayed %d generations, want at least %d", res.Replayed, gens)
+		t.Fatalf("replayed %d frames, want at least one per generation (%d)", res.Replayed, gens)
 	}
 	for _, c := range []chan error{w0, w1} {
 		select {

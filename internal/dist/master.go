@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"math"
-	"net"
 	"slices"
 	"time"
 
@@ -37,26 +36,22 @@ type MasterConfig struct {
 	// per-worker heartbeats — it backs the master's /statusz endpoint. Only
 	// then do the pings ask workers for their metric snapshots.
 	View *ClusterView
-	// Metrics, when set, instruments the master's shadow node, and the
-	// broker additionally records per-worker message flight times
-	// (clock-offset corrected) under obs.MStageFlightNs.
+	// Metrics, when set, counts the broker's frames, worker deaths,
+	// failovers and replayed frames, and records per-worker message flight
+	// times (clock-offset corrected) under obs.MStageFlightNs.
 	Metrics *obs.Registry
-	// Tracer, when set, records the master's own spans: the shadow node's
-	// lifecycle plus one broker span per forwarded store frame, tagged with
-	// the frame's causal trace id.
+	// Tracer, when set, records the master's own spans — one broker span per
+	// forwarded store frame, tagged with the frame's causal trace id — and
+	// has every worker trace and hand its span buffer over at shutdown
+	// (MTraceReq/MTrace), clock-aligned in MasterResult.Traces and ready for
+	// obs.WriteMergedChromeTrace.
 	Tracer *obs.Tracer
-	// CollectTraces pulls every worker's span buffer at shutdown
-	// (MTraceReq/MTrace) into MasterResult.Traces, clock-aligned and ready
-	// for obs.WriteMergedChromeTrace. Implied by Tracer for the handshake's
-	// clock sync, but useful alone: workers trace, the master only merges.
-	CollectTraces bool
 
 	// Failover enables recovery from worker failures: a dead worker's
 	// kernels are reassigned (to a waiting standby, else to survivors via a
 	// fresh HLS partition over the remaining topology) and the affected
-	// workers rebuild and receive the lost write-once field generations
-	// replayed from the master's shadow node. Off (the default), a worker
-	// failure fails the run.
+	// workers rebuild and receive the logged store frames of every field
+	// they consume. Off (the default), a worker failure fails the run.
 	Failover bool
 	// Heartbeat is the liveness accounting interval: a worker silent for
 	// MaxMissed of these is declared dead. Zero selects 100ms. (Status
@@ -88,21 +83,21 @@ type MasterResult struct {
 	Cost sched.Cost
 	// Reports holds each worker's instrumentation report by node ID.
 	Reports map[string]*runtime.Report
-	// Shadow is the master's field replica: it observed every store, so
-	// Snapshot on it returns the complete program state.
-	Shadow *runtime.Node
-	// Traces holds each worker's clock-aligned span bundle (only with
-	// CollectTraces); append the master's own tracer bundle and hand the
-	// lot to obs.WriteMergedChromeTrace for one cluster-wide timeline.
+	// Shadow is the log of every store frame the master brokered: Snapshot
+	// on it decodes the complete program state.
+	Shadow *StoreLog
+	// Traces holds each worker's clock-aligned span bundle (only with a
+	// Tracer); append the master's own tracer bundle and hand the lot to
+	// obs.WriteMergedChromeTrace for one cluster-wide timeline.
 	Traces []obs.NodeTrace
 	// ClockOffsets maps node IDs to their estimated clock offset relative
 	// to the master (nanoseconds, worker minus master); empty when the run
-	// was not observed (no metrics, tracer, or trace collection).
+	// was not observed (no metrics or tracer).
 	ClockOffsets map[string]int64
 	// DeadWorkers lists node IDs declared dead during the run (failover
 	// runs only; a death without failover fails the run instead).
 	DeadWorkers []string
-	// Replayed counts field generations replayed to rebuilt workers.
+	// Replayed counts the logged store frames replayed to rebuilt workers.
 	Replayed int64
 }
 
@@ -162,8 +157,8 @@ type master struct {
 	// liveTimeout is the liveness window, Heartbeat × MaxMissed; zero
 	// disables the monitor.
 	liveTimeout time.Duration
-	// observed: metrics, tracer or trace collection were asked for, so
-	// clocks are synced at registration. Plain runs skip the probes.
+	// observed: metrics or a tracer were asked for, so clocks are synced at
+	// registration. Plain runs skip the probes.
 	observed bool
 
 	conns    []Conn  // every connection RunMaster was handed
@@ -184,8 +179,8 @@ type master struct {
 	// each kernel's completion events (they consume a field it stores).
 	fieldSubs, kernelSubs map[string][]*peer
 
-	shadow     *runtime.Node
-	shadowDone chan error
+	// log holds every store frame brokered, the master's only field data.
+	log *StoreLog
 
 	// Readers select on stop so they exit once RunMaster returns: after a
 	// failure the loop stops draining inbox, and a reader blocked on the
@@ -250,7 +245,7 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 			return nil, m.shutdown(err)
 		}
 	}
-	return m.finish()
+	return m.finish(), nil
 }
 
 func newMaster(cfg MasterConfig, conns []Conn) *master {
@@ -266,7 +261,7 @@ func newMaster(cfg MasterConfig, conns []Conn) *master {
 	return &master{
 		cfg:         cfg,
 		liveTimeout: time.Duration(max(cfg.MaxMissed, 0)) * cfg.Heartbeat,
-		observed:    cfg.Metrics != nil || cfg.Tracer != nil || cfg.CollectTraces,
+		observed:    cfg.Metrics != nil || cfg.Tracer != nil,
 		conns:       conns,
 		kernelNode:  map[string]int{},
 		inbox:       make(chan inbound, 1024),
@@ -278,17 +273,18 @@ func newMaster(cfg MasterConfig, conns []Conn) *master {
 		mFrameBytes: cfg.Metrics.Counter(obs.MDistFrameBytesTotal),
 		mDeaths:     cfg.Metrics.Counter(obs.MDistWorkerDeaths),
 		mFailovers:  cfg.Metrics.Counter(obs.MDistFailovers),
-		mReplayed:   cfg.Metrics.Counter(obs.MDistReplayedGens),
+		mReplayed:   cfg.Metrics.Counter(obs.MDistReplayedFrames),
 	}
 }
 
 // setup takes the run from connected to running: the topology is collected,
-// the final graph partitioned over it, the shadow started and every worker
-// assigned its partition.
+// the final graph partitioned over it and every worker assigned its
+// partition.
 func (m *master) setup() error {
 	if err := m.cfg.Prog.Validate(); err != nil {
 		return err
 	}
+	m.log = newStoreLog(m.cfg.Prog, m.cfg.Failover)
 	if err := m.register(); err != nil {
 		return err
 	}
@@ -315,9 +311,6 @@ func (m *master) setup() error {
 	}
 	m.subscribe()
 	m.cfg.View.setAssignment(m.kernelNode, m.shareMap(), m.cfg.Method.String())
-	if err := m.startShadow(); err != nil {
-		return err
-	}
 	if err := m.assign(m.peers); err != nil {
 		return err
 	}
@@ -575,41 +568,6 @@ func (m *master) shareMap() map[string][]string {
 	return out
 }
 
-// startShadow starts the master's shadow node, which replicates all fields
-// (every kernel is remote from its perspective), giving complete final
-// state. Under failover it runs merge-tolerant: rebuilt workers re-execute
-// their kernels and their re-sent stores reach the shadow a second time.
-func (m *master) startShadow() error {
-	allRemote := make(map[string]bool, len(m.cfg.Prog.Kernels))
-	for _, k := range m.cfg.Prog.Kernels {
-		allRemote[k.Name] = true
-	}
-	// It runs no share of a split kernel, but counts each as a producer.
-	var shares *runtime.Shares
-	if len(m.weights) > 0 {
-		shares = &runtime.Shares{Weights: m.weights}
-	}
-	shadow, err := runtime.NewNode(m.cfg.Prog, runtime.Options{
-		Workers:       1,
-		RemoteKernels: allRemote,
-		Shares:        shares,
-		NoAutoQuiesce: true,
-		Metrics:       m.cfg.Metrics,
-		Tracer:        m.cfg.Tracer,
-		MergeStores:   m.cfg.Failover,
-	})
-	if err != nil {
-		return err
-	}
-	m.shadow = shadow
-	m.shadowDone = make(chan error, 1)
-	go func() {
-		_, err := shadow.Run()
-		m.shadowDone <- err
-	}()
-	return nil
-}
-
 // assign is the one way a node is given kernels, at the start of the run and
 // after a death alike: MAssign carries the node's whole partition, MStart
 // follows with the clock-sync result (so the worker can correct
@@ -618,7 +576,7 @@ func (m *master) startShadow() error {
 // assignment goes out before the first start, so the nodes build in parallel.
 func (m *master) assign(targets []*peer) error {
 	for _, p := range targets {
-		if err := p.conn.Send(&Msg{Kind: MAssign, Kernels: p.kernels, ShareWeights: m.weights, Shares: p.shares, Spec: m.cfg.Spec, TraceOn: m.cfg.CollectTraces, Failover: m.cfg.Failover}); err != nil {
+		if err := p.conn.Send(&Msg{Kind: MAssign, Kernels: p.kernels, ShareWeights: m.weights, Shares: p.shares, Spec: m.cfg.Spec, TraceOn: m.cfg.Tracer != nil, Failover: m.cfg.Failover}); err != nil {
 			return fmt.Errorf("dist: assigning to %s: %w", p.id, err)
 		}
 	}
@@ -650,8 +608,8 @@ func (m *master) listen(p *peer) {
 }
 
 // handle advances the master by one inbound event: a worker's message is
-// brokered to its subscribers and the shadow, or folded into the worker's
-// record; a failed receive is the worker's death.
+// brokered to its subscribers (a store frame is also logged), or folded into
+// the worker's record; a failed receive is the worker's death.
 func (m *master) handle(in inbound) error {
 	p := in.from
 	if in.err != nil {
@@ -675,11 +633,11 @@ func (m *master) handle(in inbound) error {
 	switch msg.Kind {
 	case MStoreFrame:
 		// The envelope's Field/Age mirror the frame header, so routing
-		// needs no decode; the frame bytes are forwarded to subscribers
-		// as-is and only replayed into the shadow.
+		// and logging need no decode: the frame bytes are logged and
+		// forwarded to subscribers as-is.
 		brokerFrom := m.cfg.Tracer.Now()
-		if err := m.shadow.InjectStoreFrame(msg.Frame); err != nil {
-			return fmt.Errorf("dist: shadow store frame: %w", err)
+		if err := m.log.add(msg.Field, msg.Age, msg.Frame); err != nil {
+			return err
 		}
 		m.mFrames.Inc()
 		m.mFrameBytes.Add(int64(len(msg.Frame)))
@@ -687,8 +645,8 @@ func (m *master) handle(in inbound) error {
 			return err
 		}
 		if tr := m.cfg.Tracer; tr != nil {
-			// The broker hop of the frame's causal trace: replay into
-			// the shadow plus fan-out to subscribers.
+			// The broker hop of the frame's causal trace: the log
+			// append plus the fan-out to subscribers.
 			tr.Record(obs.Span{
 				Name: "broker " + msg.Field, Cat: "dist", Ph: obs.PhaseComplete,
 				TS: brokerFrom, Dur: tr.Now() - brokerFrom,
@@ -699,18 +657,15 @@ func (m *master) handle(in inbound) error {
 		d := doneRec{kernel: msg.Kernel, share: msg.Share, age: msg.Age}
 		if m.doneSeen[d] {
 			// A rebuilt worker re-executes its kernels and re-announces
-			// completions the cluster already accounted for. Injecting a
-			// duplicate would overshoot the shadow's producer count and
-			// mark generations complete while a slower producer is still
-			// storing — merge mode would then silently drop its
+			// completions the cluster already accounted for. Forwarding
+			// a duplicate would overshoot a subscriber's producer count
+			// and mark generations complete while a slower producer is
+			// still storing — merge mode would then silently drop its
 			// legitimate stores.
 			return nil
 		}
 		m.doneSeen[d] = true
 		m.doneLog = append(m.doneLog, d)
-		if err := m.shadow.InjectRemoteDone(msg.Kernel, msg.Age); err != nil {
-			return fmt.Errorf("dist: shadow done: %w", err)
-		}
 		return m.forward(p, m.kernelSubs[msg.Kernel], msg, func(q *peer) bool { return m.produces(q, msg.Kernel, msg.Share) })
 	case MStatus:
 		p.status = *msg
@@ -820,7 +775,7 @@ func (m *master) tick(now time.Time) error {
 		}
 		total += p.status.Sent + p.status.Received
 	}
-	if quiet && m.shadow.Idle() && total == m.lastTotal {
+	if quiet && total == m.lastTotal {
 		m.stableRounds++
 	} else {
 		m.stableRounds = 0
@@ -844,8 +799,8 @@ func (m *master) tick(now time.Time) error {
 }
 
 // requestStop ends a quiescent run: every live worker is asked for its span
-// buffer (with CollectTraces) and then to stop, and the standbys that were
-// never needed are released.
+// buffer (with a Tracer) and then to stop, and the standbys that were never
+// needed are released.
 func (m *master) requestStop() error {
 	m.stopSent = true
 	for _, p := range m.peers {
@@ -856,7 +811,7 @@ func (m *master) requestStop() error {
 		// ordering guarantees each MTrace reply arrives before its MReport,
 		// so report collection still terminates the loop.
 		var err error
-		if m.cfg.CollectTraces {
+		if m.cfg.Tracer != nil {
 			err = p.conn.Send(&Msg{Kind: MTraceReq})
 		}
 		if err == nil {
@@ -878,8 +833,8 @@ func (m *master) requestStop() error {
 
 // die declares a worker dead. Without failover it returns the error that
 // fails the run (named after the worker); with failover it recovers — unless
-// quiescence was already reached, in which case all data is safe in the
-// shadow and only the worker's report is lost.
+// quiescence was already reached, in which case all data is safe in the log
+// and only the worker's report is lost.
 func (m *master) die(p *peer, cause error) error {
 	if p.dead {
 		return nil
@@ -948,7 +903,7 @@ func (m *master) recover(dead *peer) error {
 			return err
 		}
 	}
-	// Rebuilding and replaying a large shadow can outlast the liveness
+	// Rebuilding and replaying a long log can outlast the liveness
 	// window, and the loop was not reading while it ran: the silence is the
 	// master's, not the workers'. Restart every live worker's clock so one
 	// recovery does not cascade into false deaths.
@@ -972,33 +927,20 @@ func (m *master) recover(dead *peer) error {
 }
 
 // replay re-sends a rebuilt worker the message stream it would have received
-// from the start of the run: every live generation of every field it
-// consumes (from the shadow, as store frames), then every remote producer
-// completion it subscribes to, in original order. Stores strictly before
-// dones — a done marks its generations complete, and merge mode silently
-// drops stores into completed generations.
+// from the start of the run: the logged store frames of every field it
+// consumes, in arrival order, then every remote producer completion it
+// subscribes to, in original order. Stores strictly before dones — a done
+// marks its generations complete, and merge mode silently drops stores into
+// completed generations.
 func (m *master) replay(t *peer) error {
 	for _, fd := range m.cfg.Prog.Fields {
 		if !t.consumes[fd.Name] {
 			continue
 		}
-		ages, err := m.shadow.FieldAges(fd.Name)
-		if err != nil {
-			return err
-		}
-		for _, age := range ages {
-			genFrom := m.cfg.Tracer.Now()
-			fr, err := m.shadow.EncodeGenerationFrame(fd.Name, age)
-			if err != nil {
-				return fmt.Errorf("dist: encoding replay of %s(%d): %w", fd.Name, age, err)
-			}
-			if fr == nil {
-				continue
-			}
-			err = t.conn.SendFrame(&Msg{Kind: MStoreFrame, Field: fd.Name, Age: age, SentNs: time.Now().UnixNano()}, net.Buffers{fr.Bytes()})
-			runtime.PutStoreFrame(fr)
-			if err != nil {
-				return fmt.Errorf("dist: replaying %s(%d) to %s: %w", fd.Name, age, t.id, err)
+		for _, lf := range m.log.frames[fd.Name] {
+			from := m.cfg.Tracer.Now()
+			if err := t.conn.Send(&Msg{Kind: MStoreFrame, Field: fd.Name, Age: lf.age, Frame: lf.frame, SentNs: time.Now().UnixNano()}); err != nil {
+				return fmt.Errorf("dist: replaying %s(%d) to %s: %w", fd.Name, lf.age, t.id, err)
 			}
 			t.forwarded++
 			m.replayed++
@@ -1006,7 +948,7 @@ func (m *master) replay(t *peer) error {
 			if tr := m.cfg.Tracer; tr != nil {
 				tr.Record(obs.Span{
 					Name: "replay " + fd.Name, Cat: "dist", Ph: obs.PhaseComplete,
-					TS: genFrom, Dur: tr.Now() - genFrom, Age: age,
+					TS: from, Dur: tr.Now() - from, Age: lf.age,
 				})
 			}
 			// Keep the readers moving while replay hogs the loop.
@@ -1055,19 +997,11 @@ func (m *master) shutdown(err error) error {
 		c.Send(bye)
 		c.Close()
 	}
-	if m.shadow != nil {
-		m.shadow.Stop()
-		<-m.shadowDone
-	}
 	return err
 }
 
 // finish closes a completed run and assembles its result.
-func (m *master) finish() (*MasterResult, error) {
-	m.shadow.Stop()
-	if err := <-m.shadowDone; err != nil {
-		return nil, err
-	}
+func (m *master) finish() *MasterResult {
 	for _, c := range m.conns {
 		c.Close()
 	}
@@ -1083,10 +1017,10 @@ func (m *master) finish() (*MasterResult, error) {
 		Shares:       m.shareMap(),
 		Cost:         m.cost,
 		Reports:      m.reports,
-		Shadow:       m.shadow,
+		Shadow:       m.log,
 		Traces:       m.traces,
 		ClockOffsets: clockOffsets,
 		DeadWorkers:  m.deadIDs,
 		Replayed:     m.replayed,
-	}, nil
+	}
 }

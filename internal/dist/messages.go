@@ -60,7 +60,7 @@ type Msg struct {
 	Spec    string   // program spec for workers that build the program from a registry
 	// Failover tells the worker the master is running with failover enabled:
 	// the worker builds its node with merge-tolerant stores so replayed
-	// generations and re-executed kernels are idempotent (see
+	// frames and re-executed kernels are idempotent (see
 	// runtime.Options.MergeStores).
 	Failover bool
 
@@ -102,9 +102,9 @@ type Msg struct {
 	ShareWeights []int
 	Shares       []int
 
-	// MAssign: the master will pull span buffers at shutdown
-	// (CollectTraces), so a worker without its own tracer should create
-	// one — cluster tracing needs only the master's -trace flag.
+	// MAssign: the master traces and will pull span buffers at shutdown,
+	// so a worker without its own tracer should create one — cluster
+	// tracing needs only the master's -trace flag.
 	TraceOn bool
 
 	// MTrace: the worker's span buffer with its alignment data (see

@@ -131,7 +131,7 @@ func TestBrokerReadersExit(t *testing.T) {
 		wc.Recv() // assignment
 		wc.Recv() // start
 		// Flood stores to an unknown field: the first one fails the
-		// master's shadow inject; the rest overfill the 1024-entry conn
+		// master's log append; the rest overfill the 1024-entry conn
 		// buffer plus the 1024-entry inbox so the reader must block.
 		for i := 0; i < 3000; i++ {
 			if wc.Send(storeFrameMsg(runtime.StoreNotice{Field: "nope", Value: field.Int32Val(1)})) != nil {
@@ -375,7 +375,7 @@ func TestStoreBatcherFlush(t *testing.T) {
 }
 
 // distMJPEGOverTCP runs the MJPEG pipeline across two TCP workers and
-// returns the shadow's concatenated bitstream.
+// returns the bitstream decoded from the master's log.
 func distMJPEGOverTCP(t *testing.T, frames int) []byte {
 	t.Helper()
 	mkProg := func() *core.Program {
@@ -434,7 +434,7 @@ func distMJPEGOverTCP(t *testing.T, frames int) []byte {
 			t.Fatal(err)
 		}
 		if s.Extent(0) == 0 {
-			t.Fatalf("frame %d missing from shadow bitstream", a)
+			t.Fatalf("frame %d missing from the logged bitstream", a)
 		}
 		stream = append(stream, s.At(0).Obj().([]byte)...)
 	}

@@ -135,7 +135,7 @@ func TestDistributedTraceMerged(t *testing.T) {
 	masterTracer := obs.NewTracer(obs.DefaultTraceCapacity)
 	res, err := RunMaster(MasterConfig{
 		Prog: mkProg(), Method: sched.KL,
-		Metrics: obs.NewRegistry(), Tracer: masterTracer, CollectTraces: true,
+		Metrics: obs.NewRegistry(), Tracer: masterTracer,
 	}, conns)
 	wg.Wait()
 	close(errs)

@@ -800,21 +800,11 @@ func (f *Field) MemoryElems() int {
 	return n
 }
 
-// SlabDim selects one dimension of a Slab read: either a fixed coordinate or
-// (the zero value) the whole dimension.
+// SlabDim selects one dimension of a slab store, fetch or view: either a fixed
+// coordinate or (the zero value) the whole dimension.
 type SlabDim struct {
 	Fixed bool
 	Index int
-}
-
-// Slab copies a sub-slab of the generation at the given age into a fresh
-// array: fixed dimensions are dropped, free dimensions become the dimensions
-// of the resulting array (in field order). Out-of-range fixed coordinates
-// yield an empty array.
-func (f *Field) Slab(age int, sel []SlabDim) *Array {
-	a := &Array{}
-	f.FetchSlice(age, sel, a)
-	return a
 }
 
 // FetchSlice copies a sub-slab of the generation at the given age into dst,

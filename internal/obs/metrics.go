@@ -585,10 +585,10 @@ const (
 	MDistFrameBytesTotal = "dist_frame_bytes_total" // counter: encoded frame payload bytes
 
 	// Distributed liveness and recovery (master-side failure detection).
-	MDistWorkerDeaths = "dist_worker_deaths_total"        // counter: workers declared dead
-	MDistFailovers    = "dist_failovers_total"            // counter: recoveries (reassign + replay) performed
-	MDistReplayedGens = "dist_replayed_generations_total" // counter: field generations replayed to rebuilt workers
-	MDistFrameStores  = "dist_frame_stores_total"         // counter: store notices carried inside frames
+	MDistWorkerDeaths   = "dist_worker_deaths_total"   // counter: workers declared dead
+	MDistFailovers      = "dist_failovers_total"       // counter: recoveries (reassign + replay) performed
+	MDistReplayedFrames = "dist_replayed_frames_total" // counter: logged store frames replayed to rebuilt workers
+	MDistFrameStores    = "dist_frame_stores_total"    // counter: store notices carried inside frames
 
 	// Stage timers: the fixed per-instance latency decomposition the
 	// attribution report is built on (ISSUE 6 / paper §VIII-B). The first

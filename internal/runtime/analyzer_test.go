@@ -56,7 +56,7 @@ func TestShardedMultiShardQuiescence(t *testing.T) {
 }
 
 // TestAnalyzerNoAutoQuiesceStop exercises the distributed-node lifecycle: a
-// shadow node (all kernels remote, NoAutoQuiesce) must accept injected
+// receiving node (all kernels remote, NoAutoQuiesce) must accept injected
 // stores and remote completions, report Idle once they are absorbed, and shut
 // down only on Stop().
 func TestAnalyzerNoAutoQuiesceStop(t *testing.T) {

@@ -331,7 +331,7 @@ func TestStoreFrameCorrupt(t *testing.T) {
 // what the generation already holds, which only the receiver can see.
 func TestRemoteGrowthBounded(t *testing.T) {
 	prog := frameEquivProg(t)
-	n, stop := newShadow(t, prog)
+	n, stop := newReceiver(t, prog)
 	defer stop()
 	row := field.NewArray(field.Uint8, 8)
 	frame := func(sn StoreNotice) []byte {
@@ -381,8 +381,9 @@ func TestRemoteGrowthBounded(t *testing.T) {
 	}
 }
 
-// frameEquivProg is a program whose kernels are all remote, mirroring the
-// master's shadow node: three versioned fields of different kinds and ranks.
+// frameEquivProg is a program whose kernels are all remote, so a node built
+// on it only receives stores: three versioned fields of different kinds and
+// ranks.
 func frameEquivProg(t *testing.T) *core.Program {
 	t.Helper()
 	b := core.NewBuilder("frames")
@@ -400,7 +401,7 @@ func frameEquivProg(t *testing.T) *core.Program {
 	return p
 }
 
-func newShadow(t *testing.T, prog *core.Program) (*Node, func()) {
+func newReceiver(t *testing.T, prog *core.Program) (*Node, func()) {
 	t.Helper()
 	remote := map[string]bool{"s1": true, "s2": true, "s3": true}
 	n, err := NewNode(prog, Options{Workers: 1, RemoteKernels: remote, NoAutoQuiesce: true})
@@ -419,13 +420,13 @@ func newShadow(t *testing.T, prog *core.Program) (*Node, func()) {
 }
 
 // TestInjectStoreFrameMatchesInjectStore applies the same store sequence to
-// two shadow nodes — one notice-by-notice via InjectStore, one batched via
+// two receiving nodes — one notice-by-notice via InjectStore, one batched via
 // InjectStoreFrame — and requires identical field state.
 func TestInjectStoreFrameMatchesInjectStore(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	prog := frameEquivProg(t)
-	direct, stopDirect := newShadow(t, prog)
-	framed, stopFramed := newShadow(t, prog)
+	direct, stopDirect := newReceiver(t, prog)
+	framed, stopFramed := newReceiver(t, prog)
 
 	// One generation per (field, addressing mode): element stores into fi,
 	// a whole-field store into ff, slab stores into fu.
@@ -495,7 +496,7 @@ func TestInjectStoreFrameMatchesInjectStore(t *testing.T) {
 	if err := bad.Add(StoreNotice{Field: "nope", Age: 0, Elem: []int{0}, Value: field.Int32Val(1)}); err != nil {
 		t.Fatal(err)
 	}
-	n, stop := newShadow(t, prog)
+	n, stop := newReceiver(t, prog)
 	defer stop()
 	if err := n.InjectStoreFrame(bad.Bytes()); err == nil {
 		t.Error("frame for unknown field injected cleanly")

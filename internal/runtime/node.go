@@ -588,36 +588,44 @@ func (n *Node) InjectStore(sn StoreNotice) error {
 	return nil
 }
 
-// applyStore writes one store notice to the local field replica, unless it
-// would grow the generation past MaxRemoteCells, and returns the analyzer
-// event that announces it.
+// applyStore writes one store notice to the local field replica (see
+// ApplyStore) and returns the analyzer event that announces it.
 func (n *Node) applyStore(sn StoreNotice) (event, error) {
 	sn = sn.normalize()
 	fs, ok := n.fields[sn.Field]
 	if !ok {
 		return event{}, fmt.Errorf("p2g: remote store to unknown field %q", sn.Field)
 	}
-	if err := checkGrowth(sn, func(d int) int { return fs.f.Extent(sn.Age, d) }); err != nil {
-		return event{}, err
-	}
-	ev := event{fs: fs, age: sn.Age, whole: sn.Sel != nil}
-	var res field.StoreResult
-	var err error
-	if sn.Sel != nil {
-		arr := sn.Value.Array()
-		if arr == nil {
-			return event{}, fmt.Errorf("p2g: remote slab store to %q without array payload", sn.Field)
-		}
-		res, err = fs.f.StoreSlice(sn.Age, sn.Sel, arr)
-	} else {
-		res, err = fs.f.Store(sn.Age, sn.Value, sn.Elem...)
-		ev.elem.set(sn.Elem)
-	}
+	res, err := ApplyStore(fs.f, sn)
 	if err != nil {
 		return event{}, err
 	}
+	ev := event{fs: fs, age: sn.Age, whole: sn.Sel != nil}
+	if sn.Sel == nil {
+		ev.elem.set(sn.Elem)
+	}
 	ev.setGrowth(&res)
 	return ev, nil
+}
+
+// ApplyStore writes one remote store notice into f, the replica of the
+// notice's field: a slab store when the notice has a selector (or is Whole),
+// an element store otherwise. A store that would grow its generation past
+// MaxRemoteCells is refused with ErrRemoteGrowth. The notice may be borrowed
+// (see DecodeStoreFrame): the field copies what it keeps.
+func ApplyStore(f *field.Field, sn StoreNotice) (field.StoreResult, error) {
+	sn = sn.normalize()
+	if err := checkGrowth(sn, func(d int) int { return f.Extent(sn.Age, d) }); err != nil {
+		return field.StoreResult{}, err
+	}
+	if sn.Sel == nil {
+		return f.Store(sn.Age, sn.Value, sn.Elem...)
+	}
+	arr := sn.Value.Array()
+	if arr == nil {
+		return field.StoreResult{}, fmt.Errorf("p2g: remote slab store to %q without array payload", sn.Field)
+	}
+	return f.StoreSlice(sn.Age, sn.Sel, arr)
 }
 
 // setGrowth records a store's growth, and the extents it grew to, on the

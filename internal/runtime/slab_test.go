@@ -183,25 +183,30 @@ func TestFieldSlab(t *testing.T) {
 			}
 		}
 	}
-	row := f.Slab(0, []field.SlabDim{{Fixed: true, Index: 1}, {}})
+	slab := func(age int, sel ...field.SlabDim) *field.Array {
+		a := &field.Array{}
+		f.FetchSlice(age, sel, a)
+		return a
+	}
+	row := slab(0, field.SlabDim{Fixed: true, Index: 1}, field.SlabDim{})
 	if row.Rank() != 1 || row.Extent(0) != 4 || row.At(2).Int32() != 12 {
 		t.Errorf("row slab %v", row)
 	}
-	col := f.Slab(0, []field.SlabDim{{}, {Fixed: true, Index: 3}})
+	col := slab(0, field.SlabDim{}, field.SlabDim{Fixed: true, Index: 3})
 	if col.Extent(0) != 3 || col.At(2).Int32() != 23 {
 		t.Errorf("col slab %v", col)
 	}
 	// Out-of-range fixed index yields an empty slab.
-	if f.Slab(0, []field.SlabDim{{Fixed: true, Index: 9}, {}}).Len() != 0 {
+	if slab(0, field.SlabDim{Fixed: true, Index: 9}, field.SlabDim{}).Len() != 0 {
 		t.Error("out-of-range slab should be empty")
 	}
 	// Missing age yields empty.
-	if f.Slab(5, []field.SlabDim{{Fixed: true, Index: 0}, {}}).Len() != 0 {
+	if slab(5, field.SlabDim{Fixed: true, Index: 0}, field.SlabDim{}).Len() != 0 {
 		t.Error("missing age slab should be empty")
 	}
 	// All dims fixed: single element delivered as extent-1... rank-0 is
 	// represented as an empty rank-1 array by convention.
-	one := f.Slab(0, []field.SlabDim{{Fixed: true, Index: 0}, {Fixed: true, Index: 0}})
+	one := slab(0, field.SlabDim{Fixed: true, Index: 0}, field.SlabDim{Fixed: true, Index: 0})
 	if one.Len() != 0 {
 		t.Errorf("fully fixed slab: %v", one)
 	}

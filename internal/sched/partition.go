@@ -306,30 +306,3 @@ func ApplyInstrumentation(g *graph.Final, rep *runtime.Report) {
 	}
 	g.SetEdgeWeights(ew)
 }
-
-// Repartition evaluates whether a new assignment computed from measured
-// weights improves on the current one; it returns the better assignment and
-// whether it changed — the master's feedback loop.
-func Repartition(g *graph.Final, topo Topology, current Assignment, rep *runtime.Report, m Method) (Assignment, bool, error) {
-	ApplyInstrumentation(g, rep)
-	next, nextCost, err := Partition(g, topo, m)
-	if err != nil {
-		return current, false, err
-	}
-	if current != nil {
-		curCost := Evaluate(g, topo, current)
-		if curCost.Total <= nextCost.Total {
-			return current, false, nil
-		}
-	}
-	same := current != nil && len(current) == len(next)
-	if same {
-		for i := range next {
-			if next[i] != current[i] {
-				same = false
-				break
-			}
-		}
-	}
-	return next, !same, nil
-}

@@ -162,8 +162,8 @@ func CentroidPoints(s *field.Array) []kmeans.Point {
 }
 
 // KMeansCentroids extracts the centroids at the given age from a finished
-// node.
-func KMeansCentroids(n *runtime.Node, age int) ([]kmeans.Point, error) {
+// run.
+func KMeansCentroids(n Snapshotter, age int) ([]kmeans.Point, error) {
 	s, err := n.Snapshot("centroids", age)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/mjpeg"
-	"repro/internal/runtime"
 	"repro/internal/video"
 )
 
@@ -177,9 +176,15 @@ func MJPEG(cfg MJPEGConfig) *core.Program {
 	return p
 }
 
-// MJPEGStream collects the encoded frames from a finished node's bitstream
+// Snapshotter is the final state of a finished run: a *runtime.Node, or the
+// store log a distributed run's master returns (dist.StoreLog).
+type Snapshotter interface {
+	Snapshot(fieldName string, age int) (*field.Array, error)
+}
+
+// MJPEGStream collects the encoded frames from a finished run's bitstream
 // field into one contiguous MJPEG stream in age order.
-func MJPEGStream(n *runtime.Node, frames int) ([]byte, error) {
+func MJPEGStream(n Snapshotter, frames int) ([]byte, error) {
 	var out []byte
 	for a := 0; a < frames; a++ {
 		s, err := n.Snapshot("bitstream", a)

@@ -13,9 +13,15 @@
 #   FetchViewSlice     the view-fetch spelling of a slab fetch
 #   anShard ctlMsg shardMaskForStore shardRoute injectEnsure
 #                      the sharded dependency analyzer (one analyzer now)
+#   startShadow shadowDone EncodeGenerationFrame FieldAges
+#                      the master's shadow node and its replay encoder (the
+#                      master logs the frames it brokers instead)
+#   CollectTraces      the master option (a Tracer collects worker spans)
+#   Repartition        the unused feedback-loop helper (ApplyInstrumentation
+#                      plus Partition)
 set -eu
 cd "$(dirname "$0")/.."
-names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure'
+names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition'
 pattern=$(printf '%s\n' $names | paste -sd '|' -)
 found=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 	-exec grep -HnwE "$pattern" {} + || true)
