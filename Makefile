@@ -57,7 +57,7 @@ ci: fmt-check vet layers retired build examples race norace
 # wedged, or silently dropping connections) — and the index-share split's
 # ownership, bit-identity and pacing tests beside them.
 test-fault:
-	$(GO) test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown|ShareOwnership|SplitKernelsBitIdentical' ./internal/dist/
+	$(GO) test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown|ShareOwnership|SplitKernelsBitIdentical|StoppedWorker|ReplayTargetDeath' ./internal/dist/
 
 # fuzz-lang is the kernel-language fuzz gate (also run by ci.sh): ten seconds
 # each of FuzzParse (lexer, parser and compiler never panic, and nothing

@@ -37,7 +37,7 @@ go test -count=1 ./internal/field/ ./internal/runtime/ ./internal/dist/
 # master/worker pair through a severed, wedged, or silently dropping
 # connection, and the index-share split's ownership, bit-identity and pacing
 # tests.
-go test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown|ShareOwnership|SplitKernelsBitIdentical' ./internal/dist/
+go test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown|ShareOwnership|SplitKernelsBitIdentical|StoppedWorker|ReplayTargetDeath' ./internal/dist/
 # Kernel-language fuzz gate (`make fuzz-lang`): ten seconds each of FuzzParse
 # (lexer, parser and compiler never panic, and nothing crashes the lowering)
 # and FuzzVMMatchesOracle (the bytecode VM and the test-only tree-walking

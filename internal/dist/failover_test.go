@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -158,6 +159,130 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 		t.Fatalf("standby report missing: %v", res.Reports)
 	}
 	assertMulSumShadow(t, res, ref)
+}
+
+// TestReplayTargetDeath (regression): a node that dies while its recovery
+// replay is still going out is one more death, not a failed run. w1 dies
+// mid-run (its connection severs at its 12th send); the promoted standby's
+// connection severs at a send inside the replay it is being given (its
+// MAssign and MStart are sends 1 and 2). The master must re-place the work
+// on the survivor, replay to it, and finish bit for bit like a single node.
+func TestReplayTargetDeath(t *testing.T) {
+	ref := mulSumReference(t)
+	conns := make([]Conn, 3)
+	workerErrs := make([]error, 3)
+	var wg sync.WaitGroup
+	for i, id := range []string{"w0", "w1", "spare"} {
+		mc, wc := InprocPipe()
+		conns[i] = mc
+		switch id {
+		case "w1":
+			wc = NewFaultConn(wc, FaultPlan{SeverSendAt: 12})
+		case "spare":
+			conns[i] = NewFaultConn(mc, FaultPlan{SeverSendAt: 5})
+		}
+		wg.Add(1)
+		go func(i int, id string, conn Conn) {
+			defer wg.Done()
+			_, workerErrs[i] = RunWorker(WorkerConfig{
+				NodeID: id, Cores: 2, Prog: workloads.MulSum(), MaxAge: 8, Standby: id == "spare",
+			}, conn)
+		}(i, id, wc)
+	}
+	res, err := RunMaster(MasterConfig{
+		Prog: workloads.MulSum(), Method: sched.KL, Failover: true,
+	}, conns)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("a death during recovery failed the run: %v", err)
+	}
+	if workerErrs[0] != nil {
+		t.Fatalf("survivor failed: %v", workerErrs[0])
+	}
+	if !slices.Equal(res.DeadWorkers, []string{"w1", "spare"}) {
+		t.Fatalf("DeadWorkers = %v, want [w1 spare]", res.DeadWorkers)
+	}
+	if _, ok := res.Reports["w0"]; !ok {
+		t.Fatalf("missing survivor report: %v", res.Reports)
+	}
+	assertMulSumShadow(t, res, ref)
+}
+
+// TestStoppedWorkerDeclaredDead (regression): a stopped worker — a SIGSTOPped
+// process, which neither reads nor writes while its connection stays open —
+// is declared dead by the liveness check, not waited on. Its master-side
+// connection wedges in both directions right after MAssign and MStart, so
+// every later send to it blocks; the master's loop must never be the one
+// blocked, or liveness never runs. Without failover the run fails naming the
+// worker; with a standby it completes bit for bit like a single node.
+func TestStoppedWorkerDeclaredDead(t *testing.T) {
+	const heartbeat, maxMissed = 50 * time.Millisecond, 4
+	run := func(t *testing.T, failover bool) (*MasterResult, error) {
+		ids := []string{"w0", "w1"}
+		if failover {
+			ids = append(ids, "spare")
+		}
+		conns := make([]Conn, len(ids))
+		var wg sync.WaitGroup
+		for i, id := range ids {
+			mc, wc := InprocPipe()
+			conns[i] = mc
+			if id == "w1" {
+				conns[i] = NewFaultConn(mc, FaultPlan{WedgeSendAt: 3, WedgeRecvAt: 2})
+			}
+			wg.Add(1)
+			go func(id string, conn Conn) {
+				defer wg.Done()
+				_, err := RunWorker(WorkerConfig{
+					NodeID: id, Cores: 1, Prog: workloads.MulSum(), MaxAge: 8, Standby: id == "spare",
+				}, conn)
+				if id != "w1" && err != nil {
+					t.Errorf("%s failed: %v", id, err)
+				}
+			}(id, wc)
+		}
+		type outcome struct {
+			res *MasterResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		start := time.Now()
+		go func() {
+			res, err := RunMaster(MasterConfig{
+				Prog: workloads.MulSum(), Method: sched.KL, Failover: failover,
+				Heartbeat: heartbeat, MaxMissed: maxMissed,
+			}, conns)
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			wg.Wait()
+			if took := time.Since(start); !failover && took > 10*heartbeat*maxMissed {
+				t.Errorf("the stopped worker took %v to be declared dead, liveness window %v", took, heartbeat*maxMissed)
+			}
+			return o.res, o.err
+		case <-time.After(10 * time.Second):
+			t.Fatal("master wedged in a send to a stopped worker")
+			return nil, nil
+		}
+	}
+	t.Run("fail-fast", func(t *testing.T) {
+		_, err := run(t, false)
+		if err == nil || !strings.Contains(err.Error(), "w1") || !strings.Contains(err.Error(), "missed") {
+			t.Fatalf("error %v does not name the stopped worker and the missed heartbeats", err)
+		}
+	})
+	t.Run("failover", func(t *testing.T) {
+		ref := mulSumReference(t)
+		res, err := run(t, true)
+		if err != nil {
+			t.Fatalf("failover run failed: %v", err)
+		}
+		if !slices.Equal(res.DeadWorkers, []string{"w1"}) {
+			t.Fatalf("DeadWorkers = %v, want [w1]", res.DeadWorkers)
+		}
+		assertMulSumShadow(t, res, ref)
+	})
 }
 
 // TestStandbyReleasedCleanly: a standby the run never needs must be released
@@ -588,12 +713,14 @@ func TestFailoverMJPEGOverTCP(t *testing.T) {
 	})
 }
 
-// TestFailoverRecoveryDoesNotCascade (regression): reassignment and replay
-// run inside the master's main loop, so replaying a long log can outlast the liveness window — and nobody is pinged while it runs. That
-// silence is the master's own, not the workers', and must not be counted
-// against them: one death must not cascade into falsely declaring every
-// healthy survivor dead. Every master-side link here is artificially slowed
-// so the replay takes several liveness windows.
+// TestFailoverRecoveryDoesNotCascade (regression): replaying a long log to a
+// rebuilt worker can take several liveness windows to drain, and the
+// survivor receiving it must stay alive all the while. Pings must not wait
+// behind that replay backlog: queued after it, they would reach the survivor
+// only once the replay had gone out, its answers would come too late, and one
+// death would cascade into falsely declaring a healthy survivor dead. Every
+// master-side link here is artificially slowed so the replay takes several
+// liveness windows.
 func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 	b := core.NewBuilder("cascade")
 	b.Field("data", field.Int32, 1, true)
@@ -691,12 +818,10 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 	w0 := mkWorker(wc0, "w0")
 	w1 := mkWorker(wc1, "w1")
 	// Liveness window 60ms x 4 = 240ms; replaying 40 generations across a
-	// 20ms-per-message link takes ~800ms, several windows deep. The poll
-	// interval is raised above the cost of one delayed ping round (2 sends
-	// x 20ms inline) so the master still drains replies between rounds: a
-	// healthy ping round trip is ~60ms, well inside the window, and the
-	// only way the survivor can look stale is the master's own recovery
-	// stall.
+	// link delaying each message up to 20ms takes several windows. A healthy
+	// ping round trip is at most ~60ms (a delayed send, then a delayed
+	// receive), well inside the window at this poll interval, so the only
+	// way the survivor can look stale is a ping stuck behind the replay.
 	slow := FaultPlan{Delay: 20 * time.Millisecond, DelayEvery: 1}
 	res, err := RunMaster(MasterConfig{
 		Prog: prog, Method: sched.Greedy, Failover: true,

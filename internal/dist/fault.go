@@ -21,9 +21,6 @@ type FaultPlan struct {
 	// SeverSendAt closes the underlying connection instead of performing the
 	// Nth send — the abrupt process-death case: the peer sees EOF/RST.
 	SeverSendAt int64
-	// SeverRecvAt closes the underlying connection instead of performing the
-	// Nth receive.
-	SeverRecvAt int64
 	// WedgeSendAt blocks the Nth and later sends until the conn is closed —
 	// the half-open case seen from a sender.
 	WedgeSendAt int64
@@ -39,8 +36,6 @@ type FaultPlan struct {
 	// DelayEvery-th message in either direction.
 	Delay      time.Duration
 	DelayEvery int64
-	// Seed feeds the jitter source; the zero seed is replaced with 1.
-	Seed int64
 }
 
 // FaultConn wraps a Conn with scheduled faults (SendFrame counts as one send
@@ -60,14 +55,10 @@ type FaultConn struct {
 
 // NewFaultConn wraps c with the given fault plan.
 func NewFaultConn(c Conn, plan FaultPlan) *FaultConn {
-	seed := plan.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	return &FaultConn{
 		under:  c,
 		plan:   plan,
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    rand.New(rand.NewSource(1)),
 		closed: make(chan struct{}),
 	}
 }
@@ -130,10 +121,6 @@ func (c *FaultConn) SendFrame(m *Msg, segs net.Buffers) error {
 
 func (c *FaultConn) Recv() (*Msg, error) {
 	n := c.recvs.Add(1)
-	if c.plan.SeverRecvAt > 0 && n >= c.plan.SeverRecvAt {
-		c.Close()
-		return nil, fmt.Errorf("dist: fault-injected sever at recv %d", n)
-	}
 	if c.plan.WedgeRecvAt > 0 && n >= c.plan.WedgeRecvAt {
 		return nil, c.wedge("recv")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -62,10 +63,10 @@ type MasterConfig struct {
 	// worker is declared dead. Zero disables the liveness monitor unless
 	// Failover is on, which defaults it to 3.
 	MaxMissed int
-	// IdleTimeout, when positive, bounds every blocking transport
-	// operation on the worker connections (see Conn.SetIdleTimeout), so a
-	// half-open connection surfaces as a worker-named error instead of
-	// wedging RunMaster forever. It must comfortably exceed the longest
+	// IdleTimeout, when positive, bounds each reader's receive and each
+	// writer's send on the worker connections (see Conn.SetIdleTimeout), so
+	// a half-open connection surfaces as a worker-named error even with the
+	// liveness monitor off. It must comfortably exceed the longest
 	// legitimate silence (worker teardown between MStopReq and MReport).
 	IdleTimeout time.Duration
 }
@@ -117,7 +118,8 @@ type doneRec struct {
 // alive; a standby's waits in master.standbys until a death promotes it.
 type peer struct {
 	conn  Conn
-	idx   int // worker index (the values of MasterResult.Assignment); -1 for a standby
+	out   outbox // what the master sends it, drained by its writer
+	idx   int    // worker index (the values of MasterResult.Assignment); -1 for a standby
 	id    string
 	cores int
 	speed float64
@@ -140,8 +142,8 @@ type peer struct {
 	dead       bool
 }
 
-// inbound is one receive on a connection, as its reader goroutine hands it to
-// the loop of the master (from names the worker) or the worker (from is nil).
+// inbound is one receive on a connection, or a master's failed send, as the
+// reader or writer hands it to the loop (from names the node; nil on a worker).
 type inbound struct {
 	from *peer
 	msg  *Msg
@@ -150,8 +152,10 @@ type inbound struct {
 
 // master is the control plane's state: the paper's §IV master as one value
 // and the handlers that advance it. RunMaster feeds it one event at a time —
-// handle for an inbound message, tick for the poll timer — and nothing else
-// touches it, so a simulator can drive the same two methods.
+// handle for an inbound event, tick for the poll timer — and nothing else
+// touches it. Neither waits on a connection: a send is an append to the
+// peer's outbox, their one hand-off to another goroutine, so a simulator can
+// drive the same two methods in place of the writers.
 type master struct {
 	cfg MasterConfig // with the defaults of its zero fields filled in
 	// liveTimeout is the liveness window, Heartbeat × MaxMissed; zero
@@ -161,7 +165,7 @@ type master struct {
 	// registration. Plain runs skip the probes.
 	observed bool
 
-	conns    []Conn  // every connection RunMaster was handed
+	nodes    []*peer // one per connection RunMaster was handed, in that order
 	peers    []*peer // workers, by worker index
 	standbys []*peer
 
@@ -182,17 +186,12 @@ type master struct {
 	// log holds every store frame brokered, the master's only field data.
 	log *StoreLog
 
-	// Readers select on stop so they exit once RunMaster returns: after a
-	// failure the loop stops draining inbox, and a reader blocked on the
-	// full buffer would otherwise leak (its Recv keeps producing until the
-	// closed connection errors out).
+	// inbox carries every receive and failed send to the loop. Once it is
+	// over, stop is closed and readers and writers drop what they would
+	// post, so a full inbox never strands them; gone counts them.
 	inbox chan inbound
 	stop  chan struct{}
-	// backlog holds inbound messages drained while the loop was busy
-	// replaying generations to a rebuilt worker: replay sends many frames
-	// without returning to the select, and a full inbox would stall the
-	// readers (and transitively the workers' send paths).
-	backlog []inbound
+	gone  sync.WaitGroup
 
 	reports  map[string]*runtime.Report
 	doneSeen map[doneRec]bool
@@ -216,12 +215,14 @@ type master struct {
 // report collection. Each connection's first message says what it is: a
 // worker (MRegister) takes part in the initial partition, a standby (MJoin)
 // waits to replace a worker that dies.
+// Past the registration handshake the master never waits on a connection:
+// every send is queued for the peer's writer goroutine, and a failed send
+// reaches the loop like a failed receive. No goroutine it starts outlives it.
 func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("dist: master needs at least one worker")
 	}
 	m := newMaster(cfg, conns)
-	defer close(m.stop)
 	if err := m.setup(); err != nil {
 		return nil, m.shutdown(err)
 	}
@@ -229,17 +230,11 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 	defer ticker.Stop()
 	for !m.stopSent || m.awaitingReports() {
 		var err error
-		if len(m.backlog) > 0 {
-			in := m.backlog[0]
-			m.backlog = m.backlog[1:]
+		select {
+		case in := <-m.inbox:
 			err = m.handle(in)
-		} else {
-			select {
-			case in := <-m.inbox:
-				err = m.handle(in)
-			case <-ticker.C:
-				err = m.tick(time.Now())
-			}
+		case <-ticker.C:
+			err = m.tick(time.Now())
 		}
 		if err != nil {
 			return nil, m.shutdown(err)
@@ -258,11 +253,10 @@ func newMaster(cfg MasterConfig, conns []Conn) *master {
 	if cfg.MaxMissed <= 0 && cfg.Failover {
 		cfg.MaxMissed = 3
 	}
-	return &master{
+	m := &master{
 		cfg:         cfg,
 		liveTimeout: time.Duration(max(cfg.MaxMissed, 0)) * cfg.Heartbeat,
 		observed:    cfg.Metrics != nil || cfg.Tracer != nil,
-		conns:       conns,
 		kernelNode:  map[string]int{},
 		inbox:       make(chan inbound, 1024),
 		stop:        make(chan struct{}),
@@ -275,6 +269,14 @@ func newMaster(cfg MasterConfig, conns []Conn) *master {
 		mFailovers:  cfg.Metrics.Counter(obs.MDistFailovers),
 		mReplayed:   cfg.Metrics.Counter(obs.MDistReplayedFrames),
 	}
+	for _, c := range conns {
+		p := &peer{conn: c, idx: -1}
+		p.out.cond.L = &p.out.mu
+		m.nodes = append(m.nodes, p)
+		m.gone.Add(1)
+		go m.write(p)
+	}
+	return m
 }
 
 // setup takes the run from connected to running: the topology is collected,
@@ -311,9 +313,7 @@ func (m *master) setup() error {
 	}
 	m.subscribe()
 	m.cfg.View.setAssignment(m.kernelNode, m.shareMap(), m.cfg.Method.String())
-	if err := m.assign(m.peers); err != nil {
-		return err
-	}
+	m.assign(m.peers)
 	for _, p := range m.peers {
 		m.listen(p)
 	}
@@ -325,17 +325,18 @@ func (m *master) setup() error {
 // register reads each connection's first message and files the node under
 // workers (MRegister) or standbys (MJoin) — nodes classify themselves, so
 // they may connect in any order — then, in an observed run, estimates its
-// clock offset so spans and flight times land on one timeline.
+// clock offset so spans and flight times land on one timeline — the one
+// exchange made on a connection directly, before anything is queued.
 func (m *master) register() error {
-	for _, c := range m.conns {
+	for _, p := range m.nodes {
 		if m.cfg.IdleTimeout > 0 {
-			c.SetIdleTimeout(m.cfg.IdleTimeout)
+			p.conn.SetIdleTimeout(m.cfg.IdleTimeout)
 		}
-		first, err := c.Recv()
+		first, err := p.conn.Recv()
 		if err != nil {
 			return fmt.Errorf("dist: waiting for registration: %w", err)
 		}
-		p := &peer{conn: c, idx: -1, id: first.NodeID, cores: first.Cores, speed: first.Speed}
+		p.id, p.cores, p.speed = first.NodeID, first.Cores, first.Speed
 		switch first.Kind {
 		case MRegister:
 			m.enroll(p)
@@ -345,7 +346,7 @@ func (m *master) register() error {
 			return fmt.Errorf("dist: expected registration, got %v", first.Kind)
 		}
 		if m.observed {
-			if p.offset, err = estimateClockOffset(c, clockProbes); err != nil {
+			if p.offset, err = estimateClockOffset(p.conn, clockProbes); err != nil {
 				return fmt.Errorf("dist: syncing clock of %s: %w", p.id, err)
 			}
 		}
@@ -573,33 +574,27 @@ func (m *master) shareMap() map[string][]string {
 // follows with the clock-sync result (so the worker can correct
 // master-stamped timestamps), and the node's accounting restarts — a worker
 // builds its node from scratch on every MAssign and counts from zero. Every
-// assignment goes out before the first start, so the nodes build in parallel.
-func (m *master) assign(targets []*peer) error {
+// assignment is queued before the first start, so the nodes build in
+// parallel.
+func (m *master) assign(targets []*peer) {
 	for _, p := range targets {
-		if err := p.conn.Send(&Msg{Kind: MAssign, Kernels: p.kernels, ShareWeights: m.weights, Shares: p.shares, Spec: m.cfg.Spec, TraceOn: m.cfg.Tracer != nil, Failover: m.cfg.Failover}); err != nil {
-			return fmt.Errorf("dist: assigning to %s: %w", p.id, err)
-		}
+		p.out.push(&Msg{Kind: MAssign, Kernels: p.kernels, ShareWeights: m.weights, Shares: p.shares, Spec: m.cfg.Spec, TraceOn: m.cfg.Tracer != nil, Failover: m.cfg.Failover})
 	}
 	for _, p := range targets {
-		if err := p.conn.Send(&Msg{Kind: MStart, OffsetNs: p.offset, Synced: m.observed, SentNs: time.Now().UnixNano()}); err != nil {
-			return fmt.Errorf("dist: starting %s: %w", p.id, err)
-		}
+		p.out.push(&Msg{Kind: MStart, OffsetNs: p.offset, Synced: m.observed, SentNs: time.Now().UnixNano()})
 		p.forwarded, p.status, p.statusSeen, p.lastHeard = 0, Msg{}, false, time.Now()
 	}
-	return nil
 }
 
 // listen starts p's reader, which feeds the loop until the connection fails
 // or the run ends.
 func (m *master) listen(p *peer) {
+	m.gone.Add(1)
 	go func() {
+		defer m.gone.Done()
 		for {
 			msg, err := p.conn.Recv()
-			select {
-			case m.inbox <- inbound{from: p, msg: msg, err: err}:
-			case <-m.stop:
-				return
-			}
+			m.post(inbound{from: p, msg: msg, err: err})
 			if err != nil {
 				return
 			}
@@ -607,15 +602,96 @@ func (m *master) listen(p *peer) {
 	}()
 }
 
+// write is p's writer: it sends p's queue in order until it is hung up and
+// empty, then closes the connection. A failed send goes to the loop like a
+// failed receive.
+func (m *master) write(p *peer) {
+	defer m.gone.Done()
+	defer p.conn.Close()
+	for msg := p.out.next(); msg != nil; msg = p.out.next() {
+		if err := p.conn.Send(msg); err != nil {
+			m.post(inbound{from: p, err: err})
+			return
+		}
+	}
+}
+
+// post hands the loop one event, or drops it once the loop is over.
+func (m *master) post(in inbound) {
+	select {
+	case m.inbox <- in:
+	case <-m.stop:
+	}
+}
+
+// outbox is one peer's unbounded send queue, the only hand-off between the
+// loop, which appends and never waits, and the peer's writer, which sends in
+// order. A bound would buy nothing: every frame it can hold is retained by the
+// StoreLog anyway. A status ping waits in a slot of its own, at most one per
+// peer, and overtakes queued frames and completions — never a queued MAssign
+// or MStart — so liveness never waits behind the master's own replay.
+type outbox struct {
+	mu     sync.Mutex
+	cond   sync.Cond // on mu
+	queue  []*Msg    // sent from head on; reused once drained
+	head   int
+	fence  int  // a ping waits until head passes the last queued MAssign or MStart
+	ping   *Msg // the pending status ping
+	hungUp bool // no more pushes: send what is queued, then close
+}
+
+func (o *outbox) push(msg *Msg) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.cond.Signal()
+	if msg.Kind == MPing {
+		o.ping = msg
+		return
+	}
+	o.queue = append(o.queue, msg)
+	if msg.Kind == MAssign || msg.Kind == MStart {
+		o.fence = len(o.queue)
+	}
+}
+
+// hangUp ends the queue; a set last replaces whatever is still queued.
+func (o *outbox) hangUp(last *Msg) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.cond.Signal()
+	if last != nil {
+		o.queue, o.head, o.fence = []*Msg{last}, 0, 0
+	}
+	o.ping, o.hungUp = nil, true
+}
+
+// next waits for the message to send next; nil once hung up and empty.
+func (o *outbox) next() (msg *Msg) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for o.ping == nil && o.head == len(o.queue) && !o.hungUp {
+		o.cond.Wait()
+	}
+	if o.ping != nil && o.head >= o.fence {
+		msg, o.ping = o.ping, nil
+	} else if o.head < len(o.queue) {
+		msg, o.queue[o.head] = o.queue[o.head], nil
+		if o.head++; o.head == len(o.queue) {
+			o.queue, o.head, o.fence = o.queue[:0], 0, 0
+		}
+	}
+	return msg
+}
+
 // handle advances the master by one inbound event: a worker's message is
 // brokered to its subscribers (a store frame is also logged), or folded into
-// the worker's record; a failed receive is the worker's death.
+// the worker's record; a failed receive or send is the worker's death.
 func (m *master) handle(in inbound) error {
 	p := in.from
 	if in.err != nil {
-		// A connection that closes after its report, or after the worker
-		// was declared dead, is the expected end of it.
-		if m.reported(p) {
+		// A connection failing after its report, after its death or after a
+		// standby's release is the expected end of it.
+		if m.reported(p) || p.idx < 0 {
 			return nil
 		}
 		return m.die(p, in.err)
@@ -641,9 +717,7 @@ func (m *master) handle(in inbound) error {
 		}
 		m.mFrames.Inc()
 		m.mFrameBytes.Add(int64(len(msg.Frame)))
-		if err := m.forward(p, m.fieldSubs[msg.Field], msg, nil); err != nil {
-			return err
-		}
+		m.forward(p, m.fieldSubs[msg.Field], msg, nil)
 		if tr := m.cfg.Tracer; tr != nil {
 			// The broker hop of the frame's causal trace: the log
 			// append plus the fan-out to subscribers.
@@ -666,7 +740,7 @@ func (m *master) handle(in inbound) error {
 		}
 		m.doneSeen[d] = true
 		m.doneLog = append(m.doneLog, d)
-		return m.forward(p, m.kernelSubs[msg.Kernel], msg, func(q *peer) bool { return m.produces(q, msg.Kernel, msg.Share) })
+		m.forward(p, m.kernelSubs[msg.Kernel], msg, func(q *peer) bool { return m.produces(q, msg.Kernel, msg.Share) })
 	case MStatus:
 		p.status = *msg
 		p.statusSeen = true
@@ -704,20 +778,13 @@ func (p *peer) observeFlight(msg *Msg) {
 // forward fans one worker's event out to its subscribers, except the sender
 // and those skip names. The envelope is shared, not copied: no transport
 // mutates a message it sends.
-func (m *master) forward(from *peer, subs []*peer, msg *Msg, skip func(*peer) bool) error {
+func (m *master) forward(from *peer, subs []*peer, msg *Msg, skip func(*peer) bool) {
 	for _, p := range subs {
-		if p == from || p.dead || skip != nil && skip(p) {
-			continue
+		if p != from && !p.dead && (skip == nil || !skip(p)) {
+			p.out.push(msg)
+			p.forwarded++
 		}
-		if err := p.conn.Send(msg); err != nil {
-			if derr := m.die(p, err); derr != nil {
-				return derr
-			}
-			continue
-		}
-		p.forwarded++
 	}
-	return nil
 }
 
 func (m *master) reported(p *peer) bool {
@@ -741,7 +808,8 @@ func (m *master) awaitingReports() bool {
 func (m *master) tick(now time.Time) error {
 	// Liveness runs in every phase — including after the stop was sent,
 	// where a worker dying between its last heartbeat and its report would
-	// otherwise hang report collection forever.
+	// otherwise hang report collection forever. Past it every live worker
+	// was heard from within the window: quiescence trusts no stale status.
 	if m.liveTimeout > 0 {
 		for _, p := range m.peers {
 			if p.dead || m.reported(p) {
@@ -767,12 +835,6 @@ func (m *master) tick(now time.Time) error {
 		if !p.statusSeen || !p.status.Idle || p.status.Received != p.forwarded {
 			quiet = false
 		}
-		// A stale heartbeat must not count toward quiescence: the worker
-		// has to have been heard from within the liveness window, or its
-		// Idle claim describes a world that may no longer exist.
-		if m.liveTimeout > 0 && now.Sub(p.lastHeard) > m.liveTimeout {
-			quiet = false
-		}
 		total += p.status.Sent + p.status.Received
 	}
 	if quiet && total == m.lastTotal {
@@ -782,17 +844,13 @@ func (m *master) tick(now time.Time) error {
 	}
 	m.lastTotal = total
 	if m.stableRounds >= 2 {
-		return m.requestStop()
+		m.requestStop()
+		return nil
 	}
 	for _, p := range m.peers {
-		if p.dead {
-			continue
-		}
-		p.statusSeen = false
-		if err := p.conn.Send(&Msg{Kind: MPing, WantMetrics: m.cfg.View != nil, SentNs: time.Now().UnixNano()}); err != nil {
-			if derr := m.die(p, err); derr != nil {
-				return derr
-			}
+		if !p.dead {
+			p.statusSeen = false
+			p.out.push(&Msg{Kind: MPing, WantMetrics: m.cfg.View != nil, SentNs: now.UnixNano()})
 		}
 	}
 	return nil
@@ -801,7 +859,7 @@ func (m *master) tick(now time.Time) error {
 // requestStop ends a quiescent run: every live worker is asked for its span
 // buffer (with a Tracer) and then to stop, and the standbys that were never
 // needed are released.
-func (m *master) requestStop() error {
+func (m *master) requestStop() {
 	m.stopSent = true
 	for _, p := range m.peers {
 		if p.dead {
@@ -810,38 +868,29 @@ func (m *master) requestStop() error {
 		// Span buffers are pulled before the stop: per-connection FIFO
 		// ordering guarantees each MTrace reply arrives before its MReport,
 		// so report collection still terminates the loop.
-		var err error
 		if m.cfg.Tracer != nil {
-			err = p.conn.Send(&Msg{Kind: MTraceReq})
+			p.out.push(&Msg{Kind: MTraceReq})
 		}
-		if err == nil {
-			err = p.conn.Send(&Msg{Kind: MStopReq})
-		}
-		if err != nil {
-			if derr := m.die(p, err); derr != nil {
-				return derr
-			}
-		}
+		p.out.push(&Msg{Kind: MStopReq})
 	}
 	for _, sb := range m.standbys {
-		sb.conn.Send(&Msg{Kind: MStopReq})
-		sb.conn.Close()
+		sb.out.hangUp(&Msg{Kind: MStopReq})
 	}
 	m.standbys = nil
-	return nil
 }
 
-// die declares a worker dead. Without failover it returns the error that
-// fails the run (named after the worker); with failover it recovers — unless
-// quiescence was already reached, in which case all data is safe in the log
-// and only the worker's report is lost.
+// die declares a worker dead, for a failed connection (handle) or silence
+// (tick). Without failover it returns the error that fails the run (named
+// after the worker); with failover it recovers — a death during a recovery
+// included — unless quiescence was already reached, in which case all data is
+// safe in the log and only the worker's report is lost.
 func (m *master) die(p *peer, cause error) error {
 	if p.dead {
 		return nil
 	}
 	p.dead = true
 	m.deadIDs = append(m.deadIDs, p.id)
-	p.conn.Close()
+	p.conn.Close() // fails the writer's send, blocked or next
 	m.mDeaths.Inc()
 	m.cfg.View.workerDead(p.idx)
 	if !m.cfg.Failover {
@@ -865,7 +914,6 @@ func (m *master) recover(dead *peer) error {
 		return nil
 	}
 	m.mFailovers.Inc()
-	failFrom := m.cfg.Tracer.Now()
 	var targets []*peer
 	if len(m.standbys) > 0 {
 		sb := m.standbys[0]
@@ -895,29 +943,9 @@ func (m *master) recover(dead *peer) error {
 	}
 	m.subscribe()
 	m.cfg.View.setAssignment(m.kernelNode, m.shareMap(), m.cfg.Method.String())
-	if err := m.assign(targets); err != nil {
-		return err
-	}
+	m.assign(targets)
 	for _, t := range targets {
-		if err := m.replay(t); err != nil {
-			return err
-		}
-	}
-	// Rebuilding and replaying a long log can outlast the liveness
-	// window, and the loop was not reading while it ran: the silence is the
-	// master's, not the workers'. Restart every live worker's clock so one
-	// recovery does not cascade into false deaths.
-	refreshed := time.Now()
-	for _, p := range m.peers {
-		if !p.dead {
-			p.lastHeard = refreshed
-		}
-	}
-	if tr := m.cfg.Tracer; tr != nil {
-		tr.Record(obs.Span{
-			Name: "failover " + dead.id, Cat: "dist", Ph: obs.PhaseComplete,
-			TS: failFrom, Dur: tr.Now() - failFrom,
-		})
+		m.replay(t)
 	}
 	// The cluster must restabilize from scratch: the rebuilt workers
 	// re-execute their kernels before quiescence means anything.
@@ -926,56 +954,28 @@ func (m *master) recover(dead *peer) error {
 	return nil
 }
 
-// replay re-sends a rebuilt worker the message stream it would have received
-// from the start of the run: the logged store frames of every field it
-// consumes, in arrival order, then every remote producer completion it
+// replay queues for a rebuilt worker the message stream it would have
+// received from the start of the run: the logged store frames of every field
+// it consumes, in arrival order, then every remote producer completion it
 // subscribes to, in original order. Stores strictly before dones — a done
 // marks its generations complete, and merge mode silently drops stores into
 // completed generations.
-func (m *master) replay(t *peer) error {
+func (m *master) replay(t *peer) {
 	for _, fd := range m.cfg.Prog.Fields {
 		if !t.consumes[fd.Name] {
 			continue
 		}
 		for _, lf := range m.log.frames[fd.Name] {
-			from := m.cfg.Tracer.Now()
-			if err := t.conn.Send(&Msg{Kind: MStoreFrame, Field: fd.Name, Age: lf.age, Frame: lf.frame, SentNs: time.Now().UnixNano()}); err != nil {
-				return fmt.Errorf("dist: replaying %s(%d) to %s: %w", fd.Name, lf.age, t.id, err)
-			}
+			t.out.push(&Msg{Kind: MStoreFrame, Field: fd.Name, Age: lf.age, Frame: lf.frame})
 			t.forwarded++
 			m.replayed++
 			m.mReplayed.Inc()
-			if tr := m.cfg.Tracer; tr != nil {
-				tr.Record(obs.Span{
-					Name: "replay " + fd.Name, Cat: "dist", Ph: obs.PhaseComplete,
-					TS: from, Dur: tr.Now() - from, Age: lf.age,
-				})
-			}
-			// Keep the readers moving while replay hogs the loop.
-			m.drain()
 		}
 	}
 	for _, d := range m.doneLog {
-		if m.produces(t, d.kernel, d.share) || !slices.Contains(m.kernelSubs[d.kernel], t) {
-			continue
-		}
-		if err := t.conn.Send(&Msg{Kind: MDone, Kernel: d.kernel, Age: d.age, Share: d.share, SentNs: time.Now().UnixNano()}); err != nil {
-			return fmt.Errorf("dist: replaying completion %s(%d) to %s: %w", d.kernel, d.age, t.id, err)
-		}
-		t.forwarded++
-	}
-	return nil
-}
-
-// drain moves what the readers have queued into the backlog, without
-// blocking.
-func (m *master) drain() {
-	for {
-		select {
-		case in := <-m.inbox:
-			m.backlog = append(m.backlog, in)
-		default:
-			return
+		if !m.produces(t, d.kernel, d.share) && slices.Contains(m.kernelSubs[d.kernel], t) {
+			t.out.push(&Msg{Kind: MDone, Kernel: d.kernel, Age: d.age, Share: d.share})
+			t.forwarded++
 		}
 	}
 }
@@ -993,18 +993,31 @@ func (m *master) shutdown(err error) error {
 	if m.running {
 		bye = &Msg{Kind: MStopReq}
 	}
-	for _, c := range m.conns {
-		c.Send(bye)
-		c.Close()
-	}
+	m.hangUp(bye)
 	return err
+}
+
+// hangUp ends every connection once the loop is over: each writer sends what
+// is queued — only last, when set — and closes the connection, ending its
+// reader too. Connections still open a heartbeat later, to peers that stopped
+// reading, are closed under their writers.
+func (m *master) hangUp(last *Msg) {
+	for _, p := range m.nodes {
+		p.out.hangUp(last)
+	}
+	close(m.stop)
+	release := time.AfterFunc(m.cfg.Heartbeat, func() {
+		for _, p := range m.nodes {
+			p.conn.Close()
+		}
+	})
+	defer release.Stop()
+	m.gone.Wait()
 }
 
 // finish closes a completed run and assembles its result.
 func (m *master) finish() *MasterResult {
-	for _, c := range m.conns {
-		c.Close()
-	}
+	m.hangUp(nil)
 	m.cfg.View.setPhase("done")
 	clockOffsets := map[string]int64{}
 	if m.observed {

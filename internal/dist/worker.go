@@ -36,10 +36,9 @@ type WorkerConfig struct {
 	BoundsFactory func(spec string) map[string]int
 	// Output receives kernel Printf output.
 	Output io.Writer
-	// MaxAge and Granularity mirror the runtime options.
+	// MaxAge and KernelMaxAge mirror the runtime options.
 	MaxAge       int
 	KernelMaxAge map[string]int
-	Granularity  map[string]int
 
 	// Standby registers this worker as a hot spare: it sends MJoin instead
 	// of MRegister, receives no initial partition, and waits (answering
@@ -409,7 +408,6 @@ func (w *worker) build(assign *Msg) error {
 		Workers:       w.cfg.Cores,
 		MaxAge:        w.cfg.MaxAge,
 		KernelMaxAge:  w.cfg.KernelMaxAge,
-		Granularity:   w.cfg.Granularity,
 		Output:        w.cfg.Output,
 		RemoteKernels: remote,
 		Shares:        shares,

@@ -163,6 +163,7 @@ func newAnalyzer(n *Node) *analyzer {
 		an.hAnalyze = newHistBase(n.reg.Histogram(obs.MStageAnalyzeNs))
 	}
 	an.slicer = slicer{n: n, push: an.pushSlices}
+	an.pending.Store(1) // the bootstrap, released at its end
 	return an
 }
 
@@ -189,10 +190,9 @@ func (an *analyzer) run() {
 }
 
 // bootstrap creates the trackers that exist before any event: run-once
-// kernels and age 0 of source kernels. It counts as one unit of pending work,
-// so Idle cannot read a node as quiescent before the first instances are.
+// kernels and age 0 of source kernels. It is one unit of pending work from the
+// node's construction on, so Idle cannot read an unstarted node as quiescent.
 func (an *analyzer) bootstrap() {
-	an.pending.Add(1)
 	for _, ks := range an.n.order {
 		if ks.remote {
 			continue
