@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build examples test race norace layers retired loc vet fmt-check ci test-fault fuzz-lang fuzz-wire bench-smoke bench bench-full clean
+.PHONY: all build examples test race norace layers retired loc placement vet fmt-check ci test-fault fuzz-lang fuzz-wire bench-smoke bench bench-full clean
 
 all: build
 
@@ -38,6 +38,12 @@ retired:
 # loc prints the size of the system: lines of non-test Go outside bench/.
 loc:
 	@scripts/loc.sh
+
+# placement prints where the benchmark ledger's binary (.bench_build/p2g-bench,
+# built by bash bench/run.sh) put the functions whose alignment moves ledger
+# numbers, and each address mod 64: compare two builds only when they agree.
+placement:
+	@scripts/placement.sh
 
 vet:
 	$(GO) vet ./...

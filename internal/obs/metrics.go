@@ -123,6 +123,16 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNs.Add(d.Nanoseconds())
 }
 
+// ObserveN records the same duration n times. Safe on a nil receiver.
+func (h *Histogram) ObserveN(d time.Duration, n int64) {
+	if h == nil {
+		return
+	}
+	h.buckets[bucketOf(d)].Add(n)
+	h.count.Add(n)
+	h.sumNs.Add(n * d.Nanoseconds())
+}
+
 // HistogramBatch gathers observations in plain memory, for one goroutine,
 // and adds them to histograms with a few atomic operations per Flush instead
 // of three per observation. The runtime's workers use one per stage and slice

@@ -137,6 +137,16 @@ type analyzer struct {
 	maxBacklog int
 	busyNs     int64
 
+	// free holds unused instStates for per-instance trackers: newInst takes
+	// them, refill adds fresh blocks of them, and completed trackers return
+	// theirs (maybeTrackerDone) — except while tracing, since recorded spans
+	// alias an instance's coordinates.
+	free []*instState
+	// spare holds the run lists of completed range trackers for new ones, so
+	// that steady state allocates none (a split kernel has a run per owned
+	// share granule, dozens per age).
+	spare [][]cellRun
+
 	// Scratch buffers, so satisfaction checks never allocate.
 	idxBuf    []int
 	elemBuf   [4]int
@@ -347,7 +357,7 @@ func (an *analyzer) ensureTracker(ks *kernelState, age int) (*ageTracker, bool) 
 	if ks.remote || ks.decl.Source() || (ks.decl.RunOnce() && age != 0) {
 		return nil, false
 	}
-	t := ks.newTracker(age)
+	t := an.newTracker(ks, age)
 	t.extents = make([]int, len(ks.binds))
 	bindDone := 0
 	for i, b := range ks.binds {
@@ -375,9 +385,37 @@ func (an *analyzer) sourceTracker(ks *kernelState, age int) {
 	if age > an.n.opts.MaxAge || age > an.n.kernelMaxAge(ks) || ks.ages[age] != nil {
 		return
 	}
-	t := ks.newTracker(age)
+	t := an.newTracker(ks, age)
 	t.domainFinal = true
 	an.createSingle(t)
+}
+
+// newTracker registers an empty tracker for (ks, age). A range tracker's mask
+// starts as its creation scan: the fetches whose generations are complete.
+func (an *analyzer) newTracker(ks *kernelState, age int) *ageTracker {
+	t := &ageTracker{ks: ks, age: age}
+	if ks.needsInstMap {
+		t.inst = make(map[int64]*instState)
+	} else {
+		t.mask, _ = an.burstMask(t)
+		t.waiting, t.runs = an.runList(), an.runList()
+	}
+	if ks.ages == nil {
+		ks.ages = make(map[int]*ageTracker)
+	}
+	ks.ages[age] = t
+	return t
+}
+
+// runList returns a spare run list, or nil when there is none.
+func (an *analyzer) runList() []cellRun {
+	k := len(an.spare)
+	if k == 0 {
+		return nil
+	}
+	l := an.spare[k-1]
+	an.spare = an.spare[:k-1]
+	return l
 }
 
 // burstMask hoists the per-creation-burst part of initial satisfaction: the
@@ -399,54 +437,121 @@ func (an *analyzer) burstMask(t *ageTracker) (mask0 uint32, elems bool) {
 	return mask0, elems
 }
 
+// createSingle creates the one instance of a kernel without index variables.
 func (an *analyzer) createSingle(t *ageTracker) {
+	if !t.ks.needsInstMap {
+		an.addRun(t, cellRun{hi: 1})
+		return
+	}
 	mask0, elems := an.burstMask(t)
 	an.newInst(t, nil, mask0, elems)
 }
 
+// createInstances creates the instances in box(to) but not in box(from) that
+// run here, walking the new cells as boxes (newBoxes) cut at share granules:
+// a range tracker takes each box as a run, a per-instance tracker gets one
+// instState per cell.
 func (an *analyzer) createInstances(t *ageTracker, from, to []int) {
-	mask0, elems := an.burstMask(t)
-	// Presize the tracker's instance lists for the whole burst: the new-cell
-	// count is known up front, and growing element-by-element through append
-	// is a measurable share of the analyzer's allocations.
-	if add := boxCells(to) - boxCells(from); add > 0 {
-		if t.inst == nil && cap(t.all)-len(t.all) < add {
-			grown := make([]*instState, len(t.all), len(t.all)+add)
-			copy(grown, t.all)
-			t.all = grown
-		}
-		if cap(t.ready)-len(t.ready) < add {
+	ks := t.ks
+	var mask0 uint32
+	var elems bool
+	if ks.needsInstMap {
+		mask0, elems = an.burstMask(t)
+		// Presize the ready list and the free list for the whole burst:
+		// growing them element-by-element is a measurable share of the
+		// analyzer's allocations.
+		add := boxCells(to) - boxCells(from)
+		if add > 0 && cap(t.ready)-len(t.ready) < add {
 			grown := make([]*instState, len(t.ready), len(t.ready)+add)
 			copy(grown, t.ready)
 			t.ready = grown
 		}
-	}
-	newCells(from, to, func(c []int) {
-		if t.ks.owns(c[0]) {
-			an.newInst(t, c, mask0, elems)
+		if need := add - len(an.free); need > 0 {
+			an.refill(need, len(to))
 		}
+	}
+	newBoxes(from, to, func(org, ext [maxRank]int) {
+		ks.ownedRuns(org[0], org[0]+ext[0], func(lo, hi int) {
+			r := cellRun{org: org, ext: ext, rank: len(to)}
+			r.org[0], r.ext[0] = lo, hi-lo
+			r.hi = boxCells(r.ext[:r.rank])
+			if !ks.needsInstMap {
+				an.addRun(t, r)
+				return
+			}
+			var buf [maxRank]int
+			for i := 0; i < r.hi; i++ {
+				an.newInst(t, r.coords(i, buf[:]), mask0, elems)
+			}
+		})
 	})
+}
+
+// addRun registers a run of new cells with a range tracker: ready at once when
+// the tracker's mask is full, waiting for the mask to fill otherwise.
+func (an *analyzer) addRun(t *ageTracker, r cellRun) {
+	k := r.len()
+	t.total += k
+	if t.mask != t.ks.fullMask {
+		t.waiting = extend(t.waiting, 0, r)
+		if an.n.stamp {
+			t.stamps = append(t.stamps, burstStamp{an.n.nowNs(), k})
+		}
+		return
+	}
+	if an.n.stamp {
+		r.readyNs = an.n.nowNs()
+		t.ks.stageReady.ObserveN(0, k)
+	}
+	t.runs = extend(t.runs, t.rhead, r)
+	t.queued += k
+	an.readied += int64(k) // see markReady
+	an.slicer.added(t)
+}
+
+// satisfyRange records that one fetch of every instance of a range tracker is
+// satisfied; the fetch that fills the mask readies every waiting cell at once.
+func (an *analyzer) satisfyRange(t *ageTracker, bit uint32) {
+	if t.mask&bit != 0 {
+		return
+	}
+	t.mask |= bit
+	if t.mask != t.ks.fullMask {
+		return
+	}
+	if an.n.stamp {
+		now := an.n.nowNs()
+		for _, st := range t.stamps {
+			t.ks.stageReady.ObserveN(time.Duration(now-st.createdNs), st.cells)
+		}
+		t.stamps = t.stamps[:0]
+		for i := range t.waiting {
+			t.waiting[i].readyNs = now
+		}
+	}
+	// Nothing was ready while the mask was not full: the waiting runs
+	// become the ready ones.
+	t.runs, t.waiting, t.rhead = t.waiting, t.runs[:0], 0
+	k := cellsOf(t.runs)
+	t.queued += k
+	an.readied += int64(k)
+	an.slicer.added(t)
 }
 
 // newInst registers one instance with the burst's hoisted whole/slab mask and
 // checks its element fetches against current field contents.
 func (an *analyzer) newInst(t *ageTracker, coords []int, mask0 uint32, elems bool) {
-	var is *instState
-	if an.n.tracer == nil {
-		is = instPool.Get().(*instState)
-		is.coords = append(is.coords[:0], coords...)
-		is.mask, is.st, is.readyNs, is.createdNs = mask0, instWaiting, 0, 0
-	} else {
-		is = &instState{coords: append([]int(nil), coords...), mask: mask0}
+	if len(an.free) == 0 {
+		an.refill(instBlock, len(coords))
 	}
+	is := an.free[len(an.free)-1]
+	an.free = an.free[:len(an.free)-1]
+	is.coords = append(is.coords[:0], coords...)
+	is.mask, is.st, is.readyNs, is.createdNs = mask0, instWaiting, 0, 0
 	if an.n.stamp {
 		is.createdNs = an.n.nowNs()
 	}
-	if t.inst != nil {
-		t.inst[coordKey(coords)] = is
-	} else {
-		t.all = append(t.all, is)
-	}
+	t.inst[coordKey(coords)] = is
 	t.total++
 	ks := t.ks
 	if elems {
@@ -468,6 +573,22 @@ func (an *analyzer) newInst(t *ageTracker, coords []int, mask0 uint32, elems boo
 	}
 	if is.mask == ks.fullMask {
 		an.markReady(t, is)
+	}
+}
+
+// instBlock is the least number of instStates refill makes at once.
+const instBlock = 32
+
+// refill adds a block of at least k fresh instStates to the free list, each
+// with room for rank coordinates: two allocations per block instead of two
+// per instance.
+func (an *analyzer) refill(k, rank int) {
+	k = max(k, instBlock)
+	block := make([]instState, k)
+	coords := make([]int, k*rank)
+	for i := range block {
+		block[i].coords = coords[i*rank : i*rank : (i+1)*rank]
+		an.free = append(an.free, &block[i])
 	}
 }
 
@@ -536,8 +657,12 @@ func (an *analyzer) updateGauges() {
 // kernel-age may be complete. The quiescence decrement — one for the whole
 // slice — comes last, after everything the completion spawns is counted.
 func (an *analyzer) handleDone(ev *event) {
+	probe := ev.b.probe
 	t, k := an.n.retireSlice(ev.b)
 	ks := t.ks
+	if probe {
+		an.slicer.probed(ks)
+	}
 	if ks.decl.Source() {
 		if ev.stopped || ev.stores == 0 {
 			ks.sourceStopped = true
@@ -560,13 +685,16 @@ func (an *analyzer) maybeTrackerDone(t *ageTracker) {
 		// worker or batch will read them again). With tracing on they must
 		// survive — recorded spans alias their coords.
 		for _, is := range t.inst {
-			instPool.Put(is)
-		}
-		for _, is := range t.all {
-			instPool.Put(is)
+			an.free = append(an.free, is)
 		}
 	}
-	t.inst, t.all, t.ready, t.head = nil, nil, nil, 0
+	for _, l := range [2][]cellRun{t.waiting, t.runs} {
+		if cap(l) > 0 {
+			an.spare = append(an.spare, l[:0])
+		}
+	}
+	t.inst, t.ready, t.head = nil, nil, 0
+	t.waiting, t.runs, t.rhead, t.stamps = nil, nil, 0, nil
 	an.onTrackerComplete(t)
 }
 
@@ -757,10 +885,11 @@ func (an *analyzer) onFieldComplete(fs *fieldState, g int) {
 			if t.completed {
 				return
 			}
-			for _, is := range t.inst {
-				an.setBit(t, is, ce.fetchBit)
+			if !t.ks.needsInstMap {
+				an.satisfyRange(t, ce.fetchBit)
+				return
 			}
-			for _, is := range t.all {
+			for _, is := range t.inst {
 				an.setBit(t, is, ce.fetchBit)
 			}
 		})
@@ -820,7 +949,10 @@ func (an *analyzer) retire(fs *fieldState, g int) {
 	}
 }
 
-// stalled describes every kernel-age that never completed.
+// stalled describes every kernel-age that never completed: its instance
+// counts, the fetches it still waits for, and — per instance for a
+// per-instance tracker, as ranges for a range tracker — what was created,
+// readied and carved.
 func (an *analyzer) stalled() []string {
 	var out []string
 	for _, ks := range an.n.order {
@@ -830,17 +962,40 @@ func (an *analyzer) stalled() []string {
 			}
 			var b strings.Builder
 			fmt.Fprintf(&b, "%s(age=%d): %d/%d instances done, domainFinal=%v", ks.decl.Name, age, t.done, t.total, t.domainFinal)
+			missing := ^t.mask
+			if ks.needsInstMap {
+				missing = 0
+				for _, is := range t.inst {
+					if is.st == instWaiting {
+						missing |= ^is.mask
+					}
+				}
+			}
+			for i := range ks.decl.Fetches {
+				if missing&(1<<uint(i)) != 0 {
+					fmt.Fprintf(&b, "; missing %s", strings.TrimSuffix(ks.decl.Fetches[i].String(), ";"))
+				}
+			}
+			if !ks.needsInstMap {
+				fmt.Fprintf(&b, "; waiting %v, ready %v, carved %d", t.waiting, t.runs[t.rhead:], t.total-t.queued-cellsOf(t.waiting))
+			}
 			for _, is := range t.inst {
 				fmt.Fprintf(&b, " inst%v mask=%b st=%d", is.coords, is.mask, is.st)
-			}
-			for _, is := range t.all {
-				fmt.Fprintf(&b, " all%v mask=%b st=%d", is.coords, is.mask, is.st)
 			}
 			out = append(out, b.String())
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// cellsOf counts the cells of a run list.
+func cellsOf(runs []cellRun) int {
+	k := 0
+	for i := range runs {
+		k += runs[i].len()
+	}
+	return k
 }
 
 func varIndex(vars []string, name string) int {

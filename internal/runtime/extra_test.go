@@ -12,68 +12,99 @@ import (
 
 // TestOuterProductDomain exercises instances whose index variables are bound
 // by *different* fields: one store event satisfies a whole stripe of
-// instances (the analyzer's unconstrained-variable enumeration).
+// instances (the analyzer's unconstrained-variable enumeration). With rows,
+// the factors are rank-2 fields of one-value rows that indexed kernels store
+// row by row, in whatever order their slices finish, and mul fetches [x][*]
+// and [y][*]: a range tracker whose two-dimensional domain grows in both
+// dimensions before its generations complete.
 func TestOuterProductDomain(t *testing.T) {
-	b := core.NewBuilder("outer")
-	b.Field("rows", field.Int32, 1, true)
-	b.Field("cols", field.Int32, 1, true)
-	b.Field("prod", field.Int32, 2, true)
-
-	b.Kernel("mkrows").
-		Local("r", field.Int32, 1).
-		StoreAll("rows", core.AgeAt(0), "r").
-		Body(func(c *core.Ctx) error {
-			for i := 0; i < 3; i++ {
-				c.Array("r").Put(field.Int32Val(int32(i+1)), i)
+	for _, rows := range []bool{false, true} {
+		b := core.NewBuilder("outer")
+		b.Field("prod", field.Int32, 2, true)
+		// factor declares field name, holding (i+1)*scale at i < n, and the
+		// fetch of its element x into local.
+		var fetches []func(kb *core.KernelBuilder)
+		factor := func(name string, n, scale int, local, x string) {
+			if !rows {
+				b.Field(name, field.Int32, 1, true)
+				b.Kernel("mk"+name).
+					Local("r", field.Int32, 1).
+					StoreAll(name, core.AgeAt(0), "r").
+					Body(func(c *core.Ctx) error {
+						for i := 0; i < n; i++ {
+							c.Array("r").Put(field.Int32Val(int32(scale*(i+1))), i)
+						}
+						return nil
+					})
+				fetches = append(fetches, func(kb *core.KernelBuilder) {
+					kb.Local(local, field.Int32, 0).Fetch(local, name, core.AgeAt(0), core.Idx(x))
+				})
+				return
 			}
-			return nil
-		})
-	b.Kernel("mkcols").
-		Local("r", field.Int32, 1).
-		StoreAll("cols", core.AgeAt(0), "r").
-		Body(func(c *core.Ctx) error {
-			for i := 0; i < 4; i++ {
-				c.Array("r").Put(field.Int32Val(int32(10*(i+1))), i)
-			}
-			return nil
-		})
-	b.Kernel("mul").Index("x", "y").
-		Local("a", field.Int32, 0).
-		Local("b", field.Int32, 0).
-		Local("p", field.Int32, 0).
-		Fetch("a", "rows", core.AgeAt(0), core.Idx("x")).
-		Fetch("b", "cols", core.AgeAt(0), core.Idx("y")).
-		Store("prod", core.AgeAt(0), []core.IndexSpec{core.Idx("x"), core.Idx("y")}, "p").
-		Body(func(c *core.Ctx) error {
-			c.SetInt32("p", c.Int32("a")*c.Int32("b"))
-			return nil
-		})
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewNode(p, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := n.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Kernel("mul").Instances; got != 12 {
-		t.Fatalf("mul instances = %d, want 12 (3x4 outer product)", got)
-	}
-	s, _ := n.Snapshot("prod", 0)
-	for x := 0; x < 3; x++ {
-		for y := 0; y < 4; y++ {
-			want := int32((x + 1) * 10 * (y + 1))
-			if got := s.At(x, y).Int32(); got != want {
-				t.Errorf("prod[%d][%d] = %d, want %d", x, y, got, want)
+			b.Field(name, field.Int32, 2, true)
+			b.Field(name+"n", field.Int32, 1, true)
+			b.Kernel("mk"+name+"n").
+				Local("r", field.Int32, 1).
+				StoreAll(name+"n", core.AgeAt(0), "r").
+				Body(func(c *core.Ctx) error { c.Array("r").Grow(n); return nil })
+			b.Kernel("mk"+name).Index("i").
+				Local("v", field.Int32, 0).
+				Local("row", field.Int32, 1).
+				Fetch("v", name+"n", core.AgeAt(0), core.Idx("i")).
+				Store(name, core.AgeAt(0), []core.IndexSpec{core.Idx("i"), core.All()}, "row").
+				Body(func(c *core.Ctx) error {
+					c.Array("row").Put(field.Int32Val(int32(scale*(c.Index("i")+1))), 0)
+					return nil
+				})
+			fetches = append(fetches, func(kb *core.KernelBuilder) {
+				kb.Local(local+"row", field.Int32, 1).Fetch(local+"row", name, core.AgeAt(0), core.Idx(x), core.All())
+			})
+		}
+		factor("rows", 3, 1, "a", "x")
+		factor("cols", 4, 10, "b", "y")
+		mul := b.Kernel("mul").Index("x", "y").Local("p", field.Int32, 0)
+		for _, f := range fetches {
+			f(mul)
+		}
+		mul.Store("prod", core.AgeAt(0), []core.IndexSpec{core.Idx("x"), core.Idx("y")}, "p").
+			Body(func(c *core.Ctx) error {
+				if rows {
+					c.SetInt32("p", c.Array("arow").At(0).Int32()*c.Array("brow").At(0).Int32())
+				} else {
+					c.SetInt32("p", c.Int32("a")*c.Int32("b"))
+				}
+				return nil
+			})
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := NewNode(p, Options{Workers: 4, Granularity: map[string]int{"mkrows": 1, "mkcols": 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ranged := !n.kernels["mul"].needsInstMap; ranged != rows {
+			t.Fatalf("rows %v: mul has a range tracker: %v", rows, ranged)
+		}
+		rep, err := n.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Kernel("mul").Instances; got != 12 {
+			t.Fatalf("rows %v: mul instances = %d, want 12 (3x4 outer product)", rows, got)
+		}
+		s, _ := n.Snapshot("prod", 0)
+		for x := 0; x < 3; x++ {
+			for y := 0; y < 4; y++ {
+				want := int32((x + 1) * 10 * (y + 1))
+				if got := s.At(x, y).Int32(); got != want {
+					t.Errorf("rows %v: prod[%d][%d] = %d, want %d", rows, x, y, got, want)
+				}
 			}
 		}
-	}
-	if len(rep.Stalled) != 0 {
-		t.Errorf("stalled: %v", rep.Stalled)
+		if len(rep.Stalled) != 0 {
+			t.Errorf("rows %v: stalled: %v", rows, rep.Stalled)
+		}
 	}
 }
 

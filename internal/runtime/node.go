@@ -316,6 +316,9 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		if len(kd.Fetches) > 32 {
 			return nil, fmt.Errorf("p2g: kernel %q has %d fetches; the runtime supports at most 32", kd.Name, len(kd.Fetches))
 		}
+		if len(kd.IndexVars) > maxRank {
+			return nil, fmt.Errorf("p2g: kernel %q has %d index variables; the runtime supports at most %d", kd.Name, len(kd.IndexVars), maxRank)
+		}
 		ks.fullMask = uint32(1)<<uint(len(kd.Fetches)) - 1
 		ks.idx = len(n.order)
 		n.kernels[kd.Name] = ks
@@ -433,6 +436,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		ks.frames = &sync.Pool{New: func() any {
 			return &execFrame{
 				ctx:    core.NewReusableCtx(kd, n.timers, n.out),
+				coords: make([]int, len(kd.IndexVars)),
 				idx:    make([]int, nIdx),
 				sel:    make([]field.SlabDim, nSel),
 				pins:   make([]viewPin, len(kd.Fetches)),
@@ -456,13 +460,16 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 }
 
 // execFrame is the reusable per-slice state a worker checks out of a kernel's
-// frame pool: the instance context plus coordinate and slab-selector scratch
-// sized for the kernel's largest index expressions, and the two per-slice
-// hoists — one generation pin per fetch and one staging list per store.
+// frame pool: the instance context, the instance coordinates of a range
+// slice (one row of them per instance in lockstep), coordinate and
+// slab-selector scratch sized for the kernel's largest index expressions,
+// and the two per-slice hoists — one generation pin per fetch and one
+// staging list per store.
 type execFrame struct {
-	ctx *core.Ctx
-	idx []int
-	sel []field.SlabDim
+	ctx    *core.Ctx
+	coords []int
+	idx    []int
+	sel    []field.SlabDim
 	// pins holds, per fetch plan, the pin on the fetched generation taken at
 	// the start of the slice; every instance aliases its view out of it. Pins
 	// are released after the slice's stores, when nothing can read the
@@ -866,13 +873,16 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 		// rule its first sample from a kernel's very first slice.
 		timed = w.tick&(timeSampleEvery-1) == 0 || ks.costNs.Load() == 0
 	}
+	// The frame is checked out before the clock starts: building a worker's
+	// first frame of a kernel is a one-off that would inflate the kernel's
+	// first cost sample, which sizes the rest of its first burst.
+	fr := w.frame(ks)
+	ctx := fr.ctx
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
 
-	fr := w.frame(ks)
-	ctx := fr.ctx
 	for i := range ks.fetchPlans {
 		fp := &ks.fetchPlans[i]
 		if fp.viewable {
@@ -887,49 +897,50 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 	// the slice, so the batched stores count as its store time: every
 	// nanosecond of the slice lands in some instance's stage.
 	cur := instStamps{start: start}
-	var last *instState // ran, not yet observed
+	// coords and readyNs are the instance in flight; observe marks one that
+	// ran and has not been observed yet.
+	var coords []int
+	var readyNs int64
+	observe := false
 	var bodyNs time.Duration
 	ran, stores := 0, 0
 	stopped := false
 	locked, rows := false, 1
-	if kd.SliceBody != nil && len(b.insts) >= max(minLockstepInsts, kd.SliceMin) {
-		rows = len(b.insts)
+	if k := b.len(); kd.SliceBody != nil && k >= max(minLockstepInsts, kd.SliceMin) {
+		rows = k
 		locked, ran, stores, stopped = n.lockstep(t, b, fr, w, timed, &cur)
 	}
-	if !locked {
-		for _, is := range b.insts {
-			if last != nil {
-				cur.end = time.Now()
-				n.observeInst(t, last, w, cur)
-				cur.start, last = cur.end, nil
-			}
-			ctx.Reset(t.age, is.coords)
-			if !n.fetchInst(t, is, fr, true) {
-				break
-			}
-			if timed {
-				cur.body = time.Now()
-			}
-			err := n.runBody(kd, ctx)
-			if timed {
-				cur.bodyEnd = time.Now()
-				bodyNs += cur.bodyEnd.Sub(cur.body)
-			}
-			ran++
-			if w.timeAll {
-				last = is
-			}
-			if err != nil {
-				n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", kd.Name, t.age, err))
-				break
-			}
-			st, ok := n.storeInst(t, is, fr, w)
-			stores += st
-			if !ok {
-				break
-			}
-			stopped = stopped || ctx.Stopped()
+	for i, k := 0, b.len(); !locked && i < k; i++ {
+		if observe {
+			cur.end = time.Now()
+			n.observeInst(t, coords, readyNs, w, cur)
+			cur.start, observe = cur.end, false
 		}
+		coords, readyNs = b.inst(i, fr.coords)
+		ctx.Reset(t.age, coords)
+		if !n.fetchInst(t, coords, fr, true) {
+			break
+		}
+		if timed {
+			cur.body = time.Now()
+		}
+		err := n.runBody(kd, ctx)
+		if timed {
+			cur.bodyEnd = time.Now()
+			bodyNs += cur.bodyEnd.Sub(cur.body)
+		}
+		ran++
+		observe = w.timeAll
+		if err != nil {
+			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", kd.Name, t.age, err))
+			break
+		}
+		st, ok := n.storeInst(t, coords, fr, w)
+		stores += st
+		if !ok {
+			break
+		}
+		stopped = stopped || ctx.Stopped()
 	}
 	stores += n.flushStaged(t, fr, w)
 	ks.instances.Add(int64(ran))
@@ -941,15 +952,15 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 		if locked {
 			bodyNs = cur.bodyEnd.Sub(cur.body)
 			if w.timeAll {
-				n.observeLockstep(t, b.insts[:ran], w, cur)
+				n.observeLockstep(t, b, fr.coords, ran, w, cur)
 			}
 		}
 		ks.timedInsts.Add(int64(ran))
 		ks.observeCost(cur.end.Sub(start), ran)
 		ks.dispatchNs.Add(int64(cur.end.Sub(start) - bodyNs))
 		ks.kernelNs.Add(int64(bodyNs))
-		if last != nil {
-			n.observeInst(t, last, w, cur)
+		if observe {
+			n.observeInst(t, coords, readyNs, w, cur)
 		}
 		if w.timeAll {
 			n.flushStages(ks, w, ran)
@@ -989,35 +1000,41 @@ const minLockstepInsts = 4
 func (n *Node) lockstep(t *ageTracker, b *batch, fr *execFrame, w *workerState, timed bool, cur *instStamps) (done bool, ran, stores int, stopped bool) {
 	ks := t.ks
 	ctx := fr.ctx
+	rows, rank := b.len(), len(ks.decl.IndexVars)
+	if len(fr.coords) < rows*rank {
+		fr.coords = make([]int, rows*rank)
+	}
 	ctx.Reset(t.age, nil)
-	ctx.Rows(len(b.insts))
-	for r, is := range b.insts {
-		ctx.ResetRow(r, t.age, is.coords)
-		if !n.fetchInst(t, is, fr, r == 0) {
+	ctx.Rows(rows)
+	for r := 0; r < rows; r++ {
+		coords, _ := b.inst(r, fr.coords[r*rank:])
+		ctx.ResetRow(r, t.age, coords)
+		if !n.fetchInst(t, coords, fr, r == 0) {
 			return true, 0, 0, false
 		}
 	}
 	if timed {
 		cur.body = time.Now()
 	}
-	ok := n.runSliceBody(ks.decl, ctx, len(b.insts))
+	ok := n.runSliceBody(ks.decl, ctx, rows)
 	if timed {
 		cur.bodyEnd = time.Now()
 	}
 	if !ok {
-		ks.declined.Add(int64(len(b.insts)))
+		ks.declined.Add(int64(rows))
 		return false, 0, 0, false
 	}
-	ks.lockstep.Add(int64(len(b.insts)))
-	for r, is := range b.insts {
+	ks.lockstep.Add(int64(rows))
+	for r := 0; r < rows; r++ {
 		ctx.Row(r)
-		st, ok := n.storeInst(t, is, fr, w)
+		coords, _ := b.inst(r, fr.coords[r*rank:])
+		st, ok := n.storeInst(t, coords, fr, w)
 		stores += st
 		if !ok {
 			break
 		}
 	}
-	return true, len(b.insts), stores, ctx.Stopped()
+	return true, rows, stores, ctx.Stopped()
 }
 
 // runSliceBody calls the kernel's slice body; one that panics has declined.
@@ -1030,19 +1047,22 @@ func (n *Node) runSliceBody(kd *core.KernelDecl, ctx *core.Ctx, rows int) (ok bo
 	return kd.SliceBody(ctx, rows)
 }
 
-// observeLockstep is observeInst for a slice that ran in lockstep, where the
-// stages were not interleaved per instance: the slice's fetch, body and store
-// intervals (at) are apportioned evenly, instance i getting the i-th share of
-// each, so stage totals and per-instance spans still add up to the slice.
-func (n *Node) observeLockstep(t *ageTracker, insts []*instState, w *workerState, at instStamps) {
-	k := time.Duration(len(insts))
+// observeLockstep is observeInst for the first ran instances of a slice that
+// ran in lockstep, where the stages were not interleaved per instance: the
+// slice's fetch, body and store intervals (at) are apportioned evenly,
+// instance i getting the i-th share of each, so stage totals and
+// per-instance spans still add up to the slice. coords holds the rows'
+// coordinates of a range slice.
+func (n *Node) observeLockstep(t *ageTracker, b *batch, coords []int, ran int, w *workerState, at instStamps) {
+	k, rank := time.Duration(ran), len(t.ks.decl.IndexVars)
 	total, fetch, exec := at.end.Sub(at.start)/k, at.body.Sub(at.start)/k, at.bodyEnd.Sub(at.body)/k
-	for i, is := range insts {
+	for i := 0; i < ran; i++ {
 		st := instStamps{start: at.start.Add(time.Duration(i) * total)}
 		st.body = st.start.Add(fetch)
 		st.bodyEnd = st.body.Add(exec)
 		st.end = st.start.Add(total)
-		n.observeInst(t, is, w, st)
+		c, readyNs := b.inst(i, coords[i*rank:])
+		n.observeInst(t, c, readyNs, w, st)
 	}
 }
 
@@ -1052,7 +1072,7 @@ func (n *Node) observeLockstep(t *ageTracker, insts []*instState, w *workerState
 // slice has already filled the context's whole-field fetch arrays, which
 // every row shares. It reports false after failing the run when an element
 // the analyzer saw written is missing.
-func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame, alias bool) bool {
+func (n *Node) fetchInst(t *ageTracker, coords []int, fr *execFrame, alias bool) bool {
 	ks := t.ks
 	ctx := fr.ctx
 	for i := range ks.fetchPlans {
@@ -1062,14 +1082,14 @@ func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame, alias bool
 		case fp.slab != nil:
 			dst := ctx.FetchDestAt(fp.local)
 			if alias || !noneFixed(fp.slab) {
-				sel := evalSel(fr.sel[:len(fp.slab)], fp.slab, is.coords)
+				sel := evalSel(fr.sel[:len(fp.slab)], fp.slab, coords)
 				if pin := &fr.pins[i]; !pin.ok || !pin.tok.Slice(sel, dst) {
 					fp.fs.f.FetchSlice(g, sel, dst)
 				}
 			}
 			ctx.SetLocalValue(fp.local, field.ArrayVal(dst))
 		default:
-			idx := evalTerms(fr.idx[:len(fp.terms)], fp.terms, is.coords)
+			idx := evalTerms(fr.idx[:len(fp.terms)], fp.terms, coords)
 			v, ok := fp.fs.f.At(g, idx...)
 			if !ok {
 				n.fail(fmt.Errorf("p2g: internal error: %s dispatched before %s(%d)%v was written", ks.decl.Name, fp.fe.Field, g, idx))
@@ -1086,7 +1106,7 @@ func (n *Node) fetchInst(t *ageTracker, is *instState, fr *execFrame, alias bool
 // arrays are the context's reusable locals), element stores are staged for
 // flushStaged. It returns the number of slab stores applied and false after
 // failing the run on a store error.
-func (n *Node) storeInst(t *ageTracker, is *instState, fr *execFrame, w *workerState) (int, bool) {
+func (n *Node) storeInst(t *ageTracker, coords []int, fr *execFrame, w *workerState) (int, bool) {
 	ks := t.ks
 	ctx := fr.ctx
 	stores := 0
@@ -1100,12 +1120,12 @@ func (n *Node) storeInst(t *ageTracker, is *instState, fr *execFrame, w *workerS
 			st := &fr.staged[i]
 			n0 := len(st.idx)
 			st.idx = append(st.idx, make([]int, len(sp.terms))...)
-			evalTerms(st.idx[n0:], sp.terms, is.coords)
+			evalTerms(st.idx[n0:], sp.terms, coords)
 			st.vals = append(st.vals, val)
 			continue
 		}
 		g := sp.ss.Age.Eval(t.age)
-		sel := evalSel(fr.sel[:len(sp.slab)], sp.slab, is.coords)
+		sel := evalSel(fr.sel[:len(sp.slab)], sp.slab, coords)
 		res, err := sp.fs.f.StoreSlice(g, sel, val.Array())
 		if err != nil {
 			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
@@ -1179,17 +1199,19 @@ func (n *Node) flushStaged(t *ageTracker, fr *execFrame, w *workerState) int {
 type instStamps struct{ start, body, bodyEnd, end time.Time }
 
 // observeInst records one instance's stage timings (into the worker's
-// batches) and lifecycle span from its stamps. Only called when a registry or
-// tracer is attached (workerState.timeAll), where every instance is stamped,
-// so the histograms and spans are never sampled.
-func (n *Node) observeInst(t *ageTracker, is *instState, w *workerState, at instStamps) {
+// batches) and lifecycle span from its stamps, its coordinates and ready
+// stamp. Only called when a registry or tracer is attached
+// (workerState.timeAll), where every instance is stamped, so the histograms
+// and spans are never sampled. The span keeps a copy of the coordinates: a
+// range slice decodes them into scratch.
+func (n *Node) observeInst(t *ageTracker, coords []int, readyNs int64, w *workerState, at instStamps) {
 	fetch, exec, store := at.body.Sub(at.start), at.bodyEnd.Sub(at.body), at.end.Sub(at.bodyEnd)
 	// The start on the node's stage clock; with tracing on this equals the
 	// span timestamp, so queue wait is identical in both views.
 	ts := at.start.Sub(n.clock).Nanoseconds()
 	wait := int64(0)
-	if is.readyNs > 0 && ts > is.readyNs {
-		wait = ts - is.readyNs
+	if readyNs > 0 && ts > readyNs {
+		wait = ts - readyNs
 	}
 	w.stages.queue.Observe(time.Duration(wait))
 	w.stages.fetch.Observe(fetch)
@@ -1199,7 +1221,7 @@ func (n *Node) observeInst(t *ageTracker, is *instState, w *workerState, at inst
 		tr.Record(obs.Span{
 			Name: t.ks.decl.Name, Cat: "kernel", Ph: obs.PhaseComplete,
 			TS: ts, Dur: at.end.Sub(at.start).Nanoseconds(), TID: w.id + 1,
-			Age: t.age, Index: is.coords,
+			Age: t.age, Index: append([]int(nil), coords...),
 			WaitNs:   wait,
 			FetchNs:  fetch.Nanoseconds(),
 			KernelNs: exec.Nanoseconds(),

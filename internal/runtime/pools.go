@@ -2,7 +2,7 @@ package runtime
 
 import "sync"
 
-// Pools backing the allocation-free dispatch path. All three are
+// Pools backing the allocation-free dispatch path. Both are
 // process-global (not per-node): the pooled objects carry no node identity,
 // and sharing them lets concurrent nodes (tests, the distributed layer)
 // amortize each other's warm-up.
@@ -33,8 +33,8 @@ func putEventBuf(evs []event) {
 
 // batchPool recycles slice headers between the analyzer's slicer (getBatch)
 // and its done handling (releaseBatch). A batch owns no storage — insts
-// aliases the tracker's ready list — so carving and releasing slices
-// allocates nothing once the pool is warm.
+// aliases the tracker's ready list, a run is held by value — so carving and
+// releasing slices allocates nothing once the pool is warm.
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 func getBatch() *batch { return batchPool.Get().(*batch) }
@@ -42,13 +42,6 @@ func getBatch() *batch { return batchPool.Get().(*batch) }
 // releaseBatch returns a finished slice for reuse, dropping its references so
 // a pooled batch pins neither tracker nor instances.
 func releaseBatch(b *batch) {
-	b.insts = nil
-	b.tracker = nil
+	*b = batch{}
 	batchPool.Put(b)
 }
-
-// instPool recycles instance states. Recycling is only safe when tracing is
-// disabled: the tracer's span ring retains is.coords past the instance's
-// lifetime, and a recycled instance would rewrite those coordinates in place.
-// The analyzer gates its use of the pool on tracer == nil.
-var instPool = sync.Pool{New: func() any { return new(instState) }}

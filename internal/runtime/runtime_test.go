@@ -440,33 +440,80 @@ func TestMaxAgeBoundsInfinitePrograms(t *testing.T) {
 	}
 }
 
+// TestStallDetection: a kernel-age that can never run is reported with its
+// kernel, age, instance count and the fetch it waits for — on a per-instance
+// tracker (an element fetch nobody writes) and on a range tracker (a row
+// fetch of a generation whose second producer never finishes, which only a
+// range tracker's one mask tracks).
 func TestStallDetection(t *testing.T) {
-	b := core.NewBuilder("stall")
-	b.Field("f", field.Int32, 1, true)
-	b.Field("g", field.Int32, 1, true)
-	b.Kernel("init").
-		Local("v", field.Int32, 0).
-		Store("f", core.AgeAt(0), []core.IndexSpec{core.Lit(0)}, "v").
-		Body(func(c *core.Ctx) error { c.SetInt32("v", 1); return nil })
-	// waiter fetches element 5, which nobody ever writes.
-	b.Kernel("waiter").Age("a").
-		Local("v", field.Int32, 0).
-		Fetch("v", "f", core.AgeVar(0), core.Lit(5)).
-		Store("g", core.AgeVar(0), []core.IndexSpec{core.Lit(0)}, "v").
-		Body(nil)
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(p, Options{Workers: 2, MaxAge: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Stalled) == 0 {
-		t.Fatal("expected a stalled kernel-age")
-	}
-	if !strings.Contains(rep.Stalled[0], "waiter") {
-		t.Errorf("stalled = %v", rep.Stalled)
+	for _, tc := range []struct {
+		name  string
+		build func(b *core.Builder)
+		want  []string
+	}{
+		{"element fetch", func(b *core.Builder) {
+			b.Field("f", field.Int32, 1, true)
+			b.Field("g", field.Int32, 1, true)
+			b.Kernel("init").
+				Local("v", field.Int32, 0).
+				Store("f", core.AgeAt(0), []core.IndexSpec{core.Lit(0)}, "v").
+				Body(func(c *core.Ctx) error { c.SetInt32("v", 1); return nil })
+			// waiter fetches element 5, which nobody ever writes.
+			b.Kernel("waiter").Age("a").
+				Local("v", field.Int32, 0).
+				Fetch("v", "f", core.AgeVar(0), core.Lit(5)).
+				Store("g", core.AgeVar(0), []core.IndexSpec{core.Lit(0)}, "v").
+				Body(nil)
+		}, []string{"waiter(age=0): 0/1 instances done", "missing fetch v = f(a)[5]"}},
+		{"range tracker", func(b *core.Builder) {
+			b.Field("f", field.Int32, 2, true)
+			b.Field("h", field.Int32, 1, true)
+			b.Field("g", field.Int32, 2, true)
+			b.Kernel("init").
+				Local("rows", field.Int32, 2).
+				StoreAll("f", core.AgeAt(0), "rows").
+				Body(func(c *core.Ctx) error { c.Array("rows").Grow(3, 2); return nil })
+			// never also stores f(0), but waits for element 5 of h, which
+			// nobody writes: f(0) gets init's three rows and never
+			// completes.
+			b.Kernel("never").
+				Local("v", field.Int32, 0).
+				Local("row", field.Int32, 1).
+				Fetch("v", "h", core.AgeAt(0), core.Lit(5)).
+				Store("f", core.AgeAt(0), []core.IndexSpec{core.Lit(3), core.All()}, "row").
+				Body(nil)
+			// waiter's domain follows f(a)'s rows, and its row fetch waits
+			// for the generation to complete.
+			b.Kernel("waiter").Age("a").Index("x").
+				Local("row", field.Int32, 1).
+				Fetch("row", "f", core.AgeVar(0), core.Idx("x"), core.All()).
+				Store("g", core.AgeVar(0), []core.IndexSpec{core.Idx("x"), core.All()}, "row").
+				Body(nil)
+		}, []string{"waiter(age=0): 0/3 instances done", "missing fetch row = f(a)[x][]", "waiting [[0,3)#0-3]"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := core.NewBuilder("stall")
+			tc.build(b)
+			p, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Run(p, Options{Workers: 2, MaxAge: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var waiter string
+			for _, s := range rep.Stalled {
+				if strings.HasPrefix(s, "waiter") {
+					waiter = s
+				}
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(waiter, want) {
+					t.Errorf("waiter's stall report %q does not contain %q (stalled: %v)", waiter, want, rep.Stalled)
+				}
+			}
+		})
 	}
 }
 

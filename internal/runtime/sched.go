@@ -63,7 +63,7 @@ func (d *workerDeque) push(age int, b *batch) {
 		heap.Push(&d.ages, age)
 	}
 	bkt.batches = append(bkt.batches, b)
-	d.queued += len(b.insts)
+	d.queued += b.len()
 	if int64(age) < d.min.Load() {
 		d.min.Store(int64(age))
 	}
@@ -91,7 +91,7 @@ func (d *workerDeque) popOldest() *batch {
 			heap.Pop(&d.ages)
 			delete(d.buckets, age)
 		}
-		d.queued -= len(b.insts)
+		d.queued -= b.len()
 		d.publishMin()
 		d.depth.Set(int64(d.queued))
 		d.mu.Unlock()
@@ -177,7 +177,7 @@ func (s *stealScheduler) PushBulk(bs []*batch) {
 	// Count first, push second: a pushed slice can be popped, run and
 	// recycled at once, and a length read afterwards under-counts queued.
 	for _, b := range bs {
-		insts += int64(len(b.insts))
+		insts += int64(b.len())
 		minAge = min(minAge, int64(b.tracker.age))
 	}
 	s.queued.Add(insts)
@@ -209,7 +209,7 @@ func (s *stealScheduler) TryPop(worker int) (*batch, bool) {
 		// — no peer can hold anything older than the epoch lower bound.
 		if m := self.min.Load(); m != emptyAge && m <= e {
 			if b := self.popOldest(); b != nil {
-				s.queued.Add(-int64(len(b.insts)))
+				s.queued.Add(-int64(b.len()))
 				return b, true
 			}
 			continue // lost a race with a thief; re-evaluate
@@ -231,7 +231,7 @@ func (s *stealScheduler) TryPop(worker int) (*batch, bool) {
 			s.epoch.CompareAndSwap(e, oldest)
 		}
 		if b := s.deques[vi].popOldest(); b != nil {
-			s.queued.Add(-int64(len(b.insts)))
+			s.queued.Add(-int64(b.len()))
 			if vi != worker {
 				s.steals.Add(1)
 			}

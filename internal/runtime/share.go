@@ -112,6 +112,28 @@ func (ks *kernelState) owns(x int) bool {
 	return ks.own == nil || ks.own[(x/ShareGranule)%len(ks.own)]
 }
 
+// ownedRuns visits the maximal runs [lo', hi') of outermost indices in
+// [lo, hi) that run here.
+func (ks *kernelState) ownedRuns(lo, hi int, visit func(lo, hi int)) {
+	if ks.own == nil {
+		visit(lo, hi)
+		return
+	}
+	start := -1
+	for x := lo; x < hi; x = (x/ShareGranule + 1) * ShareGranule {
+		switch {
+		case ks.owns(x) && start < 0:
+			start = x
+		case !ks.owns(x) && start >= 0:
+			visit(start, x)
+			start = -1
+		}
+	}
+	if start >= 0 {
+		visit(start, hi)
+	}
+}
+
 // paceEdge is one consumer a paced source waits for: split kernel ks at age
 // a+delta reporting done on its remote shares releases the source's age a+1.
 type paceEdge struct {

@@ -8,19 +8,41 @@ import (
 
 // Slices (§V-A): the low-level scheduler combines ready instances of one
 // kernel-age into slices of data and dispatches each slice as one unit. The
-// analyzer carves a tracker's ready list into slices (slicer, below); a
+// analyzer carves a tracker's ready instances into slices (slicer, below); a
 // worker runs a slice through execSlice, which pays the per-dispatch costs —
 // queue pop, generation pins, the store lock, the done event — once per
 // slice instead of once per instance.
 
 // batch is one slice: instances of the same kernel and age that a worker
-// executes back to back. insts aliases a run of the tracker's append-only
-// ready list, so carving a slice copies and allocates nothing; the slice
-// travels analyzer → scheduler → worker → (inside the done event) analyzer,
-// which recycles it.
+// executes back to back. For a per-instance tracker insts aliases a run of
+// its append-only ready list; for a range tracker insts is nil and run holds
+// the slice's cells. Carving a slice copies and allocates nothing either way;
+// the slice travels analyzer → scheduler → worker → (inside the done event)
+// analyzer, which recycles it. probe marks an untimed kernel's probe slice
+// (slicer.probe).
 type batch struct {
 	tracker *ageTracker
 	insts   []*instState
+	run     cellRun
+	probe   bool
+}
+
+// len is the slice's instance count.
+func (b *batch) len() int {
+	if b.insts != nil {
+		return len(b.insts)
+	}
+	return b.run.len()
+}
+
+// inst returns the coordinates and ready stamp of the slice's instance i; a
+// run's coordinates are decoded into buf (len rank), which they alias.
+func (b *batch) inst(i int, buf []int) ([]int, int64) {
+	if b.insts != nil {
+		is := b.insts[i]
+		return is.coords, is.readyNs
+	}
+	return b.run.coords(b.run.lo+i, buf), b.run.readyNs
 }
 
 const (
@@ -47,9 +69,9 @@ const (
 // into one slice. An Options.Granularity entry is used as given. Otherwise
 // the size is the target slice duration divided by the kernel's measured
 // per-instance cost (kernelState.costNs: body plus dispatch of its recently
-// timed slices — one instance per slice until the first has been timed),
-// capped so the domain — the part of it that runs here, when the kernel is
-// split — still yields slicesPerWorker slices per worker.
+// timed slices), capped so the domain — the part of it that runs here, when
+// the kernel is split — still yields slicesPerWorker slices per worker. Zero
+// means the kernel has not been timed yet: the slicer then probes it.
 func (n *Node) sliceSize(t *ageTracker) int {
 	ks := t.ks
 	if ks.gran > 0 {
@@ -57,7 +79,7 @@ func (n *Node) sliceSize(t *ageTracker) int {
 	}
 	cost := ks.costNs.Load()
 	if cost == 0 {
-		return 1
+		return 0
 	}
 	size := int(min(sliceTargetNs/cost, maxSliceInsts))
 	cells := boxCells(t.extents)
@@ -93,15 +115,17 @@ func (ks *kernelState) observeCost(total time.Duration, ran int) {
 // count moves by the slice's length, and the header is recycled. It returns
 // the tracker and that length.
 func (n *Node) retireSlice(b *batch) (*ageTracker, int) {
-	t, k := b.tracker, len(b.insts)
+	t, k := b.tracker, b.len()
 	t.done += k
-	tr := n.tracer
 	for _, is := range b.insts {
 		is.st = instDone
-		if tr != nil {
+	}
+	if tr := n.tracer; tr != nil {
+		for i := 0; i < k; i++ {
+			coords, _ := b.inst(i, make([]int, b.run.rank))
 			tr.Record(obs.Span{
 				Name: t.ks.decl.Name, Cat: "commit", Ph: obs.PhaseInstant,
-				TS: tr.Now(), Age: t.age, Index: is.coords,
+				TS: tr.Now(), Age: t.age, Index: coords,
 			})
 		}
 	}
@@ -124,12 +148,17 @@ type slicer struct {
 	push func([]*batch)
 }
 
-// ready appends a fully satisfied instance to its tracker's ready list. Full
-// slices are carved on the spot and handed over as soon as there is one per
-// worker, so workers start on a large creation burst while the analyzer is
-// still materializing the rest of it.
+// ready appends a fully satisfied instance to its tracker's ready list.
 func (c *slicer) ready(t *ageTracker, is *instState) {
 	t.ready = append(t.ready, is)
+	c.added(t)
+}
+
+// added follows new ready instances of t. Full slices are carved on the spot
+// and handed over as soon as there is one per worker, so workers start on a
+// large creation burst while the analyzer is still materializing the rest of
+// it.
+func (c *slicer) added(t *ageTracker) {
 	if !t.dirty {
 		t.dirty = true
 		c.dirty = append(c.dirty, t)
@@ -142,25 +171,94 @@ func (c *slicer) ready(t *ageTracker, is *instState) {
 	}
 }
 
-// carve cuts t's uncarved ready instances into slices of the current size;
-// a shorter remainder stays behind unless partial is set.
+// carve cuts t's uncarved ready instances into slices of the current size; a
+// shorter remainder stays behind unless partial is set. A range tracker's
+// slice never spans two of its runs, so the remainder of every run but the
+// last is cut as it is. An untimed kernel is probed instead.
 func (c *slicer) carve(t *ageTracker, partial bool) {
 	size := c.n.sliceSize(t)
+	if size == 0 {
+		c.probe(t)
+		return
+	}
 	t.size = size
-	for left := t.uncarved(); left >= size || (partial && left > 0); left = t.uncarved() {
-		k := min(size, left)
-		b := getBatch()
-		b.tracker = t
+	if t.ks.needsInstMap {
+		for left := t.uncarved(); left >= size || (partial && left > 0); left = t.uncarved() {
+			c.cut(t, min(size, left))
+		}
+		return
+	}
+	for ; t.rhead < len(t.runs); t.rhead++ {
+		r := &t.runs[t.rhead]
+		last := t.rhead == len(t.runs)-1
+		for r.len() >= size || r.len() > 0 && (partial || !last) {
+			c.cut(t, min(size, r.len()))
+		}
+		if r.len() > 0 {
+			return
+		}
+	}
+	t.runs, t.rhead = t.runs[:0], 0
+}
+
+// cut carves the next k uncarved instances of t into one slice.
+func (c *slicer) cut(t *ageTracker, k int) *batch {
+	b := getBatch()
+	b.tracker = t
+	if t.ks.needsInstMap {
 		b.insts = t.ready[t.head : t.head+k : t.head+k]
 		t.head += k
-		c.out = append(c.out, b)
+	} else {
+		r := &t.runs[t.rhead]
+		b.run = *r
+		b.run.hi = r.lo + k
+		r.lo += k
+		t.queued -= k
+	}
+	c.out = append(c.out, b)
+	return b
+}
+
+// probe handles the ready instances of a kernel that has not been timed yet.
+// Its cost decides the slice size, so it gets single-instance probe slices —
+// up to one in flight per worker — and the rest waits, held, until a probe
+// returns (probed) with the kernel's first cost sample: sizing it one
+// instance per slice instead would cut a whole creation burst into slices of
+// one.
+func (c *slicer) probe(t *ageTracker) {
+	ks := t.ks
+	for ks.probes < c.n.opts.Workers && t.uncarved() > 0 {
+		if t.ks.needsInstMap || t.runs[t.rhead].len() > 0 {
+			c.cut(t, 1).probe = true
+			ks.probes++
+			continue
+		}
+		t.rhead++
+	}
+	if t.uncarved() > 0 && !t.held {
+		t.held = true
+		ks.held = append(ks.held, t)
+	}
+}
+
+// probed follows the done event of one of ks's probe slices: the held
+// trackers are carved again, by the cost the probe measured — or probed
+// again, should it have measured none.
+func (c *slicer) probed(ks *kernelState) {
+	ks.probes--
+	held := ks.held
+	ks.held = nil
+	for _, t := range held {
+		t.held = false
+		c.carve(t, true)
 	}
 }
 
 // drain releases everything: every dirty tracker's remainder is carved into
 // a final, shorter slice and all carved slices are pushed. The analyzer calls
-// it at a lull, so no ready instance is ever stranded; between lulls it only
-// flushes, and remainders wait for their slice to fill up.
+// it at a lull, so no ready instance is ever stranded — except the held work
+// of an untimed kernel, which its probes' done events release; between lulls
+// it only flushes, and remainders wait for their slice to fill up.
 func (c *slicer) drain() {
 	for _, t := range c.dirty {
 		c.carve(t, true)

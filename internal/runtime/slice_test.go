@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,43 +18,68 @@ import (
 // that a kernel-age is large enough to be cut into slices. hook, when set,
 // runs at the start of every mul2 body.
 func wideMulSum(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Program {
+	return mulSumProgram(t, width, false, hook)
+}
+
+// wideMulSumRows is wideMulSum over rank-2 fields of one-value rows, fetched
+// and stored as [x][*] rows: mul2 and plus5 are slab-only, so they run on
+// range trackers, and plus5's row stores grow mul2's next domain.
+func wideMulSumRows(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Program {
+	return mulSumProgram(t, width, true, hook)
+}
+
+func mulSumProgram(t testing.TB, width int, rows bool, hook func(c *core.Ctx) error) *core.Program {
 	t.Helper()
 	b := core.NewBuilder("widemulsum")
-	b.Field("m_data", field.Int32, 1, true)
-	b.Field("p_data", field.Int32, 1, true)
+	rank := 1
+	if rows {
+		rank = 2
+	}
+	b.Field("m_data", field.Int32, rank, true)
+	b.Field("p_data", field.Int32, rank, true)
 	b.Kernel("init").
-		Local("values", field.Int32, 1).
+		Local("values", field.Int32, rank).
 		StoreAll("m_data", core.AgeAt(0), "values").
 		Body(func(c *core.Ctx) error {
 			vs := c.Array("values")
-			vs.Grow(width)
+			vs.Grow(append([]int{width}, 1)[:rank]...)
 			flat := vs.Int32s()
 			for i := range flat {
 				flat[i] = int32(i + 10)
 			}
 			return nil
 		})
-	b.Kernel("mul2").Age("a").Index("x").
-		Local("value", field.Int32, 0).
-		Fetch("value", "m_data", core.AgeVar(0), core.Idx("x")).
-		Store("p_data", core.AgeVar(0), []core.IndexSpec{core.Idx("x")}, "value").
-		Body(func(c *core.Ctx) error {
+	// step declares kernel name: out(a+delay)[x] = f(in(a)[x]).
+	step := func(name, in, out string, delay int, f func(int32) int32, hook func(c *core.Ctx) error) {
+		kb := b.Kernel(name).Age("a").Index("x")
+		var body func(c *core.Ctx)
+		if rows {
+			kb.Local("in", field.Int32, 1).Local("out", field.Int32, 1).
+				Fetch("in", in, core.AgeVar(0), core.Idx("x"), core.All()).
+				Store(out, core.AgeVar(delay), []core.IndexSpec{core.Idx("x"), core.All()}, "out")
+			body = func(c *core.Ctx) {
+				o := c.Array("out")
+				o.Grow(1)
+				o.Int32s()[0] = f(c.Array("in").Int32s()[0])
+			}
+		} else {
+			kb.Local("value", field.Int32, 0).
+				Fetch("value", in, core.AgeVar(0), core.Idx("x")).
+				Store(out, core.AgeVar(delay), []core.IndexSpec{core.Idx("x")}, "value")
+			body = func(c *core.Ctx) { c.SetInt32("value", f(c.Int32("value"))) }
+		}
+		kb.Body(func(c *core.Ctx) error {
 			if hook != nil {
 				if err := hook(c); err != nil {
 					return err
 				}
 			}
-			c.SetInt32("value", c.Int32("value")*2)
+			body(c)
 			return nil
 		})
-	b.Kernel("plus5").Age("a").Index("x").
-		Local("value", field.Int32, 0).
-		Fetch("value", "p_data", core.AgeVar(0), core.Idx("x")).
-		Store("m_data", core.AgeVar(1), []core.IndexSpec{core.Idx("x")}, "value").
-		Body(func(c *core.Ctx) error {
-			c.SetInt32("value", c.Int32("value")+5)
-			return nil
-		})
+	}
+	step("mul2", "m_data", "p_data", 0, func(v int32) int32 { return v * 2 }, hook)
+	step("plus5", "p_data", "m_data", 1, func(v int32) int32 { return v + 5 }, nil)
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +116,7 @@ func checkWideMulSum(t *testing.T, n *Node, width int, ages ...int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(field.ArrayFromInt32(want[a][fi])) {
+			if got.Extent(0) != width || !slices.Equal(got.Int32s(), want[a][fi]) {
 				t.Fatalf("%s(%d) = %v, want %v", name, a, got, want[a][fi])
 			}
 		}
@@ -136,46 +162,58 @@ func ownAllShares(shards int) *Shares {
 }
 
 // TestSliceSizingRule pins both ends of the default sizing rule, unsplit and
-// cut into index shares: the one-line mul2/plus5 kernels cost far less than
-// the slice target, so their instances must be combined, while a kernel whose
-// body takes a millisecond must keep one instance per slice.
+// cut into index shares, on per-instance and on range trackers: the one-line
+// mul2/plus5 kernels cost far less than the slice target, so their instances
+// must be combined, while a kernel whose body takes a millisecond must keep
+// one instance per slice.
 func TestSliceSizingRule(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			const width, maxAge = 512, 8
-			n, err := NewNode(wideMulSum(t, width, nil), Options{Workers: 2, MaxAge: maxAge, Shares: ownAllShares(shards)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := runOrTimeout(t, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rep.Stalled) != 0 {
-				t.Fatalf("stalled: %v", rep.Stalled)
-			}
-			checkWideMulSum(t, n, width, 0, maxAge/2, maxAge)
-			for _, name := range []string{"mul2", "plus5"} {
-				k := rep.Kernel(name)
-				if k.Instances != width*(maxAge+1) {
-					t.Errorf("%s ran %d instances, want %d", name, k.Instances, width*(maxAge+1))
-				}
-				if k.InstancesPerSlice() < 2 {
-					t.Errorf("%s: %d instances in %d slices; the default rule should combine one-line kernels", name, k.Instances, k.Slices)
-				}
-			}
+			for _, tc := range []struct {
+				trackers string
+				prog     func(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Program
+			}{
+				{"per-instance", wideMulSum},
+				{"range", wideMulSumRows},
+			} {
+				prog := tc.prog
+				t.Run(tc.trackers, func(t *testing.T) {
+					const width, maxAge = 512, 8
+					n, err := NewNode(prog(t, width, nil), Options{Workers: 2, MaxAge: maxAge, Shares: ownAllShares(shards)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := runOrTimeout(t, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(rep.Stalled) != 0 {
+						t.Fatalf("stalled: %v", rep.Stalled)
+					}
+					checkWideMulSum(t, n, width, 0, maxAge/2, maxAge)
+					for _, name := range []string{"mul2", "plus5"} {
+						k := rep.Kernel(name)
+						if k.Instances != width*(maxAge+1) {
+							t.Errorf("%s ran %d instances, want %d", name, k.Instances, width*(maxAge+1))
+						}
+						if k.InstancesPerSlice() < 2 {
+							t.Errorf("%s: %d instances in %d slices; the default rule should combine one-line kernels", name, k.Instances, k.Slices)
+						}
+					}
 
-			slow := wideMulSum(t, 16, func(*core.Ctx) error { time.Sleep(time.Millisecond); return nil })
-			n, err = NewNode(slow, Options{Workers: 2, MaxAge: 2, Shares: ownAllShares(shards)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err = runOrTimeout(t, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if k := rep.Kernel("mul2"); k.Slices != k.Instances || k.Instances != 16*3 {
-				t.Errorf("1 ms kernel: %d instances in %d slices, want one instance per slice", k.Instances, k.Slices)
+					slow := prog(t, 16, func(*core.Ctx) error { time.Sleep(time.Millisecond); return nil })
+					n, err = NewNode(slow, Options{Workers: 2, MaxAge: 2, Shares: ownAllShares(shards)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err = runOrTimeout(t, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if k := rep.Kernel("mul2"); k.Slices != k.Instances || k.Instances != 16*3 {
+						t.Errorf("1 ms kernel: %d instances in %d slices, want one instance per slice", k.Instances, k.Slices)
+					}
+				})
 			}
 		})
 	}
@@ -456,36 +494,66 @@ func TestSliceMergeStoresReplay(t *testing.T) {
 }
 
 // TestSliceCarveReleaseAllocFree is the budget for the analyzer side of the
-// slice path: carving a tracker's ready list into slices and recycling them
-// on done allocates nothing in steady state — a slice aliases the ready list
+// slice path: carving a tracker's ready instances into slices and recycling
+// them on done allocates nothing in steady state — a slice aliases a
+// per-instance tracker's ready list or holds a range tracker's run by value,
 // and its header comes out of the pool.
 func TestSliceCarveReleaseAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	n, tr, _ := benchNode(t, true)
-	tr.extents = []int{1 << 20}
+	// A fresh burst of 512 ready instances on the same tracker, as a new
+	// kernel-age would see: instStates on a per-instance tracker, one run
+	// on a range tracker.
+	n, perInst, _ := benchNode(t, true)
 	insts := make([]instState, 512)
-	var pushed []*batch
-	c := slicer{n: n, push: func(bs []*batch) { pushed = append(pushed, bs...) }}
-	cycle := func() {
-		// A fresh burst on the same tracker, as a new kernel-age would see.
-		tr.ready, tr.head = tr.ready[:0], 0
-		for i := range insts {
-			c.ready(tr, &insts[i])
-		}
-		c.drain()
-		for i, b := range pushed {
-			releaseBatch(b)
-			pushed[i] = nil
-		}
-		pushed = pushed[:0]
+	rn, err := NewNode(wideMulSumRows(t, 1, nil), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, size := range []int{1, 7, 64} {
-		n.kernels["consume"].gran = size
-		cycle() // warm the pool and the scratch lists
-		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-			t.Errorf("size %d: carving and releasing %d instances allocates %.1f objects, want 0", size, len(insts), allocs)
+	ranged := &ageTracker{ks: rn.kernels["mul2"]}
+	burst := cellRun{rank: 1, hi: len(insts)}
+	burst.ext[0] = len(insts)
+	for _, tc := range []struct {
+		name string
+		n    *Node
+		tr   *ageTracker
+		fill func(c *slicer)
+	}{
+		{"per-instance", n, perInst, func(c *slicer) {
+			perInst.ready, perInst.head = perInst.ready[:0], 0
+			for i := range insts {
+				c.ready(perInst, &insts[i])
+			}
+		}},
+		{"range", rn, ranged, func(c *slicer) {
+			ranged.runs, ranged.rhead, ranged.queued = extend(ranged.runs[:0], 0, burst), 0, burst.len()
+			c.added(ranged)
+		}},
+	} {
+		tc.tr.extents = []int{1 << 20}
+		var pushed []*batch
+		c := slicer{n: tc.n, push: func(bs []*batch) { pushed = append(pushed, bs...) }}
+		cycle := func() {
+			tc.fill(&c)
+			c.drain()
+			carved := 0
+			for i, b := range pushed {
+				carved += b.len()
+				releaseBatch(b)
+				pushed[i] = nil
+			}
+			pushed = pushed[:0]
+			if carved != len(insts) {
+				t.Fatalf("%s: carved %d of %d instances", tc.name, carved, len(insts))
+			}
+		}
+		for _, size := range []int{1, 7, 64} {
+			tc.tr.ks.gran = size
+			cycle() // warm the pool and the scratch lists
+			if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+				t.Errorf("%s, size %d: carving and releasing %d instances allocates %.1f objects, want 0", tc.name, size, len(insts), allocs)
+			}
 		}
 	}
 }

@@ -156,23 +156,60 @@ func TestAnalyzerSaturatedHeuristic(t *testing.T) {
 
 // TestDispatchTracingOffAllocFree is the perf gate for the tracing-off path:
 // with neither tracer nor registry, one dispatch through exec must not
-// allocate — the stage timers have to stay entirely behind the n.stamp gate.
+// allocate — the stage timers have to stay entirely behind the n.stamp gate —
+// whether the slice is one instance of a per-instance tracker or a run of a
+// range tracker, whose coordinates decode into the frame's scratch.
 func TestDispatchTracingOffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	n, tr, is := benchNode(t, true)
-	if n.stamp {
-		t.Fatal("node without observability has stamping enabled")
+	// mul2 of the row-wise mul/sum cycle over the 8 rows of a stored,
+	// complete m_data(0); MergeStores, because every run stores p_data(0)'s
+	// rows again.
+	const rows = 8
+	rn, err := NewNode(wideMulSumRows(t, rows, nil), Options{Workers: 1, MergeStores: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	w := newWorkerState(n, 0)
-	exec := sliceOfOne(n, tr, is, w)
-	exec() // warm the frame pool
-	allocs := testing.AllocsPerRun(200, func() {
-		w.buf = w.buf[:0]
-		exec()
-	})
-	if allocs != 0 {
-		t.Errorf("tracing-off dispatch allocates %.1f objects/op, want 0", allocs)
+	m := rn.fields["m_data"].f
+	if _, err := m.StoreAll(0, field.NewArray(field.Int32, rows, 1)); err != nil {
+		t.Fatal(err)
+	}
+	m.MarkComplete(0)
+	run := cellRun{rank: 1, hi: rows}
+	run.ext[0] = rows
+	ranged := &ageTracker{ks: rn.kernels["mul2"], age: 0}
+	for _, tc := range []struct {
+		name string
+		n    *Node
+		exec func(w *workerState) func()
+	}{
+		{"per-instance", n, func(w *workerState) func() { return sliceOfOne(n, tr, is, w) }},
+		{"range", rn, func(w *workerState) func() {
+			return func() {
+				b := getBatch()
+				b.tracker, b.run = ranged, run
+				rn.execSlice(b, w)
+				releaseBatch(b)
+			}
+		}},
+	} {
+		if tc.n.stamp {
+			t.Fatal("node without observability has stamping enabled")
+		}
+		w := newWorkerState(tc.n, 0)
+		exec := tc.exec(w)
+		exec() // warm the frame pool
+		allocs := testing.AllocsPerRun(200, func() {
+			w.buf = w.buf[:0]
+			exec()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: tracing-off dispatch allocates %.1f objects/op, want 0", tc.name, allocs)
+		}
+	}
+	if got := rn.kernels["mul2"].ownInstances(); got != 202*rows {
+		t.Errorf("range slices ran %d instances, want %d", got, 202*rows)
 	}
 }

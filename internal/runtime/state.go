@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,6 +91,9 @@ func newHistBase(h *obs.Histogram) histWithBase {
 
 // Observe records one duration on the underlying histogram.
 func (b histWithBase) Observe(d time.Duration) { b.h.Observe(d) }
+
+// ObserveN records the same duration n times.
+func (b histWithBase) ObserveN(d time.Duration, n int) { b.h.ObserveN(d, int64(n)) }
 
 // enabled reports whether the handle points at a live histogram.
 func (b histWithBase) enabled() bool { return b.h != nil }
@@ -230,10 +234,17 @@ type kernelState struct {
 	fullMask uint32 // bits of all fetches (the "fully satisfied" mask)
 
 	// needsInstMap is true when the kernel has at least one element fetch:
-	// only then does satisfaction ever look an instance up by coordinates.
-	// Kernels without element fetches (whole/slab only) skip the per-instance
-	// map insert on the analyzer's creation path.
+	// only then can two instances of one age differ in which fetches are
+	// satisfied, so only then does the analyzer keep an instState per
+	// instance, found by coordinates. A kernel whose fetches are all whole or
+	// slab gets range trackers instead (see ageTracker).
 	needsInstMap bool
+
+	// Probing (analyzer-owned; see slicer.probe): probes counts the
+	// kernel's single-instance probe slices in flight while it is untimed,
+	// and held lists its trackers whose ready work waits for their result.
+	probes int
+	held   []*ageTracker
 
 	// Dispatch plans: precompiled fetch/store coordinates (same order as
 	// decl.Fetches/decl.Stores) and a pool of reusable execution frames, so
@@ -315,7 +326,17 @@ func (ks *kernelState) ownLockstep() int64   { return ks.lockstep.Own() }
 func (ks *kernelState) ownDeclined() int64   { return ks.declined.Own() }
 
 // ageTracker tracks all instances of one kernel at one age: the current index
-// domain, instance satisfaction, and completion.
+// domain, instance satisfaction, and completion. It comes in two kinds,
+// chosen by the kernel's declared fetches (kernelState.needsInstMap):
+//
+//   - A per-instance tracker, for a kernel with element fetches, keeps one
+//     instState per instance in inst, since each instance waits for its own
+//     elements, and lists them in ready as they become runnable.
+//   - A range tracker, for a kernel whose fetches are all whole or slab,
+//     keeps no per-instance state: every instance of the age waits for the
+//     same generations, so one mask covers the index box, and the cells
+//     created in a burst are held as runs of boxes — waiting until the mask
+//     is full, then ready all at once.
 type ageTracker struct {
 	ks  *kernelState
 	age int
@@ -324,25 +345,34 @@ type ageTracker struct {
 	bindsDone   int   // range-defining (field, age) pairs that are complete
 	domainFinal bool
 
-	inst  map[int64]*instState
 	total int
 	done  int
 
-	// ready lists the fully satisfied instances in the order they became
-	// ready. It is append-only for the tracker's lifetime: slices alias runs
-	// of it (see batch), so entries are never moved. ready[:head] has been
-	// carved into slices; size is the slice size of the last carve (the
-	// slicer re-carves once that many instances are waiting) and dirty marks
-	// membership in the slicer's dirty list.
+	// Per-instance trackers. ready lists the fully satisfied instances in the
+	// order they became ready. It is append-only for the tracker's lifetime:
+	// slices alias runs of it (see batch), so entries are never moved.
+	// ready[:head] has been carved into slices.
+	inst  map[int64]*instState
 	ready []*instState
 	head  int
+
+	// Range trackers. mask holds the satisfied fetches of every instance;
+	// waiting holds the created cells while it is not full, runs[rhead:] the
+	// ready cells not yet carved (queued of them), and stamps the creation
+	// stamps of the waiting cells when the node stamps (see addRun).
+	mask    uint32
+	waiting []cellRun
+	runs    []cellRun
+	rhead   int
+	queued  int
+	stamps  []burstStamp
+
+	// size is the slice size of the last carve (the slicer re-carves once
+	// that many instances are waiting), dirty marks membership in the
+	// slicer's dirty list and held in the kernel's (see slicer.probe).
 	size  int
 	dirty bool
-
-	// all lists every instance when the analyzer skips the inst map
-	// (kernels without element fetches never look instances up by coordinate);
-	// it exists only so completed trackers can recycle their instances.
-	all []*instState
+	held  bool
 
 	completed bool
 	// collected counts the tracker's age-variable fetch generations that
@@ -350,17 +380,67 @@ type ageTracker struct {
 	collected int
 }
 
-// newTracker registers an empty tracker for (ks, age).
-func (ks *kernelState) newTracker(age int) *ageTracker {
-	t := &ageTracker{ks: ks, age: age}
-	if ks.needsInstMap {
-		t.inst = make(map[int64]*instState)
+// maxRank bounds a kernel's index variables: coordKey packs four, and a
+// range tracker's boxes hold them inline.
+const maxRank = 4
+
+// cellRun is a run of a range tracker's instances: cells [lo, hi) of the box
+// org + [0, ext) in row-major order, over the kernel's rank index variables.
+// A slice of a range tracker carries one by value (batch.run), so carving
+// allocates nothing. readyNs is the ready stamp every instance of the run
+// shares (Node.nowNs; zero unless the node stamps).
+type cellRun struct {
+	org, ext [maxRank]int
+	rank     int
+	lo, hi   int
+	readyNs  int64
+}
+
+func (r *cellRun) len() int { return r.hi - r.lo }
+
+// coords decodes cell i of the run's box into dst (len rank) and returns it.
+func (r *cellRun) coords(i int, dst []int) []int {
+	for d := r.rank - 1; d >= 0; d-- {
+		dst[d] = r.org[d] + i%r.ext[d]
+		i /= r.ext[d]
 	}
-	if ks.ages == nil {
-		ks.ages = make(map[int]*ageTracker)
+	return dst[:r.rank]
+}
+
+// extend appends r to the run of its box that ends at list's tail when the two
+// boxes abut along the outermost dimension and agree on every other one, so
+// that their cells are one row-major run; otherwise r becomes a new entry.
+// Only entries from index from on may be extended.
+func extend(list []cellRun, from int, r cellRun) []cellRun {
+	if n := len(list); n > from && r.rank > 0 {
+		l := &list[n-1]
+		join := l.readyNs == r.readyNs && l.rank == r.rank && l.org[0]+l.ext[0] == r.org[0]
+		for d := 1; join && d < r.rank; d++ {
+			join = l.org[d] == r.org[d] && l.ext[d] == r.ext[d]
+		}
+		if join {
+			l.ext[0] += r.ext[0]
+			l.hi += r.len()
+			return list
+		}
 	}
-	ks.ages[age] = t
-	return t
+	return append(list, r)
+}
+
+func (r cellRun) String() string {
+	var b strings.Builder
+	for d := 0; d < r.rank; d++ {
+		fmt.Fprintf(&b, "[%d,%d)", r.org[d], r.org[d]+r.ext[d])
+	}
+	fmt.Fprintf(&b, "#%d-%d", r.lo, r.hi)
+	return b.String()
+}
+
+// burstStamp is the creation stamp of cells a range tracker created while its
+// mask was not full, for the ready-wait stage once it fills.
+type burstStamp struct {
+	createdNs int64
+	cells     int
 }
 
 // fieldState is the per-field runtime state: the backing store plus the
@@ -432,10 +512,11 @@ type fieldAgeState struct {
 }
 
 // uncarved is the number of ready instances not yet cut into a slice.
-func (t *ageTracker) uncarved() int { return len(t.ready) - t.head }
-
-func (t *ageTracker) String() string {
-	return fmt.Sprintf("%s(age=%d, %d/%d done, domainFinal=%v)", t.ks.decl.Name, t.age, t.done, t.total, t.domainFinal)
+func (t *ageTracker) uncarved() int {
+	if t.ks.needsInstMap {
+		return len(t.ready) - t.head
+	}
+	return t.queued
 }
 
 // boxCells is the cell count of box(ext): the product of the extents, zero
@@ -451,44 +532,33 @@ func boxCells(ext []int) int {
 	return p
 }
 
-// newCells visits every coordinate in box(to) that is not in box(from). The
-// boxes share an origin; from must be component-wise <= to. Rank 0 (a single
-// instance with no index variables) is treated as one cell that exists once
-// the tracker is created, handled by the caller.
-func newCells(from, to []int, visit func([]int)) {
+// newBoxes tiles the cells of box(to) that are not in box(from) with boxes,
+// one per dimension d that grew: coordinates below from before d, in
+// [from[d], to[d]) at d, anywhere below to after it; empty boxes are
+// skipped. The boxes share an origin; from must be component-wise <= to.
+// Rank 0 (a single instance with no index variables) has no new cells: the
+// caller creates it with the tracker.
+func newBoxes(from, to []int, visit func(org, ext [maxRank]int)) {
 	rank := len(to)
-	coords := make([]int, rank)
-	var rec func(d, firstGrown int)
-	rec = func(d, firstGrown int) {
-		if d == rank {
-			if firstGrown >= 0 { // cells inside the old box are not new
-				visit(coords)
+	for d := 0; d < rank; d++ {
+		if from[d] >= to[d] {
+			continue
+		}
+		var org, ext [maxRank]int
+		empty := false
+		for k := 0; k < rank; k++ {
+			switch {
+			case k < d:
+				ext[k] = from[k]
+			case k == d:
+				org[k], ext[k] = from[k], to[k]-from[k]
+			default:
+				ext[k] = to[k]
 			}
-			return
+			empty = empty || ext[k] == 0
 		}
-		// Decomposition: a cell is new iff there is a first dimension d
-		// where its coordinate is >= from[d]; before d coordinates are
-		// < from, after d they range over the full new extent.
-		if firstGrown >= 0 {
-			for c := 0; c < to[d]; c++ {
-				coords[d] = c
-				rec(d+1, firstGrown)
-			}
-			return
-		}
-		// Not yet past a grown dimension: either stay below from[d] and
-		// recurse, or enter the grown band [from[d], to[d]).
-		for c := 0; c < from[d]; c++ {
-			coords[d] = c
-			rec(d+1, -1)
-		}
-		for c := from[d]; c < to[d]; c++ {
-			coords[d] = c
-			rec(d+1, d)
+		if !empty {
+			visit(org, ext)
 		}
 	}
-	if rank == 0 {
-		return
-	}
-	rec(0, -1)
 }

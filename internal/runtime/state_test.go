@@ -6,7 +6,20 @@ import (
 	"testing/quick"
 )
 
-// Property: newCells visits exactly box(to) \ box(from), each cell once.
+// boxCellsOf lists the cells of newBoxes(from, to), box by box, row-major.
+func boxCellsOf(from, to []int) [][]int {
+	var cells [][]int
+	newBoxes(from, to, func(org, ext [maxRank]int) {
+		r := cellRun{org: org, ext: ext, rank: len(to)}
+		r.hi = boxCells(r.ext[:r.rank])
+		for i := r.lo; i < r.hi; i++ {
+			cells = append(cells, r.coords(i, make([]int, r.rank)))
+		}
+	})
+	return cells
+}
+
+// Property: newBoxes tiles exactly box(to) \ box(from), each cell once.
 func TestQuickNewCells(t *testing.T) {
 	f := func(dims []uint8, growth []uint8) bool {
 		rank := len(dims)
@@ -24,30 +37,25 @@ func TestQuickNewCells(t *testing.T) {
 			to[i] = from[i] + g
 		}
 		seen := map[string]bool{}
-		newCells(from, to, func(c []int) {
+		for _, c := range boxCellsOf(from, to) {
 			k := fmt.Sprint(c)
 			if seen[k] {
 				t.Errorf("duplicate cell %v for from=%v to=%v", c, from, to)
 			}
 			seen[k] = true
-		})
-		// Count expected: |to| - |from|.
-		vol := func(e []int) int {
-			v := 1
-			for _, x := range e {
-				v *= x
+			inOld, inNew := true, true
+			for d := range c {
+				inOld = inOld && c[d] < from[d]
+				inNew = inNew && c[d] >= 0 && c[d] < to[d]
 			}
-			return v
+			if inOld || !inNew {
+				t.Errorf("cell %v for from=%v to=%v outside the difference region", c, from, to)
+			}
 		}
-		if len(seen) != vol(to)-vol(from) {
-			t.Errorf("from=%v to=%v visited %d, want %d", from, to, len(seen), vol(to)-vol(from))
+		// Count expected: |to| - |from|.
+		if len(seen) != boxCells(to)-boxCells(from) {
+			t.Errorf("from=%v to=%v visited %d, want %d", from, to, len(seen), boxCells(to)-boxCells(from))
 			return false
-		}
-		// Every visited cell is inside to-box and outside from-box.
-		for k := range seen {
-			var c []int
-			fmt.Sscan(k) // cells checked structurally below instead
-			_ = c
 		}
 		return true
 	}
@@ -57,23 +65,25 @@ func TestQuickNewCells(t *testing.T) {
 }
 
 func TestNewCellsRankZero(t *testing.T) {
-	called := false
-	newCells(nil, nil, func([]int) { called = true })
-	if called {
-		t.Error("rank-0 newCells should visit nothing")
+	if cells := boxCellsOf(nil, nil); len(cells) != 0 {
+		t.Errorf("rank-0 newBoxes should tile nothing, got %v", cells)
 	}
 }
 
 func TestNewCellsInsideOutside(t *testing.T) {
 	from := []int{2, 3}
 	to := []int{4, 5}
-	newCells(from, to, func(c []int) {
+	cells := boxCellsOf(from, to)
+	for _, c := range cells {
 		inOld := c[0] < from[0] && c[1] < from[1]
 		inNew := c[0] < to[0] && c[1] < to[1]
 		if inOld || !inNew {
 			t.Errorf("cell %v outside the difference region", c)
 		}
-	})
+	}
+	if len(cells) != 4*5-2*3 {
+		t.Errorf("%d cells, want %d", len(cells), 4*5-2*3)
+	}
 }
 
 func TestCoordKey(t *testing.T) {
