@@ -904,3 +904,14 @@ func (f *Field) FetchSlice(age int, sel []SlabDim, dst *Array) {
 		walk(0)
 	}
 }
+
+// At returns the element at idx of the pinned generation without locking —
+// the pinned counterpart of Field.At, with the same results.
+func (t ViewToken) At(idx []int) (Value, bool) {
+	s := t.s
+	off := s.flatten(idx)
+	if off < 0 || !s.written[off] {
+		return Value{}, false
+	}
+	return s.data.get(t.kind, off), true
+}

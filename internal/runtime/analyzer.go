@@ -44,8 +44,7 @@ type event struct {
 }
 
 // coords is a coordinate or extent vector carried by an event. Up to four
-// entries that fit an int32 are held inline (coordKey already limits
-// coordinates to four 16-bit dimensions), so building a store event never
+// entries that fit an int32 are held inline, so building a store event never
 // allocates; big is the escape hatch for longer or wider vectors.
 type coords struct {
 	buf [4]int32
@@ -122,6 +121,10 @@ type analyzer struct {
 	// there: a generation's complete flag flips only then, so a tracker's
 	// creation scan and onFieldComplete count it exactly once between them.
 	completions []fieldGen
+	// collected queues the generations garbage collection dropped, for
+	// settle to retire once the event is handled: the completion that
+	// collected one may go on to name a tracker retire would delete.
+	collected []fieldGen
 
 	// slicer carves ready instances into slices. readied counts the
 	// instances marked ready since the last commitReady — the analyzer's
@@ -137,14 +140,9 @@ type analyzer struct {
 	maxBacklog int
 	busyNs     int64
 
-	// free holds unused instStates for per-instance trackers: newInst takes
-	// them, refill adds fresh blocks of them, and completed trackers return
-	// theirs (maybeTrackerDone) — except while tracing, since recorded spans
-	// alias an instance's coordinates.
-	free []*instState
-	// spare holds the run lists of completed range trackers for new ones, so
-	// that steady state allocates none (a split kernel has a run per owned
-	// share granule, dozens per age).
+	// spare holds the run lists of completed trackers for new ones, so that
+	// steady state allocates none (a split kernel has a run per owned share
+	// granule, dozens per age).
 	spare [][]cellRun
 
 	// Scratch buffers, so satisfaction checks never allocate.
@@ -287,7 +285,8 @@ func (an *analyzer) handle(ev *event) {
 }
 
 // settle ends an event: the field generations it completed take effect, the
-// instances it readied join the quiescence count, and the full slices carved
+// ones it collected are retired, the instances it readied join the
+// quiescence count, and the full slices carved
 // from them go to the scheduler. Remainders wait for a lull (slicer.drain).
 func (an *analyzer) settle() {
 	for i := 0; i < len(an.completions); i++ {
@@ -295,6 +294,10 @@ func (an *analyzer) settle() {
 		an.onFieldComplete(c.fs, c.g)
 	}
 	an.completions = an.completions[:0]
+	for _, c := range an.collected {
+		an.retire(c.fs, c.g)
+	}
+	an.collected = an.collected[:0]
 	an.commitReady()
 	an.slicer.flush()
 }
@@ -370,7 +373,8 @@ func (an *analyzer) ensureTracker(ks *kernelState, age int) (*ageTracker, bool) 
 	t.bindsDone = bindDone
 	t.domainFinal = bindDone == len(ks.binds)
 	if len(ks.binds) == 0 {
-		an.createSingle(t)
+		r := cellRun{hi: 1} // the one instance of a kernel without index variables
+		an.addRun(t, r, an.covered(t, &r))
 	} else {
 		from := make([]int, len(ks.binds))
 		an.createInstances(t, from, t.extents)
@@ -387,19 +391,20 @@ func (an *analyzer) sourceTracker(ks *kernelState, age int) {
 	}
 	t := an.newTracker(ks, age)
 	t.domainFinal = true
-	an.createSingle(t)
+	an.addRun(t, cellRun{hi: 1}, 0)
 }
 
-// newTracker registers an empty tracker for (ks, age). A range tracker's mask
-// starts as its creation scan: the fetches whose generations are complete.
+// newTracker registers an empty tracker for (ks, age). Its mask starts as its
+// creation scan: the whole/slab fetches whose generations are complete.
 func (an *analyzer) newTracker(ks *kernelState, age int) *ageTracker {
-	t := &ageTracker{ks: ks, age: age}
-	if ks.needsInstMap {
-		t.inst = make(map[int64]*instState)
-	} else {
-		t.mask, _ = an.burstMask(t)
-		t.waiting, t.runs = an.runList(), an.runList()
+	t := &ageTracker{ks: ks, age: age, mask: ks.elemBits}
+	for i := range ks.fetchPlans {
+		fp := &ks.fetchPlans[i]
+		if fp.slab != nil && an.fieldAge(fp.fs, fp.fe.Age.Eval(age)).complete {
+			t.mask |= uint32(1) << uint(i)
+		}
 	}
+	t.waiting, t.runs = an.runList(), an.runList()
 	if ks.ages == nil {
 		ks.ages = make(map[int]*ageTracker)
 	}
@@ -418,192 +423,233 @@ func (an *analyzer) runList() []cellRun {
 	return l
 }
 
-// burstMask hoists the per-creation-burst part of initial satisfaction: the
-// whole/slab fetch bits, which depend only on generation completeness, are
-// computed once per tracker creation or growth burst instead of per instance.
-// elems reports whether element fetches remain to check per instance.
-func (an *analyzer) burstMask(t *ageTracker) (mask0 uint32, elems bool) {
-	ks := t.ks
-	for i := range ks.fetchPlans {
-		fp := &ks.fetchPlans[i]
-		if fp.slab != nil {
-			if an.fieldAge(fp.fs, fp.fe.Age.Eval(t.age)).complete {
-				mask0 |= uint32(1) << uint(i)
-			}
-		} else {
-			elems = true
-		}
-	}
-	return mask0, elems
-}
-
-// createSingle creates the one instance of a kernel without index variables.
-func (an *analyzer) createSingle(t *ageTracker) {
-	if !t.ks.needsInstMap {
-		an.addRun(t, cellRun{hi: 1})
-		return
-	}
-	mask0, elems := an.burstMask(t)
-	an.newInst(t, nil, mask0, elems)
-}
-
 // createInstances creates the instances in box(to) but not in box(from) that
-// run here, walking the new cells as boxes (newBoxes) cut at share granules:
-// a range tracker takes each box as a run, a per-instance tracker gets one
-// instState per cell.
+// run here, walking the new cells as boxes (newBoxes) cut at share granules.
+// Each box's element fetches are checked once for the whole box (covered).
 func (an *analyzer) createInstances(t *ageTracker, from, to []int) {
 	ks := t.ks
-	var mask0 uint32
-	var elems bool
-	if ks.needsInstMap {
-		mask0, elems = an.burstMask(t)
-		// Presize the ready list and the free list for the whole burst:
-		// growing them element-by-element is a measurable share of the
-		// analyzer's allocations.
-		add := boxCells(to) - boxCells(from)
-		if add > 0 && cap(t.ready)-len(t.ready) < add {
-			grown := make([]*instState, len(t.ready), len(t.ready)+add)
-			copy(grown, t.ready)
-			t.ready = grown
-		}
-		if need := add - len(an.free); need > 0 {
-			an.refill(need, len(to))
+	if t.cells != nil {
+		t.cells = regrid(t.cells, from, to, ks.elemBits)
+		if t.born != nil {
+			t.born = regrid(t.born, from, to, 0)
 		}
 	}
 	newBoxes(from, to, func(org, ext [maxRank]int) {
+		box := cellRun{org: org, ext: ext, rank: len(to)}
+		have := an.covered(t, &box)
 		ks.ownedRuns(org[0], org[0]+ext[0], func(lo, hi int) {
-			r := cellRun{org: org, ext: ext, rank: len(to)}
+			r := box
 			r.org[0], r.ext[0] = lo, hi-lo
 			r.hi = boxCells(r.ext[:r.rank])
-			if !ks.needsInstMap {
-				an.addRun(t, r)
-				return
-			}
-			var buf [maxRank]int
-			for i := 0; i < r.hi; i++ {
-				an.newInst(t, r.coords(i, buf[:]), mask0, elems)
-			}
+			an.addRun(t, r, have)
 		})
 	})
 }
 
-// addRun registers a run of new cells with a range tracker: ready at once when
-// the tracker's mask is full, waiting for the mask to fill otherwise.
-func (an *analyzer) addRun(t *ageTracker, r cellRun) {
-	k := r.len()
-	t.total += k
-	if t.mask != t.ks.fullMask {
-		t.waiting = extend(t.waiting, 0, r)
-		if an.n.stamp {
-			t.stamps = append(t.stamps, burstStamp{an.n.nowNs(), k})
+// covered returns the element fetches satisfied for every cell of r's box at
+// once: those whose image of the box — per field dimension, the range its
+// index term takes over the box — lies inside a generation written
+// throughout. That is one check per fetch however many cells the box has.
+// The write count is read before the extents: a generation only gains
+// writes and grows, so a count equal to the cell count of later extents
+// proves it was written throughout, with those extents, when counted.
+func (an *analyzer) covered(t *ageTracker, r *cellRun) uint32 {
+	var have uint32
+	for i := range t.ks.fetchPlans {
+		fp := &t.ks.fetchPlans[i]
+		if fp.terms == nil {
+			continue
 		}
-		return
+		g := fp.fe.Age.Eval(t.age)
+		writes, cells, inside := fp.fs.f.Writes(g), 1, true
+		for d, tm := range fp.terms {
+			e := fp.fs.f.Extent(g, d)
+			lo, hi := tm.off, tm.off+1
+			if tm.v >= 0 {
+				lo, hi = r.org[tm.v]+tm.off, r.org[tm.v]+r.ext[tm.v]+tm.off
+			}
+			cells, inside = cells*e, inside && lo >= 0 && hi <= e
+		}
+		if inside && writes == cells {
+			have |= uint32(1) << uint(i)
+		}
 	}
-	if an.n.stamp {
-		r.readyNs = an.n.nowNs()
-		t.ks.stageReady.ObserveN(0, k)
-	}
-	t.runs = extend(t.runs, t.rhead, r)
-	t.queued += k
-	an.readied += int64(k) // see markReady
-	an.slicer.added(t)
+	return have
 }
 
-// satisfyRange records that one fetch of every instance of a range tracker is
-// satisfied; the fetch that fills the mask readies every waiting cell at once.
-func (an *analyzer) satisfyRange(t *ageTracker, bit uint32) {
-	if t.mask&bit != 0 {
+// addRun registers a run of new cells, have being the element fetches
+// satisfied for all of them. With all of them, the run is ready at once when
+// the mask is full and otherwise waits, stamped with its creation (runs of
+// different stamps stay apart); else, or when stamps are kept per cell, each
+// cell is checked against the field and is ready or waits on its own.
+func (an *analyzer) addRun(t *ageTracker, r cellRun, have uint32) {
+	ks := t.ks
+	t.total += r.len()
+	full, now := t.mask == ks.fullMask, an.now()
+	if have == ks.elemBits && t.born == nil {
+		if full {
+			an.ready(t, r, now, now)
+			return
+		}
+		r.readyNs = now
+		if n := len(t.waiting); n > 0 && t.waiting[n-1].readyNs != now {
+			t.waiting = append(t.waiting, r)
+		} else {
+			t.waiting = extend(t.waiting, 0, r)
+		}
+		t.nwait += r.len()
 		return
 	}
-	t.mask |= bit
-	if t.mask != t.ks.fullMask {
+	an.trackCells(t)
+	var buf [maxRank]int
+	for i := r.lo; i < r.hi; i++ {
+		c := r.coords(i, buf[:])
+		f := position(c, t.extents)
+		m := have | an.written(t, c, have)
+		t.cells[f] = m
+		if full && m == ks.elemBits {
+			an.ready(t, t.cellRun(f), now, now)
+			continue
+		}
+		if t.born != nil {
+			t.born[f] = now
+		}
+		t.waiting = extend(t.waiting, 0, t.cellRun(f))
+		t.nwait++
+	}
+}
+
+// trackCells gives t per-cell element state when it has none: every cell
+// created so far has all of its element fetches, or it would have some, and
+// a waiting one takes its run's creation stamp.
+func (an *analyzer) trackCells(t *ageTracker) {
+	if t.cells != nil {
 		return
 	}
+	t.cells = regrid(nil, t.extents, t.extents, t.ks.elemBits)
 	if an.n.stamp {
-		now := an.n.nowNs()
-		for _, st := range t.stamps {
-			t.ks.stageReady.ObserveN(time.Duration(now-st.createdNs), st.cells)
-		}
-		t.stamps = t.stamps[:0]
-		for i := range t.waiting {
-			t.waiting[i].readyNs = now
+		t.born = make([]int64, len(t.cells))
+		var buf [maxRank]int
+		for _, r := range t.waiting {
+			for i := r.lo; i < r.hi; i++ {
+				t.born[position(r.coords(i, buf[:]), t.extents)] = r.readyNs
+			}
 		}
 	}
-	// Nothing was ready while the mask was not full: the waiting runs
-	// become the ready ones.
-	t.runs, t.waiting, t.rhead = t.waiting, t.runs[:0], 0
-	k := cellsOf(t.runs)
+}
+
+// written returns the element fetches outside skip whose element for cell c
+// is written.
+func (an *analyzer) written(t *ageTracker, c []int, skip uint32) uint32 {
+	var m uint32
+	for i := range t.ks.fetchPlans {
+		fp := &t.ks.fetchPlans[i]
+		bit := uint32(1) << uint(i)
+		if fp.terms == nil || skip&bit != 0 {
+			continue
+		}
+		idx := evalTerms(an.scratch(len(fp.terms)), fp.terms, c)
+		if _, ok := fp.fs.f.At(fp.fe.Age.Eval(t.age), idx...); ok {
+			m |= bit
+		}
+	}
+	return m
+}
+
+// now is the analyzer's stamp for what it does next: Node.nowNs when the node
+// stamps, else zero.
+func (an *analyzer) now() int64 {
+	if !an.n.stamp {
+		return 0
+	}
+	return an.n.nowNs()
+}
+
+// ready hands a run of cells, created at bornNs and satisfied at now, to the
+// slicer: it joins the tracker's ready runs (extend). The quiescence count has
+// to include them before the unit of work that readied them is counted out;
+// the increments are gathered in readied and published by commitReady, once
+// per event rather than once per run.
+func (an *analyzer) ready(t *ageTracker, r cellRun, bornNs, now int64) {
+	k := r.len()
+	if an.n.stamp {
+		r.readyNs = now
+		t.ks.stageReady.ObserveN(time.Duration(now-bornNs), k)
+	}
+	t.runs = extend(t.runs, t.rhead, r)
 	t.queued += k
 	an.readied += int64(k)
 	an.slicer.added(t)
 }
 
-// newInst registers one instance with the burst's hoisted whole/slab mask and
-// checks its element fetches against current field contents.
-func (an *analyzer) newInst(t *ageTracker, coords []int, mask0 uint32, elems bool) {
-	if len(an.free) == 0 {
-		an.refill(instBlock, len(coords))
+// satisfyRange records that one whole/slab fetch of every cell of t is
+// satisfied; the fetch that fills the mask readies the waiting cells (sweep).
+func (an *analyzer) satisfyRange(t *ageTracker, bit uint32) {
+	if t.mask&bit != 0 {
+		return
 	}
-	is := an.free[len(an.free)-1]
-	an.free = an.free[:len(an.free)-1]
-	is.coords = append(is.coords[:0], coords...)
-	is.mask, is.st, is.readyNs, is.createdNs = mask0, instWaiting, 0, 0
-	if an.n.stamp {
-		is.createdNs = an.n.nowNs()
+	t.mask |= bit
+	if t.mask == t.ks.fullMask {
+		an.sweep(t, nil)
 	}
-	t.inst[coordKey(coords)] = is
-	t.total++
+}
+
+// sweep goes over the waiting cells, readies those now satisfied and keeps the
+// rest listed, as runs. With ce, after a whole or slab store to an element
+// fetched field, it first satisfies that fetch where the element is written —
+// for a whole waiting run at once when covered says so, else cell by cell.
+func (an *analyzer) sweep(t *ageTracker, ce *consEdge) {
 	ks := t.ks
-	if elems {
-		for i := range ks.fetchPlans {
-			fp := &ks.fetchPlans[i]
-			if fp.slab != nil {
+	full, now := t.mask == ks.fullMask, an.now()
+	if t.completed || t.nwait == 0 {
+		return
+	}
+	if t.cells == nil {
+		// Every waiting cell has its element fetches: it waits for the mask.
+		if full {
+			for _, r := range t.waiting {
+				an.ready(t, r, r.readyNs, now)
+			}
+			t.waiting, t.nwait = t.waiting[:0], 0
+		}
+		return
+	}
+	kept := an.runList()
+	t.nwait = 0
+	var buf [maxRank]int
+	for _, r := range t.waiting {
+		var have uint32
+		if ce != nil {
+			have = an.covered(t, &r) & ce.fetchBit
+		}
+		for i := r.lo; i < r.hi; i++ {
+			f := position(r.coords(i, buf[:]), t.extents)
+			m := t.cells[f]
+			if ce != nil {
+				if full && m == ks.elemBits {
+					continue // readied on its own since it was listed
+				}
+				m |= have | an.written(t, buf[:r.rank], m|have|^ce.fetchBit)
+				t.cells[f] = m
+			}
+			if full && m == ks.elemBits {
+				an.ready(t, t.cellRun(f), t.bornAt(f), now)
 				continue
 			}
-			bit := uint32(1) << uint(i)
-			if is.mask&bit != 0 {
-				continue
-			}
-			g := fp.fe.Age.Eval(t.age)
-			idx := evalTerms(an.scratch(len(fp.terms)), fp.terms, is.coords)
-			if _, ok := fp.fs.f.At(g, idx...); ok {
-				is.mask |= bit
-			}
+			kept = extend(kept, 0, t.cellRun(f))
+			t.nwait++
 		}
 	}
-	if is.mask == ks.fullMask {
-		an.markReady(t, is)
-	}
+	an.spare = append(an.spare, t.waiting[:0])
+	t.waiting = kept
 }
 
-// instBlock is the least number of instStates refill makes at once.
-const instBlock = 32
-
-// refill adds a block of at least k fresh instStates to the free list, each
-// with room for rank coordinates: two allocations per block instead of two
-// per instance.
-func (an *analyzer) refill(k, rank int) {
-	k = max(k, instBlock)
-	block := make([]instState, k)
-	coords := make([]int, k*rank)
-	for i := range block {
-		block[i].coords = coords[i*rank : i*rank : (i+1)*rank]
-		an.free = append(an.free, &block[i])
+// bornAt returns the creation stamp of cell f (zero unless the node stamps).
+func (t *ageTracker) bornAt(f int) int64 {
+	if t.born == nil {
+		return 0
 	}
-}
-
-// markReady hands a fully satisfied instance to the slicer. The quiescence
-// count has to include it before the unit of work that readied it is counted
-// out; the increments are gathered in readied and published by commitReady,
-// once per event rather than once per instance.
-func (an *analyzer) markReady(t *ageTracker, is *instState) {
-	is.st = instQueued
-	if an.n.stamp {
-		is.readyNs = an.n.nowNs()
-		t.ks.stageReady.Observe(time.Duration(is.readyNs - is.createdNs))
-	}
-	an.readied++
-	an.slicer.ready(t, is)
+	return t.born[f]
 }
 
 // commitReady publishes the ready instances gathered since the last call to
@@ -615,17 +661,6 @@ func (an *analyzer) commitReady() {
 	if an.readied > 0 {
 		an.pending.Add(an.readied)
 		an.readied = 0
-	}
-}
-
-// setBit records that one fetch of one instance is satisfied.
-func (an *analyzer) setBit(t *ageTracker, is *instState, bit uint32) {
-	if is.st != instWaiting || is.mask&bit != 0 {
-		return
-	}
-	is.mask |= bit
-	if is.mask == t.ks.fullMask {
-		an.markReady(t, is)
 	}
 }
 
@@ -676,25 +711,16 @@ func (an *analyzer) handleDone(ev *event) {
 }
 
 func (an *analyzer) maybeTrackerDone(t *ageTracker) {
-	if t.completed || !t.domainFinal || t.done != t.total || t.uncarved() != 0 {
+	if t.completed || !t.domainFinal || t.done != t.total || t.queued != 0 {
 		return
 	}
 	t.completed = true
-	if an.n.tracer == nil {
-		// Recycle the instance structs (safe: every instance is done, so no
-		// worker or batch will read them again). With tracing on they must
-		// survive — recorded spans alias their coords.
-		for _, is := range t.inst {
-			an.free = append(an.free, is)
-		}
-	}
 	for _, l := range [2][]cellRun{t.waiting, t.runs} {
 		if cap(l) > 0 {
 			an.spare = append(an.spare, l[:0])
 		}
 	}
-	t.inst, t.ready, t.head = nil, nil, 0
-	t.waiting, t.runs, t.rhead, t.stamps = nil, nil, 0, nil
+	t.waiting, t.runs, t.rhead, t.cells, t.born = nil, nil, 0, nil, nil
 	an.onTrackerComplete(t)
 }
 
@@ -755,7 +781,7 @@ func (an *analyzer) handleStore(ev *event) {
 		}
 		an.forTrackers(ce.ks, ce.fetch.Age, ev.age, func(t *ageTracker) {
 			if ev.whole {
-				an.scanSatisfy(t, ce)
+				an.sweep(t, &ce)
 			} else {
 				an.satisfyElem(t, ce, elem)
 			}
@@ -795,11 +821,12 @@ func (an *analyzer) growTracker(t *ageTracker, varIdx, newExt int) {
 	an.createInstances(t, from, t.extents)
 }
 
-// satisfyElem marks the fetch bit of every instance whose fetch coordinates
-// match a stored element (only reachable for kernels with element fetches,
-// which always carry an instance map).
+// satisfyElem satisfies fetch ce for every cell whose fetch coordinates match
+// a stored element: the element is mapped back through the fetch's index
+// terms to the cells that read it, found by position in cells. A tracker
+// without per-cell state has every created cell's elements already.
 func (an *analyzer) satisfyElem(t *ageTracker, ce consEdge, elem []int) {
-	if t.completed {
+	if t.completed || t.cells == nil {
 		return
 	}
 	nv := len(t.ks.decl.IndexVars)
@@ -832,9 +859,7 @@ func (an *analyzer) satisfyElem(t *ageTracker, ce consEdge, elem []int) {
 
 func (an *analyzer) enumerate(t *ageTracker, coords []int, constrained []bool, d int, bit uint32) {
 	if d == len(coords) {
-		if is := t.inst[coordKey(coords)]; is != nil {
-			an.setBit(t, is, bit)
-		}
+		an.satisfyCell(t, position(coords, t.extents), bit)
 		return
 	}
 	if constrained[d] {
@@ -848,22 +873,20 @@ func (an *analyzer) enumerate(t *ageTracker, coords []int, constrained []bool, d
 	coords[d] = 0
 }
 
-// scanSatisfy re-checks one element fetch against current field contents for
-// every instance that still misses it (used after whole/slab stores, which
-// cover many elements with one event).
-func (an *analyzer) scanSatisfy(t *ageTracker, ce consEdge) {
-	if t.completed {
+// satisfyCell records that element fetch bit of cell f is satisfied, readying
+// the cell when that completes it. A cell that is not created here — another
+// node's share — has every bit already.
+func (an *analyzer) satisfyCell(t *ageTracker, f int, bit uint32) {
+	m := t.cells[f]
+	if m&bit != 0 {
 		return
 	}
-	g := ce.fetch.Age.Eval(t.age)
-	fs := an.n.fields[ce.fetch.Field]
-	for _, is := range t.inst {
-		if is.st != instWaiting || is.mask&ce.fetchBit != 0 {
-			continue
-		}
-		idx := evalTerms(an.scratch(len(ce.terms)), ce.terms, is.coords)
-		if _, ok := fs.f.At(g, idx...); ok {
-			an.setBit(t, is, ce.fetchBit)
+	m |= bit
+	t.cells[f] = m
+	if m == t.ks.elemBits && t.mask == t.ks.fullMask {
+		an.ready(t, t.cellRun(f), t.bornAt(f), an.now())
+		if t.nwait--; t.nwait == 0 {
+			t.waiting = t.waiting[:0]
 		}
 	}
 }
@@ -882,15 +905,8 @@ func (an *analyzer) onFieldComplete(fs *fieldState, g int) {
 			continue
 		}
 		an.forTrackers(ce.ks, ce.fetch.Age, g, func(t *ageTracker) {
-			if t.completed {
-				return
-			}
-			if !t.ks.needsInstMap {
+			if !t.completed {
 				an.satisfyRange(t, ce.fetchBit)
-				return
-			}
-			for _, is := range t.inst {
-				an.setBit(t, is, ce.fetchBit)
 			}
 		})
 	}
@@ -914,15 +930,15 @@ func (an *analyzer) onFieldComplete(fs *fieldState, g int) {
 }
 
 // gcCheck garbage collects a field generation once it is complete and every
-// age-variable consumer kernel-age has finished with it, then retires what
-// the analyzer kept about it.
+// age-variable consumer kernel-age has finished with it, and queues what the
+// analyzer kept about it for retirement (settle).
 func (an *analyzer) gcCheck(fs *fieldState, g int, fa *fieldAgeState) {
 	if !an.n.opts.GC || fa.collected || !fa.complete || fs.absConsumers > 0 || fa.consumersDone < fs.agedConsumers || fs.agedConsumers == 0 {
 		return
 	}
 	fa.collected = true
 	fs.f.DropAge(g)
-	an.retire(fs, g)
+	an.collected = append(an.collected, fieldGen{fs, g})
 }
 
 // retire forgets a collected generation: its completeness record, and every
@@ -950,9 +966,8 @@ func (an *analyzer) retire(fs *fieldState, g int) {
 }
 
 // stalled describes every kernel-age that never completed: its instance
-// counts, the fetches it still waits for, and — per instance for a
-// per-instance tracker, as ranges for a range tracker — what was created,
-// readied and carved.
+// counts, the fetches it still waits for, and its waiting and ready cells as
+// runs.
 func (an *analyzer) stalled() []string {
 	var out []string
 	for _, ks := range an.n.order {
@@ -962,12 +977,17 @@ func (an *analyzer) stalled() []string {
 			}
 			var b strings.Builder
 			fmt.Fprintf(&b, "%s(age=%d): %d/%d instances done, domainFinal=%v", ks.decl.Name, age, t.done, t.total, t.domainFinal)
-			missing := ^t.mask
-			if ks.needsInstMap {
-				missing = 0
-				for _, is := range t.inst {
-					if is.st == instWaiting {
-						missing |= ^is.mask
+			missing, waiting, full := ^t.mask, t.waiting, t.mask == ks.fullMask
+			if t.cells != nil {
+				waiting = nil
+				var buf [maxRank]int
+				for _, r := range t.waiting {
+					for i := r.lo; i < r.hi; i++ {
+						f := position(r.coords(i, buf[:]), t.extents)
+						if m := t.cells[f]; m != ks.elemBits || !full {
+							missing |= ks.elemBits &^ m
+							waiting = extend(waiting, 0, t.cellRun(f))
+						}
 					}
 				}
 			}
@@ -976,26 +996,12 @@ func (an *analyzer) stalled() []string {
 					fmt.Fprintf(&b, "; missing %s", strings.TrimSuffix(ks.decl.Fetches[i].String(), ";"))
 				}
 			}
-			if !ks.needsInstMap {
-				fmt.Fprintf(&b, "; waiting %v, ready %v, carved %d", t.waiting, t.runs[t.rhead:], t.total-t.queued-cellsOf(t.waiting))
-			}
-			for _, is := range t.inst {
-				fmt.Fprintf(&b, " inst%v mask=%b st=%d", is.coords, is.mask, is.st)
-			}
+			fmt.Fprintf(&b, "; waiting %v, ready %v, carved %d", waiting, t.runs[t.rhead:], t.total-t.queued-t.nwait)
 			out = append(out, b.String())
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// cellsOf counts the cells of a run list.
-func cellsOf(runs []cellRun) int {
-	k := 0
-	for i := range runs {
-		k += runs[i].len()
-	}
-	return k
 }
 
 func varIndex(vars []string, name string) int {

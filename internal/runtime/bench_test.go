@@ -11,7 +11,7 @@ import (
 // benchNode builds a one-kernel node whose input element is pre-stored, so
 // exec can be driven directly: this isolates the dispatch fast path (frame
 // checkout, plan-driven fetch, body, event emission) from the analyzer.
-func benchNode(b testing.TB, indexed bool) (*Node, *ageTracker, *instState) {
+func benchNode(b testing.TB, indexed bool) (*Node, *ageTracker, cellRun) {
 	b.Helper()
 	pb := core.NewBuilder("bench")
 	pb.Field("in", field.Int32, 1, true)
@@ -38,21 +38,20 @@ func benchNode(b testing.TB, indexed bool) (*Node, *ageTracker, *instState) {
 	}
 	ks := n.kernels["consume"]
 	t := &ageTracker{ks: ks, age: 0}
-	is := &instState{}
+	cell := cellRun{hi: 1}
 	if indexed {
-		is.coords = []int{0}
+		cell.rank, cell.ext[0] = 1, 1
 	}
-	return n, t, is
+	return n, t, cell
 }
 
 // sliceOfOne returns a function that drives one instance through the dispatch
 // path as a slice of one, standing in for the analyzer: the slice header is
 // recycled afterwards as handleDone would.
-func sliceOfOne(n *Node, t *ageTracker, is *instState, w *workerState) func() {
-	insts := []*instState{is}
+func sliceOfOne(n *Node, t *ageTracker, cell cellRun, w *workerState) func() {
 	return func() {
 		b := getBatch()
-		b.tracker, b.insts = t, insts
+		b.tracker, b.run = t, cell
 		n.execSlice(b, w)
 		releaseBatch(b)
 	}
@@ -61,9 +60,9 @@ func sliceOfOne(n *Node, t *ageTracker, is *instState, w *workerState) func() {
 // BenchmarkDispatchInstance measures one dispatch through the precompiled
 // plan with no index variables; the acceptance target is 0 allocs/op.
 func BenchmarkDispatchInstance(b *testing.B) {
-	n, t, is := benchNode(b, false)
+	n, t, cell := benchNode(b, false)
 	w := newWorkerState(n, 0)
-	exec := sliceOfOne(n, t, is, w)
+	exec := sliceOfOne(n, t, cell, w)
 	exec() // warm the frame pool
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -77,9 +76,9 @@ func BenchmarkDispatchInstance(b *testing.B) {
 // age-variable, index-variable element fetch (coordinates evaluate into the
 // frame's scratch).
 func BenchmarkDispatchInstanceIndexed(b *testing.B) {
-	n, t, is := benchNode(b, true)
+	n, t, cell := benchNode(b, true)
 	w := newWorkerState(n, 0)
-	exec := sliceOfOne(n, t, is, w)
+	exec := sliceOfOne(n, t, cell, w)
 	exec()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -89,24 +88,21 @@ func BenchmarkDispatchInstanceIndexed(b *testing.B) {
 	}
 }
 
-// collectSlicesFixture returns a function that carves a ready list of the
+// collectSlicesFixture returns a function that carves a ready run of the
 // given length into size-1 slices (the slicer's worst case: one slice header
 // per instance) and recycles them, as one analyzer lull would.
 func collectSlicesFixture(tb testing.TB, pending int) func() {
 	n, tr, _ := benchNode(tb, true)
 	n.kernels["consume"].gran = 1
-	insts := make([]instState, pending)
-	ready := make([]*instState, pending)
-	for i := range insts {
-		ready[i] = &insts[i]
-	}
+	run := cellRun{rank: 1, hi: pending}
+	run.ext[0] = pending
 	c := slicer{n: n, push: func(bs []*batch) {
 		for _, b := range bs {
 			releaseBatch(b)
 		}
 	}}
 	return func() {
-		tr.ready, tr.head, tr.dirty = ready, 0, true
+		tr.runs, tr.rhead, tr.queued, tr.dirty = append(tr.runs[:0], run), 0, pending, true
 		c.dirty = append(c.dirty[:0], tr)
 		c.drain()
 	}

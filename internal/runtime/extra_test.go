@@ -15,8 +15,9 @@ import (
 // instances (the analyzer's unconstrained-variable enumeration). With rows,
 // the factors are rank-2 fields of one-value rows that indexed kernels store
 // row by row, in whatever order their slices finish, and mul fetches [x][*]
-// and [y][*]: a range tracker whose two-dimensional domain grows in both
-// dimensions before its generations complete.
+// and [y][*]: a slab-only tracker whose two-dimensional domain grows in
+// both dimensions before its generations complete; without rows, element
+// fetches bind the same domain.
 func TestOuterProductDomain(t *testing.T) {
 	for _, rows := range []bool{false, true} {
 		b := core.NewBuilder("outer")
@@ -83,8 +84,8 @@ func TestOuterProductDomain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ranged := !n.kernels["mul"].needsInstMap; ranged != rows {
-			t.Fatalf("rows %v: mul has a range tracker: %v", rows, ranged)
+		if elem := n.kernels["mul"].elemBits != 0; elem == rows {
+			t.Fatalf("rows %v: mul has element fetches: %v", rows, elem)
 		}
 		rep, err := n.Run()
 		if err != nil {

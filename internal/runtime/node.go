@@ -396,7 +396,8 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 				if len(fp.terms) > maxIdx {
 					maxIdx = len(fp.terms)
 				}
-				ks.needsInstMap = true
+				fp.viewable = true
+				ks.elemBits |= uint32(1) << uint(i)
 			}
 			ks.fetchPlans[i] = fp
 		}
@@ -460,8 +461,8 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 }
 
 // execFrame is the reusable per-slice state a worker checks out of a kernel's
-// frame pool: the instance context, the instance coordinates of a range
-// slice (one row of them per instance in lockstep), coordinate and
+// frame pool: the instance context, the instance coordinates of a slice
+// (one row of them per instance in lockstep), coordinate and
 // slab-selector scratch sized for the kernel's largest index expressions,
 // and the two per-slice hoists — one generation pin per fetch and one
 // staging list per store.
@@ -850,7 +851,7 @@ func (n *Node) worker(id int) {
 // per slice: check out the kernel's frame, pin every viewable fetch's
 // generation, apply the staged element stores of all instances under one
 // field lock per store statement, and send one done event carrying the slice.
-// Per instance: alias views out of the pins, fetch elements, run the body,
+// Per instance: alias views and read elements out of the pins, run the body,
 // apply slab stores and stage element stores — unless the kernel has a
 // slice body and the slice is long enough for it (minLockstepInsts and
 // the kernel's own SliceMin), in which case the bodies are one call
@@ -1067,10 +1068,10 @@ func (n *Node) observeLockstep(t *ageTracker, b *batch, coords []int, ran int, w
 }
 
 // fetchInst performs one instance's fetches into the frame's context: views
-// aliased out of the slice's pins (copies where a generation could not be
-// pinned) and element reads. alias is false when an earlier row of the same
-// slice has already filled the context's whole-field fetch arrays, which
-// every row shares. It reports false after failing the run when an element
+// aliased and elements read out of the slice's pins (copies and locked reads
+// where a generation could not be pinned). alias is false when an earlier
+// row of the same slice has already filled the context's whole-field fetch
+// arrays, which every row shares. It reports false after failing the run when an element
 // the analyzer saw written is missing.
 func (n *Node) fetchInst(t *ageTracker, coords []int, fr *execFrame, alias bool) bool {
 	ks := t.ks
@@ -1090,7 +1091,13 @@ func (n *Node) fetchInst(t *ageTracker, coords []int, fr *execFrame, alias bool)
 			ctx.SetLocalValue(fp.local, field.ArrayVal(dst))
 		default:
 			idx := evalTerms(fr.idx[:len(fp.terms)], fp.terms, coords)
-			v, ok := fp.fs.f.At(g, idx...)
+			var v field.Value
+			var ok bool
+			if pin := &fr.pins[i]; pin.ok {
+				v, ok = pin.tok.At(idx)
+			} else {
+				v, ok = fp.fs.f.At(g, idx...)
+			}
 			if !ok {
 				n.fail(fmt.Errorf("p2g: internal error: %s dispatched before %s(%d)%v was written", ks.decl.Name, fp.fe.Field, g, idx))
 				return false

@@ -42,16 +42,15 @@ func TestPublishedRowStoreAllocFree(t *testing.T) {
 	}
 	n.fields["in"].f.MarkComplete(0)
 	tr := &ageTracker{ks: n.kernels["copy"], age: 0}
-	insts := make([]*instState, rows)
-	for r := range insts {
-		insts[r] = &instState{coords: []int{r}}
-	}
+	all := cellRun{rank: 1, hi: rows}
+	all.ext[0] = rows
 	w := newWorkerState(n, 0)
 	next := 0
 	exec := func() {
 		w.buf = w.buf[:0]
 		slice := getBatch()
-		slice.tracker, slice.insts = tr, insts[next:next+1]
+		slice.tracker, slice.run = tr, all
+		slice.run.lo, slice.run.hi = next, next+1
 		n.execSlice(slice, w)
 		releaseBatch(slice)
 		next++

@@ -32,15 +32,15 @@ func putEventBuf(evs []event) {
 }
 
 // batchPool recycles slice headers between the analyzer's slicer (getBatch)
-// and its done handling (releaseBatch). A batch owns no storage — insts
-// aliases the tracker's ready list, a run is held by value — so carving and
-// releasing slices allocates nothing once the pool is warm.
+// and its done handling (releaseBatch). A batch owns no storage — its run is
+// held by value — so carving and releasing slices allocates nothing once the
+// pool is warm.
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 func getBatch() *batch { return batchPool.Get().(*batch) }
 
 // releaseBatch returns a finished slice for reuse, dropping its references so
-// a pooled batch pins neither tracker nor instances.
+// a pooled batch pins no tracker.
 func releaseBatch(b *batch) {
 	*b = batch{}
 	batchPool.Put(b)

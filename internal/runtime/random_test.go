@@ -17,13 +17,19 @@ import (
 // counts and slice sizes, with and without metrics and tracing, and checks
 // every field generation against a direct sequential evaluation; a second run
 // with garbage collection must dispatch the same instances and keep what it
-// keeps intact. A stage whose fetches are all rows is slab-only and runs on
-// a range tracker, the others on per-instance trackers, so drawn pipelines
-// mix both, and a row-fetching stage's domain grows through row stores that
-// arrive out of order. This is the broadest correctness net over the
-// dependency analyzer: domain growth, completeness propagation, aging edges,
-// scheduling order and the retirement of collected ages all have to be right
-// for every topology drawn.
+// keeps intact. A stage's second source is an element fetch — [x], or [x][0]
+// of a rank-2 field, kmeans_vm's shape — at a drawn offset: [x+1] reads a
+// halo field, whose producer also writes the element past the domain. A stage
+// either reads its sources as they are produced, so its element fetches are
+// satisfied cell by cell while it waits, or through whole copies that a
+// mirror kernel stores in one piece each — the element source first — so
+// that the element generation is written throughout before the stage has a
+// cell, and a whole burst is satisfied at once. Drawn pipelines mix slab-only
+// stages with element-fetching ones, and a row-fetching stage's domain grows
+// through row stores that arrive out of order. This is the broadest
+// correctness net over the dependency analyzer: domain growth, completeness
+// propagation, aging edges, scheduling order and the retirement of collected
+// ages all have to be right for every topology drawn.
 func TestRandomPipelines(t *testing.T) {
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
@@ -41,43 +47,58 @@ type stage struct {
 	srcA, srcB int
 	// delay: the age offset of the store (0 or 1); fetches are at age a.
 	delay int
+	// off: the index offset of the srcB element fetch, 1 only for a halo
+	// field.
+	off int
+	// mirrored: the stage reads its sources through whole copies.
+	mirrored bool
 }
 
 // pipeField is one field of a random pipeline: cols 0 is a rank-1 field of
-// single values, cols > 0 a rank-2 field whose rows hold cols values.
-type pipeField struct{ cols int }
+// single values, cols > 0 a rank-2 field whose rows hold cols values. A halo
+// field holds one index more than the pipeline's width: its producer also
+// writes the index past its domain, which only an [x+1] element fetch reads.
+type pipeField struct {
+	cols int
+	halo bool
+}
 
 func (f pipeField) name(i int) string { return fmt.Sprintf("f%d", i) }
+
+// rank is the field's rank.
+func (f pipeField) rank() int { return 1 + min(f.cols, 1) }
 
 // rowLen is the number of values per index of the field.
 func (f pipeField) rowLen() int { return max(f.cols, 1) }
 
-// fetch declares local fetched from field i at age a — the element [x], or
-// of a rank-2 field the row [x][*] — and returns the reader of its value j
-// (cycling through a row). elem fetches the element [x][0] of a rank-2
-// field instead: an element fetch of a generation no producer writes waits
-// for ever, where a row fetch of it runs on an empty row, and only the first
-// fetch, which binds the domain, sees every generation it reads written.
-func (f pipeField) fetch(kb *core.KernelBuilder, local string, i int, elem bool) func(c *core.Ctx, j int) int64 {
+// fetch declares local fetched from field name, shaped like f, at age a —
+// the element [x], or of a rank-2 field the row [x][*] — and returns the
+// reader of its value j (cycling through a row). elem fetches the element
+// [x+off][0] of a rank-2 field instead, and [x+off] of a rank-1 one: an
+// element fetch of a generation no producer writes waits for ever, where a
+// row fetch of it runs on an empty row, and only the first fetch, which binds
+// the domain, sees every generation it reads written.
+func (f pipeField) fetch(kb *core.KernelBuilder, local, name string, elem bool, off int) func(c *core.Ctx, j int) int64 {
 	switch {
 	case f.cols == 0:
-		kb.Local(local, field.Int64, 0).Fetch(local, f.name(i), core.AgeVar(0), core.Idx("x"))
+		kb.Local(local, field.Int64, 0).Fetch(local, name, core.AgeVar(0), core.IdxOff("x", off))
 	case elem:
-		kb.Local(local, field.Int64, 0).Fetch(local, f.name(i), core.AgeVar(0), core.Idx("x"), core.Lit(0))
+		kb.Local(local, field.Int64, 0).Fetch(local, name, core.AgeVar(0), core.IdxOff("x", off), core.Lit(0))
 	default:
-		kb.Local(local, field.Int64, 1).Fetch(local, f.name(i), core.AgeVar(0), core.Idx("x"), core.All())
+		kb.Local(local, field.Int64, 1).Fetch(local, name, core.AgeVar(0), core.Idx("x"), core.All())
 		return func(c *core.Ctx, j int) int64 { return c.Array(local).Int64s()[j%f.cols] }
 	}
 	return func(c *core.Ctx, _ int) int64 { return c.Int64(local) }
 }
 
-// store declares local stored to field i at age a+delay, element or row.
-func (f pipeField) store(kb *core.KernelBuilder, local string, i, delay int) {
+// store declares local stored to field i at age a+delay and index x+off,
+// element or row.
+func (f pipeField) store(kb *core.KernelBuilder, local string, i, delay, off int) {
 	if f.cols == 0 {
-		kb.Local(local, field.Int64, 0).Store(f.name(i), core.AgeVar(delay), []core.IndexSpec{core.Idx("x")}, local)
+		kb.Local(local, field.Int64, 0).Store(f.name(i), core.AgeVar(delay), []core.IndexSpec{core.IdxOff("x", off)}, local)
 		return
 	}
-	kb.Local(local, field.Int64, 1).Store(f.name(i), core.AgeVar(delay), []core.IndexSpec{core.Idx("x"), core.All()}, local)
+	kb.Local(local, field.Int64, 1).Store(f.name(i), core.AgeVar(delay), []core.IndexSpec{core.IdxOff("x", off), core.All()}, local)
 }
 
 // set fills a stored local with v(j) for every value j of a row.
@@ -93,14 +114,25 @@ func (f pipeField) set(c *core.Ctx, local string, v func(j int) int64) {
 	}
 }
 
+// haloBias is what a halo element adds to the last element of its domain.
+const haloBias = 1000
+
 func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	width := 1 + rng.Intn(6)
 	nStages := 1 + rng.Intn(5)
 	maxAge := 1 + rng.Intn(5)
 
-	// Field 0 is the seed; field i+1 is produced by stage i. A stage's first
-	// fetch reads rows of a rank-2 source, its second one element.
+	// Field 0 is the seed; field i+1 is produced by stage i. Fields between
+	// the seed and the last one may be halo fields; the first fetch binds
+	// the domain, so it reads a field that is not.
+	fields := make([]pipeField, nStages+1)
+	for i := range fields {
+		if rng.Intn(2) == 0 {
+			fields[i].cols = 1 + rng.Intn(3)
+		}
+		fields[i].halo = i > 0 && i < nStages && rng.Intn(3) == 0
+	}
 	stages := make([]stage, nStages)
 	for i := range stages {
 		s := stage{
@@ -109,8 +141,15 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 			srcB:   -1,
 			delay:  0,
 		}
+		for fields[s.srcA].halo {
+			s.srcA = rng.Intn(i + 1)
+		}
 		if rng.Intn(3) == 0 {
 			s.srcB = rng.Intn(i + 1)
+			if fields[s.srcB].halo && rng.Intn(2) == 0 {
+				s.off = 1
+			}
+			s.mirrored = rng.Intn(2) == 0
 		}
 		// At least one stage must close an aging cycle back to field 0 to
 		// keep the program alive across ages; give each stage a chance.
@@ -119,16 +158,10 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 		}
 		stages[i] = s
 	}
-	fields := make([]pipeField, nStages+1)
-	for i := range fields {
-		if rng.Intn(2) == 0 {
-			fields[i].cols = 1 + rng.Intn(3)
-		}
-	}
 
 	b := core.NewBuilder("random")
 	for i, f := range fields {
-		b.Field(f.name(i), field.Int64, 1+min(f.cols, 1), true)
+		b.Field(f.name(i), field.Int64, f.rank(), true)
 	}
 	seed := make([][]int64, width)
 	for x := range seed {
@@ -138,7 +171,7 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 		}
 	}
 	b.Kernel("init").
-		Local("vals", field.Int64, 1+min(fields[0].cols, 1)).
+		Local("vals", field.Int64, fields[0].rank()).
 		StoreAll("f0", core.AgeAt(0), "vals").
 		Body(func(c *core.Ctx) error {
 			for x, row := range seed {
@@ -155,8 +188,8 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 	// A driver keeps f0 alive for later ages: f0(a+1)[x] = f_last(a)[x] + 1.
 	lastF := fields[nStages]
 	driver := b.Kernel("driver").Age("a").Index("x")
-	getLast := lastF.fetch(driver, "v", nStages, false)
-	fields[0].store(driver, "next", 0, 1)
+	getLast := lastF.fetch(driver, "v", lastF.name(nStages), false, 0)
+	fields[0].store(driver, "next", 0, 1, 0)
 	driver.Body(func(c *core.Ctx) error {
 		fields[0].set(c, "next", func(j int) int64 { return getLast(c, j) + 1 })
 		return nil
@@ -164,21 +197,48 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 	for i, s := range stages {
 		s := s
 		fa, out := fields[s.srcA], fields[i+1]
+		nameA, nameB := fa.name(s.srcA), ""
+		if s.srcB >= 0 {
+			nameB = fields[s.srcB].name(s.srcB)
+		}
+		if s.mirrored {
+			// The mirror stores srcB's copy first: the stage's domain grows
+			// only with the second store, when the element source is
+			// written throughout.
+			mb, ma := fmt.Sprintf("m%db", i), fmt.Sprintf("m%da", i)
+			b.Field(mb, field.Int64, fields[s.srcB].rank(), true)
+			b.Field(ma, field.Int64, fa.rank(), true)
+			b.Kernel(fmt.Sprintf("mirror%d", i)).Age("a").
+				Local("vb", field.Int64, fields[s.srcB].rank()).
+				Local("va", field.Int64, fa.rank()).
+				FetchAll("vb", nameB, core.AgeVar(0)).
+				FetchAll("va", nameA, core.AgeVar(0)).
+				StoreAll(mb, core.AgeVar(0), "vb").
+				StoreAll(ma, core.AgeVar(0), "va")
+			nameA, nameB = ma, mb
+		}
 		kb := b.Kernel(fmt.Sprintf("stage%d", i)).Age("a").Index("x")
-		getA := fa.fetch(kb, "a1", s.srcA, false)
+		getA := fa.fetch(kb, "a1", nameA, false, 0)
 		var getB func(c *core.Ctx, j int) int64
 		if s.srcB >= 0 {
-			getB = fields[s.srcB].fetch(kb, "a2", s.srcB, true)
+			getB = fields[s.srcB].fetch(kb, "a2", nameB, true, s.off)
 		}
-		out.store(kb, "out", i+1, s.delay)
+		out.store(kb, "out", i+1, s.delay, 0)
+		if out.halo {
+			out.store(kb, "halo", i+1, s.delay, 1)
+		}
 		kb.Body(func(c *core.Ctx) error {
-			out.set(c, "out", func(j int) int64 {
+			v := func(j int) int64 {
 				v := getA(c, j)*s.mulAdd[0] + s.mulAdd[1]
 				if getB != nil {
 					v += getB(c, j)
 				}
 				return v
-			})
+			}
+			out.set(c, "out", v)
+			if out.halo && c.Index("x") == width-1 {
+				out.set(c, "halo", func(j int) int64 { return v(j) + haloBias })
+			}
 			return nil
 		})
 	}
@@ -234,7 +294,8 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 		ref[i] = map[int][][]int64{}
 	}
 	ref[0][0] = seed
-	// apply computes a field's rows from value function v(x, j).
+	// apply computes a field's rows from value function v(x, j), and a halo
+	// field's extra row from the last one.
 	apply := func(f pipeField, v func(x, j int) int64) [][]int64 {
 		rows := make([][]int64, width)
 		for x := range rows {
@@ -242,6 +303,13 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 			for j := range rows[x] {
 				rows[x][j] = v(x, j)
 			}
+		}
+		if f.halo {
+			halo := make([]int64, f.rowLen())
+			for j := range halo {
+				halo[j] = v(width-1, j) + haloBias
+			}
+			rows = append(rows, halo)
 		}
 		return rows
 	}
@@ -264,7 +332,7 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 			ref[i+1][a+s.delay] = apply(fields[i+1], func(x, j int) int64 {
 				v := src[x][j%len(src[x])]*s.mulAdd[0] + s.mulAdd[1]
 				if srcB != nil {
-					v += srcB[x][0]
+					v += srcB[x+s.off][0]
 				}
 				return v
 			})
@@ -297,12 +365,12 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 				if s.Extent(0) == 0 {
 					continue
 				}
-				if s.Extent(0) != width || f.cols > 0 && s.Extent(1) != f.cols {
-					t.Fatalf("f%d(%d) extents %v, want %d rows of %d", fi, a, s.Extents(), width, f.cols)
+				if s.Extent(0) != len(want) || f.cols > 0 && s.Extent(1) != f.cols {
+					t.Fatalf("f%d(%d) extents %v, want %d rows of %d", fi, a, s.Extents(), len(want), f.cols)
 				}
-				for x := 0; x < width; x++ {
+				for x := range want {
 					for j, w := range want[x] {
-						idx := []int{x, j}[:1+min(f.cols, 1)]
+						idx := []int{x, j}[:f.rank()]
 						if got := s.At(idx...).Int64(); got != w {
 							t.Fatalf("f%d(%d)%v = %d, want %d (workers=%d, GC %v)", fi, a, idx, got, w, workers, node.opts.GC)
 						}

@@ -441,10 +441,12 @@ func TestMaxAgeBoundsInfinitePrograms(t *testing.T) {
 }
 
 // TestStallDetection: a kernel-age that can never run is reported with its
-// kernel, age, instance count and the fetch it waits for — on a per-instance
-// tracker (an element fetch nobody writes) and on a range tracker (a row
-// fetch of a generation whose second producer never finishes, which only a
-// range tracker's one mask tracks).
+// kernel, age, instance count, the fetch it waits for and its waiting cells
+// as runs — for element fetches (two thousand cells waiting for elements
+// nobody writes, which must read as one run, not two thousand instances; and
+// one cell of a domain wider than 65 536, past which cell positions once
+// collided, whose neighbours' elements all arrive) and for row fetches (of a generation whose second producer never finishes,
+// which the tracker's one mask tracks).
 func TestStallDetection(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -453,19 +455,60 @@ func TestStallDetection(t *testing.T) {
 	}{
 		{"element fetch", func(b *core.Builder) {
 			b.Field("f", field.Int32, 1, true)
+			b.Field("h", field.Int32, 1, true)
 			b.Field("g", field.Int32, 1, true)
 			b.Kernel("init").
+				Local("v", field.Int32, 1).
+				StoreAll("f", core.AgeAt(0), "v").
+				Body(func(c *core.Ctx) error { c.Array("v").Grow(2000); return nil })
+			// waiter's domain follows f(a), and each instance also waits
+			// for its element of h, which nobody ever writes.
+			b.Kernel("waiter").Age("a").Index("x").
 				Local("v", field.Int32, 0).
-				Store("f", core.AgeAt(0), []core.IndexSpec{core.Lit(0)}, "v").
-				Body(func(c *core.Ctx) error { c.SetInt32("v", 1); return nil })
-			// waiter fetches element 5, which nobody ever writes.
-			b.Kernel("waiter").Age("a").
-				Local("v", field.Int32, 0).
-				Fetch("v", "f", core.AgeVar(0), core.Lit(5)).
-				Store("g", core.AgeVar(0), []core.IndexSpec{core.Lit(0)}, "v").
+				Local("w", field.Int32, 0).
+				Fetch("v", "f", core.AgeVar(0), core.Idx("x")).
+				Fetch("w", "h", core.AgeVar(0), core.Idx("x")).
+				Store("g", core.AgeVar(0), []core.IndexSpec{core.Idx("x")}, "v").
 				Body(nil)
-		}, []string{"waiter(age=0): 0/1 instances done", "missing fetch v = f(a)[5]"}},
-		{"range tracker", func(b *core.Builder) {
+		}, []string{"waiter(age=0): 0/2000 instances done", "missing fetch w = h(a)[x]", "waiting [[0,2000)#0-2000]"}},
+		{"wide element fetch", func(b *core.Builder) {
+			// A rank-1 domain wider than 16 bits of coordinate, whose
+			// elements all arrive after its cells exist — fill and waiter
+			// get their cells from the same store of f — except the one at
+			// 65 536, which is the only cell that may stall.
+			const width, hole = 70000, 1 << 16
+			b.Field("f", field.Int32, 1, true)
+			b.Field("h", field.Int32, 1, true)
+			b.Field("g", field.Int32, 1, true)
+			b.Kernel("init").
+				Local("v", field.Int32, 1).
+				StoreAll("f", core.AgeAt(0), "v").
+				Body(func(c *core.Ctx) error { c.Array("v").Grow(width); return nil })
+			b.Kernel("fill").Age("a").Index("x").
+				Local("v", field.Int32, 0).
+				Local("w", field.Int32, 0).
+				Fetch("v", "f", core.AgeVar(0), core.Idx("x")).
+				Store("h", core.AgeVar(0), []core.IndexSpec{core.Idx("x")}, "w").
+				Body(func(c *core.Ctx) error {
+					if x := c.Index("x"); x != hole {
+						c.SetInt32("w", int32(x))
+					}
+					return nil
+				})
+			b.Kernel("waiter").Age("a").Index("x").
+				Local("v", field.Int32, 0).
+				Local("w", field.Int32, 0).
+				Fetch("v", "f", core.AgeVar(0), core.Idx("x")).
+				Fetch("w", "h", core.AgeVar(0), core.Idx("x")).
+				Store("g", core.AgeVar(0), []core.IndexSpec{core.Idx("x")}, "w").
+				Body(func(c *core.Ctx) error {
+					if w := c.Int32("w"); int(w) != c.Index("x") {
+						return fmt.Errorf("waiter(%d) read %d", c.Index("x"), w)
+					}
+					return nil
+				})
+		}, []string{"waiter(age=0): 69999/70000 instances done", "missing fetch w = h(a)[x]", "waiting [[0,70000)#65536-65537]"}},
+		{"range tracker", func(b *core.Builder) { // row fetches
 			b.Field("f", field.Int32, 2, true)
 			b.Field("h", field.Int32, 1, true)
 			b.Field("g", field.Int32, 2, true)
@@ -512,6 +555,9 @@ func TestStallDetection(t *testing.T) {
 				if !strings.Contains(waiter, want) {
 					t.Errorf("waiter's stall report %q does not contain %q (stalled: %v)", waiter, want, rep.Stalled)
 				}
+			}
+			if len(waiter) > 256 {
+				t.Errorf("waiter's stall report is %d bytes: %q", len(waiter), waiter)
 			}
 		})
 	}

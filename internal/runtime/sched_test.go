@@ -9,7 +9,7 @@ import (
 )
 
 func mkBatch(age int) *batch {
-	return &batch{tracker: &ageTracker{age: age}, insts: []*instState{{}}}
+	return &batch{tracker: &ageTracker{age: age}, run: cellRun{hi: 1}}
 }
 
 // TestStealOldestFirst is the ordering contract of the stealing scheduler: a
@@ -117,7 +117,7 @@ func TestStealSchedulerConcurrent(t *testing.T) {
 				if !ok {
 					return
 				}
-				seen[w] += len(b.insts)
+				seen[w] += b.len()
 			}
 		}()
 	}
@@ -161,12 +161,11 @@ func TestPushBulkConcurrentRelease(t *testing.T) {
 		}()
 	}
 	tr := &ageTracker{}
-	insts := make([]*instState, 3)
 	bs := make([]*batch, group)
 	for r := 0; r < rounds; r++ {
 		for i := range bs {
 			b := getBatch()
-			b.tracker, b.insts = tr, insts
+			b.tracker, b.run = tr, cellRun{hi: 3}
 			bs[i] = b
 		}
 		s.PushBulk(bs)
@@ -189,7 +188,7 @@ func TestPushBulkEpochOrdering(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		b := getBatch()
 		b.tracker = &ageTracker{age: rng.Intn(10)}
-		b.insts = append(b.insts, &instState{})
+		b.run = cellRun{hi: 1}
 		bs = append(bs, b)
 	}
 	// Several bulk pushes, as the analyzer makes them from successive events.

@@ -14,34 +14,22 @@ import (
 // slice instead of once per instance.
 
 // batch is one slice: instances of the same kernel and age that a worker
-// executes back to back. For a per-instance tracker insts aliases a run of
-// its append-only ready list; for a range tracker insts is nil and run holds
-// the slice's cells. Carving a slice copies and allocates nothing either way;
-// the slice travels analyzer → scheduler → worker → (inside the done event)
-// analyzer, which recycles it. probe marks an untimed kernel's probe slice
-// (slicer.probe).
+// executes back to back, the cells of run. Carving a slice copies and
+// allocates nothing; the slice travels analyzer → scheduler → worker →
+// (inside the done event) analyzer, which recycles it. probe marks an
+// untimed kernel's probe slice (slicer.probe).
 type batch struct {
 	tracker *ageTracker
-	insts   []*instState
 	run     cellRun
 	probe   bool
 }
 
 // len is the slice's instance count.
-func (b *batch) len() int {
-	if b.insts != nil {
-		return len(b.insts)
-	}
-	return b.run.len()
-}
+func (b *batch) len() int { return b.run.len() }
 
-// inst returns the coordinates and ready stamp of the slice's instance i; a
-// run's coordinates are decoded into buf (len rank), which they alias.
+// inst returns the coordinates and ready stamp of the slice's instance i,
+// decoded into buf (len rank), which they alias.
 func (b *batch) inst(i int, buf []int) ([]int, int64) {
-	if b.insts != nil {
-		is := b.insts[i]
-		return is.coords, is.readyNs
-	}
 	return b.run.coords(b.run.lo+i, buf), b.run.readyNs
 }
 
@@ -117,9 +105,6 @@ func (ks *kernelState) observeCost(total time.Duration, ran int) {
 func (n *Node) retireSlice(b *batch) (*ageTracker, int) {
 	t, k := b.tracker, b.len()
 	t.done += k
-	for _, is := range b.insts {
-		is.st = instDone
-	}
 	if tr := n.tracer; tr != nil {
 		for i := 0; i < k; i++ {
 			coords, _ := b.inst(i, make([]int, b.run.rank))
@@ -148,12 +133,6 @@ type slicer struct {
 	push func([]*batch)
 }
 
-// ready appends a fully satisfied instance to its tracker's ready list.
-func (c *slicer) ready(t *ageTracker, is *instState) {
-	t.ready = append(t.ready, is)
-	c.added(t)
-}
-
 // added follows new ready instances of t. Full slices are carved on the spot
 // and handed over as soon as there is one per worker, so workers start on a
 // large creation burst while the analyzer is still materializing the rest of
@@ -163,7 +142,7 @@ func (c *slicer) added(t *ageTracker) {
 		t.dirty = true
 		c.dirty = append(c.dirty, t)
 	}
-	if t.uncarved() >= t.size {
+	if t.queued >= t.size {
 		c.carve(t, false)
 		if len(c.out) >= c.n.opts.Workers {
 			c.flush()
@@ -172,9 +151,9 @@ func (c *slicer) added(t *ageTracker) {
 }
 
 // carve cuts t's uncarved ready instances into slices of the current size; a
-// shorter remainder stays behind unless partial is set. A range tracker's
-// slice never spans two of its runs, so the remainder of every run but the
-// last is cut as it is. An untimed kernel is probed instead.
+// shorter remainder stays behind unless partial is set. A slice never spans
+// two runs, so the remainder of every run but the last is cut as it is. An
+// untimed kernel is probed instead.
 func (c *slicer) carve(t *ageTracker, partial bool) {
 	size := c.n.sliceSize(t)
 	if size == 0 {
@@ -182,12 +161,6 @@ func (c *slicer) carve(t *ageTracker, partial bool) {
 		return
 	}
 	t.size = size
-	if t.ks.needsInstMap {
-		for left := t.uncarved(); left >= size || (partial && left > 0); left = t.uncarved() {
-			c.cut(t, min(size, left))
-		}
-		return
-	}
 	for ; t.rhead < len(t.runs); t.rhead++ {
 		r := &t.runs[t.rhead]
 		last := t.rhead == len(t.runs)-1
@@ -205,16 +178,11 @@ func (c *slicer) carve(t *ageTracker, partial bool) {
 func (c *slicer) cut(t *ageTracker, k int) *batch {
 	b := getBatch()
 	b.tracker = t
-	if t.ks.needsInstMap {
-		b.insts = t.ready[t.head : t.head+k : t.head+k]
-		t.head += k
-	} else {
-		r := &t.runs[t.rhead]
-		b.run = *r
-		b.run.hi = r.lo + k
-		r.lo += k
-		t.queued -= k
-	}
+	r := &t.runs[t.rhead]
+	b.run = *r
+	b.run.hi = r.lo + k
+	r.lo += k
+	t.queued -= k
 	c.out = append(c.out, b)
 	return b
 }
@@ -227,15 +195,15 @@ func (c *slicer) cut(t *ageTracker, k int) *batch {
 // one.
 func (c *slicer) probe(t *ageTracker) {
 	ks := t.ks
-	for ks.probes < c.n.opts.Workers && t.uncarved() > 0 {
-		if t.ks.needsInstMap || t.runs[t.rhead].len() > 0 {
+	for ks.probes < c.n.opts.Workers && t.queued > 0 {
+		if t.runs[t.rhead].len() > 0 {
 			c.cut(t, 1).probe = true
 			ks.probes++
 			continue
 		}
 		t.rhead++
 	}
-	if t.uncarved() > 0 && !t.held {
+	if t.queued > 0 && !t.held {
 		t.held = true
 		ks.held = append(ks.held, t)
 	}

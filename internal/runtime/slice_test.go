@@ -22,8 +22,9 @@ func wideMulSum(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Pro
 }
 
 // wideMulSumRows is wideMulSum over rank-2 fields of one-value rows, fetched
-// and stored as [x][*] rows: mul2 and plus5 are slab-only, so they run on
-// range trackers, and plus5's row stores grow mul2's next domain.
+// and stored as [x][*] rows: mul2 and plus5 are slab-only, so their cells
+// wait for nothing but completions, and plus5's row stores grow mul2's next
+// domain.
 func wideMulSumRows(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Program {
 	return mulSumProgram(t, width, true, hook)
 }
@@ -162,7 +163,8 @@ func ownAllShares(shards int) *Shares {
 }
 
 // TestSliceSizingRule pins both ends of the default sizing rule, unsplit and
-// cut into index shares, on per-instance and on range trackers: the one-line
+// cut into index shares, on element fetches (the subtests named after the
+// per-instance trackers these once ran on) and on row fetches: the one-line
 // mul2/plus5 kernels cost far less than the slice target, so their instances
 // must be combined, while a kernel whose body takes a millisecond must keep
 // one instance per slice.
@@ -494,71 +496,96 @@ func TestSliceMergeStoresReplay(t *testing.T) {
 }
 
 // TestSliceCarveReleaseAllocFree is the budget for the analyzer side of the
-// slice path: carving a tracker's ready instances into slices and recycling
-// them on done allocates nothing in steady state — a slice aliases a
-// per-instance tracker's ready list or holds a range tracker's run by value,
-// and its header comes out of the pool.
+// slice path: readying a burst of instances, carving them into slices and
+// recycling those on done allocates nothing in steady state — a ready burst
+// is one run, a slice holds its part of the run by value, and its header
+// comes out of the pool. The bursts are a 512-cell element-fetch burst whose
+// elements are all written (satisfied for the whole burst at once), the same
+// burst of a slab-only kernel, and an element-fetch burst whose cells are
+// satisfied one store event at a time, which must still extend one run.
 func TestSliceCarveReleaseAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	// A fresh burst of 512 ready instances on the same tracker, as a new
-	// kernel-age would see: instStates on a per-instance tracker, one run
-	// on a range tracker.
-	n, perInst, _ := benchNode(t, true)
-	insts := make([]instState, 512)
+	const cells = 512
+	n, elem, _ := benchNode(t, true)
+	in := n.fields["in"].f
+	for x := 1; x < cells; x++ { // benchNode stored element 0
+		if _, err := in.Store(0, field.Int32Val(int32(x)), x); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rn, err := NewNode(wideMulSumRows(t, 1, nil), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranged := &ageTracker{ks: rn.kernels["mul2"]}
-	burst := cellRun{rank: 1, hi: len(insts)}
-	burst.ext[0] = len(insts)
+	ranged := &ageTracker{ks: rn.kernels["mul2"], mask: rn.kernels["mul2"].fullMask}
+	pn, perCell, _ := benchNode(t, true)
+	ce := pn.fields["in"].consumers[0]
+	burst := cellRun{rank: 1, hi: cells}
+	burst.ext[0] = cells
+	var elemBuf [1]int
 	for _, tc := range []struct {
 		name string
 		n    *Node
 		tr   *ageTracker
-		fill func(c *slicer)
+		fill func(an *analyzer, tr *ageTracker)
 	}{
-		{"per-instance", n, perInst, func(c *slicer) {
-			perInst.ready, perInst.head = perInst.ready[:0], 0
-			for i := range insts {
-				c.ready(perInst, &insts[i])
+		{"element", n, elem, func(an *analyzer, tr *ageTracker) {
+			an.addRun(tr, burst, an.covered(tr, &burst))
+		}},
+		{"range", rn, ranged, func(an *analyzer, tr *ageTracker) {
+			an.addRun(tr, burst, an.covered(tr, &burst))
+		}},
+		{"per-cell", pn, perCell, func(an *analyzer, tr *ageTracker) {
+			clear(tr.cells)
+			tr.waiting, tr.nwait = extend(tr.waiting[:0], 0, burst), cells
+			tr.total += cells
+			for x := 0; x < cells; x++ {
+				elemBuf[0] = x
+				an.satisfyElem(tr, ce, elemBuf[:])
+			}
+			if tr.nwait != 0 || len(tr.waiting) != 0 {
+				t.Fatalf("per-cell: %d cells still waiting in %v", tr.nwait, tr.waiting)
 			}
 		}},
-		{"range", rn, ranged, func(c *slicer) {
-			ranged.runs, ranged.rhead, ranged.queued = extend(ranged.runs[:0], 0, burst), 0, burst.len()
-			c.added(ranged)
-		}},
 	} {
-		tc.tr.extents = []int{1 << 20}
+		tc.tr.extents = []int{cells}
+		tc.tr.mask = tc.tr.ks.fullMask
+		if tc.name == "per-cell" {
+			tc.tr.cells = make([]uint32, cells)
+		}
 		var pushed []*batch
-		c := slicer{n: tc.n, push: func(bs []*batch) { pushed = append(pushed, bs...) }}
+		an := tc.n.an
+		an.slicer.push = func(bs []*batch) { pushed = append(pushed, bs...) }
 		cycle := func() {
-			tc.fill(&c)
-			c.drain()
+			tc.fill(an, tc.tr)
+			an.slicer.drain()
 			carved := 0
 			for i, b := range pushed {
 				carved += b.len()
 				releaseBatch(b)
 				pushed[i] = nil
 			}
+			if want := (cells + tc.tr.ks.gran - 1) / tc.tr.ks.gran; len(pushed) != want {
+				t.Fatalf("%s: %d slices of size %d, want %d", tc.name, len(pushed), tc.tr.ks.gran, want)
+			}
 			pushed = pushed[:0]
-			if carved != len(insts) {
-				t.Fatalf("%s: carved %d of %d instances", tc.name, carved, len(insts))
+			if carved != cells {
+				t.Fatalf("%s: carved %d of %d instances", tc.name, carved, cells)
 			}
 		}
 		for _, size := range []int{1, 7, 64} {
 			tc.tr.ks.gran = size
 			cycle() // warm the pool and the scratch lists
 			if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-				t.Errorf("%s, size %d: carving and releasing %d instances allocates %.1f objects, want 0", tc.name, size, len(insts), allocs)
+				t.Errorf("%s, size %d: readying, carving and releasing %d instances allocates %.1f objects, want 0", tc.name, size, cells, allocs)
 			}
 		}
 	}
 }
 
-// TestCollectSlicesLinear: carving is linear in the ready list. Size-1
+// TestCollectSlicesLinear: carving is linear in the ready run. Size-1
 // slices are the worst case — the old copy-down compaction moved the whole
 // remainder per slice — so ns per instance must not grow with the list.
 func TestCollectSlicesLinear(t *testing.T) {

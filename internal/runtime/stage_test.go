@@ -157,43 +157,54 @@ func TestAnalyzerSaturatedHeuristic(t *testing.T) {
 // TestDispatchTracingOffAllocFree is the perf gate for the tracing-off path:
 // with neither tracer nor registry, one dispatch through exec must not
 // allocate — the stage timers have to stay entirely behind the n.stamp gate —
-// whether the slice is one instance of a per-instance tracker or a run of a
-// range tracker, whose coordinates decode into the frame's scratch.
+// whether the slice is one instance reading its element under the field lock
+// (the generation is not complete, so it cannot be pinned), a run of element
+// fetches read through the slice's pin, or a run of row fetches; a run's
+// coordinates decode into the frame's scratch.
 func TestDispatchTracingOffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	n, tr, is := benchNode(t, true)
-	// mul2 of the row-wise mul/sum cycle over the 8 rows of a stored,
-	// complete m_data(0); MergeStores, because every run stores p_data(0)'s
-	// rows again.
+	n, tr, cell := benchNode(t, true)
+	// mul2 of the mul/sum cycle, by element and by row, over the 8 indices of
+	// a stored, complete m_data(0); MergeStores, because every run stores
+	// p_data(0) again.
 	const rows = 8
-	rn, err := NewNode(wideMulSumRows(t, rows, nil), Options{Workers: 1, MergeStores: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rn.fields["m_data"].f
-	if _, err := m.StoreAll(0, field.NewArray(field.Int32, rows, 1)); err != nil {
-		t.Fatal(err)
-	}
-	m.MarkComplete(0)
 	run := cellRun{rank: 1, hi: rows}
 	run.ext[0] = rows
-	ranged := &ageTracker{ks: rn.kernels["mul2"], age: 0}
+	mulSum := func(prog func(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Program, shape ...int) (*Node, func(w *workerState) func()) {
+		rn, err := NewNode(prog(t, rows, nil), Options{Workers: 1, MergeStores: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := rn.fields["m_data"].f
+		if _, err := m.StoreAll(0, field.NewArray(field.Int32, shape...)); err != nil {
+			t.Fatal(err)
+		}
+		m.MarkComplete(0)
+		if !rn.kernels["mul2"].fetchPlans[0].viewable {
+			t.Fatal("mul2's fetch is not read through a pin")
+		}
+		tr := &ageTracker{ks: rn.kernels["mul2"], age: 0}
+		return rn, func(w *workerState) func() {
+			return func() {
+				b := getBatch()
+				b.tracker, b.run = tr, run
+				rn.execSlice(b, w)
+				releaseBatch(b)
+			}
+		}
+	}
+	en, elemRun := mulSum(wideMulSum, rows)
+	rn, rowRun := mulSum(wideMulSumRows, rows, 1)
 	for _, tc := range []struct {
 		name string
 		n    *Node
 		exec func(w *workerState) func()
 	}{
-		{"per-instance", n, func(w *workerState) func() { return sliceOfOne(n, tr, is, w) }},
-		{"range", rn, func(w *workerState) func() {
-			return func() {
-				b := getBatch()
-				b.tracker, b.run = ranged, run
-				rn.execSlice(b, w)
-				releaseBatch(b)
-			}
-		}},
+		{"locked element", n, func(w *workerState) func() { return sliceOfOne(n, tr, cell, w) }},
+		{"pinned elements", en, elemRun},
+		{"rows", rn, rowRun},
 	} {
 		if tc.n.stamp {
 			t.Fatal("node without observability has stamping enabled")
@@ -209,7 +220,10 @@ func TestDispatchTracingOffAllocFree(t *testing.T) {
 			t.Errorf("%s: tracing-off dispatch allocates %.1f objects/op, want 0", tc.name, allocs)
 		}
 	}
+	if got := en.kernels["mul2"].ownInstances(); got != 202*rows {
+		t.Errorf("element slices ran %d instances, want %d", got, 202*rows)
+	}
 	if got := rn.kernels["mul2"].ownInstances(); got != 202*rows {
-		t.Errorf("range slices ran %d instances, want %d", got, 202*rows)
+		t.Errorf("row slices ran %d instances, want %d", got, 202*rows)
 	}
 }

@@ -12,42 +12,6 @@ import (
 	"repro/internal/obs"
 )
 
-// instance states.
-const (
-	instWaiting uint8 = iota
-	instQueued
-	instRunning
-	instDone
-)
-
-// instState tracks one kernel instance: its index-variable values, which
-// fetches are satisfied (a bitmask) and its lifecycle state. An instance is
-// dispatched exactly once, when its mask is full.
-type instState struct {
-	coords []int
-	mask   uint32
-	st     uint8
-	// readyNs/createdNs are node-clock-relative lifecycle stamps (see
-	// Node.nowNs), recorded only when tracing or stage metrics are enabled
-	// (Node.stamp); the ready queue's mutex orders the analyzer's writes
-	// before the worker's reads. createdNs is the instance's registration
-	// time, readyNs the time its last dependency was satisfied — their
-	// difference is the analyzer-ready-wait stage.
-	readyNs   int64
-	createdNs int64
-}
-
-// coordKey packs index-variable values into a map key. Extents are limited to
-// 16 bits per dimension and four dimensions, which comfortably covers the
-// paper's workloads (the largest domain is 1584 macroblocks, rank 1).
-func coordKey(coords []int) int64 {
-	var k int64
-	for _, c := range coords {
-		k = k<<16 | int64(c&0xffff)
-	}
-	return k
-}
-
 // varBind records where an index variable gets its range: dimension dim of
 // field fs at the age given by age (evaluated per tracker age).
 type varBind struct {
@@ -198,10 +162,12 @@ type fetchPlan struct {
 	local int        // position of fe.Local in the kernel's Locals
 	terms []idxTerm  // element fetches
 	slab  []slabTerm // slab and whole-field fetches (nil otherwise)
-	// viewable marks fetches eligible for the zero-copy view path: slab
+	// viewable marks the fetches read through a generation pin: element
+	// fetches, which read their element out of it without locking, and slab
 	// fetches whose fixed dimensions form a prefix (so the selected rows are
-	// one contiguous slab range), whole-field fetches among them. A fetch
-	// that is not viewable, or whose generation cannot be pinned, copies.
+	// one contiguous slab range), whole-field fetches among them, which alias
+	// a zero-copy view. A fetch that is not viewable, or whose generation
+	// cannot be pinned (it is not complete yet), reads under the field lock.
 	viewable bool
 }
 
@@ -233,12 +199,10 @@ type kernelState struct {
 
 	fullMask uint32 // bits of all fetches (the "fully satisfied" mask)
 
-	// needsInstMap is true when the kernel has at least one element fetch:
-	// only then can two instances of one age differ in which fetches are
-	// satisfied, so only then does the analyzer keep an instState per
-	// instance, found by coordinates. A kernel whose fetches are all whole or
-	// slab gets range trackers instead (see ageTracker).
-	needsInstMap bool
+	// elemBits holds the bits of the kernel's element fetches: a tracker
+	// satisfies them per creation burst or per cell (see ageTracker), where
+	// whole and slab fetches are satisfied for every cell at once.
+	elemBits uint32
 
 	// Probing (analyzer-owned; see slicer.probe): probes counts the
 	// kernel's single-instance probe slices in flight while it is untimed,
@@ -326,17 +290,16 @@ func (ks *kernelState) ownLockstep() int64   { return ks.lockstep.Own() }
 func (ks *kernelState) ownDeclined() int64   { return ks.declined.Own() }
 
 // ageTracker tracks all instances of one kernel at one age: the current index
-// domain, instance satisfaction, and completion. It comes in two kinds,
-// chosen by the kernel's declared fetches (kernelState.needsInstMap):
+// domain, which instances are satisfied, and completion. It keeps nothing per
+// instance: the instances are the cells of the index box, held as runs of
+// cells — in waiting until satisfied, then in runs until carved into slices.
 //
-//   - A per-instance tracker, for a kernel with element fetches, keeps one
-//     instState per instance in inst, since each instance waits for its own
-//     elements, and lists them in ready as they become runnable.
-//   - A range tracker, for a kernel whose fetches are all whole or slab,
-//     keeps no per-instance state: every instance of the age waits for the
-//     same generations, so one mask covers the index box, and the cells
-//     created in a burst are held as runs of boxes — waiting until the mask
-//     is full, then ready all at once.
+// A whole or slab fetch waits for its generation to complete, the same one
+// for every cell, so one mask holds those fetches for the tracker. An element
+// fetch is satisfied for a whole creation burst at once when the burst's
+// image under the fetch's index map is written throughout (analyzer.covered),
+// and otherwise per cell, in cells, as the cell's element is found written
+// or its store event arrives.
 type ageTracker struct {
 	ks  *kernelState
 	age int
@@ -348,24 +311,25 @@ type ageTracker struct {
 	total int
 	done  int
 
-	// Per-instance trackers. ready lists the fully satisfied instances in the
-	// order they became ready. It is append-only for the tracker's lifetime:
-	// slices alias runs of it (see batch), so entries are never moved.
-	// ready[:head] has been carved into slices.
-	inst  map[int64]*instState
-	ready []*instState
-	head  int
-
-	// Range trackers. mask holds the satisfied fetches of every instance;
-	// waiting holds the created cells while it is not full, runs[rhead:] the
-	// ready cells not yet carved (queued of them), and stamps the creation
-	// stamps of the waiting cells when the node stamps (see addRun).
-	mask    uint32
+	// mask holds the whole/slab fetches satisfied for every cell and, from
+	// the start, the element fetches, which are satisfied per burst or per
+	// cell: once it is full, a cell is ready when its element fetches are.
+	mask uint32
+	// waiting lists the created cells that are not ready, nwait of them;
+	// until there are cells, a waiting run's readyNs is its creation stamp.
+	// A cell readied on its own (satisfyElem) stays listed until the next
+	// sweep drops it; its full cells entry tells it apart.
 	waiting []cellRun
-	runs    []cellRun
-	rhead   int
-	queued  int
-	stamps  []burstStamp
+	nwait   int
+	// cells holds, per cell of box(extents) in row-major order, the element
+	// fetches satisfied for it; nil while every created cell has them all.
+	// born holds their creation stamps when the node stamps.
+	cells []uint32
+	born  []int64
+	// runs[rhead:] holds the ready cells not yet carved, queued of them.
+	runs   []cellRun
+	rhead  int
+	queued int
 
 	// size is the slice size of the last carve (the slicer re-carves once
 	// that many instances are waiting), dirty marks membership in the
@@ -380,15 +344,14 @@ type ageTracker struct {
 	collected int
 }
 
-// maxRank bounds a kernel's index variables: coordKey packs four, and a
-// range tracker's boxes hold them inline.
+// maxRank bounds a kernel's index variables: a run's box holds them inline.
 const maxRank = 4
 
-// cellRun is a run of a range tracker's instances: cells [lo, hi) of the box
+// cellRun is a run of a tracker's instances: cells [lo, hi) of the box
 // org + [0, ext) in row-major order, over the kernel's rank index variables.
-// A slice of a range tracker carries one by value (batch.run), so carving
-// allocates nothing. readyNs is the ready stamp every instance of the run
-// shares (Node.nowNs; zero unless the node stamps).
+// A slice carries one by value (batch.run), so carving allocates nothing.
+// readyNs is the ready stamp of the run's instances (Node.nowNs; zero unless
+// the node stamps).
 type cellRun struct {
 	org, ext [maxRank]int
 	rank     int
@@ -407,24 +370,46 @@ func (r *cellRun) coords(i int, dst []int) []int {
 	return dst[:r.rank]
 }
 
-// extend appends r to the run of its box that ends at list's tail when the two
-// boxes abut along the outermost dimension and agree on every other one, so
-// that their cells are one row-major run; otherwise r becomes a new entry.
-// Only entries from index from on may be extended.
+// extend appends r to list's tail run when r's cells continue its row-major
+// order — r holds the next cells of the same box, or r's box abuts the tail's
+// along the outermost dimension, agrees with it on every other one, and both
+// runs reach their boxes' ends — and as a new entry otherwise. Only entries
+// from index from on may be extended. A joined run keeps the later ready
+// stamp, so cells readied one at a time still form one run when the node
+// stamps; the earlier ones then show a shorter queue wait.
 func extend(list []cellRun, from int, r cellRun) []cellRun {
-	if n := len(list); n > from && r.rank > 0 {
+	if n := len(list); n > from && list[n-1].join(&r) {
 		l := &list[n-1]
-		join := l.readyNs == r.readyNs && l.rank == r.rank && l.org[0]+l.ext[0] == r.org[0]
-		for d := 1; join && d < r.rank; d++ {
-			join = l.org[d] == r.org[d] && l.ext[d] == r.ext[d]
-		}
-		if join {
-			l.ext[0] += r.ext[0]
-			l.hi += r.len()
-			return list
-		}
+		l.readyNs = max(l.readyNs, r.readyNs)
+		return list
 	}
 	return append(list, r)
+}
+
+// join appends r's cells to l's when they continue l's row-major order (see
+// extend) and reports whether it did.
+func (l *cellRun) join(r *cellRun) bool {
+	if l.rank != r.rank {
+		return false
+	}
+	if l.org == r.org && l.ext == r.ext {
+		if l.hi != r.lo {
+			return false
+		}
+		l.hi = r.hi
+		return true
+	}
+	if r.rank == 0 || r.lo != 0 || l.hi != boxCells(l.ext[:l.rank]) || l.org[0]+l.ext[0] != r.org[0] {
+		return false
+	}
+	for d := 1; d < r.rank; d++ {
+		if l.org[d] != r.org[d] || l.ext[d] != r.ext[d] {
+			return false
+		}
+	}
+	l.ext[0] += r.ext[0]
+	l.hi += r.hi
+	return true
 }
 
 func (r cellRun) String() string {
@@ -434,13 +419,6 @@ func (r cellRun) String() string {
 	}
 	fmt.Fprintf(&b, "#%d-%d", r.lo, r.hi)
 	return b.String()
-}
-
-// burstStamp is the creation stamp of cells a range tracker created while its
-// mask was not full, for the ready-wait stage once it fills.
-type burstStamp struct {
-	createdNs int64
-	cells     int
 }
 
 // fieldState is the per-field runtime state: the backing store plus the
@@ -511,20 +489,50 @@ type fieldAgeState struct {
 	collected     bool
 }
 
-// uncarved is the number of ready instances not yet cut into a slice.
-func (t *ageTracker) uncarved() int {
-	if t.ks.needsInstMap {
-		return len(t.ready) - t.head
+// position returns the row-major position of cell c in box(ext); a tracker's
+// cells are indexed by their position in box(extents).
+func position(c, ext []int) int {
+	f := 0
+	for d, x := range c {
+		f = f*ext[d] + x
 	}
-	return t.queued
+	return f
 }
 
-// boxCells is the cell count of box(ext): the product of the extents, zero
-// for a nil box (nothing created yet).
-func boxCells(ext []int) int {
-	if len(ext) == 0 {
-		return 0
+// cellRun returns the run of the one cell at position f of box(extents).
+// Cells readied one at a time in row-major order then extend one run.
+func (t *ageTracker) cellRun(f int) cellRun {
+	r := cellRun{rank: len(t.extents), lo: f, hi: f + 1}
+	copy(r.ext[:], t.extents)
+	return r
+}
+
+// regrid re-lays out per-cell entries of box(from) as entries of box(to),
+// with fill for the new cells, in place: a cell's row-major position only
+// moves up as the box grows, and not at all when just the outermost dimension
+// grew, so entries move from the last one down.
+func regrid[T any](grid []T, from, to []int, fill T) []T {
+	old, moved := len(grid), false
+	for len(grid) < boxCells(to) {
+		grid = append(grid, fill)
 	}
+	for d := 1; d < len(to); d++ {
+		moved = moved || from[d] != to[d]
+	}
+	var c [maxRank]int
+	for i := old - 1; moved && i >= 0; i-- {
+		for d, k := len(from)-1, i; d >= 0; d-- {
+			c[d], k = k%from[d], k/from[d]
+		}
+		if f := position(c[:len(to)], to); f != i {
+			grid[f], grid[i] = grid[i], fill
+		}
+	}
+	return grid
+}
+
+// boxCells is the cell count of box(ext): the product of the extents.
+func boxCells(ext []int) int {
 	p := 1
 	for _, e := range ext {
 		p *= e

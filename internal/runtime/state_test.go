@@ -19,7 +19,9 @@ func boxCellsOf(from, to []int) [][]int {
 	return cells
 }
 
-// Property: newBoxes tiles exactly box(to) \ box(from), each cell once.
+// Property: newBoxes tiles exactly box(to) \ box(from), each cell once, and
+// regrid moves per-cell state of box(from) to the same cells' positions in
+// box(to), filling exactly the new ones.
 func TestQuickNewCells(t *testing.T) {
 	f := func(dims []uint8, growth []uint8) bool {
 		rank := len(dims)
@@ -57,7 +59,32 @@ func TestQuickNewCells(t *testing.T) {
 			t.Errorf("from=%v to=%v visited %d, want %d", from, to, len(seen), boxCells(to)-boxCells(from))
 			return false
 		}
-		return true
+		// Label every old cell with its position plus one, regrid, and find
+		// each label at the cell's new position; new cells hold 0.
+		grid := make([]int, boxCells(from))
+		for i := range grid {
+			grid[i] = i + 1
+		}
+		grid = regrid(grid, from, to, 0)
+		box := cellRun{rank: rank}
+		copy(box.ext[:], to)
+		c := make([]int, rank)
+		for i, v := range grid {
+			box.coords(i, c)
+			old := true
+			for d := range c {
+				old = old && c[d] < from[d]
+			}
+			want := 0
+			if old {
+				want = position(c, from) + 1
+			}
+			if v != want {
+				t.Errorf("from=%v to=%v: cell %v holds %d after regrid, want %d", from, to, c, v, want)
+				return false
+			}
+		}
+		return len(grid) == boxCells(to)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -83,20 +110,5 @@ func TestNewCellsInsideOutside(t *testing.T) {
 	}
 	if len(cells) != 4*5-2*3 {
 		t.Errorf("%d cells, want %d", len(cells), 4*5-2*3)
-	}
-}
-
-func TestCoordKey(t *testing.T) {
-	cases := map[string][2][]int{
-		"distinct-order": {{1, 0}, {0, 1}},
-		"distinct-rank1": {{7}, {8}},
-	}
-	for name, pair := range cases {
-		if coordKey(pair[0]) == coordKey(pair[1]) {
-			t.Errorf("%s: keys collide", name)
-		}
-	}
-	if coordKey(nil) != 0 {
-		t.Error("empty coords should map to 0")
 	}
 }

@@ -20,7 +20,7 @@ func float64Array(vs []float64) *field.Array {
 	return a
 }
 
-func viewBenchNode(t testing.TB) (*Node, *ageTracker, *instState) {
+func viewBenchNode(t testing.TB) (*Node, *ageTracker, cellRun) {
 	t.Helper()
 	pb := core.NewBuilder("viewbench")
 	pb.Field("in", field.Float64, 1, true)
@@ -48,7 +48,7 @@ func viewBenchNode(t testing.TB) (*Node, *ageTracker, *instState) {
 	}
 	n.fields["in"].f.MarkComplete(0)
 	ks := n.kernels["consume"]
-	return n, &ageTracker{ks: ks, age: 0}, &instState{}
+	return n, &ageTracker{ks: ks, age: 0}, cellRun{hi: 1}
 }
 
 // TestViewDispatchAllocFree pins the whole-generation view-fetch dispatch at
@@ -58,12 +58,12 @@ func TestViewDispatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	n, tr, is := viewBenchNode(t)
+	n, tr, cell := viewBenchNode(t)
 	if !n.kernels["consume"].fetchPlans[0].viewable {
 		t.Fatal("whole fetch not planned as viewable")
 	}
 	w := newWorkerState(n, 0)
-	exec := sliceOfOne(n, tr, is, w)
+	exec := sliceOfOne(n, tr, cell, w)
 	exec() // warm the frame pool
 	allocs := testing.AllocsPerRun(200, func() {
 		w.buf = w.buf[:0]
@@ -242,15 +242,13 @@ near:
 		n.fields[name].f.MarkComplete(0)
 	}
 	tr := &ageTracker{ks: n.kernels["near"], age: 0}
-	insts := make([]*instState, rows)
-	for i := range insts {
-		insts[i] = &instState{coords: []int{i}}
-	}
+	run := cellRun{rank: 1, hi: rows}
+	run.ext[0] = rows
 	w := newWorkerState(n, 0)
 	return n, w, func() {
 		w.buf = w.buf[:0]
 		b := getBatch()
-		b.tracker, b.insts = tr, insts
+		b.tracker, b.run = tr, run
 		n.execSlice(b, w)
 		releaseBatch(b)
 	}

@@ -21,9 +21,16 @@
 #                      plus Partition)
 #   instPool           the sync.Pool of instance states (the analyzer owns a
 #                      free list; range trackers need none)
+#   instState needsInstMap coordKey instBlock burstStamp newInst markReady
+#   setBit burstMask instWaiting instDone
+#                      the per-instance tracker, its coordinate map key, its
+#                      free-list blocks, its per-instance satisfaction and the
+#                      range tracker's burst stamps (one tracker kind: cells
+#                      as runs, element fetches satisfied per burst or per
+#                      cell)
 set -eu
 cd "$(dirname "$0")/.."
-names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool'
+names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone'
 pattern=$(printf '%s\n' $names | paste -sd '|' -)
 found=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 	-exec grep -HnwE "$pattern" {} + || true)
