@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build examples test race norace layers retired loc placement vet fmt-check ci test-fault fuzz-lang fuzz-wire bench-smoke bench bench-full clean
+.PHONY: all build examples test race norace layers retired docs loc placement vet fmt-check ci test-fault fuzz-lang fuzz-wire bench-smoke bench bench-full clean
 
 all: build
 
@@ -35,6 +35,11 @@ layers:
 retired:
 	scripts/retired.sh
 
+# docs fails when DESIGN.md exceeds 50 000 bytes or names a pull request
+# (the rule is in the script's header).
+docs:
+	scripts/docs.sh
+
 # loc prints the size of the system: lines of non-test Go outside bench/.
 loc:
 	@scripts/loc.sh
@@ -53,9 +58,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # ci is the tier-1 gate: formatting, static checks, layering, retired
-# identifiers, build, one run of every example, the full test suite under the
-# race detector and the allocation pins without it.
-ci: fmt-check vet layers retired build examples race norace
+# identifiers, the design-document gate, build, one run of every example, the
+# full test suite under the race detector and the allocation pins without it.
+ci: fmt-check vet layers retired docs build examples race norace
 
 # test-fault is the fault-injection gate (also run by ci.sh): the failover,
 # liveness, and teardown regression tests under the race detector — every

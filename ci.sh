@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 verification gate: `make ci` (formatting, vet, layering, retired
-# identifiers, build, one run of every example, the full test suite under the
+# identifiers, the design-document gate, build, one run of every example, the full test suite under the
 # race detector, the allocation pins without it) plus the fault-injection,
 # fuzz and benchmark gates below.
 set -eu
@@ -18,6 +18,9 @@ scripts/layers.sh
 # Retired-identifier gate (`make retired`): no name a simplification deleted
 # comes back in the non-test Go outside bench/.
 scripts/retired.sh
+# Design-document gate (`make docs`): DESIGN.md stays under 50 000 bytes and
+# names no pull request.
+scripts/docs.sh
 go build ./...
 # Examples gate (`make examples`): each of the seven runs once to completion
 # — examples/distributed is the one end-to-end in-process cluster outside the

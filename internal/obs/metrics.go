@@ -575,10 +575,8 @@ const (
 	MKernelStoreOps   = "kernel_store_ops_total"          // counter per kernel: fired store statements
 	MTraceDropped     = "runtime_trace_dropped_total"     // counter: spans evicted from the trace ring
 
-	// Scheduler fast path (work-stealing deques, batched analyzer events).
-	MStealsTotal       = "runtime_steals_total"        // counter: batches taken from a peer worker's deque
+	// Batched analyzer events.
 	MEventBatchesTotal = "runtime_event_batches_total" // counter: event batches received by the analyzer
-	MWorkerQueueDepth  = "runtime_worker_queue_depth"  // gauge per worker: instances queued in that worker's deque
 
 	// The dependency analyzer.
 	MAnalyzerEvents     = "runtime_analyzer_events_total" // counter: events the analyzer processed

@@ -664,8 +664,8 @@ func (an *analyzer) commitReady() {
 	}
 }
 
-// pushSlices is the slicer's delivery hook: one PushBulk (single epoch update
-// and waiter wakeup) for the group.
+// pushSlices is the slicer's delivery hook: one PushBulk (one lock and at
+// most one wakeup per slice) for the group.
 func (an *analyzer) pushSlices(bs []*batch) {
 	an.commitReady()
 	an.n.sched.PushBulk(bs)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"sync"
 	"time"
 
@@ -153,7 +152,7 @@ type Node struct {
 	paced []*kernelState
 
 	timers *deadline.TimerSet
-	sched  *stealScheduler
+	sched  *sliceQueue
 	an     *analyzer
 	out    *lockedWriter
 
@@ -173,12 +172,11 @@ type Node struct {
 	// Observability: reg is always non-nil (Options.Metrics or a private
 	// registry) and holds the per-kernel counters the Report projects; the
 	// detailed handles below are nil unless Options.Metrics was set.
-	// mSteals and mEventBatches always live in the registry (the Report
-	// surfaces them), baseline-subtracted like the per-kernel counters.
+	// mEventBatches always lives in the registry (the Report surfaces it),
+	// baseline-subtracted like the per-kernel counters.
 	reg           *obs.Registry
 	tracer        *obs.Tracer
 	mDispatches   *obs.Counter
-	mSteals       counterWithBaseline
 	mEventBatches counterWithBaseline
 	hFetch        *obs.Histogram
 	hKernel       *obs.Histogram
@@ -248,7 +246,6 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		n.clock = time.Now()
 	}
 	n.stamp = opts.Tracer != nil || opts.Metrics != nil
-	var gWorkerDepth []*obs.Gauge
 	if n.reg == nil {
 		// Private registry: the per-kernel counters always live in a
 		// registry so the Report is a projection of it, but the detailed
@@ -264,14 +261,9 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		n.gBacklog = n.reg.Gauge(obs.MEventBacklog)
 		n.gFieldMem = n.reg.Gauge(obs.MFieldMemElems)
 		n.gOutstand = n.reg.Gauge(obs.MOutstandingInsts)
-		gWorkerDepth = make([]*obs.Gauge, opts.Workers)
-		for i := range gWorkerDepth {
-			gWorkerDepth[i] = n.reg.Gauge(obs.Label(obs.MWorkerQueueDepth, "worker", strconv.Itoa(i)))
-		}
 	}
-	n.mSteals = newBaselined(n.reg.Counter(obs.MStealsTotal))
 	n.mEventBatches = newBaselined(n.reg.Counter(obs.MEventBatchesTotal))
-	n.sched = newStealScheduler(opts.Workers, n.mSteals.c, gWorkerDepth)
+	n.sched = newSliceQueue()
 	n.tracer.CountDropped(n.reg.Counter(obs.MTraceDropped))
 	for _, fd := range p.Fields {
 		fl := field.New(fd.Name, fd.Kind, fd.Rank, fd.Aged)
@@ -434,7 +426,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			ks.storePlans[i] = sp
 		}
 		kd, nIdx, nSel := kd, maxIdx, maxSel
-		ks.frames = &sync.Pool{New: func() any {
+		ks.newFrame = func() *execFrame {
 			return &execFrame{
 				ctx:    core.NewReusableCtx(kd, n.timers, n.out),
 				coords: make([]int, len(kd.IndexVars)),
@@ -443,7 +435,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 				pins:   make([]viewPin, len(kd.Fetches)),
 				staged: make([]stagedStores, len(kd.Stores)),
 			}
-		}}
+		}
 	}
 	// Which store events concern the analyzer (fieldState.analyzed). Remote
 	// kernels never have local trackers.
@@ -460,9 +452,9 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 	return n, nil
 }
 
-// execFrame is the reusable per-slice state a worker checks out of a kernel's
-// frame pool: the instance context, the instance coordinates of a slice
-// (one row of them per instance in lockstep), coordinate and
+// execFrame is the reusable per-slice state a worker keeps per kernel
+// (workerState.frames): the instance context, the instance coordinates of a
+// slice (one row of them per instance in lockstep), coordinate and
 // slab-selector scratch sized for the kernel's largest index expressions,
 // and the two per-slice hoists — one generation pin per fetch and one
 // staging list per store.
@@ -758,10 +750,8 @@ type workerState struct {
 	// reach the shared histograms once per slice (flushStages).
 	stages struct{ queue, fetch, exec, store obs.HistogramBatch }
 
-	// frames caches one checked-out execution frame per kernel (indexed by
-	// kernelState.idx) so consecutive dispatches skip the sync.Pool, whose
-	// dequeue CAS is measurable on the dispatch path. Frames return to their
-	// kernel's pool when the worker exits.
+	// frames holds the worker's execution frame per kernel (indexed by
+	// kernelState.idx), built on its first slice of that kernel.
 	frames []*execFrame
 }
 
@@ -799,12 +789,12 @@ func (w *workerState) flush() {
 	w.buf = getEventBuf()
 }
 
-// frame returns the worker's cached execution frame for ks, checking one out
-// of the kernel's pool on first use.
+// frame returns the worker's execution frame for ks, building it on first
+// use.
 func (w *workerState) frame(ks *kernelState) *execFrame {
 	fr := w.frames[ks.idx]
 	if fr == nil {
-		fr = ks.frames.Get().(*execFrame)
+		fr = ks.newFrame()
 		w.frames[ks.idx] = fr
 	}
 	return fr
@@ -819,25 +809,18 @@ func (w *workerState) frame(ks *kernelState) *execFrame {
 func (n *Node) worker(id int) {
 	defer n.wg.Done()
 	w := newWorkerState(n, id)
-	defer func() {
-		for i, fr := range w.frames {
-			if fr != nil {
-				n.order[i].frames.Put(fr)
-			}
-		}
-	}()
 	for {
-		b, ok := n.sched.TryPop(id)
+		b, ok := n.sched.TryPop()
 		if !ok {
 			w.flush()
 			if n.hIdle.enabled() {
 				// Blocked on an empty queue: the idle stage of the
 				// attribution report (worker-seconds not spent dispatching).
 				idleFrom := time.Now()
-				b, ok = n.sched.Pop(id)
+				b, ok = n.sched.Pop()
 				n.hIdle.Observe(time.Since(idleFrom))
 			} else {
-				b, ok = n.sched.Pop(id)
+				b, ok = n.sched.Pop()
 			}
 			if !ok {
 				return

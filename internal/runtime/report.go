@@ -85,9 +85,11 @@ type Report struct {
 	// it by this name.
 	ShardEvents []int64
 
-	// Scheduler fast-path counters: batches taken from a peer's deque by the
-	// work-stealing scheduler and event batches delivered to the analyzer.
-	Steals       int64
+	// Steals is always 0: a node has one ready queue, so no worker takes a
+	// slice from a peer. The field stays because the benchmark ledger
+	// (bench/) reads it by this name.
+	Steals int64
+	// EventBatches counts the event batches delivered to the analyzer.
 	EventBatches int64
 
 	// Transport counters, filled in by the distributed layer (zero for
@@ -197,7 +199,6 @@ func (n *Node) buildReport(wall time.Duration) *Report {
 		MaxQueueDepth:   an.maxQueue,
 		MaxEventBacklog: an.maxBacklog,
 		ShardEvents:     []int64{an.events.Own()},
-		Steals:          n.mSteals.Own(),
 		EventBatches:    n.mEventBatches.Own(),
 	}
 	if !n.failed() {
@@ -268,7 +269,6 @@ func MergeReports(reports ...*Report) *Report {
 			}
 			merged.ShardEvents[0] += r.ShardEvents[0]
 		}
-		merged.Steals += r.Steals
 		merged.EventBatches += r.EventBatches
 		merged.SentMsgs += r.SentMsgs
 		merged.RecvMsgs += r.RecvMsgs
@@ -343,8 +343,8 @@ func (r *Report) Table() string {
 		}
 	}
 	if r.MaxQueueDepth > 0 || r.MaxEventBacklog > 0 {
-		fmt.Fprintf(&b, "queue: max depth %d insts, max event backlog %d batches, %d steals, %d event batches\n",
-			r.MaxQueueDepth, r.MaxEventBacklog, r.Steals, r.EventBatches)
+		fmt.Fprintf(&b, "queue: max depth %d insts, max event backlog %d batches, %d event batches\n",
+			r.MaxQueueDepth, r.MaxEventBacklog, r.EventBatches)
 	}
 	if len(r.ShardEvents) > 0 {
 		fmt.Fprintf(&b, "analyzer: %d events, max backlog %d batches\n", r.ShardEvents[0], r.MaxEventBacklog)

@@ -35,14 +35,13 @@ func TestTableSummaryLines(t *testing.T) {
 		Kernels:         []KernelStats{{Name: "k", Instances: 70, Lockstep: 56, Declined: 14}},
 		MaxQueueDepth:   7,
 		MaxEventBacklog: 3,
-		Steals:          2,
 		EventBatches:    5,
 		SentMsgs:        10, SentBytes: 2048, RecvMsgs: 4, RecvBytes: 512,
 	}
 	got := r.Table()
 	for _, want := range []string{
 		"lockstep: the slice body of k declined 14 instances, which ran one by one",
-		"queue: max depth 7 insts, max event backlog 3 batches, 2 steals, 5 event batches",
+		"queue: max depth 7 insts, max event backlog 3 batches, 5 event batches",
 		"transport: sent 10 msgs / 2048 B, received 4 msgs / 512 B",
 	} {
 		if !bytes.Contains([]byte(got), []byte(want)) {
@@ -56,15 +55,13 @@ func TestTableSummaryLines(t *testing.T) {
 func TestMergeReportsFieldMem(t *testing.T) {
 	a := &Report{
 		Wall: 2 * time.Second, FieldMemElems: 100,
-		MaxQueueDepth: 5, MaxEventBacklog: 2,
-		Steals: 3, EventBatches: 7,
+		MaxQueueDepth: 5, MaxEventBacklog: 2, EventBatches: 7,
 		SentMsgs: 10, RecvMsgs: 20, SentBytes: 1000, RecvBytes: 2000,
 		Kernels: []KernelStats{{Name: "k", Instances: 3}},
 	}
 	b := &Report{
 		Wall: 3 * time.Second, FieldMemElems: 42,
-		MaxQueueDepth: 9, MaxEventBacklog: 1,
-		Steals: 1, EventBatches: 2,
+		MaxQueueDepth: 9, MaxEventBacklog: 1, EventBatches: 2,
 		SentMsgs: 1, RecvMsgs: 2, SentBytes: 30, RecvBytes: 40,
 		Kernels: []KernelStats{{Name: "k", Instances: 4}},
 	}
@@ -78,8 +75,8 @@ func TestMergeReportsFieldMem(t *testing.T) {
 	if m.MaxQueueDepth != 9 || m.MaxEventBacklog != 2 {
 		t.Errorf("merged queue columns = %d/%d, want 9/2", m.MaxQueueDepth, m.MaxEventBacklog)
 	}
-	if m.Steals != 4 || m.EventBatches != 9 {
-		t.Errorf("merged scheduler counters = %d steals/%d batches, want 4/9", m.Steals, m.EventBatches)
+	if m.EventBatches != 9 {
+		t.Errorf("merged event batches = %d, want 9", m.EventBatches)
 	}
 	if m.SentMsgs != 11 || m.RecvMsgs != 22 || m.SentBytes != 1030 || m.RecvBytes != 2040 {
 		t.Errorf("merged transport = %+v", m)

@@ -4,65 +4,21 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func mkBatch(age int) *batch {
 	return &batch{tracker: &ageTracker{age: age}, run: cellRun{hi: 1}}
 }
 
-// TestStealOldestFirst is the ordering contract of the stealing scheduler: a
-// worker whose own deque holds only age N+1 work must steal a peer's age N
-// batch (below the epoch) instead of dispatching its younger local work.
-func TestStealOldestFirst(t *testing.T) {
-	reg := obs.NewRegistry()
-	steals := reg.Counter(obs.MStealsTotal)
-	s := newStealScheduler(2, steals, nil)
-
-	// Round-robin: the first push lands in deque 1, the second in deque 0.
-	s.PushBulk([]*batch{mkBatch(1)}) // deque 1 <- age 1
-	s.PushBulk([]*batch{mkBatch(0)}) // deque 0 <- age 0
-	if s.deques[1].min.Load() != 1 || s.deques[0].min.Load() != 0 {
-		t.Fatalf("unexpected deque placement: min0=%d min1=%d",
-			s.deques[0].min.Load(), s.deques[1].min.Load())
-	}
-
-	// Worker 1 holds age 1 locally but the epoch is 0: it must steal the
-	// age-0 batch from worker 0's deque first.
-	b, ok := s.TryPop(1)
-	if !ok || b.tracker.age != 0 {
-		t.Fatalf("first pop got age %v (ok=%v), want steal of age 0", b, ok)
-	}
-	if got := steals.Load(); got != 1 {
-		t.Fatalf("steals = %d, want 1", got)
-	}
-	b, ok = s.TryPop(1)
-	if !ok || b.tracker.age != 1 {
-		t.Fatalf("second pop got %v (ok=%v), want local age 1", b, ok)
-	}
-	// Popping own (now oldest) work is not a steal.
-	if got := steals.Load(); got != 1 {
-		t.Fatalf("steals after local pop = %d, want still 1", got)
-	}
-	if _, ok := s.TryPop(1); ok {
-		t.Fatal("scheduler should be empty")
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", s.Len())
-	}
-}
-
-// TestStealSchedulerEpochNeverSkipsAge pushes ages in descending order onto
-// alternating deques and checks a single consumer drains them oldest-first —
-// the epoch must chase every older push.
-func TestStealSchedulerEpochNeverSkipsAge(t *testing.T) {
-	s := newStealScheduler(4, nil, nil)
+// TestSliceQueueDescendingAges pushes ages in descending order, one slice per
+// push, and checks a consumer drains them oldest-first.
+func TestSliceQueueDescendingAges(t *testing.T) {
+	q := newSliceQueue()
 	for age := 9; age >= 0; age-- {
-		s.PushBulk([]*batch{mkBatch(age)})
+		q.PushBulk([]*batch{mkBatch(age)})
 	}
 	for want := 0; want < 10; want++ {
-		b, ok := s.TryPop(2)
+		b, ok := q.TryPop()
 		if !ok {
 			t.Fatalf("ran dry at age %d", want)
 		}
@@ -72,39 +28,44 @@ func TestStealSchedulerEpochNeverSkipsAge(t *testing.T) {
 	}
 }
 
-// TestStealSchedulerBlockingPop checks Pop blocks until a push arrives and
-// returns false after Close drains.
-func TestStealSchedulerBlockingPop(t *testing.T) {
-	s := newStealScheduler(2, nil, nil)
+// TestSliceQueueBlockingPop checks Pop blocks until a push arrives, and that
+// Close lets queued slices still be popped, after which Pop reports closed
+// and a push is ignored.
+func TestSliceQueueBlockingPop(t *testing.T) {
+	q := newSliceQueue()
 	got := make(chan int, 1)
 	go func() {
-		b, ok := s.Pop(0)
+		b, ok := q.Pop()
 		if !ok {
 			got <- -1
 			return
 		}
 		got <- b.tracker.age
 	}()
-	s.PushBulk([]*batch{mkBatch(7)})
+	q.PushBulk([]*batch{mkBatch(7)})
 	if age := <-got; age != 7 {
 		t.Fatalf("blocked pop got %d, want 7", age)
 	}
-	s.Close()
-	if _, ok := s.Pop(1); ok {
+	q.PushBulk([]*batch{mkBatch(3)})
+	q.Close()
+	if b, ok := q.Pop(); !ok || b.tracker.age != 3 {
+		t.Fatalf("Pop after Close got %v (ok=%v), want the queued age 3", b, ok)
+	}
+	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop after Close+drain should report closed")
 	}
-	s.PushBulk([]*batch{mkBatch(1)}) // push after close is a no-op
-	if s.Len() != 0 {
+	q.PushBulk([]*batch{mkBatch(1)}) // push after close is a no-op
+	if q.Len() != 0 {
 		t.Fatal("push after close should be ignored")
 	}
 }
 
-// TestStealSchedulerConcurrent hammers the scheduler from concurrent
-// producers and consumers (run under -race) and checks every batch is
-// dispatched exactly once.
-func TestStealSchedulerConcurrent(t *testing.T) {
+// TestSliceQueueConcurrent hammers the queue from a producer and concurrent
+// consumers (run under -race) and checks every slice is dispatched exactly
+// once.
+func TestSliceQueueConcurrent(t *testing.T) {
 	const workers, perAge, ages = 4, 50, 8
-	s := newStealScheduler(workers, nil, nil)
+	q := newSliceQueue()
 	var wg sync.WaitGroup
 	seen := make([]int, workers)
 	for w := 0; w < workers; w++ {
@@ -113,7 +74,7 @@ func TestStealSchedulerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				b, ok := s.Pop(w)
+				b, ok := q.Pop()
 				if !ok {
 					return
 				}
@@ -123,17 +84,17 @@ func TestStealSchedulerConcurrent(t *testing.T) {
 	}
 	for a := 0; a < ages; a++ {
 		for i := 0; i < perAge; i++ {
-			s.PushBulk([]*batch{mkBatch(a)})
+			q.PushBulk([]*batch{mkBatch(a)})
 		}
 	}
-	s.Close() // workers drain the remaining queued batches before exiting
+	q.Close() // workers drain the remaining queued slices before exiting
 	wg.Wait()
 	total := 0
 	for _, c := range seen {
 		total += c
 	}
 	if total != perAge*ages {
-		t.Fatalf("dispatched %d batches, want %d", total, perAge*ages)
+		t.Fatalf("dispatched %d slices, want %d", total, perAge*ages)
 	}
 }
 
@@ -144,15 +105,14 @@ func TestStealSchedulerConcurrent(t *testing.T) {
 // the producer pushes; afterwards the depth must be back at exactly zero.
 func TestPushBulkConcurrentRelease(t *testing.T) {
 	const workers, rounds, group = 2, 300, 32
-	s := newStealScheduler(workers, nil, nil)
+	q := newSliceQueue()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				b, ok := s.Pop(w)
+				b, ok := q.Pop()
 				if !ok {
 					return
 				}
@@ -168,48 +128,53 @@ func TestPushBulkConcurrentRelease(t *testing.T) {
 			b.tracker, b.run = tr, cellRun{hi: 3}
 			bs[i] = b
 		}
-		s.PushBulk(bs)
+		q.PushBulk(bs)
 	}
-	s.Close()
+	q.Close()
 	wg.Wait()
-	if got := s.Len(); got != 0 {
+	if got := q.Len(); got != 0 {
 		t.Fatalf("queue depth after draining = %d, want 0", got)
 	}
 }
 
-// TestPushBulkEpochOrdering pins the ordering contract of bulk pushes:
-// batches pushed through PushBulk in arbitrary age order are popped
-// oldest-age-first by the stealing scheduler's epoch, regardless of which
-// deque round-robin placement put them in.
-func TestPushBulkEpochOrdering(t *testing.T) {
-	s := newStealScheduler(4, nil, nil)
+// TestPushBulkAgeOrdering pins the dispatch order of DESIGN.md §4.6: slices
+// pushed through PushBulk in arbitrary age order are popped oldest age
+// first, and within an age in the order they were pushed.
+func TestPushBulkAgeOrdering(t *testing.T) {
+	q := newSliceQueue()
 	rng := rand.New(rand.NewSource(11))
 	var bs []*batch
+	pushed := make(map[*batch]int)
 	for i := 0; i < 64; i++ {
 		b := getBatch()
 		b.tracker = &ageTracker{age: rng.Intn(10)}
 		b.run = cellRun{hi: 1}
 		bs = append(bs, b)
+		pushed[b] = i
 	}
 	// Several bulk pushes, as the analyzer makes them from successive events.
 	for i := 0; i < len(bs); i += 16 {
-		s.PushBulk(bs[i : i+16])
+		q.PushBulk(bs[i : i+16])
 	}
-	last := -1
+	lastAge, lastPush := -1, -1
 	for i := 0; i < len(bs); i++ {
-		b, ok := s.TryPop(0)
+		b, ok := q.TryPop()
 		if !ok {
 			t.Fatalf("pop %d: queue empty early", i)
 		}
-		if b.tracker.age < last {
-			t.Fatalf("pop %d: age %d after age %d — epoch ordering violated", i, b.tracker.age, last)
+		age, at := b.tracker.age, pushed[b]
+		if age < lastAge {
+			t.Fatalf("pop %d: age %d after age %d — oldest-first violated", i, age, lastAge)
 		}
-		last = b.tracker.age
+		if age == lastAge && at < lastPush {
+			t.Fatalf("pop %d: age %d push #%d after push #%d — FIFO within an age violated", i, age, at, lastPush)
+		}
+		lastAge, lastPush = age, at
 	}
-	if _, ok := s.TryPop(0); ok {
+	if _, ok := q.TryPop(); ok {
 		t.Fatal("queue not empty after draining")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after draining", s.Len())
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after draining", q.Len())
 	}
 }

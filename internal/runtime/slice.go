@@ -17,11 +17,13 @@ import (
 // executes back to back, the cells of run. Carving a slice copies and
 // allocates nothing; the slice travels analyzer → scheduler → worker →
 // (inside the done event) analyzer, which recycles it. probe marks an
-// untimed kernel's probe slice (slicer.probe).
+// untimed kernel's probe slice (slicer.probe); seq is the slice's push
+// sequence in the ready queue, its order within an age.
 type batch struct {
 	tracker *ageTracker
 	run     cellRun
 	probe   bool
+	seq     uint64
 }
 
 // len is the slice's instance count.
@@ -129,7 +131,7 @@ type slicer struct {
 	// out holds carved slices until push hands them to the scheduler.
 	out []*batch
 	// push delivers carved slices: the analyzer's quiescence accounting
-	// followed by stealScheduler.PushBulk.
+	// followed by sliceQueue.PushBulk.
 	push func([]*batch)
 }
 

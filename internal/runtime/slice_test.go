@@ -612,6 +612,55 @@ func TestCollectSlicesLinear(t *testing.T) {
 	}
 }
 
+// burstMulSum computes what wideMulSum does, but plus5 is one unindexed
+// instance per age that stores m_data(a+1) whole: every age's mul2 cells
+// are created ready by one store event, so they carve into the same slices
+// whatever the schedule. (wideMulSum's mul2 cells become ready as plus5's
+// element stores arrive, and a lull between two event batches releases a
+// shorter remainder.)
+func burstMulSum(t *testing.T, width int) *core.Program {
+	t.Helper()
+	b := core.NewBuilder("burstmulsum")
+	b.Field("m_data", field.Int32, 1, true)
+	b.Field("p_data", field.Int32, 1, true)
+	b.Kernel("init").
+		Local("values", field.Int32, 1).
+		StoreAll("m_data", core.AgeAt(0), "values").
+		Body(func(c *core.Ctx) error {
+			vs := c.Array("values")
+			vs.Grow(width)
+			for i := range vs.Int32s() {
+				vs.Int32s()[i] = int32(i + 10)
+			}
+			return nil
+		})
+	b.Kernel("mul2").Age("a").Index("x").
+		Local("value", field.Int32, 0).
+		Fetch("value", "m_data", core.AgeVar(0), core.Idx("x")).
+		Store("p_data", core.AgeVar(0), []core.IndexSpec{core.Idx("x")}, "value").
+		Body(func(c *core.Ctx) error {
+			c.SetInt32("value", c.Int32("value")*2)
+			return nil
+		})
+	b.Kernel("plus5").Age("a").
+		Local("in", field.Int32, 1).Local("out", field.Int32, 1).
+		FetchAll("in", "p_data", core.AgeVar(0)).
+		StoreAll("m_data", core.AgeVar(1), "out").
+		Body(func(c *core.Ctx) error {
+			in, out := c.Array("in").Int32s(), c.Array("out")
+			out.Grow(len(in))
+			for i, v := range in {
+				out.Int32s()[i] = v + 5
+			}
+			return nil
+		})
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // withSliceBody gives kernel name of p a slice body that runs Body on each row
 // in turn, after asking hook, which may make it decline or panic.
 func withSliceBody(p *core.Program, name string, hook func(c *core.Ctx, rows int) bool) *core.Program {
@@ -661,7 +710,7 @@ func TestLockstepSliceBody(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			tracer := obs.NewTracer(1 << 12)
-			prog := withSliceBody(wideMulSum(t, width, nil), "mul2", tc.hook)
+			prog := withSliceBody(burstMulSum(t, width), "mul2", tc.hook)
 			prog.Kernel("mul2").SliceMin = tc.sliceMin
 			n, err := NewNode(prog, Options{
 				Workers: 2, MaxAge: maxAge, Tracer: tracer,

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -211,11 +210,12 @@ type kernelState struct {
 	held   []*ageTracker
 
 	// Dispatch plans: precompiled fetch/store coordinates (same order as
-	// decl.Fetches/decl.Stores) and a pool of reusable execution frames, so
-	// the dispatch hot path is allocation-free.
+	// decl.Fetches/decl.Stores) and the constructor of the execution frame
+	// each worker reuses for the kernel, so the dispatch hot path is
+	// allocation-free.
 	fetchPlans []fetchPlan
 	storePlans []storePlan
-	frames     *sync.Pool // of *execFrame
+	newFrame   func() *execFrame
 
 	// gran is the kernel's Options.Granularity entry: a fixed slice size that
 	// overrides the sizing rule (Node.sliceSize). Zero means unset.

@@ -1,7 +1,7 @@
 package p2g
 
-// The scheduler fast-path metrics (steals, event batches, per-worker queue
-// depth, per-kernel slice counts) must surface through a caller-supplied
+// The scheduler metrics (ready-queue depth, event batches, per-kernel slice
+// counts) must surface through a caller-supplied
 // registry — that is what /metricz dumps — not only through the final report.
 
 import (
@@ -37,10 +37,8 @@ func TestSchedulerMetricsSurfaceInRegistry(t *testing.T) {
 	}
 	dump := sb.String()
 	for _, name := range []string{
-		obs.MStealsTotal,
+		obs.MReadyQueueDepth,
 		obs.MEventBatchesTotal,
-		obs.MWorkerQueueDepth + `{worker="0"}`,
-		obs.MWorkerQueueDepth + `{worker="2"}`,
 		obs.Label(obs.MKernelSlices, "kernel", "mul2"),
 		obs.Label(obs.MKernelSlices, "kernel", "print"),
 		obs.Label(obs.MKernelLockstep, "kernel", "mul2"),

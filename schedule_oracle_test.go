@@ -7,7 +7,7 @@ package p2g
 // the baseline mjpeg.Encoder stream) and against the closed-form per-kernel
 // instance and store counts. Comparing two engines with each other would pass
 // a bug they share; an oracle does not. Run under -race, this doubles as a
-// concurrency stress of the stealing deques, batched event flushes and the
+// concurrency stress of the ready queue, batched event flushes and the
 // quiescence count.
 
 import (

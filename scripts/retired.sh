@@ -4,7 +4,9 @@
 # non-test Go outside bench/ (the files `make loc` counts). Comments count
 # too: a deleted engine should not survive as a description of itself.
 #
-#   readyQueue         the global ready queue (the stealing deques replaced it)
+#   readyQueue         an earlier global ready queue, replaced by per-worker
+#                      stealing deques, which the one age-ordered sliceQueue
+#                      replaced in turn
 #   SchedulerKind      the option that selected between schedulers
 #   BackendClosure     the closure kernel backend (bytecode is the one backend)
 #   MReassign          the failover message (recovery uses MAssign + MStart)
@@ -28,9 +30,13 @@
 #                      range tracker's burst stamps (one tracker kind: cells
 #                      as runs, element fetches satisfied per burst or per
 #                      cell)
+#   stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal
+#   MWorkerQueueDepth  the per-worker stealing deques, their age epoch and
+#                      their steal counter and per-worker depth gauges (one
+#                      ready queue under one lock)
 set -eu
 cd "$(dirname "$0")/.."
-names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone'
+names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth'
 pattern=$(printf '%s\n' $names | paste -sd '|' -)
 found=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 	-exec grep -HnwE "$pattern" {} + || true)
