@@ -312,12 +312,13 @@ func (p *bcProg) planLanes(k *KernelDef) {
 // divergent if, which is what the running minimum of assign and the
 // membership test of refine do; a body that sends half its lanes each way
 // breaks even later than this says. It also decides whether refine runs in
-// lockstep at all: its instances cost 20 µs each on the scalar loop, so the
-// runtime's sizing rule starts it at slices of 5, and only lockstep makes
-// them cheap enough for the slices to grow. The model leaves out as well
-// what a run costs before its first instruction (two pooled frames, the
-// arrays resolved, a column per loaded register), so the answer is never
-// below 4. code is the plan's.
+// lockstep at all: the runtime sizes a kernel with a slice body by its domain
+// alone, at Workers×4 slices per age, only when that size reaches the
+// minimum — 12 of K=100 centroids on two workers, where a minimum above 12
+// would leave refine's 20 µs instances to the scalar loop. The model leaves
+// out as well what a run costs before its first instruction (two pooled
+// frames, the arrays resolved, a column per loaded register), so the answer
+// is never below 4. code is the plan's.
 func (p *bcProg) laneBreakEven(code []instr, partial []bool) int {
 	hot := p.innerLoops()
 	if len(hot) == 0 {

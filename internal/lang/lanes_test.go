@@ -8,6 +8,9 @@ package lang
 
 import (
 	"fmt"
+	"io"
+	"math"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -200,6 +203,55 @@ func checkLanes(t testing.TB, file *File, st *laneStats) {
 					t.Fatalf("kernel %s lane %d of %d (completed=%v): row diverged\nslice body:\n%s\nwant:\n%s", kd.Name, l, n, ran, got, exp)
 				}
 			}
+		}
+	}
+}
+
+// TestKMeansTemplateLockstep pins the benchmark's K-means regime outside
+// the benchmark: the template at N=2000, K=100 on two workers. The sizing
+// rule gives a kernel with a slice body the slices its tail limit allows —
+// 250 of assign's 2 000 instances, 12 of refine's 100 — so every instance of
+// both runs in lockstep and none declines; and the centroids are
+// bit-identical to the same program run one instance per slice, which is
+// the scalar VM.
+func TestKMeansTemplateLockstep(t *testing.T) {
+	src := everySource(t)[filepath.Join("..", "..", "bench", "kmeans.p2g.tmpl")]
+	const ages = 3
+	run := func(gran map[string]int) (*runtime.Report, []float64) {
+		prog, err := Compile("kmeans", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := runtime.NewNode(prog, runtime.Options{Workers: 2, MaxAge: ages - 1, Output: io.Discard, Granularity: gran})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := node.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cents, err := node.Snapshot("centroids", ages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, cents.Float64s()
+	}
+	rep, got := run(nil)
+	for _, name := range []string{"assign", "refine"} {
+		if k := rep.Kernel(name); k.Instances == 0 || k.Lockstep != k.Instances || k.Declined != 0 {
+			t.Errorf("%s: %d of %d instances in lockstep (%d slices), %d declined; want all, none declined", name, k.Lockstep, k.Instances, k.Slices, k.Declined)
+		}
+	}
+	scalar, want := run(map[string]int{"assign": 1, "refine": 1})
+	if k := scalar.Kernel("assign"); k.Lockstep != 0 {
+		t.Fatalf("assign ran %d instances in lockstep at one instance per slice", k.Lockstep)
+	}
+	if len(got) != len(want) || len(got) != 2*100 {
+		t.Fatalf("%d centroid values, scalar VM %d, want 200", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("centroids(%d) value %d: %v in lockstep, %v on the scalar VM", ages, i, got[i], want[i])
 		}
 	}
 }

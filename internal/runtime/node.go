@@ -1126,7 +1126,7 @@ func (n *Node) storeInst(t *ageTracker, coords []int, fr *execFrame, w *workerSt
 			n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Sel: sel, Value: val})
 		}
 		// A slab store covers a sub-region at once; the analyzer handles it
-		// as a whole store (scanSatisfy re-checks element fetches against
+		// as a whole store (its sweep re-checks element fetches against
 		// field contents).
 		if sp.fs.analyzed(res.Grew) {
 			ev := event{fs: sp.fs, age: g, whole: true}

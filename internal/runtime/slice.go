@@ -57,29 +57,35 @@ const (
 
 // sliceSize is the slice-sizing rule: how many instances of t's kernel-age go
 // into one slice. An Options.Granularity entry is used as given. Otherwise
-// the size is the target slice duration divided by the kernel's measured
+// the size is capped by the tail limit: the domain — the part of it that runs
+// here, when the kernel is split — must still yield slicesPerWorker slices
+// per worker. A kernel with a slice body whose tail limit reaches its
+// lockstep minimum gets the tail limit (up to maxSliceInsts) outright: in
+// lockstep the per-instance cost falls as the slice grows, so a size derived
+// from a cost measured at one length would pin the kernel near that length.
+// Any other kernel gets the target slice duration divided by its measured
 // per-instance cost (kernelState.costNs: body plus dispatch of its recently
-// timed slices), capped so the domain — the part of it that runs here, when
-// the kernel is split — still yields slicesPerWorker slices per worker. Zero
-// means the kernel has not been timed yet: the slicer then probes it.
+// timed slices). Zero means that cost has not been measured yet: the slicer
+// then probes the kernel.
 func (n *Node) sliceSize(t *ageTracker) int {
 	ks := t.ks
 	if ks.gran > 0 {
 		return ks.gran
+	}
+	cells := boxCells(t.extents)
+	if ks.own != nil {
+		cells = cells * ks.ownN / ks.shares // about the part of the domain that runs here
+	}
+	limit := cells / (n.opts.Workers * slicesPerWorker)
+	if kd := ks.decl; kd.SliceBody != nil && limit >= max(minLockstepInsts, kd.SliceMin) {
+		return min(limit, maxSliceInsts)
 	}
 	cost := ks.costNs.Load()
 	if cost == 0 {
 		return 0
 	}
 	size := int(min(sliceTargetNs/cost, maxSliceInsts))
-	cells := boxCells(t.extents)
-	if ks.own != nil {
-		cells = cells * ks.ownN / ks.shares // about the part of the domain that runs here
-	}
-	if limit := cells / (n.opts.Workers * slicesPerWorker); size > limit {
-		size = limit
-	}
-	return max(size, 1)
+	return max(min(size, limit), 1)
 }
 
 // observeCost folds one timed slice — ran instances in total nanoseconds —

@@ -167,10 +167,44 @@ func ownAllShares(shards int) *Shares {
 // per-instance trackers these once ran on) and on row fetches: the one-line
 // mul2/plus5 kernels cost far less than the slice target, so their instances
 // must be combined, while a kernel whose body takes a millisecond must keep
-// one instance per slice.
+// one instance per slice. A kernel with a slice body is sized by its tail
+// limit alone once that reaches the lockstep minimum (the lockstep subtest).
 func TestSliceSizingRule(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// 20 µs instances, which the cost rule would cut into slices of
+			// 5, run as slices of the tail limit, 512/(2 workers × 4) = 64,
+			// every one in lockstep. Over 16 cells the tail limit, 2, is
+			// below minLockstepInsts: the cost rule keeps 1 ms instances one
+			// per slice, and none runs in lockstep.
+			t.Run("lockstep", func(t *testing.T) {
+				for _, tc := range []struct {
+					width int
+					cost  time.Duration
+				}{{512, 20 * time.Microsecond}, {16, time.Millisecond}} {
+					const maxAge = 2
+					prog := withSliceBody(spinMulSum(t, tc.width, tc.cost), "mul2", nil)
+					n, err := NewNode(prog, Options{Workers: 2, MaxAge: maxAge, Shares: ownAllShares(shards)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := runOrTimeout(t, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkWideMulSum(t, n, tc.width, 0, maxAge)
+					k := rep.Kernel("mul2")
+					if k.Instances != int64(tc.width*(maxAge+1)) {
+						t.Errorf("width %d: mul2 ran %d instances, want %d", tc.width, k.Instances, tc.width*(maxAge+1))
+					}
+					if tc.width == 512 && (k.InstancesPerSlice() < 60 || k.Lockstep != k.Instances) {
+						t.Errorf("20 µs slice-body kernel: %d instances in %d slices, %d in lockstep; want 60 or more per slice, all in lockstep", k.Instances, k.Slices, k.Lockstep)
+					}
+					if tc.width == 16 && (k.Slices != k.Instances || k.Lockstep != 0) {
+						t.Errorf("1 ms slice-body kernel over 16 cells: %d instances in %d slices, %d in lockstep; want one per slice, none in lockstep", k.Instances, k.Slices, k.Lockstep)
+					}
+				}
+			})
 			for _, tc := range []struct {
 				trackers string
 				prog     func(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Program
@@ -657,6 +691,21 @@ func burstMulSum(t *testing.T, width int) *core.Program {
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
+	}
+	return p
+}
+
+// spinMulSum is burstMulSum, whose mul2 cells of an age are all ready at
+// once, with a mul2 body that spins for cost before it computes, so that the
+// sizing rule sees instances of about that cost.
+func spinMulSum(t *testing.T, width int, cost time.Duration) *core.Program {
+	p := burstMulSum(t, width)
+	kd := p.Kernel("mul2")
+	body := kd.Body
+	kd.Body = func(c *core.Ctx) error {
+		for start := time.Now(); time.Since(start) < cost; {
+		}
+		return body(c)
 	}
 	return p
 }

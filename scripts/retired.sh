@@ -34,9 +34,12 @@
 #   MWorkerQueueDepth  the per-worker stealing deques, their age epoch and
 #                      their steal counter and per-worker depth gauges (one
 #                      ready queue under one lock)
+#   scanSatisfy        the analyzer's re-check of element fetches against
+#                      field contents after a whole or slab store (sweep does
+#                      it)
 set -eu
 cd "$(dirname "$0")/.."
-names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth'
+names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy'
 pattern=$(printf '%s\n' $names | paste -sd '|' -)
 found=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 	-exec grep -HnwE "$pattern" {} + || true)
