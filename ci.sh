@@ -31,10 +31,11 @@ for e in examples/*/; do
 	go run "./$e" >/dev/null
 done
 go test -race ./...
-# Allocation pins (`make norace`): the zero-alloc dispatch, slab and frame
-# pool-reuse tests skip themselves under the race detector, which allocates on
-# its own, so the three packages that hold them run once more without it.
-go test -count=1 ./internal/field/ ./internal/runtime/ ./internal/dist/
+# Allocation pins (`make norace`): the zero-alloc dispatch, slab, frame
+# pool-reuse and warm slice-body tests skip themselves under the race
+# detector, which allocates on its own, so the four packages that hold them
+# run once more without it.
+go test -count=1 ./internal/field/ ./internal/runtime/ ./internal/dist/ ./internal/lang/
 # Fault-injection gate (`make test-fault`): the failover, liveness, and
 # teardown regression tests under the race detector, each driving a real
 # master/worker pair through a severed, wedged, or silently dropping

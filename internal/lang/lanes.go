@@ -16,14 +16,18 @@ package lang
 // instructions over the active lanes.
 //
 // Control flow. A branch on uniform operands moves all lanes together. A
-// branch on varying operands may split them: the lanes bound for the higher
-// pc are parked there and execution goes on at the lower one, and whenever
-// the running lanes reach or pass the lowest parked pc the lanes with the
-// lowest pc run next (min-pc reconvergence). Because a loop's exit lies
-// above its body and both arms of an if lie below its end, that is enough for
-// if/else, the jump chains of && and ||, break and continue. The pcs at which
-// some lanes may be parked are the plan's partial set; everything there is
-// the driver's, and every register written there is varying.
+// branch on varying operands may split them: one loop over the running lanes
+// compares their operands, in place, and lists the lanes bound for the lower
+// pc, which go on; the others are parked at the higher pc. Whenever the
+// running lanes reach or pass the lowest parked pc the lanes with the lowest
+// pc run next (min-pc reconvergence). Lanes parked by a split of all lanes
+// are listed nowhere: they are the implicit group, every lane neither running
+// nor in a listed group, and rejoin by making all lanes run again. Because a
+// loop's exit lies above its body and both arms of an if lie below its end,
+// that is enough for if/else, the jump chains of && and ||, break and
+// continue. The pcs at which some lanes may be parked are the plan's partial
+// set; everything there is the driver's, and every register written there is
+// varying.
 //
 // A body is lane-eligible when it consists of exec's call-free instructions
 // plus extent, bind and ret, keeps no string or boxed value, and has no array
@@ -66,9 +70,9 @@ type laneProg struct {
 	bindLocals []uint8
 	arrays     []uint8 // the array locals the body reads
 	// Per pc: the instruction is a branch on a varying register (the listing
-	// marks it); what its source operands are.
+	// marks it); it reads a varying register.
 	divergent []bool
-	src       []laneSrc
+	varies    []bool
 	// minLanes is the shortest slice worth running in lockstep
 	// (laneBreakEven); it becomes core.KernelDecl.SliceMin.
 	minLanes int
@@ -115,35 +119,18 @@ func laneWrites(op opcode) bool {
 
 func laneBranch(op opcode) bool { return op >= opJzI && op <= opJleF }
 
-// laneSrc says what the registers an instruction reads are.
-type laneSrc uint8
-
-const (
-	srcUniform laneSrc = iota // all uniform (or there are none)
-	srcVarying                // all varying
-	srcMixed
-)
-
-func laneSrcOf(in instr, varI, varF *[maxRegs]bool) laneSrc {
+// laneVaries reports whether an instruction reads a varying register.
+func laneVaries(in instr, varI, varF *[maxRegs]bool) bool {
 	x := [4]uint8{in.a, in.b, in.c, uint8(in.d)}
-	uni, vary := false, false
 	for i, role := range opTable[in.op].args {
 		if i == 0 && laneWrites(in.op) || role != xI && role != xF {
 			continue
 		}
 		if role == xI && varI[x[i]] || role == xF && varF[x[i]] {
-			vary = true
-		} else {
-			uni = true
+			return true
 		}
 	}
-	switch {
-	case !vary:
-		return srcUniform
-	case !uni:
-		return srcVarying
-	}
-	return srcMixed
+	return false
 }
 
 // planLanes decides whether the lowered body can run in lockstep and, if so,
@@ -224,12 +211,12 @@ func (p *bcProg) planLanes(k *KernelDef) {
 	}
 	partial := make([]bool, n) // per pc: some lanes may be parked while it executes
 	lp.divergent = make([]bool, n)
-	lp.src = make([]laneSrc, n)
+	lp.varies = make([]bool, n)
 	for changed := true; changed; {
 		changed = false
 		for pc, in := range p.code {
-			lp.src[pc] = laneSrcOf(in, &varI, &varF)
-			vary := lp.src[pc] != srcUniform
+			lp.varies[pc] = laneVaries(in, &varI, &varF)
+			vary := lp.varies[pc]
 			switch {
 			case laneBranch(in.op) || in.op == opJmp:
 				lp.divergent[pc] = vary
@@ -362,32 +349,29 @@ type laneFrame struct {
 	fc  []float64
 	bc  []bool
 	// Scratch columns: slots 0 and 1 take gathered or broadcast operands,
-	// slot 2 a result on its way to being scattered, or a branch condition.
+	// slot 2 a result on its way to being scattered.
 	si [3][]int64
 	sf [3][]float64
 	// castI and castF remember the value an operand slot is filled with, and
 	// how far, since srcI/srcF last broadcast a uniform register into it: a
-	// loop that compares a column with a constant fills the slot once
-	// (`best < 0.0` in K-means assign, every iteration). Without the memo
-	// kmeans_vm's speedup_vs_seq falls by a further 3 % (0.318 against 0.327,
-	// both without solo, 0 of 8 pairs; same runs as laneSolo's).
+	// loop combining a column with a constant fills the slot once (`v * 2` in
+	// BenchmarkLangMulSum's calc1: 8 % of its lanes time, EXPERIMENTS.md E17).
 	castI, castF [2]laneCast
-	saved        []bool // solo's copy of the scalar frame's bound flags
+	saved        []bool  // solo's copy of the scalar frame's bound flags
+	split        []int32 // where branch lists the lanes bound for the lower pc, if not nil
+	held         []bool  // reconverge's scratch: the lanes in some group
 
 	// all says every lane is running; otherwise act lists the running lanes
 	// (in no particular order: lanes are independent) and groups the parked
-	// ones, at most one group per pc, nextPark being the lowest of those.
+	// ones, at most one group per pc. The lanes in neither, if any, are the
+	// implicit group, parked at imp (else noPark); nextPark is the lowest pc
+	// at which lanes are parked.
 	all      bool
 	act      []int32
 	groups   []laneGroup
+	imp      int
 	nextPark int
 	free     [][]int32 // spare lane lists
-}
-
-// laneCast is what an operand slot was last filled with: w copies of bits.
-type laneCast struct {
-	bits uint64
-	w    int
 }
 
 func (lf *laneFrame) size(lp *laneProg, n int) {
@@ -407,7 +391,7 @@ func (lf *laneFrame) size(lp *laneProg, n int) {
 	}
 	lf.bc = make([]bool, len(lp.bindLocals)*c)
 	lf.saved = make([]bool, len(lp.bindLocals))
-	lf.free = lf.free[:0]
+	lf.split, lf.free = nil, lf.free[:0]
 	lf.castI, lf.castF = [2]laneCast{}, [2]laneCast{}
 }
 
@@ -417,14 +401,6 @@ func (lf *laneFrame) icolumn(col int16) []int64 {
 
 func (lf *laneFrame) fcolumn(col int16) []float64 {
 	return lf.fc[int(col)*lf.cap:][:lf.n]
-}
-
-// active is the number of running lanes.
-func (lf *laneFrame) active() int {
-	if lf.all {
-		return lf.n
-	}
-	return len(lf.act)
 }
 
 func (lf *laneFrame) list() []int32 {
@@ -449,13 +425,26 @@ func (lf *laneFrame) park(pc int, lanes []int32) {
 	lf.groups = append(lf.groups, laneGroup{pc: pc, lanes: lanes})
 }
 
+// diverge makes run the running set and parks the other lanes at pc: listed
+// in rest, or, when all lanes ran, as the implicit group.
+func (lf *laneFrame) diverge(run, rest []int32, pc int) {
+	if lf.all {
+		lf.all, lf.imp, lf.nextPark = false, pc, min(lf.nextPark, pc)
+	} else {
+		lf.free = append(lf.free, lf.act)
+		lf.park(pc, rest)
+	}
+	lf.act = run
+}
+
 // reconverge is called when the running lanes have reached or passed the
 // lowest parked pc: the lanes with the lowest pc run next. It returns that pc.
+// The implicit group rejoins by setting all again, unless lanes are parked
+// in groups at that moment; only then is it listed, as their complement.
 func (lf *laneFrame) reconverge(pc int) int {
 	if pc > lf.nextPark {
 		lf.park(pc, lf.act)
-		lf.act = nil
-		pc = lf.nextPark
+		lf.act, pc = lf.list(), lf.nextPark
 	}
 	lf.nextPark = noPark
 	for i := 0; i < len(lf.groups); {
@@ -465,18 +454,32 @@ func (lf *laneFrame) reconverge(pc int) int {
 			i++
 			continue
 		}
-		if lf.act == nil {
-			lf.act = g.lanes
-		} else {
-			lf.act = append(lf.act, g.lanes...)
-			lf.free = append(lf.free, g.lanes)
-		}
+		lf.act = append(lf.act, g.lanes...)
+		lf.free = append(lf.free, g.lanes)
 		last := len(lf.groups) - 1
 		lf.groups[i] = lf.groups[last]
 		lf.groups = lf.groups[:last]
 	}
-	if len(lf.act) == lf.n {
-		lf.all = true
+	switch {
+	case lf.imp != pc:
+		lf.nextPark = min(lf.nextPark, lf.imp)
+	case len(lf.groups) == 0:
+		lf.imp, lf.all = noPark, true
+	default: // the implicit group and the running lanes: all lanes in no group
+		lf.imp, lf.act = noPark, lf.act[:0]
+		lf.held = append(lf.held[:0], make([]bool, lf.n)...)
+		for _, g := range lf.groups {
+			for _, l := range g.lanes {
+				lf.held[l] = true
+			}
+		}
+		for l, h := range lf.held {
+			if !h {
+				lf.act = append(lf.act, int32(l))
+			}
+		}
+	}
+	if lf.all = lf.all || len(lf.act) == lf.n; lf.all {
 		lf.free = append(lf.free, lf.act)
 		lf.act = nil
 	}
@@ -495,96 +498,204 @@ type laneVM struct {
 // and runs one lane at a time (laneVM.solo): the driver's cost per
 // instruction does not depend on how few lanes it serves, the scalar loop's
 // cost per lane does not depend on the driver. Parking handles every split
-// without it; it is here for what it measures (EXPERIMENTS.md E8b, "solo and
-// the broadcast memo"): with laneSolo 0, K-means refine, whose loop splits
-// off one lane whenever a point belongs to a cluster of the slice, costs
-// 10.5 µs per instance at 12 lanes against 8.1 µs and 9.7 against 5.4 at 64,
-// and kmeans_vm's speedup_vs_seq reads 0.327 against 0.335 (eight
-// alternating runs, 0 of 8 pairs; quartiles 0.004 apart).
+// without it; it is here for what it measures (EXPERIMENTS.md E17): K-means
+// refine, whose loop splits off one lane whenever a point belongs to a
+// cluster of the slice, runs a 12-lane slice in 86 µs at best with laneSolo
+// 0 against 72 µs with 2 (BenchmarkKMeansSliceBody/refine, best of 12
+// alternating runs on the 2-vCPU build host).
 const laneSolo = 2
 
-// branch moves the running lanes past a conditional branch whose condition
-// per lane (0 or 1; one value when the operands were uniform) is cond, taken
-// of them 1: taken lanes go to target, the others to next. When they split, the lanes with
-// the lower pc go on — on their own when they are few, and back in the
-// running set straight away if that brings them to the others' pc, which is
-// what the body of a rarely taken if does — and the rest are parked. It
-// returns the pc to continue at, and false when a lane on its own faulted.
-func (vm *laneVM) branch(ctx *core.Ctx, cond []int64, taken, next, target int) (int, bool) {
-	lf := vm.lf
-	switch {
-	case taken == 0 || next == target:
-		return next, true
-	case taken == len(cond):
-		return target, true
+// laneCmp is the comparison a branch makes of its operands b and c, as exec
+// makes it. Bit 0 negates it; the rest selects == (cmpEq), equality in the
+// total order in which NaN equals everything (cmpSame), < (cmpLt) or >
+// (cmpGt). So cmpGe is that order's >=, !(b < c), and cmpLe its <=.
+type laneCmp uint8
+
+const (
+	cmpEq laneCmp = iota
+	cmpNe
+	cmpSame
+	cmpApart
+	cmpLt
+	cmpGe
+	cmpGt
+	cmpLe
+)
+
+// laneCmps gives each branch opcode's comparison, from opJzI (not jzv, jnzv).
+var laneCmps = [...]laneCmp{cmpEq, cmpNe, cmpEq, cmpNe, cmpEq, cmpNe, cmpEq, cmpNe, cmpLt, cmpLe, cmpSame, cmpApart, cmpLt, cmpLe}
+
+// laneHolds is b cmp c for a comparison without its negation bit.
+func laneHolds[T int64 | float64](cmp laneCmp, b, c T) int64 {
+	switch cmp {
+	case cmpEq:
+		return b2i(b == c)
+	case cmpSame:
+		return b2i(!(b < c) && !(b > c))
+	case cmpLt:
+		return b2i(b < c)
 	}
-	lane := func(k int) int32 {
-		if lf.all {
-			return int32(k)
+	return b2i(b > c)
+}
+
+// laneZeroI and laneZeroF are the second operand of jz and jnz.
+var laneZeroI, laneZeroF = [1]int64{}, [1]float64{}
+
+// branch runs the conditional branch in, whose fall-through pc is next: one
+// loop (laneSplit) lists the lanes bound for the lower pc. When they split,
+// those go on — alone when they are few, and back with the others at once if
+// that brings them to the higher pc, as the body of a rarely taken if does —
+// and the rest wait there (laneFrame.diverge). It returns the pc to continue
+// at, and false when a lane on its own faulted.
+func (vm *laneVM) branch(ctx *core.Ctx, in instr, next int) (int, bool) {
+	lf, cmp, low, high := vm.lf, laneCmps[in.op-opJzI], int(in.d), next
+	if low > high { // the lanes that do not jump take the lower pc
+		low, high, cmp = high, low, cmp^1
+	}
+	if lf.split == nil {
+		lf.split = lf.list()
+	}
+	run, rest := lf.split, []int32(nil)
+	if !lf.all {
+		rest = lf.list()
+	}
+	var k, total int
+	if two := opTable[in.op].args[1] != xNone; opTable[in.op].args[0] == xF {
+		c := laneZeroF[:]
+		if two {
+			c = vm.operandF(in.b)
 		}
-		return lf.act[k]
-	}
-	low, high, lowCond, lowSize := next, target, int64(0), len(cond)-taken
-	if target < next {
-		low, high, lowCond, lowSize = target, next, 1, taken
-	}
-	rest := lf.list()
-	if lowSize > laneSolo {
-		run := lf.list()
-		for k, c := range cond {
-			if c == lowCond {
-				run = append(run, lane(k))
-			} else {
-				rest = append(rest, lane(k))
-			}
+		run, rest, total = laneSplit(lf, cmp, vm.operandF(in.a), c, run, rest)
+	} else {
+		c := laneZeroI[:]
+		if two {
+			c = vm.operandI(in.b)
 		}
-		lf.setActive(run)
-		lf.park(high, rest)
+		run, rest, total = laneSplit(lf, cmp, vm.operandI(in.a), c, run, rest)
+	}
+	if k = len(run); k == 0 || k == total || low == high {
+		if rest != nil {
+			lf.free = append(lf.free, rest)
+		}
+		if k == 0 {
+			return high, true
+		}
+		return low, true
+	} else if k > laneSolo {
+		lf.split = nil
+		lf.diverge(run, rest, high)
 		return low, true
 	}
-	var lanes [laneSolo]int32
-	var ends [laneSolo]int
-	n, rejoin := 0, 0
-	for k, c := range cond {
-		if c != lowCond {
-			continue
-		}
-		end, ok := vm.solo(ctx, lane(k), low)
-		if !ok {
+	back := run[:0] // the lanes solo brings to high
+	for _, l := range run {
+		end, ok := vm.solo(ctx, l, low)
+		switch {
+		case !ok:
 			return 0, false
-		}
-		lanes[n], ends[n] = lane(k), end
-		n++
-		if end == high {
-			rejoin++
-		}
-	}
-	if lf.all && rejoin == n {
-		lf.free = append(lf.free, rest)
-		return high, true
-	}
-	for k, c := range cond {
-		if c != lowCond {
-			rest = append(rest, lane(k))
+		case end == high:
+			back = append(back, l)
+		default:
+			lf.park(end, append(lf.list(), l))
 		}
 	}
-	for i, l := range lanes[:n] {
-		if ends[i] == high {
-			rest = append(rest, l)
-		} else {
-			lf.park(ends[i], append(lf.list(), l))
-		}
+	switch {
+	case lf.all && len(back) < k:
+		lf.split = nil
+		lf.diverge(back, nil, high)
+	case !lf.all:
+		lf.free = append(lf.free, lf.act)
+		lf.act = append(rest, back...)
 	}
-	lf.setActive(rest)
 	return high, true
 }
 
-// setActive makes lanes, not all of them, the running set.
-func (lf *laneFrame) setActive(lanes []int32) {
-	if !lf.all {
-		lf.free = append(lf.free, lf.act)
+// operandI returns int register r: its column, or the scalar register itself
+// when it is uniform.
+func (vm *laneVM) operandI(r uint8) []int64 {
+	if col := vm.lp.icol[r]; col >= 0 {
+		return vm.lf.icolumn(col)
 	}
-	lf.all, lf.act = false, lanes
+	return vm.fr.i[r : r+1]
+}
+
+func (vm *laneVM) operandF(r uint8) []float64 {
+	if col := vm.lp.fcol[r]; col >= 0 {
+		return vm.lf.fcolumn(col)
+	}
+	return vm.fr.f[r : r+1]
+}
+
+// laneSplit lists in low the running lanes for which b cmp c holds and, when
+// not all run, the others in rest; it returns how many lanes it decided for.
+// An operand is a column or one uniform value; two of those decide for all.
+func laneSplit[T int64 | float64](lf *laneFrame, cmp laneCmp, b, c []T, low, rest []int32) ([]int32, []int32, int) {
+	if len(b) < len(c) { // make b the column, if either is
+		b, c = c, b
+		if cmp >= cmpLt {
+			cmp ^= 2
+		}
+	}
+	neg := int64(cmp & 1)
+	if !lf.all && len(b) > 1 {
+		k, j, low, rest := 0, 0, low[:len(lf.act)], rest[:len(lf.act)]
+		for _, l := range lf.act {
+			h := int(laneHolds(cmp&^1, b[l], c[min(int(l), len(c)-1)]) ^ neg)
+			low[k], rest[j] = l, l
+			k, j = k+h, j+1-h
+		}
+		return low[:k], rest[:j], len(lf.act)
+	}
+	k := 0
+	low = low[:len(b)]
+	if y := c[0]; len(c) == 1 {
+		switch cmp &^ 1 {
+		case cmpEq:
+			for l, x := range b {
+				low[k] = int32(l)
+				k += int(laneHolds(cmpEq, x, y) ^ neg)
+			}
+		case cmpSame:
+			for l, x := range b {
+				low[k] = int32(l)
+				k += int(laneHolds(cmpSame, x, y) ^ neg)
+			}
+		case cmpLt:
+			for l, x := range b {
+				low[k] = int32(l)
+				k += int(laneHolds(cmpLt, x, y) ^ neg)
+			}
+		case cmpGt:
+			for l, x := range b {
+				low[k] = int32(l)
+				k += int(laneHolds(cmpGt, x, y) ^ neg)
+			}
+		}
+		return low[:k], rest, len(b)
+	}
+	c = c[:len(b)]
+	switch cmp &^ 1 {
+	case cmpEq:
+		for l, x := range b {
+			low[k] = int32(l)
+			k += int(laneHolds(cmpEq, x, c[l]) ^ neg)
+		}
+	case cmpSame:
+		for l, x := range b {
+			low[k] = int32(l)
+			k += int(laneHolds(cmpSame, x, c[l]) ^ neg)
+		}
+	case cmpLt:
+		for l, x := range b {
+			low[k] = int32(l)
+			k += int(laneHolds(cmpLt, x, c[l]) ^ neg)
+		}
+	case cmpGt:
+		for l, x := range b {
+			low[k] = int32(l)
+			k += int(laneHolds(cmpGt, x, c[l]) ^ neg)
+		}
+	}
+	return low[:k], rest, len(b)
 }
 
 // solo runs lane l alone from pc, which is partial, through the scalar loop
@@ -624,65 +735,46 @@ func (vm *laneVM) solo(ctx *core.Ctx, l int32, pc int) (int, bool) {
 // every operand of the instruction is uniform, else the number of running
 // lanes.
 func (vm *laneVM) srcI(r uint8, k, w int) []int64 {
-	lf := vm.lf
-	s := lf.si[k][:w]
-	col := vm.lp.icol[r]
-	if col < 0 {
-		x := vm.fr.i[r]
-		if cast := &lf.castI[k]; cast.w < w || cast.bits != uint64(x) {
-			for i := range s {
-				s[i] = x
-			}
-			cast.bits, cast.w = uint64(x), w
-		}
-		return s
-	}
-	c := lf.icolumn(col)
-	if lf.all {
-		return c
-	}
-	lf.castI[k].w = 0
-	for i, l := range lf.act {
-		s[i] = c[l]
-	}
-	return s
+	b := vm.operandI(r)
+	return laneGather(vm.lf, b, vm.lf.si[k][:w], &vm.lf.castI[k], uint64(b[0]))
 }
 
 func (vm *laneVM) srcF(r uint8, k, w int) []float64 {
-	lf := vm.lf
-	s := lf.sf[k][:w]
-	col := vm.lp.fcol[r]
-	if col < 0 {
-		x := vm.fr.f[r]
-		if cast := &lf.castF[k]; cast.w < w || cast.bits != math.Float64bits(x) {
+	b := vm.operandF(r)
+	return laneGather(vm.lf, b, vm.lf.sf[k][:w], &vm.lf.castF[k], math.Float64bits(b[0]))
+}
+
+// laneCast is what an operand slot was last filled with: w copies of bits.
+type laneCast struct {
+	bits uint64
+	w    int
+}
+
+// laneGather fills s from b, one value per lane or a uniform one whose bits
+// are bits, unless cast says s holds it already, or returns b itself.
+func laneGather[T int64 | float64](lf *laneFrame, b, s []T, cast *laneCast, bits uint64) []T {
+	switch {
+	case len(b) == 1: // uniform, or the column of a run of one lane
+		if cast.w < len(s) || cast.bits != bits {
 			for i := range s {
-				s[i] = x
+				s[i] = b[0]
 			}
-			cast.bits, cast.w = math.Float64bits(x), w
+			*cast = laneCast{bits, len(s)}
 		}
 		return s
+	case lf.all:
+		return b
 	}
-	c := lf.fcolumn(col)
-	if lf.all {
-		return c
-	}
-	lf.castF[k].w = 0
+	cast.w = 0
 	for i, l := range lf.act {
-		s[i] = c[l]
+		s[i] = b[l]
 	}
 	return s
 }
 
 // srcII returns the one or two int operands of an instruction (c is b when
-// there is one). A dense instruction reads its operands' columns in place.
-func (vm *laneVM) srcII(rb, rc uint8, two bool, w int, dense bool) (b, c []int64) {
-	if dense {
-		b = vm.lf.icolumn(vm.lp.icol[rb])
-		if c = b; two {
-			c = vm.lf.icolumn(vm.lp.icol[rc])
-		}
-		return b, c
-	}
+// there is one).
+func (vm *laneVM) srcII(rb, rc uint8, two bool, w int) (b, c []int64) {
 	b = vm.srcI(rb, 0, w)
 	if c = b; two {
 		c = vm.srcI(rc, 1, w)
@@ -690,14 +782,7 @@ func (vm *laneVM) srcII(rb, rc uint8, two bool, w int, dense bool) (b, c []int64
 	return b, c
 }
 
-func (vm *laneVM) srcFF(rb, rc uint8, two bool, w int, dense bool) (b, c []float64) {
-	if dense {
-		b = vm.lf.fcolumn(vm.lp.fcol[rb])
-		if c = b; two {
-			c = vm.lf.fcolumn(vm.lp.fcol[rc])
-		}
-		return b, c
-	}
+func (vm *laneVM) srcFF(rb, rc uint8, two bool, w int) (b, c []float64) {
 	b = vm.srcF(rb, 0, w)
 	if c = b; two {
 		c = vm.srcF(rc, 1, w)
@@ -769,7 +854,7 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 			pc = lf.reconverge(pc)
 		}
 		if lp.code[pc].op != opLane {
-			if len(lf.groups) != 0 {
+			if !lf.all {
 				return laneDesynced
 			}
 			var err error
@@ -781,16 +866,18 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 		}
 		in := p.code[pc]
 		// w is how many values the instruction computes: one per running
-		// lane, or one in all when every operand is uniform. dense says the
-		// operands and the result are whole columns, used in place.
-		w, dense := lf.active(), lf.all && lp.src[pc] == srcVarying
-		if lp.src[pc] == srcUniform {
+		// lane, or one in all when every operand is uniform.
+		w := len(lf.act)
+		switch {
+		case !lp.varies[pc]:
 			w = 1
+		case lf.all:
+			w = lf.n
 		}
 		pc++
 		switch in.op {
 		case opRet:
-			if len(lf.groups) != 0 {
+			if !lf.all {
 				return laneDesynced
 			}
 			return laneDone
@@ -810,38 +897,29 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 				}
 			}
 
-		case opJzI, opJnzI, opJeqI, opJneI, opJltI, opJleI:
-			b, c := vm.srcII(in.a, in.b, opTable[in.op].args[1] == xI, w, dense)
-			cond := lf.si[2][:w]
-			taken, ok := laneIntOp(in, cond, b, c)
-			if pc, ok = vm.branch(ctx, cond, taken, pc, int(in.d)); !ok {
-				return laneFaulted
-			}
-		case opJzF, opJnzF, opJeqF, opJneF, opJltF, opJleF:
-			b, c := vm.srcFF(in.a, in.b, opTable[in.op].args[1] == xF, w, dense)
-			cond := lf.si[2][:w]
+		case opJzI, opJnzI, opJeqI, opJneI, opJltI, opJleI, opJzF, opJnzF, opJeqF, opJneF, opJltF, opJleF:
 			var ok bool
-			if pc, ok = vm.branch(ctx, cond, laneFloatToInt(in.op, cond, b, c), pc, int(in.d)); !ok {
+			if pc, ok = vm.branch(ctx, in, pc); !ok {
 				return laneFaulted
 			}
 
 		case opMovI, opTrunc32, opTruncU8, opBoolI, opNotI, opAddI, opAddKI, opSubI, opMulI, opDivI, opModI,
 			opNegI, opAbsI, opMinI, opMaxI, opEqI, opNeI, opLtI, opLeI:
-			b, c := vm.srcII(in.b, in.c, opTable[in.op].args[2] == xI, w, dense)
+			b, c := vm.srcII(in.b, in.c, opTable[in.op].args[2] == xI, w)
 			d := vm.dstI(in.a, w)
-			if _, ok := laneIntOp(in, d, b, c); !ok {
+			if !laneIntOp(in, d, b, c) {
 				return laneFaulted
 			}
 			vm.putI(in.a, d)
 		case opMovF, opNegF, opAbsF, opSqrtF, opAddF, opSubF, opMulF, opDivF:
-			b, c := vm.srcFF(in.b, in.c, opTable[in.op].args[2] == xF, w, dense)
+			b, c := vm.srcFF(in.b, in.c, opTable[in.op].args[2] == xF, w)
 			d := vm.dstF(in.a, w)
 			if !laneFloatOp(in.op, d, b, c) {
 				return laneFaulted
 			}
 			vm.putF(in.a, d)
 		case opF2I, opBoolF, opNotF, opEqF, opNeF, opLtF, opLeF:
-			b, c := vm.srcFF(in.b, in.c, opTable[in.op].args[2] == xF, w, dense)
+			b, c := vm.srcFF(in.b, in.c, opTable[in.op].args[2] == xF, w)
 			d := vm.dstI(in.a, w)
 			laneFloatToInt(in.op, d, b, c)
 			vm.putI(in.a, d)
@@ -858,11 +936,11 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 		// the op was lowered for, whose extents are zero.
 		case opGetF1, opGetI1:
 			v := &fr.views[in.b]
-			ci := vm.srcI(in.c, 0, w)
+			ci, n1 := vm.srcI(in.c, 0, w), uint64(v.n1)
 			if in.op == opGetF1 {
 				d := vm.dstF(in.a, w)
 				for k, i := range ci {
-					if uint64(i) >= uint64(v.n1) {
+					if uint64(i) >= n1 {
 						return laneFaulted
 					}
 					d[k] = v.f64[i]
@@ -871,7 +949,7 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 			} else {
 				d := vm.dstI(in.a, w)
 				for k, i := range ci {
-					if uint64(i) >= uint64(v.n1) {
+					if uint64(i) >= n1 {
 						return laneFaulted
 					}
 					d[k] = v.int(i)
@@ -916,13 +994,10 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 	}
 }
 
-// laneIntOp computes an int instruction, or the condition of an int branch,
-// over equally long operand slices (c is b for a unary one). It returns the
-// sum of the conditions it wrote (how many hold), and false when an element
-// faults.
-func laneIntOp(in instr, d, b, c []int64) (int, bool) {
+// laneIntOp computes an int instruction over equally long operand slices (c
+// is b for a unary one). It returns false when an element faults.
+func laneIntOp(in instr, d, b, c []int64) bool {
 	b, c = b[:len(d)], c[:len(d)]
-	n := int64(0)
 	switch in.op {
 	case opMovI:
 		copy(d, b)
@@ -934,15 +1009,13 @@ func laneIntOp(in instr, d, b, c []int64) (int, bool) {
 		for i := range d {
 			d[i] = int64(uint8(b[i]))
 		}
-	case opBoolI, opJnzI:
+	case opBoolI:
 		for i := range d {
 			d[i] = b2i(b[i] != 0)
-			n += d[i]
 		}
-	case opNotI, opJzI:
+	case opNotI:
 		for i := range d {
 			d[i] = b2i(b[i] == 0)
-			n += d[i]
 		}
 	case opAddI:
 		for i := range d {
@@ -964,14 +1037,14 @@ func laneIntOp(in instr, d, b, c []int64) (int, bool) {
 	case opDivI:
 		for i := range d {
 			if c[i] == 0 {
-				return 0, false
+				return false
 			}
 			d[i] = b[i] / c[i]
 		}
 	case opModI:
 		for i := range d {
 			if c[i] == 0 {
-				return 0, false
+				return false
 			}
 			d[i] = b[i] % c[i]
 		}
@@ -991,28 +1064,24 @@ func laneIntOp(in instr, d, b, c []int64) (int, bool) {
 		for i := range d {
 			d[i] = max(b[i], c[i])
 		}
-	case opEqI, opJeqI:
+	case opEqI:
 		for i := range d {
 			d[i] = b2i(b[i] == c[i])
-			n += d[i]
 		}
-	case opNeI, opJneI:
+	case opNeI:
 		for i := range d {
 			d[i] = b2i(b[i] != c[i])
-			n += d[i]
 		}
-	case opLtI, opJltI:
+	case opLtI:
 		for i := range d {
 			d[i] = b2i(b[i] < c[i])
-			n += d[i]
 		}
-	case opLeI, opJleI:
+	case opLeI:
 		for i := range d {
 			d[i] = b2i(b[i] <= c[i])
-			n += d[i]
 		}
 	}
-	return int(n), true
+	return true
 }
 
 // laneFloatOp is laneIntOp for float instructions. Each loop performs one
@@ -1061,50 +1130,40 @@ func laneFloatOp(op opcode, d, b, c []float64) bool {
 	return true
 }
 
-// laneFloatToInt computes the float instructions with an int result and the
-// conditions of the float branches, and returns the sum of what it wrote (for
-// conditions, how many hold). Comparisons keep exec's order, in which NaN
-// equals everything.
-func laneFloatToInt(op opcode, d []int64, b, c []float64) int {
+// laneFloatToInt computes the float instructions with an int result.
+// Comparisons keep exec's order, in which NaN equals everything.
+func laneFloatToInt(op opcode, d []int64, b, c []float64) {
 	b, c = b[:len(d)], c[:len(d)]
-	n := int64(0)
 	switch op {
 	case opF2I:
 		for i := range d {
 			d[i] = int64(b[i])
 		}
-	case opBoolF, opJnzF:
+	case opBoolF:
 		for i := range d {
 			d[i] = b2i(b[i] != 0)
-			n += d[i]
 		}
-	case opNotF, opJzF:
+	case opNotF:
 		for i := range d {
 			d[i] = b2i(b[i] == 0)
-			n += d[i]
 		}
-	case opEqF, opJeqF:
+	case opEqF:
 		for i := range d {
 			d[i] = b2i(!(b[i] < c[i]) && !(b[i] > c[i]))
-			n += d[i]
 		}
-	case opNeF, opJneF:
+	case opNeF:
 		for i := range d {
 			d[i] = b2i(b[i] < c[i] || b[i] > c[i])
-			n += d[i]
 		}
-	case opLtF, opJltF:
+	case opLtF:
 		for i := range d {
 			d[i] = b2i(b[i] < c[i])
-			n += d[i]
 		}
-	case opLeF, opJleF:
+	case opLeF:
 		for i := range d {
 			d[i] = b2i(!(b[i] > c[i]))
-			n += d[i]
 		}
 	}
-	return int(n)
 }
 
 // sliceBody wraps the plan as a core slice body: rows [0, n) of ctx are the
@@ -1132,7 +1191,7 @@ func (p *bcProg) sliceBody() func(*core.Ctx, int) bool {
 		for _, g := range lf.groups {
 			lf.free = append(lf.free, g.lanes)
 		}
-		lf.act, lf.groups = nil, lf.groups[:0]
+		lf.act, lf.groups, lf.imp = nil, lf.groups[:0], noPark
 		lp.frames.Put(lf)
 		return exit == laneDone
 	}
@@ -1168,7 +1227,7 @@ func (p *bcProg) runLanes(ctx *core.Ctx, fr *bcFrame, lf *laneFrame) laneExit {
 		}
 	}
 	clear(lf.bc)
-	lf.all, lf.nextPark = true, noPark
+	lf.all, lf.imp, lf.nextPark = true, noPark, noPark
 
 	vm := laneVM{p: p, lp: lp, fr: fr, lf: lf}
 	if exit := vm.run(ctx); exit != laneDone {
@@ -1180,8 +1239,8 @@ func (p *bcProg) runLanes(ctx *core.Ctx, fr *bcFrame, lf *laneFrame) laneExit {
 		if col := lp.bindCol[st.li]; col >= 0 {
 			flags = lf.bc[int(col)*lf.cap:][:n]
 		}
-		for l := 0; l < n; l++ {
-			if !fr.assigned[st.li] && (flags == nil || !flags[l]) {
+		for l, bound := 0, fr.assigned[st.li]; l < n; l++ {
+			if !bound && (flags == nil || !flags[l]) {
 				continue
 			}
 			var v field.Value

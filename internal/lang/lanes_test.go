@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -390,5 +391,274 @@ k:
 				t.Errorf("%s, slices of %d: %d instances ran without their store in place, want the failing one only", name, gran, failed)
 			}
 		}
+	}
+}
+
+// kmeansSlice builds what the runtime hands the slice body of the benchmark
+// template's assign or refine (N=2000, K=100) at age 0: a context whose n rows
+// are the instances of one slice, over a dataset, centroids and membership
+// drawn from a fixed LCG, so that about as many lanes diverge as in a run.
+func kmeansSlice(t testing.TB, kernel string, n int) (*core.KernelDecl, *core.Ctx) {
+	t.Helper()
+	const points, k = 2000, 100
+	data, err := os.ReadFile(filepath.Join("..", "..", "bench", "kmeans.p2g.tmpl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile("kmeans", strings.NewReplacer("@N@", "2000", "@K@", "100", "@SEED@", "1").Replace(string(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kd := prog.Kernel(kernel)
+	if kd.SliceBody == nil {
+		t.Fatalf("%s has no slice body", kernel)
+	}
+	seed := uint64(1)
+	next := func(m int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % m
+	}
+	pts := field.NewArray(field.Float64, points, 2)
+	for i, v := 0, pts.Float64s(); i < len(v); i++ {
+		v[i] = float64(next(100))
+	}
+	cents := field.NewArray(field.Float64, k, 2)
+	for i, v := 0, cents.Float64s(); i < len(v); i++ {
+		v[i] = float64(next(100))
+	}
+	ms := field.NewArray(field.Int32, points)
+	for i := 0; i < points; i++ {
+		ms.SetFlat(field.Int32Val(int32(next(k))), i)
+	}
+	ctx := core.NewReusableCtx(kd, nil, nil)
+	ctx.Rows(n)
+	for l := 0; l < n; l++ {
+		ctx.ResetRow(l, 0, []int{l})
+		if kernel == "assign" {
+			ctx.SetLocalValue(kd.LocalIndex("px"), field.Float64Val(pts.Float64s()[2*l]))
+			ctx.SetLocalValue(kd.LocalIndex("py"), field.Float64Val(pts.Float64s()[2*l+1]))
+			ctx.SetLocalValue(kd.LocalIndex("cents"), field.ArrayVal(cents))
+		} else {
+			ctx.SetLocalValue(kd.LocalIndex("cx"), field.Float64Val(cents.Float64s()[2*l]))
+			ctx.SetLocalValue(kd.LocalIndex("cy"), field.Float64Val(cents.Float64s()[2*l+1]))
+			ctx.SetLocalValue(kd.LocalIndex("pts"), field.ArrayVal(pts))
+			ctx.SetLocalValue(kd.LocalIndex("ms"), field.ArrayVal(ms))
+		}
+	}
+	return kd, ctx
+}
+
+// BenchmarkKMeansSliceBody times one lockstep run of the template's assign at
+// 250 lanes and refine at 12, the slices the runtime cuts on two workers.
+func BenchmarkKMeansSliceBody(b *testing.B) {
+	for _, c := range []struct {
+		kernel string
+		lanes  int
+	}{{"assign", 250}, {"refine", 12}} {
+		b.Run(c.kernel, func(b *testing.B) {
+			kd, ctx := kmeansSlice(b, c.kernel, c.lanes)
+			for i := 0; i < b.N; i++ {
+				if !kd.SliceBody(ctx, c.lanes) {
+					b.Fatal("the slice body declined")
+				}
+			}
+		})
+	}
+}
+
+// frameState renders a laneFrame's control state: "all", or the running
+// lanes, then each group by pc, the implicit one as "implicit", and the lowest
+// parked pc.
+func frameState(lf *laneFrame) string {
+	if lf.all {
+		if lf.act != nil || len(lf.groups) != 0 || lf.imp != noPark || lf.nextPark != noPark {
+			return fmt.Sprintf("all, yet act=%v groups=%v imp=%d next=%d", lf.act, lf.groups, lf.imp, lf.nextPark)
+		}
+		return "all"
+	}
+	sorted := func(l []int32) []int32 {
+		l = slices.Clone(l)
+		slices.Sort(l)
+		return l
+	}
+	var pcs []int
+	parked := map[int]string{}
+	for _, g := range lf.groups {
+		pcs = append(pcs, g.pc)
+		parked[g.pc] = fmt.Sprint(sorted(g.lanes))
+	}
+	if lf.imp != noPark {
+		if _, ok := parked[lf.imp]; !ok {
+			pcs = append(pcs, lf.imp)
+		}
+		parked[lf.imp] += "implicit"
+	}
+	slices.Sort(pcs)
+	var b strings.Builder
+	fmt.Fprintf(&b, "run %v", sorted(lf.act))
+	for _, pc := range pcs {
+		fmt.Fprintf(&b, " | %d:%s", pc, parked[pc])
+	}
+	fmt.Fprintf(&b, " | next %d", lf.nextPark)
+	return b.String()
+}
+
+// TestLaneFrameImplicitGroup drives park, diverge and reconverge through the
+// transitions a branch makes, on 8 lanes. When all lanes ran, the lanes that
+// did not take the lower pc are the implicit group, listed nowhere; it
+// rejoins by setting all again, and is listed as a complement only when
+// other lanes are parked in groups at that moment.
+func TestLaneFrameImplicitGroup(t *testing.T) {
+	type step struct {
+		op        string // "diverge", "park" or "reconverge"
+		pc        int
+		run, rest []int32 // the lanes bound for the lower pc and, unless all ran, the others
+		want      string  // frameState after the step
+		wantPC    int     // what reconverge returns
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"minority rejoins at the join", []step{
+			{op: "diverge", pc: 10, run: []int32{1, 5, 6}, want: "run [1 5 6] | 10:implicit | next 10"},
+			{op: "reconverge", pc: 10, want: "all", wantPC: 10},
+		}},
+		{"minority lane parks past the join", []step{
+			{op: "diverge", pc: 10, run: []int32{1, 5, 6}, want: "run [1 5 6] | 10:implicit | next 10"},
+			// Lane 5 breaks out of a loop past the join: the minority splits,
+			// and the lanes not bound for the lower pc are a listed group.
+			{op: "diverge", pc: 14, run: []int32{1, 6}, rest: []int32{5}, want: "run [1 6] | 10:implicit | 14:[5] | next 10"},
+			{op: "reconverge", pc: 10, want: "run [0 1 2 3 4 6 7] | 14:[5] | next 14", wantPC: 10},
+			{op: "reconverge", pc: 14, want: "all", wantPC: 14},
+		}},
+		{"the running lanes pass the join", []step{
+			{op: "diverge", pc: 10, run: []int32{2, 3, 4}, want: "run [2 3 4] | 10:implicit | next 10"},
+			{op: "reconverge", pc: 12, want: "run [0 1 5 6 7] | 12:[2 3 4] | next 12", wantPC: 10},
+			{op: "reconverge", pc: 12, want: "all", wantPC: 12},
+		}},
+		{"split inside the minority", []step{
+			{op: "diverge", pc: 10, run: []int32{1, 3, 5, 7}, want: "run [1 3 5 7] | 10:implicit | next 10"},
+			{op: "diverge", pc: 8, run: []int32{3}, rest: []int32{1, 5, 7}, want: "run [3] | 8:[1 5 7] | 10:implicit | next 8"},
+			{op: "reconverge", pc: 8, want: "run [1 3 5 7] | 10:implicit | next 10", wantPC: 8},
+			{op: "reconverge", pc: 10, want: "all", wantPC: 10},
+		}},
+		{"majority bound for the lower pc", []step{
+			{op: "diverge", pc: 12, run: []int32{0, 1, 2, 3, 4, 6}, want: "run [0 1 2 3 4 6] | 12:implicit | next 12"},
+			{op: "diverge", pc: 14, run: []int32{0, 1, 2, 4, 6}, rest: []int32{3}, want: "run [0 1 2 4 6] | 12:implicit | 14:[3] | next 12"},
+			{op: "reconverge", pc: 12, want: "run [0 1 2 4 5 6 7] | 14:[3] | next 14", wantPC: 12},
+			{op: "reconverge", pc: 14, want: "all", wantPC: 14},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lf := &laneFrame{}
+			lf.size(&laneProg{}, 8)
+			lf.all, lf.imp, lf.nextPark = true, noPark, noPark
+			list := func(l []int32) []int32 {
+				if l == nil {
+					return nil
+				}
+				return append(lf.list(), l...)
+			}
+			for i, s := range tc.steps {
+				switch s.op {
+				case "diverge":
+					lf.diverge(list(s.run), list(s.rest), s.pc)
+				case "park":
+					lf.park(s.pc, list(s.run))
+				case "reconverge":
+					if pc := lf.reconverge(s.pc); pc != s.wantPC {
+						t.Errorf("step %d: reconverge(%d) returned %d, want %d", i, s.pc, pc, s.wantPC)
+					}
+				}
+				if got := frameState(lf); got != s.want {
+					t.Fatalf("step %d (%s at %d): %s, want %s", i, s.op, s.pc, got, s.want)
+				}
+			}
+		})
+	}
+}
+
+// laneShapes holds one kernel per shape of divergence the lockstep driver
+// meets: a rarely and an often taken if, if/else, a split inside the lanes
+// that took a branch, break and continue past the join, a loop whose trip
+// count differs per lane (the majority bound for the lower pc), the jump
+// chains of && and ||, jz and jnz, a uniform operand on either side of < and
+// <=, and float compares with NaN in some lanes (f*inf is NaN where f is 0).
+var laneShapes = `int32[] vs;
+float64[] fs;
+int32[] out;
+float64[] outf;
+` + laneShape("rare", "if (v > 5) { r = v * 2; g = f; }") +
+	laneShape("often", "if (v > -3) { r = v * 2; } g = f;") +
+	laneShape("ifelse", "if (v < 2) { r = 1; } else { r = 2; g = f; }") +
+	laneShape("nested", "if (v > 0) { if (v > 4) { r = 3; } else { r = 2; g = f; } } else { r = 1; }") +
+	laneShape("break", "for (int i = 0; i < 10; ++i) { if (i == v) { break; } r += i; }") +
+	laneShape("continue", "for (int i = 0; i < 8; ++i) { if (i % 3 == v % 3) { continue; } r += i; if (r > 12) { break; } }") +
+	laneShape("trips", "for (int i = 0; i < v; ++i) { r += i; g += f; }") +
+	laneShape("chains", "if (v > 1 && f < 2.0 || v == -3) { r = 7; } if (v < 0 || v > 6 && f > 1.0) { r += 1; }") +
+	laneShape("jz", "if (v) { r = 1; } if (!v) { r += 2; } if (f) { r += 4; } if (!f) { r += 8; }") +
+	laneShape("uniform", `int u = 3;
+    float w = 0.5;
+    if (u < v) { r += 1; }
+    if (v < u) { r += 2; }
+    if (u <= v) { r += 4; }
+    if (v <= u) { r += 8; }
+    if (v > u) { r += 16; }
+    if (u >= v) { r += 32; }
+    if (w < f) { r += 64; }
+    if (f <= w) { r += 128; }
+    if (w == f) { r += 256; }
+    if (f != w) { r += 512; }`) +
+	laneShape("nan", `float h = 10000000000.0;
+    h = h * h * h * h;
+    h = h * h * h * h * h * h * h * h;
+    float z = f * h;
+    if (z < 1.0) { r += 1; }
+    if (z <= 1.0) { r += 2; }
+    if (1.0 < z) { r += 4; }
+    if (1.0 <= z) { r += 8; }
+    if (z == 1.0) { r += 16; }
+    if (z != 1.0) { r += 32; }
+    if (z < f) { r += 64; }
+    if (f <= z) { r += 128; }
+    if (z == f) { r += 256; }
+    if (z != f) { r += 512; }
+    if (z) { r += 1024; }
+    if (!z) { r += 2048; }`)
+
+// laneShape is a kernel of laneShapes with body inside.
+func laneShape(name, body string) string {
+	return name + `:
+  index x;
+  local int32 v;
+  local float64 f;
+  local int32 r;
+  local float64 g;
+  fetch v = vs(0)[x];
+  fetch f = fs(0)[x];
+  %{
+    r = 0;
+    g = 0.0;
+    ` + body + `
+  %}
+  store out(0)[x] = r;
+  store outf(0)[x] = g;
+`
+}
+
+// TestLaneDivergenceShapes runs every shape of laneShapes through
+// checkLanes at every length of laneCounts: the rows match the scalar VM's
+// and the oracle's, and the driver never finds lanes parked where the plan
+// has none.
+func TestLaneDivergenceShapes(t *testing.T) {
+	file, err := Parse(laneShapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st laneStats
+	checkLanes(t, file, &st)
+	if st.eligible != st.kernels || st.completed != st.runs {
+		t.Errorf("%d of %d kernels lane-eligible, %d of %d slice-body runs completed; want all", st.eligible, st.kernels, st.completed, st.runs)
 	}
 }
