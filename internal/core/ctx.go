@@ -233,12 +233,15 @@ func (c *Ctx) SetLocalValue(i int, v field.Value) {
 // LocalArray returns the array local at position i and marks it bound — the
 // by-index counterpart of Array for compiled kernel bodies.
 func (c *Ctx) LocalArray(i int) *field.Array {
-	v := c.get(i)
-	if !v.IsArray() {
+	if !c.inited[i] {
+		c.get(i)
+	}
+	a := c.vals[i].Array() // read in place: a Value is 64 bytes
+	if a == nil {
 		panic(fmt.Sprintf("p2g: local %q of kernel %s is not an array", c.kernel.Locals[i].Name, c.kernel.Name))
 	}
 	c.bound[i] = true
-	return v.Array()
+	return a
 }
 
 // Coord returns the index-variable value at position i in IndexVars order,
@@ -336,12 +339,7 @@ func (c *Ctx) Array(name string) *field.Array {
 	if i < 0 {
 		panic(fmt.Sprintf("p2g: kernel %s has no local %q", c.kernel.Name, name))
 	}
-	v := c.get(i)
-	if !v.IsArray() {
-		panic(fmt.Sprintf("p2g: local %q of kernel %s is not an array", name, c.kernel.Name))
-	}
-	c.bound[i] = true
-	return v.Array()
+	return c.LocalArray(i)
 }
 
 // Stop marks a source kernel as finished: no instance will be scheduled for

@@ -62,10 +62,7 @@ func storeFrame(t testing.TB) *runtime.StoreFrame {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Add(runtime.StoreNotice{
-		Field: "pixels", Age: 3, Elem: []int{7},
-		Value: field.Float64Val(1.5),
-	}); err != nil {
+	if err := f.Add(cellNotice("pixels", 3, field.Float64Val(1.5), 7)); err != nil {
 		t.Fatal(err)
 	}
 	return f

@@ -300,6 +300,19 @@ func TestWorkerReleasePoolReuse(t *testing.T) {
 	}
 }
 
+// cellNotice is the store of v at coordinates idx of a field generation: the
+// one-cell box, every dimension free from its coordinate with extent 1.
+func cellNotice(fieldName string, age int, v field.Value, idx ...int) runtime.StoreNotice {
+	sel := make([]field.SlabDim, len(idx))
+	ones := make([]int, len(idx))
+	for d, i := range idx {
+		sel[d], ones[d] = field.SlabDim{Index: i}, 1
+	}
+	cell := field.NewArray(v.Kind(), ones...)
+	cell.SetFlat(v, 0)
+	return runtime.StoreNotice{Field: fieldName, Age: age, Sel: sel, Value: field.ArrayVal(cell)}
+}
+
 // TestStoreBatcherFlush covers the batcher's three emission triggers: the
 // entry-count threshold, the byte threshold, and flushAll in first-store
 // order; emitted frames must decode back to the original notices.
@@ -312,7 +325,7 @@ func TestStoreBatcherFlush(t *testing.T) {
 	}, nil, "test", nil)
 
 	for i := 0; i < frameFlushEntries; i++ {
-		if err := b.add(runtime.StoreNotice{Field: "f", Age: 1, Elem: []int{i}, Value: field.Int32Val(int32(i))}); err != nil {
+		if err := b.add(cellNotice("f", 1, field.Int32Val(int32(i)), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,7 +337,7 @@ func TestStoreBatcherFlush(t *testing.T) {
 	}
 	var n int
 	if err := runtime.DecodeStoreFrame(msgs[0].Frame, func(sn runtime.StoreNotice) error {
-		if sn.Field != "f" || sn.Age != 1 || sn.Elem[0] != n || sn.Value.Int64() != int64(n) {
+		if sn.Field != "f" || sn.Age != 1 || sn.Sel[0].Index != n || sn.Value.Array().AtFlat(0).Int64() != int64(n) {
 			return fmt.Errorf("entry %d decoded as %+v", n, sn)
 		}
 		n++
@@ -347,10 +360,10 @@ func TestStoreBatcherFlush(t *testing.T) {
 
 	// flushAll emits pending generations in first-store order.
 	script := []runtime.StoreNotice{
-		{Field: "a", Age: 0, Elem: []int{0}, Value: field.Int32Val(1)},
-		{Field: "b", Age: 0, Elem: []int{0}, Value: field.Int32Val(2)},
-		{Field: "a", Age: 1, Elem: []int{0}, Value: field.Int32Val(3)},
-		{Field: "a", Age: 0, Elem: []int{1}, Value: field.Int32Val(4)},
+		cellNotice("a", 0, field.Int32Val(1), 0),
+		cellNotice("b", 0, field.Int32Val(2), 0),
+		cellNotice("a", 1, field.Int32Val(3), 0),
+		cellNotice("a", 0, field.Int32Val(4), 1),
 	}
 	for _, sn := range script {
 		if err := b.add(sn); err != nil {

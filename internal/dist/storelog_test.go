@@ -45,7 +45,7 @@ func TestStoreLogFinalState(t *testing.T) {
 	elems := func(at ...int) []runtime.StoreNotice {
 		var out []runtime.StoreNotice
 		for _, i := range at {
-			out = append(out, runtime.StoreNotice{Elem: []int{i}, Value: field.Int32Val(int32(10 + i))})
+			out = append(out, cellNotice("", 0, field.Int32Val(int32(10+i)), i))
 		}
 		return out
 	}

@@ -41,7 +41,7 @@ func NewArray(kind Kind, extents ...int) *Array {
 		}
 		n *= e
 	}
-	return &Array{kind: kind, extents: append([]int(nil), extents...), data: newSlab(kind, n)}
+	return &Array{kind: kind, extents: append([]int(nil), extents...), data: newSlab(classOf(kind), n)}
 }
 
 // ArrayFromInt32 builds a rank-1 int32 array from a Go slice (copied).
@@ -165,6 +165,26 @@ func (a *Array) SetFlat(v Value, i int) {
 	a.data.set(a.kind, i, v)
 }
 
+// Append adds v as the new last element of a rank-1 array, converted as Set
+// converts it. The runtime stages a slice's element stores this way.
+func (a *Array) Append(v Value) {
+	a.unshare()
+	d := &a.data
+	switch d.class {
+	case classI32:
+		d.i32 = append(d.i32, int32(v.Int64()))
+	case classI64:
+		d.i64 = append(d.i64, v.Int64())
+	case classF64:
+		d.f64 = append(d.f64, v.Float64())
+	default:
+		n := d.len()
+		d.resize(n+1, 2*n+1)
+		d.set(a.kind, n, v)
+	}
+	a.extents[0]++
+}
+
 // unshare materializes a private copy of a view array's aliased backing
 // before a mutation, so writes never reach the field generation the view
 // came from.
@@ -248,7 +268,7 @@ func (a *Array) Grow(extents ...int) {
 		copy(a.extents, extents)
 		return
 	}
-	nd := newSlab(a.kind, n)
+	nd := newSlab(a.data.class, n)
 	remapSlab(&nd, extents, &a.data, a.extents)
 	a.extents = append([]int(nil), extents...)
 	a.data = nd
@@ -329,7 +349,7 @@ func (a *Array) Backing() Backing {
 // shared (they are treated as immutable once stored), but nested array values
 // are cloned.
 func (a *Array) Clone() *Array {
-	c := &Array{kind: a.kind, extents: append([]int(nil), a.extents...), data: newSlab(a.kind, a.data.len())}
+	c := &Array{kind: a.kind, extents: append([]int(nil), a.extents...), data: newSlab(a.data.class, a.data.len())}
 	if a.data.class == classVal {
 		for i, v := range a.data.vs {
 			if v.IsArray() {
@@ -368,7 +388,7 @@ func (a *Array) resetShape(k Kind, ext []int) {
 		a.data = slab{class: cls}
 	}
 	if a.data.class != cls {
-		a.data = newSlab(k, n)
+		a.data = newSlab(cls, n)
 		return
 	}
 	if n <= a.data.capacity() {
@@ -388,7 +408,7 @@ func (a *Array) resetShape(k Kind, ext []int) {
 // aliasSlab points the array at n elements of src starting at flat offset
 // base, without copying: the backing slices alias src (three-index sliced so
 // appends can never spill into the generation), extents are copied from ext,
-// and the array is marked as a view. Only Field view fetches call this.
+// and the array is marked as a view (see Field.PinView and Window).
 func (a *Array) aliasSlab(k Kind, ext []int, src *slab, base, n int) {
 	if cap(a.extents) >= len(ext) {
 		a.extents = a.extents[:len(ext)]
@@ -422,14 +442,21 @@ func (a *Array) aliasSlab(k Kind, ext []int, src *slab, base, n int) {
 	}
 }
 
-// ResetEmpty repurposes the array in place as an empty array of the given
-// kind and rank (all extents zero), reusing backing capacity. Pooled kernel
-// contexts use it to recycle local-array storage across instances.
-func (a *Array) ResetEmpty(k Kind, rank int) { a.resetZero(k, rank) }
+// Window points a at the cells of src from flat offset off on, shaped ext,
+// without copying: a becomes a view of src's storage (see aliasSlab).
+func (a *Array) Window(src *Array, off int, ext []int) {
+	n := 1
+	for _, e := range ext {
+		n *= e
+	}
+	a.aliasSlab(src.kind, ext, &src.data, off, n)
+}
 
-// resetZero repurposes the array as an empty rank-`rank` array of kind k with
-// all-zero extents, without allocating for small ranks.
-func (a *Array) resetZero(k Kind, rank int) {
+// ResetEmpty repurposes the array in place as an empty array of the given
+// kind and rank (all extents zero), reusing backing capacity and allocating
+// nothing for small ranks. Pooled kernel contexts use it to recycle
+// local-array storage across instances.
+func (a *Array) ResetEmpty(k Kind, rank int) {
 	var buf [4]int
 	var ext []int
 	if rank <= len(buf) {

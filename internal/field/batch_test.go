@@ -6,10 +6,28 @@ import (
 	"testing"
 )
 
-// TestStoreElemsMatchesStore: a batch of element stores must leave the
-// generation exactly as the same stores applied one by one — for scattered,
-// non-monotone rank-2 coordinates that grow both dimensions, written into a
-// generation that is already partly filled — and report the batch as a whole.
+// cellBoxes returns the one-cell boxes of rank-rank coordinates idx (one
+// cell after another) as StoreBoxes selectors: every dimension fixed.
+func cellBoxes(idx []int) []SlabDim {
+	sels := make([]SlabDim, len(idx))
+	for i, c := range idx {
+		sels[i] = SlabDim{Fixed: true, Index: c}
+	}
+	return sels
+}
+
+// int64Cells returns vals as a rank-1 Int64 array, the cells of a box store.
+func int64Cells(vals []int64) *Array {
+	a := NewArray(Int64, len(vals))
+	copy(a.Int64s(), vals)
+	return a
+}
+
+// TestStoreElemsMatchesStore: element stores batched as one-cell boxes of one
+// StoreBoxes call must leave the generation exactly as the same stores
+// applied one by one — for scattered, non-monotone rank-2 coordinates that
+// grow both dimensions, written into a generation that is already partly
+// filled — and report the batch as a whole.
 func TestStoreElemsMatchesStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 50; round++ {
@@ -19,22 +37,22 @@ func TestStoreElemsMatchesStore(t *testing.T) {
 		one, batch := New("one", Int64, 2, true), New("batch", Int64, 2, true)
 		for _, cell := range perm[:split] { // the part both already hold
 			for _, f := range []*Field{one, batch} {
-				if _, err := f.Store(0, Int64Val(int64(cell)), cell/cols, cell%cols); err != nil {
+				if _, err := storeCell(f, 0, Int64Val(int64(cell)), cell/cols, cell%cols); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		before := batch.Extents(0)
 		var idx []int
-		var vals []Value
+		var vals []int64
 		for _, cell := range perm[split:] {
-			if _, err := one.Store(0, Int64Val(int64(cell)), cell/cols, cell%cols); err != nil {
+			if _, err := storeCell(one, 0, Int64Val(int64(cell)), cell/cols, cell%cols); err != nil {
 				t.Fatal(err)
 			}
 			idx = append(idx, cell/cols, cell%cols)
-			vals = append(vals, Int64Val(int64(cell)))
+			vals = append(vals, int64(cell))
 		}
-		res, err := batch.StoreElems(0, idx, vals)
+		res, err := batch.StoreBoxes(0, cellBoxes(idx), nil, int64Cells(vals))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,17 +74,97 @@ func TestStoreElemsMatchesStore(t *testing.T) {
 	}
 }
 
-// TestStoreElemsErrors: the batch keeps every rule of the single store.
+// TestStoreBoxesMatchesStore: boxes with origins — free and fixed dimensions
+// mixed, several to a call, into a rank-3 generation that is already partly
+// filled — leave it exactly as storing their cells one by one, in row-major
+// order within each box.
+func TestStoreBoxesMatchesStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 200; round++ {
+		one, boxes := New("one", Int64, 3, true), New("boxes", Int64, 3, true)
+		for _, f := range []*Field{one, boxes} { // a shared prefix of writes
+			if _, err := storeCell(f, 0, Int64Val(-1), 0, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sels []SlabDim
+		var ext []int
+		var vals []int64
+		taken := map[[3]int]bool{{0, 0, 0}: true}
+		for b := 1 + rng.Intn(3); b > 0; b-- {
+			var org, span [3]int
+			sel := make([]SlabDim, 3)
+			var bext []int
+			for d := range sel {
+				org[d], span[d] = rng.Intn(4), 1
+				sel[d] = SlabDim{Fixed: rng.Intn(3) == 0, Index: org[d]}
+				if !sel[d].Fixed {
+					span[d] = rng.Intn(4)
+					bext = append(bext, span[d])
+				}
+			}
+			var cells [][3]int
+			for i := 0; i < span[0]; i++ {
+				for j := 0; j < span[1]; j++ {
+					for k := 0; k < span[2]; k++ {
+						cells = append(cells, [3]int{org[0] + i, org[1] + j, org[2] + k})
+					}
+				}
+			}
+			clash := false
+			for _, c := range cells {
+				clash = clash || taken[c]
+			}
+			if clash {
+				continue
+			}
+			for _, c := range cells {
+				taken[c] = true
+				v := int64(len(vals))
+				vals = append(vals, v)
+				if _, err := storeCell(one, 0, Int64Val(v), c[:]...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sels, ext = append(sels, sel...), append(ext, bext...)
+		}
+		res, err := boxes.StoreBoxes(0, sels, ext, int64Cells(vals))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if res.Count != len(vals) {
+			t.Errorf("round %d: Count %d, want %d", round, res.Count, len(vals))
+		}
+		// A box with an empty free dimension stores nothing but may still
+		// grow the generation to its fixed coordinates.
+		if got, want := boxes.Extents(0), one.Extents(0); len(vals) > 0 && (got[0] < want[0] || got[1] < want[1] || got[2] < want[2]) {
+			t.Fatalf("round %d: extents %v, below the stores' %v", round, got, want)
+		}
+		for c := range taken {
+			a, okA := one.At(0, c[:]...)
+			b, okB := boxes.At(0, c[:]...)
+			if okA != okB || a.Int64() != b.Int64() {
+				t.Fatalf("round %d: cell %v = %v (%v) by boxes, %v (%v) one by one", round, c, b, okB, a, okA)
+			}
+		}
+		if boxes.Writes(0) != one.Writes(0) {
+			t.Fatalf("round %d: %d writes by boxes, %d one by one", round, boxes.Writes(0), one.Writes(0))
+		}
+	}
+}
+
+// TestStoreElemsErrors: a batch of one-cell boxes keeps every rule of the
+// single store.
 func TestStoreElemsErrors(t *testing.T) {
 	f := New("f", Int32, 1, true)
-	if _, err := f.Store(0, Int32Val(7), 2); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(7), 2); err != nil {
 		t.Fatal(err)
 	}
-	vals := []Value{Int32Val(1), Int32Val(2), Int32Val(3), Int32Val(4)}
+	vals := ArrayFromInt32([]int32{1, 2, 3, 4})
 
 	// Write-once: position 2 is taken. The elements before it stay stored,
 	// the one after it is not, and the result covers what was applied.
-	res, err := f.StoreElems(0, []int{0, 1, 2, 3}, vals)
+	res, err := f.StoreBoxes(0, cellBoxes([]int{0, 1, 2, 3}), nil, vals)
 	if !errors.Is(err, ErrWriteTwice) {
 		t.Fatalf("batch over a written position returned %v", err)
 	}
@@ -80,19 +178,32 @@ func TestStoreElemsErrors(t *testing.T) {
 		t.Error("element after the violation was stored")
 	}
 
-	// A negative coordinate fails the batch before it stores anything.
+	// A negative coordinate or origin fails the batch before it stores
+	// anything, and so does a cell count the values do not match.
 	g := New("g", Int32, 1, true)
-	if _, err := g.StoreElems(0, []int{0, -1}, vals[:2]); err == nil {
-		t.Fatal("negative coordinate accepted")
+	for name, sels := range map[string][]SlabDim{
+		"coordinate": cellBoxes([]int{0, 1, 2, -1}),
+		"origin":     {{Fixed: true}, {Fixed: true, Index: 1}, {Index: -1}},
+	} {
+		ext := []int(nil)
+		if name == "origin" {
+			ext = []int{2}
+		}
+		if _, err := g.StoreBoxes(0, sels, ext, vals); err == nil {
+			t.Fatalf("negative %s accepted", name)
+		}
 	}
 	if g.Writes(0) != 0 {
 		t.Errorf("rejected batch stored %d elements", g.Writes(0))
 	}
-	if _, err := g.StoreElems(0, []int{0, 1, 2}, vals[:2]); err == nil {
-		t.Fatal("three coordinates for two rank-1 elements accepted")
+	if _, err := g.StoreBoxes(0, cellBoxes([]int{0, 1, 2}), nil, vals); err == nil {
+		t.Fatal("three cells with four values accepted")
+	}
+	if _, err := g.StoreBoxes(0, []SlabDim{{}}, nil, vals); err == nil {
+		t.Fatal("a free dimension without its extent accepted")
 	}
 	g.MarkComplete(0)
-	if _, err := g.StoreElems(0, []int{0}, vals[:1]); err == nil {
+	if _, err := g.StoreBoxes(0, cellBoxes([]int{0}), nil, ArrayFromInt32([]int32{1})); err == nil {
 		t.Fatal("batch into a complete generation accepted")
 	}
 }
@@ -102,10 +213,10 @@ func TestStoreElemsErrors(t *testing.T) {
 func TestStoreElemsMerge(t *testing.T) {
 	f := New("f", Int32, 1, true)
 	f.SetMergeStores(true)
-	if _, err := f.Store(0, Int32Val(7), 1); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(7), 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.StoreElems(0, []int{0, 1, 2}, []Value{Int32Val(10), Int32Val(11), Int32Val(12)})
+	res, err := f.StoreBoxes(0, []SlabDim{{}}, []int{3}, ArrayFromInt32([]int32{10, 11, 12}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,34 +226,50 @@ func TestStoreElemsMerge(t *testing.T) {
 	if v, _ := f.At(0, 1); v.Int32() != 7 {
 		t.Errorf("first write lost: [1] = %d, want 7", v.Int32())
 	}
+	if v, _ := f.At(0, 2); v.Int32() != 12 {
+		t.Errorf("[2] = %d, want 12", v.Int32())
+	}
 	f.MarkComplete(0)
-	if res, err := f.StoreElems(0, []int{5}, []Value{Int32Val(1)}); err != nil || res.Count != 0 || res.Grew {
+	if res, err := f.StoreBoxes(0, cellBoxes([]int{5}), nil, ArrayFromInt32([]int32{1})); err != nil || res.Count != 0 || res.Grew {
 		t.Errorf("batch into a complete generation under merge = %+v, %v; want a silent no-op", res, err)
 	}
 }
 
 // TestStoreElemsAllocFree: a batch inside the current extent allocates
-// nothing, whatever its length.
+// nothing, whatever its length — as one-cell boxes, or as one box at an
+// origin.
 func TestStoreElemsAllocFree(t *testing.T) {
 	const runs, k = 50, 64
 	f := New("f", Int32, 1, false)
-	if _, err := f.Store(0, Int32Val(0), (runs+2)*k); err != nil { // pre-size
+	if _, err := storeCell(f, 0, Int32Val(0), (2*runs+2)*k); err != nil { // pre-size
 		t.Fatal(err)
 	}
-	idx := make([]int, k)
-	vals := make([]Value, k)
+	sels := make([]SlabDim, k)
+	vals := NewArray(Int32, k)
 	next := 0
 	avg := testing.AllocsPerRun(runs, func() {
-		for i := range idx {
-			idx[i], vals[i] = next, Int32Val(int32(next))
+		for i := range sels {
+			sels[i] = SlabDim{Fixed: true, Index: next}
+			vals.Int32s()[i] = int32(next)
 			next++
 		}
-		if _, err := f.StoreElems(0, idx, vals); err != nil {
+		if _, err := f.StoreBoxes(0, sels, nil, vals); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Errorf("StoreElems inside the extent: %.1f allocs/op, want 0", avg)
+		t.Errorf("one-cell boxes inside the extent: %.1f allocs/op, want 0", avg)
+	}
+	box, ext := make([]SlabDim, 1), []int{k}
+	avg = testing.AllocsPerRun(runs, func() {
+		box[0] = SlabDim{Index: next}
+		next += k
+		if _, err := f.StoreBoxes(0, box, ext, vals); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("a box inside the extent: %.1f allocs/op, want 0", avg)
 	}
 }
 
@@ -171,7 +298,7 @@ func TestPinView(t *testing.T) {
 	}
 
 	var all, row Array
-	tok.All(&all)
+	tok.Slice([]SlabDim{{}, {}}, &all)
 	if !all.Equal(m) {
 		t.Fatalf("All = %v, want %v", &all, m)
 	}
@@ -179,7 +306,7 @@ func TestPinView(t *testing.T) {
 	if v, _ := f.At(0, 0, 0); v.Int32() != 0 {
 		t.Fatal("write through a view reached the field")
 	}
-	tok.All(&all) // re-alias: the field's data again
+	tok.Slice([]SlabDim{{}, {}}, &all) // re-alias: the field's data again
 	if !all.Equal(m) {
 		t.Fatalf("All after copy-on-write = %v, want %v", &all, m)
 	}
@@ -200,7 +327,7 @@ func TestPinView(t *testing.T) {
 
 	// Dropped while pinned: the aliases stay readable until Release.
 	f.DropAge(0)
-	tok.All(&all)
+	tok.Slice([]SlabDim{{}, {}}, &all)
 	if !all.Equal(m) {
 		t.Fatalf("All after drop = %v, want %v", &all, m)
 	}

@@ -253,7 +253,7 @@ func (s *ageStore) grow(extents []int) {
 		copy(s.extents, extents)
 		return
 	}
-	nd := newSlab0(s.data.class, n)
+	nd := newSlab(s.data.class, n)
 	nw := make([]bool, n)
 	if s.data.len() > 0 {
 		remapSlab(&nd, extents, &s.data, s.extents)
@@ -276,13 +276,6 @@ func (s *ageStore) grow(extents []int) {
 	copy(s.extents, extents)
 	s.data = nd
 	s.written = nw
-}
-
-// newSlab0 builds a zeroed slab of the given class directly.
-func newSlab0(cls slabClass, n int) slab {
-	s := slab{class: cls}
-	s.alloc(n, n)
-	return s
 }
 
 // growBools extends a bool slice to length n with amortized doubling,
@@ -335,29 +328,19 @@ func ints(buf *[4]int, n int) []int {
 	return make([]int, n)
 }
 
-// Store writes a single element at (age, idx...), growing the extent if the
-// index lies past it. It returns ErrWriteTwice (wrapped) if the position was
-// already written at this age.
-func (f *Field) Store(age int, v Value, idx ...int) (StoreResult, error) {
-	if len(idx) != f.rank {
-		return StoreResult{}, fmt.Errorf("field %s: store rank mismatch: %d coordinates for rank-%d field", f.name, len(idx), f.rank)
-	}
-	vals := [1]Value{v}
-	return f.StoreElems(age, idx, vals[:])
-}
-
-// StoreElems writes len(vals) single elements of one generation under one
-// lock acquisition: element i lands at idx[i*rank:(i+1)*rank]. Every element
-// obeys the same rules as Store (implicit growth, write-once, merge mode);
-// the extent grows once, to cover the whole batch. The result describes the
-// batch: Grew if the extent was enlarged, Extents the extent afterwards,
-// Count the elements written. A negative coordinate fails the batch before
-// anything is stored; on a write-once violation the elements before the
-// offending one stay stored.
-func (f *Field) StoreElems(age int, idx []int, vals []Value) (StoreResult, error) {
+// StoreBoxes writes boxes of one generation under one lock. A box is a
+// selector of Rank dimensions (see SlabDim) whose free dimensions span the
+// next entries of ext: sels holds the selectors back to back, src the cells,
+// box after box, each in row-major order; fixing every dimension selects one
+// cell. The generation grows once to cover every box; a written cell or a
+// completed generation refuses the store (merge mode skips it). The result
+// covers the call. A negative coordinate or origin, or a count mismatch,
+// fails before anything is stored; on a write-once violation the runs before
+// the offending one stay stored.
+func (f *Field) StoreBoxes(age int, sels []SlabDim, ext []int, src *Array) (StoreResult, error) {
 	rank := f.rank
-	if len(idx) != len(vals)*rank {
-		return StoreResult{}, fmt.Errorf("field %s: batch store of %d elements with %d coordinates for rank-%d field", f.name, len(vals), len(idx), rank)
+	if len(sels)%rank != 0 {
+		return StoreResult{}, fmt.Errorf("field %s: box store of %d selector dimensions for rank-%d field", f.name, len(sels), rank)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -365,40 +348,127 @@ func (f *Field) StoreElems(age int, idx []int, vals []Value) (StoreResult, error
 	if s == nil {
 		return StoreResult{}, err
 	}
+	// Required extent per dimension: a fixed coordinate + 1, or a free
+	// dimension's origin + its extent.
 	var extBuf [4]int
-	ext := ints(&extBuf, rank)
-	copy(ext, s.extents)
+	want := ints(&extBuf, rank)
+	copy(want, s.extents)
 	grew := false
-	for i, c := range idx {
-		if c < 0 {
-			return StoreResult{}, fmt.Errorf("field %s: negative index %d", f.name, c)
+	cells, box, j := 0, 1, 0
+	for i, sd := range sels {
+		n := 1
+		if !sd.Fixed {
+			if j == len(ext) {
+				return StoreResult{}, fmt.Errorf("field %s: box store with too few extents", f.name)
+			}
+			n, j = ext[j], j+1
 		}
-		if d := i % rank; c >= ext[d] {
-			ext[d] = c + 1
-			grew = true
+		if sd.Index < 0 || n < 0 {
+			return StoreResult{}, fmt.Errorf("field %s: negative index %d", f.name, min(sd.Index, n))
 		}
+		hi := sd.Index + n
+		if sd.Fixed {
+			hi = sd.Index + 1
+		}
+		if d := i % rank; hi > want[d] {
+			want[d], grew = hi, true
+		}
+		if box *= n; i%rank == rank-1 {
+			cells, box = cells+box, 1
+		}
+	}
+	if j != len(ext) || cells != src.Len() {
+		return StoreResult{}, fmt.Errorf("field %s: box store of %d cells from %d extents with %d values", f.name, cells, len(ext), src.Len())
 	}
 	if grew {
-		s.grow(ext)
+		s.grow(want)
 	}
-	count := 0
-	for i, v := range vals {
-		at := idx[i*rank : (i+1)*rank]
-		off := s.flatten(at)
-		if s.written[off] {
-			if f.merge {
-				continue
+	count, from := 0, 0
+	for b := 0; b < len(sels); b += rank {
+		sel := sels[b : b+rank]
+		free := 0
+		for _, sd := range sel {
+			if !sd.Fixed {
+				free++
 			}
-			// A copy: handing idx itself to the error would move every
-			// caller's coordinate buffer to the heap.
-			return s.result(grew, count), fmt.Errorf("field %s(%d)%v: %w", f.name, age, slices.Clone(at), ErrWriteTwice)
 		}
-		s.data.set(f.kind, off, v)
-		s.written[off] = true
-		s.writes++
-		count++
+		k, n, err := f.storeBox(s, age, sel, ext[:free], src, from)
+		count += k
+		if err != nil {
+			return s.result(grew, count), err
+		}
+		ext, from = ext[free:], from+n
 	}
 	return s.result(grew, count), nil
+}
+
+// storeBox writes one box of StoreBoxes — selector sel, the extents of its
+// free dimensions ext — from src's cells at from on, into a generation grown
+// to hold it, one run of it at a time (eachRun). It returns the cells written
+// and the box's cell count.
+func (f *Field) storeBox(s *ageStore, age int, sel []SlabDim, ext []int, src *Array, from int) (written, cells int, err error) {
+	var orgBuf, spanBuf [4]int
+	org, span := ints(&orgBuf, len(sel)), ints(&spanBuf, len(sel))
+	cells = 1
+	for d, sd := range sel {
+		org[d], span[d] = sd.Index, 1
+		if !sd.Fixed {
+			span[d], ext = ext[0], ext[1:]
+		}
+		cells *= span[d]
+	}
+	raw := rawCopyCompatible(f.kind, src.kind)
+	err = eachRun(s.extents, org, span, func(base, n int) error {
+		k, err := f.storeRun(s, age, base, n, src, from, raw)
+		written, from = written+k, from+n
+		return err
+	})
+	return written, cells, err
+}
+
+// storeRun writes n cells of src, from cell from on, to flat offsets [base,
+// base+n): one typed copy when none is written yet (unscanned in an unwritten
+// generation), else a write-once error or, merging, the unwritten cells.
+func (f *Field) storeRun(s *ageStore, age, base, n int, src *Array, from int, raw bool) (int, error) {
+	w := s.written[base : base+n]
+	if s.writes > 0 {
+		if at := slices.Index(w, true); at >= 0 {
+			if !f.merge {
+				return 0, fmt.Errorf("field %s(%d)%v: %w", f.name, age, s.coordsOf(base+at), ErrWriteTwice)
+			}
+			k := 0
+			for i := range w {
+				if !w[i] {
+					s.data.set(f.kind, base+i, src.data.get(src.kind, from+i))
+					w[i] = true
+					k++
+				}
+			}
+			s.writes += k
+			return k, nil
+		}
+	}
+	if raw {
+		s.data.copyRange(base, &src.data, from, n)
+	} else {
+		for i := 0; i < n; i++ {
+			s.data.set(f.kind, base+i, src.data.get(src.kind, from+i))
+		}
+	}
+	for i := range w {
+		w[i] = true
+	}
+	s.writes += n
+	return n, nil
+}
+
+// coordsOf returns the coordinates of flat offset off.
+func (s *ageStore) coordsOf(off int) []int {
+	c := make([]int, len(s.extents))
+	for d := len(c) - 1; d >= 0; d-- {
+		c[d], off = off%s.extents[d], off/s.extents[d]
+	}
+	return c
 }
 
 // openForStore returns the generation a store to age lands in, creating it on
@@ -435,153 +505,16 @@ func allFree(rank int) []SlabDim {
 // fetches and views allocate no selector.
 var allFreeBuf [8]SlabDim
 
-// StoreSlice writes a sub-slab of the generation at (age, sel) from a local
-// array: fixed selector dimensions pin a coordinate, free dimensions are
-// covered by the array's extents in field order. The generation grows as
-// needed; every covered position obeys write-once. When the fixed dimensions
-// form a prefix and the trailing field extents match the array's (the
-// store-one-row and whole-generation cases), the data moves with a single
-// typed copy.
+// StoreSlice writes one box of the generation at (age, sel) from a local
+// array: fixed selector dimensions pin a coordinate, and free dimensions span
+// the array's extents, in field order, from their origins. It is StoreBoxes
+// with one box; a box contiguous in the generation (the store-one-row and
+// whole-generation cases) moves with a single typed copy.
 func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error) {
 	if len(sel) != f.rank {
 		return StoreResult{}, fmt.Errorf("field %s: slice store rank mismatch: %d selectors for rank-%d field", f.name, len(sel), f.rank)
 	}
-	free := 0
-	fixedPrefix := true
-	for _, sd := range sel {
-		if sd.Fixed {
-			if sd.Index < 0 {
-				return StoreResult{}, fmt.Errorf("field %s: negative index %d", f.name, sd.Index)
-			}
-			if free > 0 {
-				fixedPrefix = false
-			}
-		} else {
-			free++
-		}
-	}
-	if free == 0 {
-		return StoreResult{}, fmt.Errorf("field %s: slice store with no free dimensions (use Store)", f.name)
-	}
-	if a.Rank() != free {
-		return StoreResult{}, fmt.Errorf("field %s: slice store rank mismatch: rank-%d array for %d free dimensions", f.name, a.Rank(), free)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, err := f.openForStore(age)
-	if s == nil {
-		return StoreResult{}, err
-	}
-	// Required extent per dimension: fixed index + 1, or the array's extent
-	// for the matching free dimension.
-	var extBuf [4]int
-	ext := ints(&extBuf, f.rank)
-	copy(ext, s.extents)
-	grew := false
-	j := 0
-	for d, sd := range sel {
-		want := sd.Index + 1
-		if !sd.Fixed {
-			want = a.Extent(j)
-			j++
-		}
-		if want > ext[d] {
-			ext[d] = want
-			grew = true
-		}
-	}
-	if grew {
-		s.grow(ext)
-	}
-	n := a.Len()
-	if n == 0 {
-		return s.result(grew, 0), nil
-	}
-	// Contiguous fast path: fixed dims form a prefix and every free field
-	// dimension after the first matches the array's extent, so the covered
-	// region is one flat run.
-	contig := fixedPrefix && rawCopyCompatible(f.kind, a.kind)
-	if contig {
-		j = 0
-		for d, sd := range sel {
-			if sd.Fixed {
-				continue
-			}
-			if j > 0 && s.extents[d] != a.Extent(j) {
-				contig = false
-				break
-			}
-			j++
-		}
-	}
-	if contig {
-		base := 0
-		j = 0
-		for d, sd := range sel {
-			i := 0
-			if sd.Fixed {
-				i = sd.Index
-			}
-			base = base*s.extents[d] + i
-		}
-		// A generation with no writes yet (a whole-field store into a fresh
-		// age) cannot overlap, so only a written one is scanned.
-		overlap := false
-		for i := base; s.writes > 0 && i < base+n; i++ {
-			if s.written[i] {
-				if !f.merge {
-					return StoreResult{}, fmt.Errorf("field %s(%d) slice at %d: %w", f.name, age, i, ErrWriteTwice)
-				}
-				// Merge mode: an overlapping run needs the element-wise
-				// walk below; undo nothing (no positions marked yet).
-				overlap = true
-				break
-			}
-		}
-		if !overlap {
-			for i := base; i < base+n; i++ {
-				s.written[i] = true
-			}
-			s.data.copyRange(base, &a.data, 0, n)
-			s.writes += n
-			return s.result(grew, n), nil
-		}
-	}
-	// General path: walk the array in row-major order, pinning fixed dims.
-	var idxBuf, freeBuf [4]int
-	idx := ints(&idxBuf, f.rank)
-	freeDims := ints(&freeBuf, free)[:0]
-	for d, sd := range sel {
-		if sd.Fixed {
-			idx[d] = sd.Index
-		} else {
-			freeDims = append(freeDims, d)
-		}
-	}
-	count := 0
-	for flat := 0; flat < n; flat++ {
-		off := s.flatten(idx)
-		if s.written[off] {
-			if !f.merge {
-				// A copy, so that idx can stay on the stack (see StoreElems).
-				return StoreResult{}, fmt.Errorf("field %s(%d)%v: %w", f.name, age, slices.Clone(idx), ErrWriteTwice)
-			}
-		} else {
-			s.data.set(f.kind, off, a.data.get(a.kind, flat))
-			s.written[off] = true
-			s.writes++
-			count++
-		}
-		for k := free - 1; k >= 0; k-- {
-			d := freeDims[k]
-			idx[d]++
-			if idx[d] < a.Extent(k) {
-				break
-			}
-			idx[d] = 0
-		}
-	}
-	return s.result(grew, count), nil
+	return f.StoreBoxes(age, sel, a.extents, a)
 }
 
 // At returns the element at (age, idx...). The second result is false if the
@@ -635,12 +568,6 @@ func (f *Field) PinView(age int) (ViewToken, bool) {
 	return ViewToken{s: s, kind: f.kind}, true
 }
 
-// All points dst at the pinned generation's whole slab without copying: the
-// view whose selector fixes no dimension (see Slice).
-func (t ViewToken) All(dst *Array) {
-	t.Slice(allFree(len(t.s.extents)), dst)
-}
-
 // Slice points dst at a contiguous sub-slab of the pinned generation without
 // copying — the zero-copy counterpart of FetchSlice. dst must be treated as
 // read-only while the pin is live; boxed mutations copy-on-write, but the
@@ -684,23 +611,11 @@ func (t ViewToken) Slice(sel []SlabDim, dst *Array) bool {
 // slab: the view fetch whose selector fixes no dimension. It returns false,
 // leaving dst untouched, when the age is absent or not yet complete.
 func (f *Field) FetchViewAll(age int, dst *Array) (ViewToken, bool) {
-	return f.fetchView(age, allFree(f.rank), dst)
-}
-
-// fetchView pins the generation (see PinView) and points dst at the
-// contiguous sub-slab sel selects. It returns false, leaving dst untouched
-// and nothing pinned, when the age is absent or incomplete or the selector
-// does not describe one contiguous run (see ViewToken.Slice).
-func (f *Field) fetchView(age int, sel []SlabDim, dst *Array) (ViewToken, bool) {
 	t, ok := f.PinView(age)
-	if !ok {
-		return ViewToken{}, false
+	if ok {
+		t.Slice(allFree(f.rank), dst) // the all-free selector is one run
 	}
-	if !t.Slice(sel, dst) {
-		t.Release()
-		return ViewToken{}, false
-	}
-	return t, true
+	return t, ok
 }
 
 // Extents returns the current extents at the given age (zeros if the age has
@@ -800,8 +715,10 @@ func (f *Field) MemoryElems() int {
 	return n
 }
 
-// SlabDim selects one dimension of a slab store, fetch or view: either a fixed
-// coordinate or (the zero value) the whole dimension.
+// SlabDim selects one dimension of a slab store, fetch or view: a fixed
+// coordinate (Index), or a free dimension. A free dimension of a store starts
+// at its origin, Index, and spans the array's extent; the zero value is the
+// whole dimension from 0, and fetches and views read no origin.
 type SlabDim struct {
 	Fixed bool
 	Index int
@@ -810,98 +727,89 @@ type SlabDim struct {
 // FetchSlice copies a sub-slab of the generation at the given age into dst,
 // reusing dst's backing storage when capacity allows. Fixed dimensions are
 // dropped; free dimensions become dst's dimensions in field order.
-// Out-of-range fixed coordinates yield an empty array. When the fixed
-// dimensions form a prefix (the fetch-one-row case) the data moves with a
-// single typed copy.
+// Out-of-range fixed coordinates yield an empty array. The data moves with
+// one typed copy per run of the selection that is contiguous in the
+// generation (eachRun): one in all, when the fixed dimensions form a prefix.
 func (f *Field) FetchSlice(age int, sel []SlabDim, dst *Array) {
 	if len(sel) != f.rank {
 		panic(fmt.Sprintf("field %s: slab rank mismatch: %d selectors for rank-%d field", f.name, len(sel), f.rank))
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	var freeExtBuf [4]int
-	freeExt := freeExtBuf[:0]
+	var freeBuf, orgBuf, spanBuf [4]int
+	free := freeBuf[:0]
+	org, span := ints(&orgBuf, f.rank), ints(&spanBuf, f.rank)
 	s := f.ages[age]
-	if s != nil {
-		for d, sd := range sel {
-			if sd.Fixed && (sd.Index < 0 || sd.Index >= s.extents[d]) {
-				s = nil // out of range: deliver an empty slab
-				break
-			}
-		}
-	}
-	fixedPrefix := true
 	for d, sd := range sel {
-		if sd.Fixed {
-			if len(freeExt) > 0 {
-				fixedPrefix = false
-			}
-			continue
-		}
-		if s == nil {
-			freeExt = append(freeExt, 0)
-		} else {
-			freeExt = append(freeExt, s.extents[d])
+		if s != nil && sd.Fixed && (sd.Index < 0 || sd.Index >= s.extents[d]) {
+			s = nil // out of range: deliver an empty slab
 		}
 	}
-	if len(freeExt) == 0 {
-		freeExt = append(freeExt, 0)
+	for d, sd := range sel {
+		org[d], span[d] = 0, 0
+		switch {
+		case s == nil:
+		case sd.Fixed:
+			org[d], span[d] = sd.Index, 1
+		default:
+			span[d] = s.extents[d]
+		}
+		if !sd.Fixed {
+			free = append(free, span[d])
+		}
 	}
-	dst.resetShape(f.kind, freeExt)
-	n := dst.Len()
-	if s == nil || n == 0 {
+	if len(free) == 0 {
+		free = append(free, 0)
+	}
+	dst.resetShape(f.kind, free)
+	if s == nil || dst.Len() == 0 {
 		return
-	}
-	if fixedPrefix {
-		// The selected region is a contiguous suffix block.
-		base := 0
-		for d, sd := range sel {
-			i := 0
-			if sd.Fixed {
-				i = sd.Index
-			}
-			base = base*s.extents[d] + i
-		}
-		dst.data.copyRange(0, &s.data, base, n)
-		return
-	}
-	// General path: walk free dims before the last fixed dim elementwise and
-	// copy the contiguous run spanned by the trailing free dims.
-	lastFixed := -1
-	for d, sd := range sel {
-		if sd.Fixed {
-			lastFixed = d
-		}
-	}
-	runLen := 1
-	for d := lastFixed + 1; d < f.rank; d++ {
-		runLen *= s.extents[d]
-	}
-	idx := make([]int, f.rank)
-	for d, sd := range sel {
-		if sd.Fixed {
-			idx[d] = sd.Index
-		}
 	}
 	flat := 0
-	var walk func(d int)
-	walk = func(d int) {
-		if d > lastFixed {
-			dst.data.copyRange(flat, &s.data, s.flatten(idx), runLen)
-			flat += runLen
-			return
-		}
-		if sel[d].Fixed {
-			walk(d + 1)
-			return
-		}
-		for i := 0; i < s.extents[d]; i++ {
-			idx[d] = i
-			walk(d + 1)
-		}
+	_ = eachRun(s.extents, org, span, func(base, n int) error {
+		dst.data.copyRange(flat, &s.data, base, n)
+		flat += n
+		return nil
+	})
+}
+
+// eachRun calls visit with the flat offset and the length of each run of the
+// box org + [0, span) that is contiguous in a generation of extents ext — the
+// trailing dimensions the box spans whole, times the one before them,
+// repeated over the dimensions before that — in row-major order, and stops at
+// visit's first error. An empty box has no runs.
+func eachRun(ext, org, span []int, visit func(base, n int) error) error {
+	last, run := len(ext)-1, 1
+	for ; last >= 0 && org[last] == 0 && span[last] == ext[last]; last-- {
+		run *= span[last]
 	}
-	if runLen > 0 {
-		walk(0)
+	if last >= 0 {
+		run *= span[last]
+	}
+	if slices.Contains(span, 0) {
+		return nil
+	}
+	var atBuf [4]int
+	at := ints(&atBuf, len(ext))
+	copy(at, org)
+	for {
+		base := 0
+		for d, i := range at {
+			base = base*ext[d] + i
+		}
+		if err := visit(base, run); err != nil {
+			return err
+		}
+		d := last - 1
+		for ; d >= 0; d-- {
+			if at[d]++; at[d] < org[d]+span[d] {
+				break
+			}
+			at[d] = org[d]
+		}
+		if d < 0 {
+			return nil
+		}
 	}
 }
 

@@ -7,6 +7,18 @@ import (
 	"testing/quick"
 )
 
+// storeCell stores v at coordinates idx of generation age of f: the one-cell
+// box whose selector fixes every dimension.
+func storeCell(f *Field, age int, v Value, idx ...int) (StoreResult, error) {
+	sel := make([]SlabDim, len(idx))
+	for d, c := range idx {
+		sel[d] = SlabDim{Fixed: true, Index: c}
+	}
+	cell := NewArray(f.Kind(), 1)
+	cell.SetFlat(v, 0)
+	return f.StoreBoxes(age, sel, nil, cell)
+}
+
 func TestFieldBasics(t *testing.T) {
 	f := New("m_data", Int32, 1, true)
 	if f.Name() != "m_data" || f.Kind() != Int32 || f.Rank() != 1 || !f.Aged() {
@@ -15,7 +27,7 @@ func TestFieldBasics(t *testing.T) {
 	if _, ok := f.At(0, 0); ok {
 		t.Error("unwritten element should not be readable")
 	}
-	res, err := f.Store(0, Int32Val(42), 3)
+	res, err := storeCell(f, 0, Int32Val(42), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,15 +48,15 @@ func TestFieldBasics(t *testing.T) {
 
 func TestFieldWriteOnce(t *testing.T) {
 	f := New("x", Int32, 1, true)
-	if _, err := f.Store(0, Int32Val(1), 0); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(1), 0); err != nil {
 		t.Fatal(err)
 	}
-	_, err := f.Store(0, Int32Val(2), 0)
+	_, err := storeCell(f, 0, Int32Val(2), 0)
 	if !errors.Is(err, ErrWriteTwice) {
 		t.Fatalf("second store should violate write-once, got %v", err)
 	}
 	// Same index, higher age is allowed (aging).
-	if _, err := f.Store(1, Int32Val(2), 0); err != nil {
+	if _, err := storeCell(f, 1, Int32Val(2), 0); err != nil {
 		t.Fatalf("aged store should succeed: %v", err)
 	}
 	v, _ := f.At(0, 0)
@@ -72,11 +84,11 @@ func TestFieldStoreAll(t *testing.T) {
 		t.Errorf("overlapping StoreAll: %v", err)
 	}
 	// Element store into covered region also fails.
-	if _, err := f.Store(0, Int32Val(9), 2); !errors.Is(err, ErrWriteTwice) {
+	if _, err := storeCell(f, 0, Int32Val(9), 2); !errors.Is(err, ErrWriteTwice) {
 		t.Errorf("element store into covered region: %v", err)
 	}
 	// Element store past the covered region succeeds.
-	if _, err := f.Store(0, Int32Val(9), 7); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(9), 7); err != nil {
 		t.Errorf("element store past region: %v", err)
 	}
 }
@@ -86,20 +98,20 @@ func TestFieldStoreAllRankMismatch(t *testing.T) {
 	if _, err := f.StoreAll(0, ArrayFromInt32([]int32{1})); err == nil {
 		t.Error("rank mismatch should fail")
 	}
-	if _, err := f.Store(0, Int32Val(1), 0); err == nil {
+	if _, err := storeCell(f, 0, Int32Val(1), 0); err == nil {
 		t.Error("element store rank mismatch should fail")
 	}
-	if _, err := f.Store(0, Int32Val(1), 0, -1); err == nil {
+	if _, err := storeCell(f, 0, Int32Val(1), 0, -1); err == nil {
 		t.Error("negative index should fail")
 	}
 }
 
 func TestFieldGrowthRemaps2D(t *testing.T) {
 	f := New("m", Int32, 2, true)
-	if _, err := f.Store(0, Int32Val(1), 0, 0); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(1), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Store(0, Int32Val(2), 2, 3); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(2), 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	v, ok := f.At(0, 0, 0)
@@ -119,7 +131,7 @@ func TestFieldGrowthRemaps2D(t *testing.T) {
 func TestFieldAges(t *testing.T) {
 	f := New("m", Int32, 1, true)
 	for a := 0; a < 4; a++ {
-		if _, err := f.Store(a, Int32Val(int32(a*10)), 0); err != nil {
+		if _, err := storeCell(f, a, Int32Val(int32(a*10)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +149,7 @@ func TestFieldAges(t *testing.T) {
 
 func TestFieldNonAged(t *testing.T) {
 	f := New("m", Int32, 1, false)
-	if _, err := f.Store(0, Int32Val(1), 0); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(1), 0); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -145,7 +157,7 @@ func TestFieldNonAged(t *testing.T) {
 			t.Error("storing to age 1 of non-aged field should panic")
 		}
 	}()
-	_, _ = f.Store(1, Int32Val(1), 0)
+	_, _ = storeCell(f, 1, Int32Val(1), 0)
 }
 
 // complete reports whether the age has been marked complete: only then does
@@ -165,7 +177,7 @@ func TestFieldCompleteGating(t *testing.T) {
 	if !complete(f, 0) {
 		t.Error("MarkComplete")
 	}
-	if _, err := f.Store(0, Int32Val(1), 0); err == nil {
+	if _, err := storeCell(f, 0, Int32Val(1), 0); err == nil {
 		t.Error("store after complete must fail")
 	}
 	f.MarkComplete(0) // idempotent
@@ -180,7 +192,7 @@ func TestFieldCompleteGating(t *testing.T) {
 func TestFieldGC(t *testing.T) {
 	f := New("m", Int32, 1, true)
 	for a := 0; a < 10; a++ {
-		if _, err := f.Store(a, Int32Val(1), 0); err != nil {
+		if _, err := storeCell(f, a, Int32Val(1), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +252,7 @@ func TestFieldConcurrentStores(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := f.Store(0, Int32Val(int32(i)), i); err != nil {
+			if _, err := storeCell(f, 0, Int32Val(int32(i)), i); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -271,7 +283,7 @@ func TestFieldConcurrentWriteOnceRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := f.Store(0, Int32Val(int32(i)), 0); err == nil {
+			if _, err := storeCell(f, 0, Int32Val(int32(i)), 0); err == nil {
 				wins <- int32(i)
 			}
 		}(i)
@@ -305,7 +317,7 @@ func TestQuickElementVsWholeStore(t *testing.T) {
 		elem := New("e", Int32, 1, true)
 		// Store back-to-front to exercise growth remapping.
 		for i := len(vals) - 1; i >= 0; i-- {
-			if _, err := elem.Store(0, Int32Val(vals[i]), i); err != nil {
+			if _, err := storeCell(elem, 0, Int32Val(vals[i]), i); err != nil {
 				return false
 			}
 		}
@@ -325,7 +337,7 @@ func TestQuickWriteOnce(t *testing.T) {
 		seen := map[[2]int]bool{}
 		for _, o := range ops {
 			a, i := int(o.Age%8), int(o.Idx%8)
-			_, err := fld.Store(a, Int32Val(1), i)
+			_, err := storeCell(fld, a, Int32Val(1), i)
 			dup := seen[[2]int{a, i}]
 			if dup && !errors.Is(err, ErrWriteTwice) {
 				return false

@@ -13,10 +13,10 @@ func TestMergeStoresSkipsDuplicates(t *testing.T) {
 	f := New("m", Int32, 1, true)
 	f.SetMergeStores(true)
 
-	if _, err := f.Store(0, Int32Val(7), 2); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(7), 2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Store(0, Int32Val(9), 2)
+	res, err := storeCell(f, 0, Int32Val(9), 2)
 	if err != nil || res.Count != 0 {
 		t.Fatalf("duplicate element store: %+v, %v; want silent skip", res, err)
 	}
@@ -48,7 +48,7 @@ func TestMergeStoresSkipsDuplicates(t *testing.T) {
 
 	// A completed age absorbs all store shapes silently.
 	f.MarkComplete(0)
-	if _, err := f.Store(0, Int32Val(1), 0); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(1), 0); err != nil {
 		t.Fatalf("element store into complete age: %v", err)
 	}
 	if _, err := f.StoreAll(0, ArrayFromInt32([]int32{8})); err != nil {
@@ -68,10 +68,10 @@ func TestMergeStoresSkipsDuplicates(t *testing.T) {
 // overlapping slice store must not leave partial written marks behind.
 func TestMergeStoresOffKeepsWriteOnce(t *testing.T) {
 	f := New("w", Int32, 1, true)
-	if _, err := f.Store(0, Int32Val(1), 1); err != nil {
+	if _, err := storeCell(f, 0, Int32Val(1), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Store(0, Int32Val(2), 1); !errors.Is(err, ErrWriteTwice) {
+	if _, err := storeCell(f, 0, Int32Val(2), 1); !errors.Is(err, ErrWriteTwice) {
 		t.Fatalf("duplicate store error = %v, want ErrWriteTwice", err)
 	}
 	// Contiguous slice overlapping position 1: must fail without marking

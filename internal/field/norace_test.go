@@ -35,22 +35,22 @@ func TestGrowingStoreSliceAllocs(t *testing.T) {
 	}
 }
 
-// TestGrowingStoreElemsAllocs: the same for StoreElems, a row of 64 elements
-// per call.
+// TestGrowingStoreElemsAllocs: the same for element stores, a row of 64 of
+// them per StoreBoxes call as one-cell boxes.
 func TestGrowingStoreElemsAllocs(t *testing.T) {
 	f := New("i32", Int32, 2, true)
-	idx := make([]int, 2*64)
-	vals := make([]Value, 64)
-	for j := range vals {
-		vals[j] = Int32Val(int32(j))
+	sels := make([]SlabDim, 2*64)
+	vals := NewArray(Int32, 64)
+	for j := range vals.Int32s() {
+		vals.Int32s()[j] = int32(j)
 	}
 	age := 0
 	perGen := testing.AllocsPerRun(20, func() {
 		for i := 0; i < storeRows; i++ {
 			for j := 0; j < 64; j++ {
-				idx[2*j], idx[2*j+1] = i, j
+				sels[2*j], sels[2*j+1] = SlabDim{Fixed: true, Index: i}, SlabDim{Fixed: true, Index: j}
 			}
-			res, err := f.StoreElems(age, idx, vals)
+			res, err := f.StoreBoxes(age, sels, nil, vals)
 			if err != nil || !res.Grew || res.Extents()[0] != i+1 {
 				t.Fatalf("row %d: %+v, %v", i, res, err)
 			}
@@ -58,6 +58,6 @@ func TestGrowingStoreElemsAllocs(t *testing.T) {
 		age++
 	})
 	if perStore := perGen / storeRows; perStore > 0.1 {
-		t.Errorf("growing StoreElems: %.0f allocs per %d-row generation (%.2f per store), want a few per generation", perGen, storeRows, perStore)
+		t.Errorf("growing element stores: %.0f allocs per %d-row generation (%.2f per store), want a few per generation", perGen, storeRows, perStore)
 	}
 }

@@ -62,8 +62,8 @@ type slab struct {
 	str   []byte
 }
 
-func newSlab(k Kind, n int) slab {
-	s := slab{class: classOf(k)}
+func newSlab(cls slabClass, n int) slab {
+	s := slab{class: cls}
 	s.alloc(n, n)
 	return s
 }

@@ -186,12 +186,12 @@ func TestSlabMatchesBoxedReference(t *testing.T) {
 						v := randValue(rng, k)
 						off := ref.flatten(idx)
 						if off >= 0 && ref.written[off] {
-							if _, err := f.Store(0, v, idx...); err == nil {
+							if _, err := storeCell(f, 0, v, idx...); err == nil {
 								t.Fatalf("rank %d op %d: store at written %v did not error", rank, op, idx)
 							}
 							continue
 						}
-						if _, err := f.Store(0, v, idx...); err != nil {
+						if _, err := storeCell(f, 0, v, idx...); err != nil {
 							t.Fatalf("rank %d op %d: store %v: %v", rank, op, idx, err)
 						}
 						ref.store(v, idx)

@@ -41,6 +41,18 @@ func TestFetchViewAllBasics(t *testing.T) {
 	}
 }
 
+// fetchView pins generation age of f and points dst at the run sel selects:
+// false, with nothing pinned, when the age cannot be pinned or sel is no one
+// run (see ViewToken.Slice).
+func fetchView(f *Field, age int, sel []SlabDim, dst *Array) (ViewToken, bool) {
+	t, ok := f.PinView(age)
+	if ok && !t.Slice(sel, dst) {
+		t.Release()
+		return ViewToken{}, false
+	}
+	return t, ok
+}
+
 // TestViewSlice: prefix-fixed selectors alias the row run; non-prefix
 // selectors and out-of-range coordinates fall back (return false), and an
 // all-free selector is the whole-generation view.
@@ -57,7 +69,7 @@ func TestViewSlice(t *testing.T) {
 
 	var dst Array
 	sel := []SlabDim{{Fixed: true, Index: 1}, {}}
-	tok, ok := f.fetchView(0, sel, &dst)
+	tok, ok := fetchView(f, 0, sel, &dst)
 	if !ok {
 		t.Fatal("prefix-fixed slice view refused")
 	}
@@ -69,15 +81,15 @@ func TestViewSlice(t *testing.T) {
 	tok.Release()
 
 	// Fixed dim after a free dim: not a contiguous run, must fall back.
-	if _, ok := f.fetchView(0, []SlabDim{{}, {Fixed: true, Index: 2}}, &dst); ok {
+	if _, ok := fetchView(f, 0, []SlabDim{{}, {Fixed: true, Index: 2}}, &dst); ok {
 		t.Fatal("non-prefix selector got a view")
 	}
 	// Out-of-range coordinate.
-	if _, ok := f.fetchView(0, []SlabDim{{Fixed: true, Index: 9}, {}}, &dst); ok {
+	if _, ok := fetchView(f, 0, []SlabDim{{Fixed: true, Index: 9}, {}}, &dst); ok {
 		t.Fatal("out-of-range selector got a view")
 	}
 	// No fixed dimension: the whole generation.
-	tok, ok = f.fetchView(0, []SlabDim{{}, {}}, &dst)
+	tok, ok = fetchView(f, 0, []SlabDim{{}, {}}, &dst)
 	if !ok {
 		t.Fatal("all-free selector refused")
 	}
@@ -98,7 +110,7 @@ func TestViewCopyOnWrite(t *testing.T) {
 				if k == String {
 					v = StringVal(fmt.Sprintf("s%d", i))
 				}
-				if _, err := f.Store(0, v, i); err != nil {
+				if _, err := storeCell(f, 0, v, i); err != nil {
 					t.Fatal(err)
 				}
 			}

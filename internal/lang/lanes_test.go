@@ -257,6 +257,30 @@ func TestKMeansTemplateLockstep(t *testing.T) {
 	}
 }
 
+// TestKMeansTemplateStoreEvents: refine element-fetches centroids(a), so the
+// analyzer hears of every store to centroids(a+1), and refine makes two,
+// [c][0] and [c][1]. They reach it as one box event per statement and slice:
+// over 3 ages the analyzer's whole event count, done events included, stays
+// below the 2×K per age that one event per element store sent for these two
+// statements alone.
+func TestKMeansTemplateStoreEvents(t *testing.T) {
+	const ages, k = 3, 100
+	prog, err := Compile("kmeans", everySource(t)[filepath.Join("..", "..", "bench", "kmeans.p2g.tmpl")])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := runtime.Run(prog, runtime.Options{Workers: 2, MaxAge: ages - 1, Output: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, per := rep.ShardEvents[0], int64(2*k*ages); got >= per {
+		t.Errorf("the analyzer handled %d events in %d ages, want fewer than the %d element events of refine's stores", got, ages, per)
+	}
+	if r := rep.Kernel("refine"); r.StoreOps != 2*r.Instances {
+		t.Errorf("refine: %d store ops for %d instances, want two per instance", r.StoreOps, r.Instances)
+	}
+}
+
 // TestLockstepFailureParity: when one instance of a slice fails — an error, or
 // a panic from a get past the extent — the slice body declines and the slice
 // reruns on the scalar VM, which the declined counter shows (slices of 7 are

@@ -20,14 +20,14 @@ import (
 type event struct {
 	isDone bool
 
-	// store event fields: the element coordinates (not for whole stores) and,
-	// when the store grew the generation, its extents afterwards.
-	fs    *fieldState
-	age   int
-	elem  coords
-	whole bool
-	grew  bool
-	ext   coords
+	// store event fields: the box the store covered — per field dimension
+	// its origin and extent — and, when the store grew the generation, its
+	// extents afterwards.
+	fs        *fieldState
+	age       int
+	org, span coords
+	grew      bool
+	ext       coords
 
 	// done event fields: the finished slice (the analyzer recycles it), the
 	// stores its instances fired and whether a body called Stop — the last
@@ -146,10 +146,8 @@ type analyzer struct {
 	spare [][]cellRun
 
 	// Scratch buffers, so satisfaction checks never allocate.
-	idxBuf    []int
-	elemBuf   [4]int
-	satCoords []int
-	satConstr []bool
+	idxBuf []int
+	boxBuf [2][4]int
 }
 
 // scratch returns an index-evaluation buffer of length k.
@@ -590,49 +588,33 @@ func (an *analyzer) satisfyRange(t *ageTracker, bit uint32) {
 	}
 	t.mask |= bit
 	if t.mask == t.ks.fullMask {
-		an.sweep(t, nil)
+		an.sweep(t)
 	}
 }
 
-// sweep goes over the waiting cells, readies those now satisfied and keeps the
-// rest listed, as runs. With ce, after a whole or slab store to an element
-// fetched field, it first satisfies that fetch where the element is written —
-// for a whole waiting run at once when covered says so, else cell by cell.
-func (an *analyzer) sweep(t *ageTracker, ce *consEdge) {
-	ks := t.ks
-	full, now := t.mask == ks.fullMask, an.now()
+// sweep readies the waiting cells once the mask is full: every one when the
+// tracker keeps no per-cell state, else those whose element fetches are all
+// satisfied, keeping the rest listed as runs. The mask fills once, so no
+// listed cell has been readied on its own yet.
+func (an *analyzer) sweep(t *ageTracker) {
 	if t.completed || t.nwait == 0 {
 		return
 	}
+	now := an.now()
 	if t.cells == nil {
-		// Every waiting cell has its element fetches: it waits for the mask.
-		if full {
-			for _, r := range t.waiting {
-				an.ready(t, r, r.readyNs, now)
-			}
-			t.waiting, t.nwait = t.waiting[:0], 0
+		for _, r := range t.waiting {
+			an.ready(t, r, r.readyNs, now)
 		}
+		t.waiting, t.nwait = t.waiting[:0], 0
 		return
 	}
 	kept := an.runList()
 	t.nwait = 0
 	var buf [maxRank]int
 	for _, r := range t.waiting {
-		var have uint32
-		if ce != nil {
-			have = an.covered(t, &r) & ce.fetchBit
-		}
 		for i := r.lo; i < r.hi; i++ {
 			f := position(r.coords(i, buf[:]), t.extents)
-			m := t.cells[f]
-			if ce != nil {
-				if full && m == ks.elemBits {
-					continue // readied on its own since it was listed
-				}
-				m |= have | an.written(t, buf[:r.rank], m|have|^ce.fetchBit)
-				t.cells[f] = m
-			}
-			if full && m == ks.elemBits {
+			if t.cells[f] == t.ks.elemBits {
 				an.ready(t, t.cellRun(f), t.bornAt(f), now)
 				continue
 			}
@@ -760,8 +742,9 @@ func (an *analyzer) onTrackerComplete(t *ageTracker) {
 
 // handleStore processes a store event: domain growth for kernels whose index
 // range the field defines, then fetch satisfaction for element-fetch
-// consumers. The generation's completeness record is ensured first, so a
-// store injected from another node is accounted like a local one.
+// consumers, over the store's box. The generation's completeness record is
+// ensured first, so a store injected from another node is accounted like a
+// local one.
 func (an *analyzer) handleStore(ev *event) {
 	an.fieldAge(ev.fs, ev.age)
 	if ev.grew {
@@ -771,20 +754,13 @@ func (an *analyzer) handleStore(ev *event) {
 			})
 		}
 	}
-	var elem []int
-	if !ev.whole {
-		elem = ev.elem.get(&an.elemBuf)
-	}
+	org, span := ev.org.get(&an.boxBuf[0]), ev.span.get(&an.boxBuf[1])
 	for _, ce := range ev.fs.consumers {
 		if ce.terms == nil {
 			continue // whole/slab fetches are satisfied by completeness, not stores
 		}
 		an.forTrackers(ce.ks, ce.fetch.Age, ev.age, func(t *ageTracker) {
-			if ev.whole {
-				an.sweep(t, &ce)
-			} else {
-				an.satisfyElem(t, ce, elem)
-			}
+			an.satisfyBox(t, &ce, org, span)
 		})
 	}
 }
@@ -821,56 +797,46 @@ func (an *analyzer) growTracker(t *ageTracker, varIdx, newExt int) {
 	an.createInstances(t, from, t.extents)
 }
 
-// satisfyElem satisfies fetch ce for every cell whose fetch coordinates match
-// a stored element: the element is mapped back through the fetch's index
-// terms to the cells that read it, found by position in cells. A tracker
+// satisfyBox satisfies fetch ce for every cell reading an element of the
+// stored box org + [0, span): its preimage under the fetch's terms, a box of
+// the index space clipped to the domain (a creation scan covers cells past
+// it), at the cost of the preimage, not of the waiting cells. A tracker
 // without per-cell state has every created cell's elements already.
-func (an *analyzer) satisfyElem(t *ageTracker, ce consEdge, elem []int) {
+func (an *analyzer) satisfyBox(t *ageTracker, ce *consEdge, org, span []int) {
 	if t.completed || t.cells == nil {
 		return
 	}
-	nv := len(t.ks.decl.IndexVars)
-	if cap(an.satCoords) < nv {
-		an.satCoords = make([]int, nv)
-		an.satConstr = make([]bool, nv)
-	}
-	coords, constrained := an.satCoords[:nv], an.satConstr[:nv]
-	for i := 0; i < nv; i++ {
-		coords[i], constrained[i] = 0, false
-	}
-	for d, term := range ce.terms {
-		if term.v >= 0 {
-			vi := term.v
-			c := elem[d] - term.off
-			if c < 0 || c >= t.extents[vi] {
-				return // instance does not exist (yet); creation scans cover it
+	var lo, hi, c [maxRank]int
+	nv := copy(hi[:], t.extents)
+	for d, tm := range ce.terms {
+		from, to := org[d]-tm.off, org[d]+span[d]-tm.off
+		if tm.v < 0 {
+			if from > 0 || to <= 0 {
+				return // the literal coordinate lies outside the box
 			}
-			if constrained[vi] && coords[vi] != c {
-				return // e.g. fetch f(a)[x][x] with mismatched coordinates
-			}
-			coords[vi] = c
-			constrained[vi] = true
-		} else if term.off != elem[d] {
+			continue
+		}
+		lo[tm.v], hi[tm.v] = max(lo[tm.v], from), min(hi[tm.v], to)
+	}
+	for v := 0; v < nv; v++ {
+		if lo[v] >= hi[v] {
 			return
 		}
 	}
-	an.enumerate(t, coords, constrained, 0, ce.fetchBit)
-}
-
-func (an *analyzer) enumerate(t *ageTracker, coords []int, constrained []bool, d int, bit uint32) {
-	if d == len(coords) {
-		an.satisfyCell(t, position(coords, t.extents), bit)
-		return
+	c = lo
+	for {
+		an.satisfyCell(t, position(c[:nv], t.extents), ce.fetchBit)
+		d := nv - 1
+		for ; d >= 0; d-- {
+			if c[d]++; c[d] < hi[d] {
+				break
+			}
+			c[d] = lo[d]
+		}
+		if d < 0 {
+			return
+		}
 	}
-	if constrained[d] {
-		an.enumerate(t, coords, constrained, d+1, bit)
-		return
-	}
-	for c := 0; c < t.extents[d]; c++ {
-		coords[d] = c
-		an.enumerate(t, coords, constrained, d+1, bit)
-	}
-	coords[d] = 0
 }
 
 // satisfyCell records that element fetch bit of cell f is satisfied, readying

@@ -85,10 +85,7 @@ func TestAnalyzerNoAutoQuiesceStop(t *testing.T) {
 		}
 	}()
 	for age := 0; age < 8; age++ {
-		err := n.InjectStore(StoreNotice{
-			Field: "data", Age: age, Elem: []int{0},
-			Value: field.Int32Val(int32(100 + age)),
-		})
+		err := n.InjectStore(cellNotice("data", age, field.Int32Val(int32(100+age)), 0))
 		if err != nil {
 			t.Fatal(err)
 		}

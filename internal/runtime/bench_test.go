@@ -11,6 +11,18 @@ import (
 // benchNode builds a one-kernel node whose input element is pre-stored, so
 // exec can be driven directly: this isolates the dispatch fast path (frame
 // checkout, plan-driven fetch, body, event emission) from the analyzer.
+// storeCell stores v at coordinates idx of generation age of f: the one-cell
+// box whose selector fixes every dimension.
+func storeCell(f *field.Field, age int, v field.Value, idx ...int) (field.StoreResult, error) {
+	sel := make([]field.SlabDim, len(idx))
+	for d, c := range idx {
+		sel[d] = field.SlabDim{Fixed: true, Index: c}
+	}
+	cell := field.NewArray(f.Kind(), 1)
+	cell.SetFlat(v, 0)
+	return f.StoreBoxes(age, sel, nil, cell)
+}
+
 func benchNode(b testing.TB, indexed bool) (*Node, *ageTracker, cellRun) {
 	b.Helper()
 	pb := core.NewBuilder("bench")
@@ -33,7 +45,7 @@ func benchNode(b testing.TB, indexed bool) (*Node, *ageTracker, cellRun) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := n.fields["in"].f.Store(0, field.Int32Val(3), 0); err != nil {
+	if _, err := storeCell(n.fields["in"].f, 0, field.Int32Val(3), 0); err != nil {
 		b.Fatal(err)
 	}
 	ks := n.kernels["consume"]

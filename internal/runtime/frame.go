@@ -15,16 +15,17 @@ import (
 // encoded back-to-back in the typed wire format v1 (internal/field/wire.go),
 // so a generation crosses the dist transport as one typed block instead of a
 // gob-encoded boxed Value per store. The header names the field and age once;
-// each entry then holds only its addressing mode (element coordinates or slab
-// selector — a whole-field store is the selector that fixes no dimension) and
-// the raw typed payload.
+// each entry then holds only its box's selector — a whole-field store is the
+// selector that fixes no dimension — and the box's cells as a typed array.
 //
 // Layout:
 //
 //	frame := version(1B) | len(field) uvarint | field bytes | age varint | entry*
 //	entry := mode(1B) | mode header | wire value (self-delimiting)
-//	  mode 0 (element): rank uvarint, rank coordinates (varint each)
-//	  mode 2 (slab):    rank uvarint, per dim: fixed(1B), index varint if fixed
+//	  mode 2 (box): rank uvarint, per dim: flag(1B), then
+//	    flag 0: a free dimension from 0
+//	    flag 1: a fixed dimension, its coordinate varint
+//	    flag 2: a free dimension, its origin varint
 //
 // Entries run to the end of the buffer; wire values are self-delimiting so no
 // per-entry length prefix is needed. Decode is overflow-guarded: ranks are
@@ -35,11 +36,20 @@ import (
 // entries is versioned separately (wire format v1).
 const storeFrameVersion = 1
 
-// Entry addressing modes. Mode 1, a whole-field entry without a selector, is
-// retired and refused by the decoder.
+// frameModeBox is the one entry mode, and frameDim* the selector flags of its
+// dimensions. The decoder refuses the retired modes — 0, an element with its
+// coordinates, and 1, a whole-field entry without a selector — with
+// errFrameMode, and a negative origin with errFrameOrigin.
 const (
-	frameModeElem byte = 0
-	frameModeSlab byte = 2
+	frameModeBox   byte = 2
+	frameDimFree   byte = 0
+	frameDimFixed  byte = 1
+	frameDimOrigin byte = 2
+)
+
+var (
+	errFrameMode   = errors.New("p2g: store frame entry mode")
+	errFrameOrigin = errors.New("p2g: store frame origin is negative")
 )
 
 // frameMaxRank bounds coordinate and selector ranks during decode, mirroring
@@ -47,8 +57,8 @@ const (
 const frameMaxRank = 64
 
 // MaxRemoteCells bounds the cells a remote store may grow a field generation
-// to: InjectStore, InjectStoreFrame and DecodeStoreFrame refuse an element
-// coordinate or slab selector past it with ErrRemoteGrowth, so a corrupt or
+// to: InjectStore, InjectStoreFrame and DecodeStoreFrame refuse a box whose
+// coordinates, origins and extents reach past it with ErrRemoteGrowth, so a corrupt or
 // hostile notice cannot make the receiver allocate without limit. It sits far
 // above the largest generation any workload stores (a CIF frame's 101 376
 // luma samples).
@@ -58,11 +68,24 @@ const MaxRemoteCells = 1 << 26
 var ErrRemoteGrowth = errors.New("p2g: remote store grows a generation past MaxRemoteCells")
 
 // checkGrowth refuses store sn when the generation it lands in — extent(d)
-// per dimension now, grown to hold the store — would hold more than
+// per dimension now, grown to hold the store's box — would hold more than
 // MaxRemoteCells cells.
 func checkGrowth(sn StoreNotice, extent func(d int) int) error {
 	cells := 1
-	grow := func(d, want int) {
+	arr := sn.Value.Array()
+	j := 0
+	for d, sd := range sn.Sel {
+		// Coordinates and origins saturate past the bound, so no sum
+		// overflows. A malformed store, without an array or with too few
+		// dimensions, counts an empty box; the field refuses it.
+		want := min(sd.Index, MaxRemoteCells) + 1
+		if !sd.Fixed {
+			want = min(sd.Index, MaxRemoteCells+1)
+			if arr != nil {
+				want += arr.Extent(j)
+			}
+			j++
+		}
 		if have := extent(d); have > want {
 			want = have
 		}
@@ -72,32 +95,11 @@ func checkGrowth(sn StoreNotice, extent func(d int) int) error {
 			cells *= max(want, 0)
 		}
 	}
-	if sn.Sel != nil {
-		arr := sn.Value.Array()
-		j := 0
-		for d, sd := range sn.Sel {
-			switch {
-			case sd.Fixed:
-				grow(d, sd.Index+1)
-			case arr != nil && j < arr.Rank():
-				grow(d, arr.Extent(j))
-				j++
-			default:
-				grow(d, 0) // a malformed store, which the field refuses
-			}
-		}
-	} else {
-		for d, x := range sn.Elem {
-			grow(d, x+1)
-		}
-	}
 	if cells > MaxRemoteCells {
 		return fmt.Errorf("%w: %s(%d)", ErrRemoteGrowth, sn.Field, sn.Age)
 	}
 	return nil
 }
-
-func noExtent(int) int { return 0 }
 
 // StoreFrame accumulates store notices for one field generation into a single
 // wire frame. The zero value is unusable; call Reset first. A StoreFrame is
@@ -117,31 +119,27 @@ func (f *StoreFrame) Reset(fieldName string, age int) {
 	f.entries = 0
 }
 
-// Add appends one store notice, copying its coordinates or selector and its
-// payload into the frame's buffer: nothing of the notice is referenced after
+// Add appends one store notice, copying its selector and its payload into
+// the frame's buffer: nothing of the notice is referenced after
 // the call, so a borrowed notice (see Options.OnStore) may be added. The
 // notice must target the generation the frame was Reset to; mixing
 // generations corrupts nothing but delivers the stores to the wrong age, so
 // callers key frames by (field, age).
 func (f *StoreFrame) Add(sn StoreNotice) error {
 	sn = sn.normalize()
-	if sn.Sel != nil {
-		f.buf = append(f.buf, frameModeSlab)
-		f.buf = binary.AppendUvarint(f.buf, uint64(len(sn.Sel)))
-		for _, sd := range sn.Sel {
-			if sd.Fixed {
-				f.buf = append(f.buf, 1)
-				f.buf = binary.AppendVarint(f.buf, int64(sd.Index))
-			} else {
-				f.buf = append(f.buf, 0)
-			}
+	f.buf = append(f.buf, frameModeBox)
+	f.buf = binary.AppendUvarint(f.buf, uint64(len(sn.Sel)))
+	for _, sd := range sn.Sel {
+		switch {
+		case sd.Fixed:
+			f.buf = append(f.buf, frameDimFixed)
+		case sd.Index != 0:
+			f.buf = append(f.buf, frameDimOrigin)
+		default:
+			f.buf = append(f.buf, frameDimFree)
+			continue
 		}
-	} else {
-		f.buf = append(f.buf, frameModeElem)
-		f.buf = binary.AppendUvarint(f.buf, uint64(len(sn.Elem)))
-		for _, i := range sn.Elem {
-			f.buf = binary.AppendVarint(f.buf, int64(i))
-		}
+		f.buf = binary.AppendVarint(f.buf, int64(sd.Index))
 	}
 	var err error
 	f.buf, err = field.AppendWireValue(f.buf, sn.Value)
@@ -228,15 +226,13 @@ func (c *frameCursor) varint() (int64, error) {
 
 // DecodeStoreFrame decodes a frame produced by StoreFrame, invoking apply for
 // each store notice in encoding order. Decode stops at the first apply error,
-// and before an entry whose own coordinates or selector address more than
-// MaxRemoteCells cells (ErrRemoteGrowth).
+// at an entry of a retired mode or with a negative origin, and before an
+// entry whose own box reaches past MaxRemoteCells cells (ErrRemoteGrowth).
 //
-// The notices are borrowed, like OnStore's: an entry's Elem or Sel, and the
-// array Value of a slab entry, live in scratch that the next entry reuses,
-// so apply copies what it keeps — InjectStore copies the entry into the
-// field replica, and a frame of slab rows decodes without allocating per
-// row. The array Value of an element entry is decoded fresh, because a field
-// element keeps the value it is given.
+// The notices are borrowed, like OnStore's: an entry's Sel and its array
+// Value live in scratch that the next entry reuses, so apply copies what it
+// keeps — InjectStore copies the entry into the field replica, and a frame of
+// boxes decodes without allocating per box.
 func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 	c := &frameCursor{buf: frame}
 	ver, err := c.byte()
@@ -263,7 +259,6 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 
 	// The per-frame scratch every entry reuses.
 	var (
-		elem    []int
 		sel     []field.SlabDim
 		scratch field.Array
 	)
@@ -272,65 +267,46 @@ func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
 		if err != nil {
 			return err
 		}
-		sn := StoreNotice{Field: fieldName, Age: age}
-		var v field.Value
-		var n int
-		switch mode {
-		case frameModeElem:
-			rank, err := c.uvarint()
+		if mode != frameModeBox {
+			return fmt.Errorf("%w %d is retired or unknown", errFrameMode, mode)
+		}
+		rank, err := c.uvarint()
+		if err != nil {
+			return err
+		}
+		if rank == 0 || rank > frameMaxRank || rank > uint64(len(frame)-c.off) {
+			return fmt.Errorf("p2g: store frame selector rank %d out of range", rank)
+		}
+		sel = slices.Grow(sel[:0], int(rank))[:rank]
+		for d := range sel {
+			flag, err := c.byte()
 			if err != nil {
 				return err
 			}
-			if rank > frameMaxRank || rank > uint64(len(frame)-c.off) {
-				return fmt.Errorf("p2g: store frame coordinate rank %d out of range", rank)
+			if flag > frameDimOrigin {
+				return fmt.Errorf("p2g: store frame selector flag %d unknown", flag)
 			}
-			elem = slices.Grow(elem[:0], int(rank))[:rank]
-			for d := range elem {
-				x, err := c.varint()
-				if err != nil {
-					return err
-				}
-				elem[d] = int(x)
+			sel[d] = field.SlabDim{Fixed: flag == frameDimFixed}
+			if flag == frameDimFree {
+				continue
 			}
-			sn.Elem = elem
-			v, n, err = field.DecodeWireValue(frame[c.off:])
+			x, err := c.varint()
 			if err != nil {
 				return err
 			}
-		case frameModeSlab:
-			rank, err := c.uvarint()
-			if err != nil {
-				return err
+			if flag != frameDimFixed && x < 0 {
+				return fmt.Errorf("%w: %d", errFrameOrigin, x)
 			}
-			if rank == 0 || rank > frameMaxRank || rank > uint64(len(frame)-c.off) {
-				return fmt.Errorf("p2g: store frame selector rank %d out of range", rank)
-			}
-			sel = slices.Grow(sel[:0], int(rank))[:rank]
-			for d := range sel {
-				fixed, err := c.byte()
-				if err != nil {
-					return err
-				}
-				sel[d] = field.SlabDim{}
-				if fixed != 0 {
-					x, err := c.varint()
-					if err != nil {
-						return err
-					}
-					sel[d] = field.SlabDim{Fixed: true, Index: int(x)}
-				}
-			}
-			sn.Sel = sel
-			v, n, err = field.DecodeWireValueInto(frame[c.off:], &scratch)
-			if err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("p2g: unknown store frame entry mode %d", mode)
+			sel[d].Index = int(x)
+		}
+		sn := StoreNotice{Field: fieldName, Age: age, Sel: sel}
+		v, n, err := field.DecodeWireValueInto(frame[c.off:], &scratch)
+		if err != nil {
+			return err
 		}
 		c.off += n
 		sn.Value = v
-		if err := checkGrowth(sn, noExtent); err != nil {
+		if err := checkGrowth(sn, func(int) int { return 0 }); err != nil {
 			return err
 		}
 		if err := apply(sn); err != nil {

@@ -53,15 +53,31 @@ func randFrameValue(r *rand.Rand) field.Value {
 	}
 }
 
+// cellNotice is the store of v at coordinates idx of a field generation: the
+// one-cell box, every dimension free from its coordinate with extent 1.
+func cellNotice(fieldName string, age int, v field.Value, idx ...int) StoreNotice {
+	sel := make([]field.SlabDim, len(idx))
+	ones := make([]int, len(idx))
+	for d, i := range idx {
+		sel[d], ones[d] = field.SlabDim{Index: i}, 1
+	}
+	cell := field.NewArray(v.Kind(), ones...)
+	cell.SetFlat(v, 0)
+	return StoreNotice{Field: fieldName, Age: age, Sel: sel, Value: field.ArrayVal(cell)}
+}
+
 func randFrameNotice(r *rand.Rand, fieldName string, age int) StoreNotice {
 	sn := StoreNotice{Field: fieldName, Age: age}
 	switch r.Intn(3) {
-	case 0: // element store, rank 0..3
-		rank := r.Intn(4)
-		for d := 0; d < rank; d++ {
-			sn.Elem = append(sn.Elem, r.Intn(100)-5)
+	case 0: // box with origins, rank 1..3
+		a := randFrameArray(r)
+		for d := 0; d < a.Rank(); d++ {
+			if r.Intn(3) == 0 {
+				sn.Sel = append(sn.Sel, field.SlabDim{Fixed: true, Index: r.Intn(8)})
+			}
+			sn.Sel = append(sn.Sel, field.SlabDim{Index: r.Intn(8)})
 		}
-		sn.Value = randFrameValue(r)
+		sn.Value = field.ArrayVal(a)
 	case 1: // whole-field store
 		sn.Whole = true
 		sn.Value = field.ArrayVal(randFrameArray(r))
@@ -86,7 +102,7 @@ func noticesEqual(a, b StoreNotice) bool {
 	if a.Field != b.Field || a.Age != b.Age {
 		return false
 	}
-	if !slices.Equal(a.Elem, b.Elem) || !slices.Equal(a.Sel, b.Sel) {
+	if !slices.Equal(a.Sel, b.Sel) {
 		return false
 	}
 	if a.Value.IsArray() != b.Value.IsArray() {
@@ -101,7 +117,6 @@ func noticesEqual(a, b StoreNotice) bool {
 // keep copies a borrowed notice (see DecodeStoreFrame) so a test can retain
 // it past the apply call.
 func keep(sn StoreNotice) StoreNotice {
-	sn.Elem = slices.Clone(sn.Elem)
 	sn.Sel = slices.Clone(sn.Sel)
 	if a := sn.Value.Array(); a != nil {
 		sn.Value = field.ArrayVal(a.Clone())
@@ -121,7 +136,7 @@ func TestStoreFrameWholeSpelling(t *testing.T) {
 	small := field.ArrayFromUint8([]uint8{1, 2, 3})
 	notices := []StoreNotice{
 		{Field: "f", Age: 3, Whole: true, Value: field.ArrayVal(big)},
-		{Field: "f", Age: 3, Elem: []int{7}, Value: field.Int32Val(42)},
+		cellNotice("f", 3, field.Int32Val(42), 7),
 		{Field: "f", Age: 3, Sel: []field.SlabDim{{Fixed: true, Index: 1}}, Value: field.ArrayVal(small)},
 		{Field: "f", Age: 3, Whole: true, Value: field.ArrayVal(big)},
 	}
@@ -281,7 +296,7 @@ func TestStoreFrameTruncated(t *testing.T) {
 func TestStoreFrameCorrupt(t *testing.T) {
 	var f StoreFrame
 	f.Reset("c", 0)
-	if err := f.Add(StoreNotice{Field: "c", Age: 0, Elem: []int{1}, Value: field.Int32Val(7)}); err != nil {
+	if err := f.Add(cellNotice("c", 0, field.Int32Val(7), 1)); err != nil {
 		t.Fatal(err)
 	}
 	valid := append([]byte(nil), f.Bytes()...)
@@ -300,22 +315,37 @@ func TestStoreFrameCorrupt(t *testing.T) {
 		}
 	}
 	// Corrupt the entry mode byte: header is ver|len|"c"|age, so the mode
-	// byte sits at offset 4. Mode 1, the retired selector-less whole-field
-	// entry, is as unknown as any other.
-	for _, mode := range []byte{77, 1} {
+	// byte sits at offset 4. Modes 0 and 1, the retired element entry and
+	// selector-less whole-field entry, are as unknown as any other.
+	for _, mode := range []byte{77, 1, 0} {
 		bad := append([]byte(nil), valid...)
 		bad[4] = mode
-		if err := DecodeStoreFrame(bad, nop); err == nil {
-			t.Errorf("mode byte %d: decode succeeded", mode)
+		if err := DecodeStoreFrame(bad, nop); !errors.Is(err, errFrameMode) {
+			t.Errorf("mode byte %d: decode returned %v, want errFrameMode", mode, err)
 		}
 	}
-	// Oversized element rank.
+	// Oversized selector rank, an unknown selector flag, and a negative
+	// origin: the entry is mode|rank|flag, origin varint|value, so the flag
+	// sits at offset 6 and the origin at 7.
 	var g StoreFrame
 	g.Reset("c", 0)
 	hdr := len(g.Bytes())
-	overRank := append(append([]byte(nil), valid[:hdr]...), frameModeElem, 0xff, 0xff, 0x7f)
+	overRank := append(append([]byte(nil), valid[:hdr]...), frameModeBox, 0xff, 0xff, 0x7f)
 	if err := DecodeStoreFrame(overRank, nop); err == nil {
 		t.Error("oversized rank: decode succeeded")
+	}
+	if valid[6] != frameDimOrigin || valid[7] != 2 { // origin 1, zigzag-coded
+		t.Fatalf("cell entry encodes as %x", valid)
+	}
+	badFlag := append([]byte(nil), valid...)
+	badFlag[6] = 3
+	if err := DecodeStoreFrame(badFlag, nop); err == nil {
+		t.Error("selector flag 3: decode succeeded")
+	}
+	negative := append([]byte(nil), valid...)
+	negative[7] = 1 // origin -1
+	if err := DecodeStoreFrame(negative, nop); !errors.Is(err, errFrameOrigin) {
+		t.Errorf("negative origin: decode returned %v, want errFrameOrigin", err)
 	}
 	// An apply error stops the decode and propagates.
 	wantErr := fmt.Errorf("stop")
@@ -344,9 +374,10 @@ func TestRemoteGrowthBounded(t *testing.T) {
 	}
 	nop := func(StoreNotice) error { return nil }
 	for name, sn := range map[string]StoreNotice{
-		"element 2^40": {Field: "fi", Age: 1, Elem: []int{1 << 40}, Value: field.Int32Val(1)},
-		"element 2^62": {Field: "fu", Age: 1, Elem: []int{1 << 62, 1 << 62}, Value: field.Int64Val(1)},
-		"slab 2^30":    {Field: "fu", Age: 1, Sel: []field.SlabDim{{Fixed: true, Index: 1 << 30}, {}}, Value: field.ArrayVal(row)},
+		"cell 2^40":   cellNotice("fi", 1, field.Int32Val(1), 1<<40),
+		"cell 2^62":   cellNotice("fu", 1, field.Uint8Val(1), 1<<62, 1<<62),
+		"slab 2^30":   {Field: "fu", Age: 1, Sel: []field.SlabDim{{Fixed: true, Index: 1 << 30}, {}}, Value: field.ArrayVal(row)},
+		"origin+span": {Field: "fi", Age: 1, Sel: []field.SlabDim{{Index: MaxRemoteCells - 4}}, Value: field.ArrayVal(field.NewArray(field.Int32, 8))},
 	} {
 		if err := DecodeStoreFrame(frame(sn), nop); !errors.Is(err, ErrRemoteGrowth) {
 			t.Errorf("%s: DecodeStoreFrame = %v, want ErrRemoteGrowth", name, err)
@@ -363,10 +394,10 @@ func TestRemoteGrowthBounded(t *testing.T) {
 	}
 	// fu(2) holds 2^14 columns; 2^13 rows of it are 2^27 cells, though the
 	// store of row 2^13-1 addresses only 2^13 on its own.
-	if err := n.InjectStore(StoreNotice{Field: "fu", Age: 2, Elem: []int{0, 1<<14 - 1}, Value: field.Int64Val(1)}); err != nil {
+	if err := n.InjectStore(cellNotice("fu", 2, field.Uint8Val(1), 0, 1<<14-1)); err != nil {
 		t.Fatal(err)
 	}
-	tall := StoreNotice{Field: "fu", Age: 2, Elem: []int{1<<13 - 1, 0}, Value: field.Int64Val(1)}
+	tall := cellNotice("fu", 2, field.Uint8Val(1), 1<<13-1, 0)
 	if err := DecodeStoreFrame(frame(tall), nop); err != nil {
 		t.Fatalf("DecodeStoreFrame refused a store within the bound: %v", err)
 	}
@@ -376,7 +407,7 @@ func TestRemoteGrowthBounded(t *testing.T) {
 	if err := n.InjectStore(tall); !errors.Is(err, ErrRemoteGrowth) {
 		t.Errorf("InjectStore of the combined growth = %v, want ErrRemoteGrowth", err)
 	}
-	if err := n.InjectStore(StoreNotice{Field: "fu", Age: 2, Elem: []int{3, 5}, Value: field.Int64Val(1)}); err != nil {
+	if err := n.InjectStore(cellNotice("fu", 2, field.Uint8Val(1), 3, 5)); err != nil {
 		t.Errorf("a store within the grown generation: %v", err)
 	}
 }
@@ -428,14 +459,11 @@ func TestInjectStoreFrameMatchesInjectStore(t *testing.T) {
 	direct, stopDirect := newReceiver(t, prog)
 	framed, stopFramed := newReceiver(t, prog)
 
-	// One generation per (field, addressing mode): element stores into fi,
-	// a whole-field store into ff, slab stores into fu.
+	// One generation per store shape: one-cell boxes into fi, a whole-field
+	// store into ff, rows into fu.
 	var notices []StoreNotice
 	for i := 0; i < 10; i++ {
-		notices = append(notices, StoreNotice{
-			Field: "fi", Age: 0, Elem: []int{i},
-			Value: field.Int32Val(int32(r.Intn(1000))),
-		})
+		notices = append(notices, cellNotice("fi", 0, field.Int32Val(int32(r.Intn(1000))), i))
 	}
 	whole := field.NewArray(field.Float64, 4, 3)
 	for i := 0; i < whole.Len(); i++ {
@@ -493,7 +521,7 @@ func TestInjectStoreFrameMatchesInjectStore(t *testing.T) {
 	// Unknown-field frames surface the InjectStore error.
 	var bad StoreFrame
 	bad.Reset("nope", 0)
-	if err := bad.Add(StoreNotice{Field: "nope", Age: 0, Elem: []int{0}, Value: field.Int32Val(1)}); err != nil {
+	if err := bad.Add(cellNotice("nope", 0, field.Int32Val(1), 0)); err != nil {
 		t.Fatal(err)
 	}
 	n, stop := newReceiver(t, prog)
@@ -527,8 +555,9 @@ func TestInjectStoreFrameMatchesInjectStore(t *testing.T) {
 	if !reflect.DeepEqual(evs["whole"], evs["sel"]) {
 		t.Errorf("analyzer events differ: whole %+v, sel %+v", evs["whole"], evs["sel"])
 	}
-	if !evs["whole"].whole || !evs["whole"].grew {
-		t.Errorf("whole-field store announced as %+v", evs["whole"])
+	var org, span [4]int
+	if ev := evs["whole"]; !ev.grew || !slices.Equal(ev.org.get(&org), []int{0, 0}) || !slices.Equal(ev.span.get(&span), []int{4, 3}) {
+		t.Errorf("whole-field store announced as %+v", ev)
 	}
 	if !snaps["whole"].Equal(whole) || !snaps["sel"].Equal(whole) {
 		t.Errorf("field contents differ: whole %v, sel %v, stored %v", snaps["whole"], snaps["sel"], whole)
@@ -562,13 +591,14 @@ func entryValueBytes(frame []byte) [][]byte {
 		if err != nil || rank > frameMaxRank {
 			return out
 		}
+		if mode != frameModeBox {
+			return out
+		}
 		for d := uint64(0); d < rank; d++ {
-			if mode == frameModeSlab {
-				if fixed, err := c.byte(); err != nil {
-					return out
-				} else if fixed == 0 {
-					continue
-				}
+			if flag, err := c.byte(); err != nil {
+				return out
+			} else if flag == frameDimFree {
+				continue
 			}
 			if _, err := c.varint(); err != nil {
 				return out
@@ -596,7 +626,7 @@ func valueBytes(v field.Value) ([]byte, error) {
 
 // mixedFrames are store frames whose consecutive entries change element
 // class (u8, i32, f64, String, Any), kind within a class (Uint8 and Bool),
-// rank and addressing mode, so a decoder
+// rank and selector shape, so a decoder
 // that reuses scratch across entries would carry a stale shape or class from
 // one entry into the next.
 func mixedFrames(t testing.TB) [][]byte {
@@ -618,20 +648,20 @@ func mixedFrames(t testing.TB) [][]byte {
 	}
 	row := func(i int) []field.SlabDim { return []field.SlabDim{{Fixed: true, Index: i}, {}} }
 	notices := []StoreNotice{
-		{Elem: []int{3, 1}, Value: field.Float64Val(0.5)},
+		cellNotice("", 0, field.Float64Val(0.5), 3, 1),
 		{Sel: row(1), Value: field.ArrayVal(field.ArrayFromUint8([]uint8{7, 8}))},
 		{Sel: []field.SlabDim{{}, {}}, Value: field.ArrayVal(u8)},
 		{Whole: true, Value: field.ArrayVal(i32)},
 		{Sel: row(0), Value: field.ArrayVal(field.ArrayFromInt32([]int32{-1, 1 << 20, 7}))},
 		{Sel: []field.SlabDim{{}, {Fixed: true, Index: 2}, {}, {}}, Value: field.ArrayVal(f64)},
-		{Elem: []int{4}, Value: field.StringVal("s")},
+		cellNotice("", 0, field.StringVal("s"), 4),
 		{Sel: row(2), Value: field.ArrayVal(strs)},
 		{Sel: []field.SlabDim{{}, {}}, Value: field.ArrayVal(anys)},
-		{Elem: []int{0, 0, 1}, Value: field.ArrayVal(field.ArrayFromInt32([]int32{5, 6}))},
+		{Sel: []field.SlabDim{{Fixed: true}, {Index: 3}}, Value: field.ArrayVal(field.ArrayFromInt32([]int32{5, 6}))},
 		{Sel: []field.SlabDim{{}, {}}, Value: field.ArrayVal(field.NewArray(field.Int32, 0, 3))},
 		{Sel: row(3), Value: field.ArrayVal(field.ArrayFromUint8([]uint8{9}))},
 		{Sel: row(4), Value: field.ArrayVal(bools)},
-		{Elem: []int{2, 2}, Value: field.Int32Val(-3)},
+		cellNotice("", 0, field.Int32Val(-3), 2, 2),
 	}
 	reversed := slices.Clone(notices)
 	slices.Reverse(reversed)
@@ -655,8 +685,9 @@ func mixedFrames(t testing.TB) [][]byte {
 // decodes re-encodes to bytes that decode to the same notices. Values are
 // compared through their encoding, byte for byte, because Value.Equal holds a
 // NaN unequal to itself. Seeds are random frames of the round-trip tests,
-// the corruption cases, and frames mixing every element class, rank and
-// addressing mode.
+// the corruption cases, frames mixing every element class, rank and selector
+// shape, and box entries: at an origin, of one cell, at a negative origin and
+// reaching past MaxRemoteCells.
 func FuzzDecodeStoreFrame(f *testing.F) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 8; i++ {
@@ -675,15 +706,21 @@ func FuzzDecodeStoreFrame(f *testing.F) {
 	for _, seed := range [][]byte{
 		{}, {99}, {2, 1, 'c', 0, 1}, {storeFrameVersion, 0xff, 0xff, 0xff, 0x7f},
 		{storeFrameVersion, 40, 'x'}, {storeFrameVersion, 1, 'c', 0, 1},
-		{storeFrameVersion, 1, 'c', 0, frameModeElem, 0xff, 0xff, 0x7f},
+		{storeFrameVersion, 1, 'c', 0, 0, 0xff, 0xff, 0x7f},
 	} {
 		f.Add(seed)
 	}
-	// A coordinate of 2^40 and a selector row of 2^30, which MaxRemoteCells
-	// refuses.
+	// An origin of 2^40 and a selector row of 2^30, which MaxRemoteCells
+	// refuses; then a box at an origin, a one-cell box, a box whose origin
+	// is negative, and one whose origin is within the bound and whose
+	// extent is not.
 	for _, sn := range []StoreNotice{
-		{Field: "c", Elem: []int{1 << 40}, Value: field.Int32Val(7)},
+		cellNotice("c", 0, field.Int32Val(7), 1<<40),
 		{Field: "c", Sel: []field.SlabDim{{Fixed: true, Index: 1 << 30}, {}}, Value: field.ArrayVal(field.NewArray(field.Int32, 4))},
+		{Field: "c", Sel: []field.SlabDim{{Index: 5}, {Fixed: true, Index: 1}, {}}, Value: field.ArrayVal(field.NewArray(field.Float64, 3, 2))},
+		cellNotice("c", 0, field.Uint8Val(9), 2, 7),
+		{Field: "c", Sel: []field.SlabDim{{Index: -3}}, Value: field.ArrayVal(field.NewArray(field.Int64, 2))},
+		{Field: "c", Sel: []field.SlabDim{{Index: MaxRemoteCells - 1}}, Value: field.ArrayVal(field.NewArray(field.Uint8, 2))},
 	} {
 		var fr StoreFrame
 		fr.Reset(sn.Field, 0)

@@ -77,10 +77,10 @@ type Options struct {
 	NoAutoQuiesce bool
 	// OnStore, when set, observes every successful local store with its
 	// data — the publish half of the distributed pub-sub layer. It is
-	// called from worker goroutines. The notice is borrowed: its Sel, Elem
-	// and Value are the worker's own scratch and the kernel's local, valid
-	// only during the call, so OnStore copies what it keeps (the dist
-	// layer encodes it into a store frame).
+	// called from worker goroutines, once per box stored. The notice is
+	// borrowed: its Sel and Value are the worker's scratch and the kernel's
+	// local, valid only during the call, so OnStore copies what it keeps
+	// (the dist layer encodes it into a store frame).
 	OnStore func(StoreNotice)
 	// OnKernelDone, when set, observes every completed local kernel-age —
 	// the producer-done notifications remote nodes need for completeness.
@@ -95,21 +95,19 @@ type Options struct {
 	MergeStores bool
 }
 
-// StoreNotice describes one store operation for distribution to peers.
+// StoreNotice describes one store for distribution to peers: a box of one
+// field generation, its cells in an array.
 type StoreNotice struct {
 	Field string
 	Age   int
-	// Elem is the element coordinates for an element store.
-	Elem []int
 	// Whole marks a whole-field store. It is another spelling of the Sel
 	// that fixes no dimension, which is how InjectStore and StoreFrame.Add
 	// apply and encode it (see normalize).
 	Whole bool
-	// Sel is the slab selector for a slab store (fixed dimensions pinned,
-	// free dimensions covered by the array payload); nil otherwise.
+	// Sel is the box's selector: fixed dimensions pinned, free dimensions
+	// spanning the payload's extents from their origins (see field.SlabDim).
 	Sel []field.SlabDim
-	// Value carries the element value, or the whole/slab array (as an array
-	// value) for whole-field and slab stores.
+	// Value carries the box's cells as an array value.
 	Value field.Value
 }
 
@@ -191,8 +189,9 @@ type Node struct {
 	// start so stamps double as span timestamps; stamp gates the stamping
 	// work entirely (false = tracing and stage metrics both off, the
 	// allocation-free zero-overhead path).
-	clock time.Time
-	stamp bool
+	clock   time.Time
+	stamp   bool
+	started time.Time // Run's start when stamping: each worker's first mark
 	// hIdle accumulates per-worker blocked-on-empty-queue time; together
 	// with the per-kernel busy stages it makes attribution sum to the run's
 	// worker-seconds (Report.Stages).
@@ -419,15 +418,16 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 				maxSel = max(maxSel, len(sp.slab))
 			default:
 				sp.terms = compileIndex(ss.Index, kd.IndexVars)
+				sp.boxed = boxImage(sp.terms, len(kd.IndexVars))
 				if len(sp.terms) > maxIdx {
 					maxIdx = len(sp.terms)
 				}
 			}
 			ks.storePlans[i] = sp
 		}
-		kd, nIdx, nSel := kd, maxIdx, maxSel
+		kd, ks, nIdx, nSel := kd, ks, maxIdx, maxSel
 		ks.newFrame = func() *execFrame {
-			return &execFrame{
+			fr := &execFrame{
 				ctx:    core.NewReusableCtx(kd, n.timers, n.out),
 				coords: make([]int, len(kd.IndexVars)),
 				idx:    make([]int, nIdx),
@@ -435,6 +435,10 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 				pins:   make([]viewPin, len(kd.Fetches)),
 				staged: make([]stagedStores, len(kd.Stores)),
 			}
+			for i := range fr.staged {
+				fr.staged[i].box.ResetEmpty(ks.storePlans[i].fs.decl.Kind, 1)
+			}
+			return fr
 		}
 	}
 	// Which store events concern the analyzer (fieldState.analyzed). Remote
@@ -457,7 +461,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 // slice (one row of them per instance in lockstep), coordinate and
 // slab-selector scratch sized for the kernel's largest index expressions,
 // and the two per-slice hoists — one generation pin per fetch and one
-// staging list per store.
+// staging box per store.
 type execFrame struct {
 	ctx    *core.Ctx
 	coords []int
@@ -469,8 +473,14 @@ type execFrame struct {
 	// aliased slabs anymore.
 	pins []viewPin
 	// staged holds, per store plan, the element stores of the slice's
-	// instances until the slice applies them under one field lock.
+	// instances until the slice writes them as boxes under one field lock.
 	staged []stagedStores
+	// flushStaged's scratch: the index boxes of the staged runs, their
+	// StoreBoxes selectors and extents, and the array publishing a box.
+	cut    []cellRun
+	boxSel []field.SlabDim
+	boxExt []int
+	cells  field.Array
 }
 
 // viewPin is one fetch's generation pin for the running slice; ok is false
@@ -481,17 +491,22 @@ type viewPin struct {
 	ok  bool
 }
 
-// stagedStores is one element-store statement's output over a slice:
-// vals[i] goes to coordinates idx[i*rank:(i+1)*rank] of one generation.
+// stagedStores is one element-store statement's output over a slice: the
+// stored values, typed as the field's elements, in box — n of them, one per
+// instance of the runs [lo, hi) of slice positions in spans, in slice order.
 type stagedStores struct {
-	idx  []int
-	vals []field.Value
+	box   field.Array
+	n     int
+	spans [][2]int
 }
 
 // Run executes the program to quiescence and returns the instrumentation
 // report. Run may be called once per node.
 func (n *Node) Run() (*Report, error) {
 	start := time.Now()
+	if n.stamp {
+		n.started = start
+	}
 	for i := 0; i < n.opts.Workers; i++ {
 		n.wg.Add(1)
 		go n.worker(i)
@@ -600,17 +615,14 @@ func (n *Node) applyStore(sn StoreNotice) (event, error) {
 	if err != nil {
 		return event{}, err
 	}
-	ev := event{fs: fs, age: sn.Age, whole: sn.Sel != nil}
-	if sn.Sel == nil {
-		ev.elem.set(sn.Elem)
-	}
+	ev := event{fs: fs, age: sn.Age}
+	ev.setBox(sn.Sel, sn.Value.Array())
 	ev.setGrowth(&res)
 	return ev, nil
 }
 
-// ApplyStore writes one remote store notice into f, the replica of the
-// notice's field: a slab store when the notice has a selector (or is Whole),
-// an element store otherwise. A store that would grow its generation past
+// ApplyStore writes one remote store notice, a box, into f, the replica of
+// the notice's field. A store that would grow its generation past
 // MaxRemoteCells is refused with ErrRemoteGrowth. The notice may be borrowed
 // (see DecodeStoreFrame): the field copies what it keeps.
 func ApplyStore(f *field.Field, sn StoreNotice) (field.StoreResult, error) {
@@ -618,14 +630,28 @@ func ApplyStore(f *field.Field, sn StoreNotice) (field.StoreResult, error) {
 	if err := checkGrowth(sn, func(d int) int { return f.Extent(sn.Age, d) }); err != nil {
 		return field.StoreResult{}, err
 	}
-	if sn.Sel == nil {
-		return f.Store(sn.Age, sn.Value, sn.Elem...)
-	}
 	arr := sn.Value.Array()
-	if arr == nil {
-		return field.StoreResult{}, fmt.Errorf("p2g: remote slab store to %q without array payload", sn.Field)
+	if sn.Sel == nil || arr == nil {
+		return field.StoreResult{}, fmt.Errorf("p2g: remote store to %q without a selector and an array payload", sn.Field)
 	}
 	return f.StoreSlice(sn.Age, sn.Sel, arr)
+}
+
+// setBox records on the event the box a store covered: per dimension a fixed
+// coordinate spanning 1, or an origin spanning the next extent of cells.
+func (ev *event) setBox(sel []field.SlabDim, cells *field.Array) {
+	var orgBuf, spanBuf [4]int
+	org, span := orgBuf[:0], spanBuf[:0]
+	j := 0
+	for _, sd := range sel {
+		n := 1
+		if !sd.Fixed {
+			n, j = cells.Extent(j), j+1
+		}
+		org, span = append(org, sd.Index), append(span, n)
+	}
+	ev.org.set(org)
+	ev.span.set(span)
 }
 
 // setGrowth records a store's growth, and the extents it grew to, on the
@@ -746,6 +772,11 @@ type workerState struct {
 	// timeSampleEvery, paced by tick.
 	timeAll bool
 	tick    uint
+	// mark is the worker's last stamp under timeAll (its last slice's or idle
+	// wait's end, Run's start before). What it does between stamps — the
+	// done event, pin releases, the pop, the event flush — counts toward the
+	// next interval, so stages tile its time even where the OS deschedules it.
+	mark time.Time
 	// stages gathers the running slice's per-instance stage timings; they
 	// reach the shared histograms once per slice (flushStages).
 	stages struct{ queue, fetch, exec, store obs.HistogramBatch }
@@ -761,7 +792,7 @@ type workerState struct {
 const timeSampleEvery = 8
 
 func newWorkerState(n *Node, id int) *workerState {
-	return &workerState{n: n, id: id, buf: getEventBuf(), timeAll: n.stamp, frames: make([]*execFrame, len(n.order))}
+	return &workerState{n: n, id: id, buf: getEventBuf(), timeAll: n.stamp, mark: n.started, frames: make([]*execFrame, len(n.order))}
 }
 
 // emit buffers one analyzer event, flushing at the batching threshold. The
@@ -813,14 +844,13 @@ func (n *Node) worker(id int) {
 		b, ok := n.sched.TryPop()
 		if !ok {
 			w.flush()
-			if n.hIdle.enabled() {
-				// Blocked on an empty queue: the idle stage of the
+			b, ok = n.sched.Pop()
+			if w.timeAll {
+				// Out of work since the last stamp: the idle stage of the
 				// attribution report (worker-seconds not spent dispatching).
-				idleFrom := time.Now()
-				b, ok = n.sched.Pop()
-				n.hIdle.Observe(time.Since(idleFrom))
-			} else {
-				b, ok = n.sched.Pop()
+				now := time.Now()
+				n.hIdle.Observe(now.Sub(w.mark))
+				w.mark = now
 			}
 			if !ok {
 				return
@@ -832,10 +862,11 @@ func (n *Node) worker(id int) {
 
 // execSlice runs one slice — instances of one kernel-age — as a unit. Once
 // per slice: check out the kernel's frame, pin every viewable fetch's
-// generation, apply the staged element stores of all instances under one
-// field lock per store statement, and send one done event carrying the slice.
-// Per instance: alias views and read elements out of the pins, run the body,
-// apply slab stores and stage element stores — unless the kernel has a
+// generation, alias its whole-field fetches, write the staged element stores
+// of all instances as boxes under one field lock per store statement, and
+// send one done event carrying the slice. Per instance: alias slab views and
+// read elements out of the pins, run the body, apply slab stores and stage
+// element stores — unless the kernel has a
 // slice body and the slice is long enough for it (minLockstepInsts and
 // the kernel's own SliceMin), in which case the bodies are one call
 // (lockstep). Dispatch time (everything but the bodies) and kernel time (the
@@ -876,11 +907,14 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 	}
 
 	// cur holds the stamps of the instance in flight. Its start is the end of
-	// the instance before it — the slice's start for the first, so pinning
-	// counts as that instance's fetch time — and the last instance ends with
-	// the slice, so the batched stores count as its store time: every
-	// nanosecond of the slice lands in some instance's stage.
+	// the instance before it — the worker's last stamp for the first, so the
+	// pop and the pinning count as that instance's fetch time — and the last
+	// instance ends with the slice, so the batched stores count as its store
+	// time: every nanosecond of the worker lands in some stage.
 	cur := instStamps{start: start}
+	if w.timeAll && !w.mark.IsZero() {
+		cur.start = w.mark
+	}
 	// coords and readyNs are the instance in flight; observe marks one that
 	// ran and has not been observed yet.
 	var coords []int
@@ -902,7 +936,7 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 		}
 		coords, readyNs = b.inst(i, fr.coords)
 		ctx.Reset(t.age, coords)
-		if !n.fetchInst(t, coords, fr, true) {
+		if !n.fetchInst(t, coords, fr, i == 0) {
 			break
 		}
 		if timed {
@@ -919,14 +953,14 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", kd.Name, t.age, err))
 			break
 		}
-		st, ok := n.storeInst(t, coords, fr, w)
+		st, ok := n.storeInst(t, b, i, coords, fr, w)
 		stores += st
 		if !ok {
 			break
 		}
 		stopped = stopped || ctx.Stopped()
 	}
-	stores += n.flushStaged(t, fr, w)
+	stores += n.flushStaged(t, b, fr, w)
 	ks.instances.Add(int64(ran))
 	ks.slices.Add(1)
 	ks.storeOps.Add(int64(stores))
@@ -939,6 +973,7 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 				n.observeLockstep(t, b, fr.coords, ran, w, cur)
 			}
 		}
+		w.mark = cur.end
 		ks.timedInsts.Add(int64(ran))
 		ks.observeCost(cur.end.Sub(start), ran)
 		ks.dispatchNs.Add(int64(cur.end.Sub(start) - bodyNs))
@@ -1012,7 +1047,7 @@ func (n *Node) lockstep(t *ageTracker, b *batch, fr *execFrame, w *workerState, 
 	for r := 0; r < rows; r++ {
 		ctx.Row(r)
 		coords, _ := b.inst(r, fr.coords[r*rank:])
-		st, ok := n.storeInst(t, coords, fr, w)
+		st, ok := n.storeInst(t, b, r, coords, fr, w)
 		stores += st
 		if !ok {
 			break
@@ -1053,9 +1088,11 @@ func (n *Node) observeLockstep(t *ageTracker, b *batch, coords []int, ran int, w
 // fetchInst performs one instance's fetches into the frame's context: views
 // aliased and elements read out of the slice's pins (copies and locked reads
 // where a generation could not be pinned). alias is false when an earlier
-// row of the same slice has already filled the context's whole-field fetch
-// arrays, which every row shares. It reports false after failing the run when an element
-// the analyzer saw written is missing.
+// instance of the same slice has already filled the context's whole-field
+// fetch arrays, which every instance and row shares: one is filled again
+// only when it is no longer a view — a body's copy-on-write detached it, or
+// it is a copy. It reports false after failing the run when an element the
+// analyzer saw written is missing.
 func (n *Node) fetchInst(t *ageTracker, coords []int, fr *execFrame, alias bool) bool {
 	ks := t.ks
 	ctx := fr.ctx
@@ -1065,7 +1102,7 @@ func (n *Node) fetchInst(t *ageTracker, coords []int, fr *execFrame, alias bool)
 		switch {
 		case fp.slab != nil:
 			dst := ctx.FetchDestAt(fp.local)
-			if alias || !noneFixed(fp.slab) {
+			if alias || !noneFixed(fp.slab) || !dst.Backing().Shared {
 				sel := evalSel(fr.sel[:len(fp.slab)], fp.slab, coords)
 				if pin := &fr.pins[i]; !pin.ok || !pin.tok.Slice(sel, dst) {
 					fp.fs.f.FetchSlice(g, sel, dst)
@@ -1091,27 +1128,31 @@ func (n *Node) fetchInst(t *ageTracker, coords []int, fr *execFrame, alias bool)
 	return true
 }
 
-// storeInst handles one instance's store statements after its body: slab
-// stores, whole-field ones among them, are applied at once (their source
-// arrays are the context's reusable locals), element stores are staged for
-// flushStaged. It returns the number of slab stores applied and false after
-// failing the run on a store error.
-func (n *Node) storeInst(t *ageTracker, coords []int, fr *execFrame, w *workerState) (int, bool) {
+// storeInst handles the store statements of instance i of slice b after its
+// body: slab stores, whole-field ones among them, are applied at once (their
+// source arrays are the context's reusable locals) and published as one box
+// each; element stores are staged, typed, for flushStaged. It returns the
+// number of slab stores applied and false after failing the run on a store
+// error.
+func (n *Node) storeInst(t *ageTracker, b *batch, i int, coords []int, fr *execFrame, w *workerState) (int, bool) {
 	ks := t.ks
 	ctx := fr.ctx
 	stores := 0
-	for i := range ks.storePlans {
-		sp := &ks.storePlans[i]
+	for j := range ks.storePlans {
+		sp := &ks.storePlans[j]
 		if !ctx.BoundAt(sp.local) {
 			continue
 		}
 		val := ctx.LocalValue(sp.local)
 		if sp.terms != nil {
-			st := &fr.staged[i]
-			n0 := len(st.idx)
-			st.idx = append(st.idx, make([]int, len(sp.terms))...)
-			evalTerms(st.idx[n0:], sp.terms, coords)
-			st.vals = append(st.vals, val)
+			st := &fr.staged[j]
+			st.box.Append(val)
+			st.n++
+			if k := len(st.spans) - 1; k >= 0 && st.spans[k][1] == i {
+				st.spans[k][1]++
+			} else {
+				st.spans = append(st.spans, [2]int{i, i + 1})
+			}
 			continue
 		}
 		g := sp.ss.Age.Eval(t.age)
@@ -1125,11 +1166,9 @@ func (n *Node) storeInst(t *ageTracker, coords []int, fr *execFrame, w *workerSt
 		if n.opts.OnStore != nil {
 			n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Sel: sel, Value: val})
 		}
-		// A slab store covers a sub-region at once; the analyzer handles it
-		// as a whole store (its sweep re-checks element fetches against
-		// field contents).
 		if sp.fs.analyzed(res.Grew) {
-			ev := event{fs: sp.fs, age: g, whole: true}
+			ev := event{fs: sp.fs, age: g}
+			ev.setBox(sel, val.Array())
 			ev.setGrowth(&res)
 			w.emit(&ev)
 		}
@@ -1137,50 +1176,80 @@ func (n *Node) storeInst(t *ageTracker, coords []int, fr *execFrame, w *workerSt
 	return stores, true
 }
 
-// flushStaged applies the slice's staged element stores — one StoreElems,
-// hence one field lock, per store statement — and then publishes them exactly
-// as per-instance stores would have been: one OnStore notice and one analyzer
-// event per element. Growth is reported on the first event; the analyzer's
-// growth and satisfaction handling is idempotent, so the order among a
-// slice's events does not matter. It returns the number of element stores
-// applied; a store error fails the run.
-func (n *Node) flushStaged(t *ageTracker, fr *execFrame, w *workerState) int {
+// flushStaged writes the slice's staged element stores: per store statement,
+// its boxes (stageBoxes) with one StoreBoxes — one field lock — and then, per
+// box, one OnStore notice and, when the analyzer needs it, one event, the
+// first carrying the statement's growth. It returns the number of element
+// stores applied; a store error fails the run.
+func (n *Node) flushStaged(t *ageTracker, b *batch, fr *execFrame, w *workerState) int {
 	ks := t.ks
 	stores := 0
 	for i := range fr.staged {
 		st := &fr.staged[i]
-		if len(st.vals) == 0 {
+		if st.n == 0 {
 			continue
 		}
 		sp := &ks.storePlans[i]
 		g := sp.ss.Age.Eval(t.age)
-		res, err := sp.fs.f.StoreElems(g, st.idx, st.vals)
+		sels, ext := fr.stageBoxes(sp, b, st)
+		res, err := sp.fs.f.StoreBoxes(g, sels, ext, &st.box)
 		if err != nil {
 			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
 		} else {
-			stores += len(st.vals)
-			rank := len(sp.terms)
-			for j, v := range st.vals {
-				idx := st.idx[j*rank : (j+1)*rank]
+			stores += st.n
+			rank, from := len(sp.terms), 0
+			for k := 0; k < len(sels); k += rank {
+				sel, span := sels[k:k+rank], ext[k:k+rank]
+				fr.cells.Window(&st.box, from, span)
+				from += boxCells(span)
 				if n.opts.OnStore != nil {
-					n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Elem: idx, Value: v})
+					n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Sel: sel, Value: field.ArrayVal(&fr.cells)})
 				}
-				// The first event carries the slice's growth.
-				if sp.fs.analyzed(j == 0 && res.Grew) {
+				if sp.fs.analyzed(k == 0 && res.Grew) {
 					ev := event{fs: sp.fs, age: g}
-					if j == 0 {
+					if k == 0 {
 						ev.setGrowth(&res)
 					}
-					ev.elem.set(idx)
+					ev.setBox(sel, &fr.cells)
 					w.emit(&ev)
 				}
 			}
 		}
-		clear(st.vals) // staged values may reference strings or objects
-		st.vals = st.vals[:0]
-		st.idx = st.idx[:0]
+		// Reset the box, which also drops staged strings and objects.
+		st.box.ResetEmpty(sp.fs.decl.Kind, 1)
+		st.n, st.spans = 0, st.spans[:0]
 	}
 	return stores
+}
+
+// stageBoxes returns the boxes of a statement's staged cells, cell order
+// kept, as StoreBoxes selectors and extents in the frame's scratch: each span
+// of instances cut into index boxes (cutRun) — one per cell unless the
+// statement's image is a box (storePlan.boxed) — mapped through its terms.
+// Every dimension is free; a literal spans one cell from its origin.
+func (fr *execFrame) stageBoxes(sp *storePlan, b *batch, st *stagedStores) ([]field.SlabDim, []int) {
+	run := &b.run
+	fr.cut = fr.cut[:0]
+	for _, s := range st.spans {
+		for lo, hi := s[0], s[0]+1; lo < s[1]; lo, hi = hi, hi+1 {
+			if sp.boxed {
+				hi = s[1]
+			}
+			fr.cut = cutRun(fr.cut, run.ext[:run.rank], run.lo+lo, run.lo+hi)
+		}
+	}
+	sels, ext := fr.boxSel[:0], fr.boxExt[:0]
+	for _, box := range fr.cut {
+		for _, tm := range sp.terms {
+			o, e := tm.off, 1
+			if tm.v >= 0 {
+				o, e = run.org[tm.v]+box.org[tm.v]+tm.off, box.ext[tm.v]
+			}
+			sels, ext = append(sels, field.SlabDim{Index: o}), append(ext, e)
+		}
+	}
+	fr.boxSel, fr.boxExt = sels, ext
+	return sels, ext
 }
 
 // instStamps are the four stamps of one instance on a worker: start (fetch

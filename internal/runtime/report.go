@@ -148,10 +148,9 @@ func (s *StageTotals) AttributedNs() int64 { return s.BusyNs() + s.IdleNs }
 
 // Coverage reports the fraction of the run's worker-seconds (wall × Workers)
 // the worker-clock stages attribute; close to 1.0 means the stage model
-// explains the run. When Workers exceeds GOMAXPROCS the denominator
-// over-counts the CPU actually available — time a worker spends runnable but
-// descheduled lands in no stage — so coverage is only a tight bound when the
-// host has a core per worker.
+// explains the run. A worker's stamps tile its time from Run's start
+// (workerState.mark), so time it spends runnable but descheduled lands in
+// the stage it was descheduled in, on a loaded host too.
 func (s *StageTotals) Coverage(wall time.Duration) float64 {
 	denom := float64(wall.Nanoseconds()) * float64(s.Workers)
 	if denom <= 0 {

@@ -178,7 +178,7 @@ func TestFieldSlab(t *testing.T) {
 	f := field.New("m", field.Int32, 2, true)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
-			if _, err := f.Store(0, field.Int32Val(int32(i*10+j)), i, j); err != nil {
+			if _, err := storeCell(f, 0, field.Int32Val(int32(i*10+j)), i, j); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -426,12 +426,15 @@ func TestSliceStoresGrowExtent(t *testing.T) {
 
 // TestSliceNonContiguousCoordinates: a slice of a rank-2 kernel that stores
 // transposed writes scattered, non-monotone coordinates in one batch (and
-// grows both dimensions doing so); the result must equal the transpose.
+// grows both dimensions doing so), one-cell boxes; the result must equal the
+// transpose. The same slice's untransposed copy, whose image is a box, goes
+// out as at most 3 boxes (a partial row, whole rows, a partial row).
 func TestSliceNonContiguousCoordinates(t *testing.T) {
 	const rows, cols = 5, 7
 	b := core.NewBuilder("transpose")
 	b.Field("in", field.Int32, 2, true)
 	b.Field("out", field.Int32, 2, true)
+	b.Field("same", field.Int32, 2, true)
 	b.Kernel("init").
 		Local("vals", field.Int32, 2).
 		StoreAll("in", core.AgeAt(0), "vals").
@@ -447,6 +450,7 @@ func TestSliceNonContiguousCoordinates(t *testing.T) {
 		Local("v", field.Int32, 0).
 		Fetch("v", "in", core.AgeVar(0), core.Idx("x"), core.Idx("y")).
 		Store("out", core.AgeVar(0), []core.IndexSpec{core.Idx("y"), core.Idx("x")}, "v").
+		Store("same", core.AgeVar(0), []core.IndexSpec{core.Idx("x"), core.Idx("y")}, "v").
 		Body(func(c *core.Ctx) error {
 			c.SetInt32("v", c.Int32("v"))
 			return nil
@@ -457,7 +461,14 @@ func TestSliceNonContiguousCoordinates(t *testing.T) {
 	}
 	for _, size := range []int{1, 4, 11, rows * cols} {
 		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
-			n, err := NewNode(prog, Options{Workers: 2, MaxAge: 0, Granularity: map[string]int{"flip": size}})
+			var mu sync.Mutex
+			notices := map[string]int{}
+			n, err := NewNode(prog, Options{Workers: 2, MaxAge: 0, Granularity: map[string]int{"flip": size},
+				OnStore: func(sn StoreNotice) {
+					mu.Lock()
+					notices[sn.Field]++
+					mu.Unlock()
+				}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -465,8 +476,15 @@ func TestSliceNonContiguousCoordinates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := rep.Kernel("flip").Instances; got != rows*cols {
-				t.Fatalf("flip ran %d instances, want %d", got, rows*cols)
+			k := rep.Kernel("flip")
+			if k.Instances != rows*cols {
+				t.Fatalf("flip ran %d instances, want %d", k.Instances, rows*cols)
+			}
+			if notices["out"] != rows*cols || notices["same"] > 3*int(k.Slices) {
+				t.Errorf("%d notices for out, %d for same in %d slices; want one per cell and at most 3 per slice", notices["out"], notices["same"], k.Slices)
+			}
+			if same, _ := n.Snapshot("same", 0); !same.Equal(n.fields["in"].f.Snapshot(0)) {
+				t.Errorf("same(0) = %v, want in(0)", same)
 			}
 			out, err := n.Snapshot("out", 0)
 			if err != nil {
@@ -501,7 +519,7 @@ func TestSliceMergeStoresReplay(t *testing.T) {
 	}
 	// The replayed part of p_data(0): what mul2 will compute again.
 	for _, x := range []int{3, 4, 5, 20, 39} {
-		if _, err := n.fields["p_data"].f.Store(0, field.Int32Val(int32(x+10)*2), x); err != nil {
+		if _, err := storeCell(n.fields["p_data"].f, 0, field.Int32Val(int32(x+10)*2), x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -520,7 +538,7 @@ func TestSliceMergeStoresReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.fields["p_data"].f.Store(0, field.Int32Val(1), 20); err != nil {
+	if _, err := storeCell(n.fields["p_data"].f, 0, field.Int32Val(1), 20); err != nil {
 		t.Fatal(err)
 	}
 	_, err = runOrTimeout(t, n)
@@ -536,7 +554,8 @@ func TestSliceMergeStoresReplay(t *testing.T) {
 // comes out of the pool. The bursts are a 512-cell element-fetch burst whose
 // elements are all written (satisfied for the whole burst at once), the same
 // burst of a slab-only kernel, and an element-fetch burst whose cells are
-// satisfied one store event at a time, which must still extend one run.
+// satisfied one one-cell box event at a time, which must still extend one
+// run.
 func TestSliceCarveReleaseAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -545,7 +564,7 @@ func TestSliceCarveReleaseAllocFree(t *testing.T) {
 	n, elem, _ := benchNode(t, true)
 	in := n.fields["in"].f
 	for x := 1; x < cells; x++ { // benchNode stored element 0
-		if _, err := in.Store(0, field.Int32Val(int32(x)), x); err != nil {
+		if _, err := storeCell(in, 0, field.Int32Val(int32(x)), x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -558,7 +577,8 @@ func TestSliceCarveReleaseAllocFree(t *testing.T) {
 	ce := pn.fields["in"].consumers[0]
 	burst := cellRun{rank: 1, hi: cells}
 	burst.ext[0] = cells
-	var elemBuf [1]int
+	var org, one [1]int
+	one[0] = 1
 	for _, tc := range []struct {
 		name string
 		n    *Node
@@ -576,8 +596,8 @@ func TestSliceCarveReleaseAllocFree(t *testing.T) {
 			tr.waiting, tr.nwait = extend(tr.waiting[:0], 0, burst), cells
 			tr.total += cells
 			for x := 0; x < cells; x++ {
-				elemBuf[0] = x
-				an.satisfyElem(tr, ce, elemBuf[:])
+				org[0] = x
+				an.satisfyBox(tr, &ce, org[:], one[:])
 			}
 			if tr.nwait != 0 || len(tr.waiting) != 0 {
 				t.Fatalf("per-cell: %d cells still waiting in %v", tr.nwait, tr.waiting)

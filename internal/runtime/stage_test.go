@@ -46,10 +46,11 @@ func busyProgram(t testing.TB, spin time.Duration) *core.Program {
 
 // TestStageAttributionCoverage checks the tentpole acceptance bound: the
 // worker-clock stages (fetch, exec, store, idle) attribute nearly all of the
-// run's worker-seconds. One worker keeps the run unoversubscribed on any
-// host (see the Coverage doc: runnable-but-descheduled time is invisible),
-// and the spin keeps per-instance work two orders above timer overhead, so
-// the bound is stable even on single-core CI machines.
+// run's worker-seconds. The worker's stamps tile its time, so the pop and
+// the event flush between slices — where a loaded host preempts it, the
+// flush having woken the analyzer — count too (see the Coverage doc), and
+// the spin keeps per-instance work two orders above timer overhead, so the
+// bound holds with other test packages running alongside.
 func TestStageAttributionCoverage(t *testing.T) {
 	t.Run("per instance", func(t *testing.T) {
 		stageCoverage(t, busyProgram(t, 100*time.Microsecond), Options{})
@@ -103,6 +104,29 @@ func stageCoverage(t *testing.T, p *core.Program, opts Options) *Report {
 		t.Errorf("instance-clock stages negative: ready %d queue %d", s.ReadyWaitNs, s.QueueWaitNs)
 	}
 	return rep
+}
+
+// diagonalMul is mul2 of wideMulSum storing m_data(a)[x]*2 on the diagonal,
+// p_data(a)[x][x]: the image of a run of x is no box of p_data, so its
+// stores go out one cell each.
+func diagonalMul(t testing.TB, width int, _ func(c *core.Ctx) error) *core.Program {
+	t.Helper()
+	b := core.NewBuilder("diagonal")
+	b.Field("m_data", field.Int32, 1, true)
+	b.Field("p_data", field.Int32, 2, true)
+	b.Kernel("mul2").Age("a").Index("x").
+		Local("v", field.Int32, 0).
+		Fetch("v", "m_data", core.AgeVar(0), core.Idx("x")).
+		Store("p_data", core.AgeVar(0), []core.IndexSpec{core.Idx("x"), core.Idx("x")}, "v").
+		Body(func(c *core.Ctx) error {
+			c.SetInt32("v", 2*c.Int32("v"))
+			return nil
+		})
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestStageMetricsSurface checks the per-kernel stage histograms land in the
@@ -159,8 +183,10 @@ func TestAnalyzerSaturatedHeuristic(t *testing.T) {
 // allocate — the stage timers have to stay entirely behind the n.stamp gate —
 // whether the slice is one instance reading its element under the field lock
 // (the generation is not complete, so it cannot be pinned), a run of element
-// fetches read through the slice's pin, or a run of row fetches; a run's
-// coordinates decode into the frame's scratch.
+// fetches read through the slice's pin whose element stores go out as one
+// box, a run whose element stores land on a diagonal and go out as one-cell
+// boxes, or a run of row fetches; a run's coordinates decode into the
+// frame's scratch. An OnStore counter sees the boxes.
 func TestDispatchTracingOffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -172,8 +198,10 @@ func TestDispatchTracingOffAllocFree(t *testing.T) {
 	const rows = 8
 	run := cellRun{rank: 1, hi: rows}
 	run.ext[0] = rows
+	notices := 0
+	count := func(StoreNotice) { notices++ }
 	mulSum := func(prog func(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Program, shape ...int) (*Node, func(w *workerState) func()) {
-		rn, err := NewNode(prog(t, rows, nil), Options{Workers: 1, MergeStores: true})
+		rn, err := NewNode(prog(t, rows, nil), Options{Workers: 1, MergeStores: true, OnStore: count})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,15 +224,18 @@ func TestDispatchTracingOffAllocFree(t *testing.T) {
 		}
 	}
 	en, elemRun := mulSum(wideMulSum, rows)
+	dn, diagRun := mulSum(diagonalMul, rows)
 	rn, rowRun := mulSum(wideMulSumRows, rows, 1)
 	for _, tc := range []struct {
-		name string
-		n    *Node
-		exec func(w *workerState) func()
+		name    string
+		n       *Node
+		exec    func(w *workerState) func()
+		notices int // per slice
 	}{
-		{"locked element", n, func(w *workerState) func() { return sliceOfOne(n, tr, cell, w) }},
-		{"pinned elements", en, elemRun},
-		{"rows", rn, rowRun},
+		{"locked element", n, func(w *workerState) func() { return sliceOfOne(n, tr, cell, w) }, 0},
+		{"pinned elements, one box", en, elemRun, 1},
+		{"diagonal, one-cell boxes", dn, diagRun, rows},
+		{"rows", rn, rowRun, rows},
 	} {
 		if tc.n.stamp {
 			t.Fatal("node without observability has stamping enabled")
@@ -212,6 +243,7 @@ func TestDispatchTracingOffAllocFree(t *testing.T) {
 		w := newWorkerState(tc.n, 0)
 		exec := tc.exec(w)
 		exec() // warm the frame pool
+		notices = 0
 		allocs := testing.AllocsPerRun(200, func() {
 			w.buf = w.buf[:0]
 			exec()
@@ -219,6 +251,12 @@ func TestDispatchTracingOffAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: tracing-off dispatch allocates %.1f objects/op, want 0", tc.name, allocs)
 		}
+		if want := 201 * tc.notices; notices != want {
+			t.Errorf("%s: %d store notices in 201 slices, want %d", tc.name, notices, want)
+		}
+	}
+	if p := dn.fields["p_data"].f; p.Writes(0) != rows || p.Extent(0, 1) != rows {
+		t.Errorf("diagonal store: %d writes to p_data(0) of extents %v, want the %d-cell diagonal", p.Writes(0), p.Extents(0), rows)
 	}
 	if got := en.kernels["mul2"].ownInstances(); got != 202*rows {
 		t.Errorf("element slices ran %d instances, want %d", got, 202*rows)

@@ -177,6 +177,27 @@ type storePlan struct {
 	local int        // position of ss.Local in the kernel's Locals
 	terms []idxTerm  // element stores
 	slab  []slabTerm // slab and whole-field stores (nil otherwise)
+	// boxed marks an element store that maps boxes of instances onto boxes
+	// of the field in cell order (boxImage); else each cell is its own box.
+	boxed bool
+}
+
+// boxImage reports whether element-store terms map every box of a kernel's
+// vars index variables onto a field box in cell order: each variable once, in
+// declaration order, beside literals. A repeated one ([x][x]) maps onto a
+// diagonal, a missing one many cells onto one, swapped ones transpose.
+func boxImage(terms []idxTerm, vars int) bool {
+	next := 0
+	for _, tm := range terms {
+		if tm.v < 0 {
+			continue
+		}
+		if tm.v != next {
+			return false
+		}
+		next++
+	}
+	return next == vars
 }
 
 // kernelState is the per-kernel runtime state: the static plan derived from
@@ -317,8 +338,8 @@ type ageTracker struct {
 	mask uint32
 	// waiting lists the created cells that are not ready, nwait of them;
 	// until there are cells, a waiting run's readyNs is its creation stamp.
-	// A cell readied on its own (satisfyElem) stays listed until the next
-	// sweep drops it; its full cells entry tells it apart.
+	// A cell readied on its own (satisfyCell) stays listed until the list
+	// empties; its full cells entry tells it apart.
 	waiting []cellRun
 	nwait   int
 	// cells holds, per cell of box(extents) in row-major order, the element
@@ -538,6 +559,39 @@ func boxCells(ext []int) int {
 		p *= e
 	}
 	return p
+}
+
+// cutRun appends to out the boxes, in cell order, that cells [lo, hi) of
+// box(ext) (row-major positions) fall into, as whole-box runs relative to its
+// origin: from each first cell, the most whole trailing dimensions that start
+// there and fit, times as many steps of the one before as fit. At rank 2: a
+// partial row, whole rows, a partial row; rank 0 is one cell.
+func cutRun(out []cellRun, ext []int, lo, hi int) []cellRun {
+	rank := len(ext)
+	if rank == 0 {
+		return append(out, cellRun{hi: 1})
+	}
+	for lo < hi {
+		b := cellRun{rank: rank}
+		for d, k := rank-1, lo; d >= 0; d-- {
+			b.org[d], k = k%ext[d], k/ext[d]
+		}
+		d, block := rank-1, 1
+		for ; d > 0 && b.org[d] == 0 && lo+block*ext[d] <= hi; d-- {
+			block *= ext[d]
+		}
+		for k := range ext {
+			b.ext[k] = ext[k]
+			if k < d {
+				b.ext[k] = 1
+			}
+		}
+		b.ext[d] = min(ext[d]-b.org[d], (hi-lo)/block)
+		b.hi = boxCells(b.ext[:rank])
+		out = append(out, b)
+		lo += b.hi
+	}
+	return out
 }
 
 // newBoxes tiles the cells of box(to) that are not in box(from) with boxes,

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -110,5 +111,42 @@ func TestNewCellsInsideOutside(t *testing.T) {
 	}
 	if len(cells) != 4*5-2*3 {
 		t.Errorf("%d cells, want %d", len(cells), 4*5-2*3)
+	}
+}
+
+// TestCutRun: the boxes cutRun cuts a run of a box into hold exactly the
+// run's cells, in row-major order — at most 2×rank−1 of them, 3 at rank 2.
+func TestCutRun(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		rank := 1 + r.Intn(3)
+		ext := make([]int, rank)
+		for d := range ext {
+			ext[d] = 1 + r.Intn(5)
+		}
+		cells := boxCells(ext)
+		lo := r.Intn(cells)
+		hi := lo + 1 + r.Intn(cells-lo)
+		boxes := cutRun(nil, ext, lo, hi)
+		if len(boxes) > 2*rank-1 {
+			t.Fatalf("run [%d,%d) of %v: %d boxes %v", lo, hi, ext, len(boxes), boxes)
+		}
+		next := lo
+		var c [maxRank]int
+		for _, b := range boxes {
+			for i := 0; i < b.hi; i++ {
+				b.coords(i, c[:rank])
+				if got := position(c[:rank], ext); got != next {
+					t.Fatalf("run [%d,%d) of %v: boxes %v give cell %d where %d is next", lo, hi, ext, boxes, got, next)
+				}
+				next++
+			}
+		}
+		if next != hi {
+			t.Fatalf("run [%d,%d) of %v: boxes %v end at %d", lo, hi, ext, boxes, next)
+		}
+	}
+	if boxes := cutRun(nil, nil, 0, 1); len(boxes) != 1 || boxes[0].len() != 1 {
+		t.Errorf("rank 0: %v, want one cell", boxes)
 	}
 }

@@ -189,6 +189,73 @@ func TestColumnSlabFetchCopies(t *testing.T) {
 	}
 }
 
+// TestWholeFetchBoundOncePerSlice: the instances of a slice share the alias
+// of a whole-field fetch the first one took, and one whose body writes to the
+// array — a copy-on-write that detaches it from the generation — leaves the
+// next seeing the field again, because the fetch is then aliased anew. Every
+// instance stores the sum of the array it was handed, before scribbling on
+// it, so one stale copy shows in the sums.
+func TestWholeFetchBoundOncePerSlice(t *testing.T) {
+	const n = 8
+	b := core.NewBuilder("scribble")
+	b.Field("in", field.Int32, 1, true)
+	b.Field("sums", field.Int32, 1, true)
+	b.Kernel("src").
+		Local("v", field.Int32, 1).
+		StoreAll("in", core.AgeAt(0), "v").
+		Body(func(c *core.Ctx) error {
+			v := c.Array("v")
+			v.Grow(n)
+			for i := range v.Int32s() {
+				v.Int32s()[i] = int32(10 + i)
+			}
+			return nil
+		})
+	b.Kernel("scribble").Index("x").
+		Local("e", field.Int32, 0).
+		Local("all", field.Int32, 1).
+		Local("sum", field.Int32, 0).
+		Fetch("e", "in", core.AgeAt(0), core.Idx("x")).
+		FetchAll("all", "in", core.AgeAt(0)).
+		Store("sums", core.AgeAt(0), []core.IndexSpec{core.Idx("x")}, "sum").
+		Body(func(c *core.Ctx) error {
+			all := c.Array("all")
+			var sum int32
+			for i := 0; i < all.Len(); i++ {
+				sum += all.AtFlat(i).Int32()
+			}
+			c.SetInt32("sum", sum)
+			if c.Index("x")%3 == 0 {
+				all.SetFlat(field.Int32Val(-1000), c.Index("x"))
+			}
+			return nil
+		})
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode(prog, Options{Workers: 1, Granularity: map[string]int{"scribble": n}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := node.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := rep.Kernel("scribble"); k.Slices != 1 {
+		t.Fatalf("scribble ran in %d slices, want 1", k.Slices)
+	}
+	sums, err := node.Snapshot("sums", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < n; x++ {
+		if got, want := sums.At(x).Int32(), int32(n*10+n*(n-1)/2); got != want {
+			t.Errorf("sums[%d] = %d, want %d: an instance saw an earlier one's copy", x, got, want)
+		}
+	}
+}
+
 // lockstepBenchNode compiles a nearest-value scan written in the kernel
 // language (a lane-eligible body), pre-stores its two input generations and
 // returns a function that drives one slice of rows instances through
@@ -255,13 +322,17 @@ near:
 }
 
 // TestLockstepDispatchAllocFree pins the lockstep path of a compiled kernel —
-// rows, lane columns, the slice body, the batched stores — at zero
-// allocations per slice once the frames have grown to the slice's length.
+// rows, lane columns, the slice body, the element stores written as one box
+// — at zero allocations per slice once the frames have grown to the slice's
+// length.
 func TestLockstepDispatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	n, _, exec := lockstepBenchNode(t, 64)
+	// Every slice writes its 64 element stores as one box, one notice.
+	notices := 0
+	n.opts.OnStore = func(StoreNotice) { notices++ }
 	exec() // grow the rows and the lane frame
 	ks := n.kernels["near"]
 	before := ks.ownLockstep()
@@ -270,6 +341,9 @@ func TestLockstepDispatchAllocFree(t *testing.T) {
 	}
 	if got := ks.ownLockstep() - before; got != 101*64 {
 		t.Errorf("%d instances ran in lockstep, want %d", got, 101*64)
+	}
+	if notices != 102 {
+		t.Errorf("%d store notices in 102 slices, want one each", notices)
 	}
 	out, err := n.Snapshot("out", 0)
 	if err != nil {

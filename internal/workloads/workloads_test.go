@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -403,4 +404,54 @@ func TestSIFTRequiresSource(t *testing.T) {
 		}
 	}()
 	SIFT(SIFTConfig{})
+}
+
+// TestKMeansStoreBoxes: a slice's element stores go out as boxes — one
+// OnStore notice per store statement and slice, not one per element — so
+// assign's membership(a) stores publish exactly one notice per assign slice,
+// and a K-means age at N=2000, K=100 on two workers publishes at most 200
+// notices, where one notice per element store made it about 2 100. Slice
+// sizes follow measured cost, which a loaded host or the race detector
+// inflates, so assign's are fixed at 100 instances, about what the cost rule
+// picks on an idle host. StoreOps still counts one store per instance.
+func TestKMeansStoreBoxes(t *testing.T) {
+	const ages = 3
+	cfg := KMeansConfig{N: 2000, K: 100, Iter: ages, Dim: 2, Seed: 1}
+	opts := KMeansOptions(cfg, 2)
+	opts.Granularity = map[string]int{"assign": 100}
+	var mu sync.Mutex
+	perAge := make([]int, ages+1)
+	membership, cells := 0, 0
+	opts.OnStore = func(sn runtime.StoreNotice) {
+		mu.Lock()
+		defer mu.Unlock()
+		perAge[sn.Age]++
+		cells += sn.Value.Array().Len()
+		if sn.Field == "membership" {
+			membership++
+		}
+	}
+	rep, err := runtime.Run(KMeans(cfg), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for age := 0; age < ages; age++ {
+		if perAge[age] > 200 {
+			t.Errorf("age %d: %d store notices, want at most 200 (all ages: %v)", age, perAge[age], perAge)
+		}
+	}
+	if a := rep.Kernel("assign"); int64(membership) != a.Slices {
+		t.Errorf("%d membership notices for %d assign slices, want one each", membership, a.Slices)
+	}
+	// Every stored cell is in some notice: the datapoints and first
+	// centroids, then N memberships and K centroid rows of 2 per age.
+	if want := cfg.N*2 + cfg.K*2 + ages*(cfg.N+cfg.K*2); cells != want {
+		t.Errorf("notices carry %d cells, want %d", cells, want)
+	}
+	for _, name := range []string{"assign", "refine"} {
+		k := rep.Kernel(name)
+		if k.Instances == 0 || k.StoreOps != k.Instances {
+			t.Errorf("%s: %d store ops for %d instances, want one per instance", name, k.StoreOps, k.Instances)
+		}
+	}
 }
