@@ -174,9 +174,9 @@ func TestLaneEligibility(t *testing.T) {
 	// The shortest slice each is run in lockstep at (laneBreakEven): of the
 	// instructions of its loop that every lane executes the driver has 8 of
 	// assign's 10 and 1 of refine's 4. Measured, assign breaks even at 10 to
-	// 12 lanes and refine at 4 (EXPERIMENTS.md E8b). refine's matters: the
-	// sizing rule starts its 20 µs instances at slices of 5, and they grow
-	// only once lockstep has made them cheaper.
+	// 12 lanes and refine at 4 (EXPERIMENTS.md E8b). refine's matters: its
+	// domain is the K clusters, so its tail limit is small — 12 at K=100 on
+	// two workers.
 	minLanes := map[string]int{"assign": 11, "refine": 4}
 	got := map[string]string{}
 	sources := everySource(t)

@@ -210,8 +210,8 @@ func checkLanes(t testing.TB, file *File, st *laneStats) {
 
 // TestKMeansTemplateLockstep pins the benchmark's K-means regime outside
 // the benchmark: the template at N=2000, K=100 on two workers. The sizing
-// rule gives a kernel with a slice body the slices its tail limit allows —
-// 250 of assign's 2 000 instances, 12 of refine's 100 — so every instance of
+// rule gives every kernel the slices its tail limit allows — 250 of
+// assign's 2 000 instances, 12 of refine's 100 — so every instance of
 // both runs in lockstep and none declines; and the centroids are
 // bit-identical to the same program run one instance per slice, which is
 // the scalar VM.

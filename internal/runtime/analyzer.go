@@ -107,7 +107,7 @@ type fieldGen struct {
 // unit's own decrement, so pending == 0 at any instant proves quiescence.
 type analyzer struct {
 	n  *Node
-	ch chan []event
+	ch chan *[]event
 
 	pending atomic.Int64
 
@@ -161,7 +161,7 @@ func (an *analyzer) scratch(k int) []int {
 func newAnalyzer(n *Node) *analyzer {
 	an := &analyzer{
 		n:      n,
-		ch:     make(chan []event, eventChanBatches),
+		ch:     make(chan *[]event, eventChanBatches),
 		events: newBaselined(n.reg.Counter(obs.MAnalyzerEvents)),
 	}
 	if n.opts.Metrics != nil {
@@ -239,7 +239,7 @@ func (an *analyzer) drainCh() {
 }
 
 // handleBatch processes one flushed batch of events and recycles the slice.
-func (an *analyzer) handleBatch(evs []event) {
+func (an *analyzer) handleBatch(evs *[]event) {
 	var t0 time.Time
 	if an.n.stamp {
 		t0 = time.Now()
@@ -248,12 +248,12 @@ func (an *analyzer) handleBatch(evs []event) {
 		an.maxBacklog = backlog
 		an.backlogMax.SetMax(int64(backlog))
 	}
-	an.events.Add(int64(len(evs)))
-	for i := range evs {
+	an.events.Add(int64(len(*evs)))
+	for i := range *evs {
 		if an.stopping {
 			break
 		}
-		an.handle(&evs[i])
+		an.handle(&(*evs)[i])
 	}
 	putEventBuf(evs)
 	if an.n.stamp {
@@ -674,12 +674,8 @@ func (an *analyzer) updateGauges() {
 // kernel-age may be complete. The quiescence decrement — one for the whole
 // slice — comes last, after everything the completion spawns is counted.
 func (an *analyzer) handleDone(ev *event) {
-	probe := ev.b.probe
 	t, k := an.n.retireSlice(ev.b)
 	ks := t.ks
-	if probe {
-		an.slicer.probed(ks)
-	}
 	if ks.decl.Source() {
 		if ev.stopped || ev.stores == 0 {
 			ks.sourceStopped = true

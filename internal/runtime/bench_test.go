@@ -79,7 +79,7 @@ func BenchmarkDispatchInstance(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.buf = w.buf[:0]
+		*w.buf = (*w.buf)[:0]
 		exec()
 	}
 }
@@ -95,7 +95,7 @@ func BenchmarkDispatchInstanceIndexed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.buf = w.buf[:0]
+		*w.buf = (*w.buf)[:0]
 		exec()
 	}
 }

@@ -32,8 +32,8 @@ type Options struct {
 	KernelMaxAge map[string]int
 	// Granularity fixes the data granularity — instances combined into one
 	// slice and dispatched as a unit (§V-A) — per kernel name. Unlisted
-	// kernels are sized by the low-level scheduler from their measured
-	// per-instance cost (see sliceSize).
+	// kernels get the low-level scheduler's tail limit: the kernel-age's
+	// domain over Workers × 4 slices, at most 256 instances (see sliceSize).
 	Granularity map[string]int
 	// GC enables garbage collection of field generations whose consumers
 	// have all completed (§IX).
@@ -545,7 +545,7 @@ func (n *Node) closeEventsWhenWorkersExit() {
 
 // injectBatch hands one batch of externally produced events to the analyzer,
 // unless the node has shut down.
-func (n *Node) injectBatch(evs []event) {
+func (n *Node) injectBatch(evs *[]event) {
 	n.injectMu.RLock()
 	defer n.injectMu.RUnlock()
 	if n.eventsClosed {
@@ -563,7 +563,7 @@ func (n *Node) injectBatch(evs []event) {
 // entry.
 type injector struct {
 	n   *Node
-	buf []event // nil until the first event the analyzer needs
+	buf *[]event // nil until the first event the analyzer needs
 }
 
 // add buffers one store event, unless the analyzer has no use for it.
@@ -574,8 +574,8 @@ func (in *injector) add(ev *event) {
 	if in.buf == nil {
 		in.buf = getEventBuf()
 	}
-	in.buf = append(in.buf, *ev)
-	if len(in.buf) >= eventFlushThreshold {
+	*in.buf = append(*in.buf, *ev)
+	if len(*in.buf) >= eventFlushThreshold {
 		in.flush()
 	}
 }
@@ -672,14 +672,18 @@ func (n *Node) InjectRemoteDone(kernel string, age int) error {
 	if !ok {
 		return fmt.Errorf("p2g: remote done for unknown kernel %q", kernel)
 	}
-	n.injectBatch(append(getEventBuf(), event{remoteDone: ks, age: age}))
+	evs := getEventBuf()
+	*evs = append(*evs, event{remoteDone: ks, age: age})
+	n.injectBatch(evs)
 	return nil
 }
 
 // Stop ends a NoAutoQuiesce node: the analyzer shuts down after draining
 // in-flight work.
 func (n *Node) Stop() {
-	n.injectBatch(append(getEventBuf(), event{stop: true}))
+	evs := getEventBuf()
+	*evs = append(*evs, event{stop: true})
+	n.injectBatch(evs)
 }
 
 // Idle reports whether the node currently has no dispatched instances and no
@@ -750,10 +754,9 @@ func (n *Node) FieldMemoryElems() int {
 	return total
 }
 
-// eventFlushThreshold bounds a worker's local event buffer: the buffer is
-// flushed to the analyzer when it reaches this many events, and always before
-// the worker blocks on an empty ready queue (otherwise the analyzer could
-// wait forever for a done event sitting in a sleeping worker's buffer).
+// eventFlushThreshold bounds a worker's local event buffer within one slice:
+// the buffer is flushed to the analyzer when it reaches this many events, and
+// always when the slice ends (worker).
 const eventFlushThreshold = 64
 
 // eventChanBatches is the analyzer's event-channel capacity in batches: 1024
@@ -761,11 +764,11 @@ const eventFlushThreshold = 64
 const eventChanBatches = 1024
 
 // workerState is one worker goroutine's dispatch state: its scheduler slot
-// and the local analyzer-event buffer awaiting the next batched flush.
+// and the local analyzer-event buffer of the running slice.
 type workerState struct {
 	n   *Node
 	id  int // 0-based scheduler slot; tracer lane is id+1 (analyzer is 0)
-	buf []event
+	buf *[]event
 
 	// timeAll forces per-instance timing (tracer spans and stage histograms
 	// need every instance); otherwise execSlice times one slice in
@@ -800,11 +803,11 @@ func newWorkerState(n *Node, id int) *workerState {
 // happens here (empty -> non-empty) and the matching decrement only after the
 // flushed batch is fully processed.
 func (w *workerState) emit(ev *event) {
-	if len(w.buf) == 0 {
+	if len(*w.buf) == 0 {
 		w.n.an.pending.Add(1)
 	}
-	w.buf = append(w.buf, *ev)
-	if len(w.buf) >= eventFlushThreshold {
+	*w.buf = append(*w.buf, *ev)
+	if len(*w.buf) >= eventFlushThreshold {
 		w.flush()
 	}
 }
@@ -812,7 +815,7 @@ func (w *workerState) emit(ev *event) {
 // flush hands the buffered events to the analyzer as one batch (a single
 // channel send) and starts a fresh pooled buffer.
 func (w *workerState) flush() {
-	if len(w.buf) == 0 {
+	if len(*w.buf) == 0 {
 		return
 	}
 	w.n.mEventBatches.Add(1)
@@ -832,18 +835,18 @@ func (w *workerState) frame(ks *kernelState) *execFrame {
 }
 
 // worker is one worker goroutine: it pops slices oldest-age-first and
-// executes each, buffering store and done events and flushing them to the
-// analyzer in batches. The flush-before-block order matters for liveness: a
-// worker only blocks in Pop after its buffer has been handed to the analyzer,
-// so the done events the analyzer needs to produce more work are never
-// stranded.
+// executes each, buffering the slice's store and done events and flushing
+// them to the analyzer when the slice ends. A slice is a quarter of a
+// worker's share of its kernel-age and may run for milliseconds; held across
+// the next slice, its done event would hold back what it readies — an older
+// age's next kernel — by that long. Nor does a worker block in Pop with
+// events the analyzer needs still in its buffer.
 func (n *Node) worker(id int) {
 	defer n.wg.Done()
 	w := newWorkerState(n, id)
 	for {
 		b, ok := n.sched.TryPop()
 		if !ok {
-			w.flush()
 			b, ok = n.sched.Pop()
 			if w.timeAll {
 				// Out of work since the last stamp: the idle stage of the
@@ -857,6 +860,7 @@ func (n *Node) worker(id int) {
 			}
 		}
 		n.execSlice(b, w)
+		w.flush()
 	}
 }
 
@@ -884,13 +888,13 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 	timed := w.timeAll
 	if !timed {
 		w.tick++
-		// Sample the timing stamps; the extra seed check gives the sizing
-		// rule its first sample from a kernel's very first slice.
-		timed = w.tick&(timeSampleEvery-1) == 0 || ks.costNs.Load() == 0
+		// Sample the timing stamps; a kernel not timed yet is timed anyway,
+		// so that the report has a sample of every kernel that ran.
+		timed = w.tick&(timeSampleEvery-1) == 0 || ks.timedInsts.Load() == 0
 	}
 	// The frame is checked out before the clock starts: building a worker's
-	// first frame of a kernel is a one-off that would inflate the kernel's
-	// first cost sample, which sizes the rest of its first burst.
+	// first frame of a kernel is a one-off, and a kernel's first slice is
+	// always timed.
 	fr := w.frame(ks)
 	ctx := fr.ctx
 	var start time.Time
@@ -975,7 +979,6 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 		}
 		w.mark = cur.end
 		ks.timedInsts.Add(int64(ran))
-		ks.observeCost(cur.end.Sub(start), ran)
 		ks.dispatchNs.Add(int64(cur.end.Sub(start) - bodyNs))
 		ks.kernelNs.Add(int64(bodyNs))
 		if observe {

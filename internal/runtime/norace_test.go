@@ -47,7 +47,7 @@ func TestPublishedRowStoreAllocFree(t *testing.T) {
 	w := newWorkerState(n, 0)
 	next := 0
 	exec := func() {
-		w.buf = w.buf[:0]
+		*w.buf = (*w.buf)[:0]
 		slice := getBatch()
 		slice.tracker, slice.run = tr, all
 		slice.run.lo, slice.run.hi = next, next+1

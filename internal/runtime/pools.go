@@ -7,8 +7,9 @@ import "sync"
 // and sharing them lets concurrent nodes (tests, the distributed layer)
 // amortize each other's warm-up.
 
-// eventsPool recycles the event slices workers flush to the analyzer. The
-// pool stores *[]event so checkouts do not box a slice header.
+// eventsPool recycles the event batches workers flush to the analyzer. A
+// batch travels as a *[]event, from checkout through the event channel back
+// to the pool, so neither a checkout nor a return boxes a slice header.
 var eventsPool = sync.Pool{
 	New: func() any {
 		s := make([]event, 0, eventFlushThreshold)
@@ -17,18 +18,16 @@ var eventsPool = sync.Pool{
 }
 
 // getEventBuf returns an empty event buffer with batching capacity.
-func getEventBuf() []event {
-	return *eventsPool.Get().(*[]event)
+func getEventBuf() *[]event {
+	return eventsPool.Get().(*[]event)
 }
 
 // putEventBuf clears a processed batch (events hold tracker and field-state
 // pointers) and returns it to the pool.
-func putEventBuf(evs []event) {
-	for i := range evs {
-		evs[i] = event{}
-	}
-	evs = evs[:0]
-	eventsPool.Put(&evs)
+func putEventBuf(evs *[]event) {
+	clear(*evs)
+	*evs = (*evs)[:0]
+	eventsPool.Put(evs)
 }
 
 // batchPool recycles slice headers between the analyzer's slicer (getBatch)

@@ -661,6 +661,13 @@ func TestReportTableFormat(t *testing.T) {
 	if rep.TotalInstances() != 1+10+10+2 {
 		t.Errorf("total instances = %d", rep.TotalInstances())
 	}
+	// Timing is sampled, one slice in timeSampleEvery, but a kernel's first
+	// slice is always timed: init and print run too few slices to be sampled.
+	for _, k := range rep.Kernels {
+		if k.DispatchTotal <= 0 {
+			t.Errorf("%s: %d instances but no dispatch time", k.Name, k.Instances)
+		}
+	}
 	if rep.Kernel("nope").Instances != 0 {
 		t.Error("unknown kernel should return zero row")
 	}

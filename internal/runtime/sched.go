@@ -43,9 +43,10 @@ func (h *sliceHeap) Pop() any {
 // workers pop them oldest age first and, within an age, in push order. One
 // mutex guards the heap; workers with nothing to run wait on cond.
 //
-// A slice is sized to about 100 µs of work (slice.go), so a node pops a few
-// tens of thousands of slices per second at most, and one uncontended lock
-// per pop is well under 1 % of a slice.
+// A kernel-age is cut into fewer than 2 × Workers × slicesPerWorker slices
+// unless maxSliceInsts caps them (slice.go), plus remainders released at a
+// lull, so one uncontended lock per pop is paid a few times per worker and
+// kernel-age, not per instance.
 type sliceQueue struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -81,8 +82,8 @@ func (q *sliceQueue) PushBulk(bs []*batch) {
 }
 
 // TryPop returns the head slice without blocking, or false when none is
-// queued (which does not imply the queue is closed). Workers use it to flush
-// buffered analyzer events before they would block.
+// queued (which does not imply the queue is closed). Workers use it to tell
+// an idle wait, which the stage attribution counts, from a ready pop.
 func (q *sliceQueue) TryPop() (*batch, bool) {
 	q.mu.Lock()
 	b := q.pop()

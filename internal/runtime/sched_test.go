@@ -178,3 +178,33 @@ func TestPushBulkAgeOrdering(t *testing.T) {
 		t.Fatalf("Len = %d after draining", q.Len())
 	}
 }
+
+// TestWorkerFlushesEachSlice: a worker hands each slice's events to the
+// analyzer as the slice ends. A slice can run for milliseconds, and a done
+// event held in the buffer across the worker's next slice would hold back
+// the kernels it readies — an older age's, ahead of the younger slice the
+// worker moved on to — by that long. Three queued slices reach the analyzer
+// as three batches, each ending in its slice's done event, not as one batch
+// flushed when the queue runs dry.
+func TestWorkerFlushesEachSlice(t *testing.T) {
+	n, tr, cell := benchNode(t, false)
+	const slices = 3
+	bs := make([]*batch, slices)
+	for i := range bs {
+		bs[i] = &batch{tracker: tr, run: cell}
+	}
+	n.sched.PushBulk(bs)
+	n.sched.Close()
+	n.wg.Add(1)
+	n.worker(0)
+	if got := len(n.an.ch); got != slices {
+		t.Fatalf("%d event batches for %d slices, want one each", got, slices)
+	}
+	for i := 0; i < slices; i++ {
+		evs := <-n.an.ch
+		if k := len(*evs); k == 0 || !(*evs)[k-1].isDone {
+			t.Errorf("batch %d: %d events, want its slice's events ending in the done event", i, k)
+		}
+		putEventBuf(evs)
+	}
+}

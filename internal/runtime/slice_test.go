@@ -162,49 +162,56 @@ func ownAllShares(shards int) *Shares {
 	return sh
 }
 
-// TestSliceSizingRule pins both ends of the default sizing rule, unsplit and
-// cut into index shares, on element fetches (the subtests named after the
-// per-instance trackers these once ran on) and on row fetches: the one-line
-// mul2/plus5 kernels cost far less than the slice target, so their instances
-// must be combined, while a kernel whose body takes a millisecond must keep
-// one instance per slice. A kernel with a slice body is sized by its tail
-// limit alone once that reaches the lockstep minimum (the lockstep subtest).
+// TestSliceSizingRule pins the default sizing rule, the tail limit: a
+// kernel-age's domain — the part of it that runs here when the kernel is cut
+// into index shares — over Workers × slicesPerWorker slices, at most
+// maxSliceInsts. burstMulSum creates an age's mul2 cells ready at once, so
+// its slices have exactly that size whatever the schedule: on two workers a
+// domain of 16 gives slices of 2, one of 512 slices of 64 and one of 4 096
+// slices of 256 (the cap), for native kernels with element or row fetches
+// and for a kernel with a slice body, which runs every instance in lockstep
+// unless its slices are shorter than minLockstepInsts. The wideMulSum
+// kernels, whose cells become ready as the previous kernel's stores arrive,
+// are still combined, and none of their slices is longer than the rule's.
 func TestSliceSizingRule(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			// 20 µs instances, which the cost rule would cut into slices of
-			// 5, run as slices of the tail limit, 512/(2 workers × 4) = 64,
-			// every one in lockstep. Over 16 cells the tail limit, 2, is
-			// below minLockstepInsts: the cost rule keeps 1 ms instances one
-			// per slice, and none runs in lockstep.
-			t.Run("lockstep", func(t *testing.T) {
-				for _, tc := range []struct {
-					width int
-					cost  time.Duration
-				}{{512, 20 * time.Microsecond}, {16, time.Millisecond}} {
-					const maxAge = 2
-					prog := withSliceBody(spinMulSum(t, tc.width, tc.cost), "mul2", nil)
-					n, err := NewNode(prog, Options{Workers: 2, MaxAge: maxAge, Shares: ownAllShares(shards)})
-					if err != nil {
-						t.Fatal(err)
+			for _, tc := range []struct {
+				name      string
+				rows      bool
+				sliceBody bool
+			}{{"element", false, false}, {"row", true, false}, {"lockstep", false, true}} {
+				t.Run(tc.name, func(t *testing.T) {
+					for _, d := range []struct{ width, size int }{{16, 2}, {512, 64}, {4096, 256}} {
+						const maxAge = 2
+						prog := burstMulSum(t, d.width, tc.rows)
+						if tc.sliceBody {
+							prog = withSliceBody(prog, "mul2", nil)
+						}
+						n, err := NewNode(prog, Options{Workers: 2, MaxAge: maxAge, Shares: ownAllShares(shards)})
+						if err != nil {
+							t.Fatal(err)
+						}
+						rep, err := runOrTimeout(t, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkWideMulSum(t, n, d.width, 0, maxAge)
+						k := rep.Kernel("mul2")
+						want := int64(d.width * (maxAge + 1))
+						if k.Instances != want || k.Slices != want/int64(d.size) {
+							t.Errorf("domain %d: mul2 ran %d instances in %d slices, want %d in slices of %d", d.width, k.Instances, k.Slices, want, d.size)
+						}
+						lockstep := int64(0)
+						if tc.sliceBody && d.size >= minLockstepInsts {
+							lockstep = want
+						}
+						if k.Lockstep != lockstep {
+							t.Errorf("domain %d: %d of mul2's %d instances in lockstep, want %d", d.width, k.Lockstep, k.Instances, lockstep)
+						}
 					}
-					rep, err := runOrTimeout(t, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkWideMulSum(t, n, tc.width, 0, maxAge)
-					k := rep.Kernel("mul2")
-					if k.Instances != int64(tc.width*(maxAge+1)) {
-						t.Errorf("width %d: mul2 ran %d instances, want %d", tc.width, k.Instances, tc.width*(maxAge+1))
-					}
-					if tc.width == 512 && (k.InstancesPerSlice() < 60 || k.Lockstep != k.Instances) {
-						t.Errorf("20 µs slice-body kernel: %d instances in %d slices, %d in lockstep; want 60 or more per slice, all in lockstep", k.Instances, k.Slices, k.Lockstep)
-					}
-					if tc.width == 16 && (k.Slices != k.Instances || k.Lockstep != 0) {
-						t.Errorf("1 ms slice-body kernel over 16 cells: %d instances in %d slices, %d in lockstep; want one per slice, none in lockstep", k.Instances, k.Slices, k.Lockstep)
-					}
-				}
-			})
+				})
+			}
 			for _, tc := range []struct {
 				trackers string
 				prog     func(t testing.TB, width int, hook func(c *core.Ctx) error) *core.Program
@@ -235,19 +242,9 @@ func TestSliceSizingRule(t *testing.T) {
 						if k.InstancesPerSlice() < 2 {
 							t.Errorf("%s: %d instances in %d slices; the default rule should combine one-line kernels", name, k.Instances, k.Slices)
 						}
-					}
-
-					slow := prog(t, 16, func(*core.Ctx) error { time.Sleep(time.Millisecond); return nil })
-					n, err = NewNode(slow, Options{Workers: 2, MaxAge: 2, Shares: ownAllShares(shards)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err = runOrTimeout(t, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if k := rep.Kernel("mul2"); k.Slices != k.Instances || k.Instances != 16*3 {
-						t.Errorf("1 ms kernel: %d instances in %d slices, want one instance per slice", k.Instances, k.Slices)
+						if k.InstancesPerSlice() > 64 {
+							t.Errorf("%s: %d instances in %d slices; the tail limit of a domain of 512 is 64", name, k.Instances, k.Slices)
+						}
 					}
 				})
 			}
@@ -671,38 +668,56 @@ func TestCollectSlicesLinear(t *testing.T) {
 // are created ready by one store event, so they carve into the same slices
 // whatever the schedule. (wideMulSum's mul2 cells become ready as plus5's
 // element stores arrive, and a lull between two event batches releases a
-// shorter remainder.)
-func burstMulSum(t *testing.T, width int) *core.Program {
+// shorter remainder.) With rows set, the fields are rank 2 with one-value
+// rows and mul2 fetches and stores [x][*] rows.
+func burstMulSum(t *testing.T, width int, rows bool) *core.Program {
 	t.Helper()
 	b := core.NewBuilder("burstmulsum")
-	b.Field("m_data", field.Int32, 1, true)
-	b.Field("p_data", field.Int32, 1, true)
+	rank := 1
+	if rows {
+		rank = 2
+	}
+	shape := append([]int{width}, 1)[:rank]
+	b.Field("m_data", field.Int32, rank, true)
+	b.Field("p_data", field.Int32, rank, true)
 	b.Kernel("init").
-		Local("values", field.Int32, 1).
+		Local("values", field.Int32, rank).
 		StoreAll("m_data", core.AgeAt(0), "values").
 		Body(func(c *core.Ctx) error {
 			vs := c.Array("values")
-			vs.Grow(width)
+			vs.Grow(shape...)
 			for i := range vs.Int32s() {
 				vs.Int32s()[i] = int32(i + 10)
 			}
 			return nil
 		})
-	b.Kernel("mul2").Age("a").Index("x").
-		Local("value", field.Int32, 0).
-		Fetch("value", "m_data", core.AgeVar(0), core.Idx("x")).
-		Store("p_data", core.AgeVar(0), []core.IndexSpec{core.Idx("x")}, "value").
-		Body(func(c *core.Ctx) error {
-			c.SetInt32("value", c.Int32("value")*2)
-			return nil
-		})
+	mul2 := b.Kernel("mul2").Age("a").Index("x")
+	if rows {
+		mul2.Local("in", field.Int32, 1).Local("out", field.Int32, 1).
+			Fetch("in", "m_data", core.AgeVar(0), core.Idx("x"), core.All()).
+			Store("p_data", core.AgeVar(0), []core.IndexSpec{core.Idx("x"), core.All()}, "out").
+			Body(func(c *core.Ctx) error {
+				o := c.Array("out")
+				o.Grow(1)
+				o.Int32s()[0] = c.Array("in").Int32s()[0] * 2
+				return nil
+			})
+	} else {
+		mul2.Local("value", field.Int32, 0).
+			Fetch("value", "m_data", core.AgeVar(0), core.Idx("x")).
+			Store("p_data", core.AgeVar(0), []core.IndexSpec{core.Idx("x")}, "value").
+			Body(func(c *core.Ctx) error {
+				c.SetInt32("value", c.Int32("value")*2)
+				return nil
+			})
+	}
 	b.Kernel("plus5").Age("a").
-		Local("in", field.Int32, 1).Local("out", field.Int32, 1).
+		Local("in", field.Int32, rank).Local("out", field.Int32, rank).
 		FetchAll("in", "p_data", core.AgeVar(0)).
 		StoreAll("m_data", core.AgeVar(1), "out").
 		Body(func(c *core.Ctx) error {
 			in, out := c.Array("in").Int32s(), c.Array("out")
-			out.Grow(len(in))
+			out.Grow(shape...)
 			for i, v := range in {
 				out.Int32s()[i] = v + 5
 			}
@@ -711,21 +726,6 @@ func burstMulSum(t *testing.T, width int) *core.Program {
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
-	}
-	return p
-}
-
-// spinMulSum is burstMulSum, whose mul2 cells of an age are all ready at
-// once, with a mul2 body that spins for cost before it computes, so that the
-// sizing rule sees instances of about that cost.
-func spinMulSum(t *testing.T, width int, cost time.Duration) *core.Program {
-	p := burstMulSum(t, width)
-	kd := p.Kernel("mul2")
-	body := kd.Body
-	kd.Body = func(c *core.Ctx) error {
-		for start := time.Now(); time.Since(start) < cost; {
-		}
-		return body(c)
 	}
 	return p
 }
@@ -779,7 +779,7 @@ func TestLockstepSliceBody(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			tracer := obs.NewTracer(1 << 12)
-			prog := withSliceBody(burstMulSum(t, width), "mul2", tc.hook)
+			prog := withSliceBody(burstMulSum(t, width, false), "mul2", tc.hook)
 			prog.Kernel("mul2").SliceMin = tc.sliceMin
 			n, err := NewNode(prog, Options{
 				Workers: 2, MaxAge: maxAge, Tracer: tracer,

@@ -245,7 +245,7 @@ func TestDispatchTracingOffAllocFree(t *testing.T) {
 		exec() // warm the frame pool
 		notices = 0
 		allocs := testing.AllocsPerRun(200, func() {
-			w.buf = w.buf[:0]
+			*w.buf = (*w.buf)[:0]
 			exec()
 		})
 		if allocs != 0 {

@@ -224,12 +224,6 @@ type kernelState struct {
 	// whole and slab fetches are satisfied for every cell at once.
 	elemBits uint32
 
-	// Probing (analyzer-owned; see slicer.probe): probes counts the
-	// kernel's single-instance probe slices in flight while it is untimed,
-	// and held lists its trackers whose ready work waits for their result.
-	probes int
-	held   []*ageTracker
-
 	// Dispatch plans: precompiled fetch/store coordinates (same order as
 	// decl.Fetches/decl.Stores) and the constructor of the execution frame
 	// each worker reuses for the kernel, so the dispatch hot path is
@@ -282,12 +276,6 @@ type kernelState struct {
 	// instances/timed. Per-node (not baselined): a shared registry never
 	// sees it.
 	timedInsts atomic.Int64
-
-	// costNs is what the slice-sizing rule divides by: an estimate of the
-	// kernel's current per-instance cost (body plus dispatch) from its timed
-	// slices, zero until the first has been timed; see observeCost. Workers
-	// update it with plain load/store; a lost update only delays it.
-	costNs atomic.Int64
 
 	// Stage timers (ISSUE 6): the fixed per-instance latency decomposition
 	// behind the attribution report. Enabled (non-nil) only when the node
@@ -353,11 +341,10 @@ type ageTracker struct {
 	queued int
 
 	// size is the slice size of the last carve (the slicer re-carves once
-	// that many instances are waiting), dirty marks membership in the
-	// slicer's dirty list and held in the kernel's (see slicer.probe).
+	// that many instances are waiting); dirty marks membership in the
+	// slicer's dirty list.
 	size  int
 	dirty bool
-	held  bool
 
 	completed bool
 	// collected counts the tracker's age-variable fetch generations that

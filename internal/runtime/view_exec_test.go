@@ -66,7 +66,7 @@ func TestViewDispatchAllocFree(t *testing.T) {
 	exec := sliceOfOne(n, tr, cell, w)
 	exec() // warm the frame pool
 	allocs := testing.AllocsPerRun(200, func() {
-		w.buf = w.buf[:0]
+		*w.buf = (*w.buf)[:0]
 		exec()
 	})
 	if allocs != 0 {
@@ -313,7 +313,7 @@ near:
 	run.ext[0] = rows
 	w := newWorkerState(n, 0)
 	return n, w, func() {
-		w.buf = w.buf[:0]
+		*w.buf = (*w.buf)[:0]
 		b := getBatch()
 		b.tracker, b.run = tr, run
 		n.execSlice(b, w)

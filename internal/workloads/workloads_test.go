@@ -410,25 +410,25 @@ func TestSIFTRequiresSource(t *testing.T) {
 // OnStore notice per store statement and slice, not one per element — so
 // assign's membership(a) stores publish exactly one notice per assign slice,
 // and a K-means age at N=2000, K=100 on two workers publishes at most 200
-// notices, where one notice per element store made it about 2 100. Slice
-// sizes follow measured cost, which a loaded host or the race detector
-// inflates, so assign's are fixed at 100 instances, about what the cost rule
-// picks on an idle host. StoreOps still counts one store per instance.
+// notices, where one notice per element store made it about 2 100. Every
+// kernel-age is cut by its tail limit, age 0 included, so each age's assign
+// runs in exactly 2000/(2 × 4) = 8 slices of 250 and publishes 8 membership
+// notices. StoreOps still counts one store per instance.
 func TestKMeansStoreBoxes(t *testing.T) {
 	const ages = 3
 	cfg := KMeansConfig{N: 2000, K: 100, Iter: ages, Dim: 2, Seed: 1}
 	opts := KMeansOptions(cfg, 2)
-	opts.Granularity = map[string]int{"assign": 100}
 	var mu sync.Mutex
 	perAge := make([]int, ages+1)
-	membership, cells := 0, 0
+	membership := make([]int, ages+1)
+	cells := 0
 	opts.OnStore = func(sn runtime.StoreNotice) {
 		mu.Lock()
 		defer mu.Unlock()
 		perAge[sn.Age]++
 		cells += sn.Value.Array().Len()
 		if sn.Field == "membership" {
-			membership++
+			membership[sn.Age]++
 		}
 	}
 	rep, err := runtime.Run(KMeans(cfg), opts)
@@ -439,9 +439,16 @@ func TestKMeansStoreBoxes(t *testing.T) {
 		if perAge[age] > 200 {
 			t.Errorf("age %d: %d store notices, want at most 200 (all ages: %v)", age, perAge[age], perAge)
 		}
+		if membership[age] != 8 {
+			t.Errorf("age %d: %d membership notices, want 8 (all ages: %v)", age, membership[age], membership)
+		}
 	}
-	if a := rep.Kernel("assign"); int64(membership) != a.Slices {
-		t.Errorf("%d membership notices for %d assign slices, want one each", membership, a.Slices)
+	total := 0
+	for _, m := range membership {
+		total += m
+	}
+	if a := rep.Kernel("assign"); int64(total) != a.Slices {
+		t.Errorf("%d membership notices for %d assign slices, want one each", total, a.Slices)
 	}
 	// Every stored cell is in some notice: the datapoints and first
 	// centroids, then N memberships and K centroid rows of 2 per age.
