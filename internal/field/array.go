@@ -185,6 +185,19 @@ func (a *Array) Append(v Value) {
 	a.extents[0]++
 }
 
+// AppendCells adds src's cells, in row-major order, as the new last elements
+// of a rank-1 array, converted as a store converts them (slab.copyCells). A
+// reallocation makes room for room elements, if that is more than the new
+// length. The runtime stages a slice's slab stores this way, room sized for
+// the whole slice.
+func (a *Array) AppendCells(src *Array, room int) {
+	a.unshare()
+	n, k := a.data.len(), src.Len()
+	a.data.resize(n+k, room)
+	a.data.copyCells(a.kind, n, src, 0, k)
+	a.extents[0] += k
+}
+
 // unshare materializes a private copy of a view array's aliased backing
 // before a mutation, so writes never reach the field generation the view
 // came from.

@@ -404,22 +404,32 @@ func (f *Field) StoreBoxes(age int, sels []SlabDim, ext []int, src *Array) (Stor
 
 // storeBox writes one box of StoreBoxes — selector sel, the extents of its
 // free dimensions ext — from src's cells at from on, into a generation grown
-// to hold it, one run of it at a time (eachRun). It returns the cells written
-// and the box's cell count.
+// to hold it: a box that is one run of the generation (a row, whole rows)
+// with one storeRun, any other one run at a time (eachRun). It returns the
+// cells written and the box's cell count.
 func (f *Field) storeBox(s *ageStore, age int, sel []SlabDim, ext []int, src *Array, from int) (written, cells int, err error) {
 	var orgBuf, spanBuf [4]int
 	org, span := ints(&orgBuf, len(sel)), ints(&spanBuf, len(sel))
-	cells = 1
+	// The box is one run, from base, when it spans one cell in every
+	// dimension before its first wider one and the whole of every one after
+	// (from 0: the generation holds the box).
+	cells, base, wide, one := 1, 0, false, true
 	for d, sd := range sel {
 		org[d], span[d] = sd.Index, 1
 		if !sd.Fixed {
 			span[d], ext = ext[0], ext[1:]
 		}
 		cells *= span[d]
+		one = one && (!wide || span[d] == s.extents[d])
+		wide = wide || span[d] != 1
+		base = base*s.extents[d] + org[d]
 	}
-	raw := rawCopyCompatible(f.kind, src.kind)
+	if one && cells > 0 {
+		written, err = f.storeRun(s, age, base, cells, src, from)
+		return written, cells, err
+	}
 	err = eachRun(s.extents, org, span, func(base, n int) error {
-		k, err := f.storeRun(s, age, base, n, src, from, raw)
+		k, err := f.storeRun(s, age, base, n, src, from)
 		written, from = written+k, from+n
 		return err
 	})
@@ -429,7 +439,7 @@ func (f *Field) storeBox(s *ageStore, age int, sel []SlabDim, ext []int, src *Ar
 // storeRun writes n cells of src, from cell from on, to flat offsets [base,
 // base+n): one typed copy when none is written yet (unscanned in an unwritten
 // generation), else a write-once error or, merging, the unwritten cells.
-func (f *Field) storeRun(s *ageStore, age, base, n int, src *Array, from int, raw bool) (int, error) {
+func (f *Field) storeRun(s *ageStore, age, base, n int, src *Array, from int) (int, error) {
 	w := s.written[base : base+n]
 	if s.writes > 0 {
 		if at := slices.Index(w, true); at >= 0 {
@@ -448,13 +458,7 @@ func (f *Field) storeRun(s *ageStore, age, base, n int, src *Array, from int, ra
 			return k, nil
 		}
 	}
-	if raw {
-		s.data.copyRange(base, &src.data, from, n)
-	} else {
-		for i := 0; i < n; i++ {
-			s.data.set(f.kind, base+i, src.data.get(src.kind, from+i))
-		}
-	}
+	s.data.copyCells(f.kind, base, src, from, n)
 	for i := range w {
 		w[i] = true
 	}

@@ -356,6 +356,19 @@ func (s *slab) copyRange(doff int, src *slab, soff, n int) {
 	}
 }
 
+// copyCells writes n cells of src, from cell from on, to s[doff:] as
+// elements of kind k: one typed copy when the kinds share a representation
+// (rawCopyCompatible), else converted one by one.
+func (s *slab) copyCells(k Kind, doff int, src *Array, from, n int) {
+	if rawCopyCompatible(k, src.kind) {
+		s.copyRange(doff, &src.data, from, n)
+		return
+	}
+	for i := 0; i < n; i++ {
+		s.set(k, doff+i, src.data.get(src.kind, from+i))
+	}
+}
+
 // equalRange reports element-wise equality of the first n elements of s and
 // o. Both slabs must have the same class; classVal elements compare with
 // Value.Equal.

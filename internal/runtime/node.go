@@ -79,8 +79,8 @@ type Options struct {
 	// data — the publish half of the distributed pub-sub layer. It is
 	// called from worker goroutines, once per box stored. The notice is
 	// borrowed: its Sel and Value are the worker's scratch and the kernel's
-	// local, valid only during the call, so OnStore copies what it keeps
-	// (the dist layer encodes it into a store frame).
+	// local or staged cells, valid only during the call, so OnStore copies
+	// what it keeps (the dist layer encodes it into a store frame).
 	OnStore func(StoreNotice)
 	// OnKernelDone, when set, observes every completed local kernel-age —
 	// the producer-done notifications remote nodes need for completeness.
@@ -411,18 +411,9 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		ks.storePlans = make([]storePlan, len(kd.Stores))
 		for i := range kd.Stores {
 			ss := &kd.Stores[i]
-			sp := storePlan{ss: ss, fs: n.fields[ss.Field], local: kd.LocalIndex(ss.Local)}
-			switch {
-			case ss.Whole(), ss.Slab():
-				sp.slab = compileSlab(ss.Index, sp.fs.decl.Rank, kd.IndexVars)
-				maxSel = max(maxSel, len(sp.slab))
-			default:
-				sp.terms = compileIndex(ss.Index, kd.IndexVars)
-				sp.boxed = boxImage(sp.terms, len(kd.IndexVars))
-				if len(sp.terms) > maxIdx {
-					maxIdx = len(sp.terms)
-				}
-			}
+			sp := storePlan{ss: ss, fs: n.fields[ss.Field], local: kd.LocalIndex(ss.Local), free: ss.SlabRank()}
+			sp.slab = compileSlab(ss.Index, sp.fs.decl.Rank, kd.IndexVars)
+			maxSel = max(maxSel, len(sp.slab))
 			ks.storePlans[i] = sp
 		}
 		kd, ks, nIdx, nSel := kd, ks, maxIdx, maxSel
@@ -436,7 +427,9 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 				staged: make([]stagedStores, len(kd.Stores)),
 			}
 			for i := range fr.staged {
-				fr.staged[i].box.ResetEmpty(ks.storePlans[i].fs.decl.Kind, 1)
+				st := &fr.staged[i]
+				st.sels, st.ext = st.selBuf[:0], st.extBuf[:0]
+				st.cells.ResetEmpty(ks.storePlans[i].fs.decl.Kind, 1)
 			}
 			return fr
 		}
@@ -472,14 +465,10 @@ type execFrame struct {
 	// are released after the slice's stores, when nothing can read the
 	// aliased slabs anymore.
 	pins []viewPin
-	// staged holds, per store plan, the element stores of the slice's
-	// instances until the slice writes them as boxes under one field lock.
+	// staged holds, per store plan, the stores of the slice's instances
+	// until the slice writes them as boxes under one field lock; cells is
+	// flushStaged's window onto one box's cells.
 	staged []stagedStores
-	// flushStaged's scratch: the index boxes of the staged runs, their
-	// StoreBoxes selectors and extents, and the array publishing a box.
-	cut    []cellRun
-	boxSel []field.SlabDim
-	boxExt []int
 	cells  field.Array
 }
 
@@ -491,13 +480,45 @@ type viewPin struct {
 	ok  bool
 }
 
-// stagedStores is one element-store statement's output over a slice: the
-// stored values, typed as the field's elements, in box — n of them, one per
-// instance of the runs [lo, hi) of slice positions in spans, in slice order.
+// stagedStores is one store statement's output over a slice: n instances'
+// cells, typed as the field's elements, back to back in cells, and the boxes
+// they fill, each a selector of the field's rank whose every dimension is
+// free from its origin (sels) with its extent (ext). Boxes are merged as
+// they are staged (merge), so a run of rows is one box.
 type stagedStores struct {
-	box   field.Array
+	cells field.Array
 	n     int
-	spans [][2]int
+	sels  []field.SlabDim
+	ext   []int
+	// selBuf and extBuf back sels and ext up to two boxes of rank 4, the
+	// most a run of rows or of whole rows holds before it merges.
+	selBuf [8]field.SlabDim
+	extBuf [8]int
+}
+
+// merge folds the last box into the one before it while the two are
+// row-major contiguous in the field: they abut along one dimension d, span
+// one cell at the same origin in every dimension before d and agree in every
+// one after it. The two boxes' cells, back to back, are then the merged
+// box's in row-major order. A run of element stores thus goes out as a
+// partial row, whole rows and a partial row, a run of row stores as one box.
+func (st *stagedStores) merge(rank int) {
+	for n := len(st.ext); n >= 2*rank; n -= rank {
+		ao, ae, d := st.sels[n-2*rank:n-rank], st.ext[n-2*rank:n-rank], 0
+		bo, be := st.sels[n-rank:n], st.ext[n-rank:n]
+		for d < rank && ae[d] == 1 && be[d] == 1 && ao[d] == bo[d] {
+			d++
+		}
+		same := d < rank && bo[d].Index == ao[d].Index+ae[d]
+		for k := d + 1; same && k < rank; k++ {
+			same = ao[k] == bo[k] && ae[k] == be[k]
+		}
+		if !same {
+			return
+		}
+		ae[d] += be[d]
+		st.sels, st.ext = st.sels[:n-rank], st.ext[:n-rank]
+	}
 }
 
 // Run executes the program to quiescence and returns the instrumentation
@@ -866,11 +887,11 @@ func (n *Node) worker(id int) {
 
 // execSlice runs one slice — instances of one kernel-age — as a unit. Once
 // per slice: check out the kernel's frame, pin every viewable fetch's
-// generation, alias its whole-field fetches, write the staged element stores
-// of all instances as boxes under one field lock per store statement, and
-// send one done event carrying the slice. Per instance: alias slab views and
-// read elements out of the pins, run the body, apply slab stores and stage
-// element stores — unless the kernel has a
+// generation, alias its whole-field fetches, write the staged stores of all
+// instances as boxes under one field lock per store statement, and send one
+// done event carrying the slice. Per instance: alias slab views and read
+// elements out of the pins, run the body, apply whole-field stores and stage
+// the others — unless the kernel has a
 // slice body and the slice is long enough for it (minLockstepInsts and
 // the kernel's own SliceMin), in which case the bodies are one call
 // (lockstep). Dispatch time (everything but the bodies) and kernel time (the
@@ -957,14 +978,14 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", kd.Name, t.age, err))
 			break
 		}
-		st, ok := n.storeInst(t, b, i, coords, fr, w)
+		st, ok := n.storeInst(t, k, coords, fr, w)
 		stores += st
 		if !ok {
 			break
 		}
 		stopped = stopped || ctx.Stopped()
 	}
-	stores += n.flushStaged(t, b, fr, w)
+	stores += n.flushStaged(t, fr, w)
 	ks.instances.Add(int64(ran))
 	ks.slices.Add(1)
 	ks.storeOps.Add(int64(stores))
@@ -1049,8 +1070,8 @@ func (n *Node) lockstep(t *ageTracker, b *batch, fr *execFrame, w *workerState, 
 	ks.lockstep.Add(int64(rows))
 	for r := 0; r < rows; r++ {
 		ctx.Row(r)
-		coords, _ := b.inst(r, fr.coords[r*rank:])
-		st, ok := n.storeInst(t, b, r, coords, fr, w)
+		coords := fr.coords[r*rank : (r+1)*rank] // decoded by the fetch pass
+		st, ok := n.storeInst(t, rows, coords, fr, w)
 		stores += st
 		if !ok {
 			break
@@ -1131,13 +1152,13 @@ func (n *Node) fetchInst(t *ageTracker, coords []int, fr *execFrame, alias bool)
 	return true
 }
 
-// storeInst handles the store statements of instance i of slice b after its
-// body: slab stores, whole-field ones among them, are applied at once (their
-// source arrays are the context's reusable locals) and published as one box
-// each; element stores are staged, typed, for flushStaged. It returns the
-// number of slab stores applied and false after failing the run on a store
-// error.
-func (n *Node) storeInst(t *ageTracker, b *batch, i int, coords []int, fr *execFrame, w *workerState) (int, bool) {
+// storeInst handles the store statements of an instance at coords, in a
+// slice of k instances, after its body: whole-field stores are applied at
+// once (their source arrays are the context's reusable locals) and published
+// as one box each; every other store is staged, typed, for flushStaged. It
+// returns the number of stores applied and false after failing the run on a
+// store error.
+func (n *Node) storeInst(t *ageTracker, k int, coords []int, fr *execFrame, w *workerState) (int, bool) {
 	ks := t.ks
 	ctx := fr.ctx
 	stores := 0
@@ -1147,19 +1168,16 @@ func (n *Node) storeInst(t *ageTracker, b *batch, i int, coords []int, fr *execF
 			continue
 		}
 		val := ctx.LocalValue(sp.local)
-		if sp.terms != nil {
-			st := &fr.staged[j]
-			st.box.Append(val)
-			st.n++
-			if k := len(st.spans) - 1; k >= 0 && st.spans[k][1] == i {
-				st.spans[k][1]++
-			} else {
-				st.spans = append(st.spans, [2]int{i, i + 1})
+		if !sp.ss.Whole() {
+			if err := fr.staged[j].stage(sp, coords, &val, k); err != nil {
+				n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
+				return stores, false
 			}
 			continue
 		}
 		g := sp.ss.Age.Eval(t.age)
-		sel := evalSel(fr.sel[:len(sp.slab)], sp.slab, coords)
+		sel := fr.sel[:len(sp.slab)] // fixing no dimension
+		clear(sel)
 		res, err := sp.fs.f.StoreSlice(g, sel, val.Array())
 		if err != nil {
 			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
@@ -1179,12 +1197,45 @@ func (n *Node) storeInst(t *ageTracker, b *batch, i int, coords []int, fr *execF
 	return stores, true
 }
 
-// flushStaged writes the slice's staged element stores: per store statement,
-// its boxes (stageBoxes) with one StoreBoxes — one field lock — and then, per
-// box, one OnStore notice and, when the analyzer needs it, one event, the
-// first carrying the statement's growth. It returns the number of element
-// stores applied; a store error fails the run.
-func (n *Node) flushStaged(t *ageTracker, b *batch, fr *execFrame, w *workerState) int {
+// stage adds one instance's store to the statement's output: its box — per
+// field dimension a fixed coordinate spanning one cell, or a free one
+// spanning the next extent of the stored array from 0 — and its cells: the
+// array's, or the value itself for an element store, which fixes every
+// dimension. slice, the slice's length, sizes the cells on their first use.
+// It fails when the array's rank is not the selector's free dimension count.
+func (st *stagedStores) stage(sp *storePlan, coords []int, v *field.Value, slice int) error {
+	var a *field.Array
+	if sp.free > 0 {
+		if a = v.Array(); a.Rank() != sp.free {
+			return fmt.Errorf("field %s: store of a rank-%d array into %d free dimensions", sp.ss.Field, a.Rank(), sp.free)
+		}
+	}
+	j := 0
+	for _, tm := range sp.slab {
+		o, e := 0, 1
+		if tm.fixed {
+			o = tm.term.eval(coords)
+		} else {
+			e, j = a.Extent(j), j+1
+		}
+		st.sels, st.ext = append(st.sels, field.SlabDim{Index: o}), append(st.ext, e)
+	}
+	if a == nil {
+		st.cells.Append(*v)
+	} else {
+		st.cells.AppendCells(a, slice*a.Len())
+	}
+	st.n++
+	st.merge(len(sp.slab))
+	return nil
+}
+
+// flushStaged writes the slice's staged stores: per store statement, its
+// boxes with one StoreBoxes — one field lock — and then, per box, one
+// OnStore notice and, when the analyzer needs it, one event, the first
+// carrying the statement's growth. It returns the number of stores applied;
+// a store error fails the run.
+func (n *Node) flushStaged(t *ageTracker, fr *execFrame, w *workerState) int {
 	ks := t.ks
 	stores := 0
 	for i := range fr.staged {
@@ -1194,16 +1245,15 @@ func (n *Node) flushStaged(t *ageTracker, b *batch, fr *execFrame, w *workerStat
 		}
 		sp := &ks.storePlans[i]
 		g := sp.ss.Age.Eval(t.age)
-		sels, ext := fr.stageBoxes(sp, b, st)
-		res, err := sp.fs.f.StoreBoxes(g, sels, ext, &st.box)
+		res, err := sp.fs.f.StoreBoxes(g, st.sels, st.ext, &st.cells)
 		if err != nil {
 			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
 		} else {
 			stores += st.n
-			rank, from := len(sp.terms), 0
-			for k := 0; k < len(sels); k += rank {
-				sel, span := sels[k:k+rank], ext[k:k+rank]
-				fr.cells.Window(&st.box, from, span)
+			rank, from := len(sp.slab), 0
+			for k := 0; k < len(st.sels); k += rank {
+				sel, span := st.sels[k:k+rank], st.ext[k:k+rank]
+				fr.cells.Window(&st.cells, from, span)
 				from += boxCells(span)
 				if n.opts.OnStore != nil {
 					n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Sel: sel, Value: field.ArrayVal(&fr.cells)})
@@ -1218,41 +1268,11 @@ func (n *Node) flushStaged(t *ageTracker, b *batch, fr *execFrame, w *workerStat
 				}
 			}
 		}
-		// Reset the box, which also drops staged strings and objects.
-		st.box.ResetEmpty(sp.fs.decl.Kind, 1)
-		st.n, st.spans = 0, st.spans[:0]
+		// Reset the cells, which also drops staged strings and objects.
+		st.cells.ResetEmpty(sp.fs.decl.Kind, 1)
+		st.n, st.sels, st.ext = 0, st.sels[:0], st.ext[:0]
 	}
 	return stores
-}
-
-// stageBoxes returns the boxes of a statement's staged cells, cell order
-// kept, as StoreBoxes selectors and extents in the frame's scratch: each span
-// of instances cut into index boxes (cutRun) — one per cell unless the
-// statement's image is a box (storePlan.boxed) — mapped through its terms.
-// Every dimension is free; a literal spans one cell from its origin.
-func (fr *execFrame) stageBoxes(sp *storePlan, b *batch, st *stagedStores) ([]field.SlabDim, []int) {
-	run := &b.run
-	fr.cut = fr.cut[:0]
-	for _, s := range st.spans {
-		for lo, hi := s[0], s[0]+1; lo < s[1]; lo, hi = hi, hi+1 {
-			if sp.boxed {
-				hi = s[1]
-			}
-			fr.cut = cutRun(fr.cut, run.ext[:run.rank], run.lo+lo, run.lo+hi)
-		}
-	}
-	sels, ext := fr.boxSel[:0], fr.boxExt[:0]
-	for _, box := range fr.cut {
-		for _, tm := range sp.terms {
-			o, e := tm.off, 1
-			if tm.v >= 0 {
-				o, e = run.org[tm.v]+box.org[tm.v]+tm.off, box.ext[tm.v]
-			}
-			sels, ext = append(sels, field.SlabDim{Index: o}), append(ext, e)
-		}
-	}
-	fr.boxSel, fr.boxExt = sels, ext
-	return sels, ext
 }
 
 // instStamps are the four stamps of one instance on a worker: start (fetch

@@ -13,23 +13,28 @@ import (
 // TestRandomPipelines builds randomized multi-stage pipelines — random stage
 // counts, widths, age offsets, fan-in, and per field either rank 1, fetched
 // and stored by element, or rank 2 with rows of 1–3 values, fetched and
-// stored as [x][*] rows — runs them on the real node with random worker
-// counts and slice sizes, with and without metrics and tracing, and checks
-// every field generation against a direct sequential evaluation; a second run
-// with garbage collection must dispatch the same instances and keep what it
-// keeps intact. A stage's second source is an element fetch — [x], or [x][0]
-// of a rank-2 field, kmeans_vm's shape — at a drawn offset: [x+1] reads a
-// halo field, whose producer also writes the element past the domain. A stage
-// either reads its sources as they are produced, so its element fetches are
-// satisfied cell by cell while it waits, or through whole copies that a
-// mirror kernel stores in one piece each — the element source first — so
-// that the element generation is written throughout before the stage has a
-// cell, and a whole burst is satisfied at once. Drawn pipelines mix slab-only
-// stages with element-fetching ones, and a row-fetching stage's domain grows
-// through row stores that arrive out of order. This is the broadest
-// correctness net over the dependency analyzer: domain growth, completeness
-// propagation, aging edges, scheduling order and the retirement of collected
-// ages all have to be right for every topology drawn.
+// stored as [x][*] rows or as [*][x] columns, whose boxes never merge — runs
+// them on the real node with random worker counts and slice sizes, with and
+// without metrics and tracing, and checks every field generation against a
+// direct sequential evaluation; a second run with garbage collection must
+// dispatch the same instances and keep what it keeps intact. A stage's
+// second source is an element fetch — [x], or [x][0] of a rank-2 field,
+// kmeans_vm's shape — at a drawn offset: [x+1] reads a halo field, whose
+// producer also writes the element past the domain, or a shifted field,
+// whose producer stores every index one further on ([x+1], [x+1][*]) and
+// leaves index 0 unwritten. A stage of a rows field may run over its cells,
+// on a rank-2 domain (x, y) whose element stores [x][y] go out as partial
+// and whole rows. A stage either reads its sources as they are produced, so
+// its element fetches are satisfied cell by cell while it waits, or through
+// whole copies that a mirror kernel stores in one piece each — the element
+// source first — so that the element generation is written throughout before
+// the stage has a cell, and a whole burst is satisfied at once. Drawn
+// pipelines mix slab-only stages with element-fetching ones, and a
+// row-fetching stage's domain grows through row stores that arrive out of
+// order. This is the broadest correctness net over the dependency analyzer:
+// domain growth, completeness propagation, aging edges, scheduling order and
+// the retirement of collected ages all have to be right for every topology
+// drawn.
 func TestRandomPipelines(t *testing.T) {
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
@@ -52,15 +57,32 @@ type stage struct {
 	off int
 	// mirrored: the stage reads its sources through whole copies.
 	mirrored bool
+	// cells: the stage runs over the cells of its rows source, index (x,
+	// y), fetching and storing [x][y] by element.
+	cells bool
 }
 
 // pipeField is one field of a random pipeline: cols 0 is a rank-1 field of
-// single values, cols > 0 a rank-2 field whose rows hold cols values. A halo
-// field holds one index more than the pipeline's width: its producer also
-// writes the index past its domain, which only an [x+1] element fetch reads.
+// single values, cols > 0 a rank-2 field whose rows hold cols values — laid
+// out as columns [j][x] when cm is set. A halo field holds one index more
+// than the pipeline's width: its producer also writes the index past its
+// domain, which only an [x+1] element fetch reads. A shifted field (shift 1)
+// holds its values one index further on, index 0 unwritten: only an [x+1]
+// element fetch reads it.
 type pipeField struct {
-	cols int
-	halo bool
+	cols  int
+	halo  bool
+	shift int
+	cm    bool
+}
+
+// at is the index of value j of index x: [x][j], or [j][x] laid out as
+// columns.
+func (f pipeField) at(x, j core.IndexSpec) []core.IndexSpec {
+	if f.cm {
+		return []core.IndexSpec{j, x}
+	}
+	return []core.IndexSpec{x, j}
 }
 
 func (f pipeField) name(i int) string { return fmt.Sprintf("f%d", i) }
@@ -68,37 +90,45 @@ func (f pipeField) name(i int) string { return fmt.Sprintf("f%d", i) }
 // rank is the field's rank.
 func (f pipeField) rank() int { return 1 + min(f.cols, 1) }
 
+// index is where value j of index x is: [x], [x][j] or [j][x].
+func (f pipeField) index(x, j int) []int {
+	if f.cm {
+		return []int{j, x}
+	}
+	return []int{x, j}[:f.rank()]
+}
+
 // rowLen is the number of values per index of the field.
 func (f pipeField) rowLen() int { return max(f.cols, 1) }
 
 // fetch declares local fetched from field name, shaped like f, at age a —
-// the element [x], or of a rank-2 field the row [x][*] — and returns the
-// reader of its value j (cycling through a row). elem fetches the element
-// [x+off][0] of a rank-2 field instead, and [x+off] of a rank-1 one: an
-// element fetch of a generation no producer writes waits for ever, where a
-// row fetch of it runs on an empty row, and only the first fetch, which binds
-// the domain, sees every generation it reads written.
+// the element [x], or of a rank-2 field the row [x][*] (column [*][x]) — and
+// returns the reader of its value j (cycling through a row). elem fetches
+// the element [x+off][0] ([0][x+off]) of a rank-2 field instead, and [x+off]
+// of a rank-1 one: an element fetch of a generation no producer writes waits
+// for ever, where a row fetch of it runs on an empty row, and only the first
+// fetch, which binds the domain, sees every generation it reads written.
 func (f pipeField) fetch(kb *core.KernelBuilder, local, name string, elem bool, off int) func(c *core.Ctx, j int) int64 {
 	switch {
 	case f.cols == 0:
 		kb.Local(local, field.Int64, 0).Fetch(local, name, core.AgeVar(0), core.IdxOff("x", off))
 	case elem:
-		kb.Local(local, field.Int64, 0).Fetch(local, name, core.AgeVar(0), core.IdxOff("x", off), core.Lit(0))
+		kb.Local(local, field.Int64, 0).Fetch(local, name, core.AgeVar(0), f.at(core.IdxOff("x", off), core.Lit(0))...)
 	default:
-		kb.Local(local, field.Int64, 1).Fetch(local, name, core.AgeVar(0), core.Idx("x"), core.All())
+		kb.Local(local, field.Int64, 1).Fetch(local, name, core.AgeVar(0), f.at(core.Idx("x"), core.All())...)
 		return func(c *core.Ctx, j int) int64 { return c.Array(local).Int64s()[j%f.cols] }
 	}
 	return func(c *core.Ctx, _ int) int64 { return c.Int64(local) }
 }
 
 // store declares local stored to field i at age a+delay and index x+off,
-// element or row.
+// element, row or column.
 func (f pipeField) store(kb *core.KernelBuilder, local string, i, delay, off int) {
 	if f.cols == 0 {
 		kb.Local(local, field.Int64, 0).Store(f.name(i), core.AgeVar(delay), []core.IndexSpec{core.IdxOff("x", off)}, local)
 		return
 	}
-	kb.Local(local, field.Int64, 1).Store(f.name(i), core.AgeVar(delay), []core.IndexSpec{core.IdxOff("x", off), core.All()}, local)
+	kb.Local(local, field.Int64, 1).Store(f.name(i), core.AgeVar(delay), f.at(core.IdxOff("x", off), core.All()), local)
 }
 
 // set fills a stored local with v(j) for every value j of a row.
@@ -124,15 +154,24 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 	maxAge := 1 + rng.Intn(5)
 
 	// Field 0 is the seed; field i+1 is produced by stage i. Fields between
-	// the seed and the last one may be halo fields; the first fetch binds
-	// the domain, so it reads a field that is not.
+	// the seed and the last one may be halo or shifted fields; the first
+	// fetch binds the domain, so it reads a field that is neither.
 	fields := make([]pipeField, nStages+1)
 	for i := range fields {
 		if rng.Intn(2) == 0 {
 			fields[i].cols = 1 + rng.Intn(3)
+			fields[i].cm = rng.Intn(3) == 0
 		}
-		fields[i].halo = i > 0 && i < nStages && rng.Intn(3) == 0
+		if i > 0 && i < nStages {
+			switch rng.Intn(4) {
+			case 0:
+				fields[i].halo = true
+			case 1:
+				fields[i].shift = 1
+			}
+		}
 	}
+	offset := func(f pipeField) bool { return f.halo || f.shift > 0 }
 	stages := make([]stage, nStages)
 	for i := range stages {
 		s := stage{
@@ -141,12 +180,17 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 			srcB:   -1,
 			delay:  0,
 		}
-		for fields[s.srcA].halo {
+		for offset(fields[s.srcA]) {
 			s.srcA = rng.Intn(i + 1)
+		}
+		// A cells stage's output is a plain rows field of its source's
+		// shape; nothing has drawn it as a source yet.
+		if fa := fields[s.srcA]; fa.cols > 0 && !fa.cm && rng.Intn(3) == 0 {
+			s.cells, fields[i+1] = true, pipeField{cols: fa.cols}
 		}
 		if rng.Intn(3) == 0 {
 			s.srcB = rng.Intn(i + 1)
-			if fields[s.srcB].halo && rng.Intn(2) == 0 {
+			if fb := fields[s.srcB]; fb.shift > 0 || fb.halo && rng.Intn(2) == 0 {
 				s.off = 1
 			}
 			s.mirrored = rng.Intn(2) == 0
@@ -180,7 +224,7 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 					continue
 				}
 				for j, v := range row {
-					c.Array("vals").Put(field.Int64Val(v), x, j)
+					c.Array("vals").Put(field.Int64Val(v), fields[0].index(x, j)...)
 				}
 			}
 			return nil
@@ -217,13 +261,22 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 				StoreAll(ma, core.AgeVar(0), "va")
 			nameA, nameB = ma, mb
 		}
-		kb := b.Kernel(fmt.Sprintf("stage%d", i)).Age("a").Index("x")
-		getA := fa.fetch(kb, "a1", nameA, false, 0)
+		kb := b.Kernel(fmt.Sprintf("stage%d", i)).Age("a")
+		var getA func(c *core.Ctx, j int) int64
+		if s.cells {
+			kb.Index("x", "y").Local("a1", field.Int64, 0).Local("out", field.Int64, 0).
+				Fetch("a1", nameA, core.AgeVar(0), core.Idx("x"), core.Idx("y")).
+				Store(out.name(i+1), core.AgeVar(s.delay), []core.IndexSpec{core.Idx("x"), core.Idx("y")}, "out")
+			getA = func(c *core.Ctx, _ int) int64 { return c.Int64("a1") }
+		} else {
+			kb.Index("x")
+			getA = fa.fetch(kb, "a1", nameA, false, 0)
+			out.store(kb, "out", i+1, s.delay, out.shift)
+		}
 		var getB func(c *core.Ctx, j int) int64
 		if s.srcB >= 0 {
 			getB = fields[s.srcB].fetch(kb, "a2", nameB, true, s.off)
 		}
-		out.store(kb, "out", i+1, s.delay, 0)
 		if out.halo {
 			out.store(kb, "halo", i+1, s.delay, 1)
 		}
@@ -234,6 +287,10 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 					v += getB(c, j)
 				}
 				return v
+			}
+			if s.cells {
+				c.SetInt64("out", v(c.Index("y")))
+				return nil
 			}
 			out.set(c, "out", v)
 			if out.halo && c.Index("x") == width-1 {
@@ -294,14 +351,17 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 		ref[i] = map[int][][]int64{}
 	}
 	ref[0][0] = seed
-	// apply computes a field's rows from value function v(x, j), and a halo
-	// field's extra row from the last one.
+	// apply computes a field's rows from value function v(x, j), a halo
+	// field's extra row from the last one, and a shifted field's rows one
+	// further on, after an unwritten (zero) row.
 	apply := func(f pipeField, v func(x, j int) int64) [][]int64 {
-		rows := make([][]int64, width)
+		rows := make([][]int64, width+f.shift)
 		for x := range rows {
 			rows[x] = make([]int64, f.rowLen())
 			for j := range rows[x] {
-				rows[x][j] = v(x, j)
+				if x >= f.shift {
+					rows[x][j] = v(x-f.shift, j)
+				}
 			}
 		}
 		if f.halo {
@@ -365,12 +425,12 @@ func runRandomPipeline(t *testing.T, rng *rand.Rand) {
 				if s.Extent(0) == 0 {
 					continue
 				}
-				if s.Extent(0) != len(want) || f.cols > 0 && s.Extent(1) != f.cols {
-					t.Fatalf("f%d(%d) extents %v, want %d rows of %d", fi, a, s.Extents(), len(want), f.cols)
+				if n := f.index(len(want), f.cols); s.Extent(0) != n[0] || f.cols > 0 && s.Extent(1) != n[1] {
+					t.Fatalf("f%d(%d) extents %v, want %d rows of %d (columns: %v)", fi, a, s.Extents(), len(want), f.cols, f.cm)
 				}
 				for x := range want {
 					for j, w := range want[x] {
-						idx := []int{x, j}[:f.rank()]
+						idx := f.index(x, j)
 						if got := s.At(idx...).Int64(); got != w {
 							t.Fatalf("f%d(%d)%v = %d, want %d (workers=%d, GC %v)", fi, a, idx, got, w, workers, node.opts.GC)
 						}

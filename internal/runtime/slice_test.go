@@ -423,7 +423,8 @@ func TestSliceStoresGrowExtent(t *testing.T) {
 
 // TestSliceNonContiguousCoordinates: a slice of a rank-2 kernel that stores
 // transposed writes scattered, non-monotone coordinates in one batch (and
-// grows both dimensions doing so), one-cell boxes; the result must equal the
+// grows both dimensions doing so), as one box per column segment — at most
+// one per column of out a slice touches — and the result must equal the
 // transpose. The same slice's untransposed copy, whose image is a box, goes
 // out as at most 3 boxes (a partial row, whole rows, a partial row).
 func TestSliceNonContiguousCoordinates(t *testing.T) {
@@ -477,8 +478,10 @@ func TestSliceNonContiguousCoordinates(t *testing.T) {
 			if k.Instances != rows*cols {
 				t.Fatalf("flip ran %d instances, want %d", k.Instances, rows*cols)
 			}
-			if notices["out"] != rows*cols || notices["same"] > 3*int(k.Slices) {
-				t.Errorf("%d notices for out, %d for same in %d slices; want one per cell and at most 3 per slice", notices["out"], notices["same"], k.Slices)
+			// A slice is a run of flip's domain, x-major: it touches one
+			// column of out more than the column boundaries it crosses.
+			if notices["out"] > int(k.Slices)+rows-1 || notices["same"] > 3*int(k.Slices) {
+				t.Errorf("%d notices for out, %d for same in %d slices; want at most one per column a slice touches and at most 3 per slice", notices["out"], notices["same"], k.Slices)
 			}
 			if same, _ := n.Snapshot("same", 0); !same.Equal(n.fields["in"].f.Snapshot(0)) {
 				t.Errorf("same(0) = %v, want in(0)", same)
@@ -501,46 +504,61 @@ func TestSliceNonContiguousCoordinates(t *testing.T) {
 	}
 }
 
-// TestSliceMergeStoresReplay: under MergeStores (failover), a slice's batched
-// stores land in a generation a replay has already partly written. The
-// duplicates must be skipped silently and the run must finish with exactly
-// the state of an undisturbed run.
+// TestSliceMergeStoresReplay: under MergeStores (failover), a slice's staged
+// stores — element stores and row stores alike — land in a generation a
+// replay has already partly written. The duplicates must be skipped silently
+// and the run must finish with exactly the state of an undisturbed run.
+// Without MergeStores the collision fails the run with the write-once error
+// naming the field.
 func TestSliceMergeStoresReplay(t *testing.T) {
 	const width, maxAge = 40, 2
-	n, err := NewNode(wideMulSum(t, width, nil), Options{
-		Workers: 2, MaxAge: maxAge, MergeStores: true,
-		Granularity: map[string]int{"mul2": 8, "plus5": 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The replayed part of p_data(0): what mul2 will compute again.
-	for _, x := range []int{3, 4, 5, 20, 39} {
-		if _, err := storeCell(n.fields["p_data"].f, 0, field.Int32Val(int32(x+10)*2), x); err != nil {
+	for _, rows := range []bool{false, true} {
+		prog := func() *core.Program { return mulSumProgram(t, width, rows, nil) }
+		// store writes p_data(0)[x], a cell or a one-value row.
+		store := func(n *Node, x int, v int32) error {
+			p := n.fields["p_data"].f
+			if !rows {
+				_, err := storeCell(p, 0, field.Int32Val(v), x)
+				return err
+			}
+			_, err := p.StoreSlice(0, []field.SlabDim{{Fixed: true, Index: x}, {}}, field.ArrayFromInt32([]int32{v}))
+			return err
+		}
+		n, err := NewNode(prog(), Options{
+			Workers: 2, MaxAge: maxAge, MergeStores: true,
+			Granularity: map[string]int{"mul2": 8, "plus5": 8},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	rep, err := runOrTimeout(t, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Stalled) != 0 {
-		t.Fatalf("stalled: %v", rep.Stalled)
-	}
-	checkWideMulSum(t, n, width, 0, 1, maxAge)
+		// The replayed part of p_data(0): what mul2 will compute again.
+		for _, x := range []int{3, 4, 5, 20, 39} {
+			if err := store(n, x, int32(x+10)*2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := runOrTimeout(t, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Stalled) != 0 {
+			t.Fatalf("rows=%v: stalled: %v", rows, rep.Stalled)
+		}
+		checkWideMulSum(t, n, width, 0, 1, maxAge)
 
-	// Without MergeStores the same collision is the write-once error it
-	// always was, named like a per-instance store error.
-	n, err = NewNode(wideMulSum(t, width, nil), Options{Workers: 2, MaxAge: maxAge, Granularity: map[string]int{"mul2": 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storeCell(n.fields["p_data"].f, 0, field.Int32Val(1), 20); err != nil {
-		t.Fatal(err)
-	}
-	_, err = runOrTimeout(t, n)
-	if !errors.Is(err, field.ErrWriteTwice) || !strings.Contains(err.Error(), "kernel mul2(age=0)") {
-		t.Errorf("colliding slice store returned %v, want a write-once error naming mul2(age=0)", err)
+		// Without MergeStores the same collision is the write-once error it
+		// always was, named like a per-instance store error.
+		n, err = NewNode(prog(), Options{Workers: 2, MaxAge: maxAge, Granularity: map[string]int{"mul2": 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store(n, 20, 1); err != nil {
+			t.Fatal(err)
+		}
+		_, err = runOrTimeout(t, n)
+		if !errors.Is(err, field.ErrWriteTwice) || !strings.Contains(err.Error(), "kernel mul2(age=0)") || !strings.Contains(err.Error(), "field p_data(0)[20") {
+			t.Errorf("rows=%v: colliding slice store returned %v, want a write-once error naming mul2(age=0) and p_data(0)[20...]", rows, err)
+		}
 	}
 }
 

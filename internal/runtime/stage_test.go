@@ -185,8 +185,9 @@ func TestAnalyzerSaturatedHeuristic(t *testing.T) {
 // (the generation is not complete, so it cannot be pinned), a run of element
 // fetches read through the slice's pin whose element stores go out as one
 // box, a run whose element stores land on a diagonal and go out as one-cell
-// boxes, or a run of row fetches; a run's coordinates decode into the
-// frame's scratch. An OnStore counter sees the boxes.
+// boxes, or a run of row fetches whose row stores go out as one box; a run's
+// coordinates decode into the frame's scratch. An OnStore counter sees the
+// boxes.
 func TestDispatchTracingOffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -235,7 +236,7 @@ func TestDispatchTracingOffAllocFree(t *testing.T) {
 		{"locked element", n, func(w *workerState) func() { return sliceOfOne(n, tr, cell, w) }, 0},
 		{"pinned elements, one box", en, elemRun, 1},
 		{"diagonal, one-cell boxes", dn, diagRun, rows},
-		{"rows", rn, rowRun, rows},
+		{"rows", rn, rowRun, 1},
 	} {
 		if tc.n.stamp {
 			t.Fatal("node without observability has stamping enabled")

@@ -115,9 +115,9 @@ type slabTerm struct {
 	term  idxTerm
 }
 
-// compileSlab precompiles the selector of a slab or whole-field statement on
-// a rank-rank field. A whole-field statement has no index: its selector is
-// rank free terms, so "whole" is decided here and nowhere after.
+// compileSlab precompiles the selector of any statement on a rank-rank field.
+// A whole-field statement has no index: its selector is rank free terms, so
+// "whole" is decided here and nowhere after.
 func compileSlab(specs []core.IndexSpec, rank int, vars []string) []slabTerm {
 	slab := make([]slabTerm, rank)
 	for d, s := range specs {
@@ -170,34 +170,15 @@ type fetchPlan struct {
 	viewable bool
 }
 
-// storePlan is the dispatch-time plan of one store statement.
+// storePlan is the dispatch-time plan of one store statement. Every store
+// is a selector: an element store fixes every dimension, a slab store some,
+// a whole-field store none.
 type storePlan struct {
 	ss    *core.StoreStmt
 	fs    *fieldState
 	local int        // position of ss.Local in the kernel's Locals
-	terms []idxTerm  // element stores
-	slab  []slabTerm // slab and whole-field stores (nil otherwise)
-	// boxed marks an element store that maps boxes of instances onto boxes
-	// of the field in cell order (boxImage); else each cell is its own box.
-	boxed bool
-}
-
-// boxImage reports whether element-store terms map every box of a kernel's
-// vars index variables onto a field box in cell order: each variable once, in
-// declaration order, beside literals. A repeated one ([x][x]) maps onto a
-// diagonal, a missing one many cells onto one, swapped ones transpose.
-func boxImage(terms []idxTerm, vars int) bool {
-	next := 0
-	for _, tm := range terms {
-		if tm.v < 0 {
-			continue
-		}
-		if tm.v != next {
-			return false
-		}
-		next++
-	}
-	return next == vars
+	slab  []slabTerm // one term per field dimension
+	free  int        // a slab store's free dimensions; 0 for an element store
 }
 
 // kernelState is the per-kernel runtime state: the static plan derived from
@@ -546,39 +527,6 @@ func boxCells(ext []int) int {
 		p *= e
 	}
 	return p
-}
-
-// cutRun appends to out the boxes, in cell order, that cells [lo, hi) of
-// box(ext) (row-major positions) fall into, as whole-box runs relative to its
-// origin: from each first cell, the most whole trailing dimensions that start
-// there and fit, times as many steps of the one before as fit. At rank 2: a
-// partial row, whole rows, a partial row; rank 0 is one cell.
-func cutRun(out []cellRun, ext []int, lo, hi int) []cellRun {
-	rank := len(ext)
-	if rank == 0 {
-		return append(out, cellRun{hi: 1})
-	}
-	for lo < hi {
-		b := cellRun{rank: rank}
-		for d, k := rank-1, lo; d >= 0; d-- {
-			b.org[d], k = k%ext[d], k/ext[d]
-		}
-		d, block := rank-1, 1
-		for ; d > 0 && b.org[d] == 0 && lo+block*ext[d] <= hi; d-- {
-			block *= ext[d]
-		}
-		for k := range ext {
-			b.ext[k] = ext[k]
-			if k < d {
-				b.ext[k] = 1
-			}
-		}
-		b.ext[d] = min(ext[d]-b.org[d], (hi-lo)/block)
-		b.hi = boxCells(b.ext[:rank])
-		out = append(out, b)
-		lo += b.hi
-	}
-	return out
 }
 
 // newBoxes tiles the cells of box(to) that are not in box(from) with boxes,

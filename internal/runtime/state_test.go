@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
+	"repro/internal/field"
 )
 
 // boxCellsOf lists the cells of newBoxes(from, to), box by box, row-major.
@@ -114,39 +117,90 @@ func TestNewCellsInsideOutside(t *testing.T) {
 	}
 }
 
-// TestCutRun: the boxes cutRun cuts a run of a box into hold exactly the
-// run's cells, in row-major order — at most 2×rank−1 of them, 3 at rank 2.
-func TestCutRun(t *testing.T) {
+// TestStageMerge: the boxes a run of element stores stages into hold
+// exactly the run's cells, in row-major order — at most 2×rank−1 of them, 3
+// at rank 2 — and so does the box a run of row stores merges into, while
+// column stores ([*][x]), whose cells are not contiguous, stay one box each.
+func TestStageMerge(t *testing.T) {
+	// cellsOf lists the cells of the staged boxes, box by box, row-major.
+	cellsOf := func(st *stagedStores, rank int) [][]int {
+		var cells [][]int
+		for k := 0; k < len(st.ext); k += rank {
+			r := cellRun{rank: rank}
+			for d := 0; d < rank; d++ {
+				r.org[d], r.ext[d] = st.sels[k+d].Index, st.ext[k+d]
+			}
+			r.hi = boxCells(r.ext[:rank])
+			for i := 0; i < r.hi; i++ {
+				cells = append(cells, r.coords(i, make([]int, rank)))
+			}
+		}
+		return cells
+	}
+	elem := func(rank int) *storePlan {
+		sp := &storePlan{ss: &core.StoreStmt{Field: "f"}, slab: make([]slabTerm, rank)}
+		for d := range sp.slab {
+			sp.slab[d] = slabTerm{fixed: true, term: idxTerm{v: d}}
+		}
+		return sp
+	}
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
 		rank := 1 + r.Intn(3)
-		ext := make([]int, rank)
-		for d := range ext {
-			ext[d] = 1 + r.Intn(5)
+		run := cellRun{rank: rank}
+		for d := 0; d < rank; d++ {
+			run.ext[d] = 1 + r.Intn(5)
 		}
-		cells := boxCells(ext)
-		lo := r.Intn(cells)
-		hi := lo + 1 + r.Intn(cells-lo)
-		boxes := cutRun(nil, ext, lo, hi)
-		if len(boxes) > 2*rank-1 {
-			t.Fatalf("run [%d,%d) of %v: %d boxes %v", lo, hi, ext, len(boxes), boxes)
-		}
-		next := lo
-		var c [maxRank]int
-		for _, b := range boxes {
-			for i := 0; i < b.hi; i++ {
-				b.coords(i, c[:rank])
-				if got := position(c[:rank], ext); got != next {
-					t.Fatalf("run [%d,%d) of %v: boxes %v give cell %d where %d is next", lo, hi, ext, boxes, got, next)
-				}
-				next++
+		cells := boxCells(run.ext[:rank])
+		run.lo = r.Intn(cells)
+		run.hi = run.lo + 1 + r.Intn(cells-run.lo)
+		var st stagedStores
+		st.cells.ResetEmpty(field.Int32, 1)
+		sp := elem(rank)
+		for i := run.lo; i < run.hi; i++ {
+			v := field.Int32Val(int32(i))
+			if err := st.stage(sp, run.coords(i, make([]int, rank)), &v, run.len()); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if next != hi {
-			t.Fatalf("run [%d,%d) of %v: boxes %v end at %d", lo, hi, ext, boxes, next)
+		if boxes := len(st.ext) / rank; boxes > 2*rank-1 {
+			t.Fatalf("run [%d,%d) of %v: %d boxes %v %v", run.lo, run.hi, run.ext[:rank], boxes, st.sels, st.ext)
+		}
+		got := cellsOf(&st, rank)
+		for i, c := range got {
+			if p := position(c, run.ext[:rank]); p != run.lo+i || st.cells.AtFlat(i).Int64() != int64(p) {
+				t.Fatalf("run [%d,%d) of %v: box cell %d is %v (value %v), want position %d", run.lo, run.hi, run.ext[:rank], i, c, st.cells.AtFlat(i), run.lo+i)
+			}
+		}
+		if len(got) != run.len() || st.n != run.len() {
+			t.Fatalf("run [%d,%d) of %v: boxes hold %d cells of %d instances", run.lo, run.hi, run.ext[:rank], len(got), st.n)
 		}
 	}
-	if boxes := cutRun(nil, nil, 0, 1); len(boxes) != 1 || boxes[0].len() != 1 {
-		t.Errorf("rank 0: %v, want one cell", boxes)
+
+	// Row stores f[x+1][*] of 3-cell rows over x in [0,4) are one 4×3 box
+	// from row 1; column stores f[*][x] are four 3×1 boxes.
+	row := field.ArrayVal(field.NewArray(field.Int32, 3))
+	for _, tc := range []struct {
+		name  string
+		slab  []slabTerm
+		boxes int
+	}{
+		{"rows", []slabTerm{{fixed: true, term: idxTerm{v: 0, off: 1}}, {}}, 1},
+		{"columns", []slabTerm{{}, {fixed: true, term: idxTerm{v: 0}}}, 4},
+	} {
+		var st stagedStores
+		st.cells.ResetEmpty(field.Int32, 1)
+		sp := &storePlan{ss: &core.StoreStmt{Field: "f"}, slab: tc.slab, free: 1}
+		for x := 0; x < 4; x++ {
+			if err := st.stage(sp, []int{x}, &row, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if boxes := len(st.ext) / 2; boxes != tc.boxes || st.cells.Len() != 12 {
+			t.Errorf("%s: %d boxes %v %v of %d cells, want %d boxes of 12", tc.name, boxes, st.sels, st.ext, st.cells.Len(), tc.boxes)
+		}
+	}
+	if tc := (&stagedStores{}); tc.stage(&storePlan{ss: &core.StoreStmt{Field: "f"}, slab: []slabTerm{{}, {}, {fixed: true}}, free: 2}, nil, &row, 1) == nil {
+		t.Error("a rank-1 array staged into two free dimensions")
 	}
 }

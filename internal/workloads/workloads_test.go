@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -406,14 +407,16 @@ func TestSIFTRequiresSource(t *testing.T) {
 	SIFT(SIFTConfig{})
 }
 
-// TestKMeansStoreBoxes: a slice's element stores go out as boxes — one
-// OnStore notice per store statement and slice, not one per element — so
+// TestKMeansStoreBoxes: a slice's stores go out as boxes — one OnStore
+// notice per store statement and slice, not one per element or row — so
 // assign's membership(a) stores publish exactly one notice per assign slice,
-// and a K-means age at N=2000, K=100 on two workers publishes at most 200
-// notices, where one notice per element store made it about 2 100. Every
-// kernel-age is cut by its tail limit, age 0 included, so each age's assign
-// runs in exactly 2000/(2 × 4) = 8 slices of 250 and publishes 8 membership
-// notices. StoreOps still counts one store per instance.
+// refine's centroid rows one per refine slice, and a K-means age at N=2000,
+// K=100 on two workers publishes at most 200 notices, where one notice per
+// element store made it about 2 100. Every kernel-age is cut by its tail
+// limit, age 0 included, so each age's assign runs in exactly 2000/(2 × 4) =
+// 8 slices of 250 and publishes 8 membership notices, and its refine in 8
+// slices of 100/(2 × 4) = 12 and one of 4, publishing 9 centroids notices.
+// StoreOps still counts one store per instance.
 func TestKMeansStoreBoxes(t *testing.T) {
 	const ages = 3
 	cfg := KMeansConfig{N: 2000, K: 100, Iter: ages, Dim: 2, Seed: 1}
@@ -421,14 +424,18 @@ func TestKMeansStoreBoxes(t *testing.T) {
 	var mu sync.Mutex
 	perAge := make([]int, ages+1)
 	membership := make([]int, ages+1)
+	centroids := make([]int, ages+1)
 	cells := 0
 	opts.OnStore = func(sn runtime.StoreNotice) {
 		mu.Lock()
 		defer mu.Unlock()
 		perAge[sn.Age]++
 		cells += sn.Value.Array().Len()
-		if sn.Field == "membership" {
+		switch sn.Field {
+		case "membership":
 			membership[sn.Age]++
+		case "centroids":
+			centroids[sn.Age]++
 		}
 	}
 	rep, err := runtime.Run(KMeans(cfg), opts)
@@ -442,13 +449,22 @@ func TestKMeansStoreBoxes(t *testing.T) {
 		if membership[age] != 8 {
 			t.Errorf("age %d: %d membership notices, want 8 (all ages: %v)", age, membership[age], membership)
 		}
+		// refine(age) stores centroids(age+1).
+		if centroids[age+1] != 9 {
+			t.Errorf("age %d: %d centroids notices, want 9 (all ages: %v)", age+1, centroids[age+1], centroids)
+		}
 	}
-	total := 0
-	for _, m := range membership {
-		total += m
-	}
-	if a := rep.Kernel("assign"); int64(total) != a.Slices {
-		t.Errorf("%d membership notices for %d assign slices, want one each", total, a.Slices)
+	for _, c := range []struct {
+		kernel  string
+		notices []int
+	}{{"assign", membership}, {"refine", centroids[1:]}} {
+		total := 0
+		for _, m := range c.notices {
+			total += m
+		}
+		if k := rep.Kernel(c.kernel); int64(total) != k.Slices {
+			t.Errorf("%d notices for %d %s slices, want one each", total, k.Slices, c.kernel)
+		}
 	}
 	// Every stored cell is in some notice: the datapoints and first
 	// centroids, then N memberships and K centroid rows of 2 per age.
@@ -460,5 +476,82 @@ func TestKMeansStoreBoxes(t *testing.T) {
 		if k.Instances == 0 || k.StoreOps != k.Instances {
 			t.Errorf("%s: %d store ops for %d instances, want one per instance", name, k.StoreOps, k.Instances)
 		}
+	}
+}
+
+// TestMJPEGStoreBoxes: a DCT slice's row stores go out as one box — one
+// OnStore notice per slice of the DCT kernel for each of yResult, uResult and
+// vResult, not one per macroblock — that covers the slice's rows. At CIF on
+// two workers, yDCT's 1 584 blocks a frame run in 8 slices of 198 and uDCT's
+// and vDCT's 396 in 8 of 49 and one of 4. Every row of every age is covered
+// by exactly one notice, and the bitstream is the sequential encoder's.
+func TestMJPEGStoreBoxes(t *testing.T) {
+	const frames = 2
+	var baseline bytes.Buffer
+	if n, err := (&mjpeg.Encoder{}).EncodeStream(video.NewCIFSource(frames, 1), &baseline); err != nil || n != frames {
+		t.Fatalf("baseline: %d frames, %v", n, err)
+	}
+	results := map[string]string{"yResult": "yDCT", "uResult": "uDCT", "vResult": "vDCT"}
+	var mu sync.Mutex
+	notices := map[string][]int{}   // per result field, per age
+	covered := map[string][][]int{} // per result field, per age, per row
+	opts := runtime.Options{Workers: 2, OnStore: func(sn runtime.StoreNotice) {
+		if _, ok := results[sn.Field]; !ok {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for len(notices[sn.Field]) <= sn.Age {
+			notices[sn.Field] = append(notices[sn.Field], 0)
+			covered[sn.Field] = append(covered[sn.Field], nil)
+		}
+		notices[sn.Field][sn.Age]++
+		a := sn.Value.Array()
+		if len(sn.Sel) != 2 || sn.Sel[0].Fixed || sn.Sel[1].Fixed || sn.Sel[1].Index != 0 || a.Rank() != 2 || a.Extent(1) != blockLen {
+			t.Errorf("%s(%d): notice %v of %v cells, want whole rows", sn.Field, sn.Age, sn.Sel, a.Extents())
+			return
+		}
+		rows := covered[sn.Field][sn.Age]
+		for r := sn.Sel[0].Index; r < sn.Sel[0].Index+a.Extent(0); r++ {
+			for len(rows) <= r {
+				rows = append(rows, 0)
+			}
+			rows[r]++
+		}
+		covered[sn.Field][sn.Age] = rows
+	}}
+	node, err := runtime.NewNode(MJPEG(MJPEGConfig{Source: video.NewCIFSource(frames, 1)}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := node.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for out, kernel := range results {
+		want, blocks := 9, 396
+		if out == "yResult" {
+			want, blocks = 8, 1584
+		}
+		total := 0
+		for age := 0; age < frames; age++ {
+			if got := notices[out][age]; got != want {
+				t.Errorf("%s(%d): %d notices, want %d (all ages: %v)", out, age, got, want, notices[out])
+			}
+			total += notices[out][age]
+			if rows := covered[out][age]; len(rows) != blocks || slices.ContainsFunc(rows, func(c int) bool { return c != 1 }) {
+				t.Errorf("%s(%d): rows covered %v, want each of %d once", out, age, rows, blocks)
+			}
+		}
+		if k := rep.Kernel(kernel); int64(total) != k.Slices {
+			t.Errorf("%s: %d notices for %d %s slices, want one each", out, total, k.Slices, kernel)
+		}
+	}
+	got, err := MJPEGStream(node, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, baseline.Bytes()) {
+		t.Errorf("P2G bitstream (%d bytes) differs from the sequential encoder's (%d bytes)", len(got), baseline.Len())
 	}
 }
