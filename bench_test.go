@@ -201,14 +201,10 @@ func BenchmarkPartition(b *testing.B) {
 	prog := workloads.MJPEG(workloads.MJPEGConfig{Source: video.NewCIFSource(1, 1)})
 	g := graph.BuildFinal(prog)
 	topo := sched.NewTopology(4, 4)
-	for _, m := range []sched.Method{sched.Greedy, sched.KL, sched.Tabu} {
-		b.Run(m.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sched.Partition(g, topo, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sched.Partition(g, topo, sched.KL); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -269,7 +265,7 @@ func runTransportMJPEG(frames int) (int64, error) {
 		}
 		conns[i] = c
 	}
-	if _, err := dist.RunMaster(dist.MasterConfig{Prog: mkProg(), Method: sched.KL}, conns); err != nil {
+	if _, err := dist.RunMaster(dist.MasterConfig{Prog: mkProg()}, conns); err != nil {
 		return 0, err
 	}
 	for i := 0; i < n; i++ {
@@ -354,7 +350,6 @@ func runTransportMJPEGFailover(frames int) (wire, replayed int64, err error) {
 	res, err := dist.RunMaster(dist.MasterConfig{
 		Prog:     prog,
 		Spec:     spec,
-		Method:   sched.KL,
 		Failover: true,
 	}, conns)
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/workloads"
 )
 
@@ -27,7 +26,6 @@ func main() {
 	listen := flag.String("listen", ":7420", "TCP listen address")
 	nodes := flag.Int("nodes", 2, "execution nodes to wait for")
 	workload := flag.String("workload", "mulsum", "workload spec (mulsum | kmeans:... | mjpeg:...)")
-	method := flag.String("method", "kl", "partitioning method: greedy, kl or tabu")
 	tracePath := flag.String("trace", "", "write a merged Chrome trace_event JSON of the whole cluster (master + every worker, clock-aligned)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metricz and the merged cluster /statusz on this address, e.g. :9090")
 	failover := flag.Bool("failover", false, "recover from worker deaths: reassign the lost kernels and replay the logged store frames instead of failing the run")
@@ -42,18 +40,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var m sched.Method
-	switch *method {
-	case "greedy":
-		m = sched.Greedy
-	case "kl":
-		m = sched.KL
-	case "tabu":
-		m = sched.Tabu
-	default:
-		fail(fmt.Errorf("unknown method %q", *method))
-	}
-
 	view := dist.NewClusterView(*workload)
 	var tracer *obs.Tracer
 	if *tracePath != "" {
@@ -86,7 +72,7 @@ func main() {
 	}
 
 	res, err := dist.RunMaster(dist.MasterConfig{
-		Prog: prog, Method: m, Spec: *workload, View: view,
+		Prog: prog, Spec: *workload, View: view,
 		Metrics: reg, Tracer: tracer,
 		Failover:    *failover,
 		Heartbeat:   time.Duration(*heartbeatMs) * time.Millisecond,
@@ -117,8 +103,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "p2g-master: merged cluster trace (%d nodes) written to %s\n", len(bundles), *tracePath)
 	}
 
-	fmt.Printf("workload %q partitioned with %s (cut %.1f, imbalance %.2f)\n",
-		*workload, *method, res.Cost.Cut, res.Cost.Imbalance)
+	fmt.Printf("workload %q partitioned (cut %.1f, imbalance %.2f)\n",
+		*workload, res.Cost.Cut, res.Cost.Imbalance)
 	var kernels []string
 	for k := range res.Assignment {
 		kernels = append(kernels, k)

@@ -368,19 +368,16 @@ func partition() error {
 		sched.ApplyInstrumentation(g, rep)
 		fmt.Printf("%s final graph (%d kernels, %d edges), instrumentation-weighted:\n",
 			wl.name, len(g.Nodes), len(g.Edges))
-		fmt.Printf("  %-8s %-8s %-12s %-10s\n", "nodes", "method", "cut", "imbalance")
+		fmt.Printf("  %-8s %-12s %-10s\n", "nodes", "cut", "imbalance")
 		for _, nodes := range []int{2, 4, 8} {
-			topo := sched.NewTopology(nodes, 4)
-			for _, m := range []sched.Method{sched.Greedy, sched.KL, sched.Tabu} {
-				_, cost, err := sched.Partition(g, topo, m)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("  %-8d %-8s %-12.3g %-10.3f\n", nodes, m, cost.Cut, cost.Imbalance)
+			_, cost, err := sched.Partition(g, sched.NewTopology(nodes, 4), sched.KL)
+			if err != nil {
+				return err
 			}
+			fmt.Printf("  %-8d %-12.3g %-10.3f\n", nodes, cost.Cut, cost.Imbalance)
 		}
 	}
-	fmt.Println("(KL and tabu should never exceed greedy's cost; §IV's repartitioning loop uses these weights)")
+	fmt.Println("(a greedy seed refined Kernighan–Lin style; §IV's repartitioning loop uses these weights)")
 	return nil
 }
 
@@ -408,7 +405,7 @@ func distExp() error {
 			}(i, wc)
 		}
 		start := time.Now()
-		res, err := dist.RunMaster(dist.MasterConfig{Prog: workloads.KMeans(cfg), Method: sched.KL}, masterConns)
+		res, err := dist.RunMaster(dist.MasterConfig{Prog: workloads.KMeans(cfg)}, masterConns)
 		wg.Wait()
 		if err != nil {
 			return err

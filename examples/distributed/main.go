@@ -20,7 +20,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/field"
 	"repro/internal/kmeans"
-	"repro/internal/sched"
 	"repro/internal/workloads"
 )
 
@@ -52,17 +51,14 @@ func main() {
 		}(i, workerConn)
 	}
 
-	res, err := dist.RunMaster(dist.MasterConfig{
-		Prog:   workloads.KMeans(cfg),
-		Method: sched.Tabu,
-	}, masterConns)
+	res, err := dist.RunMaster(dist.MasterConfig{Prog: workloads.KMeans(cfg)}, masterConns)
 	wg.Wait()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "master:", err)
 		os.Exit(1)
 	}
 
-	fmt.Printf("partitioned K-means across %d nodes (tabu search, cut %.1f, imbalance %.2f):\n",
+	fmt.Printf("partitioned K-means across %d nodes (cut %.1f, imbalance %.2f):\n",
 		*nodes, res.Cost.Cut, res.Cost.Imbalance)
 	var kernels []string
 	for k := range res.Assignment {

@@ -8,26 +8,19 @@ import (
 	"repro/internal/runtime"
 )
 
-// Flush thresholds for the store batcher: a generation's frame is emitted
-// early once it holds this many bytes or entries, bounding both message size
-// and the master's replay cost per frame. Generations smaller than the
-// thresholds ride until the kernel age completes (or the next ping).
-const (
-	frameFlushBytes   = 64 << 10
-	frameFlushEntries = 512
-)
-
 // genKey identifies one field generation.
 type genKey struct {
 	field string
 	age   int
 }
 
-// storeBatcher coalesces per-row store notices into whole-generation frames
-// on the worker send path. Stores accumulate per (field, age); flushAll emits
-// pending frames in first-store order, which — combined with flushing before
-// every MDone — preserves the per-origin stores-before-done order the master
-// broker and downstream consumers rely on.
+// storeBatcher coalesces store notices into whole-generation frames on the
+// worker send path. Stores accumulate per (field, age) and leave only through
+// flushAll, one frame per generation in first-store order. Flushing before
+// every MDone preserves the per-origin stores-before-done order the master
+// broker and downstream consumers rely on. Since a slice publishes one notice
+// per merged box, a generation's notices are few, and each frame pays its
+// encoding and its two hops once per flush, not once per size threshold.
 //
 // Frames come from the runtime frame pool and are handed to emit together
 // with the routing envelope (whose Frame field is left nil); emit sends the
@@ -68,9 +61,8 @@ func newStoreBatcher(emit func(*Msg, *runtime.StoreFrame), reg *obs.Registry, no
 	}
 }
 
-// add appends one store notice to its generation's frame, emitting the frame
-// immediately when it crosses a flush threshold. The notice may be borrowed
-// (runtime.Options.OnStore): the frame copies it.
+// add appends one store notice to its generation's frame. The notice may be
+// borrowed (runtime.Options.OnStore): the frame copies it.
 func (b *storeBatcher) add(sn runtime.StoreNotice) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -82,29 +74,27 @@ func (b *storeBatcher) add(sn runtime.StoreNotice) error {
 		b.frames[k] = f
 		b.order = append(b.order, k)
 	}
-	if err := f.Add(sn); err != nil {
-		return err
-	}
-	if f.Len() >= frameFlushBytes || f.Entries() >= frameFlushEntries {
-		b.emitLocked(k, f)
-	}
-	return nil
+	return f.Add(sn)
 }
 
-// flushAll emits every pending frame in first-store order.
-func (b *storeBatcher) flushAll() {
+// flushAll emits every pending frame in first-store order, then runs point
+// (when not nil) under the same lock. point sends the message that marks the
+// flush (an MDone, an MStatus): no other flush can emit a frame between this
+// flush's frames and that message, so a generation leaves at most once
+// between two flush points on the wire.
+func (b *storeBatcher) flushAll(point func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, k := range b.order {
-		if f := b.frames[k]; f != nil {
-			b.emitLocked(k, f)
-		}
+		b.emitLocked(k, b.frames[k])
 	}
 	b.order = b.order[:0]
+	if point != nil {
+		point()
+	}
 }
 
-// emitLocked sends one frame and forgets it; the caller holds b.mu. The key
-// stays in b.order when called from add — flushAll skips the deleted entry.
+// emitLocked sends one frame and forgets it; the caller holds b.mu.
 func (b *storeBatcher) emitLocked(k genKey, f *runtime.StoreFrame) {
 	delete(b.frames, k)
 	var trace uint64

@@ -14,7 +14,6 @@ import (
 	"repro/internal/kmeans"
 	"repro/internal/mjpeg"
 	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/video"
 	"repro/internal/workloads"
 )
@@ -44,7 +43,7 @@ func runDistributed(t *testing.T, build func() any, n int, wcfg func(i int) Work
 		}(i)
 	}
 	prog := wcfg(0).Prog // master shares the program structure
-	res, err := RunMaster(MasterConfig{Prog: prog, Method: sched.KL}, masterConns)
+	res, err := RunMaster(MasterConfig{Prog: prog}, masterConns)
 	wg.Wait()
 	close(errs)
 	for e := range errs {
@@ -189,7 +188,7 @@ func TestDistributedOverTCP(t *testing.T) {
 		}
 		conns[i] = c
 	}
-	res, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), Method: sched.Greedy}, conns)
+	res, err := RunMaster(MasterConfig{Prog: workloads.MulSum()}, conns)
 	wg.Wait()
 	close(errs)
 	for e := range errs {
@@ -323,7 +322,7 @@ func TestWeightedRepartition(t *testing.T) {
 				}
 			}(i, wc)
 		}
-		res, err := RunMaster(MasterConfig{Prog: workloads.KMeans(cfg), Method: sched.KL, Weights: weights}, masterConns)
+		res, err := RunMaster(MasterConfig{Prog: workloads.KMeans(cfg), Weights: weights}, masterConns)
 		wg.Wait()
 		if err != nil {
 			t.Fatal(err)
@@ -395,7 +394,7 @@ func TestDistributedKernelFailure(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(MasterConfig{Prog: mkProg(), Method: sched.Greedy}, masterConns)
+		_, err := RunMaster(MasterConfig{Prog: mkProg()}, masterConns)
 		done <- err
 	}()
 	select {

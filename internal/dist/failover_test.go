@@ -14,7 +14,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/mjpeg"
 	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/video"
 	"repro/internal/workloads"
 )
@@ -77,7 +76,7 @@ func TestFailoverSurvivorTakeover(t *testing.T) {
 		}(i, wc)
 	}
 	res, err := RunMaster(MasterConfig{
-		Prog: workloads.MulSum(), Method: sched.KL, Failover: true,
+		Prog: workloads.MulSum(), Failover: true,
 	}, masterConns)
 	wg.Wait()
 	if err != nil {
@@ -137,7 +136,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 		}, sbWorker)
 	}()
 	res, err := RunMaster(MasterConfig{
-		Prog: workloads.MulSum(), Method: sched.KL, Failover: true,
+		Prog: workloads.MulSum(), Failover: true,
 	}, append(masterConns, sbMaster))
 	wg.Wait()
 	if err != nil {
@@ -190,7 +189,7 @@ func TestReplayTargetDeath(t *testing.T) {
 		}(i, id, wc)
 	}
 	res, err := RunMaster(MasterConfig{
-		Prog: workloads.MulSum(), Method: sched.KL, Failover: true,
+		Prog: workloads.MulSum(), Failover: true,
 	}, conns)
 	wg.Wait()
 	if err != nil {
@@ -249,7 +248,7 @@ func TestStoppedWorkerDeclaredDead(t *testing.T) {
 		start := time.Now()
 		go func() {
 			res, err := RunMaster(MasterConfig{
-				Prog: workloads.MulSum(), Method: sched.KL, Failover: failover,
+				Prog: workloads.MulSum(), Failover: failover,
 				Heartbeat: heartbeat, MaxMissed: maxMissed,
 			}, conns)
 			done <- outcome{res, err}
@@ -318,7 +317,7 @@ func TestStandbyReleasedCleanly(t *testing.T) {
 		}
 	}()
 	res, err := RunMaster(MasterConfig{
-		Prog: workloads.MulSum(), Method: sched.KL, Failover: true,
+		Prog: workloads.MulSum(), Failover: true,
 	}, append(masterConns, sbMaster))
 	wg.Wait()
 	if err != nil {
@@ -368,7 +367,7 @@ func TestMasterIdleTimeoutNamesWedgedWorker(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunMaster(MasterConfig{
-			Prog: workloads.MulSum(), Method: sched.KL,
+			Prog:        workloads.MulSum(),
 			IdleTimeout: 200 * time.Millisecond,
 		}, masterConns)
 		done <- err
@@ -418,7 +417,7 @@ func TestLivenessCatchesSilentPartition(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunMaster(MasterConfig{
-			Prog: workloads.MulSum(), Method: sched.KL,
+			Prog:      workloads.MulSum(),
 			Heartbeat: 50 * time.Millisecond, MaxMissed: 4,
 		}, masterConns)
 		done <- err
@@ -476,7 +475,7 @@ func TestLivenessDuringStopPhase(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunMaster(MasterConfig{
-			Prog: prog, Method: sched.Greedy,
+			Prog:      prog,
 			Heartbeat: 50 * time.Millisecond, MaxMissed: 4,
 		}, []Conn{mc})
 		done <- err
@@ -546,7 +545,7 @@ func TestMasterFailureBroadcastsStop(t *testing.T) {
 			}, conn)
 		}(i, wc)
 	}
-	_, err := RunMaster(MasterConfig{Prog: failoverBoomProg(t), Method: sched.Greedy}, masterConns)
+	_, err := RunMaster(MasterConfig{Prog: failoverBoomProg(t)}, masterConns)
 	wg.Wait()
 	if err == nil || !strings.Contains(err.Error(), "boom failure") {
 		t.Fatalf("master error = %v, want the injected kernel failure", err)
@@ -585,7 +584,7 @@ func TestMasterAbortReleasesHandshakeWorkers(t *testing.T) {
 		}, goodWorker)
 		workerDone <- err
 	}()
-	_, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), Method: sched.Greedy}, []Conn{good, bad})
+	_, err := RunMaster(MasterConfig{Prog: workloads.MulSum()}, []Conn{good, bad})
 	if err == nil || !strings.Contains(err.Error(), "expected registration") {
 		t.Fatalf("master error = %v, want registration failure", err)
 	}
@@ -649,7 +648,7 @@ func distMJPEGFailover(t *testing.T, spec string, severAt int, failover bool) (*
 		t.Fatal(err)
 	}
 	res, err := RunMaster(MasterConfig{
-		Prog: prog, Spec: spec, Method: sched.KL, Failover: failover,
+		Prog: prog, Spec: spec, Failover: failover,
 	}, conns)
 	wg.Wait()
 	return res, err
@@ -824,7 +823,7 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 	// way the survivor can look stale is a ping stuck behind the replay.
 	slow := FaultPlan{Delay: 20 * time.Millisecond, DelayEvery: 1}
 	res, err := RunMaster(MasterConfig{
-		Prog: prog, Method: sched.Greedy, Failover: true,
+		Prog: prog, Failover: true,
 		Heartbeat: 60 * time.Millisecond, MaxMissed: 4,
 		PollInterval: 100 * time.Millisecond,
 	}, []Conn{NewFaultConn(mc0, slow), NewFaultConn(mc1, slow)})

@@ -19,7 +19,9 @@ type MasterConfig struct {
 	// Prog is the program to distribute. Every participating node must
 	// construct the same program (kernel bodies are code, not data).
 	Prog *core.Program
-	// Method selects the HLS partitioning algorithm.
+	// Method exists for the benchmark ledger (bench/), which names
+	// sched.KL: the zero value and the one HLS partitioning method.
+	// Partitioning refuses any other value.
 	Method sched.Method
 	// Spec is an optional program identifier forwarded to workers that
 	// build their program from a registry (the cmd tools).

@@ -16,7 +16,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/mjpeg"
 	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/video"
 	"repro/internal/workloads"
 )
@@ -140,7 +139,7 @@ func TestBrokerReadersExit(t *testing.T) {
 		}
 		wc.Close()
 	}()
-	_, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), Method: sched.Greedy}, []Conn{mc})
+	_, err := RunMaster(MasterConfig{Prog: workloads.MulSum()}, []Conn{mc})
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Fatalf("master error = %v, want unknown-field failure", err)
 	}
@@ -313,9 +312,10 @@ func cellNotice(fieldName string, age int, v field.Value, idx ...int) runtime.St
 	return runtime.StoreNotice{Field: fieldName, Age: age, Sel: sel, Value: field.ArrayVal(cell)}
 }
 
-// TestStoreBatcherFlush covers the batcher's three emission triggers: the
-// entry-count threshold, the byte threshold, and flushAll in first-store
-// order; emitted frames must decode back to the original notices.
+// TestStoreBatcherFlush: stores leave only through flushAll, one frame per
+// generation in first-store order, each decoding back to its notices in the
+// order they were added; the flush point runs after the frames, and a second
+// flushAll emits nothing.
 func TestStoreBatcherFlush(t *testing.T) {
 	var msgs []*Msg
 	b := newStoreBatcher(func(m *Msg, f *runtime.StoreFrame) {
@@ -324,65 +324,62 @@ func TestStoreBatcherFlush(t *testing.T) {
 		runtime.PutStoreFrame(f)
 	}, nil, "test", nil)
 
-	for i := 0; i < frameFlushEntries; i++ {
-		if err := b.add(cellNotice("f", 1, field.Int32Val(int32(i)), i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(msgs) != 1 {
-		t.Fatalf("%d frames after %d entries, want 1", len(msgs), frameFlushEntries)
-	}
-	if msgs[0].Kind != MStoreFrame || msgs[0].Field != "f" || msgs[0].Age != 1 {
-		t.Fatalf("frame envelope %+v", msgs[0])
-	}
-	var n int
-	if err := runtime.DecodeStoreFrame(msgs[0].Frame, func(sn runtime.StoreNotice) error {
-		if sn.Field != "f" || sn.Age != 1 || sn.Sel[0].Index != n || sn.Value.Array().AtFlat(0).Int64() != int64(n) {
-			return fmt.Errorf("entry %d decoded as %+v", n, sn)
-		}
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != frameFlushEntries {
-		t.Fatalf("decoded %d entries, want %d", n, frameFlushEntries)
-	}
-
-	// One store bigger than the byte threshold flushes immediately.
-	big := field.NewArray(field.Uint8, frameFlushBytes+1)
-	if err := b.add(runtime.StoreNotice{Field: "g", Age: 0, Whole: true, Value: field.ArrayVal(big)}); err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 2 || msgs[1].Field != "g" {
-		t.Fatalf("byte threshold did not flush: %d frames", len(msgs))
-	}
-
-	// flushAll emits pending generations in first-store order.
 	script := []runtime.StoreNotice{
 		cellNotice("a", 0, field.Int32Val(1), 0),
 		cellNotice("b", 0, field.Int32Val(2), 0),
 		cellNotice("a", 1, field.Int32Val(3), 0),
 		cellNotice("a", 0, field.Int32Val(4), 1),
 	}
+	for i := 0; i < 1000; i++ { // one generation, however many entries, is one frame
+		script = append(script, cellNotice("b", 0, field.Int32Val(int32(i)), i+1))
+	}
 	for _, sn := range script {
 		if err := b.add(sn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b.flushAll()
-	order := msgs[2:]
-	if len(order) != 3 {
-		t.Fatalf("flushAll emitted %d frames, want 3", len(order))
+	if len(msgs) != 0 {
+		t.Fatalf("%d frames emitted before any flush", len(msgs))
+	}
+	points := 0
+	b.flushAll(func() {
+		points++
+		if len(msgs) != 3 {
+			t.Errorf("flush point ran after %d frames, want 3", len(msgs))
+		}
+	})
+	if len(msgs) != 3 || points != 1 {
+		t.Fatalf("flushAll emitted %d frames and ran %d points, want 3 and 1", len(msgs), points)
 	}
 	wantOrder := []genKey{{"a", 0}, {"b", 0}, {"a", 1}}
 	for i, w := range wantOrder {
-		if order[i].Field != w.field || order[i].Age != w.age {
-			t.Errorf("frame %d is %s(%d), want %s(%d)", i, order[i].Field, order[i].Age, w.field, w.age)
+		m := msgs[i]
+		if m.Kind != MStoreFrame || m.Field != w.field || m.Age != w.age {
+			t.Fatalf("frame %d is %v %s(%d), want %s(%d)", i, m.Kind, m.Field, m.Age, w.field, w.age)
+		}
+		var want []runtime.StoreNotice
+		for _, sn := range script {
+			if sn.Field == w.field && sn.Age == w.age {
+				want = append(want, sn)
+			}
+		}
+		n := 0
+		if err := runtime.DecodeStoreFrame(m.Frame, func(sn runtime.StoreNotice) error {
+			ws := want[n]
+			if sn.Field != ws.Field || sn.Age != ws.Age || sn.Sel[0].Index != ws.Sel[0].Index || sn.Value.Array().AtFlat(0).Int64() != ws.Value.Array().AtFlat(0).Int64() {
+				return fmt.Errorf("entry %d decoded as %+v, want %+v", n, sn, ws)
+			}
+			n++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(want) {
+			t.Errorf("frame %s(%d): decoded %d entries, want %d", w.field, w.age, n, len(want))
 		}
 	}
-	b.flushAll() // idempotent on empty state
-	if len(msgs) != 5 {
+	b.flushAll(nil) // idempotent on empty state
+	if len(msgs) != 3 {
 		t.Errorf("empty flushAll emitted frames")
 	}
 }
@@ -431,7 +428,7 @@ func distMJPEGOverTCP(t *testing.T, frames int) []byte {
 		}
 		conns[i] = c
 	}
-	res, err := RunMaster(MasterConfig{Prog: mkProg(), Method: sched.KL}, conns)
+	res, err := RunMaster(MasterConfig{Prog: mkProg()}, conns)
 	wg.Wait()
 	close(errs)
 	for e := range errs {

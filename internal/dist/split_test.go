@@ -15,7 +15,6 @@ import (
 	"repro/internal/kmeans"
 	"repro/internal/mjpeg"
 	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/video"
 	"repro/internal/workloads"
 )
@@ -65,7 +64,7 @@ func runSplit(t *testing.T, mk func() *core.Program, cores []int, tweak func(*Wo
 	}
 	done := make(chan result, 1)
 	go func() {
-		res, err := RunMaster(MasterConfig{Prog: mk(), Method: sched.KL, IdleTimeout: 30 * time.Second}, masterConns)
+		res, err := RunMaster(MasterConfig{Prog: mk(), IdleTimeout: 30 * time.Second}, masterConns)
 		done <- result{res, err}
 	}()
 	select {
@@ -194,7 +193,8 @@ func TestShareOwnership(t *testing.T) {
 // TestSplitKernelsBitIdentical: MJPEG and K-means split over one, two and
 // three in-process workers with unequal cores produce exactly the sequential
 // oracles' fields — the baseline encoder's bitstream, kmeans.Sequential's
-// centroids and memberships.
+// centroids and memberships — and every worker sends each generation at most
+// once between two flush points (see framesOncePerFlush).
 func TestSplitKernelsBitIdentical(t *testing.T) {
 	workloads.RegisterPayloads()
 	const frames, w, h = 3, 128, 96 // 192 luma blocks: six granules, two chroma
@@ -213,9 +213,11 @@ func TestSplitKernelsBitIdentical(t *testing.T) {
 	}
 	for _, cores := range [][]int{{2}, {1, 2}, {1, 2, 3}} {
 		t.Run(fmt.Sprintf("mjpeg/cores=%v", cores), func(t *testing.T) {
+			observe, check := framesOncePerFlush(t)
 			res := runSplit(t, func() *core.Program {
 				return workloads.MJPEG(workloads.MJPEGConfig{Source: video.NewSynthetic(w, h, frames, 7), FastDCT: true})
-			}, cores, nil, nil)
+			}, cores, nil, observe)
+			check()
 			checkShares(t, res, len(cores), "yDCT", "uDCT", "vDCT")
 			got, err := workloads.MJPEGStream(res.Shadow, frames)
 			if err != nil {
@@ -226,9 +228,11 @@ func TestSplitKernelsBitIdentical(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("kmeans/cores=%v", cores), func(t *testing.T) {
+			observe, check := framesOncePerFlush(t)
 			res := runSplit(t, func() *core.Program { return workloads.KMeans(kcfg) }, cores, func(c *WorkerConfig) {
 				c.KernelMaxAge = workloads.KMeansOptions(kcfg, 1).KernelMaxAge
-			}, nil)
+			}, observe)
+			check()
 			checkShares(t, res, len(cores), "assign", "refine")
 			for it, cents := range centroids {
 				s, err := res.Shadow.Snapshot("centroids", it)
@@ -255,6 +259,47 @@ func TestSplitKernelsBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// framesOncePerFlush returns a runSplit observer and its check: a worker's
+// stores leave only at flush points — before an MDone, before the MStatus
+// answering a ping — as one frame per generation, so no (field, age) may
+// arrive twice from one worker without an MDone or MStatus from it between.
+func framesOncePerFlush(t *testing.T) (observe func(int, *Msg), check func()) {
+	var mu sync.Mutex
+	pending := map[int]map[genKey]bool{} // worker → generations since its last flush point
+	frames := 0
+	var twice []string
+	observe = func(w int, m *Msg) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch m.Kind {
+		case MDone, MStatus:
+			clear(pending[w])
+		case MStoreFrame:
+			frames++
+			k := genKey{m.Field, m.Age}
+			if pending[w] == nil {
+				pending[w] = map[genKey]bool{}
+			}
+			if pending[w][k] {
+				twice = append(twice, fmt.Sprintf("worker %d: %s(%d)", w, m.Field, m.Age))
+			}
+			pending[w][k] = true
+		}
+	}
+	check = func() {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if frames == 0 {
+			t.Fatal("no store frame reached the master")
+		}
+		if len(twice) > 0 {
+			t.Errorf("%d of %d frames repeat a generation within one flush, first %v", len(twice), frames, twice[:min(len(twice), 5)])
+		}
+	}
+	return observe, check
 }
 
 func int32s(v []int) []int32 {
@@ -461,5 +506,41 @@ func TestPacingLiveness(t *testing.T) {
 				t.Fatalf("source started %d ages after the first, want %d", starts, stop-1)
 			}
 		})
+	}
+}
+
+// TestPingFlushKeepsSplitKernelLive: the shares of a split kernel whose
+// instances depend on each other within one age. The wavefront's predict(x,
+// y) needs predict(x−1, y) and predict(x, y−1) of its own age, and spans four
+// granules along x over two workers, so each worker's share waits on the
+// other's stores — granule 1 on granule 0, granule 2 on granule 1 — before
+// its kernel-age can complete and flush before its MDone. Only the flush on
+// each ping moves those stores. The fields match a single-node run's bit for
+// bit.
+func TestPingFlushKeepsSplitKernelLive(t *testing.T) {
+	cfg := workloads.WavefrontConfig{Blocks: 3*runtime.ShareGranule + 4, Frames: 2, Seed: 3}
+	res := runSplit(t, func() *core.Program { return workloads.Wavefront(cfg) }, []int{1, 1}, nil, nil)
+	checkShares(t, res, 2, "predict")
+	ref, err := runtime.NewNode(workloads.Wavefront(cfg), runtime.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < cfg.Frames; a++ {
+		for _, f := range []string{"input", "pred"} {
+			want, err := ref.Snapshot(f, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := res.Shadow.Snapshot(f, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s(%d) differs from the single-node run's", f, a)
+			}
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/workloads"
 )
 
@@ -222,7 +221,7 @@ func TestMasterFilesPeersByFirstMessage(t *testing.T) {
 		}()
 	}
 	view := NewClusterView("mulsum")
-	res, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), Method: sched.KL, Failover: true, View: view}, conns)
+	res, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), Failover: true, View: view}, conns)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)

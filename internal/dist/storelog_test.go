@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/runtime"
-	"repro/internal/sched"
 )
 
 // frameOf encodes store notices of one field generation into a store frame.
@@ -265,7 +264,7 @@ func TestFailoverMidGenerationDeath(t *testing.T) {
 		_, err := RunWorker(WorkerConfig{NodeID: "spare", Cores: 2, Prog: prog(), MaxAge: maxAge, Standby: true}, sbWorker)
 		sbErr <- err
 	}()
-	res, err := RunMaster(MasterConfig{Prog: prog(), Method: sched.KL, Failover: true}, []Conn{mc, sbMaster})
+	res, err := RunMaster(MasterConfig{Prog: prog(), Failover: true}, []Conn{mc, sbMaster})
 	<-victimDone
 	if werr := <-sbErr; werr != nil {
 		t.Errorf("standby: %v", werr)

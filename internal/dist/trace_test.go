@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/video"
 	"repro/internal/workloads"
 )
@@ -134,7 +133,7 @@ func TestDistributedTraceMerged(t *testing.T) {
 	}
 	masterTracer := obs.NewTracer(obs.DefaultTraceCapacity)
 	res, err := RunMaster(MasterConfig{
-		Prog: mkProg(), Method: sched.KL,
+		Prog:    mkProg(),
 		Metrics: obs.NewRegistry(), Tracer: masterTracer,
 	}, conns)
 	wg.Wait()

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/workloads"
 )
 
@@ -38,7 +37,7 @@ func TestClusterViewLifecycle(t *testing.T) {
 			}
 		}(i, wc)
 	}
-	if _, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), Method: sched.KL, View: view}, masterConns); err != nil {
+	if _, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), View: view}, masterConns); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

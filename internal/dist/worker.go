@@ -261,13 +261,20 @@ func (w *worker) handle(in inbound) (done bool, err error) {
 				flight := (time.Now().UnixNano() - w.clockOffset) - m.SentNs
 				w.hFlight.Observe(time.Duration(max(flight, 0)))
 			}
-			w.batcher.flushAll()
-			w.updateTransport()
-			status := &Msg{Kind: MStatus, Idle: w.node.Idle(), Sent: w.sent.Load(), Received: w.received.Load()}
-			if m.WantMetrics {
-				status.Metrics = w.cfg.Metrics.Snapshot()
-			}
-			w.send(status)
+			// Every ping flushes. Besides bounding how long a
+			// generation sits unsent, this is the only flush that lets
+			// the shares of a split kernel that depend on each other
+			// within one age progress: neither share's kernel-age
+			// completes, and so flushes before its MDone, until it has
+			// the other's stores.
+			w.batcher.flushAll(func() {
+				w.updateTransport()
+				status := &Msg{Kind: MStatus, Idle: w.node.Idle(), Sent: w.sent.Load(), Received: w.received.Load()}
+				if m.WantMetrics {
+					status.Metrics = w.cfg.Metrics.Snapshot()
+				}
+				w.send(status)
+			})
 			return false, nil
 		case MTraceReq:
 			// Ship the span buffer with its alignment anchor; an untraced
@@ -396,11 +403,11 @@ func (w *worker) build(assign *Msg) error {
 			remote[k.Name] = true
 		}
 	}
-	// The store batcher coalesces per-row notices into whole-generation
+	// The store batcher coalesces store notices into whole-generation
 	// MStoreFrame messages; it is flushed before every MDone (keeping the
-	// per-origin stores-before-done order) and on every ping (bounding how
-	// long an incomplete generation can sit unsent). With a tracer it also
-	// gives each frame a causal trace id and records the emit span.
+	// per-origin stores-before-done order) and on every ping (see MPing).
+	// With a tracer it also gives each frame a causal trace id and records
+	// the emit span.
 	b := newStoreBatcher(w.sendFrame, w.cfg.Metrics, w.cfg.NodeID, w.cfg.Tracer)
 	w.sent.Store(0)
 	w.received.Store(0)
@@ -422,18 +429,19 @@ func (w *worker) build(assign *Msg) error {
 			}
 		},
 		OnKernelDone: func(kernel string, age int) {
-			b.flushAll()
-			if !split[kernel] {
-				w.sent.Add(1)
-				w.send(&Msg{Kind: MDone, Kernel: kernel, Age: age})
-				return
-			}
-			// One completion per share this node ran: the master counts,
-			// dedups and forwards shares, not nodes.
-			for _, sh := range assign.Shares {
-				w.sent.Add(1)
-				w.send(&Msg{Kind: MDone, Kernel: kernel, Age: age, Share: sh})
-			}
+			b.flushAll(func() {
+				if !split[kernel] {
+					w.sent.Add(1)
+					w.send(&Msg{Kind: MDone, Kernel: kernel, Age: age})
+					return
+				}
+				// One completion per share this node ran: the master
+				// counts, dedups and forwards shares, not nodes.
+				for _, sh := range assign.Shares {
+					w.sent.Add(1)
+					w.send(&Msg{Kind: MDone, Kernel: kernel, Age: age, Share: sh})
+				}
+			})
 		},
 	})
 	if err != nil {

@@ -13,27 +13,19 @@ import (
 // an execution-node index.
 type Assignment []int
 
-// Method selects the partitioning algorithm.
+// Method names the partitioning algorithm. There is one, KL, the zero value:
+// a greedy seed refined with Kernighan–Lin-style moves. The type exists for
+// the benchmark ledger (bench/), which names KL; Partition refuses any other
+// value.
 type Method uint8
 
-// Partitioning methods. Greedy is a capacity-proportional first fit;
-// KL refines an initial partition with Kernighan–Lin-style moves; Tabu runs
-// a tabu search over single-kernel moves (Glover [14]).
-const (
-	Greedy Method = iota
-	KL
-	Tabu
-)
+// KL is the one partitioning method.
+const KL Method = 0
 
 // String names the method.
 func (m Method) String() string {
-	switch m {
-	case Greedy:
-		return "greedy"
-	case KL:
+	if m == KL {
 		return "kl"
-	case Tabu:
-		return "tabu"
 	}
 	return fmt.Sprintf("method(%d)", uint8(m))
 }
@@ -41,7 +33,7 @@ func (m Method) String() string {
 // Cost evaluates an assignment: Cut is the total weight of edges crossing
 // node boundaries divided by link bandwidth; Imbalance is the ratio of the
 // most-loaded node's normalized load to the average. Total is the scalar
-// objective the optimizers minimize.
+// objective the refinement minimizes.
 type Cost struct {
 	Cut       float64
 	Imbalance float64
@@ -121,7 +113,8 @@ func nodeIndex(g *graph.Final) map[string]int {
 }
 
 // Partition assigns the final graph's kernels to the topology's execution
-// nodes using the chosen method and returns the assignment with its cost.
+// nodes — a greedy seed that klRefine refines — and returns the assignment with
+// its cost. m must be KL.
 func Partition(g *graph.Final, topo Topology, m Method) (Assignment, Cost, error) {
 	return PartitionSplit(g, topo, m, nil)
 }
@@ -137,17 +130,12 @@ func PartitionSplit(g *graph.Final, topo Topology, m Method, split []bool) (Assi
 	if len(g.Nodes) == 0 {
 		return nil, Cost{}, fmt.Errorf("sched: empty graph")
 	}
+	if m != KL {
+		return nil, Cost{}, fmt.Errorf("sched: unknown method %v (KL is the one method)", m)
+	}
 	p := problem{g: g, topo: topo, split: split}
 	a := p.greedy()
-	switch m {
-	case Greedy:
-	case KL:
-		a = p.klRefine(a)
-	case Tabu:
-		a = p.tabuSearch(a)
-	default:
-		return nil, Cost{}, fmt.Errorf("sched: unknown method %v", m)
-	}
+	p.klRefine(a)
 	return a, p.cost(a), nil
 }
 
@@ -205,9 +193,9 @@ func (p problem) greedy() Assignment {
 
 // klRefine performs Kernighan–Lin-style refinement generalized to k
 // partitions: repeated passes over all kernels, moving each to the node that
-// most reduces total cost, until a pass makes no improvement.
-func (p problem) klRefine(a Assignment) Assignment {
-	a = append(Assignment(nil), a...)
+// most reduces total cost, until a pass makes no improvement. It refines a
+// in place.
+func (p problem) klRefine(a Assignment) {
 	cur := p.cost(a).Total
 	for pass := 0; pass < 32; pass++ {
 		improved := false
@@ -236,56 +224,6 @@ func (p problem) klRefine(a Assignment) Assignment {
 			break
 		}
 	}
-	return a
-}
-
-// tabuSearch explores single-kernel moves with a tabu list of recently moved
-// kernels, accepting the best non-tabu move each step even when it worsens
-// the objective (escaping local minima), and keeps the best assignment seen.
-func (p problem) tabuSearch(a Assignment) Assignment {
-	g := p.g
-	a = append(Assignment(nil), a...)
-	best := append(Assignment(nil), a...)
-	bestCost := p.cost(a).Total
-	tabu := make([]int, len(g.Nodes)) // iteration until which kernel k is tabu
-	tenure := 4 + len(g.Nodes)/4
-	steps := 50 + 10*len(g.Nodes)
-	for it := 0; it < steps; it++ {
-		moveK, moveN := -1, -1
-		moveCost := math.Inf(1)
-		for k := range g.Nodes {
-			if p.isSplit(k) {
-				continue
-			}
-			orig := a[k]
-			for n := range p.topo.Nodes {
-				if n == orig {
-					continue
-				}
-				a[k] = n
-				c := p.cost(a).Total
-				a[k] = orig
-				// Aspiration: tabu moves are allowed when they beat the
-				// global best.
-				if tabu[k] > it && c >= bestCost {
-					continue
-				}
-				if c < moveCost {
-					moveK, moveN, moveCost = k, n, c
-				}
-			}
-		}
-		if moveK < 0 {
-			break
-		}
-		a[moveK] = moveN
-		tabu[moveK] = it + tenure
-		if moveCost < bestCost {
-			bestCost = moveCost
-			copy(best, a)
-		}
-	}
-	return best
 }
 
 // ApplyInstrumentation weights the final graph with measured data: node

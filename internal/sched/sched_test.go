@@ -2,6 +2,7 @@ package sched
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,62 +64,51 @@ func TestTopology(t *testing.T) {
 }
 
 func TestPartitionSingleNodeHasNoCut(t *testing.T) {
-	g := chainGraph()
-	for _, m := range []Method{Greedy, KL, Tabu} {
-		a, c, err := Partition(g, NewTopology(1, 4), m)
-		if err != nil {
-			t.Fatal(err)
+	a, c, err := Partition(chainGraph(), NewTopology(1, 4), KL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range a {
+		if n != 0 {
+			t.Fatalf("assignment %v", a)
 		}
-		for _, n := range a {
-			if n != 0 {
-				t.Fatalf("%v: assignment %v", m, a)
-			}
-		}
-		if c.Cut != 0 {
-			t.Errorf("%v: cut %v on one node", m, c.Cut)
-		}
+	}
+	if c.Cut != 0 {
+		t.Errorf("cut %v on one node", c.Cut)
 	}
 }
 
 func TestPartitionFindsLightBridge(t *testing.T) {
-	g := twoClusters()
-	topo := NewTopology(2, 4)
-	for _, m := range []Method{KL, Tabu} {
-		a, c, err := Partition(g, topo, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Cut != 1 {
-			t.Errorf("%v: cut %v, want 1 (only the bridge edge)", m, c.Cut)
-		}
-		// Each clique stays together.
-		if a[0] != a[1] || a[1] != a[2] {
-			t.Errorf("%v: left clique split: %v", m, a)
-		}
-		if a[3] != a[4] || a[4] != a[5] {
-			t.Errorf("%v: right clique split: %v", m, a)
-		}
-		if a[0] == a[3] {
-			t.Errorf("%v: everything on one node despite balance penalty", m)
-		}
+	a, c, err := Partition(twoClusters(), NewTopology(2, 4), KL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Cut != 1 {
+		t.Errorf("cut %v, want 1 (only the bridge edge)", c.Cut)
+	}
+	// Each clique stays together.
+	if a[0] != a[1] || a[1] != a[2] {
+		t.Errorf("left clique split: %v", a)
+	}
+	if a[3] != a[4] || a[4] != a[5] {
+		t.Errorf("right clique split: %v", a)
+	}
+	if a[0] == a[3] {
+		t.Error("everything on one node despite balance penalty")
 	}
 }
 
 func TestRefinementNotWorseThanGreedy(t *testing.T) {
 	g := twoClusters()
 	topo := NewTopology(3, 2)
-	_, gc, err := Partition(g, topo, Greedy)
+	p := problem{g: g, topo: topo}
+	gc := p.cost(p.greedy())
+	_, c, err := Partition(g, topo, KL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{KL, Tabu} {
-		_, c, err := Partition(g, topo, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Total > gc.Total+1e-9 {
-			t.Errorf("%v cost %v worse than greedy %v", m, c.Total, gc.Total)
-		}
+	if c.Total > gc.Total+1e-9 {
+		t.Errorf("cost %v worse than the greedy seed's %v", c.Total, gc.Total)
 	}
 }
 
@@ -172,33 +162,34 @@ func TestHeterogeneousCapacityAttractsLoad(t *testing.T) {
 // and C split, A and D go to different nodes of two.
 func TestPartitionSplitPlacesOnlyUnsplit(t *testing.T) {
 	g := chainGraph()
-	split := []bool{false, true, true, false}
-	for _, m := range []Method{Greedy, KL, Tabu} {
-		a, c, err := PartitionSplit(g, NewTopology(2, 4), m, split)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a[1] != -1 || a[2] != -1 || a[0] < 0 || a[3] < 0 || a[0] == a[3] {
-			t.Errorf("%v: assignment %v", m, a)
-		}
-		if c.Cut != 0 || c.Imbalance != 1 {
-			t.Errorf("%v: cut %v imbalance %v, want 0 and 1", m, c.Cut, c.Imbalance)
-		}
+	a, c, err := PartitionSplit(g, NewTopology(2, 4), KL, []bool{false, true, true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a[1] != -1 || a[2] != -1 || a[0] < 0 || a[3] < 0 || a[0] == a[3] {
+		t.Errorf("assignment %v", a)
+	}
+	if c.Cut != 0 || c.Imbalance != 1 {
+		t.Errorf("cut %v imbalance %v, want 0 and 1", c.Cut, c.Imbalance)
 	}
 }
 
 func TestPartitionErrors(t *testing.T) {
-	if _, _, err := Partition(chainGraph(), Topology{}, Greedy); err == nil {
+	if _, _, err := Partition(chainGraph(), Topology{}, KL); err == nil {
 		t.Error("empty topology should error")
 	}
-	if _, _, err := Partition(&graph.Final{}, NewTopology(1, 1), Greedy); err == nil {
+	if _, _, err := Partition(&graph.Final{}, NewTopology(1, 1), KL); err == nil {
 		t.Error("empty graph should error")
 	}
-	if _, _, err := Partition(chainGraph(), NewTopology(1, 1), Method(99)); err == nil {
-		t.Error("unknown method should error")
+	// KL is the zero value and the only method; any other is refused.
+	var zero Method
+	if zero != KL || KL.String() != "kl" {
+		t.Errorf("zero method %v, want kl", zero)
 	}
-	if Method(99).String() == "" || Greedy.String() != "greedy" {
-		t.Error("method names")
+	for _, m := range []Method{1, 2, 99} {
+		if _, _, err := Partition(chainGraph(), NewTopology(1, 1), m); err == nil || !strings.Contains(err.Error(), m.String()) {
+			t.Errorf("method %v: err = %v, want a refusal naming it", m, err)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package sched implements P2G's high-level scheduler (HLS): the global
 // topology of execution nodes, partitioning of the final implicit static
 // dependency graph onto that topology (the paper cites graph partitioning
-// [17] and tabu search [14] as candidate algorithms — both are implemented
-// here, plus a greedy baseline), and instrumentation-driven repartitioning.
+// [17] and tabu search [14] as candidate algorithms; one is kept, a greedy
+// seed refined Kernighan–Lin style [17], since a distributed run places only
+// the few unindexed kernels), and instrumentation-driven repartitioning.
 package sched
 
 import "fmt"

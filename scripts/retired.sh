@@ -51,9 +51,14 @@
 #                      the element-store box cutter, its test for terms that
 #                      map a box in cell order and the flush-time box builder
 #                      (a slice's stores merge into boxes as they are staged)
+#   tabuSearch Tabu    the tabu-search partitioner and its method (one method:
+#                      a greedy seed refined Kernighan–Lin style)
+#   frameFlushBytes frameFlushEntries
+#                      the store batcher's size thresholds (a generation
+#                      leaves as one frame at each flush)
 set -eu
 cd "$(dirname "$0")/.."
-names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes'
+names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes tabuSearch Tabu frameFlushBytes frameFlushEntries'
 pattern=$(printf '%s\n' $names | paste -sd '|' -)
 found=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 	-exec grep -HnwE "$pattern" {} + || true)
