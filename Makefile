@@ -82,14 +82,16 @@ fuzz-lang:
 
 # fuzz-wire is the decoder fuzz gate for the bytes a peer sends (also run by
 # ci.sh): ten seconds each of FuzzDecodeWireValue (field.DecodeWireValue),
-# FuzzDecodeStoreFrame (runtime.DecodeStoreFrame) and FuzzTCPRecv (the TCP
-# envelope: gob header plus FrameLen-announced raw frame). Decoding never
-# panics, whatever decodes re-encodes to bytes that decode to the same
-# result, and a TCP stream costs memory in proportion to the bytes it
-# carries.
+# FuzzDecodeStoreFrame (runtime.DecodeStoreFrame), FuzzDecodeEnvelope (the
+# binary envelope of the per-age messages, with a store frame's raw payload)
+# and FuzzTCPRecv (a whole TCP stream: envelopes, and gob values behind a
+# capped length). Decoding never panics, whatever decodes re-encodes to bytes
+# that decode to the same result, and a TCP stream costs memory in
+# proportion to the bytes it carries plus the gob cap.
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWireValue$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/field/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStoreFrame$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/runtime/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzTCPRecv$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/dist/
 
 # bench-smoke is the benchmark-ledger smoke gate (also run by ci.sh): bench/

@@ -51,12 +51,13 @@ go test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsSto
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
 go test -run '^$' -fuzz '^FuzzVMMatchesOracle$' -fuzztime=10s -fuzzminimizetime=0 ./internal/lang/
 # Decoder fuzz gate (`make fuzz-wire`): ten seconds each of
-# FuzzDecodeWireValue, FuzzDecodeStoreFrame and FuzzTCPRecv — the decoders of
-# bytes a peer sends never panic, whatever decodes re-encodes to bytes that
-# decode to the same result, and a TCP stream costs memory in proportion to
-# the bytes it carries.
+# FuzzDecodeWireValue, FuzzDecodeStoreFrame, FuzzDecodeEnvelope and
+# FuzzTCPRecv — the decoders of bytes a peer sends never panic, whatever
+# decodes re-encodes to bytes that decode to the same result, and a TCP
+# stream costs memory in proportion to the bytes it carries plus the gob cap.
 go test -run '^$' -fuzz '^FuzzDecodeWireValue$' -fuzztime=10s -fuzzminimizetime=0 ./internal/field/
 go test -run '^$' -fuzz '^FuzzDecodeStoreFrame$' -fuzztime=10s -fuzzminimizetime=0 ./internal/runtime/
+go test -run '^$' -fuzz '^FuzzDecodeEnvelope$' -fuzztime=10s -fuzzminimizetime=0 ./internal/dist/
 go test -run '^$' -fuzz '^FuzzTCPRecv$' -fuzztime=10s -fuzzminimizetime=0 ./internal/dist/
 # Benchmark-ledger smoke gate (`make bench-smoke`): bench/ is a nested module
 # (repro/bench) that `go test ./...` above does not reach. Its test drives

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,15 +153,18 @@ func TestDistributedReportsCoverKernels(t *testing.T) {
 	}
 }
 
-func TestDistributedOverTCP(t *testing.T) {
+// runTCP executes the program mkProg builds across n workers over TCP
+// loopback, each running up to maxAge (0: the program's own end); wrap, when
+// set, wraps each of the master's connections.
+func runTCP(t *testing.T, n int, mkProg func() *core.Program, maxAge int, wrap func(Conn) Conn) *MasterResult {
+	t.Helper()
 	l, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	const n = 2
 	var wg sync.WaitGroup
-	errs := make(chan error, n+1)
+	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -173,8 +177,8 @@ func TestDistributedOverTCP(t *testing.T) {
 			if _, err := RunWorker(WorkerConfig{
 				NodeID: fmt.Sprintf("tcp%d", i),
 				Cores:  2,
-				Prog:   workloads.MulSum(),
-				MaxAge: 5,
+				Prog:   mkProg(),
+				MaxAge: maxAge,
 			}, conn); err != nil {
 				errs <- fmt.Errorf("worker %d: %w", i, err)
 			}
@@ -186,9 +190,11 @@ func TestDistributedOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conns[i] = c
+		if conns[i] = c; wrap != nil {
+			conns[i] = wrap(c)
+		}
 	}
-	res, err := RunMaster(MasterConfig{Prog: workloads.MulSum()}, conns)
+	res, err := RunMaster(MasterConfig{Prog: mkProg()}, conns)
 	wg.Wait()
 	close(errs)
 	for e := range errs {
@@ -197,6 +203,11 @@ func TestDistributedOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestDistributedOverTCP(t *testing.T) {
+	res := runTCP(t, 2, workloads.MulSum, 5, nil)
 	s, err := res.Shadow.Snapshot("m_data", 5)
 	if err != nil {
 		t.Fatal(err)
@@ -210,6 +221,50 @@ func TestDistributedOverTCP(t *testing.T) {
 	}
 	if !s.Equal(field.ArrayFromInt32(vals)) {
 		t.Errorf("TCP run m_data(5) = %v, want %v", s, vals)
+	}
+}
+
+// gobWatch records a master connection's gob byte count when MStart has gone
+// out and when the stop request is about to.
+type gobWatch struct {
+	Conn
+	tc              *tcpConn
+	atStart, atStop atomic.Int64
+}
+
+func (w *gobWatch) Send(m *Msg) error {
+	if m.Kind == MStopReq {
+		w.atStop.Store(w.tc.gobBytes.Load())
+	}
+	err := w.Conn.Send(m)
+	if m.Kind == MStart {
+		w.atStart.Store(w.tc.gobBytes.Load())
+	}
+	return err
+}
+
+// TestTCPNoGobWhileRunning: between MStart and the stop request a cluster
+// without a ClusterView exchanges only hot messages (store frames,
+// completions, pings and statuses), so not one gob byte crosses a
+// connection while the program runs.
+func TestTCPNoGobWhileRunning(t *testing.T) {
+	var watches []*gobWatch
+	runTCP(t, 2, workloads.MulSum, 5, func(c Conn) Conn {
+		w := &gobWatch{Conn: c, tc: c.(*tcpConn)}
+		watches = append(watches, w)
+		return w
+	})
+	for i, w := range watches {
+		start, stop := w.atStart.Load(), w.atStop.Load()
+		if start == 0 || stop == 0 {
+			t.Fatalf("connection %d: gob bytes %d at MStart, %d at the stop request; the handshake must use gob and both must be seen", i, start, stop)
+		}
+		if stop != start {
+			t.Errorf("connection %d: %d gob bytes crossed between MStart and the stop request, want 0", i, stop-start)
+		}
+		if st := w.Stats(); st.SentMsgs+st.RecvMsgs < 20 {
+			t.Errorf("connection %d carried %+v: too little traffic to show anything", i, st)
+		}
 	}
 }
 

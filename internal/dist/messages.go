@@ -1,6 +1,10 @@
 package dist
 
 import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"strconv"
 
 	"repro/internal/obs"
@@ -45,8 +49,9 @@ func (k MsgKind) String() string {
 	return "MsgKind(" + strconv.Itoa(int(k)) + ")"
 }
 
-// Msg is the single wire envelope; Kind selects which fields are meaningful.
-// A flat struct keeps gob encoding simple and self-describing.
+// Msg is the single message type; Kind selects which fields are meaningful.
+// On TCP the per-age kinds travel in a binary envelope of their own fields
+// (appendEnvelope) and the rest as gob values of the whole struct.
 type Msg struct {
 	Kind MsgKind
 
@@ -71,12 +76,6 @@ type Msg struct {
 	// travels on the envelope only.
 	Frame []byte
 	Trace uint64
-	// FrameLen carries the frame payload out-of-band: the TCP transport
-	// encodes the envelope with Frame nil and FrameLen set, then writes the
-	// raw frame bytes directly after it on the stream. Recv materializes the
-	// bytes back into Frame and zeroes FrameLen, so receivers never observe
-	// the split form.
-	FrameLen int
 
 	// SentNs is the sender's wall clock (UnixNano) when the message was
 	// handed to the transport. Stamped only on freshly allocated messages —
@@ -140,4 +139,97 @@ type Msg struct {
 
 	// MError
 	Err string
+}
+
+// On TCP a message starts with its kind byte. A hot kind, one that crosses
+// once or more per age, follows it with a fixed binary envelope: uvarints of
+// a flag word (Idle, WantMetrics), SentNs, Age, Share, Trace, Sent, Received,
+// the length of the raw frame written right after the envelope and the
+// lengths of Field and Kernel, then those two names. Any other message is
+// gobTag, a length checked against maxGobLen before anything is read, and one
+// value of the connection's gob stream.
+const (
+	hotKinds   = 1<<MStoreFrame | 1<<MDone | 1<<MPing | 1<<MStatus | 1<<MStopReq | 1<<MTraceReq
+	gobTag     = 0xFF
+	maxGobLen  = 16 << 20 // a full trace ring, 65 536 spans, is about 5 MB
+	maxNameLen = 1 << 10
+	maxNames   = 256
+)
+
+// hot reports whether m travels in the binary envelope: its kind is hot and,
+// for an MStatus, it carries no metrics.
+func hot(m *Msg) bool {
+	return hotKinds>>m.Kind&1 != 0 && (m.Kind != MStatus || m.Metrics == nil)
+}
+
+// appendEnvelope appends the kind byte and envelope of a hot message whose
+// frame is frameLen bytes long.
+func appendEnvelope(b []byte, m *Msg, frameLen int) []byte {
+	var flags uint64
+	if m.Idle {
+		flags |= 1
+	}
+	if m.WantMetrics {
+		flags |= 2
+	}
+	b = append(b, byte(m.Kind))
+	for _, v := range [...]uint64{flags, uint64(m.SentNs), uint64(m.Age), uint64(m.Share), m.Trace,
+		uint64(m.Sent), uint64(m.Received), uint64(frameLen), uint64(len(m.Field)), uint64(len(m.Kernel))} {
+		b = binary.AppendUvarint(b, v)
+	}
+	return append(append(b, m.Field...), m.Kernel...)
+}
+
+// readEnvelope decodes a hot message of kind k, the raw frame after it
+// included, from br into m; names reads and interns the two names.
+func readEnvelope(br *bufio.Reader, k MsgKind, m *Msg, names *nameSet) (err error) {
+	if m.Kind = k; !hot(m) {
+		return fmt.Errorf("dist: %v has no binary envelope", k)
+	}
+	var w [10]uint64
+	for i := 0; i < len(w) && err == nil; i++ {
+		w[i], err = binary.ReadUvarint(br)
+	}
+	m.Idle, m.WantMetrics, m.SentNs, m.Age, m.Share = w[0]&1 != 0, w[0]&2 != 0, int64(w[1]), int(w[2]), int(w[3])
+	m.Trace, m.Sent, m.Received = w[4], int64(w[5]), int64(w[6])
+	if err == nil {
+		m.Field, err = names.read(br, w[8])
+	}
+	if err == nil {
+		m.Kernel, err = names.read(br, w[9])
+	}
+	if err == nil && w[7] > maxRecvFrameLen {
+		err = fmt.Errorf("dist: frame length %d out of range", w[7])
+	} else if err == nil && w[7] > 0 {
+		m.Frame, err = readFrame(br, int(w[7]))
+	}
+	return err
+}
+
+// nameSet interns the field and kernel names a connection receives: a run
+// has a few dozen, each arriving once per age, so only a name's first
+// arrival allocates. buf is the scratch a name is read into; set stops
+// growing at maxNames.
+type nameSet struct {
+	set map[string]string
+	buf [maxNameLen]byte
+}
+
+// read reads a name of n bytes.
+func (s *nameSet) read(br *bufio.Reader, n uint64) (string, error) {
+	if n > maxNameLen {
+		return "", fmt.Errorf("dist: name of %d bytes over cap %d", n, maxNameLen)
+	}
+	b := s.buf[:n]
+	if _, err := io.ReadFull(br, b); err != nil {
+		return "", err
+	}
+	v, ok := s.set[string(b)]
+	if !ok {
+		v = string(b)
+		if s.set != nil && len(s.set) < maxNames {
+			s.set[v] = v
+		}
+	}
+	return v, nil
 }

@@ -45,3 +45,31 @@ func TestStoreBatcherAddAllocs(t *testing.T) {
 		t.Errorf("%d frames emitted over %d rows, want at least 4", frames, 4*rows)
 	}
 }
+
+// TestTCPHotMsgAllocs: a hot message costs its receiver the *Msg and, for a
+// store frame, the frame's bytes — the envelope is written from the
+// connection's scratch, and a name seen before is interned, not allocated.
+func TestTCPHotMsgAllocs(t *testing.T) {
+	cli, srv := tcpPair(t)
+	frame := make([]byte, 4096)
+	for _, tc := range []struct {
+		m    *Msg
+		want float64
+	}{
+		{&Msg{Kind: MDone, Kernel: "yDCT", Age: 7, Share: 1, SentNs: 1}, 1},
+		{&Msg{Kind: MStatus, Idle: true, Sent: 9, Received: 8}, 1},
+		{&Msg{Kind: MStoreFrame, Field: "yResult", Age: 7, Trace: 3, Frame: frame}, 2},
+	} {
+		avg := testing.AllocsPerRun(200, func() {
+			if err := cli.Send(tc.m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > tc.want {
+			t.Errorf("%v: %.1f allocs per Send and Recv, want %v", tc.m.Kind, avg, tc.want)
+		}
+	}
+}

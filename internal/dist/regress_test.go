@@ -7,7 +7,6 @@ import (
 	goruntime "runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -394,49 +393,7 @@ func distMJPEGOverTCP(t *testing.T, frames int) []byte {
 			Quality: 70,
 		})
 	}
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	const n = 2
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := DialTCP(l.Addr())
-			if err != nil {
-				errs <- err
-				return
-			}
-			if _, err := RunWorker(WorkerConfig{
-				NodeID: fmt.Sprintf("tcp%d", i),
-				Cores:  2,
-				Prog:   mkProg(),
-			}, conn); err != nil {
-				errs <- fmt.Errorf("worker %d: %w", i, err)
-			}
-		}(i)
-	}
-	conns := make([]Conn, n)
-	for i := range conns {
-		c, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-	}
-	res, err := RunMaster(MasterConfig{Prog: mkProg()}, conns)
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runTCP(t, 2, mkProg, 0, nil)
 	var stream []byte
 	for a := 0; a < frames; a++ {
 		s, err := res.Shadow.Snapshot("bitstream", a)
@@ -452,8 +409,7 @@ func distMJPEGOverTCP(t *testing.T, frames int) []byte {
 }
 
 // TestDistributedMJPEGOverTCPBitIdentical: the framed transport must produce
-// a bitstream identical to the single-node encoder, over real TCP with gob
-// envelopes.
+// a bitstream identical to the single-node encoder, over real TCP.
 func TestDistributedMJPEGOverTCPBitIdentical(t *testing.T) {
 	workloads.RegisterPayloads()
 	const frames = 3

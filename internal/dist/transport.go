@@ -7,8 +7,9 @@
 //
 // Messages flow over a Transport. Two implementations are provided: an
 // in-process transport (for tests and single-machine experiments) and TCP
-// with gob encoding (for real deployments via cmd/p2g-master and
-// cmd/p2g-worker). The master acts as the pub-sub broker: each worker
+// (for real deployments via cmd/p2g-master and cmd/p2g-worker), where the
+// per-age messages cross in a fixed binary envelope and the once-per-run ones
+// as gob values. The master acts as the pub-sub broker: each worker
 // publishes its store/done events once, and the master forwards them to the
 // nodes whose kernels subscribe to the stored fields, preserving per-origin
 // order.
@@ -17,6 +18,7 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -196,15 +198,23 @@ func (c *inprocConn) Close() error {
 // ---- TCP transport ----
 
 type tcpConn struct {
-	nc  net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// br feeds the decoder and the raw frame reads after SendFrame-split
-	// envelopes. gob uses it as an io.ByteReader and so never reads ahead
-	// past a message boundary, leaving the raw frame bytes for Recv.
-	br   *bufio.Reader
-	mu   sync.Mutex
-	idle atomic.Int64 // idle timeout in nanoseconds; 0 = none
+	nc    net.Conn
+	br    *bufio.Reader // the socket, buffered for the decoders
+	names nameSet
+	// enc and dec are the connection's gob stream for the messages that are
+	// not hot, each encoded into gobOut and decoded from gobIn, so a type's
+	// definition crosses once; gobBytes counts their bytes, both directions.
+	enc      *gob.Encoder
+	gobOut   bytes.Buffer
+	dec      *gob.Decoder
+	gobIn    *bytes.Reader
+	gobBytes atomic.Int64
+	// mu serializes senders and guards the envelope scratch hdr and the
+	// write vector out, whose backing vec keeps.
+	mu       sync.Mutex
+	hdr      []byte
+	vec, out net.Buffers
+	idle     atomic.Int64 // idle timeout in nanoseconds; 0 = none
 	connStats
 }
 
@@ -227,19 +237,8 @@ func (c *tcpConn) idleErr(op string, err error) error {
 	return err
 }
 
-// countingWriter / countingReader wrap the TCP stream so the gob encoders
-// count encoded wire bytes as a side effect.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
-	return n, err
-}
-
+// countingReader wraps the TCP stream so the decoders count received wire
+// bytes as a side effect.
 type countingReader struct {
 	r io.Reader
 	n *atomic.Int64
@@ -261,53 +260,48 @@ func DialTCP(addr string) (Conn, error) {
 }
 
 func newTCPConn(nc net.Conn) Conn {
-	c := &tcpConn{nc: nc}
-	c.enc = gob.NewEncoder(countingWriter{w: nc, n: &c.sentBytes})
+	c := &tcpConn{nc: nc, names: nameSet{set: make(map[string]string, maxNames)}, gobIn: bytes.NewReader(nil)}
 	c.br = bufio.NewReader(countingReader{r: nc, n: &c.recvBytes})
-	c.dec = gob.NewDecoder(c.br)
+	c.enc, c.dec = gob.NewEncoder(&c.gobOut), gob.NewDecoder(c.gobIn)
 	return c
 }
 
-// Send gob-encodes the envelope. Frame bytes never pass through gob: a
-// message that carries a frame goes out through SendFrame, so a forwarded
-// frame reaches the socket as the bytes that were received.
-func (c *tcpConn) Send(m *Msg) error {
-	if len(m.Frame) > 0 {
-		return c.SendFrame(m, net.Buffers{m.Frame})
-	}
+// Send writes m; a store frame's Frame follows its envelope as raw bytes.
+func (c *tcpConn) Send(m *Msg) error { return c.SendFrame(m, net.Buffers{m.Frame}) }
+
+// SendFrame writes m's envelope and the segments in one write (writev on
+// platforms that support it): no contiguous copy of a frame is built, and a
+// forwarded frame reaches the socket as the bytes that were received. Only a
+// store frame carries segments.
+func (c *tcpConn) SendFrame(m *Msg, segs net.Buffers) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if d := c.idle.Load(); d > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(time.Duration(d)))
 	}
-	if err := c.enc.Encode(m); err != nil {
-		return c.idleErr("send", err)
-	}
-	c.sentMsgs.Add(1)
-	return nil
-}
-
-// SendFrame sends the envelope through gob with FrameLen announcing the
-// payload, then the segments hit the socket raw via net.Buffers (writev on
-// platforms that support it) — no contiguous copy of the frame is ever built
-// on the send side.
-func (c *tcpConn) SendFrame(m *Msg, segs net.Buffers) error {
+	c.out = append(c.vec[:0], nil) // the envelope's slot
 	total := 0
 	for _, s := range segs {
-		total += len(s)
+		if len(s) > 0 { // an empty write still waits for a reader on some conns
+			c.out, total = append(c.out, s), total+len(s)
+		}
 	}
-	env := *m // the caller may share m across subscribers; never mutate it
-	env.Frame = nil
-	env.FrameLen = total
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d := c.idle.Load(); d > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(time.Duration(d)))
+	switch {
+	case total > 0 && m.Kind != MStoreFrame:
+		return fmt.Errorf("dist: %v carries no frame", m.Kind)
+	case hot(m):
+		c.hdr = appendEnvelope(c.hdr[:0], m, total)
+	default:
+		c.gobOut.Reset()
+		if err := c.enc.Encode(m); err != nil {
+			return err
+		}
+		c.hdr = binary.AppendUvarint(append(c.hdr[:0], gobTag), uint64(c.gobOut.Len()))
+		c.out = append(c.out, c.gobOut.Bytes())
+		c.gobBytes.Add(int64(c.gobOut.Len()))
 	}
-	if err := c.enc.Encode(&env); err != nil {
-		return c.idleErr("send", err)
-	}
-	n, err := segs.WriteTo(c.nc)
+	c.out[0], c.vec = c.hdr, c.out[:0]
+	n, err := c.out.WriteTo(c.nc)
 	c.sentBytes.Add(n)
 	if err != nil {
 		return c.idleErr("send", err)
@@ -323,10 +317,11 @@ const maxRecvFrameLen = 1 << 30
 // bytes that have arrived.
 const recvFrameChunk = 1 << 20
 
-// readFrame reads the n raw frame bytes an envelope announced. The buffer
-// grows as bytes arrive — recvFrameChunk, or as much again as already read,
-// ahead of them — so a corrupt or hostile FrameLen costs memory in proportion
-// to what the peer really sent, not to what it claimed.
+// readFrame reads the n bytes an envelope announced: a store frame's payload
+// or a gob value. The buffer grows as bytes arrive — recvFrameChunk, or as
+// much again as already read, ahead of them — so a corrupt or hostile length
+// costs memory in proportion to what the peer really sent, not to what it
+// claimed.
 func readFrame(r io.Reader, n int) ([]byte, error) {
 	raw := make([]byte, min(n, recvFrameChunk))
 	for read := 0; ; {
@@ -349,25 +344,40 @@ func (c *tcpConn) Recv() (*Msg, error) {
 		c.nc.SetReadDeadline(time.Now().Add(time.Duration(d)))
 	}
 	m := &Msg{}
-	if err := c.dec.Decode(m); err != nil {
+	if err := c.read(m); err != nil {
 		return nil, c.idleErr("recv", err)
-	}
-	if m.FrameLen != 0 {
-		if m.FrameLen < 0 || m.FrameLen > maxRecvFrameLen {
-			return nil, fmt.Errorf("dist: frame length %d out of range", m.FrameLen)
-		}
-		if d := c.idle.Load(); d > 0 {
-			c.nc.SetReadDeadline(time.Now().Add(time.Duration(d)))
-		}
-		raw, err := readFrame(c.br, m.FrameLen)
-		if err != nil {
-			return nil, fmt.Errorf("dist: reading raw store frame: %w", c.idleErr("recv", err))
-		}
-		m.Frame = raw
-		m.FrameLen = 0
 	}
 	c.recvMsgs.Add(1)
 	return m, nil
+}
+
+// read decodes one message into m: a hot kind's envelope, or the gob value
+// behind gobTag, whose length is checked before any of it is read.
+func (c *tcpConn) read(m *Msg) error {
+	tag, err := c.br.ReadByte()
+	if err != nil {
+		return err
+	}
+	if tag != gobTag {
+		return readEnvelope(c.br, MsgKind(tag), m, &c.names)
+	}
+	n, err := binary.ReadUvarint(c.br)
+	if err == nil && n > maxGobLen {
+		err = fmt.Errorf("dist: envelope length %d over cap %d", n, maxGobLen)
+	}
+	var raw []byte
+	if err == nil {
+		raw, err = readFrame(c.br, int(n))
+	}
+	if err == nil {
+		c.gobBytes.Add(int64(n))
+		c.gobIn.Reset(raw)
+		err = c.dec.Decode(m)
+	}
+	if err == nil && c.gobIn.Len() != 0 {
+		err = fmt.Errorf("dist: %d bytes past the end of a %v", c.gobIn.Len(), m.Kind)
+	}
+	return err
 }
 
 func (c *tcpConn) Close() error { return c.nc.Close() }

@@ -1209,6 +1209,13 @@ func (st *stagedStores) stage(sp *storePlan, coords []int, v *field.Value, slice
 		if a = v.Array(); a.Rank() != sp.free {
 			return fmt.Errorf("field %s: store of a rank-%d array into %d free dimensions", sp.ss.Field, a.Rank(), sp.free)
 		}
+	} else if st.extend(sp.slab, coords) {
+		st.cells.Append(*v)
+		st.n++
+		if len(st.ext) >= 2*len(sp.slab) {
+			st.merge(len(sp.slab))
+		}
+		return nil
 	}
 	j := 0
 	for _, tm := range sp.slab {
@@ -1228,6 +1235,28 @@ func (st *stagedStores) stage(sp *storePlan, coords []int, v *field.Value, slice
 	st.n++
 	st.merge(len(sp.slab))
 	return nil
+}
+
+// extend grows the last box by one cell along the field's last dimension
+// when the element store at coords is the next cell there — the fold merge
+// would make after staging the cell as a box of its own — and reports
+// whether it did.
+func (st *stagedStores) extend(slab []slabTerm, coords []int) bool {
+	r := len(slab)
+	if r == 0 || len(st.ext) < r {
+		return false
+	}
+	o, e := st.sels[len(st.sels)-r:], st.ext[len(st.ext)-r:]
+	for d := 0; d < r-1; d++ {
+		if e[d] != 1 || o[d].Index != slab[d].term.eval(coords) {
+			return false
+		}
+	}
+	if slab[r-1].term.eval(coords) != o[r-1].Index+e[r-1] {
+		return false
+	}
+	e[r-1]++
+	return true
 }
 
 // flushStaged writes the slice's staged stores: per store statement, its
