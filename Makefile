@@ -21,10 +21,10 @@ race:
 	$(GO) test -race ./...
 
 # norace re-runs the packages whose allocation pins (zero-alloc dispatch, slab
-# and frame pool reuse, a warm slice body) skip themselves under the race
-# detector, which allocates on its own.
+# and frame pool reuse, a warm slice body, program validation) skip
+# themselves under the race detector, which allocates on its own.
 norace:
-	$(GO) test -count=1 ./internal/field/ ./internal/runtime/ ./internal/dist/ ./internal/lang/
+	$(GO) test -count=1 ./internal/core/ ./internal/field/ ./internal/runtime/ ./internal/dist/ ./internal/lang/
 
 # layers asserts the package DAG (see the script's header for the rules).
 layers:

@@ -23,7 +23,7 @@ scripts/retired.sh
 scripts/docs.sh
 go build ./...
 # Examples gate (`make examples`): each of the seven runs once to completion
-# — examples/distributed is the one end-to-end in-process cluster outside the
+# — examples/distributed is the one end-to-end loopback cluster outside the
 # tests. It and examples/kmeans exit 1 when their centroids differ from the
 # sequential baseline, examples/mjpeg when its bitstream differs from the
 # single-threaded encoder's.
@@ -32,10 +32,10 @@ for e in examples/*/; do
 done
 go test -race ./...
 # Allocation pins (`make norace`): the zero-alloc dispatch, slab, frame
-# pool-reuse and warm slice-body tests skip themselves under the race
-# detector, which allocates on its own, so the four packages that hold them
-# run once more without it.
-go test -count=1 ./internal/field/ ./internal/runtime/ ./internal/dist/ ./internal/lang/
+# pool-reuse, warm slice-body and validation tests skip themselves under the
+# race detector, which allocates on its own, so the five packages that hold
+# them run once more without it.
+go test -count=1 ./internal/core/ ./internal/field/ ./internal/runtime/ ./internal/dist/ ./internal/lang/
 # Fault-injection gate (`make test-fault`): the failover, liveness, and
 # teardown regression tests under the race detector, each driving a real
 # master/worker pair through a severed, wedged, or silently dropping

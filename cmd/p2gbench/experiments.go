@@ -391,8 +391,11 @@ func distExp() error {
 		masterConns := make([]dist.Conn, nodes)
 		var wg sync.WaitGroup
 		for i := 0; i < nodes; i++ {
-			var wc dist.Conn
-			masterConns[i], wc = dist.InprocPipe()
+			mc, wc, err := dist.LoopbackPipe()
+			if err != nil {
+				return err
+			}
+			masterConns[i] = mc
 			wg.Add(1)
 			go func(i int, conn dist.Conn) {
 				defer wg.Done()

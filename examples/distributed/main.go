@@ -1,9 +1,10 @@
 // Distributed example: the full figure 1 architecture on one machine. A
-// master node collects the topology from three in-process execution nodes,
-// partitions the K-means workload with the high-level scheduler — splitting
-// its indexed kernels, assign and refine, into one index share per node —
-// brokers store/completion events between the nodes, detects global
-// quiescence and gathers per-node instrumentation.
+// master node collects the topology from three execution nodes in the same
+// process, each connected to it over TCP loopback, partitions the K-means
+// workload with the high-level scheduler — splitting its indexed kernels,
+// assign and refine, into one index share per node — brokers
+// store/completion events between the nodes, detects global quiescence and
+// gathers per-node instrumentation.
 //
 // Run with:
 //
@@ -34,8 +35,12 @@ func main() {
 	masterConns := make([]dist.Conn, *nodes)
 	var wg sync.WaitGroup
 	for i := 0; i < *nodes; i++ {
-		var workerConn dist.Conn
-		masterConns[i], workerConn = dist.InprocPipe()
+		mc, workerConn, err := dist.LoopbackPipe()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "connecting node:", err)
+			os.Exit(1)
+		}
+		masterConns[i] = mc
 		wg.Add(1)
 		go func(i int, conn dist.Conn) {
 			defer wg.Done()

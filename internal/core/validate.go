@@ -104,7 +104,7 @@ func (p *Program) validateKernel(k *KernelDecl, fields map[string]*FieldDecl) er
 		indexVarSet[iv] = false // false until bound by a fetch
 	}
 
-	checkAge := func(stmt string, age AgeExpr, f *FieldDecl, isFetch bool) error {
+	checkAge := func(stmt fmt.Stringer, age AgeExpr, f *FieldDecl, isFetch bool) error {
 		if age.HasVar && k.AgeVar == "" {
 			return errf("%s references age variable but kernel has none", stmt)
 		}
@@ -126,7 +126,7 @@ func (p *Program) validateKernel(k *KernelDecl, fields map[string]*FieldDecl) er
 		return nil
 	}
 
-	checkIndex := func(stmt string, idx []IndexSpec, f *FieldDecl, binds bool) error {
+	checkIndex := func(stmt fmt.Stringer, idx []IndexSpec, f *FieldDecl, binds bool) error {
 		if idx == nil {
 			return nil // whole-field access
 		}
@@ -162,73 +162,71 @@ func (p *Program) validateKernel(k *KernelDecl, fields map[string]*FieldDecl) er
 
 	for i := range k.Fetches {
 		fs := &k.Fetches[i]
-		stmt := fs.String()
 		f, ok := fields[fs.Field]
 		if !ok {
-			return errf("%s: unknown field %q", stmt, fs.Field)
+			return errf("%s: unknown field %q", fs, fs.Field)
 		}
 		l, ok := locals[fs.Local]
 		if !ok {
-			return errf("%s: unknown local %q", stmt, fs.Local)
+			return errf("%s: unknown local %q", fs, fs.Local)
 		}
-		if err := checkAge(stmt, fs.Age, f, true); err != nil {
+		if err := checkAge(fs, fs.Age, f, true); err != nil {
 			return err
 		}
-		if err := checkIndex(stmt, fs.Index, f, true); err != nil {
+		if err := checkIndex(fs, fs.Index, f, true); err != nil {
 			return err
 		}
 		switch {
 		case fs.Whole():
 			if l.Rank != f.Rank {
-				return errf("%s: whole-field fetch into rank-%d local (field rank %d)", stmt, l.Rank, f.Rank)
+				return errf("%s: whole-field fetch into rank-%d local (field rank %d)", fs, l.Rank, f.Rank)
 			}
 		case fs.Slab():
 			if l.Rank != fs.SlabRank() {
-				return errf("%s: slab fetch of rank %d into rank-%d local", stmt, fs.SlabRank(), l.Rank)
+				return errf("%s: slab fetch of rank %d into rank-%d local", fs, fs.SlabRank(), l.Rank)
 			}
 		default:
 			if l.Rank != 0 {
-				return errf("%s: element fetch into array local %q", stmt, l.Name)
+				return errf("%s: element fetch into array local %q", fs, l.Name)
 			}
 		}
 		if !compatible(l.Kind, f.Kind) {
-			return errf("%s: local kind %s incompatible with field kind %s", stmt, l.Kind, f.Kind)
+			return errf("%s: local kind %s incompatible with field kind %s", fs, l.Kind, f.Kind)
 		}
 	}
 
 	for i := range k.Stores {
 		ss := &k.Stores[i]
-		stmt := ss.String()
 		f, ok := fields[ss.Field]
 		if !ok {
-			return errf("%s: unknown field %q", stmt, ss.Field)
+			return errf("%s: unknown field %q", ss, ss.Field)
 		}
 		l, ok := locals[ss.Local]
 		if !ok {
-			return errf("%s: unknown local %q", stmt, ss.Local)
+			return errf("%s: unknown local %q", ss, ss.Local)
 		}
-		if err := checkAge(stmt, ss.Age, f, false); err != nil {
+		if err := checkAge(ss, ss.Age, f, false); err != nil {
 			return err
 		}
-		if err := checkIndex(stmt, ss.Index, f, false); err != nil {
+		if err := checkIndex(ss, ss.Index, f, false); err != nil {
 			return err
 		}
 		switch {
 		case ss.Whole():
 			if l.Rank != f.Rank {
-				return errf("%s: whole-field store from rank-%d local (field rank %d)", stmt, l.Rank, f.Rank)
+				return errf("%s: whole-field store from rank-%d local (field rank %d)", ss, l.Rank, f.Rank)
 			}
 		case ss.Slab():
 			if l.Rank != ss.SlabRank() {
-				return errf("%s: slab store of rank %d from rank-%d local", stmt, ss.SlabRank(), l.Rank)
+				return errf("%s: slab store of rank %d from rank-%d local", ss, ss.SlabRank(), l.Rank)
 			}
 		default:
 			if l.Rank != 0 {
-				return errf("%s: element store from array local %q", stmt, l.Name)
+				return errf("%s: element store from array local %q", ss, l.Name)
 			}
 		}
 		if !compatible(l.Kind, f.Kind) {
-			return errf("%s: local kind %s incompatible with field kind %s", stmt, l.Kind, f.Kind)
+			return errf("%s: local kind %s incompatible with field kind %s", ss, l.Kind, f.Kind)
 		}
 	}
 

@@ -60,7 +60,7 @@ func TestFailoverSurvivorTakeover(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		if i == 1 {
 			// w1 dies abruptly at its 12th send: registration plus a stretch
 			// of stores and completions, then the connection severs mid-run.
@@ -111,7 +111,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		if i == 1 {
 			wc = NewFaultConn(wc, FaultPlan{SeverSendAt: 12})
 		}
@@ -124,7 +124,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 			}, conn)
 		}(i, wc)
 	}
-	sbMaster, sbWorker := InprocPipe()
+	sbMaster, sbWorker := pipe(t)
 	var sbRep *runtime.Report
 	var sbErr error
 	wg.Add(1)
@@ -172,7 +172,7 @@ func TestReplayTargetDeath(t *testing.T) {
 	workerErrs := make([]error, 3)
 	var wg sync.WaitGroup
 	for i, id := range []string{"w0", "w1", "spare"} {
-		mc, wc := InprocPipe()
+		mc, wc := pipe(t)
 		conns[i] = mc
 		switch id {
 		case "w1":
@@ -224,7 +224,7 @@ func TestStoppedWorkerDeclaredDead(t *testing.T) {
 		conns := make([]Conn, len(ids))
 		var wg sync.WaitGroup
 		for i, id := range ids {
-			mc, wc := InprocPipe()
+			mc, wc := pipe(t)
 			conns[i] = mc
 			if id == "w1" {
 				conns[i] = NewFaultConn(mc, FaultPlan{WedgeSendAt: 3, WedgeRecvAt: 2})
@@ -292,7 +292,7 @@ func TestStandbyReleasedCleanly(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		wg.Add(1)
 		go func(i int, conn Conn) {
 			defer wg.Done()
@@ -304,7 +304,7 @@ func TestStandbyReleasedCleanly(t *testing.T) {
 			}
 		}(i, wc)
 	}
-	sbMaster, sbWorker := InprocPipe()
+	sbMaster, sbWorker := pipe(t)
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
@@ -345,7 +345,7 @@ func TestMasterIdleTimeoutNamesWedgedWorker(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		if i == 1 {
 			// Everything after registration blocks: the half-open case.
 			wedged = NewFaultConn(wc, FaultPlan{WedgeSendAt: 2})
@@ -398,7 +398,7 @@ func TestLivenessCatchesSilentPartition(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		if i == 1 {
 			// Registration goes through; every later send vanishes.
 			wc = NewFaultConn(wc, FaultPlan{DropSendFrom: 2})
@@ -443,7 +443,7 @@ func TestLivenessCatchesSilentPartition(t *testing.T) {
 // naming the worker.
 func TestLivenessDuringStopPhase(t *testing.T) {
 	prog := bigStoreProg(t, 4)
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	workerDone := make(chan struct{})
 	go func() {
 		defer close(workerDone)
@@ -536,7 +536,7 @@ func TestMasterFailureBroadcastsStop(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		wg.Add(1)
 		go func(i int, conn Conn) {
 			defer wg.Done()
@@ -570,8 +570,8 @@ func TestMasterFailureBroadcastsStop(t *testing.T) {
 // used to just return, leaving every already-connected worker blocked in its
 // handshake forever. It must broadcast the reason and close.
 func TestMasterAbortReleasesHandshakeWorkers(t *testing.T) {
-	good, goodWorker := InprocPipe()
-	bad, badWorker := InprocPipe()
+	good, goodWorker := pipe(t)
+	bad, badWorker := pipe(t)
 	// The bad "worker" speaks garbage first, failing the master's
 	// registration phase while the good worker sits in its handshake.
 	if err := badWorker.Send(&Msg{Kind: MPing}); err != nil {
@@ -812,8 +812,8 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 		return done
 	}
 
-	mc0, wc0 := InprocPipe()
-	mc1, wc1 := InprocPipe()
+	mc0, wc0 := pipe(t)
+	mc1, wc1 := pipe(t)
 	w0 := mkWorker(wc0, "w0")
 	w1 := mkWorker(wc1, "w1")
 	// Liveness window 60ms x 4 = 240ms; replaying 40 generations across a

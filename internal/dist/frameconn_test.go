@@ -20,36 +20,16 @@ import (
 	"repro/internal/runtime"
 )
 
-// tcpPair returns a connected TCP loopback pair (client, server).
-func tcpPair(t *testing.T) (Conn, Conn) {
+// pipe returns a connected pair of loopback connections, closed when the
+// test ends.
+func pipe(t testing.TB) (Conn, Conn) {
 	t.Helper()
-	l, err := ListenTCP("127.0.0.1:0")
+	a, b, err := LoopbackPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	dialed := make(chan Conn, 1)
-	errs := make(chan error, 1)
-	go func() {
-		c, err := DialTCP(l.Addr())
-		if err != nil {
-			errs <- err
-			return
-		}
-		dialed <- c
-	}()
-	srv, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cli Conn
-	select {
-	case cli = <-dialed:
-	case err := <-errs:
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close(); srv.Close() })
-	return cli, srv
+	t.Cleanup(func() { a.Close(); b.Close() })
+	return a, b
 }
 
 // storeFrame builds a store frame holding a 4 KiB whole-field entry and an
@@ -80,7 +60,7 @@ func storeFrame(t testing.TB) *runtime.StoreFrame {
 // flattened encoding, envelope fields intact, and the sender's shared *Msg
 // unmutated.
 func TestTCPSendFrameRoundTrip(t *testing.T) {
-	cli, srv := tcpPair(t)
+	cli, srv := pipe(t)
 	f := storeFrame(t)
 	want := f.AppendTo(nil)
 	m := &Msg{Kind: MStoreFrame, Field: "pixels", Age: 3, Trace: 0xBEEF}
@@ -120,7 +100,7 @@ func TestTCPSendFrameRoundTrip(t *testing.T) {
 // aligned: plain Sends, gob and envelope, before, between, and after
 // SendFrames must all arrive intact and in order.
 func TestTCPSendFrameInterleaved(t *testing.T) {
-	cli, srv := tcpPair(t)
+	cli, srv := pipe(t)
 	f := storeFrame(t)
 	want := f.AppendTo(nil)
 	defer runtime.PutStoreFrame(f)
@@ -197,7 +177,7 @@ func TestTCPRecvHostileFrameLen(t *testing.T) {
 // TestTCPRecvLargeFrame: a frame longer than one receive chunk arrives
 // intact through the growing buffer.
 func TestTCPRecvLargeFrame(t *testing.T) {
-	cli, srv := tcpPair(t)
+	cli, srv := pipe(t)
 	payload := make([]byte, 3*recvFrameChunk+12345)
 	for i := range payload {
 		payload[i] = byte(i * 7)

@@ -50,7 +50,7 @@ func TestStoreBatcherAddAllocs(t *testing.T) {
 // store frame, the frame's bytes — the envelope is written from the
 // connection's scratch, and a name seen before is interned, not allocated.
 func TestTCPHotMsgAllocs(t *testing.T) {
-	cli, srv := tcpPair(t)
+	cli, srv := pipe(t)
 	frame := make([]byte, 4096)
 	for _, tc := range []struct {
 		m    *Msg

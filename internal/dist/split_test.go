@@ -34,7 +34,7 @@ func (c observedConn) Recv() (*Msg, error) {
 	return m, err
 }
 
-// runSplit runs mk's program over one in-process worker per entry of cores,
+// runSplit runs mk's program over one loopback worker per entry of cores,
 // with that many cores each; tweak adjusts every worker's configuration and
 // observe (when set) sees each message the master receives with the index of
 // the worker that sent it. A run that does not finish within a minute fails
@@ -45,7 +45,7 @@ func runSplit(t *testing.T, mk func() *core.Program, cores []int, tweak func(*Wo
 	errs := make(chan error, len(cores))
 	for i, c := range cores {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		if observe != nil {
 			masterConns[i] = observedConn{masterConns[i], func(m *Msg) { observe(i, m) }}
 		}
@@ -191,7 +191,7 @@ func TestShareOwnership(t *testing.T) {
 }
 
 // TestSplitKernelsBitIdentical: MJPEG and K-means split over one, two and
-// three in-process workers with unequal cores produce exactly the sequential
+// three loopback workers with unequal cores produce exactly the sequential
 // oracles' fields — the baseline encoder's bitstream, kmeans.Sequential's
 // centroids and memberships — and every worker sends each generation at most
 // once between two flush points (see framesOncePerFlush).

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -12,18 +13,17 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestInprocSendIdleTimeout (regression): with the peer's buffer full and the
-// peer not reading, an in-process Send used to block forever — only Recv
-// honoured the idle timeout, although SetIdleTimeout bounds every blocking
-// operation.
-func TestInprocSendIdleTimeout(t *testing.T) {
-	a, b := InprocPipe()
-	defer b.Close()
+// TestSendIdleTimeout: with the peer not reading, Sends fill the socket
+// buffers and the next one fails with an idle timeout instead of blocking
+// forever — SetIdleTimeout bounds Send as well as Recv.
+func TestSendIdleTimeout(t *testing.T) {
+	a, _ := pipe(t)
 	a.SetIdleTimeout(20 * time.Millisecond)
+	frame := net.Buffers{make([]byte, 64<<10)}
 	done := make(chan error, 1)
 	go func() {
 		for {
-			if err := a.Send(&Msg{Kind: MPing}); err != nil {
+			if err := a.SendFrame(&Msg{Kind: MStoreFrame, Field: "f"}, frame); err != nil {
 				done <- err
 				return
 			}
@@ -32,10 +32,10 @@ func TestInprocSendIdleTimeout(t *testing.T) {
 	select {
 	case err := <-done:
 		if !strings.Contains(err.Error(), "dist: idle timeout") {
-			t.Fatalf("Send into a full pipe failed with %q, want an idle timeout", err)
+			t.Fatalf("Send into a full socket failed with %q, want an idle timeout", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Send into a full pipe blocked past its idle timeout")
+		t.Fatal("Send into a full socket blocked past its idle timeout")
 	}
 }
 
@@ -167,7 +167,7 @@ func TestWorkerStates(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mc, wc := InprocPipe()
+			mc, wc := pipe(t)
 			var out bytes.Buffer
 			type result struct {
 				rep *runtime.Report
@@ -207,7 +207,7 @@ func TestMasterFilesPeersByFirstMessage(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		var wc Conn
-		conns[i], wc = InprocPipe()
+		conns[i], wc = pipe(t)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -243,7 +243,7 @@ func TestMasterFilesPeersByFirstMessage(t *testing.T) {
 	}
 
 	// Standbys alone are not a cluster, and are told so.
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	werr := make(chan error, 1)
 	go func() {
 		_, err := RunWorker(WorkerConfig{NodeID: "spare", Prog: workloads.MulSum(), Standby: true}, wc)

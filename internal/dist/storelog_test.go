@@ -251,14 +251,14 @@ func TestFailoverMidGenerationDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	victim := &silenceOnFrame{Conn: wc, field: "out", at: 2}
 	victimDone := make(chan struct{})
 	go func() {
 		defer close(victimDone)
 		RunWorker(WorkerConfig{NodeID: "w0", Cores: 2, Prog: prog(), MaxAge: maxAge}, victim) // closed by the master: fails by design
 	}()
-	sbMaster, sbWorker := InprocPipe()
+	sbMaster, sbWorker := pipe(t)
 	sbErr := make(chan error, 1)
 	go func() {
 		_, err := RunWorker(WorkerConfig{NodeID: "spare", Cores: 2, Prog: prog(), MaxAge: maxAge, Standby: true}, sbWorker)

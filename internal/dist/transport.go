@@ -5,14 +5,14 @@
 // publish-subscribe distribution of store and completion events between
 // nodes.
 //
-// Messages flow over a Transport. Two implementations are provided: an
-// in-process transport (for tests and single-machine experiments) and TCP
-// (for real deployments via cmd/p2g-master and cmd/p2g-worker), where the
-// per-age messages cross in a fixed binary envelope and the once-per-run ones
-// as gob values. The master acts as the pub-sub broker: each worker
-// publishes its store/done events once, and the master forwards them to the
-// nodes whose kernels subscribe to the stored fields, preserving per-origin
-// order.
+// Messages flow over one transport, TCP: the per-age messages cross in a
+// fixed binary envelope and the once-per-run ones as gob values. A
+// deployment dials a master's listener (cmd/p2g-master, cmd/p2g-worker); a
+// cluster inside one process (tests, examples, experiments) connects its
+// nodes with LoopbackPipe, through the same codec and deadlines. The master
+// acts as the pub-sub broker: each worker publishes its store/done events
+// once, and the master forwards them to the nodes whose kernels subscribe to
+// the stored fields, preserving per-origin order.
 package dist
 
 import (
@@ -28,10 +28,10 @@ import (
 	"time"
 )
 
-// Conn is a bidirectional, ordered message channel between two nodes. Every
-// transport sends frames, counts its traffic and bounds its blocking
-// operations; FrameConn and StatsReporter name two of those capabilities for
-// callers that need only one.
+// Conn is a bidirectional, ordered message channel between two nodes. A Conn
+// sends frames, counts its traffic and bounds its blocking operations;
+// FrameConn and StatsReporter name two of those capabilities for callers that
+// need only one.
 type Conn interface {
 	FrameConn
 	StatsReporter
@@ -56,8 +56,7 @@ type FrameConn interface {
 }
 
 // ConnStats holds cumulative transport counters for one connection end.
-// Byte counts cover the encoded wire form; the in-process transport moves
-// pointers, so its byte counts stay zero.
+// Byte counts cover the encoded wire form.
 type ConnStats struct {
 	SentMsgs  int64
 	RecvMsgs  int64
@@ -92,110 +91,6 @@ type Listener interface {
 	Close() error
 	Addr() string
 }
-
-// ---- in-process transport ----
-
-type inprocConn struct {
-	out  chan<- *Msg
-	in   <-chan *Msg
-	once sync.Once
-	done chan struct{}
-	peer *inprocConn
-	idle atomic.Int64 // idle timeout in nanoseconds; 0 = none
-	connStats
-}
-
-// SetIdleTimeout bounds Recv (d of silence) and Send (d with the peer's
-// buffer full).
-func (c *inprocConn) SetIdleTimeout(d time.Duration) { c.idle.Store(int64(d)) }
-
-// InprocPipe returns a connected pair of in-process connections.
-func InprocPipe() (Conn, Conn) {
-	ab := make(chan *Msg, 1024)
-	ba := make(chan *Msg, 1024)
-	a := &inprocConn{out: ab, in: ba, done: make(chan struct{})}
-	b := &inprocConn{out: ba, in: ab, done: make(chan struct{})}
-	a.peer, b.peer = b, a
-	return a, b
-}
-
-// idleTimer returns a channel that fires after the idle timeout (nil, which
-// never fires, when none is set) and the function that releases the timer.
-func (c *inprocConn) idleTimer() (<-chan time.Time, func() bool) {
-	d := c.idle.Load()
-	if d <= 0 {
-		return nil, func() bool { return false }
-	}
-	t := time.NewTimer(time.Duration(d))
-	return t.C, t.Stop
-}
-
-func (c *inprocConn) idleErr() error {
-	return fmt.Errorf("dist: idle timeout after %v", time.Duration(c.idle.Load()))
-}
-
-func (c *inprocConn) Send(m *Msg) error {
-	// Check closure first: the buffered data channel may still have room,
-	// and select would otherwise pick it nondeterministically.
-	select {
-	case <-c.done:
-		return fmt.Errorf("dist: send on closed connection")
-	case <-c.peer.done:
-		return fmt.Errorf("dist: peer closed")
-	default:
-	}
-	timeout, stop := c.idleTimer()
-	defer stop()
-	select {
-	case <-c.done:
-		return fmt.Errorf("dist: send on closed connection")
-	case <-c.peer.done:
-		return fmt.Errorf("dist: peer closed")
-	case <-timeout:
-		return c.idleErr()
-	case c.out <- m:
-		c.sentMsgs.Add(1)
-		return nil
-	}
-}
-
-// SendFrame flattens the segments into a fresh slice: messages cross this
-// transport by pointer, so a pooled frame buffer must never ride inside one.
-func (c *inprocConn) SendFrame(m *Msg, segs net.Buffers) error {
-	env := *m
-	env.Frame = bytes.Join(segs, nil)
-	return c.Send(&env)
-}
-
-func (c *inprocConn) Recv() (*Msg, error) {
-	timeout, stop := c.idleTimer()
-	defer stop()
-	select {
-	case m := <-c.in:
-		c.recvMsgs.Add(1)
-		return m, nil
-	case <-c.done:
-		return nil, fmt.Errorf("dist: connection closed")
-	case <-timeout:
-		return nil, c.idleErr()
-	case <-c.peer.done:
-		// Drain anything already queued before reporting closure.
-		select {
-		case m := <-c.in:
-			c.recvMsgs.Add(1)
-			return m, nil
-		default:
-			return nil, fmt.Errorf("dist: peer closed")
-		}
-	}
-}
-
-func (c *inprocConn) Close() error {
-	c.once.Do(func() { close(c.done) })
-	return nil
-}
-
-// ---- TCP transport ----
 
 type tcpConn struct {
 	nc    net.Conn
@@ -404,3 +299,23 @@ func (t *tcpListener) Accept() (Conn, error) {
 
 func (t *tcpListener) Close() error { return t.l.Close() }
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
+
+// LoopbackPipe returns a connected pair of TCP connections over the loopback
+// interface, for a cluster whose nodes share one process.
+func LoopbackPipe() (Conn, Conn, error) {
+	l, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer l.Close()
+	a, err := DialTCP(l.Addr())
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := l.Accept()
+	if err != nil {
+		a.Close()
+		return nil, nil, err
+	}
+	return a, b, nil
+}

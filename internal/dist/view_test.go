@@ -23,7 +23,7 @@ func TestClusterViewLifecycle(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		wg.Add(1)
 		go func(i int, conn Conn) {
 			defer wg.Done()
@@ -144,15 +144,27 @@ func TestKernelStatsFromSnapshot(t *testing.T) {
 	}
 }
 
-// TestWorkerReportCarriesTransport checks the final worker reports include
-// the connection's message counters (bytes stay zero in-process).
+// TestWorkerReportCarriesTransport checks the final worker reports carry the
+// connection's message and byte counters, and that once the run has ended
+// the two ends of each connection agree on the bytes that crossed it.
 func TestWorkerReportCarriesTransport(t *testing.T) {
-	res := runDistributed(t, nil, 2, func(i int) WorkerConfig {
+	var ends [][2]Conn
+	res := runDistributed(t, 2, func(i int) WorkerConfig {
 		return WorkerConfig{NodeID: fmt.Sprintf("w%d", i), Cores: 1, Prog: workloads.MulSum(), MaxAge: 4}
+	}, func(mc, wc Conn) Conn {
+		ends = append(ends, [2]Conn{mc, wc})
+		return mc
 	})
 	for id, rep := range res.Reports {
-		if rep.SentMsgs == 0 || rep.RecvMsgs == 0 {
-			t.Errorf("worker %s report transport: %d sent / %d recv msgs", id, rep.SentMsgs, rep.RecvMsgs)
+		if rep.SentMsgs == 0 || rep.RecvMsgs == 0 || rep.SentBytes == 0 || rep.RecvBytes == 0 {
+			t.Errorf("worker %s report transport: %d/%d msgs, %d/%d bytes sent/received",
+				id, rep.SentMsgs, rep.RecvMsgs, rep.SentBytes, rep.RecvBytes)
+		}
+	}
+	for i, e := range ends {
+		if m, w := e[0].Stats(), e[1].Stats(); m.SentBytes != w.RecvBytes || w.SentBytes != m.RecvBytes {
+			t.Errorf("connection %d: master sent %d bytes and received %d, worker received %d and sent %d",
+				i, m.SentBytes, m.RecvBytes, w.RecvBytes, w.SentBytes)
 		}
 	}
 	merged := runtime.MergeReports(res.Reports["w0"], res.Reports["w1"])
