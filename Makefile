@@ -63,10 +63,12 @@ fmt-check:
 ci: fmt-check vet layers retired docs build examples race norace
 
 # test-fault is the fault-injection gate (also run by ci.sh): the failover,
-# liveness, and teardown regression tests under the race detector — every
-# scenario drives a real master/worker pair through a FaultConn (severed,
-# wedged, or silently dropping connections) — and the index-share split's
-# ownership, bit-identity and pacing tests beside them.
+# liveness, and teardown regression tests under the race detector — each
+# builds its cluster with internal/dist's test harness and puts a FaultConn
+# (severed, wedged, or silently dropping connections) on one node, and
+# TestFailoverSeverSweep severs a worker at every send a clean run makes —
+# and the index-share split's ownership, bit-identity and pacing tests beside
+# them.
 test-fault:
 	$(GO) test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown|ShareOwnership|SplitKernelsBitIdentical|StoppedWorker|ReplayTargetDeath' ./internal/dist/
 
@@ -103,11 +105,12 @@ bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test -race -count=2 .
 
 # bench is the benchmark crash gate (also run by ci.sh): every testing.B target
-# of the root package once, so what bench_test.go holds keeps compiling and
+# of the root package and of internal/dist (the distributed transport
+# benchmarks, on the cluster harness) once, so they keep compiling and
 # running. Measurement is the ledger's job (bench/); bench-full is the long
-# form of this suite.
+# form of the root suite.
 bench:
-	$(GO) test -run xxx -bench . -benchtime=1x .
+	$(GO) test -run xxx -bench . -benchtime=1x . ./internal/dist/
 
 # bench-full is the measurement run over the whole benchmark suite.
 bench-full:

@@ -15,9 +15,12 @@ package p2g
 //	BenchmarkFusion        — figure 4 Age=3 task-combining ablation
 //	BenchmarkPartition     — §IV HLS partitioning methods
 //	BenchmarkDCT           — naive vs AAN fast DCT (ref [2])
-//	BenchmarkTransportMJPEG — distributed MJPEG encode over TCP loopback
 //	BenchmarkObsOverhead*  — tracing-off vs metrics vs full-tracing overhead
 //	                          on the figure 9/10 workloads (gate: off ≈ free)
+//
+// BenchmarkTransportMJPEG and BenchmarkTransportMJPEGFailover, the distributed
+// encodes over TCP loopback, live in internal/dist beside the cluster harness
+// they run on.
 
 import (
 	"fmt"
@@ -25,7 +28,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/field"
 	"repro/internal/graph"
 	"repro/internal/kmeans"
@@ -222,181 +224,6 @@ func BenchmarkDCT(b *testing.B) {
 			mjpeg.DCTFast(&blocks[i%len(blocks)], &out)
 		}
 	})
-}
-
-// runTransportMJPEG executes one distributed MJPEG encode across two TCP
-// loopback workers and returns the total bytes that crossed the master's
-// sockets (both directions, gob envelope included).
-func runTransportMJPEG(frames int) (int64, error) {
-	mkProg := func() *core.Program {
-		return workloads.MJPEG(workloads.MJPEGConfig{
-			Source:  video.NewSynthetic(128, 128, frames, 4),
-			Quality: 70,
-			FastDCT: true,
-		})
-	}
-	l, err := dist.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	const n = 2
-	errc := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			conn, err := dist.DialTCP(l.Addr())
-			if err != nil {
-				errc <- err
-				return
-			}
-			_, err = dist.RunWorker(dist.WorkerConfig{
-				NodeID: fmt.Sprintf("w%d", i),
-				Cores:  2,
-				Prog:   mkProg(),
-			}, conn)
-			errc <- err
-		}(i)
-	}
-	conns := make([]dist.Conn, n)
-	for i := range conns {
-		c, err := l.Accept()
-		if err != nil {
-			return 0, err
-		}
-		conns[i] = c
-	}
-	if _, err := dist.RunMaster(dist.MasterConfig{Prog: mkProg()}, conns); err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		if e := <-errc; e != nil {
-			return 0, e
-		}
-	}
-	var total int64
-	for _, c := range conns {
-		st := c.Stats()
-		total += st.SentBytes + st.RecvBytes
-	}
-	return total, nil
-}
-
-// BenchmarkTransportMJPEG measures a whole distributed MJPEG encode over TCP
-// loopback with two execution nodes. ns/op is the end-to-end encode latency;
-// wire-B/op is the measured socket traffic.
-func BenchmarkTransportMJPEG(b *testing.B) {
-	workloads.RegisterPayloads()
-	const frames = 4
-	var wireBytes int64
-	for i := 0; i < b.N; i++ {
-		n, err := runTransportMJPEG(frames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wireBytes += n
-	}
-	b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/op")
-}
-
-// runTransportMJPEGFailover executes one distributed MJPEG encode across two
-// TCP loopback workers where the second worker's connection is severed
-// mid-run and the master recovers it: reassign the lost partition to the
-// survivor and replay the master's log of store frames to it.
-// Returns total master-side wire bytes and the replayed-frame count.
-//
-// Workers are built from the spec via the factory rather than an injected
-// Program: a rebuilt node must restart its stateful video source from frame
-// zero, which only a factory-constructed program guarantees.
-func runTransportMJPEGFailover(frames int) (wire, replayed int64, err error) {
-	spec := fmt.Sprintf("mjpeg:frames=%d,w=128,h=128,quality=70,seed=4,fast=1", frames)
-	prog, err := workloads.FromSpec(spec)
-	if err != nil {
-		return 0, 0, err
-	}
-	l, err := dist.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer l.Close()
-	const n = 2
-	errc := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			conn, err := dist.DialTCP(l.Addr())
-			if err != nil {
-				errc <- err
-				return
-			}
-			_, err = dist.RunWorker(dist.WorkerConfig{
-				NodeID:  fmt.Sprintf("w%d", i),
-				Cores:   2,
-				Factory: workloads.FromSpec,
-			}, conn)
-			errc <- err
-		}(i)
-	}
-	conns := make([]dist.Conn, n)
-	for i := range conns {
-		c, err := l.Accept()
-		if err != nil {
-			return 0, 0, err
-		}
-		conns[i] = c
-	}
-	// Connections register in dial order on loopback often enough, but not
-	// guaranteed; severing whichever registers second keeps the benchmark
-	// deterministic in shape (one dead worker, one survivor) either way.
-	conns[1] = dist.NewFaultConn(conns[1], dist.FaultPlan{SeverSendAt: 8})
-	res, err := dist.RunMaster(dist.MasterConfig{
-		Prog:     prog,
-		Spec:     spec,
-		Failover: true,
-	}, conns)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(res.DeadWorkers) != 1 {
-		return 0, 0, fmt.Errorf("dead workers = %v, want exactly one", res.DeadWorkers)
-	}
-	// Accept order need not match dial order, so either goroutine may own
-	// the severed connection: exactly one worker dies by design, the other
-	// must finish cleanly.
-	var workerErrs []error
-	for i := 0; i < n; i++ {
-		if e := <-errc; e != nil {
-			workerErrs = append(workerErrs, e)
-		}
-	}
-	if len(workerErrs) > 1 {
-		return 0, 0, fmt.Errorf("both workers failed: %v", workerErrs)
-	}
-	var total int64
-	for _, c := range conns {
-		st := c.Stats()
-		total += st.SentBytes + st.RecvBytes
-	}
-	return total, res.Replayed, nil
-}
-
-// BenchmarkTransportMJPEGFailover measures the end-to-end cost of surviving a
-// worker death mid-encode: one of two TCP workers is severed after its fourth
-// send and the master repartitions onto the survivor and replays its log of
-// store frames. Compare ns/op against BenchmarkTransportMJPEG/frames for the
-// failover penalty; replayed-frames/op sizes the replay traffic.
-func BenchmarkTransportMJPEGFailover(b *testing.B) {
-	workloads.RegisterPayloads()
-	const frames = 4
-	var wireBytes, replayedFrames int64
-	for i := 0; i < b.N; i++ {
-		wire, replayed, err := runTransportMJPEGFailover(frames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wireBytes += wire
-		replayedFrames += replayed
-	}
-	b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/op")
-	b.ReportMetric(float64(replayedFrames)/float64(b.N), "replayed-frames/op")
 }
 
 // benchObsModes runs a workload under the three observability settings: no

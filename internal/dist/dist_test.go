@@ -2,14 +2,11 @@ package dist
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/field"
@@ -24,97 +21,10 @@ func init() {
 	field.RegisterPayload(kmeans.Point{})
 }
 
-// runDistributed executes a program across n workers, each on a loopback
-// pipe to the master, and returns the master result; the master runs
-// wcfg(0)'s program. wrap, when set, sees both ends of each pipe and returns
-// the connection the master uses.
-func runDistributed(t *testing.T, n int, wcfg func(i int) WorkerConfig, wrap func(mc, wc Conn) Conn) *MasterResult {
-	t.Helper()
-	masterConns := make([]Conn, n)
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := range masterConns {
-		mc, wc := pipe(t)
-		if masterConns[i] = mc; wrap != nil {
-			masterConns[i] = wrap(mc, wc)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := RunWorker(wcfg(i), wc); err != nil {
-				errs <- fmt.Errorf("worker %d: %w", i, err)
-			}
-		}()
-	}
-	res, err := RunMaster(MasterConfig{Prog: wcfg(0).Prog}, masterConns)
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// runListener is runDistributed in the deployment's connection shape: the n
-// workers dial one listener at once and the master takes the connections in
-// accept order, so worker i need not sit on master connection i.
-func runListener(t *testing.T, n int, wcfg func(i int) WorkerConfig) *MasterResult {
-	t.Helper()
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := DialTCP(l.Addr())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer conn.Close()
-			if _, err := RunWorker(wcfg(i), conn); err != nil {
-				errs <- fmt.Errorf("worker %d: %w", i, err)
-			}
-		}()
-	}
-	conns := make([]Conn, n)
-	for i := range conns {
-		if conns[i], err = l.Accept(); err != nil {
-			t.Fatal(err)
-		}
-		defer conns[i].Close()
-	}
-	res, err := RunMaster(MasterConfig{Prog: wcfg(0).Prog}, conns)
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 func TestDistributedMulSum(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("nodes=%d", workers), func(t *testing.T) {
-			res := runDistributed(t, workers, func(i int) WorkerConfig {
-				return WorkerConfig{
-					NodeID: fmt.Sprintf("w%d", i),
-					Cores:  2,
-					Prog:   workloads.MulSum(),
-					MaxAge: 8,
-				}
-			}, nil)
+			res := cluster{workers: mulSumNodes(2, 8, []string{"w0", "w1", "w2"}[:workers]...)}.mustRun(t)
 			// Reference: single-node execution.
 			ref, err := runtime.NewNode(workloads.MulSum(), runtime.Options{Workers: 2, MaxAge: 8})
 			if err != nil {
@@ -156,9 +66,7 @@ func TestDistributedMulSum(t *testing.T) {
 // TestDistributedOverTCP: mul/sum on two workers that share one listener
 // ends at the closed form m(a+1) = m(a)*2+5 from {10..14}.
 func TestDistributedOverTCP(t *testing.T) {
-	res := runListener(t, 2, func(i int) WorkerConfig {
-		return WorkerConfig{NodeID: fmt.Sprintf("tcp%d", i), Cores: 2, Prog: workloads.MulSum(), MaxAge: 5}
-	})
+	res := cluster{workers: mulSumNodes(2, 5, "w0", "w1"), listen: true}.mustRun(t)
 	s, err := res.Shadow.Snapshot("m_data", 5)
 	if err != nil {
 		t.Fatal(err)
@@ -176,14 +84,9 @@ func TestDistributedOverTCP(t *testing.T) {
 
 func TestDistributedKMeansMatchesSequential(t *testing.T) {
 	cfg := workloads.KMeansConfig{N: 120, Dim: 2, K: 6, Iter: 4, Seed: 9}
-	res := runDistributed(t, 2, func(i int) WorkerConfig {
-		return WorkerConfig{
-			NodeID:       fmt.Sprintf("w%d", i),
-			Cores:        2,
-			Prog:         workloads.KMeans(cfg),
-			KernelMaxAge: workloads.KMeansOptions(cfg, 1).KernelMaxAge,
-		}
-	}, nil)
+	res := cluster{workers: nodes(2, func(int) WorkerConfig {
+		return WorkerConfig{Cores: 2, Prog: workloads.KMeans(cfg), KernelMaxAge: workloads.KMeansOptions(cfg, 1).KernelMaxAge}
+	})}.mustRun(t)
 	want := kmeans.Sequential(kmeans.Generate(cfg.N, cfg.Dim, cfg.K, cfg.Seed), cfg.K, cfg.Iter)
 	got, err := res.Shadow.Snapshot("centroids", cfg.Iter)
 	if err != nil {
@@ -201,9 +104,7 @@ func TestDistributedKMeansMatchesSequential(t *testing.T) {
 }
 
 func TestDistributedReportsCoverKernels(t *testing.T) {
-	res := runDistributed(t, 2, func(i int) WorkerConfig {
-		return WorkerConfig{NodeID: fmt.Sprintf("w%d", i), Cores: 1, Prog: workloads.MulSum(), MaxAge: 3}
-	}, nil)
+	res := cluster{workers: mulSumNodes(1, 3, "w0", "w1")}.mustRun(t)
 	counts := map[string]int64{}
 	for _, rep := range res.Reports {
 		for _, k := range rep.Kernels {
@@ -243,13 +144,11 @@ func (w *gobWatch) Send(m *Msg) error {
 // connection while the program runs.
 func TestTCPNoGobWhileRunning(t *testing.T) {
 	var watches []*gobWatch
-	runDistributed(t, 2, func(i int) WorkerConfig {
-		return WorkerConfig{NodeID: fmt.Sprintf("w%d", i), Cores: 2, Prog: workloads.MulSum(), MaxAge: 5}
-	}, func(mc, _ Conn) Conn {
+	cluster{workers: mulSumNodes(2, 5, "w0", "w1"), wrap: func(_ int, mc, wc Conn) (Conn, Conn) {
 		w := &gobWatch{Conn: mc, tc: mc.(*tcpConn)}
 		watches = append(watches, w)
-		return w
-	})
+		return w, wc
+	}}.mustRun(t)
 	for i, w := range watches {
 		start, stop := w.atStart.Load(), w.atStop.Load()
 		if start == 0 || stop == 0 {
@@ -352,35 +251,11 @@ func TestWorkerErrorsPropagate(t *testing.T) {
 // assignment then reflects measured load rather than unit weights.
 func TestWeightedRepartition(t *testing.T) {
 	cfg := workloads.KMeansConfig{N: 200, Dim: 2, K: 8, Iter: 4, Seed: 5}
-	wcfg := func(i int) WorkerConfig {
-		return WorkerConfig{
-			NodeID:       fmt.Sprintf("w%d", i),
-			Cores:        2,
-			Prog:         workloads.KMeans(cfg),
-			KernelMaxAge: workloads.KMeansOptions(cfg, 1).KernelMaxAge,
-		}
+	wcfg := func(int) WorkerConfig {
+		return WorkerConfig{Cores: 2, Prog: workloads.KMeans(cfg), KernelMaxAge: workloads.KMeansOptions(cfg, 1).KernelMaxAge}
 	}
 	run := func(weights *runtime.Report) *MasterResult {
-		const n = 2
-		masterConns := make([]Conn, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			var wc Conn
-			masterConns[i], wc = pipe(t)
-			wg.Add(1)
-			go func(i int, conn Conn) {
-				defer wg.Done()
-				if _, err := RunWorker(wcfg(i), conn); err != nil {
-					t.Errorf("worker %d: %v", i, err)
-				}
-			}(i, wc)
-		}
-		res, err := RunMaster(MasterConfig{Prog: workloads.KMeans(cfg), Weights: weights}, masterConns)
-		wg.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return cluster{master: MasterConfig{Prog: workloads.KMeans(cfg), Weights: weights}, workers: nodes(2, wcfg)}.mustRun(t)
 	}
 	first := run(nil)
 	var reports []*runtime.Report
@@ -409,79 +284,31 @@ func TestWeightedRepartition(t *testing.T) {
 // TestDistributedKernelFailure injects a failing kernel body on one node and
 // verifies the whole cluster shuts down with the error instead of hanging.
 func TestDistributedKernelFailure(t *testing.T) {
-	mkProg := func() *core.Program {
-		b := core.NewBuilder("boom")
-		b.Field("f", field.Int32, 1, true)
-		b.Field("g", field.Int32, 1, true)
-		b.Kernel("src").
-			Local("v", field.Int32, 1).
-			StoreAll("f", core.AgeAt(0), "v").
-			Body(func(c *core.Ctx) error {
-				c.Array("v").Put(field.Int32Val(1), 0)
-				return nil
-			})
-		b.Kernel("bad").Age("a").Index("x").
-			Local("v", field.Int32, 0).
-			Fetch("v", "f", core.AgeVar(0), core.Idx("x")).
-			Store("g", core.AgeVar(0), []core.IndexSpec{core.Idx("x")}, "v").
-			Body(func(c *core.Ctx) error {
-				return errors.New("injected failure")
-			})
-		p, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	r := cluster{workers: nodes(2, func(int) WorkerConfig {
+		return WorkerConfig{Cores: 1, Prog: failoverBoomProg(t)}
+	})}.run(t)
+	if r.err == nil || !strings.Contains(r.err.Error(), "boom failure") {
+		t.Fatalf("master error = %v, want the injected failure", r.err)
 	}
-	const n = 2
-	masterConns := make([]Conn, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var wc Conn
-		masterConns[i], wc = pipe(t)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			_, _ = RunWorker(WorkerConfig{NodeID: fmt.Sprintf("w%d", i), Cores: 1, Prog: mkProg()}, conn)
-		}(i, wc)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunMaster(MasterConfig{Prog: mkProg()}, masterConns)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "injected failure") {
-			t.Fatalf("master error = %v, want injected failure", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cluster hung on kernel failure")
-	}
-	wg.Wait()
 }
 
 // TestDistributedMJPEG runs the full Motion JPEG pipeline across two nodes —
 // macroblock payloads and encoded frames cross the wire as gob Any values —
 // and the bitstream must equal the single-threaded baseline encoder's.
 func TestDistributedMJPEG(t *testing.T) {
-	checkMJPEGBitIdentical(t, func(wcfg func(int) WorkerConfig) *MasterResult {
-		return runDistributed(t, 2, wcfg, nil)
-	})
+	checkMJPEGBitIdentical(t, false)
 }
 
 // TestDistributedMJPEGOverTCPBitIdentical: the same pipeline with both
 // workers dialling one listener, as deployed nodes do.
 func TestDistributedMJPEGOverTCPBitIdentical(t *testing.T) {
-	checkMJPEGBitIdentical(t, func(wcfg func(int) WorkerConfig) *MasterResult {
-		return runListener(t, 2, wcfg)
-	})
+	checkMJPEGBitIdentical(t, true)
 }
 
-// checkMJPEGBitIdentical runs a 3-frame 32x32 MJPEG program on the two-worker
-// cluster run builds and compares the logged bitstream with the baseline
-// encoder's.
-func checkMJPEGBitIdentical(t *testing.T, run func(wcfg func(int) WorkerConfig) *MasterResult) {
+// checkMJPEGBitIdentical runs a 3-frame 32x32 MJPEG program on two workers,
+// over a shared listener when listen is set, and compares the logged
+// bitstream with the baseline encoder's.
+func checkMJPEGBitIdentical(t *testing.T, listen bool) {
 	t.Helper()
 	workloads.RegisterPayloads()
 	const frames = 3
@@ -491,19 +318,12 @@ func checkMJPEGBitIdentical(t *testing.T, run func(wcfg func(int) WorkerConfig) 
 			Quality: 70,
 		})
 	}
-	res := run(func(i int) WorkerConfig {
-		return WorkerConfig{NodeID: fmt.Sprintf("w%d", i), Cores: 2, Prog: mkProg()}
-	})
-	var stream []byte
-	for a := 0; a < frames; a++ {
-		s, err := res.Shadow.Snapshot("bitstream", a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Extent(0) == 0 {
-			t.Fatalf("frame %d missing from the logged bitstream", a)
-		}
-		stream = append(stream, s.At(0).Obj().([]byte)...)
+	res := cluster{workers: nodes(2, func(int) WorkerConfig {
+		return WorkerConfig{Cores: 2, Prog: mkProg()}
+	}), listen: listen}.mustRun(t)
+	stream, err := workloads.MJPEGStream(res.Shadow, frames)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var baseline bytes.Buffer
 	enc := &mjpeg.Encoder{Quality: 70}
@@ -514,4 +334,23 @@ func checkMJPEGBitIdentical(t *testing.T, run func(wcfg func(int) WorkerConfig) 
 		t.Errorf("distributed bitstream (%d bytes) differs from baseline (%d bytes)",
 			len(stream), baseline.Len())
 	}
+}
+
+// BenchmarkTransportMJPEG measures a whole distributed MJPEG encode over TCP
+// loopback with two execution nodes dialling one listener. ns/op is the
+// end-to-end encode latency; wire-B/op is the socket traffic at the master.
+func BenchmarkTransportMJPEG(b *testing.B) {
+	workloads.RegisterPayloads()
+	var wire int64
+	for i := 0; i < b.N; i++ {
+		c := cluster{workers: nodes(2, func(int) WorkerConfig {
+			return WorkerConfig{Cores: 2, Prog: workloads.MJPEG(workloads.MJPEGConfig{
+				Source: video.NewSynthetic(128, 128, 4, 4), Quality: 70, FastDCT: true,
+			})}
+		}), listen: true}
+		wireBytes := countWire(&c)
+		c.mustRun(b)
+		wire += wireBytes()
+	}
+	b.ReportMetric(float64(wire)/float64(b.N), "wire-B/op")
 }

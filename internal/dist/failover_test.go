@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -48,116 +47,63 @@ func assertMulSumShadow(t *testing.T, res *MasterResult, ref *runtime.Node) {
 	}
 }
 
+// assertRecovered fails the test unless the mul/sum failover run r finished
+// with no master error, w0 (node 0) clean, exactly the given workers dead and
+// the state of a single-node run.
+func assertRecovered(t *testing.T, r clusterRun, dead ...string) {
+	t.Helper()
+	if r.err != nil {
+		t.Fatalf("failover run failed: %v", r.err)
+	}
+	if r.errs[0] != nil {
+		t.Fatalf("survivor failed: %v", r.errs[0])
+	}
+	if !slices.Equal(r.res.DeadWorkers, dead) {
+		t.Fatalf("DeadWorkers = %v, want %v", r.res.DeadWorkers, dead)
+	}
+	if _, ok := r.res.Reports["w0"]; !ok {
+		t.Fatalf("missing survivor report: %v", r.res.Reports)
+	}
+	assertMulSumShadow(t, r.res, mulSumReference(t))
+}
+
 // TestFailoverSurvivorTakeover kills one of two workers mid-run (its
 // connection severs on its Nth send) with failover enabled: the master must
 // reassign the lost kernels to the survivor, replay the lost write-once
 // frames, and finish with exactly the state a clean run produces.
 func TestFailoverSurvivorTakeover(t *testing.T) {
-	ref := mulSumReference(t)
-	const n = 2
-	masterConns := make([]Conn, n)
-	workerErrs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var wc Conn
-		masterConns[i], wc = pipe(t)
-		if i == 1 {
-			// w1 dies abruptly at its 12th send: registration plus a stretch
-			// of stores and completions, then the connection severs mid-run.
-			wc = NewFaultConn(wc, FaultPlan{SeverSendAt: 12})
-		}
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			_, workerErrs[i] = RunWorker(WorkerConfig{
-				NodeID: fmt.Sprintf("w%d", i), Cores: 2,
-				Prog: workloads.MulSum(), MaxAge: 8,
-			}, conn)
-		}(i, wc)
-	}
-	res, err := RunMaster(MasterConfig{
-		Prog: workloads.MulSum(), Failover: true,
-	}, masterConns)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("failover run failed: %v", err)
-	}
-	if workerErrs[0] != nil {
-		t.Fatalf("survivor failed: %v", workerErrs[0])
-	}
-	if workerErrs[1] == nil {
+	r := cluster{
+		master:  MasterConfig{Failover: true},
+		workers: mulSumNodes(2, 8, "w0", "w1"),
+		// w1 dies abruptly at its 12th send: registration plus a stretch of
+		// stores and completions, then the connection severs mid-run.
+		wrap: workerFault(1, FaultPlan{SeverSendAt: 12}),
+	}.run(t)
+	assertRecovered(t, r, "w1")
+	if r.errs[1] == nil {
 		t.Fatal("killed worker returned cleanly despite its severed connection")
 	}
-	if len(res.DeadWorkers) != 1 || res.DeadWorkers[0] != "w1" {
-		t.Fatalf("DeadWorkers = %v, want [w1]", res.DeadWorkers)
-	}
-	if res.Replayed == 0 {
+	if r.res.Replayed == 0 {
 		t.Fatal("no logged frames were replayed to the survivor")
 	}
-	if _, ok := res.Reports["w0"]; !ok {
-		t.Fatalf("missing survivor report: %v", res.Reports)
-	}
-	assertMulSumShadow(t, res, ref)
 }
 
 // TestFailoverStandbyTakeover: same kill, but a hot standby (registered with
 // MJoin) is waiting. The master must promote it, replay the log to it,
 // and finish bit-identically; the promoted standby returns a real report.
 func TestFailoverStandbyTakeover(t *testing.T) {
-	ref := mulSumReference(t)
-	const n = 2
-	masterConns := make([]Conn, n)
-	workerErrs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var wc Conn
-		masterConns[i], wc = pipe(t)
-		if i == 1 {
-			wc = NewFaultConn(wc, FaultPlan{SeverSendAt: 12})
-		}
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			_, workerErrs[i] = RunWorker(WorkerConfig{
-				NodeID: fmt.Sprintf("w%d", i), Cores: 2,
-				Prog: workloads.MulSum(), MaxAge: 8,
-			}, conn)
-		}(i, wc)
+	r := cluster{
+		master:  MasterConfig{Failover: true},
+		workers: mulSumNodes(2, 8, "w0", "w1", "spare"),
+		wrap:    workerFault(1, FaultPlan{SeverSendAt: 12}),
+	}.run(t)
+	assertRecovered(t, r, "w1")
+	if r.errs[2] != nil || r.reports[2] == nil {
+		t.Fatalf("promoted standby returned (%v, %v), want a report", r.reports[2], r.errs[2])
 	}
-	sbMaster, sbWorker := pipe(t)
-	var sbRep *runtime.Report
-	var sbErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sbRep, sbErr = RunWorker(WorkerConfig{
-			NodeID: "spare", Cores: 2,
-			Prog: workloads.MulSum(), MaxAge: 8, Standby: true,
-		}, sbWorker)
-	}()
-	res, err := RunMaster(MasterConfig{
-		Prog: workloads.MulSum(), Failover: true,
-	}, append(masterConns, sbMaster))
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("failover run failed: %v", err)
+	if _, ok := r.res.Reports["spare"]; !ok {
+		t.Fatalf("standby report missing: %v", r.res.Reports)
 	}
-	if workerErrs[0] != nil {
-		t.Fatalf("survivor failed: %v", workerErrs[0])
-	}
-	if sbErr != nil {
-		t.Fatalf("promoted standby failed: %v", sbErr)
-	}
-	if sbRep == nil {
-		t.Fatal("promoted standby returned no report")
-	}
-	if len(res.DeadWorkers) != 1 || res.DeadWorkers[0] != "w1" {
-		t.Fatalf("DeadWorkers = %v, want [w1]", res.DeadWorkers)
-	}
-	if _, ok := res.Reports["spare"]; !ok {
-		t.Fatalf("standby report missing: %v", res.Reports)
-	}
-	assertMulSumShadow(t, res, ref)
 }
 
 // TestReplayTargetDeath (regression): a node that dies while its recovery
@@ -167,44 +113,53 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 // MAssign and MStart are sends 1 and 2). The master must re-place the work
 // on the survivor, replay to it, and finish bit for bit like a single node.
 func TestReplayTargetDeath(t *testing.T) {
-	ref := mulSumReference(t)
-	conns := make([]Conn, 3)
-	workerErrs := make([]error, 3)
-	var wg sync.WaitGroup
-	for i, id := range []string{"w0", "w1", "spare"} {
-		mc, wc := pipe(t)
-		conns[i] = mc
-		switch id {
-		case "w1":
-			wc = NewFaultConn(wc, FaultPlan{SeverSendAt: 12})
-		case "spare":
-			conns[i] = NewFaultConn(mc, FaultPlan{SeverSendAt: 5})
-		}
-		wg.Add(1)
-		go func(i int, id string, conn Conn) {
-			defer wg.Done()
-			_, workerErrs[i] = RunWorker(WorkerConfig{
-				NodeID: id, Cores: 2, Prog: workloads.MulSum(), MaxAge: 8, Standby: id == "spare",
-			}, conn)
-		}(i, id, wc)
+	killW1 := workerFault(1, FaultPlan{SeverSendAt: 12})
+	r := cluster{
+		master:  MasterConfig{Failover: true},
+		workers: mulSumNodes(2, 8, "w0", "w1", "spare"),
+		wrap: func(i int, mc, wc Conn) (Conn, Conn) {
+			if i == 2 {
+				mc = NewFaultConn(mc, FaultPlan{SeverSendAt: 5})
+			}
+			return killW1(i, mc, wc)
+		},
+	}.run(t)
+	assertRecovered(t, r, "w1", "spare")
+}
+
+// TestFailoverSeverSweep generates its faults instead of picking one: a
+// clean two-worker mul/sum failover run counts w1's sends, then one row
+// severs w1 at each of them from its first after registration on. Every row
+// recovers to the single-node state with w0 clean and w1 dead — or nobody
+// dead, when the sever point lies past what w1 sent in that run.
+func TestFailoverSeverSweep(t *testing.T) {
+	run := func(t *testing.T, at int64) (clusterRun, *FaultConn) {
+		var w1 *FaultConn
+		r := cluster{
+			master:  MasterConfig{Failover: true},
+			workers: mulSumNodes(2, 8, "w0", "w1"),
+			wrap: func(i int, mc, wc Conn) (Conn, Conn) {
+				if i == 1 {
+					w1 = NewFaultConn(wc, FaultPlan{SeverSendAt: at})
+					wc = w1
+				}
+				return mc, wc
+			},
+		}.run(t)
+		return r, w1
 	}
-	res, err := RunMaster(MasterConfig{
-		Prog: workloads.MulSum(), Failover: true,
-	}, conns)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("a death during recovery failed the run: %v", err)
+	r, w1 := run(t, 0)
+	assertRecovered(t, r)
+	for at := int64(2); at <= w1.sends.Load(); at++ {
+		t.Run(fmt.Sprintf("sever=%d", at), func(t *testing.T) {
+			r, w1 := run(t, at)
+			var dead []string
+			if w1.sends.Load() >= at {
+				dead = []string{"w1"}
+			}
+			assertRecovered(t, r, dead...)
+		})
 	}
-	if workerErrs[0] != nil {
-		t.Fatalf("survivor failed: %v", workerErrs[0])
-	}
-	if !slices.Equal(res.DeadWorkers, []string{"w1", "spare"}) {
-		t.Fatalf("DeadWorkers = %v, want [w1 spare]", res.DeadWorkers)
-	}
-	if _, ok := res.Reports["w0"]; !ok {
-		t.Fatalf("missing survivor report: %v", res.Reports)
-	}
-	assertMulSumShadow(t, res, ref)
 }
 
 // TestStoppedWorkerDeclaredDead (regression): a stopped worker — a SIGSTOPped
@@ -221,49 +176,26 @@ func TestStoppedWorkerDeclaredDead(t *testing.T) {
 		if failover {
 			ids = append(ids, "spare")
 		}
-		conns := make([]Conn, len(ids))
-		var wg sync.WaitGroup
-		for i, id := range ids {
-			mc, wc := pipe(t)
-			conns[i] = mc
-			if id == "w1" {
-				conns[i] = NewFaultConn(mc, FaultPlan{WedgeSendAt: 3, WedgeRecvAt: 2})
-			}
-			wg.Add(1)
-			go func(id string, conn Conn) {
-				defer wg.Done()
-				_, err := RunWorker(WorkerConfig{
-					NodeID: id, Cores: 1, Prog: workloads.MulSum(), MaxAge: 8, Standby: id == "spare",
-				}, conn)
-				if id != "w1" && err != nil {
-					t.Errorf("%s failed: %v", id, err)
-				}
-			}(id, wc)
-		}
-		type outcome struct {
-			res *MasterResult
-			err error
-		}
-		done := make(chan outcome, 1)
 		start := time.Now()
-		go func() {
-			res, err := RunMaster(MasterConfig{
-				Prog: workloads.MulSum(), Failover: failover,
-				Heartbeat: heartbeat, MaxMissed: maxMissed,
-			}, conns)
-			done <- outcome{res, err}
-		}()
-		select {
-		case o := <-done:
-			wg.Wait()
-			if took := time.Since(start); !failover && took > 10*heartbeat*maxMissed {
-				t.Errorf("the stopped worker took %v to be declared dead, liveness window %v", took, heartbeat*maxMissed)
-			}
-			return o.res, o.err
-		case <-time.After(10 * time.Second):
-			t.Fatal("master wedged in a send to a stopped worker")
-			return nil, nil
+		r := cluster{
+			master:  MasterConfig{Failover: failover, Heartbeat: heartbeat, MaxMissed: maxMissed},
+			workers: mulSumNodes(1, 8, ids...),
+			wrap: func(i int, mc, wc Conn) (Conn, Conn) {
+				if i == 1 {
+					mc = NewFaultConn(mc, FaultPlan{WedgeSendAt: 3, WedgeRecvAt: 2})
+				}
+				return mc, wc
+			},
+		}.run(t)
+		if took := time.Since(start); !failover && took > 10*heartbeat*maxMissed {
+			t.Errorf("the stopped worker took %v to be declared dead, liveness window %v", took, heartbeat*maxMissed)
 		}
+		for i, err := range r.errs {
+			if i != 1 && err != nil {
+				t.Errorf("%s failed: %v", ids[i], err)
+			}
+		}
+		return r.res, r.err
 	}
 	t.Run("fail-fast", func(t *testing.T) {
 		_, err := run(t, false)
@@ -272,7 +204,6 @@ func TestStoppedWorkerDeclaredDead(t *testing.T) {
 		}
 	})
 	t.Run("failover", func(t *testing.T) {
-		ref := mulSumReference(t)
 		res, err := run(t, true)
 		if err != nil {
 			t.Fatalf("failover run failed: %v", err)
@@ -280,56 +211,22 @@ func TestStoppedWorkerDeclaredDead(t *testing.T) {
 		if !slices.Equal(res.DeadWorkers, []string{"w1"}) {
 			t.Fatalf("DeadWorkers = %v, want [w1]", res.DeadWorkers)
 		}
-		assertMulSumShadow(t, res, ref)
+		assertMulSumShadow(t, res, mulSumReference(t))
 	})
 }
 
 // TestStandbyReleasedCleanly: a standby the run never needs must be released
 // at shutdown — RunWorker returns (nil, nil), not an error.
 func TestStandbyReleasedCleanly(t *testing.T) {
-	const n = 2
-	masterConns := make([]Conn, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var wc Conn
-		masterConns[i], wc = pipe(t)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			if _, err := RunWorker(WorkerConfig{
-				NodeID: fmt.Sprintf("w%d", i), Cores: 1,
-				Prog: workloads.MulSum(), MaxAge: 4,
-			}, conn); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i, wc)
+	r := cluster{master: MasterConfig{Failover: true}, workers: mulSumNodes(1, 4, "w0", "w1", "spare")}.run(t)
+	if r.err != nil || r.errs[0] != nil || r.errs[1] != nil {
+		t.Fatalf("master %v, workers %v", r.err, r.errs)
 	}
-	sbMaster, sbWorker := pipe(t)
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		rep, err := RunWorker(WorkerConfig{
-			NodeID: "spare", Cores: 1,
-			Prog: workloads.MulSum(), MaxAge: 4, Standby: true,
-		}, sbWorker)
-		if rep != nil || err != nil {
-			t.Errorf("unused standby returned (%v, %v), want (nil, nil)", rep, err)
-		}
-	}()
-	res, err := RunMaster(MasterConfig{
-		Prog: workloads.MulSum(), Failover: true,
-	}, append(masterConns, sbMaster))
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
+	if r.reports[2] != nil || r.errs[2] != nil {
+		t.Errorf("unused standby returned (%v, %v), want (nil, nil)", r.reports[2], r.errs[2])
 	}
-	if len(res.DeadWorkers) != 0 || res.Replayed != 0 {
-		t.Fatalf("clean run recorded deaths %v / %d replays", res.DeadWorkers, res.Replayed)
-	}
-	select {
-	case <-released:
-	case <-time.After(5 * time.Second):
-		t.Fatal("standby was never released")
+	if len(r.res.DeadWorkers) != 0 || r.res.Replayed != 0 {
+		t.Fatalf("clean run recorded deaths %v / %d replays", r.res.DeadWorkers, r.res.Replayed)
 	}
 }
 
@@ -339,53 +236,18 @@ func TestStandbyReleasedCleanly(t *testing.T) {
 // Recv. With an idle timeout set, the master must return promptly with an
 // error naming the wedged worker.
 func TestMasterIdleTimeoutNamesWedgedWorker(t *testing.T) {
-	const n = 2
-	masterConns := make([]Conn, n)
-	var wedged *FaultConn
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var wc Conn
-		masterConns[i], wc = pipe(t)
-		if i == 1 {
-			// Everything after registration blocks: the half-open case.
-			wedged = NewFaultConn(wc, FaultPlan{WedgeSendAt: 2})
-			wc = wedged
-		}
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			// w1 is expected to fail once the wedge releases; w0 must not.
-			_, err := RunWorker(WorkerConfig{
-				NodeID: fmt.Sprintf("w%d", i), Cores: 1,
-				Prog: workloads.MulSum(), MaxAge: 8,
-			}, conn)
-			if i == 0 && err != nil {
-				t.Errorf("healthy worker failed: %v", err)
-			}
-		}(i, wc)
+	r := cluster{
+		master:  MasterConfig{IdleTimeout: 200 * time.Millisecond},
+		workers: mulSumNodes(1, 8, "w0", "w1"),
+		// Everything w1 sends after registration blocks: the half-open case.
+		wrap: workerFault(1, FaultPlan{WedgeSendAt: 2}),
+	}.run(t)
+	if r.err == nil || !strings.Contains(r.err.Error(), "w1") || !strings.Contains(r.err.Error(), "idle timeout") {
+		t.Fatalf("master error %v does not name the wedged worker and the idle timeout", r.err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunMaster(MasterConfig{
-			Prog:        workloads.MulSum(),
-			IdleTimeout: 200 * time.Millisecond,
-		}, masterConns)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("master succeeded with a wedged worker")
-		}
-		if !strings.Contains(err.Error(), "w1") || !strings.Contains(err.Error(), "idle timeout") {
-			t.Fatalf("error %q does not name the wedged worker and the idle timeout", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("master wedged on a half-open worker connection")
+	if r.errs[0] != nil {
+		t.Errorf("healthy worker failed: %v", r.errs[0])
 	}
-	// Release the wedge so the blocked worker goroutine can tear down.
-	wedged.Close()
-	wg.Wait()
 }
 
 // TestLivenessCatchesSilentPartition (regression): a worker whose sends are
@@ -393,47 +255,15 @@ func TestMasterIdleTimeoutNamesWedgedWorker(t *testing.T) {
 // error ever fires) must be declared dead by the heartbeat monitor — without
 // failover the run fails naming the worker instead of hanging.
 func TestLivenessCatchesSilentPartition(t *testing.T) {
-	const n = 2
-	masterConns := make([]Conn, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var wc Conn
-		masterConns[i], wc = pipe(t)
-		if i == 1 {
-			// Registration goes through; every later send vanishes.
-			wc = NewFaultConn(wc, FaultPlan{DropSendFrom: 2})
-		}
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			// w1's connection is eventually closed by the master; both exits
-			// are tolerated here, correctness is asserted master-side.
-			_, _ = RunWorker(WorkerConfig{
-				NodeID: fmt.Sprintf("w%d", i), Cores: 1,
-				Prog: workloads.MulSum(), MaxAge: 8,
-			}, conn)
-		}(i, wc)
+	r := cluster{
+		master:  MasterConfig{Heartbeat: 50 * time.Millisecond, MaxMissed: 4},
+		workers: mulSumNodes(1, 8, "w0", "w1"),
+		// Registration goes through; every later send of w1's vanishes.
+		wrap: workerFault(1, FaultPlan{DropSendFrom: 2}),
+	}.run(t)
+	if r.err == nil || !strings.Contains(r.err.Error(), "w1") || !strings.Contains(r.err.Error(), "missed") {
+		t.Fatalf("master error %v does not name the silent worker and the missed heartbeats", r.err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunMaster(MasterConfig{
-			Prog:      workloads.MulSum(),
-			Heartbeat: 50 * time.Millisecond, MaxMissed: 4,
-		}, masterConns)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("master succeeded despite a silently partitioned worker")
-		}
-		if !strings.Contains(err.Error(), "w1") || !strings.Contains(err.Error(), "missed") {
-			t.Fatalf("error %q does not name the silent worker and the missed heartbeats", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("liveness monitor never fired on a silent partition")
-	}
-	wg.Wait()
 }
 
 // TestLivenessDuringStopPhase (regression): quiescence used to trust a stale
@@ -530,38 +360,16 @@ func failoverBoomProg(t *testing.T) *core.Program {
 // must broadcast MStopReq first so survivors shut down through the normal
 // stop path and return nil.
 func TestMasterFailureBroadcastsStop(t *testing.T) {
-	const n = 2
-	masterConns := make([]Conn, n)
-	workerErrs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var wc Conn
-		masterConns[i], wc = pipe(t)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			_, workerErrs[i] = RunWorker(WorkerConfig{
-				NodeID: fmt.Sprintf("w%d", i), Cores: 1, Prog: failoverBoomProg(t),
-			}, conn)
-		}(i, wc)
-	}
-	_, err := RunMaster(MasterConfig{Prog: failoverBoomProg(t)}, masterConns)
-	wg.Wait()
-	if err == nil || !strings.Contains(err.Error(), "boom failure") {
-		t.Fatalf("master error = %v, want the injected kernel failure", err)
-	}
-	var failed, clean int
-	for i := 0; i < n; i++ {
-		if workerErrs[i] != nil {
-			failed++
-		} else {
-			clean++
-		}
+	r := cluster{workers: nodes(2, func(int) WorkerConfig {
+		return WorkerConfig{Cores: 1, Prog: failoverBoomProg(t)}
+	})}.run(t)
+	if r.err == nil || !strings.Contains(r.err.Error(), "boom failure") {
+		t.Fatalf("master error = %v, want the injected kernel failure", r.err)
 	}
 	// Exactly one worker hosted the failing kernel; the other must have been
 	// stopped cleanly instead of erroring on a closed connection.
-	if failed != 1 || clean != 1 {
-		t.Fatalf("worker exits: %v — want one failure (the faulty kernel's host) and one clean stop", workerErrs)
+	if (r.errs[0] == nil) == (r.errs[1] == nil) {
+		t.Fatalf("worker exits: %v — want one failure (the faulty kernel's host) and one clean stop", r.errs)
 	}
 }
 
@@ -570,88 +378,45 @@ func TestMasterFailureBroadcastsStop(t *testing.T) {
 // used to just return, leaving every already-connected worker blocked in its
 // handshake forever. It must broadcast the reason and close.
 func TestMasterAbortReleasesHandshakeWorkers(t *testing.T) {
-	good, goodWorker := pipe(t)
-	bad, badWorker := pipe(t)
-	// The bad "worker" speaks garbage first, failing the master's
-	// registration phase while the good worker sits in its handshake.
-	if err := badWorker.Send(&Msg{Kind: MPing}); err != nil {
-		t.Fatal(err)
+	r := cluster{
+		workers: mulSumNodes(1, 2, "good", "bad"),
+		// The bad worker speaks garbage first, failing the master's
+		// registration phase while the good worker sits in its handshake.
+		wrap: func(i int, mc, wc Conn) (Conn, Conn) {
+			if i == 1 {
+				if err := wc.Send(&Msg{Kind: MPing}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return mc, wc
+		},
+	}.run(t)
+	if r.err == nil || !strings.Contains(r.err.Error(), "expected registration") {
+		t.Fatalf("master error = %v, want registration failure", r.err)
 	}
-	workerDone := make(chan error, 1)
-	go func() {
-		_, err := RunWorker(WorkerConfig{
-			NodeID: "good", Cores: 1, Prog: workloads.MulSum(), MaxAge: 2,
-		}, goodWorker)
-		workerDone <- err
-	}()
-	_, err := RunMaster(MasterConfig{Prog: workloads.MulSum()}, []Conn{good, bad})
-	if err == nil || !strings.Contains(err.Error(), "expected registration") {
-		t.Fatalf("master error = %v, want registration failure", err)
-	}
-	select {
-	case werr := <-workerDone:
-		if werr == nil || !strings.Contains(werr.Error(), "master reported error") {
-			t.Fatalf("worker error = %v, want the master's abort reason", werr)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker still blocked in its handshake after the master aborted")
+	if r.errs[0] == nil || !strings.Contains(r.errs[0].Error(), "master reported error") {
+		t.Fatalf("worker error = %v, want the master's abort reason", r.errs[0])
 	}
 }
 
-// distMJPEGFailover runs spec's MJPEG pipeline across two TCP workers with
-// the second worker's connection severing at its severAt-th send, and returns
-// the master's outcome. The survivor must exit cleanly when failover is on.
-// Workers build the program from the spec via the factory — required for
-// failover, since a rebuilt node must restart the video source from frame
-// zero rather than resume a half-consumed stream.
-func distMJPEGFailover(t *testing.T, spec string, severAt int, failover bool) (*MasterResult, error) {
-	t.Helper()
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	const n = 2
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := DialTCP(l.Addr())
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			if i == 1 {
-				// tcp1 dies abruptly severAt messages into the run.
-				conn = NewFaultConn(conn, FaultPlan{SeverSendAt: int64(severAt)})
-			}
-			_, werr := RunWorker(WorkerConfig{
-				NodeID: fmt.Sprintf("tcp%d", i), Cores: 2, Factory: workloads.FromSpec,
-			}, conn)
-			if i == 0 && failover && werr != nil {
-				t.Errorf("survivor failed: %v", werr)
-			}
-		}(i)
-	}
-	conns := make([]Conn, n)
-	for i := range conns {
-		c, err := l.Accept()
-		if err != nil {
-			t.Error(err)
-			return nil, err
-		}
-		conns[i] = c
-	}
+// mjpegFailover is spec's MJPEG pipeline on two workers that dial one
+// listener, w1's connection severing at its severAt-th send. Workers build
+// the program from the spec via the factory — required for failover, since a
+// rebuilt node must restart the video source from frame zero rather than
+// resume a half-consumed stream.
+func mjpegFailover(tb testing.TB, spec string, severAt int64, failover bool) cluster {
 	prog, err := workloads.FromSpec(spec)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	res, err := RunMaster(MasterConfig{
-		Prog: prog, Spec: spec, Failover: failover,
-	}, conns)
-	wg.Wait()
-	return res, err
+	return cluster{
+		master: MasterConfig{Prog: prog, Spec: spec, Failover: failover},
+		workers: nodes(2, func(int) WorkerConfig {
+			return WorkerConfig{Cores: 2, Factory: workloads.FromSpec}
+		}),
+		wrap:   workerFault(1, FaultPlan{SeverSendAt: severAt}),
+		listen: true,
+	}
 }
 
 // TestFailoverMJPEGOverTCP is the acceptance scenario: the MJPEG pipeline
@@ -669,23 +434,16 @@ func TestFailoverMJPEGOverTCP(t *testing.T) {
 
 	spec := fmt.Sprintf("mjpeg:frames=%d,w=32,h=32,quality=70,seed=4", frames)
 	t.Run("failover-on-bit-identical", func(t *testing.T) {
-		res, err := distMJPEGFailover(t, spec, 4, true)
+		r := mjpegFailover(t, spec, 4, true).run(t)
+		if r.err != nil || r.errs[0] != nil {
+			t.Fatalf("failover run failed: master %v, survivor %v", r.err, r.errs[0])
+		}
+		if !slices.Equal(r.res.DeadWorkers, []string{"w1"}) {
+			t.Fatalf("DeadWorkers = %v, want [w1]", r.res.DeadWorkers)
+		}
+		stream, err := workloads.MJPEGStream(r.res.Shadow, frames)
 		if err != nil {
-			t.Fatalf("failover run failed: %v", err)
-		}
-		if len(res.DeadWorkers) != 1 || res.DeadWorkers[0] != "tcp1" {
-			t.Fatalf("DeadWorkers = %v, want [tcp1]", res.DeadWorkers)
-		}
-		var stream []byte
-		for a := 0; a < frames; a++ {
-			s, err := res.Shadow.Snapshot("bitstream", a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.Extent(0) == 0 {
-				t.Fatalf("frame %d missing from the logged bitstream", a)
-			}
-			stream = append(stream, s.At(0).Obj().([]byte)...)
+			t.Fatal(err)
 		}
 		if !bytes.Equal(stream, baseline.Bytes()) {
 			t.Errorf("failover bitstream (%d bytes) differs from baseline (%d bytes)",
@@ -693,23 +451,58 @@ func TestFailoverMJPEGOverTCP(t *testing.T) {
 		}
 	})
 	t.Run("failover-off-named-error", func(t *testing.T) {
-		done := make(chan error, 1)
-		go func() {
-			_, err := distMJPEGFailover(t, spec, 4, false)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Fatal("fail-fast run succeeded despite a killed worker")
-			}
-			if !strings.Contains(err.Error(), "tcp1") {
-				t.Fatalf("error %q does not name the killed worker", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("fail-fast run hung on a killed worker")
+		r := mjpegFailover(t, spec, 4, false).run(t)
+		if r.err == nil || !strings.Contains(r.err.Error(), "w1") {
+			t.Fatalf("fail-fast run: %v, want an error naming the killed worker", r.err)
 		}
 	})
+}
+
+// BenchmarkTransportMJPEGFailover measures the end-to-end cost of surviving a
+// worker death mid-encode, in TestFailoverMJPEGOverTCP's scenario at
+// BenchmarkTransportMJPEG's frame size: w1 is severed at its fourth send and
+// the master repartitions onto the survivor and replays its log of store
+// frames. Compare ns/op against BenchmarkTransportMJPEG for the failover
+// penalty; replayed-frames/op sizes the replay traffic.
+func BenchmarkTransportMJPEGFailover(b *testing.B) {
+	workloads.RegisterPayloads()
+	var wire, replayed int64
+	for i := 0; i < b.N; i++ {
+		c := mjpegFailover(b, "mjpeg:frames=4,w=128,h=128,quality=70,seed=4,fast=1", 4, true)
+		wireBytes := countWire(&c)
+		r := c.run(b)
+		if r.err != nil || r.errs[0] != nil || len(r.res.DeadWorkers) != 1 {
+			b.Fatalf("master %v, survivor %v", r.err, r.errs[0])
+		}
+		wire += wireBytes()
+		replayed += r.res.Replayed
+	}
+	b.ReportMetric(float64(wire)/float64(b.N), "wire-B/op")
+	b.ReportMetric(float64(replayed)/float64(b.N), "replayed-frames/op")
+}
+
+// TestOutboxPingsLetQueueThrough (regression): a status ping overtakes
+// queued messages one at a time. With a fresh ping pushed before every next —
+// a writer whose every send outlasts the poll interval — pings and queued
+// messages alternate, and the queue still drains in order.
+func TestOutboxPingsLetQueueThrough(t *testing.T) {
+	var o outbox
+	o.cond.L = &o.mu
+	queued := []*Msg{{Kind: MStoreFrame, Age: 0}, {Kind: MStoreFrame, Age: 1}, {Kind: MDone, Age: 1}}
+	for _, m := range queued {
+		o.push(m)
+	}
+	for i := range 2 * len(queued) {
+		ping := &Msg{Kind: MPing}
+		o.push(ping)
+		want := ping
+		if i%2 == 1 {
+			want = queued[i/2]
+		}
+		if got := o.next(); got != want {
+			t.Fatalf("send %d: %v (age %d), want %v (age %d)", i, got.Kind, got.Age, want.Kind, want.Age)
+		}
+	}
 }
 
 // TestFailoverRecoveryDoesNotCascade (regression): replaying a long log to a
@@ -817,15 +610,18 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 	w0 := mkWorker(wc0, "w0")
 	w1 := mkWorker(wc1, "w1")
 	// Liveness window 60ms x 4 = 240ms; replaying 40 generations across a
-	// link delaying each message up to 20ms takes several windows. A healthy
-	// ping round trip is at most ~60ms (a delayed send, then a delayed
-	// receive), well inside the window at this poll interval, so the only
-	// way the survivor can look stale is a ping stuck behind the replay.
+	// link delaying each message up to 20ms takes several windows. The
+	// master pings every 2ms, so while a slow send is under way the next
+	// ping is already pending; after a ping the outbox sends one queued
+	// frame before the next ping, so the replay drains and a ping waits
+	// behind at most one frame. A healthy ping round trip is then at most
+	// ~60ms (one frame, a delayed ping, a delayed answer), well inside the
+	// window, so the only way the survivor can look stale is a ping stuck
+	// behind the replay.
 	slow := FaultPlan{Delay: 20 * time.Millisecond, DelayEvery: 1}
 	res, err := RunMaster(MasterConfig{
 		Prog: prog, Failover: true,
 		Heartbeat: 60 * time.Millisecond, MaxMissed: 4,
-		PollInterval: 100 * time.Millisecond,
 	}, []Conn{NewFaultConn(mc0, slow), NewFaultConn(mc1, slow)})
 	if err != nil {
 		t.Fatalf("recovery cascaded into failure: %v", err)

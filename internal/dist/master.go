@@ -32,9 +32,6 @@ type MasterConfig struct {
 	// executing the workload the final graph can be weighted ... and
 	// repartitioned").
 	Weights *runtime.Report
-	// PollInterval is the quiescence-detection ping period; zero selects
-	// 2ms.
-	PollInterval time.Duration
 	// View, when set, is kept current with the run's phase, assignment and
 	// per-worker heartbeats — it backs the master's /statusz endpoint. Only
 	// then do the pings ask workers for their metric snapshots.
@@ -58,7 +55,7 @@ type MasterConfig struct {
 	Failover bool
 	// Heartbeat is the liveness accounting interval: a worker silent for
 	// MaxMissed of these is declared dead. Zero selects 100ms. (Status
-	// pings still go at PollInterval; any inbound message counts as a
+	// pings still go every 2ms; any inbound message counts as a
 	// heartbeat.)
 	Heartbeat time.Duration
 	// MaxMissed is the number of missed heartbeat intervals after which a
@@ -228,7 +225,7 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 	if err := m.setup(); err != nil {
 		return nil, m.shutdown(err)
 	}
-	ticker := time.NewTicker(m.cfg.PollInterval)
+	ticker := time.NewTicker(pollInterval)
 	defer ticker.Stop()
 	for !m.stopSent || m.awaitingReports() {
 		var err error
@@ -245,10 +242,11 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 	return m.finish(), nil
 }
 
+// pollInterval is the period of the master's tick: the quiescence-detection
+// status pings and the liveness check.
+const pollInterval = 2 * time.Millisecond
+
 func newMaster(cfg MasterConfig, conns []Conn) *master {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 2 * time.Millisecond
-	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 100 * time.Millisecond
 	}
@@ -631,7 +629,10 @@ func (m *master) post(in inbound) {
 // order. A bound would buy nothing: every frame it can hold is retained by the
 // StoreLog anyway. A status ping waits in a slot of its own, at most one per
 // peer, and overtakes queued frames and completions — never a queued MAssign
-// or MStart — so liveness never waits behind the master's own replay.
+// or MStart — so liveness never waits behind the master's own replay. It
+// overtakes one message at a time: after a ping the next queued message goes
+// before another ping, so a send slower than the poll interval cannot leave
+// the queue behind a ping every time.
 type outbox struct {
 	mu     sync.Mutex
 	cond   sync.Cond // on mu
@@ -639,6 +640,7 @@ type outbox struct {
 	head   int
 	fence  int  // a ping waits until head passes the last queued MAssign or MStart
 	ping   *Msg // the pending status ping
+	pinged bool // the last message sent was a ping
 	hungUp bool // no more pushes: send what is queued, then close
 }
 
@@ -674,10 +676,10 @@ func (o *outbox) next() (msg *Msg) {
 	for o.ping == nil && o.head == len(o.queue) && !o.hungUp {
 		o.cond.Wait()
 	}
-	if o.ping != nil && o.head >= o.fence {
-		msg, o.ping = o.ping, nil
+	if o.ping != nil && o.head >= o.fence && !(o.pinged && o.head < len(o.queue)) {
+		msg, o.ping, o.pinged = o.ping, nil, true
 	} else if o.head < len(o.queue) {
-		msg, o.queue[o.head] = o.queue[o.head], nil
+		msg, o.queue[o.head], o.pinged = o.queue[o.head], nil, false
 		if o.head++; o.head == len(o.queue) {
 			o.queue, o.head, o.fence = o.queue[:0], 0, 0
 		}

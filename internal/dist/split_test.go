@@ -19,69 +19,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// observedConn hands every message the master receives to observe before the
-// master sees it.
-type observedConn struct {
-	Conn
-	observe func(*Msg)
-}
-
-func (c observedConn) Recv() (*Msg, error) {
-	m, err := c.Conn.Recv()
-	if err == nil {
-		c.observe(m)
-	}
-	return m, err
-}
-
-// runSplit runs mk's program over one loopback worker per entry of cores,
-// with that many cores each; tweak adjusts every worker's configuration and
-// observe (when set) sees each message the master receives with the index of
-// the worker that sent it. A run that does not finish within a minute fails
-// the test; the idle timeouts are only a backstop behind that.
-func runSplit(t *testing.T, mk func() *core.Program, cores []int, tweak func(*WorkerConfig), observe func(int, *Msg)) *MasterResult {
-	t.Helper()
-	masterConns := make([]Conn, len(cores))
-	errs := make(chan error, len(cores))
-	for i, c := range cores {
-		var wc Conn
-		masterConns[i], wc = pipe(t)
-		if observe != nil {
-			masterConns[i] = observedConn{masterConns[i], func(m *Msg) { observe(i, m) }}
-		}
-		cfg := WorkerConfig{NodeID: fmt.Sprintf("w%d", i), Cores: c, Prog: mk(), Output: io.Discard, IdleTimeout: 30 * time.Second}
-		if tweak != nil {
-			tweak(&cfg)
-		}
-		go func() {
-			_, err := RunWorker(cfg, wc)
-			errs <- err
-		}()
-	}
-	type result struct {
-		res *MasterResult
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		res, err := RunMaster(MasterConfig{Prog: mk(), IdleTimeout: 30 * time.Second}, masterConns)
-		done <- result{res, err}
-	}()
-	select {
-	case r := <-done:
-		for range cores {
-			if err := <-errs; err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-		}
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		return r.res
-	case <-time.After(time.Minute):
-		t.Fatal("distributed run did not finish")
-	}
-	return nil
+// coreNodes returns one worker configuration per entry of cores, with that
+// many cores and a program of its own from mk.
+func coreNodes(cores []int, mk func() *core.Program) []WorkerConfig {
+	return nodes(len(cores), func(i int) WorkerConfig {
+		return WorkerConfig{Cores: cores[i], Prog: mk(), Output: io.Discard}
+	})
 }
 
 // TestShareOwnership: the index shares of a split cover every instance of a
@@ -213,10 +156,10 @@ func TestSplitKernelsBitIdentical(t *testing.T) {
 	}
 	for _, cores := range [][]int{{2}, {1, 2}, {1, 2, 3}} {
 		t.Run(fmt.Sprintf("mjpeg/cores=%v", cores), func(t *testing.T) {
-			observe, check := framesOncePerFlush(t)
-			res := runSplit(t, func() *core.Program {
+			wrap, check := framesOncePerFlush(t)
+			res := cluster{workers: coreNodes(cores, func() *core.Program {
 				return workloads.MJPEG(workloads.MJPEGConfig{Source: video.NewSynthetic(w, h, frames, 7), FastDCT: true})
-			}, cores, nil, observe)
+			}), wrap: wrap}.mustRun(t)
 			check()
 			checkShares(t, res, len(cores), "yDCT", "uDCT", "vDCT")
 			got, err := workloads.MJPEGStream(res.Shadow, frames)
@@ -228,10 +171,12 @@ func TestSplitKernelsBitIdentical(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("kmeans/cores=%v", cores), func(t *testing.T) {
-			observe, check := framesOncePerFlush(t)
-			res := runSplit(t, func() *core.Program { return workloads.KMeans(kcfg) }, cores, func(c *WorkerConfig) {
-				c.KernelMaxAge = workloads.KMeansOptions(kcfg, 1).KernelMaxAge
-			}, observe)
+			wrap, check := framesOncePerFlush(t)
+			workers := coreNodes(cores, func() *core.Program { return workloads.KMeans(kcfg) })
+			for i := range workers {
+				workers[i].KernelMaxAge = workloads.KMeansOptions(kcfg, 1).KernelMaxAge
+			}
+			res := cluster{workers: workers, wrap: wrap}.mustRun(t)
 			check()
 			checkShares(t, res, len(cores), "assign", "refine")
 			for it, cents := range centroids {
@@ -261,16 +206,16 @@ func TestSplitKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// framesOncePerFlush returns a runSplit observer and its check: a worker's
-// stores leave only at flush points — before an MDone, before the MStatus
-// answering a ping — as one frame per generation, so no (field, age) may
-// arrive twice from one worker without an MDone or MStatus from it between.
-func framesOncePerFlush(t *testing.T) (observe func(int, *Msg), check func()) {
+// framesOncePerFlush returns a cluster hook and its check: a worker's stores
+// leave only at flush points — before an MDone, before the MStatus answering
+// a ping — as one frame per generation, so no (field, age) may arrive twice
+// from one worker without an MDone or MStatus from it between.
+func framesOncePerFlush(t *testing.T) (wrap func(int, Conn, Conn) (Conn, Conn), check func()) {
 	var mu sync.Mutex
 	pending := map[int]map[genKey]bool{} // worker → generations since its last flush point
 	frames := 0
 	var twice []string
-	observe = func(w int, m *Msg) {
+	wrap = observe(func(w int, m *Msg) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch m.Kind {
@@ -287,7 +232,7 @@ func framesOncePerFlush(t *testing.T) (observe func(int, *Msg), check func()) {
 			}
 			pending[w][k] = true
 		}
-	}
+	})
 	check = func() {
 		t.Helper()
 		mu.Lock()
@@ -299,7 +244,7 @@ func framesOncePerFlush(t *testing.T) (observe func(int, *Msg), check func()) {
 			t.Errorf("%d of %d frames repeat a generation within one flush, first %v", len(twice), frames, twice[:min(len(twice), 5)])
 		}
 	}
-	return observe, check
+	return wrap, check
 }
 
 func int32s(v []int) []int32 {
@@ -345,19 +290,20 @@ func TestFailoverSplitShareMJPEG(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := fmt.Sprintf("mjpeg:frames=%d,w=%d,h=%d,quality=70,seed=4", frames, w, h)
-	// tcp1 owns share 1 of every split kernel; it dies at its 30th send,
-	// past registration and well into the stream of stores and completions.
-	res, err := distMJPEGFailover(t, spec, 30, true)
-	if err != nil {
-		t.Fatalf("failover run failed: %v", err)
+	// w1 owns share 1 of every split kernel; it dies at its 30th send, past
+	// registration and well into the stream of stores and completions.
+	r := mjpegFailover(t, spec, 30, true).run(t)
+	if r.err != nil || r.errs[0] != nil {
+		t.Fatalf("failover run failed: master %v, survivor %v", r.err, r.errs[0])
 	}
-	if len(res.DeadWorkers) != 1 || res.DeadWorkers[0] != "tcp1" {
-		t.Fatalf("DeadWorkers = %v, want [tcp1]", res.DeadWorkers)
+	res := r.res
+	if !slices.Equal(res.DeadWorkers, []string{"w1"}) {
+		t.Fatalf("DeadWorkers = %v, want [w1]", res.DeadWorkers)
 	}
-	if got := res.Shares["yDCT"]; !slices.Equal(got, []string{"tcp0", "tcp0"}) {
-		t.Errorf("yDCT shares after failover = %v, want both on tcp0", got)
+	if got := res.Shares["yDCT"]; !slices.Equal(got, []string{"w0", "w0"}) {
+		t.Errorf("yDCT shares after failover = %v, want both on w0", got)
 	}
-	if got, want := res.Reports["tcp0"].Kernel("yDCT").Instances, int64(frames*mjpeg.NumBlocks(w, h)); got != want {
+	if got, want := res.Reports["w0"].Kernel("yDCT").Instances, int64(frames*mjpeg.NumBlocks(w, h)); got != want {
 		t.Errorf("survivor ran %d yDCT instances in its rebuilt node, want every one of %d", got, want)
 	}
 	stream, err := workloads.MJPEGStream(res.Shadow, frames)
@@ -454,13 +400,17 @@ func TestPacingLiveness(t *testing.T) {
 			if tc.bound > 0 {
 				bounds = map[string]int{"k": tc.bound}
 			}
-			res := runSplit(t, mk, []int{1, 1}, func(c *WorkerConfig) { c.KernelMaxAge = bounds }, func(worker int, m *Msg) {
+			workers := coreNodes([]int{1, 1}, mk)
+			for i := range workers {
+				workers[i].KernelMaxAge = bounds
+			}
+			res := cluster{workers: workers, wrap: observe(func(worker int, m *Msg) {
 				if m.Kind == MDone && m.Kernel == "k" {
 					mu.Lock()
 					log = append(log, entry{worker: worker, age: m.Age})
 					mu.Unlock()
 				}
-			})
+			})}.mustRun(t)
 			ref, err := runtime.NewNode(pacedProgram(tc.off, stop, tc.lens, func(int) {}), runtime.Options{Workers: 2, KernelMaxAge: bounds})
 			if err != nil {
 				t.Fatal(err)
@@ -519,7 +469,7 @@ func TestPacingLiveness(t *testing.T) {
 // bit.
 func TestPingFlushKeepsSplitKernelLive(t *testing.T) {
 	cfg := workloads.WavefrontConfig{Blocks: 3*runtime.ShareGranule + 4, Frames: 2, Seed: 3}
-	res := runSplit(t, func() *core.Program { return workloads.Wavefront(cfg) }, []int{1, 1}, nil, nil)
+	res := cluster{workers: coreNodes([]int{1, 1}, func() *core.Program { return workloads.Wavefront(cfg) })}.mustRun(t)
 	checkShares(t, res, 2, "predict")
 	ref, err := runtime.NewNode(workloads.Wavefront(cfg), runtime.Options{Workers: 2})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -145,6 +144,14 @@ func TestWorkerStates(t *testing.T) {
 				s.probe("unassigned")
 				s.send(&Msg{Kind: MStopReq})
 			}},
+		// A run that fails while a worker's MStart is still queued sends
+		// that worker the stop in its place.
+		{name: "a stop while assigned and not started releases the worker",
+			script: func(s scriptedMaster) {
+				s.send(assign)
+				s.probe("built")
+				s.send(&Msg{Kind: MStopReq})
+			}},
 		{name: "a second assignment mid-run rebuilds the node", wantReport: true, ageZero: 2,
 			script: func(s scriptedMaster) {
 				s.send(assign, &Msg{Kind: MStart})
@@ -201,31 +208,12 @@ func TestWorkerStates(t *testing.T) {
 // MRegister; the two workers share the partition as workers 0 and 1, and the
 // standby waits and is released.
 func TestMasterFilesPeersByFirstMessage(t *testing.T) {
-	ids := []string{"spare", "w0", "w1"}
-	conns := make([]Conn, len(ids))
-	reps := make([]*runtime.Report, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		var wc Conn
-		conns[i], wc = pipe(t)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			reps[i], err = RunWorker(WorkerConfig{
-				NodeID: id, Cores: 1, Prog: workloads.MulSum(), MaxAge: 4, Standby: id == "spare",
-			}, wc)
-			if err != nil {
-				t.Errorf("%s: %v", id, err)
-			}
-		}()
-	}
 	view := NewClusterView("mulsum")
-	res, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), Failover: true, View: view}, conns)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
+	r := cluster{master: MasterConfig{Failover: true, View: view}, workers: mulSumNodes(1, 4, "spare", "w0", "w1")}.run(t)
+	if r.err != nil || r.errs[0] != nil || r.errs[1] != nil || r.errs[2] != nil {
+		t.Fatalf("master %v, workers %v", r.err, r.errs)
 	}
+	res, reps := r.res, r.reports
 	if reps[0] != nil || reps[1] == nil || reps[2] == nil {
 		t.Errorf("reports (spare, w0, w1) = %v, want only the workers'", reps)
 	}
@@ -243,16 +231,11 @@ func TestMasterFilesPeersByFirstMessage(t *testing.T) {
 	}
 
 	// Standbys alone are not a cluster, and are told so.
-	mc, wc := pipe(t)
-	werr := make(chan error, 1)
-	go func() {
-		_, err := RunWorker(WorkerConfig{NodeID: "spare", Prog: workloads.MulSum(), Standby: true}, wc)
-		werr <- err
-	}()
-	if _, err := RunMaster(MasterConfig{Prog: workloads.MulSum()}, []Conn{mc}); err == nil || !strings.Contains(err.Error(), "at least one worker") {
-		t.Errorf("master with only a standby: %v, want a missing-worker error", err)
+	r = cluster{workers: mulSumNodes(1, 0, "spare")}.run(t)
+	if r.err == nil || !strings.Contains(r.err.Error(), "at least one worker") {
+		t.Errorf("master with only a standby: %v, want a missing-worker error", r.err)
 	}
-	if err := <-werr; err == nil || !strings.Contains(err.Error(), "at least one worker") {
-		t.Errorf("standby of a failed registration: %v, want the master's reason", err)
+	if r.errs[0] == nil || !strings.Contains(r.errs[0].Error(), "at least one worker") {
+		t.Errorf("standby of a failed registration: %v, want the master's reason", r.errs[0])
 	}
 }

@@ -251,27 +251,28 @@ func TestFailoverMidGenerationDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mc, wc := pipe(t)
-	victim := &silenceOnFrame{Conn: wc, field: "out", at: 2}
-	victimDone := make(chan struct{})
-	go func() {
-		defer close(victimDone)
-		RunWorker(WorkerConfig{NodeID: "w0", Cores: 2, Prog: prog(), MaxAge: maxAge}, victim) // closed by the master: fails by design
-	}()
-	sbMaster, sbWorker := pipe(t)
-	sbErr := make(chan error, 1)
-	go func() {
-		_, err := RunWorker(WorkerConfig{NodeID: "spare", Cores: 2, Prog: prog(), MaxAge: maxAge, Standby: true}, sbWorker)
-		sbErr <- err
-	}()
-	res, err := RunMaster(MasterConfig{Prog: prog(), Failover: true}, []Conn{mc, sbMaster})
-	<-victimDone
-	if werr := <-sbErr; werr != nil {
-		t.Errorf("standby: %v", werr)
+	var victim *silenceOnFrame
+	r := cluster{
+		master: MasterConfig{Failover: true},
+		workers: []WorkerConfig{
+			{NodeID: "w0", Cores: 2, Prog: prog(), MaxAge: maxAge},
+			{NodeID: "spare", Cores: 2, Prog: prog(), MaxAge: maxAge, Standby: true},
+		},
+		wrap: func(i int, mc, wc Conn) (Conn, Conn) {
+			if i == 0 {
+				victim = &silenceOnFrame{Conn: wc, field: "out", at: 2}
+				wc = victim
+			}
+			return mc, wc
+		},
+	}.run(t)
+	if r.errs[1] != nil {
+		t.Errorf("standby: %v", r.errs[1])
 	}
-	if err != nil {
-		t.Fatalf("failover run failed: %v", err)
+	if r.err != nil {
+		t.Fatalf("failover run failed: %v", r.err)
 	}
+	res := r.res
 	if victim.entries == 0 || victim.entries >= n {
 		t.Fatalf("the victim's last out frame held %d of %d entries; want a partial generation", victim.entries, n)
 	}

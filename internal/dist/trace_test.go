@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -88,62 +87,23 @@ func TestDistributedTraceMerged(t *testing.T) {
 		})
 	}
 
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
 	const n = 2
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := DialTCP(l.Addr())
-			if err != nil {
-				errs <- err
-				return
-			}
-			// Worker 0 brings its own tracer; worker 1 has none and must
-			// get one from the assignment's TraceOn bit — cluster tracing
-			// only requires the master's flag.
-			var tracer *obs.Tracer
-			if i == 0 {
-				tracer = obs.NewTracer(obs.DefaultTraceCapacity)
-			}
-			if _, err := RunWorker(WorkerConfig{
-				NodeID:  fmt.Sprintf("w%d", i),
-				Cores:   2,
-				Prog:    mkProg(),
-				Metrics: obs.NewRegistry(),
-				Tracer:  tracer,
-			}, conn); err != nil {
-				errs <- fmt.Errorf("worker %d: %w", i, err)
-			}
-		}(i)
-	}
-	conns := make([]Conn, n)
-	for i := range conns {
-		c, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
+	workers := nodes(n, func(i int) WorkerConfig {
+		// Worker 0 brings its own tracer; worker 1 has none and must get one
+		// from the assignment's TraceOn bit — cluster tracing only requires
+		// the master's flag.
+		var tracer *obs.Tracer
+		if i == 0 {
+			tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 		}
-		conns[i] = c
-	}
+		return WorkerConfig{Cores: 2, Prog: mkProg(), Metrics: obs.NewRegistry(), Tracer: tracer}
+	})
 	masterTracer := obs.NewTracer(obs.DefaultTraceCapacity)
-	res, err := RunMaster(MasterConfig{
-		Prog:    mkProg(),
-		Metrics: obs.NewRegistry(), Tracer: masterTracer,
-	}, conns)
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := cluster{
+		master:  MasterConfig{Prog: mkProg(), Metrics: obs.NewRegistry(), Tracer: masterTracer},
+		workers: workers,
+		listen:  true,
+	}.mustRun(t)
 
 	// Every worker handed its span buffer and clock offset to the master.
 	if len(res.Traces) != n {

@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,28 +18,7 @@ import (
 func TestClusterViewLifecycle(t *testing.T) {
 	const n = 2
 	view := NewClusterView("mulsum")
-	masterConns := make([]Conn, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var wc Conn
-		masterConns[i], wc = pipe(t)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			if _, err := RunWorker(WorkerConfig{
-				NodeID: fmt.Sprintf("w%d", i),
-				Cores:  2,
-				Prog:   workloads.MulSum(),
-				MaxAge: 6,
-			}, conn); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i, wc)
-	}
-	if _, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), View: view}, masterConns); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	cluster{master: MasterConfig{View: view}, workers: mulSumNodes(2, 6, "w0", "w1")}.mustRun(t)
 
 	st, ok := view.Status().(ClusterStatus)
 	if !ok {
@@ -149,12 +127,10 @@ func TestKernelStatsFromSnapshot(t *testing.T) {
 // the two ends of each connection agree on the bytes that crossed it.
 func TestWorkerReportCarriesTransport(t *testing.T) {
 	var ends [][2]Conn
-	res := runDistributed(t, 2, func(i int) WorkerConfig {
-		return WorkerConfig{NodeID: fmt.Sprintf("w%d", i), Cores: 1, Prog: workloads.MulSum(), MaxAge: 4}
-	}, func(mc, wc Conn) Conn {
+	res := cluster{workers: mulSumNodes(1, 4, "w0", "w1"), wrap: func(_ int, mc, wc Conn) (Conn, Conn) {
 		ends = append(ends, [2]Conn{mc, wc})
-		return mc
-	})
+		return mc, wc
+	}}.mustRun(t)
 	for id, rep := range res.Reports {
 		if rep.SentMsgs == 0 || rep.RecvMsgs == 0 || rep.SentBytes == 0 || rep.RecvBytes == 0 {
 			t.Errorf("worker %s report transport: %d/%d msgs, %d/%d bytes sent/received",

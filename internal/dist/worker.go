@@ -217,13 +217,14 @@ func (w *worker) handle(in inbound) (done bool, err error) {
 		}
 		return false, nil
 	}
+	if m.Kind == MStopReq && w.state != running {
+		// Released before a node ever ran: a standby the run finished (or
+		// failed) without, or a worker whose MStart was still queued when
+		// the run failed — the master's stop replaces what it had not sent.
+		w.release()
+		return true, nil
+	}
 	switch w.state {
-	case unassigned:
-		if m.Kind == MStopReq {
-			// Released before ever being assigned work: the run finished
-			// (or failed) without needing this standby.
-			return true, nil
-		}
 	case built:
 		if m.Kind == MStart {
 			w.start(m)
