@@ -9,8 +9,9 @@ build:
 
 # examples runs each of the seven examples once to completion (well under a
 # second each); examples/distributed and examples/kmeans exit 1 when their
-# centroids differ from the sequential baseline, examples/mjpeg when its
-# bitstream differs from the single-threaded encoder's.
+# centroids differ from the sequential baseline (examples/distributed also
+# when the master or any node fails), examples/mjpeg when its bitstream
+# differs from the single-threaded encoder's.
 examples:
 	@for e in examples/*/; do $(GO) run "./$$e" >/dev/null || exit 1; done
 
@@ -65,7 +66,8 @@ ci: fmt-check vet layers retired docs build examples race norace
 # test-fault is the fault-injection gate (also run by ci.sh): the failover,
 # liveness, and teardown regression tests under the race detector — each
 # builds its cluster with internal/dist's test harness and puts a FaultConn
-# (severed, wedged, or silently dropping connections) on one node, and
+# (severed, wedged, or silently dropping connections) on one end of a node's
+# connection: a silent worker, registrant or master, at the zero configs, and
 # TestFailoverSeverSweep severs a worker at every send a clean run makes —
 # and the index-share split's ownership, bit-identity and pacing tests beside
 # them.

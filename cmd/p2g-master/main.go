@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/obs"
@@ -30,9 +29,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metricz and the merged cluster /statusz on this address, e.g. :9090")
 	failover := flag.Bool("failover", false, "recover from worker deaths: reassign the lost kernels and replay the logged store frames instead of failing the run")
 	standbys := flag.Int("standbys", 0, "additional hot-spare workers to wait for (started with p2g-worker -standby); the first standby takes over when a worker dies")
-	heartbeatMs := flag.Int("heartbeat", 0, "liveness heartbeat interval in ms (0 = 100ms default)")
-	maxMissed := flag.Int("max-missed", 0, "heartbeats a worker may miss before being declared dead (0 = disabled, or 3 with -failover)")
-	idleTimeout := flag.Duration("idle-timeout", 0, "bound every blocking transport operation, so a half-open worker connection errors instead of wedging (e.g. 30s; 0 = unbounded)")
+	liveness := flag.Duration("liveness", 0, "failure-detection window, both directions: a node silent this long at registration or mid-run is dead, and every worker gives up on a master silent this long (0 = 300ms)")
 	flag.Parse()
 
 	workloads.RegisterPayloads()
@@ -74,10 +71,7 @@ func main() {
 	res, err := dist.RunMaster(dist.MasterConfig{
 		Prog: prog, Spec: *workload, View: view,
 		Metrics: reg, Tracer: tracer,
-		Failover:    *failover,
-		Heartbeat:   time.Duration(*heartbeatMs) * time.Millisecond,
-		MaxMissed:   *maxMissed,
-		IdleTimeout: *idleTimeout,
+		Failover: *failover, Liveness: *liveness,
 	}, conns)
 	if err != nil {
 		fail(err)

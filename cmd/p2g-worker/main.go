@@ -26,7 +26,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of this node's kernel instances")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metricz, /statusz and /tracez on this address, e.g. :9091")
 	standby := flag.Bool("standby", false, "register as a hot spare: wait without a partition until the master promotes this node after a peer dies (requires the master to run with -failover and -standbys)")
-	idleTimeout := flag.Duration("idle-timeout", 0, "bound every blocking transport operation once the run starts, so a dead master errors instead of wedging (e.g. 30s; 0 = unbounded)")
 	flag.Parse()
 
 	workloads.RegisterPayloads()
@@ -63,7 +62,6 @@ func main() {
 		BoundsFactory: workloads.SpecBounds,
 		Output:        os.Stdout,
 		Standby:       *standby,
-		IdleTimeout:   *idleTimeout,
 		Metrics:       reg,
 		Tracer:        tracer,
 	}, conn)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -389,6 +390,7 @@ func distExp() error {
 	fmt.Printf("%-8s %-10s %-12s %s\n", "nodes", "wall s", "events", "deterministic")
 	for _, nodes := range []int{1, 2, 3, 4} {
 		masterConns := make([]dist.Conn, nodes)
+		workerErrs := make([]error, nodes)
 		var wg sync.WaitGroup
 		for i := 0; i < nodes; i++ {
 			mc, wc, err := dist.LoopbackPipe()
@@ -399,7 +401,7 @@ func distExp() error {
 			wg.Add(1)
 			go func(i int, conn dist.Conn) {
 				defer wg.Done()
-				_, _ = dist.RunWorker(dist.WorkerConfig{
+				_, workerErrs[i] = dist.RunWorker(dist.WorkerConfig{
 					NodeID:       fmt.Sprintf("n%d", i),
 					Cores:        2,
 					Prog:         workloads.KMeans(cfg),
@@ -410,6 +412,9 @@ func distExp() error {
 		start := time.Now()
 		res, err := dist.RunMaster(dist.MasterConfig{Prog: workloads.KMeans(cfg)}, masterConns)
 		wg.Wait()
+		if err == nil {
+			err = errors.Join(workerErrs...)
+		}
 		if err != nil {
 			return err
 		}

@@ -33,6 +33,7 @@ func main() {
 	cfg := workloads.KMeansConfig{N: 600, Dim: 2, K: 20, Iter: 8, Seed: 3}
 
 	masterConns := make([]dist.Conn, *nodes)
+	workerErrs := make([]error, *nodes)
 	var wg sync.WaitGroup
 	for i := 0; i < *nodes; i++ {
 		mc, workerConn, err := dist.LoopbackPipe()
@@ -44,22 +45,28 @@ func main() {
 		wg.Add(1)
 		go func(i int, conn dist.Conn) {
 			defer wg.Done()
-			_, err := dist.RunWorker(dist.WorkerConfig{
+			_, workerErrs[i] = dist.RunWorker(dist.WorkerConfig{
 				NodeID:       fmt.Sprintf("exec-node-%d", i),
 				Cores:        *coresPer,
 				Prog:         workloads.KMeans(cfg),
 				KernelMaxAge: workloads.KMeansOptions(cfg, 1).KernelMaxAge,
 			}, conn)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "node %d: %v\n", i, err)
-			}
 		}(i, workerConn)
 	}
 
 	res, err := dist.RunMaster(dist.MasterConfig{Prog: workloads.KMeans(cfg)}, masterConns)
 	wg.Wait()
-	if err != nil {
+	failed := err != nil
+	if failed {
 		fmt.Fprintln(os.Stderr, "master:", err)
+	}
+	for i, err := range workerErrs {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "node %d: %v\n", i, err)
+			failed = true
+		}
+	}
+	if failed {
 		os.Exit(1)
 	}
 

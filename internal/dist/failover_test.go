@@ -170,7 +170,6 @@ func TestFailoverSeverSweep(t *testing.T) {
 // blocked, or liveness never runs. Without failover the run fails naming the
 // worker; with a standby it completes bit for bit like a single node.
 func TestStoppedWorkerDeclaredDead(t *testing.T) {
-	const heartbeat, maxMissed = 50 * time.Millisecond, 4
 	run := func(t *testing.T, failover bool) (*MasterResult, error) {
 		ids := []string{"w0", "w1"}
 		if failover {
@@ -178,7 +177,7 @@ func TestStoppedWorkerDeclaredDead(t *testing.T) {
 		}
 		start := time.Now()
 		r := cluster{
-			master:  MasterConfig{Failover: failover, Heartbeat: heartbeat, MaxMissed: maxMissed},
+			master:  MasterConfig{Failover: failover},
 			workers: mulSumNodes(1, 8, ids...),
 			wrap: func(i int, mc, wc Conn) (Conn, Conn) {
 				if i == 1 {
@@ -187,8 +186,8 @@ func TestStoppedWorkerDeclaredDead(t *testing.T) {
 				return mc, wc
 			},
 		}.run(t)
-		if took := time.Since(start); !failover && took > 10*heartbeat*maxMissed {
-			t.Errorf("the stopped worker took %v to be declared dead, liveness window %v", took, heartbeat*maxMissed)
+		if took := time.Since(start); !failover && took > 10*defaultLiveness {
+			t.Errorf("the stopped worker took %v to be declared dead, liveness window %v", took, defaultLiveness)
 		}
 		for i, err := range r.errs {
 			if i != 1 && err != nil {
@@ -199,8 +198,8 @@ func TestStoppedWorkerDeclaredDead(t *testing.T) {
 	}
 	t.Run("fail-fast", func(t *testing.T) {
 		_, err := run(t, false)
-		if err == nil || !strings.Contains(err.Error(), "w1") || !strings.Contains(err.Error(), "missed") {
-			t.Fatalf("error %v does not name the stopped worker and the missed heartbeats", err)
+		if err == nil || !strings.Contains(err.Error(), "w1") || !strings.Contains(err.Error(), "liveness window") {
+			t.Fatalf("error %v does not name the stopped worker and the liveness window", err)
 		}
 	})
 	t.Run("failover", func(t *testing.T) {
@@ -230,39 +229,78 @@ func TestStandbyReleasedCleanly(t *testing.T) {
 	}
 }
 
-// TestMasterIdleTimeoutNamesWedgedWorker (regression): a half-open worker
-// connection — the peer machine is gone but no RST ever arrives, so the
-// worker just falls silent — used to wedge RunMaster forever in a blocking
-// Recv. With an idle timeout set, the master must return promptly with an
-// error naming the wedged worker.
-func TestMasterIdleTimeoutNamesWedgedWorker(t *testing.T) {
-	r := cluster{
-		master:  MasterConfig{IdleTimeout: 200 * time.Millisecond},
-		workers: mulSumNodes(1, 8, "w0", "w1"),
-		// Everything w1 sends after registration blocks: the half-open case.
-		wrap: workerFault(1, FaultPlan{WedgeSendAt: 2}),
-	}.run(t)
-	if r.err == nil || !strings.Contains(r.err.Error(), "w1") || !strings.Contains(r.err.Error(), "idle timeout") {
-		t.Fatalf("master error %v does not name the wedged worker and the idle timeout", r.err)
-	}
-	if r.errs[0] != nil {
-		t.Errorf("healthy worker failed: %v", r.errs[0])
+// TestLivenessSilentWorker (regression): a worker that falls silent mid-run
+// while its half of the connection stays open — its sends block (the
+// half-open case: the peer machine is gone but no RST ever arrives) or vanish
+// (a silent partition) — so no transport error ever fires, used to hang
+// RunMaster forever at the zero MasterConfig. The liveness scan must declare
+// it dead within a few windows and fail the run naming it, while the healthy
+// worker is stopped cleanly.
+func TestLivenessSilentWorker(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan FaultPlan // on w1's end; its registration (send 1) goes through
+	}{
+		{"wedge-send", FaultPlan{WedgeSendAt: 2}},
+		{"drop-send", FaultPlan{DropSendFrom: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			r := cluster{workers: mulSumNodes(1, 8, "w0", "w1"), wrap: workerFault(1, tc.plan)}.run(t)
+			if took := time.Since(start); took > 10*defaultLiveness {
+				t.Errorf("the silent worker took %v to be declared dead, liveness window %v", took, defaultLiveness)
+			}
+			if r.err == nil || !strings.Contains(r.err.Error(), "w1") || !strings.Contains(r.err.Error(), "liveness window") {
+				t.Fatalf("master error %v does not name the silent worker and the liveness window", r.err)
+			}
+			if r.errs[0] != nil {
+				t.Errorf("healthy worker failed: %v", r.errs[0])
+			}
+		})
 	}
 }
 
-// TestLivenessCatchesSilentPartition (regression): a worker whose sends are
-// silently discarded (its half of the connection stays open, so no transport
-// error ever fires) must be declared dead by the heartbeat monitor — without
-// failover the run fails naming the worker instead of hanging.
-func TestLivenessCatchesSilentPartition(t *testing.T) {
+// TestLivenessSilentMaster (regression): a master that falls silent mid-run
+// — its end of the connection wedges every send after MAssign and MStart —
+// used to leave a worker at the zero WorkerConfig waiting forever. MStart
+// carries the liveness window, and the worker, whose never-ending mul/sum
+// keeps the master hearing from it, must give up on its own within a few
+// windows with an error naming the master connection.
+func TestLivenessSilentMaster(t *testing.T) {
+	start := time.Now()
 	r := cluster{
-		master:  MasterConfig{Heartbeat: 50 * time.Millisecond, MaxMissed: 4},
-		workers: mulSumNodes(1, 8, "w0", "w1"),
-		// Registration goes through; every later send of w1's vanishes.
-		wrap: workerFault(1, FaultPlan{DropSendFrom: 2}),
+		workers: mulSumNodes(1, 0, "w0"),
+		wrap: func(_ int, mc, wc Conn) (Conn, Conn) {
+			return NewFaultConn(mc, FaultPlan{WedgeSendAt: 3}), wc
+		},
 	}.run(t)
-	if r.err == nil || !strings.Contains(r.err.Error(), "w1") || !strings.Contains(r.err.Error(), "missed") {
-		t.Fatalf("master error %v does not name the silent worker and the missed heartbeats", r.err)
+	if took := time.Since(start); took > 10*defaultLiveness {
+		t.Errorf("the worker took %v to give up on its master, liveness window %v", took, defaultLiveness)
+	}
+	if err := r.errs[0]; err == nil || !strings.Contains(err.Error(), "master connection") || !strings.Contains(err.Error(), "idle timeout") {
+		t.Fatalf("worker error %v does not name the master connection and its idle timeout", err)
+	}
+	if r.err == nil {
+		t.Error("the master finished a run whose only worker gave up")
+	}
+}
+
+// TestLivenessSilentRegistrant (regression): a node that connects but never
+// registers — its first send wedges — used to block RunMaster forever in
+// registration. The handshake is bounded by the liveness window: the master
+// must fail naming the registration and the connection, and release the
+// node that did register with the reason.
+func TestLivenessSilentRegistrant(t *testing.T) {
+	start := time.Now()
+	r := cluster{workers: mulSumNodes(1, 8, "w0", "w1"), wrap: workerFault(1, FaultPlan{WedgeSendAt: 1})}.run(t)
+	if took := time.Since(start); took > 10*defaultLiveness {
+		t.Errorf("the silent registrant took %v to fail the run, liveness window %v", took, defaultLiveness)
+	}
+	if r.err == nil || !strings.Contains(r.err.Error(), "connection 2/2: waiting for registration") {
+		t.Fatalf("master error %v does not name the silent registrant's connection and the registration", r.err)
+	}
+	if r.errs[0] == nil || !strings.Contains(r.errs[0].Error(), "master reported error") {
+		t.Errorf("registered worker: %v, want the master's reason", r.errs[0])
 	}
 }
 
@@ -304,10 +342,7 @@ func TestLivenessDuringStopPhase(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(MasterConfig{
-			Prog:      prog,
-			Heartbeat: 50 * time.Millisecond, MaxMissed: 4,
-		}, []Conn{mc})
+		_, err := RunMaster(MasterConfig{Prog: prog}, []Conn{mc})
 		done <- err
 	}()
 	select {
@@ -315,8 +350,8 @@ func TestLivenessDuringStopPhase(t *testing.T) {
 		if err == nil {
 			t.Fatal("master collected a report from a dead worker")
 		}
-		if !strings.Contains(err.Error(), "w0") || !strings.Contains(err.Error(), "missed") {
-			t.Fatalf("error %q does not name the dead worker and the missed heartbeats", err)
+		if !strings.Contains(err.Error(), "w0") || !strings.Contains(err.Error(), "liveness window") {
+			t.Fatalf("error %q does not name the dead worker and the liveness window", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("master hung waiting for a dead worker's report")
@@ -353,12 +388,13 @@ func failoverBoomProg(t *testing.T) *core.Program {
 	return p
 }
 
-// TestMasterFailureBroadcastsStop (regression): when the run fails (here: a
-// worker's kernel errors), the master used to just close every connection.
-// Survivors then saw a transport error and exited through the error path,
-// reported as failures with their node state torn down abruptly. The master
-// must broadcast MStopReq first so survivors shut down through the normal
-// stop path and return nil.
+// TestMasterFailureBroadcastsStop (regression): a kernel that fails on one
+// node must shut the whole cluster down with its error instead of hanging.
+// The master used to just close every connection: survivors then saw a
+// transport error and exited through the error path, reported as failures
+// with their node state torn down abruptly. The master must broadcast
+// MStopReq first so survivors shut down through the normal stop path and
+// return nil.
 func TestMasterFailureBroadcastsStop(t *testing.T) {
 	r := cluster{workers: nodes(2, func(int) WorkerConfig {
 		return WorkerConfig{Cores: 1, Prog: failoverBoomProg(t)}
@@ -609,7 +645,7 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 	mc1, wc1 := pipe(t)
 	w0 := mkWorker(wc0, "w0")
 	w1 := mkWorker(wc1, "w1")
-	// Liveness window 60ms x 4 = 240ms; replaying 40 generations across a
+	// Liveness window 240ms; replaying 40 generations across a
 	// link delaying each message up to 20ms takes several windows. The
 	// master pings every 2ms, so while a slow send is under way the next
 	// ping is already pending; after a ping the outbox sends one queued
@@ -620,8 +656,7 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 	// behind the replay.
 	slow := FaultPlan{Delay: 20 * time.Millisecond, DelayEvery: 1}
 	res, err := RunMaster(MasterConfig{
-		Prog: prog, Failover: true,
-		Heartbeat: 60 * time.Millisecond, MaxMissed: 4,
+		Prog: prog, Failover: true, Liveness: 240 * time.Millisecond,
 	}, []Conn{NewFaultConn(mc0, slow), NewFaultConn(mc1, slow)})
 	if err != nil {
 		t.Fatalf("recovery cascaded into failure: %v", err)

@@ -53,22 +53,19 @@ type MasterConfig struct {
 	// workers rebuild and receive the logged store frames of every field
 	// they consume. Off (the default), a worker failure fails the run.
 	Failover bool
-	// Heartbeat is the liveness accounting interval: a worker silent for
-	// MaxMissed of these is declared dead. Zero selects 100ms. (Status
-	// pings still go every 2ms; any inbound message counts as a
-	// heartbeat.)
-	Heartbeat time.Duration
-	// MaxMissed is the number of missed heartbeat intervals after which a
-	// worker is declared dead. Zero disables the liveness monitor unless
-	// Failover is on, which defaults it to 3.
-	MaxMissed int
-	// IdleTimeout, when positive, bounds each reader's receive and each
-	// writer's send on the worker connections (see Conn.SetIdleTimeout), so
-	// a half-open connection surfaces as a worker-named error even with the
-	// liveness monitor off. It must comfortably exceed the longest
-	// legitimate silence (worker teardown between MStopReq and MReport).
-	IdleTimeout time.Duration
+	// Liveness is the failure-detection window, in both directions: a node
+	// that does not register within it fails the run, a worker the master
+	// does not hear from for as long dies (which fails the run without
+	// Failover), and every worker, told the window by MStart, gives up on a
+	// master silent for as long. Zero selects 300ms. Status pings go every
+	// 2ms and any inbound message counts, so the window must only exceed
+	// the longest legitimate silence (a worker's teardown between MStopReq
+	// and MReport).
+	Liveness time.Duration
 }
+
+// defaultLiveness is the liveness window of a zero MasterConfig.Liveness.
+const defaultLiveness = 300 * time.Millisecond
 
 // MasterResult is the outcome of a distributed run.
 type MasterResult struct {
@@ -157,9 +154,6 @@ type inbound struct {
 // drive the same two methods in place of the writers.
 type master struct {
 	cfg MasterConfig // with the defaults of its zero fields filled in
-	// liveTimeout is the liveness window, Heartbeat × MaxMissed; zero
-	// disables the monitor.
-	liveTimeout time.Duration
 	// observed: metrics or a tracer were asked for, so clocks are synced at
 	// registration. Plain runs skip the probes.
 	observed bool
@@ -247,15 +241,11 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 const pollInterval = 2 * time.Millisecond
 
 func newMaster(cfg MasterConfig, conns []Conn) *master {
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 100 * time.Millisecond
-	}
-	if cfg.MaxMissed <= 0 && cfg.Failover {
-		cfg.MaxMissed = 3
+	if cfg.Liveness <= 0 {
+		cfg.Liveness = defaultLiveness
 	}
 	m := &master{
 		cfg:         cfg,
-		liveTimeout: time.Duration(max(cfg.MaxMissed, 0)) * cfg.Heartbeat,
 		observed:    cfg.Metrics != nil || cfg.Tracer != nil,
 		kernelNode:  map[string]int{},
 		inbox:       make(chan inbound, 1024),
@@ -326,15 +316,14 @@ func (m *master) setup() error {
 // workers (MRegister) or standbys (MJoin) — nodes classify themselves, so
 // they may connect in any order — then, in an observed run, estimates its
 // clock offset so spans and flight times land on one timeline — the one
-// exchange made on a connection directly, before anything is queued.
+// exchange made on a connection directly, before anything is queued, and so
+// the one the liveness window bounds through the transport.
 func (m *master) register() error {
-	for _, p := range m.nodes {
-		if m.cfg.IdleTimeout > 0 {
-			p.conn.SetIdleTimeout(m.cfg.IdleTimeout)
-		}
+	for i, p := range m.nodes {
+		p.conn.SetIdleTimeout(m.cfg.Liveness)
 		first, err := p.conn.Recv()
 		if err != nil {
-			return fmt.Errorf("dist: waiting for registration: %w", err)
+			return fmt.Errorf("dist: connection %d/%d: waiting for registration: %w", i+1, len(m.nodes), err)
 		}
 		p.id, p.cores, p.speed = first.NodeID, first.Cores, first.Speed
 		switch first.Kind {
@@ -350,11 +339,12 @@ func (m *master) register() error {
 				return fmt.Errorf("dist: syncing clock of %s: %w", p.id, err)
 			}
 		}
+		p.conn.SetIdleTimeout(0) // from here on tick's scan detects silence
 	}
 	if len(m.peers) == 0 {
 		return fmt.Errorf("dist: master needs at least one worker, got %d standbys", len(m.standbys))
 	}
-	m.cfg.View.setLiveness(m.cfg.Heartbeat, m.cfg.MaxMissed, m.cfg.Failover, len(m.standbys))
+	m.cfg.View.setLiveness(m.cfg.Liveness, m.cfg.Failover, len(m.standbys))
 	return nil
 }
 
@@ -581,7 +571,7 @@ func (m *master) assign(targets []*peer) {
 		p.out.push(&Msg{Kind: MAssign, Kernels: p.kernels, ShareWeights: m.weights, Shares: p.shares, Spec: m.cfg.Spec, TraceOn: m.cfg.Tracer != nil, Failover: m.cfg.Failover})
 	}
 	for _, p := range targets {
-		p.out.push(&Msg{Kind: MStart, OffsetNs: p.offset, Synced: m.observed, SentNs: time.Now().UnixNano()})
+		p.out.push(&Msg{Kind: MStart, OffsetNs: p.offset, Synced: m.observed, Liveness: m.cfg.Liveness, SentNs: time.Now().UnixNano()})
 		p.forwarded, p.status, p.statusSeen, p.lastHeard = 0, Msg{}, false, time.Now()
 	}
 }
@@ -806,24 +796,23 @@ func (m *master) awaitingReports() bool {
 	return false
 }
 
-// tick advances the master by one poll interval: liveness accounting, then —
+// tick advances the master by one poll interval: the liveness scan, then —
 // until the stop has gone out — the quiescence check, which ends in either
 // the stop or the next round of status pings.
 func (m *master) tick(now time.Time) error {
-	// Liveness runs in every phase — including after the stop was sent,
-	// where a worker dying between its last heartbeat and its report would
-	// otherwise hang report collection forever. Past it every live worker
-	// was heard from within the window: quiescence trusts no stale status.
-	if m.liveTimeout > 0 {
-		for _, p := range m.peers {
-			if p.dead || m.reported(p) {
-				continue
-			}
-			if silent := now.Sub(p.lastHeard); silent > m.liveTimeout {
-				cause := fmt.Errorf("missed %d heartbeats (silent %v, liveness window %v)", m.cfg.MaxMissed, silent.Round(time.Millisecond), m.liveTimeout)
-				if err := m.die(p, cause); err != nil {
-					return err
-				}
+	// The scan is the one detector of a silent running worker. It runs in
+	// every phase — including after the stop was sent, where a worker dying
+	// between its last heartbeat and its report would otherwise hang report
+	// collection forever. Past it every live worker was heard from within
+	// the window: quiescence trusts no stale status.
+	for _, p := range m.peers {
+		if p.dead || m.reported(p) {
+			continue
+		}
+		if silent := now.Sub(p.lastHeard); silent > m.cfg.Liveness {
+			cause := fmt.Errorf("silent %v, past the liveness window %v", silent.Round(time.Millisecond), m.cfg.Liveness)
+			if err := m.die(p, cause); err != nil {
+				return err
 			}
 		}
 	}
@@ -923,7 +912,7 @@ func (m *master) recover(dead *peer) error {
 		sb := m.standbys[0]
 		m.standbys = m.standbys[1:]
 		m.enroll(sb)
-		m.cfg.View.setLiveness(m.cfg.Heartbeat, m.cfg.MaxMissed, m.cfg.Failover, len(m.standbys))
+		m.cfg.View.setLiveness(m.cfg.Liveness, m.cfg.Failover, len(m.standbys))
 		m.listen(sb)
 		sb.kernels, sb.shares = lost, lostShares
 		for _, k := range lost {
@@ -1003,14 +992,14 @@ func (m *master) shutdown(err error) error {
 
 // hangUp ends every connection once the loop is over: each writer sends what
 // is queued — only last, when set — and closes the connection, ending its
-// reader too. Connections still open a heartbeat later, to peers that stopped
-// reading, are closed under their writers.
+// reader too. Connections still open a liveness window later, to peers that
+// stopped reading, are closed under their writers.
 func (m *master) hangUp(last *Msg) {
 	for _, p := range m.nodes {
 		p.out.hangUp(last)
 	}
 	close(m.stop)
-	release := time.AfterFunc(m.cfg.Heartbeat, func() {
+	release := time.AfterFunc(m.cfg.Liveness, func() {
 		for _, p := range m.nodes {
 			p.conn.Close()
 		}

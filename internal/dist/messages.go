@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/runtime"
@@ -91,9 +92,12 @@ type Msg struct {
 
 	// MStart: the worker's estimated clock offset (worker clock minus
 	// master clock, nanoseconds) measured during the handshake; Synced
-	// reports whether an estimate was made at all.
+	// reports whether an estimate was made at all. Liveness is the master's
+	// liveness window, which bounds the worker's every receive and send
+	// from here on (zero: unbounded).
 	OffsetNs int64
 	Synced   bool
+	Liveness time.Duration
 
 	// MAssign: the run splits every indexed kernel into one index share per
 	// entry of ShareWeights, sized by it (empty: it splits none), and Shares

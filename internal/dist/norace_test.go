@@ -49,8 +49,12 @@ func TestStoreBatcherAddAllocs(t *testing.T) {
 // TestTCPHotMsgAllocs: a hot message costs its receiver the *Msg and, for a
 // store frame, the frame's bytes — the envelope is written from the
 // connection's scratch, and a name seen before is interned, not allocated.
+// Both ends arm the liveness deadline, as a worker's does from MStart on:
+// the deadline on every Send and Recv costs nothing more.
 func TestTCPHotMsgAllocs(t *testing.T) {
 	cli, srv := pipe(t)
+	cli.SetIdleTimeout(defaultLiveness)
+	srv.SetIdleTimeout(defaultLiveness)
 	frame := make([]byte, 4096)
 	for _, tc := range []struct {
 		m    *Msg

@@ -31,15 +31,14 @@ type ClusterStatus struct {
 	// Shares shows each kernel split by index share as the node owning each
 	// of its shares, e.g. "yDCT": "0/2@w0 1/2@w1" (see ShareString).
 	Shares map[string]string `json:"shares,omitempty"`
-	// Liveness configuration: a worker silent for MaxMissed heartbeat
-	// intervals is declared dead; with Failover its kernels are reassigned
-	// and replayed, otherwise the run fails. Standbys counts spare workers
-	// available for takeover.
-	HeartbeatMs int64          `json:"heartbeat_ms,omitempty"`
-	MaxMissed   int            `json:"max_missed,omitempty"`
-	Failover    bool           `json:"failover,omitempty"`
-	Standbys    int            `json:"standbys,omitempty"`
-	Workers     []WorkerStatus `json:"workers,omitempty"`
+	// Liveness configuration: a worker silent for the liveness window is
+	// declared dead; with Failover its kernels are reassigned and replayed,
+	// otherwise the run fails. Standbys counts spare workers available for
+	// takeover.
+	LivenessMs int64          `json:"liveness_ms,omitempty"`
+	Failover   bool           `json:"failover,omitempty"`
+	Standbys   int            `json:"standbys,omitempty"`
+	Workers    []WorkerStatus `json:"workers,omitempty"`
 	// Cluster is the merge of all worker metric snapshots: counters and
 	// gauges sum, histogram buckets add — the whole-cluster totals.
 	Cluster *obs.MetricsSnapshot `json:"cluster,omitempty"`
@@ -168,10 +167,9 @@ func (v *ClusterView) updateWorker(i int, idle bool, sent, received int64, snap 
 }
 
 // setLiveness records the run's failure-detection configuration.
-func (v *ClusterView) setLiveness(heartbeat time.Duration, maxMissed int, failover bool, standbys int) {
+func (v *ClusterView) setLiveness(window time.Duration, failover bool, standbys int) {
 	v.update(func(st *ClusterStatus) {
-		st.HeartbeatMs = heartbeat.Milliseconds()
-		st.MaxMissed = maxMissed
+		st.LivenessMs = window.Milliseconds()
 		st.Failover = failover
 		st.Standbys = standbys
 	})

@@ -46,12 +46,6 @@ type WorkerConfig struct {
 	// death (MAssign/MStart, with the lost state replayed) or releases it
 	// with MStopReq — in which case RunWorker returns (nil, nil).
 	Standby bool
-	// IdleTimeout, when positive, bounds every blocking transport operation
-	// on the master connection once the run has started, so a silently dead
-	// master surfaces as an error instead of wedging the worker forever.
-	// Not armed during the handshake — registration and (for standbys) the
-	// wait for promotion are legitimately unbounded.
-	IdleTimeout time.Duration
 
 	// Metrics receives the node's full instrumentation and is snapshotted
 	// into every status heartbeat whose ping asks for it (a master with a
@@ -143,12 +137,13 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 	go func() {
 		for {
 			m, err := conn.Recv()
-			if err == nil && m.Kind == MStart && cfg.IdleTimeout > 0 {
+			if err == nil && m.Kind == MStart {
 				// The handshake — registration and, for a standby, the wait
 				// for promotion — is legitimately unbounded; everything
-				// after MStart is not. Armed here rather than in the loop so
-				// that the very next Recv is already bounded.
-				conn.SetIdleTimeout(cfg.IdleTimeout)
+				// after MStart is bounded by the master's liveness window,
+				// so a silent master ends the worker. Armed here rather than
+				// in the loop so that the very next Recv is already bounded.
+				conn.SetIdleTimeout(m.Liveness)
 			}
 			select {
 			case recvCh <- inbound{msg: m, err: err}:

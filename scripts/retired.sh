@@ -64,9 +64,15 @@
 #                      package (it lives beside internal/dist's test harness)
 #   PollInterval       the master option only a test set (the tick is a 2 ms
 #                      constant, and a ping overtakes one message at a time)
+#   Heartbeat MaxMissed liveTimeout IdleTimeout HeartbeatMs
+#                      the master's heartbeat interval and missed-heartbeat
+#                      count, their product, the master's and the worker's
+#                      idle-timeout options and the /statusz field (one
+#                      liveness window, MasterConfig.Liveness, carried to
+#                      the workers by MStart; Conn.SetIdleTimeout stays)
 set -eu
 cd "$(dirname "$0")/.."
-names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes tabuSearch Tabu frameFlushBytes frameFlushEntries inprocConn InprocPipe FaultConn FaultPlan NewFaultConn PollInterval'
+names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes tabuSearch Tabu frameFlushBytes frameFlushEntries inprocConn InprocPipe FaultConn FaultPlan NewFaultConn PollInterval Heartbeat MaxMissed liveTimeout IdleTimeout HeartbeatMs'
 pattern=$(printf '%s\n' $names | paste -sd '|' -)
 found=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 	-exec grep -HnwE "$pattern" {} + || true)
