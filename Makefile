@@ -86,12 +86,12 @@ fuzz-lang:
 
 # fuzz-wire is the decoder fuzz gate for the bytes a peer sends (also run by
 # ci.sh): ten seconds each of FuzzDecodeWireValue (field.DecodeWireValue),
-# FuzzDecodeStoreFrame (runtime.DecodeStoreFrame), FuzzDecodeEnvelope (the
-# binary envelope of the per-age messages, with a store frame's raw payload)
-# and FuzzTCPRecv (a whole TCP stream: envelopes, and gob values behind a
-# capped length). Decoding never panics, whatever decodes re-encodes to bytes
-# that decode to the same result, and a TCP stream costs memory in
-# proportion to the bytes it carries plus the gob cap.
+# FuzzDecodeStoreFrame (runtime.DecodeStoreFrame), FuzzDecodeEnvelope (one
+# message of any kind, with a store frame's raw payload) and FuzzTCPRecv (a
+# whole TCP stream). Decoding never panics, whatever decodes re-encodes to
+# bytes that decode to the same result, and a message or a TCP stream costs
+# memory in proportion to the bytes it carries: at most 64 bytes per wire
+# byte, plus the 1 MiB by which a frame's buffer may run ahead of its bytes.
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWireValue$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/field/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStoreFrame$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/runtime/

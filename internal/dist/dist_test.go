@@ -3,9 +3,10 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -119,46 +120,83 @@ func TestDistributedReportsCoverKernels(t *testing.T) {
 	}
 }
 
-// gobWatch records a master connection's gob byte count when MStart has gone
-// out and when the stop request is about to.
-type gobWatch struct {
+// kindWatch counts, per kind, the messages a master connection sends and
+// receives from the moment MStart has gone out until the stop request is
+// about to, and how many of them carry metrics.
+type kindWatch struct {
 	Conn
-	tc              *tcpConn
-	atStart, atStop atomic.Int64
+	mu               sync.Mutex
+	running          bool
+	started, stopped bool
+	kinds            map[MsgKind]int
+	metrics          int
 }
 
-func (w *gobWatch) Send(m *Msg) error {
-	if m.Kind == MStopReq {
-		w.atStop.Store(w.tc.gobBytes.Load())
+func (w *kindWatch) note(m *Msg) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch {
+	case m.Kind == MStopReq:
+		w.running, w.stopped = false, true
+	case w.running:
+		w.kinds[m.Kind]++
+		if m.Metrics != nil {
+			w.metrics++
+		}
 	}
+}
+
+func (w *kindWatch) Send(m *Msg) error {
+	w.note(m)
 	err := w.Conn.Send(m)
 	if m.Kind == MStart {
-		w.atStart.Store(w.tc.gobBytes.Load())
+		w.mu.Lock()
+		w.running, w.started = true, true
+		w.mu.Unlock()
 	}
 	return err
 }
 
-// TestTCPNoGobWhileRunning: between MStart and the stop request a cluster
-// without a ClusterView exchanges only hot messages (store frames,
-// completions, pings and statuses), so not one gob byte crosses a
-// connection while the program runs.
-func TestTCPNoGobWhileRunning(t *testing.T) {
-	var watches []*gobWatch
+func (w *kindWatch) SendFrame(m *Msg, segs net.Buffers) error {
+	w.note(m)
+	return w.Conn.SendFrame(m, segs)
+}
+
+func (w *kindWatch) Recv() (*Msg, error) {
+	m, err := w.Conn.Recv()
+	if err == nil {
+		w.note(m)
+	}
+	return m, err
+}
+
+// TestOnlyPerAgeKindsWhileRunning: between MStart and the stop request a
+// cluster without a ClusterView exchanges only the per-age kinds — store
+// frames, completions, pings and statuses — and no status carries metrics:
+// no handshake kind crosses a connection while the program runs.
+func TestOnlyPerAgeKindsWhileRunning(t *testing.T) {
+	var watches []*kindWatch
 	cluster{workers: mulSumNodes(2, 5, "w0", "w1"), wrap: func(_ int, mc, wc Conn) (Conn, Conn) {
-		w := &gobWatch{Conn: mc, tc: mc.(*tcpConn)}
+		w := &kindWatch{Conn: mc, kinds: map[MsgKind]int{}}
 		watches = append(watches, w)
 		return w, wc
 	}}.mustRun(t)
 	for i, w := range watches {
-		start, stop := w.atStart.Load(), w.atStop.Load()
-		if start == 0 || stop == 0 {
-			t.Fatalf("connection %d: gob bytes %d at MStart, %d at the stop request; the handshake must use gob and both must be seen", i, start, stop)
+		if !w.started || !w.stopped {
+			t.Fatalf("connection %d: MStart seen %v, the stop request seen %v; both must be", i, w.started, w.stopped)
 		}
-		if stop != start {
-			t.Errorf("connection %d: %d gob bytes crossed between MStart and the stop request, want 0", i, stop-start)
+		total := 0
+		for k, n := range w.kinds {
+			total += n
+			if k != MStoreFrame && k != MDone && k != MPing && k != MStatus {
+				t.Errorf("connection %d: %d %v crossed while the program ran", i, n, k)
+			}
 		}
-		if st := w.Stats(); st.SentMsgs+st.RecvMsgs < 20 {
-			t.Errorf("connection %d carried %+v: too little traffic to show anything", i, st)
+		if w.metrics != 0 {
+			t.Errorf("connection %d: %d statuses carried metrics without a view", i, w.metrics)
+		}
+		if total < 20 {
+			t.Errorf("connection %d carried %v while running: too little traffic to show anything", i, w.kinds)
 		}
 	}
 }

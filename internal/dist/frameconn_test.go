@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"reflect"
@@ -57,7 +55,7 @@ func storeFrame(t testing.TB) *runtime.StoreFrame {
 
 // TestTCPSendFrameRoundTrip: a SendFrame must arrive as a regular
 // MStoreFrame message — Frame materialized bit-identically to the
-// flattened encoding, envelope fields intact, and the sender's shared *Msg
+// flattened encoding, message fields intact, and the sender's shared *Msg
 // unmutated.
 func TestTCPSendFrameRoundTrip(t *testing.T) {
 	cli, srv := pipe(t)
@@ -68,7 +66,7 @@ func TestTCPSendFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Frame != nil {
-		t.Fatalf("SendFrame mutated the shared envelope: Frame=%d bytes", len(m.Frame))
+		t.Fatalf("SendFrame mutated the shared message: Frame=%d bytes", len(m.Frame))
 	}
 
 	got, err := srv.Recv()
@@ -76,7 +74,7 @@ func TestTCPSendFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Kind != MStoreFrame || got.Field != "pixels" || got.Age != 3 || got.Trace != 0xBEEF {
-		t.Fatalf("envelope corrupted: %+v", got)
+		t.Fatalf("message corrupted: %+v", got)
 	}
 	if !bytes.Equal(got.Frame, want) {
 		t.Fatalf("raw frame differs: got %d bytes, want %d", len(got.Frame), len(want))
@@ -97,8 +95,8 @@ func TestTCPSendFrameRoundTrip(t *testing.T) {
 }
 
 // TestTCPSendFrameInterleaved proves the raw-bytes framing leaves the stream
-// aligned: plain Sends, gob and envelope, before, between, and after
-// SendFrames must all arrive intact and in order.
+// aligned: plain Sends before, between, and after SendFrames must all arrive
+// intact and in order.
 func TestTCPSendFrameInterleaved(t *testing.T) {
 	cli, srv := pipe(t)
 	f := storeFrame(t)
@@ -150,14 +148,17 @@ func TestTCPSendFrameInterleaved(t *testing.T) {
 	}
 }
 
-// TestTCPRecvHostileFrameLen: an envelope may announce any frame length up to
+// TestTCPRecvHostileFrameLen: a store frame may announce any length up to
 // maxRecvFrameLen, but memory is committed only as payload bytes arrive. A
 // peer that announces the maximum and hangs up must cost an error and a few
 // MiB, not a 1 GiB allocation.
 func TestTCPRecvHostileFrameLen(t *testing.T) {
 	peer, local := net.Pipe()
 	go func() {
-		peer.Write(appendEnvelope(nil, &Msg{Kind: MStoreFrame, Field: "pixels"}, maxRecvFrameLen-1))
+		c := codec{}
+		n := maxRecvFrameLen - 1
+		c.msg(&Msg{Kind: MStoreFrame, Field: "pixels"}, &n)
+		peer.Write(c.buf)
 		peer.Close()
 	}()
 	srv := newTCPConn(local)
@@ -198,98 +199,174 @@ func TestTCPRecvLargeFrame(t *testing.T) {
 	}
 }
 
-// envelopeBytes returns what a tcpConn writes to its socket for msgs: one
-// SendFrame for each message carrying a Frame, one Send for the rest.
-func envelopeBytes(t testing.TB, msgs ...*Msg) []byte {
-	a, b := net.Pipe()
-	sent := make(chan error, 1)
-	go func() {
-		c := newTCPConn(a)
-		defer c.Close()
-		for _, m := range msgs {
-			var err error
-			if m.Frame != nil {
-				err = c.SendFrame(m, net.Buffers{m.Frame})
-			} else {
-				err = c.Send(m)
-			}
-			if err != nil {
-				sent <- err
-				return
-			}
-		}
-		sent <- nil
-	}()
-	out, err := io.ReadAll(b)
-	if err == nil {
-		err = <-sent
+// wire returns what a tcpConn writes to its socket for msgs: each message
+// and, after a store frame, the frame's bytes.
+func wire(msgs ...*Msg) []byte {
+	var c codec
+	for _, m := range msgs {
+		n := len(m.Frame)
+		c.msg(m, &n)
+		c.buf = append(c.buf, m.Frame...)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return c.buf
 }
 
-// wireMsgs returns at least one message of every kind: the hot kinds at
-// their edge values (empty names, age 0, the largest trace id, a zero-length
-// frame) and the cold kinds with nested reports, spans and metrics.
+// wireGrowth bounds what a received stream allocates per wire byte, besides
+// the recvFrameChunk by which a frame's buffer runs ahead of its bytes. A
+// list's elements arrive before its slice grows past them, at most doubling,
+// so the slices of a list cost at most four times its elements' memory: 64
+// bytes per one-byte element for a list of empty strings (16 bytes each),
+// 41 for the 14 wire bytes of a zero obs.Span (144). Every message is at
+// least 9 bytes, which covers its *Msg.
+const wireGrowth = 64
+
+// recvAll reads data as a peer's stream through a tcpConn until Recv fails,
+// and reports the messages, the bytes allocated meanwhile and the error.
+func recvAll(data []byte) (msgs []*Msg, alloc uint64, err error) {
+	peer, local := net.Pipe()
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		peer.Write(data) // fails once Recv gives up and local closes
+		peer.Close()
+	}()
+	c := newTCPConn(local)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for err == nil {
+		var m *Msg
+		if m, err = c.Recv(); err == nil {
+			msgs = append(msgs, m)
+		}
+	}
+	goruntime.ReadMemStats(&after)
+	c.Close()
+	<-wrote
+	return msgs, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// allocBound is what a stream of n wire bytes may allocate its receiver.
+func allocBound(n int) uint64 { return uint64(wireGrowth*n + recvFrameChunk) }
+
+// fill sets every field of v, recursively, to a value that is not zero —
+// slices and maps get two elements — so that a round trip shows any field a
+// layout forgets.
+func fill(v reflect.Value, seed *int) {
+	*seed++
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*seed) * 1_000_003)
+	case reflect.Uint8, reflect.Uint64:
+		v.SetUint(uint64(*seed))
+	case reflect.Float64:
+		v.SetFloat(float64(*seed) + 0.5)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *seed))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(v.Elem(), seed)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i), seed)
+		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < 2; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(k, seed)
+			fill(e, seed)
+			v.SetMapIndex(k, e)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(v.Field(i), seed)
+		}
+	default:
+		panic(fmt.Sprintf("fill: no value for %v", v.Type()))
+	}
+}
+
+// filled returns a T with every field set (see fill).
+func filled[T any]() T {
+	var v T
+	seed := 0
+	fill(reflect.ValueOf(&v).Elem(), &seed)
+	return v
+}
+
+// wireMsgs returns a message for every construction site in the package, each
+// field that site sets not zero — the sender's stamp included where the site
+// stamps one — and each kind besides at its edge values: empty names, age 0,
+// the largest trace id, no frame.
 func wireMsgs(t testing.TB) []*Msg {
 	fr := storeFrame(t)
 	frame := fr.AppendTo(nil)
 	runtime.PutStoreFrame(fr)
-	reg := obs.NewRegistry()
-	reg.Counter(obs.MDispatchesTotal).Add(3)
-	reg.Gauge(obs.MTransportSentMsgs).Set(9)
-	reg.Histogram(obs.MFetchNs).Observe(5)
+	report, metrics := filled[runtime.Report](), filled[obs.MetricsSnapshot]()
 	return []*Msg{
-		{Kind: MStoreFrame},
-		{Kind: MStoreFrame, Field: "pixels", Age: 3, Trace: math.MaxUint64, SentNs: -1, Frame: frame},
-		{Kind: MDone},
-		{Kind: MDone, Kernel: "dct", Age: math.MaxInt, Share: 3, SentNs: math.MaxInt64},
-		{Kind: MPing, WantMetrics: true, SentNs: math.MinInt64},
-		{Kind: MStatus},
-		{Kind: MStatus, Idle: true, Sent: math.MaxInt64, Received: 2, SentNs: 1},
-		{Kind: MStopReq},
-		{Kind: MTraceReq, SentNs: 7},
+		// The worker: its hello, clock echo, status, completion, frame,
+		// error and report.
 		{Kind: MRegister, NodeID: "w0", Cores: 2, Speed: 1.5},
 		{Kind: MJoin, NodeID: "standby", Cores: 1, Speed: 1},
+		{Kind: MClockEcho, SentNs: 11, NodeNs: 12},
+		{Kind: MStatus, Idle: true, Sent: math.MaxInt64, Received: 2, SentNs: 1, Metrics: &metrics},
+		{Kind: MDone, Kernel: "dct", Age: math.MaxInt, Share: 3, SentNs: math.MaxInt64},
+		{Kind: MStoreFrame, Field: "pixels", Age: 3, Trace: math.MaxUint64, SentNs: -1, Frame: frame},
+		{Kind: MError, Err: "worker w1: boom", SentNs: 4},
+		{Kind: MReport, SentNs: 3, Report: &report, Spans: filled[[]obs.Span](), TraceStartNs: 100, TraceDropped: 1},
+		// The master: its clock probe, assignment, start, ping, stop, and
+		// the replayed frames and completions it forwards unstamped.
+		{Kind: MClockProbe, SentNs: 11},
 		{Kind: MAssign, Kernels: []string{"read", "vlc"}, Spec: "mjpeg:frames=3", Failover: true,
 			ShareWeights: []int{2, 1}, Shares: []int{0}, TraceOn: true},
-		{Kind: MStart, OffsetNs: -42, Synced: true, SentNs: 5},
-		{Kind: MClockProbe, SentNs: 11},
-		{Kind: MClockEcho, SentNs: 11, NodeNs: 12},
-		{Kind: MStatus, Idle: true, Sent: 4, Received: 2, Metrics: reg.Snapshot()},
-		{Kind: MReport, SentNs: 3, Report: &runtime.Report{
-			Wall: time.Second, Stalled: []string{"vlc(age=2)"}, ShardEvents: []int64{17},
-			Kernels: []runtime.KernelStats{{Name: "dct", Instances: 12, Slices: 3}},
-		}},
-		{Kind: MTrace, Spans: []obs.Span{{Name: "k", Cat: "kernel", Age: 1, Index: []int{2, 3}, Trace: 9}},
-			TraceStartNs: 100, TraceDropped: 1},
-		{Kind: MError, Err: "worker w1: boom"},
+		{Kind: MStart, OffsetNs: -42, Synced: true, Liveness: time.Second, SentNs: 5},
+		{Kind: MPing, WantMetrics: true, SentNs: math.MinInt64},
+		{Kind: MStopReq, TraceOn: true},
+		{Kind: MStoreFrame, Field: "pixels", Age: 3, Frame: frame},
+		{Kind: MDone, Kernel: "dct", Age: 7, Share: 1},
+		// Edge values.
+		{Kind: MStoreFrame},
+		{Kind: MDone},
+		{Kind: MStatus},
+		{Kind: MStopReq},
+		{Kind: MReport},
+		{Kind: MError},
 	}
 }
 
 // TestTCPRoundTripEveryKind: every message of wireMsgs, sent over a real
-// tcpConn pair, decodes equal to what was sent, and only the cold ones cross
-// as gob.
+// tcpConn pair, decodes equal to what was sent. wireMsgs holds every kind and
+// sets every field of Msg somewhere, so a field a kind's layout forgets is a
+// difference here.
 func TestTCPRoundTripEveryKind(t *testing.T) {
 	msgs := wireMsgs(t)
 	seen := map[MsgKind]bool{}
+	set := make([]bool, reflect.TypeOf(Msg{}).NumField())
 	for _, m := range msgs {
 		seen[m.Kind] = true
+		for i := range set {
+			set[i] = set[i] || !reflect.ValueOf(m).Elem().Field(i).IsZero()
+		}
 	}
 	for k := range kindNames {
 		if !seen[MsgKind(k)] {
 			t.Errorf("wireMsgs has no %v", MsgKind(k))
 		}
 	}
+	for i, ok := range set {
+		if !ok {
+			t.Errorf("no message of wireMsgs sets Msg.%s", reflect.TypeOf(Msg{}).Field(i).Name)
+		}
+	}
 	a, b := net.Pipe()
-	cli, srv := newTCPConn(a).(*tcpConn), newTCPConn(b).(*tcpConn)
+	cli, srv := newTCPConn(a), newTCPConn(b)
 	defer cli.Close()
 	defer srv.Close()
 	for _, m := range msgs {
 		sent := make(chan error, 1)
-		before := cli.gobBytes.Load()
 		go func() { sent <- cli.Send(m) }()
 		got, err := srv.Recv()
 		if err == nil {
@@ -301,17 +378,67 @@ func TestTCPRoundTripEveryKind(t *testing.T) {
 		if !reflect.DeepEqual(got, m) {
 			t.Errorf("%v: sent %+v, received %+v", m.Kind, m, got)
 		}
-		if gob := cli.gobBytes.Load() != before; gob == hot(m) {
-			t.Errorf("%v (hot %v) crossed as gob: %v", m.Kind, hot(m), gob)
-		}
 	}
 	if cs, ss := cli.Stats(), srv.Stats(); cs.SentMsgs != int64(len(msgs)) || ss.RecvMsgs != cs.SentMsgs || ss.RecvBytes != cs.SentBytes {
 		t.Errorf("sender counted %+v, receiver %+v, want %d messages and equal bytes", cs, ss, len(msgs))
 	}
 }
 
-// TestTCPFullTraceUnderCap: a worker's span buffer at its capacity, with
-// values of a real run's size, fits under the gob cap.
+// TestTCPRecvNamesWhatItRejects: a stream the codec cannot accept fails with
+// an error that names what it rejected, before any of an over-cap length is
+// read or allocated.
+func TestTCPRecvNamesWhatItRejects(t *testing.T) {
+	overCount := wire(&Msg{Kind: MAssign})
+	overCount = binary.AppendVarint(overCount[:9], maxCount+1) // the count of Kernels
+	overStr := binary.AppendVarint(wire(&Msg{Kind: MError})[:9], maxStrLen+1)
+	overFrame := wire(&Msg{Kind: MStoreFrame})
+	overFrame = binary.AppendVarint(overFrame[:len(overFrame)-1], maxRecvFrameLen+1)
+	for _, tc := range []struct {
+		data []byte
+		want string
+	}{
+		{append([]byte{200}, make([]byte, 8)...), "dist: unknown message kind 200"},
+		{overCount, fmt.Sprintf("dist: count %d over cap %d", maxCount+1, maxCount)},
+		{overStr, fmt.Sprintf("dist: count %d over cap %d", maxStrLen+1, maxStrLen)},
+		{overFrame, fmt.Sprintf("dist: count %d over cap %d", maxRecvFrameLen+1, maxRecvFrameLen)},
+	} {
+		msgs, _, err := recvAll(tc.data)
+		if len(msgs) != 0 || err == nil || err.Error() != tc.want {
+			t.Errorf("% x: received %d messages and %v, want the error %q", tc.data, len(msgs), err, tc.want)
+		}
+	}
+}
+
+// TestTCPRecvOverstatedCount: a list or map whose count announces far more
+// elements than arrive costs its receiver memory in proportion to the bytes
+// that did arrive — 2^20 spans announced, a few sent — and a send of a
+// count over its cap fails before it reaches the wire.
+func TestTCPRecvOverstatedCount(t *testing.T) {
+	spans := binary.AppendVarint(wire(&Msg{Kind: MReport})[:10], 1<<20) // no report, then the count of Spans
+	kernels := binary.AppendVarint(wire(&Msg{Kind: MAssign})[:9], maxCount)
+	counters := binary.AppendVarint(append(wire(&Msg{Kind: MStatus})[:12], 1), maxCount) // Metrics set, then the count of Counters
+	for name, data := range map[string][]byte{
+		"spans":    append(spans, make([]byte, 3*14)...),
+		"kernels":  append(kernels, make([]byte, 5000)...),
+		"counters": append(counters, make([]byte, 5000)...),
+	} {
+		msgs, grew, err := recvAll(data)
+		if len(msgs) != 0 || err == nil {
+			t.Errorf("%s: received %d messages (%v) from a stream that ends mid-list", name, len(msgs), err)
+		}
+		if bound := allocBound(len(data)); grew > bound {
+			t.Errorf("%s: %d wire bytes allocated %d, want at most %d", name, len(data), grew, bound)
+		}
+	}
+	a, _ := pipe(t)
+	if err := a.Send(&Msg{Kind: MAssign, Kernels: make([]string, maxCount+1)}); err == nil {
+		t.Error("a count over its cap was sent")
+	}
+}
+
+// TestTCPFullTraceUnderCap: a worker's report carrying a full trace ring,
+// with values of a real run's size, round-trips and costs its receiver no
+// more than the per-wire-byte bound.
 func TestTCPFullTraceUnderCap(t *testing.T) {
 	spans := make([]obs.Span, obs.DefaultTraceCapacity)
 	for i := range spans {
@@ -319,103 +446,78 @@ func TestTCPFullTraceUnderCap(t *testing.T) {
 			Dur: 1e6, TID: 2, Age: 4000, Index: []int{1583, 43}, WaitNs: 1e6, FetchNs: 1e5,
 			KernelNs: 1e6, StoreNs: 1e5, Trace: math.MaxUint64, Flow: 2}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Msg{Kind: MTrace, Spans: spans, TraceStartNs: 1}); err != nil {
-		t.Fatal(err)
+	sent := &Msg{Kind: MReport, Spans: spans, TraceStartNs: 1, SentNs: 2}
+	data := wire(sent)
+	msgs, grew, _ := recvAll(data)
+	if len(msgs) != 1 || !reflect.DeepEqual(msgs[0], sent) {
+		t.Fatalf("a full trace ring (%d wire bytes) did not round-trip: %d messages", len(data), len(msgs))
 	}
-	if buf.Len() > maxGobLen/2 {
-		t.Errorf("a full trace ring is %d gob bytes, want at most half the %d cap", buf.Len(), maxGobLen)
+	if bound := allocBound(len(data)); grew > bound {
+		t.Errorf("a full trace ring of %d wire bytes allocated %d, want at most %d", len(data), grew, bound)
 	}
 }
 
-// decodeEnvelope decodes one hot message, kind byte first, from data.
-func decodeEnvelope(data []byte) (*Msg, error) {
-	br := bufio.NewReader(bytes.NewReader(data))
-	k, err := br.ReadByte()
-	if err != nil {
-		return nil, err
+// decodeMsg decodes one message, a store frame's payload included, from data,
+// and reports what decoding allocated besides its reader.
+func decodeMsg(data []byte) (m *Msg, alloc uint64, err error) {
+	c := codec{r: bufio.NewReader(bytes.NewReader(data))}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	m, frameLen := &Msg{}, 0
+	if c.msg(m, &frameLen); c.err == nil && frameLen > 0 {
+		m.Frame, c.err = readFrame(c.r, frameLen)
 	}
-	m := &Msg{}
-	return m, readEnvelope(br, MsgKind(k), m, &nameSet{set: map[string]string{}})
+	goruntime.ReadMemStats(&after)
+	return m, after.TotalAlloc - before.TotalAlloc, c.err
 }
 
-// FuzzDecodeEnvelope: arbitrary bytes through the hot-kind decoder. It never
-// panics, and whatever decodes re-encodes to bytes that decode to the same
-// message.
+// FuzzDecodeEnvelope: arbitrary bytes through the decoder of one message of
+// any kind. It never panics, it allocates within the per-wire-byte bound,
+// and whatever decodes re-encodes to bytes that decode and re-encode to the
+// same bytes. Bytes are compared, not messages: a float's NaN bits survive a
+// round trip, and a NaN does not equal itself.
 func FuzzDecodeEnvelope(f *testing.F) {
 	for _, m := range wireMsgs(f) {
-		if hot(m) {
-			f.Add(append(appendEnvelope(nil, m, len(m.Frame)), m.Frame...))
-		}
+		f.Add(wire(m))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeEnvelope(data)
+		m, grew, err := decodeMsg(data)
+		if bound := allocBound(len(data)); grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), grew, bound)
+		}
 		if err != nil {
 			return
 		}
-		again, err := decodeEnvelope(append(appendEnvelope(nil, m, len(m.Frame)), m.Frame...))
-		if err != nil || !reflect.DeepEqual(again, m) {
+		enc := wire(m)
+		again, _, err := decodeMsg(enc)
+		if err != nil || !bytes.Equal(wire(again), enc) {
 			t.Fatalf("decoded %+v; re-encoded, it decodes to %+v (%v)", m, again, err)
 		}
 	})
 }
 
 // FuzzTCPRecv: arbitrary bytes from a peer, read through a tcpConn over an
-// in-memory connection. Recv never panics, a gob length over maxGobLen fails
-// by name, and the stream costs memory in proportion to what the peer sent:
-// gobGrowth times the bytes supplied, plus the recvFrameChunk by which a
-// payload's buffer runs ahead of them, plus maxGobLen — a gob value is read
-// whole before it is decoded, and what gob commits ahead of its input (at
-// most 10 MiB, a slice's announced elements) stays under the cap — plus
-// gob's per-connection type machinery. A frame length announcing more than
-// arrives must not be paid for.
+// in-memory connection. Recv never panics, an unknown kind fails by name, and
+// the stream costs memory in proportion to what the peer sent: wireGrowth
+// times the bytes supplied, plus the recvFrameChunk by which a payload's
+// buffer runs ahead of them. A length or count announcing more than arrives
+// must not be paid for.
 func FuzzTCPRecv(f *testing.F) {
-	var cold []*Msg
-	for _, m := range wireMsgs(f) {
-		if !hot(m) {
-			cold = append(cold, m)
-		}
-	}
-	valid := envelopeBytes(f, append(cold,
-		&Msg{Kind: MStoreFrame, Field: "pixels", Age: 3, Trace: 7, Frame: storeFrame(f).AppendTo(nil)},
-		&Msg{Kind: MDone, Kernel: "dct", Age: 3})...)
-	hostile := appendEnvelope(nil, &Msg{Kind: MStoreFrame, Field: "pixels"}, maxRecvFrameLen-1)
-	overCap := binary.AppendUvarint([]byte{gobTag}, maxGobLen+1)
-	for _, seed := range [][]byte{valid, valid[:len(valid)/2], hostile, append(hostile, 1, 2, 3), overCap, {}} {
+	valid := wire(wireMsgs(f)...)
+	hostile := wire(&Msg{Kind: MStoreFrame, Field: "pixels"})
+	hostile = binary.AppendVarint(hostile[:len(hostile)-1], maxRecvFrameLen-1)
+	spans := binary.AppendVarint(wire(&Msg{Kind: MReport})[:10], 1<<20)
+	for _, seed := range [][]byte{valid, valid[:len(valid)/2], hostile, append(hostile, 1, 2, 3), spans, {}} {
 		f.Add(seed)
 	}
-	// gobGrowth bounds how much more a decoded value allocates than its gob
-	// encoding: an all-zero obs.Span is one byte on the wire and 144 in
-	// memory, and a slice of them grows by a quarter at a time, so about
-	// five times that is allocated (671 per wire byte at 524 288 spans).
-	const gobGrowth, gobTypes = 1024, 256 << 10
 	f.Fuzz(func(t *testing.T, data []byte) {
-		peer, local := net.Pipe()
-		wrote := make(chan struct{})
-		go func() {
-			defer close(wrote)
-			peer.Write(data) // fails once Recv gives up and local closes
-			peer.Close()
-		}()
-		c := newTCPConn(local)
-		var before, after goruntime.MemStats
-		goruntime.ReadMemStats(&before)
-		_, err := c.Recv()
-		for err == nil {
-			_, err = c.Recv()
-		}
-		goruntime.ReadMemStats(&after)
-		c.Close()
-		<-wrote
-		if len(data) > 0 && data[0] == gobTag {
-			if n, k := binary.Uvarint(data[1:]); k > 0 && n > maxGobLen {
-				want := fmt.Sprintf("dist: envelope length %d over cap %d", n, maxGobLen)
-				if err.Error() != want {
-					t.Fatalf("Recv failed with %q, want %q", err, want)
-				}
+		msgs, grew, err := recvAll(data)
+		if len(data) >= 9 && int(data[0]) >= len(kindNames) && len(msgs) == 0 {
+			if want := fmt.Sprintf("dist: unknown message kind %d", data[0]); err.Error() != want {
+				t.Fatalf("Recv failed with %q, want %q", err, want)
 			}
 		}
-		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(gobGrowth*len(data)+recvFrameChunk+maxGobLen+gobTypes); grew > bound {
+		if bound := allocBound(len(data)); grew > bound {
 			t.Fatalf("Recv of %d bytes allocated %d, want at most %d", len(data), grew, bound)
 		}
 	})

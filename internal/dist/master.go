@@ -42,8 +42,8 @@ type MasterConfig struct {
 	Metrics *obs.Registry
 	// Tracer, when set, records the master's own spans — one broker span per
 	// forwarded store frame, tagged with the frame's causal trace id — and
-	// has every worker trace and hand its span buffer over at shutdown
-	// (MTraceReq/MTrace), clock-aligned in MasterResult.Traces and ready for
+	// has every worker trace and hand its span buffer over on its MReport,
+	// clock-aligned in MasterResult.Traces and ready for
 	// obs.WriteMergedChromeTrace.
 	Tracer *obs.Tracer
 
@@ -739,18 +739,19 @@ func (m *master) handle(in inbound) error {
 		p.status = *msg
 		p.statusSeen = true
 		m.cfg.View.updateWorker(p.idx, msg.Idle, msg.Sent, msg.Received, msg.Metrics)
-	case MTrace:
-		m.traces = append(m.traces, obs.NodeTrace{
-			Node:        p.id,
-			PID:         p.idx + 2, // pid 1 is the master's lane
-			StartUnixNs: msg.TraceStartNs,
-			OffsetNs:    p.offset,
-			Dropped:     msg.TraceDropped,
-			Spans:       msg.Spans,
-		})
 	case MReport:
 		m.reports[p.id] = msg.Report
 		m.cfg.View.workerDone(p.idx, msg.Report)
+		if m.cfg.Tracer != nil {
+			m.traces = append(m.traces, obs.NodeTrace{
+				Node:        p.id,
+				PID:         p.idx + 2, // pid 1 is the master's lane
+				StartUnixNs: msg.TraceStartNs,
+				OffsetNs:    p.offset,
+				Dropped:     msg.TraceDropped,
+				Spans:       msg.Spans,
+			})
+		}
 	case MError:
 		return fmt.Errorf("dist: worker %s failed: %s", p.id, msg.Err)
 	}
@@ -849,22 +850,15 @@ func (m *master) tick(now time.Time) error {
 	return nil
 }
 
-// requestStop ends a quiescent run: every live worker is asked for its span
-// buffer (with a Tracer) and then to stop, and the standbys that were never
-// needed are released.
+// requestStop ends a quiescent run: every live worker is asked to stop —
+// with a Tracer, to put its span buffer on its report — and the standbys that
+// were never needed are released.
 func (m *master) requestStop() {
 	m.stopSent = true
 	for _, p := range m.peers {
-		if p.dead {
-			continue
+		if !p.dead {
+			p.out.push(&Msg{Kind: MStopReq, TraceOn: m.cfg.Tracer != nil})
 		}
-		// Span buffers are pulled before the stop: per-connection FIFO
-		// ordering guarantees each MTrace reply arrives before its MReport,
-		// so report collection still terminates the loop.
-		if m.cfg.Tracer != nil {
-			p.out.push(&Msg{Kind: MTraceReq})
-		}
-		p.out.push(&Msg{Kind: MStopReq})
 	}
 	for _, sb := range m.standbys {
 		sb.out.hangUp(&Msg{Kind: MStopReq})

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -23,14 +25,12 @@ const (
 	MDone                      // worker ↔ master: a kernel-age completed
 	MPing                      // master → worker: report status
 	MStatus                    // worker → master: idle state and event counters
-	MStopReq                   // master → worker: quiesce reached, shut down
-	MReport                    // worker → master: final instrumentation report
+	MStopReq                   // master → worker: quiesce reached, shut down (and, tracing, hand over your spans)
+	MReport                    // worker → master: final instrumentation report (and span buffer)
 	MError                     // either direction: fatal error
 	MStoreFrame                // worker ↔ master: a batched store-notice frame (forwarded raw)
 	MClockProbe                // master → worker: clock-offset probe (handshake, Cristian-style)
 	MClockEcho                 // worker → master: probe echo with the worker's clock reading
-	MTraceReq                  // master → worker: send your span buffer (shutdown)
-	MTrace                     // worker → master: span buffer + trace alignment data
 	MJoin                      // standby worker → master: available for takeover, not initial partition
 )
 
@@ -38,7 +38,7 @@ var kindNames = [...]string{
 	MRegister: "MRegister", MAssign: "MAssign", MStart: "MStart", MDone: "MDone",
 	MPing: "MPing", MStatus: "MStatus", MStopReq: "MStopReq", MReport: "MReport",
 	MError: "MError", MStoreFrame: "MStoreFrame", MClockProbe: "MClockProbe",
-	MClockEcho: "MClockEcho", MTraceReq: "MTraceReq", MTrace: "MTrace", MJoin: "MJoin",
+	MClockEcho: "MClockEcho", MJoin: "MJoin",
 }
 
 // String returns the lifecycle name of the message kind, for handshake and
@@ -50,9 +50,8 @@ func (k MsgKind) String() string {
 	return "MsgKind(" + strconv.Itoa(int(k)) + ")"
 }
 
-// Msg is the single message type; Kind selects which fields are meaningful.
-// On TCP the per-age kinds travel in a binary envelope of their own fields
-// (appendEnvelope) and the rest as gob values of the whole struct.
+// Msg is the single message type; Kind selects which fields are meaningful,
+// and only those cross the wire (codec.msg).
 type Msg struct {
 	Kind MsgKind
 
@@ -74,13 +73,13 @@ type Msg struct {
 	// runtime.StoreFrame. Field and Age mirror the frame header so the
 	// master broker routes by subscription without decoding the payload;
 	// Trace is the frame's causal trace id (0 when tracing is off), which
-	// travels on the envelope only.
+	// the message carries and the frame does not.
 	Frame []byte
 	Trace uint64
 
 	// SentNs is the sender's wall clock (UnixNano) when the message was
 	// handed to the transport. Stamped only on freshly allocated messages —
-	// the broker forwards messages by pointer, so forwarded envelopes keep
+	// the broker forwards messages by pointer, so forwarded messages keep
 	// the original stamp. The master interprets it on every worker message
 	// (workers allocate all their sends); workers interpret it only on
 	// MPing, the one inbound kind the master always allocates itself.
@@ -105,13 +104,13 @@ type Msg struct {
 	ShareWeights []int
 	Shares       []int
 
-	// MAssign: the master traces and will pull span buffers at shutdown,
-	// so a worker without its own tracer should create one — cluster
-	// tracing needs only the master's -trace flag.
+	// MAssign and MStopReq: the master traces. Assigned, a worker without
+	// its own tracer creates one — cluster tracing needs only the master's
+	// -trace flag; stopped, it puts its spans on its MReport.
 	TraceOn bool
 
-	// MTrace: the worker's span buffer with its alignment data (see
-	// obs.NodeTrace).
+	// MReport after a tracing stop: the worker's span buffer with its
+	// alignment data (see obs.NodeTrace).
 	Spans        []obs.Span
 	TraceStartNs int64
 	TraceDropped int64
@@ -145,95 +144,244 @@ type Msg struct {
 	Err string
 }
 
-// On TCP a message starts with its kind byte. A hot kind, one that crosses
-// once or more per age, follows it with a fixed binary envelope: uvarints of
-// a flag word (Idle, WantMetrics), SentNs, Age, Share, Trace, Sent, Received,
-// the length of the raw frame written right after the envelope and the
-// lengths of Field and Kernel, then those two names. Any other message is
-// gobTag, a length checked against maxGobLen before anything is read, and one
-// value of the connection's gob stream.
+// On TCP a message is its kind byte, its SentNs as 8 little-endian bytes —
+// a wall-clock stamp is 9 as a varint, and at least 9 bytes per message
+// bound what a received *Msg costs per wire byte — and then the fields of
+// its kind in codec.msg's order. A store frame's raw bytes follow it.
 const (
-	hotKinds   = 1<<MStoreFrame | 1<<MDone | 1<<MPing | 1<<MStatus | 1<<MStopReq | 1<<MTraceReq
-	gobTag     = 0xFF
-	maxGobLen  = 16 << 20 // a full trace ring, 65 536 spans, is about 5 MB
-	maxNameLen = 1 << 10
-	maxNames   = 256
+	maxStrLen = 1 << 16 // a name, a spec or an error message
+	maxCount  = 1 << 20 // the elements of a list or a map: 16 full trace rings
+	maxNames  = 256
 )
 
-// hot reports whether m travels in the binary envelope: its kind is hot and,
-// for an MStatus, it carries no metrics.
-func hot(m *Msg) bool {
-	return hotKinds>>m.Kind&1 != 0 && (m.Kind != MStatus || m.Metrics == nil)
+// codec moves one message between a Msg and its wire form: with r nil it
+// appends to buf, otherwise it reads from r. Each field passes through one
+// call that does whichever, so codec.msg lists a kind's layout once. Encoding
+// never writes to the message, which the broker shares between connections.
+type codec struct {
+	r     *bufio.Reader
+	buf   []byte            // what was encoded; read, a string's scratch
+	names map[string]string // the strings read, interned
+	err   error             // the first failure; every later call is a no-op
 }
 
-// appendEnvelope appends the kind byte and envelope of a hot message whose
-// frame is frameLen bytes long.
-func appendEnvelope(b []byte, m *Msg, frameLen int) []byte {
-	var flags uint64
-	if m.Idle {
-		flags |= 1
+// msg codes m. A store frame's payload is not part of it: frameLen is the
+// payload's length, whose bytes follow on the wire.
+func (c *codec) msg(m *Msg, frameLen *int) {
+	if c.r == nil {
+		c.buf = binary.LittleEndian.AppendUint64(append(c.buf, byte(m.Kind)), uint64(m.SentNs))
+	} else if b, err := c.r.Peek(9); err != nil {
+		c.err = err
+	} else {
+		m.Kind, m.SentNs = MsgKind(b[0]), int64(binary.LittleEndian.Uint64(b[1:]))
+		c.r.Discard(9)
 	}
-	if m.WantMetrics {
-		flags |= 2
+	switch m.Kind {
+	case MRegister, MJoin:
+		speed := math.Float64bits(m.Speed)
+		c.str(&m.NodeID)
+		num(c, &m.Cores)
+		num(c, &speed)
+		if c.r != nil {
+			m.Speed = math.Float64frombits(speed)
+		}
+	case MAssign:
+		list(c, &m.Kernels, (*codec).str)
+		c.str(&m.Spec)
+		list(c, &m.ShareWeights, num[int])
+		list(c, &m.Shares, num[int])
+		c.bool(&m.Failover)
+		c.bool(&m.TraceOn)
+	case MStart:
+		num(c, &m.OffsetNs)
+		num(c, &m.Liveness)
+		c.bool(&m.Synced)
+	case MDone:
+		c.str(&m.Kernel)
+		nums(c, &m.Age, &m.Share)
+	case MPing:
+		c.bool(&m.WantMetrics)
+	case MStatus:
+		c.bool(&m.Idle)
+		nums(c, &m.Sent, &m.Received)
+		ptr(c, &m.Metrics, (*codec).metrics)
+	case MStopReq:
+		c.bool(&m.TraceOn)
+	case MReport:
+		ptr(c, &m.Report, (*codec).report)
+		list(c, &m.Spans, (*codec).span)
+		nums(c, &m.TraceStartNs, &m.TraceDropped)
+	case MError:
+		c.str(&m.Err)
+	case MStoreFrame:
+		c.str(&m.Field)
+		num(c, &m.Age)
+		num(c, &m.Trace)
+		c.count(frameLen, maxRecvFrameLen)
+	case MClockProbe:
+	case MClockEcho:
+		num(c, &m.NodeNs)
+	default:
+		c.err = fmt.Errorf("dist: unknown message kind %d", m.Kind)
 	}
-	b = append(b, byte(m.Kind))
-	for _, v := range [...]uint64{flags, uint64(m.SentNs), uint64(m.Age), uint64(m.Share), m.Trace,
-		uint64(m.Sent), uint64(m.Received), uint64(frameLen), uint64(len(m.Field)), uint64(len(m.Kernel))} {
-		b = binary.AppendUvarint(b, v)
-	}
-	return append(append(b, m.Field...), m.Kernel...)
 }
 
-// readEnvelope decodes a hot message of kind k, the raw frame after it
-// included, from br into m; names reads and interns the two names.
-func readEnvelope(br *bufio.Reader, k MsgKind, m *Msg, names *nameSet) (err error) {
-	if m.Kind = k; !hot(m) {
-		return fmt.Errorf("dist: %v has no binary envelope", k)
-	}
-	var w [10]uint64
-	for i := 0; i < len(w) && err == nil; i++ {
-		w[i], err = binary.ReadUvarint(br)
-	}
-	m.Idle, m.WantMetrics, m.SentNs, m.Age, m.Share = w[0]&1 != 0, w[0]&2 != 0, int64(w[1]), int(w[2]), int(w[3])
-	m.Trace, m.Sent, m.Received = w[4], int64(w[5]), int64(w[6])
-	if err == nil {
-		m.Field, err = names.read(br, w[8])
-	}
-	if err == nil {
-		m.Kernel, err = names.read(br, w[9])
-	}
-	if err == nil && w[7] > maxRecvFrameLen {
-		err = fmt.Errorf("dist: frame length %d out of range", w[7])
-	} else if err == nil && w[7] > 0 {
-		m.Frame, err = readFrame(br, int(w[7]))
-	}
-	return err
+// report codes a worker's final report.
+func (c *codec) report(r *runtime.Report) {
+	num(c, &r.Wall)
+	list(c, &r.Kernels, func(c *codec, k *runtime.KernelStats) {
+		c.str(&k.Name)
+		nums(c, &k.Instances, &k.Slices, &k.Lockstep, &k.Declined, &k.StoreOps)
+		nums(c, &k.DispatchTotal, &k.KernelTotal)
+	})
+	list(c, &r.Stalled, (*codec).str)
+	nums(c, &r.FieldMemElems, &r.MaxQueueDepth, &r.MaxEventBacklog)
+	list(c, &r.ShardEvents, num[int64])
+	nums(c, &r.Steals, &r.EventBatches, &r.SentMsgs, &r.RecvMsgs, &r.SentBytes, &r.RecvBytes)
+	ptr(c, &r.Stages, func(c *codec, s *runtime.StageTotals) {
+		num(c, &s.Workers)
+		nums(c, &s.ReadyWaitNs, &s.QueueWaitNs, &s.FetchNs, &s.ExecNs, &s.StoreNs, &s.IdleNs, &s.FlightNs,
+			&s.AnalyzeNs, &s.AnalyzeMaxShardNs, &s.WallNs)
+	})
 }
 
-// nameSet interns the field and kernel names a connection receives: a run
-// has a few dozen, each arriving once per age, so only a name's first
-// arrival allocates. buf is the scratch a name is read into; set stops
-// growing at maxNames.
-type nameSet struct {
-	set map[string]string
-	buf [maxNameLen]byte
+// span codes one trace span.
+func (c *codec) span(s *obs.Span) {
+	c.str(&s.Name)
+	c.str(&s.Cat)
+	nums(c, &s.Ph, &s.Flow)
+	nums(c, &s.TS, &s.Dur, &s.WaitNs, &s.FetchNs, &s.KernelNs, &s.StoreNs)
+	nums(c, &s.TID, &s.Age)
+	list(c, &s.Index, num[int])
+	num(c, &s.Trace)
 }
 
-// read reads a name of n bytes.
-func (s *nameSet) read(br *bufio.Reader, n uint64) (string, error) {
-	if n > maxNameLen {
-		return "", fmt.Errorf("dist: name of %d bytes over cap %d", n, maxNameLen)
+// metrics codes a registry snapshot.
+func (c *codec) metrics(s *obs.MetricsSnapshot) {
+	dict(c, &s.Counters, num[int64])
+	dict(c, &s.Gauges, num[int64])
+	dict(c, &s.Histograms, func(c *codec, h *obs.HistogramSnapshot) {
+		nums(c, &h.Count, &h.SumNs)
+		list(c, &h.Buckets, num[int64])
+	})
+}
+
+// num codes an integer as a varint.
+func num[T ~int | ~int64 | ~uint64 | ~uint8](c *codec, v *T) {
+	if c.r == nil {
+		c.buf = binary.AppendVarint(c.buf, int64(*v))
+	} else if c.err == nil {
+		var x int64
+		x, c.err = binary.ReadVarint(c.r)
+		*v = T(x)
 	}
-	b := s.buf[:n]
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
+}
+
+// nums codes integers of one type, in order.
+func nums[T ~int | ~int64 | ~uint64 | ~uint8](c *codec, vs ...*T) {
+	for _, v := range vs {
+		num(c, v)
 	}
-	v, ok := s.set[string(b)]
+}
+
+// bool codes a bool as the varint of 0 or 1.
+func (c *codec) bool(v *bool) {
+	b := 0
+	if *v {
+		b = 1
+	}
+	if num(c, &b); c.r != nil {
+		*v = b != 0
+	}
+}
+
+// count codes a length; one over limit fails before anything is read for it.
+func (c *codec) count(n *int, limit int) {
+	if num(c, n); c.err == nil && (*n < 0 || *n > limit) {
+		c.err = fmt.Errorf("dist: count %d over cap %d", *n, limit)
+	}
+}
+
+// str codes a string: its length, then its bytes. Read, it is interned: a
+// run has a few dozen field and kernel names, each arriving once per age, so
+// only a name's first arrival allocates; names stops growing at maxNames.
+func (c *codec) str(v *string) {
+	n := len(*v)
+	if c.count(&n, maxStrLen); c.r == nil {
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	if _, c.err = io.ReadFull(c.r, c.buf[:n]); c.err != nil {
+		return
+	}
+	s, ok := c.names[string(c.buf[:n])]
 	if !ok {
-		v = string(b)
-		if s.set != nil && len(s.set) < maxNames {
-			s.set[v] = v
+		s = string(c.buf[:n])
+		if c.names != nil && len(c.names) < maxNames {
+			c.names[s] = s
 		}
 	}
-	return v, nil
+	*v = s
+}
+
+// ptr codes a pointer: whether it is set, then what it points to.
+func ptr[T any](c *codec, p **T, el func(*codec, *T)) {
+	set := *p != nil
+	if c.bool(&set); set && c.err == nil {
+		if c.r != nil {
+			*p = new(T)
+		}
+		el(c, *p)
+	}
+}
+
+// list codes a slice: its count, then each element through el. Read, it
+// grows once the next element has begun to arrive, at most doubling and never
+// past the count, so an overstated count costs in proportion to what arrived.
+func list[T any](c *codec, s *[]T, el func(*codec, *T)) {
+	n := len(*s)
+	if c.count(&n, maxCount); c.r == nil {
+		for i := range *s {
+			el(c, &(*s)[i])
+		}
+		return
+	}
+	var out []T
+	for len(out) < n && c.err == nil {
+		if len(out) == cap(out) {
+			if _, c.err = c.r.Peek(1); c.err != nil {
+				break
+			}
+			out = append(make([]T, 0, min(n, max(2*len(out), 4))), out...)
+		}
+		out = out[:len(out)+1]
+		el(c, &out[len(out)-1])
+	}
+	*s = out
+}
+
+// dict codes a map: its keys, in order so that equal maps encode to equal
+// bytes, then their values. Read, the map is made even when empty, as a
+// registry snapshot's are.
+func dict[V any](c *codec, mp *map[string]V, el func(*codec, *V)) {
+	keys := make([]string, 0, len(*mp))
+	for k := range *mp {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if list(c, &keys, (*codec).str); c.r != nil {
+		*mp = make(map[string]V)
+	}
+	for _, k := range keys {
+		v := (*mp)[k]
+		if el(c, &v); c.r != nil {
+			(*mp)[k] = v
+		}
+	}
 }

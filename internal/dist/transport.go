@@ -5,8 +5,7 @@
 // publish-subscribe distribution of store and completion events between
 // nodes.
 //
-// Messages flow over one transport, TCP: the per-age messages cross in a
-// fixed binary envelope and the once-per-run ones as gob values. A
+// Messages flow over one transport, TCP, in one binary codec (codec.msg). A
 // deployment dials a master's listener (cmd/p2g-master, cmd/p2g-worker); a
 // cluster inside one process (tests, examples, experiments) connects its
 // nodes with LoopbackPipe, through the same codec and deadlines. The master
@@ -17,9 +16,6 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -45,7 +41,7 @@ type Conn interface {
 }
 
 // FrameConn sends a store-frame payload given as a vector of buffers.
-// SendFrame must not mutate m — the broker shares one envelope across
+// SendFrame must not mutate m — the broker shares one message across
 // subscribers — and must not retain segs past the call; the message arrives
 // with the concatenated buffers as its Frame.
 type FrameConn interface {
@@ -70,21 +66,6 @@ type StatsReporter interface {
 	Stats() ConnStats
 }
 
-// connStats tracks a connection's traffic with atomics (Send and Recv run
-// on different goroutines).
-type connStats struct {
-	sentMsgs, recvMsgs, sentBytes, recvBytes atomic.Int64
-}
-
-func (s *connStats) Stats() ConnStats {
-	return ConnStats{
-		SentMsgs:  s.sentMsgs.Load(),
-		RecvMsgs:  s.recvMsgs.Load(),
-		SentBytes: s.sentBytes.Load(),
-		RecvBytes: s.recvBytes.Load(),
-	}
-}
-
 // Listener accepts inbound connections.
 type Listener interface {
 	Accept() (Conn, error)
@@ -93,24 +74,25 @@ type Listener interface {
 }
 
 type tcpConn struct {
-	nc    net.Conn
-	br    *bufio.Reader // the socket, buffered for the decoders
-	names nameSet
-	// enc and dec are the connection's gob stream for the messages that are
-	// not hot, each encoded into gobOut and decoded from gobIn, so a type's
-	// definition crosses once; gobBytes counts their bytes, both directions.
-	enc      *gob.Encoder
-	gobOut   bytes.Buffer
-	dec      *gob.Decoder
-	gobIn    *bytes.Reader
-	gobBytes atomic.Int64
-	// mu serializes senders and guards the envelope scratch hdr and the
-	// write vector out, whose backing vec keeps.
+	nc  net.Conn
+	dec codec // reads the socket, buffered
+	// mu serializes senders and guards the encoder and the write vector
+	// out, whose backing vec keeps.
 	mu       sync.Mutex
-	hdr      []byte
+	enc      codec
 	vec, out net.Buffers
 	idle     atomic.Int64 // idle timeout in nanoseconds; 0 = none
-	connStats
+	// Traffic counters, atomic: Send and Recv run on different goroutines.
+	sentMsgs, recvMsgs, sentBytes, recvBytes atomic.Int64
+}
+
+func (c *tcpConn) Stats() ConnStats {
+	return ConnStats{
+		SentMsgs:  c.sentMsgs.Load(),
+		RecvMsgs:  c.recvMsgs.Load(),
+		SentBytes: c.sentBytes.Load(),
+		RecvBytes: c.recvBytes.Load(),
+	}
 }
 
 // SetIdleTimeout makes every subsequent Recv arm a read deadline and every
@@ -132,7 +114,7 @@ func (c *tcpConn) idleErr(op string, err error) error {
 	return err
 }
 
-// countingReader wraps the TCP stream so the decoders count received wire
+// countingReader wraps the TCP stream so the decoder counts received wire
 // bytes as a side effect.
 type countingReader struct {
 	r io.Reader
@@ -155,47 +137,40 @@ func DialTCP(addr string) (Conn, error) {
 }
 
 func newTCPConn(nc net.Conn) Conn {
-	c := &tcpConn{nc: nc, names: nameSet{set: make(map[string]string, maxNames)}, gobIn: bytes.NewReader(nil)}
-	c.br = bufio.NewReader(countingReader{r: nc, n: &c.recvBytes})
-	c.enc, c.dec = gob.NewEncoder(&c.gobOut), gob.NewDecoder(c.gobIn)
+	c := &tcpConn{nc: nc}
+	c.dec.r = bufio.NewReader(countingReader{r: nc, n: &c.recvBytes})
+	c.dec.names = make(map[string]string, maxNames)
 	return c
 }
 
-// Send writes m; a store frame's Frame follows its envelope as raw bytes.
+// Send writes m; a store frame's Frame follows it as raw bytes.
 func (c *tcpConn) Send(m *Msg) error { return c.SendFrame(m, net.Buffers{m.Frame}) }
 
-// SendFrame writes m's envelope and the segments in one write (writev on
-// platforms that support it): no contiguous copy of a frame is built, and a
-// forwarded frame reaches the socket as the bytes that were received. Only a
-// store frame carries segments.
+// SendFrame writes m and the segments in one write (writev on platforms that
+// support it): no contiguous copy of a frame is built, and a forwarded frame
+// reaches the socket as the bytes that were received. Only a store frame
+// carries segments.
 func (c *tcpConn) SendFrame(m *Msg, segs net.Buffers) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if d := c.idle.Load(); d > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(time.Duration(d)))
 	}
-	c.out = append(c.vec[:0], nil) // the envelope's slot
+	c.out = append(c.vec[:0], nil) // the message's slot
 	total := 0
 	for _, s := range segs {
 		if len(s) > 0 { // an empty write still waits for a reader on some conns
 			c.out, total = append(c.out, s), total+len(s)
 		}
 	}
-	switch {
-	case total > 0 && m.Kind != MStoreFrame:
+	if total > 0 && m.Kind != MStoreFrame {
 		return fmt.Errorf("dist: %v carries no frame", m.Kind)
-	case hot(m):
-		c.hdr = appendEnvelope(c.hdr[:0], m, total)
-	default:
-		c.gobOut.Reset()
-		if err := c.enc.Encode(m); err != nil {
-			return err
-		}
-		c.hdr = binary.AppendUvarint(append(c.hdr[:0], gobTag), uint64(c.gobOut.Len()))
-		c.out = append(c.out, c.gobOut.Bytes())
-		c.gobBytes.Add(int64(c.gobOut.Len()))
 	}
-	c.out[0], c.vec = c.hdr, c.out[:0]
+	c.enc.buf, c.enc.err = c.enc.buf[:0], nil
+	if c.enc.msg(m, &total); c.enc.err != nil {
+		return c.enc.err
+	}
+	c.out[0], c.vec = c.enc.buf, c.out[:0]
 	n, err := c.out.WriteTo(c.nc)
 	c.sentBytes.Add(n)
 	if err != nil {
@@ -212,8 +187,7 @@ const maxRecvFrameLen = 1 << 30
 // bytes that have arrived.
 const recvFrameChunk = 1 << 20
 
-// readFrame reads the n bytes an envelope announced: a store frame's payload
-// or a gob value. The buffer grows as bytes arrive — recvFrameChunk, or as
+// readFrame reads the n bytes of a store frame's payload. The buffer grows as bytes arrive — recvFrameChunk, or as
 // much again as already read, ahead of them — so a corrupt or hostile length
 // costs memory in proportion to what the peer really sent, not to what it
 // claimed.
@@ -234,45 +208,22 @@ func readFrame(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
+// Recv reads one message, and a store frame's payload after it.
 func (c *tcpConn) Recv() (*Msg, error) {
 	if d := c.idle.Load(); d > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(time.Duration(d)))
 	}
 	m := &Msg{}
-	if err := c.read(m); err != nil {
-		return nil, c.idleErr("recv", err)
+	frameLen := 0
+	c.dec.err = nil
+	if c.dec.msg(m, &frameLen); c.dec.err == nil && frameLen > 0 {
+		m.Frame, c.dec.err = readFrame(c.dec.r, frameLen)
+	}
+	if c.dec.err != nil {
+		return nil, c.idleErr("recv", c.dec.err)
 	}
 	c.recvMsgs.Add(1)
 	return m, nil
-}
-
-// read decodes one message into m: a hot kind's envelope, or the gob value
-// behind gobTag, whose length is checked before any of it is read.
-func (c *tcpConn) read(m *Msg) error {
-	tag, err := c.br.ReadByte()
-	if err != nil {
-		return err
-	}
-	if tag != gobTag {
-		return readEnvelope(c.br, MsgKind(tag), m, &c.names)
-	}
-	n, err := binary.ReadUvarint(c.br)
-	if err == nil && n > maxGobLen {
-		err = fmt.Errorf("dist: envelope length %d over cap %d", n, maxGobLen)
-	}
-	var raw []byte
-	if err == nil {
-		raw, err = readFrame(c.br, int(n))
-	}
-	if err == nil {
-		c.gobBytes.Add(int64(n))
-		c.gobIn.Reset(raw)
-		err = c.dec.Decode(m)
-	}
-	if err == nil && c.gobIn.Len() != 0 {
-		err = fmt.Errorf("dist: %d bytes past the end of a %v", c.gobIn.Len(), m.Kind)
-	}
-	return err
 }
 
 func (c *tcpConn) Close() error { return c.nc.Close() }

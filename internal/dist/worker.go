@@ -272,19 +272,8 @@ func (w *worker) handle(in inbound) (done bool, err error) {
 				w.send(status)
 			})
 			return false, nil
-		case MTraceReq:
-			// Ship the span buffer with its alignment anchor; an untraced
-			// node replies with an empty bundle so the master's collection
-			// logic needs no special case.
-			w.send(&Msg{
-				Kind:         MTrace,
-				Spans:        w.cfg.Tracer.Spans(),
-				TraceStartNs: w.cfg.Tracer.StartUnixNs(),
-				TraceDropped: w.cfg.Tracer.Dropped(),
-			})
-			return false, nil
 		case MStopReq:
-			return true, w.stopAndReport()
+			return true, w.stopAndReport(m)
 		}
 	}
 	return true, w.fail(w.unexpected(m, nil))
@@ -360,8 +349,8 @@ func (w *worker) updateTransport() ConnStats {
 // too.
 func (w *worker) build(assign *Msg) error {
 	if assign.TraceOn && w.cfg.Tracer == nil {
-		// The master will pull span buffers at shutdown; give it something
-		// to pull even when this worker wasn't started with -trace.
+		// The master will collect span buffers at shutdown; give it
+		// something to collect even without this worker's own -trace.
 		w.cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 	// Re-execution only reproduces lost stores if the kernels start from
@@ -498,8 +487,10 @@ func (w *worker) tell(err error) error {
 
 // stopAndReport runs the orderly shutdown the master requested: stop the
 // node, surface a failed run, fold transport totals into the report and ship
-// it. Reached from MStopReq and from a send failure that raced one.
-func (w *worker) stopAndReport() error {
+// it, with the span buffer and its alignment anchor when the stop asks — an
+// untraced node's are empty, so the master's collection needs no special
+// case. Reached from MStopReq and from a send failure that raced one.
+func (w *worker) stopAndReport(stop *Msg) error {
 	w.node.Stop()
 	<-w.runDone
 	if w.runErr != nil {
@@ -516,7 +507,11 @@ func (w *worker) stopAndReport() error {
 			w.rep.Stages.FlightNs = w.hFlight.SumNs() - w.flightBase
 		}
 	}
-	w.send(&Msg{Kind: MReport, Report: w.rep})
+	report := &Msg{Kind: MReport, Report: w.rep}
+	if tr := w.cfg.Tracer; stop.TraceOn {
+		report.Spans, report.TraceStartNs, report.TraceDropped = tr.Spans(), tr.StartUnixNs(), tr.Dropped()
+	}
+	w.send(report)
 	// Release only after the report is out: a long-lived worker
 	// (cmd/p2g-worker) reuses the slab pools for its next program.
 	w.node.Release()
@@ -535,7 +530,7 @@ func (w *worker) sendFailed(err error, recvCh <-chan inbound) error {
 		select {
 		case in := <-recvCh:
 			if in.err == nil && in.msg.Kind == MStopReq && w.state == running {
-				return w.stopAndReport()
+				return w.stopAndReport(in.msg)
 			}
 			if in.err == nil {
 				// Data racing the failure is moot — the run ends either

@@ -70,9 +70,16 @@
 #                      idle-timeout options and the /statusz field (one
 #                      liveness window, MasterConfig.Liveness, carried to
 #                      the workers by MStart; Conn.SetIdleTimeout stays)
+#   appendEnvelope readEnvelope hotKinds gobTag maxGobLen gobBytes
+#                      the transport's two codecs: the binary envelope of
+#                      the per-age kinds, the gob stream of the rest and the
+#                      switch between them (one codec, codec.msg)
+#   MTraceReq MTrace   the trace pull at shutdown (the stop sets TraceOn, the
+#                      report carries the spans)
+#   connStats          the traffic counters' own type (folded into tcpConn)
 set -eu
 cd "$(dirname "$0")/.."
-names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes tabuSearch Tabu frameFlushBytes frameFlushEntries inprocConn InprocPipe FaultConn FaultPlan NewFaultConn PollInterval Heartbeat MaxMissed liveTimeout IdleTimeout HeartbeatMs'
+names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes tabuSearch Tabu frameFlushBytes frameFlushEntries inprocConn InprocPipe FaultConn FaultPlan NewFaultConn PollInterval Heartbeat MaxMissed liveTimeout IdleTimeout HeartbeatMs appendEnvelope readEnvelope hotKinds gobTag maxGobLen gobBytes MTraceReq MTrace connStats'
 pattern=$(printf '%s\n' $names | paste -sd '|' -)
 found=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 	-exec grep -HnwE "$pattern" {} + || true)
