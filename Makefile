@@ -107,12 +107,12 @@ bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test -race -count=2 .
 
 # bench is the benchmark crash gate (also run by ci.sh): every testing.B target
-# of the root package and of internal/dist (the distributed transport
-# benchmarks, on the cluster harness) once, so they keep compiling and
-# running. Measurement is the ledger's job (bench/); bench-full is the long
-# form of the root suite.
+# of every package once — the root suite, internal/dist's transport benchmarks
+# on the cluster harness, internal/lang's slice bodies, internal/runtime's
+# dispatch — so they keep compiling and running. Measurement is the ledger's
+# job (bench/); bench-full is the long form of the root suite.
 bench:
-	$(GO) test -run xxx -bench . -benchtime=1x . ./internal/dist/
+	$(GO) test -run xxx -bench . -benchtime=1x ./...
 
 # bench-full is the measurement run over the whole benchmark suite.
 bench-full:

@@ -10,8 +10,7 @@
 #   fuzz-wire    ten seconds each of the peer-bytes decoder fuzz targets
 #   bench-smoke  the nested benchmark-ledger module's test under -race; it
 #                changes nothing under bench/
-#   bench        every testing.B target of the root package and of
-#                internal/dist once
+#   bench        every testing.B target of every package once
 set -eu
 cd "$(dirname "$0")"
 make ci test-fault fuzz-lang fuzz-wire bench-smoke bench

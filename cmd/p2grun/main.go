@@ -4,6 +4,9 @@
 // Usage:
 //
 //	p2grun [-workers N] [-maxage N] [-bound kernel=age,...] program.p2g
+//
+// It exits 1 when compiling or running the program fails, or when the run
+// ends with kernel-ages stalled on dependencies nothing satisfied.
 package main
 
 import (
@@ -99,13 +102,16 @@ func main() {
 		}
 	}
 	if len(report.Stalled) > 0 {
-		fmt.Fprintln(os.Stderr, "p2grun: warning: stalled kernel-ages (unsatisfied dependencies):")
+		fmt.Fprintln(os.Stderr, "p2grun: stalled kernel-ages (unsatisfied dependencies):")
 		for _, s := range report.Stalled {
 			fmt.Fprintln(os.Stderr, "  ", s)
 		}
 	}
 	if *stats {
 		fmt.Fprintf(os.Stderr, "\nwall time: %v\n%s", report.Wall, report.Table())
+	}
+	if len(report.Stalled) > 0 {
+		os.Exit(1) // the program did not run to completion
 	}
 }
 

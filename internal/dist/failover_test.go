@@ -127,12 +127,16 @@ func TestReplayTargetDeath(t *testing.T) {
 	assertRecovered(t, r, "w1", "spare")
 }
 
-// TestFailoverSeverSweep generates its faults instead of picking one: a
-// clean two-worker mul/sum failover run counts w1's sends, then one row
-// severs w1 at each of them from its first after registration on. Every row
-// recovers to the single-node state with w0 clean and w1 dead — or nobody
-// dead, when the sever point lies past what w1 sent in that run.
+// TestFailoverSeverSweep generates its faults instead of picking one: one
+// row severs w1 at each send from its first after registration to the 40th,
+// in a two-worker mul/sum failover run. Every row recovers to the
+// single-node state with w0 clean and w1 dead — or nobody dead, when the
+// sever point lies past what w1 sent in that run. How many sends a run
+// makes depends on timing (25 or so, more under the race detector), so the
+// rows are fixed, and a clean run that sends more than 40 fails the test
+// rather than leave its last sends unswept.
 func TestFailoverSeverSweep(t *testing.T) {
+	const lastSever = 40
 	run := func(t *testing.T, at int64) (clusterRun, *FaultConn) {
 		var w1 *FaultConn
 		r := cluster{
@@ -150,7 +154,10 @@ func TestFailoverSeverSweep(t *testing.T) {
 	}
 	r, w1 := run(t, 0)
 	assertRecovered(t, r)
-	for at := int64(2); at <= w1.sends.Load(); at++ {
+	if n := w1.sends.Load(); n > lastSever {
+		t.Fatalf("w1 made %d sends in a clean run, the sweep severs at %d at most", n, lastSever)
+	}
+	for at := int64(2); at <= lastSever; at++ {
 		t.Run(fmt.Sprintf("sever=%d", at), func(t *testing.T) {
 			r, w1 := run(t, at)
 			var dead []string

@@ -173,11 +173,16 @@ func TestLaneEligibility(t *testing.T) {
 	}
 	// The shortest slice each is run in lockstep at (laneBreakEven): of the
 	// instructions of its loop that every lane executes the driver has 8 of
-	// assign's 10 and 1 of refine's 4. Measured, assign breaks even at 10 to
-	// 12 lanes and refine at 4 (EXPERIMENTS.md E8b). refine's matters: its
+	// assign's 10 and none of refine's 4, whose membership test exec decides
+	// by index. Measured, assign breaks even at 10 to 12 lanes and refine at
+	// 4 (EXPERIMENTS.md E8b). refine's matters: its
 	// domain is the K clusters, so its tail limit is small — 12 at K=100 on
 	// two workers.
 	minLanes := map[string]int{"assign": 11, "refine": 4}
+	// The branches each decides by index (byIndexPlan): refine's membership
+	// test compares the uniform get(ms, i) with its index c; assign's two
+	// compare per-lane distances.
+	byIndex := map[string]string{"assign": "", "refine": "c"}
 	got := map[string]string{}
 	sources := everySource(t)
 	sources["slab-pass-through.p2g"] = slabPassThrough
@@ -190,7 +195,7 @@ func TestLaneEligibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range bodies {
+		for i, p := range bodies {
 			key := filepath.Base(path) + "/" + p.kernel
 			got[key] = p.laneWhy
 			if (p.lane == nil) != (p.laneWhy != "") {
@@ -209,6 +214,12 @@ func TestLaneEligibility(t *testing.T) {
 				}
 				if p.lane.minLanes != minLanes[p.kernel] {
 					t.Errorf("%s: lockstep from %d lanes, want %d", key, p.lane.minLanes, minLanes[p.kernel])
+				}
+				if got := byIndexPlan(p, file.Kernels[i].Indexes); got != byIndex[p.kernel] {
+					t.Errorf("%s: branches decided by index %q, want %q", key, got, byIndex[p.kernel])
+				}
+				if n, want := strings.Count(p.disasm(&file.Kernels[i]), "; divergent, by index "), len(strings.Fields(byIndex[p.kernel])); n != want {
+					t.Errorf("%s: the listing marks %d branches divergent by index, want %d", key, n, want)
 				}
 			}
 		}

@@ -191,6 +191,10 @@ const (
 	// place of every instruction the lockstep driver executes itself: exec
 	// returns at it.
 	opLane
+	// opLaneIdx, in a laneProg's code only: jeqi (b=0) or jnei (b=1) of i[a]
+	// and the index column of span slot c, d=target, which exec decides
+	// unless some lane's coordinate is i[a] (lanes.go, laneProg.byIndex).
+	opLaneIdx
 
 	numOpcodes
 )
@@ -341,7 +345,8 @@ var opTable = [numOpcodes]opInfo{
 	opCoutV:     {"coutv", [4]operand{xV}},
 	opCoutFlush: {"coutflush", [4]operand{}},
 
-	opLane: {"lane", [4]operand{}},
+	opLane:    {"lane", [4]operand{}},
+	opLaneIdx: {"laneidx", [4]operand{xI, xImm, xImm, xTarget}},
 }
 
 // instr is one bytecode instruction; opTable gives the role of each operand.

@@ -219,6 +219,9 @@ func (p *bcProg) disasm(kd *KernelDef) string {
 		}
 		if p.lane != nil && p.lane.divergent[pc] {
 			note += "; divergent"
+			if s := p.lane.byIndex[pc]; s >= 0 {
+				note += ", by index " + kd.Indexes[p.lane.spans[s].idx]
+			}
 		}
 		if note != "" {
 			line = fmt.Sprintf("%-44s ; %s", line, note)

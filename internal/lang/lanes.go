@@ -29,6 +29,12 @@ package lang
 // set; everything there is the driver's, and every register written there is
 // varying.
 //
+// A jeqi or jnei of a uniform value u and an index coordinate no instruction
+// writes is decided by index: at most one lane's coordinate is u, and when
+// the coordinates of the slice are contiguous (base + lane) it is lane
+// u - base. With all lanes running, exec takes the branch for all of them
+// unless that lane exists, and the driver then splits off just that lane.
+//
 // A body is lane-eligible when it consists of exec's call-free instructions
 // plus extent, bind and ret, keeps no string or boxed value, and has no array
 // local but those every lane shares (whole fetches): the rows of a slice's
@@ -42,6 +48,7 @@ package lang
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,6 +80,11 @@ type laneProg struct {
 	// marks it); it reads a varying register.
 	divergent []bool
 	varies    []bool
+	// byIndex gives per pc the span slot of a branch decided by index (see
+	// the head of the file), else -1; spans are the coordinate loads, by
+	// slot. Where such a branch is not partial, code holds opLaneIdx.
+	byIndex []int8
+	spans   []bcLoad
 	// minLanes is the shortest slice worth running in lockstep
 	// (laneBreakEven); it becomes core.KernelDecl.SliceMin.
 	minLanes int
@@ -278,6 +290,30 @@ func (p *bcProg) planLanes(k *KernelDef) {
 			}
 		}
 	}
+
+	var written [maxRegs]bool // int registers some instruction writes
+	for _, in := range p.code {
+		written[in.a] = written[in.a] || laneWrites(in.op) && opTable[in.op].args[0] == xI
+	}
+	lp.byIndex = make([]int8, n)
+	for pc, in := range p.code {
+		lp.byIndex[pc] = -1
+		u, r := in.a, in.b
+		if varI[u] {
+			u, r = r, u
+		}
+		i := slices.IndexFunc(p.loads, func(ld bcLoad) bool { return ld.from == fromCoord && ld.reg == int32(r) })
+		if !lp.divergent[pc] || in.op != opJeqI && in.op != opJneI || varI[u] || written[r] || i < 0 {
+			continue
+		}
+		s := slices.Index(lp.spans, p.loads[i])
+		if s < 0 {
+			s, lp.spans = len(lp.spans), append(lp.spans, p.loads[i])
+		}
+		if lp.byIndex[pc] = int8(s); !partial[pc] {
+			lp.code[pc] = instr{op: opLaneIdx, a: u, b: uint8(b2i(in.op == opJneI)), c: uint8(s), d: in.d}
+		}
+	}
 	lp.minLanes = p.laneBreakEven(lp.code, partial)
 	lp.frames.New = func() any { return &laneFrame{} }
 	p.lane = lp
@@ -290,10 +326,11 @@ func (p *bcProg) planLanes(k *KernelDef) {
 // slice plus ≈1 ns per lane (EXPERIMENTS.md E8b, per body). With v the
 // driver's share of the hot instructions every lane executes — those of the
 // innermost loops, or of the whole body when it has none, that are not at a
-// partial pc — n lanes break even when v(10 + n) + 1.6(1 - v) = 1.6n: about 4
-// lanes when the loop control is uniform and only a compare varies (K-means
-// refine; measured 4), 11 for a loop of float arithmetic on per-lane values
-// (assign; measured 10 to 12), 17 when everything varies.
+// partial pc — n lanes break even when v(10 + n) + 1.6(1 - v) = 1.6n: 1 lane
+// when the loop's only varying instruction is a compare decided by index
+// (K-means refine; measured 2, 34 against 54 µs; EXPERIMENTS.md E23), 11 for
+// a loop of float arithmetic on per-lane values (assign; measured 10 to 12),
+// 17 when everything varies.
 //
 // Leaving out the partial pcs assumes that few lanes enter the body of a
 // divergent if, which is what the running minimum of assign and the
@@ -498,10 +535,10 @@ type laneVM struct {
 // and runs one lane at a time (laneVM.solo): the driver's cost per
 // instruction does not depend on how few lanes it serves, the scalar loop's
 // cost per lane does not depend on the driver. Parking handles every split
-// without it; it is here for what it measures (EXPERIMENTS.md E17): K-means
+// without it; it is here for what it measures (EXPERIMENTS.md E23): K-means
 // refine, whose loop splits off one lane whenever a point belongs to a
-// cluster of the slice, runs a 12-lane slice in 86 µs at best with laneSolo
-// 0 against 72 µs with 2 (BenchmarkKMeansSliceBody/refine, best of 12
+// cluster of the slice, runs a 12-lane slice in 97 µs with laneSolo 0
+// against 56 µs with 2 (BenchmarkKMeansSliceBody/refine, medians of 8
 // alternating runs on the 2-vCPU build host).
 const laneSolo = 2
 
@@ -560,7 +597,9 @@ func (vm *laneVM) branch(ctx *core.Ctx, in instr, next int) (int, bool) {
 		rest = lf.list()
 	}
 	var k, total int
-	if two := opTable[in.op].args[1] != xNone; opTable[in.op].args[0] == xF {
+	if s := vm.lp.byIndex[next-1]; s >= 0 && lf.all && vm.fr.span[s].last != math.MaxUint64 {
+		run, total = vm.indexSplit(in, cmp, vm.fr.span[s], run), lf.n
+	} else if two := opTable[in.op].args[1] != xNone; opTable[in.op].args[0] == xF {
 		c := laneZeroF[:]
 		if two {
 			c = vm.operandF(in.b)
@@ -607,6 +646,36 @@ func (vm *laneVM) branch(ctx *core.Ctx, in instr, next int) (int, bool) {
 		lf.act = append(rest, back...)
 	}
 	return high, true
+}
+
+// laneSpan is a span slot's index column in one run: lane l's coordinate is
+// base + l for every l <= last, or last is MaxUint64 when it is not.
+type laneSpan struct {
+	base int64
+	last uint64
+}
+
+// indexSplit is laneSplit for a branch decided by index with all lanes
+// running over the contiguous column s: the lanes bound for the lower pc are
+// the one whose coordinate is the uniform operand, if any, or all the others.
+func (vm *laneVM) indexSplit(in instr, cmp laneCmp, s laneSpan, low []int32) []int32 {
+	u := in.a
+	if vm.lp.icol[u] >= 0 {
+		u = in.b
+	}
+	d, low := uint64(vm.fr.i[u]-s.base), low[:0]
+	if cmp == cmpEq {
+		if d <= s.last {
+			low = append(low, int32(d))
+		}
+		return low
+	}
+	for l := range vm.lf.n {
+		if uint64(l) != d {
+			low = append(low, int32(l))
+		}
+	}
+	return low
 }
 
 // operandI returns int register r: its column, or the scalar register itself
@@ -1223,6 +1292,16 @@ func (p *bcProg) runLanes(ctx *core.Ctx, fr *bcFrame, lf *laneFrame) laneExit {
 				lf.icolumn(lp.icol[ld.reg])[l] = ctx.LocalValue(int(ld.idx)).Int64()
 			default:
 				lf.fcolumn(lp.fcol[ld.reg])[l] = ctx.LocalValue(int(ld.idx)).Float64()
+			}
+		}
+	}
+	for s, ld := range lp.spans {
+		col := lf.icolumn(lp.icol[ld.reg])
+		fr.span[s] = laneSpan{col[0], uint64(n - 1)}
+		for l, x := range col {
+			if x != col[0]+int64(l) {
+				fr.span[s].last = math.MaxUint64
+				break
 			}
 		}
 	}

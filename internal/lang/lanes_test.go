@@ -45,14 +45,19 @@ copy:
 var laneCounts = []int{1, 2, 3, 7, 64, 256}
 
 // laneInputs makes up what the runtime would have fetched for lane l of n:
-// the coordinates, and a value per fetched local. Whole fetches get the one
-// array in shared; element fetches get a scalar that differs between lanes
-// and is at times zero or negative, so divisions and square roots fault in
-// some lanes only.
-func laneInputs(kd *core.KernelDecl, shared []*field.Array, l int) (coords []int, vals []field.Value) {
+// the coordinates, and a value per fetched local. The coordinates are
+// contiguous in every position, 2(p+1) + l, as within one share of a domain,
+// or else wrap at 7, so that no column longer than 7 is. Whole fetches get
+// the one array in shared; element fetches get a scalar that differs between
+// lanes and is at times zero or negative, so divisions and square roots
+// fault in some lanes only.
+func laneInputs(kd *core.KernelDecl, shared []*field.Array, l int, contiguous bool) (coords []int, vals []field.Value) {
 	coords = make([]int, len(kd.IndexVars))
 	for p := range coords {
 		coords[p] = l * (p + 1) % 7
+		if contiguous {
+			coords[p] = 2*(p+1) + l
+		}
 	}
 	vals = make([]field.Value, len(kd.Locals))
 	for _, fe := range kd.Fetches {
@@ -101,9 +106,9 @@ func rowState(kd *core.KernelDecl, ctx *core.Ctx) string {
 
 // scalarLane runs body on lane l in a context of its own and renders the
 // outcome; failed says whether it ended in an error or a panic.
-func scalarLane(kd *core.KernelDecl, shared []*field.Array, age, l int) (state string, failed bool) {
+func scalarLane(kd *core.KernelDecl, shared []*field.Array, age, l int, contiguous bool) (state string, failed bool) {
 	ctx := core.NewReusableCtx(kd, nil, nil)
-	coords, vals := laneInputs(kd, shared, l)
+	coords, vals := laneInputs(kd, shared, l, contiguous)
 	ctx.Reset(age, coords)
 	for li, v := range vals {
 		if v.Kind() != field.Invalid {
@@ -130,7 +135,8 @@ func scalarLane(kd *core.KernelDecl, shared []*field.Array, age, l int) (state s
 type laneStats struct{ kernels, eligible, runs, completed int }
 
 // checkLanes is the three-way comparison for every lane-eligible kernel of
-// file (see the head of this file).
+// file (see the head of this file), with both kinds of coordinates
+// laneInputs makes.
 func checkLanes(t testing.TB, file *File, st *laneStats) {
 	t.Helper()
 	vmProg, bodies, err := compileFile("lanes", file)
@@ -152,56 +158,58 @@ func checkLanes(t testing.TB, file *File, st *laneStats) {
 			age = 2
 		}
 		shared := laneArrays(kd)
-		for _, n := range laneCounts {
-			want := make([]string, n)
-			anyFailed := false
-			for l := range want {
-				var failed bool
-				want[l], failed = scalarLane(kd, shared, age, l)
-				anyFailed = anyFailed || failed
-				if or, _ := scalarLane(orProg.Kernels[ki], shared, age, l); or != want[l] {
-					t.Fatalf("kernel %s lane %d of %d: the scalar VM and the oracle diverged\nvm:\n%s\noracle:\n%s", kd.Name, l, n, want[l], or)
-				}
-			}
-			ctx := core.NewReusableCtx(kd, nil, nil)
-			ctx.Rows(n)
-			before := make([]string, n)
-			for l := range before {
-				coords, vals := laneInputs(kd, shared, l)
-				ctx.ResetRow(l, age, coords)
-				for li, v := range vals {
-					if v.Kind() != field.Invalid {
-						ctx.SetLocalValue(li, v)
+		for _, contiguous := range []bool{false, true} {
+			for _, n := range laneCounts {
+				want := make([]string, n)
+				anyFailed := false
+				for l := range want {
+					var failed bool
+					want[l], failed = scalarLane(kd, shared, age, l, contiguous)
+					anyFailed = anyFailed || failed
+					if or, _ := scalarLane(orProg.Kernels[ki], shared, age, l, contiguous); or != want[l] {
+						t.Fatalf("kernel %s lane %d of %d (contiguous %v): the scalar VM and the oracle diverged\nvm:\n%s\noracle:\n%s", kd.Name, l, n, contiguous, want[l], or)
 					}
 				}
-				before[l] = rowState(kd, ctx)
-			}
-			ran := func() (ok bool) {
-				defer func() {
-					if recover() != nil {
-						ok = false // the runtime treats a panic as declining, too
+				ctx := core.NewReusableCtx(kd, nil, nil)
+				ctx.Rows(n)
+				before := make([]string, n)
+				for l := range before {
+					coords, vals := laneInputs(kd, shared, l, contiguous)
+					ctx.ResetRow(l, age, coords)
+					for li, v := range vals {
+						if v.Kind() != field.Invalid {
+							ctx.SetLocalValue(li, v)
+						}
 					}
+					before[l] = rowState(kd, ctx)
+				}
+				ran := func() (ok bool) {
+					defer func() {
+						if recover() != nil {
+							ok = false // the runtime treats a panic as declining, too
+						}
+					}()
+					return kd.SliceBody(ctx, n)
 				}()
-				return kd.SliceBody(ctx, n)
-			}()
-			st.runs++
-			if bodies[ki].lane.desynced.Load() {
-				t.Fatalf("kernel %s, %d lanes: lanes were parked where the plan has none", kd.Name, n)
-			}
-			if ran {
-				st.completed++
-			}
-			if ran == anyFailed {
-				t.Fatalf("kernel %s, %d lanes: slice body completed=%v although a lane failing on the scalar VM=%v", kd.Name, n, ran, anyFailed)
-			}
-			for l := 0; l < n; l++ {
-				ctx.Row(l)
-				got, exp := rowState(kd, ctx), before[l]
-				if ran {
-					got, exp = "error: <nil>\n"+got, want[l]
+				st.runs++
+				if bodies[ki].lane.desynced.Load() {
+					t.Fatalf("kernel %s, %d lanes (contiguous %v): lanes were parked where the plan has none", kd.Name, n, contiguous)
 				}
-				if got != exp {
-					t.Fatalf("kernel %s lane %d of %d (completed=%v): row diverged\nslice body:\n%s\nwant:\n%s", kd.Name, l, n, ran, got, exp)
+				if ran {
+					st.completed++
+				}
+				if ran == anyFailed {
+					t.Fatalf("kernel %s, %d lanes (contiguous %v): slice body completed=%v although a lane failing on the scalar VM=%v", kd.Name, n, contiguous, ran, anyFailed)
+				}
+				for l := 0; l < n; l++ {
+					ctx.Row(l)
+					got, exp := rowState(kd, ctx), before[l]
+					if ran {
+						got, exp = "error: <nil>\n"+got, want[l]
+					}
+					if got != exp {
+						t.Fatalf("kernel %s lane %d of %d (contiguous %v, completed=%v): row diverged\nslice body:\n%s\nwant:\n%s", kd.Name, l, n, contiguous, ran, got, exp)
+					}
 				}
 			}
 		}
@@ -609,10 +617,18 @@ func TestLaneFrameImplicitGroup(t *testing.T) {
 // count differs per lane (the majority bound for the lower pc), the jump
 // chains of && and ||, jz and jnz, a uniform operand on either side of < and
 // <=, and float compares with NaN in some lanes (f*inf is NaN where f is 0).
+// The index shapes compare a uniform loop counter with an index, which the
+// plan decides by index (laneProg.byIndex): == and != with the index on
+// either side, both indexes of a rank-2 kernel, a test inside a divergent if
+// where lanes may be parked, and a block variable that shadows the index and
+// is assigned, which is not an index. The counters run from below the
+// lowest coordinate laneInputs makes to past the highest of a short slice.
 var laneShapes = `int32[] vs;
 float64[] fs;
 int32[] out;
 float64[] outf;
+int32[][] out2;
+float64[][] outf2;
 ` + laneShape("rare", "if (v > 5) { r = v * 2; g = f; }") +
 	laneShape("often", "if (v > -3) { r = v * 2; } g = f;") +
 	laneShape("ifelse", "if (v < 2) { r = 1; } else { r = 2; g = f; }") +
@@ -649,7 +665,28 @@ float64[] outf;
     if (z == f) { r += 256; }
     if (z != f) { r += 512; }
     if (z) { r += 1024; }
-    if (!z) { r += 2048; }`)
+    if (!z) { r += 2048; }`) +
+	laneShape("equal", "for (int i = 0; i < 12; ++i) { if (i == x) { r += i + v; g = f; } }") +
+	laneShape("flipped", "for (int i = 0; i < 12; ++i) { if (x == i) { r += 2 * i; } }") +
+	laneShape("unequal", "for (int i = 0; i < 12; ++i) { if (i != x) { r += 1; } else { g = f; } if (x != i) { g += 0.5; } }") +
+	laneShape("parked", "for (int i = 0; i < 12; ++i) { if (v > i - 3) { if (i == x) { r += i; } } }") +
+	laneShape("shadowed", "r = x; int x = v; for (int i = -4; i < 12; ++i) { if (i == x) { r += i; x += 2; } }") +
+	`pair:
+  index x, y;
+  local int32 v;
+  local float64 f;
+  local int32 r;
+  local float64 g;
+  fetch v = vs(0)[y];
+  fetch f = fs(0)[x];
+  %{
+    r = 0;
+    g = 0.0;
+    for (int i = 0; i < 12; ++i) { if (i == y) { r += i; } if (x != i) { g += f; } }
+  %}
+  store out2(0)[x][y] = r;
+  store outf2(0)[x][y] = g;
+`
 
 // laneShape is a kernel of laneShapes with body inside.
 func laneShape(name, body string) string {
@@ -674,7 +711,8 @@ func laneShape(name, body string) string {
 // TestLaneDivergenceShapes runs every shape of laneShapes through
 // checkLanes at every length of laneCounts: the rows match the scalar VM's
 // and the oracle's, and the driver never finds lanes parked where the plan
-// has none.
+// has none. It also pins which branches the plan decides by index, and
+// which of them the driver decides because lanes may be parked there.
 func TestLaneDivergenceShapes(t *testing.T) {
 	file, err := Parse(laneShapes)
 	if err != nil {
@@ -685,4 +723,30 @@ func TestLaneDivergenceShapes(t *testing.T) {
 	if st.eligible != st.kernels || st.completed != st.runs {
 		t.Errorf("%d of %d kernels lane-eligible, %d of %d slice-body runs completed; want all", st.eligible, st.kernels, st.completed, st.runs)
 	}
+	_, bodies, err := compileFile("shapes", file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"equal": "x", "flipped": "x", "unequal": "x x", "parked": "x/driver", "pair": "y x"}
+	for i, p := range bodies {
+		if got := byIndexPlan(p, file.Kernels[i].Indexes); got != want[p.kernel] {
+			t.Errorf("%s: branches decided by index %q, want %q", p.kernel, got, want[p.kernel])
+		}
+	}
+}
+
+// byIndexPlan lists the index of every branch p's plan decides by index, in
+// pc order, with /driver where the lockstep code leaves it to the driver.
+func byIndexPlan(p *bcProg, indexes []string) string {
+	var got []string
+	for pc, s := range p.lane.byIndex {
+		if s >= 0 {
+			name := indexes[p.lane.spans[s].idx]
+			if p.lane.code[pc].op != opLaneIdx {
+				name += "/driver"
+			}
+			got = append(got, name)
+		}
+	}
+	return strings.Join(got, " ")
 }

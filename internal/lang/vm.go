@@ -44,6 +44,7 @@ type bcFrame struct {
 	views    []arrView     // per kernel local
 	assigned [maxRegs]bool // per kernel local: opBind ran
 	buf      []byte        // cout assembly buffer
+	span     []laneSpan    // per span slot of a lockstep run (laneProg.spans)
 }
 
 func (p *bcProg) newFrame() *bcFrame {
@@ -55,6 +56,9 @@ func (p *bcProg) newFrame() *bcFrame {
 	copy(fr.i[p.nI:], p.ints)
 	copy(fr.f[p.nF:], p.floats)
 	copy(fr.s[p.nS:], p.strs)
+	if p.lane != nil {
+		fr.span = make([]laneSpan, len(p.lane.spans))
+	}
 	return fr
 }
 
@@ -182,11 +186,11 @@ func coldIdx(regs []int64) []int {
 }
 
 // exec is the VM loop: it runs code from pc until the body returns (-1), an
-// instruction fails (-1 and the error) or it reaches an opLane, whose pc it
-// returns. The cases of its switch are the instructions that complete without
-// calling anything; each ends in continue, so the loop has no call on any
-// path back to its head and the program counter and register bases stay in
-// machine registers. Everything else — the remaining instructions and the
+// instruction fails (-1 and the error) or it reaches an opLane, or an
+// opLaneIdx that sends some lane apart, whose pc it returns. The cases of its
+// switch are the instructions that complete without calling anything; each
+// ends in continue, so the loop has no call on any path back to its head and
+// the program counter and register bases stay in machine registers. Everything else — the remaining instructions and the
 // misses of the typed array forms — falls out of the switch into slow.
 func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame, code []instr, pc int) (int, error) {
 	ri, rf := &fr.i, &fr.f
@@ -199,6 +203,14 @@ func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame, code []instr, pc int) (int, er
 			return -1, nil
 		case opLane:
 			return pc - 1, nil
+		case opLaneIdx:
+			if s := fr.span[in.c]; uint64(ri[in.a]-s.base) <= s.last {
+				return pc - 1, nil // some lane's coordinate is i[a]
+			}
+			if in.b != 0 {
+				pc = int(in.d)
+			}
+			continue
 		case opJmp:
 			pc = int(in.d)
 			continue
