@@ -89,9 +89,9 @@ fuzz-lang:
 # FuzzDecodeStoreFrame (runtime.DecodeStoreFrame), FuzzDecodeEnvelope (one
 # message of any kind, with a store frame's raw payload) and FuzzTCPRecv (a
 # whole TCP stream). Decoding never panics, whatever decodes re-encodes to
-# bytes that decode to the same result, and a message or a TCP stream costs
-# memory in proportion to the bytes it carries: at most 64 bytes per wire
-# byte, plus the 1 MiB by which a frame's buffer may run ahead of its bytes.
+# bytes that decode to the same result, and each of the four costs memory in
+# proportion to the bytes it reads: at most 64 bytes per wire byte, plus
+# 1 MiB (the most by which a frame's buffer may run ahead of its bytes).
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWireValue$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/field/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStoreFrame$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/runtime/

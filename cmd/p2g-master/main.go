@@ -32,7 +32,6 @@ func main() {
 	liveness := flag.Duration("liveness", 0, "failure-detection window, both directions: a node silent this long at registration or mid-run is dead, and every worker gives up on a master silent this long (0 = 300ms)")
 	flag.Parse()
 
-	workloads.RegisterPayloads()
 	prog, err := workloads.FromSpec(*workload)
 	if err != nil {
 		fail(err)

@@ -28,7 +28,6 @@ func main() {
 	standby := flag.Bool("standby", false, "register as a hot spare: wait without a partition until the master promotes this node after a peer dies (requires the master to run with -failover and -standbys)")
 	flag.Parse()
 
-	workloads.RegisterPayloads()
 	if *id == "" {
 		host, _ := os.Hostname()
 		*id = fmt.Sprintf("%s-%d", host, os.Getpid())

@@ -383,7 +383,6 @@ func partition() error {
 }
 
 func distExp() error {
-	workloads.RegisterPayloads()
 	cfg := workloads.KMeansConfig{N: 600, Dim: 2, K: 20, Iter: 8, Seed: 3}
 	want := kmeans.Sequential(kmeans.Generate(cfg.N, cfg.Dim, cfg.K, cfg.Seed), cfg.K, cfg.Iter)
 

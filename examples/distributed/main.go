@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"repro/internal/dist"
-	"repro/internal/field"
 	"repro/internal/kmeans"
 	"repro/internal/workloads"
 )
@@ -29,7 +28,6 @@ func main() {
 	coresPer := flag.Int("cores", 2, "worker threads per node")
 	flag.Parse()
 
-	field.RegisterPayload(kmeans.Point{})
 	cfg := workloads.KMeansConfig{N: 600, Dim: 2, K: 20, Iter: 8, Seed: 3}
 
 	masterConns := make([]dist.Conn, *nodes)

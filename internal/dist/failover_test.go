@@ -267,6 +267,33 @@ func TestLivenessSilentWorker(t *testing.T) {
 	}
 }
 
+// TestLivenessMasterStall (regression): a master whose own loop stalls for
+// three liveness windows — a kill -STOP of the master, a long pause — finds
+// on its next tick that its healthy workers were last heard before the
+// stall. It used to declare them dead for its own silence; silence is now
+// measured from that tick, and a worker silent for a window past it still
+// dies.
+func TestLivenessMasterStall(t *testing.T) {
+	const window = 100 * time.Millisecond
+	m := newMaster(MasterConfig{Liveness: window}, nil)
+	t0 := time.Now()
+	for i, id := range []string{"w0", "w1"} {
+		c, _ := pipe(t)
+		p := &peer{conn: c, idx: i, id: id, lastHeard: t0}
+		p.out.cond.L = &p.out.mu
+		m.peers = append(m.peers, p)
+	}
+	for _, at := range []time.Duration{0, 3 * window, 3*window + window/2} {
+		if err := m.tick(t0.Add(at)); err != nil || len(m.deadIDs) != 0 {
+			t.Fatalf("tick at +%v: %v, dead %v", at, err, m.deadIDs)
+		}
+	}
+	err := m.tick(t0.Add(4*window + window/2))
+	if err == nil || !strings.Contains(err.Error(), "w0") || !strings.Contains(err.Error(), "liveness window") {
+		t.Fatalf("a worker silent a window past the stall: %v, want its death", err)
+	}
+}
+
 // TestLivenessSilentMaster (regression): a master that falls silent mid-run
 // — its end of the connection wedges every send after MAssign and MStart —
 // used to leave a worker at the zero WorkerConfig waiting forever. MStart
@@ -467,7 +494,6 @@ func mjpegFailover(tb testing.TB, spec string, severAt int64, failover bool) clu
 // bitstream must come out bit-identical to the single-node encoder; with it
 // off, the run must fail promptly with an error naming the killed worker.
 func TestFailoverMJPEGOverTCP(t *testing.T) {
-	workloads.RegisterPayloads()
 	const frames = 4
 	var baseline bytes.Buffer
 	enc := &mjpeg.Encoder{Quality: 70}
@@ -508,7 +534,6 @@ func TestFailoverMJPEGOverTCP(t *testing.T) {
 // frames. Compare ns/op against BenchmarkTransportMJPEG for the failover
 // penalty; replayed-frames/op sizes the replay traffic.
 func BenchmarkTransportMJPEGFailover(b *testing.B) {
-	workloads.RegisterPayloads()
 	var wire, replayed int64
 	for i := 0; i < b.N; i++ {
 		c := mjpegFailover(b, "mjpeg:frames=4,w=128,h=128,quality=70,seed=4,fast=1", 4, true)

@@ -195,6 +195,7 @@ type master struct {
 
 	stableRounds      int
 	lastTotal         int64
+	lastTick          time.Time
 	running, stopSent bool
 
 	// Frame and failure accounting (nil-safe without metrics), created up
@@ -805,10 +806,17 @@ func (m *master) tick(now time.Time) error {
 	// every phase — including after the stop was sent, where a worker dying
 	// between its last heartbeat and its report would otherwise hang report
 	// collection forever. Past it every live worker was heard from within
-	// the window: quiescence trusts no stale status.
+	// the window: quiescence trusts no stale status. A tick more than a
+	// window after the last one is the master's own stall, whose messages
+	// wait unread in the inbox: silence is measured from this tick.
+	stalled := !m.lastTick.IsZero() && now.Sub(m.lastTick) > m.cfg.Liveness
+	m.lastTick = now
 	for _, p := range m.peers {
 		if p.dead || m.reported(p) {
 			continue
+		}
+		if stalled {
+			p.lastHeard = now
 		}
 		if silent := now.Sub(p.lastHeard); silent > m.cfg.Liveness {
 			cause := fmt.Errorf("silent %v, past the liveness window %v", silent.Round(time.Millisecond), m.cfg.Liveness)

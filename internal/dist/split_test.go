@@ -139,7 +139,6 @@ func TestShareOwnership(t *testing.T) {
 // centroids and memberships — and every worker sends each generation at most
 // once between two flush points (see framesOncePerFlush).
 func TestSplitKernelsBitIdentical(t *testing.T) {
-	workloads.RegisterPayloads()
 	const frames, w, h = 3, 128, 96 // 192 luma blocks: six granules, two chroma
 	var oracle bytes.Buffer
 	if _, err := (&mjpeg.Encoder{FastDCT: true}).EncodeStream(video.NewSynthetic(w, h, frames, 7), &oracle); err != nil {
@@ -283,7 +282,6 @@ func checkShares(t *testing.T, res *MasterResult, workers int, kernels ...string
 // whole and runs both, and the bitstream stays bit-identical to the
 // single-node encoder's.
 func TestFailoverSplitShareMJPEG(t *testing.T) {
-	workloads.RegisterPayloads()
 	const frames, w, h = 6, 128, 96
 	var baseline bytes.Buffer
 	if _, err := (&mjpeg.Encoder{Quality: 70}).EncodeStream(video.NewSynthetic(w, h, frames, 4), &baseline); err != nil {

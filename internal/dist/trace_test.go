@@ -78,7 +78,6 @@ func TestClockOffsetEstimateError(t *testing.T) {
 // Chrome trace — master broker spans and both workers' emit/inject spans
 // linked by shared causal trace ids.
 func TestDistributedTraceMerged(t *testing.T) {
-	workloads.RegisterPayloads()
 	const frames = 3
 	mkProg := func() *core.Program {
 		return workloads.MJPEG(workloads.MJPEGConfig{

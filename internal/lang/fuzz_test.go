@@ -316,7 +316,13 @@ func (g *exprGen) stmt(b *strings.Builder, depth int) {
 func (g *exprGen) laneStmt(b *strings.Builder, depth, c int) bool {
 	switch c {
 	case 3:
-		fmt.Fprintf(b, "if (i2 %% 3 == %d) {\n", g.rng.Intn(3))
+		// A test of the index itself against a uniform value is decided by
+		// index (opLaneIdx, indexSplit); one of its copy i2 is not.
+		cond := fmt.Sprintf("i2 %% 3 == %d", g.rng.Intn(3))
+		if g.rng.Intn(2) == 0 {
+			cond = fmt.Sprintf("x %s %d", g.pick([]string{"==", "!="}), g.rng.Intn(8))
+		}
+		fmt.Fprintf(b, "if (%s) {\n", cond)
 		g.stmt(b, depth-1)
 		b.WriteString("}\n")
 	case 4:
@@ -324,8 +330,11 @@ func (g *exprGen) laneStmt(b *strings.Builder, depth, c int) bool {
 	case 5:
 		lv := fmt.Sprintf("l%d", g.rng.Intn(1000))
 		fmt.Fprintf(b, "for (int %s = 0; %s < 5; ++%s) {\n", lv, lv, lv)
-		if g.rng.Intn(2) == 0 {
+		switch g.rng.Intn(3) {
+		case 0:
 			fmt.Fprintf(b, "if (%s == i2 %% 3) { continue; }\n", lv)
+		case 1:
+			fmt.Fprintf(b, "if (x == %s) { continue; }\n", lv) // refine's membership test
 		}
 		g.stmt(b, depth-1)
 		fmt.Fprintf(b, "if (%s >= abs(i0) %% 4) { break; }\n}\n", lv)
@@ -509,10 +518,11 @@ func TestDifferentialFuzzOracle(t *testing.T) {
 		}
 		checkLanes(t, file, &lanes)
 	}
-	// The generator has to stay inside what lanes accept, and most of what it
-	// writes has to get through without a lane faulting.
+	// The generator has to stay inside what lanes accept, most of what it
+	// writes has to get through without a lane faulting, and a tenth of its
+	// programs have to decide a branch by index.
 	t.Logf("lane programs: %+v", lanes)
-	if lanes.eligible < iters*9/10 || lanes.completed < lanes.runs/2 {
+	if lanes.eligible < iters*9/10 || lanes.completed < lanes.runs/2 || lanes.byIndex < iters/10 {
 		t.Errorf("lane programs missed the lockstep path: %+v", lanes)
 	}
 }

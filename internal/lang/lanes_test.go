@@ -131,8 +131,8 @@ func scalarLane(kd *core.KernelDecl, shared []*field.Array, age, l int, contiguo
 }
 
 // laneStats counts what checkLanes saw, so a test can tell that its programs
-// reached the lockstep path at all.
-type laneStats struct{ kernels, eligible, runs, completed int }
+// reached the lockstep path at all, and branches decided by index in it.
+type laneStats struct{ kernels, eligible, byIndex, runs, completed int }
 
 // checkLanes is the three-way comparison for every lane-eligible kernel of
 // file (see the head of this file), with both kinds of coordinates
@@ -153,6 +153,9 @@ func checkLanes(t testing.TB, file *File, st *laneStats) {
 			continue
 		}
 		st.eligible++
+		if slices.ContainsFunc(bodies[ki].lane.byIndex, func(s int8) bool { return s >= 0 }) {
+			st.byIndex++
+		}
 		age := 0
 		if kd.AgeVar != "" {
 			age = 2

@@ -206,7 +206,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is the gob/JSON-friendly frozen form of a Histogram.
+// HistogramSnapshot is the frozen form of a Histogram, for the wire and JSON.
 type HistogramSnapshot struct {
 	Count   int64
 	SumNs   int64
@@ -333,7 +333,7 @@ func SplitLabel(full string) (name, value string) {
 	return name, rest[:k]
 }
 
-// MetricsSnapshot is a frozen copy of a registry, suitable for gob transfer
+// MetricsSnapshot is a frozen copy of a registry, suitable for transfer
 // inside worker heartbeats and for merging into a cluster view.
 type MetricsSnapshot struct {
 	Counters   map[string]int64

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	goruntime "runtime"
 	"slices"
 	"testing"
 
@@ -305,7 +306,7 @@ func TestStoreFrameCorrupt(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad version":  {99},
-		"version 2":    {2, 1, 'c', 0, 1}, // the retired traced header
+		"version 1":    {1, 1, 'c', 0, 2, 1, 2, 2}, // entries began with a mode byte
 		"huge name":    {storeFrameVersion, 0xff, 0xff, 0xff, 0x7f},
 		"name overrun": {storeFrameVersion, 40, 'x'},
 	}
@@ -314,36 +315,26 @@ func TestStoreFrameCorrupt(t *testing.T) {
 			t.Errorf("%s: decode succeeded", name)
 		}
 	}
-	// Corrupt the entry mode byte: header is ver|len|"c"|age, so the mode
-	// byte sits at offset 4. Modes 0 and 1, the retired element entry and
-	// selector-less whole-field entry, are as unknown as any other.
-	for _, mode := range []byte{77, 1, 0} {
-		bad := append([]byte(nil), valid...)
-		bad[4] = mode
-		if err := DecodeStoreFrame(bad, nop); !errors.Is(err, errFrameMode) {
-			t.Errorf("mode byte %d: decode returned %v, want errFrameMode", mode, err)
-		}
-	}
 	// Oversized selector rank, an unknown selector flag, and a negative
-	// origin: the entry is mode|rank|flag, origin varint|value, so the flag
-	// sits at offset 6 and the origin at 7.
+	// origin: the header is ver|len|"c"|age and the entry rank|flag, origin
+	// varint|value, so the flag sits at offset 5 and the origin at 6.
 	var g StoreFrame
 	g.Reset("c", 0)
 	hdr := len(g.Bytes())
-	overRank := append(append([]byte(nil), valid[:hdr]...), frameModeBox, 0xff, 0xff, 0x7f)
+	overRank := append(append([]byte(nil), valid[:hdr]...), 0xff, 0xff, 0x7f)
 	if err := DecodeStoreFrame(overRank, nop); err == nil {
 		t.Error("oversized rank: decode succeeded")
 	}
-	if valid[6] != frameDimOrigin || valid[7] != 2 { // origin 1, zigzag-coded
+	if valid[5] != frameDimOrigin || valid[6] != 2 { // origin 1, zigzag-coded
 		t.Fatalf("cell entry encodes as %x", valid)
 	}
 	badFlag := append([]byte(nil), valid...)
-	badFlag[6] = 3
+	badFlag[5] = 3
 	if err := DecodeStoreFrame(badFlag, nop); err == nil {
 		t.Error("selector flag 3: decode succeeded")
 	}
 	negative := append([]byte(nil), valid...)
-	negative[7] = 1 // origin -1
+	negative[6] = 1 // origin -1
 	if err := DecodeStoreFrame(negative, nop); !errors.Is(err, errFrameOrigin) {
 		t.Errorf("negative origin: decode returned %v, want errFrameOrigin", err)
 	}
@@ -564,52 +555,23 @@ func TestInjectStoreFrameMatchesInjectStore(t *testing.T) {
 	}
 }
 
-// entryValueBytes returns the bytes of each entry's value in a frame, found by
-// a walk that decodes every value on its own with DecodeWireValue: the
-// reference that DecodeStoreFrame's reused scratch is checked against. It
-// stops at the first entry it cannot walk.
-func entryValueBytes(frame []byte) [][]byte {
-	c := &frameCursor{buf: frame}
-	if _, err := c.byte(); err != nil {
-		return nil
-	}
-	nameLen, err := c.uvarint()
-	if err != nil || nameLen > uint64(len(frame)-c.off) {
-		return nil
-	}
-	c.off += int(nameLen)
-	if _, err := c.varint(); err != nil {
-		return nil
-	}
-	var out [][]byte
-	for c.off < len(frame) {
-		mode, err := c.byte()
-		if err != nil {
-			return out
+// entryValues returns the value of each entry of a frame, each decoded into an
+// array of its own: the reference that DecodeStoreFrame's reused scratch is
+// checked against. It stops at the first entry it cannot decode.
+func entryValues(frame []byte) []field.Value {
+	c := field.Decoder(frame)
+	var (
+		name string
+		age  int
+		sel  []field.SlabDim
+		out  []field.Value
+	)
+	frameHeader(&c, &name, &age)
+	for c.Err == nil && c.Left() > 0 {
+		var v field.Value
+		if frameEntry(&c, &sel, &v, nil); c.Err == nil {
+			out = append(out, v)
 		}
-		rank, err := c.uvarint()
-		if err != nil || rank > frameMaxRank {
-			return out
-		}
-		if mode != frameModeBox {
-			return out
-		}
-		for d := uint64(0); d < rank; d++ {
-			if flag, err := c.byte(); err != nil {
-				return out
-			} else if flag == frameDimFree {
-				continue
-			}
-			if _, err := c.varint(); err != nil {
-				return out
-			}
-		}
-		_, n, err := field.DecodeWireValue(frame[c.off:])
-		if err != nil {
-			return out
-		}
-		out = append(out, frame[c.off:c.off+n])
-		c.off += n
 	}
 	return out
 }
@@ -679,9 +641,11 @@ func mixedFrames(t testing.TB) [][]byte {
 	return frames
 }
 
-// FuzzDecodeStoreFrame: decoding never panics; every notice apply sees equals
-// a fresh DecodeWireValue of its entry's bytes, so nothing of one entry's
-// decode leaks through the reused scratch into the next; and a frame that
+// FuzzDecodeStoreFrame: decoding never panics and allocates within the
+// transport's bound (64 bytes per frame byte, plus 1 MiB: allocBound in
+// internal/dist); every notice apply sees equals a fresh decode of its
+// entry, so nothing of one entry's decode leaks through the reused scratch
+// into the next; and a frame that
 // decodes re-encodes to bytes that decode to the same notices. Values are
 // compared through their encoding, byte for byte, because Value.Equal holds a
 // NaN unequal to itself. Seeds are random frames of the round-trip tests,
@@ -704,7 +668,7 @@ func FuzzDecodeStoreFrame(f *testing.F) {
 		f.Add(fr)
 	}
 	for _, seed := range [][]byte{
-		{}, {99}, {2, 1, 'c', 0, 1}, {storeFrameVersion, 0xff, 0xff, 0xff, 0x7f},
+		{}, {99}, {1, 1, 'c', 0, 2, 1, 2, 2}, {storeFrameVersion, 0xff, 0xff, 0xff, 0x7f},
 		{storeFrameVersion, 40, 'x'}, {storeFrameVersion, 1, 'c', 0, 1},
 		{storeFrameVersion, 1, 'c', 0, 0, 0xff, 0xff, 0x7f},
 	} {
@@ -753,17 +717,20 @@ func FuzzDecodeStoreFrame(f *testing.F) {
 		return fr.AppendTo(nil), nil
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		err := DecodeStoreFrame(frame, func(StoreNotice) error { return nil })
+		goruntime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(frame)+1<<20); grew > bound {
+			t.Fatalf("%d frame bytes allocated %d, want at most %d (%v)", len(frame), grew, bound, err)
+		}
 		got, seen, err := decode(frame)
-		raw := entryValueBytes(frame)
-		if len(raw) < len(seen) {
-			t.Fatalf("apply saw %d entries, a fresh walk finds %d", len(seen), len(raw))
+		fresh := entryValues(frame)
+		if len(fresh) < len(seen) {
+			t.Fatalf("apply saw %d entries, a fresh walk finds %d", len(seen), len(fresh))
 		}
 		for i, enc := range seen {
-			v, _, err := field.DecodeWireValue(raw[i])
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			want, err := valueBytes(v)
+			want, err := valueBytes(fresh[i])
 			if err != nil || !slices.Equal(enc, want) {
 				t.Fatalf("entry %d: apply saw %x, a fresh decode gives %x (%v)", i, enc, want, err)
 			}

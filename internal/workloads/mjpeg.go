@@ -21,7 +21,8 @@ type MJPEGConfig struct {
 	FastDCT bool
 	// Out, when non-nil, receives the concatenated JPEG frames in display
 	// order (the "write" half of the VLC+write kernel). The encoded frames
-	// are additionally stored in the `bitstream` field, one per age.
+	// are additionally stored in the `bitstream` field, one generation of
+	// bytes per age.
 	Out io.Writer
 }
 
@@ -59,7 +60,7 @@ func MJPEG(cfg MJPEGConfig) *core.Program {
 	for _, f := range []string{"yResult", "uResult", "vResult"} {
 		b.Field(f, field.Int32, 2, true)
 	}
-	b.Field("bitstream", field.Any, 1, true)
+	b.Field("bitstream", field.Uint8, 1, true)
 	b.Field("dims", field.Int32, 1, true) // frame [width, height], per age
 	b.Field("token", field.Int32, 1, true)
 
@@ -139,14 +140,14 @@ func MJPEG(cfg MJPEGConfig) *core.Program {
 		Local("v", field.Int32, 2).
 		Local("tok", field.Int32, 0).
 		Local("tokOut", field.Int32, 0).
-		Local("jpeg", field.Any, 0).
+		Local("jpeg", field.Uint8, 1).
 		Local("d", field.Int32, 1).
 		FetchAll("y", "yResult", core.AgeVar(0)).
 		FetchAll("u", "uResult", core.AgeVar(0)).
 		FetchAll("v", "vResult", core.AgeVar(0)).
 		FetchAll("d", "dims", core.AgeVar(0)).
 		Fetch("tok", "token", core.AgeVar(0), core.Lit(0)).
-		Store("bitstream", core.AgeVar(0), []core.IndexSpec{core.Lit(0)}, "jpeg").
+		StoreAll("bitstream", core.AgeVar(0), "jpeg").
 		Store("token", core.AgeVar(1), []core.IndexSpec{core.Lit(0)}, "tokOut").
 		Body(func(c *core.Ctx) error {
 			ya := c.Array("y")
@@ -164,7 +165,9 @@ func MJPEG(cfg MJPEGConfig) *core.Program {
 					return fmt.Errorf("writing frame %d: %w", c.Age(), err)
 				}
 			}
-			c.SetObj("jpeg", data)
+			jpeg := c.Array("jpeg")
+			jpeg.Grow(len(data))
+			copy(jpeg.Uint8s(), data)
 			c.SetInt32("tokOut", 1)
 			return nil
 		})
@@ -194,7 +197,7 @@ func MJPEGStream(n Snapshotter, frames int) ([]byte, error) {
 		if s.Extent(0) == 0 {
 			return nil, fmt.Errorf("workloads: no bitstream stored for frame %d", a)
 		}
-		out = append(out, s.At(0).Obj().([]byte)...)
+		out = append(out, s.Uint8s()...)
 	}
 	return out, nil
 }

@@ -6,19 +6,13 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/field"
-	"repro/internal/kmeans"
-	"repro/internal/mjpeg"
 	"repro/internal/video"
 )
 
-// RegisterPayloads registers every Any payload type the built-in workloads
-// send through fields, so they survive gob encoding across node boundaries.
-func RegisterPayloads() {
-	field.RegisterPayload(kmeans.Point{})
-	field.RegisterPayload(&mjpeg.Block{})
-	field.RegisterPayload([]byte(nil))
-}
+// RegisterPayloads does nothing: no built-in workload sends a Go object
+// between nodes, and none can (field.ErrGoObject). It stays only because the
+// benchmark ledger calls it.
+func RegisterPayloads() {}
 
 // FromSpec builds a workload program from a textual spec, the format the
 // distributed tools exchange:

@@ -3,6 +3,8 @@ package workloads
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/field"
 )
 
 func TestFromSpec(t *testing.T) {
@@ -58,7 +60,21 @@ func TestSpecBounds(t *testing.T) {
 	}
 }
 
+// TestRegisterPayloadsIdempotent: RegisterPayloads may be called any number
+// of times, and it has nothing to register: no field of a workload that runs
+// across nodes holds Go objects.
 func TestRegisterPayloadsIdempotent(t *testing.T) {
 	RegisterPayloads()
-	RegisterPayloads() // gob.Register of the same type twice must not panic
+	RegisterPayloads()
+	for _, spec := range []string{"mulsum", "kmeans:n=20,k=2,iter=1", "mjpeg:frames=1,w=16,h=16"} {
+		p, err := FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range p.Fields {
+			if f.Kind == field.Any {
+				t.Errorf("%s: field %s holds Go objects, which do not cross nodes", spec, f.Name)
+			}
+		}
+	}
 }

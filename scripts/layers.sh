@@ -7,8 +7,14 @@
 #   runtime  imports at most  core deadline field obs   (so never dist, sched, lang)
 #   lang     imports at most  core field
 #   nothing under internal/ imports cmd/, examples/ or the root facade
+#   no package, test or not, depends on encoding/gob: field data crosses
+#                    nodes in field's codec, messages in internal/dist's
 set -eu
 cd "$(dirname "$0")/.."
+if go list -deps -test ./... | grep -qx encoding/gob; then
+	echo "layering: encoding/gob is a dependency of the module (go list -deps -test ./...)" >&2
+	exit 1
+fi
 deps=$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./...)
 printf '%s\n' "$deps" | awk '
 BEGIN {

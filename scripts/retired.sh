@@ -77,9 +77,17 @@
 #   MTraceReq MTrace   the trace pull at shutdown (the stop sets TraceOn, the
 #                      report carries the spans)
 #   connStats          the traffic counters' own type (folded into tcpConn)
+#   RegisterPayload anyBox wireReader frameCursor frameModeBox errFrameMode
+#   DecodeWireValueInto frameMaxRank
+#                      Go objects in gob inside Any values, the wire value's
+#                      and the store frame's own decode cursors, the frame
+#                      entry's mode byte and its refusal, the scratch-array
+#                      decode entry point and the frame's rank bound (one
+#                      codec, field.Codec; workloads.RegisterPayloads stays,
+#                      a no-op, because the benchmark ledger calls it)
 set -eu
 cd "$(dirname "$0")/.."
-names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes tabuSearch Tabu frameFlushBytes frameFlushEntries inprocConn InprocPipe FaultConn FaultPlan NewFaultConn PollInterval Heartbeat MaxMissed liveTimeout IdleTimeout HeartbeatMs appendEnvelope readEnvelope hotKinds gobTag maxGobLen gobBytes MTraceReq MTrace connStats'
+names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes tabuSearch Tabu frameFlushBytes frameFlushEntries inprocConn InprocPipe FaultConn FaultPlan NewFaultConn PollInterval Heartbeat MaxMissed liveTimeout IdleTimeout HeartbeatMs appendEnvelope readEnvelope hotKinds gobTag maxGobLen gobBytes MTraceReq MTrace connStats RegisterPayload anyBox wireReader frameCursor frameModeBox errFrameMode DecodeWireValueInto frameMaxRank'
 pattern=$(printf '%s\n' $names | paste -sd '|' -)
 found=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 	-exec grep -HnwE "$pattern" {} + || true)
