@@ -37,8 +37,11 @@ func main() {
 	if *tracePath != "" {
 		tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
-	reg := obs.NewRegistry()
+	// A registry only when someone can scrape it: without one the node
+	// stamps its instances only for an observed master.
+	var reg *obs.Registry
 	if *metricsAddr != "" {
+		reg = obs.NewRegistry()
 		srv := obs.NewServer(*metricsAddr, reg, tracer, func() any {
 			return map[string]any{"node": *id, "cores": *cores, "master": *master}
 		})

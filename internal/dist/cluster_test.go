@@ -342,4 +342,6 @@ func (c *FaultConn) Close() error {
 
 func (c *FaultConn) SetIdleTimeout(d time.Duration) { c.under.SetIdleTimeout(d) }
 
+func (c *FaultConn) Recycle(frame []byte) { c.under.Recycle(frame) }
+
 func (c *FaultConn) Stats() ConnStats { return c.under.Stats() }

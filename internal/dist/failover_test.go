@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -291,6 +292,42 @@ func TestLivenessMasterStall(t *testing.T) {
 	err := m.tick(t0.Add(4*window + window/2))
 	if err == nil || !strings.Contains(err.Error(), "w0") || !strings.Contains(err.Error(), "liveness window") {
 		t.Fatalf("a worker silent a window past the stall: %v, want its death", err)
+	}
+}
+
+// TestLivenessMasterStallNamed (regression): a master stall past the window
+// still ends the run — its workers, told the window by MStart, give up on a
+// master that silent and drop their connections — but the error names the
+// stall, not the first worker whose connection the master then finds closed
+// (it used to be "worker w0: EOF"). After the stall the loop may take the
+// dropped connection before the tick that finds the stall, or after it; both
+// orders are driven, with made-up tick times.
+func TestLivenessMasterStallNamed(t *testing.T) {
+	const window = 100 * time.Millisecond
+	for _, tickFirst := range []bool{true, false} {
+		m := newMaster(MasterConfig{Liveness: window}, nil)
+		now := time.Now()
+		for i, id := range []string{"w0", "w1"} {
+			c, _ := pipe(t)
+			p := &peer{conn: c, idx: i, id: id, lastHeard: now.Add(-time.Second)}
+			p.out.cond.L = &p.out.mu
+			m.peers = append(m.peers, p)
+		}
+		if err := m.tick(now.Add(-time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if tickFirst {
+			if err := m.tick(now); err != nil || len(m.deadIDs) != 0 {
+				t.Fatalf("tick after the stall: %v, dead %v", err, m.deadIDs)
+			}
+		}
+		err := m.handle(inbound{from: m.peers[0], err: io.EOF})
+		if err == nil || !strings.HasPrefix(err.Error(), "dist: master loop stalled 1") || !strings.Contains(err.Error(), "past the liveness window 100ms") {
+			t.Errorf("tick first %v: the dropped connection after a 1s stall fails the run with %v, want the master's stall named", tickFirst, err)
+		}
+		if len(m.deadIDs) != 0 {
+			t.Errorf("tick first %v: %v declared dead for the master's stall", tickFirst, m.deadIDs)
+		}
 	}
 }
 

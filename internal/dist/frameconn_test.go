@@ -465,7 +465,7 @@ func decodeMsg(data []byte) (m *Msg, alloc uint64, err error) {
 	goruntime.ReadMemStats(&before)
 	m, frameLen := &Msg{}, 0
 	if c.msg(m, &frameLen); c.err == nil && frameLen > 0 {
-		m.Frame, c.err = readFrame(c.r, frameLen)
+		m.Frame, c.err = readFrame(c.r, frameLen, nil)
 	}
 	goruntime.ReadMemStats(&after)
 	return m, after.TotalAlloc - before.TotalAlloc, c.err

@@ -197,6 +197,12 @@ type master struct {
 	lastTotal         int64
 	lastTick          time.Time
 	running, stopSent bool
+	// stall is the master's own last stall past the liveness window, kept
+	// for a window after it ended (stallEnd): the workers give up on a
+	// master that silent, and the connections they drop then fail the run
+	// naming the stall, not them.
+	stall    time.Duration
+	stallEnd time.Time
 
 	// Frame and failure accounting (nil-safe without metrics), created up
 	// front so a healthy run exports its zeros.
@@ -569,7 +575,8 @@ func (m *master) shareMap() map[string][]string {
 // parallel.
 func (m *master) assign(targets []*peer) {
 	for _, p := range targets {
-		p.out.push(&Msg{Kind: MAssign, Kernels: p.kernels, ShareWeights: m.weights, Shares: p.shares, Spec: m.cfg.Spec, TraceOn: m.cfg.Tracer != nil, Failover: m.cfg.Failover})
+		p.out.push(&Msg{Kind: MAssign, Kernels: p.kernels, ShareWeights: m.weights, Shares: p.shares, Spec: m.cfg.Spec,
+			TraceOn: m.cfg.Tracer != nil, WantMetrics: m.observed || m.cfg.View != nil, Failover: m.cfg.Failover})
 	}
 	for _, p := range targets {
 		p.out.push(&Msg{Kind: MStart, OffsetNs: p.offset, Synced: m.observed, Liveness: m.cfg.Liveness, SentNs: time.Now().UnixNano()})
@@ -682,17 +689,21 @@ func (o *outbox) next() (msg *Msg) {
 // brokered to its subscribers (a store frame is also logged), or folded into
 // the worker's record; a failed receive or send is the worker's death.
 func (m *master) handle(in inbound) error {
-	p := in.from
+	p, now := in.from, time.Now()
 	if in.err != nil {
 		// A connection failing after its report, after its death or after a
 		// standby's release is the expected end of it.
 		if m.reported(p) || p.idx < 0 {
 			return nil
 		}
+		if m.stalled(now); m.stall > 0 {
+			return fmt.Errorf("dist: master loop stalled %v, past the liveness window %v (then lost worker %s: %v)",
+				m.stall.Round(time.Millisecond), m.cfg.Liveness, p.id, in.err)
+		}
 		return m.die(p, in.err)
 	}
 	msg := in.msg
-	p.lastHeard = time.Now()
+	p.lastHeard = now
 	p.observeFlight(msg)
 	if p.dead && msg.Kind != MStoreFrame && msg.Kind != MDone {
 		// A declared-dead worker's buffered data is still valid (it was
@@ -809,7 +820,7 @@ func (m *master) tick(now time.Time) error {
 	// the window: quiescence trusts no stale status. A tick more than a
 	// window after the last one is the master's own stall, whose messages
 	// wait unread in the inbox: silence is measured from this tick.
-	stalled := !m.lastTick.IsZero() && now.Sub(m.lastTick) > m.cfg.Liveness
+	stalled := m.stalled(now)
 	m.lastTick = now
 	for _, p := range m.peers {
 		if p.dead || m.reported(p) {
@@ -856,6 +867,21 @@ func (m *master) tick(now time.Time) error {
 		}
 	}
 	return nil
+}
+
+// stalled reports whether the master's loop has gone more than a liveness
+// window without a tick, as of now, and keeps the longest such stall in
+// m.stall until a window after it.
+func (m *master) stalled(now time.Time) bool {
+	gap := now.Sub(m.lastTick)
+	if m.lastTick.IsZero() || gap <= m.cfg.Liveness {
+		if now.Sub(m.stallEnd) > m.cfg.Liveness {
+			m.stall = 0
+		}
+		return false
+	}
+	m.stall, m.stallEnd = max(m.stall, gap), now
+	return true
 }
 
 // requestStop ends a quiescent run: every live worker is asked to stop —

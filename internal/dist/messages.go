@@ -123,6 +123,8 @@ type Msg struct {
 
 	// MPing: the master wants the worker's metrics on the answering
 	// MStatus — only a master with a ClusterView has somewhere to put them.
+	// MAssign: the master is observed (Metrics, Tracer or View), so the
+	// worker instruments its node even without a registry of its own.
 	WantMetrics bool
 
 	// MStatus
@@ -192,6 +194,7 @@ func (c *codec) msg(m *Msg, frameLen *int) {
 		list(c, &m.Shares, num[int])
 		c.bool(&m.Failover)
 		c.bool(&m.TraceOn)
+		c.bool(&m.WantMetrics)
 	case MStart:
 		num(c, &m.OffsetNs)
 		num(c, &m.Liveness)

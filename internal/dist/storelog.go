@@ -10,8 +10,9 @@ import (
 
 // StoreLog is the master's record of a run's data: every store frame it
 // brokered, per field in arrival order, kept as the transport delivered it —
-// both transports hand over a fresh slice per message that nothing writes
-// afterwards, so the log copies nothing and decodes nothing. Recovery replays
+// the master hands no frame back to its connection (Conn.Recycle), so each is
+// a slice that nothing writes afterwards, and the log copies nothing and
+// decodes nothing. Recovery replays
 // a rebuilt worker from it, and MasterResult.Shadow exposes it as the run's
 // final state, decoded one generation at a time by Snapshot.
 type StoreLog struct {
@@ -61,15 +62,11 @@ func (l *StoreLog) Snapshot(fieldName string, age int) (*field.Array, error) {
 	f := field.New(fd.Name, fd.Kind, fd.Rank, fd.Aged)
 	f.SetMergeStores(l.merge)
 	defer f.Release()
-	apply := func(sn runtime.StoreNotice) error {
-		_, err := runtime.ApplyStore(f, sn)
-		return err
-	}
 	for _, lf := range frames {
 		if lf.age != age {
 			continue
 		}
-		if err := runtime.DecodeStoreFrame(lf.frame, apply); err != nil {
+		if err := runtime.ApplyStoreFrame(f, lf.frame); err != nil {
 			return nil, fmt.Errorf("dist: %s(%d): %w", fieldName, age, err)
 		}
 	}

@@ -38,6 +38,11 @@ type Conn interface {
 	// primitive: a half-open TCP connection (peer machine gone, no RST ever
 	// arrives) otherwise wedges a blocking read indefinitely.
 	SetIdleTimeout(d time.Duration)
+	// Recycle hands back the Frame of a received message once nothing holds
+	// it any more, for a later Recv to read another frame into. A frame never
+	// handed back — every frame the master's StoreLog keeps — stays the
+	// holder's.
+	Recycle(frame []byte)
 }
 
 // FrameConn sends a store-frame payload given as a vector of buffers.
@@ -84,6 +89,20 @@ type tcpConn struct {
 	idle     atomic.Int64 // idle timeout in nanoseconds; 0 = none
 	// Traffic counters, atomic: Send and Recv run on different goroutines.
 	sentMsgs, recvMsgs, sentBytes, recvBytes atomic.Int64
+	// spare is a frame handed back by Recycle, for Recv to read the next
+	// frame into; the receiver and the holder of a frame run apart.
+	spareMu sync.Mutex
+	spare   []byte
+}
+
+// Recycle keeps frame for the next frame Recv reads, or keeps the larger
+// buffer when one is kept already.
+func (c *tcpConn) Recycle(frame []byte) {
+	c.spareMu.Lock()
+	if cap(frame) > cap(c.spare) {
+		c.spare = frame
+	}
+	c.spareMu.Unlock()
 }
 
 func (c *tcpConn) Stats() ConnStats {
@@ -187,12 +206,18 @@ const maxRecvFrameLen = 1 << 30
 // bytes that have arrived.
 const recvFrameChunk = 1 << 20
 
-// readFrame reads the n bytes of a store frame's payload. The buffer grows as bytes arrive — recvFrameChunk, or as
+// readFrame reads the n bytes of a store frame's payload into buf when they
+// fit. Otherwise a new buffer grows as bytes arrive — recvFrameChunk, or as
 // much again as already read, ahead of them — so a corrupt or hostile length
 // costs memory in proportion to what the peer really sent, not to what it
 // claimed.
-func readFrame(r io.Reader, n int) ([]byte, error) {
-	raw := make([]byte, min(n, recvFrameChunk))
+func readFrame(r io.Reader, n int, buf []byte) ([]byte, error) {
+	var raw []byte
+	if n <= cap(buf) {
+		raw = buf[:n]
+	} else {
+		raw = make([]byte, min(n, recvFrameChunk))
+	}
 	for read := 0; ; {
 		m, err := io.ReadFull(r, raw[read:])
 		read += m
@@ -217,7 +242,11 @@ func (c *tcpConn) Recv() (*Msg, error) {
 	frameLen := 0
 	c.dec.err = nil
 	if c.dec.msg(m, &frameLen); c.dec.err == nil && frameLen > 0 {
-		m.Frame, c.dec.err = readFrame(c.dec.r, frameLen)
+		c.spareMu.Lock()
+		buf := c.spare
+		c.spare = nil
+		c.spareMu.Unlock()
+		m.Frame, c.dec.err = readFrame(c.dec.r, frameLen, buf)
 	}
 	if c.dec.err != nil {
 		return nil, c.idleErr("recv", c.dec.err)

@@ -148,3 +148,50 @@ func TestWorkerReportCarriesTransport(t *testing.T) {
 		t.Errorf("merged transport %d", merged.SentMsgs)
 	}
 }
+
+// TestWorkerStampsOnlyWhenObserved: a worker node stamps its instances only
+// when someone reads the stamps. With no registry of the worker's own and an
+// unobserved master, every report carries no stage timings. A master that
+// keeps Metrics, a Tracer or a ClusterView says so on MAssign, and so does a
+// worker given a registry: then every report carries stages that cover its
+// node's run.
+func TestWorkerStampsOnlyWhenObserved(t *testing.T) {
+	own := func(cfgs []WorkerConfig) []WorkerConfig {
+		for i := range cfgs {
+			cfgs[i].Metrics = obs.NewRegistry()
+		}
+		return cfgs
+	}
+	for _, tc := range []struct {
+		name    string
+		master  MasterConfig
+		workers []WorkerConfig
+		stamped bool
+	}{
+		{"unobserved", MasterConfig{}, mulSumNodes(1, 8, "w0", "w1"), false},
+		{"master metrics", MasterConfig{Metrics: obs.NewRegistry()}, mulSumNodes(1, 8, "w0", "w1"), true},
+		{"master tracer", MasterConfig{Tracer: obs.NewTracer(obs.DefaultTraceCapacity)}, mulSumNodes(1, 8, "w0", "w1"), true},
+		{"master view", MasterConfig{View: NewClusterView("mulsum")}, mulSumNodes(1, 8, "w0", "w1"), true},
+		{"worker metrics", MasterConfig{}, own(mulSumNodes(1, 8, "w0", "w1")), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := cluster{master: tc.master, workers: tc.workers}.mustRun(t)
+			for id, rep := range res.Reports {
+				s := rep.Stages
+				if (s != nil) != tc.stamped {
+					t.Fatalf("worker %s report stages %+v, want stamped %v", id, s, tc.stamped)
+				}
+				if s == nil {
+					continue
+				}
+				low := 0.9
+				if raceEnabled {
+					low = 0.8
+				}
+				if cov := s.Coverage(rep.Wall); cov < low || cov > 1.1 || s.ExecNs <= 0 {
+					t.Errorf("worker %s stages cover %.3f of its run (%+v), want ~1.0", id, cov, s)
+				}
+			}
+		})
+	}
+}

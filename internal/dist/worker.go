@@ -49,8 +49,9 @@ type WorkerConfig struct {
 
 	// Metrics receives the node's full instrumentation and is snapshotted
 	// into every status heartbeat whose ping asks for it (a master with a
-	// ClusterView does); when nil a private registry is created so that
-	// view still sees live per-kernel stats.
+	// ClusterView does). When nil, the node is instrumented only for an
+	// observed master (its MAssign says so), into a private registry; an
+	// unobserved run stamps nothing.
 	Metrics *obs.Registry
 	// Tracer records kernel-instance lifecycle spans on this node.
 	Tracer *obs.Tracer
@@ -70,9 +71,13 @@ const (
 // worker is one execution node's side of the protocol: the connection, the
 // protocol state and what that state holds.
 type worker struct {
-	cfg   WorkerConfig // Cores, Speed and Metrics defaulted
+	cfg   WorkerConfig // Cores and Speed defaulted
 	conn  Conn
 	state workerState
+	// reg is cfg.Metrics, or a private registry: it holds the worker's own
+	// counters (flight, transport, batcher) in every run, and the node's
+	// instrumentation when the node is instrumented (nodeMetrics).
+	reg *obs.Registry
 
 	// Event counters since the last MAssign, reported in every MStatus; the
 	// master's quiescence check matches them against its own.
@@ -111,11 +116,11 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 	if cfg.Speed <= 0 {
 		cfg.Speed = 1
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
+	w := &worker{cfg: cfg, conn: conn, reg: cfg.Metrics, sendErr: make(chan error, 1)}
+	if w.reg == nil {
+		w.reg = obs.NewRegistry()
 	}
-	w := &worker{cfg: cfg, conn: conn, sendErr: make(chan error, 1)}
-	w.hFlight = cfg.Metrics.Histogram(obs.MStageFlightNs)
+	w.hFlight = w.reg.Histogram(obs.MStageFlightNs)
 	w.flightBase = w.hFlight.SumNs()
 
 	hello := MRegister
@@ -233,6 +238,9 @@ func (w *worker) handle(in inbound) (done bool, err error) {
 			if err := w.node.InjectStoreFrame(m.Frame); err != nil {
 				return true, w.fail(w.tell(err))
 			}
+			// Injected, the frame's bytes are in the field replica and the
+			// buffer is free for the next frame read.
+			w.conn.Recycle(m.Frame)
 			if tr := w.cfg.Tracer; tr != nil {
 				// Terminal hop of the frame's causal trace: the remote
 				// generation lands in this node's field replica.
@@ -267,7 +275,7 @@ func (w *worker) handle(in inbound) (done bool, err error) {
 				w.updateTransport()
 				status := &Msg{Kind: MStatus, Idle: w.node.Idle(), Sent: w.sent.Load(), Received: w.received.Load()}
 				if m.WantMetrics {
-					status.Metrics = w.cfg.Metrics.Snapshot()
+					status.Metrics = w.reg.Snapshot()
 				}
 				w.send(status)
 			})
@@ -336,11 +344,11 @@ func (w *worker) noteSendErr(err error) {
 // (as gauges: each sample replaces the last) right before a snapshot or
 // report, so heartbeats carry current transport totals.
 func (w *worker) updateTransport() ConnStats {
-	st := w.conn.Stats()
-	w.cfg.Metrics.Gauge(obs.MTransportSentMsgs).Set(st.SentMsgs)
-	w.cfg.Metrics.Gauge(obs.MTransportRecvMsgs).Set(st.RecvMsgs)
-	w.cfg.Metrics.Gauge(obs.MTransportSentBytes).Set(st.SentBytes)
-	w.cfg.Metrics.Gauge(obs.MTransportRecvBytes).Set(st.RecvBytes)
+	st, reg := w.conn.Stats(), w.reg
+	reg.Gauge(obs.MTransportSentMsgs).Set(st.SentMsgs)
+	reg.Gauge(obs.MTransportRecvMsgs).Set(st.RecvMsgs)
+	reg.Gauge(obs.MTransportSentBytes).Set(st.SentBytes)
+	reg.Gauge(obs.MTransportRecvBytes).Set(st.RecvBytes)
 	return st
 }
 
@@ -393,7 +401,7 @@ func (w *worker) build(assign *Msg) error {
 	// per-origin stores-before-done order) and on every ping (see MPing).
 	// With a tracer it also gives each frame a causal trace id and records
 	// the emit span.
-	b := newStoreBatcher(w.sendFrame, w.cfg.Metrics, w.cfg.NodeID, w.cfg.Tracer)
+	b := newStoreBatcher(w.sendFrame, w.reg, w.cfg.NodeID, w.cfg.Tracer)
 	w.sent.Store(0)
 	w.received.Store(0)
 	n, err := runtime.NewNode(prog, runtime.Options{
@@ -404,7 +412,7 @@ func (w *worker) build(assign *Msg) error {
 		RemoteKernels: remote,
 		Shares:        shares,
 		NoAutoQuiesce: true,
-		Metrics:       w.cfg.Metrics,
+		Metrics:       w.nodeMetrics(assign),
 		Tracer:        w.cfg.Tracer,
 		MergeStores:   assign.Failover,
 		OnStore: func(sn runtime.StoreNotice) {
@@ -434,6 +442,17 @@ func (w *worker) build(assign *Msg) error {
 	}
 	w.node, w.batcher, w.state = n, b, built
 	return nil
+}
+
+// nodeMetrics is the registry the node of an assignment is instrumented
+// into: a node stamps its instances only when someone reads the stamps — this
+// worker's caller (Metrics), or an observed master (MAssign.WantMetrics).
+// Otherwise it runs on the sampled dispatch path a plain node uses.
+func (w *worker) nodeMetrics(assign *Msg) *obs.Registry {
+	if w.cfg.Metrics == nil && !assign.WantMetrics {
+		return nil
+	}
+	return w.reg
 }
 
 // start runs the built node and moves to running.

@@ -521,6 +521,82 @@ func (f *Field) StoreSlice(age int, sel []SlabDim, a *Array) (StoreResult, error
 	return f.StoreBoxes(age, sel, a.extents, a)
 }
 
+// StoreWire writes one box of the generation at (age, sel), as StoreSlice
+// does, from cells read off the wire; cells must hold an array. A box that is
+// one run of the generation, lands on unwritten cells and needs no conversion
+// is copied once, from the wire bytes into the generation, which does not zero
+// the cells it grows by for it first. Any other box is stored from the
+// decoded cells.
+func (f *Field) StoreWire(age int, sel []SlabDim, cells *WireCells) (StoreResult, error) {
+	if cells.lazy && rawCopyCompatible(f.kind, cells.kind) && len(sel) == f.rank {
+		f.mu.Lock()
+		res, done, err := f.storeWireRun(age, sel, cells)
+		f.mu.Unlock()
+		if done {
+			return res, err
+		}
+	}
+	return f.StoreSlice(age, sel, cells.Value().Array())
+}
+
+// storeWireRun is StoreWire's one-copy path, under f.mu; done is false when
+// the box does not take it.
+func (f *Field) storeWireRun(age int, sel []SlabDim, w *WireCells) (res StoreResult, done bool, err error) {
+	s, err := f.openForStore(age)
+	if s == nil {
+		return res, true, err
+	}
+	// The extent after the store, and the box as one run from base of it: a
+	// span of one cell in every dimension before its first wider one and the
+	// whole of every one after.
+	var wantBuf [4]int
+	want := ints(&wantBuf, f.rank)
+	cells, base, j := 1, 0, 0
+	one, wide, outer := true, false, true
+	for d, sd := range sel {
+		n := 1
+		if !sd.Fixed {
+			if j == w.rank {
+				return res, false, nil
+			}
+			n, j = w.ext[j], j+1
+		}
+		if sd.Index < 0 {
+			return res, false, nil
+		}
+		want[d] = max(s.extents[d], sd.Index+n)
+		outer = outer && (d == 0 || want[d] == s.extents[d])
+		one = one && (!wide || n == want[d])
+		wide = wide || n != 1
+		cells *= n
+		base = base*want[d] + sd.Index
+	}
+	// Growth that keeps every written cell's offset (only the outermost
+	// dimension, or from empty) leaves the written flags comparable.
+	old := s.data.len()
+	if j != w.rank || cells == 0 || !one || !(outer || old == 0) ||
+		s.writes > 0 && base < old && slices.Contains(s.written[base:min(base+cells, old)], true) {
+		return res, false, nil
+	}
+	grew := !slices.Equal(want, s.extents)
+	if grew {
+		n := 1
+		for _, e := range want {
+			n *= e
+		}
+		s.data.resizeOver(n, 2*s.data.capacity(), base, base+cells)
+		s.written = growBools(s.written, n)
+		copy(s.extents, want)
+	}
+	s.data.decodeCells(base, w.raw)
+	written := s.written[base : base+cells]
+	for i := range written {
+		written[i] = true
+	}
+	s.writes += cells
+	return s.result(grew, cells), true, nil
+}
+
 // At returns the element at (age, idx...). The second result is false if the
 // position has not been written (or is out of the current extent).
 func (f *Field) At(age int, idx ...int) (Value, bool) {

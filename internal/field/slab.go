@@ -165,11 +165,16 @@ func (s *slab) zeroRange(i, j int) {
 // resize grows the slab to length n, reallocating with the given capacity if
 // the current capacity is too small. Existing elements are preserved; newly
 // exposed elements are zeroed even when the backing capacity is recycled.
-func (s *slab) resize(n, c int) {
+func (s *slab) resize(n, c int) { s.resizeOver(n, c, 0, 0) }
+
+// resizeOver is resize for a caller that writes elements [lo, hi) next: those
+// of them exposed from recycled capacity are left as they are.
+func (s *slab) resizeOver(n, c, lo, hi int) {
 	if n <= s.capacity() {
 		old := s.len()
 		s.reslice(n)
-		s.zeroRange(old, n)
+		s.zeroRange(old, min(max(old, lo), n))
+		s.zeroRange(min(max(old, hi), n), n)
 		return
 	}
 	if c < n {

@@ -229,94 +229,59 @@ func (c *Codec) Value(v *Value, dst *Array) {
 	}
 }
 
-// array codes an array of the given kind: its rank and extents, then its
-// slab, whose element count, decoded, is checked before it is allocated.
-func (c *Codec) array(kind Kind, a *Array) {
-	rank := len(a.extents)
+// shape codes an array's rank and extents. Decoded into buf, the extents are
+// checked against the bytes left at the least each cell of kind takes.
+func (c *Codec) shape(kind Kind, ext []int, buf *[MaxWireRank]int) []int {
+	rank := len(ext)
 	if c.Count(&rank, MaxWireRank); c.Err == nil && rank == 0 {
 		c.Fail(errors.New("field: wire array of rank 0"))
 	}
 	if c.Err != nil {
-		return
+		return nil
 	}
-	var buf [MaxWireRank]int
-	ext := a.extents
 	if c.dec {
 		ext = buf[:rank]
 	}
 	for d := range ext {
 		c.Count(&ext[d], math.MaxInt)
 	}
-	if c.dec {
-		// An empty array carries no payload, whatever its other extents.
-		if !slices.Contains(ext, 0) {
-			n, left := wireLeast[classOf(kind)], c.Left()
-			for _, e := range ext {
-				if n > left/e {
-					c.Fail(errWireShort)
-					break
-				}
-				n *= e
+	// An empty array carries no payload, whatever its other extents.
+	if c.dec && !slices.Contains(ext, 0) {
+		n, left := wireLeast[classOf(kind)], c.Left()
+		for _, e := range ext {
+			if n > left/e {
+				c.Fail(errWireShort)
+				break
 			}
+			n *= e
 		}
-		if c.Err != nil {
-			return
-		}
+	}
+	return ext
+}
+
+// array codes an array of the given kind: its shape, then its slab, whose
+// element count, decoded, is checked before it is allocated.
+func (c *Codec) array(kind Kind, a *Array) {
+	var buf [MaxWireRank]int
+	ext := c.shape(kind, a.extents, &buf)
+	if c.Err != nil {
+		return
+	}
+	if c.dec {
 		// resetShape leaves String slots unset and Any slots zero, which
 		// the payload loops below rely on.
 		a.resetShape(kind, ext)
 	}
 	s := &a.data
 	switch s.class {
-	case classU8:
-		if b := c.bytes(len(s.u8)); c.dec {
-			copy(s.u8, b)
-		} else {
-			copy(b, s.u8)
-		}
-	case classI32:
-		b := c.bytes(4 * len(s.i32))
+	case classU8, classI32, classI64, classF64:
+		b := c.bytes(s.len() * wireLeast[s.class])
 		switch {
 		case c.Err != nil:
 		case c.dec:
-			for i := range s.i32 {
-				s.i32[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-			}
+			s.decodeCells(0, b)
 		default:
-			// Appending into the bytes just reserved runs faster than
-			// putting at offsets into them.
-			b = b[:0]
-			for _, x := range s.i32 {
-				b = binary.LittleEndian.AppendUint32(b, uint32(x))
-			}
-		}
-	case classI64:
-		b := c.bytes(8 * len(s.i64))
-		switch {
-		case c.Err != nil:
-		case c.dec:
-			for i := range s.i64 {
-				s.i64[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-			}
-		default:
-			b = b[:0]
-			for _, x := range s.i64 {
-				b = binary.LittleEndian.AppendUint64(b, uint64(x))
-			}
-		}
-	case classF64:
-		b := c.bytes(8 * len(s.f64))
-		switch {
-		case c.Err != nil:
-		case c.dec:
-			for i := range s.f64 {
-				s.f64[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-			}
-		default:
-			b = b[:0]
-			for _, x := range s.f64 {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-			}
+			s.encodeCells(b)
 		}
 	case classStr:
 		// Unset (0) and empty ("" → 1) stay distinct, as in memory.
@@ -353,6 +318,116 @@ func (c *Codec) array(kind Kind, a *Array) {
 		}
 		c.depth--
 	}
+}
+
+// encodeCells writes the cells of a fixed-width slab to b, which holds
+// exactly their wire bytes. Appending into the bytes reserved runs faster
+// than putting at offsets into them.
+func (s *slab) encodeCells(b []byte) {
+	switch s.class {
+	case classU8:
+		copy(b, s.u8)
+	case classI32:
+		b = b[:0]
+		for _, x := range s.i32 {
+			b = binary.LittleEndian.AppendUint32(b, uint32(x))
+		}
+	case classI64:
+		b = b[:0]
+		for _, x := range s.i64 {
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		}
+	case classF64:
+		b = b[:0]
+		for _, x := range s.f64 {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+	}
+}
+
+// decodeCells writes the fixed-width wire cells in b to the slab's cells
+// from doff on.
+func (s *slab) decodeCells(doff int, b []byte) {
+	switch s.class {
+	case classU8:
+		copy(s.u8[doff:], b)
+	case classI32:
+		d := s.i32[doff : doff+len(b)/4]
+		for i := range d {
+			d[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	case classI64:
+		d := s.i64[doff : doff+len(b)/8]
+		for i := range d {
+			d[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	case classF64:
+		d := s.f64[doff : doff+len(b)/8]
+		for i := range d {
+			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+}
+
+// WireCells is a value read off the wire (Codec.Cells) in which the cells of
+// an array of a fixed-width kind — integers, bools, floats — stay in their
+// wire bytes, so that Field.StoreWire copies them once, from the wire bytes
+// into a generation. Any other value is decoded whole. A WireCells is reused
+// from value to value.
+type WireCells struct {
+	lazy bool // the array's cells are raw, not yet decoded into arr
+	raw  []byte
+	kind Kind
+	rank int
+	ext  [MaxWireRank]int
+	v    Value // the value, once decoded
+	arr  Array // where an array value is decoded
+}
+
+// Cells decodes one value into w, leaving the cells of a fixed-width array in
+// their wire bytes.
+func (c *Codec) Cells(w *WireCells) {
+	w.lazy, w.rank, w.v = false, 0, Value{}
+	if b := c.rest(); len(b) >= 3 && b[0] == wireVersion && b[2] == wireFlagArr && Kind(b[1]) <= Any {
+		if cls := classOf(Kind(b[1])); cls != classVal && cls != classStr {
+			c.off += 3
+			ext := c.shape(Kind(b[1]), nil, &w.ext)
+			n := 1
+			for _, e := range ext {
+				n *= e
+			}
+			w.kind, w.rank = Kind(b[1]), len(ext)
+			w.raw = c.bytes(n * wireLeast[cls])
+			w.lazy = c.Err == nil
+			return
+		}
+	}
+	c.Value(&w.v, &w.arr)
+	if a := w.v.Array(); a != nil {
+		w.kind, w.rank = a.kind, copy(w.ext[:], a.extents)
+	}
+}
+
+// IsArray reports whether the value read is an array.
+func (w *WireCells) IsArray() bool { return w.lazy || w.v.IsArray() }
+
+// Extent returns the size of dimension d of the array read; 0 for a scalar.
+func (w *WireCells) Extent(d int) int {
+	if d < 0 || d >= w.rank {
+		return 0
+	}
+	return w.ext[d]
+}
+
+// Value returns the value read, decoding raw cells first. It is borrowed:
+// the next value read into w reuses its array.
+func (w *WireCells) Value() Value {
+	if w.lazy {
+		w.arr.resetShape(w.kind, w.ext[:w.rank])
+		w.arr.data.decodeCells(0, w.raw)
+		w.v, w.lazy = ArrayVal(&w.arr), false
+	}
+	return w.v
 }
 
 // AppendWireValue appends the wire encoding of v to buf. Encoded values are

@@ -371,3 +371,132 @@ func FuzzDecodeWireValue(f *testing.F) {
 		}
 	})
 }
+
+// wireStore is one box store of the StoreWire tests: sel, and the cells.
+type wireStore struct {
+	sel   []SlabDim
+	cells *Array
+}
+
+// storeBoth applies stores to two fresh fields of kind and rank at age 0 —
+// one through StoreSlice, one through StoreWire from each store's wire bytes
+// — with the given merge mode, and fails unless every store has the same
+// result on both and the generations end up equal. It returns the wire
+// field's cells of the last store, as StoreWire left them.
+func storeBoth(t *testing.T, kind Kind, rank int, merge bool, stores []wireStore) *WireCells {
+	t.Helper()
+	slice, wire := New("s", kind, rank, true), New("w", kind, rank, true)
+	slice.SetMergeStores(merge)
+	wire.SetMergeStores(merge)
+	defer slice.Release()
+	defer wire.Release()
+	var cells WireCells
+	for i, st := range stores {
+		want, werr := slice.StoreSlice(0, st.sel, st.cells)
+		data, err := encode(ArrayVal(st.cells))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Decoder(data)
+		if c.Cells(&cells); c.Err != nil || c.Left() != 0 {
+			t.Fatalf("store %d: reading cells: %v, %d bytes left", i, c.Err, c.Left())
+		}
+		got, gerr := wire.StoreWire(0, st.sel, &cells)
+		if (gerr != nil) != (werr != nil) || got.Grew != want.Grew || got.Count != want.Count ||
+			fmt.Sprint(got.Extents()) != fmt.Sprint(want.Extents()) {
+			t.Fatalf("store %d: StoreWire %+v (%v), StoreSlice %+v (%v)", i, got, gerr, want, werr)
+		}
+	}
+	if got, want := wire.Snapshot(0), slice.Snapshot(0); !got.Equal(want) || wire.Writes(0) != slice.Writes(0) {
+		t.Fatalf("StoreWire left %v (%d written), StoreSlice %v (%d written)", got, wire.Writes(0), want, slice.Writes(0))
+	}
+	return &cells
+}
+
+// filled is an array of kind and extents whose cells count up from first.
+func filled(kind Kind, first int, ext ...int) *Array {
+	a := NewArray(kind, ext...)
+	for i := 0; i < a.Len(); i++ {
+		a.SetFlat(Int64Val(int64(first+i)), i)
+	}
+	return a
+}
+
+// TestStoreWireMatchesStoreSlice: a box stored from its wire bytes lands as
+// the decoded box stored by StoreSlice does, whether it takes the one-copy
+// path or not, and a box that is one run of unwritten cells of the same
+// representation takes it: its cells are never decoded anywhere else.
+func TestStoreWireMatchesStoreSlice(t *testing.T) {
+	row := func(i int, a *Array) wireStore { return wireStore{[]SlabDim{{Fixed: true, Index: i}, {}}, a} }
+	whole := func(a *Array) wireStore { return wireStore{[]SlabDim{{}, {}}, a} }
+	for _, tc := range []struct {
+		name    string
+		kind    Kind
+		merge   bool
+		stores  []wireStore
+		oneCopy bool // the last store takes the one-copy path
+	}{
+		{"rows in order", Uint8, false, []wireStore{row(0, filled(Uint8, 1, 4)), row(1, filled(Uint8, 5, 4)), row(2, filled(Uint8, 9, 4))}, true},
+		{"rows out of order", Int32, false, []wireStore{row(2, filled(Int32, 9, 4)), row(0, filled(Int32, 1, 4)), row(1, filled(Int32, -5, 4))}, true},
+		{"whole", Float64, false, []wireStore{whole(filled(Float64, 3, 5, 3))}, true},
+		{"float32 from float64", Float32, false, []wireStore{whole(filled(Float64, 3, 2, 2))}, true},
+		{"uint8 from bool", Uint8, false, []wireStore{whole(filled(Bool, 0, 2, 2))}, true},
+		{"int64 from int32", Int64, false, []wireStore{whole(filled(Int32, -2, 3, 2))}, false},
+		{"column", Int64, false, []wireStore{whole(filled(Int64, 0, 3, 2)), {[]SlabDim{{}, {Fixed: true, Index: 2}}, filled(Int64, 7, 3)}}, false},
+		{"cells", Int32, false, []wireStore{{[]SlabDim{{Index: 1}, {Index: 3}}, filled(Int32, 4, 1, 1)}, {[]SlabDim{{Index: 0}, {Index: 0}}, filled(Int32, 8, 1, 1)}}, true},
+		{"written twice", Uint8, false, []wireStore{row(0, filled(Uint8, 1, 4)), row(0, filled(Uint8, 2, 4))}, false},
+		{"merged", Uint8, true, []wireStore{row(0, filled(Uint8, 1, 4)), whole(filled(Uint8, 2, 3, 4))}, false},
+		{"strings", String, false, []wireStore{row(0, NewArray(String, 4))}, false},
+		{"rank mismatch", Uint8, false, []wireStore{row(0, filled(Uint8, 1, 2, 2))}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if cells := storeBoth(t, tc.kind, 2, tc.merge, tc.stores); cells.lazy != tc.oneCopy {
+				t.Errorf("last store decoded its cells apart: %v, want %v", !cells.lazy, !tc.oneCopy)
+			}
+		})
+	}
+}
+
+// TestStoreWireZeroesWhatItSkips: a generation grown into recycled capacity
+// by stores from the wire reads zero in every cell they did not write, though
+// the cells they wrote were not zeroed first: a row past the end, then a cell
+// past it that leaves cells after it unwritten.
+func TestStoreWireZeroesWhatItSkips(t *testing.T) {
+	DrainAgePoolsForTest()
+	f := New("f", Int32, 2, true)
+	defer f.Release()
+	if _, err := f.StoreSlice(0, []SlabDim{{}, {}}, filled(Int32, 1, 8, 4)); err != nil {
+		t.Fatal(err)
+	}
+	f.DropAge(0) // its slab, full of non-zero cells, goes to the pool
+	var cells WireCells
+	store := func(sel []SlabDim, a *Array) {
+		t.Helper()
+		data, err := encode(ArrayVal(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Decoder(data)
+		if c.Cells(&cells); !cells.lazy {
+			t.Fatalf("cells of %v decoded", a)
+		}
+		if _, err := f.StoreWire(1, sel, &cells); err != nil || !cells.lazy {
+			t.Fatalf("storing %v at %v: %v, one copy %v", a, sel, err, cells.lazy)
+		}
+	}
+	store([]SlabDim{{Fixed: true, Index: 0}, {}}, filled(Int32, 100, 4))
+	store([]SlabDim{{Fixed: true, Index: 5}, {Index: 1}}, filled(Int32, 200, 1))
+	got := f.Snapshot(1).Int32s()
+	for i, v := range got {
+		want := int32(0)
+		switch {
+		case i < 4:
+			want = int32(100 + i)
+		case i == 21:
+			want = 200
+		}
+		if v != want {
+			t.Fatalf("cell %d of %v is %d, want %d", i, got, v, want)
+		}
+	}
+}

@@ -52,8 +52,8 @@ func frameHeader(c *field.Codec, fieldName *string, age *int) {
 }
 
 // frameEntry codes one box entry. Decoded, the selector reuses sel's backing
-// and an array value lands in scratch.
-func frameEntry(c *field.Codec, sel *[]field.SlabDim, v *field.Value, scratch *field.Array) {
+// and the value lands in cells, or fresh in v when cells is nil.
+func frameEntry(c *field.Codec, sel *[]field.SlabDim, v *field.Value, cells *field.WireCells) {
 	rank := len(*sel)
 	if c.Count(&rank, field.MaxWireRank); c.Decoding() {
 		if c.Err == nil && (rank == 0 || rank > c.Left()) {
@@ -85,7 +85,11 @@ func frameEntry(c *field.Codec, sel *[]field.SlabDim, v *field.Value, scratch *f
 			return
 		}
 	}
-	c.Value(v, scratch)
+	if cells != nil {
+		c.Cells(cells)
+	} else {
+		c.Value(v, nil)
+	}
 }
 
 // MaxRemoteCells bounds the cells a remote store may grow a field generation
@@ -99,35 +103,35 @@ const MaxRemoteCells = 1 << 26
 // ErrRemoteGrowth is the error of a remote store refused by MaxRemoteCells.
 var ErrRemoteGrowth = errors.New("p2g: remote store grows a generation past MaxRemoteCells")
 
-// checkGrowth refuses store sn when the generation it lands in — extent(d)
-// per dimension now, grown to hold the store's box — would hold more than
-// MaxRemoteCells cells.
-func checkGrowth(sn StoreNotice, extent func(d int) int) error {
-	cells := 1
-	arr := sn.Value.Array()
+// cellShape is the shape of a store's cells: a decoded array, or cells still
+// in their wire form.
+type cellShape interface{ Extent(d int) int }
+
+// checkGrowth refuses store sn of cells when the generation it lands in —
+// extent(d) per dimension now, grown to hold the store's box — would hold
+// more than MaxRemoteCells cells.
+func checkGrowth(sn StoreNotice, cells cellShape, extent func(d int) int) error {
+	n := 1
 	j := 0
 	for d, sd := range sn.Sel {
 		// Coordinates and origins saturate past the bound, so no sum
-		// overflows. A malformed store, without an array or with too few
+		// overflows. A malformed store, with a scalar or with too few
 		// dimensions, counts an empty box; the field refuses it.
 		want := min(sd.Index, MaxRemoteCells) + 1
 		if !sd.Fixed {
-			want = min(sd.Index, MaxRemoteCells+1)
-			if arr != nil {
-				want += arr.Extent(j)
-			}
+			want = min(sd.Index, MaxRemoteCells+1) + cells.Extent(j)
 			j++
 		}
 		if have := extent(d); have > want {
 			want = have
 		}
-		if want > 0 && cells > MaxRemoteCells/want {
-			cells = MaxRemoteCells + 1 // saturate: no product overflows
+		if want > 0 && n > MaxRemoteCells/want {
+			n = MaxRemoteCells + 1 // saturate: no product overflows
 		} else {
-			cells *= max(want, 0)
+			n *= max(want, 0)
 		}
 	}
-	if cells > MaxRemoteCells {
+	if n > MaxRemoteCells {
 		return fmt.Errorf("%w: %s(%d)", ErrRemoteGrowth, sn.Field, sn.Age)
 	}
 	return nil
@@ -204,6 +208,39 @@ func PutStoreFrame(f *StoreFrame) {
 	framePool.Put(f)
 }
 
+// entryPool recycles frameScratch, so decoding a frame allocates nothing
+// once warm.
+var entryPool = sync.Pool{New: func() any { return new(frameScratch) }}
+
+// frameScratch is what a frame's entries are decoded into, one after another.
+type frameScratch struct {
+	sel   []field.SlabDim
+	cells field.WireCells
+}
+
+// eachEntry decodes a frame produced by StoreFrame and calls entry for each
+// box in encoding order: sn names the header's field and age and holds the
+// entry's selector, and cells its value, an array's cells still in their wire
+// bytes. Both are borrowed; the next entry reuses them. Decoding stops at the
+// first entry error, at a malformed entry and at one with a negative origin.
+func eachEntry(frame []byte, entry func(sn StoreNotice, cells *field.WireCells) error) error {
+	c := field.Decoder(frame)
+	fs := entryPool.Get().(*frameScratch)
+	defer entryPool.Put(fs)
+	var sn StoreNotice
+	frameHeader(&c, &sn.Field, &sn.Age)
+	for c.Err == nil && c.Left() > 0 {
+		if frameEntry(&c, &fs.sel, nil, &fs.cells); c.Err != nil {
+			break
+		}
+		sn.Sel = fs.sel
+		if err := entry(sn, &fs.cells); err != nil {
+			return err
+		}
+	}
+	return c.Err
+}
+
 // DecodeStoreFrame decodes a frame produced by StoreFrame, invoking apply for
 // each store notice in encoding order. Decode stops at the first apply error,
 // at a malformed entry or one with a negative origin, and before an entry
@@ -211,41 +248,70 @@ func PutStoreFrame(f *StoreFrame) {
 //
 // The notices are borrowed, like OnStore's: an entry's Sel and its array
 // Value live in scratch that the next entry reuses, so apply copies what it
-// keeps — InjectStore copies the entry into the field replica, and a frame of
-// boxes decodes without allocating per box.
+// keeps.
 func DecodeStoreFrame(frame []byte, apply func(StoreNotice) error) error {
-	c := field.Decoder(frame)
-	var (
-		sn      StoreNotice
-		scratch field.Array
-	)
-	frameHeader(&c, &sn.Field, &sn.Age)
-	for c.Err == nil && c.Left() > 0 {
-		if frameEntry(&c, &sn.Sel, &sn.Value, &scratch); c.Err != nil {
-			break
-		}
-		if err := checkGrowth(sn, func(int) int { return 0 }); err != nil {
+	return eachEntry(frame, func(sn StoreNotice, cells *field.WireCells) error {
+		if err := checkGrowth(sn, cells, func(int) int { return 0 }); err != nil {
 			return err
 		}
-		if err := apply(sn); err != nil {
-			return err
-		}
+		sn.Value = cells.Value()
+		return apply(sn)
+	})
+}
+
+// storeEntry writes one decoded frame entry into f, the replica of its field,
+// as applyStore writes a notice: a fixed-width array's cells are copied once,
+// from the frame into the generation (field.Field.StoreWire).
+func storeEntry(f *field.Field, sn StoreNotice, cells *field.WireCells) (field.StoreResult, error) {
+	if !cells.IsArray() {
+		return field.StoreResult{}, errNoArray(sn.Field)
 	}
-	return c.Err
+	if err := checkGrowth(sn, cells, func(d int) int { return f.Extent(sn.Age, d) }); err != nil {
+		return field.StoreResult{}, err
+	}
+	return f.StoreWire(sn.Age, sn.Sel, cells)
+}
+
+// errNoArray is the error of a remote store whose value is not an array.
+func errNoArray(fieldName string) error {
+	return fmt.Errorf("p2g: remote store to %q without a selector and an array payload", fieldName)
+}
+
+// ApplyStoreFrame writes every entry of a store frame into f, the replica of
+// the frame's field, exactly as a node applies a frame it receives
+// (InjectStoreFrame).
+func ApplyStoreFrame(f *field.Field, frame []byte) error {
+	return eachEntry(frame, func(sn StoreNotice, cells *field.WireCells) error {
+		if sn.Field != f.Name() {
+			return fmt.Errorf("p2g: store frame of %q applied to field %q", sn.Field, f.Name())
+		}
+		_, err := storeEntry(f, sn, cells)
+		return err
+	})
 }
 
 // InjectStoreFrame applies a batched store frame received from a remote node:
-// each entry is written to the local field replica exactly as InjectStore
-// writes a single notice, and the analyzer events announcing the entries
-// travel in batches.
+// each entry is written to the local field replica as InjectStore writes a
+// single notice, the cells of a fixed-width array copied once, from the frame
+// into the generation, and the analyzer events announcing the entries travel
+// in batches. Nothing of frame is retained: the caller may reuse it once the
+// call returns.
 func (n *Node) InjectStoreFrame(frame []byte) error {
 	in := injector{n: n}
-	err := DecodeStoreFrame(frame, func(sn StoreNotice) error {
-		ev, err := n.applyStore(sn)
-		if err == nil {
-			in.add(&ev)
+	err := eachEntry(frame, func(sn StoreNotice, cells *field.WireCells) error {
+		fs, ok := n.fields[sn.Field]
+		if !ok {
+			return fmt.Errorf("p2g: remote store to unknown field %q", sn.Field)
 		}
-		return err
+		res, err := storeEntry(fs.f, sn, cells)
+		if err != nil {
+			return err
+		}
+		ev := event{fs: fs, age: sn.Age}
+		ev.setBox(sn.Sel, cells)
+		ev.setGrowth(&res)
+		in.add(&ev)
+		return nil
 	})
 	in.flush()
 	return err

@@ -624,43 +624,36 @@ func (n *Node) InjectStore(sn StoreNotice) error {
 	return nil
 }
 
-// applyStore writes one store notice to the local field replica (see
-// ApplyStore) and returns the analyzer event that announces it.
+// applyStore writes one store notice, a box, to the local field replica and
+// returns the analyzer event that announces it. A store that would grow its
+// generation past MaxRemoteCells is refused with ErrRemoteGrowth. The notice
+// may be borrowed: the field copies what it keeps.
 func (n *Node) applyStore(sn StoreNotice) (event, error) {
 	sn = sn.normalize()
 	fs, ok := n.fields[sn.Field]
 	if !ok {
 		return event{}, fmt.Errorf("p2g: remote store to unknown field %q", sn.Field)
 	}
-	res, err := ApplyStore(fs.f, sn)
+	arr := sn.Value.Array()
+	if sn.Sel == nil || arr == nil {
+		return event{}, errNoArray(sn.Field)
+	}
+	if err := checkGrowth(sn, arr, func(d int) int { return fs.f.Extent(sn.Age, d) }); err != nil {
+		return event{}, err
+	}
+	res, err := fs.f.StoreSlice(sn.Age, sn.Sel, arr)
 	if err != nil {
 		return event{}, err
 	}
 	ev := event{fs: fs, age: sn.Age}
-	ev.setBox(sn.Sel, sn.Value.Array())
+	ev.setBox(sn.Sel, arr)
 	ev.setGrowth(&res)
 	return ev, nil
 }
 
-// ApplyStore writes one remote store notice, a box, into f, the replica of
-// the notice's field. A store that would grow its generation past
-// MaxRemoteCells is refused with ErrRemoteGrowth. The notice may be borrowed
-// (see DecodeStoreFrame): the field copies what it keeps.
-func ApplyStore(f *field.Field, sn StoreNotice) (field.StoreResult, error) {
-	sn = sn.normalize()
-	if err := checkGrowth(sn, func(d int) int { return f.Extent(sn.Age, d) }); err != nil {
-		return field.StoreResult{}, err
-	}
-	arr := sn.Value.Array()
-	if sn.Sel == nil || arr == nil {
-		return field.StoreResult{}, fmt.Errorf("p2g: remote store to %q without a selector and an array payload", sn.Field)
-	}
-	return f.StoreSlice(sn.Age, sn.Sel, arr)
-}
-
 // setBox records on the event the box a store covered: per dimension a fixed
 // coordinate spanning 1, or an origin spanning the next extent of cells.
-func (ev *event) setBox(sel []field.SlabDim, cells *field.Array) {
+func (ev *event) setBox(sel []field.SlabDim, cells cellShape) {
 	var orgBuf, spanBuf [4]int
 	org, span := orgBuf[:0], spanBuf[:0]
 	j := 0
