@@ -331,7 +331,7 @@ func mustReadTestdata(b *testing.B, path string) string {
 // VM's remaining headroom. MulSum and KMeans also have a lanes row: the same
 // compute written as the paper writes it, one instance per element, and run
 // the way the runtime runs a slice of 64 of them — one SliceBody call over 64
-// rows of a context, the instructions dispatched once per slice — and two
+// lanes of a context, the instructions dispatched once per slice — and two
 // rows for the shortest slice the runtime still runs that way
 // (KernelDecl.SliceMin): lanes-min in lockstep, rows one Body call per
 // element, which is what shorter slices get. The two should be close.
@@ -425,12 +425,15 @@ var benchLangSink int64
 
 // benchLangLanes describes the lanes row of a body benchmark: the
 // per-element kernel, how many elements make up the compute of the other
-// rows, and what the runtime would have fetched for element i (into the
-// selected row of the context).
+// rows, and what the runtime would have fetched for element i: the value of
+// the element fetch into local, and the arrays of the whole fetches, the same
+// for every element.
 type benchLangLanes struct {
 	kernel   string
 	elements int
-	fetch    func(kd *core.KernelDecl, ctx *core.Ctx, i int)
+	local    string
+	value    func(i int) field.Value
+	whole    map[string]*field.Array
 }
 
 func benchLangBody(b *testing.B, src, kernel string, native func() int64, lanes *benchLangLanes) {
@@ -458,25 +461,39 @@ func benchLangBody(b *testing.B, src, kernel string, native func() int64, lanes 
 		for i := range coords {
 			coords[i] = []int{i}
 		}
-		// The elements in slices of rows, each through one SliceBody call
-		// or, the runtime's alternative, one Body call per row.
-		slices := func(rows int, lockstep bool) func(b *testing.B) {
+		li := kd.LocalIndex(lanes.local)
+		whole := func(ctx *core.Ctx) {
+			for name, a := range lanes.whole {
+				ctx.SetLocalValue(kd.LocalIndex(name), field.ArrayVal(a))
+			}
+		}
+		// The elements in slices of n, each through one SliceBody call over
+		// n lanes or, the runtime's alternative, one Body call per element.
+		slices := func(n int, lockstep bool) func(b *testing.B) {
 			return func(b *testing.B) {
 				ctx := core.NewReusableCtx(kd, nil, io.Discard)
-				ctx.Rows(rows)
 				for i := 0; i < b.N; i++ {
-					for first := 0; first < lanes.elements; first += rows {
-						n := min(rows, lanes.elements-first)
-						for r := 0; r < n; r++ {
-							ctx.ResetRow(r, 0, coords[first+r])
-							lanes.fetch(kd, ctx, first+r)
-							if !lockstep {
+					for first := 0; first < lanes.elements; first += n {
+						k := min(n, lanes.elements-first)
+						if !lockstep {
+							for e := first; e < first+k; e++ {
+								ctx.Reset(0, coords[e])
+								whole(ctx)
+								ctx.SetLocalValue(li, lanes.value(e))
 								if err := kd.Body(ctx); err != nil {
 									b.Fatal(err)
 								}
 							}
+							continue
 						}
-						if lockstep && !kd.SliceBody(ctx, n) {
+						ctx.Reset(0, nil)
+						ctx.Lanes(k)
+						whole(ctx)
+						for l := 0; l < k; l++ {
+							ctx.CoordCol(0)[l] = int64(first + l)
+							ctx.SetLaneValue(li, l, lanes.value(first+l))
+						}
+						if !kd.SliceBody(ctx, k) {
 							b.Fatal("the slice body declined")
 						}
 					}
@@ -508,8 +525,8 @@ func BenchmarkLangMulSum(b *testing.B) {
 			}
 		}
 		return int64(r[0])
-	}, &benchLangLanes{kernel: "calc1", elements: 512, fetch: func(kd *core.KernelDecl, ctx *core.Ctx, i int) {
-		ctx.SetLocalValue(kd.LocalIndex("v"), field.Int32Val(int32(i+10)))
+	}, &benchLangLanes{kernel: "calc1", elements: 512, local: "v", value: func(i int) field.Value {
+		return field.Int32Val(int32(i + 10))
 	}})
 }
 
@@ -533,10 +550,9 @@ func BenchmarkLangKMeans(b *testing.B) {
 			best[p] = bd
 		}
 		return int64(best[255])
-	}, &benchLangLanes{kernel: "assign1", elements: 256, fetch: func(kd *core.KernelDecl, ctx *core.Ctx, p int) {
-		ctx.SetLocalValue(kd.LocalIndex("px"), field.Float64Val(float64(p)*0.37))
-		ctx.SetLocalValue(kd.LocalIndex("cx"), field.ArrayVal(benchLangCx))
-	}})
+	}, &benchLangLanes{kernel: "assign1", elements: 256, local: "px", value: func(p int) field.Value {
+		return field.Float64Val(float64(p) * 0.37)
+	}, whole: map[string]*field.Array{"cx": benchLangCx}})
 }
 
 // benchLangCx is what assign1 fetches whole: the centroids assign builds.

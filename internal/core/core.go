@@ -262,19 +262,21 @@ type KernelDecl struct {
 	// pure data-movement kernel.
 	Body func(*Ctx) error
 	// SliceBody, when set, is a second form of the same body that runs the
-	// instances in rows [0, n) of the context (see Ctx.Rows) in one call, in
-	// whatever order and interleaving it likes. It may decline by returning
-	// false, having changed no row; the caller then runs Body on each
-	// instance, which also defines what a failing instance leaves behind —
-	// so a slice body declines rather than fails. Array locals are one per
-	// context, not per row, so in a kernel with a slice body every array
-	// local is a whole fetch (the runtime refuses any other). Kernels written in Go leave it nil; the
-	// kernel language sets it for bodies it can execute in lockstep.
+	// instances in lanes [0, n) of the context's columns (see Ctx.Lanes) in
+	// one call, in whatever order and interleaving it likes. It may decline
+	// by returning false, having changed no column; the caller then runs
+	// Body on each instance, which also defines what a failing instance
+	// leaves behind — so a slice body declines rather than fails. Array
+	// locals are one per context, not per lane, so in a kernel with a slice
+	// body every array local is a whole fetch, and every scalar local is a
+	// number fetched from a field of its own kind (the runtime refuses any
+	// other). Kernels written in Go leave it nil; the kernel language sets
+	// it for bodies it can execute in lockstep.
 	SliceBody func(ctx *Ctx, n int) bool
 	// SliceMin is the fewest instances for which one SliceBody call is
 	// expected to be faster than that many Body calls; the runtime runs
-	// shorter slices through Body. Zero leaves it to the runtime's own
-	// minimum.
+	// shorter slices through Body, and every slice through SliceBody when it
+	// is zero.
 	SliceMin int
 }
 

@@ -408,3 +408,50 @@ func TestCtxTypedAccessors(t *testing.T) {
 		t.Error("obj accessor")
 	}
 }
+
+// TestCtxLanes: the columns of a slice body. Lanes leaves every scalar local
+// unbound and zero in every lane, whatever the lanes held before and however
+// often the columns grew; SetLaneValue converts to the local's kind and binds
+// in its lane only; LaneValue boxes with the local's kind; the one-instance
+// locals are not the lanes'.
+func TestCtxLanes(t *testing.T) {
+	b := NewBuilder("t")
+	b.Field("in", field.Int32, 1, false)
+	b.Kernel("k").Index("x").
+		Local("i", field.Int32, 0).
+		Local("f", field.Float32, 0).
+		Local("ok", field.Bool, 0).
+		Local("arr", field.Float64, 1).
+		Fetch("i", "in", AgeAt(0), Idx("x"))
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kd := p.Kernel("k")
+	c := NewReusableCtx(kd, nil, nil)
+	c.Reset(3, nil)
+	for _, n := range []int{2, 5, 300, 7} {
+		c.Lanes(n)
+		for li := range kd.Locals[:3] {
+			for l := 0; l < n; l++ {
+				if c.BoundCol(li)[l] || !c.LaneValue(li, l).Equal(field.Zero(kd.Locals[li].Kind)) {
+					t.Fatalf("%d lanes: lane %d of %s is %v, bound %v", n, l, kd.Locals[li].Name, c.LaneValue(li, l), c.BoundCol(li)[l])
+				}
+			}
+		}
+		if len(c.CoordCol(0)) != n || len(c.IntCol(0)) != n || len(c.FloatCol(1)) != n {
+			t.Fatalf("%d lanes: columns of %d, %d and %d", n, len(c.CoordCol(0)), len(c.IntCol(0)), len(c.FloatCol(1)))
+		}
+		c.SetLaneValue(0, 1, field.Int64Val(1<<32+7))
+		c.SetLaneValue(1, 1, field.Float64Val(2.5))
+		c.SetLaneValue(2, 1, field.Int64Val(9))
+		for li, want := range []field.Value{field.Int32Val(7), field.Float32Val(2.5), field.BoolVal(true)} {
+			if got := c.LaneValue(li, 1); !got.Equal(want) || !c.BoundCol(li)[1] || c.BoundCol(li)[0] {
+				t.Errorf("%d lanes: %s is %v (bound %v, lane 0 %v), want %v", n, kd.Locals[li].Name, got, c.BoundCol(li)[1], c.BoundCol(li)[0], want)
+			}
+		}
+	}
+	if c.Bound("i") || c.Age() != 3 {
+		t.Errorf("the lanes bound the one instance's local, or the age moved to %d", c.Age())
+	}
+}

@@ -30,32 +30,34 @@ import (
 // declaration; lookups by name are linear scans over the handful of locals a
 // kernel declares, which beats map construction on the hot path.
 //
-// Rows. The locals live in a slab the context owns, one row per instance; a
-// plain context has one row. A slice that runs its instances through the
-// kernel's SliceBody gives every instance its own row (Rows, ResetRow): the
-// runtime fetches into and stores out of each row through the same methods
-// it uses for a single instance, with that row selected (Row), and the slice
-// body reads and writes all rows in one call. Array locals are not per row:
-// every row sees the context's one cached Array per local.
+// Lanes. A slice that runs its instances through the kernel's SliceBody
+// keeps them in typed columns, one lane per instance (Lanes): per scalar
+// local a column of its values — int64 for the integer kinds and bool,
+// float64 for the float kinds — and one of bound flags, and per index
+// variable a column of coordinates. The runtime gathers fetched elements into
+// the columns and stages stores out of them, and the slice body reads and
+// writes whole columns; no value is boxed per instance. Array locals are not
+// per lane: every lane sees the context's one local, as Get returns it.
 type Ctx struct {
 	kernel *KernelDecl
 	age    int
-	// coords holds the selected instance's index-variable values in IndexVars
-	// order (aliased from the scheduler's instance state, never mutated here).
+	// coords holds the instance's index-variable values in IndexVars order
+	// (aliased from the scheduler's instance state, never mutated here).
 	coords []int
-	// vals, bound and inited are the selected row of the slab below.
-	vals  []field.Value
-	bound []bool
+	vals   []field.Value
+	bound  []bool
 	// inited marks locals whose default value exists; array locals are
 	// materialized lazily so a fetched array never pays for a placeholder.
 	inited []bool
-	// The slab: row r of a kernel with n locals is [r*n, (r+1)*n) of each
-	// slice, and rowCoords[r] its instance's coordinates.
-	slabVals   []field.Value
-	slabBound  []bool
-	slabInited []bool
-	rowCoords  [][]int
-	row        int // the selected row
+	// The columns of the lanes (Lanes): lanes is their length, laneCap the
+	// length they have room for. ints and floats hold, per local, its value
+	// column if it is a scalar of that class (else nil); bounds holds its
+	// bound flags, coordCols a column per index variable.
+	lanes, laneCap int
+	ints           [][]int64
+	floats         [][]float64
+	bounds         [][]bool
+	coordCols      [][]int64
 	// arrs caches one reusable Array per array local. The cache survives
 	// Reset: each instance's array local is the same backing storage,
 	// reshaped in place (default locals via ResetEmpty, fetch destinations
@@ -72,58 +74,104 @@ type Ctx struct {
 // pooled-dispatch constructor: call Reset before each instance, and never
 // retain values out of a context that will be reset.
 func NewReusableCtx(k *KernelDecl, timers *deadline.TimerSet, out io.Writer) *Ctx {
-	c := &Ctx{
+	n := len(k.Locals)
+	return &Ctx{
 		kernel: k,
-		arrs:   make([]*field.Array, len(k.Locals)),
+		vals:   make([]field.Value, n),
+		bound:  make([]bool, n),
+		inited: make([]bool, n),
+		arrs:   make([]*field.Array, n),
 		timers: timers,
 		out:    out,
 	}
-	c.Rows(1)
-	return c
 }
 
-// Rows makes room for at least n rows and selects row 0. The rows' contents
-// are unspecified until ResetRow; growing keeps nothing.
-func (c *Ctx) Rows(n int) {
-	if n > len(c.rowCoords) {
-		n = max(n, 2*len(c.rowCoords))
-		nl := len(c.kernel.Locals)
-		c.slabVals = make([]field.Value, n*nl)
-		c.slabBound = make([]bool, n*nl)
-		c.slabInited = make([]bool, n*nl)
-		c.rowCoords = make([][]int, n)
+// Lanes prepares the columns for a slice of n instances: in every lane each
+// scalar local is unbound and zero; the coordinate columns are left for the
+// caller to fill. Growing keeps nothing.
+func (c *Ctx) Lanes(n int) {
+	if n > c.laneCap {
+		c.growLanes(max(n, 2*c.laneCap))
 	}
-	c.Row(0)
+	c.lanes = n
+	for li := range c.bounds {
+		if c.ints[li] != nil {
+			clear(c.ints[li][:n])
+		} else if c.floats[li] != nil {
+			clear(c.floats[li][:n])
+		}
+		clear(c.bounds[li][:n])
+	}
 }
 
-// Row selects row r: every method that reads or writes a local, a bound flag
-// or an index variable works on it until the next selection.
-func (c *Ctx) Row(r int) {
-	c.row = r
-	nl := len(c.kernel.Locals)
-	lo, hi := r*nl, (r+1)*nl
-	c.vals = c.slabVals[lo:hi:hi]
-	c.bound = c.slabBound[lo:hi:hi]
-	c.inited = c.slabInited[lo:hi:hi]
-	c.coords = c.rowCoords[r]
+// growLanes allocates columns of m lanes: one slab per element type, cut
+// into a column per scalar local and index variable.
+func (c *Ctx) growLanes(m int) {
+	k := c.kernel
+	nl := len(k.Locals)
+	ni, nf := len(k.IndexVars), 0
+	for _, l := range k.Locals {
+		switch {
+		case l.Rank > 0:
+		case l.Kind.Float():
+			nf++
+		case l.Kind.Integer() || l.Kind == field.Bool:
+			ni++
+		}
+	}
+	ints, floats, flags := make([]int64, ni*m), make([]float64, nf*m), make([]bool, nl*m)
+	c.ints, c.floats, c.bounds = make([][]int64, nl), make([][]float64, nl), make([][]bool, nl)
+	c.coordCols = make([][]int64, len(k.IndexVars))
+	for i := range c.coordCols {
+		c.coordCols[i], ints = ints[:m:m], ints[m:]
+	}
+	for li, l := range k.Locals {
+		c.bounds[li], flags = flags[:m:m], flags[m:]
+		switch {
+		case l.Rank > 0:
+		case l.Kind.Float():
+			c.floats[li], floats = floats[:m:m], floats[m:]
+		case l.Kind.Integer() || l.Kind == field.Bool:
+			c.ints[li], ints = ints[:m:m], ints[m:]
+		}
+	}
+	c.laneCap = m
 }
 
-// ResetRow selects row r and prepares it for an instance at the given age
-// (one age for all rows of a slice) and index coordinates, like Reset.
-func (c *Ctx) ResetRow(r, age int, coords []int) {
-	c.age = age
-	c.rowCoords[r] = coords
-	c.Row(r)
-	clear(c.vals)
-	clear(c.bound)
-	clear(c.inited)
+// IntCol returns the value column of the integer or bool scalar local at
+// position i in the kernel's Locals declaration, one canonical payload per
+// lane (as field.IntValOf takes it).
+func (c *Ctx) IntCol(i int) []int64 { return c.ints[i][:c.lanes] }
+
+// FloatCol returns the value column of the float scalar local at position i.
+func (c *Ctx) FloatCol(i int) []float64 { return c.floats[i][:c.lanes] }
+
+// BoundCol returns the per-lane bound flags of the scalar local at position i.
+func (c *Ctx) BoundCol(i int) []bool { return c.bounds[i][:c.lanes] }
+
+// CoordCol returns the column of the index variable at position i in
+// IndexVars order.
+func (c *Ctx) CoordCol(i int) []int64 { return c.coordCols[i][:c.lanes] }
+
+// LaneValue returns lane l's value of the scalar local at position i, boxed
+// with the local's kind: the by-lane counterpart of LocalValue.
+func (c *Ctx) LaneValue(i, l int) field.Value {
+	if k := c.kernel.Locals[i].Kind; k.Float() {
+		return field.FloatValOf(k, c.floats[i][l])
+	}
+	return field.IntValOf(c.kernel.Locals[i].Kind, c.ints[i][l])
 }
 
-// ClearRows releases what rows [0, n) reference, so a cached context does not
-// keep it alive until the rows are next used.
-func (c *Ctx) ClearRows(n int) {
-	clear(c.slabVals[:n*len(c.kernel.Locals)])
-	clear(c.rowCoords[:n])
+// SetLaneValue assigns lane l's value of the scalar local at position i,
+// converted to the local's kind, and marks it bound in that lane.
+func (c *Ctx) SetLaneValue(i, l int, v field.Value) {
+	v = v.Convert(c.kernel.Locals[i].Kind)
+	if v.Kind().Float() {
+		c.floats[i][l] = v.Float64()
+	} else {
+		c.ints[i][l] = v.Int64()
+	}
+	c.bounds[i][l] = true
 }
 
 // Reset prepares the context for a new instance of the same kernel at the
@@ -132,10 +180,7 @@ func (c *Ctx) ClearRows(n int) {
 // released, so a pooled Ctx cannot leak values across instances.
 func (c *Ctx) Reset(age int, coords []int) {
 	c.stop = false
-	if c.row != 0 {
-		c.Row(0)
-	}
-	c.age, c.coords, c.rowCoords[0] = age, coords, coords
+	c.age, c.coords = age, coords
 	for i := range c.vals {
 		c.vals[i] = field.Value{}
 		c.bound[i] = false
@@ -156,7 +201,7 @@ func NewCtx(k *KernelDecl, age int, index map[string]int, timers *deadline.Timer
 			coords[i] = index[v]
 		}
 	}
-	c.ResetRow(0, age, coords)
+	c.Reset(age, coords)
 	return c
 }
 

@@ -185,6 +185,41 @@ func (a *Array) Append(v Value) {
 	a.extents[0]++
 }
 
+// AppendInt64s adds xs, canonical payloads of integer or bool kind k (see
+// IntValOf), as the new last elements of a rank-1 array, converted as Append
+// converts them. The runtime stages a slice's column of an element store
+// this way.
+func (a *Array) AppendInt64s(k Kind, xs []int64) {
+	a.unshare()
+	switch d := &a.data; d.class {
+	case classI64:
+		d.i64 = append(d.i64, xs...)
+	case classI32:
+		for _, x := range xs {
+			d.i32 = append(d.i32, int32(x))
+		}
+	default:
+		for _, x := range xs {
+			a.Append(IntValOf(k, x))
+		}
+		return
+	}
+	a.extents[0] += len(xs)
+}
+
+// AppendFloat64s is AppendInt64s for payloads of float kind k.
+func (a *Array) AppendFloat64s(k Kind, xs []float64) {
+	a.unshare()
+	if d := &a.data; d.class == classF64 {
+		d.f64 = append(d.f64, xs...)
+		a.extents[0] += len(xs)
+		return
+	}
+	for _, x := range xs {
+		a.Append(FloatValOf(k, x))
+	}
+}
+
 // AppendCells adds src's cells, in row-major order, as the new last elements
 // of a rank-1 array, converted as a store converts them (slab.copyCells). A
 // reallocation makes room for room elements, if that is more than the new

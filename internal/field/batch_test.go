@@ -333,3 +333,53 @@ func TestPinView(t *testing.T) {
 	}
 	tok.Release()
 }
+
+// TestStoreBoxesZeroesWhatItSkips: a generation grown into recycled capacity
+// by local box stores reads zero in every cell they did not write, though
+// the cells of a store whose boxes are one run of unwritten cells were not
+// zeroed first: a row past the end, then two boxes back to back that end
+// past it, a cell past them that leaves cells after it unwritten, and a store
+// of two rows back to back refused for a cell of the first written before,
+// which grows the generation by the second and writes nothing.
+func TestStoreBoxesZeroesWhatItSkips(t *testing.T) {
+	DrainAgePoolsForTest()
+	f := New("f", Int32, 2, true)
+	defer f.Release()
+	if _, err := f.StoreSlice(0, []SlabDim{{}, {}}, filled(Int32, 1, 8, 4)); err != nil {
+		t.Fatal(err)
+	}
+	f.DropAge(0) // its slab, full of non-zero cells, goes to the pool
+	row := func(r int) []SlabDim { return []SlabDim{{Fixed: true, Index: r}, {}} }
+	if _, err := f.StoreBoxes(1, row(0), []int{4}, filled(Int32, 100, 4)); err != nil {
+		t.Fatal(err)
+	}
+	two := append(row(1), row(2)...)
+	if _, err := f.StoreBoxes(1, two, []int{4, 4}, filled(Int32, 300, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.StoreBoxes(1, []SlabDim{{Fixed: true, Index: 5}, {Fixed: true, Index: 1}}, nil, filled(Int32, 200, 1)); err != nil {
+		t.Fatal(err)
+	}
+	refused := append(row(5), row(6)...)
+	if _, err := f.StoreBoxes(1, refused, []int{4, 4}, filled(Int32, 400, 8)); !errors.Is(err, ErrWriteTwice) {
+		t.Fatalf("a store over a written row: %v", err)
+	}
+	got := f.Snapshot(1).Int32s()
+	if len(got) != 28 {
+		t.Fatalf("generation of %d cells, want 7 rows of 4", len(got))
+	}
+	for i, v := range got {
+		want := int32(0)
+		switch {
+		case i < 4:
+			want = int32(100 + i)
+		case i < 12:
+			want = int32(300 + i - 4)
+		case i == 21:
+			want = 200
+		}
+		if v != want {
+			t.Fatalf("cell %d of %v is %d, want %d", i, got, v, want)
+		}
+	}
+}

@@ -222,7 +222,10 @@ func (r *StoreResult) Extents() []int {
 	return r.ext[:r.rank]
 }
 
-func (s *ageStore) grow(extents []int) {
+// grow enlarges the generation to extents; the caller writes every cell of
+// [lo, hi) next (see fillsRun), so where growth keeps every written cell's
+// offset those cells are not zeroed first.
+func (s *ageStore) grow(extents []int, lo, hi int) {
 	same := true
 	onlyOuter := true
 	for d, e := range extents {
@@ -248,7 +251,7 @@ func (s *ageStore) grow(extents []int) {
 	// Element-by-element and row-by-row stores — the dominant patterns for
 	// per-macroblock kernels — cost O(n) total instead of O(n²) remapping.
 	if onlyOuter || s.data.len() == 0 {
-		s.data.resize(n, 2*s.data.capacity())
+		s.data.resizeOver(n, 2*s.data.capacity(), lo, hi)
 		s.written = growBools(s.written, n)
 		copy(s.extents, extents)
 		return
@@ -381,7 +384,8 @@ func (f *Field) StoreBoxes(age int, sels []SlabDim, ext []int, src *Array) (Stor
 		return StoreResult{}, fmt.Errorf("field %s: box store of %d cells from %d extents with %d values", f.name, cells, len(ext), src.Len())
 	}
 	if grew {
-		s.grow(want)
+		lo, hi := s.fillsRun(want, sels, ext)
+		s.grow(want, lo, hi)
 	}
 	count, from := 0, 0
 	for b := 0; b < len(sels); b += rank {
@@ -402,6 +406,52 @@ func (f *Field) StoreBoxes(age int, sels []SlabDim, ext []int, src *Array) (Stor
 	return s.result(grew, count), nil
 }
 
+// boxRun places a box — selector sel, the extents of its free dimensions at
+// the head of ext — in a generation of the given extents that holds it: its
+// origin and span per dimension (into org and span), its flat offset and
+// cell count, and whether it is one run from there, which it is when it
+// spans one cell in every dimension before its first wider one and the whole
+// of every one after. It returns what is left of ext.
+func boxRun(extents []int, sel []SlabDim, ext, org, span []int) (base, cells int, one bool, rest []int) {
+	cells, one = 1, true
+	wide := false
+	for d, sd := range sel {
+		org[d], span[d] = sd.Index, 1
+		if !sd.Fixed {
+			span[d], ext = ext[0], ext[1:]
+		}
+		cells *= span[d]
+		one = one && (!wide || span[d] == extents[d])
+		wide = wide || span[d] != 1
+		base = base*extents[d] + org[d]
+	}
+	return base, cells, one, ext
+}
+
+// fillsRun returns the cells [lo, hi) of a generation grown to want that
+// the boxes of a StoreBoxes call write, when they are one run of cells none
+// of which is written yet — each box one run, each after the one before it —
+// and else an empty range.
+func (s *ageStore) fillsRun(want []int, sels []SlabDim, ext []int) (lo, hi int) {
+	var orgBuf, spanBuf [4]int
+	rank := len(want)
+	org, span := ints(&orgBuf, rank), ints(&spanBuf, rank)
+	for b := 0; b < len(sels); b += rank {
+		base, cells, one, rest := boxRun(want, sels[b:b+rank], ext, org, span)
+		if !one || b > 0 && base != hi {
+			return 0, 0
+		}
+		if b == 0 {
+			lo = base
+		}
+		hi, ext = base+cells, rest
+	}
+	if old := len(s.written); s.writes > 0 && lo < old && slices.Contains(s.written[lo:min(hi, old)], true) {
+		return 0, 0
+	}
+	return lo, hi
+}
+
 // storeBox writes one box of StoreBoxes — selector sel, the extents of its
 // free dimensions ext — from src's cells at from on, into a generation grown
 // to hold it: a box that is one run of the generation (a row, whole rows)
@@ -410,20 +460,7 @@ func (f *Field) StoreBoxes(age int, sels []SlabDim, ext []int, src *Array) (Stor
 func (f *Field) storeBox(s *ageStore, age int, sel []SlabDim, ext []int, src *Array, from int) (written, cells int, err error) {
 	var orgBuf, spanBuf [4]int
 	org, span := ints(&orgBuf, len(sel)), ints(&spanBuf, len(sel))
-	// The box is one run, from base, when it spans one cell in every
-	// dimension before its first wider one and the whole of every one after
-	// (from 0: the generation holds the box).
-	cells, base, wide, one := 1, 0, false, true
-	for d, sd := range sel {
-		org[d], span[d] = sd.Index, 1
-		if !sd.Fixed {
-			span[d], ext = ext[0], ext[1:]
-		}
-		cells *= span[d]
-		one = one && (!wide || span[d] == s.extents[d])
-		wide = wide || span[d] != 1
-		base = base*s.extents[d] + org[d]
-	}
+	base, cells, one, _ := boxRun(s.extents, sel, ext, org, span)
 	if one && cells > 0 {
 		written, err = f.storeRun(s, age, base, cells, src, from)
 		return written, cells, err
@@ -902,4 +939,36 @@ func (t ViewToken) At(idx []int) (Value, bool) {
 		return Value{}, false
 	}
 	return s.data.get(t.kind, off), true
+}
+
+// Int64At is At for an element read as an int64 (Value.Int64), unboxed: the
+// runtime gathers a slice's element fetches into columns this way.
+func (t ViewToken) Int64At(idx []int) (int64, bool) {
+	s := t.s
+	off := s.flatten(idx)
+	if off < 0 || !s.written[off] {
+		return 0, false
+	}
+	switch d := &s.data; d.class {
+	case classI64:
+		return d.i64[off], true
+	case classI32:
+		return int64(d.i32[off]), true
+	case classU8:
+		return int64(d.u8[off]), true
+	}
+	return s.data.get(t.kind, off).Int64(), true
+}
+
+// Float64At is At for an element read as a float64 (Value.Float64), unboxed.
+func (t ViewToken) Float64At(idx []int) (float64, bool) {
+	s := t.s
+	off := s.flatten(idx)
+	if off < 0 || !s.written[off] {
+		return 0, false
+	}
+	if s.data.class == classF64 {
+		return s.data.f64[off], true
+	}
+	return s.data.get(t.kind, off).Float64(), true
 }

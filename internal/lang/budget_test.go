@@ -163,22 +163,27 @@ func TestLaneEligibility(t *testing.T) {
 	// The varying registers of the eligible K-means kernels, in both sources:
 	// assign's are the point (f0 f1), the best distance (f2), the temporaries
 	// computed from them and m (i2); its loop counter i4 and bound i3 are
-	// not. refine's are the cluster index (i1), the fetched centroid (f0
-	// f1), the sums and the count written under the divergent if, and the
-	// results; its loop counter i4, bound i3 and the membership read i5 are
-	// not.
+	// not, nor are the centroid's coordinates, which the lowering reads into
+	// temporaries that later hold distances (f4, f5) and the plan gives
+	// registers of their own (f11, f12). refine's are the cluster index (i1),
+	// the fetched centroid (f0 f1), the sums and the count written under the
+	// divergent if, and the results; its loop counter i4, bound i3 and the
+	// membership read i5 are not.
 	varying := map[string]string{
 		"assign": "i2 f0 f1 f2 f3 f4 f5 f6 f7",
 		"refine": "i1 i2 f0 f1 f2 f3 f4 f5 f6",
 	}
 	// The shortest slice each is run in lockstep at (laneBreakEven): of the
-	// instructions of its loop that every lane executes the driver has 8 of
+	// instructions of its loop that every lane executes the driver has 6 of
 	// assign's 10 and none of refine's 4, whose membership test exec decides
-	// by index. Measured, assign breaks even at 10 to 12 lanes and refine at
-	// 4 (EXPERIMENTS.md E8b). refine's matters: its
-	// domain is the K clusters, so its tail limit is small — 12 at K=100 on
-	// two workers.
-	minLanes := map[string]int{"assign": 11, "refine": 4}
+	// by index, which leaves refine at the floor of 2. Measured through
+	// execSlice, assign breaks even at 8 to 9 lanes and refine at 2
+	// (EXPERIMENTS.md E26). refine's matters: its domain is the K clusters,
+	// so its tail limit is small — 12 at K=100 on two workers.
+	minLanes := map[string]int{"assign": 9, "refine": 2}
+	// The values given registers of their own (renameUniform): assign's two
+	// centroid coordinates; renaming refine's would only add a column.
+	renamed := map[string]int{"assign": 2, "refine": 0}
 	// The branches each decides by index (byIndexPlan): refine's membership
 	// test compares the uniform get(ms, i) with its index c; assign's two
 	// compare per-lane distances.
@@ -214,6 +219,9 @@ func TestLaneEligibility(t *testing.T) {
 				}
 				if p.lane.minLanes != minLanes[p.kernel] {
 					t.Errorf("%s: lockstep from %d lanes, want %d", key, p.lane.minLanes, minLanes[p.kernel])
+				}
+				if p.lane.renamed != renamed[p.kernel] {
+					t.Errorf("%s: %d values renamed, want %d", key, p.lane.renamed, renamed[p.kernel])
 				}
 				if got := byIndexPlan(p, file.Kernels[i].Indexes); got != byIndex[p.kernel] {
 					t.Errorf("%s: branches decided by index %q, want %q", key, got, byIndex[p.kernel])

@@ -97,8 +97,9 @@ func (p *bcProg) innerLoop() int {
 // header, prologue loads, instructions, epilogue write-backs. Constant
 // registers and immediates print as their value (`#0`). When the body can run
 // in lockstep the header says `lanes: yes` and from what slice length, a
-// varying register (one value per lane) carries a star and a branch on one is
-// marked divergent.
+// varying register (one value per lane) carries a star, a branch on one is
+// marked divergent, and the instructions show the plan's registers (a value
+// renameUniform gave a register of its own names one above the constants).
 func (p *bcProg) disasm(kd *KernelDef) string {
 	var b strings.Builder
 	lanes := "no (" + p.laneWhy + ")"
@@ -117,12 +118,12 @@ func (p *bcProg) disasm(kd *KernelDef) string {
 	reg := func(cl regClass, r int32) string {
 		switch cl {
 		case clI:
-			if int(r) >= p.nI {
+			if int(r) >= p.nI && int(r) < p.nI+len(p.ints) {
 				return "#" + strconv.FormatInt(p.ints[int(r)-p.nI], 10)
 			}
 			return "i" + strconv.Itoa(int(r)) + star(cl, r)
 		case clF:
-			if int(r) >= p.nF {
+			if int(r) >= p.nF && int(r) < p.nF+len(p.floats) {
 				return "#" + strconv.FormatFloat(p.floats[int(r)-p.nF], 'g', -1, 64)
 			}
 			return "f" + strconv.Itoa(int(r)) + star(cl, r)
@@ -149,7 +150,11 @@ func (p *bcProg) disasm(kd *KernelDef) string {
 		fmt.Fprintf(&b, "      prologue   %s = %s\n", reg(ld.cl, ld.reg), src)
 	}
 
-	for pc, in := range p.code {
+	code := p.code
+	if p.lane != nil {
+		code = p.lane.ops
+	}
+	for pc, in := range code {
 		info := &opTable[in.op]
 		var ops [4]string // operands as text, by slot
 		var shown []string

@@ -101,6 +101,9 @@ type exprGen struct {
 	// divisors that are mostly nonzero, so that most programs run their
 	// slices in lockstep to the end instead of declining.
 	lanes bool
+	// shared counts the shared loads genLaneProgram has declared variables
+	// for, for unique names.
+	shared int
 }
 
 // divisor wraps e so that it is never zero, most of the time in lanes mode.
@@ -402,7 +405,11 @@ k:
 	b.WriteString("int i0 = v; int i1 = -3; int i2 = x;\n")
 	b.WriteString("float f0 = fv; float f1 = 2.25;\n")
 	n := 3 + g.rng.Intn(8)
+	shared := g.rng.Intn(2*n + 1) // half the programs: before statement shared
 	for j := 0; j < n; j++ {
+		if j == shared {
+			g.sharedLoad(&b)
+		}
 		g.stmt(&b, 2)
 	}
 	// m stays unbound, and its store suppressed, in a third of the lanes
@@ -411,6 +418,26 @@ k:
 	b.WriteString("acc = acc + f0 + get(g, 0, 0);\n")
 	b.WriteString("%}\n  store mout(0)[x] = m;\n  store accout(0)[x] = acc;\n")
 	return b.String()
+}
+
+// sharedLoad writes a statement that reads a shared array at a constant
+// index into a temporary and one that reuses the temporary's register, as a
+// variable, for a value that differs by lane: the uniform load gets a
+// register of its own in the lane plan (renameUniform). Both values reach
+// the kernel's stores. The third form loads into the local acc and then
+// divides it by f0, which is zero in some lanes: a scalar body failing there
+// must leave acc as the program assigned it.
+func (g *exprGen) sharedLoad(b *strings.Builder) {
+	u, w := fmt.Sprint("u", g.shared), fmt.Sprint("w", g.shared)
+	g.shared++
+	switch g.rng.Intn(3) {
+	case 0:
+		fmt.Fprintf(b, "float %s = f0 - get(g, %d, %d);\nfloat %s = f0 * %s;\nf0 = f0 + %s * 0.25;\n", u, g.rng.Intn(3), g.rng.Intn(3), w, u, w)
+	case 1:
+		fmt.Fprintf(b, "int %s = i0 + get(r, %d);\nint %s = i2 * %s;\ni0 = i0 + %s %% 7;\n", u, g.rng.Intn(8), w, u, w)
+	default:
+		fmt.Fprintf(b, "acc = get(g, %d, %d);\nacc = acc / f0;\n", g.rng.Intn(2), g.rng.Intn(2))
+	}
 }
 
 // genProgram builds a complete run-once program whose result surface is the
@@ -520,9 +547,10 @@ func TestDifferentialFuzzOracle(t *testing.T) {
 	}
 	// The generator has to stay inside what lanes accept, most of what it
 	// writes has to get through without a lane faulting, and a tenth of its
-	// programs have to decide a branch by index.
+	// programs have to decide a branch by index and a tenth give a uniform
+	// load a register of its own.
 	t.Logf("lane programs: %+v", lanes)
-	if lanes.eligible < iters*9/10 || lanes.completed < lanes.runs/2 || lanes.byIndex < iters/10 {
+	if lanes.eligible < iters*9/10 || lanes.completed < lanes.runs/2 || lanes.byIndex < iters/10 || lanes.renamed < iters/10 {
 		t.Errorf("lane programs missed the lockstep path: %+v", lanes)
 	}
 }
@@ -755,6 +783,28 @@ func TestFuzzSeedsStayInScope(t *testing.T) {
 	}
 }
 
+// renamedLocal assigns a local two uniform values, then divides it by a
+// fetched value that is zero in some lanes. The lane plan gives the uniform
+// values registers of their own; a failing scalar body must still leave best
+// bound to 1.5, as the oracle does (checkLanes compares them lane by lane).
+const renamedLocal = `float64[] in;
+float64[] out;
+init:
+  local float64[] a;
+  %{ for (int i = 0; i < 4; ++i) { put(a, 1.0 * i - 1.0, i); } %}
+  store in(0) = a;
+k:
+  index x;
+  local float64 v;
+  local float64 best;
+  fetch v = in(0)[x];
+  %{
+    best = 2.0;
+    best = 1.5;
+    best = best / v;
+  %}
+  store out(0)[x] = best;`
+
 // FuzzVMMatchesOracle: any program the compiler accepts behaves the same on
 // the VM and on the oracle, run to completion under boundedFile's limits.
 // Instances of a failing program may run in either order, so for a run that
@@ -771,6 +821,7 @@ func FuzzVMMatchesOracle(f *testing.F) {
 	for i := 0; i < 4; i++ {
 		f.Add(g.genLaneProgram())
 	}
+	f.Add(renamedLocal)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<13 {
 			return

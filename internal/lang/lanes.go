@@ -36,10 +36,13 @@ package lang
 // unless that lane exists, and the driver then splits off just that lane.
 //
 // A body is lane-eligible when it consists of exec's call-free instructions
-// plus extent, bind and ret, keeps no string or boxed value, and has no array
-// local but those every lane shares (whole fetches): the rows of a slice's
-// context share one Array per local, so a slab per instance rules lanes out
-// even when the body only passes it on to a store. Such a body has no effect before
+// plus extent, bind and ret, keeps no string or boxed value — every scalar
+// local is a typed number, a column of the slice's context (core.Ctx.Lanes)
+// — and has no array local but those every lane shares (whole fetches): the
+// lanes of a context share one Array per local, so a slab per instance rules
+// lanes out even when the body only passes it on to a store. The prologue
+// copies the loaded columns into the lanes' and the epilogue copies the
+// assigned registers back, with their bound flags. Such a body has no effect before
 // its epilogue, so when any lane faults — division by zero, negative sqrt, a
 // get out of range — the attempt is abandoned with nothing written and the
 // caller runs the slice through body() instance by instance: errors, panics
@@ -53,18 +56,22 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/field"
 )
 
 // laneProg is the static lockstep plan of one lane-eligible body.
 type laneProg struct {
-	// code is bcProg.code with opLane in place of every instruction the
-	// driver executes: those that write a varying register, branches on one,
-	// and everything at a partial pc.
+	// ops is bcProg.code with the plan's registers: a value renameUniform
+	// moved off a varying register reads and writes its own, numbered above
+	// the class's constants (the scalar frame has room for every register).
+	// bcProg.code, which the scalar body runs, stays as the lowering left it.
+	ops []instr
+	// code is ops with opLane in place of every instruction the driver
+	// executes: those that write a varying register, branches on one, and
+	// everything at a partial pc.
 	code []instr
-	// solo is bcProg.code with opLane at every pc that is not partial: what
-	// one lane runs on its own, in the scalar loop, until it is back where
-	// all lanes can be together (laneVM.solo).
+	// solo is ops with opLane at every pc that is not partial: what one lane
+	// runs on its own, in the scalar loop, until it is back where all lanes
+	// can be together (laneVM.solo).
 	solo []instr
 	// icol and fcol give a varying register's column, -1 for a uniform one;
 	// iregs and fregs are the inverse, the register of each column.
@@ -88,6 +95,10 @@ type laneProg struct {
 	// minLanes is the shortest slice worth running in lockstep
 	// (laneBreakEven); it becomes core.KernelDecl.SliceMin.
 	minLanes int
+	// renamed counts the values renameUniform gave a register of their own;
+	// nextI and nextF are the registers it gives the next ones.
+	renamed      int
+	nextI, nextF int
 
 	frames sync.Pool
 	// desynced is set when the driver finds lanes parked where the plan says
@@ -148,14 +159,10 @@ func laneVaries(in instr, varI, varF *[maxRegs]bool) bool {
 // planLanes decides whether the lowered body can run in lockstep and, if so,
 // builds its plan.
 func (p *bcProg) planLanes(k *KernelDef) {
-	for _, ld := range p.loads {
-		if ld.cl != clI && ld.cl != clF {
-			p.laneWhy = "string or any value"
-			return
-		}
-	}
-	for _, st := range p.stores {
-		if st.cl != clI && st.cl != clF {
+	// A scalar local is a column of numbers in a slice's context, read and
+	// written typed.
+	for li, l := range k.Locals {
+		if l.Rank == 0 && p.arrCl[li] != clI && p.arrCl[li] != clF {
 			p.laneWhy = "string or any value"
 			return
 		}
@@ -191,7 +198,7 @@ func (p *bcProg) planLanes(k *KernelDef) {
 		}
 	}
 	// An array local the body never touches is still per lane when a slab
-	// fetch fills it (a pass-through to a store): all rows of a context share
+	// fetch fills it (a pass-through to a store): all lanes of a context share
 	// the one Array of a local.
 	for li := range k.Locals {
 		if k.Locals[li].Rank > 0 && !seen[li] && !shared(li) {
@@ -199,57 +206,17 @@ func (p *bcProg) planLanes(k *KernelDef) {
 		}
 	}
 
-	// The data-flow pass, to a fixed point: a register is varying when some
-	// instruction writes it from a varying operand or at a partial pc; the
-	// pcs between a branch or jump and its target are partial when it reads a
-	// varying register or is itself at a partial pc. That covers every pc at
-	// which lanes can be parked. The lanes with the lowest pc always run, so
-	// with lanes parked as far up as D the running ones are below D, and the
-	// claim is that every pc from theirs to D is marked: a split at j puts
-	// its sides at j+1 and at the target and marks what lies between; a jump
-	// from a marked j to x beyond D parks the jumpers there, and [j+1, x) is
-	// marked; one back to x < j marks [x, j]; stepping to the next
-	// instruction shrinks the range.
 	n := len(p.code)
 	var varI, varF [maxRegs]bool
-	for _, ld := range p.loads {
-		if ld.from != fromAge {
-			if ld.cl == clI {
-				varI[ld.reg] = true
-			} else {
-				varF[ld.reg] = true
-			}
-		}
-	}
 	partial := make([]bool, n) // per pc: some lanes may be parked while it executes
 	lp.divergent = make([]bool, n)
 	lp.varies = make([]bool, n)
-	for changed := true; changed; {
-		changed = false
-		for pc, in := range p.code {
-			lp.varies[pc] = laneVaries(in, &varI, &varF)
-			vary := lp.varies[pc]
-			switch {
-			case laneBranch(in.op) || in.op == opJmp:
-				lp.divergent[pc] = vary
-				if !vary && !partial[pc] {
-					break
-				}
-				lo, hi := min(pc+1, int(in.d)), max(pc+1, int(in.d))
-				for q := lo; q < hi; q++ {
-					if !partial[q] {
-						partial[q], changed = true, true
-					}
-				}
-			case laneWrites(in.op) && (vary || partial[pc]):
-				v := &varI
-				if opTable[in.op].args[0] == xF {
-					v = &varF
-				}
-				if !v[in.a] {
-					v[in.a], changed = true, true
-				}
-			}
+	lp.ops = append([]instr(nil), p.code...)
+	lp.nextI, lp.nextF = p.nI+len(p.ints), p.nF+len(p.floats)
+	for {
+		p.laneFlow(lp, partial, &varI, &varF)
+		if !lp.renameUniform(partial, &varI, &varF) {
+			break
 		}
 	}
 
@@ -268,9 +235,9 @@ func (p *bcProg) planLanes(k *KernelDef) {
 	for li := range lp.bindCol {
 		lp.bindCol[li] = -1
 	}
-	lp.code = append([]instr(nil), p.code...)
-	lp.solo = append([]instr(nil), p.code...)
-	for pc, in := range p.code {
+	lp.code = append([]instr(nil), lp.ops...)
+	lp.solo = append([]instr(nil), lp.ops...)
+	for pc, in := range lp.ops {
 		if !partial[pc] {
 			lp.solo[pc].op = opLane
 		}
@@ -292,11 +259,11 @@ func (p *bcProg) planLanes(k *KernelDef) {
 	}
 
 	var written [maxRegs]bool // int registers some instruction writes
-	for _, in := range p.code {
+	for _, in := range lp.ops {
 		written[in.a] = written[in.a] || laneWrites(in.op) && opTable[in.op].args[0] == xI
 	}
 	lp.byIndex = make([]int8, n)
-	for pc, in := range p.code {
+	for pc, in := range lp.ops {
 		lp.byIndex[pc] = -1
 		u, r := in.a, in.b
 		if varI[u] {
@@ -319,30 +286,152 @@ func (p *bcProg) planLanes(k *KernelDef) {
 	p.lane = lp
 }
 
+// laneFlow is the data-flow pass, to a fixed point: a register is varying
+// when some instruction writes it from a varying operand or at a partial pc;
+// the pcs between a branch or jump and its target are partial when it reads a
+// varying register or is itself at a partial pc. That covers every pc at
+// which lanes can be parked. The lanes with the lowest pc always run, so with
+// lanes parked as far up as D the running ones are below D, and the claim is
+// that every pc from theirs to D is marked: a split at j puts its sides at
+// j+1 and at the target and marks what lies between; a jump from a marked j
+// to x beyond D parks the jumpers there, and [j+1, x) is marked; one back to
+// x < j marks [x, j]; stepping to the next instruction shrinks the range.
+func (p *bcProg) laneFlow(lp *laneProg, partial []bool, varI, varF *[maxRegs]bool) {
+	*varI, *varF = [maxRegs]bool{}, [maxRegs]bool{}
+	clear(partial)
+	for _, ld := range p.loads {
+		if ld.from != fromAge {
+			if ld.cl == clI {
+				varI[ld.reg] = true
+			} else {
+				varF[ld.reg] = true
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for pc, in := range lp.ops {
+			lp.varies[pc] = laneVaries(in, varI, varF)
+			vary := lp.varies[pc]
+			switch {
+			case laneBranch(in.op) || in.op == opJmp:
+				lp.divergent[pc] = vary
+				if !vary && !partial[pc] {
+					break
+				}
+				lo, hi := min(pc+1, int(in.d)), max(pc+1, int(in.d))
+				for q := lo; q < hi; q++ {
+					if !partial[q] {
+						partial[q], changed = true, true
+					}
+				}
+			case laneWrites(in.op) && (vary || partial[pc]):
+				v := varI
+				if opTable[in.op].args[0] == xF {
+					v = varF
+				}
+				if !v[in.a] {
+					v[in.a], changed = true, true
+				}
+			}
+		}
+	}
+}
+
+// renameUniform gives its own register to every value that is uniform but
+// shares a varying register: one written outside the partial pcs from
+// uniform operands into a register that a later instruction of the same
+// basic block writes again. Every read of the value then lies between the
+// two writes, so renaming the first write and those reads changes nothing a
+// lane computes; the register it shared is varying only for its other
+// values, and the renamed one stays in exec instead of being broadcast into
+// every lane (assign's cents[c][#0], which the lowering computes into the
+// temporary that later holds a distance). Nothing else is renamed: a new
+// register that only moves a varying value adds a column. It renames in ops
+// alone, so a scalar body that fails between the two writes still leaves a
+// local's register as the program assigned it, and it reports whether it
+// renamed any.
+func (lp *laneProg) renameUniform(partial []bool, varI, varF *[maxRegs]bool) bool {
+	code := lp.ops
+	target := make([]bool, len(code)+1)
+	for _, in := range code {
+		if laneBranch(in.op) || in.op == opJmp {
+			target[in.d] = true
+		}
+	}
+	ends := func(op opcode) bool { return laneBranch(op) || op == opJmp || op == opRet || op == opErr }
+	renamed := false
+	for d, in := range code {
+		cl := opTable[in.op].args[0]
+		if !laneWrites(in.op) || partial[d] || lp.varies[d] || cl == xI && !varI[in.a] || cl == xF && !varF[in.a] {
+			continue
+		}
+		e := -1 // the next write of the register, if the block has one
+		for q := d + 1; q < len(code) && !target[q] && !ends(code[q-1].op); q++ {
+			if x := code[q]; laneWrites(x.op) && opTable[x.op].args[0] == cl && x.a == in.a {
+				e = q
+				break
+			}
+		}
+		next := &lp.nextI
+		if cl == xF {
+			next = &lp.nextF
+		}
+		if e < 0 || *next >= maxRegs {
+			continue
+		}
+		r, nr := int32(in.a), int32(*next)
+		*next++
+		code[d].a = uint8(nr)
+		rename := func(x int32) int32 {
+			if x == r {
+				return nr
+			}
+			return x
+		}
+		for q := d + 1; q <= e; q++ {
+			mapRegs(&code[q], cl, rename)
+		}
+		lp.renamed++
+		renamed = true
+	}
+	return renamed
+}
+
+// mapRegs replaces each register operand of class cl that x reads by f of
+// it.
+func mapRegs(x *instr, cl operand, f func(int32) int32) {
+	ops := [4]int32{int32(x.a), int32(x.b), int32(x.c), x.d}
+	for i, role := range opTable[x.op].args {
+		if role == cl && !(i == 0 && laneWrites(x.op)) {
+			ops[i] = f(ops[i])
+		}
+	}
+	x.a, x.b, x.c, x.d = uint8(ops[0]), uint8(ops[1]), uint8(ops[2]), ops[3]
+}
+
 // laneBreakEven estimates the shortest slice that lockstep runs faster than
-// the scalar loop runs its instances one by one. On the build host an
-// instruction costs the scalar loop ≈1.6 ns per instance; in lockstep a
-// uniform one costs that once per slice and one of the driver's ≈10 ns per
-// slice plus ≈1 ns per lane (EXPERIMENTS.md E8b, per body). With v the
-// driver's share of the hot instructions every lane executes — those of the
-// innermost loops, or of the whole body when it has none, that are not at a
-// partial pc — n lanes break even when v(10 + n) + 1.6(1 - v) = 1.6n: 1 lane
-// when the loop's only varying instruction is a compare decided by index
-// (K-means refine; measured 2, 34 against 54 µs; EXPERIMENTS.md E23), 11 for
-// a loop of float arithmetic on per-lane values (assign; measured 10 to 12),
-// 17 when everything varies.
+// the scalar loop runs its instances one by one. An instruction costs the
+// scalar loop ≈1.6 ns per instance; in lockstep a uniform one costs that once
+// per slice and one of the driver's ≈13 ns per slice plus ≈1 ns per lane
+// (EXPERIMENTS.md E8b, per body; the 13 fitted to assign's break-even in
+// E26). With v the driver's share of the hot instructions every lane
+// executes — those of the innermost loops, or of the whole body when it has
+// none, that are not at a partial pc — n lanes break even when
+// v(13 + n) + 1.6(1 - v) = 1.6n: 1 lane when the loop's only varying
+// instruction is a compare decided by index (K-means refine), 9 for a loop
+// of float arithmetic on per-lane values whose reads of a shared array stay
+// uniform (assign; measured through execSlice: even at 8 and 9 lanes, 20.7
+// against 20.1 and 22.6 against 22.9 µs), 22 when everything varies.
 //
 // Leaving out the partial pcs assumes that few lanes enter the body of a
 // divergent if, which is what the running minimum of assign and the
 // membership test of refine do; a body that sends half its lanes each way
-// breaks even later than this says. It also decides whether refine runs in
-// lockstep at all: the runtime sizes a kernel with a slice body by its domain
-// alone, at Workers×4 slices per age, only when that size reaches the
-// minimum — 12 of K=100 centroids on two workers, where a minimum above 12
-// would leave refine's 20 µs instances to the scalar loop. The model leaves
-// out as well what a run costs before its first instruction (two pooled
-// frames, the arrays resolved, a column per loaded register), so the answer
-// is never below 4. code is the plan's.
+// breaks even later than this says. The model leaves out as well what a run
+// costs before its first instruction (the frames, the arrays resolved, the
+// loaded columns copied), so the answer is never below 2: at one lane,
+// lockstep refine takes 23.5 µs through execSlice against 21.5 µs for the
+// scalar body, at two 25 against 46 µs (E26). code is the plan's.
 func (p *bcProg) laneBreakEven(code []instr, partial []bool) int {
 	hot := p.innerLoops()
 	if len(hot) == 0 {
@@ -363,9 +452,9 @@ func (p *bcProg) laneBreakEven(code []instr, partial []bool) int {
 	if total == 0 {
 		total, driver = 1, 1 // a loop on a per-lane bound: all of it is partial
 	}
-	// ceil((8.4v + 1.6) / (1.6 - v)) with v = driver/total, in tenths.
-	num, den := 84*driver+16*total, 16*total-10*driver
-	return max(4, (num+den-1)/den)
+	// ceil((11.4v + 1.6) / (1.6 - v)) with v = driver/total, in tenths.
+	num, den := 114*driver+16*total, 16*total-10*driver
+	return max(2, (num+den-1)/den)
 }
 
 // laneGroup is a set of lanes parked at a pc.
@@ -802,15 +891,39 @@ func (vm *laneVM) solo(ctx *core.Ctx, l int32, pc int) (int, bool) {
 // srcI returns int register r of the running lanes as w values in scratch
 // slot k or, when all lanes run, the register's column itself. w is 1 when
 // every operand of the instruction is uniform, else the number of running
-// lanes.
-func (vm *laneVM) srcI(r uint8, k, w int) []int64 {
+// lanes. With one set, a uniform register stays one value: the operand of
+// an instruction with a scalar form (laneArith).
+func (vm *laneVM) srcI(r uint8, k, w int, one bool) []int64 {
 	b := vm.operandI(r)
+	if one && len(b) == 1 {
+		return b
+	}
 	return laneGather(vm.lf, b, vm.lf.si[k][:w], &vm.lf.castI[k], uint64(b[0]))
 }
 
-func (vm *laneVM) srcF(r uint8, k, w int) []float64 {
+func (vm *laneVM) srcF(r uint8, k, w int, one bool) []float64 {
 	b := vm.operandF(r)
+	if one && len(b) == 1 {
+		return b
+	}
 	return laneGather(vm.lf, b, vm.lf.sf[k][:w], &vm.lf.castF[k], math.Float64bits(b[0]))
+}
+
+// laneArith is the arithmetic of an instruction the driver computes with
+// one operand a single uniform value, unbroadcast (laneScalarOp), and 0 for
+// any other.
+func laneArith(op opcode) byte {
+	switch op {
+	case opAddI, opAddF:
+		return '+'
+	case opSubI, opSubF:
+		return '-'
+	case opMulI, opMulF:
+		return '*'
+	case opDivF:
+		return '/'
+	}
+	return 0
 }
 
 // laneCast is what an operand slot was last filled with: w copies of bits.
@@ -842,19 +955,21 @@ func laneGather[T int64 | float64](lf *laneFrame, b, s []T, cast *laneCast, bits
 }
 
 // srcII returns the one or two int operands of an instruction (c is b when
-// there is one).
-func (vm *laneVM) srcII(rb, rc uint8, two bool, w int) (b, c []int64) {
-	b = vm.srcI(rb, 0, w)
-	if c = b; two {
-		c = vm.srcI(rc, 1, w)
+// there is one), a uniform one as a single value if it has a scalar form.
+func (vm *laneVM) srcII(in instr, w int) (b, c []int64) {
+	one := laneArith(in.op) != 0
+	b = vm.srcI(in.b, 0, w, one)
+	if c = b; opTable[in.op].args[2] == xI {
+		c = vm.srcI(in.c, 1, w, one)
 	}
 	return b, c
 }
 
-func (vm *laneVM) srcFF(rb, rc uint8, two bool, w int) (b, c []float64) {
-	b = vm.srcF(rb, 0, w)
-	if c = b; two {
-		c = vm.srcF(rc, 1, w)
+func (vm *laneVM) srcFF(in instr, w int) (b, c []float64) {
+	one := laneArith(in.op) != 0
+	b = vm.srcF(in.b, 0, w, one)
+	if c = b; opTable[in.op].args[2] == xF {
+		c = vm.srcF(in.c, 1, w, one)
 	}
 	return b, c
 }
@@ -915,7 +1030,8 @@ const (
 // returns at the next opLane; the instruction there is executed below over
 // the running lanes. Operands come through srcI/srcF and results leave
 // through putI/putF, so every loop is a dense one over equally long slices
-// whether all lanes run, some do, or the operands are uniform.
+// whether all lanes run, some do, or the operands are uniform — but for a
+// uniform operand of add, sub, mul or div, which stays one value.
 func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 	p, lp, fr, lf := vm.p, vm.lp, vm.fr, vm.lf
 	for pc := 0; ; {
@@ -933,7 +1049,7 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 				return laneDone
 			}
 		}
-		in := p.code[pc]
+		in := lp.ops[pc]
 		// w is how many values the instruction computes: one per running
 		// lane, or one in all when every operand is uniform.
 		w := len(lf.act)
@@ -974,26 +1090,26 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 
 		case opMovI, opTrunc32, opTruncU8, opBoolI, opNotI, opAddI, opAddKI, opSubI, opMulI, opDivI, opModI,
 			opNegI, opAbsI, opMinI, opMaxI, opEqI, opNeI, opLtI, opLeI:
-			b, c := vm.srcII(in.b, in.c, opTable[in.op].args[2] == xI, w)
+			b, c := vm.srcII(in, w)
 			d := vm.dstI(in.a, w)
 			if !laneIntOp(in, d, b, c) {
 				return laneFaulted
 			}
 			vm.putI(in.a, d)
 		case opMovF, opNegF, opAbsF, opSqrtF, opAddF, opSubF, opMulF, opDivF:
-			b, c := vm.srcFF(in.b, in.c, opTable[in.op].args[2] == xF, w)
+			b, c := vm.srcFF(in, w)
 			d := vm.dstF(in.a, w)
 			if !laneFloatOp(in.op, d, b, c) {
 				return laneFaulted
 			}
 			vm.putF(in.a, d)
 		case opF2I, opBoolF, opNotF, opEqF, opNeF, opLtF, opLeF:
-			b, c := vm.srcFF(in.b, in.c, opTable[in.op].args[2] == xF, w)
+			b, c := vm.srcFF(in, w)
 			d := vm.dstI(in.a, w)
 			laneFloatToInt(in.op, d, b, c)
 			vm.putI(in.a, d)
 		case opI2F:
-			b, d := vm.srcI(in.b, 0, w), vm.dstF(in.a, w)
+			b, d := vm.srcI(in.b, 0, w, false), vm.dstF(in.a, w)
 			for i, x := range b {
 				d[i] = float64(x)
 			}
@@ -1005,7 +1121,7 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 		// the op was lowered for, whose extents are zero.
 		case opGetF1, opGetI1:
 			v := &fr.views[in.b]
-			ci, n1 := vm.srcI(in.c, 0, w), uint64(v.n1)
+			ci, n1 := vm.srcI(in.c, 0, w, false), uint64(v.n1)
 			if in.op == opGetF1 {
 				d := vm.dstF(in.a, w)
 				for k, i := range ci {
@@ -1027,7 +1143,7 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 			}
 		case opGetF2, opGetI2:
 			v := &fr.views[in.b]
-			ci, cj := vm.srcI(in.c, 0, w), vm.srcI(uint8(in.d), 1, w)
+			ci, cj := vm.srcI(in.c, 0, w, false), vm.srcI(uint8(in.d), 1, w, false)
 			if in.op == opGetF2 {
 				d := vm.dstF(in.a, w)
 				for k, i := range ci {
@@ -1051,7 +1167,7 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 			}
 		case opExtent:
 			a := fr.views[in.b].arr
-			dims, d := vm.srcI(in.c, 0, w), vm.dstI(in.a, w)
+			dims, d := vm.srcI(in.c, 0, w, false), vm.dstI(in.a, w)
 			for k, dim := range dims {
 				d[k] = int64(a.Extent(int(dim)))
 			}
@@ -1064,8 +1180,12 @@ func (vm *laneVM) run(ctx *core.Ctx) laneExit {
 }
 
 // laneIntOp computes an int instruction over equally long operand slices (c
-// is b for a unary one). It returns false when an element faults.
+// is b for a unary one), or one of them a single value (laneScalarOp). It
+// returns false when an element faults.
 func laneIntOp(in instr, d, b, c []int64) bool {
+	if len(b) < len(d) || len(c) < len(d) {
+		return laneScalarOp(laneArith(in.op), d, b, c)
+	}
 	b, c = b[:len(d)], c[:len(d)]
 	switch in.op {
 	case opMovI:
@@ -1153,10 +1273,61 @@ func laneIntOp(in instr, d, b, c []int64) bool {
 	return true
 }
 
+// laneScalarOp computes an instruction with a scalar form (laneArith) whose
+// operand b or c is one uniform value. It returns false when an element
+// faults.
+func laneScalarOp[T int64 | float64](arith byte, d, b, c []T) bool {
+	if len(b) < len(d) && (arith == '+' || arith == '*') { // make c the value
+		b, c = c, b
+	}
+	if len(b) < len(d) {
+		x, c := b[0], c[:len(d)]
+		if arith == '-' {
+			for i := range d {
+				d[i] = x - c[i]
+			}
+			return true
+		}
+		for i := range d {
+			if c[i] == 0 {
+				return false
+			}
+			d[i] = x / c[i]
+		}
+		return true
+	}
+	y, b := c[0], b[:len(d)]
+	switch arith {
+	case '+':
+		for i := range d {
+			d[i] = b[i] + y
+		}
+	case '-':
+		for i := range d {
+			d[i] = b[i] - y
+		}
+	case '*':
+		for i := range d {
+			d[i] = b[i] * y
+		}
+	case '/':
+		if y == 0 {
+			return false
+		}
+		for i := range d {
+			d[i] = b[i] / y
+		}
+	}
+	return true
+}
+
 // laneFloatOp is laneIntOp for float instructions. Each loop performs one
 // IEEE operation per element and stores it, exactly as exec does one
 // instruction at a time, so nothing can be contracted into an FMA.
 func laneFloatOp(op opcode, d, b, c []float64) bool {
+	if len(b) < len(d) || len(c) < len(d) {
+		return laneScalarOp(laneArith(op), d, b, c)
+	}
 	b, c = b[:len(d)], c[:len(d)]
 	switch op {
 	case opMovF:
@@ -1235,9 +1406,8 @@ func laneFloatToInt(op opcode, d []int64, b, c []float64) {
 	}
 }
 
-// sliceBody wraps the plan as a core slice body: rows [0, n) of ctx are the
-// lanes. It declines, with no row changed, when a lane faults or the rows do
-// not share their arrays.
+// sliceBody wraps the plan as a core slice body: lanes [0, n) of ctx are the
+// lanes. It declines, with no column changed, when a lane faults.
 func (p *bcProg) sliceBody() func(*core.Ctx, int) bool {
 	lp := p.lane
 	return func(ctx *core.Ctx, n int) bool {
@@ -1266,33 +1436,25 @@ func (p *bcProg) sliceBody() func(*core.Ctx, int) bool {
 	}
 }
 
-// runLanes is one lockstep attempt: resolve the shared arrays, load the
-// columns from the rows (the prologue), run, and write the assigned locals
-// back to the rows (the epilogue) if every lane got through.
+// runLanes is one lockstep attempt: resolve the shared arrays, copy the
+// loaded columns of the context into the lanes' (the prologue), run, and
+// write the assigned locals' registers into their columns, binding them in
+// the lanes that assigned them (the epilogue), if every lane got through.
 func (p *bcProg) runLanes(ctx *core.Ctx, fr *bcFrame, lf *laneFrame) laneExit {
 	lp, n := p.lane, lf.n
-	ctx.Row(0)
 	for _, li := range lp.arrays {
 		p.resolve(ctx, fr, li)
 	}
-	for l := 0; l < n; l++ {
-		ctx.Row(l)
-		for _, li := range lp.arrays {
-			if v := ctx.LocalValue(int(li)); !v.IsArray() || v.Array() != fr.views[li].arr {
-				return laneFaulted
-			}
-		}
-		for _, ld := range p.loads {
-			switch {
-			case ld.from == fromAge:
-				fr.i[ld.reg] = int64(ctx.Age())
-			case ld.from == fromCoord:
-				lf.icolumn(lp.icol[ld.reg])[l] = int64(ctx.Coord(int(ld.idx)))
-			case ld.cl == clI:
-				lf.icolumn(lp.icol[ld.reg])[l] = ctx.LocalValue(int(ld.idx)).Int64()
-			default:
-				lf.fcolumn(lp.fcol[ld.reg])[l] = ctx.LocalValue(int(ld.idx)).Float64()
-			}
+	for _, ld := range p.loads {
+		switch {
+		case ld.from == fromAge:
+			fr.i[ld.reg] = int64(ctx.Age())
+		case ld.from == fromCoord:
+			copy(lf.icolumn(lp.icol[ld.reg]), ctx.CoordCol(int(ld.idx)))
+		case ld.cl == clI:
+			copy(lf.icolumn(lp.icol[ld.reg]), ctx.IntCol(int(ld.idx)))
+		default:
+			copy(lf.fcolumn(lp.fcol[ld.reg]), ctx.FloatCol(int(ld.idx)))
 		}
 	}
 	for s, ld := range lp.spans {
@@ -1314,31 +1476,28 @@ func (p *bcProg) runLanes(ctx *core.Ctx, fr *bcFrame, lf *laneFrame) laneExit {
 	}
 
 	for _, st := range p.stores {
+		li := int(st.li)
 		var flags []bool
 		if col := lp.bindCol[st.li]; col >= 0 {
 			flags = lf.bc[int(col)*lf.cap:][:n]
 		}
-		for l, bound := 0, fr.assigned[st.li]; l < n; l++ {
-			if !bound && (flags == nil || !flags[l]) {
-				continue
-			}
-			var v field.Value
-			if st.cl == clI {
-				x := fr.i[st.reg]
-				if col := lp.icol[st.reg]; col >= 0 {
-					x = lf.icolumn(col)[l]
-				}
-				v = field.IntValOf(st.kind, x)
-			} else {
-				x := fr.f[st.reg]
-				if col := lp.fcol[st.reg]; col >= 0 {
-					x = lf.fcolumn(col)[l]
-				}
-				v = field.FloatValOf(st.kind, x)
-			}
-			ctx.Row(l)
-			ctx.SetLocalValue(int(st.li), v)
+		all, bound := fr.assigned[st.li], ctx.BoundCol(li)[:n]
+		if st.cl == clI {
+			laneStore(ctx.IntCol(li)[:n], bound, all, flags, vm.operandI(uint8(st.reg)))
+		} else {
+			laneStore(ctx.FloatCol(li)[:n], bound, all, flags, vm.operandF(uint8(st.reg)))
 		}
 	}
 	return laneDone
+}
+
+// laneStore writes a stored local's register, src — its column, or one
+// uniform value — into the local's column c in the lanes that assigned it,
+// and binds it there: every lane when all is set, else those flags marks.
+func laneStore[T int64 | float64](c []T, bound []bool, all bool, flags []bool, src []T) {
+	for l := range c {
+		if all || flags != nil && flags[l] {
+			c[l], bound[l] = src[min(l, len(src)-1)], true
+		}
+	}
 }

@@ -95,11 +95,25 @@ func laneArrays(kd *core.KernelDecl) []*field.Array {
 	return shared
 }
 
-// rowState renders what the selected row of ctx holds after a body.
+// rowState renders what the one instance of ctx holds after a body.
 func rowState(kd *core.KernelDecl, ctx *core.Ctx) string {
 	var b strings.Builder
 	for _, l := range kd.Locals {
 		fmt.Fprintf(&b, "local %s: bound=%v value=%v\n", l.Name, ctx.Bound(l.Name), ctx.Get(l.Name))
+	}
+	return b.String()
+}
+
+// laneState is rowState for lane l of ctx's columns; array locals are the
+// context's one.
+func laneState(kd *core.KernelDecl, ctx *core.Ctx, l int) string {
+	var b strings.Builder
+	for li, lo := range kd.Locals {
+		bound, v := ctx.BoundAt(li), ctx.Get(lo.Name)
+		if lo.Rank == 0 {
+			bound, v = ctx.BoundCol(li)[l], ctx.LaneValue(li, l)
+		}
+		fmt.Fprintf(&b, "local %s: bound=%v value=%v\n", lo.Name, bound, v)
 	}
 	return b.String()
 }
@@ -131,8 +145,9 @@ func scalarLane(kd *core.KernelDecl, shared []*field.Array, age, l int, contiguo
 }
 
 // laneStats counts what checkLanes saw, so a test can tell that its programs
-// reached the lockstep path at all, and branches decided by index in it.
-type laneStats struct{ kernels, eligible, byIndex, runs, completed int }
+// reached the lockstep path at all, branches decided by index in it, and
+// uniform values given a register of their own (renamed).
+type laneStats struct{ kernels, eligible, byIndex, renamed, runs, completed int }
 
 // checkLanes is the three-way comparison for every lane-eligible kernel of
 // file (see the head of this file), with both kinds of coordinates
@@ -156,6 +171,9 @@ func checkLanes(t testing.TB, file *File, st *laneStats) {
 		if slices.ContainsFunc(bodies[ki].lane.byIndex, func(s int8) bool { return s >= 0 }) {
 			st.byIndex++
 		}
+		if bodies[ki].lane.renamed > 0 {
+			st.renamed++
+		}
 		age := 0
 		if kd.AgeVar != "" {
 			age = 2
@@ -174,17 +192,25 @@ func checkLanes(t testing.TB, file *File, st *laneStats) {
 					}
 				}
 				ctx := core.NewReusableCtx(kd, nil, nil)
-				ctx.Rows(n)
-				before := make([]string, n)
-				for l := range before {
+				ctx.Reset(age, nil)
+				ctx.Lanes(n)
+				for l := 0; l < n; l++ {
 					coords, vals := laneInputs(kd, shared, l, contiguous)
-					ctx.ResetRow(l, age, coords)
+					for p, x := range coords {
+						ctx.CoordCol(p)[l] = int64(x)
+					}
 					for li, v := range vals {
-						if v.Kind() != field.Invalid {
+						switch {
+						case v.IsArray():
 							ctx.SetLocalValue(li, v)
+						case v.Kind() != field.Invalid:
+							ctx.SetLaneValue(li, l, v)
 						}
 					}
-					before[l] = rowState(kd, ctx)
+				}
+				before := make([]string, n)
+				for l := range before {
+					before[l] = laneState(kd, ctx, l)
 				}
 				ran := func() (ok bool) {
 					defer func() {
@@ -205,13 +231,12 @@ func checkLanes(t testing.TB, file *File, st *laneStats) {
 					t.Fatalf("kernel %s, %d lanes (contiguous %v): slice body completed=%v although a lane failing on the scalar VM=%v", kd.Name, n, contiguous, ran, anyFailed)
 				}
 				for l := 0; l < n; l++ {
-					ctx.Row(l)
-					got, exp := rowState(kd, ctx), before[l]
+					got, exp := laneState(kd, ctx, l), before[l]
 					if ran {
 						got, exp = "error: <nil>\n"+got, want[l]
 					}
 					if got != exp {
-						t.Fatalf("kernel %s lane %d of %d (contiguous %v, completed=%v): row diverged\nslice body:\n%s\nwant:\n%s", kd.Name, l, n, contiguous, ran, got, exp)
+						t.Fatalf("kernel %s lane %d of %d (contiguous %v, completed=%v): lane diverged\nslice body:\n%s\nwant:\n%s", kd.Name, l, n, contiguous, ran, got, exp)
 					}
 				}
 			}
@@ -466,19 +491,24 @@ func kmeansSlice(t testing.TB, kernel string, n int) (*core.KernelDecl, *core.Ct
 		ms.SetFlat(field.Int32Val(int32(next(k))), i)
 	}
 	ctx := core.NewReusableCtx(kd, nil, nil)
-	ctx.Rows(n)
+	ctx.Reset(0, nil)
+	ctx.Lanes(n)
+	x, y := "px", "py"
+	if kernel == "assign" {
+		ctx.SetLocalValue(kd.LocalIndex("cents"), field.ArrayVal(cents))
+	} else {
+		x, y = "cx", "cy"
+		ctx.SetLocalValue(kd.LocalIndex("pts"), field.ArrayVal(pts))
+		ctx.SetLocalValue(kd.LocalIndex("ms"), field.ArrayVal(ms))
+	}
+	src := pts
+	if kernel != "assign" {
+		src = cents
+	}
 	for l := 0; l < n; l++ {
-		ctx.ResetRow(l, 0, []int{l})
-		if kernel == "assign" {
-			ctx.SetLocalValue(kd.LocalIndex("px"), field.Float64Val(pts.Float64s()[2*l]))
-			ctx.SetLocalValue(kd.LocalIndex("py"), field.Float64Val(pts.Float64s()[2*l+1]))
-			ctx.SetLocalValue(kd.LocalIndex("cents"), field.ArrayVal(cents))
-		} else {
-			ctx.SetLocalValue(kd.LocalIndex("cx"), field.Float64Val(cents.Float64s()[2*l]))
-			ctx.SetLocalValue(kd.LocalIndex("cy"), field.Float64Val(cents.Float64s()[2*l+1]))
-			ctx.SetLocalValue(kd.LocalIndex("pts"), field.ArrayVal(pts))
-			ctx.SetLocalValue(kd.LocalIndex("ms"), field.ArrayVal(ms))
-		}
+		ctx.CoordCol(0)[l] = int64(l)
+		ctx.SetLaneValue(kd.LocalIndex(x), l, field.Float64Val(src.Float64s()[2*l]))
+		ctx.SetLaneValue(kd.LocalIndex(y), l, field.Float64Val(src.Float64s()[2*l+1]))
 	}
 	return kd, ctx
 }

@@ -2,10 +2,14 @@ package runtime
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/field"
+	"repro/internal/lang"
 )
 
 // benchNode builds a one-kernel node whose input element is pre-stored, so
@@ -132,5 +136,69 @@ func BenchmarkCollectSlices(b *testing.B) {
 				collect()
 			}
 		})
+	}
+}
+
+// assignSliceNode compiles the benchmark ledger's K-means template at
+// N=2000, K=100 (bench/kmeans.p2g.tmpl), stores its points and centroids as
+// init would, and returns a function that drives instances [0, lanes) of
+// assign at age 0 through execSlice: one slice, as the ledger's two workers
+// cut it at lanes 250 — the element fetches gathered, the slice body, the
+// membership stores staged and written as one box.
+func assignSliceNode(tb testing.TB, lanes int) (*Node, func()) {
+	tb.Helper()
+	const n, k = 2000, 100
+	src, err := os.ReadFile(filepath.Join("..", "..", "bench", "kmeans.p2g.tmpl"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := lang.Compile("kmeans", strings.NewReplacer("@N@", fmt.Sprint(n), "@K@", fmt.Sprint(k), "@SEED@", "1").Replace(string(src)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if kd := prog.Kernel("assign"); kd.SliceBody == nil || lanes < kd.SliceMin {
+		tb.Fatalf("assign does not run %d lanes in lockstep", lanes)
+	}
+	// MergeStores: every slice stores the same elements of membership(0).
+	node, err := NewNode(prog, Options{Workers: 1, MergeStores: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pts, cents := field.NewArray(field.Float64, n, 2), field.NewArray(field.Float64, k, 2)
+	for i, v := 0, pts.Float64s(); i < len(v); i++ {
+		v[i] = float64(i * 37 % 100)
+	}
+	for i, v := 0, cents.Float64s(); i < len(v); i++ {
+		v[i] = pts.Float64s()[i*n/k]
+	}
+	for name, a := range map[string]*field.Array{"datapoints": pts, "centroids": cents} {
+		if _, err := node.fields[name].f.StoreAll(0, a); err != nil {
+			tb.Fatal(err)
+		}
+		node.fields[name].f.MarkComplete(0)
+	}
+	tr := &ageTracker{ks: node.kernels["assign"], age: 0}
+	run := cellRun{rank: 1, hi: lanes}
+	run.ext[0] = lanes
+	w := newWorkerState(node, 0)
+	return node, func() {
+		*w.buf = (*w.buf)[:0]
+		b := getBatch()
+		b.tracker, b.run = tr, run
+		node.execSlice(b, w)
+		releaseBatch(b)
+	}
+}
+
+// BenchmarkLockstepAssign times one warm 250-instance lockstep slice of the
+// ledger's K-means assign through execSlice: fetch, body and store.
+func BenchmarkLockstepAssign(b *testing.B) {
+	n, exec := assignSliceNode(b, 250)
+	defer n.Release()
+	exec()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exec()
 	}
 }

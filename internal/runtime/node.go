@@ -393,18 +393,25 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			ks.fetchPlans[i] = fp
 		}
 		if kd.SliceBody != nil {
-			// Every row of a context sees the one Array of a local, so an
+			// Every lane of a context sees the one Array of a local, so an
 			// array that differs between instances — a slab with a fixed
 			// dimension, or one the body fills — cannot pass through a slice
-			// body.
-			for li := range kd.Locals {
-				shared := kd.Locals[li].Rank == 0
+			// body; and a scalar local lives in a column of numbers, filled
+			// from fields of its own kind.
+			for li, l := range kd.Locals {
+				whole, number := false, l.Kind.Integer() || l.Kind.Float() || l.Kind == field.Bool
 				for i := range ks.fetchPlans {
-					fp := &ks.fetchPlans[i]
-					shared = shared || fp.local == li && fp.slab != nil && noneFixed(fp.slab)
+					if fp := &ks.fetchPlans[i]; fp.local == li {
+						whole = whole || fp.slab != nil && noneFixed(fp.slab)
+						number = number && fp.fs.decl.Kind == l.Kind
+					}
 				}
-				if !shared {
-					return nil, fmt.Errorf("p2g: kernel %q has a slice body, but its array local %s is not a whole fetch", kd.Name, kd.Locals[li].Name)
+				what, why := "local", "a number fetched from a field of its kind"
+				if l.Rank > 0 {
+					what, why = "array local", "a whole fetch"
+				}
+				if l.Rank > 0 && !whole || l.Rank == 0 && !number {
+					return nil, fmt.Errorf("p2g: kernel %q has a slice body, but its %s %s is not %s", kd.Name, what, l.Name, why)
 				}
 			}
 		}
@@ -451,7 +458,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 
 // execFrame is the reusable per-slice state a worker keeps per kernel
 // (workerState.frames): the instance context, the instance coordinates of a
-// slice (one row of them per instance in lockstep), coordinate and
+// slice (those of every lane in lockstep), coordinate and
 // slab-selector scratch sized for the kernel's largest index expressions,
 // and the two per-slice hoists — one generation pin per fetch and one
 // staging box per store.
@@ -884,11 +891,10 @@ func (n *Node) worker(id int) {
 // instances as boxes under one field lock per store statement, and send one
 // done event carrying the slice. Per instance: alias slab views and read
 // elements out of the pins, run the body, apply whole-field stores and stage
-// the others — unless the kernel has a
-// slice body and the slice is long enough for it (minLockstepInsts and
-// the kernel's own SliceMin), in which case the bodies are one call
-// (lockstep). Dispatch time (everything but the bodies) and kernel time (the
-// bodies) feed the Table II/III instrumentation. The path allocates nothing
+// the others — unless the kernel has a slice body and the slice is at least
+// its SliceMin long, in which case the bodies are one call (lockstep).
+// Dispatch time (everything but the bodies) and kernel time (the bodies)
+// feed the Table II/III instrumentation. The path allocates nothing
 // for element fetches and stores: coordinates evaluate into the frame's
 // scratch.
 //
@@ -941,9 +947,8 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 	var bodyNs time.Duration
 	ran, stores := 0, 0
 	stopped := false
-	locked, rows := false, 1
-	if k := b.len(); kd.SliceBody != nil && k >= max(minLockstepInsts, kd.SliceMin) {
-		rows = k
+	locked := false
+	if kd.SliceBody != nil && b.len() >= kd.SliceMin {
 		locked, ran, stores, stopped = n.lockstep(t, b, fr, w, timed, &cur)
 	}
 	for i, k := 0, b.len(); !locked && i < k; i++ {
@@ -1013,64 +1018,55 @@ func (n *Node) execSlice(b *batch, w *workerState) {
 			fr.pins[i] = viewPin{}
 		}
 	}
-	if rows > 1 {
-		ctx.ClearRows(rows)
-	}
 	ctx.Reset(0, nil)
 }
 
-// minLockstepInsts is the shortest slice handed to any kernel's slice body:
-// below it, running the bodies one by one is as fast as setting up the rows.
-// A kernel that knows what one call costs against so many asks for more
-// (core.KernelDecl.SliceMin; the kernel language derives it from the body).
-const minLockstepInsts = 4
-
-// lockstep runs a slice through the kernel's slice body: every instance is
-// fetched into its own row of the frame's context, one SliceBody call runs
-// all the bodies, then every row's stores are handled — the same fetchInst
-// and storeInst as the per-instance loop, and whole-field fetches are aliased
-// out of the pins once for all rows. It reports done false, with nothing
-// stored, when the slice body declines (the kernel language's does when an
-// instance would fail: the per-instance loop then reproduces the failure in
-// order). It leaves the stamps around the one body call in cur.
+// lockstep runs a slice through the kernel's slice body: the instances are
+// the lanes of the frame's context, whose element fetches are gathered into
+// columns (fetchLanes) and whose stores are staged out of them (storeLanes)
+// around one SliceBody call; whole-field fetches are aliased out of the pins
+// once for all lanes. It reports done false, with nothing stored, when the
+// slice body declines (the kernel language's does when an instance would
+// fail: the per-instance loop then reproduces the failure in order). It
+// leaves the stamps around the one body call in cur.
 func (n *Node) lockstep(t *ageTracker, b *batch, fr *execFrame, w *workerState, timed bool, cur *instStamps) (done bool, ran, stores int, stopped bool) {
 	ks := t.ks
 	ctx := fr.ctx
-	rows, rank := b.len(), len(ks.decl.IndexVars)
-	if len(fr.coords) < rows*rank {
-		fr.coords = make([]int, rows*rank)
+	lanes, rank := b.len(), len(ks.decl.IndexVars)
+	if len(fr.coords) < lanes*rank {
+		fr.coords = make([]int, lanes*rank)
 	}
 	ctx.Reset(t.age, nil)
-	ctx.Rows(rows)
-	for r := 0; r < rows; r++ {
-		coords, _ := b.inst(r, fr.coords[r*rank:])
-		ctx.ResetRow(r, t.age, coords)
-		if !n.fetchInst(t, coords, fr, r == 0) {
-			return true, 0, 0, false
+	ctx.Lanes(lanes)
+	for l := 0; l < lanes; l++ {
+		coords, _ := b.inst(l, fr.coords[l*rank:])
+		for d, x := range coords {
+			ctx.CoordCol(d)[l] = int64(x)
 		}
+	}
+	if !n.fetchLanes(t, fr, lanes) {
+		return true, 0, 0, false
 	}
 	if timed {
 		cur.body = time.Now()
 	}
-	ok := n.runSliceBody(ks.decl, ctx, rows)
+	ok := n.runSliceBody(ks.decl, ctx, lanes)
 	if timed {
 		cur.bodyEnd = time.Now()
 	}
 	if !ok {
-		ks.declined.Add(int64(rows))
+		ks.declined.Add(int64(lanes))
 		return false, 0, 0, false
 	}
-	ks.lockstep.Add(int64(rows))
-	for r := 0; r < rows; r++ {
-		ctx.Row(r)
-		coords := fr.coords[r*rank : (r+1)*rank] // decoded by the fetch pass
-		st, ok := n.storeInst(t, rows, coords, fr, w)
+	ks.lockstep.Add(int64(lanes))
+	for j := range ks.storePlans {
+		st, ok := n.storeLanes(t, j, lanes, fr, w)
 		stores += st
 		if !ok {
 			break
 		}
 	}
-	return true, rows, stores, ctx.Stopped()
+	return true, lanes, stores, ctx.Stopped()
 }
 
 // runSliceBody calls the kernel's slice body; one that panics has declined.
@@ -1106,7 +1102,7 @@ func (n *Node) observeLockstep(t *ageTracker, b *batch, coords []int, ran int, w
 // aliased and elements read out of the slice's pins (copies and locked reads
 // where a generation could not be pinned). alias is false when an earlier
 // instance of the same slice has already filled the context's whole-field
-// fetch arrays, which every instance and row shares: one is filled again
+// fetch arrays, which every instance and lane shares: one is filled again
 // only when it is no longer a view — a body's copy-on-write detached it, or
 // it is a copy. It reports false after failing the run when an element the
 // analyzer saw written is missing.
@@ -1116,30 +1112,95 @@ func (n *Node) fetchInst(t *ageTracker, coords []int, fr *execFrame, alias bool)
 	for i := range ks.fetchPlans {
 		fp := &ks.fetchPlans[i]
 		g := fp.fe.Age.Eval(t.age)
-		switch {
-		case fp.slab != nil:
-			dst := ctx.FetchDestAt(fp.local)
-			if alias || !noneFixed(fp.slab) || !dst.Backing().Shared {
-				sel := evalSel(fr.sel[:len(fp.slab)], fp.slab, coords)
-				if pin := &fr.pins[i]; !pin.ok || !pin.tok.Slice(sel, dst) {
-					fp.fs.f.FetchSlice(g, sel, dst)
+		if fp.slab != nil {
+			n.fetchSlab(fp, g, coords, fr, &fr.pins[i], alias)
+			continue
+		}
+		idx := evalTerms(fr.idx[:len(fp.terms)], fp.terms, coords)
+		v, ok := fp.element(&fr.pins[i], g, idx)
+		if !ok {
+			return n.missing(t, fp, g, idx)
+		}
+		ctx.SetLocalValue(fp.local, v)
+	}
+	return true
+}
+
+// element reads the element an element fetch selects at idx of generation
+// g: out of pin, or under the field's lock where g could not be pinned.
+func (fp *fetchPlan) element(pin *viewPin, g int, idx []int) (field.Value, bool) {
+	if pin.ok {
+		return pin.tok.At(idx)
+	}
+	return fp.fs.f.At(g, idx...)
+}
+
+// fetchSlab performs a whole or slab fetch of generation g into the frame's
+// context, aliased out of pin where it can be: see fetchInst for alias.
+func (n *Node) fetchSlab(fp *fetchPlan, g int, coords []int, fr *execFrame, pin *viewPin, alias bool) {
+	dst := fr.ctx.FetchDestAt(fp.local)
+	if alias || !noneFixed(fp.slab) || !dst.Backing().Shared {
+		sel := evalSel(fr.sel[:len(fp.slab)], fp.slab, coords)
+		if !pin.ok || !pin.tok.Slice(sel, dst) {
+			fp.fs.f.FetchSlice(g, sel, dst)
+		}
+	}
+	fr.ctx.SetLocalValue(fp.local, field.ArrayVal(dst))
+}
+
+// missing fails the run for an element the analyzer saw written and a fetch
+// did not find, and returns false.
+func (n *Node) missing(t *ageTracker, fp *fetchPlan, g int, idx []int) bool {
+	n.fail(fmt.Errorf("p2g: internal error: %s dispatched before %s(%d)%v was written", t.ks.decl.Name, fp.fe.Field, g, idx))
+	return false
+}
+
+// fetchLanes performs a slice's fetches into the lanes of the frame's
+// context, whose coordinates are in fr.coords: whole fetches once, for all
+// lanes; element fetches gathered into the local's column, unboxed, out of
+// the slice's pins (element's locked reads where a generation could not be
+// pinned), and bound in every lane. It reports false as fetchInst does.
+func (n *Node) fetchLanes(t *ageTracker, fr *execFrame, lanes int) bool {
+	ks := t.ks
+	ctx := fr.ctx
+	rank := len(ks.decl.IndexVars)
+	for i := range ks.fetchPlans {
+		fp := &ks.fetchPlans[i]
+		g := fp.fe.Age.Eval(t.age)
+		pin := &fr.pins[i]
+		if fp.slab != nil {
+			n.fetchSlab(fp, g, fr.coords[:rank], fr, pin, true)
+			continue
+		}
+		var ic []int64
+		var fc []float64
+		isFloat := ks.decl.Locals[fp.local].Kind.Float()
+		if isFloat {
+			fc = ctx.FloatCol(fp.local)
+		} else {
+			ic = ctx.IntCol(fp.local)
+		}
+		for l := 0; l < lanes; l++ {
+			idx := evalTerms(fr.idx[:len(fp.terms)], fp.terms, fr.coords[l*rank:(l+1)*rank])
+			ok := false
+			switch {
+			case !pin.ok:
+				var v field.Value
+				if v, ok = fp.element(pin, g, idx); ok {
+					ctx.SetLaneValue(fp.local, l, v)
 				}
-			}
-			ctx.SetLocalValue(fp.local, field.ArrayVal(dst))
-		default:
-			idx := evalTerms(fr.idx[:len(fp.terms)], fp.terms, coords)
-			var v field.Value
-			var ok bool
-			if pin := &fr.pins[i]; pin.ok {
-				v, ok = pin.tok.At(idx)
-			} else {
-				v, ok = fp.fs.f.At(g, idx...)
+			case isFloat:
+				fc[l], ok = pin.tok.Float64At(idx)
+			default:
+				ic[l], ok = pin.tok.Int64At(idx)
 			}
 			if !ok {
-				n.fail(fmt.Errorf("p2g: internal error: %s dispatched before %s(%d)%v was written", ks.decl.Name, fp.fe.Field, g, idx))
-				return false
+				return n.missing(t, fp, g, idx)
 			}
-			ctx.SetLocalValue(fp.local, v)
+		}
+		bound := ctx.BoundCol(fp.local)
+		for l := range bound {
+			bound[l] = true
 		}
 	}
 	return true
@@ -1152,39 +1213,77 @@ func (n *Node) fetchInst(t *ageTracker, coords []int, fr *execFrame, alias bool)
 // returns the number of stores applied and false after failing the run on a
 // store error.
 func (n *Node) storeInst(t *ageTracker, k int, coords []int, fr *execFrame, w *workerState) (int, bool) {
-	ks := t.ks
-	ctx := fr.ctx
 	stores := 0
-	for j := range ks.storePlans {
-		sp := &ks.storePlans[j]
-		if !ctx.BoundAt(sp.local) {
-			continue
-		}
-		val := ctx.LocalValue(sp.local)
-		if !sp.ss.Whole() {
-			if err := fr.staged[j].stage(sp, coords, &val, k); err != nil {
-				n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
-				return stores, false
-			}
-			continue
-		}
-		g := sp.ss.Age.Eval(t.age)
-		sel := fr.sel[:len(sp.slab)] // fixing no dimension
-		clear(sel)
-		res, err := sp.fs.f.StoreSlice(g, sel, val.Array())
-		if err != nil {
-			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
+	for j := range t.ks.storePlans {
+		st, ok := n.storeLocal(t, j, k, coords, fr, w)
+		stores += st
+		if !ok {
 			return stores, false
 		}
-		stores++
-		if n.opts.OnStore != nil {
-			n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Sel: sel, Value: val})
+	}
+	return stores, true
+}
+
+// storeLocal is storeInst for store statement j, whose local the context
+// holds once: a scalar of the one instance, or an array local.
+func (n *Node) storeLocal(t *ageTracker, j, k int, coords []int, fr *execFrame, w *workerState) (int, bool) {
+	ks := t.ks
+	sp := &ks.storePlans[j]
+	if !fr.ctx.BoundAt(sp.local) {
+		return 0, true
+	}
+	val := fr.ctx.LocalValue(sp.local)
+	if !sp.ss.Whole() {
+		if err := fr.staged[j].stage(sp, coords, &val, k); err != nil {
+			n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
+			return 0, false
 		}
-		if sp.fs.analyzed(res.Grew) {
-			ev := event{fs: sp.fs, age: g}
-			ev.setBox(sel, val.Array())
-			ev.setGrowth(&res)
-			w.emit(&ev)
+		return 0, true
+	}
+	g := sp.ss.Age.Eval(t.age)
+	sel := fr.sel[:len(sp.slab)] // fixing no dimension
+	clear(sel)
+	res, err := sp.fs.f.StoreSlice(g, sel, val.Array())
+	if err != nil {
+		n.fail(fmt.Errorf("p2g: kernel %s(age=%d): %w", ks.decl.Name, t.age, err))
+		return 0, false
+	}
+	if n.opts.OnStore != nil {
+		n.opts.OnStore(StoreNotice{Field: sp.ss.Field, Age: g, Sel: sel, Value: val})
+	}
+	if sp.fs.analyzed(res.Grew) {
+		ev := event{fs: sp.fs, age: g}
+		ev.setBox(sel, val.Array())
+		ev.setGrowth(&res)
+		w.emit(&ev)
+	}
+	return 1, true
+}
+
+// storeLanes handles store statement j over a slice's lanes after its slice
+// body: a scalar local's column is staged, in the lanes it is bound in
+// (stageLanes); an array local, one for all lanes, is stored per lane as
+// storeLocal stores it.
+func (n *Node) storeLanes(t *ageTracker, j, lanes int, fr *execFrame, w *workerState) (int, bool) {
+	sp := &t.ks.storePlans[j]
+	rank := len(t.ks.decl.IndexVars)
+	if l := &t.ks.decl.Locals[sp.local]; l.Rank == 0 {
+		var ic []int64
+		var fc []float64
+		if l.Kind.Float() {
+			fc = fr.ctx.FloatCol(sp.local)
+		} else {
+			ic = fr.ctx.IntCol(sp.local)
+		}
+		fr.staged[j].stageLanes(sp, fr.coords, rank, fr.ctx.BoundCol(sp.local), l.Kind, ic, fc)
+		return 0, true
+	}
+	stores := 0
+	for l := 0; l < lanes; l++ {
+		st, ok := n.storeLocal(t, j, lanes, fr.coords[l*rank:(l+1)*rank], fr, w)
+		stores += st
+		if !ok {
+			return stores, false
 		}
 	}
 	return stores, true
@@ -1197,18 +1296,14 @@ func (n *Node) storeInst(t *ageTracker, k int, coords []int, fr *execFrame, w *w
 // dimension. slice, the slice's length, sizes the cells on their first use.
 // It fails when the array's rank is not the selector's free dimension count.
 func (st *stagedStores) stage(sp *storePlan, coords []int, v *field.Value, slice int) error {
-	var a *field.Array
-	if sp.free > 0 {
-		if a = v.Array(); a.Rank() != sp.free {
-			return fmt.Errorf("field %s: store of a rank-%d array into %d free dimensions", sp.ss.Field, a.Rank(), sp.free)
-		}
-	} else if st.extend(sp.slab, coords) {
+	if sp.free == 0 {
+		st.boxCell(sp.slab, coords)
 		st.cells.Append(*v)
-		st.n++
-		if len(st.ext) >= 2*len(sp.slab) {
-			st.merge(len(sp.slab))
-		}
 		return nil
+	}
+	a := v.Array()
+	if a.Rank() != sp.free {
+		return fmt.Errorf("field %s: store of a rank-%d array into %d free dimensions", sp.ss.Field, a.Rank(), sp.free)
 	}
 	j := 0
 	for _, tm := range sp.slab {
@@ -1220,14 +1315,53 @@ func (st *stagedStores) stage(sp *storePlan, coords []int, v *field.Value, slice
 		}
 		st.sels, st.ext = append(st.sels, field.SlabDim{Index: o}), append(st.ext, e)
 	}
-	if a == nil {
-		st.cells.Append(*v)
-	} else {
-		st.cells.AppendCells(a, slice*a.Len())
-	}
+	st.cells.AppendCells(a, slice*a.Len())
 	st.n++
 	st.merge(len(sp.slab))
 	return nil
+}
+
+// boxCell adds the box of an element store at coords, which fixes every
+// dimension: the last box grows by the cell when it is the next one there
+// (extend), else the cell is a box of its own; either way boxes merge as
+// merge folds them. The caller appends the cell.
+func (st *stagedStores) boxCell(slab []slabTerm, coords []int) {
+	st.n++
+	if st.extend(slab, coords) {
+		if len(st.ext) >= 2*len(slab) {
+			st.merge(len(slab))
+		}
+		return
+	}
+	for _, tm := range slab {
+		st.sels, st.ext = append(st.sels, field.SlabDim{Index: tm.term.eval(coords)}), append(st.ext, 1)
+	}
+	st.merge(len(slab))
+}
+
+// stageLanes adds the element stores of a slice's lanes to the statement's
+// output: lane l's cell — ints[l] or floats[l], a payload of kind k — goes to
+// the cell its coordinates coords[l*rank:] select, if bound[l]. Boxes are
+// boxCell's, and the cells go in by runs of bound lanes, so the lanes of a
+// contiguous run, all bound, are one box and one append.
+func (st *stagedStores) stageLanes(sp *storePlan, coords []int, rank int, bound []bool, k field.Kind, ints []int64, floats []float64) {
+	from := 0 // the first lane whose cell is not in yet
+	put := func(to int) {
+		if ints != nil {
+			st.cells.AppendInt64s(k, ints[from:to])
+		} else {
+			st.cells.AppendFloat64s(k, floats[from:to])
+		}
+	}
+	for l, b := range bound {
+		if !b {
+			put(l)
+			from = l + 1
+			continue
+		}
+		st.boxCell(sp.slab, coords[l*rank:(l+1)*rank])
+	}
+	put(len(bound))
 }
 
 // extend grows the last box by one cell along the field's last dimension

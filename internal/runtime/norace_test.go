@@ -132,3 +132,22 @@ func TestInjectStoreFrameAllocs(t *testing.T) {
 		t.Errorf("generation 7 holds %v rows, last row starts %v", got.Extent(0), got.At(rows-1, 0))
 	}
 }
+
+// TestLockstepAssignAllocFree: a warm 250-instance lockstep slice of the
+// ledger's K-means assign (BenchmarkLockstepAssign) allocates nothing, and
+// every instance ran in lockstep and stored its membership.
+func TestLockstepAssignAllocFree(t *testing.T) {
+	n, exec := assignSliceNode(t, 250)
+	defer n.Release()
+	exec()
+	if allocs := testing.AllocsPerRun(20, exec); allocs != 0 {
+		t.Errorf("a lockstep assign slice allocates %.1f objects, want 0", allocs)
+	}
+	ks := n.kernels["assign"]
+	if got := ks.ownLockstep(); got != 22*250 {
+		t.Errorf("%d instances ran in lockstep, want %d", got, 22*250)
+	}
+	if ms, _ := n.Snapshot("membership", 0); ms.Extent(0) != 250 {
+		t.Errorf("membership(0) holds %d elements, want 250", ms.Extent(0))
+	}
+}

@@ -170,7 +170,7 @@ func ownAllShares(shards int) *Shares {
 // domain of 16 gives slices of 2, one of 512 slices of 64 and one of 4 096
 // slices of 256 (the cap), for native kernels with element or row fetches
 // and for a kernel with a slice body, which runs every instance in lockstep
-// unless its slices are shorter than minLockstepInsts. The wideMulSum
+// unless its slices are shorter than its SliceMin (here 4). The wideMulSum
 // kernels, whose cells become ready as the previous kernel's stores arrive,
 // are still combined, and none of their slices is longer than the rule's.
 func TestSliceSizingRule(t *testing.T) {
@@ -187,6 +187,7 @@ func TestSliceSizingRule(t *testing.T) {
 						prog := burstMulSum(t, d.width, tc.rows)
 						if tc.sliceBody {
 							prog = withSliceBody(prog, "mul2", nil)
+							prog.Kernel("mul2").SliceMin = 4
 						}
 						n, err := NewNode(prog, Options{Workers: 2, MaxAge: maxAge, Shares: ownAllShares(shards)})
 						if err != nil {
@@ -203,7 +204,7 @@ func TestSliceSizingRule(t *testing.T) {
 							t.Errorf("domain %d: mul2 ran %d instances in %d slices, want %d in slices of %d", d.width, k.Instances, k.Slices, want, d.size)
 						}
 						lockstep := int64(0)
-						if tc.sliceBody && d.size >= minLockstepInsts {
+						if tc.sliceBody && d.size >= 4 {
 							lockstep = want
 						}
 						if k.Lockstep != lockstep {
@@ -748,18 +749,37 @@ func burstMulSum(t *testing.T, width int, rows bool) *core.Program {
 	return p
 }
 
-// withSliceBody gives kernel name of p a slice body that runs Body on each row
-// in turn, after asking hook, which may make it decline or panic.
-func withSliceBody(p *core.Program, name string, hook func(c *core.Ctx, rows int) bool) *core.Program {
+// withSliceBody gives kernel name of p a slice body that runs Body on each
+// lane in turn, in a context of its own, after asking hook, which may make it
+// decline or panic.
+func withSliceBody(p *core.Program, name string, hook func(c *core.Ctx, lanes int) bool) *core.Program {
 	kd := p.Kernel(name)
-	kd.SliceBody = func(c *core.Ctx, rows int) bool {
-		if hook != nil && !hook(c, rows) {
+	kd.SliceBody = func(c *core.Ctx, lanes int) bool {
+		if hook != nil && !hook(c, lanes) {
 			return false
 		}
-		for r := 0; r < rows; r++ {
-			c.Row(r)
-			if err := kd.Body(c); err != nil {
-				panic(err) // slice bodies decline before touching a row, they do not fail
+		one := core.NewReusableCtx(kd, nil, nil)
+		coords := make([]int, len(kd.IndexVars))
+		for l := 0; l < lanes; l++ {
+			for d := range coords {
+				coords[d] = int(c.CoordCol(d)[l])
+			}
+			one.Reset(c.Age(), coords)
+			for li, lo := range kd.Locals {
+				switch {
+				case lo.Rank > 0 && c.BoundAt(li):
+					one.SetLocalValue(li, c.LocalValue(li))
+				case lo.Rank == 0 && c.BoundCol(li)[l]:
+					one.SetLocalValue(li, c.LaneValue(li, l))
+				}
+			}
+			if err := kd.Body(one); err != nil {
+				panic(err) // slice bodies decline before touching a lane, they do not fail
+			}
+			for li, lo := range kd.Locals {
+				if lo.Rank == 0 && one.BoundAt(li) {
+					c.SetLaneValue(li, l, one.LocalValue(li))
+				}
 			}
 		}
 		return true
@@ -768,11 +788,11 @@ func withSliceBody(p *core.Program, name string, hook func(c *core.Ctx, rows int
 }
 
 // TestLockstepSliceBody: a kernel with a slice body has its slices of at
-// least minLockstepInsts instances — or SliceMin, when the kernel asks for
-// more — run by it, rows in, one call, rows out, with the results, the store
-// counts and the per-instance spans of the per-instance loop, and the
-// lockstep counter says how many. A slice body that declines or panics costs
-// nothing but the attempt, which the declined counter records.
+// least its SliceMin instances — every slice, when that is 0 — run by it,
+// lanes in, one call, lanes out, with the results, the store counts and the
+// per-instance spans of the per-instance loop, and the lockstep counter says
+// how many. A slice body that declines or panics costs nothing but the
+// attempt, which the declined counter records.
 func TestLockstepSliceBody(t *testing.T) {
 	const width, maxAge = 50, 3
 	for name, tc := range map[string]struct {
@@ -781,15 +801,16 @@ func TestLockstepSliceBody(t *testing.T) {
 		lockstep int64 // mul2 instances expected through the slice body
 		declined int64 // ... and expected to run again after it declined
 	}{
-		// 50 instances in slices of 16: 16+16+16 in lockstep, the last 2 not.
-		"runs":     {nil, 0, (maxAge + 1) * 48, 0},
-		"declines": {func(c *core.Ctx, rows int) bool { return c.Age() != 1 }, 0, maxAge * 48, 48},
+		// 50 instances in slices of 16: 16+16+16+2, all in lockstep with no
+		// minimum, the last 2 not with a minimum of 16.
+		"runs":     {nil, 0, (maxAge + 1) * 50, 0},
+		"declines": {func(c *core.Ctx, rows int) bool { return c.Age() != 1 }, 0, maxAge * 50, 50},
 		"panics": {func(c *core.Ctx, rows int) bool {
 			if c.Age() == 2 {
 				panic("kaboom")
 			}
 			return true
-		}, 0, maxAge * 48, 48},
+		}, 0, maxAge * 50, 50},
 		"at its minimum": {nil, 16, (maxAge + 1) * 48, 0},
 		"below its minimum": {func(c *core.Ctx, rows int) bool {
 			panic("a slice of 16 went to a slice body that asks for 17")
@@ -857,6 +878,30 @@ func TestSliceBodyNeedsSharedArrays(t *testing.T) {
 	p.Kernel("copy").SliceBody = func(*core.Ctx, int) bool { return true }
 	if _, err := NewNode(p, Options{}); err == nil || !strings.Contains(err.Error(), "array local row is not a whole fetch") {
 		t.Errorf("NewNode accepted a slice body over a slab fetch: %v", err)
+	}
+}
+
+// TestSliceBodyNeedsTypedScalars: a scalar local is a column of numbers in
+// a slice body's context, filled from a field of its own kind, so NewNode
+// refuses a slice body for a kernel whose local is a string or is fetched
+// from a field of another kind (any).
+func TestSliceBodyNeedsTypedScalars(t *testing.T) {
+	for name, kinds := range map[string][2]field.Kind{"any": {field.Any, field.Int32}, "string": {field.String, field.String}} {
+		b := core.NewBuilder("scalars")
+		b.Field("in", kinds[0], 1, false)
+		b.Field("out", kinds[1], 1, false)
+		b.Kernel("copy").Index("x").
+			Local("v", kinds[1], 0).
+			Fetch("v", "in", core.AgeAt(0), core.Idx("x")).
+			Store("out", core.AgeAt(0), []core.IndexSpec{core.Idx("x")}, "v")
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Kernel("copy").SliceBody = func(*core.Ctx, int) bool { return true }
+		if _, err := NewNode(p, Options{}); err == nil || !strings.Contains(err.Error(), "local v is not a number fetched from a field of its kind") {
+			t.Errorf("%s: NewNode accepted a slice body over a local it cannot keep in a column: %v", name, err)
+		}
 	}
 }
 

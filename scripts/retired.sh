@@ -85,9 +85,14 @@
 #                      decode entry point and the frame's rank bound (one
 #                      codec, field.Codec; workloads.RegisterPayloads stays,
 #                      a no-op, because the benchmark ledger calls it)
+#   ResetRow ClearRows slabVals slabBound slabInited rowCoords minLockstepInsts
+#                      the context's slab of boxed rows, one per instance of a
+#                      slice body, and the runtime's own shortest lockstep
+#                      slice (a slice body's lanes are typed columns,
+#                      Ctx.Lanes; SliceMin alone decides)
 set -eu
 cd "$(dirname "$0")/.."
-names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes tabuSearch Tabu frameFlushBytes frameFlushEntries inprocConn InprocPipe FaultConn FaultPlan NewFaultConn PollInterval Heartbeat MaxMissed liveTimeout IdleTimeout HeartbeatMs appendEnvelope readEnvelope hotKinds gobTag maxGobLen gobBytes MTraceReq MTrace connStats RegisterPayload anyBox wireReader frameCursor frameModeBox errFrameMode DecodeWireValueInto frameMaxRank'
+names='readyQueue SchedulerKind BackendClosure MReassign pushbackConn SplitWireArray FetchViewSlice anShard ctlMsg shardMaskForStore shardRoute injectEnsure startShadow shadowDone EncodeGenerationFrame FieldAges CollectTraces Repartition instPool instState needsInstMap coordKey instBlock burstStamp newInst markReady setBit burstMask instWaiting instDone stealScheduler workerDeque publishMin popOldest emptyAge MStealsTotal MWorkerQueueDepth scanSatisfy StoreElems frameModeElem frameModeSlab satisfyElem satCoords satConstr newSlab0 fetchView observeCost costNs sliceTargetNs costSmoothing probed cutRun boxImage stageBoxes tabuSearch Tabu frameFlushBytes frameFlushEntries inprocConn InprocPipe FaultConn FaultPlan NewFaultConn PollInterval Heartbeat MaxMissed liveTimeout IdleTimeout HeartbeatMs appendEnvelope readEnvelope hotKinds gobTag maxGobLen gobBytes MTraceReq MTrace connStats RegisterPayload anyBox wireReader frameCursor frameModeBox errFrameMode DecodeWireValueInto frameMaxRank ResetRow ClearRows slabVals slabBound slabInited rowCoords minLockstepInsts'
 pattern=$(printf '%s\n' $names | paste -sd '|' -)
 found=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 	-exec grep -HnwE "$pattern" {} + || true)
